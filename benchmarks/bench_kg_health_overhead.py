@@ -2,11 +2,12 @@
 
 The quality gate runs on the rollout path, so it must be cheap relative
 to what it guards.  This bench builds a parent and a child snapshot the
-way a refresh round does — replay the triples into a columnar
+way a refresh round does — merge the triples into a columnar
 :class:`KnowledgeGraph`, freeze via ``build_snapshot`` (content
-checksum + columnar digest) — and then times the *entire* gate pass:
-two :func:`compute_kg_health` reports off the prebuilt columns, both
-edge-identity sets, and :func:`evaluate_drift` under the default rules.
+checksum + columnar digest) — and then times the gate the rollout
+controller calls, ``SnapshotQualityGate(store).assess(child)`` on a
+cold gate: two health reports off the snapshots' frozen columns, both
+edge-identity sets, and the drift rules.
 
 The contract from DESIGN.md §14: health is a handful of
 ``np.bincount``/``np.histogram`` passes over columns the snapshot
@@ -17,9 +18,9 @@ floor for sub-second runs).  The bound is paired best-of-N like
 back-to-back with GC paused, and the assert takes the cleanest pair,
 so shared-machine load swings cancel instead of flaking the bound.
 
-Structural checks are exact: the two arms must agree on triple counts,
-the health document must validate against ``repro.obs.kg_health/v1``,
-and the healthy child must promote.
+Structural checks are exact: the gate's reports must count every edge
+of the graphs that were frozen, the health document must validate
+against ``repro.obs.kg_health/v1``, and the healthy child must promote.
 """
 
 import gc
@@ -29,10 +30,9 @@ from conftest import publish
 from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.obs import (WallProfiler, compute_kg_health, evaluate_drift,
-                       kg_health_report, validate_kg_health)
-from repro.refresh import build_snapshot
-from repro.refresh.quality import edge_keys
+from repro.obs import (WallProfiler, compute_kg_health, kg_health_report,
+                       validate_kg_health)
+from repro.refresh import SnapshotQualityGate, SnapshotStore, build_snapshot
 from repro.reporting import Table
 
 N_QUERIES = 4000
@@ -68,28 +68,7 @@ def _build_arm(triples, entries, parent=None):
     """What a refresh round pays to freeze a snapshot."""
     graph = KnowledgeGraph()
     graph.extend(triples)
-    snapshot = build_snapshot(entries, graph.triples(), parent=parent,
-                              graph=graph)
-    return snapshot, graph
-
-
-def _gate_arm(parent_snap, parent_graph, child_snap, child_graph):
-    """The full quality-gate pass: two health reports + drift."""
-    parent_health = compute_kg_health(parent_graph.columns(),
-                                      version=parent_snap.version,
-                                      entries=len(parent_snap))
-    child_health = compute_kg_health(child_graph.columns(),
-                                     version=child_snap.version,
-                                     parent=parent_snap.version,
-                                     entries=len(child_snap))
-    parent_edges = edge_keys(parent_snap)
-    child_edges = edge_keys(child_snap)
-    drift = evaluate_drift(
-        parent_health, child_health,
-        added_edges=len(child_edges - parent_edges),
-        removed_edges=len(parent_edges - child_edges),
-    )
-    return parent_health, child_health, drift
+    return build_snapshot(entries, parent=parent, graph=graph), graph
 
 
 def test_kg_health_overhead(benchmark):
@@ -112,9 +91,11 @@ def test_kg_health_overhead(benchmark):
                 parent_snap, parent_graph = _build_arm(base, entries)
                 child_snap, child_graph = _build_arm(
                     grown, entries, parent=parent_snap)
+            store = SnapshotStore()
+            store.add(parent_snap)
+            store.add(child_snap)
             with profiler.section(f"health-{rep}"):
-                last = _gate_arm(parent_snap, parent_graph,
-                                 child_snap, child_graph)
+                last = SnapshotQualityGate(store).assess(child_snap)
         finally:
             gc.enable()
         pairs.append((profiler.total_s(f"build-{rep}") / 2.0,
@@ -123,7 +104,8 @@ def test_kg_health_overhead(benchmark):
         pairs, key=lambda p: p[1] - MAX_HEALTH_FRACTION * p[0])
     fraction = health_s / build_s if build_s > 0 else float("inf")
 
-    parent_health, child_health, drift = last
+    parent_health, child_health, drift = (last.parent_health, last.health,
+                                          last.drift)
 
     # Exact structural checks: health saw every edge, the export
     # validates, and organic growth promotes under the default rules.
@@ -131,7 +113,7 @@ def test_kg_health_overhead(benchmark):
     assert child_health.triples == len(child_graph)
     doc = kg_health_report([parent_health, child_health], drift=[drift])
     validate_kg_health(doc)
-    assert drift.ok, f"healthy growth breached: {drift.breaches}"
+    assert last.promote, f"healthy growth breached: {last.breaches}"
 
     table = Table("KG health overhead — snapshot build vs gate pass",
                   ["Arm", f"Wall, best pair of {BEST_OF} (s)", "Triples"])
@@ -150,5 +132,5 @@ def test_kg_health_overhead(benchmark):
         f"({fraction:.2f}x > {MAX_HEALTH_FRACTION}x + {ABS_FLOOR_S}s)")
 
     # Benchmark kernel: one steady-state vectorized health pass.
-    benchmark(lambda: compute_kg_health(child_graph.columns(),
+    benchmark(lambda: compute_kg_health(child_snap.columns,
                                         version=child_snap.version))

@@ -21,6 +21,7 @@ snapshot digests) avoids per-edge Python object traffic.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -32,6 +33,24 @@ from repro.core.triples import KnowledgeTriple
 __all__ = ["KGStats", "HierarchyNode", "KnowledgeGraph"]
 
 _INITIAL_CAPACITY = 16
+
+#: ``columns()`` name → (attribute, dtype) of every per-edge array.
+_ARRAYS: dict[str, tuple[str, type]] = {
+    "head": ("_head_col", np.int32),
+    "relation": ("_rel_col", np.int32),
+    "tail": ("_tail_col", np.int32),
+    "domain": ("_domain_col", np.int32),
+    "behavior": ("_behavior_col", np.int32),
+    "plausibility": ("_plaus_col", np.float64),
+    "typicality": ("_typ_col", np.float64),
+    "support": ("_support_col", np.int64),
+}
+#: ``columns()`` name → attribute of every intern table.
+_TABLES = {"nodes": "_nodes", "relations": "_relations",
+           "domains": "_domains", "behaviors": "_behaviors"}
+#: id column → the intern table its values index.
+_TABLE_OF = {"head": "nodes", "relation": "relations", "tail": "nodes",
+             "domain": "domains", "behavior": "behaviors"}
 
 
 @dataclass(frozen=True)
@@ -58,6 +77,15 @@ class HierarchyNode:
         return 1 + max(child.depth() for child in self.children)
 
 
+def _first_repeat(values: Iterable):
+    """The first value seen twice (for error messages only)."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+
+
 class _InternTable:
     """Append-only string ↔ dense-id table."""
 
@@ -66,6 +94,18 @@ class _InternTable:
     def __init__(self):
         self._ids: dict[str, int] = {}
         self._values: list[str] = []
+
+    @classmethod
+    def adopt(cls, name: str, values: Iterable[str]) -> "_InternTable":
+        """A table holding ``values`` at ids 0..n-1; a repeated string
+        would make two ids mean one value, so it is rejected."""
+        table = cls()
+        table._values = list(values)
+        table._ids = {value: i for i, value in enumerate(table._values)}
+        if len(table._ids) != len(table._values):
+            raise ValueError(f"table {name!r} repeats "
+                             f"{_first_repeat(table._values)!r}")
+        return table
 
     def intern(self, value: str) -> int:
         interned = self._ids.get(value)
@@ -119,8 +159,8 @@ class KnowledgeGraph:
         self._head_ids: list[tuple[str, ...]] = []
         # (domain, behavior) → edge count, for the Table 3 breakdown.
         self._domain_behavior_edges: Counter = Counter()
-        self._csr_order: np.ndarray | None = None
-        self._csr_offsets: np.ndarray | None = None
+        self._csr_order: np.ndarray = np.empty(0, dtype=np.intp)
+        self._csr_offsets: np.ndarray = np.zeros(1, dtype=np.int64)
         self._csr_dirty = True
 
     # ------------------------------------------------------------------
@@ -159,15 +199,12 @@ class KnowledgeGraph:
 
     def _grow(self) -> None:
         capacity = max(_INITIAL_CAPACITY, 2 * len(self._head_col))
-        for name in ("_head_col", "_rel_col", "_tail_col", "_domain_col",
-                     "_behavior_col", "_plaus_col", "_typ_col",
-                     "_support_col"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, name, grown)
+        for attr, dtype in _ARRAYS.values():
+            grown = np.empty(capacity, dtype=dtype)
+            grown[: self._size] = getattr(self, attr)[: self._size]
+            setattr(self, attr, grown)
 
-    def extend(self, triples: list[KnowledgeTriple]) -> None:
+    def extend(self, triples: Iterable[KnowledgeTriple]) -> None:
         for triple in triples:
             self.add(triple)
 
@@ -269,25 +306,83 @@ class KnowledgeGraph:
 
         Arrays are trimmed views over the live columns (callers must not
         mutate them); the id tables come along as string tuples.  This
-        is the zero-copy surface :mod:`repro.core.kg_io` serializes and
-        :mod:`repro.refresh.snapshot` content-addresses.
+        and :meth:`from_columns` are the one boundary between a graph
+        and everything downstream of it: :mod:`repro.core.kg_io`
+        serializes this mapping and :mod:`repro.refresh.snapshot`
+        freezes and content-addresses it.
         """
         n = self._size
-        return {
-            "head": self._head_col[:n],
-            "relation": self._rel_col[:n],
-            "tail": self._tail_col[:n],
-            "domain": self._domain_col[:n],
-            "behavior": self._behavior_col[:n],
-            "plausibility": self._plaus_col[:n],
-            "typicality": self._typ_col[:n],
-            "support": self._support_col[:n],
-            "nodes": self._nodes.values(),
-            "relations": self._relations.values(),
-            "domains": self._domains.values(),
-            "behaviors": self._behaviors.values(),
-            "head_ids": tuple(self._head_ids),
-        }
+        cols: dict = {name: getattr(self, attr)[:n]
+                      for name, (attr, _) in _ARRAYS.items()}
+        for name, attr in _TABLES.items():
+            cols[name] = getattr(self, attr).values()
+        cols["head_ids"] = tuple(self._head_ids)
+        return cols
+
+    @classmethod
+    def from_columns(cls, columns: Mapping) -> "KnowledgeGraph":
+        """A graph that owns a copy of a :meth:`columns` mapping.
+
+        The arrays are copied (so later ``add``s never write into the
+        caller's) and the intern tables, the duplicate-merge index and
+        the Table 3 counter are rebuilt in one pass each — no per-edge
+        :meth:`add`.  What :meth:`add` guarantees by construction is
+        checked instead, and a mapping that breaks it is rejected with a
+        ``ValueError`` rather than repaired: every array holds one value
+        per edge, of its column's kind (integer ids and support, float
+        scores), every id resolves inside its table, no table repeats a
+        string, every relation name is a :class:`Relation`, and no two
+        rows share a ``(head, relation, tail)`` key.
+        """
+        kg = cls()
+        for name, attr in _TABLES.items():
+            setattr(kg, attr, _InternTable.adopt(name, columns[name]))
+        for value in kg._relations.values():
+            try:
+                Relation(value)
+            except ValueError:
+                raise ValueError(f"table 'relations' holds {value!r}, "
+                                 "which is not a Relation") from None
+        edges = len(columns["head"])
+        for name, (attr, dtype) in _ARRAYS.items():
+            values = np.asarray(columns[name])
+            if values.shape != (edges,):
+                raise ValueError(f"column {name!r} has {values.size} values "
+                                 f"for {edges} edges")
+            if not np.can_cast(values.dtype, dtype, casting="same_kind"):
+                raise ValueError(f"column {name!r} is {values.dtype}, "
+                                 f"not {np.dtype(dtype)}")
+            table = _TABLE_OF.get(name)
+            if table is not None and edges and (
+                    int(values.min()) < 0
+                    or int(values.max()) >= len(columns[table])):
+                raise ValueError(
+                    f"column {name!r} has ids outside the {table!r} table "
+                    f"(size {len(columns[table])})")
+            setattr(kg, attr, values.astype(dtype))
+        kg._head_ids = list(columns["head_ids"])
+        if len(kg._head_ids) != edges:
+            raise ValueError(f"column 'head_ids' has {len(kg._head_ids)} "
+                             f"values for {edges} edges")
+        kg._size = edges
+
+        keys = list(zip(kg._head_col.tolist(), kg._rel_col.tolist(),
+                        kg._tail_col.tolist()))
+        kg._row_of = dict(zip(keys, range(edges)))
+        if len(kg._row_of) != edges:
+            head, relation, tail = _first_repeat(keys)
+            raise ValueError(
+                "rows repeat the (head, relation, tail) key "
+                f"({kg._nodes.value(head)!r}, {kg._relations.value(relation)!r}, "
+                f"{kg._nodes.value(tail)!r})")
+        n_behaviors = len(kg._behaviors)
+        cells = np.bincount(kg._domain_col.astype(np.int64) * n_behaviors
+                            + kg._behavior_col)
+        for cell in np.nonzero(cells)[0].tolist():
+            domain, behavior = divmod(cell, n_behaviors)
+            kg._domain_behavior_edges[(kg._domains.value(domain),
+                                       kg._behaviors.value(behavior))] = int(cells[cell])
+        return kg
 
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.MultiDiGraph:

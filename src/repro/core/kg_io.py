@@ -8,15 +8,16 @@ without re-running the pipeline.  Two formats:
   per line, streamable and diff-friendly; the interchange format.
 * **Columnar npz** (:func:`save_kg_columnar` / :func:`load_kg_columnar`)
   — the graph's columnar form (id columns + intern tables) written
-  directly, no per-edge JSON traffic; loading reconstructs the columns
-  wholesale instead of re-interning edge by edge.  The hot-path format
-  for snapshots and large graphs.
+  directly, no per-edge JSON traffic; loading hands the arrays to
+  :meth:`KnowledgeGraph.from_columns`, which adopts and validates them
+  wholesale.  The hot-path format for snapshots and large graphs.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+from itertools import islice
 
 import numpy as np
 
@@ -140,53 +141,23 @@ def save_kg_columnar(kg: KnowledgeGraph, path: str | pathlib.Path) -> int:
     return len(kg)
 
 
-def _check_columnar(path: pathlib.Path, columns: dict, tables: dict,
-                    lengths: np.ndarray, n_flat: int) -> None:
-    """Validate a columnar archive's internal consistency before replay.
-
-    A truncated or hand-edited archive must fail with a ``ValueError``
-    naming the inconsistency, never with a numpy ``IndexError`` halfway
-    through reconstruction: every numeric column must be one value per
-    edge, the ragged ``head_ids`` lengths must be non-negative, one per
-    edge and sum to the flat value count, and every intern id must
-    resolve inside its stored table.
-    """
-    edges = len(columns["head"])
-    for name in _NUMERIC_COLUMNS:
-        if len(columns[name]) != edges:
-            raise ValueError(
-                f"{path}: column {name!r} has {len(columns[name])} values "
-                f"for {edges} edges"
-            )
-    if len(lengths) != edges:
-        raise ValueError(
-            f"{path}: head_ids_len has {len(lengths)} entries for "
-            f"{edges} edges"
-        )
-    if len(lengths) and int(np.min(lengths)) < 0:
-        raise ValueError(f"{path}: head_ids_len contains negative lengths")
-    if int(np.sum(lengths)) != n_flat:
-        raise ValueError(f"{path}: head_ids lengths disagree with flat values")
-    bounds = {"head": "nodes", "tail": "nodes", "relation": "relations",
-              "domain": "domains", "behavior": "behaviors"}
-    for name, table in bounds.items():
-        ids = columns[name]
-        if len(ids) and (int(np.min(ids)) < 0
-                         or int(np.max(ids)) >= len(tables[table])):
-            raise ValueError(
-                f"{path}: column {name!r} has ids outside the "
-                f"{table!r} table (size {len(tables[table])})"
-            )
+def _split_ragged(flat: list[str], lengths: np.ndarray) -> tuple[tuple[str, ...], ...]:
+    """Per-edge ``head_ids`` tuples back out of the flat value array."""
+    values = iter(flat)
+    return tuple(tuple(islice(values, count)) for count in lengths.tolist())
 
 
 def load_kg_columnar(path: str | pathlib.Path) -> KnowledgeGraph:
     """Load a KG previously written by :func:`save_kg_columnar`.
 
-    Edges are replayed through :meth:`KnowledgeGraph.add` in row order
-    — identical merge/stats bookkeeping, one code path to trust — with
-    strings resolved through the stored intern tables.  The archive is
-    validated wholesale first (:func:`_check_columnar`), so a truncated
-    or inconsistent file fails loudly before any edge is built.
+    This function owns the archive format only — the format/version
+    stamp, the presence of every array, and the ragged ``head_ids``
+    encoding (lengths non-negative, one per edge, summing to the flat
+    value count).  The columns themselves are handed to
+    :meth:`KnowledgeGraph.from_columns`, which adopts them wholesale
+    and validates them; every rejection is a ``ValueError`` naming the
+    archive, so a truncated or hand-edited file never loads as a
+    different graph.
     """
     path = pathlib.Path(path)
     with np.load(path, allow_pickle=False) as archive:
@@ -204,26 +175,21 @@ def load_kg_columnar(path: str | pathlib.Path) -> KnowledgeGraph:
         if missing:
             raise ValueError(f"{path}: archive is missing columns {missing}")
         columns = {name: archive[name] for name in _NUMERIC_COLUMNS}
-        tables = {name: [str(value) for value in archive[name]]
-                  for name in _TABLE_COLUMNS}
+        columns.update({name: archive[name].tolist() for name in _TABLE_COLUMNS})
         lengths = archive["head_ids_len"]
-        flat = [str(value) for value in archive["head_ids_flat"]]
-    _check_columnar(path, columns, tables, lengths, len(flat))
-    kg = KnowledgeGraph()
-    cursor = 0
-    for row in range(len(columns["head"])):
-        count = int(lengths[row])
-        head_ids = tuple(flat[cursor:cursor + count])
-        cursor += count
-        kg.add(KnowledgeTriple(
-            head=tables["nodes"][int(columns["head"][row])],
-            relation=Relation(tables["relations"][int(columns["relation"][row])]),
-            tail=tables["nodes"][int(columns["tail"][row])],
-            domain=tables["domains"][int(columns["domain"][row])],
-            behavior=tables["behaviors"][int(columns["behavior"][row])],
-            plausibility=float(columns["plausibility"][row]),
-            typicality=float(columns["typicality"][row]),
-            support=int(columns["support"][row]),
-            head_ids=head_ids,
-        ))
-    return kg
+        flat = archive["head_ids_flat"].tolist()
+    edges = len(columns["head"])
+    if len(lengths) != edges:
+        raise ValueError(
+            f"{path}: head_ids_len has {len(lengths)} entries for "
+            f"{edges} edges"
+        )
+    if len(lengths) and int(np.min(lengths)) < 0:
+        raise ValueError(f"{path}: head_ids_len contains negative lengths")
+    if int(np.sum(lengths)) != len(flat):
+        raise ValueError(f"{path}: head_ids lengths disagree with flat values")
+    columns["head_ids"] = _split_ragged(flat, lengths)
+    try:
+        return KnowledgeGraph.from_columns(columns)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from error

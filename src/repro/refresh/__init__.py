@@ -7,7 +7,7 @@ package solves:
 
 * **versioned snapshots** — :mod:`repro.refresh.snapshot` freezes each
   refresh round into an immutable, content-addressed
-  :class:`KgSnapshot` (triples + serving entries + a
+  :class:`KgSnapshot` (frozen KG columns + serving entries + a
   :class:`SnapshotManifest` with checksum and parent lineage), so the
   serving layer can name exactly which knowledge it is serving and roll
   between versions atomically;

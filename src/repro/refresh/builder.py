@@ -141,7 +141,7 @@ class KnowledgeRefresher:
         (oldest knowledge debt clears before new arrivals).  Returns the
         child snapshot and the round's accounting; the child's entries
         are the parent's overlaid with the round's survivors, its
-        triples the support-merged union.
+        graph the parent's with the survivors support-merged in.
         """
         cfg = self.config
         queue = self.deferred + list(samples)
@@ -177,11 +177,10 @@ class KnowledgeRefresher:
         entries = dict(parent.entries)
         entries.update({query: c.text for query, c in best.items()})
 
-        graph = KnowledgeGraph()
-        graph.extend(list(parent.triples))
-        graph.extend([_to_triple(c) for c in kept])
+        graph = KnowledgeGraph.from_columns(parent.columns)
+        graph.extend(_to_triple(c) for c in kept)
 
-        child = build_snapshot(entries, graph.triples(), parent=parent,
+        child = build_snapshot(entries, parent=parent,
                                note=f"refresh round {self.rounds}",
                                graph=graph)
         report = RefreshReport(
@@ -196,7 +195,8 @@ class KnowledgeRefresher:
             survivors=len(survivors),
             kept=len(kept),
             new_entries=len(best),
-            new_triples=len(child.triples) - len(parent.triples),
+            new_triples=(child.manifest.triple_count
+                         - parent.manifest.triple_count),
         )
         self.rounds += 1
         return child, report

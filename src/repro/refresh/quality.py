@@ -5,9 +5,9 @@ observation over plain column data; this module is the adapter that
 walks actual :class:`~repro.refresh.snapshot.KgSnapshot` objects and
 their :class:`~repro.refresh.snapshot.SnapshotStore` lineage:
 
-* :func:`snapshot_health` rebuilds the snapshot's triples into a
-  columnar :class:`~repro.core.kg.KnowledgeGraph` and computes its
-  :class:`~repro.obs.kg_health.KgHealthReport`;
+* :func:`snapshot_health` computes the
+  :class:`~repro.obs.kg_health.KgHealthReport` of the columns the
+  snapshot already holds;
 * :func:`edge_keys` extracts the content-identity edge set (the same
   ``(head, relation, tail)`` identities the snapshot checksum sorts),
   so added/removed-edge rates are exact, not inferred from counts;
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.kg import KnowledgeGraph
 from repro.obs.drift import (DriftReport, DriftRule, default_drift_rules,
                              evaluate_drift)
 from repro.obs.kg_health import (KgHealthReport, compute_kg_health,
@@ -45,17 +44,10 @@ __all__ = [
 
 def snapshot_health(snapshot: KgSnapshot, *,
                     funnel: dict[str, int] | None = None) -> KgHealthReport:
-    """Compute a snapshot's :class:`KgHealthReport`.
-
-    The snapshot's triples are replayed into a fresh columnar
-    :class:`KnowledgeGraph` (the same merge bookkeeping serving uses)
-    and health is one vectorized pass over its ``columns()``.
-    """
-    graph = KnowledgeGraph()
-    for triple in snapshot.triples:
-        graph.add(triple)
+    """A snapshot's :class:`KgHealthReport`: one vectorized pass over
+    its frozen columns."""
     return compute_kg_health(
-        graph.columns(),
+        snapshot.columns,
         version=snapshot.version,
         parent=snapshot.parent,
         entries=len(snapshot),
@@ -70,7 +62,11 @@ def edge_keys(snapshot: KgSnapshot) -> set[tuple[str, str, str]]:
     re-merged edge is still the *same* knowledge, and counting it as
     removed+added would double-charge the drift rates.
     """
-    return {(t.head, t.relation.value, t.tail) for t in snapshot.triples}
+    cols = snapshot.columns
+    nodes, relations = cols["nodes"], cols["relations"]
+    return set(zip(map(nodes.__getitem__, cols["head"].tolist()),
+                   map(relations.__getitem__, cols["relation"].tolist()),
+                   map(nodes.__getitem__, cols["tail"].tolist())))
 
 
 @dataclass(frozen=True)

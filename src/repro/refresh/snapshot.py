@@ -1,21 +1,21 @@
 """Immutable, content-addressed knowledge-graph snapshots.
 
-A snapshot is the unit of knowledge deployment: the triples a refresh
-round produced, the query → knowledge serving table derived from them,
-and a :class:`SnapshotManifest` naming the content.  Version ids are
-content-addressed — ``v-<12 hex chars>`` of a BLAKE2b digest over the
-parent version, the sorted serving entries and the sorted triple
-identities — so two snapshots with the same content share a version and
-any content difference yields a new one.  That property is what the
-rollout layer leans on: "replica r1 is on ``v-3f2a...``" is a complete
-statement about what r1 serves.
+A snapshot is the unit of knowledge deployment: the knowledge graph a
+refresh round produced, frozen in its columnar form, the query →
+knowledge serving table derived from it, and a :class:`SnapshotManifest`
+naming the content.  Version ids are content-addressed — ``v-<12 hex
+chars>`` of a BLAKE2b digest over the parent version, the sorted serving
+entries and the sorted edge identities — so two snapshots with the same
+content share a version and any content difference yields a new one.
+That property is what the rollout layer leans on: "replica r1 is on
+``v-3f2a...``" is a complete statement about what r1 serves.
 
 Snapshots are constructed **only** through :func:`build_snapshot`; the
 :class:`KgSnapshot` constructor takes a private token and the
 ``snapshot-builder-only`` cosmolint rule bans direct construction
-outside :mod:`repro.refresh`.  Entries are exposed through a read-only
-mapping proxy and triples as a tuple, so a published version can never
-drift from its checksum.
+outside :mod:`repro.refresh`.  Entries and columns are exposed through
+read-only mapping proxies, and the column arrays are private write-locked
+copies, so a published version can never drift from its checksum.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
+import numpy as np
+
+from repro.core.kg import KnowledgeGraph
 from repro.core.triples import KnowledgeTriple
 
 __all__ = [
@@ -57,13 +60,13 @@ class SnapshotManifest:
     entry_count: int
     triple_count: int
     note: str = ""
-    #: BLAKE2b digest of the backing graph's columnar arrays (see
-    #: :func:`columnar_digest`); "" when the snapshot was built without
-    #: one.  Like ``note`` it is **not** hashed into ``checksum`` —
-    #: versions are addressed by logical content (the triples), and an
-    #: alternate physical encoding of the same content must not
-    #: re-version the snapshot.  The digest is an integrity witness for
-    #: serialized column archives, not part of the identity.
+    #: BLAKE2b digest of the snapshot's columnar arrays (see
+    #: :func:`columnar_digest`).  Like ``note`` it is **not** hashed
+    #: into ``checksum`` — versions are addressed by logical content
+    #: (the edges), and an alternate physical encoding of the same
+    #: content must not re-version the snapshot.  The digest is an
+    #: integrity witness for serialized column archives, not part of
+    #: the identity.
     columnar_digest: str = ""
 
     def as_dict(self) -> dict:
@@ -82,15 +85,16 @@ class KgSnapshot:
     """One immutable knowledge deployment unit.
 
     ``entries`` maps serving queries to knowledge text (what the cache
-    warms from and the snapshot generator answers with); ``triples`` are
-    the KG edges backing those entries.  Both views are read-only.
+    warms from and the snapshot generator answers with); ``columns`` is
+    the backing KG in the form :meth:`KnowledgeGraph.columns` returns.
+    Both views are read-only.
     """
 
-    __slots__ = ("manifest", "_entries", "_triples")
+    __slots__ = ("manifest", "_entries", "_columns")
 
     def __init__(self, manifest: SnapshotManifest,
                  entries: Mapping[str, str],
-                 triples: tuple[KnowledgeTriple, ...],
+                 columns: Mapping[str, Any],
                  token: object = None):
         if token is not _BUILDER_TOKEN:
             raise TypeError(
@@ -100,7 +104,7 @@ class KgSnapshot:
             )
         self.manifest = manifest
         self._entries = MappingProxyType(dict(entries))
-        self._triples = triples
+        self._columns = columns
 
     @property
     def version(self) -> str:
@@ -116,32 +120,40 @@ class KgSnapshot:
         return self._entries
 
     @property
-    def triples(self) -> tuple[KnowledgeTriple, ...]:
-        return self._triples
+    def columns(self) -> Mapping[str, Any]:
+        """Read-only columnar KG: write-locked arrays, the intern tables
+        and the per-edge provenance as tuples.  Turn it back into a
+        graph with :meth:`KnowledgeGraph.from_columns`."""
+        return self._columns
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __repr__(self) -> str:
         return (f"KgSnapshot({self.version}, parent={self.parent}, "
-                f"{len(self._entries)} entries, {len(self._triples)} triples)")
+                f"{len(self._entries)} entries, "
+                f"{self.manifest.triple_count} triples)")
 
 
 def _checksum(parent: str | None, entries: Mapping[str, str],
-              triples: Iterable[KnowledgeTriple]) -> str:
+              columns: Mapping[str, Any]) -> str:
     """Canonical BLAKE2b digest of a snapshot's content.
 
-    Triple identity is ``(head, relation, tail, support)`` — support
+    Edge identity is ``(head, relation, tail, support)`` — support
     merges from a refresh round change content, score jitter does not
     re-version an otherwise identical graph.
     """
+    nodes, relations = columns["nodes"], columns["relations"]
     canonical = json.dumps(
         {
             "parent": parent,
             "entries": sorted(entries.items()),
-            "triples": sorted(
-                (t.head, t.relation.value, t.tail, t.support) for t in triples
-            ),
+            "triples": sorted(zip(
+                map(nodes.__getitem__, columns["head"].tolist()),
+                map(relations.__getitem__, columns["relation"].tolist()),
+                map(nodes.__getitem__, columns["tail"].tolist()),
+                columns["support"].tolist(),
+            )),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -149,7 +161,22 @@ def _checksum(parent: str | None, entries: Mapping[str, str],
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def columnar_digest(graph) -> str:
+def _columns_digest(columns: Mapping[str, Any]) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for name in ("head", "relation", "tail", "domain", "behavior",
+                 "plausibility", "typicality", "support"):
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(columns[name]).tobytes())
+    for name in ("nodes", "relations", "domains", "behaviors"):
+        digest.update(name.encode("utf-8"))
+        digest.update("\x00".join(columns[name]).encode("utf-8"))
+    digest.update(b"head_ids")
+    digest.update(json.dumps(columns["head_ids"],
+                             separators=(",", ":")).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def columnar_digest(graph: KnowledgeGraph) -> str:
     """BLAKE2b digest of a :class:`~repro.core.kg.KnowledgeGraph`'s
     columnar arrays — the content address of the *physical* columns.
 
@@ -158,21 +185,19 @@ def columnar_digest(graph) -> str:
     columnar archive would serialize yields a different digest.  Used to
     pin a snapshot manifest to the exact column bytes it shipped with.
     """
-    import numpy as np  # local: refresh must stay importable without a graph
+    return _columns_digest(graph.columns())
 
-    cols = graph.columns()
-    digest = hashlib.blake2b(digest_size=16)
-    for name in ("head", "relation", "tail", "domain", "behavior",
-                 "plausibility", "typicality", "support"):
-        digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(cols[name]).tobytes())
-    for name in ("nodes", "relations", "domains", "behaviors"):
-        digest.update(name.encode("utf-8"))
-        digest.update("\x00".join(cols[name]).encode("utf-8"))
-    digest.update(b"head_ids")
-    digest.update(json.dumps([list(ids) for ids in cols["head_ids"]],
-                             separators=(",", ":")).encode("utf-8"))
-    return digest.hexdigest()
+
+def _frozen(columns: Mapping[str, Any]) -> Mapping[str, Any]:
+    """Private, write-locked copies of a graph's arrays (its tables and
+    provenance are tuples already) behind a read-only mapping."""
+    frozen: dict[str, Any] = {}
+    for name, value in columns.items():
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.setflags(write=False)
+        frozen[name] = value
+    return MappingProxyType(frozen)
 
 
 def build_snapshot(
@@ -180,34 +205,37 @@ def build_snapshot(
     triples: Iterable[KnowledgeTriple] = (),
     parent: KgSnapshot | None = None,
     note: str = "",
-    graph=None,
+    graph: KnowledgeGraph | None = None,
 ) -> KgSnapshot:
     """The sole constructor of :class:`KgSnapshot`.
 
-    Copies ``entries`` and ``triples``, computes the content checksum
-    and derives the version id from it.  ``parent`` links lineage: the
-    rollout controller rolls back to ``snapshot.parent`` by version.
-    Passing the backing :class:`~repro.core.kg.KnowledgeGraph` as
-    ``graph`` stamps the manifest with its :func:`columnar_digest`
-    (and defaults ``triples`` to the graph's edges when none are given)
-    — the version itself is unaffected, see
-    :attr:`SnapshotManifest.columnar_digest`.
+    The knowledge comes either as ``triples``, which are merged into a
+    private graph, or as the ``graph`` that already holds them — never
+    both.  Its columns are copied and frozen, the content checksum, the
+    version id derived from it, ``triple_count`` and the
+    :func:`columnar_digest` are all read off those merged columns, so
+    two inputs that merge to the same graph are the same snapshot.
+    ``parent`` links lineage: the rollout controller rolls back to
+    ``snapshot.parent`` by version.
     """
-    if graph is not None and not triples:
-        triples = graph.triples()
-    frozen_triples = tuple(triples)
+    if graph is None:
+        graph = KnowledgeGraph()
+        graph.extend(triples)
+    elif triples:
+        raise ValueError("build_snapshot takes triples or graph=, not both")
+    columns = _frozen(graph.columns())
     parent_version = parent.version if parent is not None else None
-    checksum = _checksum(parent_version, entries, frozen_triples)
+    checksum = _checksum(parent_version, entries, columns)
     manifest = SnapshotManifest(
         version=f"v-{checksum[:12]}",
         parent=parent_version,
         checksum=checksum,
         entry_count=len(entries),
-        triple_count=len(frozen_triples),
+        triple_count=len(columns["head"]),
         note=note,
-        columnar_digest="" if graph is None else columnar_digest(graph),
+        columnar_digest=_columns_digest(columns),
     )
-    return KgSnapshot(manifest, entries, frozen_triples, token=_BUILDER_TOKEN)
+    return KgSnapshot(manifest, entries, columns, token=_BUILDER_TOKEN)
 
 
 class SnapshotStore:

@@ -1,5 +1,6 @@
 """Columnar KG internals: intern tables, CSR neighbor queries, the
-``.npz`` round-trip and the snapshot column digest.
+``columns()``/``from_columns()`` boundary, the ``.npz`` round-trip and
+the snapshot column digest.
 
 Golden contract of the columnar refactor: the interned/array-backed
 :class:`KnowledgeGraph` is behaviorally identical to the reference
@@ -155,6 +156,65 @@ def test_intern_tables_round_trip_every_string(batch):
     assert len(set(relations)) == len(relations)
 
 
+# -- columns() / from_columns() boundary ------------------------------------
+
+
+def _assert_same_graph(adopted, kg):
+    assert adopted.triples() == kg.triples()
+    assert adopted.stats() == kg.stats()
+    assert columnar_digest(adopted) == columnar_digest(kg)
+    reference = kg.triples()
+    for head in {t.head for t in reference}:
+        assert adopted.neighbors(head) == kg.neighbors(head)
+    for domain, behavior in {(t.domain, t.behavior) for t in reference}:
+        assert adopted.edges_for(domain, behavior) == kg.edges_for(domain, behavior)
+
+
+@given(st.lists(triples(), max_size=40), st.lists(triples(), max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_from_columns_is_the_inverse_of_columns(batch, more):
+    kg = KnowledgeGraph()
+    kg.extend(batch)
+    adopted = KnowledgeGraph.from_columns(kg.columns())
+    _assert_same_graph(adopted, kg)
+    # The adopted graph keeps behaving like the original: a merge into an
+    # adopted row, and enough new edges to outgrow the adopted arrays.
+    further = batch[:1] + more + [
+        _triple(head=f"fresh head {i:02d}") for i in range(len(batch) + 17)]
+    kg.extend(further)
+    adopted.extend(further)
+    _assert_same_graph(adopted, kg)
+
+
+def test_from_columns_copies_the_arrays():
+    kg = KnowledgeGraph()
+    kg.add(_triple(plausibility=0.5))
+    adopted = KnowledgeGraph.from_columns(kg.columns())
+    adopted.add(_triple(plausibility=0.9))   # merges into the adopted row
+    assert kg.triples()[0].plausibility == 0.5
+    assert kg.triples()[0].support == 1
+    for name in ("head", "plausibility", "support"):
+        assert adopted.columns()[name].dtype == kg.columns()[name].dtype
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"tail": np.zeros(1, dtype=np.int32)}, "'tail' has 1 values for 2 edges"),
+    ({"head_ids": ((),)}, "'head_ids' has 1 values for 2 edges"),
+    ({"domain": np.array([0, 7], dtype=np.int32)},
+     "'domain' has ids outside the 'domains' table"),
+    ({"head": np.array([0.0, 0.5])}, "'head' is float64, not int32"),
+    ({"nodes": ("q ||| p", "camping", "camping")}, "'nodes' repeats 'camping'"),
+    ({"relations": ("USED_FOR_EVE", "madeUp")}, "'madeUp', which is not a Relation"),
+    ({"tail": np.array([1, 1], dtype=np.int32),
+      "relation": np.array([0, 0], dtype=np.int32)},
+     "repeat the .head, relation, tail. key"),
+])
+def test_from_columns_rejects_what_add_could_not_have_built(override, message):
+    columns = dict(_graph().columns(), **override)
+    with pytest.raises(ValueError, match=message):
+        KnowledgeGraph.from_columns(columns)
+
+
 # -- columnar (de)serialization --------------------------------------------
 
 
@@ -215,11 +275,14 @@ def test_columnar_digest_is_deterministic_and_content_sensitive():
 def test_build_snapshot_stamps_digest_without_changing_version():
     graph = _graph()
     entries = {"q": "knowledge"}
-    with_graph = build_snapshot(entries, graph.triples(), graph=graph)
-    without = build_snapshot(entries, graph.triples())
+    from_graph = build_snapshot(entries, graph=graph)
+    from_triples = build_snapshot(entries, graph.triples())
     # The digest is an integrity witness, not part of snapshot identity:
-    # the same content hashes to the same version either way.
-    assert with_graph.manifest.version == without.manifest.version
-    assert with_graph.manifest.columnar_digest == columnar_digest(graph)
-    assert without.manifest.columnar_digest == ""
-    assert with_graph.manifest.as_dict()["columnar_digest"] != ""
+    # the same content hashes to the same version either way, and every
+    # manifest carries the digest of the columns it froze.
+    assert from_graph.manifest.version == from_triples.manifest.version
+    assert from_graph.manifest.columnar_digest == columnar_digest(graph)
+    assert from_triples.manifest.columnar_digest == columnar_digest(graph)
+    assert from_graph.manifest.as_dict()["columnar_digest"] != ""
+    with pytest.raises(ValueError, match="not both"):
+        build_snapshot(entries, graph.triples(), graph=graph)

@@ -87,8 +87,8 @@ def test_load_rejects_empty_file(tmp_path):
 
 # ----------------------------------------------------------------------
 # Columnar archive validation: a truncated or hand-edited npz must fail
-# with a ValueError naming the inconsistency, never a numpy IndexError
-# mid-replay.
+# with a ValueError naming the archive and the inconsistency, never load
+# as some other graph.
 
 def _columnar_path(tmp_path):
     kg = KnowledgeGraph()
@@ -160,6 +160,39 @@ def test_columnar_rejects_out_of_range_intern_ids(tmp_path):
     path = _tampered(tmp_path, source, relation=bad)
     with pytest.raises(ValueError,
                        match="'relation' has ids outside the 'relations'"):
+        load_kg_columnar(path)
+
+
+# Before columns were adopted wholesale these three loaded without error
+# as a *different* graph: replaying the rows merged the repeated key and
+# summed its support, and re-interned the repeated string.
+def test_columnar_rejects_repeated_edge_key(tmp_path):
+    source = _columnar_path(tmp_path)
+    with np.load(source, allow_pickle=False) as archive:
+        tails = archive["tail"].copy()
+    tails[1] = tails[0]          # both rows are now (head, rel, "camping")
+    path = _tampered(tmp_path, source, tail=tails)
+    with pytest.raises(ValueError, match=r"tampered\.npz: rows repeat the "
+                                         r"\(head, relation, tail\) key .*'camping'"):
+        load_kg_columnar(path)
+
+
+def test_columnar_rejects_repeated_table_string(tmp_path):
+    source = _columnar_path(tmp_path)
+    with np.load(source, allow_pickle=False) as archive:
+        nodes = archive["nodes"].copy()
+    nodes[2] = nodes[1]          # "hiking" → a second "camping"
+    path = _tampered(tmp_path, source, nodes=nodes)
+    with pytest.raises(ValueError,
+                       match=r"tampered\.npz: table 'nodes' repeats 'camping'"):
+        load_kg_columnar(path)
+
+
+def test_columnar_rejects_unknown_relation_name(tmp_path):
+    path = _tampered(tmp_path, _columnar_path(tmp_path),
+                     relations=np.array(["MADE_UP"], dtype=np.str_))
+    with pytest.raises(ValueError,
+                       match=r"tampered\.npz: .*'MADE_UP', which is not a Relation"):
         load_kg_columnar(path)
 
 

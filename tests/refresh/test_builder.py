@@ -44,7 +44,8 @@ def test_round_extends_parent_lineage_and_accounting(refresh_env):
     assert child.entries["existing query"] == "it is used for camping."
     assert len(child.entries) <= len(parent.entries) + report.new_entries
     assert len(child.entries) >= len(parent.entries)
-    assert len(child.triples) == len(parent.triples) + report.new_triples
+    assert (len(child.columns["head"])
+            == len(parent.columns["head"]) + report.new_triples)
 
 
 def test_budget_defers_overflow_to_next_round(refresh_env):

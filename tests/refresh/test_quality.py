@@ -46,7 +46,8 @@ def test_snapshot_health_carries_lineage_and_entry_count():
     assert health.version == green.version
     assert health.parent == blue.version
     assert health.entries == len(green)
-    assert health.triples == len({t.key for t in green.triples})
+    assert health.triples == len({t.key for t in _triples(24)})
+    assert health.triples == green.manifest.triple_count
     assert sum(health.relation_edges.values()) == health.triples
 
 

@@ -2,9 +2,18 @@
 
 import pytest
 
+from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.refresh import KgSnapshot, SnapshotManifest, SnapshotStore, build_snapshot
+from repro.refresh import (
+    KgSnapshot,
+    SnapshotManifest,
+    SnapshotQualityGate,
+    SnapshotStore,
+    build_snapshot,
+    columnar_digest,
+    snapshot_health,
+)
 
 
 def _triple(tail="camping", support=1):
@@ -56,7 +65,76 @@ def test_version_format_and_manifest_counts():
     assert len(snap) == 2
 
 
+def test_identity_is_read_off_the_merged_graph():
+    # Two rows that merge into one edge with support 2 are the same
+    # knowledge as that edge given once, so they are the same snapshot,
+    # and the manifest counts what the health report counts.
+    twice = build_snapshot({"q": "answer."}, [_triple(), _triple()])
+    merged = build_snapshot({"q": "answer."}, [_triple(support=2)])
+    assert twice.version == merged.version
+    assert twice.manifest.as_dict() == merged.manifest.as_dict()
+    assert twice.manifest.triple_count == snapshot_health(twice).triples == 1
+
+
+#: What ``_lineage`` froze at the commit before snapshots held columns
+#: (checksum hashed from row objects, digest taken from the live graph).
+PARENT_VERSION, CHILD_VERSION = "v-f6c56940c23c", "v-081460f9c4e1"
+CHILD_DIGEST = "11577c5ca9c5b9436e53aa38109f9c13"
+
+
+def _lineage(build):
+    """The same parent/child pair, frozen by ``build(entries, triples,
+    parent)``, with the gate's verdict on the child."""
+    base = [_triple(tail=f"intent {k:02d}", support=1 + k % 3) for k in range(30)]
+    grown = base + [_triple(tail=f"intent {k:02d}") for k in range(30, 36)]
+    parent = build({"q": "old."}, base, None)
+    child = build({"q": "new.", "r": "added."}, grown, parent)
+    store = SnapshotStore()
+    store.add(parent)
+    store.add(child)
+    return parent, child, SnapshotQualityGate(store).assess(child)
+
+
+def test_triples_and_graph_inputs_build_the_same_snapshots():
+    def from_triples(entries, triples, parent):
+        return build_snapshot(entries, triples, parent=parent)
+
+    def from_graph(entries, triples, parent):
+        graph = KnowledgeGraph()
+        graph.extend(triples)
+        return build_snapshot(entries, parent=parent, graph=graph)
+
+    by_triples, by_graph = _lineage(from_triples), _lineage(from_graph)
+    for one, two in zip(by_triples[:2], by_graph[:2]):
+        assert one.manifest.as_dict() == two.manifest.as_dict()
+        assert snapshot_health(one).as_dict() == snapshot_health(two).as_dict()
+    assert by_triples[2].drift.as_dict() == by_graph[2].drift.as_dict()
+    parent, child, _ = by_graph
+    assert (parent.version, child.version) == (PARENT_VERSION, CHILD_VERSION)
+    assert child.manifest.columnar_digest == CHILD_DIGEST
+
+
 # -- immutability ----------------------------------------------------------
+def test_columns_are_frozen_apart_from_the_source_graph():
+    graph = KnowledgeGraph()
+    graph.extend([_triple(), _triple(tail="hiking")])
+    snap = build_snapshot({"q": "answer."}, graph=graph)
+    digest = snap.manifest.columnar_digest
+    assert digest == columnar_digest(graph)
+
+    graph.add(_triple(support=4))          # merges into a frozen row
+    graph.add(_triple(tail="sailing"))     # a new edge
+    assert columnar_digest(graph) != digest
+    assert snap.columns["support"].tolist() == [1, 1]
+    assert len(snap.columns["head"]) == snap.manifest.triple_count == 2
+    assert columnar_digest(KnowledgeGraph.from_columns(snap.columns)) == digest
+
+    with pytest.raises(ValueError, match="read-only"):
+        snap.columns["support"][0] = 9
+    with pytest.raises(TypeError):
+        snap.columns["support"] = None  # type: ignore[index]
+
+
 def test_direct_construction_requires_builder_token():
     manifest = SnapshotManifest(version="v-0", parent=None, checksum="0",
                                 entry_count=0, triple_count=0)
