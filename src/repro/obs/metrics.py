@@ -124,12 +124,26 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float, exemplar: str | None = None,
+                count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (a serving window
+        whose items all complete together observes once, not per item).
+
+        The state afterwards is exactly that of ``count`` single
+        observes: ``sum`` is accumulated by repeated addition, not
+        ``count * value``, so the exported float does not depend on how
+        the observations were grouped.
+        """
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         value = float(value)
         index = bisect_left(self.bounds, value)
-        self._counts[index] += 1
-        self.count += 1
-        self.sum += value
+        self._counts[index] += count
+        self.count += count
+        total = self.sum
+        for _ in range(count):
+            total += value
+        self.sum = total
         self._min = value if self._min is None else min(self._min, value)
         self._max = value if self._max is None else max(self._max, value)
         if exemplar is not None:
@@ -314,8 +328,9 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self.labels().set(value)  # type: ignore[union-attr]
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
-        self.labels().observe(value, exemplar)  # type: ignore[union-attr, call-arg]
+    def observe(self, value: float, exemplar: str | None = None,
+                count: int = 1) -> None:
+        self.labels().observe(value, exemplar, count)  # type: ignore[union-attr, call-arg]
 
     def percentile(self, q: float) -> float:
         return self.labels().percentile(q)  # type: ignore[union-attr]

@@ -57,6 +57,10 @@ class CacheStats:
             "entries invalidated by snapshot swaps (version-scoped)", ("store",),
         ).labels(store=store)
 
+    def add(self, attr: str, amount: int) -> None:
+        """``stats.<attr> += amount`` without the read-modify-write."""
+        self._counters[attr].inc(amount)
+
     @property
     def requests(self) -> int:
         return self.layer1_hits + self.layer2_hits + self.misses
@@ -113,6 +117,9 @@ class AsyncCacheStore:
         self._size_gauge = self.stats.registry.gauge(
             "cache_entries", "live cache entries by layer", ("store", "layer"),
         )
+        #: The (yearly, daily, pending) children, bound on first publish —
+        #: a store nothing was ever read from or written to exports none.
+        self._size_gauges = None
         self._name = name
         self._tracer = None
         self.request_log: Counter = Counter()
@@ -128,9 +135,32 @@ class AsyncCacheStore:
         self._tracer = tracer
 
     def _publish_sizes(self) -> None:
-        self._size_gauge.labels(store=self._name, layer="yearly").set(len(self._yearly))
-        self._size_gauge.labels(store=self._name, layer="daily").set(len(self._daily))
-        self._size_gauge.labels(store=self._name, layer="pending").set(len(self._pending))
+        gauges = self._size_gauges
+        if gauges is None:
+            gauges = self._size_gauges = tuple(
+                self._size_gauge.labels(store=self._name, layer=layer)
+                for layer in ("yearly", "daily", "pending"))
+        yearly, daily, pending = gauges
+        yearly.set(len(self._yearly))
+        daily.set(len(self._daily))
+        pending.set(len(self._pending))
+
+    def _enqueue(self, query: str) -> None:
+        """Append a missed query to the pending queue (no-op when already
+        queued), evicting the oldest entry at capacity.
+
+        A query is only ever inserted when absent and the clock's day
+        never goes back, so the dict's insertion order *is* oldest-first:
+        its first key is the eviction victim and its key order is the
+        flush order.
+        """
+        pending = self._pending
+        if query in pending:
+            return
+        if len(pending) >= self._pending_capacity:
+            del pending[next(iter(pending))]
+            self.stats.pending_evictions += 1
+        pending[query] = self._clock.day
 
     # ------------------------------------------------------------------
     def preload_yearly(self, entries: dict[str, str]) -> None:
@@ -170,12 +200,8 @@ class AsyncCacheStore:
             self.stats.layer2_hits += 1
             return self._daily[query], "daily"
         self.stats.misses += 1
-        if enqueue and query not in self._pending:
-            if len(self._pending) >= self._pending_capacity:
-                oldest = min(self._pending, key=self._pending.get)
-                del self._pending[oldest]
-                self.stats.pending_evictions += 1
-            self._pending[query] = self._clock.day
+        if enqueue:
+            self._enqueue(query)
         self._publish_sizes()
         return None
 
@@ -187,7 +213,8 @@ class AsyncCacheStore:
         whole window instead of one each per query — the cache half of
         the batch-first hot path.  Per-query accounting (request log,
         hit/miss counters, pending enqueue with capacity eviction) is
-        identical to ``len(queries)`` sequential fetches.
+        identical to ``len(queries)`` sequential fetches; the hit/miss
+        counters are tallied over the window and incremented once each.
         """
         if not queries:
             return []
@@ -203,25 +230,26 @@ class AsyncCacheStore:
     def _fetch_many(self, queries: list[str],
                     enqueue: bool) -> list[tuple[str, str] | None]:
         self._roll_daily_layer()
+        request_log, yearly, daily = self.request_log, self._yearly, self._daily
         hits: list[tuple[str, str] | None] = []
+        layer1 = layer2 = 0
         for query in queries:
-            self.request_log[query] += 1
-            if query in self._yearly:
-                self.stats.layer1_hits += 1
-                hits.append((self._yearly[query], "yearly"))
-                continue
-            if query in self._daily:
-                self.stats.layer2_hits += 1
-                hits.append((self._daily[query], "daily"))
-                continue
-            self.stats.misses += 1
-            if enqueue and query not in self._pending:
-                if len(self._pending) >= self._pending_capacity:
-                    oldest = min(self._pending, key=self._pending.get)
-                    del self._pending[oldest]
-                    self.stats.pending_evictions += 1
-                self._pending[query] = self._clock.day
-            hits.append(None)
+            request_log[query] += 1
+            if query in yearly:
+                layer1 += 1
+                hits.append((yearly[query], "yearly"))
+            elif query in daily:
+                layer2 += 1
+                hits.append((daily[query], "daily"))
+            else:
+                if enqueue:
+                    self._enqueue(query)
+                hits.append(None)
+        stats = self.stats
+        for attr, tally in (("layer1_hits", layer1), ("layer2_hits", layer2),
+                            ("misses", len(queries) - layer1 - layer2)):
+            if tally:
+                stats.add(attr, tally)
         self._publish_sizes()
         return hits
 
@@ -281,7 +309,7 @@ class AsyncCacheStore:
     # ------------------------------------------------------------------
     def pending_queries(self) -> list[str]:
         """Queries awaiting batch processing, oldest first."""
-        return sorted(self._pending, key=lambda q: self._pending[q])
+        return list(self._pending)
 
     def apply_batch(self, responses: dict[str, str]) -> int:
         """Install batch-computed responses into the daily layer."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -283,6 +284,8 @@ class CosmoCluster:
         self._flushes = self.registry.counter(
             "cluster_batch_flushes_total", "adaptive batch flushes by trigger",
             ("cluster", "trigger"))
+        #: trigger → its counter child, bound the first time it fires.
+        self._flushes_by_trigger: dict = {}
         self._depth_gauge = self.registry.gauge(
             "cluster_queue_depth", "cluster-wide pending-miss queue depth",
             ("cluster",)).labels(**labels)
@@ -497,11 +500,16 @@ class CosmoCluster:
                 service.clock.sleep_until(start)
                 group_results = service.serve_batch(
                     group, batch_id=batch_id, allow_enqueue=not shed)
+            # Items served at one latency (a whole amortized window) are
+            # observed together; the replica's results are freshly built
+            # and unshared, so they are stamped in place.
+            wait = start - arrival
+            for latency_s, run in groupby(r.latency_s for r in group_results):
+                self._latency.observe(wait + latency_s, count=len(list(run)))
             for index, result in zip(indices, group_results):
-                end_to_end = (start - arrival) + result.latency_s
-                self._latency.observe(end_to_end)
-                results[index] = replace(result, latency_s=end_to_end,
-                                         batch_index=index)
+                object.__setattr__(result, "latency_s", wait + result.latency_s)
+                object.__setattr__(result, "batch_index", index)
+                results[index] = result
             self._maybe_flush(replica_id)
         self._depth_gauge.set(self.queue_depth)
         return results
@@ -535,7 +543,11 @@ class CosmoCluster:
                 installed = service.run_batch(
                     max_queries=self.config.max_batch_size)
             span.set_attribute("installed", installed)
-        self._flushes.labels(cluster=self.config.name, trigger=trigger).inc()
+        flushes = self._flushes_by_trigger.get(trigger)
+        if flushes is None:
+            flushes = self._flushes_by_trigger[trigger] = self._flushes.labels(
+                cluster=self.config.name, trigger=trigger)
+        flushes.inc()
         self.scheduler.flushed(replica_id, remaining=service.cache.pending_size)
         if self.event_log is not None:
             self.event_log.emit(

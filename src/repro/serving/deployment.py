@@ -138,6 +138,10 @@ class ServingMetrics:
             "end-to-end simulated request latency", ("service",),
         ).labels(**labels)
 
+    def add(self, attr: str, amount: int) -> None:
+        """``metrics.<attr> += amount`` without the read-modify-write."""
+        self._counters[attr].inc(amount)
+
     def observe_latency(self, seconds: float, trace_id: str | None = None) -> None:
         """Record one request latency; ``trace_id`` attaches an exemplar
         to the histogram bucket the observation lands in."""
@@ -424,26 +428,43 @@ class CosmoService:
 
     def _serve_batch_amortized(self, requests: list[ServeRequest],
                                allow_enqueue: bool) -> list[ServeResult]:
-        """One vectorized cache fetch + one window charge for the batch."""
-        queries = [request.query for request in requests]
-        hits = self.cache.fetch_many(queries, enqueue=allow_enqueue)
+        """One vectorized cache fetch + one window charge for the batch.
+
+        Accounting is per window too: the outcome counters are tallied
+        and incremented once, the window's shared latency is observed
+        once with ``count=len(requests)``, and degraded-mode bookkeeping
+        only runs on the items where the mode flips.
+        """
+        hits = self.cache.fetch_many([request.query for request in requests],
+                                     enqueue=allow_enqueue)
         duration = self._batch_costs.window_latency_s(len(requests))
         self.clock.advance(duration)
         results: list[ServeResult] = []
+        fresh = degraded = 0
         for request, hit in zip(requests, hits):
             if hit is not None:
+                fresh += 1
                 text, layer = hit
-                self.metrics.served_fresh += 1
-                source = (SOURCE_CACHE_YEARLY if layer == "yearly"
-                          else SOURCE_CACHE_DAILY)
-                result = ServeResult(query=request.query, text=text,
-                                     outcome=ServeOutcome.FRESH, source=source,
-                                     latency_s=duration, replica=self.name)
+                result = ServeResult(
+                    query=request.query, text=text, outcome=ServeOutcome.FRESH,
+                    source=(SOURCE_CACHE_YEARLY if layer == "yearly"
+                            else SOURCE_CACHE_DAILY),
+                    latency_s=duration, replica=self.name)
             else:
                 result = self._degraded_window_result(request.query, duration)
-            self._observe_latency(duration)
-            self._note_outcome(result)
+                degraded += result.outcome is ServeOutcome.DEGRADED
+            if (hit is None) != self._in_degraded_mode:
+                self._note_outcome(result)
             results.append(result)
+        for attr, tally in (("served_fresh", fresh),
+                            ("degraded_serves", degraded),
+                            ("fallbacks", len(requests) - fresh - degraded)):
+            if tally:
+                self.metrics.add(attr, tally)
+        context = self.tracer.active_context
+        self.metrics.latency.observe(
+            duration, exemplar=None if context is None else context.trace_id,
+            count=len(requests))
         return results
 
     def _degraded_window_result(self, query: str,
@@ -454,11 +475,9 @@ class CosmoService:
         if self._resilient is not None:
             stale, source = self._stale_response(query)
             if stale is not None:
-                self.metrics.degraded_serves += 1
                 return ServeResult(query=query, text=stale,
                                    outcome=ServeOutcome.DEGRADED, source=source,
                                    latency_s=duration, replica=self.name)
-        self.metrics.fallbacks += 1
         return ServeResult(query=query, text=self._fallback,
                            outcome=ServeOutcome.FALLBACK, source=SOURCE_FALLBACK,
                            latency_s=duration, replica=self.name)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+from contextlib import nullcontext
 from typing import Sequence
 
 __all__ = ["ConsistentHashRouter"]
@@ -28,6 +29,31 @@ def _point(data: str) -> int:
     """64-bit ring position for a string (stable across processes)."""
     digest = hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _successor_table(ring: Sequence[str]) -> list[tuple[str, ...]]:
+    """For each ring index, the distinct replicas in ring order from it.
+
+    One backward pass: the order at ``i`` is the replica at ``i``
+    followed by the order at ``i + 1`` without it.  The pass runs over
+    two turns of the ring so the first turn seeds the wrap-around; the
+    extra last entry (a copy of entry 0) answers keys that hash past the
+    last point.  Equal tuples are shared, so the table holds one tuple
+    per distinct order, not one per point.
+    """
+    size = len(ring)
+    table: list[tuple[str, ...]] = [()] * (size + 1)
+    interned: dict[tuple[str, ...], tuple[str, ...]] = {}
+    order: tuple[str, ...] = ()
+    for index in range(2 * size - 1, -1, -1):
+        replica = ring[index % size]
+        if not order or order[0] != replica:
+            order = (replica, *(r for r in order if r != replica))
+            order = interned.setdefault(order, order)
+        if index < size:
+            table[index] = order
+    table[size] = table[0]
+    return table
 
 
 class ConsistentHashRouter:
@@ -56,13 +82,12 @@ class ConsistentHashRouter:
         self.seed = seed
         self._replicas = replicas
         self._drained: set[str] = set()
-        ring: list[tuple[int, str]] = []
-        for replica in replicas:
-            for vnode in range(vnodes):
-                ring.append((_point(f"{seed}|node|{replica}|{vnode}"), replica))
-        ring.sort()
-        self._ring = ring
+        ring = sorted(
+            (_point(f"{seed}|node|{replica}|{vnode}"), replica)
+            for replica in replicas for vnode in range(vnodes)
+        )
         self._points = [point for point, _ in ring]
+        self._orders = _successor_table([replica for _, replica in ring])
         self._event_log = None
         self._event_clock = None
         self._event_component = "router"
@@ -148,36 +173,56 @@ class ConsistentHashRouter:
 
         The first entry is the key's owner; later entries are the
         failover order the cluster walks when breakers are open.
+        ``limit`` keeps only the first ``limit`` entries (at least 1).
         """
-        # Routing is spanned only while the ring is degraded (replicas
-        # drained): that is when the decision is interesting.  Steady-
-        # state routing is a pure hash lookup, and an always-on span here
-        # would be the single hottest span in the cluster
-        # (bench_trace_overhead pins the traced/bare budget).
-        if (self._drained and self._tracer is not None
-                and self._tracer.active_context is not None):
-            with self._tracer.span("router.route", active=len(self.active),
-                                   drained=len(self._drained)) as span:
-                order = self._preference(key, limit)
-                span.set_attribute("owner", order[0] if order else "")
-            return order
-        return self._preference(key, limit)
-
-    def _preference(self, key: str, limit: int | None) -> list[str]:
-        start = bisect_left(self._points, _point(f"{self.seed}|key|{key}"))
-        order: list[str] = []
-        seen: set[str] = set()
-        size = len(self._ring)
-        for step in range(size):
-            replica = self._ring[(start + step) % size][1]
-            if replica in seen or replica in self._drained:
-                continue
-            seen.add(replica)
-            order.append(replica)
-            if limit is not None and len(order) >= limit:
-                break
-        return order
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
+        order = self._order(key)
+        drained = self._drained
+        if not drained:
+            return list(order if limit is None else order[:limit])
+        with self._degraded_span() as span:
+            active = [r for r in order if r not in drained][:limit]
+            if span is not None:
+                span.set_attribute("owner", active[0])
+        return active
 
     def route(self, key: str) -> str:
         """The active replica that owns ``key``."""
-        return self.preference(key, limit=1)[0]
+        order = self._order(key)
+        drained = self._drained
+        if not drained:
+            return order[0]
+        with self._degraded_span() as span:
+            owner = next(r for r in order if r not in drained)
+            if span is not None:
+                span.set_attribute("owner", owner)
+        return owner
+
+    def _order(self, key: str) -> tuple[str, ...]:
+        """Every replica, drained or not, in ring order from ``key``'s
+        point: one hash, one bisect, one index into the successor table.
+
+        The active replicas' order is this tuple minus the drained ones
+        (the first occurrences of a subset keep their relative order), so
+        drain moves only the drained replica's keys, restore brings
+        exactly those back, and the failover order never reshuffles.
+        """
+        return self._orders[
+            bisect_left(self._points, _point(f"{self.seed}|key|{key}"))]
+
+    def _degraded_span(self):
+        """A ``router.route`` span while replicas are drained *and* a
+        trace context is attached, else a no-op context yielding None.
+
+        Routing is spanned only while the ring is degraded: that is when
+        the decision is interesting.  Steady-state routing is a pure
+        hash lookup, and an always-on span here would be the single
+        hottest span in the cluster (bench_trace_overhead pins the
+        traced/bare budget).
+        """
+        tracer = self._tracer
+        if tracer is None or tracer.active_context is None:
+            return nullcontext()
+        return tracer.span("router.route", active=len(self.active),
+                           drained=len(self._drained))

@@ -1,6 +1,8 @@
 """Metrics primitives: counters, gauges, streaming histograms, registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -282,3 +284,65 @@ def test_histogram_merge_exemplar_replacement_order_is_merge_order():
     reverse = Histogram((0.1, 1.0))
     reverse.merge(second).merge(first)
     assert reverse.exemplars() == [(0.1, "first", 0.05)]
+
+
+# -- observe(value, count=n) == n single observes, bit for bit ------------
+_values = st.floats(min_value=0.0, max_value=200.0, allow_nan=False)
+
+
+def _histogram_state(hist: Histogram) -> tuple:
+    return (hist._counts, hist.count, hist.sum, hist.sum.hex(), hist.min,
+            hist.max, hist.mean, hist.bucket_counts(), hist.exemplars(),
+            [hist.percentile(q) for q in (0, 1, 25, 50, 90, 99, 99.9, 100)])
+
+
+@given(
+    st.lists(_values, max_size=12),
+    _values,
+    st.integers(1, 64),
+    st.sampled_from([None, "trace-x"]),
+    st.lists(_values, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_observe_count_equals_repeated_single_observes(prior, value, count,
+                                                       exemplar, later):
+    grouped, single = Histogram(), Histogram()
+    for hist in (grouped, single):
+        for earlier in prior:
+            hist.observe(earlier, exemplar="trace-prior")
+    grouped.observe(value, exemplar=exemplar, count=count)
+    for _ in range(count):
+        single.observe(value, exemplar=exemplar)
+    assert _histogram_state(grouped) == _histogram_state(single)
+    # ...and the two stay identical under whatever is observed next.
+    for hist in (grouped, single):
+        for after in later:
+            hist.observe(after)
+    assert _histogram_state(grouped) == _histogram_state(single)
+
+
+def test_observe_count_sum_is_repeated_addition_not_a_product():
+    """``16 * 0.0052`` and sixteen additions of ``0.0052`` differ in the
+    last bit; the exported sum must be the additions'."""
+    value, count = 0.0052, 16
+    hist = Histogram()
+    hist.observe(value, count=count)
+    expected = 0.0
+    for _ in range(count):
+        expected += value
+    assert expected != count * value
+    assert hist.sum == expected and hist.sum.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_observe_rejects_a_count_below_one(count):
+    hist = Histogram()
+    with pytest.raises(ValueError):
+        hist.observe(0.1, count=count)
+    assert hist.count == 0 and hist.bucket_counts()[-1][1] == 0
+
+
+def test_family_observe_passes_count_through():
+    family = MetricsRegistry().histogram("window_seconds")
+    family.observe(0.01, count=5)
+    assert family.labels().count == 5

@@ -10,15 +10,27 @@ the charged latency amortizes.  The cluster's ``handle_batch`` must
 count requests exactly like ``len(requests)`` ``handle`` calls.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 from repro.llm.interface import GenerationBatch
-from repro.obs import MetricsRegistry, snapshot, validate_snapshot
+from repro.obs import (
+    EventLog,
+    MetricsRegistry,
+    chrome_trace,
+    render_events,
+    snapshot,
+    validate_snapshot,
+)
 from repro.serving import (
     BatchCostModel,
     ClusterConfig,
     CosmoCluster,
     CosmoService,
+    FaultInjector,
+    FaultPlan,
+    FlakyGenerator,
     ServeRequest,
     SimClock,
 )
@@ -216,3 +228,88 @@ def test_handle_batch_traced_and_bare_accounting_match():
     bare, bare_horizon = run(False)
     assert traced == bare
     assert traced_horizon == bare_horizon
+
+
+# -- window-level accounting is pinned to the per-item accounting ------------
+#
+# ``handle_batch`` / ``serve_batch`` / ``fetch_many`` tally a window's
+# counters and histogram observations once per window.  These digests were
+# captured from the per-item implementation (one ``inc`` / ``observe`` /
+# ``replace`` per request) *before* that change, so any drift between the
+# two shows up here as a changed artifact, not as a quietly different
+# dashboard.
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _accounting_drive(trace: bool):
+    """A seeded window drive that visits every accounting branch: yearly
+    and daily hits, misses, degraded serves after a day roll, fallbacks,
+    shed windows, a drained replica, breaker failover and dead letters,
+    and size / deadline / forced flushes."""
+    registry = MetricsRegistry()
+    log = EventLog(registry=registry)
+    injector = FaultInjector(seed=3)
+    cluster = CosmoCluster(
+        lambda i: (FlakyGenerator(ScriptedGenerator(), injector) if i == 2
+                   else ScriptedGenerator()),
+        config=ClusterConfig(n_replicas=3, max_batch_size=8,
+                             max_batch_delay_s=0.25, max_queue_depth=14,
+                             seed=11, name="acct", trace_requests=trace),
+        registry=registry, event_log=log, batch_costs=BatchCostModel())
+    cluster.preload_yearly({
+        query: ScriptedGenerator.knowledge_for(query)
+        for query in (f"query {i:02d}" for i in range(8))})
+    rng = spawn_rng(5, "window-accounting-traffic")
+    traffic = [f"query {int(i):02d}"
+               for i in rng.integers(0, 40, size=16 * 16)]
+    results = []
+    for n, start in enumerate(range(0, len(traffic), 16)):
+        if n == 1:
+            injector.plan = FaultPlan(error_rate=1.0)
+        if n == 5:
+            cluster.drain("acct-r1")
+        if n == 8:
+            cluster.restore("acct-r1")
+            cluster.daily_refresh()
+        if n == 13:
+            injector.plan = FaultPlan()
+        results.extend(cluster.handle_batch(traffic[start:start + 16]))
+        cluster.clock.advance(0.004 if n % 4 else 0.3)
+    cluster.flush()
+    results.extend(cluster.handle_batch(traffic[:16]))
+    return cluster, registry, log, results
+
+
+@pytest.mark.parametrize("trace, snapshot_digest, trace_digest", [
+    (False, "fc884bd8d23644a0", "09cb0c37c6bb61ce"),
+    (True, "16e8d209523f7599", "89faf28defb29f70"),
+])
+def test_window_accounting_artifacts_are_pinned(trace, snapshot_digest,
+                                                trace_digest):
+    cluster, registry, log, results = _accounting_drive(trace)
+    # The drive reaches every branch the tallies cover...
+    assert cluster.metrics_totals() == {
+        "requests": 272, "served_fresh": 74, "degraded_serves": 51,
+        "fallbacks": 147, "handled": 272, "failovers": 43, "shed": 144}
+    assert {r.source for r in results} == {
+        "cache:daily", "cache:yearly", "fallback", "feature_store"}
+    snap = snapshot(registry)
+    validate_snapshot(snap)
+    families = {metric["name"]: metric for metric in snap["metrics"]}
+    flushes = {sample["labels"]["trigger"]: sample["value"] for sample in
+               families["cluster_batch_flushes_total"]["samples"]}
+    assert flushes == {"deadline": 6.0, "forced": 3.0, "size": 3.0}
+    kinds = {event.kind for event in log.events()}
+    assert {"breaker.open", "router.drain", "service.dead_letter",
+            "service.degraded_entry", "service.degraded_exit"} <= kinds
+    # ...and every artifact is byte-for-byte what per-item accounting wrote.
+    assert _digest(json.dumps(snap, sort_keys=True)) == snapshot_digest
+    assert _digest(render_events(log)) == "6bb6c2868c83662f"
+    assert _digest(repr(results)) == "49cc0224e7afdc8a"
+    tracers = [("acct", cluster.tracer)]
+    tracers += [(rid, s.tracer) for rid, s in cluster.services.items()]
+    assert _digest(json.dumps(chrome_trace(tracers),
+                              sort_keys=True)) == trace_digest

@@ -1,5 +1,9 @@
 """Consistent-hash router: determinism, drain stability, failover order."""
 
+import hashlib
+from bisect import bisect_left
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,3 +153,167 @@ def test_noop_events_still_require_a_known_replica():
     with pytest.raises(KeyError):
         router.restore("ghost")
     assert log.events() == []
+
+
+# -- reference model: the naive ring walk ----------------------------------
+#
+# The router answers from a successor table built once per ring.  This is
+# the obviously-right form it replaced — hash the key, find its point,
+# walk every ring point clockwise collecting unseen active replicas — kept
+# here (and only here) as the model the table is diffed against.
+
+
+def _ref_point(data: str) -> int:
+    digest = hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+class NaiveRingWalk:
+    def __init__(self, replica_ids, vnodes, seed):
+        self.seed = seed
+        self.ring = sorted(
+            (_ref_point(f"{seed}|node|{replica}|{vnode}"), replica)
+            for replica in replica_ids for vnode in range(vnodes))
+        self.drained = set()
+
+    def start(self, key):
+        return bisect_left([point for point, _ in self.ring],
+                           _ref_point(f"{self.seed}|key|{key}"))
+
+    def preference(self, key, limit=None):
+        start, size = self.start(key), len(self.ring)
+        order = []
+        for step in range(size):
+            replica = self.ring[(start + step) % size][1]
+            if replica in order or replica in self.drained:
+                continue
+            order.append(replica)
+        return order if limit is None else order[:limit]
+
+    def route(self, key):
+        return self.preference(key)[0]
+
+
+def _assert_matches_model(router, model, keys, n):
+    for key in keys:
+        full = model.preference(key)
+        assert router.preference(key) == full
+        assert router.route(key) == model.route(key) == full[0]
+        for limit in range(1, n + 1):
+            assert router.preference(key, limit=limit) == full[:limit]
+
+
+_keys = st.lists(st.text(min_size=0, max_size=12), min_size=1, max_size=8)
+
+
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**32), _keys)
+@settings(max_examples=60, deadline=None)
+def test_table_matches_ring_walk_for_every_drained_subset(n, vnodes, seed, keys):
+    ids = _replica_ids(n)
+    router = ConsistentHashRouter(ids, vnodes=vnodes, seed=seed)
+    model = NaiveRingWalk(ids, vnodes, seed)
+    keys = keys + KEYS[:4]
+    # Every drained subset that leaves at least one replica active.
+    for size in range(n):
+        for drained in combinations(ids, size):
+            for replica in drained:
+                router.drain(replica)
+            model.drained = set(drained)
+            _assert_matches_model(router, model, keys, n)
+            for replica in drained:
+                router.restore(replica)
+    model.drained = set()
+    _assert_matches_model(router, model, keys, n)
+
+
+@given(
+    st.integers(2, 8), st.integers(1, 16), st.integers(0, 2**32), _keys,
+    st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=24),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_matches_ring_walk_across_drain_restore_interleavings(
+        n, vnodes, seed, keys, steps):
+    ids = _replica_ids(n)
+    router = ConsistentHashRouter(ids, vnodes=vnodes, seed=seed)
+    model = NaiveRingWalk(ids, vnodes, seed)
+    for drain, index in steps:
+        replica = ids[index % n]
+        if drain:
+            if len(model.drained | {replica}) == n:
+                with pytest.raises(ValueError):
+                    router.drain(replica)
+                continue
+            router.drain(replica)
+            model.drained.add(replica)
+        else:
+            router.restore(replica)
+            model.drained.discard(replica)
+        assert set(router.active) == set(ids) - model.drained
+        _assert_matches_model(router, model, keys, n)
+
+
+def test_key_past_the_last_ring_point_wraps_to_the_first():
+    ids = _replica_ids(3)
+    router = ConsistentHashRouter(ids, vnodes=2, seed=7)
+    model = NaiveRingWalk(ids, 2, 7)
+    wrapped = [key for key in KEYS if model.start(key) == len(model.ring)]
+    assert wrapped, "no test key hashes past the last ring point"
+    for key in wrapped:
+        assert router.route(key) == model.ring[0][1]
+        _assert_matches_model(router, model, [key], 3)
+    router.drain(model.ring[0][1])
+    model.drained = {model.ring[0][1]}
+    _assert_matches_model(router, model, wrapped, 3)
+
+
+def test_single_replica_ring_routes_everything_home():
+    router = ConsistentHashRouter(["only"], vnodes=1)
+    for key in KEYS[:20]:
+        assert router.preference(key) == ["only"]
+        assert router.route(key) == "only"
+
+
+@pytest.mark.parametrize("limit", [0, -1, -7])
+def test_preference_rejects_a_limit_below_one(limit):
+    router = ConsistentHashRouter(_replica_ids(3))
+    with pytest.raises(ValueError):
+        router.preference("key", limit=limit)
+    router.drain("r0")
+    with pytest.raises(ValueError):
+        router.preference("key", limit=limit)
+
+
+def test_successor_table_shares_equal_orders():
+    """A 64×64 ring has 4096 points but far fewer distinct orders in
+    memory than ``points × replicas`` references."""
+    router = ConsistentHashRouter(_replica_ids(8), vnodes=64)
+    table = router._orders
+    assert len(table) == 8 * 64 + 1
+    assert table[-1] is table[0]
+    assert all(sorted(order) == sorted(router.replicas) for order in table)
+    # Interned: equal orders are one object.
+    assert len({id(order) for order in table}) == len(set(table))
+
+
+def test_route_is_spanned_only_while_degraded_and_traced():
+    from repro.obs.tracing import TraceContext, Tracer
+
+    tracer = Tracer(clock=lambda: 0.0)
+    router = ConsistentHashRouter(_replica_ids(3), seed=2)
+    router.attach_tracer(tracer)
+    with tracer.attach(TraceContext("t-1")):
+        router.route("key")
+        router.preference("key")
+    assert tracer.spans() == []
+    router.drain("r1")
+    router.route("key")          # drained but untraced: still span-free
+    assert tracer.spans() == []
+    with tracer.attach(TraceContext("t-2")):
+        owner = router.route("key")
+        order = router.preference("key", limit=2)
+    spans = tracer.spans()
+    assert [span.name for span in spans] == ["router.route"] * 2
+    assert [span.attributes for span in spans] == [
+        {"active": 2, "drained": 1, "owner": owner},
+        {"active": 2, "drained": 1, "owner": order[0]},
+    ]
