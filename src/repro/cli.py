@@ -219,6 +219,35 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _scripted_ok(text: str) -> bool:
+    """Output validation for the scripted generators the demo clusters
+    run: a non-empty sentence ending in a period."""
+    return bool(text.strip()) and text.rstrip().endswith(".")
+
+
+def _flaky_factory(plan, seed: int):
+    """``(generator_factory, injectors)`` for a demo cluster.
+
+    Each replica gets a ``ScriptedGenerator`` behind a ``FlakyGenerator``
+    whose injector starts on ``plan`` and is seeded ``seed + index``
+    (the injectors are returned so a scenario can re-plan them
+    mid-drive); ``plan=None`` builds bare scripted generators.
+    """
+    from repro.serving import FaultInjector, FlakyGenerator
+    from repro.serving.chaos import ScriptedGenerator
+
+    injectors: list = []
+
+    def factory(index: int):
+        generator = ScriptedGenerator()
+        if plan is None:
+            return generator
+        injectors.append(FaultInjector(plan, seed=seed + index))
+        return FlakyGenerator(generator, injectors[-1])
+
+    return factory, injectors
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Drive Zipf traffic through a sharded serving cluster; dump artifacts.
 
@@ -239,13 +268,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         validate_chrome_trace,
         validate_snapshot,
     )
-    from repro.serving import (
-        ClusterConfig,
-        CosmoCluster,
-        FaultInjector,
-        FaultPlan,
-        FlakyGenerator,
-    )
+    from repro.serving import ClusterConfig, CosmoCluster, FaultPlan
     from repro.serving.chaos import ScriptedGenerator
     from repro.utils.rng import spawn_rng
 
@@ -253,16 +276,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"error: --fault-rate must be in [0, 1], got {args.fault_rate}")
         return 2
 
-    def scripted_ok(text: str) -> bool:
-        return bool(text.strip()) and text.rstrip().endswith(".")
-
-    def factory(index: int):
-        generator = ScriptedGenerator()
-        if args.fault_rate <= 0.0:
-            return generator
-        injector = FaultInjector(FaultPlan.mixed(args.fault_rate),
-                                 seed=args.seed + index)
-        return FlakyGenerator(generator, injector)
+    factory, _ = _flaky_factory(
+        FaultPlan.mixed(args.fault_rate) if args.fault_rate > 0.0 else None,
+        args.seed)
 
     config = ClusterConfig(
         n_replicas=args.replicas,
@@ -273,7 +289,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     )
     registry = MetricsRegistry()
     cluster = CosmoCluster(factory, config=config, registry=registry,
-                           response_validator=scripted_ok)
+                           response_validator=_scripted_ok)
 
     rng = spawn_rng(args.seed, "cluster-traffic")
     weights = 1.0 / np.arange(1, args.n_queries + 1) ** 1.3
@@ -369,13 +385,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         validate_events,
         validate_trace_summary,
     )
-    from repro.serving import (
-        ClusterConfig,
-        CosmoCluster,
-        FaultInjector,
-        FaultPlan,
-        FlakyGenerator,
-    )
+    from repro.serving import ClusterConfig, CosmoCluster, FaultPlan
     from repro.serving.chaos import ScriptedGenerator
     from repro.utils.rng import spawn_rng
 
@@ -383,16 +393,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: --fault-rate must be in [0, 1], got {args.fault_rate}")
         return 2
 
-    def scripted_ok(text: str) -> bool:
-        return bool(text.strip()) and text.rstrip().endswith(".")
-
-    def factory(index: int):
-        generator = ScriptedGenerator()
-        if args.fault_rate <= 0.0:
-            return generator
-        injector = FaultInjector(FaultPlan.mixed(args.fault_rate),
-                                 seed=args.seed + index)
-        return FlakyGenerator(generator, injector)
+    factory, _ = _flaky_factory(
+        FaultPlan.mixed(args.fault_rate) if args.fault_rate > 0.0 else None,
+        args.seed)
 
     config = ClusterConfig(
         n_replicas=args.replicas,
@@ -407,7 +410,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                           head_every=args.head_every)
     cluster = CosmoCluster(factory, config=config, registry=registry,
                            event_log=event_log, sampler=sampler,
-                           response_validator=scripted_ok)
+                           response_validator=_scripted_ok)
     # Warm the yearly layer for the head of the Zipf distribution so the
     # trace mix includes cache-hit traces, not only miss/degraded ones.
     warm = min(args.warm_queries, args.n_queries)
@@ -563,28 +566,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         validate_events,
         validate_timeline,
     )
-    from repro.serving import (
-        ClusterConfig,
-        CosmoCluster,
-        FaultInjector,
-        FaultPlan,
-        FlakyGenerator,
-    )
+    from repro.serving import ClusterConfig, CosmoCluster, FaultPlan
     from repro.serving.chaos import ScriptedGenerator
     from repro.utils.rng import spawn_rng
-
-    def scripted_ok(text: str) -> bool:
-        return bool(text.strip()) and text.rstrip().endswith(".")
 
     chaos = args.scenario == "chaos"
     calm_plan = FaultPlan()
     storm_plan = FaultPlan(error_rate=1.0) if chaos else calm_plan
-    injectors: list[FaultInjector] = []
-
-    def factory(index: int):
-        injector = FaultInjector(calm_plan, seed=args.seed + index)
-        injectors.append(injector)
-        return FlakyGenerator(ScriptedGenerator(), injector)
+    factory, injectors = _flaky_factory(calm_plan, args.seed)
 
     config = ClusterConfig(
         n_replicas=args.replicas,
@@ -596,7 +585,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     event_log = EventLog(registry=registry)
     cluster = CosmoCluster(factory, config=config, registry=registry,
-                           event_log=event_log, response_validator=scripted_ok)
+                           event_log=event_log, response_validator=_scripted_ok)
 
     warm = [f"query {i:03d}" for i in range(args.n_queries)]
     cold = [f"storm query {i:03d}" for i in range(args.n_queries)]
@@ -791,9 +780,6 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     from repro.serving import ClusterConfig, CosmoCluster
     from repro.utils.rng import spawn_rng
 
-    def scripted_ok(text: str) -> bool:
-        return bool(text.strip()) and text.rstrip().endswith(".")
-
     queries = [f"query {i:03d}" for i in range(args.n_queries)]
     blue = build_snapshot({q: f"it is used for {q} (blue)." for q in queries},
                           note="blue baseline")
@@ -818,7 +804,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     event_log = EventLog(registry=registry)
     cluster = CosmoCluster(lambda index: SnapshotGenerator(blue), config=config,
                            registry=registry, event_log=event_log,
-                           response_validator=scripted_ok)
+                           response_validator=_scripted_ok)
     cluster.install_snapshot(blue)
 
     specs = rollout_slo_specs(args.scrape_interval_s,
@@ -969,9 +955,6 @@ def cmd_kghealth(args: argparse.Namespace) -> int:
     from repro.serving import ClusterConfig, CosmoCluster
     from repro.utils.rng import spawn_rng
 
-    def scripted_ok(text: str) -> bool:
-        return bool(text.strip()) and text.rstrip().endswith(".")
-
     queries = [f"query {i:03d}" for i in range(args.n_queries)]
     relations = (Relation.USED_FOR_FUNC, Relation.CAPABLE_OF, Relation.USED_TO,
                  Relation.USED_FOR_AUD, Relation.USED_WITH)
@@ -1029,7 +1012,7 @@ def cmd_kghealth(args: argparse.Namespace) -> int:
     event_log = EventLog(registry=registry)
     cluster = CosmoCluster(lambda index: SnapshotGenerator(blue), config=config,
                            registry=registry, event_log=event_log,
-                           response_validator=scripted_ok)
+                           response_validator=_scripted_ok)
     cluster.install_snapshot(blue)
 
     specs = rollout_slo_specs(args.scrape_interval_s,

@@ -227,12 +227,6 @@ class CosmoLM:
         serving stack calls."""
         return GenerationBatch(generations=list(self._require_model().decode_batch(prompts)))
 
-    def generate_knowledge(self, prompts: list[str], max_new_tokens: int = 14) -> list[Generation]:
-        """Deprecated shim over :meth:`generate_batch` (kept for
-        offline/pipeline callers; serving code must use the batch
-        entrypoint)."""
-        return self._require_model().decode_batch(prompts, max_new_tokens=max_new_tokens)
-
     def generate_reranked(
         self,
         prompts: list[str],

@@ -498,9 +498,9 @@ class BatchEntrypointOnlyRule(LintRule):
     charges cost model that capped a replica near 500 req/s, and they
     bypass the :class:`~repro.llm.interface.GenerationBatch` accounting
     (attempts, retries, breaker refusals) the resilience layer reports.
-    ``generate_knowledge`` survives only as a deprecated shim for
-    out-of-tree callers — in-tree serving code must not call it.  A file
-    that must keep a compatibility call site goes on ``allowlist``.
+    ``generate_knowledge`` is the removed pre-batch name; calling it is
+    flagged so a port of old code fails lint, not at runtime.  A file
+    that must keep a per-item call site goes on ``allowlist``.
     """
 
     id = "batch-entrypoint-only"
@@ -510,8 +510,7 @@ class BatchEntrypointOnlyRule(LintRule):
                  "(the batch-first serving cost model)")
 
     #: ``/``-separated path suffixes where per-item generator calls are
-    #: tolerated (none today; shims *define* generate_knowledge but must
-    #: delegate to generate_batch, which this rule permits).
+    #: tolerated (none today).
     allowlist: ClassVar[tuple[str, ...]] = ()
 
     _BANNED_METHODS = ("generate", "generate_knowledge")

@@ -107,9 +107,7 @@ class KnowledgeGenerator(Protocol):
     entrypoint the serving stack (``CosmoService``,
     ``ResilientGenerator``, ``FlakyGenerator``, ``CosmoCluster``) calls;
     the per-model ``generate`` / ``decode_batch`` methods are decoding
-    internals, and ``generate_knowledge`` survives only as a deprecated
-    thin shim over ``generate_batch`` (the tombstone test pins that no
-    in-repo serving code calls it).  Implementations must also expose a
+    internals.  Implementations must also expose a
     ``latency`` :class:`LatencyModel` (simulated-seconds accounting) —
     not part of the runtime check because data members cannot be
     runtime-checked on every supported Python version, but required by

@@ -177,13 +177,6 @@ class StudentLM(Module):
         """:class:`~repro.llm.interface.KnowledgeGenerator` entrypoint."""
         return GenerationBatch(generations=list(self.decode_batch(prompts)))
 
-    def generate_knowledge(self, prompts: list[str],
-                           max_new_tokens: int = 14) -> list[Generation]:
-        """Deprecated shim over :meth:`generate_batch` (kept for
-        offline/pipeline callers; serving code must use the batch
-        entrypoint — the tombstone test pins this)."""
-        return self.decode_batch(prompts, max_new_tokens=max_new_tokens)
-
     def generate(self, prompt: str, num_candidates: int = 1) -> list[Generation]:
         """Protocol-compatible single-prompt generation (greedy).
 

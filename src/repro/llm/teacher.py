@@ -94,10 +94,6 @@ class TeacherLLM:
             generations=[self.generate(prompt)[0] for prompt in prompts]
         )
 
-    def generate_knowledge(self, prompts: list[str]) -> list[Generation]:
-        """Deprecated shim over :meth:`generate_batch`."""
-        return self.generate_batch(prompts).require()
-
     def generate(self, prompt: str, num_candidates: int = 1) -> list[Generation]:
         """Protocol-compatible raw continuation (demo / probing use)."""
         tail = GENERIC_TAILS[int(self._rng.integers(len(GENERIC_TAILS)))]

@@ -29,6 +29,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
+    "counter_attribute",
 ]
 
 #: Log-ish spaced latency buckets (seconds) spanning cache lookups
@@ -59,6 +60,25 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counters only go up; got inc({amount})")
         self._value += amount
+
+
+def counter_attribute(attr: str, as_int: bool = True) -> property:
+    """Expose ``self._counters[attr]`` (a bound :class:`Counter`) as a
+    plain attribute: reads return the count, ``+=`` writes become
+    ``inc(delta)`` — how the serving layers keep their pre-registry
+    ``stats.hits += 1`` surface over registry-backed counters."""
+
+    def fget(self):
+        value = self._counters[attr].value
+        return int(value) if as_int else value
+
+    def fset(self, value) -> None:
+        delta = value - self._counters[attr].value
+        if delta < 0:
+            raise ValueError(f"{attr} is a counter; it cannot decrease")
+        self._counters[attr].inc(delta)
+
+    return property(fget, fset)
 
 
 class Gauge:

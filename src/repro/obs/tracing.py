@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs.sampling import TailSampler
 
 __all__ = [
+    "NULL_SPAN",
     "TRACE_ID_ATTR",
     "Span",
     "TraceContext",
@@ -176,6 +177,30 @@ class Span:
         return False
 
 
+class _NullSpan:
+    """What untraced work enters in place of a span, an attachment or a
+    trace scope.
+
+    Tracing off is not a second code path: the one path runs with no
+    :class:`TraceContext` and enters this shared, stateless no-op
+    wherever traced work would enter the real thing.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+    def set_attribute(self, key: str, value: AttrValue) -> None:
+        pass
+
+
+NULL_SPAN = _NullSpan()
+
+
 class _Attachment:
     """Enter/exit handle returned by :meth:`Tracer.attach`.
 
@@ -209,6 +234,28 @@ class _Attachment:
         if self._clock is not None:
             tracer.clock = self._previous_clock
         return False
+
+
+class _TraceRoot:
+    """Enter/exit handle returned by :meth:`Tracer.trace`: an attachment
+    that opens, and on exit closes, the root span of its subtree."""
+
+    __slots__ = ("_attachment", "_name", "_attributes", "_span")
+
+    def __init__(self, attachment: _Attachment, name: str,
+                 attributes: dict[str, AttrValue]):
+        self._attachment = attachment
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        tracer = self._attachment.__enter__()
+        self._span = tracer.span(self._name, **self._attributes)
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._span.__exit__(exc_type, exc, tb)
+        return self._attachment.__exit__(exc_type, exc, tb)
 
 
 class _ClockOverride:
@@ -266,9 +313,11 @@ class Tracer:
         """The currently attached :class:`TraceContext`, if any."""
         return self._context
 
-    def attach(self, context: TraceContext,
-               clock: Callable[[], float] | None = None) -> _Attachment:
-        """Tag spans opened inside with ``context``'s trace id.
+    def attach(self, context: TraceContext | None,
+               clock: Callable[[], float] | None = None,
+               ) -> "_Attachment | _NullSpan":
+        """Tag spans opened inside with ``context``'s trace id; attaching
+        ``None`` (tracing off) is a no-op scope.
 
         Stack-root spans opened while attached additionally record the
         context's ``parent_ref`` as their remote parent, linking this
@@ -276,7 +325,19 @@ class Tracer:
         retimes spans for the scope (equivalent to nesting
         :meth:`clocked`, one context manager cheaper).
         """
+        if context is None:
+            return NULL_SPAN
         return _Attachment(self, context, clock)
+
+    def trace(self, context: TraceContext | None, name: str,
+              clock: Callable[[], float] | None = None,
+              **attributes: AttrValue) -> "_TraceRoot | _NullSpan":
+        """:meth:`attach` ``context`` and open span ``name`` as the root
+        of its subtree in this tracer, as one scope — what every hop of
+        a traced request does on entry.  No context, no-op."""
+        if context is None:
+            return NULL_SPAN
+        return _TraceRoot(_Attachment(self, context, clock), name, attributes)
 
     def ref(self, span: Span) -> str:
         """The cross-tracer reference naming ``span`` in this tracer."""
@@ -369,6 +430,15 @@ class Tracer:
         record._tracer = self
         stack.append(record)
         return record
+
+    def traced_span(self, name: str,
+                    **attributes: AttrValue) -> "Span | _NullSpan":
+        """:meth:`span` while a trace context is attached, else the
+        shared no-op — for stages that only exist on traced requests,
+        so untraced callers pay nothing."""
+        if self._context is None:
+            return NULL_SPAN
+        return self.span(name, **attributes)
 
     def record(self, name: str, start_s: float, end_s: float,
                parent: Span | None = None,

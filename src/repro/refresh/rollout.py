@@ -82,10 +82,6 @@ class SnapshotGenerator:
             outputs.append(Generation(text=text, tokens=10, latency_s=latency))
         return GenerationBatch(generations=outputs)
 
-    def generate_knowledge(self, prompts: list[str]) -> list[Generation]:
-        """Deprecated shim over :meth:`generate_batch`."""
-        return self.generate_batch(prompts).require()
-
 
 def rollout_slo_specs(
     scrape_interval_s: float,

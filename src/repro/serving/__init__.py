@@ -26,12 +26,9 @@ from repro.serving.faults import (
 from repro.serving.feature_store import FeatureRecord, FeatureStore
 from repro.serving.router import ConsistentHashRouter
 from repro.serving.resilience import (
-    BatchOutcome,
     BreakerState,
     CircuitBreaker,
-    CircuitOpenError,
     ResilientGenerator,
-    RetriesExhausted,
     RetryPolicy,
 )
 
@@ -62,8 +59,5 @@ __all__ = [
     "RetryPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "CircuitOpenError",
-    "RetriesExhausted",
-    "BatchOutcome",
     "ResilientGenerator",
 ]

@@ -23,8 +23,7 @@ the structured surface (``handle`` / ``handle_batch``).
 The generation side of the contract is
 :class:`~repro.llm.interface.KnowledgeGenerator` (re-exported here):
 ``generate_batch(prompts) -> GenerationBatch`` is the sole
-serving-facing generator entrypoint (``generate_knowledge`` survives
-only as a deprecated shim for offline callers).
+serving-facing generator entrypoint.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, counter_attribute
 from repro.serving.clock import SimClock
 
 __all__ = ["CacheStats", "AsyncCacheStore"]
@@ -72,21 +72,8 @@ class CacheStats:
         return (self.layer1_hits + self.layer2_hits) / self.requests
 
 
-def _stat_property(attr: str) -> property:
-    def fget(self: CacheStats) -> int:
-        return int(self._counters[attr].value)
-
-    def fset(self: CacheStats, value) -> None:
-        delta = value - self._counters[attr].value
-        if delta < 0:
-            raise ValueError(f"{attr} is a counter; it cannot decrease")
-        self._counters[attr].inc(delta)
-
-    return property(fget, fset)
-
-
 for _attr in (*_OUTCOMES, "pending_evictions", "snapshot_invalidations"):
-    setattr(CacheStats, _attr, _stat_property(_attr))
+    setattr(CacheStats, _attr, counter_attribute(_attr))
 
 
 class AsyncCacheStore:
@@ -182,28 +169,13 @@ class AsyncCacheStore:
         shedding load skips the queue so shed traffic cannot crowd out
         admitted misses).
         """
-        if self._tracer is not None and self._tracer.active_context is not None:
-            with self._tracer.span("cache.fetch", store=self._name) as span:
-                hit = self._fetch(query, enqueue)
-                span.set_attribute("outcome",
-                                   hit[1] if hit is not None else "miss")
-            return hit
-        return self._fetch(query, enqueue)
-
-    def _fetch(self, query: str, enqueue: bool) -> tuple[str, str] | None:
-        self.request_log[query] += 1
-        self._roll_daily_layer()
-        if query in self._yearly:
-            self.stats.layer1_hits += 1
-            return self._yearly[query], "yearly"
-        if query in self._daily:
-            self.stats.layer2_hits += 1
-            return self._daily[query], "daily"
-        self.stats.misses += 1
-        if enqueue:
-            self._enqueue(query)
-        self._publish_sizes()
-        return None
+        tracer = self._tracer
+        if tracer is None or tracer.active_context is None:
+            return self._fetch_many((query,), enqueue)[0]
+        with tracer.span("cache.fetch", store=self._name) as span:
+            (hit,) = self._fetch_many((query,), enqueue)
+            span.set_attribute("outcome", hit[1] if hit is not None else "miss")
+        return hit
 
     def fetch_many(self, queries: list[str],
                    enqueue: bool = True) -> list[tuple[str, str] | None]:
@@ -218,14 +190,14 @@ class AsyncCacheStore:
         """
         if not queries:
             return []
-        if self._tracer is not None and self._tracer.active_context is not None:
-            with self._tracer.span("cache.fetch_many", store=self._name,
-                                   queries=len(queries)) as span:
-                hits = self._fetch_many(queries, enqueue)
-                span.set_attribute(
-                    "hits", sum(1 for hit in hits if hit is not None))
-            return hits
-        return self._fetch_many(queries, enqueue)
+        tracer = self._tracer
+        if tracer is None or tracer.active_context is None:
+            return self._fetch_many(queries, enqueue)
+        with tracer.span("cache.fetch_many", store=self._name,
+                         queries=len(queries)) as span:
+            hits = self._fetch_many(queries, enqueue)
+            span.set_attribute("hits", len(hits) - hits.count(None))
+        return hits
 
     def _fetch_many(self, queries: list[str],
                     enqueue: bool) -> list[tuple[str, str] | None]:

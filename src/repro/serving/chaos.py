@@ -56,10 +56,6 @@ class ScriptedGenerator:
             )
         return GenerationBatch(generations=outputs)
 
-    def generate_knowledge(self, prompts: list[str]) -> list[Generation]:
-        """Deprecated shim over :meth:`generate_batch`."""
-        return self.generate_batch(prompts).require()
-
 
 def _response_ok(text: str) -> bool:
     """Strict output validation for scripted generations."""

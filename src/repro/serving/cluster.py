@@ -36,14 +36,13 @@ Everything is deterministic: same seed, same traffic, same bytes out.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampling import TailSampler
-from repro.obs.tracing import TraceContext, Tracer, make_trace_id
+from repro.obs.tracing import NULL_SPAN, TraceContext, Tracer, make_trace_id
 from repro.serving.api import ServeOutcome, ServeRequest, ServeResult
 from repro.serving.clock import SimClock
 from repro.serving.deployment import CosmoService
@@ -71,19 +70,13 @@ class _HeldClock:
         return self.value
 
 
-#: Shared no-op scope for traced requests with no event log attached —
-#: ``nullcontext`` holds no state, so one instance serves every request.
-_NULL_SCOPE = nullcontext()
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Shape and policies of one :class:`CosmoCluster`.
 
     ``max_batch_delay_s`` bounds miss-to-batch staleness per replica;
     ``max_queue_depth`` is the cluster-wide pending bound past which
-    admission control sheds misses to the degraded path; ``failover``
-    can be switched off to measure what breaker-blind routing costs;
+    admission control sheds misses to the degraded path;
     ``trace_requests`` gates per-request distributed tracing (span
     construction and trace-context propagation) — switch it off for the
     bare arm of the tracing-overhead bench.  Tracing never changes what
@@ -96,7 +89,6 @@ class ClusterConfig:
     max_batch_size: int = 32
     max_batch_delay_s: float = 30.0
     max_queue_depth: int = 500
-    failover: bool = True
     trace_requests: bool = True
     seed: int = 0
     name: str = "cluster"
@@ -141,22 +133,14 @@ class AdaptiveBatchScheduler:
         #: replica → enqueue tick of each still-pending item, oldest first.
         self._pending_since: dict[str, deque[float]] = {}
 
-    def note_pending(self, replica: str, now: float,
-                     pending: int | None = None) -> None:
-        """Record that ``replica`` has pending work as of ``now``.
+    def note_pending(self, replica: str, now: float, pending: int) -> None:
+        """Record that ``replica`` has ``pending`` queued items as of ``now``.
 
-        With ``pending`` given, the tracked ticks are synchronized to
-        that queue length: shrinkage pops the oldest ticks (the cache
-        processes oldest-first), growth stamps each new item ``now``.
-        Without it, only the window's first item is stamped (the
-        pre-per-item-bookkeeping behavior, kept for callers that track
-        a single deadline window by hand).
+        The tracked ticks are synchronized to that queue length:
+        shrinkage pops the oldest ticks (the cache processes
+        oldest-first), growth stamps each new item ``now``.
         """
         ticks = self._pending_since.setdefault(replica, deque())
-        if pending is None:
-            if not ticks:
-                ticks.append(now)
-            return
         while len(ticks) > pending:
             ticks.popleft()
         while len(ticks) < pending:
@@ -298,7 +282,8 @@ class CosmoCluster:
     # Routing
     # ------------------------------------------------------------------
     def _select(self, key: str) -> tuple[str, bool]:
-        """Pick the serving replica; True when it is a failover target.
+        """Pick the serving replica; True when it is a failover target
+        (counted here, once per re-routed request).
 
         Walks the key's ring preference order past replicas whose
         breakers are cooling down.  If *every* active replica is cooling
@@ -306,18 +291,72 @@ class CosmoCluster:
         request and serves it from its degraded path.
         """
         order = self.router.preference(key)
-        if not self.config.failover:
-            return order[0], False
         for replica_id in order:
             breaker = self.services[replica_id].breaker
             if breaker is not None and breaker.cooling_down:
                 continue
-            return replica_id, replica_id != order[0]
+            if replica_id == order[0]:
+                break
+            self._failovers.inc()
+            return replica_id, True
         return order[0], False
 
     # ------------------------------------------------------------------
     # Request path
+    #
+    # ``handle`` and ``handle_batch`` are the two ingress shapes (one
+    # request / one arrival window) over the same steps, each written
+    # once below: trace context, admission, replica selection, replica
+    # entry, sampler finish.  Tracing off is ``context is None``.
     # ------------------------------------------------------------------
+    def _context(self, key: str,
+                 propagated: TraceContext | None = None) -> TraceContext | None:
+        """The trace context a request (or replica group) runs under:
+        the caller's when one was propagated, else minted from the
+        request sequence number and ``key``; None with tracing off."""
+        if not self.config.trace_requests:
+            return None
+        return propagated or TraceContext(
+            make_trace_id(int(self._requests.value), key))
+
+    def _child(self, context: TraceContext | None,
+               span) -> TraceContext | None:
+        """The context a replica runs under so its spans hang off
+        ``span`` in this tracer (None stays None: tracing off)."""
+        if context is None:
+            return None
+        return context.child(self.tracer.ref(span))
+
+    def _admit(self, n_requests: int) -> bool:
+        """Admission control, sampled once per arrival: True when the
+        cluster-wide pending depth sheds these requests to the degraded
+        path (served, counted, not enqueued)."""
+        shed = self.queue_depth >= self.config.max_queue_depth
+        if shed:
+            self._shed.inc(n_requests)
+        return shed
+
+    def _enter(self, service: CosmoService, arrival: float,
+               held: _HeldClock) -> float:
+        """Bring the replica's clock to the dispatch time — the arrival
+        tick on an idle shard, the shard's own (later) clock on a busy
+        one — and return it; ``start - arrival`` is queueing delay."""
+        start = max(arrival, service.clock.now())
+        service.clock.sleep_until(start)
+        held.value = start
+        return start
+
+    def _finish_trace(self, context: TraceContext | None, ts: float,
+                      duration_s: float, results) -> None:
+        """Hand a finished trace to the tail sampler for its keep/drop
+        decision; anything but all-fresh answers flags it."""
+        if context is not None and self.sampler is not None:
+            self.sampler.finish(
+                context.trace_id, ts=ts, duration_s=duration_s,
+                flagged=any(result.outcome is not ServeOutcome.FRESH
+                            for result in results),
+            )
+
     def handle(self, request: ServeRequest | str) -> ServeResult:
         """Serve one request through the sharded deployment.
 
@@ -331,42 +370,10 @@ class CosmoCluster:
         from the request sequence number and the query, or propagated
         from ``request.trace`` when the caller supplied one — and every
         hop (routing, queueing, cache, degradation, generator attempts,
-        the batch flush it triggers) contributes spans to one trace tree.
-        The traced and bare paths perform identical clock and metric
-        operations, so accounting is byte-identical either way.
-        """
-        if isinstance(request, str):
-            request = ServeRequest(query=request)
-        self._requests.inc()
-        if not self.config.trace_requests:
-            return self._handle_bare(request)
-        context = request.trace or TraceContext(
-            make_trace_id(int(self._requests.value), request.query))
-        return self._handle_traced(request, context)
-
-    def _handle_bare(self, request: ServeRequest) -> ServeResult:
-        """The untraced request path (``trace_requests=False``)."""
-        shed = self.queue_depth >= self.config.max_queue_depth
-        if shed:
-            self._shed.inc()
-        replica_id, failed_over = self._select(request.query)
-        if failed_over:
-            self._failovers.inc()
-        service = self.services[replica_id]
-        arrival = self.clock.now()
-        start = max(arrival, service.clock.now())
-        service.clock.sleep_until(start)
-        result = service.serve(request, allow_enqueue=not shed)
-        end_to_end = (start - arrival) + result.latency_s
-        self._latency.observe(end_to_end)
-        self._maybe_flush(replica_id)
-        self._depth_gauge.set(self.queue_depth)
-        return replace(result, latency_s=end_to_end)
-
-    def _handle_traced(self, request: ServeRequest,
-                       context: TraceContext) -> ServeResult:
-        """The traced request path: same operations as
-        :meth:`_handle_bare`, wrapped in a ``cluster.request`` span tree.
+        the batch flush it triggers) contributes spans to one
+        ``cluster.request`` trace tree.  Tracing wraps the one request
+        path rather than forking it, so clock and metric operations are
+        byte-identical either way.
 
         The root span is timed on a :class:`_HeldClock` so its window is
         exactly ``[arrival, start + service latency]`` — the end-to-end
@@ -374,56 +381,53 @@ class CosmoCluster:
         child covering ``[arrival, start]``.  Events emitted mid-request
         are stamped with the trace id via the event log's trace scope.
         """
+        if isinstance(request, str):
+            request = ServeRequest(query=request)
+        self._requests.inc()
+        context = self._context(request.query, request.trace)
         arrival = self.clock.now()
         held = _HeldClock(arrival)
-        log_scope = (self.event_log.trace_scope(context.trace_id)
-                     if self.event_log is not None else _NULL_SCOPE)
-        with log_scope, self.tracer.attach(context, clock=held.now):
-            with self.tracer.span("cluster.request",
-                                  query=request.query) as root:
-                shed = self.queue_depth >= self.config.max_queue_depth
-                if shed:
-                    self._shed.inc()
-                    root.set_attribute("shed", True)
-                replica_id, failed_over = self._select(request.query)
-                if failed_over:
-                    self._failovers.inc()
-                    root.set_attribute("failover", True)
-                service = self.services[replica_id]
-                start = max(arrival, service.clock.now())
-                if start > arrival:
-                    with self.tracer.span("cluster.queueing",
-                                          replica=replica_id):
-                        service.clock.sleep_until(start)
-                        held.value = start
-                else:
-                    # No shard backlog: the request dispatches on arrival
-                    # and a zero-width queueing span would only cost hot-
-                    # path time (the stage breakdown reports queueing 0).
-                    service.clock.sleep_until(start)
-                # The child context travels out-of-band (the ``trace``
-                # keyword) rather than via a copied request: frozen-
-                # dataclass construction is measurable at per-request
-                # rates (bench_trace_overhead pins the traced/bare ratio).
-                result = service.serve(
-                    request, allow_enqueue=not shed,
-                    trace=context.child(self.tracer.ref(root)),
-                )
-                end_to_end = (start - arrival) + result.latency_s
-                held.value = start + result.latency_s
-                attrs = root.attributes
-                attrs["replica"] = result.replica
-                attrs["outcome"] = result.outcome.value
-                attrs["source"] = result.source
-                self._latency.observe(end_to_end, exemplar=context.trace_id)
-                self._maybe_flush(replica_id, context)
-            self._depth_gauge.set(self.queue_depth)
-        if self.sampler is not None:
-            self.sampler.finish(
-                context.trace_id, ts=held.value, duration_s=end_to_end,
-                flagged=result.outcome is not ServeOutcome.FRESH,
-            )
-        return replace(result, latency_s=end_to_end)
+        log_scope = (NULL_SPAN if context is None or self.event_log is None
+                     else self.event_log.trace_scope(context.trace_id))
+        with log_scope, self.tracer.trace(context, "cluster.request",
+                                          clock=held.now,
+                                          query=request.query) as root:
+            shed = self._admit(1)
+            if shed:
+                root.set_attribute("shed", True)
+            replica_id, failed_over = self._select(request.query)
+            if failed_over:
+                root.set_attribute("failover", True)
+            service = self.services[replica_id]
+            start = self._enter(service, arrival, held)
+            if context is not None and start > arrival:
+                # Recorded only when there is shard backlog: a request
+                # that dispatches on arrival would get a zero-width
+                # queueing span that only costs hot-path time (the stage
+                # breakdown reports queueing 0).
+                self.tracer.record("cluster.queueing", arrival, start,
+                                   replica=replica_id)
+            # The child context travels out-of-band (the ``trace``
+            # keyword) rather than via a copied request: frozen-dataclass
+            # construction is measurable at per-request rates
+            # (bench_trace_overhead pins the traced/bare ratio).
+            result = service.serve(request, allow_enqueue=not shed,
+                                   trace=self._child(context, root))
+            end_to_end = (start - arrival) + result.latency_s
+            held.value = start + result.latency_s
+            root.set_attribute("replica", result.replica)
+            root.set_attribute("outcome", result.outcome.value)
+            root.set_attribute("source", result.source)
+            self._latency.observe(
+                end_to_end,
+                exemplar=None if context is None else context.trace_id)
+            self._maybe_flush(replica_id, context)
+        self._depth_gauge.set(self.queue_depth)
+        self._finish_trace(context, held.value, end_to_end, (result,))
+        # The replica's result is freshly built and unshared: stamp the
+        # frozen dataclass in place, as handle_batch does.
+        object.__setattr__(result, "latency_s", end_to_end)
+        return result
 
     def handle_batch(self, requests: list[ServeRequest | str],
                      batch_id: str | None = None) -> list[ServeResult]:
@@ -455,51 +459,36 @@ class CosmoCluster:
         """
         if not requests:
             return []
-        cfg = self.config
         self._batch_seq += 1
         if batch_id is None:
-            batch_id = f"{cfg.name}-b{self._batch_seq}"
+            batch_id = f"{self.config.name}-b{self._batch_seq}"
         typed = [ServeRequest(query=request) if isinstance(request, str)
                  else request for request in requests]
         arrival = self.clock.now()
         self._requests.inc(len(typed))
-        shed = self.queue_depth >= cfg.max_queue_depth
-        if shed:
-            self._shed.inc(len(typed))
+        shed = self._admit(len(typed))
         groups: dict[str, list[int]] = {}
         for index, request in enumerate(typed):
-            replica_id, failed_over = self._select(request.query)
-            if failed_over:
-                self._failovers.inc()
+            replica_id, _ = self._select(request.query)
             groups.setdefault(replica_id, []).append(index)
         results: list[ServeResult | None] = [None] * len(typed)
+        held = _HeldClock(arrival)
         for replica_id, indices in groups.items():
             service = self.services[replica_id]
             group = [typed[i] for i in indices]
-            start = max(arrival, service.clock.now())
-            if cfg.trace_requests:
-                context = TraceContext(make_trace_id(
-                    int(self._requests.value), f"{batch_id}:{replica_id}"))
-                held = _HeldClock(arrival)
-                with self.tracer.attach(context, clock=held.now):
-                    with self.tracer.span(
-                        "cluster.batch", batch=batch_id, replica=replica_id,
-                        items=len(group), shed=shed,
-                    ) as span:
-                        service.clock.sleep_until(start)
-                        held.value = start
-                        with service.tracer.attach(
-                            context.child(self.tracer.ref(span))
-                        ):
-                            group_results = service.serve_batch(
-                                group, batch_id=batch_id,
-                                allow_enqueue=not shed,
-                            )
-                        held.value = service.clock.now()
-            else:
-                service.clock.sleep_until(start)
-                group_results = service.serve_batch(
-                    group, batch_id=batch_id, allow_enqueue=not shed)
+            context = self._context(f"{batch_id}:{replica_id}")
+            held.value = arrival
+            with self.tracer.trace(
+                context, "cluster.batch", clock=held.now, batch=batch_id,
+                replica=replica_id, items=len(group), shed=shed,
+            ) as span:
+                start = self._enter(service, arrival, held)
+                with service.tracer.attach(self._child(context, span)):
+                    group_results = service.serve_batch(
+                        group, batch_id=batch_id, allow_enqueue=not shed)
+                held.value = service.clock.now()
+            self._finish_trace(context, held.value, held.value - arrival,
+                               group_results)
             # Items served at one latency (a whole amortized window) are
             # observed together; the replica's results are freshly built
             # and unshared, so they are stamped in place.
@@ -536,10 +525,7 @@ class CosmoCluster:
             # When the flush fires inside a traced request, hang the
             # replica's batch spans under this flush span so the whole
             # generator/retry subtree stays in the request's trace.
-            attach = (service.tracer.attach(
-                          context.child(self.tracer.ref(span)))
-                      if context is not None else nullcontext())
-            with attach:
+            with service.tracer.attach(self._child(context, span)):
                 installed = service.run_batch(
                     max_queries=self.config.max_batch_size)
             span.set_attribute("installed", installed)

@@ -25,12 +25,12 @@ the baseline arm of ``benchmarks/bench_ablation_resilience.py``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
+from repro.llm.interface import GenerationBatch
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import TraceContext, Tracer
+from repro.obs.metrics import MetricsRegistry, counter_attribute
+from repro.obs.tracing import NULL_SPAN, TraceContext, Tracer
 from repro.serving.api import (
     SOURCE_CACHE_DAILY,
     SOURCE_CACHE_YEARLY,
@@ -56,6 +56,18 @@ __all__ = ["ServingMetrics", "DeadLetter", "BatchCostModel", "CosmoService"]
 
 _CACHE_LATENCY_S = 0.002
 _DEGRADED_LATENCY_S = 0.004
+
+#: outcome → (stage span, span attribute carrying the answer's origin,
+#: per-item stage latency, :class:`ServingMetrics` counter).
+_STAGES = {
+    ServeOutcome.FRESH: (
+        "serving.cache_serve", "layer", _CACHE_LATENCY_S, "served_fresh"),
+    ServeOutcome.DEGRADED: (
+        "serving.degraded_serve", "source", _DEGRADED_LATENCY_S,
+        "degraded_serves"),
+    ServeOutcome.FALLBACK: (
+        "serving.fallback_serve", None, _CACHE_LATENCY_S, "fallbacks"),
+}
 
 
 @dataclass(frozen=True)
@@ -142,11 +154,6 @@ class ServingMetrics:
         """``metrics.<attr> += amount`` without the read-modify-write."""
         self._counters[attr].inc(amount)
 
-    def observe_latency(self, seconds: float, trace_id: str | None = None) -> None:
-        """Record one request latency; ``trace_id`` attaches an exemplar
-        to the histogram bucket the observation lands in."""
-        self.latency.observe(seconds, exemplar=trace_id)
-
     @property
     def requests(self) -> int:
         return self.served_fresh + self.degraded_serves + self.fallbacks
@@ -176,25 +183,10 @@ class ServingMetrics:
         return self.percentile(99)
 
 
-def _counter_property(attr: str, as_int: bool) -> property:
-    """Expose a registry counter as a plain attribute supporting ``+=``."""
-
-    def fget(self: ServingMetrics):
-        value = self._counters[attr].value
-        return int(value) if as_int else value
-
-    def fset(self: ServingMetrics, value) -> None:
-        delta = value - self._counters[attr].value
-        if delta < 0:
-            raise ValueError(f"{attr} is a counter; it cannot decrease")
-        self._counters[attr].inc(delta)
-
-    return property(fget, fset)
-
-
 for _attr in _COUNTER_SPECS:
-    setattr(ServingMetrics, _attr, _counter_property(_attr, as_int=True))
-setattr(ServingMetrics, "backoff_wait_s", _counter_property("backoff_wait_s", as_int=False))
+    setattr(ServingMetrics, _attr, counter_attribute(_attr))
+setattr(ServingMetrics, "backoff_wait_s",
+        counter_attribute("backoff_wait_s", as_int=False))
 
 
 @dataclass
@@ -330,26 +322,13 @@ class CosmoService:
         return self._resilient is not None
 
     # ------------------------------------------------------------------
-    def _observe_latency(self, latency_s: float) -> None:
-        """Latency observation with the active trace id as its exemplar."""
+    def _observe_latency(self, latency_s: float, count: int = 1) -> None:
+        """Latency observation with the active trace id as the exemplar
+        of the histogram bucket it lands in."""
         context = self.tracer.active_context
-        self.metrics.observe_latency(
-            latency_s, trace_id=None if context is None else context.trace_id)
-
-    def _charge_request(self, latency_s: float) -> None:
-        self._observe_latency(latency_s)
-        self.clock.advance(latency_s)
-
-    def _maybe_span(self, name: str, **attributes):
-        """A span context while a trace context is attached, else a no-op.
-
-        The stage spans of the serve path (cache serve, degraded serve,
-        generation) only exist for traced requests; untraced callers pay
-        nothing.
-        """
-        if self.tracer.active_context is not None:
-            return self.tracer.span(name, **attributes)
-        return nullcontext(None)
+        self.metrics.latency.observe(
+            latency_s, exemplar=None if context is None else context.trace_id,
+            count=count)
 
     def serve(self, request: ServeRequest, allow_enqueue: bool = True,
               trace: TraceContext | None = None) -> ServeResult:
@@ -374,18 +353,14 @@ class CosmoService:
         """
         if trace is None:
             trace = request.trace
-        if trace is None:
+        with self.tracer.trace(
+            trace, "serving.request", service=self.name,
+            mode="direct" if request.direct else "cached",
+        ) as span:
             result = self._serve(request, allow_enqueue)
-        else:
-            with self.tracer.attach(trace):
-                with self.tracer.span(
-                    "serving.request", service=self.name,
-                    mode="direct" if request.direct else "cached",
-                ) as span:
-                    result = self._serve(request, allow_enqueue)
-                    attrs = span.attributes
-                    attrs["outcome"] = result.outcome.value
-                    attrs["source"] = result.source
+            span.set_attribute("outcome", result.outcome.value)
+            span.set_attribute("source", result.source)
+        if trace is not None:
             # The result is freshly built by _serve and unshared, so stamp
             # the frozen dataclass in place — dataclasses.replace's field
             # introspection is measurable at per-request rates.
@@ -412,8 +387,8 @@ class CosmoService:
         self._batch_seq += 1
         if batch_id is None:
             batch_id = f"{self.name}-b{self._batch_seq}"
-        with self._maybe_span("serving.serve_batch", batch=batch_id,
-                              items=len(requests)):
+        with self.tracer.traced_span("serving.serve_batch", batch=batch_id,
+                                     items=len(requests)):
             if self._batch_costs is None or any(r.direct for r in requests):
                 results = [self.serve(request, allow_enqueue=allow_enqueue)
                            for request in requests]
@@ -433,59 +408,39 @@ class CosmoService:
         Accounting is per window too: the outcome counters are tallied
         and incremented once, the window's shared latency is observed
         once with ``count=len(requests)``, and degraded-mode bookkeeping
-        only runs on the items where the mode flips.
+        only runs on the items where the mode flips.  A miss's stale
+        read shares the window's charge instead of adding its own
+        per-item latency.
         """
         hits = self.cache.fetch_many([request.query for request in requests],
                                      enqueue=allow_enqueue)
         duration = self._batch_costs.window_latency_s(len(requests))
         self.clock.advance(duration)
         results: list[ServeResult] = []
-        fresh = degraded = 0
         for request, hit in zip(requests, hits):
-            if hit is not None:
-                fresh += 1
-                text, layer = hit
-                result = ServeResult(
-                    query=request.query, text=text, outcome=ServeOutcome.FRESH,
-                    source=(SOURCE_CACHE_YEARLY if layer == "yearly"
-                            else SOURCE_CACHE_DAILY),
-                    latency_s=duration, replica=self.name)
-            else:
-                result = self._degraded_window_result(request.query, duration)
-                degraded += result.outcome is ServeOutcome.DEGRADED
+            text, outcome, source = self._answer(request.query, hit)
+            result = ServeResult(query=request.query, text=text,
+                                 outcome=outcome, source=source,
+                                 latency_s=duration, replica=self.name)
             if (hit is None) != self._in_degraded_mode:
                 self._note_outcome(result)
             results.append(result)
-        for attr, tally in (("served_fresh", fresh),
+        misses = hits.count(None)
+        degraded = sum(result.outcome is ServeOutcome.DEGRADED
+                       for result in results) if misses else 0
+        for attr, tally in (("served_fresh", len(hits) - misses),
                             ("degraded_serves", degraded),
-                            ("fallbacks", len(requests) - fresh - degraded)):
+                            ("fallbacks", misses - degraded)):
             if tally:
                 self.metrics.add(attr, tally)
-        context = self.tracer.active_context
-        self.metrics.latency.observe(
-            duration, exemplar=None if context is None else context.trace_id,
-            count=len(requests))
+        self._observe_latency(duration, count=len(requests))
         return results
-
-    def _degraded_window_result(self, query: str,
-                                duration: float) -> ServeResult:
-        """Degradation chain for a miss inside an amortized window (the
-        stale read shares the window's charge instead of adding its own
-        per-item latency)."""
-        if self._resilient is not None:
-            stale, source = self._stale_response(query)
-            if stale is not None:
-                return ServeResult(query=query, text=stale,
-                                   outcome=ServeOutcome.DEGRADED, source=source,
-                                   latency_s=duration, replica=self.name)
-        return ServeResult(query=query, text=self._fallback,
-                           outcome=ServeOutcome.FALLBACK, source=SOURCE_FALLBACK,
-                           latency_s=duration, replica=self.name)
 
     def _serve(self, request: ServeRequest, allow_enqueue: bool) -> ServeResult:
         if request.direct:
             return self._serve_direct(request.query)
-        return self._serve_cached(request.query, allow_enqueue)
+        hit = self.cache.fetch(request.query, enqueue=allow_enqueue)
+        return self._serve_answer(request.query, hit)
 
     def _note_outcome(self, result: ServeResult) -> None:
         """Publish degraded-mode *transitions* into the event log.
@@ -510,43 +465,85 @@ class CosmoService:
                 )
         self._in_degraded_mode = degraded
 
-    def _serve_cached(self, query: str, allow_enqueue: bool) -> ServeResult:
-        """Cache path: fresh hit, else the degradation chain."""
-        hit = self.cache.fetch(query, enqueue=allow_enqueue)
+    def _answer(self, query: str,
+                hit: tuple[str, str] | None) -> tuple[str, ServeOutcome, str]:
+        """The answer chain, written once: fresh cache ``hit`` → (possibly
+        stale) feature-store entry → last known good response → fallback.
+        Returns ``(text, outcome, source)``.
+
+        The stale steps are the resilience layer's degraded serving;
+        without it a miss goes straight to the fallback and the feature
+        store is not consulted.
+        """
         if hit is not None:
             text, layer = hit
-            with self._maybe_span("serving.cache_serve", layer=layer):
-                self._charge_request(_CACHE_LATENCY_S)
-            self.metrics.served_fresh += 1
-            source = SOURCE_CACHE_YEARLY if layer == "yearly" else SOURCE_CACHE_DAILY
-            return ServeResult(query=query, text=text, outcome=ServeOutcome.FRESH,
-                               source=source, latency_s=_CACHE_LATENCY_S,
-                               replica=self.name)
+            return text, ServeOutcome.FRESH, (
+                SOURCE_CACHE_YEARLY if layer == "yearly" else SOURCE_CACHE_DAILY)
         if self._resilient is not None:
-            stale, source = self._stale_response(query)
-            if stale is not None:
-                with self._maybe_span("serving.degraded_serve", source=source):
-                    self._charge_request(_DEGRADED_LATENCY_S)
-                self.metrics.degraded_serves += 1
-                return ServeResult(query=query, text=stale,
-                                   outcome=ServeOutcome.DEGRADED, source=source,
-                                   latency_s=_DEGRADED_LATENCY_S, replica=self.name)
-        with self._maybe_span("serving.fallback_serve"):
-            self._charge_request(_CACHE_LATENCY_S)
-        self.metrics.fallbacks += 1
-        return ServeResult(query=query, text=self._fallback,
-                           outcome=ServeOutcome.FALLBACK, source=SOURCE_FALLBACK,
-                           latency_s=_CACHE_LATENCY_S, replica=self.name)
+            record = self.features.get(query)
+            if record is not None:
+                return (record.knowledge_text, ServeOutcome.DEGRADED,
+                        SOURCE_FEATURE_STORE)
+            last = self._last_good.get(query)
+            if last is not None:
+                return last, ServeOutcome.DEGRADED, SOURCE_LAST_GOOD
+        return self._fallback, ServeOutcome.FALLBACK, SOURCE_FALLBACK
 
-    def _stale_response(self, query: str) -> tuple[str | None, str]:
-        """Best stale answer for ``query`` and the source that holds it."""
-        record = self.features.get(query)
-        if record is not None:
-            return record.knowledge_text, SOURCE_FEATURE_STORE
-        last = self._last_good.get(query)
-        if last is not None:
-            return last, SOURCE_LAST_GOOD
-        return None, SOURCE_FALLBACK
+    def _serve_answer(self, query: str, hit: tuple[str, str] | None,
+                      since: float | None = None) -> ServeResult:
+        """Serve one request from the answer chain: charge its stage,
+        observe its latency, count its outcome.
+
+        The request's latency is the stage's own, or — for a direct call
+        falling back here after the generator failed — everything the
+        clock was charged since ``since``.
+        """
+        text, outcome, source = self._answer(query, hit)
+        span_name, origin, stage_s, counter = _STAGES[outcome]
+        attributes = {} if origin is None else {
+            origin: hit[1] if hit is not None else source}
+        with self.tracer.traced_span(span_name, **attributes):
+            self.clock.advance(stage_s)
+        latency = stage_s if since is None else self.clock.now() - since
+        self._observe_latency(latency)
+        self.metrics.add(counter, 1)
+        return ServeResult(query=query, text=text, outcome=outcome,
+                           source=source, latency_s=latency, replica=self.name)
+
+    def _call_generator(self, prompts: list[str]) -> GenerationBatch:
+        """The one generator call site.
+
+        With resilience the call is retried, breaker-guarded and
+        validated.  Without it a call-level fault fails every prompt and
+        spends no retry budget (``attempts=0``): nothing dead-letters,
+        the work simply stays where it was queued.
+        """
+        if self._resilient is not None:
+            return self._resilient.generate_batch(prompts)
+        try:
+            return self.generator.generate_batch(prompts)
+        except GeneratorFault:
+            return GenerationBatch(generations=[None] * len(prompts),
+                                   attempts=0, errors=1)
+
+    def _generate(self, prompts: list[str]) -> GenerationBatch:
+        """Batch-side generation: call the generator and fold what the
+        call cost (retries, faults, rejections, backoff) into metrics."""
+        outcome = self._call_generator(prompts)
+        self.metrics.retries += outcome.retries
+        self.metrics.generator_failures += outcome.errors
+        self.metrics.rejected_generations += outcome.rejected
+        self.metrics.backoff_wait_s += outcome.wait_s
+        return outcome
+
+    def _install(self, answers: list[tuple[str, str]]) -> int:
+        """Write fresh ``(query, text)`` answers through every layer that
+        serves them (feature store, last known good, daily cache);
+        returns how many the cache installed."""
+        for query, text in answers:
+            self.features.put(query, text)
+            self._last_good[query] = text
+        return self.cache.apply_batch(dict(answers))
 
     def _serve_direct(self, query: str) -> ServeResult:
         """Bypass the cache and call the model synchronously.
@@ -554,67 +551,38 @@ class CosmoService:
         The comparison point for the serving bench: this is what serving
         the teacher LLM per-request would cost.  Under resilience the
         call is retried/breaker-guarded and failures fall through the
-        same degradation chain as cache misses.
+        same degradation chain as cache misses, counted as one generator
+        failure per failed request.
         """
-        prompt = self._prompt_builder(query)
         clock_before = self.clock.now()
         latency_before = self.generator.latency.total_simulated_s
-        generation = None
         # Under a ResilientGenerator the per-attempt spans
         # (resilience.attempt / resilience.backoff) already cover the
         # generator call, so a serving.generate wrapper would only
         # duplicate the generation stage on the hot path; it is emitted
         # for the raw-generator configuration that has no spans of its own.
-        if self._resilient is not None:
-            generation = self._resilient.generate_batch([prompt]).generations[0]
-        else:
-            with self._maybe_span("serving.generate") as span:
-                try:
-                    generation = self.generator.generate_batch([prompt]).generations[0]
-                except GeneratorFault:
-                    if span is not None:
-                        span.set_attribute("outcome", "failed")
-        if generation is None:
-            return self._degrade_direct(query, clock_before, latency_before)
-        if self._resilient is not None:
-            latency = self.clock.now() - clock_before
-            self._observe_latency(latency)
-        else:
+        with (self.tracer.traced_span("serving.generate")
+              if self._resilient is None else NULL_SPAN) as span:
+            generation = self._call_generator(
+                [self._prompt_builder(query)]).generations[0]
+            if generation is None:
+                span.set_attribute("outcome", "failed")
+        if self._resilient is None:
+            # The resilient wrapper charges the clock as it goes; the
+            # raw generator only accounts its own latency.
             latency = self.generator.latency.total_simulated_s - latency_before
-            self._observe_latency(latency)
             self.clock.advance(latency)
+        else:
+            latency = self.clock.now() - clock_before
+        if generation is None:
+            self.metrics.generator_failures += 1
+            return self._serve_answer(query, None, since=clock_before)
+        self._observe_latency(latency)
         self.metrics.served_fresh += 1
-        self._last_good[query] = generation.text
         # Write through so later cached requests hit immediately.
-        self.features.put(query, generation.text)
-        self.cache.apply_batch({query: generation.text})
+        self._install([(query, generation.text)])
         return ServeResult(query=query, text=generation.text,
                            outcome=ServeOutcome.FRESH, source=SOURCE_DIRECT,
-                           latency_s=latency, replica=self.name)
-
-    def _degrade_direct(self, query: str, clock_before: float,
-                        latency_before: float) -> ServeResult:
-        """Degradation chain for a failed direct call."""
-        self.metrics.generator_failures += 1
-        if self._resilient is None:
-            self.clock.advance(self.generator.latency.total_simulated_s - latency_before)
-        stale, source = self._stale_response(query)
-        if stale is not None and self._resilient is not None:
-            with self._maybe_span("serving.degraded_serve", source=source):
-                self.clock.advance(_DEGRADED_LATENCY_S)
-            latency = self.clock.now() - clock_before
-            self._observe_latency(latency)
-            self.metrics.degraded_serves += 1
-            return ServeResult(query=query, text=stale,
-                               outcome=ServeOutcome.DEGRADED, source=source,
-                               latency_s=latency, replica=self.name)
-        with self._maybe_span("serving.fallback_serve"):
-            self.clock.advance(_CACHE_LATENCY_S)
-        latency = self.clock.now() - clock_before
-        self._observe_latency(latency)
-        self.metrics.fallbacks += 1
-        return ServeResult(query=query, text=self._fallback,
-                           outcome=ServeOutcome.FALLBACK, source=SOURCE_FALLBACK,
                            latency_s=latency, replica=self.name)
 
     # ------------------------------------------------------------------
@@ -640,43 +608,26 @@ class CosmoService:
 
     def _run_batch(self, pending: list[str]) -> int:
         self.metrics.batch_runs += 1
-        prompts = [self._prompt_builder(query) for query in pending]
-        responses: dict[str, str] = {}
-        if self._resilient is not None:
-            outcome = self._resilient.generate_batch(prompts)
-            self.metrics.retries += outcome.retries
-            self.metrics.generator_failures += outcome.errors
-            self.metrics.rejected_generations += outcome.rejected
-            self.metrics.backoff_wait_s += outcome.wait_s
-            if outcome.breaker_refused:
-                self.metrics.breaker_refusals += 1
-            for query, generation in zip(pending, outcome.generations):
-                if generation is None:
-                    continue
-                responses[query] = generation.text
-            failed = [pending[i] for i in outcome.failed_indices]
-            if failed and outcome.attempts > 0 and not outcome.breaker_refused:
-                for query in failed:
-                    self._dead_letter(query, outcome.attempts, "retries exhausted")
-                self.cache.drop_pending(failed)
-                if self.event_log is not None:
-                    self.event_log.emit(
-                        "service.dead_letter", ts=self.clock.now(),
-                        component=self.name, count=len(failed),
-                        attempts=outcome.attempts,
-                    )
-        else:
-            try:
-                generations = self.generator.generate_batch(prompts).generations
-            except GeneratorFault:
-                self.metrics.generator_failures += 1
-                return 0
-            responses = {q: g.text for q, g in zip(pending, generations)}
-        for query, text in responses.items():
-            self.features.put(query, text)
-            self._last_good[query] = text
-        installed = self.cache.apply_batch(responses)
-        self.metrics.batch_queries_processed += len(responses)
+        outcome = self._generate(
+            [self._prompt_builder(query) for query in pending])
+        if outcome.breaker_refused:
+            self.metrics.breaker_refusals += 1
+        answers = [(query, generation.text)
+                   for query, generation in zip(pending, outcome.generations)
+                   if generation is not None]
+        failed = [pending[i] for i in outcome.failed_indices]
+        if failed and outcome.attempts > 0 and not outcome.breaker_refused:
+            for query in failed:
+                self._dead_letter(query, outcome.attempts, "retries exhausted")
+            self.cache.drop_pending(failed)
+            if self.event_log is not None:
+                self.event_log.emit(
+                    "service.dead_letter", ts=self.clock.now(),
+                    component=self.name, count=len(failed),
+                    attempts=outcome.attempts,
+                )
+        installed = self._install(answers)
+        self.metrics.batch_queries_processed += len(answers)
         return installed
 
     def _dead_letter(self, query: str, attempts: int, reason: str) -> None:
@@ -686,50 +637,30 @@ class CosmoService:
         self.metrics.dead_lettered += 1
 
     def redrive_dead_letters(self) -> int:
-        """Retry the dead-letter queue immediately.
+        """Retry every dead-lettered query once more; successes install,
+        failures go back on the queue with their attempt count bumped.
 
         :meth:`daily_refresh` re-drives at end of day as usual; the
         rollout controller calls this directly after a rollback so
         queries dead-lettered against a bad snapshot heal on the
         restored one instead of waiting for the day boundary.
         """
-        return self._redrive_dead_letters()
-
-    def _redrive_dead_letters(self) -> int:
-        """Retry every dead-lettered query once more; successes install,
-        failures go back on the queue with their attempt count bumped."""
         if not self.dead_letters:
             return 0
         letters, self.dead_letters = self.dead_letters, []
-        prompts = [self._prompt_builder(letter.query) for letter in letters]
-        if self._resilient is not None:
-            outcome = self._resilient.generate_batch(prompts)
-            self.metrics.retries += outcome.retries
-            self.metrics.generator_failures += outcome.errors
-            self.metrics.rejected_generations += outcome.rejected
-            self.metrics.backoff_wait_s += outcome.wait_s
-            generations = outcome.generations
-        else:
-            try:
-                generations = self.generator.generate_batch(prompts).generations
-            except GeneratorFault:
-                self.metrics.generator_failures += 1
-                self.dead_letters = letters
-                return 0
-        redriven = 0
-        responses: dict[str, str] = {}
-        for letter, generation in zip(letters, generations):
+        outcome = self._generate(
+            [self._prompt_builder(letter.query) for letter in letters])
+        answers = []
+        for letter, generation in zip(letters, outcome.generations):
             if generation is None:
                 self.dead_letters.append(
                     DeadLetter(letter.query, self.clock.day,
                                letter.attempts + 1, letter.reason)
                 )
-                continue
-            responses[letter.query] = generation.text
-            self.features.put(letter.query, generation.text)
-            self._last_good[letter.query] = generation.text
-            redriven += 1
-        self.cache.apply_batch(responses)
+            else:
+                answers.append((letter.query, generation.text))
+        redriven = len(answers)
+        self._install(answers)
         self.metrics.redriven += redriven
         if self.event_log is not None:
             self.event_log.emit(
@@ -787,31 +718,18 @@ class CosmoService:
     def _daily_refresh(self, refresh_stale: bool) -> dict[str, int]:
         promoted = self.cache.promote_frequent()
         self.apply_feedback()
-        redriven = self._redrive_dead_letters()
+        redriven = self.redrive_dead_letters()
         refreshed = 0
-        if refresh_stale:
-            stale = self.features.stale_keys(max_age_days=1)
-            if stale:
-                prompts = [self._prompt_builder(key) for key in stale]
-                if self._resilient is not None:
-                    outcome = self._resilient.generate_batch(prompts)
-                    self.metrics.retries += outcome.retries
-                    self.metrics.generator_failures += outcome.errors
-                    self.metrics.rejected_generations += outcome.rejected
-                    self.metrics.backoff_wait_s += outcome.wait_s
-                    generations = outcome.generations
-                else:
-                    try:
-                        generations = self.generator.generate_batch(prompts).generations
-                    except GeneratorFault:
-                        self.metrics.generator_failures += 1
-                        generations = [None] * len(stale)
-                for key, generation in zip(stale, generations):
-                    if generation is None:
-                        continue  # keep the stale entry; better than nothing
-                    self.features.put(key, generation.text)
-                    self._last_good[key] = generation.text
-                    refreshed += 1
+        stale = self.features.stale_keys(max_age_days=1) if refresh_stale else []
+        if stale:
+            outcome = self._generate(
+                [self._prompt_builder(key) for key in stale])
+            for key, generation in zip(stale, outcome.generations):
+                if generation is None:
+                    continue  # keep the stale entry; better than nothing
+                self.features.put(key, generation.text)
+                self._last_good[key] = generation.text
+                refreshed += 1
         # The refresh runs at end of day: sleep to the next day boundary
         # so every simulated day starts at exactly day * SECONDS_PER_DAY
         # regardless of how much request latency accumulated during it.

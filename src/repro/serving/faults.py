@@ -181,7 +181,3 @@ class FlakyGenerator:
             else:
                 corrupted.append(replace(generation, text=garbage))
         return GenerationBatch(generations=corrupted)
-
-    def generate_knowledge(self, prompts):
-        """Deprecated shim over :meth:`generate_batch`."""
-        return self.generate_batch(prompts).require()

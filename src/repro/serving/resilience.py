@@ -20,11 +20,11 @@ simulated hours run in milliseconds and replay bit-identically.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.llm.interface import Generation, GenerationBatch
+from repro.llm.interface import GenerationBatch
+from repro.obs.tracing import Tracer
 from repro.serving.clock import SimClock
 from repro.serving.faults import GeneratorFault
 from repro.utils.rng import spawn_rng
@@ -33,19 +33,8 @@ __all__ = [
     "RetryPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "CircuitOpenError",
-    "RetriesExhausted",
-    "BatchOutcome",
     "ResilientGenerator",
 ]
-
-
-class CircuitOpenError(RuntimeError):
-    """A call was refused because the circuit breaker is open."""
-
-
-class RetriesExhausted(RuntimeError):
-    """A call failed after consuming the full retry budget."""
 
 
 @dataclass(frozen=True)
@@ -271,12 +260,6 @@ class CircuitBreaker:
         return 1.0 - sum(self._outcomes) / len(self._outcomes)
 
 
-#: Historical name for the unified batched-generation result type, kept
-#: for importers of the resilience layer; the canonical definition lives
-#: with the :class:`~repro.llm.interface.KnowledgeGenerator` protocol.
-BatchOutcome = GenerationBatch
-
-
 def _default_validator(text: str) -> bool:
     return bool(text.strip())
 
@@ -289,9 +272,8 @@ class ResilientGenerator:
     protocol: :meth:`generate_batch` returns a
     :class:`~repro.llm.interface.GenerationBatch` with per-prompt
     results so callers (the batch processor, the dead-letter redrive)
-    can handle partial failure, while the deprecated
-    ``generate_knowledge`` shim raises on failure.  Unknown attributes
-    pass through to the wrapped generator.
+    can handle partial failure.  Unknown attributes pass through to
+    the wrapped generator.
     """
 
     def __init__(
@@ -312,17 +294,7 @@ class ResilientGenerator:
         self.parameter_count = getattr(generator, "parameter_count", 0)
         self._validate = validator or _default_validator
         self._rng = spawn_rng(seed, "resilience-jitter")
-        self._tracer = tracer
-
-    def _maybe_span(self, name: str, **attributes):
-        """A span context while a trace context is attached, else a no-op.
-
-        Gating on ``active_context`` keeps untraced batch work (daily
-        refresh, redrives, benches with tracing off) span-free.
-        """
-        if self._tracer is not None and self._tracer.active_context is not None:
-            return self._tracer.span(name, **attributes)
-        return nullcontext(None)
+        self._tracer = tracer or Tracer()
 
     def __getattr__(self, name):
         if name == "inner":
@@ -350,17 +322,17 @@ class ResilientGenerator:
                 outcome.breaker_refused = True
                 break
             if outcome.attempts:
-                with self._maybe_span("resilience.backoff",
-                                      retry=outcome.attempts):
+                with self._tracer.traced_span("resilience.backoff",
+                                              retry=outcome.attempts):
                     wait = self.retry.backoff_s(outcome.attempts, self._rng)
                     self.clock.advance(wait)
                 outcome.wait_s += wait
                 outcome.retries += 1
             outcome.attempts += 1
             before = self.latency.total_simulated_s
-            with self._maybe_span("resilience.attempt",
-                                  attempt=outcome.attempts,
-                                  prompts=len(remaining)) as span:
+            with self._tracer.traced_span("resilience.attempt",
+                                          attempt=outcome.attempts,
+                                          prompts=len(remaining)) as span:
                 try:
                     generations = self.inner.generate_batch(
                         [prompts[i] for i in remaining]
@@ -369,12 +341,10 @@ class ResilientGenerator:
                     self.clock.advance(self.latency.total_simulated_s - before)
                     outcome.errors += 1
                     self.breaker.record_failure()
-                    if span is not None:
-                        span.set_attribute("outcome", "fault")
+                    span.set_attribute("outcome", "fault")
                     continue
                 self.clock.advance(self.latency.total_simulated_s - before)
-                if span is not None:
-                    span.set_attribute("outcome", "ok")
+                span.set_attribute("outcome", "ok")
             self.breaker.record_success()
             still_failed = []
             for index, generation in zip(remaining, generations):
@@ -385,15 +355,3 @@ class ResilientGenerator:
                     still_failed.append(index)
             remaining = still_failed
         return outcome
-
-    def generate_knowledge(self, prompts: list[str]) -> list[Generation]:
-        """Deprecated all-or-nothing shim over :meth:`generate_batch`."""
-        outcome = self.generate_batch(prompts)
-        if outcome.ok:
-            return outcome.generations
-        if outcome.breaker_refused and outcome.attempts == 0:
-            raise CircuitOpenError("circuit breaker is open; call refused")
-        raise RetriesExhausted(
-            f"{len(outcome.failed_indices)}/{len(prompts)} prompts failed "
-            f"after {outcome.attempts} attempts"
-        )

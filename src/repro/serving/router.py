@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from contextlib import nullcontext
 from typing import Sequence
+
+from repro.obs.tracing import NULL_SPAN
 
 __all__ = ["ConsistentHashRouter"]
 
@@ -183,8 +184,7 @@ class ConsistentHashRouter:
             return list(order if limit is None else order[:limit])
         with self._degraded_span() as span:
             active = [r for r in order if r not in drained][:limit]
-            if span is not None:
-                span.set_attribute("owner", active[0])
+            span.set_attribute("owner", active[0])
         return active
 
     def route(self, key: str) -> str:
@@ -195,8 +195,7 @@ class ConsistentHashRouter:
             return order[0]
         with self._degraded_span() as span:
             owner = next(r for r in order if r not in drained)
-            if span is not None:
-                span.set_attribute("owner", owner)
+            span.set_attribute("owner", owner)
         return owner
 
     def _order(self, key: str) -> tuple[str, ...]:
@@ -213,7 +212,7 @@ class ConsistentHashRouter:
 
     def _degraded_span(self):
         """A ``router.route`` span while replicas are drained *and* a
-        trace context is attached, else a no-op context yielding None.
+        trace context is attached, else the shared no-op span.
 
         Routing is spanned only while the ring is degraded: that is when
         the decision is interesting.  Steady-state routing is a pure
@@ -223,6 +222,6 @@ class ConsistentHashRouter:
         """
         tracer = self._tracer
         if tracer is None or tracer.active_context is None:
-            return nullcontext()
+            return NULL_SPAN
         return tracer.span("router.route", active=len(self.active),
                            drained=len(self._drained))

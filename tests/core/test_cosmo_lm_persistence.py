@@ -55,8 +55,8 @@ def test_cosmo_lm_save_load_identical_generations(tmp_path, small_lm):
 
     samples = small_lm.samples[:10]
     prompts = [lm.prompt_for_sample(world, s) for s in samples]
-    original = [g.text for g in lm.generate_knowledge(prompts)]
-    reloaded = [g.text for g in restored.generate_knowledge(prompts)]
+    original = [g.text for g in lm.generate_batch(prompts).require()]
+    reloaded = [g.text for g in restored.generate_batch(prompts).require()]
     assert original == reloaded
 
 

@@ -46,7 +46,7 @@ def test_reranked_costs_more_latency_than_greedy(small_cosmo):
     prompts = [lm.prompt_for_sample(small_cosmo.world, s)
                for s in small_cosmo.samples[:6]]
     before = lm.latency.total_simulated_s
-    lm.generate_knowledge(prompts)
+    lm.generate_batch(prompts).require()
     greedy_cost = lm.latency.total_simulated_s - before
     before = lm.latency.total_simulated_s
     lm.generate_reranked(prompts, num_candidates=3)

@@ -38,7 +38,7 @@ def test_cosmo_lm_generates_parseable_knowledge(full_result):
     lm = full_result.cosmo_lm
     samples = full_result.samples[:60]
     prompts = [lm.prompt_for_sample(full_result.world, s) for s in samples]
-    generations = lm.generate_knowledge(prompts)
+    generations = lm.generate_batch(prompts).require()
     parsed = sum(parse_predicate(g.text) is not None for g in generations)
     assert parsed / len(generations) > 0.6
 
@@ -62,9 +62,9 @@ def test_student_is_orders_of_magnitude_cheaper(full_result):
     teacher_per = teacher_total / len(full_result.candidates)
     lm = full_result.cosmo_lm
     before = lm.latency.total_simulated_s
-    generations = lm.generate_knowledge(
+    generations = lm.generate_batch(
         [lm.prompt_for_sample(full_result.world, s) for s in full_result.samples[:20]]
-    )
+    ).require()
     student_per = (lm.latency.total_simulated_s - before) / len(generations)
     assert teacher_per / max(student_per, 1e-9) > 100
 
@@ -72,8 +72,8 @@ def test_student_is_orders_of_magnitude_cheaper(full_result):
 def test_judge_generations_quality_fields(full_result):
     lm = full_result.cosmo_lm
     samples = [s for s in full_result.samples if s.behavior == "search-buy"][:50]
-    texts = [g.text for g in lm.generate_knowledge(
-        [lm.prompt_for_sample(full_result.world, s) for s in samples])]
+    texts = [g.text for g in lm.generate_batch(
+        [lm.prompt_for_sample(full_result.world, s) for s in samples]).require()]
     quality = CosmoLM.judge_generations(full_result.world, samples, texts)
     assert quality.total == 50
     assert 0 <= quality.typical <= quality.plausible <= quality.parsed <= 50

@@ -185,12 +185,12 @@ def test_unknown_guarded_objective_is_rejected():
 def test_snapshot_generator_answers_from_snapshot_or_fails_loudly():
     blue, green = _snapshots()
     generator = SnapshotGenerator(blue)
-    known, unknown = generator.generate_knowledge([QUERIES[0], "never seen"])
+    known, unknown = generator.generate_batch([QUERIES[0], "never seen"]).require()
     assert known.text == blue.entries[QUERIES[0]]
     assert unknown.text == ""  # validator rejects → loud failure
     assert known.latency_s > 0.0
     generator.set_snapshot(green)
-    assert generator.generate_knowledge([QUERIES[0]])[0].text \
+    assert generator.generate_batch([QUERIES[0]]).require()[0].text \
         == green.entries[QUERIES[0]]
 
 

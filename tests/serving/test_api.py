@@ -134,5 +134,6 @@ def test_student_generate_knowledge_matches_generate_batch():
     student = StudentLM(tokenizer, seed=0)
     prompts = ["winter tent"]
     batch = student.generate_batch(prompts)
-    knowledge = student.generate_knowledge(prompts)
-    assert [g.text for g in knowledge] == [g.text for g in batch.generations]
+    knowledge = student.decode_batch(prompts)
+    assert batch.ok and len(batch) == len(prompts)
+    assert [g.text for g in knowledge] == [g.text for g in batch.require()]

