@@ -6,8 +6,8 @@ way a refresh round does — merge the triples into a columnar
 :class:`KnowledgeGraph`, freeze via ``build_snapshot`` (content
 checksum + columnar digest) — and then times the gate the rollout
 controller calls, ``SnapshotQualityGate(store).assess(child)`` on a
-cold gate: two health reports off the snapshots' frozen columns, both
-edge-identity sets, and the drift rules.
+cold gate: two health reports off the snapshots' frozen columns, the
+integer edge delta between them, and the drift rules.
 
 The contract from DESIGN.md §14: health is a handful of
 ``np.bincount``/``np.histogram`` passes over columns the snapshot

@@ -17,9 +17,18 @@ Usage::
         [--baseline benchmarks/baselines/cluster_scaling.json] \
         [--tolerance 0.10] [--update] \
         [--history benchmarks/BENCH_trajectory.json] [--note <sha>]
+    python scripts/check_perf_baseline.py --wallclock BENCH_wallclock.json
 
 ``--update`` rewrites the baseline from the current results instead of
 checking (for intentional perf changes; commit the diff).
+
+``--wallclock BENCH_wallclock.json`` checks the committed wall-clock
+trajectory instead (see ``scripts/append_bench_row.py``): per workload,
+every end-to-end metric of the last row against the row before it, with
+the metric's direction and ``bound`` read from ``BENCHMARK.json``; exit 1
+when any metric is worse by more than its bound.  The rows are
+reference-normalised medians measured when each PR was written, so this
+gates what was committed, not the machine CI runs on.
 
 ``--history`` appends this run's per-arm summary (and deltas against
 the baseline, when one exists) to a perf-trajectory JSON file, creating
@@ -41,6 +50,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_RESULTS = REPO_ROOT / "benchmarks" / "results" / "cluster_scaling.json"
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "cluster_scaling.json"
+BENCHMARK_SPEC = REPO_ROOT / "BENCHMARK.json"
 
 
 def _arms_by_replicas(payload: dict) -> dict[int, dict]:
@@ -77,6 +87,46 @@ def check(results_path: pathlib.Path, baseline_path: pathlib.Path,
               f"{tolerance:.0%} below baseline")
         return 1
     print("ok: throughput within tolerance on every arm")
+    return 0
+
+
+def check_wallclock(history_path: pathlib.Path,
+                    spec_path: pathlib.Path = BENCHMARK_SPEC) -> int:
+    """Last row of a ``bench-wallclock`` trajectory vs the row before."""
+    history = json.loads(history_path.read_text())
+    if history.get("format") != "bench-wallclock":
+        print(f"FAIL: {history_path} is not a bench-wallclock file")
+        return 1
+    if len(history["runs"]) < 2:
+        print(f"FAIL: {history_path} needs two rows to compare")
+        return 1
+    before, after = history["runs"][-2:]
+    if (before["seed"], before["smoke"]) != (after["seed"], after["smoke"]):
+        print(f"FAIL: rows #{before['sequence']} and #{after['sequence']} "
+              "were measured with different seeds or sizes")
+        return 1
+    metrics = json.loads(spec_path.read_text())["end_to_end"]
+    failures = 0
+    for workload in sorted(set(before["workloads"]) & set(after["workloads"])):
+        old = before["workloads"][workload]["end_to_end"]
+        new = after["workloads"][workload]["end_to_end"]
+        for metric in metrics:
+            name, bound = metric["name"], metric["bound"]
+            ratio = new[name] / old[name]
+            worse_by = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
+            status = "ok"
+            if worse_by > bound:
+                status = "REGRESSION"
+                failures += 1
+            print(f"{workload:<20s}{name:<18s}{old[name]:>12.4f} -> "
+                  f"{new[name]:>12.4f} ({ratio - 1.0:+.1%}, bound "
+                  f"{bound:.0%}) [{status}]")
+    if failures:
+        print(f"FAIL: {failures} metric(s) of row #{after['sequence']} are "
+              f"worse than row #{before['sequence']} by more than their bound")
+        return 1
+    print(f"ok: row #{after['sequence']} within every bound of "
+          f"row #{before['sequence']}")
     return 0
 
 
@@ -143,8 +193,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--note", type=str, default="",
                         help="free-form label for the history entry "
                              "(CI passes the commit SHA)")
+    parser.add_argument("--wallclock", type=pathlib.Path, default=None,
+                        metavar="PATH",
+                        help="check the last two rows of a bench-wallclock "
+                             "trajectory against BENCHMARK.json's bounds")
     args = parser.parse_args(argv)
 
+    if args.wallclock is not None:
+        return check_wallclock(args.wallclock)
     if not args.results.exists():
         print(f"FAIL: no results at {args.results} — "
               "run benchmarks/bench_cluster_scaling.py first")

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 
 import networkx as nx
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 
-__all__ = ["KGStats", "HierarchyNode", "KnowledgeGraph"]
+__all__ = ["KGStats", "HierarchyNode", "KnowledgeGraph", "pack_edge_keys"]
 
 _INITIAL_CAPACITY = 16
 
@@ -51,6 +52,41 @@ _TABLES = {"nodes": "_nodes", "relations": "_relations",
 #: id column → the intern table its values index.
 _TABLE_OF = {"head": "nodes", "relation": "relations", "tail": "nodes",
              "domain": "domains", "behavior": "behaviors"}
+
+#: Bit budget of a packed ``(head, relation, tail)`` key — two node ids
+#: around one relation id in a non-negative int64.  2**28 nodes is 40x
+#: the paper's graph (Table 1: 6.3M); Table 2 has 15 relations.
+_NODE_BITS, _RELATION_BITS = 28, 7
+
+
+def _check_key_budget(nodes: int, relations: int) -> None:
+    if nodes > 1 << _NODE_BITS or relations > 1 << _RELATION_BITS:
+        raise OverflowError(
+            f"{nodes} nodes / {relations} relations do not fit the packed "
+            f"edge key ({_NODE_BITS} bits per node id, {_RELATION_BITS} per "
+            "relation id)")
+
+
+def _pack(head, relation, tail):
+    """The key layout, for Python ints or int64 arrays alike."""
+    return ((head << (_RELATION_BITS + _NODE_BITS))
+            | (relation << _NODE_BITS) | tail)
+
+
+def pack_edge_keys(head, relation, tail, *, nodes: int,
+                   relations: int) -> np.ndarray:
+    """One int64 per edge: ``head << 35 | relation << 28 | tail``.
+
+    ``nodes`` and ``relations`` are the sizes of the tables the ids
+    index (the ids themselves are range-checked where they enter the
+    program); tables past the bit budget raise ``OverflowError`` instead
+    of wrapping into colliding keys.  Equal keys mean equal
+    ``(head, relation, tail)``, and keys sort in that lexicographic order.
+    """
+    _check_key_budget(nodes, relations)
+    return _pack(np.asarray(head, dtype=np.int64),
+                 np.asarray(relation, dtype=np.int64),
+                 np.asarray(tail, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -115,6 +151,16 @@ class _InternTable:
             self._values.append(value)
         return interned
 
+    def intern_many(self, values: list[str]) -> list[int]:
+        """``[intern(v) for v in values]``: new strings get their ids in
+        first-appearance order, without a Python-level loop over
+        ``values`` (only over its distinct strings)."""
+        ids = self._ids
+        fresh = [value for value in dict.fromkeys(values) if value not in ids]
+        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+        self._values.extend(fresh)
+        return list(map(ids.__getitem__, values))
+
     def id_of(self, value: str) -> int | None:
         return self._ids.get(value)
 
@@ -152,8 +198,9 @@ class KnowledgeGraph:
         self._typ_col = np.empty(capacity, dtype=np.float64)
         self._support_col = np.empty(capacity, dtype=np.int64)
         self._size = 0
-        #: (head id, relation id, tail id) → row, for duplicate merging.
-        self._row_of: dict[tuple[int, int, int], int] = {}
+        #: packed (head id, relation id, tail id) → row, for duplicate
+        #: merging; see :func:`pack_edge_keys`.
+        self._row_of: dict[int, int] = {}
         #: Ragged per-row provenance; stays a Python list (tuples vary
         #: in length and are only touched at materialization time).
         self._head_ids: list[tuple[str, ...]] = []
@@ -165,11 +212,17 @@ class KnowledgeGraph:
 
     # ------------------------------------------------------------------
     def add(self, triple: KnowledgeTriple) -> None:
-        """Insert a triple, merging support for duplicates."""
+        """Insert a triple, merging support for duplicates.
+
+        The scalar operation, and the reference :meth:`extend` is tested
+        against.  Both raise ``OverflowError`` once the tables outgrow
+        the packed key's bit budget; the graph is not usable after that.
+        """
         head_id = self._nodes.intern(triple.head)
         rel_id = self._relations.intern(triple.relation.value)
         tail_id = self._nodes.intern(triple.tail)
-        key = (head_id, rel_id, tail_id)
+        _check_key_budget(len(self._nodes), len(self._relations))
+        key = _pack(head_id, rel_id, tail_id)
         row = self._row_of.get(key)
         if row is not None:
             # Merge: best scores win, support accumulates, the first
@@ -182,7 +235,7 @@ class KnowledgeGraph:
             return
         row = self._size
         if row == len(self._head_col):
-            self._grow()
+            self._grow(row + 1)
         self._head_col[row] = head_id
         self._rel_col[row] = rel_id
         self._tail_col[row] = tail_id
@@ -197,16 +250,96 @@ class KnowledgeGraph:
         self._domain_behavior_edges[(triple.domain, triple.behavior)] += 1
         self._csr_dirty = True
 
-    def _grow(self) -> None:
-        capacity = max(_INITIAL_CAPACITY, 2 * len(self._head_col))
+    def _grow(self, rows: int) -> None:
+        """Room for ``rows`` edges, at least doubling."""
+        capacity = max(_INITIAL_CAPACITY, 2 * len(self._head_col), rows)
         for attr, dtype in _ARRAYS.values():
             grown = np.empty(capacity, dtype=dtype)
             grown[: self._size] = getattr(self, attr)[: self._size]
             setattr(self, attr, grown)
 
     def extend(self, triples: Iterable[KnowledgeTriple]) -> None:
-        for triple in triples:
-            self.add(triple)
+        """``for t in triples: self.add(t)`` as one bulk operation.
+
+        Same ids, rows, merges and column bytes as the :meth:`add` loop:
+        heads and tails are interned interleaved (``add``'s order), an
+        edge whose key is new opens the next row and only those edges
+        intern a domain/behavior, every other edge merges into its row.
+        Each field leaves the batch once and each column is written with
+        one slice assignment.
+        """
+        batch = list(triples)
+        if not batch:
+            return
+        ends: list = [None] * (2 * len(batch))
+        ends[0::2] = [triple.head for triple in batch]
+        ends[1::2] = [triple.tail for triple in batch]
+        end_ids = self._nodes.intern_many(ends)
+        heads = np.array(end_ids[0::2], dtype=np.int32)
+        tails = np.array(end_ids[1::2], dtype=np.int32)
+        # ``_value_`` is ``.value`` without the descriptor call, which
+        # costs four times the attribute read.
+        relations = np.array(self._relations.intern_many(
+            [triple.relation._value_ for triple in batch]), dtype=np.int32)
+        keys = pack_edge_keys(heads, relations, tails, nodes=len(self._nodes),
+                              relations=len(self._relations)).tolist()
+
+        # One key per row, so ``len(row_of)`` is the next free row.  New
+        # keys take rows in first-appearance order: an edge opens a row
+        # exactly when its row number exceeds every row number before it
+        # (and every existing row).
+        size, row_of = self._size, self._row_of
+        rows = np.array([row_of.setdefault(key, len(row_of)) for key in keys],
+                        dtype=np.intp)
+        highest = np.maximum.accumulate(np.concatenate(([size - 1], rows)))
+        opens = rows > highest[:-1]
+
+        opened = list(compress(batch, opens.tolist()))
+        end = size + len(opened)
+        if end > len(self._head_col):
+            self._grow(end)
+        domains = self._domains.intern_many([t.domain for t in opened])
+        behaviors = self._behaviors.intern_many([t.behavior for t in opened])
+        self._head_col[size:end] = heads[opens]
+        self._rel_col[size:end] = relations[opens]
+        self._tail_col[size:end] = tails[opens]
+        self._domain_col[size:end] = domains
+        self._behavior_col[size:end] = behaviors
+        self._plaus_col[size:end] = [t.plausibility for t in opened]
+        self._typ_col[size:end] = [t.typicality for t in opened]
+        self._support_col[size:end] = [t.support for t in opened]
+        self._head_ids.extend([t.head_ids for t in opened])
+        self._size = end
+        self._count_cells(size)
+        self._csr_dirty = True
+
+        if len(opened) < len(batch):
+            merges = ~opens
+            merged = list(compress(batch, merges.tolist()))
+            into = rows[merges]
+            # ``add`` replaces a score only by a greater one: a running
+            # maximum that a NaN never enters and a NaN first insert
+            # never leaves.
+            for column, scores in (
+                    (self._plaus_col, [t.plausibility for t in merged]),
+                    (self._typ_col, [t.typicality for t in merged])):
+                settled = ~np.isnan(column[into])
+                np.fmax.at(column, into[settled],
+                           np.array(scores, dtype=np.float64)[settled])
+            np.add.at(self._support_col, into,
+                      np.array([t.support for t in merged], dtype=np.int64))
+
+    def _count_cells(self, first: int) -> None:
+        """Add rows ``first:`` to the (domain, behavior) counter."""
+        n_behaviors = len(self._behaviors)
+        cells = np.bincount(
+            self._domain_col[first:self._size].astype(np.int64) * n_behaviors
+            + self._behavior_col[first:self._size])
+        for cell in np.nonzero(cells)[0].tolist():
+            domain, behavior = divmod(cell, n_behaviors)
+            self._domain_behavior_edges[(
+                self._domains.value(domain),
+                self._behaviors.value(behavior))] += int(cells[cell])
 
     # ------------------------------------------------------------------
     def _triple_at(self, row: int) -> KnowledgeTriple:
@@ -331,7 +464,9 @@ class KnowledgeGraph:
         ``ValueError`` rather than repaired: every array holds one value
         per edge, of its column's kind (integer ids and support, float
         scores), every id resolves inside its table, no table repeats a
-        string, every relation name is a :class:`Relation`, and no two
+        string or holds one that no row references (Table 1's node
+        count is the table's length, and the snapshot version ranks the
+        table), every relation name is a :class:`Relation`, and no two
         rows share a ``(head, relation, tail)`` key.
         """
         kg = cls()
@@ -344,6 +479,8 @@ class KnowledgeGraph:
                 raise ValueError(f"table 'relations' holds {value!r}, "
                                  "which is not a Relation") from None
         edges = len(columns["head"])
+        referenced = {name: np.zeros(len(getattr(kg, attr)), dtype=np.int64)
+                      for name, attr in _TABLES.items()}
         for name, (attr, dtype) in _ARRAYS.items():
             values = np.asarray(columns[name])
             if values.shape != (edges,):
@@ -353,12 +490,15 @@ class KnowledgeGraph:
                 raise ValueError(f"column {name!r} is {values.dtype}, "
                                  f"not {np.dtype(dtype)}")
             table = _TABLE_OF.get(name)
-            if table is not None and edges and (
-                    int(values.min()) < 0
-                    or int(values.max()) >= len(columns[table])):
-                raise ValueError(
-                    f"column {name!r} has ids outside the {table!r} table "
-                    f"(size {len(columns[table])})")
+            if table is not None:
+                size = len(referenced[table])
+                if edges and (int(values.min()) < 0
+                              or int(values.max()) >= size):
+                    raise ValueError(
+                        f"column {name!r} has ids outside the {table!r} table "
+                        f"(size {size})")
+                referenced[table] += np.bincount(values.astype(np.intp),
+                                                 minlength=size)
             setattr(kg, attr, values.astype(dtype))
         kg._head_ids = list(columns["head_ids"])
         if len(kg._head_ids) != edges:
@@ -366,22 +506,24 @@ class KnowledgeGraph:
                              f"values for {edges} edges")
         kg._size = edges
 
-        keys = list(zip(kg._head_col.tolist(), kg._rel_col.tolist(),
-                        kg._tail_col.tolist()))
+        keys = pack_edge_keys(kg._head_col, kg._rel_col, kg._tail_col,
+                              nodes=len(kg._nodes),
+                              relations=len(kg._relations)).tolist()
         kg._row_of = dict(zip(keys, range(edges)))
         if len(kg._row_of) != edges:
-            head, relation, tail = _first_repeat(keys)
+            row = kg._row_of[_first_repeat(keys)]
             raise ValueError(
                 "rows repeat the (head, relation, tail) key "
-                f"({kg._nodes.value(head)!r}, {kg._relations.value(relation)!r}, "
-                f"{kg._nodes.value(tail)!r})")
-        n_behaviors = len(kg._behaviors)
-        cells = np.bincount(kg._domain_col.astype(np.int64) * n_behaviors
-                            + kg._behavior_col)
-        for cell in np.nonzero(cells)[0].tolist():
-            domain, behavior = divmod(cell, n_behaviors)
-            kg._domain_behavior_edges[(kg._domains.value(domain),
-                                       kg._behaviors.value(behavior))] = int(cells[cell])
+                f"({kg._nodes.value(int(kg._head_col[row]))!r}, "
+                f"{kg._relations.value(int(kg._rel_col[row]))!r}, "
+                f"{kg._nodes.value(int(kg._tail_col[row]))!r})")
+        for name, counts in referenced.items():
+            orphans = np.flatnonzero(counts == 0)
+            if orphans.size:
+                orphan = getattr(kg, _TABLES[name]).value(int(orphans[0]))
+                raise ValueError(f"table {name!r} holds {orphan!r}, "
+                                 "which no row references")
+        kg._count_cells(0)
         return kg
 
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.refresh.builder import KnowledgeRefresher, RefreshConfig, RefreshRepo
 from repro.refresh.quality import (
     GateDecision,
     SnapshotQualityGate,
-    edge_keys,
+    edge_delta,
     snapshot_health,
 )
 from repro.refresh.rollout import (
@@ -76,6 +76,6 @@ __all__ = [
     "mixed_version_violation",
     "GateDecision",
     "SnapshotQualityGate",
-    "edge_keys",
+    "edge_delta",
     "snapshot_health",
 ]

@@ -8,9 +8,10 @@ their :class:`~repro.refresh.snapshot.SnapshotStore` lineage:
 * :func:`snapshot_health` computes the
   :class:`~repro.obs.kg_health.KgHealthReport` of the columns the
   snapshot already holds;
-* :func:`edge_keys` extracts the content-identity edge set (the same
-  ``(head, relation, tail)`` identities the snapshot checksum sorts),
-  so added/removed-edge rates are exact, not inferred from counts;
+* :func:`edge_delta` counts the ``(head, relation, tail)`` identities
+  (the ones the snapshot checksum sorts) a child added to and removed
+  from its parent, so added/removed-edge rates are exact, not inferred
+  from counts;
 * :class:`SnapshotQualityGate` ties it together: given a candidate
   snapshot it assesses health, diffs against the registered parent,
   runs the drift rules, and returns a :class:`GateDecision` the
@@ -28,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
+from repro.core.kg import pack_edge_keys
 from repro.obs.drift import (DriftReport, DriftRule, default_drift_rules,
                              evaluate_drift)
 from repro.obs.kg_health import (KgHealthReport, compute_kg_health,
@@ -36,7 +40,7 @@ from repro.refresh.snapshot import KgSnapshot, SnapshotStore
 
 __all__ = [
     "snapshot_health",
-    "edge_keys",
+    "edge_delta",
     "GateDecision",
     "SnapshotQualityGate",
 ]
@@ -55,18 +59,39 @@ def snapshot_health(snapshot: KgSnapshot, *,
     )
 
 
-def edge_keys(snapshot: KgSnapshot) -> set[tuple[str, str, str]]:
-    """The snapshot's edge identity set: ``(head, relation, tail)``.
+def _onto(table: tuple[str, ...], other: tuple[str, ...]
+          ) -> tuple[np.ndarray, int]:
+    """``other``'s ids renumbered by string onto ``table``'s (strings
+    ``table`` lacks get the ids after it), and the size of the union."""
+    ids = dict(zip(table, range(len(table))))
+    for value in other:
+        ids.setdefault(value, len(ids))
+    return (np.fromiter(map(ids.__getitem__, other), dtype=np.int64,
+                        count=len(other)), len(ids))
+
+
+def edge_delta(parent: KgSnapshot, child: KgSnapshot) -> tuple[int, int]:
+    """``(added, removed)``: edge identities ``(head, relation, tail)``
+    the child has and the parent lacks, and the reverse.
 
     Support and scores are deliberately excluded — a re-scored or
     re-merged edge is still the *same* knowledge, and counting it as
-    removed+added would double-charge the drift rates.
+    removed+added would double-charge the drift rates.  The child's ids
+    are renumbered onto the parent's tables by string, each edge is
+    packed into one integer and the two (duplicate-free) key arrays are
+    intersected once.
     """
-    cols = snapshot.columns
-    nodes, relations = cols["nodes"], cols["relations"]
-    return set(zip(map(nodes.__getitem__, cols["head"].tolist()),
-                   map(relations.__getitem__, cols["relation"].tolist()),
-                   map(nodes.__getitem__, cols["tail"].tolist())))
+    old, new = parent.columns, child.columns
+    node_of, nodes = _onto(old["nodes"], new["nodes"])
+    relation_of, relations = _onto(old["relations"], new["relations"])
+    old_keys = pack_edge_keys(old["head"], old["relation"], old["tail"],
+                              nodes=nodes, relations=relations)
+    new_keys = pack_edge_keys(node_of[new["head"]],
+                              relation_of[new["relation"]],
+                              node_of[new["tail"]],
+                              nodes=nodes, relations=relations)
+    shared = np.intersect1d(old_keys, new_keys, assume_unique=True).size
+    return new_keys.size - shared, old_keys.size - shared
 
 
 @dataclass(frozen=True)
@@ -151,15 +176,16 @@ class SnapshotQualityGate:
             )
         else:
             parent_health = self.health_of(parent)
-            parent_edges = edge_keys(parent)
-            child_edges = edge_keys(candidate)
+            added_edges, removed_edges = edge_delta(parent, candidate)
+            shared_entries = len(candidate.entries.keys()
+                                 & parent.entries.keys())
             drift = evaluate_drift(
                 parent_health,
                 health,
-                added_edges=len(child_edges - parent_edges),
-                removed_edges=len(parent_edges - child_edges),
-                entries_added=len(set(candidate.entries) - set(parent.entries)),
-                entries_removed=len(set(parent.entries) - set(candidate.entries)),
+                added_edges=added_edges,
+                removed_edges=removed_edges,
+                entries_added=len(candidate.entries) - shared_entries,
+                entries_removed=len(parent.entries) - shared_entries,
                 rules=self._rules,
             )
             decision = GateDecision(

@@ -5,8 +5,9 @@ refresh round produced, frozen in its columnar form, the query →
 knowledge serving table derived from it, and a :class:`SnapshotManifest`
 naming the content.  Version ids are content-addressed — ``v-<12 hex
 chars>`` of a BLAKE2b digest over the parent version, the sorted serving
-entries and the sorted edge identities — so two snapshots with the same
-content share a version and any content difference yields a new one.
+entries and the sorted edge identities (as string ranks, see
+:func:`_checksum`) — so two snapshots with the same content share a
+version and any content difference yields a new one.
 That property is what the rollout layer leans on: "replica r1 is on
 ``v-3f2a...``" is a complete statement about what r1 serves.
 
@@ -28,7 +29,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.kg import KnowledgeGraph
+from repro.core.kg import KnowledgeGraph, pack_edge_keys
 from repro.core.triples import KnowledgeTriple
 
 __all__ = [
@@ -135,30 +136,42 @@ class KgSnapshot:
                 f"{self.manifest.triple_count} triples)")
 
 
+def _ranked(strings: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """``strings`` sorted, and each id's rank in that order."""
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    ranks = np.empty(len(strings), dtype=np.int64)
+    ranks[order] = np.arange(len(strings))
+    return [strings[i] for i in order], ranks
+
+
 def _checksum(parent: str | None, entries: Mapping[str, str],
               columns: Mapping[str, Any]) -> str:
-    """Canonical BLAKE2b digest of a snapshot's content.
+    """Canonical BLAKE2b digest of a snapshot's *logical* content.
 
     Edge identity is ``(head, relation, tail, support)`` — support
     merges from a refresh round change content, score jitter does not
-    re-version an otherwise identical graph.
+    re-version an otherwise identical graph — and the digest covers the
+    *set* of identities: ids are replaced by the rank of their string
+    (every table string is referenced by some edge, which
+    :meth:`KnowledgeGraph.from_columns` enforces and ``add`` guarantees)
+    and the edges are hashed in ``(head, relation, tail)`` order, so
+    neither insertion order nor intern order enters the version.  The
+    physical bytes are :func:`columnar_digest`'s business.
     """
-    nodes, relations = columns["nodes"], columns["relations"]
-    canonical = json.dumps(
-        {
-            "parent": parent,
-            "entries": sorted(entries.items()),
-            "triples": sorted(zip(
-                map(nodes.__getitem__, columns["head"].tolist()),
-                map(relations.__getitem__, columns["relation"].tolist()),
-                map(nodes.__getitem__, columns["tail"].tolist()),
-                columns["support"].tolist(),
-            )),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+    nodes, node_rank = _ranked(columns["nodes"])
+    relations, relation_rank = _ranked(columns["relations"])
+    edges = (node_rank[columns["head"]], relation_rank[columns["relation"]],
+             node_rank[columns["tail"]], columns["support"])
+    order = np.argsort(pack_edge_keys(*edges[:3], nodes=len(nodes),
+                                      relations=len(relations)))
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(json.dumps(
+        {"parent": parent, "entries": sorted(entries.items()),
+         "nodes": nodes, "relations": relations},
+        sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    for column in edges:
+        digest.update(column[order].astype("<i8").tobytes())
+    return digest.hexdigest()
 
 
 def _columns_digest(columns: Mapping[str, Any]) -> str:

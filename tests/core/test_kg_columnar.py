@@ -208,6 +208,21 @@ def test_from_columns_copies_the_arrays():
     ({"tail": np.array([1, 1], dtype=np.int32),
       "relation": np.array([0, 0], dtype=np.int32)},
      "repeat the .head, relation, tail. key"),
+    # A table string no row references: ``add`` never leaves one, the node
+    # count is the table's length and the snapshot version ranks the table.
+    ({"nodes": ("q ||| p", "camping", "hiking", "left over")},
+     "table 'nodes' holds 'left over', which no row references"),
+    ({"relations": ("USED_FOR_EVE", "xWant", "IS_A")},
+     "table 'relations' holds 'IS_A', which no row references"),
+    ({"domains": ("Sports & Outdoors", "Home")},
+     "table 'domains' holds 'Home', which no row references"),
+    ({"behaviors": ("search-buy", "co-buy")},
+     "table 'behaviors' holds 'co-buy', which no row references"),
+    ({name: np.zeros(0, dtype=np.int32) for name in
+      ("head", "relation", "tail", "domain", "behavior")}
+     | {name: np.zeros(0) for name in ("plausibility", "typicality")}
+     | {"support": np.zeros(0, dtype=np.int64), "head_ids": ()},
+     "table 'nodes' holds 'q ... p', which no row references"),
 ])
 def test_from_columns_rejects_what_add_could_not_have_built(override, message):
     columns = dict(_graph().columns(), **override)

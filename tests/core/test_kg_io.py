@@ -196,6 +196,19 @@ def test_columnar_rejects_unknown_relation_name(tmp_path):
         load_kg_columnar(path)
 
 
+def test_columnar_rejects_unreferenced_table_string(tmp_path):
+    # Loading it would report one node too many and re-version the
+    # snapshot built from it, though no edge changed.
+    source = _columnar_path(tmp_path)
+    with np.load(source, allow_pickle=False) as archive:
+        nodes = np.append(archive["nodes"], "left over")
+    path = _tampered(tmp_path, source, nodes=nodes)
+    with pytest.raises(ValueError,
+                       match=r"tampered\.npz: table 'nodes' holds 'left over', "
+                             r"which no row references"):
+        load_kg_columnar(path)
+
+
 def test_columnar_roundtrip_survives_validation(tmp_path):
     path = _columnar_path(tmp_path)
     loaded = load_kg_columnar(path)

@@ -1,11 +1,14 @@
 """Property-based invariants of the knowledge-graph container."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kg import KnowledgeGraph
+from repro.core.kg import KnowledgeGraph, pack_edge_keys
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
+from repro.refresh import columnar_digest
 
 _relations = st.sampled_from(list(Relation))
 _texts = st.text(alphabet="abcde ", min_size=1, max_size=10).map(str.strip).filter(bool)
@@ -81,3 +84,156 @@ def test_stats_consistent_with_contents(batch):
         for behavior in ("co-buy", "search-buy")
     )
     assert per_domain_behavior == stats.edges
+
+
+# -- bulk ingest ≡ the ``add`` loop -----------------------------------------
+
+_domains = st.sampled_from(["Electronics", "Pet Supplies", "Home", "Grocery"])
+
+
+@st.composite
+def colliding_triples(draw):
+    """Triples over so few strings that keys repeat within a batch,
+    across batches and against adopted rows, with domains/behaviors that
+    differ between the first insert of a key and its duplicates."""
+    return KnowledgeTriple(
+        head=draw(st.sampled_from(["a", "b", "c d"])),
+        relation=draw(st.sampled_from([Relation.USED_WITH, Relation.X_WANT])),
+        tail=draw(st.sampled_from(["a", "b", "e"])),
+        domain=draw(_domains),
+        behavior=draw(st.sampled_from(["co-buy", "search-buy", "view"])),
+        plausibility=draw(st.floats(0, 1)),
+        typicality=draw(st.floats(0, 1)),
+        support=draw(st.integers(1, 5)),
+        head_ids=tuple(draw(st.lists(st.sampled_from(["p1", "p2"]), max_size=2))),
+    )
+
+
+_batches = st.lists(st.lists(st.one_of(triples(), colliding_triples()),
+                             max_size=25), max_size=4)
+
+
+def _by_add(kg, batch):
+    for triple in batch:
+        kg.add(triple)
+
+
+def _assert_same_bytes(bulk, reference):
+    ours, theirs = bulk.columns(), reference.columns()
+    assert ours.keys() == theirs.keys()
+    for name, value in theirs.items():
+        if isinstance(value, np.ndarray):
+            assert ours[name].dtype == value.dtype
+            assert ours[name].tobytes() == value.tobytes(), name
+        else:
+            assert ours[name] == value, name
+    assert columnar_digest(bulk) == columnar_digest(reference)
+
+
+def _assert_identical(bulk, reference):
+    _assert_same_bytes(bulk, reference)
+    theirs = reference.columns()
+    assert bulk.stats() == reference.stats()
+    for domain in theirs["domains"] + ("never seen",):
+        for behavior in theirs["behaviors"]:
+            assert (bulk.edges_for(domain, behavior)
+                    == reference.edges_for(domain, behavior))
+    for head in theirs["nodes"]:
+        assert bulk.neighbors(head) == reference.neighbors(head)
+
+
+@given(_batches, st.booleans(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_extend_is_the_add_loop(batches, adopt_first, as_generator):
+    bulk, reference = KnowledgeGraph(), KnowledgeGraph()
+    for index, batch in enumerate(batches):
+        if adopt_first and index == 1:
+            # Later batches merge into rows adopted by ``from_columns``.
+            bulk = KnowledgeGraph.from_columns(bulk.columns())
+            reference = KnowledgeGraph.from_columns(reference.columns())
+        bulk.extend(iter(batch) if as_generator else batch)
+        _by_add(reference, batch)
+        _assert_identical(bulk, reference)
+    # Both keep merging into the same rows afterwards.
+    for triple in [t for batch in batches for t in batch][:3]:
+        bulk.add(triple)
+        reference.add(triple)
+    _assert_identical(bulk, reference)
+
+
+def _edge(head, tail, **fields):
+    fields = {"domain": "Home", "behavior": "co-buy", "plausibility": 0.5,
+              "typicality": 0.5, **fields}
+    return KnowledgeTriple(head=head, relation=Relation.USED_WITH, tail=tail,
+                           **fields)
+
+
+def test_extend_of_nothing_changes_nothing():
+    kg = KnowledgeGraph()
+    kg.extend([])
+    kg.extend(iter(()))
+    assert len(kg) == 0 and kg.stats().nodes == 0
+    kg.add(_edge("a", "b"))
+    before = columnar_digest(kg)
+    kg.extend([])
+    assert columnar_digest(kg) == before
+
+
+def test_a_duplicate_does_not_intern_its_domain_or_behavior():
+    batch = [_edge("a", "b"),
+             _edge("a", "b", domain="Only On The Duplicate", behavior="view",
+                   head_ids=("p9",)),
+             _edge("b", "a", domain="Grocery")]
+    bulk, reference = KnowledgeGraph(), KnowledgeGraph()
+    bulk.extend(batch)
+    _by_add(reference, batch)
+    _assert_identical(bulk, reference)
+    assert bulk.columns()["domains"] == ("Home", "Grocery")
+    assert bulk.columns()["behaviors"] == ("co-buy",)
+    assert bulk.columns()["head_ids"] == ((), ())
+    assert bulk.edges_for("Only On The Duplicate", "view") == 0
+
+
+@pytest.mark.parametrize("scores", [
+    (float("nan"), 0.9, 0.2),     # a NaN first insert never leaves
+    (0.3, float("nan"), 0.2),     # a NaN never enters
+    (0.3, float("nan"), 0.8),
+    (0.0, -0.0, 0.0),
+])
+def test_merged_scores_follow_adds_comparison(scores):
+    batch = [_edge("a", "b", plausibility=s, typicality=s) for s in scores]
+    bulk, reference, split = (KnowledgeGraph(), KnowledgeGraph(),
+                              KnowledgeGraph())
+    bulk.extend(batch)
+    _by_add(reference, batch)
+    split.extend(batch[:1])
+    split.extend(batch[1:])
+    _assert_same_bytes(bulk, reference)     # NaN != NaN, so bytes only
+    _assert_same_bytes(split, reference)
+
+
+def test_packed_key_raises_instead_of_wrapping(monkeypatch):
+    ids = np.array([0], dtype=np.int32)
+    with pytest.raises(OverflowError, match="28 bits per node"):
+        pack_edge_keys(ids, ids, ids, nodes=(1 << 28) + 1, relations=1)
+    with pytest.raises(OverflowError, match="7 per relation"):
+        pack_edge_keys(ids, ids, ids, nodes=1, relations=(1 << 7) + 1)
+    # The largest ids the budget admits still pack without collision.
+    top = pack_edge_keys([(1 << 28) - 1], [(1 << 7) - 1], [(1 << 28) - 1],
+                         nodes=1 << 28, relations=1 << 7)
+    assert top.dtype == np.int64 and int(top[0]) == (1 << 63) - 1
+
+    # Every way into a graph checks the budget: with two bits per node id
+    # the fifth node is refused by add, extend and from_columns alike.
+    edges = [_edge("a", "b"), _edge("c", "d"), _edge("a", "e")]
+    roomy = KnowledgeGraph()
+    roomy.extend(edges)
+    monkeypatch.setattr("repro.core.kg._NODE_BITS", 2)
+    with pytest.raises(OverflowError):
+        KnowledgeGraph().extend(edges)
+    scalar = KnowledgeGraph()
+    scalar.extend(edges[:2])
+    with pytest.raises(OverflowError):
+        scalar.add(edges[2])
+    with pytest.raises(OverflowError):
+        KnowledgeGraph.from_columns(roomy.columns())

@@ -9,7 +9,7 @@ from repro.refresh import (
     SnapshotQualityGate,
     SnapshotStore,
     build_snapshot,
-    edge_keys,
+    edge_delta,
     snapshot_health,
 )
 
@@ -51,6 +51,22 @@ def test_snapshot_health_carries_lineage_and_entry_count():
     assert sum(health.relation_edges.values()) == health.triples
 
 
+def edge_keys(snapshot):
+    """Reference model for :func:`edge_delta`: the snapshot's edge
+    identity set as string triples (what the gate diffed before the
+    integer delta)."""
+    cols = snapshot.columns
+    nodes, relations = cols["nodes"], cols["relations"]
+    return set(zip(map(nodes.__getitem__, cols["head"].tolist()),
+                   map(relations.__getitem__, cols["relation"].tolist()),
+                   map(nodes.__getitem__, cols["tail"].tolist())))
+
+
+def _set_delta(parent, child):
+    old, new = edge_keys(parent), edge_keys(child)
+    return len(new - old), len(old - new)
+
+
 def test_edge_keys_ignore_scores_and_support():
     base = _triples(10)
     rescored = [
@@ -64,6 +80,66 @@ def test_edge_keys_ignore_scores_and_support():
     b = build_snapshot(_entries("b"), triples=rescored)
     assert edge_keys(a) == edge_keys(b)
     assert edge_keys(a) == {(t.head, t.relation.value, t.tail) for t in base}
+    assert edge_delta(a, b) == edge_delta(b, a) == (0, 0)
+
+
+def _shuffled(triples):
+    """The same edges in another insertion order, so the node and
+    relation tables come out permuted."""
+    return triples[1::2] + triples[0::2][::-1]
+
+
+_NOVEL = [
+    KnowledgeTriple(head=f"unseen head {k}", relation=Relation.X_WANT,
+                    tail=f"unseen tail {k % 2}", domain="Grocery",
+                    behavior="co-buy", plausibility=0.7, typicality=0.5)
+    for k in range(5)
+]
+
+
+@pytest.mark.parametrize("parent_triples, child_triples, expected", [
+    (_triples(40), _triples(40) + _triples(6, offset=40), None),   # growth
+    (_triples(40), _triples(25), None),                            # removals
+    (_triples(40), _shuffled(_triples(40)), (0, 0)),               # permuted
+    (_triples(40), _shuffled(_triples(30) + _NOVEL), None),        # both ways
+    (_triples(20), _NOVEL + _triples(20), (5, 0)),   # unseen nodes + relation
+    ([], _triples(20), None),                                      # empty parent
+    (_triples(20), [], None),                                      # empty child
+    (_triples(20), _triples(20), (0, 0)),                          # identical
+], ids=["growth", "removed", "permuted", "permuted-mixed", "unseen",
+        "empty-parent", "empty-child", "identical"])
+def test_edge_delta_matches_the_string_set_model(parent_triples,
+                                                 child_triples, expected):
+    parent = build_snapshot(_entries("p"), triples=parent_triples)
+    child = build_snapshot(_entries("c"), triples=child_triples, parent=parent)
+    delta = edge_delta(parent, child)
+    assert delta == _set_delta(parent, child)
+    assert edge_delta(child, parent) == delta[::-1]
+    if expected is not None:
+        assert delta == expected
+
+
+def test_gate_rates_follow_the_delta_on_a_permuted_child():
+    # A child built in another insertion order, minus some edges, plus
+    # edges on strings the parent never interned: the drift report's
+    # rates are the reference model's counts over the parent's sizes.
+    base = _triples(40)
+    parent = build_snapshot(_entries("p", 12), triples=base)
+    child = build_snapshot(_entries("c", 15),
+                           triples=_shuffled(base[:32] + _NOVEL), parent=parent)
+    store = SnapshotStore()
+    store.add(parent)
+    store.add(child)
+    drift = SnapshotQualityGate(store).assess(child).drift
+    added, removed = _set_delta(parent, child)
+    edges = parent.manifest.triple_count
+    shared = len(parent.columns["nodes"])
+    assert parent.columns["nodes"] != child.columns["nodes"][:shared]
+    assert (added, removed) != (0, 0)
+    assert drift.metrics["added_edge_rate"] == added / edges
+    assert drift.metrics["removed_edge_rate"] == removed / edges
+    assert drift.metrics["entry_added_rate"] == 3 / 12
+    assert drift.metrics["entry_removed_rate"] == 0.0
 
 
 def test_root_snapshot_promotes_without_drift():

@@ -76,9 +76,61 @@ def test_identity_is_read_off_the_merged_graph():
     assert twice.manifest.triple_count == snapshot_health(twice).triples == 1
 
 
-#: What ``_lineage`` froze at the commit before snapshots held columns
-#: (checksum hashed from row objects, digest taken from the live graph).
-PARENT_VERSION, CHILD_VERSION = "v-f6c56940c23c", "v-081460f9c4e1"
+def test_version_is_independent_of_insertion_and_intern_order():
+    edges = [_triple(tail=f"intent {k:02d}", support=1 + k % 3)
+             for k in range(12)]
+    edges.append(KnowledgeTriple(
+        head="intent 03", relation=Relation.X_WANT, tail="camping tent",
+        domain="Home", behavior="co-buy", plausibility=0.5, typicality=0.5))
+    forward = build_snapshot({"q": "answer."}, edges)
+    backward = build_snapshot({"q": "answer."}, edges[::-1])
+    # Different intern ids and row order: physically different columns ...
+    assert forward.columns["nodes"] != backward.columns["nodes"]
+    assert forward.columns["relations"] != backward.columns["relations"]
+    assert forward.manifest.columnar_digest != backward.manifest.columnar_digest
+    # ... naming the same knowledge.
+    assert forward.manifest.checksum == backward.manifest.checksum
+    assert forward.version == backward.version
+
+
+def test_scores_do_not_enter_the_version_but_support_does():
+    rescored = KnowledgeTriple(
+        head="camping tent", relation=Relation.USED_FOR_FUNC, tail="camping",
+        domain="Sports & Outdoors", behavior="search-buy",
+        plausibility=0.1, typicality=0.2)
+    base = build_snapshot({"q": "answer."}, [_triple()])
+    assert build_snapshot({"q": "answer."}, [rescored]).version == base.version
+    assert (build_snapshot({"q": "answer."}, [rescored]).manifest.columnar_digest
+            != base.manifest.columnar_digest)
+    assert build_snapshot({"q": "answer."},
+                          [_triple(support=2)]).version != base.version
+
+
+def test_entry_order_does_not_enter_the_version():
+    one = build_snapshot({"a": "x.", "b": "y."}, [_triple()])
+    two = build_snapshot({"b": "y.", "a": "x."}, [_triple()])
+    assert one.version == two.version
+    assert build_snapshot({"a": "y.", "b": "x."}, [_triple()]).version != one.version
+
+
+def test_edge_endpoints_are_not_interchangeable():
+    # Ranks replace strings in the hash; swapping which string is the
+    # head and which the tail must still be a different version.
+    def edge(head, tail):
+        return KnowledgeTriple(
+            head=head, relation=Relation.USED_WITH, tail=tail, domain="Home",
+            behavior="co-buy", plausibility=0.5, typicality=0.5)
+    one = build_snapshot({}, [edge("a", "b"), edge("c", "a")])
+    two = build_snapshot({}, [edge("b", "a"), edge("c", "a")])
+    renamed = build_snapshot({}, [edge("a", "b"), edge("d", "a")])
+    assert len({one.version, two.version, renamed.version}) == 3
+
+
+#: What ``_lineage`` freezes.  The versions were re-pinned once, when
+#: the checksum moved from a sorted JSON of string tuples to sorted
+#: string ranks (same logical identity, different bytes hashed); the
+#: physical digest is the one captured before snapshots held columns.
+PARENT_VERSION, CHILD_VERSION = "v-a23bde332793", "v-d52ac7f92db5"
 CHILD_DIGEST = "11577c5ca9c5b9436e53aa38109f9c13"
 
 
