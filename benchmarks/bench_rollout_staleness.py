@@ -34,6 +34,7 @@ from repro.refresh import (
 )
 from repro.reporting import Table, format_percent
 from repro.serving import ClusterConfig, CosmoCluster
+from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
 
 INTER_ARRIVAL_S = 0.005
@@ -45,10 +46,6 @@ N_REQUESTS = 3000
 #: and the restart arm's cache-refill transient).
 DEPLOY_AFTER = 600
 WINDOW = 1200
-
-
-def _scripted_ok(text: str) -> bool:
-    return bool(text.strip()) and text.rstrip().endswith(".")
 
 
 def _traffic(seed: int) -> list[int]:
@@ -72,7 +69,7 @@ def _drive(mode: str, traffic: list[int], registry) -> dict:
     event_log = EventLog(registry=registry)
     cluster = CosmoCluster(lambda i: SnapshotGenerator(blue), config=config,
                            registry=registry, event_log=event_log,
-                           response_validator=_scripted_ok)
+                           response_validator=response_ok)
     cluster.install_snapshot(blue)
 
     evaluator = SloEvaluator(

@@ -17,7 +17,7 @@ Run:  python examples/resilient_serving.py
 """
 
 from repro.serving import CosmoService, ServeRequest, SimClock
-from repro.serving.chaos import ScriptedGenerator, _response_ok
+from repro.serving.chaos import ScriptedGenerator, response_ok
 from repro.serving.faults import FaultInjector, FaultPlan, FlakyGenerator
 from repro.serving.resilience import CircuitBreaker
 
@@ -43,7 +43,7 @@ def main() -> None:
     breaker = CircuitBreaker(clock, window=20, min_calls=10, cooldown_s=120.0)
     service = CosmoService(
         flaky, clock=clock, breaker=breaker,
-        response_validator=_response_ok, seed=42,
+        response_validator=response_ok, seed=42,
         fallback_response="",
     )
 

@@ -149,7 +149,7 @@ class RegistryInjectionRule(_InjectionRule):
     invariant = "all components publish into one scrape surface (DESIGN.md §9)"
 
     guarded = "MetricsRegistry"
-    sanctioned_modules = frozenset({"repro.cli"})
+    sanctioned_modules = frozenset({"repro.cli", "repro.scenarios"})
     sanctioned_prefixes = ("repro.obs",)
 
     def _message(self, site_name: str) -> str:

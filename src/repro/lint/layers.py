@@ -50,13 +50,15 @@ class Architecture:
 _EVERYTHING = frozenset({
     "utils", "nn", "catalog", "behavior", "embeddings", "annotation", "llm",
     "core", "obs", "serving", "refresh", "apps", "reporting", "lint",
+    "scenarios",
 })
 
 #: The declared architecture of the COSMO reproduction (DESIGN.md §3).
 #: Key contracts: core/behavior/catalog may not import serving/refresh/obs
 #: (determinism flows upward, instrumentation is injected); serving may
 #: not import refresh (snapshots are pushed into serving, never pulled);
-#: only the CLI may import everything.
+#: the scenario runner composes the serving planes and only the CLI may
+#: import everything.
 ARCHITECTURE = Architecture(
     root="repro",
     allowed={
@@ -77,6 +79,8 @@ ARCHITECTURE = Architecture(
                            "embeddings", "llm"}),
         "reporting": frozenset({"utils"}),
         "lint": frozenset({"utils"}),
+        "scenarios": frozenset({"utils", "core", "obs", "serving", "refresh",
+                                "reporting"}),
         "cli": _EVERYTHING,
     },
     # The shared vocabulary: relation taxonomy and prompt templates are

@@ -1,0 +1,670 @@
+"""Scenario runner: one drive loop, one artifact writer, one exit-code rule.
+
+The CLI's ``cluster``, ``trace``, ``monitor``, ``rollout`` and
+``kghealth`` subcommands are :class:`Scenario` definitions — a setup
+(rig + phases), the artifacts to write and named expectation functions —
+played by :func:`run_scenario` over one :class:`Drive` state object.
+``obs`` (a pipeline plus a single service, not a cluster) shares
+:func:`write_artifacts`, :func:`check_accounting` and :func:`exit_code`.
+
+Exit codes: **2** when any invariant or scenario expectation failed
+(request accounting, a mixed-version answer, a tracing invariant, an
+outcome the scenario exists to demonstrate), **1** when the scenario's
+signal fired (SLO alerts, a tripped quality gate), **0** otherwise.  A
+breach always wins over a signal.  Time is simulated and traffic seeded,
+so every artifact replays byte-identically for fixed arguments
+(``ci/artifact_digests.sha256`` pins the ones CI produces).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from repro import obs, refresh, serving
+from repro.core.relations import Relation
+from repro.core.triples import KnowledgeTriple
+from repro.reporting import Table, format_percent
+from repro.serving.chaos import ScriptedGenerator, response_ok
+from repro.utils.rng import spawn_rng
+
+__all__ = ["ARTIFACTS", "Drive", "Phase", "SCENARIOS", "Scenario",
+           "check_accounting", "exit_code", "run_scenario", "write_artifacts",
+           "zipf_traffic"]
+
+#: Scrape grid of every monitored drive; a rollout advances one step per scrape.
+SCRAPE_INTERVAL_S = 0.5
+
+Expectation = Callable[["Drive"], list[str]]
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One stretch of Zipf traffic and the conditions it runs under."""
+
+    name: str
+    requests: int
+    universe: Sequence[str]                  #: queries the Zipf draw ranks
+    rolling: bool = False                    #: the rollout ticks once per scrape
+    plan: serving.FaultPlan | None = None    #: re-plan every injector at phase start
+    drain: str | None = None                 #: replica drained for the phase
+
+
+def zipf_traffic(rng: np.random.Generator, universe: Sequence[str],
+                 n_requests: int) -> list[str]:
+    """``n_requests`` queries drawn Zipf(1.3)-weighted by rank in ``universe``."""
+    weights = 1.0 / np.arange(1, len(universe) + 1) ** 1.3
+    weights /= weights.sum()
+    picks = rng.choice(len(universe), size=n_requests, p=weights)
+    return [universe[int(i)] for i in picks]
+
+
+@dataclass
+class Drive:
+    """Everything one scenario run threads through its stages: the setup
+    fills the components, :meth:`play` drives traffic and keeps the
+    tallies, :func:`write_artifacts` stores each rendered payload, and the
+    report and the expectation functions read all of it back."""
+
+    cluster: serving.CosmoCluster | None = None
+    collector: obs.TimeSeriesCollector | None = None
+    evaluator: obs.SloEvaluator | None = None
+    controller: refresh.RolloutController | None = None
+    registry: obs.MetricsRegistry | None = None
+    tracers: list = field(default_factory=list)     #: ``(process, Tracer)`` pairs
+    injectors: list = field(default_factory=list)   #: one per flaky replica
+    gap_s: float = 0.005                            #: simulated inter-arrival gap
+    truth: Callable[[str], str] | None = None       #: ground-truth answer per query
+    valid: int = 0                                  #: answers equal to ``truth(query)``
+    violations: int = 0                             #: mixed-version answers served
+    phase_rows: list = field(default_factory=list)  #: (name, requests, served share)
+    artifacts: dict = field(default_factory=dict)   #: key -> rendered payload
+
+    def run(self, traffic: Sequence[str], rolling: bool = False) -> None:
+        """The request loop: handle, check, advance, observe."""
+        for query in traffic:
+            result = self.cluster.handle(query)
+            if self.truth is not None:
+                self.valid += result.text == self.truth(query)
+            if self.controller is not None and refresh.mixed_version_violation(
+                    self.controller.store, self.cluster, result):
+                self.violations += 1
+            self.cluster.clock.advance(self.gap_s)
+            self.observe(rolling)
+
+    def observe(self, rolling: bool = False) -> None:
+        """Scrape, step the SLO alerts and (while ``rolling``) tick the
+        rollout, once per grid point the arrival clock has crossed."""
+        if self.collector is None:
+            return
+        for ts in self.collector.maybe_scrape(self.cluster.clock.now()):
+            self.evaluator.evaluate(ts)
+            if rolling and not self.controller.done:
+                self.controller.tick(ts)
+
+    def play(self, phases: Sequence[Phase], rng: np.random.Generator,
+             end_of_day: bool = False) -> None:
+        """Run every phase, then flush what is still queued or buffered."""
+        for phase in phases:
+            if phase.plan is not None:
+                for injector in self.injectors:
+                    injector.plan = phase.plan
+            if phase.drain is not None:
+                self.cluster.drain(phase.drain)
+            before = self.cluster.metrics_totals()
+            self.run(zipf_traffic(rng, phase.universe, phase.requests),
+                     rolling=phase.rolling)
+            if phase.drain is not None:
+                self.cluster.restore(phase.drain)
+            after = self.cluster.metrics_totals()
+            requests = after["requests"] - before["requests"]
+            served = (after["served_fresh"] + after["degraded_serves"]
+                      - before["served_fresh"] - before["degraded_serves"])
+            self.phase_rows.append((phase.name, requests, served / max(requests, 1)))
+        self.cluster.flush()
+        if self.cluster.sampler is not None:
+            self.cluster.sampler.flush()
+        if end_of_day:
+            self.cluster.daily_refresh(refresh_stale=False)
+
+    def gate_decision(self):
+        """The quality gate's verdict on the rollout target (cached by the ticks)."""
+        return self.controller.quality_gate.assess(self.controller.target)
+
+    def gate_tripped(self) -> bool:
+        rollout = self.controller.report()
+        return rollout.blocked or rollout.rollback_objective == "knowledge-quality"
+
+    def signalled(self) -> bool:
+        """An SLO alert fired, or the gate refused or reverted the rollout."""
+        return ((self.evaluator is not None and self.evaluator.any_fired)
+                or (self.controller is not None and self.gate_tripped()))
+
+
+# -- artifacts -------------------------------------------------------------
+@dataclass(frozen=True)
+class Artifact:
+    """How one ``--out-<key>`` file is rendered, validated and written."""
+
+    label: str
+    render: Callable[[Drive], object]
+    validate: Callable
+    style: str = "indent"   #: ``indent`` / ``compact`` JSON, or ``text`` as rendered
+
+
+_JSON_STYLES = {"indent": {"indent": 2}, "compact": {"separators": (",", ":")}}
+
+
+def _health_doc(drive: Drive) -> dict:
+    decision = drive.gate_decision()
+    return obs.kg_health_report(
+        [decision.parent_health, decision.health]
+        if decision.parent_health is not None else [decision.health],
+        drift=[decision.drift] if decision.drift is not None else [],
+        gates=[decision],
+    )
+
+
+#: Artifact key -> recipe; ``--out-<key>`` is the flag, table order the write order.
+ARTIFACTS = {
+    "trace": Artifact("Chrome trace", lambda d: obs.chrome_trace(d.tracers),
+                      obs.validate_chrome_trace),
+    "metrics": Artifact("metrics snapshot", lambda d: obs.snapshot(d.registry),
+                        obs.validate_snapshot),
+    "summary": Artifact("trace summary",
+                        lambda d: obs.trace_summary(obs.TraceAnalyzer(d.tracers)),
+                        obs.validate_trace_summary),
+    "timeline": Artifact("time-series timeline", lambda d: obs.timeline(d.collector),
+                         obs.validate_timeline, style="compact"),
+    "alerts": Artifact("alert report", lambda d: obs.alert_report(d.evaluator),
+                       obs.validate_alert_report),
+    "health": Artifact("kg-health report", _health_doc, obs.validate_kg_health),
+    "events": Artifact("event log", lambda d: obs.render_events(d.cluster.event_log),
+                       obs.validate_events, style="text"),
+}
+
+
+def write_artifacts(drive: Drive, keys: Sequence[str],
+                    args: argparse.Namespace) -> None:
+    """Render and validate each artifact; write the ones given a path."""
+    for key in keys:
+        artifact = ARTIFACTS[key]
+        payload = drive.artifacts[key] = artifact.render(drive)
+        artifact.validate(payload)
+        path = getattr(args, f"out_{key}")
+        if path:
+            text = (payload if artifact.style == "text" else
+                    json.dumps(payload, sort_keys=True,
+                               **_JSON_STYLES[artifact.style]) + "\n")
+            with open(path, "w") as handle:
+                handle.write(text)
+            print(f"Wrote {artifact.label} to {path}")
+
+
+# -- invariants and the exit code ------------------------------------------
+def check_accounting(totals: dict[str, int]) -> list[str]:
+    """Every request is exactly one of fresh / degraded / fallback."""
+    accounted = (totals["served_fresh"] + totals["degraded_serves"]
+                 + totals["fallbacks"])
+    ok = accounted == totals["requests"] == totals["handled"]
+    print(f"request accounting: fresh + degraded + fallbacks = {accounted} "
+          f"== requests = {totals['requests']}: {'OK' if ok else 'VIOLATED'}")
+    return [] if ok else [f"request accounting violated: {totals}"]
+
+
+def exit_code(label: str, failures: list[str], signal: bool) -> int:
+    """2 on any failed invariant or expectation, else 1 on the signal, else 0."""
+    if failures:
+        print(f"\n{label} invariants VIOLATED:", *failures, sep="\n  - ")
+        return 2
+    print(f"\n{label} invariants: OK")
+    return 1 if signal else 0
+
+
+# -- expectations ----------------------------------------------------------
+def _failed(*checks: tuple[object, str]) -> list[str]:
+    """Messages of the ``(holds, message)`` checks that do not hold."""
+    return [message for holds, message in checks if not holds]
+
+
+def _event_checks(drive: Drive, present: Sequence[str],
+                  absent: Sequence[str] = ()) -> list[tuple[bool, str]]:
+    kinds = {event.kind for event in drive.cluster.event_log.events()}
+    return ([(kind in kinds, f"missing event kind: {kind}") for kind in present]
+            + [(kind not in kinds, f"unexpected event kind: {kind}")
+               for kind in absent])
+
+
+def expect_nested_pipeline_spans(drive: Drive) -> list[str]:
+    spans = [e for e in drive.artifacts["trace"]["traceEvents"] if e["ph"] == "X"]
+    return _failed(
+        (any(e["name"] == "pipeline.run" for e in spans), "missing pipeline root span"),
+        (any(e["args"]["parent_id"] != -1 for e in spans), "no nested spans"))
+
+
+def expect_replica_processes_and_cluster_metrics(drive: Drive) -> list[str]:
+    processes = {e["args"]["name"] for e in drive.artifacts["trace"]["traceEvents"]
+                 if e["ph"] == "M"}
+    families = {metric["name"] for metric in drive.artifacts["metrics"]["metrics"]}
+    return _failed(
+        *((name in processes, f"missing trace process: {name}")
+          for name, _ in drive.tracers),
+        *((name in families, f"missing metric family: {name}")
+          for name in ("cluster_requests_total", "cluster_failovers_total",
+                       "cluster_batch_flushes_total")))
+
+
+def expect_connected_traces(drive: Drive) -> list[str]:
+    """Every retained trace is one tree across tracers whose stage
+    breakdown sums to the charged latency; with faults injected, a
+    degraded/fallback trace survives sampling."""
+    traces = drive.artifacts["summary"]["traces"]
+    events = drive.artifacts["trace"]["traceEvents"]
+    flagged = any(t["outcome"] in ("degraded", "fallback") for t in traces)
+    return _failed(
+        (traces, "no traces retained"),
+        (any(e["ph"] in ("s", "f") for e in events),
+         "no cross-tracer flow links in the Chrome trace"),
+        (flagged or not drive.injectors, "fault injection produced no flagged trace"),
+        *((t["connected"], f"trace {t['trace_id']} is disconnected") for t in traces),
+        *((abs(sum(t["stages"].values()) - t["duration_s"]) <= 1e-9,
+           f"trace {t['trace_id']}: stages do not sum to the charged "
+           f"{t['duration_s']:.9f}s") for t in traces))
+
+
+def _trace_tagged(drive: Drive) -> list:
+    return [e for e in drive.cluster.event_log.events() if "trace_id" in e.attrs]
+
+
+def expect_trace_ids_resolve(drive: Drive) -> list[str]:
+    """Latency exemplars lead to retained traces; events carry trace ids."""
+    exemplars = drive.cluster.latency_exemplars()
+    retained = {trace["trace_id"] for trace in drive.artifacts["summary"]["traces"]}
+    return _failed(
+        (exemplars, "latency histogram carries no exemplars"),
+        (any(trace_id in retained for _, trace_id, _ in exemplars),
+         "no latency exemplar resolves to a retained trace"),
+        (_trace_tagged(drive), "no event carries a trace id"))
+
+
+def expect_storm_alerts_resolve_and_correlate(drive: Drive) -> list[str]:
+    report = drive.artifacts["alerts"]
+    resolved = [alert for objective in report["objectives"]
+                for alert in objective["alerts"] if alert["state"] == "resolved"]
+    drained = ["router.drain"] if len(drive.cluster.services) > 1 else []
+    return _failed(
+        (report["fired"], "chaos scenario should fire at least one alert"),
+        (resolved, "fired alerts should resolve by end of recovery"),
+        (any(alert["event_ids"] for alert in resolved),
+         "resolved alerts should cross-reference events"),
+        *_event_checks(drive, ["breaker.open", "service.degraded_entry"] + drained))
+
+
+def expect_rollout_completes_quietly(drive: Drive) -> list[str]:
+    return _failed(
+        (not drive.artifacts["alerts"]["fired"], "healthy rollout must not fire alerts"),
+        *_event_checks(
+            drive, ("rollout.start", "service.snapshot_swap", "rollout.complete"),
+            absent=("rollout.rollback_start",)))
+
+
+def expect_rollback_and_redrive(drive: Drive) -> list[str]:
+    return _failed(*_event_checks(
+        drive, ("rollout.start", "service.snapshot_swap", "rollout.rollback_start",
+                "rollout.rollback_complete", "service.redrive"),
+        absent=("rollout.complete",)))
+
+
+def expect_gate_promotes(drive: Drive) -> list[str]:
+    (gate,) = drive.artifacts["health"]["gates"]
+    return _failed((gate["promote"], "healthy gate must promote"),
+                   *_event_checks(drive, ("rollout.gate_pass", "rollout.complete")))
+
+
+def expect_gate_blocks(drive: Drive) -> list[str]:
+    (gate,) = drive.artifacts["health"]["gates"]
+    return _failed(
+        (not gate["promote"], "poisoned gate must block"),
+        (gate["breaches"], "poisoned gate must name breaches"),
+        *_event_checks(drive, ("rollout.gate_block", "rollout.blocked"),
+                       absent=("rollout.start",)))
+
+
+# -- setups: the rig and the phases of each scenario -------------------------
+def _queries(count: int, prefix: str = "query") -> list[str]:
+    return [f"{prefix} {i:03d}" for i in range(count)]
+
+
+def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
+         plan: serving.FaultPlan | None, *, gap_s: float = 0.005, batch: int = 16,
+         depth: int = 300, events: bool = True,
+         sampler: obs.TailSampler | None = None,
+         slo_specs: list[obs.SloSpec] | None = None) -> Drive:
+    """Registry → event log → cluster (→ SLO evaluator + scrape collector
+    when ``slo_specs`` are given), one generator per replica.
+
+    With a ``plan`` each generator sits behind a ``FlakyGenerator`` whose
+    injector is seeded ``seed + index``; the injectors land on the drive
+    so a phase can re-plan them.
+    """
+    injectors: list[serving.FaultInjector] = []
+
+    def factory(index: int):
+        generator = make_generator()
+        if plan is None:
+            return generator
+        injectors.append(serving.FaultInjector(plan, seed=args.seed + index))
+        return serving.FlakyGenerator(generator, injectors[-1])
+
+    config = serving.ClusterConfig(
+        n_replicas=args.replicas, max_batch_size=batch, max_batch_delay_s=0.25,
+        max_queue_depth=depth, seed=args.seed)
+    registry = obs.MetricsRegistry()
+    cluster = serving.CosmoCluster(
+        factory, config=config, registry=registry,
+        event_log=obs.EventLog(registry=registry) if events else None,
+        sampler=sampler, response_validator=response_ok)
+    tracers = [(config.name, cluster.tracer)] + [
+        (replica_id, service.tracer)
+        for replica_id, service in cluster.services.items()]
+    drive = Drive(cluster=cluster, registry=registry, tracers=tracers,
+                  injectors=injectors, gap_s=gap_s)
+    if slo_specs is not None:
+        drive.evaluator = obs.SloEvaluator(registry, slo_specs,
+                                           event_log=cluster.event_log)
+        drive.collector = obs.TimeSeriesCollector(registry,
+                                                  interval_s=SCRAPE_INTERVAL_S)
+    return drive
+
+
+def _mixed_plan(args: argparse.Namespace) -> serving.FaultPlan | None:
+    return serving.FaultPlan.mixed(args.fault_rate) if args.fault_rate > 0.0 else None
+
+
+def _preload(drive: Drive, n_queries: int) -> None:
+    drive.cluster.preload_yearly({query: ScriptedGenerator.knowledge_for(query)
+                                  for query in _queries(n_queries)})
+
+
+def _cluster_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
+    drive = _rig(args, ScriptedGenerator, _mixed_plan(args), gap_s=0.001,
+                 depth=500, events=False)
+    drive.truth = ScriptedGenerator.knowledge_for
+    return drive, [Phase("drive", args.requests, _queries(args.n_queries))]
+
+
+def _trace_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
+    drive = _rig(args, ScriptedGenerator, _mixed_plan(args), batch=8,
+                 sampler=obs.TailSampler(slowest_k=3, window_s=60.0, head_every=25))
+    # Warm the yearly layer for the head of the Zipf distribution so the
+    # trace mix includes cache-hit traces, not only miss/degraded ones.
+    _preload(drive, min(30, args.n_queries))
+    return drive, [Phase("drive", args.requests, _queries(args.n_queries))]
+
+
+def _monitor_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
+    """calm → storm → recovery.  The chaos storm floods the cluster with
+    cold (never-cached) queries while every generator hard-fails and one
+    replica is drained; every other phase replays warm traffic against
+    healthy generators."""
+    # The rollout guard's two objectives, plus a cache objective on the
+    # same windows and hold times with a tighter burn threshold.
+    guard = refresh.rollout_slo_specs(SCRAPE_INTERVAL_S)
+    cache_hits = replace(
+        guard[0], name="cache-hit-rate",
+        description="lookups answered from a cache layer", target=0.50,
+        good=obs.MetricSum(("cache_requests_total",),
+                           where=(("outcome", ("layer1_hit", "layer2_hit")),)),
+        total=obs.MetricSum(("cache_requests_total",)),
+        windows=(replace(guard[0].windows[0], max_burn_rate=1.6),))
+    calm = serving.FaultPlan()
+    drive = _rig(args, ScriptedGenerator, calm, slo_specs=guard + [cache_hits])
+    _preload(drive, args.n_queries)
+
+    chaos = args.scenario == "chaos"
+    requests = args.requests_per_phase
+    warm = _queries(args.n_queries)
+    return drive, [
+        Phase("calm", requests, warm, plan=calm),
+        Phase("storm", requests,
+              _queries(args.n_queries, "storm query") if chaos else warm,
+              plan=serving.FaultPlan(error_rate=1.0) if chaos else calm,
+              drain=(f"{drive.cluster.config.name}-r1"
+                     if chaos and args.replicas > 1 else None)),
+        Phase("recovery", requests, warm, plan=calm),
+    ]
+
+
+def _answers(queries: Sequence[str], colour: str) -> dict[str, str]:
+    return {query: f"it is used for {query} ({colour})." for query in queries}
+
+
+def _blue_green_setup(args: argparse.Namespace, blue,
+                      green) -> tuple[Drive, list[Phase]]:
+    """A cluster on ``blue`` and a gated, SLO-guarded rollout to ``green``
+    in the middle of warm → rollout → settle traffic."""
+    store = refresh.SnapshotStore()
+    store.add(blue)
+    drive = _rig(args, lambda: refresh.SnapshotGenerator(blue), None,
+                 slo_specs=refresh.rollout_slo_specs(SCRAPE_INTERVAL_S))
+    drive.cluster.install_snapshot(blue)
+    gate = refresh.SnapshotQualityGate(store, registry=drive.registry)
+    drive.controller = refresh.RolloutController(
+        drive.cluster, store, green, drive.evaluator, quality_gate=gate)
+    queries = _queries(args.n_queries)
+    requests = args.requests_per_phase
+    return drive, [Phase("warm", requests, queries),
+                   Phase("rollout", 2 * requests, queries, rolling=True),
+                   Phase("settle", requests, queries)]
+
+
+def _rollout_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
+    queries = _queries(args.n_queries)
+    blue = refresh.build_snapshot(_answers(queries, "blue"), note="blue baseline")
+    if args.scenario == "healthy":
+        green = refresh.build_snapshot(_answers(queries, "green"), parent=blue,
+                                       note="green refresh")
+    else:
+        # A refresh that lost its serving table: version checks out,
+        # content is useless.  Neither snapshot carries triples, so the
+        # knowledge gate passes; this is the failure the SLO guard catches.
+        green = refresh.build_snapshot({}, parent=blue, note="poisoned refresh")
+    return _blue_green_setup(args, blue, green)
+
+
+_RELATION_MIX = (Relation.USED_FOR_FUNC, Relation.CAPABLE_OF, Relation.USED_TO,
+                 Relation.USED_FOR_AUD, Relation.USED_WITH)
+_DOMAINS = ("Apparel", "Electronics", "Grocery", "Home")
+
+
+def _edges(queries: Sequence[str], count: int, offset: int = 0,
+           relation_cycle: tuple = _RELATION_MIX, plaus_base: float = 0.55,
+           plaus_span: float = 0.4) -> list[KnowledgeTriple]:
+    # Deterministic arithmetic, no RNG: the same arguments always
+    # produce the same triples, so snapshot versions are stable.
+    return [
+        KnowledgeTriple(
+            head=queries[(k // 2) % len(queries)],
+            relation=relation_cycle[k % len(relation_cycle)],
+            tail=f"intent {k % 23:02d}",
+            domain=_DOMAINS[k % len(_DOMAINS)],
+            behavior="search-buy" if k % 3 else "co-buy",
+            plausibility=plaus_base + plaus_span * ((k * 37) % 100) / 100.0,
+            typicality=0.45 + 0.5 * ((k * 53) % 100) / 100.0,
+            support=1 + k % 3,
+        )
+        for k in range(offset, offset + count)
+    ]
+
+
+def _kghealth_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
+    queries = _queries(args.n_queries)
+    n_edges = 2 * args.n_queries
+    blue_triples = _edges(queries, n_edges)
+    blue = refresh.build_snapshot(_answers(queries, "blue"), blue_triples,
+                                  note="blue baseline")
+    if args.scenario == "healthy":
+        note = "green refresh"
+        triples = blue_triples + _edges(queries, max(4, args.n_queries // 6),
+                                        offset=n_edges)
+    else:
+        # The serving table is complete — requests will be answered and
+        # no SLO will burn — but the knowledge behind it collapsed onto
+        # IS_A with near-zero plausibility.  Only the gate can see this.
+        note = "poisoned refresh"
+        triples = _edges(queries, n_edges, relation_cycle=(Relation.IS_A,),
+                         plaus_base=0.03, plaus_span=0.0)
+    green = refresh.build_snapshot(_answers(queries, "green"), triples,
+                                   parent=blue, note=note)
+    return _blue_green_setup(args, blue, green)
+
+
+# -- the report --------------------------------------------------------------
+def _report(drive: Drive, title: str) -> None:
+    """One summary table, then the detail each component the drive
+    carries has to show: phases, traces, the rollout, alerts."""
+    cluster, controller = drive.cluster, drive.controller
+    sampler, summary = cluster.sampler, drive.artifacts.get("summary")
+    totals = cluster.metrics_totals()
+    services = cluster.services.values()
+    table = Table(f"{title} drive", ["Metric", "Value"])
+    table.add_row("Requests", totals["requests"])
+    table.add_row("Availability (served)", format_percent(cluster.availability))
+    if drive.truth is not None:
+        table.add_row("Correct knowledge",
+                      format_percent(drive.valid / max(totals["requests"], 1)))
+    table.add_row("Fallbacks", totals["fallbacks"])
+    table.add_row("Failovers", totals["failovers"])
+    table.add_row("Shed (admission control)", totals["shed"])
+    table.add_row("Dead-lettered / redriven",
+                  f"{sum(s.metrics.dead_lettered for s in services)}"
+                  f" / {sum(s.metrics.redriven for s in services)}")
+    table.add_row("p50 / p99 latency", f"{cluster.percentile(50) * 1000:.2f} / "
+                                       f"{cluster.percentile(99) * 1000:.2f} ms")
+    if sampler is not None:
+        table.add_row("Traces retained", len(summary["traces"]))
+        table.add_row("Sampler decisions",
+                      ", ".join(f"{reason} {count}"
+                                for reason, count in sampler.decisions.items()))
+        table.add_row("Spans buffered (residual)", sampler.buffered_spans)
+        table.add_row("Exemplar buckets", len(cluster.latency_exemplars()))
+        table.add_row("Trace-tagged events", len(_trace_tagged(drive)))
+    if controller is not None:
+        decision = drive.gate_decision()
+        table.add_row("Rollout state", controller.state.value)
+        table.add_row("Steps executed", len(controller.steps_executed))
+        table.add_row("Mixed-version answers", drive.violations)
+    print(table.render())
+
+    phase_table = Table("Phase availability", ["Phase", "Requests", "Served"])
+    for name, requests, availability in drive.phase_rows:
+        phase_table.add_row(name, requests, format_percent(availability))
+    print(phase_table.render())
+
+    if sampler is not None:
+        stage_table = Table("Where the latency goes (self time across traces)",
+                            ["Stage", "Total (ms)", "Traces"])
+        for stage, entry in summary["aggregate"]["stages"].items():
+            stage_table.add_row(stage, f"{entry['total_s'] * 1000:.3f}", entry["traces"])
+        print(stage_table.render())
+        slowest = max(summary["traces"], key=lambda t: (t["duration_s"], t["trace_id"]))
+        print(f"\nslowest retained trace {slowest['trace_id']} "
+              f"({slowest['duration_s'] * 1000:.3f} ms, outcome={slowest['outcome']}):")
+        for step in slowest["critical_path"]:
+            print(f"  {step['process']:>12}  {step['name']:<24} "
+                  f"self {step['self_s'] * 1000:8.3f} ms  [{step['stage']}]")
+    if controller is not None:
+        for breach in decision.breaches:
+            print(f"drift breach: {breach}")
+        print("replica versions: " + ", ".join(
+            f"{replica}={version}"
+            for replica, version in sorted(cluster.snapshot_versions().items())))
+        rollout = controller.report()
+        if rollout.rolled_back:
+            print(f"rollback: objective {rollout.rollback_objective} "
+                  f"(alert {rollout.rollback_alert}), {rollout.redriven} dead "
+                  f"letter(s) redriven")
+        print(f"gate verdict: {'BLOCK' if drive.gate_tripped() else 'PROMOTE'}")
+    if drive.evaluator is not None:
+        for alert in drive.evaluator.alerts():
+            window = (f"pending {alert.pending_ts:g}s"
+                      + (f", firing {alert.firing_ts:g}s" if alert.firing_ts is not None else "")
+                      + (f", resolved {alert.resolved_ts:g}s"
+                         if alert.resolved_ts is not None and alert.state == "resolved" else ""))
+            print(f"alert {alert.alert_id}: {alert.state} ({window}; "
+                  f"peak burn {alert.peak_burn_rate:.1f}x, "
+                  f"{len(alert.event_ids)} correlated event(s))")
+        fired = drive.evaluator.any_fired
+        print(f"SLO verdict: {'ALERTS FIRED' if fired else 'no alerts fired'}")
+
+
+# -- scenarios -------------------------------------------------------------
+@dataclass(frozen=True)
+class Scenario:
+    """One CLI drive: its size flags with their defaults, how to set it
+    up, which artifacts it writes and what must hold afterwards.
+    ``expectations`` is keyed by ``--scenario`` variant (``""`` for a
+    drive without variants; the first key is the default)."""
+
+    command: str
+    title: str
+    help: str
+    flags: dict[str, int | float]
+    setup: Callable[[argparse.Namespace], tuple[Drive, list[Phase]]]
+    artifacts: tuple[str, ...]
+    expectations: dict[str, tuple[Expectation, ...]]
+    end_of_day: bool = False     #: run the daily refresh before the artifacts
+
+
+SCENARIOS = {scenario.command: scenario for scenario in (
+    Scenario("cluster", "Cluster",
+             "drive a sharded multi-replica serving cluster; dump artifacts",
+             {"requests": 2000, "n_queries": 150, "fault_rate": 0.0},
+             _cluster_setup, ("trace", "metrics"),
+             {"": (expect_replica_processes_and_cluster_metrics,)}, end_of_day=True),
+    Scenario("trace", "Tracing",
+             "request tracing: trace trees, tail sampling, exemplars, critical paths",
+             {"requests": 400, "n_queries": 120, "fault_rate": 0.15},
+             _trace_setup, ("trace", "summary", "events"),
+             {"": (expect_connected_traces, expect_trace_ids_resolve)}),
+    Scenario("monitor", "Monitoring",
+             "time series, SLO alerts and event log over calm/storm/recovery phases",
+             {"requests_per_phase": 600, "n_queries": 120},
+             _monitor_setup, ("timeline", "alerts", "events"),
+             {"chaos": (expect_storm_alerts_resolve_and_correlate,), "clean": ()}),
+    Scenario("rollout", "Rollout",
+             "blue/green snapshot rollout with SLO-guarded auto-rollback",
+             {"requests_per_phase": 700, "n_queries": 120},
+             _rollout_setup, ("timeline", "alerts", "events"),
+             {"healthy": (expect_rollout_completes_quietly,),
+              "poisoned": (expect_rollback_and_redrive,)}),
+    Scenario("kghealth", "KG health",
+             "snapshot drift detection and quality-gated rollout",
+             {"requests_per_phase": 500, "n_queries": 120},
+             _kghealth_setup, ("health", "events"),
+             {"healthy": (expect_gate_promotes,), "poisoned": (expect_gate_blocks,)}),
+)}
+
+
+def run_scenario(scenario: Scenario, args: argparse.Namespace) -> int:
+    """Set up, play, write, report, check — the one path every drive takes."""
+    variant = getattr(args, "scenario", "")
+    drive, phases = scenario.setup(args)
+    drive.play(phases, spawn_rng(args.seed, f"{scenario.command}-traffic"),
+               end_of_day=scenario.end_of_day)
+    write_artifacts(drive, scenario.artifacts, args)
+    _report(drive, scenario.title)
+
+    failures = check_accounting(drive.cluster.metrics_totals())
+    if drive.controller is not None:
+        print(f"mixed-version answers: {drive.violations} "
+              f"({'OK' if drive.violations == 0 else 'VIOLATED'})")
+        if drive.violations:
+            failures.append(f"{drive.violations} mixed-version answer(s) served")
+    for expectation in scenario.expectations[variant]:
+        failures += expectation(drive)
+    return exit_code(scenario.title.lower(), failures, drive.signalled())

@@ -28,7 +28,8 @@ from repro.serving.faults import FaultInjector, FaultPlan, FlakyGenerator
 from repro.serving.resilience import CircuitBreaker
 from repro.utils.rng import spawn_rng
 
-__all__ = ["ScriptedGenerator", "ChaosConfig", "ChaosReport", "run_chaos", "run_outage_demo"]
+__all__ = ["ScriptedGenerator", "response_ok", "ChaosConfig", "ChaosReport", "run_chaos",
+           "run_outage_demo"]
 
 
 class ScriptedGenerator:
@@ -57,7 +58,7 @@ class ScriptedGenerator:
         return GenerationBatch(generations=outputs)
 
 
-def _response_ok(text: str) -> bool:
+def response_ok(text: str) -> bool:
     """Strict output validation for scripted generations."""
     return bool(text.strip()) and text.rstrip().endswith(".")
 
@@ -143,7 +144,7 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
         flaky,
         clock=clock,
         resilience=config.resilience,
-        response_validator=_response_ok,
+        response_validator=response_ok,
         seed=config.seed,
     )
 
@@ -216,7 +217,7 @@ def run_outage_demo(seed: int = 7, chunk: int = 120, chunk_gap_s: float = 300.0)
     )
     service = CosmoService(
         flaky, clock=clock, breaker=breaker,
-        response_validator=_response_ok, seed=seed,
+        response_validator=response_ok, seed=seed,
     )
     rng = spawn_rng(seed, "outage-traffic")
     queries = [f"query {i:02d}" for i in range(40)]

@@ -658,6 +658,10 @@ class CosmoCluster:
         """Latency percentile over end-to-end (queueing-inclusive) times."""
         return self._latency.percentile(q)
 
+    def latency_exemplars(self) -> list[tuple[float, str, float]]:
+        """``(bucket bound, trace_id, latency)`` per occupied latency bucket."""
+        return self._latency.exemplars()
+
     def metrics_totals(self) -> dict[str, int]:
         """Cluster-wide request accounting (sums over replicas)."""
         totals = {"requests": 0, "served_fresh": 0, "degraded_serves": 0,

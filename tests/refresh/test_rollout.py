@@ -1,6 +1,5 @@
 """Blue/green rollout: healthy completion, SLO-guarded rollback, guards."""
 
-import numpy as np
 import pytest
 
 from repro.obs import EventLog, MetricsRegistry, SloEvaluator, TimeSeriesCollector
@@ -13,16 +12,14 @@ from repro.refresh import (
     mixed_version_violation,
     rollout_slo_specs,
 )
+from repro.scenarios import Drive, zipf_traffic
 from repro.serving import ClusterConfig, CosmoCluster
+from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
 
 SCRAPE_S = 0.5
 ARRIVAL_S = 0.005
 QUERIES = [f"query {i:03d}" for i in range(40)]
-
-
-def _scripted_ok(text):
-    return bool(text.strip()) and text.rstrip().endswith(".")
 
 
 def _snapshots(poisoned=False):
@@ -45,7 +42,7 @@ def _rig(n_replicas=2, poisoned=False, name="rolltest"):
         config=ClusterConfig(n_replicas=n_replicas, max_batch_size=8,
                              max_batch_delay_s=0.25, seed=3, name=name),
         registry=registry, event_log=event_log,
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S),
@@ -55,30 +52,22 @@ def _rig(n_replicas=2, poisoned=False, name="rolltest"):
     return cluster, store, blue, green, evaluator, collector, controller
 
 
-def _drive(cluster, evaluator, collector, controller, store,
-           n_requests, rolling=True, seed=3):
-    rng = spawn_rng(seed, "rollout-test-traffic")
-    weights = 1.0 / np.arange(1, len(QUERIES) + 1) ** 1.3
-    weights /= weights.sum()
-    picks = rng.choice(len(QUERIES), size=n_requests, p=weights)
-    violations = 0
-    for pick in picks:
-        result = cluster.handle(QUERIES[int(pick)])
-        if mixed_version_violation(store, cluster, result):
-            violations += 1
-        cluster.clock.advance(ARRIVAL_S)
-        for ts in collector.maybe_scrape(cluster.clock.now()):
-            evaluator.evaluate(ts)
-            if rolling and not controller.done:
-                controller.tick(ts)
-    return violations
+def _drive(cluster, evaluator, collector, controller, n_requests,
+           rolling=True, seed=3):
+    """Zipf traffic through the scenario runner's request loop; returns
+    the mixed-version answers it counted against the controller's store."""
+    drive = Drive(cluster=cluster, collector=collector, evaluator=evaluator,
+                  controller=controller, gap_s=ARRIVAL_S)
+    drive.run(zipf_traffic(spawn_rng(seed, "rollout-test-traffic"), QUERIES,
+                           n_requests), rolling=rolling)
+    return drive.violations
 
 
 # -- healthy rollout -------------------------------------------------------
 def test_healthy_rollout_completes_one_step_per_tick():
     cluster, store, blue, green, evaluator, collector, controller = _rig()
-    _drive(cluster, evaluator, collector, controller, store, 300, rolling=False)
-    violations = _drive(cluster, evaluator, collector, controller, store, 900)
+    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
+    violations = _drive(cluster, evaluator, collector, controller, 900)
 
     report = controller.report()
     assert controller.state is RolloutState.COMPLETE
@@ -105,7 +94,7 @@ def test_healthy_rollout_completes_one_step_per_tick():
 
 def test_tick_after_done_is_a_noop():
     cluster, store, _, _, evaluator, collector, controller = _rig()
-    _drive(cluster, evaluator, collector, controller, store, 900)
+    _drive(cluster, evaluator, collector, controller, 900)
     assert controller.done
     steps_before = list(controller.report().steps)
     assert controller.tick(cluster.clock.now()) is None
@@ -116,8 +105,8 @@ def test_tick_after_done_is_a_noop():
 def test_poisoned_rollout_rolls_back_to_parent_and_redrives():
     cluster, store, blue, green, evaluator, collector, controller = _rig(
         poisoned=True)
-    _drive(cluster, evaluator, collector, controller, store, 300, rolling=False)
-    violations = _drive(cluster, evaluator, collector, controller, store, 900)
+    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
+    violations = _drive(cluster, evaluator, collector, controller, 900)
 
     report = controller.report()
     assert controller.state is RolloutState.ROLLED_BACK
@@ -145,8 +134,8 @@ def test_poisoned_rollout_rolls_back_to_parent_and_redrives():
 def test_rollback_heals_service_after_redrive():
     cluster, store, blue, _, evaluator, collector, controller = _rig(
         poisoned=True)
-    _drive(cluster, evaluator, collector, controller, store, 300, rolling=False)
-    _drive(cluster, evaluator, collector, controller, store, 900)
+    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
+    _drive(cluster, evaluator, collector, controller, 900)
     assert controller.state is RolloutState.ROLLED_BACK
     cluster.flush()
     assert sum(len(s.dead_letters) for s in cluster.services.values()) == 0

@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.obs import EventLog, MetricsRegistry, SloEvaluator, TimeSeriesCollector
@@ -16,7 +14,9 @@ from repro.refresh import (
     build_snapshot,
     rollout_slo_specs,
 )
+from repro.scenarios import Drive, zipf_traffic
 from repro.serving import ClusterConfig, CosmoCluster
+from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
 
 SCRAPE_S = 0.5
@@ -24,10 +24,6 @@ ARRIVAL_S = 0.005
 QUERIES = [f"query {i:03d}" for i in range(40)]
 _MIX = (Relation.USED_FOR_FUNC, Relation.CAPABLE_OF, Relation.USED_TO,
         Relation.USED_FOR_AUD)
-
-
-def _scripted_ok(text):
-    return bool(text.strip()) and text.rstrip().endswith(".")
 
 
 def _triples(count, offset=0, relations=_MIX, plausibility=0.8):
@@ -70,7 +66,7 @@ def _rig(poisoned=False, gate=None, name="gatetest"):
         config=ClusterConfig(n_replicas=2, max_batch_size=8,
                              max_batch_delay_s=0.25, seed=3, name=name),
         registry=registry, event_log=event_log,
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S),
@@ -85,17 +81,11 @@ def _rig(poisoned=False, gate=None, name="gatetest"):
 
 def _drive(cluster, evaluator, collector, controller, n_requests,
            rolling=True, seed=3):
-    rng = spawn_rng(seed, "rollout-gate-traffic")
-    weights = 1.0 / np.arange(1, len(QUERIES) + 1) ** 1.3
-    weights /= weights.sum()
-    picks = rng.choice(len(QUERIES), size=n_requests, p=weights)
-    for pick in picks:
-        cluster.handle(QUERIES[int(pick)])
-        cluster.clock.advance(ARRIVAL_S)
-        for ts in collector.maybe_scrape(cluster.clock.now()):
-            evaluator.evaluate(ts)
-            if rolling and not controller.done:
-                controller.tick(ts)
+    """Zipf traffic through the scenario runner's request loop."""
+    drive = Drive(cluster=cluster, collector=collector, evaluator=evaluator,
+                  controller=controller, gap_s=ARRIVAL_S)
+    drive.run(zipf_traffic(spawn_rng(seed, "rollout-gate-traffic"), QUERIES,
+                           n_requests), rolling=rolling)
 
 
 def test_passing_gate_completes_and_emits_gate_pass():
@@ -197,7 +187,7 @@ def test_gateless_controller_still_works():
         config=ClusterConfig(n_replicas=2, max_batch_size=8,
                              max_batch_delay_s=0.25, seed=3, name="nogate"),
         registry=registry,
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))

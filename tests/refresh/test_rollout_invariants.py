@@ -7,7 +7,6 @@ no replica is left drained, and dead letters are conserved (every one is
 either still queued or was re-driven).
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,16 +19,13 @@ from repro.refresh import (
     build_snapshot,
     rollout_slo_specs,
 )
+from repro.scenarios import Drive
 from repro.serving import ClusterConfig, CosmoCluster, FaultInjector, FaultPlan
-from repro.serving.chaos import FlakyGenerator
+from repro.serving.chaos import FlakyGenerator, response_ok
 from repro.utils.rng import spawn_rng
 
 SCRAPE_S = 0.5
 QUERIES = [f"query {i:03d}" for i in range(24)]
-
-
-def _scripted_ok(text):
-    return bool(text.strip()) and text.rstrip().endswith(".")
 
 
 @st.composite
@@ -76,12 +72,14 @@ def test_accounting_and_dead_letter_conservation_under_chaos(
                              max_batch_delay_s=0.25, seed=seed % 101,
                              name="chaosroll"),
         registry=registry, event_log=EventLog(registry=registry),
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))
     collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
     controller = RolloutController(cluster, store, green, evaluator)
+    drive = Drive(cluster=cluster, collector=collector, evaluator=evaluator,
+                  controller=controller)
 
     rng = spawn_rng(seed, "chaos-arrivals")
     requests = 0
@@ -98,10 +96,7 @@ def test_accounting_and_dead_letter_conservation_under_chaos(
             cluster.clock.advance(arg)
         elif kind == "flush":
             cluster.flush()
-        for ts in collector.maybe_scrape(cluster.clock.now()):
-            evaluator.evaluate(ts)
-            if not controller.done:
-                controller.tick(ts)
+        drive.observe(rolling=True)     # the scenario runner's scrape step
     for injector in injectors.values():
         injector.plan = FaultPlan()
     cluster.flush()

@@ -15,7 +15,7 @@ from repro.serving import (
     ServeOutcome,
     ServeRequest,
 )
-from repro.serving.chaos import ScriptedGenerator, _response_ok
+from repro.serving.chaos import ScriptedGenerator, response_ok
 
 
 def _cluster(n_replicas=3, fault_rate=0.0, seed=3, **config_kwargs) -> CosmoCluster:
@@ -32,7 +32,7 @@ def _cluster(n_replicas=3, fault_rate=0.0, seed=3, **config_kwargs) -> CosmoClus
     options = {"max_batch_size": 8, "max_batch_delay_s": 0.5, **config_kwargs}
     config = ClusterConfig(n_replicas=n_replicas, seed=seed, **options)
     cluster = CosmoCluster(factory, config=config,
-                           response_validator=_response_ok)
+                           response_validator=response_ok)
     cluster._test_injectors = injectors
     return cluster
 

@@ -13,7 +13,7 @@ from repro.serving import (
     ServeRequest,
     SimClock,
 )
-from repro.serving.chaos import ScriptedGenerator, _response_ok
+from repro.serving.chaos import ScriptedGenerator, response_ok
 
 
 def _flaky_service(event_log, plan=None, seed=0, **kwargs):
@@ -83,7 +83,7 @@ def test_cluster_drain_restore_and_flush_events():
     config = ClusterConfig(n_replicas=2, seed=0, max_batch_size=2,
                            max_batch_delay_s=5.0)
     cluster = CosmoCluster(lambda index: ScriptedGenerator(), config=config,
-                           response_validator=_response_ok, event_log=log)
+                           response_validator=response_ok, event_log=log)
     cluster.drain("cluster-r1")
     cluster.restore("cluster-r1")
     cluster.restore("cluster-r1")             # idempotent: no second event

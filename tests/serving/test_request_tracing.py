@@ -88,7 +88,7 @@ def test_degraded_request_produces_one_connected_flagged_trace():
     assert tagged, "no event was stamped with the trace id"
 
     # The latency exemplar leads back to this trace.
-    exemplars = cluster._latency.exemplars()
+    exemplars = cluster.latency_exemplars()
     assert any(trace_id == result.trace_id for _, trace_id, _ in exemplars)
 
     # And the merged export is valid, flow links included.

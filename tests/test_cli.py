@@ -41,29 +41,40 @@ def test_generate_requires_arguments():
         build_parser().parse_args(["generate", "--query", "x"])  # missing required
 
 
+def _drive(tmp_path, tag, argv, expect_exit, **artifacts):
+    """Run one CLI drive; return the bytes of each ``--out-<key>`` artifact.
+
+    ``artifacts`` maps the flag's key (``trace`` for ``--out-trace``) to a
+    file suffix; every flag is pointed at a fresh path under ``tmp_path``.
+    """
+    paths = {key: tmp_path / f"{key}-{tag}{suffix}"
+             for key, suffix in artifacts.items()}
+    out_flags = [part for key, path in paths.items()
+                 for part in (f"--out-{key}", str(path))]
+    assert main(argv + out_flags) == expect_exit
+    return tuple(path.read_bytes() for path in paths.values())
+
+
+def _drive_twice(tmp_path, argv, expect_exit, **artifacts):
+    """Two same-seed runs must write byte-identical artifacts (simulated
+    clocks end to end); returns the first run's."""
+    first = _drive(tmp_path, "a", argv, expect_exit, **artifacts)
+    assert first == _drive(tmp_path, "b", argv, expect_exit, **artifacts)
+    return first
+
+
 def test_obs_artifacts_valid_nested_and_deterministic(tmp_path, capsys):
     import json
 
     from repro.obs import validate_chrome_trace, validate_snapshot
 
-    def run(tag):
-        trace = tmp_path / f"trace-{tag}.json"
-        metrics = tmp_path / f"metrics-{tag}.json"
-        code = main([
-            "obs", "--seed", "3", "--scale", "0.12", "--lm-epochs", "1",
-            "--requests", "120", "--out-trace", str(trace),
-            "--out-metrics", str(metrics),
-        ])
-        assert code == 0
-        return trace.read_bytes(), metrics.read_bytes()
+    trace_bytes, metrics_bytes = _drive_twice(
+        tmp_path,
+        ["obs", "--seed", "3", "--scale", "0.12", "--lm-epochs", "1",
+         "--requests", "120"],
+        0, trace=".json", metrics=".json")
 
-    trace_a, metrics_a = run("a")
-    trace_b, metrics_b = run("b")
-    # Simulated-time artifacts replay byte-identically for a fixed seed.
-    assert trace_a == trace_b
-    assert metrics_a == metrics_b
-
-    trace = json.loads(trace_a)
+    trace = json.loads(trace_bytes)
     validate_chrome_trace(trace)
     events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     by_name = {e["name"]: e for e in events}
@@ -74,7 +85,7 @@ def test_obs_artifacts_valid_nested_and_deterministic(tmp_path, capsys):
     assert stage["args"]["parent_id"] == root["args"]["span_id"]
     assert "serving.run_batch" in by_name
 
-    validate_snapshot(json.loads(metrics_a))
+    validate_snapshot(json.loads(metrics_bytes))
     out = capsys.readouterr().out
     assert "request accounting" in out and "OK" in out
     assert "wall-clock profile" in out
@@ -85,24 +96,13 @@ def test_cluster_artifacts_valid_and_deterministic(tmp_path, capsys):
 
     from repro.obs import validate_chrome_trace, validate_snapshot
 
-    def run(tag):
-        trace = tmp_path / f"trace-{tag}.json"
-        metrics = tmp_path / f"metrics-{tag}.json"
-        code = main([
-            "cluster", "--seed", "3", "--replicas", "3", "--requests", "400",
-            "--n-queries", "60", "--fault-rate", "0.1",
-            "--out-trace", str(trace), "--out-metrics", str(metrics),
-        ])
-        assert code == 0
-        return trace.read_bytes(), metrics.read_bytes()
+    trace_bytes, metrics_bytes = _drive_twice(
+        tmp_path,
+        ["cluster", "--seed", "3", "--replicas", "3", "--requests", "400",
+         "--n-queries", "60", "--fault-rate", "0.1"],
+        0, trace=".json", metrics=".json")
 
-    trace_a, metrics_a = run("a")
-    trace_b, metrics_b = run("b")
-    # Everything runs on simulated clocks, so artifacts are byte-stable.
-    assert trace_a == trace_b
-    assert metrics_a == metrics_b
-
-    trace = json.loads(trace_a)
+    trace = json.loads(trace_bytes)
     validate_chrome_trace(trace)
     # Cluster spans and every replica's serving spans share the merged
     # timeline, split by process name.
@@ -110,7 +110,7 @@ def test_cluster_artifacts_valid_and_deterministic(tmp_path, capsys):
                  if e["ph"] == "M"}
     assert {"cluster", "cluster-r0", "cluster-r1", "cluster-r2"} <= processes
 
-    snap = json.loads(metrics_a)
+    snap = json.loads(metrics_bytes)
     validate_snapshot(snap)
     families = {metric["name"] for metric in snap["metrics"]}
     assert "cluster_requests_total" in families
@@ -133,23 +133,11 @@ def test_trace_artifacts_valid_and_deterministic(tmp_path, capsys):
         validate_trace_summary,
     )
 
-    def run(tag):
-        trace = tmp_path / f"trace-{tag}.json"
-        summary = tmp_path / f"summary-{tag}.json"
-        events = tmp_path / f"events-{tag}.jsonl"
-        code = main([
-            "trace", "--seed", "5", "--replicas", "2", "--requests", "200",
-            "--n-queries", "60", "--fault-rate", "0.2",
-            "--out-trace", str(trace), "--out-summary", str(summary),
-            "--out-events", str(events),
-        ])
-        assert code == 0
-        return trace.read_bytes(), summary.read_bytes(), events.read_bytes()
-
-    first = run("a")
-    second = run("b")
-    # Simulated clocks + deterministic trace ids: byte-stable artifacts.
-    assert first == second
+    first = _drive_twice(
+        tmp_path,
+        ["trace", "--seed", "5", "--replicas", "2", "--requests", "200",
+         "--n-queries", "60", "--fault-rate", "0.2"],
+        0, trace=".json", summary=".json", events=".jsonl")
 
     trace = json.loads(first[0])
     validate_chrome_trace(trace)
@@ -179,28 +167,17 @@ def test_trace_rejects_bad_fault_rate(capsys):
     assert "--fault-rate" in capsys.readouterr().out
 
 
+_MONITOR_CHAOS = ["monitor", "--seed", "0", "--scenario", "chaos"]
+
+
 def test_monitor_chaos_fires_and_correlates_alerts(tmp_path, capsys):
     import json
 
     from repro.obs import validate_alert_report, validate_events, validate_timeline
 
-    def run(tag):
-        timeline = tmp_path / f"timeline-{tag}.json"
-        alerts = tmp_path / f"alerts-{tag}.json"
-        events = tmp_path / f"events-{tag}.jsonl"
-        code = main([
-            "monitor", "--seed", "0", "--scenario", "chaos",
-            "--out-timeline", str(timeline), "--out-alerts", str(alerts),
-            "--out-events", str(events),
-        ])
-        # Fired alerts make the run exit non-zero even though they resolved.
-        assert code == 1
-        return timeline.read_bytes(), alerts.read_bytes(), events.read_bytes()
-
-    first = run("a")
-    second = run("b")
-    # Simulated clocks end to end: artifacts are byte-stable.
-    assert first == second
+    # Fired alerts make the run exit 1 even though they resolved.
+    first = _drive_twice(tmp_path, _MONITOR_CHAOS, 1,
+                         timeline=".json", alerts=".json", events=".jsonl")
 
     validate_timeline(json.loads(first[0]))
     report = json.loads(first[1])
@@ -228,17 +205,12 @@ def test_monitor_chaos_fires_and_correlates_alerts(tmp_path, capsys):
 def test_monitor_clean_scenario_stays_quiet(tmp_path, capsys):
     import json
 
-    timeline = tmp_path / "timeline.json"
-    alerts = tmp_path / "alerts.json"
-    events = tmp_path / "events.jsonl"
-    code = main([
-        "monitor", "--seed", "0", "--scenario", "clean",
-        "--requests-per-phase", "200",
-        "--out-timeline", str(timeline), "--out-alerts", str(alerts),
-        "--out-events", str(events),
-    ])
-    assert code == 0
-    report = json.loads(alerts.read_text())
+    _, alerts, _ = _drive(
+        tmp_path, "clean",
+        ["monitor", "--seed", "0", "--scenario", "clean",
+         "--requests-per-phase", "200"],
+        0, timeline=".json", alerts=".json", events=".jsonl")
+    report = json.loads(alerts)
     assert report["fired"] is False
     assert all(not o["alerts"] for o in report["objectives"])
     capsys.readouterr()
@@ -260,22 +232,9 @@ def test_rollout_healthy_completes_and_is_deterministic(tmp_path, capsys):
 
     from repro.obs import validate_alert_report, validate_events, validate_timeline
 
-    def run(tag):
-        timeline = tmp_path / f"timeline-{tag}.json"
-        alerts = tmp_path / f"alerts-{tag}.json"
-        events = tmp_path / f"events-{tag}.jsonl"
-        code = main([
-            "rollout", "--seed", "0", "--scenario", "healthy",
-            "--out-timeline", str(timeline), "--out-alerts", str(alerts),
-            "--out-events", str(events),
-        ])
-        assert code == 0
-        return timeline.read_bytes(), alerts.read_bytes(), events.read_bytes()
-
-    first = run("a")
-    second = run("b")
-    # Simulated clocks end to end: artifacts are byte-stable.
-    assert first == second
+    first = _drive_twice(
+        tmp_path, ["rollout", "--seed", "0", "--scenario", "healthy"], 0,
+        timeline=".json", alerts=".json", events=".jsonl")
 
     validate_timeline(json.loads(first[0]))
     report = json.loads(first[1])
@@ -300,20 +259,14 @@ def test_rollout_poisoned_rolls_back_and_redrives(tmp_path, capsys):
 
     from repro.obs import validate_events
 
-    timeline = tmp_path / "timeline.json"
-    alerts = tmp_path / "alerts.json"
-    events_path = tmp_path / "events.jsonl"
-    code = main([
-        "rollout", "--seed", "0", "--scenario", "poisoned",
-        "--out-timeline", str(timeline), "--out-alerts", str(alerts),
-        "--out-events", str(events_path),
-    ])
     # Accounting holds and nothing mixed-version leaked, so the exit is
     # clean even though the rollout aborted: the guard doing its job is
     # not an operator error.
-    assert code == 0
+    _, alerts, events_bytes = _drive(
+        tmp_path, "poisoned", ["rollout", "--seed", "0", "--scenario", "poisoned"],
+        0, timeline=".json", alerts=".json", events=".jsonl")
 
-    events = validate_events(events_path.read_text())
+    events = validate_events(events_bytes.decode())
     kinds = [e["kind"] for e in events]
     assert "rollout.rollback_start" in kinds
     assert "rollout.rollback_complete" in kinds
@@ -324,7 +277,7 @@ def test_rollout_poisoned_rolls_back_and_redrives(tmp_path, capsys):
 
     # The rollback lands while the alert is still pending, so nothing
     # ever fires: the guard acted before the page would have gone out.
-    report = json.loads(alerts.read_text())
+    report = json.loads(alerts)
     assert report["fired"] is False
     out = capsys.readouterr().out
     assert "rolled_back" in out
@@ -344,20 +297,9 @@ def test_kghealth_healthy_promotes_and_is_deterministic(tmp_path, capsys):
 
     from repro.obs import validate_events, validate_kg_health
 
-    def run(tag):
-        health = tmp_path / f"health-{tag}.json"
-        events = tmp_path / f"events-{tag}.jsonl"
-        code = main(_KGHEALTH_ARGS + [
-            "--scenario", "healthy",
-            "--out-health", str(health), "--out-events", str(events),
-        ])
-        assert code == 0
-        return health.read_bytes(), events.read_bytes()
-
-    first = run("a")
-    second = run("b")
     # Simulated clocks and arithmetic triples: artifacts are byte-stable.
-    assert first == second
+    first = _drive_twice(tmp_path, _KGHEALTH_ARGS + ["--scenario", "healthy"], 0,
+                         health=".json", events=".jsonl")
 
     doc = json.loads(first[0])
     validate_kg_health(doc)
@@ -384,23 +326,19 @@ def test_kghealth_poisoned_blocks_before_first_swap(tmp_path, capsys):
 
     from repro.obs import validate_events, validate_kg_health
 
-    health = tmp_path / "health.json"
-    events_path = tmp_path / "events.jsonl"
-    code = main(_KGHEALTH_ARGS + [
-        "--scenario", "poisoned",
-        "--out-health", str(health), "--out-events", str(events_path),
-    ])
-    # Exit 1 distinguishes "gate tripped" from exit 2 "accounting broke".
-    assert code == 1
+    # Exit 1 distinguishes "gate tripped" from exit 2 "an invariant broke".
+    health, events_bytes = _drive(
+        tmp_path, "poisoned", _KGHEALTH_ARGS + ["--scenario", "poisoned"], 1,
+        health=".json", events=".jsonl")
 
-    doc = json.loads(health.read_text())
+    doc = json.loads(health)
     validate_kg_health(doc)
     (gate,) = doc["gates"]
     assert gate["promote"] is False
     assert gate["breaches"]
     assert any(b.startswith("relation-mix-shift") for b in gate["breaches"])
 
-    events = validate_events(events_path.read_text())
+    events = validate_events(events_bytes.decode())
     kinds = [e["kind"] for e in events]
     assert "rollout.gate_block" in kinds
     assert "rollout.blocked" in kinds
@@ -413,3 +351,99 @@ def test_kghealth_poisoned_blocks_before_first_swap(tmp_path, capsys):
     # The poisoned snapshot serves perfectly — the SLO guard sees nothing.
     assert "no alerts fired" in out
     assert "blocked" in out
+
+
+# -- the exit-code rule: a breach (2) wins over a signal (1) ---------------
+def test_monitor_chaos_with_broken_accounting_exits_2(monkeypatch, capsys):
+    from repro.serving import CosmoCluster
+
+    honest = CosmoCluster.metrics_totals
+
+    def doctored(self):
+        totals = honest(self)
+        totals["handled"] += 1      # one request the replicas never counted
+        return totals
+
+    monkeypatch.setattr(CosmoCluster, "metrics_totals", doctored)
+    # Alerts still fire (the signal, exit 1 on its own) — the breach wins.
+    assert main(_MONITOR_CHAOS) == 2
+    out = capsys.readouterr().out
+    assert "ALERTS FIRED" in out
+    assert "request accounting" in out and "VIOLATED" in out
+
+
+def test_kghealth_poisoned_with_mixed_version_answer_exits_2(monkeypatch, capsys):
+    from repro import refresh
+
+    served = iter([True])           # flag exactly one answer as a leak
+    monkeypatch.setattr(refresh, "mixed_version_violation",
+                        lambda store, cluster, result: next(served, False))
+    assert main(_KGHEALTH_ARGS + ["--scenario", "poisoned"]) == 2
+    out = capsys.readouterr().out
+    assert "gate verdict: BLOCK" in out     # the signal alone would exit 1
+    assert "mixed-version answers: 1 (VIOLATED)" in out
+
+
+# -- the parser: the never-set flags are gone, every kept flag parses ------
+_DRIVES = ("cluster", "trace", "monitor", "rollout", "kghealth")
+_REMOVED_FLAGS = [
+    ("obs", "--chunk", "100"),
+    *[(drive, flag, "1") for drive in _DRIVES
+      for flag in ("--inter-arrival-ms", "--max-batch-size",
+                   "--max-batch-delay-s", "--max-queue-depth")],
+    ("cluster", "--verbose-metrics", None),
+    ("trace", "--warm-queries", "10"),
+    ("trace", "--slowest-k", "2"),
+    ("trace", "--window-s", "30"),
+    ("trace", "--head-every", "10"),
+    *[(drive, flag, "0.5") for drive in ("monitor", "rollout", "kghealth")
+      for flag in ("--scrape-interval-s", "--latency-slo-s")],
+]
+
+
+@pytest.mark.parametrize("command,flag,value", _REMOVED_FLAGS)
+def test_removed_flags_are_rejected(command, flag, value, capsys):
+    argv = [command, flag] + ([value] if value is not None else [])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert flag in capsys.readouterr().err
+
+
+def test_removed_flags_cover_all_twelve_names():
+    assert len({flag for _, flag, _ in _REMOVED_FLAGS}) == 12
+
+
+@pytest.mark.parametrize("argv,dest,value", [
+    (["obs", "--seed", "3", "--scale", "0.2", "--lm-epochs", "2", "--requests", "9",
+      "--out-trace", "t", "--out-metrics", "m"], "out_metrics", "m"),
+    (["cluster", "--seed", "3", "--replicas", "2", "--requests", "9",
+      "--n-queries", "5", "--fault-rate", "0.1", "--out-trace", "t",
+      "--out-metrics", "m"], "fault_rate", 0.1),
+    (["trace", "--seed", "3", "--replicas", "2", "--requests", "9",
+      "--n-queries", "5", "--fault-rate", "0.1", "--out-trace", "t",
+      "--out-summary", "s", "--out-events", "e"], "out_summary", "s"),
+    (["monitor", "--seed", "3", "--scenario", "clean", "--replicas", "2",
+      "--requests-per-phase", "9", "--n-queries", "5", "--out-timeline", "t",
+      "--out-alerts", "a", "--out-events", "e"], "scenario", "clean"),
+    (["rollout", "--seed", "3", "--scenario", "poisoned", "--replicas", "2",
+      "--requests-per-phase", "9", "--n-queries", "5", "--out-timeline", "t",
+      "--out-alerts", "a", "--out-events", "e"], "requests_per_phase", 9),
+    (["kghealth", "--seed", "3", "--scenario", "poisoned", "--replicas", "2",
+      "--requests-per-phase", "9", "--n-queries", "5", "--out-health", "h",
+      "--out-events", "e"], "out_health", "h"),
+])
+def test_kept_flags_still_parse(argv, dest, value):
+    args = build_parser().parse_args(argv)
+    assert getattr(args, dest) == value
+    assert args.seed == 3
+
+
+def test_scenario_defaults_are_unchanged():
+    parse = build_parser().parse_args
+    assert parse(["monitor"]).scenario == "chaos"
+    assert parse(["rollout"]).scenario == "healthy"
+    assert parse(["kghealth"]).scenario == "healthy"
+    assert (parse(["cluster"]).requests, parse(["cluster"]).n_queries) == (2000, 150)
+    assert parse(["trace"]).fault_rate == 0.15
+    assert [parse([drive]).requests_per_phase
+            for drive in ("monitor", "rollout", "kghealth")] == [600, 700, 500]

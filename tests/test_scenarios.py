@@ -1,0 +1,214 @@
+"""Scenario runner: the exit-code rule, and every expectation function
+both passes on the drive it belongs to and fails on one it must reject
+(so an expectation that silently returns ``[]`` is caught)."""
+
+import copy
+import functools
+
+import pytest
+
+from repro import scenarios
+from repro.cli import build_parser
+from repro.scenarios import Drive
+from repro.utils.rng import spawn_rng
+
+@functools.cache
+def _played(*argv: str) -> Drive:
+    """The drive state after ``repro.cli <argv>`` set up, played its
+    phases and rendered its artifacts (cached: tests only read a drive,
+    doctored copies are made with :func:`_doctored`)."""
+    args = build_parser().parse_args(list(argv))
+    scenario = scenarios.SCENARIOS[args.command]
+    drive, phases = scenario.setup(args)
+    drive.play(phases, spawn_rng(args.seed, f"{args.command}-traffic"),
+               end_of_day=scenario.end_of_day)
+    scenarios.write_artifacts(drive, scenario.artifacts, args)
+    return drive
+
+
+def _doctored(drive: Drive, key: str, edit) -> Drive:
+    """``drive`` with artifact ``key`` deep-copied and passed through ``edit``."""
+    artifacts = dict(drive.artifacts)
+    artifacts[key] = copy.deepcopy(artifacts[key])
+    edit(artifacts[key])
+    return Drive(cluster=drive.cluster, tracers=drive.tracers,
+                 injectors=drive.injectors, artifacts=artifacts)
+
+
+_CLUSTER = ("cluster", "--seed", "3", "--requests", "300", "--n-queries", "40",
+            "--fault-rate", "0.1")
+_TRACE = ("trace", "--seed", "5", "--replicas", "2", "--requests", "200",
+          "--n-queries", "60", "--fault-rate", "0.2")
+_MONITOR_CHAOS = ("monitor", "--seed", "0", "--scenario", "chaos")
+_MONITOR_CLEAN = ("monitor", "--seed", "0", "--scenario", "clean",
+                  "--requests-per-phase", "200")
+_ROLLOUT_HEALTHY = ("rollout", "--seed", "0", "--scenario", "healthy")
+_ROLLOUT_POISONED = ("rollout", "--seed", "0", "--scenario", "poisoned")
+_KGHEALTH = ("kghealth", "--seed", "0", "--replicas", "2", "--n-queries", "48",
+             "--requests-per-phase", "400", "--scenario")
+
+
+# -- the exit-code rule ----------------------------------------------------
+def test_exit_code_breach_wins_over_signal(capsys):
+    assert scenarios.exit_code("demo", [], signal=False) == 0
+    assert scenarios.exit_code("demo", [], signal=True) == 1
+    assert scenarios.exit_code("demo", ["broken"], signal=False) == 2
+    assert scenarios.exit_code("demo", ["broken"], signal=True) == 2
+    out = capsys.readouterr().out
+    assert out.count("demo invariants: OK") == 2
+    assert "demo invariants VIOLATED:\n  - broken" in out
+
+
+def test_check_accounting_needs_every_count_to_agree(capsys):
+    good = {"served_fresh": 3, "degraded_serves": 1, "fallbacks": 1,
+            "requests": 5, "handled": 5}
+    assert scenarios.check_accounting(good) == []
+    for key in ("requests", "handled"):
+        (failure,) = scenarios.check_accounting({**good, key: 6})
+        assert "request accounting violated" in failure
+    assert capsys.readouterr().out.count("VIOLATED") == 2
+
+
+def test_every_scenario_expectation_holds_on_its_own_drive():
+    # (The CLI tests assert the exit codes; this names the function when
+    # one of them regresses.)
+    own = {
+        ("cluster", ""): _CLUSTER,
+        ("trace", ""): _TRACE,
+        ("monitor", "chaos"): _MONITOR_CHAOS,
+        ("monitor", "clean"): _MONITOR_CLEAN,
+        ("rollout", "healthy"): _ROLLOUT_HEALTHY,
+        ("rollout", "poisoned"): _ROLLOUT_POISONED,
+        ("kghealth", "healthy"): _KGHEALTH + ("healthy",),
+        ("kghealth", "poisoned"): _KGHEALTH + ("poisoned",),
+    }
+    checked = set()
+    for command, scenario in scenarios.SCENARIOS.items():
+        for variant, expectations in scenario.expectations.items():
+            drive = _played(*own[command, variant])
+            for expectation in expectations:
+                assert expectation(drive) == [], expectation.__name__
+            checked.add((command, variant))
+    assert checked == set(own)
+
+
+# -- each expectation rejects the outcome it exists to catch ---------------
+@pytest.mark.parametrize("expectation,argv,complaint", [
+    (scenarios.expect_storm_alerts_resolve_and_correlate, _MONITOR_CLEAN,
+     "should fire at least one alert"),
+    (scenarios.expect_rollout_completes_quietly, _ROLLOUT_POISONED,
+     "missing event kind: rollout.complete"),
+    (scenarios.expect_rollback_and_redrive, _ROLLOUT_HEALTHY,
+     "missing event kind: rollout.rollback_start"),
+    (scenarios.expect_gate_promotes, _KGHEALTH + ("poisoned",),
+     "healthy gate must promote"),
+    (scenarios.expect_gate_blocks, _KGHEALTH + ("healthy",),
+     "poisoned gate must block"),
+])
+def test_outcome_expectations_fail_on_the_other_variant(expectation, argv, complaint):
+    failures = expectation(_played(*argv))
+    assert complaint in "\n".join(failures)
+
+
+def test_storm_expectation_names_each_missing_piece():
+    failures = scenarios.expect_storm_alerts_resolve_and_correlate(
+        _played(*_MONITOR_CLEAN))
+    assert {"fired alerts should resolve by end of recovery",
+            "resolved alerts should cross-reference events",
+            "missing event kind: breaker.open",
+            "missing event kind: router.drain"} <= set(failures)
+
+
+def test_rollout_expectations_flag_the_unexpected_event_too():
+    poisoned, healthy = _played(*_ROLLOUT_POISONED), _played(*_ROLLOUT_HEALTHY)
+    assert ("unexpected event kind: rollout.rollback_start"
+            in scenarios.expect_rollout_completes_quietly(poisoned))
+    assert ("unexpected event kind: rollout.complete"
+            in scenarios.expect_rollback_and_redrive(healthy))
+    assert ("unexpected event kind: rollout.start"
+            in scenarios.expect_gate_blocks(_played(*_KGHEALTH, "healthy")))
+    fired = _doctored(healthy, "alerts", lambda report: report.update(fired=True))
+    assert scenarios.expect_rollout_completes_quietly(fired) == [
+        "healthy rollout must not fire alerts"]
+
+
+def test_nested_pipeline_spans_expectation():
+    def span(name, parent_id):
+        return {"ph": "X", "name": name, "args": {"parent_id": parent_id}}
+
+    nested = Drive(artifacts={"trace": {"traceEvents": [
+        span("pipeline.run", -1), span("pipeline.teacher_generation", 0)]}})
+    assert scenarios.expect_nested_pipeline_spans(nested) == []
+    flat = Drive(artifacts={"trace": {"traceEvents": [span("serving.request", -1)]}})
+    assert scenarios.expect_nested_pipeline_spans(flat) == [
+        "missing pipeline root span", "no nested spans"]
+
+
+def test_cluster_expectation_misses_a_process_or_a_metric_family():
+    drive = _played(*_CLUSTER)
+
+    def drop_replica(trace):
+        trace["traceEvents"] = [
+            e for e in trace["traceEvents"]
+            if not (e["ph"] == "M" and e["args"]["name"] == "cluster-r1")]
+
+    def drop_family(snap):
+        snap["metrics"] = [m for m in snap["metrics"]
+                           if m["name"] != "cluster_failovers_total"]
+
+    expect = scenarios.expect_replica_processes_and_cluster_metrics
+    assert expect(_doctored(drive, "trace", drop_replica)) == [
+        "missing trace process: cluster-r1"]
+    assert expect(_doctored(drive, "metrics", drop_family)) == [
+        "missing metric family: cluster_failovers_total"]
+
+
+def test_connected_traces_expectation_rejects_each_broken_tree():
+    drive = _played(*_TRACE)
+    expect = scenarios.expect_connected_traces
+
+    def disconnect(summary):
+        summary["traces"][0]["connected"] = False
+
+    def unbalance(summary):
+        summary["traces"][0]["duration_s"] += 0.5
+
+    def all_fresh(summary):
+        for trace in summary["traces"]:
+            trace["outcome"] = "fresh"
+
+    def no_flows(trace):
+        trace["traceEvents"] = [e for e in trace["traceEvents"]
+                                if e["ph"] not in ("s", "f")]
+
+    first = drive.artifacts["summary"]["traces"][0]["trace_id"]
+    assert expect(_doctored(drive, "summary", disconnect)) == [
+        f"trace {first} is disconnected"]
+    (failure,) = expect(_doctored(drive, "summary", unbalance))
+    assert failure.startswith(f"trace {first}: stages do not sum")
+    assert expect(_doctored(drive, "summary", all_fresh)) == [
+        "fault injection produced no flagged trace"]
+    assert expect(_doctored(drive, "trace", no_flows)) == [
+        "no cross-tracer flow links in the Chrome trace"]
+    assert "no traces retained" in expect(
+        _doctored(drive, "summary", lambda summary: summary["traces"].clear()))
+    # Without fault injection an all-fresh trace mix is the expected one.
+    calm = _doctored(drive, "summary", all_fresh)
+    calm.injectors = []
+    assert expect(calm) == []
+
+
+def test_trace_ids_expectation_needs_exemplars_that_resolve():
+    drive = _played(*_TRACE)
+    expect = scenarios.expect_trace_ids_resolve
+    unresolved = _doctored(drive, "summary",
+                           lambda summary: summary["traces"].clear())
+    assert expect(unresolved) == ["no latency exemplar resolves to a retained trace"]
+    # A rig that never served a request has nothing to resolve at all.
+    idle, _ = scenarios.SCENARIOS["trace"].setup(
+        build_parser().parse_args(list(_TRACE)))
+    idle.artifacts["summary"] = {"traces": []}
+    assert expect(idle) == [
+        "latency histogram carries no exemplars",
+        "no latency exemplar resolves to a retained trace",
+        "no event carries a trace id"]
