@@ -30,8 +30,8 @@ from conftest import publish
 from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.obs import (WallProfiler, compute_kg_health, kg_health_report,
-                       validate_kg_health)
+from repro.obs import (KG_HEALTH_SCHEMA, WallProfiler, compute_kg_health,
+                       kg_health_report, validate)
 from repro.refresh import SnapshotQualityGate, SnapshotStore, build_snapshot
 from repro.reporting import Table
 
@@ -112,7 +112,7 @@ def test_kg_health_overhead(benchmark):
     assert parent_health.triples == len(parent_graph)
     assert child_health.triples == len(child_graph)
     doc = kg_health_report([parent_health, child_health], drift=[drift])
-    validate_kg_health(doc)
+    validate(KG_HEALTH_SCHEMA, doc)
     assert last.promote, f"healthy growth breached: {last.breaches}"
 
     table = Table("KG health overhead — snapshot build vs gate pass",

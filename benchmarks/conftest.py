@@ -16,7 +16,7 @@ import pytest
 
 from repro.behavior import WorldConfig
 from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
-from repro.obs import MetricsRegistry, snapshot, validate_snapshot
+from repro.obs import SNAPSHOT_SCHEMA, MetricsRegistry, snapshot, validate
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -59,7 +59,7 @@ def obs_registry(request):
     if not len(registry):
         return
     snap = snapshot(registry)
-    validate_snapshot(snap)
+    validate(SNAPSHOT_SCHEMA, snap)
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{request.node.name}.metrics.json"
     path.write_text(json.dumps(snap, sort_keys=True,

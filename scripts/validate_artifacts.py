@@ -1,24 +1,13 @@
 #!/usr/bin/env python
 """Schema-validate observability artifacts against their versioned schemas.
 
-One validator entry point for every ``repro.obs.*/v1`` artifact the CLI
-drives and benchmarks emit, so CI jobs call this once per job instead
-of re-growing per-job heredoc checks:
-
-* ``repro.obs.metrics/v1`` JSON snapshots (``validate_snapshot``)
-* ``repro.obs.timeseries/v1`` timelines (``validate_timeline``)
-* ``repro.obs.alerts/v1`` alert reports (``validate_alert_report``)
-* ``repro.obs.traces/v1`` trace summaries (``validate_trace_summary``)
-* ``repro.obs.kg_health/v1`` knowledge-health reports
-  (``validate_kg_health``)
-* ``repro.obs.events/v1`` JSONL event logs (``validate_events``)
-* Chrome trace-event JSON (``validate_chrome_trace``)
-
-JSON documents dispatch on their ``schema`` field (or the
-``traceEvents`` key for Chrome traces); ``.jsonl`` files are validated
-as event logs.  A file with no recognizable schema is a failure — an
-artifact a job emits but nothing validates is exactly the gap this
-script exists to close.
+One entry point for every artifact the CLI drives and benchmarks emit,
+so CI jobs call this once per job instead of re-growing per-job heredoc
+checks.  The schemas, and the rule that picks one for a file (``.jsonl``
+is an event log, a ``traceEvents`` key a Chrome trace, otherwise the
+``schema`` field), live in :mod:`repro.obs.artifacts`; a file with no
+recognizable schema is a failure — an artifact a job emits but nothing
+validates is exactly the gap this script exists to close.
 
 Usage::
 
@@ -30,55 +19,10 @@ Exits non-zero if any file fails; prints one line per file.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
-from repro.obs import (
-    ALERTS_SCHEMA,
-    KG_HEALTH_SCHEMA,
-    SNAPSHOT_SCHEMA,
-    TIMELINE_SCHEMA,
-    TRACES_SCHEMA,
-    validate_alert_report,
-    validate_chrome_trace,
-    validate_events,
-    validate_kg_health,
-    validate_snapshot,
-    validate_timeline,
-    validate_trace_summary,
-)
-
-#: schema id -> (label, validator over the parsed JSON payload)
-_VALIDATORS = {
-    SNAPSHOT_SCHEMA: ("metrics snapshot", validate_snapshot),
-    TIMELINE_SCHEMA: ("timeline", validate_timeline),
-    ALERTS_SCHEMA: ("alert report", validate_alert_report),
-    TRACES_SCHEMA: ("trace summary", validate_trace_summary),
-    KG_HEALTH_SCHEMA: ("kg health report", validate_kg_health),
-}
-
-
-def validate_file(path: pathlib.Path) -> str:
-    """Validate one artifact; returns its label or raises ValueError."""
-    text = path.read_text()
-    if path.suffix == ".jsonl":
-        validate_events(text)
-        return "event log"
-    payload = json.loads(text)
-    if isinstance(payload, dict) and "traceEvents" in payload:
-        validate_chrome_trace(payload)
-        return "chrome trace"
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    entry = _VALIDATORS.get(schema)
-    if entry is None:
-        raise ValueError(
-            f"unrecognized artifact schema {schema!r} — add its validator "
-            "to scripts/validate_artifacts.py"
-        )
-    label, validator = entry
-    validator(payload)
-    return label
+from repro.obs import dispatch
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,12 +34,12 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     for path in args.files:
         try:
-            label = validate_file(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            schema = dispatch(path.read_text(), jsonl=path.suffix == ".jsonl")
+        except (OSError, ValueError) as exc:
             failures += 1
             print(f"FAIL {path}: {exc}")
         else:
-            print(f"ok   {path} ({label})")
+            print(f"ok   {path} ({schema.label})")
     if failures:
         print(f"FAIL: {failures} of {len(args.files)} artifact(s) invalid")
         return 1

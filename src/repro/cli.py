@@ -200,27 +200,6 @@ def obs_drive(args: argparse.Namespace) -> int:
     return scenarios.exit_code("obs", failures, signal=False)
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.fix:
-        argv.append("--fix")
-    if args.no_cache:
-        argv.append("--no-cache")
-    elif args.cache is not None:
-        argv += ["--cache", args.cache]
-    if args.cache_stats:
-        argv.append("--cache-stats")
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    elif args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    return lint_main(argv)
-
-
 _OBS_ARTIFACTS = ("trace", "metrics")
 
 
@@ -296,28 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
         _add_artifact_flags(drive, scenario.artifacts)
         drive.set_defaults(func=functools.partial(scenarios.run_scenario, scenario))
 
-    lint = sub.add_parser(
-        "lint", help="run cosmolint, the repo's static invariant checker")
-    lint.add_argument("paths", nargs="*", default=["src", "benchmarks", "examples"],
-                      help="files or directories to lint")
-    lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    lint.add_argument("--fix", action="store_true",
-                      help="apply safe autofixes before linting")
-    lint.add_argument("--cache", metavar="PATH", default=None,
-                      help="analysis cache file (default .cosmolint-cache.json)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the incremental analysis cache")
-    lint.add_argument("--cache-stats", action="store_true",
-                      help="print cache hit/miss counts to stderr")
-    lint.add_argument("--baseline", metavar="PATH", default=None,
-                      help="baseline file of accepted findings")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file")
-    lint.set_defaults(func=cmd_lint)
+    # cosmolint owns its flags: ``main`` forwards everything after ``lint``.
+    sub.add_parser("lint", add_help=False,
+                   help="run cosmolint, the repo's static invariant checker")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     fault_rate = getattr(args, "fault_rate", 0.0)
     if not 0.0 <= fault_rate <= 1.0:

@@ -34,8 +34,8 @@ from repro.core.triples import BehaviorSample, KnowledgeCandidate, KnowledgeTrip
 from repro.embeddings.encoder import TextEncoder
 from repro.llm.interface import LatencyModel
 from repro.llm.teacher import TeacherLLM
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.metrics import MetricsRegistry  # cosmolint: disable=layering
+from repro.obs.tracing import Tracer  # cosmolint: disable=layering
 from repro.utils.rng import spawn_rng
 
 __all__ = ["PipelineConfig", "PipelineResult", "CosmoPipeline"]

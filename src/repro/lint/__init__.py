@@ -10,19 +10,12 @@ declared-architecture layering, import-cycle detection, and the
 dataflow contracts (RNG provenance, clock injection, registry
 injection).  See DESIGN.md, section "Static invariants".
 
-Unchanged files are replayed from a content-hash cache
-(``.cosmolint-cache.json``), accepted diagnostics live in a checked-in
-``lint-baseline.json``, reporters emit text, JSON or SARIF 2.1.0, and
-``--fix`` applies mechanical repairs for the autofixable rules.
-
 Run it with ``python -m repro.lint src benchmarks examples``,
 ``python -m repro.cli lint`` or the ``cosmolint`` console script;
-suppress a finding in place with ``# cosmolint: disable=rule-id``.
+reporters emit text or JSON.  The one way to accept a finding is in
+place, with ``# cosmolint: disable=rule-id`` on the offending line.
 """
 
-from repro.lint.autofix import fix_paths, fix_source
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import LintResult, iter_python_files, lint_paths, lint_source
 from repro.lint.project import ModuleSummary, ProjectContext, extract_summary
@@ -35,11 +28,8 @@ from repro.lint.registry import (
     rule_ids,
 )
 from repro.lint.reporters import format_json, format_text
-from repro.lint.sarif import format_sarif, validate_sarif
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
     "Diagnostic",
     "LintResult",
     "iter_python_files",
@@ -54,10 +44,6 @@ __all__ = [
     "all_rules",
     "register",
     "rule_ids",
-    "fix_paths",
-    "fix_source",
     "format_json",
     "format_text",
-    "format_sarif",
-    "validate_sarif",
 ]

@@ -4,20 +4,14 @@ Usage::
 
     python -m repro.lint src benchmarks examples
     python -m repro.lint --format json src
-    python -m repro.lint --sarif src          # SARIF 2.1.0 to stdout
-    python -m repro.lint --fix src            # apply mechanical autofixes
-    python -m repro.lint --no-cache src       # force a cold analysis
-    python -m repro.lint --write-baseline src # accept current diagnostics
+    python -m repro.lint --select layering,import-cycle src
     python -m repro.lint --list-rules
     python -m repro.cli lint src benchmarks examples
     cosmolint src benchmarks examples         # console-script entry point
 
-The incremental cache (default ``.cosmolint-cache.json``) replays
-unchanged files by content hash; ``--cache-stats`` prints hit/miss
-counts to *stderr* so reports on stdout stay byte-identical between
-cold and warm runs.  A checked-in ``lint-baseline.json`` (auto-loaded
-from the working directory, or ``--baseline PATH``) filters known,
-accepted diagnostics, so the exit code flags only *new* violations.
+A finding that is accepted on purpose is suppressed where it occurs with
+a ``# cosmolint: disable=rule-id`` comment (``grep -rn "cosmolint:"``
+lists every one); the summary line counts them.
 
 Exit codes: 0 — clean, 1 — diagnostics reported, 2 — usage error.
 """
@@ -25,21 +19,12 @@ Exit codes: 0 — clean, 1 — diagnostics reported, 2 — usage error.
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-from repro.lint.autofix import fix_paths
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache
 from repro.lint.engine import lint_paths
-from repro.lint.registry import all_rules, rule_ids
+from repro.lint.registry import rule_ids
 from repro.lint.reporters import format_json, format_rule_listing, format_text
-from repro.lint.sarif import format_sarif
 
-__all__ = ["build_parser", "main", "DEFAULT_CACHE", "DEFAULT_BASELINE"]
-
-DEFAULT_CACHE = ".cosmolint-cache.json"
-DEFAULT_BASELINE = "lint-baseline.json"
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,30 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("paths", nargs="*", default=["src", "benchmarks", "examples"],
                         help="files or directories to lint (default: src benchmarks examples)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"), default="text",
+    parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default: text)")
-    parser.add_argument("--sarif", action="store_const", const="sarif", dest="format",
-                        help="shorthand for --format sarif")
     parser.add_argument("--select", default="",
                         help="comma-separated rule ids to run (default: all)")
     parser.add_argument("--ignore", default="",
                         help="comma-separated rule ids to skip")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical autofixes (mutable-default, "
-                             "float-equality) before linting")
-    parser.add_argument("--cache", default=DEFAULT_CACHE, metavar="PATH",
-                        help=f"incremental analysis cache file (default: {DEFAULT_CACHE})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache (force cold analysis)")
-    parser.add_argument("--cache-stats", action="store_true",
-                        help="print cache hit/miss counts to stderr")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="accepted-diagnostics file (default: "
-                             f"{DEFAULT_BASELINE} when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current diagnostics to the baseline file and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule set and exit")
     return parser
@@ -88,22 +55,6 @@ def _parse_rule_set(raw: str, parser: argparse.ArgumentParser) -> set[str] | Non
     return names
 
 
-def _resolve_baseline(args: argparse.Namespace,
-                      parser: argparse.ArgumentParser) -> Baseline | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        try:
-            return Baseline.load(args.baseline)
-        except FileNotFoundError:
-            parser.error(f"baseline file not found: {args.baseline}")
-        except ValueError as error:
-            parser.error(str(error))
-    if Path(DEFAULT_BASELINE).exists():
-        return Baseline.load(DEFAULT_BASELINE)
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -112,45 +63,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     select = _parse_rule_set(args.select, parser)
     ignore = _parse_rule_set(args.ignore, parser)
-
-    if args.fix:
-        try:
-            fix_report = fix_paths(args.paths, select=select)
-        except FileNotFoundError as error:
-            print(f"error: {error}")
-            return 2
-        print(f"fixed {fix_report.fixes} finding(s) in "
-              f"{fix_report.files_changed} file(s)", file=sys.stderr)
-
-    cache = None
-    if not args.no_cache:
-        file_rule_ids = [cls.id for cls in all_rules() if cls.scope == "file"
-                         and (select is None or cls.id in select)
-                         and (ignore is None or cls.id not in ignore)]
-        cache = AnalysisCache(args.cache, file_rule_ids)
-    baseline = None if args.write_baseline else _resolve_baseline(args, parser)
-
     try:
-        result = lint_paths(args.paths, select=select, ignore=ignore,
-                            cache=cache, baseline=baseline)
+        result = lint_paths(args.paths, select=select, ignore=ignore)
     except FileNotFoundError as error:
         print(f"error: {error}")
         return 2
-
-    if args.cache_stats and cache is not None:
-        print(f"cosmolint cache: {result.cache_hits} hit(s), "
-              f"{result.cache_misses} miss(es) ({args.cache})", file=sys.stderr)
-
-    if args.write_baseline:
-        target = args.baseline if args.baseline is not None else DEFAULT_BASELINE
-        count = Baseline.write(target, result.diagnostics)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {target}", file=sys.stderr)
-        return 0
-
-    formatter = {"json": format_json, "sarif": format_sarif}.get(args.format)
-    if formatter is not None:
-        print(formatter(result))
-    else:
-        print(format_text(result))
+    print(format_json(result) if args.format == "json" else format_text(result))
     return 0 if result.ok else 1

@@ -1,14 +1,12 @@
 """The cosmolint engine: collect files, run rules, apply suppressions.
 
 Linting is two-phase.  Phase one runs the file-scope rules over each
-module's AST and extracts a :class:`~repro.lint.project.ModuleSummary`;
-both are cached per content hash, so a warm run replays unchanged files
-without parsing.  Phase two assembles the summaries into a
+module's AST and extracts a :class:`~repro.lint.project.ModuleSummary`
+from the same parse.  Phase two assembles the summaries into a
 :class:`~repro.lint.project.ProjectContext` and runs the project-scope
 rules (layering, cycles, cross-module dataflow contracts) over the whole
 program.  Diagnostics from both phases share one suppression syntax and
-one deterministic sort order, so reports are byte-identical regardless
-of cache state.
+one deterministic sort order.
 
 The engine is pure — it reads files and returns a :class:`LintResult`;
 reporters render it and the CLI maps it to an exit code.  ``lint_source``
@@ -24,8 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache, content_hash
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.project import (
     ModuleSummary,
@@ -57,9 +53,6 @@ class LintResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
@@ -69,7 +62,6 @@ class LintResult:
         self.diagnostics.extend(other.diagnostics)
         self.files_checked += other.files_checked
         self.suppressed += other.suppressed
-        self.baselined += other.baselined
 
     def finalize(self) -> "LintResult":
         self.diagnostics.sort(key=Diagnostic.sort_key)
@@ -186,9 +178,6 @@ def lint_paths(
     paths: Iterable[str | Path],
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    *,
-    cache: AnalysisCache | None = None,
-    baseline: Baseline | None = None,
 ) -> LintResult:
     """Lint every Python file under ``paths`` with both rule phases."""
     keep = make_filter(select, ignore)
@@ -201,27 +190,14 @@ def lint_paths(
     result = LintResult()
     summaries: list[ModuleSummary] = []
 
-    # Phase one: per-file rules + summary extraction (cache-replayable).
+    # Phase one: per-file rules + summary extraction from one parse.
     for path in iter_python_files(paths):
         display_path = str(path)
         source = path.read_text(encoding="utf-8")
-        siblings = _sibling_modules(path)
-        file_hash = content_hash(source, siblings)
-        cached = cache.lookup(display_path, file_hash) if cache is not None else None
-        if cached is not None:
-            diagnostics, suppressed, summary = cached
-            file_result = LintResult(
-                diagnostics=list(diagnostics), files_checked=1, suppressed=suppressed
-            )
-        else:
-            context = _build_context(path, display_path, source, siblings)
-            file_result, tree, suppressions = _lint_context(context, file_rule_classes)
-            summary = _summarize(tree, path, display_path, suppressions)
-            if cache is not None:
-                cache.store(display_path, file_hash, file_result.diagnostics,
-                            file_result.suppressed, summary)
+        context = _build_context(path, display_path, source, _sibling_modules(path))
+        file_result, tree, suppressions = _lint_context(context, file_rule_classes)
         result.extend(file_result)
-        summaries.append(summary)
+        summaries.append(_summarize(tree, path, display_path, suppressions))
 
     # Phase two: whole-program rules over the assembled summaries.
     project = ProjectContext(summaries)
@@ -234,17 +210,4 @@ def lint_paths(
             else:
                 result.diagnostics.append(diagnostic)
 
-    if baseline is not None:
-        fresh = []
-        for diagnostic in result.diagnostics:
-            if baseline.matches(diagnostic):
-                result.baselined += 1
-            else:
-                fresh.append(diagnostic)
-        result.diagnostics = fresh
-
-    if cache is not None:
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-        cache.save()
     return result.finalize()

@@ -1,9 +1,8 @@
 """Whole-program analysis: module summaries, import graph, symbol table.
 
-The project phase parses every file once (or replays a cached
-:class:`ModuleSummary` when the content hash is unchanged) and hands the
-assembled :class:`ProjectContext` to the project-scope rules.  A summary
-is a deliberately small, JSON-serializable extract of one module:
+The project phase parses every file once and hands the assembled
+:class:`ProjectContext` to the project-scope rules.  A summary is a
+deliberately small extract of one module:
 
 * **imports** — every ``import``/``from`` statement with its source
   location, feeding the layering and cycle rules;
@@ -20,9 +19,8 @@ is a deliberately small, JSON-serializable extract of one module:
   project-level diagnostics honor the same suppression syntax as
   file-level ones.
 
-Because project rules consume summaries only — never raw ASTs — a warm
-cached run skips parsing entirely while cross-module analysis still
-sees the complete program.
+Project rules consume summaries only — never raw ASTs — so each one
+reads the whole program as plain data.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 __all__ = [
     "ImportMap",
@@ -95,15 +93,6 @@ class ImportRecord:
     target: str  # the module named in the statement
     names: tuple[str, ...] = ()  # imported names ("from" form only)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"line": self.line, "col": self.col, "target": self.target,
-                "names": list(self.names)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ImportRecord":
-        return cls(payload["line"], payload["col"], payload["target"],
-                   tuple(payload["names"]))
-
 
 @dataclass(frozen=True)
 class SymbolInfo:
@@ -115,17 +104,6 @@ class SymbolInfo:
     params: tuple[str, ...] = ()
     annotations: tuple[str, ...] = ()  # aligned with params; "" when absent
     has_params: bool = True  # False: parameter list unknown (e.g. inherited __init__)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": self.kind, "line": self.line,
-                "params": list(self.params), "annotations": list(self.annotations),
-                "has_params": self.has_params}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SymbolInfo":
-        return cls(payload["name"], payload["kind"], payload["line"],
-                   tuple(payload["params"]), tuple(payload["annotations"]),
-                   payload["has_params"])
 
     def rng_params(self) -> list[tuple[int, str]]:
         """``(index, name)`` of parameters that expect an RNG stream."""
@@ -152,15 +130,6 @@ class ArgRecord:
     line: int
     col: int
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"slot": self.slot, "keyword": self.keyword, "kind": self.kind,
-                "detail": self.detail, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ArgRecord":
-        return cls(payload["slot"], payload["keyword"], payload["kind"],
-                   payload["detail"], payload["line"], payload["col"])
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -172,17 +141,6 @@ class CallSite:
     args: tuple[ArgRecord, ...]
     positional_reliable: bool  # False when *args makes slots ambiguous
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"line": self.line, "col": self.col, "callee": self.callee,
-                "args": [arg.as_dict() for arg in self.args],
-                "positional_reliable": self.positional_reliable}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "CallSite":
-        return cls(payload["line"], payload["col"], payload["callee"],
-                   tuple(ArgRecord.from_dict(a) for a in payload["args"]),
-                   payload["positional_reliable"])
-
 
 @dataclass(frozen=True)
 class CtorSite:
@@ -192,15 +150,6 @@ class CtorSite:
     col: int
     name: str  # resolved dotted callee, e.g. repro.serving.clock.SimClock
     injected_fallback: bool  # inside `x or C()` / `x if ... else C()`
-
-    def as_dict(self) -> dict[str, Any]:
-        return {"line": self.line, "col": self.col, "name": self.name,
-                "injected_fallback": self.injected_fallback}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "CtorSite":
-        return cls(payload["line"], payload["col"], payload["name"],
-                   payload["injected_fallback"])
 
 
 #: Leaf class names whose construction sites are summarized for the
@@ -237,36 +186,6 @@ class ModuleSummary:
             if rule in active or "all" in active:
                 return True
         return False
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imports": [record.as_dict() for record in self.imports],
-            "symbols": {name: info.as_dict() for name, info in sorted(self.symbols.items())},
-            "exports": dict(sorted(self.exports.items())),
-            "calls": [site.as_dict() for site in self.calls],
-            "ctors": [site.as_dict() for site in self.ctors],
-            "suppress_file": sorted(self.suppress_file),
-            "suppress_lines": {str(line): sorted(rules)
-                               for line, rules in sorted(self.suppress_lines.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=payload["module"],
-            path=payload["path"],
-            imports=tuple(ImportRecord.from_dict(r) for r in payload["imports"]),
-            symbols={name: SymbolInfo.from_dict(info)
-                     for name, info in payload["symbols"].items()},
-            exports=dict(payload["exports"]),
-            calls=tuple(CallSite.from_dict(s) for s in payload["calls"]),
-            ctors=tuple(CtorSite.from_dict(s) for s in payload["ctors"]),
-            suppress_file=tuple(payload["suppress_file"]),
-            suppress_lines={int(line): tuple(rules)
-                            for line, rules in payload["suppress_lines"].items()},
-        )
 
 
 def module_name_for(path: Path) -> str:
@@ -443,7 +362,7 @@ class _SummaryVisitor(ast.NodeVisitor):
         # Only provably-suspicious expressions are summarized: numeric
         # literals (a seed where a Generator belongs) and inline RNG
         # constructions.  Everything else is unknown and never flagged,
-        # which also keeps summaries (and the cache) small.
+        # which also keeps summaries small.
         if isinstance(expr, ast.Constant):
             if not isinstance(expr.value, (int, float)) or isinstance(expr.value, bool):
                 return None

@@ -9,9 +9,8 @@ RNG provenance, clock/registry injection — are checked.  Both kinds are
 decorated with :func:`register` and share one id namespace, so
 ``--select`` / ``--ignore`` and suppression comments treat them
 uniformly.  Rules declare a stable ``id`` (used in reporter output and
-suppression comments), a one-line ``summary``, the ``invariant`` they
-guard, and whether ``--fix`` can repair them (``autofixable``);
-``applies_to`` scopes a file rule to part of the tree.
+suppression comments), a one-line ``summary`` and the ``invariant`` they
+guard; ``applies_to`` scopes a file rule to part of the tree.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ class LintRule(ast.NodeVisitor):
     #: ``"file"`` rules visit one module's AST; ``"project"`` rules see the
     #: whole-program context (set by :class:`ProjectRule`).
     scope: ClassVar[str] = "file"
-    #: Whether ``--fix`` (repro.lint.autofix) can mechanically repair
-    #: this rule's findings.
-    autofixable: ClassVar[bool] = False
 
     def __init__(self, context: FileContext):
         self.context = context
@@ -101,16 +97,13 @@ class ProjectRule:
 
     A project rule never touches raw ASTs: it consumes the
     :class:`~repro.lint.project.ProjectContext` built from per-module
-    summaries, which is what lets the incremental cache replay unchanged
-    files without re-parsing while cross-module rules still see the
-    complete picture.
+    summaries.
     """
 
     id: ClassVar[str] = ""
     summary: ClassVar[str] = ""
     invariant: ClassVar[str] = ""
     scope: ClassVar[str] = "project"
-    autofixable: ClassVar[bool] = False
 
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []

@@ -1,9 +1,8 @@
 """Render a :class:`~repro.lint.engine.LintResult` for humans or machines.
 
-Three formats: ``text`` (one line per diagnostic plus a summary),
-``json`` (versioned payload, stable key order) and ``sarif`` (SARIF
-2.1.0, in :mod:`repro.lint.sarif`).  All three are deterministic given
-the same diagnostics, so cold and warm (cached) runs are byte-identical.
+Two formats: ``text`` (one line per diagnostic plus a summary) and
+``json`` (versioned payload, stable key order).  Both are deterministic
+given the same diagnostics.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ from repro.lint.registry import all_rules
 
 __all__ = ["format_text", "format_json", "format_rule_listing", "REPORT_VERSION"]
 
-REPORT_VERSION = 2
-
-
-def _counts(result: LintResult) -> str:
-    counts = f"{result.suppressed} suppressed"
-    if result.baselined:
-        counts += f", {result.baselined} baselined"
-    return counts
+REPORT_VERSION = 3
 
 
 def format_text(result: LintResult) -> str:
@@ -31,10 +23,11 @@ def format_text(result: LintResult) -> str:
     noun = "problem" if len(result.diagnostics) == 1 else "problems"
     summary = (
         f"{len(result.diagnostics)} {noun} in {result.files_checked} files"
-        f" ({_counts(result)})"
+        f" ({result.suppressed} suppressed)"
     )
     if result.ok:
-        summary = f"ok: {result.files_checked} files, 0 problems ({_counts(result)})"
+        summary = (f"ok: {result.files_checked} files, 0 problems "
+                   f"({result.suppressed} suppressed)")
     lines.append(summary)
     return "\n".join(lines)
 
@@ -45,7 +38,6 @@ def format_json(result: LintResult) -> str:
         "version": REPORT_VERSION,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "diagnostics": [diagnostic.as_dict() for diagnostic in result.diagnostics],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -55,10 +47,7 @@ def format_rule_listing() -> str:
     """The ``--list-rules`` output: id, scope, summary and guarded invariant."""
     lines: list[str] = []
     for rule_class in all_rules():
-        tags = rule_class.scope
-        if rule_class.autofixable:
-            tags += ", autofixable"
-        lines.append(f"{rule_class.id} [{tags}]")
+        lines.append(f"{rule_class.id} [{rule_class.scope}]")
         lines.append(f"    {rule_class.summary}")
         lines.append(f"    guards: {rule_class.invariant}")
     return "\n".join(lines)

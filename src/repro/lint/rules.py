@@ -143,7 +143,6 @@ class MutableDefaultRule(LintRule):
     id = "mutable-default"
     summary = "no mutable default argument values"
     invariant = "no state shared across calls through default arguments"
-    autofixable = True
 
     _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
     _MUTABLE_LITERALS = (
@@ -237,7 +236,6 @@ class FloatEqualityRule(LintRule):
     id = "float-equality"
     summary = "metrics code must not compare floats with == / !="
     invariant = "metric thresholds stable under floating-point rounding"
-    autofixable = True
 
     @classmethod
     def applies_to(cls, context: FileContext) -> bool:

@@ -26,15 +26,20 @@ discipline to the data the system serves:
 
 * :mod:`repro.obs.kg_health` — per-snapshot :class:`KgHealthReport`
   computed in one vectorized pass over the KG's columnar arrays, with a
-  ``repro.obs.kg_health/v1`` export + validator;
+  ``repro.obs.kg_health/v1`` export;
 * :mod:`repro.obs.drift` — parent→child distribution-shift scoring
   (Jensen–Shannon mixes, critic-score shift, edge churn) under
   declarative :class:`DriftRule` thresholds.
 
-Exporters live in :mod:`repro.obs.export` (text, JSON snapshot with a
-validating schema, Prometheus exposition format).
+Exporters live in :mod:`repro.obs.export` (text, JSON snapshot,
+Prometheus exposition format).  Every versioned artifact's shape is one
+declared table beside its renderer, checked by the single walker in
+:mod:`repro.obs.schema`; :mod:`repro.obs.artifacts` is the registry
+(:func:`validate` for a known schema id, :func:`dispatch` for a file of
+unknown kind).
 """
 
+from repro.obs.artifacts import SCHEMAS, dispatch, validate
 from repro.obs.drift import (
     DriftBreach,
     DriftReport,
@@ -48,14 +53,12 @@ from repro.obs.events import (
     Event,
     EventLog,
     render_events,
-    validate_events,
 )
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
     render_prometheus,
     render_text,
     snapshot,
-    validate_snapshot,
 )
 from repro.obs.kg_health import (
     KG_HEALTH_SCHEMA,
@@ -66,7 +69,6 @@ from repro.obs.kg_health import (
     funnel_from_registry,
     kg_health_report,
     publish_kg_health,
-    validate_kg_health,
 )
 from repro.obs.slo import (
     ALERTS_SCHEMA,
@@ -76,14 +78,12 @@ from repro.obs.slo import (
     SloEvaluator,
     SloSpec,
     alert_report,
-    validate_alert_report,
 )
 from repro.obs.timeseries import (
     TIMELINE_SCHEMA,
     Series,
     TimeSeriesCollector,
     timeline,
-    validate_timeline,
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -102,19 +102,22 @@ from repro.obs.trace_query import (
     TraceNode,
     stage_for,
     trace_summary,
-    validate_trace_summary,
 )
 from repro.obs.tracing import (
+    CHROME_TRACE_SCHEMA,
     TRACE_ID_ATTR,
     Span,
     TraceContext,
     Tracer,
     chrome_trace,
     make_trace_id,
-    validate_chrome_trace,
 )
 
 __all__ = [
+    "SCHEMAS",
+    "dispatch",
+    "validate",
+    "CHROME_TRACE_SCHEMA",
     "DEFAULT_LATENCY_BUCKETS_S",
     "Counter",
     "Gauge",
@@ -127,7 +130,6 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "make_trace_id",
-    "validate_chrome_trace",
     "TailSampler",
     "TRACES_SCHEMA",
     "PathStep",
@@ -135,24 +137,20 @@ __all__ = [
     "TraceNode",
     "stage_for",
     "trace_summary",
-    "validate_trace_summary",
     "SNAPSHOT_SCHEMA",
     "snapshot",
     "render_text",
     "render_prometheus",
-    "validate_snapshot",
     "WallProfiler",
     "wall_now",
     "EVENTS_SCHEMA",
     "Event",
     "EventLog",
     "render_events",
-    "validate_events",
     "TIMELINE_SCHEMA",
     "Series",
     "TimeSeriesCollector",
     "timeline",
-    "validate_timeline",
     "ALERTS_SCHEMA",
     "Alert",
     "BurnRateRule",
@@ -160,7 +158,6 @@ __all__ = [
     "SloSpec",
     "SloEvaluator",
     "alert_report",
-    "validate_alert_report",
     "KG_HEALTH_SCHEMA",
     "DegreeSummary",
     "ScoreHistogram",
@@ -169,7 +166,6 @@ __all__ = [
     "publish_kg_health",
     "funnel_from_registry",
     "kg_health_report",
-    "validate_kg_health",
     "DriftRule",
     "DriftBreach",
     "DriftReport",

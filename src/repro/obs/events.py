@@ -31,9 +31,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+from repro.obs.schema import (
+    COUNT, NON_NEGATIVE, POSITIVE_INT, SCALAR, STRING, Leaf, ListOf, MapOf,
+    Obj, Schema, fail, one_of,
+)
 from repro.obs.tracing import TRACE_ID_ATTR
 
-__all__ = ["EVENTS_SCHEMA", "Event", "EventLog", "render_events", "validate_events"]
+__all__ = ["SCHEMA", "EVENTS_SCHEMA", "Event", "EventLog", "render_events"]
 
 EVENTS_SCHEMA = "repro.obs.events/v1"
 
@@ -188,65 +192,45 @@ def render_events(log: EventLog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fail(where: str, message: str) -> None:
-    raise ValueError(f"invalid event log at {where}: {message}")
-
-
-def validate_events(text: str) -> list[dict]:
-    """Validate a ``repro.obs.events/v1`` JSONL document.
-
-    Raises :class:`ValueError` on any structural violation; returns the
-    parsed event dicts so callers (the CI smoke job, tests) can assert
-    on content without re-parsing.
-    """
+def _parse(text: str) -> dict:
+    """JSONL text -> ``{"header": {...}, "events": [...]}``, the document
+    the table describes (and error paths name)."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
-        _fail("header", "document is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as error:
-        raise ValueError(f"invalid event log at header: {error}") from error
-    if not isinstance(header, dict) or header.get("schema") != EVENTS_SCHEMA:
-        _fail("header.schema",
-              f"expected {EVENTS_SCHEMA!r}, got {header.get('schema')!r}"
-              if isinstance(header, dict) else "header must be an object")
-    for key in ("events", "emitted", "dropped"):
-        value = header.get(key)
-        if not isinstance(value, int) or value < 0:
-            _fail(f"header.{key}", "expected a non-negative integer")
-    body = lines[1:]
-    if header["events"] != len(body):
-        _fail("header.events",
-              f"header says {header['events']} events, found {len(body)} lines")
-    if header["emitted"] != header["events"] + header["dropped"]:
-        _fail("header.emitted", "emitted must equal events + dropped")
-    events: list[dict] = []
-    previous_id = 0
-    for index, line in enumerate(body):
-        where = f"events[{index}]"
+        fail("header", "document is empty")
+    records = []
+    for index, line in enumerate(lines):
         try:
-            event = json.loads(line)
+            records.append(json.loads(line))
         except json.JSONDecodeError as error:
-            raise ValueError(f"invalid event log at {where}: {error}") from error
-        if not isinstance(event, dict):
-            _fail(where, "expected an object")
-        event_id = event.get("event_id")
-        if not isinstance(event_id, int) or event_id <= previous_id:
-            _fail(f"{where}.event_id", "ids must be strictly increasing integers")
-        previous_id = event_id
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-            _fail(f"{where}.ts", "expected a non-negative number")
-        kind = event.get("kind")
-        if not isinstance(kind, str) or not _KIND_RE.match(kind):
-            _fail(f"{where}.kind", f"expected a dotted lowercase kind, got {kind!r}")
-        if not isinstance(event.get("component"), str):
-            _fail(f"{where}.component", "expected a string")
-        attrs = event.get("attrs")
-        if not isinstance(attrs, dict):
-            _fail(f"{where}.attrs", "expected an object")
-        for key, value in attrs.items():
-            if not isinstance(value, (str, int, float, bool)):
-                _fail(f"{where}.attrs[{key!r}]", "attribute values must be scalars")
-        events.append(event)
-    return events
+            fail(f"events[{index - 1}]" if index else "header", str(error))
+    return {"header": records[0], "events": records[1:]}
+
+
+_TABLE = Obj({
+    "header": Obj({"schema": one_of(EVENTS_SCHEMA), "events": COUNT,
+                   "emitted": COUNT, "dropped": COUNT}),
+    "events": ListOf(Obj({
+        "event_id": POSITIVE_INT, "ts": NON_NEGATIVE,
+        "kind": Leaf("a dotted lowercase kind",
+                     lambda v: isinstance(v, str) and bool(_KIND_RE.match(v))),
+        "component": STRING, "attrs": MapOf(SCALAR),
+    })),
+})
+
+
+def _cross_check(document: Mapping) -> None:
+    header, events = document["header"], document["events"]
+    if header["events"] != len(events):
+        fail("header.events", f"header says {header['events']} events, "
+             f"found {len(events)} lines")
+    if header["emitted"] != header["events"] + header["dropped"]:
+        fail("header.emitted", "emitted must equal events + dropped")
+    previous_id = 0
+    for index, event in enumerate(events):
+        if event["event_id"] <= previous_id:
+            fail(f"events[{index}].event_id", "ids must be strictly increasing")
+        previous_id = event["event_id"]
+
+
+SCHEMA = Schema(EVENTS_SCHEMA, "event log", _TABLE, _cross_check, parse=_parse)

@@ -1,10 +1,11 @@
 """Registry exporters: JSON snapshot, text rendering, Prometheus text.
 
 The JSON snapshot is the machine-readable contract (schema id
-``repro.obs.metrics/v1``) the CI obs-smoke step and the benchmark
-conftest validate against via :func:`validate_snapshot`; it is fully
-deterministic for deterministic metric values (families sorted by name,
-samples sorted by label values, no timestamps).
+``repro.obs.metrics/v1``, table and cross-field checks in
+:data:`SCHEMA`) the CI obs-smoke step and the benchmark conftest
+validate against; it is fully deterministic for deterministic metric
+values (families sorted by name, samples sorted by label values, no
+timestamps).
 """
 
 from __future__ import annotations
@@ -13,18 +14,20 @@ import math
 from typing import Mapping
 
 from repro.obs.metrics import Histogram, MetricFamily, MetricsRegistry
+from repro.obs.schema import (
+    BUCKET_BOUND, COUNT, NAME, NUMBER, STRING, ListOf, MapOf, Obj, Schema,
+    Tagged, check_buckets, fail, one_of,
+)
 
 __all__ = [
+    "SCHEMA",
     "SNAPSHOT_SCHEMA",
     "snapshot",
     "render_text",
     "render_prometheus",
-    "validate_snapshot",
 ]
 
 SNAPSHOT_SCHEMA = "repro.obs.metrics/v1"
-
-_KINDS = ("counter", "gauge", "histogram")
 
 
 def _bound_repr(bound: float) -> str | float:
@@ -142,86 +145,40 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fail(where: str, message: str) -> None:
-    raise ValueError(f"invalid metrics snapshot at {where}: {message}")
+_BUCKET = Obj({"le": BUCKET_BOUND, "count": COUNT},
+              optional={"exemplar": Obj({"trace_id": NAME, "value": NUMBER})})
+_VALUE_SAMPLE = Obj({"labels": MapOf(STRING), "value": NUMBER})
+_HISTOGRAM_SAMPLE = Obj({
+    "labels": MapOf(STRING), "count": COUNT, "sum": NUMBER, "min": NUMBER,
+    "max": NUMBER, "p50": NUMBER, "p99": NUMBER,
+    "buckets": ListOf(_BUCKET, min_len=1),
+})
 
 
-def _check_number(where: str, value: object) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(where, f"expected a number, got {type(value).__name__}")
+def _family(kind: str, sample: Obj) -> Obj:
+    return Obj({"name": NAME, "kind": one_of(kind), "help": STRING,
+                "labelnames": ListOf(NAME), "samples": ListOf(sample)})
 
 
-def validate_snapshot(payload: object) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro.obs.metrics/v1`` snapshot schema produced by :func:`snapshot`."""
-    if not isinstance(payload, Mapping):
-        raise ValueError("snapshot must be a JSON object")
-    if payload.get("schema") != SNAPSHOT_SCHEMA:
-        _fail("schema", f"expected {SNAPSHOT_SCHEMA!r}, got {payload.get('schema')!r}")
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, list):
-        _fail("metrics", "expected a list")
-    for m_index, metric in enumerate(metrics):
-        where = f"metrics[{m_index}]"
-        if not isinstance(metric, Mapping):
-            _fail(where, "expected an object")
-        name = metric.get("name")
-        if not isinstance(name, str) or not name:
-            _fail(f"{where}.name", "expected a non-empty string")
-        kind = metric.get("kind")
-        if kind not in _KINDS:
-            _fail(f"{where}.kind", f"expected one of {_KINDS}, got {kind!r}")
-        if not isinstance(metric.get("labelnames"), list):
-            _fail(f"{where}.labelnames", "expected a list")
-        samples = metric.get("samples")
-        if not isinstance(samples, list):
-            _fail(f"{where}.samples", "expected a list")
-        for s_index, sample in enumerate(samples):
-            s_where = f"{where}.samples[{s_index}]"
-            if not isinstance(sample, Mapping):
-                _fail(s_where, "expected an object")
-            labels = sample.get("labels")
-            if not isinstance(labels, Mapping):
-                _fail(f"{s_where}.labels", "expected an object")
-            if sorted(labels) != sorted(metric["labelnames"]):
-                _fail(f"{s_where}.labels", "label keys must match labelnames")
-            if kind == "histogram":
-                _validate_histogram_sample(s_where, sample)
-            else:
-                _check_number(f"{s_where}.value", sample.get("value"))
+_TABLE = Obj({
+    "schema": one_of(SNAPSHOT_SCHEMA),
+    "metrics": ListOf(Tagged("kind", {
+        "counter": _family("counter", _VALUE_SAMPLE),
+        "gauge": _family("gauge", _VALUE_SAMPLE),
+        "histogram": _family("histogram", _HISTOGRAM_SAMPLE),
+    })),
+})
 
 
-def _validate_histogram_sample(where: str, sample: Mapping) -> None:
-    for key in ("sum", "min", "max", "p50", "p99"):
-        _check_number(f"{where}.{key}", sample.get(key))
-    count = sample.get("count")
-    if not isinstance(count, int) or count < 0:
-        _fail(f"{where}.count", "expected a non-negative integer")
-    buckets = sample.get("buckets")
-    if not isinstance(buckets, list) or not buckets:
-        _fail(f"{where}.buckets", "expected a non-empty list")
-    previous = 0
-    for b_index, bucket in enumerate(buckets):
-        b_where = f"{where}.buckets[{b_index}]"
-        if not isinstance(bucket, Mapping):
-            _fail(b_where, "expected an object")
-        bucket_count = bucket.get("count")
-        if not isinstance(bucket_count, int) or bucket_count < previous:
-            _fail(f"{b_where}.count", "bucket counts must be non-decreasing integers")
-        previous = bucket_count
-        le = bucket.get("le")
-        if le != "+Inf":
-            _check_number(f"{b_where}.le", le)
-        exemplar = bucket.get("exemplar")
-        if exemplar is not None:
-            if not isinstance(exemplar, Mapping):
-                _fail(f"{b_where}.exemplar", "expected an object")
-            trace_id = exemplar.get("trace_id")
-            if not isinstance(trace_id, str) or not trace_id:
-                _fail(f"{b_where}.exemplar.trace_id",
-                      "expected a non-empty string")
-            _check_number(f"{b_where}.exemplar.value", exemplar.get("value"))
-    if buckets[-1].get("le") != "+Inf":
-        _fail(f"{where}.buckets", "last bucket must be the +Inf overflow bucket")
-    if previous != count:
-        _fail(f"{where}.buckets", "cumulative bucket count must equal sample count")
+def _cross_check(payload: Mapping) -> None:
+    for m_index, metric in enumerate(payload["metrics"]):
+        for s_index, sample in enumerate(metric["samples"]):
+            where = f"metrics[{m_index}].samples[{s_index}]"
+            if sorted(sample["labels"]) != sorted(metric["labelnames"]):
+                fail(f"{where}.labels", "label keys must match labelnames")
+            if metric["kind"] == "histogram":
+                check_buckets(f"{where}.buckets", sample["buckets"],
+                              sample["count"])
+
+
+SCHEMA = Schema(SNAPSHOT_SCHEMA, "metrics snapshot", _TABLE, _cross_check)

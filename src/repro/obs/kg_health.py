@@ -20,8 +20,8 @@ calls here):
 Reports publish into the shared
 :class:`~repro.obs.metrics.MetricsRegistry` as labeled gauges and
 export as a byte-deterministic ``repro.obs.kg_health/v1`` document
-(:func:`kg_health_report` / :func:`validate_kg_health`), the same
-exporter/validator pairing every other obs artifact uses.
+(:func:`kg_health_report`, checked against :data:`SCHEMA`), the same
+renderer + table pairing every other obs artifact uses.
 
 Layering: this module is pure observation — it consumes a plain
 ``columns()`` mapping and never imports the core or refresh packages
@@ -36,7 +36,13 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.obs.schema import (
+    BOOL, BUCKET_BOUND, COUNT, NAME, NUMBER, STRING, ListOf, MapOf, Obj,
+    Schema, check_buckets, fail, nullable, one_of,
+)
+
 __all__ = [
+    "SCHEMA",
     "KG_HEALTH_SCHEMA",
     "SCORE_BUCKET_EDGES",
     "DEGREE_BUCKETS",
@@ -48,7 +54,6 @@ __all__ = [
     "publish_kg_health",
     "funnel_from_registry",
     "kg_health_report",
-    "validate_kg_health",
 ]
 
 KG_HEALTH_SCHEMA = "repro.obs.kg_health/v1"
@@ -72,7 +77,7 @@ class DegreeSummary:
 
     ``buckets`` are cumulative node counts at the :data:`DEGREE_BUCKETS`
     bounds plus a final ``+Inf`` overflow — the Prometheus histogram
-    shape, so the validator can reuse the non-decreasing invariant.
+    shape, so the schema shares :func:`~repro.obs.schema.check_buckets`.
     """
 
     nodes: int
@@ -321,192 +326,76 @@ def kg_health_report(
     }
 
 
-def _fail(where: str, message: str) -> None:
-    raise ValueError(f"invalid kg health report at {where}: {message}")
+_DEGREE = Obj({
+    "nodes": COUNT, "max": COUNT, "mean": NUMBER,
+    "buckets": ListOf(Obj({"le": BUCKET_BOUND, "count": COUNT}), min_len=1),
+})
+_SCORES = Obj({"edges": ListOf(NUMBER, min_len=2), "counts": ListOf(COUNT),
+               "mean": NUMBER, "min": NUMBER, "max": NUMBER})
+_SNAPSHOT = Obj({
+    "version": STRING, "parent": nullable(STRING), "triples": COUNT,
+    "nodes": COUNT, "entries": COUNT,
+    "relation_edges": MapOf(COUNT), "domain_edges": MapOf(COUNT),
+    "behavior_edges": MapOf(COUNT),
+    "head_degree": _DEGREE, "tail_degree": _DEGREE,
+    "plausibility": _SCORES, "typicality": _SCORES,
+    "support_total": COUNT, "merged_edges": COUNT, "dedup_ratio": NUMBER,
+    "funnel": MapOf(COUNT),
+})
+_DRIFT = Obj({
+    "parent_version": STRING, "child_version": STRING,
+    "metrics": MapOf(NUMBER, min_len=1),
+    "breaches": ListOf(Obj({
+        "breach_id": NAME, "rule": NAME, "metric": NAME, "value": NUMBER,
+        "threshold": NUMBER, "state": one_of("firing"),
+    })),
+})
+_GATE = Obj({"version": STRING, "parent_version": nullable(STRING),
+             "promote": BOOL, "breaches": ListOf(STRING)})
+_TABLE = Obj({"schema": one_of(KG_HEALTH_SCHEMA), "snapshots": ListOf(_SNAPSHOT),
+              "drift": ListOf(_DRIFT), "gates": ListOf(_GATE)})
 
 
-def _check_number(where: str, value: object) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(where, f"expected a number, got {type(value).__name__}")
-
-
-def _check_count(where: str, value: object) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        _fail(where, "expected a non-negative integer")
-    return int(value)  # for mypy; _fail always raises
-
-
-def _check_count_map(where: str, value: object) -> int:
-    if not isinstance(value, Mapping):
-        _fail(where, "expected an object")
-        return 0
-    total = 0
-    for key, count in value.items():
-        if not isinstance(key, str) or not key:
-            _fail(where, "keys must be non-empty strings")
-        total += _check_count(f"{where}[{key!r}]", count)
-    return total
-
-
-def _check_buckets(where: str, value: object) -> None:
-    if not isinstance(value, list) or not value:
-        _fail(where, "expected a non-empty list")
-        return
-    previous = 0
-    for index, bucket in enumerate(value):
-        b_where = f"{where}[{index}]"
-        if not isinstance(bucket, Mapping):
-            _fail(b_where, "expected an object")
-        count = _check_count(f"{b_where}.count", bucket.get("count"))
-        if count < previous:
-            _fail(f"{b_where}.count", "bucket counts must be non-decreasing")
-        previous = count
-        le = bucket.get("le")
-        if le != "+Inf":
-            _check_number(f"{b_where}.le", le)
-    if value[-1].get("le") != "+Inf":
-        _fail(where, "last bucket must be the +Inf overflow bucket")
-
-
-def _check_degree(where: str, value: object) -> None:
-    if not isinstance(value, Mapping):
-        _fail(where, "expected an object")
-        return
-    nodes = _check_count(f"{where}.nodes", value.get("nodes"))
-    _check_count(f"{where}.max", value.get("max"))
-    _check_number(f"{where}.mean", value.get("mean"))
-    _check_buckets(f"{where}.buckets", value.get("buckets"))
-    last = value["buckets"][-1]["count"]
-    if last != nodes:
-        _fail(f"{where}.buckets", f"overflow bucket holds {last} nodes, "
-              f"summary says {nodes}")
-
-
-def _check_score_histogram(where: str, value: object, triples: int) -> None:
-    if not isinstance(value, Mapping):
-        _fail(where, "expected an object")
-        return
-    edges = value.get("edges")
-    if not isinstance(edges, list) or len(edges) < 2:
-        _fail(f"{where}.edges", "expected a list of at least two bin edges")
-    counts = value.get("counts")
-    if not isinstance(counts, list) or len(counts) != len(edges) - 1:
-        _fail(f"{where}.counts", "expected one count per bin")
-    total = sum(_check_count(f"{where}.counts[{i}]", c)
-                for i, c in enumerate(counts))
-    if total != triples:
-        _fail(f"{where}.counts", f"bin counts sum to {total}, "
-              f"snapshot has {triples} triples")
-    for key in ("mean", "min", "max"):
-        _check_number(f"{where}.{key}", value.get(key))
-
-
-def _check_snapshot(where: str, snap: object) -> None:
-    if not isinstance(snap, Mapping):
-        _fail(where, "expected an object")
-        return
-    if not isinstance(snap.get("version"), str):
-        _fail(f"{where}.version", "expected a string")
-    parent = snap.get("parent")
-    if parent is not None and not isinstance(parent, str):
-        _fail(f"{where}.parent", "expected a string or null")
-    triples = _check_count(f"{where}.triples", snap.get("triples"))
-    for key in ("nodes", "entries", "support_total", "merged_edges"):
-        _check_count(f"{where}.{key}", snap.get(key))
-    _check_number(f"{where}.dedup_ratio", snap.get("dedup_ratio"))
+def _cross_check_snapshot(where: str, snap: Mapping[str, Any]) -> None:
+    triples = snap["triples"]
     for key in ("relation_edges", "domain_edges", "behavior_edges"):
-        total = _check_count_map(f"{where}.{key}", snap.get(key))
+        total = sum(snap[key].values())
         if total != triples:
-            _fail(f"{where}.{key}", f"edge counts sum to {total}, "
-                  f"snapshot has {triples} triples")
+            fail(f"{where}.{key}", f"edge counts sum to {total}, "
+                 f"snapshot has {triples} triples")
     for key in ("head_degree", "tail_degree"):
-        _check_degree(f"{where}.{key}", snap.get(key))
+        check_buckets(f"{where}.{key}.buckets", snap[key]["buckets"],
+                      snap[key]["nodes"])
     for key in ("plausibility", "typicality"):
-        _check_score_histogram(f"{where}.{key}", snap.get(key), triples)
-    funnel = snap.get("funnel")
-    _check_count_map(f"{where}.funnel", funnel)
-    assert isinstance(funnel, Mapping)  # narrowed by _check_count_map
+        counts = snap[key]["counts"]
+        if len(counts) != len(snap[key]["edges"]) - 1:
+            fail(f"{where}.{key}.counts", "expected one count per bin")
+        if sum(counts) != triples:
+            fail(f"{where}.{key}.counts", f"bin counts sum to {sum(counts)}, "
+                 f"snapshot has {triples} triples")
+    funnel = snap["funnel"]
     if all(stage in funnel for stage in FUNNEL_STAGES):
         widths = [funnel[stage] for stage in FUNNEL_STAGES]
         if any(a < b for a, b in zip(widths, widths[1:])):
-            _fail(f"{where}.funnel",
-                  "funnel must narrow: candidates >= filtered >= critic_accepted")
+            fail(f"{where}.funnel",
+                 "funnel must narrow: candidates >= filtered >= critic_accepted")
 
 
-def _check_drift(where: str, item: object) -> None:
-    if not isinstance(item, Mapping):
-        _fail(where, "expected an object")
-        return
-    for key in ("parent_version", "child_version"):
-        if not isinstance(item.get(key), str):
-            _fail(f"{where}.{key}", "expected a string")
-    metrics = item.get("metrics")
-    if not isinstance(metrics, Mapping) or not metrics:
-        _fail(f"{where}.metrics", "expected a non-empty object")
-        return
-    for key, value in metrics.items():
-        _check_number(f"{where}.metrics[{key!r}]", value)
-    breaches = item.get("breaches")
-    if not isinstance(breaches, list):
-        _fail(f"{where}.breaches", "expected a list")
-        return
-    for index, breach in enumerate(breaches):
-        b_where = f"{where}.breaches[{index}]"
-        if not isinstance(breach, Mapping):
-            _fail(b_where, "expected an object")
-        for key in ("breach_id", "rule", "metric"):
-            if not isinstance(breach.get(key), str) or not breach.get(key):
-                _fail(f"{b_where}.{key}", "expected a non-empty string")
-        if breach["metric"] not in metrics:
-            _fail(f"{b_where}.metric",
-                  f"breached metric {breach['metric']!r} missing from metrics")
-        for key in ("value", "threshold"):
-            _check_number(f"{b_where}.{key}", breach.get(key))
-        if breach.get("state") != "firing":
-            _fail(f"{b_where}.state", "gate breaches always report as firing")
+def _cross_check(payload: Mapping[str, Any]) -> None:
+    for index, snap in enumerate(payload["snapshots"]):
+        _cross_check_snapshot(f"snapshots[{index}]", snap)
+    for d_index, item in enumerate(payload["drift"]):
+        for b_index, breach in enumerate(item["breaches"]):
+            if breach["metric"] not in item["metrics"]:
+                fail(f"drift[{d_index}].breaches[{b_index}].metric",
+                     f"breached metric {breach['metric']!r} missing from metrics")
+    for index, gate in enumerate(payload["gates"]):
+        if gate["promote"] and gate["breaches"]:
+            fail(f"gates[{index}].promote",
+                 "a promoting decision cannot carry breaches")
+        if not gate["promote"] and not gate["breaches"]:
+            fail(f"gates[{index}].promote",
+                 "a blocking decision must name its breaches")
 
 
-def _check_gate(where: str, item: object) -> None:
-    if not isinstance(item, Mapping):
-        _fail(where, "expected an object")
-        return
-    if not isinstance(item.get("version"), str):
-        _fail(f"{where}.version", "expected a string")
-    if not isinstance(item.get("promote"), bool):
-        _fail(f"{where}.promote", "expected a boolean")
-    breaches = item.get("breaches")
-    if not isinstance(breaches, list) or any(
-            not isinstance(b, str) for b in breaches):
-        _fail(f"{where}.breaches", "expected a list of strings")
-    if item["promote"] and breaches:
-        _fail(f"{where}.promote", "a promoting decision cannot carry breaches")
-    if not item["promote"] and not breaches:
-        _fail(f"{where}.promote", "a blocking decision must name its breaches")
-
-
-def validate_kg_health(payload: object) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro.obs.kg_health/v1`` schema produced by :func:`kg_health_report`."""
-    if not isinstance(payload, Mapping):
-        raise ValueError("kg health report must be a JSON object")
-    if payload.get("schema") != KG_HEALTH_SCHEMA:
-        _fail("schema",
-              f"expected {KG_HEALTH_SCHEMA!r}, got {payload.get('schema')!r}")
-    snapshots = payload.get("snapshots")
-    if not isinstance(snapshots, list):
-        _fail("snapshots", "expected a list")
-        return
-    for index, snap in enumerate(snapshots):
-        _check_snapshot(f"snapshots[{index}]", snap)
-    drift = payload.get("drift")
-    if not isinstance(drift, list):
-        _fail("drift", "expected a list")
-        return
-    for index, item in enumerate(drift):
-        _check_drift(f"drift[{index}]", item)
-    gates = payload.get("gates")
-    if not isinstance(gates, list):
-        _fail("gates", "expected a list")
-        return
-    for index, item in enumerate(gates):
-        _check_gate(f"gates[{index}]", item)
+SCHEMA = Schema(KG_HEALTH_SCHEMA, "kg health report", _TABLE, _cross_check)

@@ -36,8 +36,13 @@ from typing import Mapping, Sequence, Union
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.schema import (
+    BOOL, COUNT, NAME, NUMBER, POSITIVE_INT, STRING, ListOf, Obj, Schema,
+    fail, nullable, one_of,
+)
 
 __all__ = [
+    "SCHEMA",
     "ALERTS_SCHEMA",
     "MetricSum",
     "BurnRateRule",
@@ -45,12 +50,9 @@ __all__ = [
     "Alert",
     "SloEvaluator",
     "alert_report",
-    "validate_alert_report",
 ]
 
 ALERTS_SCHEMA = "repro.obs.alerts/v1"
-
-_STATES = ("pending", "firing", "resolved", "cancelled")
 
 LabelFilter = tuple[tuple[str, Union[str, tuple[str, ...]]], ...]
 
@@ -418,77 +420,44 @@ def alert_report(evaluator: SloEvaluator) -> dict:
     }
 
 
-def _fail(where: str, message: str) -> None:
-    raise ValueError(f"invalid alert report at {where}: {message}")
+#: Alert state -> whether it carries (``firing_ts``, ``resolved_ts``).
+_TIMESTAMPS = {"pending": (False, False), "firing": (True, False),
+               "resolved": (True, True), "cancelled": (False, True)}
+
+_ALERT = Obj({
+    "alert_id": NAME, "objective": NAME, "state": one_of(*_TIMESTAMPS),
+    "pending_ts": NUMBER, "firing_ts": nullable(NUMBER),
+    "resolved_ts": nullable(NUMBER), "peak_burn_rate": NUMBER,
+    "event_ids": ListOf(POSITIVE_INT),
+})
+_TABLE = Obj({
+    "schema": one_of(ALERTS_SCHEMA),
+    "evaluations": COUNT,
+    "fired": BOOL,
+    "objectives": ListOf(Obj({
+        "name": NAME, "description": STRING, "target": NUMBER, "sli": NUMBER,
+        "error_budget_used": NUMBER,
+        "windows": ListOf(Obj({"long_s": NUMBER, "short_s": NUMBER,
+                               "max_burn_rate": NUMBER}), min_len=1),
+        "alerts": ListOf(_ALERT),
+    })),
+})
 
 
-def _check_number(where: str, value: object, allow_none: bool = False) -> None:
-    if value is None and allow_none:
-        return
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(where, f"expected a number, got {type(value).__name__}")
-
-
-def validate_alert_report(payload: object) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro.obs.alerts/v1`` schema produced by :func:`alert_report`."""
-    if not isinstance(payload, Mapping):
-        raise ValueError("alert report must be a JSON object")
-    if payload.get("schema") != ALERTS_SCHEMA:
-        _fail("schema", f"expected {ALERTS_SCHEMA!r}, got {payload.get('schema')!r}")
-    if not isinstance(payload.get("evaluations"), int):
-        _fail("evaluations", "expected an integer")
-    if not isinstance(payload.get("fired"), bool):
-        _fail("fired", "expected a boolean")
-    objectives = payload.get("objectives")
-    if not isinstance(objectives, list):
-        _fail("objectives", "expected a list")
+def _cross_check(payload: Mapping) -> None:
     fired_seen = False
-    for o_index, objective in enumerate(objectives):
-        where = f"objectives[{o_index}]"
-        if not isinstance(objective, Mapping):
-            _fail(where, "expected an object")
-        if not isinstance(objective.get("name"), str) or not objective.get("name"):
-            _fail(f"{where}.name", "expected a non-empty string")
-        for key in ("target", "sli", "error_budget_used"):
-            _check_number(f"{where}.{key}", objective.get(key))
-        windows = objective.get("windows")
-        if not isinstance(windows, list) or not windows:
-            _fail(f"{where}.windows", "expected a non-empty list")
-        for w_index, window in enumerate(windows):
-            w_where = f"{where}.windows[{w_index}]"
-            if not isinstance(window, Mapping):
-                _fail(w_where, "expected an object")
-            for key in ("long_s", "short_s", "max_burn_rate"):
-                _check_number(f"{w_where}.{key}", window.get(key))
-        alerts = objective.get("alerts")
-        if not isinstance(alerts, list):
-            _fail(f"{where}.alerts", "expected a list")
-        for a_index, alert in enumerate(alerts):
-            a_where = f"{where}.alerts[{a_index}]"
-            if not isinstance(alert, Mapping):
-                _fail(a_where, "expected an object")
-            if not isinstance(alert.get("alert_id"), str):
-                _fail(f"{a_where}.alert_id", "expected a string")
-            alert_state = alert.get("state")
-            if alert_state not in _STATES:
-                _fail(f"{a_where}.state",
-                      f"expected one of {_STATES}, got {alert_state!r}")
-            _check_number(f"{a_where}.pending_ts", alert.get("pending_ts"))
-            _check_number(f"{a_where}.firing_ts", alert.get("firing_ts"),
-                          allow_none=True)
-            _check_number(f"{a_where}.resolved_ts", alert.get("resolved_ts"),
-                          allow_none=True)
-            _check_number(f"{a_where}.peak_burn_rate", alert.get("peak_burn_rate"))
-            if alert_state in ("firing", "resolved") and alert.get("firing_ts") is None:
-                _fail(f"{a_where}.firing_ts", f"{alert_state} alert needs firing_ts")
-            if alert_state in ("resolved", "cancelled") and alert.get("resolved_ts") is None:
-                _fail(f"{a_where}.resolved_ts", "resolved alert needs resolved_ts")
-            event_ids = alert.get("event_ids")
-            if not isinstance(event_ids, list) or any(
-                    not isinstance(i, int) for i in event_ids):
-                _fail(f"{a_where}.event_ids", "expected a list of integers")
-            if alert.get("firing_ts") is not None:
-                fired_seen = True
-    if bool(payload.get("fired")) != fired_seen:
-        _fail("fired", "must reflect whether any alert carries a firing_ts")
+    for o_index, objective in enumerate(payload["objectives"]):
+        for a_index, alert in enumerate(objective["alerts"]):
+            where = f"objectives[{o_index}].alerts[{a_index}]"
+            state = alert["state"]
+            for key, carried in zip(("firing_ts", "resolved_ts"),
+                                    _TIMESTAMPS[state]):
+                if (alert[key] is not None) != carried:
+                    fail(f"{where}.{key}", f"{state} alert "
+                         f"{'needs' if carried else 'cannot carry'} {key}")
+            fired_seen = fired_seen or alert["firing_ts"] is not None
+    if payload["fired"] != fired_seen:
+        fail("fired", "must reflect whether any alert carries a firing_ts")
+
+
+SCHEMA = Schema(ALERTS_SCHEMA, "alert report", _TABLE, _cross_check)

@@ -31,13 +31,16 @@ from collections import deque
 from typing import Mapping
 
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.schema import (
+    COUNT, NAME, NUMBER, POSITIVE, ListOf, Obj, Pair, Schema, fail, one_of,
+)
 
 __all__ = [
+    "SCHEMA",
     "TIMELINE_SCHEMA",
     "Series",
     "TimeSeriesCollector",
     "timeline",
-    "validate_timeline",
 ]
 
 TIMELINE_SCHEMA = "repro.obs.timeseries/v1"
@@ -204,58 +207,30 @@ def timeline(collector: TimeSeriesCollector) -> dict:
     }
 
 
-def _fail(where: str, message: str) -> None:
-    raise ValueError(f"invalid timeline at {where}: {message}")
+_TABLE = Obj({
+    "schema": one_of(TIMELINE_SCHEMA),
+    "interval_s": POSITIVE,
+    "scrapes": COUNT,
+    "series": ListOf(Obj({
+        "key": NAME, "kind": one_of(*_KINDS), "dropped": COUNT,
+        "points": ListOf(Pair(NUMBER, NUMBER)),
+    })),
+})
 
 
-def _check_number(where: str, value: object) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(where, f"expected a number, got {type(value).__name__}")
-
-
-def validate_timeline(payload: object) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro.obs.timeseries/v1`` schema produced by :func:`timeline`."""
-    if not isinstance(payload, Mapping):
-        raise ValueError("timeline must be a JSON object")
-    if payload.get("schema") != TIMELINE_SCHEMA:
-        _fail("schema", f"expected {TIMELINE_SCHEMA!r}, got {payload.get('schema')!r}")
-    interval = payload.get("interval_s")
-    _check_number("interval_s", interval)
-    if interval <= 0:
-        _fail("interval_s", "must be positive")
-    scrapes = payload.get("scrapes")
-    if not isinstance(scrapes, int) or scrapes < 0:
-        _fail("scrapes", "expected a non-negative integer")
-    series = payload.get("series")
-    if not isinstance(series, list):
-        _fail("series", "expected a list")
+def _cross_check(payload: Mapping) -> None:
     previous_key = ""
-    for index, entry in enumerate(series):
+    for index, entry in enumerate(payload["series"]):
         where = f"series[{index}]"
-        if not isinstance(entry, Mapping):
-            _fail(where, "expected an object")
-        key = entry.get("key")
-        if not isinstance(key, str) or not key:
-            _fail(f"{where}.key", "expected a non-empty string")
-        if key <= previous_key:
-            _fail(f"{where}.key", "series must be sorted by key, without duplicates")
-        previous_key = key
-        if entry.get("kind") not in _KINDS:
-            _fail(f"{where}.kind", f"expected one of {_KINDS}, got {entry.get('kind')!r}")
-        dropped = entry.get("dropped")
-        if not isinstance(dropped, int) or dropped < 0:
-            _fail(f"{where}.dropped", "expected a non-negative integer")
-        points = entry.get("points")
-        if not isinstance(points, list):
-            _fail(f"{where}.points", "expected a list")
+        if entry["key"] <= previous_key:
+            fail(f"{where}.key", "series must be sorted by key, without duplicates")
+        previous_key = entry["key"]
         previous_ts = float("-inf")
-        for p_index, point in enumerate(points):
-            p_where = f"{where}.points[{p_index}]"
-            if not isinstance(point, list) or len(point) != 2:
-                _fail(p_where, "expected a [ts, value] pair")
-            _check_number(f"{p_where}[0]", point[0])
-            _check_number(f"{p_where}[1]", point[1])
-            if point[0] <= previous_ts:
-                _fail(f"{p_where}[0]", "timestamps must be strictly increasing")
-            previous_ts = point[0]
+        for p_index, (ts, _value) in enumerate(entry["points"]):
+            if ts <= previous_ts:
+                fail(f"{where}.points[{p_index}][0]",
+                     "timestamps must be strictly increasing")
+            previous_ts = ts
+
+
+SCHEMA = Schema(TIMELINE_SCHEMA, "timeline", _TABLE, _cross_check)

@@ -22,8 +22,7 @@ answers the questions latency work needs:
   "where do the milliseconds go" table.
 
 :func:`trace_summary` renders the analysis as a deterministic JSON
-payload (schema ``repro.obs.traces/v1``) and
-:func:`validate_trace_summary` checks it structurally.
+payload (schema ``repro.obs.traces/v1``); :data:`SCHEMA` is its table.
 """
 
 from __future__ import annotations
@@ -31,16 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.obs.schema import (
+    BOOL, COUNT, NON_NEGATIVE, NUMBER, POSITIVE_INT, STRING, ListOf, MapOf,
+    Obj, Schema, fail, one_of,
+)
 from repro.obs.tracing import Span, Tracer
 
 __all__ = [
+    "SCHEMA",
     "TRACES_SCHEMA",
     "PathStep",
     "TraceAnalyzer",
     "TraceNode",
     "stage_for",
     "trace_summary",
-    "validate_trace_summary",
 ]
 
 TRACES_SCHEMA = "repro.obs.traces/v1"
@@ -262,76 +265,28 @@ def trace_summary(analyzer: TraceAnalyzer) -> dict:
             "aggregate": analyzer.aggregate()}
 
 
-def _fail(where: str, message: str) -> None:
-    raise ValueError(f"invalid trace summary at {where}: {message}")
+_TABLE = Obj({
+    "schema": one_of(TRACES_SCHEMA),
+    "traces": ListOf(Obj({
+        "trace_id": STRING, "root": STRING, "connected": BOOL,
+        "processes": ListOf(STRING, min_len=1), "spans": POSITIVE_INT,
+        "duration_s": NUMBER, "outcome": STRING, "source": STRING,
+        "status": one_of("ok", "error"), "stages": MapOf(NON_NEGATIVE),
+        "critical_path": ListOf(Obj({
+            "name": STRING, "process": STRING, "start_s": NUMBER,
+            "self_s": NUMBER, "stage": STRING,
+        }), min_len=1),
+    })),
+    "aggregate": Obj({
+        "traces": COUNT, "spans": COUNT,
+        "stages": MapOf(Obj({"total_s": NUMBER, "traces": COUNT})),
+    }),
+})
 
 
-def _check_number(where: str, value: object) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(where, f"expected a number, got {type(value).__name__}")
+def _cross_check(payload: Mapping) -> None:
+    if payload["aggregate"]["traces"] != len(payload["traces"]):
+        fail("aggregate.traces", "must equal the number of trace entries")
 
 
-def validate_trace_summary(payload: object) -> None:
-    """Raise :class:`ValueError` unless ``payload`` matches the
-    ``repro.obs.traces/v1`` schema produced by :func:`trace_summary`."""
-    if not isinstance(payload, Mapping):
-        raise ValueError("trace summary must be a JSON object")
-    if payload.get("schema") != TRACES_SCHEMA:
-        _fail("schema", f"expected {TRACES_SCHEMA!r}, got "
-                        f"{payload.get('schema')!r}")
-    traces = payload.get("traces")
-    if not isinstance(traces, list):
-        _fail("traces", "expected a list")
-    for index, trace in enumerate(traces):
-        where = f"traces[{index}]"
-        if not isinstance(trace, Mapping):
-            _fail(where, "expected an object")
-        for key in ("trace_id", "root", "outcome", "source", "status"):
-            if not isinstance(trace.get(key), str):
-                _fail(f"{where}.{key}", "expected a string")
-        if not isinstance(trace.get("connected"), bool):
-            _fail(f"{where}.connected", "expected a boolean")
-        spans = trace.get("spans")
-        if not isinstance(spans, int) or isinstance(spans, bool) or spans < 1:
-            _fail(f"{where}.spans", "expected a positive integer")
-        _check_number(f"{where}.duration_s", trace.get("duration_s"))
-        processes = trace.get("processes")
-        if (not isinstance(processes, list) or not processes
-                or not all(isinstance(p, str) for p in processes)):
-            _fail(f"{where}.processes", "expected a non-empty string list")
-        stages = trace.get("stages")
-        if not isinstance(stages, Mapping):
-            _fail(f"{where}.stages", "expected an object")
-        for stage, seconds in stages.items():
-            _check_number(f"{where}.stages[{stage!r}]", seconds)
-            if seconds < 0:
-                _fail(f"{where}.stages[{stage!r}]", "must be non-negative")
-        path = trace.get("critical_path")
-        if not isinstance(path, list) or not path:
-            _fail(f"{where}.critical_path", "expected a non-empty list")
-        for s_index, step in enumerate(path):
-            s_where = f"{where}.critical_path[{s_index}]"
-            if not isinstance(step, Mapping):
-                _fail(s_where, "expected an object")
-            for key in ("name", "process", "stage"):
-                if not isinstance(step.get(key), str):
-                    _fail(f"{s_where}.{key}", "expected a string")
-            for key in ("start_s", "self_s"):
-                _check_number(f"{s_where}.{key}", step.get(key))
-    aggregate = payload.get("aggregate")
-    if not isinstance(aggregate, Mapping):
-        _fail("aggregate", "expected an object")
-    for key in ("traces", "spans"):
-        value = aggregate.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            _fail(f"aggregate.{key}", "expected a non-negative integer")
-    if aggregate.get("traces") != len(traces):
-        _fail("aggregate.traces", "must equal the number of trace entries")
-    stages = aggregate.get("stages")
-    if not isinstance(stages, Mapping):
-        _fail("aggregate.stages", "expected an object")
-    for stage, entry in stages.items():
-        if not isinstance(entry, Mapping):
-            _fail(f"aggregate.stages[{stage!r}]", "expected an object")
-        _check_number(f"aggregate.stages[{stage!r}].total_s",
-                      entry.get("total_s"))
+SCHEMA = Schema(TRACES_SCHEMA, "trace summary", _TABLE, _cross_check)

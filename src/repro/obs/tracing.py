@@ -35,19 +35,29 @@ from __future__ import annotations
 from zlib import crc32
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
+from repro.obs.schema import (
+    INT, NON_NEGATIVE, POSITIVE_INT, SCALAR, STRING, ListOf, Obj, Schema, Spec,
+    Tagged, fail, one_of,
+)
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs.sampling import TailSampler
 
 __all__ = [
+    "CHROME_TRACE_SCHEMA",
     "NULL_SPAN",
+    "SCHEMA",
     "TRACE_ID_ATTR",
     "Span",
     "TraceContext",
     "Tracer",
     "chrome_trace",
     "make_trace_id",
-    "validate_chrome_trace",
 ]
+
+#: Registry id of the Chrome trace-event format, the one artifact whose
+#: documents carry no ``schema`` field (they are told by ``traceEvents``).
+CHROME_TRACE_SCHEMA = "chrome-trace-event"
 
 AttrValue = Union[str, int, float, bool]
 
@@ -558,79 +568,55 @@ def chrome_trace(tracers: Sequence[tuple[str, Tracer]]) -> dict:
     return {"displayTimeUnit": "ms", "traceEvents": events + flows}
 
 
-def _require_int(where: str, key: str, value: object) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{where}: {key!r} must be an integer")
-    return value
+def _event(phase: str, **members: Spec) -> Obj:
+    common: dict[str, Spec] = {"name": STRING, "ph": one_of(phase),
+                               "pid": INT, "tid": INT}
+    return Obj({**common, **members})
 
 
-def validate_chrome_trace(payload: object) -> None:
-    """Raise :class:`ValueError` unless ``payload`` is a structurally
-    valid Chrome trace-event document as produced by :func:`chrome_trace`.
+_FLOW = {"cat": STRING, "id": INT, "ts": NON_NEGATIVE}
+_TABLE = Obj({
+    "displayTimeUnit": one_of("ms"),
+    "traceEvents": ListOf(Tagged("ph", {
+        "M": _event("M", args=Obj({"name": STRING})),
+        "X": _event("X", cat=STRING, ts=NON_NEGATIVE, dur=NON_NEGATIVE, args=Obj(
+            {"span_id": POSITIVE_INT, "parent_id": INT,
+             "status": one_of("ok", "error")},
+            optional={"error_type": STRING, TRACE_ID_ATTR: STRING},
+            extra=SCALAR)),
+        "s": _event("s", **_FLOW),
+        "f": _event("f", bp=one_of("e"), **_FLOW),
+    })),
+})
 
-    Beyond shape checks this enforces referential integrity: within each
-    pid, ``args.span_id`` values are unique and every ``args.parent_id``
-    is -1 or names a span event in the same pid; flow start/finish
-    events pair up by id.  Booleans masquerading as ints (``pid``,
-    ``tid``, ``ts``...) and negative timestamps are rejected.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValueError("trace payload must be a JSON object")
-    events = payload.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("trace payload must have a 'traceEvents' list")
+
+def _cross_check(payload: Mapping) -> None:
+    """Referential integrity: within each pid, ``args.span_id`` values are
+    unique and every ``args.parent_id`` is -1 or names a span event in
+    the same pid; flow start/finish events pair up by id."""
     span_ids: dict[int, set[int]] = {}
-    parent_refs: list[tuple[str, int, int]] = []
     flow_phases: dict[int, set[str]] = {}
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        if not isinstance(event, Mapping):
-            raise ValueError(f"{where}: event must be an object")
-        phase = event.get("ph")
-        if phase not in ("M", "X", "s", "f"):
-            raise ValueError(f"{where}: unsupported phase {phase!r}")
-        pid = _require_int(where, "pid", event.get("pid"))
-        _require_int(where, "tid", event.get("tid"))
-        if not isinstance(event.get("name"), str):
-            raise ValueError(f"{where}: 'name' must be a string")
-        if not isinstance(event.get("args", {}), Mapping):
-            raise ValueError(f"{where}: 'args' must be an object")
-        if phase in ("X", "s", "f"):
-            ts = event.get("ts")
-            if not isinstance(ts, (int, float)) or isinstance(ts, bool):
-                raise ValueError(f"{where}: 'ts' must be a number")
-            if ts < 0:
-                raise ValueError(f"{where}: 'ts' must be non-negative")
-        if phase == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or isinstance(dur, bool):
-                raise ValueError(f"{where}: 'dur' must be a number")
-            if dur < 0:
-                raise ValueError(f"{where}: 'dur' must be non-negative")
-            args = event.get("args", {})
-            if "span_id" in args:
-                span_id = _require_int(where, "args.span_id", args["span_id"])
-                if span_id < 1:
-                    raise ValueError(f"{where}: 'args.span_id' must be positive")
-                pid_ids = span_ids.setdefault(pid, set())
-                if span_id in pid_ids:
-                    raise ValueError(
-                        f"{where}: duplicate span_id {span_id} in pid {pid}")
-                pid_ids.add(span_id)
-            if "parent_id" in args:
-                parent = _require_int(where, "args.parent_id", args["parent_id"])
-                if parent != -1:
-                    parent_refs.append((where, pid, parent))
-        elif phase in ("s", "f"):
-            flow = _require_int(where, "id", event.get("id"))
-            flow_phases.setdefault(flow, set()).add(phase)
-    for where, pid, parent in parent_refs:
-        if parent not in span_ids.get(pid, set()):
-            raise ValueError(
-                f"{where}: parent_id {parent} does not resolve to any "
-                f"span_id in pid {pid}")
+    spans = []
+    for index, event in enumerate(payload["traceEvents"]):
+        if event["ph"] == "X":
+            spans.append((index, event))
+            pid_ids = span_ids.setdefault(event["pid"], set())
+            span_id = event["args"]["span_id"]
+            if span_id in pid_ids:
+                fail(f"traceEvents[{index}].args.span_id",
+                     f"duplicate span_id {span_id} in pid {event['pid']}")
+            pid_ids.add(span_id)
+        elif event["ph"] in ("s", "f"):
+            flow_phases.setdefault(event["id"], set()).add(event["ph"])
+    for index, event in spans:
+        parent = event["args"]["parent_id"]
+        if parent != -1 and parent not in span_ids[event["pid"]]:
+            fail(f"traceEvents[{index}].args.parent_id",
+                 f"{parent} does not resolve to any span_id in pid {event['pid']}")
     for flow, phases in flow_phases.items():
         if phases != {"s", "f"}:
-            raise ValueError(
-                f"flow id {flow} must have exactly a start ('s') and a "
-                f"finish ('f') event, got phases {sorted(phases)}")
+            fail("traceEvents", f"flow id {flow} must have exactly a start ('s') "
+                 f"and a finish ('f') event, got phases {sorted(phases)}")
+
+
+SCHEMA = Schema(CHROME_TRACE_SCHEMA, "chrome trace", _TABLE, _cross_check)

@@ -152,7 +152,7 @@ class Artifact:
 
     label: str
     render: Callable[[Drive], object]
-    validate: Callable
+    schema: str             #: id in the ``obs.SCHEMAS`` registry
     style: str = "indent"   #: ``indent`` / ``compact`` JSON, or ``text`` as rendered
 
 
@@ -172,19 +172,19 @@ def _health_doc(drive: Drive) -> dict:
 #: Artifact key -> recipe; ``--out-<key>`` is the flag, table order the write order.
 ARTIFACTS = {
     "trace": Artifact("Chrome trace", lambda d: obs.chrome_trace(d.tracers),
-                      obs.validate_chrome_trace),
+                      obs.CHROME_TRACE_SCHEMA),
     "metrics": Artifact("metrics snapshot", lambda d: obs.snapshot(d.registry),
-                        obs.validate_snapshot),
+                        obs.SNAPSHOT_SCHEMA),
     "summary": Artifact("trace summary",
                         lambda d: obs.trace_summary(obs.TraceAnalyzer(d.tracers)),
-                        obs.validate_trace_summary),
+                        obs.TRACES_SCHEMA),
     "timeline": Artifact("time-series timeline", lambda d: obs.timeline(d.collector),
-                         obs.validate_timeline, style="compact"),
+                         obs.TIMELINE_SCHEMA, style="compact"),
     "alerts": Artifact("alert report", lambda d: obs.alert_report(d.evaluator),
-                       obs.validate_alert_report),
-    "health": Artifact("kg-health report", _health_doc, obs.validate_kg_health),
+                       obs.ALERTS_SCHEMA),
+    "health": Artifact("kg-health report", _health_doc, obs.KG_HEALTH_SCHEMA),
     "events": Artifact("event log", lambda d: obs.render_events(d.cluster.event_log),
-                       obs.validate_events, style="text"),
+                       obs.EVENTS_SCHEMA, style="text"),
 }
 
 
@@ -194,7 +194,7 @@ def write_artifacts(drive: Drive, keys: Sequence[str],
     for key in keys:
         artifact = ARTIFACTS[key]
         payload = drive.artifacts[key] = artifact.render(drive)
-        artifact.validate(payload)
+        obs.validate(artifact.schema, payload)
         path = getattr(args, f"out_{key}")
         if path:
             text = (payload if artifact.style == "text" else

@@ -98,25 +98,9 @@ def test_console_script_entry_point_resolves_and_runs(capsys):
     assert "layering" in capsys.readouterr().out
 
 
-def test_list_rules_shows_scope_and_autofixable(capsys):
+def test_list_rules_shows_scope(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "layering [project]" in out
-    assert "mutable-default [file, autofixable]" in out
+    assert "mutable-default [file]" in out
     assert "unscoped-rng [file]" in out
-
-
-def test_cache_stats_on_stderr_stdout_byte_identical(tmp_path, capsys):
-    target = tmp_path / "mod.py"
-    target.write_text('__all__ = ["x"]\nx = 1\n')
-    cache = tmp_path / "cache.json"
-    argv = ["--cache", str(cache), "--cache-stats", str(target)]
-
-    assert main(argv) == 0
-    cold = capsys.readouterr()
-    assert "cosmolint cache: 0 hit(s), 1 miss(es)" in cold.err
-
-    assert main(argv) == 0
-    warm = capsys.readouterr()
-    assert "cosmolint cache: 1 hit(s), 0 miss(es)" in warm.err
-    assert warm.out == cold.out  # reports identical regardless of cache state

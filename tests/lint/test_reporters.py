@@ -107,7 +107,6 @@ def test_json_reporter_exact_payload(fixture_package):
     assert payload["version"] == REPORT_VERSION
     assert payload["files_checked"] == 13
     assert payload["suppressed"] == 0
-    assert payload["baselined"] == 0
     assert payload["diagnostics"] == [
         {
             "rule": "all-consistency",

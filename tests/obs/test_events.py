@@ -7,7 +7,7 @@ from repro.obs import (
     EventLog,
     MetricsRegistry,
     render_events,
-    validate_events,
+    validate,
 )
 
 
@@ -68,7 +68,7 @@ def test_render_round_trips_through_validate():
         log.emit("tick.n", ts=float(i), component="c", n=i, label=f"e{i}")
     text = render_events(log)
     assert text.splitlines()[0].startswith('{"dropped":2')
-    events = validate_events(text)
+    events = validate(EVENTS_SCHEMA, text)["events"]
     assert [e["event_id"] for e in events] == [3, 4]
     assert EVENTS_SCHEMA in text
     # Byte-determinism: rendering twice is identical.
@@ -80,14 +80,16 @@ def test_validate_rejects_structural_violations():
     log.emit("a.b", ts=1.0, component="c")
     good = render_events(log)
     with pytest.raises(ValueError):
-        validate_events("")
+        validate(EVENTS_SCHEMA, "")
     with pytest.raises(ValueError):
-        validate_events(good.replace('"schema":"repro.obs.events/v1"',
+        validate(EVENTS_SCHEMA, good.replace('"schema":"repro.obs.events/v1"',
                                      '"schema":"bogus/v9"'))
     with pytest.raises(ValueError):
-        validate_events(good.replace('"events":1', '"events":2'))
+        validate(EVENTS_SCHEMA, good.replace('"events":1', '"events":2'))
     with pytest.raises(ValueError):  # non-increasing ids
         lines = good.splitlines()
         header = (lines[0].replace('"events":1', '"events":2')
                   .replace('"emitted":1', '"emitted":2'))
-        validate_events("\n".join([header, lines[1], lines[1]]))
+        validate(EVENTS_SCHEMA, "\n".join([header, lines[1], lines[1]]))
+    with pytest.raises(ValueError, match=r"events\[0\].event_id"):  # true is no id
+        validate(EVENTS_SCHEMA, good.replace('"event_id":1', '"event_id":true'))

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.obs import validate
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
     render_prometheus,
     render_text,
     snapshot,
-    validate_snapshot,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -29,9 +29,9 @@ def _populated_registry() -> MetricsRegistry:
 def test_snapshot_roundtrips_through_its_own_validator():
     snap = snapshot(_populated_registry())
     assert snap["schema"] == SNAPSHOT_SCHEMA
-    validate_snapshot(snap)
+    validate(SNAPSHOT_SCHEMA, snap)
     # ...and survives a JSON round trip (what the CI smoke step checks).
-    validate_snapshot(json.loads(json.dumps(snap)))
+    validate(SNAPSHOT_SCHEMA, json.loads(json.dumps(snap)))
 
 
 def test_snapshot_histogram_sample_shape():
@@ -79,7 +79,7 @@ def test_snapshot_carries_bucket_exemplars():
     latency.observe(0.005, exemplar="00000001deadbeef")
     latency.observe(0.5)
     snap = snapshot(registry)
-    validate_snapshot(snap)
+    validate(SNAPSHOT_SCHEMA, snap)
     buckets = snap["metrics"][0]["samples"][0]["buckets"]
     assert buckets[0]["exemplar"] == {"trace_id": "00000001deadbeef",
                                       "value": 0.005}
@@ -124,12 +124,16 @@ def _valid_histogram_snapshot() -> dict:
     (lambda s: s["metrics"][0]["samples"][0]["buckets"].insert(
         0, {"le": 0.5, "count": 99}), "non-decreasing"),
     (lambda s: s["metrics"][0]["samples"][0].update(count=7), "must equal"),
+    # A mixed-type list used to reach sorted() and escape as TypeError.
+    (lambda s: s["metrics"][0].update(labelnames=["a", 1]), r"labelnames\[1\]"),
+    (lambda s: s["metrics"][0].pop("help"), r"metrics\[0\].help"),
+    (lambda s: s["metrics"][0]["samples"][0].update(value=1), "unknown key"),
 ])
 def test_validate_snapshot_rejects_malformed(mutate, message):
     snap = _valid_histogram_snapshot()
     mutate(snap)
     with pytest.raises(ValueError, match=message):
-        validate_snapshot(snap)
+        validate(SNAPSHOT_SCHEMA, snap)
 
 
 def test_validate_snapshot_rejects_label_key_mismatch():
@@ -137,4 +141,4 @@ def test_validate_snapshot_rejects_label_key_mismatch():
     (requests,) = [m for m in snap["metrics"] if m["name"] == "requests_total"]
     requests["samples"][0]["labels"] = {"other": "a"}
     with pytest.raises(ValueError, match="labelnames"):
-        validate_snapshot(snap)
+        validate(SNAPSHOT_SCHEMA, snap)

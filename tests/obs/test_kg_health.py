@@ -14,7 +14,7 @@ from repro.obs import (
     funnel_from_registry,
     kg_health_report,
     publish_kg_health,
-    validate_kg_health,
+    validate,
 )
 
 
@@ -81,7 +81,7 @@ def test_empty_graph_health_is_well_formed():
     assert report.dedup_ratio == 1.0
     assert report.head_degree.nodes == 0
     assert sum(report.plausibility.counts) == 0
-    validate_kg_health(kg_health_report([report]))
+    validate(KG_HEALTH_SCHEMA, kg_health_report([report]))
 
 
 def test_publish_lands_versioned_gauges():
@@ -112,7 +112,7 @@ def test_funnel_roundtrips_through_registry():
     funnel = funnel_from_registry(registry)
     assert funnel == {"candidates": 100, "filtered": 60, "critic_accepted": 45}
     report = compute_kg_health(_graph().columns(), funnel=funnel)
-    validate_kg_health(kg_health_report([report]))
+    validate(KG_HEALTH_SCHEMA, kg_health_report([report]))
     assert funnel_from_registry(MetricsRegistry()) == {}
 
 
@@ -120,7 +120,7 @@ def test_report_document_is_deterministic_and_validates():
     report = compute_kg_health(_graph().columns(), version="v-doc")
     doc = kg_health_report([report])
     assert doc["schema"] == KG_HEALTH_SCHEMA
-    validate_kg_health(doc)
+    validate(KG_HEALTH_SCHEMA, doc)
     a = json.dumps(kg_health_report([report]), sort_keys=True)
     b = json.dumps(kg_health_report([report]), sort_keys=True)
     assert a == b
@@ -143,7 +143,7 @@ def test_validator_rejects_corrupted_documents(mutate, match):
     doc = kg_health_report([report])
     mutate(doc)
     with pytest.raises(ValueError, match=match):
-        validate_kg_health(doc)
+        validate(KG_HEALTH_SCHEMA, doc)
 
 
 def test_validator_rejects_inconsistent_gate_entries():
@@ -153,10 +153,10 @@ def test_validator_rejects_inconsistent_gate_entries():
          "breaches": ["something"]},
     ])
     with pytest.raises(ValueError, match="cannot carry breaches"):
-        validate_kg_health(doc)
+        validate(KG_HEALTH_SCHEMA, doc)
     doc = kg_health_report([report], gates=[
         {"version": "v-x", "parent_version": None, "promote": False,
          "breaches": []},
     ])
     with pytest.raises(ValueError, match="must name its breaches"):
-        validate_kg_health(doc)
+        validate(KG_HEALTH_SCHEMA, doc)

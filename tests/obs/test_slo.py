@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import (
+    ALERTS_SCHEMA,
     BurnRateRule,
     EventLog,
     MetricsRegistry,
@@ -10,7 +11,7 @@ from repro.obs import (
     SloEvaluator,
     SloSpec,
     alert_report,
-    validate_alert_report,
+    validate,
 )
 
 WINDOWS = (BurnRateRule(long_s=2.0, short_s=0.5, max_burn_rate=10.0),)
@@ -153,7 +154,7 @@ def test_alert_report_round_trips_through_validator():
     total.inc(10)
     evaluator.evaluate(0.5)
     report = alert_report(evaluator)
-    validate_alert_report(report)
+    validate(ALERTS_SCHEMA, report)
     assert report["fired"] is True
     (objective,) = report["objectives"]
     assert objective["name"] == "availability"
@@ -168,13 +169,16 @@ def test_validate_alert_report_rejects_inconsistencies():
     evaluator.evaluate(1.0)
     report = alert_report(evaluator)
     with pytest.raises(ValueError):
-        validate_alert_report(dict(report, schema="x/v0"))
+        validate(ALERTS_SCHEMA, dict(report, schema="x/v0"))
     with pytest.raises(ValueError):
-        validate_alert_report(dict(report, fired=True))  # no firing alert
+        validate(ALERTS_SCHEMA, dict(report, fired=True))  # no firing alert
     broken = dict(report)
     broken["objectives"] = [dict(report["objectives"][0], windows=[])]
     with pytest.raises(ValueError):
-        validate_alert_report(broken)
+        validate(ALERTS_SCHEMA, broken)
+    for evaluations in (True, -1):  # not a count
+        with pytest.raises(ValueError, match="evaluations"):
+            validate(ALERTS_SCHEMA, dict(report, evaluations=evaluations))
 
 
 def test_spec_validation():

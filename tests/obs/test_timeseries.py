@@ -3,11 +3,12 @@
 import pytest
 
 from repro.obs import (
+    TIMELINE_SCHEMA,
     MetricsRegistry,
     Series,
     TimeSeriesCollector,
     timeline,
-    validate_timeline,
+    validate,
 )
 
 
@@ -73,7 +74,7 @@ def test_timeline_export_round_trips_through_validator():
     collector = TimeSeriesCollector(registry, interval_s=0.25)
     collector.maybe_scrape(0.5)
     payload = timeline(collector)
-    validate_timeline(payload)
+    validate(TIMELINE_SCHEMA, payload)
     assert payload["scrapes"] == 2
     assert [s["key"] for s in payload["series"]] == ["a_total:rate", "b"]
 
@@ -86,13 +87,19 @@ def test_validate_timeline_rejects_unsorted_series_and_bad_points():
     payload = timeline(collector)
     broken = dict(payload, series=payload["series"] * 2)  # duplicate key
     with pytest.raises(ValueError):
-        validate_timeline(broken)
+        validate(TIMELINE_SCHEMA, broken)
     broken = dict(payload, schema="nope/v0")
     with pytest.raises(ValueError):
-        validate_timeline(broken)
+        validate(TIMELINE_SCHEMA, broken)
     bad_points = [dict(payload["series"][0], points=[[1.0, 1.0], [1.0, 2.0]])]
     with pytest.raises(ValueError):
-        validate_timeline(dict(payload, series=bad_points))
+        validate(TIMELINE_SCHEMA, dict(payload, series=bad_points))
+    # ``true`` is not an integer.
+    with pytest.raises(ValueError, match="scrapes"):
+        validate(TIMELINE_SCHEMA, dict(payload, scrapes=True))
+    with pytest.raises(ValueError, match=r"series\[0\].dropped"):
+        validate(TIMELINE_SCHEMA, dict(
+            payload, series=[dict(payload["series"][0], dropped=True)]))
 
 
 def test_scrape_timestamps_must_increase():

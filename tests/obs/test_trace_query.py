@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.obs import validate
 from repro.obs.tracing import TraceContext, Tracer
 from repro.obs.trace_query import (
     TRACES_SCHEMA,
     TraceAnalyzer,
     stage_for,
     trace_summary,
-    validate_trace_summary,
 )
 
 
@@ -141,7 +141,7 @@ def test_aggregate_totals_across_traces():
 def test_trace_summary_round_trips_validation():
     tracers = _request_trace()
     summary = trace_summary(TraceAnalyzer(tracers))
-    validate_trace_summary(summary)
+    validate(TRACES_SCHEMA, summary)
     assert summary["schema"] == TRACES_SCHEMA
     (entry,) = summary["traces"]
     assert entry["trace_id"] == "t1"
@@ -165,4 +165,4 @@ def test_validate_trace_summary_rejects_malformed(mutate):
     summary = trace_summary(TraceAnalyzer(_request_trace()))
     mutate(summary)
     with pytest.raises(ValueError):
-        validate_trace_summary(summary)
+        validate(TRACES_SCHEMA, summary)

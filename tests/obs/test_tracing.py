@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.obs import CHROME_TRACE_SCHEMA, validate
 from repro.obs.tracing import (
     TraceContext,
     Tracer,
     chrome_trace,
     make_trace_id,
-    validate_chrome_trace,
 )
 
 
@@ -97,7 +97,7 @@ def test_chrome_trace_structure_and_units():
     with tracer.span("work", items=4):
         clock.advance(0.5)
     payload = chrome_trace([("pipeline", tracer)])
-    validate_chrome_trace(payload)
+    validate(CHROME_TRACE_SCHEMA, payload)
     meta, event = payload["traceEvents"]
     assert meta == {"name": "process_name", "ph": "M", "pid": 1, "tid": 1,
                     "args": {"name": "pipeline"}}
@@ -127,50 +127,58 @@ def test_chrome_trace_skips_unfinished_spans():
     assert [e["ph"] for e in payload["traceEvents"]] == ["M"]
 
 
+def _span(**overrides):
+    """A complete span event, so each case below fails for its own reason."""
+    event = {"name": "x", "cat": "p", "ph": "X", "ts": 0, "dur": 0, "pid": 1,
+             "tid": 1, "args": {"span_id": 1, "parent_id": -1, "status": "ok"}}
+    event.update(overrides)
+    return event
+
+
+def _args(span_id, parent_id):
+    return {"span_id": span_id, "parent_id": parent_id, "status": "ok"}
+
+
+def _trace(*events):
+    return {"displayTimeUnit": "ms", "traceEvents": list(events)}
+
+
+def test_hand_built_span_document_validates():
+    validate(CHROME_TRACE_SCHEMA, _trace(_span()))
+
+
+# Each payload is (document, the JSON path the error must name).
 @pytest.mark.parametrize("payload", [
-    [],  # not an object
-    {},  # no traceEvents
-    {"traceEvents": [{"ph": "B", "pid": 1, "tid": 1, "name": "x"}]},  # bad phase
-    {"traceEvents": [{"ph": "X", "pid": 1, "tid": 1, "name": "x",
-                      "ts": 0, "dur": -1}]},  # negative duration
-    {"traceEvents": [{"ph": "X", "pid": "1", "tid": 1, "name": "x",
-                      "ts": 0, "dur": 0}]},  # pid not an int
-    {"traceEvents": [{"ph": "X", "pid": True, "tid": 1, "name": "x",
-                      "ts": 0, "dur": 0}]},  # bool masquerading as pid
-    {"traceEvents": [{"ph": "X", "pid": 1, "tid": False, "name": "x",
-                      "ts": 0, "dur": 0}]},  # bool masquerading as tid
-    {"traceEvents": [{"ph": "X", "pid": 1, "tid": 1, "name": "x",
-                      "ts": True, "dur": 0}]},  # bool masquerading as ts
-    {"traceEvents": [{"ph": "X", "pid": 1, "tid": 1, "name": "x",
-                      "ts": -0.5, "dur": 0}]},  # negative timestamp
-    {"traceEvents": [{"ph": "X", "pid": 1, "tid": 1, "name": "x", "ts": 0,
-                      "dur": 0, "args": {"span_id": 1, "parent_id": 7}}]},
+    ([], "the top level"),  # not an object
+    ({}, "displayTimeUnit"),  # no traceEvents
+    (_trace({"ph": "B", "pid": 1, "tid": 1, "name": "x"}),
+     r"traceEvents\[0\].ph"),  # bad phase
+    (_trace(_span(dur=-1)), r"traceEvents\[0\].dur"),  # negative duration
+    (_trace(_span(pid="1")), r"traceEvents\[0\].pid"),  # pid not an int
+    (_trace(_span(pid=True)), r"traceEvents\[0\].pid"),  # bool masquerading as pid
+    (_trace(_span(tid=False)), r"traceEvents\[0\].tid"),  # bool masquerading as tid
+    (_trace(_span(ts=True)), r"traceEvents\[0\].ts"),  # bool masquerading as ts
+    (_trace(_span(ts=-0.5)), r"traceEvents\[0\].ts"),  # negative timestamp
+    (_trace(_span(args=_args(1, 7))), r"traceEvents\[0\].args.parent_id"),
     # ^ parent_id does not resolve to any span in the pid
-    {"traceEvents": [
-        {"ph": "X", "pid": 1, "tid": 1, "name": "x", "ts": 0, "dur": 0,
-         "args": {"span_id": 3, "parent_id": -1}},
-        {"ph": "X", "pid": 1, "tid": 1, "name": "y", "ts": 0, "dur": 0,
-         "args": {"span_id": 3, "parent_id": -1}},
-    ]},  # duplicate span_id within a pid
-    {"traceEvents": [{"ph": "s", "pid": 1, "tid": 1, "name": "trace",
-                      "ts": 0, "id": 1}]},  # flow start without finish
+    (_trace(_span(args=_args(3, -1)), _span(name="y", args=_args(3, -1))),
+     r"traceEvents\[1\].args.span_id"),  # duplicate span_id within a pid
+    (_trace({"ph": "s", "pid": 1, "tid": 1, "name": "trace", "cat": "trace",
+             "ts": 0, "id": 1}), "traceEvents: flow id 1"),  # flow start without finish
 ])
 def test_validate_chrome_trace_rejects_malformed(payload):
-    with pytest.raises(ValueError):
-        validate_chrome_trace(payload)
+    document, where = payload
+    with pytest.raises(ValueError, match=f"invalid chrome trace at {where}"):
+        validate(CHROME_TRACE_SCHEMA, document)
 
 
 def test_parent_id_resolves_across_pids_is_still_rejected():
     # Referential integrity is per-pid: a parent_id pointing at a span
     # in a *different* process does not count.
-    payload = {"traceEvents": [
-        {"ph": "X", "pid": 1, "tid": 1, "name": "a", "ts": 0, "dur": 0,
-         "args": {"span_id": 1, "parent_id": -1}},
-        {"ph": "X", "pid": 2, "tid": 1, "name": "b", "ts": 0, "dur": 0,
-         "args": {"span_id": 2, "parent_id": 1}},
-    ]}
-    with pytest.raises(ValueError):
-        validate_chrome_trace(payload)
+    payload = _trace(_span(name="a", args=_args(1, -1)),
+                     _span(name="b", pid=2, args=_args(2, 1)))
+    with pytest.raises(ValueError, match=r"traceEvents\[1\].args.parent_id"):
+        validate(CHROME_TRACE_SCHEMA, payload)
 
 
 # -- trace-context propagation ---------------------------------------------
@@ -247,7 +255,7 @@ def test_head_truncated_export_stays_referentially_valid():
             with tracer.span("leaf"):  # exceeds max_spans: dropped
                 pass
     payload = chrome_trace([("p", tracer)])
-    validate_chrome_trace(payload)
+    validate(CHROME_TRACE_SCHEMA, payload)
     assert [e["name"] for e in payload["traceEvents"]] == [
         "process_name", "root", "middle"]
 
@@ -263,7 +271,7 @@ def test_dropped_middle_span_reparents_descendants_in_export():
                 pass
     assert leaf.export_parent_id == root.span_id
     payload = chrome_trace([("p", tracer)])
-    validate_chrome_trace(payload)
+    validate(CHROME_TRACE_SCHEMA, payload)
     (leaf_event,) = [e for e in payload["traceEvents"]
                      if e.get("name") == "leaf"]
     assert leaf_event["args"]["parent_id"] == root.span_id
@@ -279,7 +287,7 @@ def test_cross_tracer_flow_events_pair_up():
                 with replica.span("serving.request"):
                     pass
     payload = chrome_trace([("cluster", cluster), ("replica", replica)])
-    validate_chrome_trace(payload)
+    validate(CHROME_TRACE_SCHEMA, payload)
     flows = [e for e in payload["traceEvents"] if e["ph"] in ("s", "f")]
     assert [f["ph"] for f in flows] == ["s", "f"]
     assert flows[0]["pid"] == 1 and flows[1]["pid"] == 2
@@ -294,7 +302,7 @@ def test_flow_to_unretained_parent_is_omitted():
     # The remote parent's tracer isn't part of the export: no dangling
     # one-sided flow may appear.
     payload = chrome_trace([("replica", replica)])
-    validate_chrome_trace(payload)
+    validate(CHROME_TRACE_SCHEMA, payload)
     assert [e["ph"] for e in payload["traceEvents"]] == ["M", "X"]
 
 

@@ -16,13 +16,14 @@ from dataclasses import replace
 
 from repro.llm.interface import GenerationBatch
 from repro.obs import (
+    SNAPSHOT_SCHEMA,
     EventLog,
     MetricsRegistry,
     TailSampler,
     chrome_trace,
     render_events,
     snapshot,
-    validate_snapshot,
+    validate,
 )
 from repro.serving import (
     BatchCostModel,
@@ -92,8 +93,8 @@ def test_serve_batch_neutral_path_metric_snapshots_are_byte_identical():
     _drive_batched(traffic, registry_b, "svc")
     snap_a = snapshot(registry_a)
     snap_b = snapshot(registry_b)
-    validate_snapshot(snap_a)
-    validate_snapshot(snap_b)
+    validate(SNAPSHOT_SCHEMA, snap_a)
+    validate(SNAPSHOT_SCHEMA, snap_b)
     assert snap_a == snap_b
 
 
@@ -298,7 +299,7 @@ def test_window_accounting_artifacts_are_pinned(trace, snapshot_digest,
     assert {r.source for r in results} == {
         "cache:daily", "cache:yearly", "fallback", "feature_store"}
     snap = snapshot(registry)
-    validate_snapshot(snap)
+    validate(SNAPSHOT_SCHEMA, snap)
     families = {metric["name"]: metric for metric in snap["metrics"]}
     flushes = {sample["labels"]["trigger"]: sample["value"] for sample in
                families["cluster_batch_flushes_total"]["samples"]}
@@ -393,7 +394,7 @@ def test_per_item_accounting_artifacts_are_pinned(
     assert {r.source for r in results} == {
         "cache:daily", "cache:yearly", "direct", "fallback", "feature_store"}
     snap = snapshot(registry)
-    validate_snapshot(snap)
+    validate(SNAPSHOT_SCHEMA, snap)
     families = {metric["name"]: metric for metric in snap["metrics"]}
     flushes = {sample["labels"]["trigger"]: sample["value"] for sample in
                families["cluster_batch_flushes_total"]["samples"]}
@@ -455,7 +456,7 @@ def test_direct_failure_without_resilience_is_pinned():
     assert service.dead_letters == []
     assert service.metrics.generator_failures == 3
     snap = snapshot(registry)
-    validate_snapshot(snap)
+    validate(SNAPSHOT_SCHEMA, snap)
     assert _digest(repr(results)) == "5cd06308215ffae7"
     (reads,) = [sample for metric in snap["metrics"]
                 if metric["name"] == "feature_store_ops_total"

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.obs import EventLog, MetricsRegistry, TailSampler, TraceAnalyzer
-from repro.obs.tracing import TRACE_ID_ATTR, TraceContext, chrome_trace, \
-    validate_chrome_trace
+from repro.obs import CHROME_TRACE_SCHEMA, EventLog, MetricsRegistry, \
+    TailSampler, TraceAnalyzer, validate
+from repro.obs.tracing import TRACE_ID_ATTR, TraceContext, chrome_trace
 from repro.serving import ClusterConfig, CosmoCluster, ServeOutcome, \
     ServeRequest
 from repro.serving.chaos import ScriptedGenerator
@@ -93,7 +93,7 @@ def test_degraded_request_produces_one_connected_flagged_trace():
 
     # And the merged export is valid, flow links included.
     payload = chrome_trace(_tracers(cluster))
-    validate_chrome_trace(payload)
+    validate(CHROME_TRACE_SCHEMA, payload)
     flows = [e for e in payload["traceEvents"] if e["ph"] in ("s", "f")]
     assert flows, "no cross-tracer flow events in the export"
 

@@ -66,7 +66,7 @@ def _drive_twice(tmp_path, argv, expect_exit, **artifacts):
 def test_obs_artifacts_valid_nested_and_deterministic(tmp_path, capsys):
     import json
 
-    from repro.obs import validate_chrome_trace, validate_snapshot
+    from repro.obs import CHROME_TRACE_SCHEMA, SNAPSHOT_SCHEMA, validate
 
     trace_bytes, metrics_bytes = _drive_twice(
         tmp_path,
@@ -75,7 +75,7 @@ def test_obs_artifacts_valid_nested_and_deterministic(tmp_path, capsys):
         0, trace=".json", metrics=".json")
 
     trace = json.loads(trace_bytes)
-    validate_chrome_trace(trace)
+    validate(CHROME_TRACE_SCHEMA, trace)
     events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     by_name = {e["name"]: e for e in events}
     root = by_name["pipeline.run"]
@@ -85,7 +85,7 @@ def test_obs_artifacts_valid_nested_and_deterministic(tmp_path, capsys):
     assert stage["args"]["parent_id"] == root["args"]["span_id"]
     assert "serving.run_batch" in by_name
 
-    validate_snapshot(json.loads(metrics_bytes))
+    validate(SNAPSHOT_SCHEMA, json.loads(metrics_bytes))
     out = capsys.readouterr().out
     assert "request accounting" in out and "OK" in out
     assert "wall-clock profile" in out
@@ -94,7 +94,7 @@ def test_obs_artifacts_valid_nested_and_deterministic(tmp_path, capsys):
 def test_cluster_artifacts_valid_and_deterministic(tmp_path, capsys):
     import json
 
-    from repro.obs import validate_chrome_trace, validate_snapshot
+    from repro.obs import CHROME_TRACE_SCHEMA, SNAPSHOT_SCHEMA, validate
 
     trace_bytes, metrics_bytes = _drive_twice(
         tmp_path,
@@ -103,7 +103,7 @@ def test_cluster_artifacts_valid_and_deterministic(tmp_path, capsys):
         0, trace=".json", metrics=".json")
 
     trace = json.loads(trace_bytes)
-    validate_chrome_trace(trace)
+    validate(CHROME_TRACE_SCHEMA, trace)
     # Cluster spans and every replica's serving spans share the merged
     # timeline, split by process name.
     processes = {e["args"]["name"] for e in trace["traceEvents"]
@@ -111,7 +111,7 @@ def test_cluster_artifacts_valid_and_deterministic(tmp_path, capsys):
     assert {"cluster", "cluster-r0", "cluster-r1", "cluster-r2"} <= processes
 
     snap = json.loads(metrics_bytes)
-    validate_snapshot(snap)
+    validate(SNAPSHOT_SCHEMA, snap)
     families = {metric["name"] for metric in snap["metrics"]}
     assert "cluster_requests_total" in families
     assert "cluster_batch_flushes_total" in families
@@ -127,11 +127,7 @@ def test_cluster_rejects_bad_fault_rate(capsys):
 def test_trace_artifacts_valid_and_deterministic(tmp_path, capsys):
     import json
 
-    from repro.obs import (
-        validate_chrome_trace,
-        validate_events,
-        validate_trace_summary,
-    )
+    from repro.obs import CHROME_TRACE_SCHEMA, EVENTS_SCHEMA, TRACES_SCHEMA, validate
 
     first = _drive_twice(
         tmp_path,
@@ -140,12 +136,12 @@ def test_trace_artifacts_valid_and_deterministic(tmp_path, capsys):
         0, trace=".json", summary=".json", events=".jsonl")
 
     trace = json.loads(first[0])
-    validate_chrome_trace(trace)
+    validate(CHROME_TRACE_SCHEMA, trace)
     flows = [e for e in trace["traceEvents"] if e["ph"] in ("s", "f")]
     assert flows, "expected cross-tracer flow links in the Chrome trace"
 
     summary = json.loads(first[1])
-    validate_trace_summary(summary)
+    validate(TRACES_SCHEMA, summary)
     assert summary["traces"], "expected retained traces in the summary"
     assert all(t["connected"] for t in summary["traces"])
     # Fault injection on: at least one degraded/fallback trace survives
@@ -154,7 +150,7 @@ def test_trace_artifacts_valid_and_deterministic(tmp_path, capsys):
                for t in summary["traces"])
 
     events_text = first[2].decode()
-    validate_events(events_text)
+    validate(EVENTS_SCHEMA, events_text)
     assert '"trace_id"' in events_text
 
     out = capsys.readouterr().out
@@ -173,15 +169,15 @@ _MONITOR_CHAOS = ["monitor", "--seed", "0", "--scenario", "chaos"]
 def test_monitor_chaos_fires_and_correlates_alerts(tmp_path, capsys):
     import json
 
-    from repro.obs import validate_alert_report, validate_events, validate_timeline
+    from repro.obs import ALERTS_SCHEMA, EVENTS_SCHEMA, TIMELINE_SCHEMA, validate
 
     # Fired alerts make the run exit 1 even though they resolved.
     first = _drive_twice(tmp_path, _MONITOR_CHAOS, 1,
                          timeline=".json", alerts=".json", events=".jsonl")
 
-    validate_timeline(json.loads(first[0]))
+    validate(TIMELINE_SCHEMA, json.loads(first[0]))
     report = json.loads(first[1])
-    validate_alert_report(report)
+    validate(ALERTS_SCHEMA, report)
     assert report["fired"] is True
     availability = next(o for o in report["objectives"]
                         if o["name"] == "availability")
@@ -189,7 +185,7 @@ def test_monitor_chaos_fires_and_correlates_alerts(tmp_path, capsys):
     assert alert["state"] == "resolved"
     assert alert["pending_ts"] < alert["firing_ts"] < alert["resolved_ts"]
 
-    events = validate_events(first[2].decode())
+    events = validate(EVENTS_SCHEMA, first[2].decode())["events"]
     kinds = {e["kind"] for e in events}
     assert {"breaker.open", "router.drain", "router.restore",
             "service.degraded_entry", "service.degraded_exit"} <= kinds
@@ -230,18 +226,18 @@ def test_lint_subcommand_delegates_to_cosmolint(tmp_path, capsys):
 def test_rollout_healthy_completes_and_is_deterministic(tmp_path, capsys):
     import json
 
-    from repro.obs import validate_alert_report, validate_events, validate_timeline
+    from repro.obs import ALERTS_SCHEMA, EVENTS_SCHEMA, TIMELINE_SCHEMA, validate
 
     first = _drive_twice(
         tmp_path, ["rollout", "--seed", "0", "--scenario", "healthy"], 0,
         timeline=".json", alerts=".json", events=".jsonl")
 
-    validate_timeline(json.loads(first[0]))
+    validate(TIMELINE_SCHEMA, json.loads(first[0]))
     report = json.loads(first[1])
-    validate_alert_report(report)
+    validate(ALERTS_SCHEMA, report)
     assert report["fired"] is False
 
-    events = validate_events(first[2].decode())
+    events = validate(EVENTS_SCHEMA, first[2].decode())["events"]
     kinds = [e["kind"] for e in events]
     assert "rollout.start" in kinds
     assert "rollout.complete" in kinds
@@ -257,7 +253,7 @@ def test_rollout_healthy_completes_and_is_deterministic(tmp_path, capsys):
 def test_rollout_poisoned_rolls_back_and_redrives(tmp_path, capsys):
     import json
 
-    from repro.obs import validate_events
+    from repro.obs import EVENTS_SCHEMA, validate
 
     # Accounting holds and nothing mixed-version leaked, so the exit is
     # clean even though the rollout aborted: the guard doing its job is
@@ -266,7 +262,7 @@ def test_rollout_poisoned_rolls_back_and_redrives(tmp_path, capsys):
         tmp_path, "poisoned", ["rollout", "--seed", "0", "--scenario", "poisoned"],
         0, timeline=".json", alerts=".json", events=".jsonl")
 
-    events = validate_events(events_bytes.decode())
+    events = validate(EVENTS_SCHEMA, events_bytes.decode())["events"]
     kinds = [e["kind"] for e in events]
     assert "rollout.rollback_start" in kinds
     assert "rollout.rollback_complete" in kinds
@@ -295,21 +291,21 @@ _KGHEALTH_ARGS = [
 def test_kghealth_healthy_promotes_and_is_deterministic(tmp_path, capsys):
     import json
 
-    from repro.obs import validate_events, validate_kg_health
+    from repro.obs import EVENTS_SCHEMA, KG_HEALTH_SCHEMA, validate
 
     # Simulated clocks and arithmetic triples: artifacts are byte-stable.
     first = _drive_twice(tmp_path, _KGHEALTH_ARGS + ["--scenario", "healthy"], 0,
                          health=".json", events=".jsonl")
 
     doc = json.loads(first[0])
-    validate_kg_health(doc)
+    validate(KG_HEALTH_SCHEMA, doc)
     assert len(doc["snapshots"]) == 2       # parent + candidate lineage
     assert len(doc["drift"]) == 1
     (gate,) = doc["gates"]
     assert gate["promote"] is True and gate["breaches"] == []
     assert doc["drift"][0]["breaches"] == []
 
-    events = validate_events(first[1].decode())
+    events = validate(EVENTS_SCHEMA, first[1].decode())["events"]
     kinds = [e["kind"] for e in events]
     assert "rollout.gate_pass" in kinds
     assert "rollout.gate_block" not in kinds
@@ -324,7 +320,7 @@ def test_kghealth_healthy_promotes_and_is_deterministic(tmp_path, capsys):
 def test_kghealth_poisoned_blocks_before_first_swap(tmp_path, capsys):
     import json
 
-    from repro.obs import validate_events, validate_kg_health
+    from repro.obs import EVENTS_SCHEMA, KG_HEALTH_SCHEMA, validate
 
     # Exit 1 distinguishes "gate tripped" from exit 2 "an invariant broke".
     health, events_bytes = _drive(
@@ -332,13 +328,13 @@ def test_kghealth_poisoned_blocks_before_first_swap(tmp_path, capsys):
         health=".json", events=".jsonl")
 
     doc = json.loads(health)
-    validate_kg_health(doc)
+    validate(KG_HEALTH_SCHEMA, doc)
     (gate,) = doc["gates"]
     assert gate["promote"] is False
     assert gate["breaches"]
     assert any(b.startswith("relation-mix-shift") for b in gate["breaches"])
 
-    events = validate_events(events_bytes.decode())
+    events = validate(EVENTS_SCHEMA, events_bytes.decode())["events"]
     kinds = [e["kind"] for e in events]
     assert "rollout.gate_block" in kinds
     assert "rollout.blocked" in kinds
