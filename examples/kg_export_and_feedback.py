@@ -1,7 +1,8 @@
 """KG export, model persistence, and the serving feedback loop.
 
 Shows the durable-artifact side of the system: build the KG once, ship
-it as JSON Lines, persist the finetuned COSMO-LM, then run the serving
+it as a columnar archive (and export it as JSON Lines for downstream
+consumers), persist the finetuned COSMO-LM, then run the serving
 feedback loop (§3.5.2) where user interactions continually refresh the
 model's typicality judge.
 
@@ -14,7 +15,7 @@ from pathlib import Path
 from repro.behavior import WorldConfig
 from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
 from repro.core.cosmo_lm import CosmoLM
-from repro.core.kg_io import load_kg, save_kg
+from repro.core.kg_io import load_kg_columnar, save_kg, save_kg_columnar
 from repro.serving import CosmoService
 
 
@@ -34,13 +35,18 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
 
-        # 1. Ship the knowledge graph.
-        kg_path = workdir / "cosmo_kg.jsonl"
-        written = save_kg(result.kg, kg_path)
-        reloaded = load_kg(kg_path)
-        print(f"\nKG export: {written} edges -> {kg_path.name} "
+        # 1. Ship the knowledge graph: the archive round-trips exactly,
+        # the JSON Lines export is one-way.
+        kg_path = workdir / "cosmo_kg.npz"
+        written = save_kg_columnar(result.kg, kg_path)
+        reloaded = load_kg_columnar(kg_path)
+        print(f"\nKG archive: {written} edges -> {kg_path.name} "
               f"({kg_path.stat().st_size / 1024:.0f} KiB), "
-              f"reload check: {reloaded.stats() == result.kg.stats()}")
+              f"reload check: {reloaded.triples() == result.kg.triples()}")
+        export_path = workdir / "cosmo_kg.jsonl"
+        save_kg(result.kg, export_path)
+        print(f"KG export: {export_path.name} "
+              f"({export_path.stat().st_size / 1024:.0f} KiB)")
 
         # 2. Persist and restore the model (the deployment refresh artifact).
         model_dir = workdir / "cosmo-lm"

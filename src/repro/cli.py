@@ -1,9 +1,9 @@
-"""Command-line interface: run the pipeline and export the KG.
+"""Command-line interface: run the pipeline and archive the KG.
 
 Usage::
 
-    python -m repro.cli build-kg --seed 7 --scale 0.5 --out kg.jsonl
-    python -m repro.cli inspect-kg kg.jsonl
+    python -m repro.cli build-kg --seed 7 --scale 0.5 --out kg.npz
+    python -m repro.cli inspect-kg kg.npz
     python -m repro.cli generate --seed 7 --query "winter camping essentials" \
         --product-type "camping tent" --domain "Sports & Outdoors"
     python -m repro.cli chaos --seed 7 --fault-rate 0.1
@@ -26,7 +26,7 @@ import sys
 from repro import scenarios
 from repro.behavior import WorldConfig
 from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
-from repro.core.kg_io import load_kg, save_kg
+from repro.core.kg_io import load_kg_columnar, save_kg_columnar
 from repro.reporting import Table, format_percent
 
 __all__ = ["build_parser", "main"]
@@ -57,19 +57,18 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
                       format_percent(ratios["typicality"]))
     print(table.render())
     if args.out:
-        written = save_kg(result.kg, args.out)
+        written = save_kg_columnar(result.kg, args.out)
         print(f"Wrote {written} edges to {args.out}")
     return 0
 
 
 def cmd_inspect_kg(args: argparse.Namespace) -> int:
-    kg = load_kg(args.path)
+    kg = load_kg_columnar(args.path)
     stats = kg.stats()
     print(f"{args.path}: {stats.nodes} nodes, {stats.edges} edges, "
           f"{stats.relations} relations, {stats.domains} domains")
     table = Table("Edges per domain", ["Domain", "co-buy", "search-buy"])
-    domains = sorted({t.domain for t in kg.triples()})
-    for domain in domains:
+    for domain in sorted(kg.domains()):
         table.add_row(domain, kg.edges_for(domain, "co-buy"),
                       kg.edges_for(domain, "search-buy"))
     print(table.render())
@@ -213,16 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build-kg", help="run the pipeline and export the KG")
+    build = sub.add_parser("build-kg", help="run the pipeline and archive the KG")
     build.add_argument("--seed", type=int, default=7)
     build.add_argument("--scale", type=float, default=0.5,
                        help="world/sampling scale factor (1.0 = default sizes)")
     build.add_argument("--lm-epochs", type=int, default=10)
     build.add_argument("--out", type=str, default="",
-                       help="write the KG to this JSONL path")
+                       help="write the KG's columnar archive (.npz) to this path")
     build.set_defaults(func=cmd_build_kg)
 
-    inspect = sub.add_parser("inspect-kg", help="summarize an exported KG")
+    inspect = sub.add_parser("inspect-kg", help="summarize an archived KG")
     inspect.add_argument("path")
     inspect.add_argument("--sample", type=int, default=5)
     inspect.set_defaults(func=cmd_inspect_kg)

@@ -53,7 +53,6 @@ _EXPORTS = {
     "FolkScopeResult": "repro.core.folkscope",
     "FolkScopePipeline": "repro.core.folkscope",
     "save_kg": "repro.core.kg_io",
-    "load_kg": "repro.core.kg_io",
     "save_kg_columnar": "repro.core.kg_io",
     "load_kg_columnar": "repro.core.kg_io",
     "PipelineConfig": "repro.core.pipeline",

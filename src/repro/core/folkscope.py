@@ -24,7 +24,7 @@ from repro.core.generation import generate_candidates
 from repro.core.kg import KnowledgeGraph
 from repro.core.pipeline import CosmoPipeline
 from repro.core.sampling import SamplingConfig, sample_cobuy, sample_products
-from repro.core.triples import KnowledgeCandidate, KnowledgeTriple
+from repro.core.triples import KnowledgeCandidate
 from repro.embeddings.encoder import TextEncoder
 from repro.llm.interface import LatencyModel
 from repro.llm.teacher import TeacherLLM
@@ -108,19 +108,7 @@ class FolkScopePipeline:
         kept = critic.populate(filtered)
 
         kg = KnowledgeGraph()
-        kg.extend(
-            KnowledgeTriple(
-                head=c.sample.head_text,
-                relation=c.relation,
-                tail=c.tail,
-                domain=c.sample.domain,
-                behavior=c.sample.behavior,
-                plausibility=c.plausibility_score or 0.0,
-                typicality=c.typicality_score or 0.0,
-                head_ids=c.sample.product_ids,
-            )
-            for c in kept
-        )
+        kg.extend(c.to_triple() for c in kept)
         return FolkScopeResult(
             config=cfg,
             world=world,

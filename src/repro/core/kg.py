@@ -9,21 +9,22 @@ refined intents → linked product concepts).
 Storage is columnar: node, relation, domain and behavior strings are
 interned once into id tables, and each edge is one row across parallel
 numpy columns (head/relation/tail/domain/behavior ids, plausibility,
-typicality, support).  A lazily-built CSR index over the head column
-serves neighbor queries without scanning every edge.  The query surface
-is unchanged from the dict-backed implementation — ``triples()`` still
-returns :class:`~repro.core.triples.KnowledgeTriple` objects in first-
-insert order with identical merge semantics — the columnar form is how
+typicality, support, provenance length) over one flat run of provenance
+ids.  A lazily-built CSR index over the head column serves neighbor
+queries without scanning every edge.  The query surface is unchanged
+from the dict-backed implementation — ``triples()`` still returns
+:class:`~repro.core.triples.KnowledgeTriple` objects in first-insert
+order with identical merge semantics — the columnar form is how
 the hot path (stats, filters, neighbor lookups, (de)serialization,
 snapshot digests) avoids per-edge Python object traffic.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 import networkx as nx
 import numpy as np
@@ -31,11 +32,14 @@ import numpy as np
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 
-__all__ = ["KGStats", "HierarchyNode", "KnowledgeGraph", "pack_edge_keys"]
+__all__ = ["ARRAY_COLUMNS", "STRING_COLUMNS", "KGStats", "HierarchyNode",
+           "KnowledgeGraph", "pack_edge_keys"]
 
 _INITIAL_CAPACITY = 16
 
-#: ``columns()`` name → (attribute, dtype) of every per-edge array.
+#: What a graph holds, declared once: ``columns()`` returns these names,
+#: a columnar archive stores them and the snapshot column digest hashes
+#: them.  Name → (attribute, dtype) of every per-edge array.
 _ARRAYS: dict[str, tuple[str, type]] = {
     "head": ("_head_col", np.int32),
     "relation": ("_rel_col", np.int32),
@@ -45,10 +49,16 @@ _ARRAYS: dict[str, tuple[str, type]] = {
     "plausibility": ("_plaus_col", np.float64),
     "typicality": ("_typ_col", np.float64),
     "support": ("_support_col", np.int64),
+    "head_ids_len": ("_head_ids_len_col", np.int32),
 }
-#: ``columns()`` name → attribute of every intern table.
+#: Name → attribute of every intern table.
 _TABLES = {"nodes": "_nodes", "relations": "_relations",
            "domains": "_domains", "behaviors": "_behaviors"}
+#: Every edge's provenance ids (``KnowledgeTriple.head_ids``) end to end
+#: in row order; row ``i`` owns the next ``head_ids_len[i]`` of them.
+_PROVENANCE = "head_ids_flat"
+ARRAY_COLUMNS: tuple[str, ...] = tuple(_ARRAYS)
+STRING_COLUMNS: tuple[str, ...] = (*_TABLES, _PROVENANCE)
 #: id column → the intern table its values index.
 _TABLE_OF = {"head": "nodes", "relation": "relations", "tail": "nodes",
              "domain": "domains", "behavior": "behaviors"}
@@ -184,31 +194,21 @@ class KnowledgeGraph:
     """
 
     def __init__(self):
-        self._nodes = _InternTable()
-        self._relations = _InternTable()
-        self._domains = _InternTable()
-        self._behaviors = _InternTable()
-        capacity = _INITIAL_CAPACITY
-        self._head_col = np.empty(capacity, dtype=np.int32)
-        self._rel_col = np.empty(capacity, dtype=np.int32)
-        self._tail_col = np.empty(capacity, dtype=np.int32)
-        self._domain_col = np.empty(capacity, dtype=np.int32)
-        self._behavior_col = np.empty(capacity, dtype=np.int32)
-        self._plaus_col = np.empty(capacity, dtype=np.float64)
-        self._typ_col = np.empty(capacity, dtype=np.float64)
-        self._support_col = np.empty(capacity, dtype=np.int64)
+        for attr in _TABLES.values():
+            setattr(self, attr, _InternTable())
+        for attr, dtype in _ARRAYS.values():
+            setattr(self, attr, np.empty(_INITIAL_CAPACITY, dtype=dtype))
+        self._head_ids_flat: list[str] = []
         self._size = 0
         #: packed (head id, relation id, tail id) → row, for duplicate
         #: merging; see :func:`pack_edge_keys`.
         self._row_of: dict[int, int] = {}
-        #: Ragged per-row provenance; stays a Python list (tuples vary
-        #: in length and are only touched at materialization time).
-        self._head_ids: list[tuple[str, ...]] = []
-        # (domain, behavior) → edge count, for the Table 3 breakdown.
-        self._domain_behavior_edges: Counter = Counter()
+        #: Read indexes, derived on first use after a row is added: CSR
+        #: over the head column, each row's end in the flat provenance.
         self._csr_order: np.ndarray = np.empty(0, dtype=np.intp)
         self._csr_offsets: np.ndarray = np.zeros(1, dtype=np.int64)
-        self._csr_dirty = True
+        self._head_ids_end: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._indexes_dirty = True
 
     # ------------------------------------------------------------------
     def add(self, triple: KnowledgeTriple) -> None:
@@ -244,11 +244,11 @@ class KnowledgeGraph:
         self._plaus_col[row] = triple.plausibility
         self._typ_col[row] = triple.typicality
         self._support_col[row] = triple.support
-        self._head_ids.append(triple.head_ids)
+        self._head_ids_len_col[row] = len(triple.head_ids)
+        self._head_ids_flat.extend(triple.head_ids)
         self._row_of[key] = row
         self._size = row + 1
-        self._domain_behavior_edges[(triple.domain, triple.behavior)] += 1
-        self._csr_dirty = True
+        self._indexes_dirty = True
 
     def _grow(self, rows: int) -> None:
         """Room for ``rows`` edges, at least doubling."""
@@ -308,10 +308,11 @@ class KnowledgeGraph:
         self._plaus_col[size:end] = [t.plausibility for t in opened]
         self._typ_col[size:end] = [t.typicality for t in opened]
         self._support_col[size:end] = [t.support for t in opened]
-        self._head_ids.extend([t.head_ids for t in opened])
+        head_ids = [t.head_ids for t in opened]
+        self._head_ids_len_col[size:end] = list(map(len, head_ids))
+        self._head_ids_flat.extend(chain.from_iterable(head_ids))
         self._size = end
-        self._count_cells(size)
-        self._csr_dirty = True
+        self._indexes_dirty = True
 
         if len(opened) < len(batch):
             merges = ~opens
@@ -329,30 +330,25 @@ class KnowledgeGraph:
             np.add.at(self._support_col, into,
                       np.array([t.support for t in merged], dtype=np.int64))
 
-    def _count_cells(self, first: int) -> None:
-        """Add rows ``first:`` to the (domain, behavior) counter."""
-        n_behaviors = len(self._behaviors)
-        cells = np.bincount(
-            self._domain_col[first:self._size].astype(np.int64) * n_behaviors
-            + self._behavior_col[first:self._size])
-        for cell in np.nonzero(cells)[0].tolist():
-            domain, behavior = divmod(cell, n_behaviors)
-            self._domain_behavior_edges[(
-                self._domains.value(domain),
-                self._behaviors.value(behavior))] += int(cells[cell])
-
     # ------------------------------------------------------------------
     def _triple_at(self, row: int) -> KnowledgeTriple:
+        head_ids: tuple[str, ...] = ()
+        count = self._head_ids_len_col.item(row)
+        if count:       # the row's run of the flat provenance
+            if self._indexes_dirty:
+                self._build_indexes()
+            end = self._head_ids_end.item(row)
+            head_ids = tuple(self._head_ids_flat[end - count:end])
         return KnowledgeTriple(
-            head=self._nodes.value(int(self._head_col[row])),
-            relation=Relation(self._relations.value(int(self._rel_col[row]))),
-            tail=self._nodes.value(int(self._tail_col[row])),
-            domain=self._domains.value(int(self._domain_col[row])),
-            behavior=self._behaviors.value(int(self._behavior_col[row])),
-            plausibility=float(self._plaus_col[row]),
-            typicality=float(self._typ_col[row]),
-            support=int(self._support_col[row]),
-            head_ids=self._head_ids[row],
+            head=self._nodes.value(self._head_col.item(row)),
+            relation=Relation(self._relations.value(self._rel_col.item(row))),
+            tail=self._nodes.value(self._tail_col.item(row)),
+            domain=self._domains.value(self._domain_col.item(row)),
+            behavior=self._behaviors.value(self._behavior_col.item(row)),
+            plausibility=self._plaus_col.item(row),
+            typicality=self._typ_col.item(row),
+            support=self._support_col.item(row),
+            head_ids=head_ids,
         )
 
     def __len__(self) -> int:
@@ -384,8 +380,14 @@ class KnowledgeGraph:
         return list(self._domains.values())
 
     def edges_for(self, domain: str, behavior: str) -> int:
-        """Table 3 cell: refined edge count per (domain, behavior)."""
-        return self._domain_behavior_edges[(domain, behavior)]
+        """Table 3 cell: refined edges per (domain, behavior), counted now."""
+        domain_id = self._domains.id_of(domain)
+        behavior_id = self._behaviors.id_of(behavior)
+        if domain_id is None or behavior_id is None:
+            return 0
+        return int(np.count_nonzero(
+            (self._domain_col[: self._size] == domain_id)
+            & (self._behavior_col[: self._size] == behavior_id)))
 
     def stats(self) -> KGStats:
         """Table 1 aggregates — table lengths, no edge scan needed."""
@@ -399,20 +401,22 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Neighbor queries (CSR over the head column)
     # ------------------------------------------------------------------
-    def _build_csr(self) -> None:
+    def _build_indexes(self) -> None:
         heads = self._head_col[: self._size]
         self._csr_order = np.argsort(heads, kind="stable")
         counts = np.bincount(heads, minlength=len(self._nodes))
         self._csr_offsets = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)))
-        self._csr_dirty = False
+        self._head_ids_end = np.cumsum(
+            self._head_ids_len_col[: self._size], dtype=np.int64)
+        self._indexes_dirty = False
 
     def _head_rows(self, head: str) -> np.ndarray:
         node_id = self._nodes.id_of(head)
         if node_id is None:
             return np.empty(0, dtype=np.int64)
-        if self._csr_dirty:
-            self._build_csr()
+        if self._indexes_dirty:
+            self._build_indexes()
         start = int(self._csr_offsets[node_id])
         end = int(self._csr_offsets[node_id + 1])
         return self._csr_order[start:end]
@@ -435,21 +439,21 @@ class KnowledgeGraph:
 
     # ------------------------------------------------------------------
     def columns(self) -> dict:
-        """Read-only view of the columnar form.
-
-        Arrays are trimmed views over the live columns (callers must not
-        mutate them); the id tables come along as string tuples.  This
-        and :meth:`from_columns` are the one boundary between a graph
-        and everything downstream of it: :mod:`repro.core.kg_io`
-        serializes this mapping and :mod:`repro.refresh.snapshot`
-        freezes and content-addresses it.
+        """Read-only view of the columnar form: :data:`ARRAY_COLUMNS`
+        as trimmed views over the live columns (callers must not mutate
+        them), then :data:`STRING_COLUMNS` — the id tables and the flat
+        provenance — as string tuples.  This and :meth:`from_columns`
+        are the one boundary between a graph and everything downstream
+        of it: :mod:`repro.core.kg_io` writes this mapping member for
+        member and :mod:`repro.refresh.snapshot` freezes and
+        content-addresses it.
         """
         n = self._size
         cols: dict = {name: getattr(self, attr)[:n]
                       for name, (attr, _) in _ARRAYS.items()}
         for name, attr in _TABLES.items():
             cols[name] = getattr(self, attr).values()
-        cols["head_ids"] = tuple(self._head_ids)
+        cols[_PROVENANCE] = tuple(self._head_ids_flat)
         return cols
 
     @classmethod
@@ -457,17 +461,19 @@ class KnowledgeGraph:
         """A graph that owns a copy of a :meth:`columns` mapping.
 
         The arrays are copied (so later ``add``s never write into the
-        caller's) and the intern tables, the duplicate-merge index and
-        the Table 3 counter are rebuilt in one pass each — no per-edge
-        :meth:`add`.  What :meth:`add` guarantees by construction is
-        checked instead, and a mapping that breaks it is rejected with a
-        ``ValueError`` rather than repaired: every array holds one value
-        per edge, of its column's kind (integer ids and support, float
-        scores), every id resolves inside its table, no table repeats a
-        string or holds one that no row references (Table 1's node
-        count is the table's length, and the snapshot version ranks the
-        table), every relation name is a :class:`Relation`, and no two
-        rows share a ``(head, relation, tail)`` key.
+        caller's) and the intern tables and the duplicate-merge index
+        are rebuilt in one pass each — no per-edge :meth:`add`.  What
+        :meth:`add` guarantees by construction is checked here, for
+        every source of columns, and a mapping that breaks it is
+        rejected with a ``ValueError`` rather than repaired: every array
+        holds one value per edge, of its column's kind (integer ids,
+        support and lengths, float scores), every id resolves inside its
+        table, no table repeats a string or holds one that no row
+        references (Table 1's node count is the table's length, and the
+        snapshot version ranks the table), every relation name is a
+        :class:`Relation`, no two rows share a ``(head, relation,
+        tail)`` key, and the provenance lengths are non-negative and sum
+        to the count of flat provenance ids.
         """
         kg = cls()
         for name, attr in _TABLES.items():
@@ -478,14 +484,14 @@ class KnowledgeGraph:
             except ValueError:
                 raise ValueError(f"table 'relations' holds {value!r}, "
                                  "which is not a Relation") from None
-        edges = len(columns["head"])
+        edges = np.asarray(columns["head"]).size
         referenced = {name: np.zeros(len(getattr(kg, attr)), dtype=np.int64)
                       for name, attr in _TABLES.items()}
         for name, (attr, dtype) in _ARRAYS.items():
             values = np.asarray(columns[name])
             if values.shape != (edges,):
                 raise ValueError(f"column {name!r} has {values.size} values "
-                                 f"for {edges} edges")
+                                 f"for {edges} edges (shape {values.shape})")
             if not np.can_cast(values.dtype, dtype, casting="same_kind"):
                 raise ValueError(f"column {name!r} is {values.dtype}, "
                                  f"not {np.dtype(dtype)}")
@@ -500,10 +506,15 @@ class KnowledgeGraph:
                 referenced[table] += np.bincount(values.astype(np.intp),
                                                  minlength=size)
             setattr(kg, attr, values.astype(dtype))
-        kg._head_ids = list(columns["head_ids"])
-        if len(kg._head_ids) != edges:
-            raise ValueError(f"column 'head_ids' has {len(kg._head_ids)} "
-                             f"values for {edges} edges")
+        kg._head_ids_flat = list(columns[_PROVENANCE])
+        # The lengths as given: the int32 cast above could have wrapped.
+        lengths = np.asarray(columns["head_ids_len"])
+        if int(lengths.min(initial=0)) < 0:
+            raise ValueError("column 'head_ids_len' holds negative lengths")
+        if int(lengths.sum(dtype=np.int64)) != len(kg._head_ids_flat):
+            raise ValueError(
+                f"column {_PROVENANCE!r} has {len(kg._head_ids_flat)} values: "
+                "head_ids lengths disagree with flat values")
         kg._size = edges
 
         keys = pack_edge_keys(kg._head_col, kg._rel_col, kg._tail_col,
@@ -523,7 +534,6 @@ class KnowledgeGraph:
                 orphan = getattr(kg, _TABLES[name]).value(int(orphans[0]))
                 raise ValueError(f"table {name!r} holds {orphan!r}, "
                                  "which no row references")
-        kg._count_cells(0)
         return kg
 
     # ------------------------------------------------------------------

@@ -1,49 +1,47 @@
-"""Knowledge-graph persistence: JSON Lines and columnar serialization.
+"""Knowledge-graph persistence: one archive format and a JSONL export.
 
-The production system materializes the KG for downstream consumers; this
-module provides the equivalent dump/load so a built graph can be shipped
-without re-running the pipeline.  Two formats:
-
-* **JSON Lines** (:func:`save_kg` / :func:`load_kg`) — one JSON object
-  per line, streamable and diff-friendly; the interchange format.
 * **Columnar npz** (:func:`save_kg_columnar` / :func:`load_kg_columnar`)
-  — the graph's columnar form (id columns + intern tables) written
-  directly, no per-edge JSON traffic; loading hands the arrays to
-  :meth:`KnowledgeGraph.from_columns`, which adopts and validates them
-  wholesale.  The hot-path format for snapshots and large graphs.
+  — how a built graph is shipped without re-running the pipeline: the
+  mapping :meth:`KnowledgeGraph.columns` returns, written member for
+  member under the names :mod:`repro.core.kg` declares, plus a format
+  and a version stamp.  Loading hands the members to
+  :meth:`KnowledgeGraph.from_columns`, so a round trip is exact: same
+  triples, same provenance, same column digest.
+* **JSON Lines** (:func:`save_kg`) — a one-way export for downstream
+  consumers, one self-describing record per edge.  It is lossy (scores
+  are rounded, intern and row ids are gone) and has no loader.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from itertools import islice
+import zipfile
+import zlib
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.kg import KnowledgeGraph
-from repro.core.relations import Relation
+from repro.core.kg import ARRAY_COLUMNS, STRING_COLUMNS, KnowledgeGraph
 from repro.core.triples import KnowledgeTriple
 
 __all__ = [
     "save_kg",
-    "load_kg",
     "save_kg_columnar",
     "load_kg_columnar",
     "triple_to_record",
-    "record_to_triple",
 ]
 
-_FORMAT_VERSION = 1
 _COLUMNAR_FORMAT = "cosmo-kg-columnar"
 _COLUMNAR_VERSION = 1
-_NUMERIC_COLUMNS = ("head", "relation", "tail", "domain", "behavior",
-                    "plausibility", "typicality", "support")
-_TABLE_COLUMNS = ("nodes", "relations", "domains", "behaviors")
+#: What ``np.load``, ``zipfile`` and ``zlib`` raise on a damaged or
+#: foreign file (a missing one stays an ``OSError``).
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
+               ValueError)
 
 
 def triple_to_record(triple: KnowledgeTriple) -> dict:
-    """A JSON-serializable record for one triple."""
+    """A JSON-serializable record for one triple (scores to six decimals)."""
     return {
         "head": triple.head,
         "relation": triple.relation.value,
@@ -57,83 +55,43 @@ def triple_to_record(triple: KnowledgeTriple) -> dict:
     }
 
 
-def record_to_triple(record: dict) -> KnowledgeTriple:
-    """Inverse of :func:`triple_to_record` (validates the relation)."""
-    return KnowledgeTriple(
-        head=record["head"],
-        relation=Relation(record["relation"]),
-        tail=record["tail"],
-        domain=record["domain"],
-        behavior=record["behavior"],
-        plausibility=float(record["plausibility"]),
-        typicality=float(record["typicality"]),
-        support=int(record.get("support", 1)),
-        head_ids=tuple(record.get("head_ids", ())),
-    )
-
-
 def save_kg(kg: KnowledgeGraph, path: str | pathlib.Path) -> int:
-    """Write the KG as JSON Lines; returns the number of edges written.
+    """Export the KG as JSON Lines; returns the number of edges written.
 
-    The first line is a header with the format version and edge count so
-    loaders can validate before streaming.
+    A header line with the format version and edge count, then one
+    :func:`triple_to_record` per edge.  Export only — ship a graph with
+    :func:`save_kg_columnar`.
     """
     path = pathlib.Path(path)
     triples = kg.triples()
     with path.open("w", encoding="utf-8") as handle:
-        header = {"format": "cosmo-kg", "version": _FORMAT_VERSION, "edges": len(triples)}
+        header = {"format": "cosmo-kg", "version": 1, "edges": len(triples)}
         handle.write(json.dumps(header) + "\n")
         for triple in triples:
             handle.write(json.dumps(triple_to_record(triple)) + "\n")
     return len(triples)
 
 
-def load_kg(path: str | pathlib.Path) -> KnowledgeGraph:
-    """Load a KG previously written by :func:`save_kg`."""
-    path = pathlib.Path(path)
-    kg = KnowledgeGraph()
-    with path.open("r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty KG file")
-        header = json.loads(header_line)
-        if header.get("format") != "cosmo-kg":
-            raise ValueError(f"{path}: not a cosmo-kg file")
-        if header.get("version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported version {header.get('version')} "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        expected = header.get("edges")
-        count = 0
-        for line in handle:
-            if not line.strip():
-                continue
-            kg.add(record_to_triple(json.loads(line)))
-            count += 1
-    if expected is not None and count != expected:
-        raise ValueError(f"{path}: header promises {expected} edges, found {count}")
-    return kg
+def _encoded(name: str, strings: Sequence[str]) -> np.ndarray:
+    """``strings`` as the unicode array an archive stores.  ``np.str_``
+    drops trailing NULs and alters nothing else, so fewer characters kept
+    than given means the archive would load as a different graph."""
+    encoded = np.array(strings, dtype=np.str_)
+    if int(np.char.str_len(encoded).sum()) != len("".join(strings)):
+        lost = next(s for s, kept in zip(strings, encoded.tolist()) if s != kept)
+        raise ValueError(f"column {name!r} holds {lost!r}, which an npz "
+                         "archive would not give back")
+    return encoded
 
 
 def save_kg_columnar(kg: KnowledgeGraph, path: str | pathlib.Path) -> int:
-    """Write the KG's columnar form as a compressed npz archive.
-
-    The numeric columns are stored as-is; the intern tables as unicode
-    arrays; the ragged per-edge provenance (``head_ids``) as a flat
-    value array plus per-edge lengths.  Returns the edge count.
-    """
+    """Write :meth:`KnowledgeGraph.columns` as a compressed npz archive,
+    arrays as they are and string columns as unicode arrays (checked
+    before anything is written).  Returns the edge count."""
     path = pathlib.Path(path)
-    cols = kg.columns()
-    head_ids = cols["head_ids"]
-    lengths = np.array([len(ids) for ids in head_ids], dtype=np.int32)
-    flat = [value for ids in head_ids for value in ids]
-    payload = {name: cols[name] for name in _NUMERIC_COLUMNS}
-    payload.update({
-        name: np.array(cols[name], dtype=np.str_) for name in _TABLE_COLUMNS
-    })
-    payload["head_ids_len"] = lengths
-    payload["head_ids_flat"] = np.array(flat, dtype=np.str_)
+    payload = dict(kg.columns())
+    for name in STRING_COLUMNS:
+        payload[name] = _encoded(name, payload[name])
     payload["format"] = np.array(_COLUMNAR_FORMAT)
     payload["version"] = np.array(_COLUMNAR_VERSION, dtype=np.int64)
     with path.open("wb") as handle:
@@ -141,55 +99,39 @@ def save_kg_columnar(kg: KnowledgeGraph, path: str | pathlib.Path) -> int:
     return len(kg)
 
 
-def _split_ragged(flat: list[str], lengths: np.ndarray) -> tuple[tuple[str, ...], ...]:
-    """Per-edge ``head_ids`` tuples back out of the flat value array."""
-    values = iter(flat)
-    return tuple(tuple(islice(values, count)) for count in lengths.tolist())
-
-
 def load_kg_columnar(path: str | pathlib.Path) -> KnowledgeGraph:
     """Load a KG previously written by :func:`save_kg_columnar`.
 
-    This function owns the archive format only — the format/version
-    stamp, the presence of every array, and the ragged ``head_ids``
-    encoding (lengths non-negative, one per edge, summing to the flat
-    value count).  The columns themselves are handed to
-    :meth:`KnowledgeGraph.from_columns`, which adopts them wholesale
-    and validates them; every rejection is a ``ValueError`` naming the
-    archive, so a truncated or hand-edited file never loads as a
-    different graph.
+    This function owns the archive only: that the file reads as an npz,
+    its format/version stamp and the presence of every declared column
+    (string columns as 1-D unicode arrays); the columns are validated
+    by :meth:`KnowledgeGraph.from_columns`.  Every rejection is a
+    ``ValueError`` starting with the path, so a truncated or hand-edited
+    file never loads as a different graph.
     """
     path = pathlib.Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        if "format" not in archive or str(archive["format"]) != _COLUMNAR_FORMAT:
-            raise ValueError(f"{path}: not a {_COLUMNAR_FORMAT} file")
-        if int(archive["version"]) != _COLUMNAR_VERSION:
-            raise ValueError(
-                f"{path}: unsupported columnar version {int(archive['version'])} "
-                f"(expected {_COLUMNAR_VERSION})"
-            )
-        missing = [name for name in
-                   _NUMERIC_COLUMNS + _TABLE_COLUMNS
-                   + ("head_ids_len", "head_ids_flat")
-                   if name not in archive]
-        if missing:
-            raise ValueError(f"{path}: archive is missing columns {missing}")
-        columns = {name: archive[name] for name in _NUMERIC_COLUMNS}
-        columns.update({name: archive[name].tolist() for name in _TABLE_COLUMNS})
-        lengths = archive["head_ids_len"]
-        flat = archive["head_ids_flat"].tolist()
-    edges = len(columns["head"])
-    if len(lengths) != edges:
-        raise ValueError(
-            f"{path}: head_ids_len has {len(lengths)} entries for "
-            f"{edges} edges"
-        )
-    if len(lengths) and int(np.min(lengths)) < 0:
-        raise ValueError(f"{path}: head_ids_len contains negative lengths")
-    if int(np.sum(lengths)) != len(flat):
-        raise ValueError(f"{path}: head_ids lengths disagree with flat values")
-    columns["head_ids"] = _split_ragged(flat, lengths)
     try:
-        return KnowledgeGraph.from_columns(columns)
+        with path.open("rb") as handle:
+            archive = np.load(handle, allow_pickle=False)
+            members = ({name: archive[name] for name in archive.files}
+                       if isinstance(archive, np.lib.npyio.NpzFile) else {})
+    except _UNREADABLE as error:
+        raise ValueError(f"{path}: not a readable npz archive ({error!r})") from error
+    if "format" not in members or str(members["format"]) != _COLUMNAR_FORMAT:
+        raise ValueError(f"{path}: not a {_COLUMNAR_FORMAT} file")
+    version = members["version"].tolist() if "version" in members else None
+    if version != _COLUMNAR_VERSION:
+        raise ValueError(f"{path}: unsupported columnar version {version!r} "
+                         f"(expected {_COLUMNAR_VERSION})")
+    missing = [name for name in ARRAY_COLUMNS + STRING_COLUMNS
+               if name not in members]
+    if missing:
+        raise ValueError(f"{path}: archive is missing columns {missing}")
+    for name in STRING_COLUMNS:
+        if members[name].ndim != 1 or members[name].dtype.kind != "U":
+            raise ValueError(f"{path}: column {name!r} is not a 1-D unicode array")
+        members[name] = members[name].tolist()
+    try:
+        return KnowledgeGraph.from_columns(members)
     except ValueError as error:
         raise ValueError(f"{path}: {error}") from error

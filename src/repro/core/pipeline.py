@@ -268,7 +268,7 @@ class CosmoPipeline:
         # 8. KG assembly: refined teacher knowledge + COSMO-LM expansion.
         with self.tracer.span("pipeline.kg_assembly") as span:
             kg = KnowledgeGraph()
-            kg.extend([self._to_triple(c) for c in refined])
+            kg.extend([c.to_triple() for c in refined])
             if cosmo_lm is not None and cfg.expand_with_lm:
                 kg.extend(self._expand(world, cosmo_lm, critic, samples))
             span.set_attribute("triples", len(kg))
@@ -319,20 +319,6 @@ class CosmoPipeline:
             for behavior in totals
         }
 
-    @staticmethod
-    def _to_triple(candidate: KnowledgeCandidate) -> KnowledgeTriple:
-        return KnowledgeTriple(
-            head=candidate.sample.head_text,
-            relation=candidate.relation,
-            tail=candidate.tail,
-            domain=candidate.sample.domain,
-            behavior=candidate.sample.behavior,
-            plausibility=candidate.plausibility_score or 0.0,
-            typicality=candidate.typicality_score or 0.0,
-            support=1,
-            head_ids=candidate.sample.product_ids,
-        )
-
     def _expand(
         self,
         world: World,
@@ -364,5 +350,5 @@ class CosmoPipeline:
                     )
                 )
             kept = critic.populate(candidates)
-            triples.extend(self._to_triple(c) for c in kept)
+            triples.extend(c.to_triple() for c in kept)
         return triples

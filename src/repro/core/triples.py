@@ -47,6 +47,22 @@ class KnowledgeCandidate:
     def parsed(self) -> bool:
         return self.relation is not None and self.tail is not None
 
+    def to_triple(self) -> "KnowledgeTriple":
+        """The KG edge (§3.1) a refined candidate becomes; an unscored
+        one scores 0, and the behavior's product ids are the edge's
+        provenance."""
+        return KnowledgeTriple(
+            head=self.sample.head_text,
+            relation=self.relation,
+            tail=self.tail,
+            domain=self.sample.domain,
+            behavior=self.sample.behavior,
+            plausibility=self.plausibility_score or 0.0,
+            typicality=self.typicality_score or 0.0,
+            support=1,
+            head_ids=self.sample.product_ids,
+        )
+
 
 @dataclass(frozen=True)
 class KnowledgeTriple:

@@ -23,7 +23,7 @@ from repro.core.critic import CriticClassifier
 from repro.core.filtering import KnowledgeFilter
 from repro.core.generation import generate_candidates
 from repro.core.kg import KnowledgeGraph
-from repro.core.triples import BehaviorSample, KnowledgeCandidate, KnowledgeTriple
+from repro.core.triples import BehaviorSample, KnowledgeCandidate
 from repro.llm.teacher import TeacherLLM
 from repro.refresh.snapshot import KgSnapshot, build_snapshot
 
@@ -79,21 +79,6 @@ class RefreshReport:
             "new_entries": self.new_entries,
             "new_triples": self.new_triples,
         }
-
-
-def _to_triple(candidate: KnowledgeCandidate) -> KnowledgeTriple:
-    """Refined candidate → KG edge (the §3.1 shape, as in KG assembly)."""
-    return KnowledgeTriple(
-        head=candidate.sample.head_text,
-        relation=candidate.relation,
-        tail=candidate.tail,
-        domain=candidate.sample.domain,
-        behavior=candidate.sample.behavior,
-        plausibility=candidate.plausibility_score or 0.0,
-        typicality=candidate.typicality_score or 0.0,
-        support=1,
-        head_ids=candidate.sample.product_ids,
-    )
 
 
 class KnowledgeRefresher:
@@ -178,7 +163,7 @@ class KnowledgeRefresher:
         entries.update({query: c.text for query, c in best.items()})
 
         graph = KnowledgeGraph.from_columns(parent.columns)
-        graph.extend(_to_triple(c) for c in kept)
+        graph.extend(c.to_triple() for c in kept)
 
         child = build_snapshot(entries, parent=parent,
                                note=f"refresh round {self.rounds}",

@@ -29,7 +29,8 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.kg import KnowledgeGraph, pack_edge_keys
+from repro.core.kg import (ARRAY_COLUMNS, STRING_COLUMNS, KnowledgeGraph,
+                           pack_edge_keys)
 from repro.core.triples import KnowledgeTriple
 
 __all__ = [
@@ -123,8 +124,8 @@ class KgSnapshot:
     @property
     def columns(self) -> Mapping[str, Any]:
         """Read-only columnar KG: write-locked arrays, the intern tables
-        and the per-edge provenance as tuples.  Turn it back into a
-        graph with :meth:`KnowledgeGraph.from_columns`."""
+        and the flat provenance as tuples.  Turn it back into a graph
+        with :meth:`KnowledgeGraph.from_columns`."""
         return self._columns
 
     def __len__(self) -> int:
@@ -176,16 +177,12 @@ def _checksum(parent: str | None, entries: Mapping[str, str],
 
 def _columns_digest(columns: Mapping[str, Any]) -> str:
     digest = hashlib.blake2b(digest_size=16)
-    for name in ("head", "relation", "tail", "domain", "behavior",
-                 "plausibility", "typicality", "support"):
+    for name in ARRAY_COLUMNS:
         digest.update(name.encode("utf-8"))
         digest.update(np.ascontiguousarray(columns[name]).tobytes())
-    for name in ("nodes", "relations", "domains", "behaviors"):
+    for name in STRING_COLUMNS:
         digest.update(name.encode("utf-8"))
         digest.update("\x00".join(columns[name]).encode("utf-8"))
-    digest.update(b"head_ids")
-    digest.update(json.dumps(columns["head_ids"],
-                             separators=(",", ":")).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -193,10 +190,10 @@ def columnar_digest(graph: KnowledgeGraph) -> str:
     """BLAKE2b digest of a :class:`~repro.core.kg.KnowledgeGraph`'s
     columnar arrays — the content address of the *physical* columns.
 
-    Hashes every numeric column's raw bytes plus the intern tables (and
-    the ragged provenance), so any bit difference in the arrays a
-    columnar archive would serialize yields a different digest.  Used to
-    pin a snapshot manifest to the exact column bytes it shipped with.
+    Hashes every array column's raw bytes and every string column's
+    text under the names :mod:`repro.core.kg` declares, so any bit
+    difference in what a columnar archive stores yields a different
+    digest.  Pins a snapshot manifest to the columns it shipped with.
     """
     return _columns_digest(graph.columns())
 

@@ -22,6 +22,13 @@ from repro.refresh import build_snapshot, columnar_digest
 
 _relations = st.sampled_from(list(Relation))
 _texts = st.text(alphabet="abcde ", min_size=1, max_size=10).map(str.strip).filter(bool)
+#: Provenance from real text — non-ASCII, spaces, the same id twice on
+#: one edge and on many — 0–4 ids per edge, so empty tuples sit between
+#: non-empty ones.  (A trailing NUL is the one thing an archive refuses.)
+_product_ids = st.one_of(
+    st.sampled_from(["p1", "p2", "B00 1Z", " p1", "商品-7", "ünï cödé"]),
+    st.text(min_size=1, max_size=6).filter(lambda s: not s.endswith("\x00")))
+_provenance = st.lists(_product_ids, max_size=4).map(tuple)
 
 
 @st.composite
@@ -35,7 +42,7 @@ def triples(draw):
         plausibility=draw(st.floats(0, 1)),
         typicality=draw(st.floats(0, 1)),
         support=draw(st.integers(1, 5)),
-        head_ids=tuple(draw(st.lists(st.sampled_from(["p1", "p2"]), max_size=2))),
+        head_ids=draw(_provenance),
     )
 
 
@@ -56,7 +63,7 @@ def test_columns_expose_trimmed_typed_arrays():
     kg.add(_triple())
     kg.add(_triple(tail="hiking", plausibility=0.7))
     cols = kg.columns()
-    assert cols["head"].dtype == np.int32
+    assert cols["head"].dtype == cols["head_ids_len"].dtype == np.int32
     assert cols["plausibility"].dtype == np.float64
     assert cols["support"].dtype == np.int64
     assert len(cols["head"]) == len(kg) == 2
@@ -199,7 +206,8 @@ def test_from_columns_copies_the_arrays():
 
 @pytest.mark.parametrize("override, message", [
     ({"tail": np.zeros(1, dtype=np.int32)}, "'tail' has 1 values for 2 edges"),
-    ({"head_ids": ((),)}, "'head_ids' has 1 values for 2 edges"),
+    ({"head_ids_len": np.zeros(1, dtype=np.int32)},
+     "'head_ids_len' has 1 values for 2 edges"),
     ({"domain": np.array([0, 7], dtype=np.int32)},
      "'domain' has ids outside the 'domains' table"),
     ({"head": np.array([0.0, 0.5])}, "'head' is float64, not int32"),
@@ -221,8 +229,21 @@ def test_from_columns_copies_the_arrays():
     ({name: np.zeros(0, dtype=np.int32) for name in
       ("head", "relation", "tail", "domain", "behavior")}
      | {name: np.zeros(0) for name in ("plausibility", "typicality")}
-     | {"support": np.zeros(0, dtype=np.int64), "head_ids": ()},
+     | {"support": np.zeros(0, dtype=np.int64),
+        "head_ids_len": np.zeros(0, dtype=np.int32)},
      "table 'nodes' holds 'q ... p', which no row references"),
+    # Provenance: one non-negative integer length per edge, summing to
+    # the flat id count — or a row would read another row's ids.
+    ({"head_ids_len": np.array([1, 0], dtype=np.int32)},
+     "'head_ids_flat' has 0 values: head_ids lengths disagree"),
+    ({"head_ids_flat": ("p1",)}, "lengths disagree with flat values"),
+    ({"head_ids_len": np.array([-1, 1], dtype=np.int32)}, "negative lengths"),
+    ({"head_ids_len": np.array([0.0, 0.0])},
+     "'head_ids_len' is float64, not int32"),
+    ({"head_ids_len": np.zeros((2, 1), dtype=np.int32)},
+     "'head_ids_len' has 2 values for 2 edges .shape .2, 1.."),
+    ({"head": np.array(0, dtype=np.int32)},
+     "'head' has 1 values for 1 edges .shape ..."),
 ])
 def test_from_columns_rejects_what_add_could_not_have_built(override, message):
     columns = dict(_graph().columns(), **override)
@@ -258,6 +279,7 @@ def test_columnar_round_trip_any_graph(tmp_path_factory, batch):
     save_kg_columnar(kg, path)
     restored = load_kg_columnar(path)
     assert restored.triples() == kg.triples()
+    assert columnar_digest(restored) == columnar_digest(kg)
 
 
 def test_columnar_load_rejects_foreign_npz(tmp_path):

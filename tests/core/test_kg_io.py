@@ -1,15 +1,18 @@
-"""KG serialization round trips and validation."""
+"""KG serialization: the columnar archive's round trip and validation,
+and the one-way JSONL export."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.core.kg import KnowledgeGraph
-from repro.core.kg_io import (load_kg, load_kg_columnar, record_to_triple,
-                              save_kg, save_kg_columnar, triple_to_record)
+from repro.core.kg import ARRAY_COLUMNS, STRING_COLUMNS, KnowledgeGraph
+from repro.core.kg_io import (load_kg_columnar, save_kg, save_kg_columnar,
+                              triple_to_record)
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
+from repro.refresh import columnar_digest
 
 
 def _triple(tail="camping", support=2):
@@ -26,76 +29,44 @@ def _triple(tail="camping", support=2):
     )
 
 
-def test_record_roundtrip():
-    triple = _triple()
-    assert record_to_triple(triple_to_record(triple)) == triple
-
-
-def test_save_load_roundtrip(tmp_path):
-    kg = KnowledgeGraph()
-    kg.add(_triple("camping"))
-    kg.add(_triple("hiking", support=1))
-    path = tmp_path / "kg.jsonl"
-    written = save_kg(kg, path)
-    assert written == 2
-    loaded = load_kg(path)
-    assert len(loaded) == 2
-    assert {t.tail for t in loaded.triples()} == {"camping", "hiking"}
-    original = {t.key: t for t in kg.triples()}
-    for triple in loaded.triples():
-        assert original[triple.key] == triple
-
-
 def test_pipeline_kg_roundtrip(tmp_path, pipeline_result):
+    kg = pipeline_result.kg
+    path = tmp_path / "pipeline_kg.npz"
+    save_kg_columnar(kg, path)
+    loaded = load_kg_columnar(path)
+    assert loaded.stats() == kg.stats()
+    assert loaded.triples() == kg.triples()
+    assert columnar_digest(loaded) == columnar_digest(kg)
+    # The pipeline is the producer of non-empty provenance.
+    assert any(triple.head_ids for triple in loaded.triples())
+
+
+def test_jsonl_export_writes_a_header_and_one_record_per_edge(
+        tmp_path, pipeline_result):
+    kg = pipeline_result.kg
     path = tmp_path / "pipeline_kg.jsonl"
-    save_kg(pipeline_result.kg, path)
-    loaded = load_kg(path)
-    assert loaded.stats() == pipeline_result.kg.stats()
-
-
-def test_load_rejects_wrong_format(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"format": "other"}) + "\n")
-    with pytest.raises(ValueError, match="not a cosmo-kg"):
-        load_kg(path)
-
-
-def test_load_rejects_wrong_version(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"format": "cosmo-kg", "version": 99, "edges": 0}) + "\n")
-    with pytest.raises(ValueError, match="unsupported version"):
-        load_kg(path)
-
-
-def test_load_rejects_truncated_file(tmp_path):
-    kg = KnowledgeGraph()
-    kg.add(_triple())
-    path = tmp_path / "kg.jsonl"
-    save_kg(kg, path)
-    lines = path.read_text().splitlines()
-    path.write_text(lines[0] + "\n")  # drop the edge line
-    with pytest.raises(ValueError, match="promises"):
-        load_kg(path)
-
-
-def test_load_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        load_kg(path)
+    assert save_kg(kg, path) == len(kg)
+    header, *records = map(json.loads, path.read_text().splitlines())
+    assert header == {"format": "cosmo-kg", "version": 1, "edges": len(kg)}
+    assert records == [triple_to_record(triple) for triple in kg.triples()]
+    assert len(records) == len(kg)
 
 
 # ----------------------------------------------------------------------
 # Columnar archive validation: a truncated or hand-edited npz must fail
-# with a ValueError naming the archive and the inconsistency, never load
-# as some other graph.
+# with a ValueError that starts with the archive's path and names the
+# inconsistency, never load as some other graph.
 
-def _columnar_path(tmp_path):
+def _graph():
     kg = KnowledgeGraph()
     kg.add(_triple("camping"))
     kg.add(_triple("hiking", support=1))
+    return kg
+
+
+def _columnar_path(tmp_path):
     path = tmp_path / "kg.npz"
-    save_kg_columnar(kg, path)
+    save_kg_columnar(_graph(), path)
     return path
 
 
@@ -129,27 +100,51 @@ def test_columnar_rejects_truncated_numeric_column(tmp_path):
         load_kg_columnar(path)
 
 
-def test_columnar_rejects_truncated_lengths(tmp_path):
-    path = _tampered(tmp_path, _columnar_path(tmp_path),
-                     head_ids_len=np.array([1], dtype=np.int32))
-    with pytest.raises(ValueError, match="head_ids_len has 1 entries"):
+def _rejected_by_loader_and_from_columns(tmp_path, message, **overrides):
+    """The provenance encoding is checked where every other column is,
+    so the archive and the bare mapping are rejected alike."""
+    path = _tampered(tmp_path, _columnar_path(tmp_path), **overrides)
+    with pytest.raises(ValueError, match=r"^.*tampered\.npz: .*" + message):
         load_kg_columnar(path)
+    columns = dict(_graph().columns(), **{
+        name: value.tolist() if value.dtype.kind == "U" else value
+        for name, value in overrides.items()})
+    with pytest.raises(ValueError, match=message):
+        KnowledgeGraph.from_columns(columns)
+
+
+def test_columnar_rejects_truncated_lengths(tmp_path):
+    # One message for every column that is short: 'tail' above reads the same.
+    _rejected_by_loader_and_from_columns(
+        tmp_path, "'head_ids_len' has 1 values for 2 edges",
+        head_ids_len=np.array([1], dtype=np.int32))
 
 
 def test_columnar_rejects_negative_lengths(tmp_path):
     # Sum still matches the flat array (2 values), so only the explicit
-    # negativity check can catch this before slicing goes quadratic.
-    path = _tampered(tmp_path, _columnar_path(tmp_path),
-                     head_ids_len=np.array([-1, 3], dtype=np.int32))
-    with pytest.raises(ValueError, match="negative lengths"):
-        load_kg_columnar(path)
+    # negativity check can catch this before a row reads another's ids.
+    _rejected_by_loader_and_from_columns(
+        tmp_path, "negative lengths",
+        head_ids_len=np.array([-1, 3], dtype=np.int32))
 
 
 def test_columnar_rejects_flat_length_mismatch(tmp_path):
-    path = _tampered(tmp_path, _columnar_path(tmp_path),
-                     head_ids_flat=np.array(["p1"], dtype=np.str_))
-    with pytest.raises(ValueError, match="lengths disagree with flat values"):
-        load_kg_columnar(path)
+    _rejected_by_loader_and_from_columns(
+        tmp_path, "lengths disagree with flat values",
+        head_ids_flat=np.array(["p1"], dtype=np.str_))
+
+
+@pytest.mark.parametrize("lengths, message", [
+    (np.array([1.0, 1.0]), "'head_ids_len' is float64, not int32"),
+    (np.array([[1], [1]], dtype=np.int32),
+     r"'head_ids_len' has 2 values for 2 edges \(shape \(2, 1\)\)"),
+    # Wraps to [0, 2] as int32; the lengths are checked as given.
+    (np.array([1 << 32, 2], dtype=np.int64), "lengths disagree"),
+])
+def test_columnar_rejects_lengths_that_are_not_one_integer_per_edge(
+        tmp_path, lengths, message):
+    _rejected_by_loader_and_from_columns(tmp_path, message,
+                                         head_ids_len=lengths)
 
 
 def test_columnar_rejects_out_of_range_intern_ids(tmp_path):
@@ -214,3 +209,90 @@ def test_columnar_roundtrip_survives_validation(tmp_path):
     loaded = load_kg_columnar(path)
     assert len(loaded) == 2
     assert {t.tail for t in loaded.triples()} == {"camping", "hiking"}
+
+
+# -- what the archive itself can get wrong ------------------------------------
+
+
+@pytest.mark.parametrize("field", ["head", "tail", "domain", "behavior",
+                                   "head_ids"])
+def test_save_rejects_a_string_the_encoding_would_alter(tmp_path, field):
+    # ``np.str_`` drops trailing NULs: the archive would load as a graph
+    # over 'q' instead of 'q\x00' (or fail on a made-up repeat of 'q').
+    fields = {"head": "q", "tail": "t", "domain": "Home",
+              "behavior": "co-buy", "head_ids": ("p1",)}
+    fields[field] = ("p1\x00",) if field == "head_ids" else "q\x00"
+    kg = KnowledgeGraph()
+    kg.add(KnowledgeTriple(relation=Relation.USED_WITH, plausibility=0.5,
+                           typicality=0.5, **fields))
+    path = tmp_path / "kg.npz"
+    with pytest.raises(ValueError, match=r"holds '(q|p1)\\x00', which an npz "
+                                         r"archive would not give back"):
+        save_kg_columnar(kg, path)
+    assert not path.exists()
+    # A NUL anywhere else survives, and so does the graph.
+    inner = KnowledgeGraph()
+    inner.add(_triple("cam\x00ping"))
+    save_kg_columnar(inner, path)
+    assert load_kg_columnar(path).triples() == inner.triples()
+
+
+def test_columnar_rejects_missing_version(tmp_path):
+    path = _tampered(tmp_path, _columnar_path(tmp_path), version=None)
+    with pytest.raises(ValueError, match=r"^.*tampered\.npz: unsupported "
+                                         r"columnar version None"):
+        load_kg_columnar(path)
+
+
+@pytest.mark.parametrize("version", [np.array(2), np.array([1, 1]),
+                                     np.array("1")])
+def test_columnar_rejects_any_other_version(tmp_path, version):
+    path = _tampered(tmp_path, _columnar_path(tmp_path), version=version)
+    with pytest.raises(ValueError, match=r"^.*tampered\.npz: unsupported "
+                                         r"columnar version"):
+        load_kg_columnar(path)
+
+
+def test_columnar_rejects_a_file_that_is_not_an_archive(tmp_path):
+    source = _columnar_path(tmp_path)
+    data = source.read_bytes()
+    with zipfile.ZipFile(source) as members:
+        second = sorted(info.header_offset for info in members.infolist())[1]
+    # The tail of the first member's compressed bytes, inverted.
+    flipped = bytes(byte ^ 0xFF for byte in data[second - 6:second])
+    path = tmp_path / "damaged.npz"
+    for content in (b"", b"\x00garbage!", data[: len(data) // 2], data[:-1],
+                    data[:second - 6] + flipped + data[second:]):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=r"^.*damaged\.npz: "):
+            load_kg_columnar(path)
+    # A lone array is a file ``np.load`` reads happily.
+    np.save(tmp_path / "damaged.npy", np.arange(3))
+    with pytest.raises(ValueError, match=r"^.*damaged\.npy: not a cosmo-kg"):
+        load_kg_columnar(tmp_path / "damaged.npy")
+    with pytest.raises(FileNotFoundError):
+        load_kg_columnar(tmp_path / "absent.npz")
+
+
+@pytest.mark.parametrize("nodes", [
+    np.array([["q", "a"], ["b", "c"]]), np.array("q"), np.arange(3)])
+def test_columnar_rejects_a_string_column_that_is_not_1d_text(tmp_path, nodes):
+    path = _tampered(tmp_path, _columnar_path(tmp_path), nodes=nodes)
+    with pytest.raises(ValueError, match=r"^.*tampered\.npz: column 'nodes' "
+                                         r"is not a 1-D unicode array"):
+        load_kg_columnar(path)
+
+
+def test_archive_members_are_the_declared_columns(tmp_path):
+    # One schema: the graph's columns, the archive's members and the
+    # names the digest hashes are the one declaration in ``core/kg.py``.
+    declared = ARRAY_COLUMNS + STRING_COLUMNS
+    assert len(set(declared)) == len(declared) == 14
+    assert tuple(_graph().columns()) == declared
+    with np.load(_columnar_path(tmp_path), allow_pickle=False) as archive:
+        assert sorted(archive.files) == sorted(declared + ("format", "version"))
+        for name in ARRAY_COLUMNS:
+            assert archive[name].dtype == _graph().columns()[name].dtype
+            assert archive[name].tolist() == _graph().columns()[name].tolist()
+        for name in STRING_COLUMNS:
+            assert tuple(archive[name].tolist()) == _graph().columns()[name]

@@ -12,6 +12,13 @@ from repro.refresh import columnar_digest
 
 _relations = st.sampled_from(list(Relation))
 _texts = st.text(alphabet="abcde ", min_size=1, max_size=10).map(str.strip).filter(bool)
+#: Provenance from real text — non-ASCII, spaces, the same id twice on
+#: one edge and on many — 0–4 ids per edge, so empty tuples sit between
+#: non-empty ones.
+_product_ids = st.one_of(
+    st.sampled_from(["p1", "p2", "B00 1Z", " p1", "商品-7", "ünï cödé"]),
+    st.text(min_size=1, max_size=6))
+_provenance = st.lists(_product_ids, max_size=4).map(tuple)
 
 
 @st.composite
@@ -25,6 +32,7 @@ def triples(draw):
         plausibility=draw(st.floats(0, 1)),
         typicality=draw(st.floats(0, 1)),
         support=draw(st.integers(1, 5)),
+        head_ids=draw(_provenance),
     )
 
 
@@ -105,7 +113,7 @@ def colliding_triples(draw):
         plausibility=draw(st.floats(0, 1)),
         typicality=draw(st.floats(0, 1)),
         support=draw(st.integers(1, 5)),
-        head_ids=tuple(draw(st.lists(st.sampled_from(["p1", "p2"]), max_size=2))),
+        head_ids=draw(_provenance),
     )
 
 
@@ -134,6 +142,8 @@ def _assert_identical(bulk, reference):
     _assert_same_bytes(bulk, reference)
     theirs = reference.columns()
     assert bulk.stats() == reference.stats()
+    assert ([t.head_ids for t in bulk.triples()]
+            == [t.head_ids for t in reference.triples()])
     for domain in theirs["domains"] + ("never seen",):
         for behavior in theirs["behaviors"]:
             assert (bulk.edges_for(domain, behavior)
@@ -155,10 +165,38 @@ def test_extend_is_the_add_loop(batches, adopt_first, as_generator):
         _by_add(reference, batch)
         _assert_identical(bulk, reference)
     # Both keep merging into the same rows afterwards.
-    for triple in [t for batch in batches for t in batch][:3]:
+    inserted = [t for batch in batches for t in batch]
+    for triple in inserted[:3]:
         bulk.add(triple)
         reference.add(triple)
     _assert_identical(bulk, reference)
+    # A merged duplicate keeps the first insert's provenance.
+    first = {}
+    for triple in inserted:
+        first.setdefault(triple.key, triple.head_ids)
+    assert {t.key: t.head_ids for t in bulk.triples()} == first
+    # And the columns rebuild both graphs, provenance and digest included.
+    adopted = KnowledgeGraph.from_columns(bulk.columns())
+    assert adopted.triples() == reference.triples()
+    _assert_same_bytes(adopted, reference)
+
+
+@given(_batches)
+@settings(max_examples=60, deadline=None)
+def test_edges_for_is_a_count_over_the_triples(batches):
+    by_add, by_extend = KnowledgeGraph(), KnowledgeGraph()
+    for batch in batches:
+        _by_add(by_add, batch)
+        by_extend.extend(batch)
+    adopted = KnowledgeGraph.from_columns(by_extend.columns())
+    adopted.extend(batches[0] if batches else [])     # merges only
+    triples = by_add.triples()
+    for domain in ["Electronics", "Pet Supplies", "Home", "Grocery", "unseen"]:
+        for behavior in ["co-buy", "search-buy", "view", "unseen"]:
+            expected = sum(1 for t in triples
+                           if (t.domain, t.behavior) == (domain, behavior))
+            for kg in (by_add, by_extend, adopted):
+                assert kg.edges_for(domain, behavior) == expected
 
 
 def _edge(head, tail, **fields):
@@ -190,7 +228,8 @@ def test_a_duplicate_does_not_intern_its_domain_or_behavior():
     _assert_identical(bulk, reference)
     assert bulk.columns()["domains"] == ("Home", "Grocery")
     assert bulk.columns()["behaviors"] == ("co-buy",)
-    assert bulk.columns()["head_ids"] == ((), ())
+    assert bulk.columns()["head_ids_flat"] == ()
+    assert [t.head_ids for t in bulk.triples()] == [(), ()]
     assert bulk.edges_for("Only On The Duplicate", "view") == 0
 
 

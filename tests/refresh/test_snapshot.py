@@ -129,9 +129,11 @@ def test_edge_endpoints_are_not_interchangeable():
 #: What ``_lineage`` freezes.  The versions were re-pinned once, when
 #: the checksum moved from a sorted JSON of string tuples to sorted
 #: string ranks (same logical identity, different bytes hashed); the
-#: physical digest is the one captured before snapshots held columns.
+#: physical digest was re-pinned once, when provenance became two of the
+#: hashed columns (flat ids + lengths) instead of a JSON of nested
+#: tuples — the versions beside it did not move.
 PARENT_VERSION, CHILD_VERSION = "v-a23bde332793", "v-d52ac7f92db5"
-CHILD_DIGEST = "11577c5ca9c5b9436e53aa38109f9c13"
+CHILD_DIGEST = "c448ff56d3051a1b585620b1643449c1"
 
 
 def _lineage(build):

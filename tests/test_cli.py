@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.kg_io import load_kg
+from repro.core.kg_io import load_kg_columnar
 
 
 def test_parser_requires_command():
@@ -12,21 +12,21 @@ def test_parser_requires_command():
 
 
 def test_build_kg_writes_file(tmp_path, capsys):
-    out = tmp_path / "kg.jsonl"
+    out = tmp_path / "kg.npz"
     code = main([
         "build-kg", "--seed", "3", "--scale", "0.12",
         "--lm-epochs", "1", "--out", str(out),
     ])
     assert code == 0
     assert out.exists()
-    kg = load_kg(out)
+    kg = load_kg_columnar(out)
     assert len(kg) > 0
     captured = capsys.readouterr().out
     assert "nodes" in captured and "Annotated quality" in captured
 
 
 def test_inspect_kg(tmp_path, capsys):
-    out = tmp_path / "kg.jsonl"
+    out = tmp_path / "kg.npz"
     main(["build-kg", "--seed", "3", "--scale", "0.12", "--lm-epochs", "1",
           "--out", str(out)])
     capsys.readouterr()
