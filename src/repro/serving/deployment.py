@@ -150,7 +150,7 @@ class ServingMetrics:
             "end-to-end simulated request latency", ("service",),
         ).labels(**labels)
 
-    def add(self, attr: str, amount: int) -> None:
+    def add(self, attr: str, amount: float) -> None:
         """``metrics.<attr> += amount`` without the read-modify-write."""
         self._counters[attr].inc(amount)
 
@@ -530,19 +530,23 @@ class CosmoService:
         """Batch-side generation: call the generator and fold what the
         call cost (retries, faults, rejections, backoff) into metrics."""
         outcome = self._call_generator(prompts)
-        self.metrics.retries += outcome.retries
-        self.metrics.generator_failures += outcome.errors
-        self.metrics.rejected_generations += outcome.rejected
-        self.metrics.backoff_wait_s += outcome.wait_s
+        self.metrics.add("retries", outcome.retries)
+        self.metrics.add("generator_failures", outcome.errors)
+        self.metrics.add("rejected_generations", outcome.rejected)
+        self.metrics.add("backoff_wait_s", outcome.wait_s)
         return outcome
+
+    def _remember(self, answers: list[tuple[str, str]]) -> None:
+        """Keep fresh ``(query, text)`` answers where degraded serving
+        reads them: the feature store and the last known good."""
+        self.features.put_many(answers)
+        self._last_good.update(answers)
 
     def _install(self, answers: list[tuple[str, str]]) -> int:
         """Write fresh ``(query, text)`` answers through every layer that
-        serves them (feature store, last known good, daily cache);
-        returns how many the cache installed."""
-        for query, text in answers:
-            self.features.put(query, text)
-            self._last_good[query] = text
+        serves them — three bulk writes per window (feature store, last
+        known good, daily cache); returns how many the cache installed."""
+        self._remember(answers)
         return self.cache.apply_batch(dict(answers))
 
     def _serve_direct(self, query: str) -> ServeResult:
@@ -607,11 +611,11 @@ class CosmoService:
         return installed
 
     def _run_batch(self, pending: list[str]) -> int:
-        self.metrics.batch_runs += 1
+        self.metrics.add("batch_runs", 1)
         outcome = self._generate(
             [self._prompt_builder(query) for query in pending])
         if outcome.breaker_refused:
-            self.metrics.breaker_refusals += 1
+            self.metrics.add("breaker_refusals", 1)
         answers = [(query, generation.text)
                    for query, generation in zip(pending, outcome.generations)
                    if generation is not None]
@@ -627,7 +631,7 @@ class CosmoService:
                     attempts=outcome.attempts,
                 )
         installed = self._install(answers)
-        self.metrics.batch_queries_processed += len(answers)
+        self.metrics.add("batch_queries_processed", len(answers))
         return installed
 
     def _dead_letter(self, query: str, attempts: int, reason: str) -> None:
@@ -724,12 +728,12 @@ class CosmoService:
         if stale:
             outcome = self._generate(
                 [self._prompt_builder(key) for key in stale])
-            for key, generation in zip(stale, outcome.generations):
-                if generation is None:
-                    continue  # keep the stale entry; better than nothing
-                self.features.put(key, generation.text)
-                self._last_good[key] = generation.text
-                refreshed += 1
+            # A failed generation keeps its stale entry; better than nothing.
+            fresh = [(key, generation.text)
+                     for key, generation in zip(stale, outcome.generations)
+                     if generation is not None]
+            self._remember(fresh)
+            refreshed = len(fresh)
         # The refresh runs at end of day: sleep to the next day boundary
         # so every simulated day starts at exactly day * SECONDS_PER_DAY
         # regardless of how much request latency accumulated during it.

@@ -4,6 +4,12 @@ Transfers COSMO-LM responses into actionable features for downstream
 applications: product key-value pairs, semantic subcategory
 representations, and strong-intent flags.  Entries are versioned by
 refresh day so the staleness limitation §3.5.3 discusses is observable.
+
+A record stores what was written (key, response text, refresh day,
+extras) and is *structured on first read*: ``relation``, ``tail``,
+``tail_type`` and ``strong_intent`` come from one ``parse_predicate``
+call the first time any of them is read.  Serving only reads the text
+back, so a write parses nothing and a flush is one ``put_many``.
 """
 
 from __future__ import annotations
@@ -16,23 +22,58 @@ from repro.serving.clock import SimClock
 
 __all__ = ["FeatureRecord", "FeatureStore"]
 
+_STRUCTURED = ("relation", "tail", "tail_type", "strong_intent")
+#: Activity/function knowledge: what navigation treats as explicit intents.
+_STRONG_INTENT = (Relation.USED_FOR_EVE, Relation.X_WANT, Relation.USED_FOR_FUNC,
+                  Relation.CAPABLE_OF, Relation.USED_TO)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class FeatureRecord:
-    """Structured features distilled from one model response."""
+    """Structured features distilled from one model response.
+
+    The four structured fields are functions of ``knowledge_text`` (so
+    not compared); their slots stay empty until one of them is read.
+    """
 
     key: str
     knowledge_text: str
-    relation: str | None
-    tail: str | None
-    tail_type: str | None
-    strong_intent: bool
+    relation: str | None = field(init=False, compare=False)
+    tail: str | None = field(init=False, compare=False)
+    tail_type: str | None = field(init=False, compare=False)
+    strong_intent: bool = field(init=False, compare=False)
     refreshed_day: int
     extras: dict[str, str] = field(default_factory=dict, hash=False)
 
+    def __post_init__(self):
+        # Nothing parses at the write, so a bad response is rejected here
+        # rather than stored and served.
+        if not isinstance(self.knowledge_text, str):
+            raise TypeError(f"knowledge_text for {self.key!r} must be str, "
+                            f"got {type(self.knowledge_text).__name__}")
+
+    def __getattr__(self, name: str):
+        # Only reached while ``name``'s slot is empty: the first read of
+        # a structured field parses once and fills all four.
+        if name not in _STRUCTURED:
+            raise AttributeError(name)
+        values = (None, None, None, False)
+        if (parsed := parse_predicate(self.knowledge_text)) is not None:
+            relation, tail = parsed
+            values = (relation.value, tail, RELATION_SPECS[relation].tail_type.value,
+                      relation in _STRONG_INTENT)
+        for slot, value in zip(_STRUCTURED, values):
+            object.__setattr__(self, slot, value)
+        return getattr(self, name)
+
 
 class FeatureStore:
-    """Key → structured-feature mapping with refresh-day versioning."""
+    """Key → feature-record mapping with refresh-day versioning.
+
+    Writes store the response as given (:meth:`put` one record,
+    :meth:`put_many` one flush window); see :class:`FeatureRecord` for
+    when it is structured.
+    """
 
     def __init__(self, clock: SimClock, registry: MetricsRegistry | None = None,
                  name: str = "cosmo"):
@@ -63,32 +104,8 @@ class FeatureStore:
     @staticmethod
     def structure(key: str, knowledge_text: str, refreshed_day: int,
                   extras: dict[str, str] | None = None) -> FeatureRecord:
-        """Parse a raw model response into a structured record.
-
-        ``strong_intent`` marks activity/function knowledge — the signals
-        navigation treats as explicit customer intents.
-        """
-        parsed = parse_predicate(knowledge_text)
-        relation_name = tail = tail_type = None
-        strong = False
-        if parsed is not None:
-            relation, tail = parsed
-            relation_name = relation.value
-            tail_type = RELATION_SPECS[relation].tail_type.value
-            strong = relation in (
-                Relation.USED_FOR_EVE, Relation.X_WANT, Relation.USED_FOR_FUNC,
-                Relation.CAPABLE_OF, Relation.USED_TO,
-            )
-        return FeatureRecord(
-            key=key,
-            knowledge_text=knowledge_text,
-            relation=relation_name,
-            tail=tail,
-            tail_type=tail_type,
-            strong_intent=strong,
-            refreshed_day=refreshed_day,
-            extras=extras or {},
-        )
+        """The (lazily structured) record for one raw model response."""
+        return FeatureRecord(key, knowledge_text, refreshed_day, extras or {})
 
     @property
     def writes(self) -> int:
@@ -99,12 +116,25 @@ class FeatureStore:
         return int(self._reads.value)
 
     def put(self, key: str, knowledge_text: str, extras: dict[str, str] | None = None) -> FeatureRecord:
-        """Structure and store one model response."""
+        """Store one model response; returns the stored record."""
         record = self.structure(key, knowledge_text, self._clock.day, extras)
         self._records[key] = record
         self._writes.inc()
         self._entries_gauge.set(len(self._records))
         return record
+
+    def put_many(self, pairs: list[tuple[str, str]]) -> None:
+        """:meth:`put` each ``(key, knowledge_text)`` pair of one window, in
+        order (a repeated key keeps its last text, every pair counts as a
+        write), with one clock read, counter increment and gauge update per
+        window; a bad pair rejects the window before any of it is stored."""
+        if not pairs:
+            return
+        day = self._clock.day
+        records = {key: FeatureRecord(key, text, day) for key, text in pairs}
+        self._records.update(records)
+        self._writes.inc(len(pairs))
+        self._entries_gauge.set(len(self._records))
 
     def get(self, key: str) -> FeatureRecord | None:
         self._reads.inc()

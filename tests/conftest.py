@@ -1,11 +1,12 @@
-"""Shared fixtures: one tiny world and one tiny pipeline run per session."""
+"""Shared fixtures: one tiny world, one tiny pipeline run and one trained
+COSMO-LM per session."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.behavior import World, WorldConfig
-from repro.core import CosmoPipeline, PipelineConfig
+from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
 
 
 TINY_WORLD = WorldConfig(
@@ -31,6 +32,24 @@ def pipeline_result():
         searchbuy_records_per_domain=40,
         annotation_budget=300,
         finetune_lm=False,
+        expand_with_lm=False,
+    )
+    return CosmoPipeline(config).run()
+
+
+@pytest.fixture(scope="session")
+def trained_pipeline():
+    """A small pipeline run that finetunes COSMO-LM — the one trained
+    model the generation and persistence tests share (nothing they assert
+    depends on the seed)."""
+    config = PipelineConfig(
+        seed=41,
+        world=WorldConfig(seed=41, products_per_domain=16,
+                          broad_queries_per_domain=8, specific_queries_per_domain=8),
+        cobuy_pairs_per_domain=20,
+        searchbuy_records_per_domain=25,
+        annotation_budget=200,
+        lm=CosmoLMConfig(epochs=4, hidden_dim=48),
         expand_with_lm=False,
     )
     return CosmoPipeline(config).run()

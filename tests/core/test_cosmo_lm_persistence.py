@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-from repro.behavior import WorldConfig
-from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
 from repro.core.cosmo_lm import CosmoLM
 from repro.llm import Tokenizer
 
@@ -30,43 +28,27 @@ def test_tokenizer_load_validates(tmp_path):
         Tokenizer.load(path)
 
 
-@pytest.fixture(scope="module")
-def small_lm():
-    config = PipelineConfig(
-        seed=41,
-        world=WorldConfig(seed=41, products_per_domain=16,
-                          broad_queries_per_domain=8, specific_queries_per_domain=8),
-        cobuy_pairs_per_domain=20,
-        searchbuy_records_per_domain=25,
-        annotation_budget=200,
-        lm=CosmoLMConfig(epochs=4, hidden_dim=48),
-        expand_with_lm=False,
-    )
-    result = CosmoPipeline(config).run()
-    return result
-
-
-def test_cosmo_lm_save_load_identical_generations(tmp_path, small_lm):
-    lm = small_lm.cosmo_lm
-    world = small_lm.world
+def test_cosmo_lm_save_load_identical_generations(tmp_path, trained_pipeline):
+    lm = trained_pipeline.cosmo_lm
+    world = trained_pipeline.world
     directory = tmp_path / "cosmo-lm"
     lm.save(directory)
     restored = CosmoLM.load(directory)
 
-    samples = small_lm.samples[:10]
+    samples = trained_pipeline.samples[:10]
     prompts = [lm.prompt_for_sample(world, s) for s in samples]
     original = [g.text for g in lm.generate_batch(prompts).require()]
     reloaded = [g.text for g in restored.generate_batch(prompts).require()]
     assert original == reloaded
 
 
-def test_cosmo_lm_save_load_preserves_classifier(tmp_path, small_lm):
-    lm = small_lm.cosmo_lm
-    world = small_lm.world
+def test_cosmo_lm_save_load_preserves_classifier(tmp_path, trained_pipeline):
+    lm = trained_pipeline.cosmo_lm
+    world = trained_pipeline.world
     directory = tmp_path / "cosmo-lm"
     lm.save(directory)
     restored = CosmoLM.load(directory)
-    sample = small_lm.samples[0]
+    sample = trained_pipeline.samples[0]
     prompt = lm.prompt_for_sample(world, sample)
     assert (restored.predict_typicality(prompt, "it is used for camping")
             == lm.predict_typicality(prompt, "it is used for camping"))

@@ -2,49 +2,32 @@
 
 import pytest
 
-from repro.behavior import WorldConfig
-from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
-from repro.core.relations import parse_predicate
+from repro.core import CosmoLMConfig
 
 
-@pytest.fixture(scope="module")
-def small_cosmo():
-    config = PipelineConfig(
-        seed=61,
-        world=WorldConfig(seed=61, products_per_domain=16,
-                          broad_queries_per_domain=8, specific_queries_per_domain=8),
-        cobuy_pairs_per_domain=20,
-        searchbuy_records_per_domain=25,
-        annotation_budget=250,
-        lm=CosmoLMConfig(epochs=6, hidden_dim=48),
-        expand_with_lm=False,
-    )
-    return CosmoPipeline(config).run()
-
-
-def test_reranked_returns_one_generation_per_prompt(small_cosmo):
-    lm = small_cosmo.cosmo_lm
-    samples = small_cosmo.samples[:8]
-    prompts = [lm.prompt_for_sample(small_cosmo.world, s) for s in samples]
+def test_reranked_returns_one_generation_per_prompt(trained_pipeline):
+    lm = trained_pipeline.cosmo_lm
+    samples = trained_pipeline.samples[:8]
+    prompts = [lm.prompt_for_sample(trained_pipeline.world, s) for s in samples]
     winners = lm.generate_reranked(prompts, num_candidates=3)
     assert len(winners) == len(prompts)
     for winner in winners:
         assert winner.text is not None
 
 
-def test_reranked_is_deterministic(small_cosmo):
-    lm = small_cosmo.cosmo_lm
-    sample = small_cosmo.samples[0]
-    prompt = lm.prompt_for_sample(small_cosmo.world, sample)
+def test_reranked_is_deterministic(trained_pipeline):
+    lm = trained_pipeline.cosmo_lm
+    sample = trained_pipeline.samples[0]
+    prompt = lm.prompt_for_sample(trained_pipeline.world, sample)
     first = [g.text for g in lm.generate_reranked([prompt], num_candidates=3)]
     second = [g.text for g in lm.generate_reranked([prompt], num_candidates=3)]
     assert first == second
 
 
-def test_reranked_costs_more_latency_than_greedy(small_cosmo):
-    lm = small_cosmo.cosmo_lm
-    prompts = [lm.prompt_for_sample(small_cosmo.world, s)
-               for s in small_cosmo.samples[:6]]
+def test_reranked_costs_more_latency_than_greedy(trained_pipeline):
+    lm = trained_pipeline.cosmo_lm
+    prompts = [lm.prompt_for_sample(trained_pipeline.world, s)
+               for s in trained_pipeline.samples[:6]]
     before = lm.latency.total_simulated_s
     lm.generate_batch(prompts).require()
     greedy_cost = lm.latency.total_simulated_s - before
