@@ -70,7 +70,7 @@ def _specs() -> list[SloSpec]:
 
 def _build(monitored: bool):
     registry = MetricsRegistry()
-    event_log = EventLog(max_events=500, registry=registry) if monitored else None
+    event_log = EventLog(max_events=500) if monitored else None
     cluster = CosmoCluster(
         lambda i: ScriptedGenerator(),
         config=ClusterConfig(n_replicas=3, max_batch_size=16,

@@ -66,7 +66,7 @@ def _drive(mode: str, traffic: list[int], registry) -> dict:
 
     config = ClusterConfig(n_replicas=3, max_batch_size=16,
                            max_batch_delay_s=0.25, seed=7, name=mode)
-    event_log = EventLog(registry=registry)
+    event_log = EventLog()
     cluster = CosmoCluster(lambda i: SnapshotGenerator(blue), config=config,
                            registry=registry, event_log=event_log,
                            response_validator=response_ok)

@@ -143,7 +143,7 @@ def obs_drive(args: argparse.Namespace) -> int:
     """
     import numpy as np
 
-    from repro.obs import MetricsRegistry, Tracer, WallProfiler, render_text
+    from repro.obs import MetricsRegistry, WallProfiler, render_text
     from repro.serving import CosmoService, ServeRequest
     from repro.utils.rng import spawn_rng
 
@@ -152,7 +152,7 @@ def obs_drive(args: argparse.Namespace) -> int:
 
     print(f"Pipeline run under tracing (seed={args.seed}, scale={args.scale})...")
     config = _pipeline_config(args.seed, args.scale, args.lm_epochs)
-    pipeline = CosmoPipeline(config, registry=registry, tracer=Tracer())
+    pipeline = CosmoPipeline(config)
     with profiler.section("pipeline.run"):
         result = pipeline.run()
     if result.cosmo_lm is None:

@@ -34,7 +34,6 @@ from repro.core.triples import BehaviorSample, KnowledgeCandidate, KnowledgeTrip
 from repro.embeddings.encoder import TextEncoder
 from repro.llm.interface import LatencyModel
 from repro.llm.teacher import TeacherLLM
-from repro.obs.metrics import MetricsRegistry  # cosmolint: disable=layering
 from repro.obs.tracing import Tracer  # cosmolint: disable=layering
 from repro.utils.rng import spawn_rng
 
@@ -101,39 +100,15 @@ class CosmoPipeline:
 
     Observability: per-stage spans land on ``tracer`` (timed on simulated
     LLM seconds — the run's only notion of elapsed time — so traces
-    replay bit-identically), and per-stage item counts plus simulated
-    LLM seconds land on ``registry``.  Both default to private instances
-    so the pipeline stays dependency-free for callers that don't care.
+    replay bit-identically), each carrying its stage's item count as a
+    span attribute.  The tracer defaults to a private instance so the
+    pipeline stays dependency-free for callers that don't care.
     """
 
     def __init__(self, config: PipelineConfig | None = None,
-                 registry: MetricsRegistry | None = None,
                  tracer: Tracer | None = None):
         self.config = config or PipelineConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer or Tracer()
-        self._stage_items = self.registry.counter(
-            "pipeline_stage_items_total",
-            "items produced by each pipeline stage", ("stage",),
-        )
-        self._llm_seconds = self.registry.counter(
-            "pipeline_llm_simulated_seconds_total",
-            "simulated LLM seconds consumed, by model", ("model",),
-        )
-        # The knowledge funnel (candidates → filtered → critic_accepted):
-        # the stage counter above tracks *all* stages; this one tracks
-        # only the narrowing quality path, in the shape
-        # obs.kg_health.funnel_from_registry folds into health reports.
-        self._funnel_items = self.registry.counter(
-            "pipeline_funnel_total",
-            "knowledge funnel items per stage", ("stage",),
-        )
-
-    def _count(self, stage: str, items: int) -> None:
-        self._stage_items.labels(stage=stage).inc(items)
-
-    def _funnel(self, stage: str, items: int) -> None:
-        self._funnel_items.labels(stage=stage).inc(items)
 
     # ------------------------------------------------------------------
     def run(self) -> PipelineResult:
@@ -150,10 +125,7 @@ class CosmoPipeline:
 
         with self.tracer.clocked(sim_clock), \
                 self.tracer.span("pipeline.run", seed=cfg.seed):
-            result = self._run(cfg, teacher_latency, lm_latency)
-        self._llm_seconds.labels(model="teacher").inc(teacher_latency.total_simulated_s)
-        self._llm_seconds.labels(model="cosmo_lm").inc(lm_latency.total_simulated_s)
-        return result
+            return self._run(cfg, teacher_latency, lm_latency)
 
     def _run(self, cfg: PipelineConfig, teacher_latency: LatencyModel,
              lm_latency: LatencyModel) -> PipelineResult:
@@ -169,7 +141,6 @@ class CosmoPipeline:
             )
             span.set_attribute("cobuy_pairs", len(cobuy))
             span.set_attribute("searchbuy_records", len(searchbuy))
-        self._count("behavior_simulation", len(cobuy) + len(searchbuy))
 
         # 2. Representative behavior sampling (§3.2.1).
         with self.tracer.span("pipeline.behavior_sampling") as span:
@@ -179,7 +150,6 @@ class CosmoPipeline:
             samples = sample_cobuy(world, cobuy, selected, cfg.sampling)
             samples += sample_searchbuy(world, searchbuy, cfg.sampling)
             span.set_attribute("samples", len(samples))
-        self._count("behavior_sampling", len(samples))
 
         # 3. Teacher harvesting (§3.2.2).
         with self.tracer.span("pipeline.teacher_generation") as span:
@@ -192,8 +162,6 @@ class CosmoPipeline:
                 seed=cfg.seed,
             )
             span.set_attribute("candidates", len(candidates))
-        self._count("teacher_generation", len(candidates))
-        self._funnel("candidates", len(candidates))
 
         # 4. Refinement (§3.3.1).
         with self.tracer.span("pipeline.filtering") as span:
@@ -201,8 +169,6 @@ class CosmoPipeline:
             knowledge_filter = KnowledgeFilter(encoder, config=cfg.filter)
             filtered, filter_report = knowledge_filter.apply(candidates)
             span.set_attribute("kept", len(filtered))
-        self._count("filtering", len(filtered))
-        self._funnel("filtered", len(filtered))
 
         # 5. Annotation sampling (Eq. 2) + human-in-the-loop labeling.
         with self.tracer.span("pipeline.annotation") as span:
@@ -226,7 +192,6 @@ class CosmoPipeline:
             audit = audit_annotations(annotations, qualities, seed=cfg.seed)
             quality_ratios = self._quality_ratios(annotated_candidates, annotations)
             span.set_attribute("annotated", len(annotations))
-        self._count("annotation", len(annotations))
 
         # 6. Critic training and population (§3.3.2).  ``annotated_candidates``
         # is ordered co-buy-then-search-buy, so a positional 85/15 split would
@@ -246,8 +211,6 @@ class CosmoPipeline:
                 critic_accuracy = {"plausibility": float("nan"), "typicality": float("nan")}
             refined = critic.populate(filtered)
             span.set_attribute("refined", len(refined))
-        self._count("critic", len(refined))
-        self._funnel("critic_accepted", len(refined))
 
         # 7. Instruction data (§3.4) and COSMO-LM finetuning.
         with self.tracer.span("pipeline.instruction_build") as span:
@@ -255,7 +218,6 @@ class CosmoPipeline:
                 world, annotated_candidates, annotations, seed=cfg.seed
             )
             span.set_attribute("examples", len(instruction_dataset))
-        self._count("instruction_build", len(instruction_dataset))
 
         cosmo_lm: CosmoLM | None = None
         if cfg.finetune_lm and len(instruction_dataset):
@@ -263,7 +225,6 @@ class CosmoPipeline:
                 cosmo_lm = CosmoLM(config=cfg.lm, seed=cfg.seed, latency=lm_latency)
                 cosmo_lm.finetune(instruction_dataset)
                 span.set_attribute("examples", len(instruction_dataset))
-            self._count("lm_finetune", len(instruction_dataset))
 
         # 8. KG assembly: refined teacher knowledge + COSMO-LM expansion.
         with self.tracer.span("pipeline.kg_assembly") as span:
@@ -272,7 +233,6 @@ class CosmoPipeline:
             if cosmo_lm is not None and cfg.expand_with_lm:
                 kg.extend(self._expand(world, cosmo_lm, critic, samples))
             span.set_attribute("triples", len(kg))
-        self._count("kg_assembly", len(kg))
 
         return PipelineResult(
             config=cfg,

@@ -4,7 +4,7 @@ A two-phase analysis over the repo's own source enforcing the contracts
 the reproduction's numbers depend on.  Phase one runs file-scope AST
 rules (unscoped RNG, wall clock, mutable defaults, overbroad excepts,
 float equality, ``__all__`` consistency, event-log-only serving,
-builder-only snapshots); phase two assembles per-module summaries into
+gated rollouts); phase two assembles per-module summaries into
 an import graph + symbol table and runs the cross-module rules:
 declared-architecture layering, import-cycle detection, and the
 dataflow contracts (RNG provenance, clock injection, registry

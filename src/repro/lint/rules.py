@@ -26,7 +26,6 @@ __all__ = [
     "BatchEntrypointOnlyRule",
     "AllConsistencyRule",
     "EventLogOnlyRule",
-    "SnapshotBuilderOnlyRule",
     "SnapshotHealthGateRule",
     "TraceIdContractRule",
 ]
@@ -320,50 +319,6 @@ class EventLogOnlyRule(LintRule):
                     node,
                     f"{name} in a serving module bypasses the structured "
                     "event log; emit via obs.events.EventLog instead",
-                )
-        self.generic_visit(node)
-
-
-@register
-class SnapshotBuilderOnlyRule(LintRule):
-    """Knowledge snapshots are built only through the ``repro.refresh``
-    builder API, never constructed directly.
-
-    A :class:`~repro.refresh.snapshot.KgSnapshot`'s version id is a
-    content checksum; the zero-downtime rollout machinery (DESIGN.md
-    §12) trusts that a version names exactly one byte-for-byte content.
-    Hand-constructing a snapshot or manifest outside the refresh package
-    could attach an arbitrary version to arbitrary content, silently
-    breaking version-scoped cache invalidation and rollback.  Call
-    :func:`~repro.refresh.snapshot.build_snapshot` (allowed anywhere)
-    instead.
-    """
-
-    id = "snapshot-builder-only"
-    summary = "KgSnapshot/SnapshotManifest built only via repro.refresh's build_snapshot"
-    invariant = "a snapshot version names exactly one content (rollout/rollback safety)"
-
-    _GUARDED = ("KgSnapshot", "SnapshotManifest")
-
-    @classmethod
-    def applies_to(cls, context: FileContext) -> bool:
-        return "refresh" not in context.parts[:-1]
-
-    def check(self, tree: ast.Module) -> list[Diagnostic]:
-        self._imports = ImportMap(tree)
-        return super().check(tree)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = self._imports.resolve(node.func)
-        if name is not None:
-            leaf = name.rsplit(".", 1)[-1]
-            if leaf in self._GUARDED and name.startswith("repro."):
-                self.report(
-                    node,
-                    f"direct {leaf} construction bypasses the content-"
-                    "addressed builder; create snapshots with "
-                    "repro.refresh.build_snapshot so the version id stays "
-                    "a trustworthy checksum",
                 )
         self.generic_visit(node)
 

@@ -31,9 +31,9 @@ discipline to the data the system serves:
   (Jensen–Shannon mixes, critic-score shift, edge churn) under
   declarative :class:`DriftRule` thresholds.
 
-Exporters live in :mod:`repro.obs.export` (text, JSON snapshot,
-Prometheus exposition format).  Every versioned artifact's shape is one
-declared table beside its renderer, checked by the single walker in
+Exporters live in :mod:`repro.obs.export` (text, JSON snapshot).
+Every versioned artifact's shape is one declared table beside its
+renderer, checked by the single walker in
 :mod:`repro.obs.schema`; :mod:`repro.obs.artifacts` is the registry
 (:func:`validate` for a known schema id, :func:`dispatch` for a file of
 unknown kind).
@@ -56,7 +56,6 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
-    render_prometheus,
     render_text,
     snapshot,
 )
@@ -66,9 +65,7 @@ from repro.obs.kg_health import (
     KgHealthReport,
     ScoreHistogram,
     compute_kg_health,
-    funnel_from_registry,
     kg_health_report,
-    publish_kg_health,
 )
 from repro.obs.slo import (
     ALERTS_SCHEMA,
@@ -140,7 +137,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "snapshot",
     "render_text",
-    "render_prometheus",
     "WallProfiler",
     "wall_now",
     "EVENTS_SCHEMA",
@@ -163,8 +159,6 @@ __all__ = [
     "ScoreHistogram",
     "KgHealthReport",
     "compute_kg_health",
-    "publish_kg_health",
-    "funnel_from_registry",
     "kg_health_report",
     "DriftRule",
     "DriftBreach",

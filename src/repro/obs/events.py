@@ -74,15 +74,9 @@ class Event:
 
 
 class EventLog:
-    """Bounded, append-only sink for :class:`Event` records.
+    """Bounded, append-only sink for :class:`Event` records."""
 
-    Pass a shared :class:`~repro.obs.metrics.MetricsRegistry` to also
-    count emissions as ``obs_events_total{kind}`` — which the time-series
-    scrape loop then turns into per-kind event rates for free.
-    """
-
-    def __init__(self, max_events: int = 10_000, registry=None,
-                 name: str = "events"):
+    def __init__(self, max_events: int = 10_000):
         if max_events < 1:
             raise ValueError("max_events must be at least 1")
         self.max_events = max_events
@@ -90,13 +84,6 @@ class EventLog:
         self.emitted = 0
         self._events: deque[Event] = deque(maxlen=max_events)
         self._next_id = 1
-        self._counter_family = None
-        if registry is not None:
-            self._counter_family = registry.counter(
-                "obs_events_total", "structured events emitted by kind",
-                ("log", "kind"),
-            )
-        self._name = name
         self._trace_id: str | None = None
 
     def __len__(self) -> int:
@@ -133,8 +120,6 @@ class EventLog:
         if len(self._events) >= self.max_events:
             self.dropped += 1
         self._events.append(event)
-        if self._counter_family is not None:
-            self._counter_family.labels(log=self._name, kind=kind).inc()
         return event
 
     def events(self) -> list[Event]:

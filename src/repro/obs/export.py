@@ -1,4 +1,4 @@
-"""Registry exporters: JSON snapshot, text rendering, Prometheus text.
+"""Registry exporters: JSON snapshot and text rendering.
 
 The JSON snapshot is the machine-readable contract (schema id
 ``repro.obs.metrics/v1``, table and cross-field checks in
@@ -24,7 +24,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "snapshot",
     "render_text",
-    "render_prometheus",
 ]
 
 SNAPSHOT_SCHEMA = "repro.obs.metrics/v1"
@@ -79,10 +78,8 @@ def _format_value(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else f"{value:.6g}"
 
 
-def _label_suffix(labels: Mapping[str, str], extra: str = "") -> str:
+def _label_suffix(labels: Mapping[str, str]) -> str:
     parts = [f'{k}="{_escape(v)}"' for k, v in labels.items()]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -111,38 +108,6 @@ def render_text(registry: MetricsRegistry) -> str:
 
 def _escape(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus exposition-format rendering (text format 0.0.4)."""
-    lines = []
-    for family in registry.families():
-        if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for labels, child in family.samples():
-            if isinstance(child, Histogram):
-                exemplars = {bound: (trace_id, value)
-                             for bound, trace_id, value in child.exemplars()}
-                for bound, count in child.bucket_counts():
-                    le = "+Inf" if math.isinf(bound) else _format_value(bound)
-                    suffix = _label_suffix(labels, f'le="{le}"')
-                    line = f"{family.name}_bucket{suffix} {count}"
-                    exemplar = exemplars.get(bound)
-                    if exemplar is not None:
-                        # OpenMetrics-style exemplar annotation: a
-                        # representative trace id for this latency band.
-                        trace_id, value = exemplar
-                        line += (f' # {{trace_id="{_escape(trace_id)}"}} '
-                                 f"{_format_value(value)}")
-                    lines.append(line)
-                suffix = _label_suffix(labels)
-                lines.append(f"{family.name}_sum{suffix} {_format_value(child.sum)}")
-                lines.append(f"{family.name}_count{suffix} {child.count}")
-            else:
-                suffix = _label_suffix(labels)
-                lines.append(f"{family.name}{suffix} {_format_value(child.value)}")
-    return "\n".join(lines) + "\n"
 
 
 _BUCKET = Obj({"le": BUCKET_BOUND, "count": COUNT},

@@ -14,14 +14,12 @@ calls here):
 * critic-score histograms for plausibility and typicality (the Table 4
   quality signal — a snapshot whose scores collapsed is poisoned even
   if it serves fast);
-* dedup accounting (support mass vs distinct edges) and the pipeline
-  funnel (candidates → filtered → critic-accepted).
+* dedup accounting (support mass vs distinct edges).
 
-Reports publish into the shared
-:class:`~repro.obs.metrics.MetricsRegistry` as labeled gauges and
-export as a byte-deterministic ``repro.obs.kg_health/v1`` document
-(:func:`kg_health_report`, checked against :data:`SCHEMA`), the same
-renderer + table pairing every other obs artifact uses.
+Reports export as a byte-deterministic ``repro.obs.kg_health/v1``
+document (:func:`kg_health_report`, checked against :data:`SCHEMA`),
+the same renderer + table pairing every other obs artifact uses; the
+drift rules and the quality gate read the report objects directly.
 
 Layering: this module is pure observation — it consumes a plain
 ``columns()`` mapping and never imports the core or refresh packages
@@ -31,7 +29,7 @@ and stores lives in :mod:`repro.refresh.quality`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -46,13 +44,10 @@ __all__ = [
     "KG_HEALTH_SCHEMA",
     "SCORE_BUCKET_EDGES",
     "DEGREE_BUCKETS",
-    "FUNNEL_STAGES",
     "DegreeSummary",
     "ScoreHistogram",
     "KgHealthReport",
     "compute_kg_health",
-    "publish_kg_health",
-    "funnel_from_registry",
     "kg_health_report",
 ]
 
@@ -63,12 +58,6 @@ SCORE_BUCKET_EDGES: tuple[float, ...] = tuple(round(i / 10.0, 1) for i in range(
 
 #: Power-of-two degree bucket upper bounds; one implicit +Inf overflow.
 DEGREE_BUCKETS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
-
-#: The knowledge funnel stages, widest first.
-FUNNEL_STAGES: tuple[str, ...] = ("candidates", "filtered", "critic_accepted")
-
-#: Counter family the pipeline and refresher publish funnel items into.
-FUNNEL_METRIC = "pipeline_funnel_total"
 
 
 @dataclass(frozen=True)
@@ -135,7 +124,6 @@ class KgHealthReport:
     support_total: int
     merged_edges: int
     dedup_ratio: float
-    funnel: Mapping[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -154,7 +142,6 @@ class KgHealthReport:
             "support_total": self.support_total,
             "merged_edges": self.merged_edges,
             "dedup_ratio": self.dedup_ratio,
-            "funnel": dict(sorted(self.funnel.items())),
         }
 
 
@@ -206,7 +193,6 @@ def compute_kg_health(
     version: str = "",
     parent: str | None = None,
     entries: int = 0,
-    funnel: Mapping[str, int] | None = None,
 ) -> KgHealthReport:
     """One vectorized pass over a graph's ``columns()`` mapping.
 
@@ -242,63 +228,7 @@ def compute_kg_health(
         support_total=support_total,
         merged_edges=merged,
         dedup_ratio=(support_total / n_edges) if n_edges else 1.0,
-        funnel=dict(funnel or {}),
     )
-
-
-def publish_kg_health(report: KgHealthReport, registry: Any) -> None:
-    """Publish one report into a shared metrics registry as gauges.
-
-    Every family is labeled by snapshot ``version`` so successive
-    snapshots coexist in one registry and the time-series scrape loop
-    picks up knowledge health for free.
-    """
-    version = report.version or "unversioned"
-    for name, help_text, value in (
-        ("kg_health_triples", "distinct KG edges in the snapshot", report.triples),
-        ("kg_health_nodes", "interned nodes in the snapshot graph", report.nodes),
-        ("kg_health_entries", "serving-table entries in the snapshot", report.entries),
-        ("kg_health_support_total", "total support mass across edges", report.support_total),
-        ("kg_health_merged_edges", "edges that absorbed duplicates (support > 1)", report.merged_edges),
-        ("kg_health_dedup_ratio", "support mass per distinct edge", report.dedup_ratio),
-        ("kg_health_head_degree_max", "largest head out-degree", report.head_degree.max),
-        ("kg_health_tail_degree_max", "largest tail in-degree", report.tail_degree.max),
-    ):
-        registry.gauge(name, help_text, ("version",)).labels(version=version).set(value)
-    for family, label, counts in (
-        ("kg_health_relation_edges", "relation", report.relation_edges),
-        ("kg_health_domain_edges", "domain", report.domain_edges),
-        ("kg_health_behavior_edges", "behavior", report.behavior_edges),
-    ):
-        gauge = registry.gauge(family, f"edges per {label}", ("version", label))
-        for value_name, count in sorted(counts.items()):
-            gauge.labels(**{"version": version, label: value_name}).set(count)
-    score_gauge = registry.gauge("kg_health_critic_score_mean",
-                                 "mean critic score per dimension",
-                                 ("version", "score"))
-    score_gauge.labels(version=version, score="plausibility").set(report.plausibility.mean)
-    score_gauge.labels(version=version, score="typicality").set(report.typicality.mean)
-    if report.funnel:
-        funnel = registry.gauge("kg_health_funnel_items",
-                                "knowledge funnel items per stage",
-                                ("version", "stage"))
-        for stage, items in sorted(report.funnel.items()):
-            funnel.labels(version=version, stage=stage).set(items)
-
-
-def funnel_from_registry(registry: Any) -> dict[str, int]:
-    """Read the pipeline funnel counters back as a plain stage map.
-
-    The pipeline and the refresher both publish into
-    ``pipeline_funnel_total{stage}``; this folds the family into the
-    ``funnel`` mapping :func:`compute_kg_health` accepts.
-    """
-    if FUNNEL_METRIC not in registry:
-        return {}
-    out: dict[str, int] = {}
-    for labels, child in registry.get(FUNNEL_METRIC).samples():
-        out[labels["stage"]] = int(child.value)
-    return out
 
 
 def _payload(item: Any) -> Mapping[str, Any]:
@@ -340,7 +270,6 @@ _SNAPSHOT = Obj({
     "head_degree": _DEGREE, "tail_degree": _DEGREE,
     "plausibility": _SCORES, "typicality": _SCORES,
     "support_total": COUNT, "merged_edges": COUNT, "dedup_ratio": NUMBER,
-    "funnel": MapOf(COUNT),
 })
 _DRIFT = Obj({
     "parent_version": STRING, "child_version": STRING,
@@ -373,12 +302,6 @@ def _cross_check_snapshot(where: str, snap: Mapping[str, Any]) -> None:
         if sum(counts) != triples:
             fail(f"{where}.{key}.counts", f"bin counts sum to {sum(counts)}, "
                  f"snapshot has {triples} triples")
-    funnel = snap["funnel"]
-    if all(stage in funnel for stage in FUNNEL_STAGES):
-        widths = [funnel[stage] for stage in FUNNEL_STAGES]
-        if any(a < b for a, b in zip(widths, widths[1:])):
-            fail(f"{where}.funnel",
-                 "funnel must narrow: candidates >= filtered >= critic_accepted")
 
 
 def _cross_check(payload: Mapping[str, Any]) -> None:

@@ -2,8 +2,7 @@
 
 A :class:`MetricsRegistry` holds named metric families; a family fans
 out into labeled children (one instrument per label-value combination),
-mirroring the Prometheus data model so the exposition exporter in
-:mod:`repro.obs.export` is a direct rendering.
+the Prometheus data model; :mod:`repro.obs.export` renders it.
 
 The :class:`Histogram` is a *streaming* fixed-bucket estimator: it keeps
 one integer per bucket plus exact ``count``/``sum``/``min``/``max`` and
@@ -62,23 +61,13 @@ class Counter:
         self._value += amount
 
 
-def counter_attribute(attr: str, as_int: bool = True) -> property:
+def counter_attribute(attr: str) -> property:
     """Expose ``self._counters[attr]`` (a bound :class:`Counter`) as a
-    plain attribute: reads return the count, ``+=`` writes become
-    ``inc(delta)`` — how the serving layers keep their pre-registry
-    ``stats.hits += 1`` surface over registry-backed counters."""
-
-    def fget(self):
-        value = self._counters[attr].value
-        return int(value) if as_int else value
-
-    def fset(self, value) -> None:
-        delta = value - self._counters[attr].value
-        if delta < 0:
-            raise ValueError(f"{attr} is a counter; it cannot decrease")
-        self._counters[attr].inc(delta)
-
-    return property(fget, fset)
+    read-only integer attribute — how the serving layers keep their
+    pre-registry ``stats.hits`` reads over registry-backed counters.
+    Writes go through the owner's ``add(attr, n)``; ``stats.hits += 1``
+    is an :class:`AttributeError`."""
+    return property(lambda self: int(self._counters[attr].value))
 
 
 class Gauge:

@@ -31,9 +31,9 @@ package solves:
   guarded on knowledge quality, not just serving SLOs.
 
 Snapshots are constructed only through :func:`build_snapshot` (the
-``snapshot-builder-only`` cosmolint rule enforces this outside this
-package), which is what makes version ids trustworthy: a version names
-exactly one byte-for-byte content.
+:class:`KgSnapshot` constructor refuses anything else), which is what
+makes version ids trustworthy: a version names exactly one
+byte-for-byte content.
 """
 
 from repro.refresh.builder import KnowledgeRefresher, RefreshConfig, RefreshReport

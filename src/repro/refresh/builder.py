@@ -96,7 +96,6 @@ class KnowledgeRefresher:
         knowledge_filter: KnowledgeFilter,
         critic: CriticClassifier,
         config: RefreshConfig | None = None,
-        registry=None,
     ):
         self.world = world
         self.teacher = teacher
@@ -105,17 +104,6 @@ class KnowledgeRefresher:
         self.config = config or RefreshConfig()
         self.rounds = 0
         self.deferred: list[BehaviorSample] = []
-        # Same funnel family the offline pipeline publishes, so health
-        # reports carry the narrowing path regardless of which producer
-        # grew the knowledge (obs.kg_health.funnel_from_registry).
-        self._funnel_items = None if registry is None else registry.counter(
-            "pipeline_funnel_total",
-            "knowledge funnel items per stage", ("stage",),
-        )
-
-    def _funnel(self, stage: str, items: int) -> None:
-        if self._funnel_items is not None:
-            self._funnel_items.labels(stage=stage).inc(items)
 
     def refresh(
         self, parent: KgSnapshot, samples: list[BehaviorSample]
@@ -145,9 +133,6 @@ class KnowledgeRefresher:
         )
         survivors, _filter_report = self.filter.apply(candidates)
         kept = self.critic.populate(survivors)
-        self._funnel("candidates", len(candidates))
-        self._funnel("filtered", len(survivors))
-        self._funnel("critic_accepted", len(kept))
 
         # Serving entries: per query keep the most plausible survivor;
         # parent entries stay unless this round regenerated them.

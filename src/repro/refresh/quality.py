@@ -27,15 +27,14 @@ the gate free on every rollout tick after the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.kg import pack_edge_keys
 from repro.obs.drift import (DriftReport, DriftRule, default_drift_rules,
                              evaluate_drift)
-from repro.obs.kg_health import (KgHealthReport, compute_kg_health,
-                                 publish_kg_health)
+from repro.obs.kg_health import KgHealthReport, compute_kg_health
 from repro.refresh.snapshot import KgSnapshot, SnapshotStore
 
 __all__ = [
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-def snapshot_health(snapshot: KgSnapshot, *,
-                    funnel: dict[str, int] | None = None) -> KgHealthReport:
+def snapshot_health(snapshot: KgSnapshot) -> KgHealthReport:
     """A snapshot's :class:`KgHealthReport`: one vectorized pass over
     its frozen columns."""
     return compute_kg_health(
@@ -55,7 +53,6 @@ def snapshot_health(snapshot: KgSnapshot, *,
         version=snapshot.version,
         parent=snapshot.parent,
         entries=len(snapshot),
-        funnel=funnel,
     )
 
 
@@ -122,17 +119,13 @@ class SnapshotQualityGate:
     A root snapshot (no parent, or parent unknown to the store) has no
     baseline to drift from and promotes on health alone; a child is
     additionally scored by :func:`repro.obs.drift.evaluate_drift`
-    against its registered parent.  When a ``registry`` is supplied,
-    every assessed snapshot's health is published as
-    ``kg_health_*`` gauges so the scrape loop exports it.
+    against its registered parent.
     """
 
     def __init__(self, store: SnapshotStore,
-                 rules: Sequence[DriftRule] | None = None,
-                 registry: Any = None):
+                 rules: Sequence[DriftRule] | None = None):
         self._store = store
         self._rules = tuple(rules) if rules is not None else default_drift_rules()
-        self._registry = registry
         self._health: dict[str, KgHealthReport] = {}
         self._decisions: dict[str, GateDecision] = {}
 
@@ -151,8 +144,6 @@ class SnapshotQualityGate:
         if report is None:
             report = snapshot_health(snapshot)
             self._health[snapshot.version] = report
-            if self._registry is not None:
-                publish_kg_health(report, self._registry)
         return report
 
     def assess(self, candidate: KgSnapshot) -> GateDecision:

@@ -12,9 +12,8 @@ That property is what the rollout layer leans on: "replica r1 is on
 ``v-3f2a...``" is a complete statement about what r1 serves.
 
 Snapshots are constructed **only** through :func:`build_snapshot`; the
-:class:`KgSnapshot` constructor takes a private token and the
-``snapshot-builder-only`` cosmolint rule bans direct construction
-outside :mod:`repro.refresh`.  Entries and columns are exposed through
+:class:`KgSnapshot` constructor takes a private token and raises
+``TypeError`` without it.  Entries and columns are exposed through
 read-only mapping proxies, and the column arrays are private write-locked
 copies, so a published version can never drift from its checksum.
 """

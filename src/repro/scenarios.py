@@ -366,7 +366,7 @@ def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
     registry = obs.MetricsRegistry()
     cluster = serving.CosmoCluster(
         factory, config=config, registry=registry,
-        event_log=obs.EventLog(registry=registry) if events else None,
+        event_log=obs.EventLog() if events else None,
         sampler=sampler, response_validator=response_ok)
     tracers = [(config.name, cluster.tracer)] + [
         (replica_id, service.tracer)
@@ -452,7 +452,7 @@ def _blue_green_setup(args: argparse.Namespace, blue,
     drive = _rig(args, lambda: refresh.SnapshotGenerator(blue), None,
                  slo_specs=refresh.rollout_slo_specs(SCRAPE_INTERVAL_S))
     drive.cluster.install_snapshot(blue)
-    gate = refresh.SnapshotQualityGate(store, registry=drive.registry)
+    gate = refresh.SnapshotQualityGate(store)
     drive.controller = refresh.RolloutController(
         drive.cluster, store, green, drive.evaluator, quality_gate=gate)
     queries = _queries(args.n_queries)

@@ -30,9 +30,9 @@ _OUTCOMES = {
 class CacheStats:
     """Hit/miss accounting for one cache store, registry-backed.
 
-    Attribute reads and ``+=`` writes keep the pre-observability API;
-    the same counts surface through the registry as
-    ``cache_requests_total{store=...,outcome=...}`` and
+    Attribute reads keep the pre-observability API and writes go
+    through :meth:`add`; the same counts surface through the registry
+    as ``cache_requests_total{store=...,outcome=...}`` and
     ``cache_pending_evictions_total{store=...}``.
     """
 
@@ -52,13 +52,9 @@ class CacheStats:
             "cache_pending_evictions_total",
             "pending-queue entries evicted (capacity or age)", ("store",),
         ).labels(store=store)
-        self._counters["snapshot_invalidations"] = self.registry.counter(
-            "cache_snapshot_invalidations_total",
-            "entries invalidated by snapshot swaps (version-scoped)", ("store",),
-        ).labels(store=store)
 
     def add(self, attr: str, amount: int) -> None:
-        """``stats.<attr> += amount`` without the read-modify-write."""
+        """Count ``amount`` more of ``attr`` (the one way to increment)."""
         self._counters[attr].inc(amount)
 
     @property
@@ -72,7 +68,7 @@ class CacheStats:
         return (self.layer1_hits + self.layer2_hits) / self.requests
 
 
-for _attr in (*_OUTCOMES, "pending_evictions", "snapshot_invalidations"):
+for _attr in (*_OUTCOMES, "pending_evictions"):
     setattr(CacheStats, _attr, counter_attribute(_attr))
 
 
@@ -101,12 +97,6 @@ class AsyncCacheStore:
         self._pending_capacity = pending_capacity
         self._pending_max_age_days = pending_max_age_days
         self.stats = CacheStats(registry=registry, store=name)
-        self._size_gauge = self.stats.registry.gauge(
-            "cache_entries", "live cache entries by layer", ("store", "layer"),
-        )
-        #: The (yearly, daily, pending) children, bound on first publish —
-        #: a store nothing was ever read from or written to exports none.
-        self._size_gauges = None
         self._name = name
         self._tracer = None
         self.request_log: Counter = Counter()
@@ -120,17 +110,6 @@ class AsyncCacheStore:
         costs nothing here.
         """
         self._tracer = tracer
-
-    def _publish_sizes(self) -> None:
-        gauges = self._size_gauges
-        if gauges is None:
-            gauges = self._size_gauges = tuple(
-                self._size_gauge.labels(store=self._name, layer=layer)
-                for layer in ("yearly", "daily", "pending"))
-        yearly, daily, pending = gauges
-        yearly.set(len(self._yearly))
-        daily.set(len(self._daily))
-        pending.set(len(self._pending))
 
     def _enqueue(self, query: str) -> None:
         """Append a missed query to the pending queue (no-op when already
@@ -146,14 +125,13 @@ class AsyncCacheStore:
             return
         if len(pending) >= self._pending_capacity:
             del pending[next(iter(pending))]
-            self.stats.pending_evictions += 1
+            self.stats.add("pending_evictions", 1)
         pending[query] = self._clock.day
 
     # ------------------------------------------------------------------
     def preload_yearly(self, entries: dict[str, str]) -> None:
         """Load the year's frequent-search responses (layer 1)."""
         self._yearly.update(entries)
-        self._publish_sizes()
 
     def lookup(self, query: str) -> str | None:
         """Serve a request; a miss enqueues the query for the next batch."""
@@ -181,8 +159,8 @@ class AsyncCacheStore:
                    enqueue: bool = True) -> list[tuple[str, str] | None]:
         """Vectorized :meth:`fetch` for one serving batch.
 
-        One daily-layer roll, one span and one gauge publish cover the
-        whole window instead of one each per query — the cache half of
+        One daily-layer roll and one span cover the whole window
+        instead of one each per query — the cache half of
         the batch-first hot path.  Per-query accounting (request log,
         hit/miss counters, pending enqueue with capacity eviction) is
         identical to ``len(queries)`` sequential fetches; the hit/miss
@@ -222,7 +200,6 @@ class AsyncCacheStore:
                             ("misses", len(queries) - layer1 - layer2)):
             if tally:
                 stats.add(attr, tally)
-        self._publish_sizes()
         return hits
 
     def _roll_daily_layer(self) -> None:
@@ -243,7 +220,7 @@ class AsyncCacheStore:
         ]
         for query in stale:
             del self._pending[query]
-            self.stats.pending_evictions += 1
+        self.stats.add("pending_evictions", len(stale))
 
     def install_snapshot(self, version: str, entries: Mapping[str, str]) -> int:
         """Atomically swap the cache onto a knowledge snapshot.
@@ -269,8 +246,6 @@ class AsyncCacheStore:
             invalidated += len(stale)
         self._yearly = dict(entries)
         self._snapshot_version = version
-        self.stats.snapshot_invalidations += invalidated
-        self._publish_sizes()
         return invalidated
 
     @property
@@ -294,7 +269,6 @@ class AsyncCacheStore:
             self._daily_tags[query] = self._snapshot_version
             self._pending.pop(query, None)
             installed += 1
-        self._publish_sizes()
         return installed
 
     def drop_pending(self, queries: list[str]) -> int:
@@ -303,7 +277,6 @@ class AsyncCacheStore:
         for query in queries:
             if self._pending.pop(query, None) is not None:
                 dropped += 1
-        self._publish_sizes()
         return dropped
 
     def promote_frequent(self, min_requests: int = 10) -> int:
@@ -313,7 +286,6 @@ class AsyncCacheStore:
             if self.request_log[query] >= min_requests and query not in self._yearly:
                 self._yearly[query] = response
                 promoted += 1
-        self._publish_sizes()
         return promoted
 
     @property

@@ -270,9 +270,6 @@ class CosmoCluster:
             ("cluster", "trigger"))
         #: trigger → its counter child, bound the first time it fires.
         self._flushes_by_trigger: dict = {}
-        self._depth_gauge = self.registry.gauge(
-            "cluster_queue_depth", "cluster-wide pending-miss queue depth",
-            ("cluster",)).labels(**labels)
         self._latency = self.registry.histogram(
             "cluster_request_latency_seconds",
             "end-to-end simulated latency including shard queueing delay",
@@ -422,7 +419,6 @@ class CosmoCluster:
                 end_to_end,
                 exemplar=None if context is None else context.trace_id)
             self._maybe_flush(replica_id, context)
-        self._depth_gauge.set(self.queue_depth)
         self._finish_trace(context, held.value, end_to_end, (result,))
         # The replica's result is freshly built and unshared: stamp the
         # frozen dataclass in place, as handle_batch does.
@@ -500,7 +496,6 @@ class CosmoCluster:
                 object.__setattr__(result, "batch_index", index)
                 results[index] = result
             self._maybe_flush(replica_id)
-        self._depth_gauge.set(self.queue_depth)
         return results
 
     # ------------------------------------------------------------------

@@ -111,8 +111,6 @@ _COUNTER_SPECS = {
     "generator_failures": ("serving_generator_failures_total", "generator call-level faults"),
     "rejected_generations": (
         "serving_rejected_generations_total", "generations rejected by output validation"),
-    "breaker_refusals": (
-        "serving_batch_breaker_refusals_total", "batch runs refused by the breaker"),
     "dead_lettered": ("serving_dead_lettered_total", "queries moved to the dead-letter queue"),
     "redriven": ("serving_redriven_total", "dead-lettered queries recovered on redrive"),
 }
@@ -126,10 +124,10 @@ class ServingMetrics:
     requests`` always holds (the chaos property tests rely on it).
 
     All counters are registry-backed (see :mod:`repro.obs.metrics`):
-    attribute reads and ``+=`` writes keep working, but the same values
-    are visible through the registry's exporters, and request latency is
-    a streaming fixed-bucket histogram — bounded memory no matter how
-    many requests the service absorbs.
+    attribute reads keep working, writes go through :meth:`add`, the
+    same values are visible through the registry's exporters, and
+    request latency is a streaming fixed-bucket histogram — bounded
+    memory no matter how many requests the service absorbs.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None,
@@ -141,17 +139,13 @@ class ServingMetrics:
             attr: self.registry.counter(name, help, ("service",)).labels(**labels)
             for attr, (name, help) in _COUNTER_SPECS.items()
         }
-        self._counters["backoff_wait_s"] = self.registry.counter(
-            "serving_backoff_wait_seconds_total",
-            "simulated seconds spent in retry backoff", ("service",),
-        ).labels(**labels)
         self.latency = self.registry.histogram(
             "serving_request_latency_seconds",
             "end-to-end simulated request latency", ("service",),
         ).labels(**labels)
 
-    def add(self, attr: str, amount: float) -> None:
-        """``metrics.<attr> += amount`` without the read-modify-write."""
+    def add(self, attr: str, amount: int) -> None:
+        """Count ``amount`` more of ``attr`` (the one way to increment)."""
         self._counters[attr].inc(amount)
 
     @property
@@ -185,8 +179,6 @@ class ServingMetrics:
 
 for _attr in _COUNTER_SPECS:
     setattr(ServingMetrics, _attr, counter_attribute(_attr))
-setattr(ServingMetrics, "backoff_wait_s",
-        counter_attribute("backoff_wait_s", as_int=False))
 
 
 @dataclass
@@ -274,7 +266,6 @@ class CosmoService:
                 seed=seed,
                 tracer=self.tracer,
             )
-            self._resilient.breaker.attach_registry(self.registry, name=name)
             if event_log is not None:
                 self._resilient.breaker.attach_event_log(event_log, component=name)
         else:
@@ -528,12 +519,11 @@ class CosmoService:
 
     def _generate(self, prompts: list[str]) -> GenerationBatch:
         """Batch-side generation: call the generator and fold what the
-        call cost (retries, faults, rejections, backoff) into metrics."""
+        call cost (retries, faults, rejections) into metrics."""
         outcome = self._call_generator(prompts)
         self.metrics.add("retries", outcome.retries)
         self.metrics.add("generator_failures", outcome.errors)
         self.metrics.add("rejected_generations", outcome.rejected)
-        self.metrics.add("backoff_wait_s", outcome.wait_s)
         return outcome
 
     def _remember(self, answers: list[tuple[str, str]]) -> None:
@@ -579,10 +569,10 @@ class CosmoService:
         else:
             latency = self.clock.now() - clock_before
         if generation is None:
-            self.metrics.generator_failures += 1
+            self.metrics.add("generator_failures", 1)
             return self._serve_answer(query, None, since=clock_before)
         self._observe_latency(latency)
-        self.metrics.served_fresh += 1
+        self.metrics.add("served_fresh", 1)
         # Write through so later cached requests hit immediately.
         self._install([(query, generation.text)])
         return ServeResult(query=query, text=generation.text,
@@ -614,8 +604,6 @@ class CosmoService:
         self.metrics.add("batch_runs", 1)
         outcome = self._generate(
             [self._prompt_builder(query) for query in pending])
-        if outcome.breaker_refused:
-            self.metrics.add("breaker_refusals", 1)
         answers = [(query, generation.text)
                    for query, generation in zip(pending, outcome.generations)
                    if generation is not None]
@@ -638,7 +626,7 @@ class CosmoService:
         self.dead_letters.append(
             DeadLetter(query=query, day=self.clock.day, attempts=attempts, reason=reason)
         )
-        self.metrics.dead_lettered += 1
+        self.metrics.add("dead_lettered", 1)
 
     def redrive_dead_letters(self) -> int:
         """Retry every dead-lettered query once more; successes install,
@@ -665,7 +653,7 @@ class CosmoService:
                 answers.append((letter.query, generation.text))
         redriven = len(answers)
         self._install(answers)
-        self.metrics.redriven += redriven
+        self.metrics.add("redriven", redriven)
         if self.event_log is not None:
             self.event_log.emit(
                 "service.redrive", ts=self.clock.now(), component=self.name,

@@ -86,14 +86,6 @@ class FeatureStore:
         )
         self._writes = ops.labels(store=name, op="write")
         self._reads = ops.labels(store=name, op="read")
-        self._entries_gauge = self.registry.gauge(
-            "feature_store_entries", "live feature records", ("store",),
-        ).labels(store=name)
-        self._stale_gauge = self.registry.gauge(
-            "feature_store_stale_entries",
-            "records older than the staleness horizon at last check",
-            ("store",),
-        ).labels(store=name)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -120,37 +112,29 @@ class FeatureStore:
         record = self.structure(key, knowledge_text, self._clock.day, extras)
         self._records[key] = record
         self._writes.inc()
-        self._entries_gauge.set(len(self._records))
         return record
 
     def put_many(self, pairs: list[tuple[str, str]]) -> None:
         """:meth:`put` each ``(key, knowledge_text)`` pair of one window, in
         order (a repeated key keeps its last text, every pair counts as a
-        write), with one clock read, counter increment and gauge update per
-        window; a bad pair rejects the window before any of it is stored."""
+        write), with one clock read and counter increment per window; a
+        bad pair rejects the window before any of it is stored."""
         if not pairs:
             return
         day = self._clock.day
         records = {key: FeatureRecord(key, text, day) for key, text in pairs}
         self._records.update(records)
         self._writes.inc(len(pairs))
-        self._entries_gauge.set(len(self._records))
 
     def get(self, key: str) -> FeatureRecord | None:
         self._reads.inc()
         return self._records.get(key)
 
     def stale_keys(self, max_age_days: int = 1) -> list[str]:
-        """Keys whose features are older than ``max_age_days``.
-
-        Also publishes the count as the ``feature_store_stale_entries``
-        gauge, so staleness (§3.5.3) shows up in metrics snapshots.
-        """
+        """Keys whose features are older than ``max_age_days``."""
         today = self._clock.day
-        stale = [
+        return [
             key
             for key, record in self._records.items()
             if today - record.refreshed_day > max_age_days
         ]
-        self._stale_gauge.set(len(stale))
-        return stale

@@ -121,51 +121,10 @@ class CircuitBreaker:
         self._outcomes: deque[bool] = deque(maxlen=window)
         self._opened_at = 0.0
         self._probe_successes = 0
-        self._state_gauges: dict[BreakerState, object] = {}
-        self._transition_counters: dict[BreakerState, object] = {}
-        self._refusal_counter = None
         self._event_log = None
         self._event_component = "cosmo"
 
     # ------------------------------------------------------------------
-    def attach_registry(self, registry, name: str = "cosmo") -> None:
-        """Mirror breaker state and counts into a metrics registry.
-
-        Publishes ``serving_breaker_state{breaker,state}`` as a 0/1 enum
-        gauge, ``serving_breaker_transitions_total{breaker,to}`` for
-        open/close transitions, and
-        ``serving_breaker_refusals_total{breaker}``.  Counts accrued
-        before attachment are synced in, so attaching late never loses
-        history.
-        """
-        state_gauge = registry.gauge(
-            "serving_breaker_state",
-            "1 for the breaker's current state, 0 for the others",
-            ("breaker", "state"),
-        )
-        self._state_gauges = {
-            state: state_gauge.labels(breaker=name, state=state.value)
-            for state in BreakerState
-        }
-        transitions = registry.counter(
-            "serving_breaker_transitions_total",
-            "breaker state transitions by destination state",
-            ("breaker", "to"),
-        )
-        self._transition_counters = {
-            BreakerState.OPEN: transitions.labels(breaker=name, to="open"),
-            BreakerState.CLOSED: transitions.labels(breaker=name, to="closed"),
-        }
-        self._refusal_counter = registry.counter(
-            "serving_breaker_refusals_total",
-            "calls refused while the breaker was open",
-            ("breaker",),
-        ).labels(breaker=name)
-        self._transition_counters[BreakerState.OPEN].inc(self.opens)
-        self._transition_counters[BreakerState.CLOSED].inc(self.closes)
-        self._refusal_counter.inc(self.refusals)
-        self._publish_state()
-
     def attach_event_log(self, event_log, component: str = "cosmo") -> None:
         """Publish every subsequent state transition into a structured
         :class:`~repro.obs.events.EventLog` (``breaker.open`` /
@@ -174,10 +133,6 @@ class CircuitBreaker:
         """
         self._event_log = event_log
         self._event_component = component
-
-    def _publish_state(self) -> None:
-        for state, gauge in self._state_gauges.items():
-            gauge.set(1 if state is self.state else 0)
 
     # ------------------------------------------------------------------
     def _set_state(self, new: BreakerState) -> None:
@@ -189,16 +144,12 @@ class CircuitBreaker:
             self.opens += 1
         elif new is BreakerState.CLOSED:
             self.closes += 1
-        counter = self._transition_counters.get(new)
-        if counter is not None:
-            counter.inc()
         if self._event_log is not None:
             self._event_log.emit(
                 f"breaker.{new.value}", ts=self._clock.now(),
                 component=self._event_component,
                 opens=self.opens, refusals=self.refusals,
             )
-        self._publish_state()
 
     def _trip(self) -> None:
         self._opened_at = self._clock.now()
@@ -231,8 +182,6 @@ class CircuitBreaker:
                 self._set_state(BreakerState.HALF_OPEN)
                 return True
             self.refusals += 1
-            if self._refusal_counter is not None:
-                self._refusal_counter.inc()
             return False
         return True
 

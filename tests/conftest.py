@@ -38,10 +38,11 @@ def pipeline_result():
 
 
 @pytest.fixture(scope="session")
-def trained_pipeline():
-    """A small pipeline run that finetunes COSMO-LM — the one trained
-    model the generation and persistence tests share (nothing they assert
-    depends on the seed)."""
+def trained_pipeline_run():
+    """``(pipeline, result)`` of a small pipeline run that finetunes
+    COSMO-LM — the one trained model the generation and persistence tests
+    share (nothing they assert depends on the seed); the signal inventory
+    reads the pipeline's tracer."""
     config = PipelineConfig(
         seed=41,
         world=WorldConfig(seed=41, products_per_domain=16,
@@ -52,4 +53,10 @@ def trained_pipeline():
         lm=CosmoLMConfig(epochs=4, hidden_dim=48),
         expand_with_lm=False,
     )
-    return CosmoPipeline(config).run()
+    pipeline = CosmoPipeline(config)
+    return pipeline, pipeline.run()
+
+
+@pytest.fixture(scope="session")
+def trained_pipeline(trained_pipeline_run):
+    return trained_pipeline_run[1]

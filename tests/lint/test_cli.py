@@ -79,7 +79,6 @@ def test_list_rules_names_the_contract_set(capsys):
         "overbroad-except",
         "registry-injection",
         "rng-provenance",
-        "snapshot-builder-only",
         "snapshot-health-gate",
         "trace-id-contract",
         "unscoped-rng",

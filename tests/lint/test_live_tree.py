@@ -7,15 +7,15 @@ from repro.lint import iter_python_files, lint_paths
 ROOTS = ("src", "benchmarks", "examples")
 
 
-def test_live_tree_is_clean_with_two_layering_suppressions(monkeypatch):
+def test_live_tree_is_clean_with_one_layering_suppression(monkeypatch):
     repo_root = Path(__file__).resolve().parents[2]
     monkeypatch.chdir(repo_root)  # the paths CI lints, named as CI names them
 
     result = lint_paths(ROOTS)
     assert [diagnostic.render() for diagnostic in result.diagnostics] == []
-    assert result.suppressed == 2
+    assert result.suppressed == 1
 
-    # Both accepted findings are core/pipeline.py importing obs; the only
+    # The accepted finding is core/pipeline.py importing obs.tracing; the only
     # other mentions of the directive are cosmolint's own documentation.
     directives = [
         (str(path), line.split("#", 1)[1].strip())
@@ -25,4 +25,4 @@ def test_live_tree_is_clean_with_two_layering_suppressions(monkeypatch):
         if "cosmolint: disable" in line
     ]
     assert directives == [
-        ("src/repro/core/pipeline.py", "cosmolint: disable=layering")] * 2
+        ("src/repro/core/pipeline.py", "cosmolint: disable=layering")]

@@ -71,13 +71,6 @@ def fixture_package(tmp_path):
         def deploy(cluster, store, green, evaluator):
             return RolloutController(cluster, store, green, evaluator)
         """)
-    module(pkg / "snapmod.py", """
-        __all__ = ["forge"]
-        from repro.refresh import KgSnapshot
-
-        def forge(manifest):
-            return KgSnapshot(manifest, {}, ())
-        """)
     module(serving / "caller.py", """
         __all__ = ["fetch"]
 
@@ -105,7 +98,7 @@ def test_json_reporter_exact_payload(fixture_package):
     payload = json.loads(format_json(result))
 
     assert payload["version"] == REPORT_VERSION
-    assert payload["files_checked"] == 13
+    assert payload["files_checked"] == 12
     assert payload["suppressed"] == 0
     assert payload["diagnostics"] == [
         {
@@ -210,18 +203,6 @@ def test_json_reporter_exact_payload(fixture_package):
                 "sanctioned obs.tracing.TRACE_ID_ATTR key"
             ),
         },
-        {
-            "rule": "snapshot-builder-only",
-            "path": str(fixture_package / "snapmod.py"),
-            "line": 5,
-            "col": 12,
-            "message": (
-                "direct KgSnapshot construction bypasses the content-"
-                "addressed builder; create snapshots with "
-                "repro.refresh.build_snapshot so the version id stays a "
-                "trustworthy checksum"
-            ),
-        },
     ]
 
 
@@ -239,7 +220,7 @@ def test_text_reporter_lines_and_summary(fixture_package):
     result = lint_paths([fixture_package])
     text = format_text(result)
     lines = text.splitlines()
-    assert lines[-1] == "11 problems in 13 files (0 suppressed)"
+    assert lines[-1] == "10 problems in 12 files (0 suppressed)"
     assert f"{fixture_package / 'allmod.py'}:1:1: [all-consistency] " in lines[0]
     assert all(":" in line for line in lines[:-1])
 

@@ -10,7 +10,6 @@ from repro.lint.rules import (
     FloatEqualityRule,
     MutableDefaultRule,
     OverbroadExceptRule,
-    SnapshotBuilderOnlyRule,
     SnapshotHealthGateRule,
     TraceIdContractRule,
     UnscopedRngRule,
@@ -347,78 +346,6 @@ def test_all_consistency_skips_dynamic_all():
         def f():
             return 1
         """,
-    )
-    assert diags == []
-
-
-# -- snapshot-builder-only ----------------------------------------------
-
-
-def test_snapshot_builder_only_flags_direct_construction():
-    diags = run_rule(
-        SnapshotBuilderOnlyRule,
-        """
-        from repro.refresh import KgSnapshot, SnapshotManifest
-
-        manifest = SnapshotManifest(version="v-0", parent=None, checksum="0",
-                                    entry_count=0, triple_count=0)
-        snap = KgSnapshot(manifest, {}, ())
-        """,
-        path="src/repro/serving/deployment.py",
-    )
-    assert [d.rule for d in diags] == ["snapshot-builder-only"] * 2
-    assert "build_snapshot" in diags[0].message
-
-
-def test_snapshot_builder_only_resolves_module_attribute_calls():
-    diags = run_rule(
-        SnapshotBuilderOnlyRule,
-        """
-        from repro.refresh import snapshot
-
-        snap = snapshot.KgSnapshot(None, {}, ())
-        """,
-        path="src/repro/cli.py",
-    )
-    assert [d.rule for d in diags] == ["snapshot-builder-only"]
-
-
-def test_snapshot_builder_only_allows_build_snapshot_anywhere():
-    diags = run_rule(
-        SnapshotBuilderOnlyRule,
-        """
-        from repro.refresh import build_snapshot
-
-        snap = build_snapshot({"q": "answer."})
-        """,
-        path="src/repro/cli.py",
-    )
-    assert diags == []
-
-
-def test_snapshot_builder_only_exempts_the_refresh_package():
-    source = """
-    from repro.refresh.snapshot import KgSnapshot
-
-    snap = KgSnapshot(None, {}, ())
-    """
-    assert run_rule(SnapshotBuilderOnlyRule, source,
-                    path="src/repro/refresh/snapshot.py") == []
-    assert run_rule(SnapshotBuilderOnlyRule, source,
-                    path="src/repro/refresh/builder.py") == []
-    assert len(run_rule(SnapshotBuilderOnlyRule, source,
-                        path="src/repro/serving/cache.py")) == 1
-
-
-def test_snapshot_builder_only_ignores_unrelated_same_named_classes():
-    diags = run_rule(
-        SnapshotBuilderOnlyRule,
-        """
-        from somelib import KgSnapshot
-
-        snap = KgSnapshot()
-        """,
-        path="src/repro/core/pipeline.py",
     )
     assert diags == []
 

@@ -5,7 +5,6 @@ import pytest
 from repro.obs import (
     EVENTS_SCHEMA,
     EventLog,
-    MetricsRegistry,
     render_events,
     validate,
 )
@@ -49,17 +48,6 @@ def test_events_between_filters_on_timestamp_inclusive():
         log.emit("tick.n", ts=ts, component="c")
     picked = log.events_between(1.0, 2.0)
     assert [e.ts for e in picked] == [1.0, 2.0]
-
-
-def test_registry_counter_tracks_kinds():
-    registry = MetricsRegistry()
-    log = EventLog(registry=registry, name="ops")
-    log.emit("breaker.open", ts=0.0, component="c")
-    log.emit("breaker.open", ts=1.0, component="c")
-    log.emit("router.drain", ts=1.0, component="c")
-    family = registry.get("obs_events_total")
-    assert family.labels(log="ops", kind="breaker.open").value == 2
-    assert family.labels(log="ops", kind="router.drain").value == 1
 
 
 def test_render_round_trips_through_validate():

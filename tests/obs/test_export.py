@@ -1,4 +1,4 @@
-"""Exporters: JSON snapshot schema, text and Prometheus renderings."""
+"""Exporters: JSON snapshot schema and the text rendering."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs import validate
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
-    render_prometheus,
     render_text,
     snapshot,
 )
@@ -61,16 +60,9 @@ def test_render_text_one_line_per_sample():
     assert 'requests_total{service="a"} 3' in text
     assert "queue_depth 4" in text
     assert "count=4" in text and "p99=" in text
-
-
-def test_render_prometheus_exposition_format():
-    text = render_prometheus(_populated_registry())
-    assert "# TYPE requests_total counter" in text
-    assert "# HELP queue_depth pending work" in text
-    assert 'requests_total{service="a"} 3' in text
-    assert 'latency_s_bucket{le="+Inf"} 4' in text
-    assert "latency_s_count 4" in text
-    assert text.endswith("\n")
+    registry = MetricsRegistry()
+    registry.counter("c_total", "", ("k",)).labels(k='a"b\\c\nd').inc()
+    assert 'c_total{k="a\\"b\\\\c\\nd"} 1' in render_text(registry)
 
 
 def test_snapshot_carries_bucket_exemplars():
@@ -85,28 +77,6 @@ def test_snapshot_carries_bucket_exemplars():
                                       "value": 0.005}
     assert "exemplar" not in buckets[1]  # untagged bucket stays bare
     assert "exemplar" not in buckets[2]
-
-
-def test_render_prometheus_emits_exemplar_annotations():
-    registry = MetricsRegistry()
-    latency = registry.histogram("latency_s", buckets=(0.01, 0.1))
-    latency.observe(0.005, exemplar="00000001deadbeef")
-    latency.observe(0.02)
-    text = render_prometheus(registry)
-    tagged = [l for l in text.splitlines()
-              if l.startswith('latency_s_bucket{le="0.01"}')]
-    assert tagged == [
-        'latency_s_bucket{le="0.01"} 1 '
-        '# {trace_id="00000001deadbeef"} 0.005']
-    # Buckets without an exemplar render the plain exposition line.
-    assert 'latency_s_bucket{le="0.1"} 2' in text.splitlines()
-
-
-def test_render_prometheus_escapes_label_values():
-    registry = MetricsRegistry()
-    registry.counter("c_total", "", ("k",)).labels(k='a"b\\c\nd').inc()
-    line = [l for l in render_prometheus(registry).splitlines() if l.startswith("c_total")][0]
-    assert '\\"' in line and "\\\\" in line and "\\n" in line
 
 
 def _valid_histogram_snapshot() -> dict:

@@ -1,4 +1,4 @@
-"""Knowledge-plane health reports: computation, publishing, export."""
+"""Knowledge-plane health reports: computation and export."""
 
 import json
 
@@ -9,11 +9,8 @@ from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.obs import (
     KG_HEALTH_SCHEMA,
-    MetricsRegistry,
     compute_kg_health,
-    funnel_from_registry,
     kg_health_report,
-    publish_kg_health,
     validate,
 )
 
@@ -84,38 +81,6 @@ def test_empty_graph_health_is_well_formed():
     validate(KG_HEALTH_SCHEMA, kg_health_report([report]))
 
 
-def test_publish_lands_versioned_gauges():
-    registry = MetricsRegistry()
-    report = compute_kg_health(_graph().columns(), version="v-pub", entries=3)
-    publish_kg_health(report, registry)
-    # samples() yields (labels, child); index by the version label value.
-    found = {labels["version"]: child.value
-             for labels, child in registry.get("kg_health_triples").samples()}
-    assert found == {"v-pub": 4}
-    relations = {(labels["version"], labels["relation"]): child.value
-                 for labels, child
-                 in registry.get("kg_health_relation_edges").samples()}
-    assert relations[("v-pub", "USED_FOR_FUNC")] == 2
-    scores = {labels["score"]: child.value
-              for labels, child
-              in registry.get("kg_health_critic_score_mean").samples()}
-    assert scores["plausibility"] == pytest.approx(report.plausibility.mean)
-
-
-def test_funnel_roundtrips_through_registry():
-    registry = MetricsRegistry()
-    counter = registry.counter("pipeline_funnel_total",
-                               "knowledge funnel items per stage", ("stage",))
-    counter.labels(stage="candidates").inc(100)
-    counter.labels(stage="filtered").inc(60)
-    counter.labels(stage="critic_accepted").inc(45)
-    funnel = funnel_from_registry(registry)
-    assert funnel == {"candidates": 100, "filtered": 60, "critic_accepted": 45}
-    report = compute_kg_health(_graph().columns(), funnel=funnel)
-    validate(KG_HEALTH_SCHEMA, kg_health_report([report]))
-    assert funnel_from_registry(MetricsRegistry()) == {}
-
-
 def test_report_document_is_deterministic_and_validates():
     report = compute_kg_health(_graph().columns(), version="v-doc")
     doc = kg_health_report([report])
@@ -134,9 +99,8 @@ def test_report_document_is_deterministic_and_validates():
      r"\+Inf overflow"),
     (lambda d: d["snapshots"][0]["plausibility"]["counts"].__setitem__(0, 9),
      "bin counts sum"),
-    (lambda d: d["snapshots"][0].update(
-        funnel={"candidates": 5, "filtered": 9, "critic_accepted": 2}),
-     "funnel must narrow"),
+    # The deleted funnel member is now an unknown key like any other.
+    (lambda d: d["snapshots"][0].update(funnel={}), "unknown key"),
 ])
 def test_validator_rejects_corrupted_documents(mutate, match):
     report = compute_kg_health(_graph().columns(), version="v-bad")

@@ -248,13 +248,25 @@ def test_families_sorted_by_name():
 def test_empty_registry_is_still_a_valid_shared_registry():
     """A freshly created registry is falsy under len(); components must
     not silently replace it with a private one."""
-    from repro.core import CosmoPipeline, PipelineConfig
+    from repro.serving import FeatureStore, SimClock
 
     registry = MetricsRegistry()
     assert len(registry) == 0 and not registry  # the trap
-    pipeline = CosmoPipeline(PipelineConfig(), registry=registry)
-    assert pipeline.registry is registry
-    assert "pipeline_stage_items_total" in registry
+    store = FeatureStore(SimClock(), registry=registry)
+    assert store.registry is registry
+    assert "feature_store_ops_total" in registry
+
+
+def test_counter_attributes_are_read_only_and_add_is_the_one_increment():
+    from repro.serving import CacheStats, ServingMetrics
+
+    for owner, attr in ((ServingMetrics(), "served_fresh"),
+                        (CacheStats(), "layer1_hits")):
+        owner.add(attr, 2)
+        assert getattr(owner, attr) == 2
+        with pytest.raises(AttributeError):
+            setattr(owner, attr, 3)     # what a stray ``owner.attr += 1`` does
+        assert getattr(owner, attr) == 2
 
 
 def test_histogram_bare_observe_keeps_existing_bucket_exemplar():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.obs import MetricsRegistry
 from repro.refresh import (
     SnapshotQualityGate,
     SnapshotStore,
@@ -211,21 +210,6 @@ def test_assessments_are_cached_by_version():
     assert gate.assess(green) is first            # decision cached
     assert gate.health_of(green) is first.health  # health cached
     assert [d.version for d in gate.decisions] == [green.version]
-
-
-def test_registry_receives_health_gauges_once_per_snapshot():
-    store = SnapshotStore()
-    registry = MetricsRegistry()
-    blue = build_snapshot(_entries("blue"), triples=_triples(20))
-    green = build_snapshot(_entries("green"), triples=_triples(24),
-                           parent=blue)
-    store.add(blue)
-    store.add(green)
-    gate = SnapshotQualityGate(store, registry=registry)
-    gate.assess(green)
-    versions = {labels["version"]
-                for labels, _ in registry.get("kg_health_triples").samples()}
-    assert versions == {blue.version, green.version}
 
 
 def test_custom_rules_override_defaults():

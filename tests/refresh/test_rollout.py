@@ -36,7 +36,7 @@ def _rig(n_replicas=2, poisoned=False, name="rolltest"):
     store = SnapshotStore()
     store.add(blue)
     registry = MetricsRegistry()
-    event_log = EventLog(registry=registry)
+    event_log = EventLog()
     cluster = CosmoCluster(
         lambda i: SnapshotGenerator(blue),
         config=ClusterConfig(n_replicas=n_replicas, max_batch_size=8,

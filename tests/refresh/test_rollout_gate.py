@@ -60,7 +60,7 @@ def _rig(poisoned=False, gate=None, name="gatetest"):
     store = SnapshotStore()
     store.add(blue)
     registry = MetricsRegistry()
-    event_log = EventLog(registry=registry)
+    event_log = EventLog()
     cluster = CosmoCluster(
         lambda i: SnapshotGenerator(blue),
         config=ClusterConfig(n_replicas=2, max_batch_size=8,
@@ -73,7 +73,7 @@ def _rig(poisoned=False, gate=None, name="gatetest"):
                              event_log=event_log)
     collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
     if gate is None:
-        gate = SnapshotQualityGate(store, registry=registry)
+        gate = SnapshotQualityGate(store)
     controller = RolloutController(cluster, store, green, evaluator,
                                    quality_gate=gate)
     return cluster, store, blue, green, evaluator, collector, controller

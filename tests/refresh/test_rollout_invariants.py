@@ -71,7 +71,7 @@ def test_accounting_and_dead_letter_conservation_under_chaos(
         config=ClusterConfig(n_replicas=2, max_batch_size=8,
                              max_batch_delay_s=0.25, seed=seed % 101,
                              name="chaosroll"),
-        registry=registry, event_log=EventLog(registry=registry),
+        registry=registry, event_log=EventLog(),
         response_validator=response_ok,
     )
     cluster.install_snapshot(blue)

@@ -140,7 +140,7 @@ def test_breaker_refusal_leaves_queries_pending():
     service, _ = _service(breaker=breaker)
     _handle(service, "q")
     assert service.run_batch() == 0
-    assert service.metrics.breaker_refusals == 1
+    assert service.breaker.refusals == 1
     assert service.metrics.dead_lettered == 0
     assert service.cache.pending_size == 1  # retried next cycle, not dropped
 

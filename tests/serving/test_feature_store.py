@@ -43,7 +43,6 @@ def test_reads_and_writes_counted_through_the_registry():
     ops = registry.get("feature_store_ops_total")
     assert ops.labels(store="svc", op="write").value == 2
     assert ops.labels(store="svc", op="read").value == 2
-    assert registry.get("feature_store_entries").labels(store="svc").value == 2
 
 
 def test_records_version_by_refresh_day():
@@ -55,21 +54,17 @@ def test_records_version_by_refresh_day():
     assert store.get("a").refreshed_day == 3
 
 
-def test_stale_keys_and_staleness_gauge():
+def test_stale_keys_follow_refreshes():
     clock = SimClock()
-    registry = MetricsRegistry()
-    store = FeatureStore(clock, registry=registry, name="svc")
+    store = FeatureStore(clock)
     store.put("old", "it is used for x.")
     clock.advance_days(2)
     store.put("fresh", "it is used for y.")
 
-    stale_gauge = registry.get("feature_store_stale_entries").labels(store="svc")
     assert store.stale_keys(max_age_days=1) == ["old"]
-    assert stale_gauge.value == 1
-    # A refresh clears the staleness, and the gauge follows.
+    # A refresh clears the staleness.
     store.put("old", "it is used for x.")
     assert store.stale_keys(max_age_days=1) == []
-    assert stale_gauge.value == 0
 
 
 def test_boundary_age_is_not_stale():

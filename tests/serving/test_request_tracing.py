@@ -33,7 +33,7 @@ def _tracers(cluster):
 
 def _build(generator_factory, **config_kwargs):
     registry = MetricsRegistry()
-    event_log = EventLog(registry=registry)
+    event_log = EventLog()
     sampler = TailSampler(slowest_k=1, window_s=60.0, head_every=0)
     cluster = CosmoCluster(
         generator_factory,
