@@ -75,12 +75,3 @@ class AnnotatorPool:
     def annotate_batch(self, items: list[tuple[str, str]]) -> list[AnnotationResult]:
         """Label ``(candidate_id, quality)`` pairs."""
         return [self.annotate(candidate_id, quality) for candidate_id, quality in items]
-
-    @property
-    def disagreement_rate(self) -> float:
-        """Fraction of questions that needed the adjudicator."""
-        pairs = self.total_judgments - self.total_adjudications
-        questions = pairs / 2
-        if questions == 0:
-            return 0.0
-        return self.total_adjudications / questions

@@ -100,6 +100,12 @@ class ABTestResult:
         )
 
 
+#: Chance a customer clicks a suggestion when none matches their intent.
+_BASE_CLICK_RATE = 0.04
+#: Purchase probability before the navigation boost.
+_BASE_PURCHASE_RATE = 0.30
+
+
 class NavigationABTest:
     """Runs the simulated A/B experiment over generated traffic."""
 
@@ -109,18 +115,14 @@ class NavigationABTest:
         control: TaxonomyNavigator,
         treatment: CosmoNavigator,
         treatment_fraction: float = 0.10,
-        base_purchase_rate: float = 0.30,
         navigation_purchase_boost: float = 0.06,
-        base_click_rate: float = 0.04,
         seed: int = 0,
     ):
         self.world = world
         self.control = control
         self.treatment = treatment
         self.treatment_fraction = treatment_fraction
-        self.base_purchase_rate = base_purchase_rate
         self.navigation_purchase_boost = navigation_purchase_boost
-        self.base_click_rate = base_click_rate
         self._rng = spawn_rng(seed, "nav-abtest")
 
     # ------------------------------------------------------------------
@@ -164,7 +166,7 @@ class NavigationABTest:
             if self._matches(suggestion.label, intent, refined):
                 picked = suggestion
                 break
-        if picked is None and turn.suggestions and self._rng.random() < self.base_click_rate:
+        if picked is None and turn.suggestions and self._rng.random() < _BASE_CLICK_RATE:
             picked = turn.suggestions[int(self._rng.integers(len(turn.suggestions)))]
         if picked is not None:
             engaged = True
@@ -180,7 +182,7 @@ class NavigationABTest:
                 )
         if engaged:
             outcome.engaged += 1
-        purchase_rate = self.base_purchase_rate
+        purchase_rate = _BASE_PURCHASE_RATE
         if matched_product:
             purchase_rate += self.navigation_purchase_boost
         if self._rng.random() < purchase_rate:

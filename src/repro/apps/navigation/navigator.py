@@ -1,9 +1,10 @@
 """Multi-turn search navigation (§4.3.1, Figure 9).
 
-COSMO navigation walks three layers: broad-conception interpretation
-(intent roots matching the query), product type/subtype discovery, and
-attribute-based refinement — with multi-turn refinement ("camping" →
-"air mattress" → "camping air mattress" → "lakeside camping ...").
+COSMO navigation walks broad-conception interpretation (intent roots
+matching the query) and product type/subtype discovery, with multi-turn
+refinement ("camping" → "air mattress" → "camping air mattress" →
+"lakeside camping ..."); the paper's third layer, attribute-based
+refinement, is the taxonomy control's ``refine``.
 
 The control experience is the traditional product-centric taxonomy:
 suggestions are popular product types of the query's domain, blind to
@@ -142,16 +143,6 @@ class CosmoNavigator:
         for product_type in node.product_types[: self.k - len(suggestions)]:
             suggestions.append(Suggestion("product_type", product_type))
         return NavigationTurn(layer="intent_or_type", suggestions=suggestions)
-
-    # -- layer 3: attribute-based refinement -----------------------------
-    def attribute_turn(self, domain: str, product_type: str) -> NavigationTurn:
-        """Layer 3: attribute filters for a chosen product type."""
-        products = self.world.catalog.for_type(domain, product_type)
-        attributes = sorted({a for p in products for a in p.attributes})[: self.k]
-        return NavigationTurn(
-            layer="attribute",
-            suggestions=[Suggestion("attribute", label) for label in attributes],
-        )
 
     def results(self, domain: str, intent_label: str) -> list[Product]:
         """Products linked to the intent concept (via the hierarchy)."""

@@ -5,7 +5,6 @@ from repro.apps.relevance.datasets import (
     LABEL_TO_ID,
     PreparedESCI,
     PreparedSplit,
-    cosmo_knowledge_provider,
     kg_knowledge_provider,
     prepare_esci,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "PreparedESCI",
     "PreparedSplit",
     "prepare_esci",
-    "cosmo_knowledge_provider",
     "kg_knowledge_provider",
     "ARCHITECTURES",
     "FeatureExtractor",

@@ -75,27 +75,6 @@ def prepare_esci(
     )
 
 
-def cosmo_knowledge_provider(cosmo_lm, world):
-    """Knowledge provider that generates per (query, product) pair with a
-    finetuned COSMO-LM (the fresh-generation path)."""
-
-    def provide(examples: list[ESCIExample]) -> list[str]:
-        prompts = []
-        for example in examples:
-            product = world.catalog.get(example.product_id)
-            prompts.append(
-                cosmo_lm.searchbuy_prompt(
-                    example.query_text,
-                    example.product_title,
-                    product.domain,
-                    product_type=product.product_type,
-                )
-            )
-        return [g.text for g in cosmo_lm.generate_batch(prompts).require()]
-
-    return provide
-
-
 def kg_knowledge_provider(kg, world, max_tails: int = 4):
     """Knowledge provider backed by the built knowledge graph.
 

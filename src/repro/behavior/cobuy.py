@@ -58,12 +58,6 @@ class CoBuyLog:
     def for_domain(self, domain: str) -> list[CoBuyPair]:
         return [pair for pair in self.pairs if pair.domain == domain]
 
-    def intentional_fraction(self) -> float:
-        """Fraction of pairs carrying a ground-truth intent."""
-        if not self.pairs:
-            return 0.0
-        return sum(p.intent_id is not None for p in self.pairs) / len(self.pairs)
-
 
 def simulate_cobuy(
     world: World,

@@ -44,10 +44,6 @@ class Session:
         return len(self.steps)
 
     @property
-    def item_sequence(self) -> list[str]:
-        return [step.item_id for step in self.steps]
-
-    @property
     def query_sequence(self) -> list[str]:
         return [step.query_text for step in self.steps]
 

@@ -1,6 +1,6 @@
 """Synthetic 18-domain e-commerce catalog: domains, products, queries."""
 
-from repro.catalog.domains import DOMAIN_NAMES, Domain, all_domains, get_domain
+from repro.catalog.domains import DOMAIN_NAMES, Domain, all_domains
 from repro.catalog.products import Product, ProductCatalog, build_catalog
 from repro.catalog.queries import Query, QueryLog, SpecificityService, build_queries
 
@@ -8,7 +8,6 @@ __all__ = [
     "DOMAIN_NAMES",
     "Domain",
     "all_domains",
-    "get_domain",
     "Product",
     "ProductCatalog",
     "build_catalog",

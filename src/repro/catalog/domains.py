@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.catalog.vocab import DOMAIN_SPECS, DOMAINS
 from repro.core.relations import TailType
 
-__all__ = ["Domain", "all_domains", "get_domain", "DOMAIN_NAMES"]
+__all__ = ["Domain", "all_domains", "DOMAIN_NAMES"]
 
 DOMAIN_NAMES: tuple[str, ...] = DOMAINS
 
@@ -61,11 +61,3 @@ _REGISTRY = _build_registry()
 def all_domains() -> list[Domain]:
     """All 18 domains in Table 3 order."""
     return [_REGISTRY[name] for name in DOMAINS]
-
-
-def get_domain(name: str) -> Domain:
-    """Look up a domain by its exact Table 3 name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown domain {name!r}; valid domains: {list(DOMAINS)}") from None

@@ -47,7 +47,6 @@ _EXPORTS = {
     "DiscoveredRelation": "repro.core.relation_discovery",
     "KnowledgeGraph": "repro.core.kg",
     "KGStats": "repro.core.kg",
-    "HierarchyNode": "repro.core.kg",
     "CosmoPipeline": "repro.core.pipeline",
     "FolkScopeConfig": "repro.core.folkscope",
     "FolkScopeResult": "repro.core.folkscope",

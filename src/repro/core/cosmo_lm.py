@@ -272,10 +272,6 @@ class CosmoLM:
             winners.append(best if best is not None else pools[0][index])
         return winners
 
-    def knowledge_for_sample(self, world: World, sample: BehaviorSample) -> str:
-        """One-call convenience: behavior sample → knowledge text."""
-        return self.generate_batch([self.prompt_for_sample(world, sample)]).require()[0].text
-
     def prompt_for_sample(self, world: World, sample: BehaviorSample) -> str:
         if sample.behavior == "search-buy":
             query = world.queries.get(sample.query_id)
@@ -294,10 +290,6 @@ class CosmoLM:
     # ------------------------------------------------------------------
     # Label prediction (auxiliary tasks)
     # ------------------------------------------------------------------
-    def predict_label(self, task: str, prompt_body: str) -> str:
-        """yes/no prediction for the auxiliary tasks."""
-        return self._require_classifier().classify(f"{prompt_body} task: {task}")
-
     def predict_typicality(self, behavior_prompt: str, knowledge: str) -> str:
         """yes/no typicality judgment for a (behavior, knowledge) pair.
 

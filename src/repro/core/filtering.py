@@ -61,12 +61,6 @@ class FilterReport:
     def drop(self, stage: str) -> None:
         self.dropped[stage] += 1
 
-    @property
-    def drop_rate(self) -> float:
-        if self.input_count == 0:
-            return 0.0
-        return 1.0 - self.kept / self.input_count
-
 
 def build_reference_lm(extra_sentences: list[str] | None = None) -> NGramLanguageModel:
     """Train the completeness LM on well-formed sentences.
@@ -99,12 +93,11 @@ class KnowledgeFilter:
     def __init__(
         self,
         encoder: TextEncoder,
-        reference_lm: NGramLanguageModel | None = None,
         config: FilterConfig | None = None,
     ):
         self.encoder = encoder
         self.config = config or FilterConfig()
-        self.reference_lm = reference_lm or build_reference_lm()
+        self.reference_lm = build_reference_lm()
 
     # -- stage predicates ------------------------------------------------
     def _is_complete(self, candidate: KnowledgeCandidate) -> bool:

@@ -63,9 +63,6 @@ class InstructionDataset:
         """(prompt, target) pairs for LM finetuning."""
         return [(example.prompt, example.target) for example in self.examples]
 
-    def for_task(self, task: str) -> list[InstructionExample]:
-        return [example for example in self.examples if example.task == task]
-
     def coverage(self) -> dict[str, int]:
         """Figure 4 scale-up numbers: domains, relations, tasks, examples."""
         domains = {example.domain for example in self.examples}

@@ -1,10 +1,9 @@
 """The COSMO knowledge graph container (Tables 1 & 3, Figure 8).
 
 Stores refined :class:`~repro.core.triples.KnowledgeTriple` edges with
-per-domain / per-behavior statistics matching the Table 3 layout, overall
-node/edge/relation counts for the Table 1 comparison, and a tail-
-hierarchy builder reproducing the Figure 8 organization (coarse intent →
-refined intents → linked product concepts).
+per-domain / per-behavior statistics matching the Table 3 layout and
+overall node/edge/relation counts for the Table 1 comparison.  (Figure
+8's intent hierarchy is built by :mod:`repro.apps.navigation.hierarchy`.)
 
 Storage is columnar: node, relation, domain and behavior strings are
 interned once into id tables, and each edge is one row across parallel
@@ -21,19 +20,17 @@ snapshot digests) avoids per-edge Python object traffic.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 
-import networkx as nx
 import numpy as np
 
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 
-__all__ = ["ARRAY_COLUMNS", "STRING_COLUMNS", "KGStats", "HierarchyNode",
-           "KnowledgeGraph", "pack_edge_keys"]
+__all__ = ["ARRAY_COLUMNS", "STRING_COLUMNS", "KGStats", "KnowledgeGraph",
+           "pack_edge_keys"]
 
 _INITIAL_CAPACITY = 16
 
@@ -107,20 +104,6 @@ class KGStats:
     edges: int
     relations: int
     domains: int
-
-
-@dataclass
-class HierarchyNode:
-    """One node of the Figure 8 intent hierarchy."""
-
-    label: str
-    children: list["HierarchyNode"] = field(default_factory=list)
-    product_concepts: list[str] = field(default_factory=list)
-
-    def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
 
 
 def _first_repeat(values: Iterable):
@@ -361,13 +344,6 @@ class KnowledgeGraph:
         tail_ids = np.unique(self._tail_col[: self._size])
         return sorted(self._nodes.value(int(tail_id)) for tail_id in tail_ids)
 
-    def by_relation(self, relation: Relation) -> list[KnowledgeTriple]:
-        rel_id = self._relations.id_of(relation.value)
-        if rel_id is None:
-            return []
-        rows = np.nonzero(self._rel_col[: self._size] == rel_id)[0]
-        return [self._triple_at(int(row)) for row in rows]
-
     def for_domain(self, domain: str) -> list[KnowledgeTriple]:
         domain_id = self._domains.id_of(domain)
         if domain_id is None:
@@ -428,14 +404,6 @@ class KnowledgeGraph:
         index build, instead of a full-edge scan.
         """
         return [self._triple_at(int(row)) for row in self._head_rows(head)]
-
-    def tails_of(self, head: str) -> list[str]:
-        """Sorted distinct tails reachable from ``head`` in one hop."""
-        rows = self._head_rows(head)
-        if rows.size == 0:
-            return []
-        tail_ids = np.unique(self._tail_col[rows])
-        return sorted(self._nodes.value(int(tail_id)) for tail_id in tail_ids)
 
     # ------------------------------------------------------------------
     def columns(self) -> dict:
@@ -535,61 +503,3 @@ class KnowledgeGraph:
                 raise ValueError(f"table {name!r} holds {orphan!r}, "
                                  "which no row references")
         return kg
-
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export as a labeled multigraph for downstream analysis."""
-        graph = nx.MultiDiGraph()
-        for triple in self.triples():
-            graph.add_node(triple.head, kind="head")
-            graph.add_node(triple.tail, kind="tail")
-            graph.add_edge(
-                triple.head,
-                triple.tail,
-                relation=triple.relation.value,
-                domain=triple.domain,
-                behavior=triple.behavior,
-                plausibility=triple.plausibility,
-                typicality=triple.typicality,
-                support=triple.support,
-            )
-        return graph
-
-    # ------------------------------------------------------------------
-    def tail_hierarchy(self, domain: str | None = None) -> list[HierarchyNode]:
-        """Organize tails into the Figure 8 coarse→fine hierarchy.
-
-        A tail B is a child of tail A when B = "<modifier> A" (e.g.
-        "winter camping" under "camping").  Each node also links the
-        product concepts (head product types mentioned in heads) its
-        edges connect to.
-        """
-        triples = self.triples() if domain is None else self.for_domain(domain)
-        tails = {t.tail for t in triples}
-        children_map: dict[str, list[str]] = defaultdict(list)
-        roots: list[str] = []
-        for tail in sorted(tails):
-            parts = tail.split(" ", 1)
-            parent = parts[1] if len(parts) == 2 and parts[1] in tails else None
-            if parent is not None:
-                children_map[parent].append(tail)
-            else:
-                roots.append(tail)
-
-        tail_concepts: dict[str, set[str]] = defaultdict(set)
-        for triple in triples:
-            # Heads are "query" or "title_a ||| title_b"; the last two
-            # title words approximate the product concept/type.
-            for head_part in triple.head.split(" ||| "):
-                words = head_part.split()
-                if len(words) >= 2:
-                    tail_concepts[triple.tail].add(" ".join(words[-2:]))
-
-        def build(label: str) -> HierarchyNode:
-            return HierarchyNode(
-                label=label,
-                children=[build(child) for child in sorted(children_map.get(label, []))],
-                product_concepts=sorted(tail_concepts.get(label, set()))[:8],
-            )
-
-        return [build(root) for root in roots]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.catalog.domains import all_domains
 from repro.core.relations import Relation, TailType
-from repro.core.triples import KnowledgeCandidate
 
 __all__ = ["DiscoveredRelation", "RelationDiscovery"]
 
@@ -137,7 +136,3 @@ class RelationDiscovery:
                 break  # longest pattern wins; stop scanning
         mined = [r for r in found.values() if r.count >= self.min_count]
         return sorted(mined, key=lambda r: -r.count)
-
-    def mine_candidates(self, candidates: list[KnowledgeCandidate]) -> list[DiscoveredRelation]:
-        """Convenience wrapper over candidate objects."""
-        return self.mine([c.text for c in candidates])

@@ -2,6 +2,5 @@
 
 from repro.embeddings.encoder import TextEncoder
 from repro.embeddings.hashing import hashed_bow
-from repro.embeddings.similarity import cosine, cosine_matrix
 
-__all__ = ["TextEncoder", "hashed_bow", "cosine", "cosine_matrix"]
+__all__ = ["TextEncoder", "hashed_bow"]

@@ -18,6 +18,10 @@ from repro.utils.rng import spawn_rng
 __all__ = ["TextEncoder"]
 
 
+#: Texts cached before the cache is cleared and refilled.
+_CACHE_SIZE = 50_000
+
+
 class TextEncoder:
     """Deterministic text → dense-vector encoder with an LRU-ish cache."""
 
@@ -26,7 +30,6 @@ class TextEncoder:
         dim: int = 64,
         buckets: int = 2048,
         seed: int = 0,
-        cache_size: int = 50_000,
     ):
         self.dim = dim
         self.buckets = buckets
@@ -34,7 +37,6 @@ class TextEncoder:
         # Sparse random projection: dense Gaussian is fine at this width.
         self._projection = rng.normal(size=(buckets, dim)) / np.sqrt(dim)
         self._cache: dict[str, np.ndarray] = {}
-        self._cache_size = cache_size
 
     def encode(self, text: str) -> np.ndarray:
         """Dense unit-norm vector for ``text``."""
@@ -46,7 +48,7 @@ class TextEncoder:
         norm = np.linalg.norm(dense)
         if norm > 0:
             dense = dense / norm
-        if len(self._cache) >= self._cache_size:
+        if len(self._cache) >= _CACHE_SIZE:
             self._cache.clear()
         self._cache[text] = dense
         return dense
@@ -75,7 +77,7 @@ class TextEncoder:
             norms = np.linalg.norm(dense, axis=1, keepdims=True)
             dense = dense / np.where(norms > 0, norms, 1.0)
             for text, row in zip(order, dense):
-                if len(self._cache) >= self._cache_size:
+                if len(self._cache) >= _CACHE_SIZE:
                     self._cache.clear()
                 self._cache[text] = row
             for index in missing:

@@ -30,9 +30,6 @@ __all__ = [
     "ProjectRule",
     "register",
     "all_rules",
-    "file_rules",
-    "project_rules",
-    "get_rule",
     "rule_ids",
     "make_filter",
 ]
@@ -137,24 +134,6 @@ def all_rules() -> Iterator[RuleClass]:
     """Registered rule classes (both scopes), ordered by rule id."""
     for rule_id in sorted(_REGISTRY):
         yield _REGISTRY[rule_id]
-
-
-def file_rules() -> Iterator[type[LintRule]]:
-    """File-scope rule classes, ordered by rule id."""
-    for rule_class in all_rules():
-        if rule_class.scope == "file":
-            yield rule_class  # type: ignore[misc]
-
-
-def project_rules() -> Iterator[type[ProjectRule]]:
-    """Project-scope rule classes, ordered by rule id."""
-    for rule_class in all_rules():
-        if rule_class.scope == "project":
-            yield rule_class  # type: ignore[misc]
-
-
-def get_rule(rule_id: str) -> RuleClass:
-    return _REGISTRY[rule_id]
 
 
 def rule_ids() -> list[str]:

@@ -43,7 +43,7 @@ class UnscopedRngRule(LintRule):
     """
 
     id = "unscoped-rng"
-    summary = "RNG must come from spawn_rng/RngFactory, never raw numpy/stdlib streams"
+    summary = "RNG must come from spawn_rng, never raw numpy/stdlib streams"
     invariant = "bit-stable regression numbers for Tables 1/3/6"
 
     @classmethod

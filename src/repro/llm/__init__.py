@@ -4,7 +4,6 @@ from repro.llm.interface import (
     Generation,
     GenerationTruth,
     KnowledgeGenerator,
-    LanguageModel,
     LatencyModel,
 )
 from repro.llm.ngram import NGramLanguageModel
@@ -17,7 +16,6 @@ __all__ = [
     "Generation",
     "GenerationTruth",
     "KnowledgeGenerator",
-    "LanguageModel",
     "LatencyModel",
     "NGramLanguageModel",
     "Seq2SeqLM",

@@ -16,7 +16,6 @@ __all__ = [
     "GenerationTruth",
     "Generation",
     "GenerationBatch",
-    "LanguageModel",
     "KnowledgeGenerator",
     "LatencyModel",
 ]
@@ -86,17 +85,6 @@ class GenerationBatch:
                 f"after {self.attempts} attempts"
             )
         return [g for g in self.generations if g is not None]
-
-
-class LanguageModel(Protocol):
-    """Anything that can continue a prompt."""
-
-    name: str
-    parameter_count: int
-
-    def generate(self, prompt: str, num_candidates: int = 1) -> list[Generation]:
-        """Produce ``num_candidates`` continuations of ``prompt``."""
-        ...  # pragma: no cover
 
 
 @runtime_checkable

@@ -5,28 +5,24 @@ encoders, GRU language models, attention blocks, and the gated GNNs of the
 session recommenders.
 """
 
-from repro.nn.attention import AdditiveAttention, SelfAttention, scaled_dot_product_attention
+from repro.nn.attention import SelfAttention, scaled_dot_product_attention
 from repro.nn.functional import (
     binary_cross_entropy_with_logits,
     cross_entropy,
     dropout,
     log_softmax,
-    mse_loss,
     softmax,
 )
 from repro.nn.layers import (
     MLP,
     Dropout,
     Embedding,
-    LayerNorm,
     Linear,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.rnn import GRU, GRUCell
 from repro.nn.tensor import Tensor, embedding_lookup, no_grad, vocab_scatter
 
@@ -39,26 +35,19 @@ __all__ = [
     "Parameter",
     "Linear",
     "Embedding",
-    "LayerNorm",
     "Dropout",
     "Sequential",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "MLP",
     "GRU",
     "GRUCell",
     "SelfAttention",
-    "AdditiveAttention",
     "scaled_dot_product_attention",
     "softmax",
     "log_softmax",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
-    "mse_loss",
     "dropout",
-    "SGD",
     "Adam",
-    "AdamW",
     "clip_grad_norm",
 ]

@@ -9,7 +9,7 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["scaled_dot_product_attention", "SelfAttention", "AdditiveAttention"]
+__all__ = ["scaled_dot_product_attention", "SelfAttention"]
 
 _NEG_INF = -1e9
 
@@ -49,33 +49,3 @@ class SelfAttention(Module):
             self.q_proj(x), self.k_proj(x), self.v_proj(x), mask=mask
         )
         return x + self.out_proj(attended)
-
-
-class AdditiveAttention(Module):
-    """Additive (Bahdanau-style) attention pooling over a sequence.
-
-    Computes ``alpha_t = v^T sigmoid(W1 x_t + W2 c + b)`` and returns the
-    weighted sum of the sequence — the readout used by SR-GNN and STAMP.
-    """
-
-    def __init__(self, dim: int, rng: np.random.Generator):
-        super().__init__()
-        self.w_item = Linear(dim, dim, rng, bias=False)
-        self.w_context = Linear(dim, dim, rng)
-        self.v = Linear(dim, 1, rng, bias=False)
-
-    def forward(
-        self,
-        sequence: Tensor,
-        context: Tensor,
-        mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """``sequence``: (batch, time, dim); ``context``: (batch, dim)."""
-        batch, steps, dim = sequence.shape
-        expanded = context.reshape(batch, 1, dim)
-        energy = (self.w_item(sequence) + self.w_context(expanded)).sigmoid()
-        scores = self.v(energy)  # (batch, time, 1)
-        if mask is not None:
-            scores = scores * Tensor(mask[..., None].astype(np.float64))
-        weighted = sequence * scores
-        return weighted.sum(axis=1)

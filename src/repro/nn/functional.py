@@ -11,7 +11,6 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
-    "mse_loss",
     "dropout",
 ]
 
@@ -71,12 +70,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     abs_x = (x * x).sqrt()
     loss = positive - x * targets_t + ((-abs_x).exp() + 1.0).log()
     return loss.mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant ``target`` array."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -4,20 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "normal", "uniform"]
+__all__ = ["xavier_uniform", "normal", "uniform"]
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Glorot/Xavier uniform initialization for (fan_in, fan_out) weights."""
     fan_in, fan_out = shape[0], shape[-1]
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """He uniform initialization suitable for ReLU stacks."""
-    fan_in = shape[0]
-    bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -1,4 +1,4 @@
-"""Core layers: Linear, Embedding, LayerNorm, Dropout, MLP, Sequential."""
+"""Core layers: Linear, Embedding, Dropout, MLP, Sequential."""
 
 from __future__ import annotations
 
@@ -12,12 +12,9 @@ from repro.nn.tensor import Tensor, embedding_lookup
 __all__ = [
     "Linear",
     "Embedding",
-    "LayerNorm",
     "Dropout",
     "Sequential",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "MLP",
 ]
 
@@ -56,23 +53,6 @@ class Embedding(Module):
         return embedding_lookup(self.weight, indices)
 
 
-class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim))
-        self.beta = Parameter(np.zeros(dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered / (var + self.eps).sqrt()
-        return normalized * self.gamma + self.beta
-
-
 class Dropout(Module):
     """Inverted dropout layer with its own random stream."""
 
@@ -88,16 +68,6 @@ class Dropout(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
 
 
 class Sequential(Module):

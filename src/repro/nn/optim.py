@@ -1,4 +1,4 @@
-"""Optimizers: SGD (with momentum), Adam, AdamW, and gradient clipping."""
+"""Optimizers: Adam, and gradient clipping."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["SGD", "Adam", "AdamW", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
@@ -40,27 +40,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: list[Parameter], lr: float, momentum: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
-
-
 class Adam(Optimizer):
     """Adam with bias correction."""
 
@@ -70,13 +49,11 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         super().__init__(parameters)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
@@ -89,8 +66,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
@@ -98,18 +73,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (the decay skips the moments)."""
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for param in self.parameters:
-                if param.grad is not None:
-                    param.data -= self.lr * self.weight_decay * param.data
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = decay

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "vocab_scatter", "embedding_lookup"]
+__all__ = ["Tensor", "no_grad", "vocab_scatter", "embedding_lookup"]
 
 _GRAD_ENABLED = True
 
@@ -35,11 +35,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
-
-
-def is_grad_enabled() -> bool:
-    """Whether new ops record backward closures."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -3,8 +3,8 @@
 Three dependency-free parts (DESIGN.md §9):
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
-  counters, gauges and fixed-bucket streaming histograms (bounded
-  memory, percentile estimates without sample lists);
+  counters and fixed-bucket streaming histograms (bounded memory,
+  percentile estimates without sample lists);
 * :mod:`repro.obs.tracing` — a :class:`Tracer` of nested spans timed on
   an *injectable clock callable*, exporting Chrome trace-event JSON;
 * :mod:`repro.obs.timebase` — the sole sanctioned wall-clock call site,
@@ -13,8 +13,8 @@ Three dependency-free parts (DESIGN.md §9):
 Continuous monitoring (DESIGN.md §11) builds on those parts:
 
 * :mod:`repro.obs.timeseries` — a grid-aligned scrape loop turning the
-  registry into bounded ring-buffer series (counter rates, gauge points,
-  windowed histogram percentiles);
+  registry into bounded ring-buffer series (counter rates, windowed
+  histogram percentiles);
 * :mod:`repro.obs.events` — a bounded, byte-deterministic structured
   event log for operational transitions (``repro.obs.events/v1``);
 * :mod:`repro.obs.slo` — declarative SLO objectives with multi-window
@@ -85,7 +85,6 @@ from repro.obs.timeseries import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
     Counter,
-    Gauge,
     Histogram,
     MetricFamily,
     MetricsRegistry,
@@ -117,7 +116,6 @@ __all__ = [
     "CHROME_TRACE_SCHEMA",
     "DEFAULT_LATENCY_BUCKETS_S",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",

@@ -129,7 +129,6 @@ _TABLE = Obj({
     "schema": one_of(SNAPSHOT_SCHEMA),
     "metrics": ListOf(Tagged("kind", {
         "counter": _family("counter", _VALUE_SAMPLE),
-        "gauge": _family("gauge", _VALUE_SAMPLE),
         "histogram": _family("histogram", _HISTOGRAM_SAMPLE),
     })),
 })

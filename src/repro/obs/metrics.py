@@ -1,4 +1,4 @@
-"""Dependency-free metrics primitives: counters, gauges, histograms.
+"""Dependency-free metrics primitives: counters and histograms.
 
 A :class:`MetricsRegistry` holds named metric families; a family fans
 out into labeled children (one instrument per label-value combination),
@@ -24,7 +24,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
@@ -68,29 +67,6 @@ def counter_attribute(attr: str) -> property:
     Writes go through the owner's ``add(attr, n)``; ``stats.hits += 1``
     is an :class:`AttributeError`."""
     return property(lambda self: int(self._counters[attr].value))
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, breaker state)."""
-
-    kind = "gauge"
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
 
 class Histogram:
@@ -277,7 +253,7 @@ class Histogram:
         return self.max
 
 
-_INSTRUMENTS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = ("counter", "histogram")
 
 
 class MetricFamily:
@@ -293,7 +269,7 @@ class MetricFamily:
     ):
         if not _METRIC_NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
-        if kind not in _INSTRUMENTS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
         for label in labelnames:
             if not _LABEL_NAME_RE.match(label):
@@ -303,9 +279,9 @@ class MetricFamily:
         self.help = help
         self.labelnames = tuple(labelnames)
         self.buckets = buckets
-        self._children: dict[tuple[str, ...], Counter | Gauge | Histogram] = {}
+        self._children: dict[tuple[str, ...], Counter | Histogram] = {}
 
-    def labels(self, **labels: str) -> Counter | Gauge | Histogram:
+    def labels(self, **labels: str) -> Counter | Histogram:
         """The child instrument for one label-value combination."""
         if set(labels) != set(self.labelnames):
             raise ValueError(
@@ -315,14 +291,12 @@ class MetricFamily:
         key = tuple(str(labels[name]) for name in self.labelnames)
         child = self._children.get(key)
         if child is None:
-            if self.kind == "histogram":
-                child = Histogram(self.buckets or DEFAULT_LATENCY_BUCKETS_S)
-            else:
-                child = _INSTRUMENTS[self.kind]()
+            child = (Histogram(self.buckets or DEFAULT_LATENCY_BUCKETS_S)
+                     if self.kind == "histogram" else Counter())
             self._children[key] = child
         return child
 
-    def samples(self) -> Iterator[tuple[dict[str, str], Counter | Gauge | Histogram]]:
+    def samples(self) -> Iterator[tuple[dict[str, str], Counter | Histogram]]:
         """``(labels, child)`` pairs in deterministic label order."""
         for key in sorted(self._children):
             yield dict(zip(self.labelnames, key)), self._children[key]
@@ -330,12 +304,6 @@ class MetricFamily:
     # -- unlabeled convenience (valid only when labelnames is empty) ----
     def inc(self, amount: float = 1.0) -> None:
         self.labels().inc(amount)  # type: ignore[union-attr]
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)  # type: ignore[union-attr]
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)  # type: ignore[union-attr]
 
     def observe(self, value: float, exemplar: str | None = None,
                 count: int = 1) -> None:
@@ -370,10 +338,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "",
                 labelnames: tuple[str, ...] = ()) -> MetricFamily:
         return self._register(name, "counter", help, labelnames, None)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: tuple[str, ...] = ()) -> MetricFamily:
-        return self._register(name, "gauge", help, labelnames, None)
 
     def histogram(
         self,

@@ -4,7 +4,8 @@ Head truncation (``Tracer.max_spans``) keeps whatever came first, which
 is exactly wrong for diagnosing incidents: the interesting traces — the
 errors, the degraded serves, the slow outliers — arrive after the buffer
 filled.  :class:`TailSampler` inverts that.  Trace-tagged spans are
-buffered as they open (one shared sampler can back many tracers); when
+buffered as they open, by ``Tracer._open`` (one shared sampler can back
+many tracers); when
 the driver reports the trace finished (:meth:`TailSampler.finish`), the
 sampler applies its policy:
 
@@ -75,17 +76,6 @@ class TailSampler:
         }
 
     # ------------------------------------------------------------------
-    def buffer(self, tracer: "Tracer", span: "Span") -> None:
-        """Hold one trace-tagged span until its trace's verdict."""
-        if span.trace_id is None:
-            raise ValueError("tail sampler only buffers trace-tagged spans")
-        if self._buffered_spans >= self.max_buffered_spans:
-            self.overflow += 1
-            tracer._discard(span)
-            return
-        self._buffers.setdefault(span.trace_id, []).append((tracer, span))
-        self._buffered_spans += 1
-
     @property
     def buffered_spans(self) -> int:
         return self._buffered_spans

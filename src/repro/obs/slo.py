@@ -195,15 +195,19 @@ class Alert:
         }
 
 
+#: Cumulative readings kept per objective (bounded history).
+_HISTORY_POINTS = 4096
+
+
 class _SpecState:
     """Evaluator-internal bookkeeping for one objective."""
 
     __slots__ = ("spec", "history", "active", "done", "instances", "clear_since")
 
-    def __init__(self, spec: SloSpec, history_points: int):
+    def __init__(self, spec: SloSpec):
         self.spec = spec
         #: ``(ts, good, total)`` cumulative readings, oldest first.
-        self.history: deque[tuple[float, float, float]] = deque(maxlen=history_points)
+        self.history: deque[tuple[float, float, float]] = deque(maxlen=_HISTORY_POINTS)
         self.active: Alert | None = None
         self.done: list[Alert] = []
         self.instances = 0
@@ -227,7 +231,6 @@ class SloEvaluator:
         registry: MetricsRegistry,
         specs: Sequence[SloSpec],
         event_log: EventLog | None = None,
-        history_points: int = 4096,
     ):
         if not specs:
             raise ValueError("evaluator needs at least one SLO spec")
@@ -238,8 +241,7 @@ class SloEvaluator:
         self.event_log = event_log
         self.evaluations = 0
         self.last_eval_ts: float | None = None
-        self._states = {spec.name: _SpecState(spec, history_points)
-                        for spec in specs}
+        self._states = {spec.name: _SpecState(spec) for spec in specs}
 
     @property
     def specs(self) -> list[SloSpec]:

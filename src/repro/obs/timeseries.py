@@ -8,7 +8,6 @@ grid and keeps the result in bounded ring-buffer :class:`Series`:
 
 * **counters** become per-interval *rates* (``<key>:rate``, delta over
   elapsed grid time);
-* **gauges** become point-in-time samples (``<key>``);
 * **histograms** become *windowed* percentiles and rates
   (``<key>:p50``/``:p99``/``:rate``) — each scrape diffs the cumulative
   histogram against the previous scrape's state via
@@ -45,7 +44,7 @@ __all__ = [
 
 TIMELINE_SCHEMA = "repro.obs.timeseries/v1"
 
-_KINDS = ("rate", "gauge", "percentile")
+_KINDS = ("rate", "percentile")
 
 
 class Series:
@@ -74,9 +73,6 @@ class Series:
 
     def points(self) -> list[tuple[float, float]]:
         return list(self._points)
-
-    def latest(self) -> tuple[float, float] | None:
-        return self._points[-1] if self._points else None
 
 
 def _series_key(name: str, labels: Mapping[str, str]) -> str:
@@ -155,8 +151,6 @@ class TimeSeriesCollector:
                     self._record(f"{key}:rate", "rate", ts,
                                  (value - previous) / elapsed)
                     self._prev_counters[key] = value
-                elif family.kind == "gauge":
-                    self._record(key, "gauge", ts, child.value)
                 else:
                     previous_h = self._prev_histograms.get(key)
                     window = (child.delta(previous_h) if previous_h is not None

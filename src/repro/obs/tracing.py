@@ -127,7 +127,8 @@ class Span:
 
     A span is its own context manager: :meth:`Tracer.span` opens it (the
     open happens at the call, not at ``__enter__``) and the ``with``
-    block's exit closes it.  Hand-rolled ``__slots__`` rather than a
+    block's exit closes it.  Hand-rolled ``__slots__`` and no
+    ``__init__`` (``Tracer._open`` is the one constructor) rather than a
     dataclass/contextlib pairing — span open/close sits on the
     per-request hot path six times over, and ``bench_trace_overhead``
     pins the traced/bare ratio.
@@ -137,29 +138,20 @@ class Span:
                  "end_s", "attributes", "status", "error_type", "trace_id",
                  "remote_parent", "export_parent_id", "retained", "_tracer")
 
-    def __init__(self, name: str, span_id: int, parent_id: int | None,
-                 start_s: float, depth: int,
-                 end_s: float | None = None,
-                 attributes: dict[str, AttrValue] | None = None,
-                 status: str = "ok", error_type: str | None = None,
-                 trace_id: str | None = None,
-                 remote_parent: str | None = None,
-                 export_parent_id: int | None = None,
-                 retained: bool = True):
-        self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start_s = start_s
-        self.depth = depth
-        self.end_s = end_s
-        self.attributes = {} if attributes is None else attributes
-        self.status = status
-        self.error_type = error_type
-        self.trace_id = trace_id
-        self.remote_parent = remote_parent
-        self.export_parent_id = export_parent_id
-        self.retained = retained
-        self._tracer: "Tracer | None" = None
+    name: str
+    span_id: int
+    parent_id: int | None
+    start_s: float
+    depth: int
+    end_s: float | None
+    attributes: dict[str, AttrValue]
+    status: str
+    error_type: str | None
+    trace_id: str | None
+    remote_parent: str | None
+    export_parent_id: int | None
+    retained: bool
+    _tracer: "Tracer | None"
 
     def __repr__(self) -> str:
         return (f"Span(name={self.name!r}, span_id={self.span_id}, "
@@ -357,10 +349,9 @@ class Tracer:
     def _open(self, name: str, start_s: float,
               attributes: dict[str, AttrValue],
               parent: Span | None) -> Span:
-        # Direct __new__ + attribute sets: this constructor runs for
-        # every span of every traced request, and skipping __init__'s
-        # parameter binding is a measurable slice of the traced/bare
-        # ratio pinned by bench_trace_overhead.
+        # Direct __new__ + attribute sets: this runs for every span of
+        # every traced request, and parameter binding is a measurable
+        # slice of the traced/bare ratio pinned by bench_trace_overhead.
         record = Span.__new__(Span)
         record.name = name
         record.span_id = self._next_id
@@ -391,9 +382,8 @@ class Tracer:
         sampler = self.sampler
         if record.trace_id is not None and sampler is not None:
             # Tail sampling: tentatively retained, buffered until the
-            # trace finishes and the sampler decides keep/drop.  The
-            # buffer fast path is inlined (equivalent to
-            # ``sampler.buffer(self, record)``) — a call per span is a
+            # trace finishes and the sampler decides keep/drop.  Written
+            # into the sampler's buffer here — a call per span is a
             # measurable slice of the bench_trace_overhead budget.
             if sampler._buffered_spans < sampler.max_buffered_spans:
                 buffers = sampler._buffers

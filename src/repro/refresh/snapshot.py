@@ -278,11 +278,6 @@ class SnapshotStore:
         except KeyError:
             raise KeyError(f"unknown snapshot version {version!r}") from None
 
-    def parent_of(self, version: str) -> KgSnapshot | None:
-        """The registered parent snapshot of ``version``, or None."""
-        parent = self.get(version).parent
-        return self._snapshots[parent] if parent is not None else None
-
     def __contains__(self, version: str) -> bool:
         return version in self._snapshots
 

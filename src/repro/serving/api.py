@@ -42,7 +42,6 @@ __all__ = [
     "SOURCE_CACHE_YEARLY",
     "SOURCE_CACHE_DAILY",
     "SOURCE_FEATURE_STORE",
-    "SOURCE_LAST_GOOD",
     "SOURCE_DIRECT",
     "SOURCE_FALLBACK",
 ]
@@ -51,7 +50,6 @@ __all__ = [
 SOURCE_CACHE_YEARLY = "cache:yearly"
 SOURCE_CACHE_DAILY = "cache:daily"
 SOURCE_FEATURE_STORE = "feature_store"
-SOURCE_LAST_GOOD = "last_good"
 SOURCE_DIRECT = "direct"
 SOURCE_FALLBACK = "fallback"
 
@@ -60,7 +58,7 @@ class ServeOutcome(str, Enum):
     """How a request was accounted.  Exactly one per request."""
 
     FRESH = "fresh"          #: cache hit or successful direct generation
-    DEGRADED = "degraded"    #: stale knowledge (feature store / last good)
+    DEGRADED = "degraded"    #: stale knowledge (the feature store's entry)
     FALLBACK = "fallback"    #: no knowledge available; canned response
 
 

@@ -90,9 +90,8 @@ class AsyncCacheStore:
         self._daily_day: int = clock.day
         self._daily_capacity = daily_capacity
         self._pending: dict[str, int] = {}  # query → enqueue day
-        #: Snapshot version each daily entry was computed under; entries
-        #: tagged with any other version die on the next snapshot swap.
-        self._daily_tags: dict[str, str | None] = {}
+        #: The version the yearly layer was installed from and every
+        #: daily entry was computed under (a version change clears both).
         self._snapshot_version: str | None = None
         self._pending_capacity = pending_capacity
         self._pending_max_age_days = pending_max_age_days
@@ -208,7 +207,6 @@ class AsyncCacheStore:
         accumulating forever."""
         if self._clock.day != self._daily_day:
             self._daily.clear()
-            self._daily_tags.clear()
             self._daily_day = self._clock.day
             self._evict_stale_pending()
 
@@ -226,24 +224,20 @@ class AsyncCacheStore:
         """Atomically swap the cache onto a knowledge snapshot.
 
         Replaces the yearly layer with the snapshot's serving table (the
-        warm step of a blue/green swap) and drops daily entries tagged
-        with any *other* snapshot version — stale entries die with their
-        version instead of leaking the old knowledge after the swap.
-        The pending queue survives: in-flight misses are still real
-        demand under the new snapshot.  Returns the number of entries
-        invalidated (0 when re-installing the current version — the
-        operation is idempotent, which lets rollout retries re-run it).
+        warm step of a blue/green swap) and, on a version change, clears
+        the daily layer: every daily entry was computed under the
+        version being left, and dies with it instead of leaking the old
+        knowledge after the swap.  The pending queue survives: in-flight
+        misses are still real demand under the new snapshot.  Returns
+        the number of entries invalidated (0 when re-installing the
+        current version — the operation is idempotent, which lets
+        rollout retries re-run it).
         """
         self._roll_daily_layer()
         invalidated = 0
         if version != self._snapshot_version:
-            invalidated += len(self._yearly)
-            stale = [query for query, tag in self._daily_tags.items()
-                     if tag != version]
-            for query in stale:
-                self._daily.pop(query, None)
-                del self._daily_tags[query]
-            invalidated += len(stale)
+            invalidated = len(self._yearly) + len(self._daily)
+            self._daily.clear()
         self._yearly = dict(entries)
         self._snapshot_version = version
         return invalidated
@@ -266,7 +260,6 @@ class AsyncCacheStore:
             if len(self._daily) >= self._daily_capacity:
                 break
             self._daily[query] = response
-            self._daily_tags[query] = self._snapshot_version
             self._pending.pop(query, None)
             installed += 1
         return installed
@@ -287,14 +280,6 @@ class AsyncCacheStore:
                 self._yearly[query] = response
                 promoted += 1
         return promoted
-
-    @property
-    def yearly_size(self) -> int:
-        return len(self._yearly)
-
-    @property
-    def daily_size(self) -> int:
-        return len(self._daily)
 
     @property
     def pending_size(self) -> int:

@@ -32,6 +32,10 @@ __all__ = ["ScriptedGenerator", "response_ok", "ChaosConfig", "ChaosReport", "ru
            "run_outage_demo"]
 
 
+_ZIPF_A = 1.3
+_CHUNK_GAP_S = 300.0
+
+
 class ScriptedGenerator:
     """Deterministic stand-in for COSMO-LM with honest latency accounting.
 
@@ -71,16 +75,10 @@ class ChaosConfig:
     resilience: bool = True
     seed: int = 7
     n_queries: int = 200
-    zipf_a: float = 1.3
     requests_per_day: int = 1500
     days: int = 2
-    warmup_days: int = 1
     chunk: int = 100
-    chunk_gap_s: float = 300.0
     timeout_s: float = 5.0
-    #: Sweep the whole query universe once at the start of warmup — the
-    #: paper's "pre-load the year's frequent searches" in miniature.
-    prefetch_universe: bool = True
 
 
 @dataclass
@@ -125,7 +123,7 @@ class ChaosReport:
 def _traffic(config: ChaosConfig, day: int) -> list[str]:
     """One day of Zipf-weighted traffic over the query universe."""
     rng = spawn_rng(config.seed, f"chaos-traffic-day{day}")
-    weights = 1.0 / np.arange(1, config.n_queries + 1) ** config.zipf_a
+    weights = 1.0 / np.arange(1, config.n_queries + 1) ** _ZIPF_A
     weights /= weights.sum()
     picks = rng.choice(config.n_queries, size=config.requests_per_day, p=weights)
     return [f"query {int(i):03d}" for i in picks]
@@ -149,10 +147,13 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
     )
 
     report = ChaosReport(config=config)
-    for day in range(config.warmup_days + config.days):
-        measuring = day >= config.warmup_days
+    # Day 0 is warmup: it opens with one sweep of the whole query
+    # universe — the paper's "pre-load the year's frequent searches" in
+    # miniature — and is not measured.
+    for day in range(1 + config.days):
+        measuring = day > 0
         traffic = _traffic(config, day)
-        if day == 0 and config.warmup_days > 0 and config.prefetch_universe:
+        if day == 0:
             traffic = [
                 f"query {i:03d}" for i in range(config.n_queries)
             ] + traffic
@@ -165,17 +166,14 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
                         report.valid += 1
                     report.latency.observe(result.latency_s)
             service.run_batch()
-            clock.advance(config.chunk_gap_s)
-        if day == config.warmup_days - 1:
+            clock.advance(_CHUNK_GAP_S)
+        if day == 0:
             # Snapshot cumulative counters so the measured window can be
             # reported as a diff.
             snapshot = _counters(service)
         service.daily_refresh(refresh_stale=True)
 
-    if config.warmup_days == 0:
-        snapshot = {key: 0 for key in _counters(service)}
-    final = _counters(service)
-    for key, value in final.items():
+    for key, value in _counters(service).items():
         setattr(report, key, value - snapshot[key])
     return report
 

@@ -146,13 +146,6 @@ class AdaptiveBatchScheduler:
         while len(ticks) < pending:
             ticks.append(now)
 
-    def oldest_wait_s(self, replica: str, now: float) -> float:
-        """How long the replica's oldest pending item has waited."""
-        ticks = self._pending_since.get(replica)
-        if not ticks:
-            return 0.0
-        return now - ticks[0]
-
     def should_flush(self, replica: str, pending: int, now: float) -> str | None:
         """The trigger that fires for this queue state, if any."""
         if pending <= 0:

@@ -5,8 +5,7 @@ store and the feature store, with simulated latency accounting:
 
 * **request handling** — queries first hit the cache; hits return at
   cache latency, misses are enqueued and fall through the degradation
-  chain (stale feature-store entry → last known good response →
-  fallback);
+  chain (stale feature-store entry → fallback);
 * **batch processing** — pending queries are answered by the model in
   bulk through the resilience layer (retry + circuit breaker + output
   validation); queries that exhaust their retry budget land in a
@@ -37,7 +36,6 @@ from repro.serving.api import (
     SOURCE_DIRECT,
     SOURCE_FALLBACK,
     SOURCE_FEATURE_STORE,
-    SOURCE_LAST_GOOD,
     ServeOutcome,
     ServeRequest,
     ServeResult,
@@ -159,12 +157,6 @@ class ServingMetrics:
             return 1.0
         return (self.served_fresh + self.degraded_serves) / self.requests
 
-    @property
-    def fallback_rate(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.fallbacks / self.requests
-
     def percentile(self, q: float) -> float:
         return self.latency.percentile(q)
 
@@ -251,11 +243,9 @@ class CosmoService:
         self.features = FeatureStore(self.clock, registry=self.registry, name=name)
         self.metrics = ServingMetrics(registry=self.registry, service=name)
         self.dead_letters: list[DeadLetter] = []
-        self._snapshot_version: str | None = None
         self._prompt_builder = prompt_builder or (lambda query: query)
         self._fallback = fallback_response
         self._feedback: list[tuple[str, str, bool]] = []
-        self._last_good: dict[str, str] = {}
         if resilience:
             self._resilient = ResilientGenerator(
                 generator,
@@ -280,7 +270,7 @@ class CosmoService:
     def snapshot_version(self) -> str | None:
         """The knowledge snapshot version this replica authoritatively
         serves (None until the first :meth:`swap_snapshot`)."""
-        return self._snapshot_version
+        return self.cache.snapshot_version
 
     def swap_snapshot(self, snapshot) -> int:
         """Atomically swap this replica onto a knowledge snapshot.
@@ -289,17 +279,16 @@ class CosmoService:
         (duck-typed here so the serving layer stays import-independent
         of the refresh package).  One step does all three moves: the
         yearly cache layer is replaced by the snapshot's serving table
-        (cache warm), daily entries tagged with other versions are
+        (cache warm), daily entries computed under another version are
         invalidated, and a version-aware generator (one exposing
         ``set_snapshot``) is pointed at the new content.  Returns the
         number of cache entries invalidated.
         """
-        version = snapshot.manifest.version
+        version, previous = snapshot.manifest.version, self.snapshot_version
         invalidated = self.cache.install_snapshot(version, snapshot.entries)
         set_snapshot = getattr(self.generator, "set_snapshot", None)
         if set_snapshot is not None:
             set_snapshot(snapshot)
-        previous, self._snapshot_version = self._snapshot_version, version
         if self.event_log is not None:
             self.event_log.emit(
                 "service.snapshot_swap", ts=self.clock.now(),
@@ -326,12 +315,12 @@ class CosmoService:
         """Serve one structured request; the canonical entrypoint.
 
         Cached mode walks the degradation chain: fresh cache entry →
-        (possibly stale) feature-store entry → last known good response
-        → fallback.  The miss is enqueued for batch processing (unless
-        ``allow_enqueue`` is False — cluster admission control shedding
-        load keeps the degraded answer but skips the queue), so degraded
-        answers heal on the next batch cycle.  Direct mode bypasses the
-        cache and calls the model synchronously.
+        (possibly stale) feature-store entry → fallback.  The miss is
+        enqueued for batch processing (unless ``allow_enqueue`` is False
+        — cluster admission control shedding load keeps the degraded
+        answer but skips the queue), so degraded answers heal on the next
+        batch cycle.  Direct mode bypasses the cache and calls the model
+        synchronously.
 
         When the request carries a :class:`~repro.obs.tracing.TraceContext`
         the whole serve runs under an attached ``serving.request`` span —
@@ -459,10 +448,10 @@ class CosmoService:
     def _answer(self, query: str,
                 hit: tuple[str, str] | None) -> tuple[str, ServeOutcome, str]:
         """The answer chain, written once: fresh cache ``hit`` → (possibly
-        stale) feature-store entry → last known good response → fallback.
-        Returns ``(text, outcome, source)``.
+        stale) feature-store entry → fallback.  Returns ``(text, outcome,
+        source)``.
 
-        The stale steps are the resilience layer's degraded serving;
+        The stale step is the resilience layer's degraded serving;
         without it a miss goes straight to the fallback and the feature
         store is not consulted.
         """
@@ -475,9 +464,6 @@ class CosmoService:
             if record is not None:
                 return (record.knowledge_text, ServeOutcome.DEGRADED,
                         SOURCE_FEATURE_STORE)
-            last = self._last_good.get(query)
-            if last is not None:
-                return last, ServeOutcome.DEGRADED, SOURCE_LAST_GOOD
         return self._fallback, ServeOutcome.FALLBACK, SOURCE_FALLBACK
 
     def _serve_answer(self, query: str, hit: tuple[str, str] | None,
@@ -526,17 +512,12 @@ class CosmoService:
         self.metrics.add("rejected_generations", outcome.rejected)
         return outcome
 
-    def _remember(self, answers: list[tuple[str, str]]) -> None:
-        """Keep fresh ``(query, text)`` answers where degraded serving
-        reads them: the feature store and the last known good."""
-        self.features.put_many(answers)
-        self._last_good.update(answers)
-
     def _install(self, answers: list[tuple[str, str]]) -> int:
-        """Write fresh ``(query, text)`` answers through every layer that
-        serves them — three bulk writes per window (feature store, last
-        known good, daily cache); returns how many the cache installed."""
-        self._remember(answers)
+        """Write fresh ``(query, text)`` answers through both layers that
+        serve them — two bulk writes per window (the feature store, where
+        degraded serving reads; the daily cache); returns how many the
+        cache installed."""
+        self.features.put_many(answers)
         return self.cache.apply_batch(dict(answers))
 
     def _serve_direct(self, query: str) -> ServeResult:
@@ -668,10 +649,6 @@ class CosmoService:
         """Log one user interaction with served knowledge."""
         self._feedback.append((query, knowledge, helpful))
 
-    @property
-    def pending_feedback(self) -> int:
-        return len(self._feedback)
-
     def apply_feedback(self, epochs: int = 1) -> int:
         """Continually finetune the model's typicality judge on logged
         interactions; returns the number of examples consumed.
@@ -720,7 +697,7 @@ class CosmoService:
             fresh = [(key, generation.text)
                      for key, generation in zip(stale, outcome.generations)
                      if generation is not None]
-            self._remember(fresh)
+            self.features.put_many(fresh)
             refreshed = len(fresh)
         # The refresh runs at end of day: sleep to the next day boundary
         # so every simulated day starts at exactly day * SECONDS_PER_DAY

@@ -156,10 +156,6 @@ class CircuitBreaker:
         self._outcomes.clear()
         self._set_state(BreakerState.OPEN)
 
-    def force_open(self) -> None:
-        """Trip the breaker now (operator action / chaos injection)."""
-        self._trip()
-
     @property
     def cooling_down(self) -> bool:
         """True while the breaker is OPEN and inside its cooldown.

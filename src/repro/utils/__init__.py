@@ -1,20 +1,17 @@
 """Shared low-level utilities: seeded randomness and text processing."""
 
-from repro.utils.rng import RngFactory, spawn_rng
+from repro.utils.rng import spawn_rng
 from repro.utils.textproc import (
     edit_distance,
     entropy,
-    normalize_text,
     sentence_split,
     tokenize_words,
 )
 
 __all__ = [
-    "RngFactory",
     "spawn_rng",
     "edit_distance",
     "entropy",
-    "normalize_text",
     "sentence_split",
     "tokenize_words",
 ]

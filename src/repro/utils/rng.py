@@ -1,8 +1,8 @@
 """Deterministic random-number-generator management.
 
 Every stochastic component in the reproduction draws from a
-:class:`numpy.random.Generator` obtained through :func:`spawn_rng` or an
-:class:`RngFactory`.  Child generators are derived from a root seed plus a
+:class:`numpy.random.Generator` obtained through :func:`spawn_rng`.
+Child generators are derived from a root seed plus a
 string *scope*, so adding a new component never perturbs the random streams
 of existing ones (a property the end-to-end regression tests rely on).
 """
@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["spawn_rng", "RngFactory"]
+__all__ = ["spawn_rng"]
 
 
 def _scope_to_entropy(scope: str) -> int:
@@ -33,32 +33,3 @@ def spawn_rng(seed: int, scope: str = "") -> np.random.Generator:
     else:
         seq = np.random.SeedSequence(seed)
     return np.random.default_rng(seq)
-
-
-class RngFactory:
-    """Factory handing out independent named random streams.
-
-    Example::
-
-        rngs = RngFactory(seed=7)
-        catalog_rng = rngs.get("catalog")
-        behavior_rng = rngs.get("behavior")
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._cache: dict[str, np.random.Generator] = {}
-
-    def get(self, scope: str) -> np.random.Generator:
-        """Return the (cached) generator for ``scope``."""
-        if scope not in self._cache:
-            self._cache[scope] = spawn_rng(self.seed, scope)
-        return self._cache[scope]
-
-    def fresh(self, scope: str) -> np.random.Generator:
-        """Return a brand-new generator for ``scope`` (ignores the cache)."""
-        return spawn_rng(self.seed, scope)
-
-    def child(self, scope: str) -> "RngFactory":
-        """Return a factory whose streams are namespaced under ``scope``."""
-        return RngFactory(self.seed ^ _scope_to_entropy(scope))

@@ -10,27 +10,18 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from collections.abc import Iterable
 
 __all__ = [
-    "normalize_text",
     "tokenize_words",
     "sentence_split",
     "edit_distance",
     "normalized_edit_distance",
     "entropy",
-    "jaccard",
 ]
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
 _SENTENCE_END_RE = re.compile(r"(?<=[.!?])\s+")
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize_text(text: str) -> str:
-    """Lowercase, strip and collapse whitespace."""
-    return _WS_RE.sub(" ", text.strip().lower())
 
 
 def tokenize_words(text: str) -> list[str]:
@@ -103,27 +94,3 @@ def entropy(counts: Iterable[int]) -> float:
         p = count / total
         result -= p * math.log(p)
     return result
-
-
-def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
-    """Jaccard similarity between two token collections."""
-    set_a, set_b = set(a), set(b)
-    if not set_a and not set_b:
-        return 1.0
-    union = set_a | set_b
-    if not union:
-        return 1.0
-    return len(set_a & set_b) / len(union)
-
-
-def head_tail_cooccurrence_entropy(pairs: Iterable[tuple[str, str]]) -> dict[str, float]:
-    """Entropy of the head distribution for each tail.
-
-    Used by the generic-tail filter: a tail such as "used for the same
-    reason" co-occurs with many distinct heads nearly uniformly, yielding
-    high entropy, whereas a specific tail concentrates on few heads.
-    """
-    tail_heads: dict[str, Counter[str]] = {}
-    for head, tail in pairs:
-        tail_heads.setdefault(tail, Counter())[head] += 1
-    return {tail: entropy(counter.values()) for tail, counter in tail_heads.items()}

@@ -109,19 +109,6 @@ def test_ab_outcome_rates_bounded(pipeline_result, hierarchy):
         assert 0.0 <= arm.purchase_rate <= 1.0
 
 
-def test_cosmo_navigator_attribute_layer(pipeline_result, hierarchy):
-    world = pipeline_result.world
-    navigator = CosmoNavigator(world, hierarchy)
-    product = world.catalog.all()[0]
-    turn = navigator.attribute_turn(product.domain, product.product_type)
-    assert turn.layer == "attribute"
-    labels = {s.label for s in turn.suggestions}
-    # Attribute suggestions come from the type's actual product attributes.
-    type_attrs = {a for p in world.catalog.for_type(product.domain, product.product_type)
-                  for a in p.attributes}
-    assert labels <= type_attrs
-
-
 def test_cosmo_navigator_results_serve_the_intent(pipeline_result, hierarchy):
     world = pipeline_result.world
     navigator = CosmoNavigator(world, hierarchy)

@@ -1,9 +1,11 @@
 """Domain registry invariants."""
 
-import pytest
-
-from repro.catalog import DOMAIN_NAMES, all_domains, get_domain
+from repro.catalog import DOMAIN_NAMES, all_domains
 from repro.core.relations import TailType
+
+
+def _domain(name):
+    return {domain.name: domain for domain in all_domains()}[name]
 
 
 def test_exactly_eighteen_domains():
@@ -16,13 +18,6 @@ def test_table3_names_present():
         assert name in DOMAIN_NAMES
 
 
-def test_get_domain_roundtrip_and_error():
-    domain = get_domain("Electronics")
-    assert domain.name == "Electronics"
-    with pytest.raises(KeyError):
-        get_domain("Nonexistent Category")
-
-
 def test_every_domain_has_products_and_core_intent_banks():
     for domain in all_domains():
         assert len(domain.product_types) >= 8
@@ -32,11 +27,11 @@ def test_every_domain_has_products_and_core_intent_banks():
 
 
 def test_concept_tails_are_the_product_types():
-    domain = get_domain("Sports & Outdoors")
+    domain = _domain("Sports & Outdoors")
     assert domain.tail_phrases(TailType.CONCEPT) == domain.product_types
 
 
 def test_tail_phrases_unknown_bank_is_empty():
-    domain = get_domain("Toys & Games")
+    domain = _domain("Toys & Games")
     # Toys has no body-part bank in the vocab.
     assert domain.tail_phrases(TailType.BODY_PART) == ()

@@ -32,10 +32,14 @@ def test_task_marker_at_prompt_end(dataset):
         assert example.task.replace("_", " ").startswith(marker.split()[0])
 
 
+def _for_task(dataset, task):
+    return [example for example in dataset.examples if example.task == task]
+
+
 def test_generation_targets_are_knowledge_text(dataset):
     from repro.core.relations import parse_predicate
 
-    generation = dataset.for_task("generation")
+    generation = _for_task(dataset, "generation")
     assert generation
     parseable = sum(parse_predicate(e.target + ".") is not None for e in generation)
     assert parseable / len(generation) > 0.9
@@ -43,13 +47,13 @@ def test_generation_targets_are_knowledge_text(dataset):
 
 def test_label_tasks_have_yes_no_targets(dataset):
     for task in ("plausibility", "typicality", "copurchase", "search_relevance"):
-        for example in dataset.for_task(task):
+        for example in _for_task(dataset, task):
             assert example.target in ("yes", "no")
 
 
 def test_label_tasks_have_both_classes(dataset):
     for task in ("plausibility", "typicality"):
-        targets = {e.target for e in dataset.for_task(task)}
+        targets = {e.target for e in _for_task(dataset, task)}
         assert targets == {"yes", "no"}
 
 
@@ -68,7 +72,7 @@ def test_generation_oversampling(pipeline_result):
         generation_oversample=3,
         seed=0,
     )
-    assert len(oversampled.for_task("generation")) == 3 * len(base.for_task("generation"))
+    assert len(_for_task(oversampled, "generation")) == 3 * len(_for_task(base, "generation"))
 
 
 def test_pairs_alignment(dataset):

@@ -115,20 +115,22 @@ def test_neighbors_returns_triples_for_one_head():
     assert kg.neighbors("missing") == []
 
 
-def test_tails_of_is_sorted_and_unique():
+def test_neighbors_keep_every_relation_of_a_repeated_tail():
     kg = KnowledgeGraph()
     kg.add(_triple(head="h", tail="zebra"))
     kg.add(_triple(head="h", tail="apple", relation=Relation.X_WANT))
     kg.add(_triple(head="h", tail="apple", relation=Relation.CAPABLE_OF))
-    assert kg.tails_of("h") == ["apple", "zebra"]
+    assert [(t.tail, t.relation) for t in kg.neighbors("h")] == [
+        ("zebra", Relation.USED_FOR_EVE), ("apple", Relation.X_WANT),
+        ("apple", Relation.CAPABLE_OF)]
 
 
 def test_csr_rebuilds_after_new_edges():
     kg = KnowledgeGraph()
     kg.add(_triple(head="h", tail="a"))
-    assert kg.tails_of("h") == ["a"]
+    assert [t.tail for t in kg.neighbors("h")] == ["a"]
     kg.add(_triple(head="h", tail="b", relation=Relation.X_WANT))
-    assert kg.tails_of("h") == ["a", "b"]
+    assert [t.tail for t in kg.neighbors("h")] == ["a", "b"]
 
 
 @given(st.lists(triples(), max_size=40))
@@ -141,7 +143,6 @@ def test_csr_neighbors_match_linear_scan(batch):
         expected = [t for t in reference if t.head == head]
         got = kg.neighbors(head)
         assert sorted(t.key for t in got) == sorted(t.key for t in expected)
-        assert kg.tails_of(head) == sorted({t.tail for t in expected})
 
 
 @given(st.lists(triples(), max_size=40))

@@ -65,5 +65,5 @@ def test_examples_collected_without_duplicates(discovery):
 
 def test_pipeline_candidates_recover_most_relations(pipeline_result):
     discovery = RelationDiscovery(min_count=2)
-    mined = discovery.mine_candidates(pipeline_result.candidates)
+    mined = discovery.mine([c.text for c in pipeline_result.candidates])
     assert len({m.relation for m in mined}) >= 12

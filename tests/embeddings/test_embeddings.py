@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.embeddings import TextEncoder, cosine, cosine_matrix, hashed_bow
+from repro.embeddings import TextEncoder, hashed_bow
 from repro.embeddings.hashing import hash_token
 
 
@@ -57,15 +57,6 @@ def test_encoder_cache_returns_same_array():
     first = encoder.encode("cached text")
     second = encoder.encode("cached text")
     assert first is second
-
-
-def test_cosine_helpers():
-    a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-    assert cosine(a, b) == 0.0
-    assert cosine(a, a) == pytest.approx(1.0)
-    assert cosine(a, np.zeros(2)) == 0.0
-    matrix = cosine_matrix(np.stack([a, b]), np.stack([a, b]))
-    assert np.allclose(np.diag(matrix), 1.0)
 
 
 @given(st.text(alphabet="abcdef ", min_size=1, max_size=20))

@@ -209,11 +209,12 @@ def test_json_reporter_exact_payload(fixture_package):
 def test_every_file_scope_rule_fires_exactly_once(fixture_package):
     """Project-scope rules need a repro-shaped tree; they are exercised in
     test_project.py. Every *file*-scope rule trips exactly once here."""
-    from repro.lint.registry import file_rules
+    from repro.lint.registry import all_rules
 
     result = lint_paths([fixture_package])
     fired = sorted(d.rule for d in result.diagnostics)
-    assert fired == sorted(rule.id for rule in file_rules())
+    assert fired == sorted(rule.id for rule in all_rules()
+                           if rule.scope == "file")
 
 
 def test_text_reporter_lines_and_summary(fixture_package):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import AdditiveAttention, SelfAttention, Tensor, scaled_dot_product_attention
+from repro.nn import SelfAttention, Tensor, scaled_dot_product_attention
 from repro.utils.rng import spawn_rng
 
 
@@ -42,22 +42,3 @@ def test_self_attention_residual_and_shape(rng):
     # output must stay correlated with the input.
     corr = np.corrcoef(out.numpy().ravel(), x.numpy().ravel())[0, 1]
     assert corr > 0.5
-
-
-def test_additive_attention_pools_to_context_shape(rng):
-    attention = AdditiveAttention(6, rng)
-    sequence = Tensor(np.random.default_rng(4).normal(size=(3, 4, 6)))
-    context = Tensor(np.random.default_rng(5).normal(size=(3, 6)))
-    pooled = attention(sequence, context)
-    assert pooled.shape == (3, 6)
-
-
-def test_additive_attention_mask_zeroes_padded_steps(rng):
-    attention = AdditiveAttention(4, rng)
-    gen = np.random.default_rng(6)
-    sequence_data = gen.normal(size=(1, 3, 4))
-    sequence_data[0, 2] = 1e3  # poison the padded position
-    context = Tensor(gen.normal(size=(1, 4)))
-    mask = np.array([[True, True, False]])
-    pooled = attention(Tensor(sequence_data), context, mask=mask)
-    assert np.abs(pooled.numpy()).max() < 100

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, binary_cross_entropy_with_logits, cross_entropy, mse_loss, softmax
+from repro.nn import Tensor, binary_cross_entropy_with_logits, cross_entropy, softmax
 from repro.nn.functional import dropout, log_softmax
 
 
@@ -64,11 +64,6 @@ def test_bce_with_logits_matches_manual_and_is_stable():
     loss = binary_cross_entropy_with_logits(logits, targets)
     assert np.isfinite(loss.item())
     assert loss.item() == pytest.approx(np.log(2) / 3, abs=1e-6)
-
-
-def test_mse_loss():
-    pred = Tensor(np.array([1.0, 2.0]))
-    assert mse_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(2.5)
 
 
 def test_dropout_identity_when_eval_or_zero_rate():

@@ -18,7 +18,7 @@ def _populated_registry() -> MetricsRegistry:
     requests = registry.counter("requests_total", "requests", ("service",))
     requests.labels(service="a").inc(3)
     requests.labels(service="b").inc(1)
-    registry.gauge("queue_depth", "pending work").set(4)
+    registry.counter("jobs_total", "work done").inc(4)
     latency = registry.histogram("latency_s", "latency", buckets=(0.01, 0.1, 1.0))
     for value in (0.005, 0.05, 0.05, 2.0):
         latency.observe(value)
@@ -58,7 +58,7 @@ def test_snapshot_is_deterministic_and_sorted():
 def test_render_text_one_line_per_sample():
     text = render_text(_populated_registry())
     assert 'requests_total{service="a"} 3' in text
-    assert "queue_depth 4" in text
+    assert "jobs_total 4" in text
     assert "count=4" in text and "p99=" in text
     registry = MetricsRegistry()
     registry.counter("c_total", "", ("k",)).labels(k='a"b\\c\nd').inc()

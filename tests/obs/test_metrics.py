@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, streaming histograms, registry."""
+"""Metrics primitives: counters, streaming histograms, registry."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
 
 
-# -- counter / gauge ----------------------------------------------------
+# -- counter ------------------------------------------------------------
 
 
 def test_counter_increments_and_rejects_decrease():
@@ -23,17 +22,6 @@ def test_counter_increments_and_rejects_decrease():
     assert counter.value == 3.5
     with pytest.raises(ValueError):
         counter.inc(-1)
-
-
-def test_gauge_moves_both_ways():
-    gauge = Gauge()
-    gauge.set(10)
-    gauge.inc(5)
-    gauge.dec(3)
-    assert gauge.value == 12.0
-
-
-# -- histogram ----------------------------------------------------------
 
 
 def test_histogram_rejects_bad_bounds():
@@ -210,10 +198,8 @@ def test_family_labels_validated_and_children_cached():
 def test_unlabeled_family_convenience_methods():
     registry = MetricsRegistry()
     registry.counter("jobs_total").inc(3)
-    registry.gauge("depth").set(7)
     registry.histogram("latency_s", buckets=(1.0, 2.0)).observe(1.5)
     assert registry.get("jobs_total").value == 3
-    assert registry.get("depth").value == 7
     assert registry.get("latency_s").percentile(50) == 1.5
 
 
@@ -222,7 +208,7 @@ def test_registry_get_or_create_and_schema_conflicts():
     first = registry.counter("hits_total", "h", ("store",))
     assert registry.counter("hits_total", "h", ("store",)) is first
     with pytest.raises(ValueError):
-        registry.gauge("hits_total", "h", ("store",))
+        registry.histogram("hits_total", "h", ("store",))
     with pytest.raises(ValueError):
         registry.counter("hits_total", "h", ("other",))
     registry.histogram("lat", buckets=(1.0, 2.0))

@@ -27,13 +27,13 @@ def test_constructor_rejects_bad_policy(kwargs):
         TailSampler(**kwargs)
 
 
-def test_buffer_rejects_untagged_spans():
+def test_untagged_spans_are_never_buffered():
     sampler = TailSampler()
     tracer = Tracer(sampler=sampler)
     with tracer.span("plain") as span:  # no context attached
         pass
-    with pytest.raises(ValueError):
-        sampler.buffer(tracer, span)
+    assert tracer.spans() == [span]
+    assert sampler.buffered_spans == 0
 
 
 def test_tagged_spans_are_buffered_not_retained_until_verdict():

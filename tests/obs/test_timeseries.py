@@ -13,28 +13,27 @@ from repro.obs import (
 
 
 def test_series_ring_buffer_bounds_and_drops():
-    series = Series("k", "gauge", capacity=3)
+    series = Series("k", "rate", capacity=3)
     for i in range(5):
         series.append(float(i), float(i * 10))
     assert len(series) == 3
     assert series.dropped == 2
     assert series.points() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-    assert series.latest() == (4.0, 40.0)
     with pytest.raises(ValueError):
         Series("k", "bogus", capacity=3)
 
 
 def test_maybe_scrape_performs_every_due_grid_point():
     registry = MetricsRegistry()
-    gauge = registry.gauge("depth", "queue depth").labels()
+    counter = registry.counter("jobs_total", "jobs").labels()
     collector = TimeSeriesCollector(registry, interval_s=0.5)
     assert collector.maybe_scrape(0.4) == []
-    gauge.set(3)
+    counter.inc(3)
     # A big time jump performs all intervening grid scrapes, in order.
     assert collector.maybe_scrape(1.6) == [0.5, 1.0, 1.5]
     assert collector.maybe_scrape(1.6) == []  # idempotent at the same time
-    assert collector.get("depth").points() == [
-        (0.5, 3.0), (1.0, 3.0), (1.5, 3.0)]
+    assert collector.get("jobs_total:rate").points() == [
+        (0.5, 6.0), (1.0, 0.0), (1.5, 0.0)]
 
 
 def test_counter_becomes_rate_per_elapsed_interval():
@@ -70,18 +69,18 @@ def test_histogram_yields_windowed_percentiles_and_rate():
 def test_timeline_export_round_trips_through_validator():
     registry = MetricsRegistry()
     registry.counter("a_total", "a").labels().inc()
-    registry.gauge("b", "b").labels().set(2)
+    registry.counter("b_total", "b").labels().inc(2)
     collector = TimeSeriesCollector(registry, interval_s=0.25)
     collector.maybe_scrape(0.5)
     payload = timeline(collector)
     validate(TIMELINE_SCHEMA, payload)
     assert payload["scrapes"] == 2
-    assert [s["key"] for s in payload["series"]] == ["a_total:rate", "b"]
+    assert [s["key"] for s in payload["series"]] == ["a_total:rate", "b_total:rate"]
 
 
 def test_validate_timeline_rejects_unsorted_series_and_bad_points():
     registry = MetricsRegistry()
-    registry.gauge("g", "g").labels().set(1)
+    registry.counter("g_total", "g").labels().inc()
     collector = TimeSeriesCollector(registry, interval_s=1.0)
     collector.maybe_scrape(1.0)
     payload = timeline(collector)

@@ -217,8 +217,8 @@ def test_store_add_get_and_lineage():
     store.add(root)
     store.add(child)
     assert store.get(child.version) is child
-    assert store.parent_of(child.version) is root
-    assert store.parent_of(root.version) is None
+    assert store.get(child.version).parent == root.version
+    assert store.get(root.version).parent is None
     assert child.version in store
     assert store.versions() == [root.version, child.version]
     assert len(store) == 2

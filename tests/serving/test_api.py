@@ -18,7 +18,6 @@ from repro.serving.api import (
     SOURCE_DIRECT,
     SOURCE_FALLBACK,
     SOURCE_FEATURE_STORE,
-    SOURCE_LAST_GOOD,
 )
 from repro.serving.chaos import ScriptedGenerator
 
@@ -60,12 +59,6 @@ def test_serve_reports_degraded_sources_and_fallback():
     assert stale.outcome is ServeOutcome.DEGRADED
     assert stale.source == SOURCE_FEATURE_STORE
     assert stale.text == "it is used for q."
-
-    service.features._records.clear()
-    service.clock.advance_days(1)
-    last_good = service.serve(ServeRequest(query="q"))
-    assert last_good.outcome is ServeOutcome.DEGRADED
-    assert last_good.source == SOURCE_LAST_GOOD
 
 
 def test_serve_direct_reports_source_and_measured_latency():

@@ -16,6 +16,7 @@ from repro.serving import (
     ServeRequest,
 )
 from repro.serving.chaos import ScriptedGenerator, response_ok
+from repro.serving.resilience import BreakerState
 
 
 def _cluster(n_replicas=3, fault_rate=0.0, seed=3, **config_kwargs) -> CosmoCluster:
@@ -83,7 +84,6 @@ def test_scheduler_mid_window_items_keep_their_own_enqueue_ticks():
     scheduler.note_pending("r0", now=3.0, pending=2)  # second item joins mid-window
     # Partial flush drains the oldest item; the survivor was enqueued at 3.0.
     scheduler.flushed("r0", remaining=1)
-    assert scheduler.oldest_wait_s("r0", now=7.0) == pytest.approx(4.0)
     assert scheduler.should_flush("r0", pending=1, now=7.9) is None
     assert scheduler.should_flush("r0", pending=1, now=8.0) == "deadline"
 
@@ -98,7 +98,9 @@ def test_scheduler_partial_flush_survivors_are_not_restamped():
     # Survivors still charge from their own enqueue at t=0, not the flush.
     assert scheduler.should_flush("r0", pending=2, now=5.0) == "deadline"
     scheduler.flushed("r0")
-    assert scheduler.oldest_wait_s("r0", now=9.0) == 0.0
+    # A full flush forgets the old ticks: the next item waits from its own.
+    scheduler.note_pending("r0", now=9.0, pending=1)
+    assert scheduler.should_flush("r0", pending=1, now=13.9) is None
 
 
 def test_scheduler_empty_queue_clears_window():
@@ -172,13 +174,19 @@ def test_admission_control_sheds_without_dropping():
 
 
 # -- failover ---------------------------------------------------------------
+def _trip(breaker):
+    """Open the breaker the way an outage does: failures until it trips."""
+    while breaker.state is not BreakerState.OPEN:
+        breaker.record_failure()
+
+
 def test_forced_open_breaker_reroutes_to_ring_neighbor():
     cluster = _cluster(n_replicas=3)
     victim = "cluster-r0"
     victim_keys = [f"q{i}" for i in range(60)
                    if cluster.router.route(f"q{i}") == victim]
     assert victim_keys
-    cluster.services[victim].breaker.force_open()
+    _trip(cluster.services[victim].breaker)
     for key in victim_keys:
         result = cluster.handle(key)
         assert result.replica != victim
@@ -196,7 +204,7 @@ def test_failover_availability_beats_single_replica_degraded_baseline():
     queries = [f"q{i}" for i in range(40)]
 
     def outage(cluster):
-        cluster.services[cluster.router.replicas[0]].breaker.force_open()
+        _trip(cluster.services[cluster.router.replicas[0]].breaker)
         served = [cluster.handle(q) for _ in range(4) for q in queries]
         return cluster, served
 
@@ -215,7 +223,7 @@ def test_failover_availability_beats_single_replica_degraded_baseline():
 def test_all_breakers_open_falls_back_to_home_replica():
     cluster = _cluster(n_replicas=2)
     for service in cluster.services.values():
-        service.breaker.force_open()
+        _trip(service.breaker)
     result = cluster.handle("q")
     assert result.replica == cluster.router.route("q")
     assert cluster.metrics_totals()["failovers"] == 0
@@ -284,7 +292,7 @@ def test_cluster_accounting_invariant_under_chaos(ops, n_replicas, seed):
                 injector.plan = FaultPlan.mixed(arg)
         elif kind == "trip":
             replica_id = cluster.router.replicas[arg % n_replicas]
-            cluster.services[replica_id].breaker.force_open()
+            _trip(cluster.services[replica_id].breaker)
     totals = cluster.metrics_totals()
     # Every request is exactly one of fresh / degraded / fallback, on
     # exactly one replica, and none is dropped or double-counted.

@@ -61,17 +61,6 @@ def test_degradation_chain_feature_store_then_fallback():
     assert service.metrics.degraded_serves == 1
 
 
-def test_degradation_uses_last_known_good_without_feature_record():
-    service, _ = _service()
-    _handle(service, "q")
-    service.run_batch()
-    # Simulate a lost feature record; the last-good map still covers it.
-    service.features._records.clear()
-    service.clock.advance_days(1)
-    assert _handle(service, "q") == "it is used for q."
-    assert service.metrics.degraded_serves == 1
-
-
 def test_resilience_off_restores_legacy_fallback_behavior():
     service, _ = _service(resilience=False)
     _handle(service, "q")
@@ -86,7 +75,7 @@ def test_direct_request_degrades_on_failure():
     assert _direct(service, "q") == "it is used for q."
     injector.plan = FaultPlan(error_rate=1.0)
     response = _direct(service, "q")
-    assert response == "it is used for q."  # last known good
+    assert response == "it is used for q."  # the feature store's entry
     assert service.metrics.degraded_serves == 1
     assert service.metrics.generator_failures >= 1
 
@@ -209,6 +198,5 @@ def test_availability_accounting_consistent_under_random_faults(ops, resilient, 
         == requests == metrics.requests
     assert metrics.latency.count == requests
     assert 0.0 <= metrics.availability <= 1.0
-    assert 0.0 <= metrics.fallback_rate <= 1.0
     if not resilient:
         assert metrics.degraded_serves == 0

@@ -259,7 +259,4 @@ def test_stale_refresh_is_one_window_and_a_failed_generation_keeps_its_record(
     assert cache_writes == []  # a stale refresh does not touch the cache
     assert service.features.writes == 3 + 2
     assert service.features._records["b"] is old_b  # stale beats nothing
-    assert service._last_good == {
-        "a": "it is used for a v2.", "b": "it is used for b v1.",
-        "c": "it is used for c v2."}
     assert [service.features._records[q].refreshed_day for q in "abc"] == [2, 0, 2]

@@ -71,17 +71,16 @@ def test_daily_layer_resets_on_day_rollover():
     cache = AsyncCacheStore(clock)
     cache.lookup("q")
     cache.apply_batch({"q": "answer"})
-    assert cache.daily_size == 1
+    assert cache.fetch("q") == ("answer", "daily")
     clock.advance_days(1)
     assert cache.lookup("q") is None  # daily layer cleared
-    assert cache.daily_size == 0
 
 
 def test_daily_capacity_respected():
     cache = AsyncCacheStore(SimClock(), daily_capacity=2)
     installed = cache.apply_batch({f"q{i}": "a" for i in range(5)})
     assert installed == 2
-    assert cache.daily_size == 2
+    assert [cache.lookup(f"q{i}") for i in range(5)] == ["a", "a", None, None, None]
 
 
 def test_promote_frequent_moves_hot_entries_to_yearly():
@@ -91,7 +90,36 @@ def test_promote_frequent_moves_hot_entries_to_yearly():
     cache.apply_batch({"popular": "answer"})
     promoted = cache.promote_frequent(min_requests=10)
     assert promoted == 1
-    assert cache.yearly_size == 1
+    assert cache.fetch("popular") == ("answer", "yearly")
+
+
+def test_snapshot_installs_scope_the_daily_layer_to_one_version():
+    """First install, re-install, swap, rollback, day rollover: what
+    ``install_snapshot`` returns and which daily keys survive each step."""
+    clock = SimClock()
+    cache = AsyncCacheStore(clock)
+    v1, v2 = {"y1": "1", "y2": "1"}, {"y1": "2", "y2": "2", "y3": "2"}
+
+    def daily_keys():
+        return [query for query in "abc"
+                if (cache.fetch(query, enqueue=False) or ("", ""))[1] == "daily"]
+
+    cache.apply_batch({"a": "pre-snapshot"})
+    assert cache.install_snapshot("v1", v1) == 1  # the version-less entry
+    assert daily_keys() == []
+    cache.apply_batch({"a": "1", "b": "1"})
+    assert cache.install_snapshot("v1", v1) == 0  # re-install: idempotent
+    assert daily_keys() == ["a", "b"]
+    assert cache.install_snapshot("v2", v2) == 2 + 2  # yearly + daily of v1
+    assert daily_keys() == []
+    cache.apply_batch({"c": "2"})
+    assert daily_keys() == ["c"]
+    assert cache.install_snapshot("v1", v1) == 3 + 1  # rollback
+    assert daily_keys() == [] and cache.snapshot_version == "v1"
+    cache.apply_batch({"a": "1"})
+    clock.advance_days(1)  # the day's entries expire before the swap counts them
+    assert cache.install_snapshot("v2", v2) == 2
+    assert daily_keys() == []
 
 
 def test_hit_rate():
@@ -181,9 +209,10 @@ def test_percentiles_monotone():
 def test_feedback_loop_on_plain_generator_is_ignored():
     service = CosmoService(FakeGenerator())
     service.record_feedback("q", "it is used for x.", helpful=True)
-    assert service.pending_feedback == 1
     assert service.apply_feedback() == 0
-    assert service.pending_feedback == 0
+    # ...and dropped, not kept for a later trainable generator.
+    service.generator.classifier = type("Judge", (), {"fit": lambda *a, **k: None})()
+    assert service.apply_feedback() == 0
 
 
 def test_feedback_loop_finetunes_cosmo_classifier():

@@ -32,7 +32,7 @@ _DRIVES = (_CLUSTER, _TRACE, _MONITOR_CHAOS, _MONITOR_CLEAN, _ROLLOUT_HEALTHY,
 @dataclass(frozen=True)
 class Row:
     name: str
-    kind: str                       #: counter / gauge / histogram / event / span
+    kind: str                       #: counter / histogram / event / span
     labels: tuple[str, ...]
     budget: int                     #: most children one drive may grow
     consumer: str
@@ -235,7 +235,7 @@ def _toy():
 
 def test_audit_reports_a_family_registered_without_a_row():
     registry, log, _, inventory = _toy()
-    registry.gauge("queue_depth")
+    registry.counter("queue_depth")
     assert audit(inventory, measure([registry], [log])) == [
         "queue_depth (metric): emitted by a seeded drive, no inventory row"]
 

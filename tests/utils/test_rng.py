@@ -1,8 +1,8 @@
-"""Determinism and independence of the RNG factory."""
+"""Determinism and independence of the seeded RNG streams."""
 
 import numpy as np
 
-from repro.utils.rng import RngFactory, spawn_rng
+from repro.utils.rng import spawn_rng
 
 
 def test_same_seed_scope_is_deterministic():
@@ -27,26 +27,3 @@ def test_empty_scope_matches_plain_seed():
     a = spawn_rng(7).random(4)
     b = spawn_rng(7, "").random(4)
     assert np.array_equal(a, b)
-
-
-def test_factory_caches_streams():
-    factory = RngFactory(5)
-    first = factory.get("x")
-    again = factory.get("x")
-    assert first is again
-
-
-def test_factory_fresh_restarts_stream():
-    factory = RngFactory(5)
-    factory.get("x").random(10)  # advance the cached stream
-    fresh = factory.fresh("x").random(3)
-    reference = spawn_rng(5, "x").random(3)
-    assert np.array_equal(fresh, reference)
-
-
-def test_child_factory_is_namespaced():
-    parent = RngFactory(9)
-    child_a = parent.child("sub").get("x").random(4)
-    child_b = RngFactory(9).child("sub").get("x").random(4)
-    assert np.array_equal(child_a, child_b)
-    assert not np.array_equal(child_a, parent.get("x").random(4))

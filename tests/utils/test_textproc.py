@@ -8,18 +8,12 @@ from hypothesis import strategies as st
 from repro.utils.textproc import (
     edit_distance,
     entropy,
-    jaccard,
-    normalize_text,
     normalized_edit_distance,
     sentence_split,
     tokenize_words,
 )
 
 _words = st.text(alphabet="abcdefgh ", min_size=0, max_size=24)
-
-
-def test_normalize_collapses_whitespace_and_case():
-    assert normalize_text("  Hello   WORLD \n") == "hello world"
 
 
 def test_tokenize_extracts_words_with_apostrophes():
@@ -71,33 +65,3 @@ def test_entropy_point_mass_is_zero():
 
 def test_entropy_ignores_zero_counts():
     assert math.isclose(entropy([3, 0, 3]), math.log(2))
-
-
-def test_jaccard_known_values():
-    assert jaccard(["a", "b"], ["b", "c"]) == 1 / 3
-    assert jaccard([], []) == 1.0
-    assert jaccard(["x"], ["x"]) == 1.0
-
-
-@given(st.lists(st.sampled_from("abcdef"), max_size=8),
-       st.lists(st.sampled_from("abcdef"), max_size=8))
-@settings(max_examples=50, deadline=None)
-def test_jaccard_bounded_and_symmetric(a, b):
-    value = jaccard(a, b)
-    assert 0.0 <= value <= 1.0
-    assert value == jaccard(b, a)
-
-
-def test_head_tail_cooccurrence_entropy():
-    from repro.utils.textproc import head_tail_cooccurrence_entropy
-
-    pairs = [
-        ("head a", "generic tail"), ("head b", "generic tail"),
-        ("head c", "generic tail"), ("head d", "generic tail"),
-        ("head a", "specific tail"), ("head a", "specific tail"),
-    ]
-    entropies = head_tail_cooccurrence_entropy(pairs)
-    # A tail spread uniformly over many heads has higher entropy than a
-    # tail concentrated on one head — the generic-tail detection signal.
-    assert entropies["generic tail"] > entropies["specific tail"]
-    assert entropies["specific tail"] == 0.0
