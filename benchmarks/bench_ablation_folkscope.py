@@ -19,7 +19,6 @@ def folkscope(bench_pipeline):
         seed=7,
         world=BENCH_PIPELINE_CONFIG.world,
         cobuy_pairs_per_domain=BENCH_PIPELINE_CONFIG.cobuy_pairs_per_domain,
-        annotation_budget=600,
     )
     return FolkScopePipeline(config).run(world=bench_pipeline.world)
 

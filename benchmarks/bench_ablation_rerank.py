@@ -28,7 +28,7 @@ def rerank_comparison(bench_pipeline):
     greedy_latency = (lm.latency.total_simulated_s - before) / len(held)
 
     before = lm.latency.total_simulated_s
-    reranked = [g.text for g in lm.generate_reranked(prompts, num_candidates=4)]
+    reranked = [g.text for g in lm.generate_reranked(prompts)]
     rerank_latency = (lm.latency.total_simulated_s - before) / len(held)
 
     return (world, held,

@@ -29,7 +29,6 @@ def ab_outcome(bench_pipeline):
         TaxonomyNavigator(world),
         CosmoNavigator(world, hierarchy),
         treatment_fraction=0.5,
-        navigation_purchase_boost=0.06,
         seed=29,
     )
     return experiment.run(n_sessions=240_000), hierarchy

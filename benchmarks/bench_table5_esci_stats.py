@@ -17,7 +17,7 @@ def test_table5_esci_statistics(bench_world, benchmark):
         locale: generate_esci(bench_world, locale=locale, pairs_per_query=6, seed=7)
         for locale in LOCALES
     }
-    benchmark(generate_esci, bench_world, "CA", 6, None, 0.25, 7)
+    benchmark(generate_esci, bench_world, locale="CA", pairs_per_query=6, seed=7)
 
     table = Table("Table 5 — ESCI statistics per locale (bench scale)",
                   ["", *LOCALES])

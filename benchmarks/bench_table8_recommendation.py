@@ -33,8 +33,7 @@ def _knowledge_provider(bench_pipeline, world):
         key = (query_text, item_id)
         if key not in cache:
             product = world.catalog.get(item_id)
-            prompt = lm.searchbuy_prompt(query_text, product.title, product.domain,
-                                         product_type=product.product_type)
+            prompt = lm.searchbuy_prompt(query_text, product.domain, product.product_type)
             cache[key] = lm.generate_batch([prompt]).require()[0].text
         return cache[key]
 

@@ -65,7 +65,7 @@ def main() -> None:
         for _ in range(25):
             service.record_feedback(prompt.rsplit(" task: ", 1)[0], knowledge,
                                     helpful=True)
-        consumed = service.apply_feedback(epochs=3)
+        consumed = service.apply_feedback()
         after = restored.predict_typicality(prompt, knowledge)
         print(f"Feedback loop: consumed {consumed} interactions; "
               f"judge on engaged knowledge: {before!r} -> {after!r}")

@@ -78,7 +78,7 @@ def main() -> None:
     service = CosmoService(
         lm,
         prompt_builder=lambda text: lm.searchbuy_prompt(
-            text, product.title, product.domain, product_type=product.product_type),
+            text, product.domain, product.product_type),
         fallback_response="(pending batch)",
     )
     print(f"\nServing {query.text!r}:")

@@ -40,7 +40,7 @@ def main() -> None:
     print(f"Items {dataset.n_items - 1}, train/dev/test = "
           f"{len(dataset.train)}/{len(dataset.dev)}/{len(dataset.test)}")
 
-    config = TrainConfig(epochs=2, dim=40)
+    config = TrainConfig(epochs=2, dim=40, knowledge_dim=64)
     table = Table("Session recommendation (Table 8 shape)",
                   ["Method", "Hits@10", "NDCG@10", "MRR@10"])
     for name in ("FPMC", "GRU4Rec", "SRGNN", "GCE-GNN", "COSMO-GNN"):

@@ -53,8 +53,8 @@ class AnnotationResult:
     """Adjudicated answers for one knowledge candidate."""
 
     candidate_id: str
-    answers: dict[str, bool] = field(default_factory=dict)
-    needed_adjudication: bool = False
+    answers: dict[str, bool] = field(default_factory=dict, init=False)
+    needed_adjudication: bool = field(default=False, init=False)
 
     @property
     def plausible(self) -> bool:

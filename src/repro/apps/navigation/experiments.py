@@ -20,7 +20,7 @@ engagement increase**.  This harness reproduces the experiment's shape:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -37,9 +37,9 @@ class ArmOutcome:
     """Counters for one experiment arm."""
 
     name: str
-    sessions: int = 0
-    engaged: int = 0
-    purchases: int = 0
+    sessions: int = field(default=0, init=False)
+    engaged: int = field(default=0, init=False)
+    purchases: int = field(default=0, init=False)
 
     @property
     def engagement_rate(self) -> float:
@@ -104,6 +104,8 @@ class ABTestResult:
 _BASE_CLICK_RATE = 0.04
 #: Purchase probability before the navigation boost.
 _BASE_PURCHASE_RATE = 0.30
+#: Added when navigation lands the customer on a matching product.
+_NAVIGATION_PURCHASE_BOOST = 0.06
 
 
 class NavigationABTest:
@@ -115,14 +117,12 @@ class NavigationABTest:
         control: TaxonomyNavigator,
         treatment: CosmoNavigator,
         treatment_fraction: float = 0.10,
-        navigation_purchase_boost: float = 0.06,
         seed: int = 0,
     ):
         self.world = world
         self.control = control
         self.treatment = treatment
         self.treatment_fraction = treatment_fraction
-        self.navigation_purchase_boost = navigation_purchase_boost
         self._rng = spawn_rng(seed, "nav-abtest")
 
     # ------------------------------------------------------------------
@@ -184,7 +184,7 @@ class NavigationABTest:
             outcome.engaged += 1
         purchase_rate = _BASE_PURCHASE_RATE
         if matched_product:
-            purchase_rate += self.navigation_purchase_boost
+            purchase_rate += _NAVIGATION_PURCHASE_BOOST
         if self._rng.random() < purchase_rate:
             outcome.purchases += 1
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.apps.navigation.hierarchy import IntentNode, NavigationHierarchy
 from repro.behavior.world import World
 from repro.catalog.products import Product
-from repro.utils.rng import spawn_rng
 
 __all__ = ["Suggestion", "NavigationTurn", "TaxonomyNavigator", "CosmoNavigator"]
+
+SUGGESTIONS_PER_TURN = 5
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,8 @@ class TaxonomyNavigator:
 
     name = "taxonomy"
 
-    def __init__(
-        self,
-        world: World,
-        suggestions_per_turn: int = 5,
-        seed: int = 0,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, world: World):
         self.world = world
-        self.k = suggestions_per_turn
-        self._rng = rng if rng is not None else spawn_rng(seed, "navigation/taxonomy")
 
     def first_turn(self, domain: str, query_text: str) -> NavigationTurn:
         """Popular product types of the domain, intent-blind."""
@@ -63,7 +54,7 @@ class TaxonomyNavigator:
         by_type: dict[str, float] = {}
         for product in products:
             by_type[product.product_type] = by_type.get(product.product_type, 0.0) + product.popularity
-        ranked = sorted(by_type, key=lambda t: -by_type[t])[: self.k]
+        ranked = sorted(by_type, key=lambda t: -by_type[t])[:SUGGESTIONS_PER_TURN]
         return NavigationTurn(
             layer="product_type",
             suggestions=[Suggestion("product_type", label) for label in ranked],
@@ -72,7 +63,7 @@ class TaxonomyNavigator:
     def refine(self, domain: str, picked: Suggestion) -> NavigationTurn:
         """Attribute filters for the picked type (generic modifiers)."""
         products = self.world.catalog.for_type(domain, picked.label)
-        attributes = sorted({a for p in products for a in p.attributes})[: self.k]
+        attributes = sorted({a for p in products for a in p.attributes})[:SUGGESTIONS_PER_TURN]
         return NavigationTurn(
             layer="attribute",
             suggestions=[Suggestion("attribute", label) for label in attributes],
@@ -88,18 +79,9 @@ class CosmoNavigator:
 
     name = "cosmo"
 
-    def __init__(
-        self,
-        world: World,
-        hierarchy: NavigationHierarchy,
-        suggestions_per_turn: int = 5,
-        seed: int = 0,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, world: World, hierarchy: NavigationHierarchy):
         self.world = world
         self.hierarchy = hierarchy
-        self.k = suggestions_per_turn
-        self._rng = rng if rng is not None else spawn_rng(seed, "navigation/cosmo")
 
     # -- layer 1: broad conception interpretation -----------------------
     def first_turn(self, domain: str, query_text: str) -> NavigationTurn:
@@ -119,14 +101,14 @@ class CosmoNavigator:
                 scored.append((overlap + 0.01 * len(root.children), root))
         scored.sort(key=lambda item: -item[0])
         suggestions = [
-            Suggestion("intent", node.label) for _, node in scored[: self.k - 2]
+            Suggestion("intent", node.label) for _, node in scored[:SUGGESTIONS_PER_TURN - 2]
         ]
         products = self.world.catalog.for_domain(domain)
         by_type: dict[str, float] = {}
         for product in products:
             by_type[product.product_type] = by_type.get(product.product_type, 0.0) + product.popularity
         for label in sorted(by_type, key=lambda t: -by_type[t]):
-            if len(suggestions) >= self.k:
+            if len(suggestions) >= SUGGESTIONS_PER_TURN:
                 break
             suggestions.append(Suggestion("product_type", label))
         return NavigationTurn(layer="intent", suggestions=suggestions)
@@ -138,9 +120,9 @@ class CosmoNavigator:
         if node is None:
             return NavigationTurn(layer="product_type", suggestions=[])
         suggestions: list[Suggestion] = []
-        for child in node.children[: self.k]:
+        for child in node.children[:SUGGESTIONS_PER_TURN]:
             suggestions.append(Suggestion("intent", child.label))
-        for product_type in node.product_types[: self.k - len(suggestions)]:
+        for product_type in node.product_types[:SUGGESTIONS_PER_TURN - len(suggestions)]:
             suggestions.append(Suggestion("product_type", product_type))
         return NavigationTurn(layer="intent_or_type", suggestions=suggestions)
 

@@ -13,7 +13,7 @@ a click.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,15 +23,18 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["RewriteOutcome", "QueryRewriteStudy"]
 
+_TOP_K = 8              # results a customer scans per search
+_MAX_ATTEMPTS = 3       # searches before a customer gives up
+
 
 @dataclass
 class RewriteOutcome:
     """Aggregate search behavior under one experience."""
 
     name: str
-    sessions: int = 0
-    rewrites: int = 0
-    successes: int = 0
+    sessions: int = field(default=0, init=False)
+    rewrites: int = field(default=0, init=False)
+    successes: int = field(default=0, init=False)
 
     @property
     def avg_rewrites(self) -> float:
@@ -47,18 +50,9 @@ class RewriteOutcome:
 class QueryRewriteStudy:
     """Simulates coarse-query sessions with and without COSMO navigation."""
 
-    def __init__(
-        self,
-        world: World,
-        hierarchy: NavigationHierarchy,
-        top_k: int = 8,
-        max_attempts: int = 3,
-        seed: int = 0,
-    ):
+    def __init__(self, world: World, hierarchy: NavigationHierarchy, seed: int = 0):
         self.world = world
         self.hierarchy = hierarchy
-        self.top_k = top_k
-        self.max_attempts = max_attempts
         self._rng = spawn_rng(seed, "query-rewrites")
 
     # ------------------------------------------------------------------
@@ -79,7 +73,7 @@ class QueryRewriteStudy:
     def _results_for(self, intent_id: str) -> list[str]:
         """Top-k popular products serving ``intent_id``."""
         products = self.world.catalog.serving_intent(intent_id)
-        ranked = sorted(products, key=lambda p: -p.popularity)[: self.top_k]
+        ranked = sorted(products, key=lambda p: -p.popularity)[:_TOP_K]
         return [p.product_id for p in ranked]
 
     def _satisfied(self, shown: list[str], refined) -> bool:
@@ -92,7 +86,7 @@ class QueryRewriteStudy:
 
         Baseline: the customer searches the coarse query; if the results
         miss their refined need they rewrite toward the refined intent
-        (one rewrite per attempt, up to ``max_attempts``).  COSMO: after
+        (one rewrite per attempt, up to three).  COSMO: after
         the first query the navigation pane offers refined intents of
         the coarse concept; when the customer's refinement is among them
         a click replaces the rewrite.
@@ -114,7 +108,7 @@ class QueryRewriteStudy:
                         outcome.successes += 1
                     continue
             # Rewrite loop (both experiences fall back to it).
-            for _ in range(self.max_attempts - 1):
+            for _ in range(_MAX_ATTEMPTS - 1):
                 outcome.rewrites += 1
                 shown = self._results_for(refined.intent_id)
                 if self._satisfied(shown, refined):

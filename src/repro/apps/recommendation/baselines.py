@@ -25,6 +25,9 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["FPMC", "GRU4Rec", "STAMP", "CSRM"]
 
+_HIDDEN = 64            # GRU state width (GRU4Rec, CSRM)
+_MEMORY_SLOTS = 64      # CSRM's outer memory
+
 
 class SessionModel(Module):
     """Shared interface: forward(items, mask, knowledge=None) → logits."""
@@ -43,7 +46,7 @@ def _last_indices(mask: np.ndarray) -> np.ndarray:
 class FPMC(SessionModel):
     """Factorized personalized Markov chain (session-anonymous variant)."""
 
-    def __init__(self, n_items: int, dim: int = 48, seed: int = 0):
+    def __init__(self, n_items: int, dim: int, seed: int):
         super().__init__()
         rng = spawn_rng(seed, "fpmc")
         self.transition = Embedding(n_items, dim, rng, padding_idx=0)
@@ -61,14 +64,14 @@ class FPMC(SessionModel):
 class GRU4Rec(SessionModel):
     """GRU over the item sequence; final state scores all items."""
 
-    def __init__(self, n_items: int, dim: int = 48, hidden: int = 64, seed: int = 0):
+    def __init__(self, n_items: int, dim: int, seed: int):
         super().__init__()
         from repro.nn import GRU
 
         rng = spawn_rng(seed, "gru4rec")
         self.items = Embedding(n_items, dim, rng, padding_idx=0)
-        self.gru = GRU(dim, hidden, rng)
-        self.out = Linear(hidden, n_items, rng)
+        self.gru = GRU(dim, _HIDDEN, rng)
+        self.out = Linear(_HIDDEN, n_items, rng)
 
     def forward(self, items, mask, knowledge=None) -> Tensor:
         """Run the GRU over the session; the final state scores items."""
@@ -80,7 +83,7 @@ class GRU4Rec(SessionModel):
 class STAMP(SessionModel):
     """Short-term attention/memory priority model."""
 
-    def __init__(self, n_items: int, dim: int = 48, seed: int = 0):
+    def __init__(self, n_items: int, dim: int, seed: int):
         super().__init__()
         rng = spawn_rng(seed, "stamp")
         self.items = Embedding(n_items, dim, rng, padding_idx=0)
@@ -115,17 +118,16 @@ class STAMP(SessionModel):
 class CSRM(SessionModel):
     """Collaborative session-based recommendation with an external memory."""
 
-    def __init__(self, n_items: int, dim: int = 48, hidden: int = 64,
-                 memory_slots: int = 64, seed: int = 0):
+    def __init__(self, n_items: int, dim: int, seed: int):
         super().__init__()
         from repro.nn import GRU
 
         rng = spawn_rng(seed, "csrm")
         self.items = Embedding(n_items, dim, rng, padding_idx=0)
-        self.gru = GRU(dim, hidden, rng)
-        self.memory = Parameter(nn_init.normal(rng, (memory_slots, hidden), std=0.1))
-        self.fuse = Linear(2 * hidden, hidden, rng)
-        self.out = Linear(hidden, n_items, rng)
+        self.gru = GRU(dim, _HIDDEN, rng)
+        self.memory = Parameter(nn_init.normal(rng, (_MEMORY_SLOTS, _HIDDEN), std=0.1))
+        self.fuse = Linear(2 * _HIDDEN, _HIDDEN, rng)
+        self.out = Linear(_HIDDEN, n_items, rng)
 
     def forward(self, items, mask, knowledge=None) -> Tensor:
         """Fuse the inner GRU state with attention over the outer memory."""
@@ -136,5 +138,5 @@ class CSRM(SessionModel):
         shifted = scores - scores.max(axis=-1, keepdims=True).detach()
         weights = shifted.exp() / shifted.exp().sum(axis=-1, keepdims=True)
         outer = weights @ self.memory
-        fused = self.fuse(Tensor.concat([inner, outer], axis=-1)).tanh()
+        fused = self.fuse(Tensor.concat([inner, outer])).tanh()
         return self.out(fused)

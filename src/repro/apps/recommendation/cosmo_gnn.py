@@ -29,21 +29,13 @@ class CosmoGNN(GCEGNN):
         n_items: int,
         global_neighbors: np.ndarray,
         global_weights: np.ndarray,
-        knowledge_dim: int = 64,
-        dim: int = 48,
-        gnn_steps: int = 1,
-        max_len: int = 10,
-        seed: int = 0,
+        knowledge_dim: int,
+        dim: int,
+        max_len: int,
+        seed: int,
     ):
-        super().__init__(
-            n_items,
-            global_neighbors,
-            global_weights,
-            dim=dim,
-            gnn_steps=gnn_steps,
-            max_len=max_len,
-            seed=seed,
-        )
+        super().__init__(n_items, global_neighbors, global_weights,
+                         dim=dim, max_len=max_len, seed=seed)
         rng = spawn_rng(seed, "cosmo-gnn")
         # Two-layer perceptron aligning knowledge space with GNN space.
         self.knowledge_mlp = MLP([knowledge_dim, dim, dim], rng)

@@ -39,7 +39,8 @@ class SessionDataset:
     dev: list[SessionExample]
     test: list[SessionExample]
     max_len: int
-    knowledge_vectors: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+    knowledge_vectors: dict[tuple[str, int], np.ndarray] = field(default_factory=dict,
+                                                                 init=False)
 
     @property
     def n_items(self) -> int:
@@ -93,7 +94,7 @@ def _examples_from_sessions(
 
 def build_session_dataset(
     log: SessionLog,
-    max_len: int = 10,
+    max_len: int,
     knowledge_provider=None,
     encoder: TextEncoder | None = None,
 ) -> SessionDataset:

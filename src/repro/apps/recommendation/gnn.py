@@ -18,6 +18,9 @@ from repro.utils.rng import spawn_rng
 __all__ = ["SessionGraphBatch", "build_session_graphs", "GatedGNNLayer",
            "SRGNN", "GCSAN", "GCEGNN", "build_global_graph"]
 
+_BLEND = 0.6        # GC-SAN: weight of the attended state against the GNN state
+_TOP_K = 8          # global-graph neighbours kept per item
+
 
 class SessionGraphBatch:
     """Batched session graphs: node ids, alias map, adjacency matrices."""
@@ -85,11 +88,11 @@ class GatedGNNLayer(SessionModel):
         """One message-passing step with GRU-style gated node updates."""
         msg_in = Tensor(a_in) @ self.w_in(hidden)
         msg_out = Tensor(a_out) @ self.w_out(hidden)
-        combined = Tensor.concat([msg_in, msg_out, hidden], axis=-1)
+        combined = Tensor.concat([msg_in, msg_out, hidden])
         gates = self.gate(combined).sigmoid()
         update, reset = gates[:, :, : self.dim], gates[:, :, self.dim :]
         candidate = self.candidate(
-            Tensor.concat([msg_in, msg_out, hidden * reset], axis=-1)
+            Tensor.concat([msg_in, msg_out, hidden * reset])
         ).tanh()
         return hidden * (1.0 - update) + candidate * update
 
@@ -110,30 +113,23 @@ class _GraphReadout(SessionModel):
         energy = (self.w1(node_states) + self.w2(last).reshape(batch, 1, dim)).sigmoid()
         scores = self.v(energy) * Tensor(node_mask.astype(np.float64)[..., None])
         global_state = (node_states * scores).sum(axis=1)
-        return self.fuse(Tensor.concat([global_state, last], axis=-1))
+        return self.fuse(Tensor.concat([global_state, last]))
 
 
 class SRGNN(SessionModel):
     """Session-graph GNN (Wu et al. 2019)."""
 
-    def __init__(self, n_items: int, dim: int = 48, gnn_steps: int = 1, seed: int = 0):
+    def __init__(self, n_items: int, dim: int, seed: int):
         super().__init__()
         rng = spawn_rng(seed, "srgnn")
         self.items = Embedding(n_items, dim, rng, padding_idx=0)
         self.gnn = GatedGNNLayer(dim, rng)
-        self.gnn_steps = gnn_steps
         self.readout = _GraphReadout(dim, rng)
-
-    def _node_states(self, graphs: SessionGraphBatch) -> Tensor:
-        hidden = self.items(graphs.nodes)
-        for _ in range(self.gnn_steps):
-            hidden = self.gnn(hidden, graphs.a_in, graphs.a_out)
-        return hidden
 
     def forward(self, items, mask, knowledge=None) -> Tensor:
         """Gated GNN over the session graph, last-item attentive readout."""
         graphs = build_session_graphs(items, mask)
-        hidden = self._node_states(graphs)
+        hidden = self.gnn(self.items(graphs.nodes), graphs.a_in, graphs.a_out)
         rows = np.arange(items.shape[0])
         last_alias = graphs.alias[rows, _last_indices(mask)]
         last = hidden[rows, last_alias]
@@ -144,41 +140,34 @@ class SRGNN(SessionModel):
 class GCSAN(SessionModel):
     """SR-GNN + self-attention over the sequence (Xu et al. 2019)."""
 
-    def __init__(self, n_items: int, dim: int = 48, gnn_steps: int = 1,
-                 attention_blocks: int = 1, blend: float = 0.6, seed: int = 0):
+    def __init__(self, n_items: int, dim: int, seed: int):
         super().__init__()
         rng = spawn_rng(seed, "gcsan")
         self.items = Embedding(n_items, dim, rng, padding_idx=0)
         self.gnn = GatedGNNLayer(dim, rng)
-        self.gnn_steps = gnn_steps
-        self.attention = [SelfAttention(dim, rng) for _ in range(attention_blocks)]
-        self.blend = blend
+        self.attention = SelfAttention(dim, rng)
 
     def forward(self, items, mask, knowledge=None) -> Tensor:
         """GNN node states re-sequenced, then self-attention + blend."""
         graphs = build_session_graphs(items, mask)
-        hidden = self.items(graphs.nodes)
-        for _ in range(self.gnn_steps):
-            hidden = self.gnn(hidden, graphs.a_in, graphs.a_out)
+        hidden = self.gnn(self.items(graphs.nodes), graphs.a_in, graphs.a_out)
         batch, steps = items.shape
         rows = np.arange(batch)[:, None]
         sequence = hidden[np.repeat(np.arange(batch), steps),
                           graphs.alias.reshape(-1)].reshape(batch, steps, -1)
         attn_mask = mask[:, None, :] & mask[:, :, None]
-        attended = sequence
-        for block in self.attention:
-            attended = block(attended, mask=attn_mask)
+        attended = self.attention(sequence, mask=attn_mask)
         last_pos = _last_indices(mask)
         last_attended = attended[np.arange(batch), last_pos]
         last_gnn = sequence[np.arange(batch), last_pos]
-        session = last_attended * self.blend + last_gnn * (1.0 - self.blend)
+        session = last_attended * _BLEND + last_gnn * (1.0 - _BLEND)
         return session @ self.items.weight.T
 
 
-def build_global_graph(train_examples, n_items: int, top_k: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def build_global_graph(train_examples, n_items: int) -> tuple[np.ndarray, np.ndarray]:
     """Global item co-occurrence neighbors from training sessions.
 
-    Returns (neighbors (n_items, top_k) item ids, weights (n_items, top_k))
+    Returns (neighbors (n_items, _TOP_K) item ids, weights (n_items, _TOP_K))
     normalized per item — the global-level graph of GCE-GNN.
     """
     co_counts: dict[int, dict[int, float]] = {}
@@ -191,10 +180,10 @@ def build_global_graph(train_examples, n_items: int, top_k: int = 8) -> tuple[np
                 co_counts.setdefault(item_a, {})[item_b] = (
                     co_counts.get(item_a, {}).get(item_b, 0.0) + 1.0
                 )
-    neighbors = np.zeros((n_items, top_k), dtype=np.int64)
-    weights = np.zeros((n_items, top_k))
+    neighbors = np.zeros((n_items, _TOP_K), dtype=np.int64)
+    weights = np.zeros((n_items, _TOP_K))
     for item, counts in co_counts.items():
-        ranked = sorted(counts.items(), key=lambda kv: -kv[1])[:top_k]
+        ranked = sorted(counts.items(), key=lambda kv: -kv[1])[:_TOP_K]
         for slot, (neighbor, count) in enumerate(ranked):
             neighbors[item, slot] = neighbor
             weights[item, slot] = count
@@ -217,16 +206,14 @@ class GCEGNN(SessionModel):
         n_items: int,
         global_neighbors: np.ndarray,
         global_weights: np.ndarray,
-        dim: int = 48,
-        gnn_steps: int = 1,
-        max_len: int = 10,
-        seed: int = 0,
+        dim: int,
+        max_len: int,
+        seed: int,
     ):
         super().__init__()
         rng = spawn_rng(seed, "gcegnn")
         self.items = Embedding(n_items, dim, rng, padding_idx=0)
         self.gnn = GatedGNNLayer(dim, rng)
-        self.gnn_steps = gnn_steps
         self.neighbors = global_neighbors
         self.neighbor_weights = global_weights
         self.global_proj = Linear(dim, dim, rng)
@@ -246,9 +233,7 @@ class GCEGNN(SessionModel):
 
     def _sequence_states(self, items, mask) -> tuple[Tensor, SessionGraphBatch]:
         graphs = build_session_graphs(items, mask)
-        hidden = self.items(graphs.nodes)
-        for _ in range(self.gnn_steps):
-            hidden = self.gnn(hidden, graphs.a_in, graphs.a_out)
+        hidden = self.gnn(self.items(graphs.nodes), graphs.a_in, graphs.a_out)
         hidden = hidden + self._global_embedding(graphs.nodes)
         batch, steps = items.shape
         sequence = hidden[np.repeat(np.arange(batch), steps),
@@ -261,7 +246,7 @@ class GCEGNN(SessionModel):
         counts = np.maximum(mask_f.sum(axis=1), 1.0)
         mean = (sequence * Tensor(mask_f)).sum(axis=1) / Tensor(counts)
         positions = self.position[np.arange(steps)][None, :, :].data
-        with_pos = Tensor.concat([sequence, Tensor(np.broadcast_to(positions, (batch, steps, dim)).copy())], axis=-1)
+        with_pos = Tensor.concat([sequence, Tensor(np.broadcast_to(positions, (batch, steps, dim)).copy())])
         energy = self.w_att(with_pos).tanh() * mean.reshape(batch, 1, dim)
         scores = self.q_att(energy) * Tensor(mask_f)
         return (sequence * scores).sum(axis=1)

@@ -23,16 +23,19 @@ MODEL_NAMES: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Shared training hyperparameters."""
+    """Model widths and training length (Table 8 runs 48 / 2 / 64)."""
 
-    dim: int = 48
-    epochs: int = 3
-    batch_size: int = 64
-    lr: float = 2e-3
-    knowledge_dim: int = 64
+    dim: int
+    epochs: int
+    knowledge_dim: int
 
 
-def build_model(name: str, dataset: SessionDataset, config: TrainConfig, seed: int = 0):
+_BATCH_SIZE = 64
+_LR = 2e-3
+_EVAL_BATCH_SIZE = 256
+
+
+def build_model(name: str, dataset: SessionDataset, config: TrainConfig, seed: int):
     """Instantiate one recommender by its Table 8 name."""
     n_items = dataset.n_items
     if name == "FPMC":
@@ -68,19 +71,18 @@ def _forward(model, dataset: SessionDataset, examples: list[SessionExample], con
 def train_session_model(
     name: str,
     dataset: SessionDataset,
-    config: TrainConfig | None = None,
-    seed: int = 0,
+    config: TrainConfig,
+    seed: int,
 ):
     """Train one recommender on the dataset's train split."""
-    config = config or TrainConfig()
     model = build_model(name, dataset, config, seed=seed)
-    optimizer = Adam(model.parameters(), lr=config.lr)
+    optimizer = Adam(model.parameters(), lr=_LR)
     rng = spawn_rng(seed, f"rec-train:{name}")
     model.train()
     for _ in range(config.epochs):
         order = rng.permutation(len(dataset.train))
-        for start in range(0, len(order), config.batch_size):
-            batch = [dataset.train[i] for i in order[start : start + config.batch_size]]
+        for start in range(0, len(order), _BATCH_SIZE):
+            batch = [dataset.train[i] for i in order[start : start + _BATCH_SIZE]]
             logits, targets = _forward(model, dataset, batch, config)
             loss = cross_entropy(logits, targets)
             optimizer.zero_grad()
@@ -93,22 +95,18 @@ def train_session_model(
 def evaluate_session_model(
     model,
     dataset: SessionDataset,
-    split: str = "test",
-    config: TrainConfig | None = None,
-    k: int = 10,
-    batch_size: int = 256,
+    config: TrainConfig,
 ) -> dict[str, float]:
-    """Table 8 metrics on one split."""
-    config = config or TrainConfig()
-    examples = getattr(dataset, split)
+    """Table 8 metrics on the test split."""
+    examples = dataset.test
     all_scores = []
     all_targets = []
     with no_grad():
-        for start in range(0, len(examples), batch_size):
-            batch = examples[start : start + batch_size]
+        for start in range(0, len(examples), _EVAL_BATCH_SIZE):
+            batch = examples[start : start + _EVAL_BATCH_SIZE]
             logits, targets = _forward(model, dataset, batch, config)
             scores = logits.numpy().copy()
             scores[:, 0] = -np.inf  # never rank the padding slot
             all_scores.append(scores)
             all_targets.append(targets)
-    return ranking_metrics(np.vstack(all_scores), np.concatenate(all_targets), k=k)
+    return ranking_metrics(np.vstack(all_scores), np.concatenate(all_targets))

@@ -40,18 +40,17 @@ class PreparedESCI:
     test: PreparedSplit
 
 
-def _prepare_split(
-    examples: list[ESCIExample],
-    knowledge_provider,
-    batch: int = 128,
-) -> PreparedSplit:
+_PROVIDER_BATCH = 128       # examples per knowledge-provider call
+
+
+def _prepare_split(examples: list[ESCIExample], knowledge_provider) -> PreparedSplit:
     queries = [e.query_text for e in examples]
     products = [e.product_title for e in examples]
     labels = np.array([LABEL_TO_ID[e.label] for e in examples], dtype=np.int64)
     knowledge: list[str] = []
     if knowledge_provider is not None:
-        for start in range(0, len(examples), batch):
-            chunk = examples[start : start + batch]
+        for start in range(0, len(examples), _PROVIDER_BATCH):
+            chunk = examples[start : start + _PROVIDER_BATCH]
             knowledge.extend(knowledge_provider(chunk))
     else:
         knowledge = [""] * len(examples)
@@ -75,15 +74,15 @@ def prepare_esci(
     )
 
 
-def kg_knowledge_provider(kg, world, max_tails: int = 4):
+def kg_knowledge_provider(kg, world):
     """Knowledge provider backed by the built knowledge graph.
 
     This is the deployed path of Figure 5: downstream applications read
     *stored* knowledge features, not fresh generations.  For each
     product, the tails of KG edges whose head products share its product
-    type are ranked by plausibility-weighted support and concatenated —
-    exposing the product's full intent pool where a single greedy
-    generation covers only one facet.
+    type are ranked by plausibility-weighted support and the top four
+    concatenated — exposing the product's full intent pool where a
+    single greedy generation covers only one facet.
     """
     from collections import defaultdict
 
@@ -101,7 +100,7 @@ def kg_knowledge_provider(kg, world, max_tails: int = 4):
             ranked = sorted(
                 type_tails.get(product.product_type, {}).items(),
                 key=lambda item: -item[1],
-            )[:max_tails]
+            )[:4]
             texts.append(" ".join(tail for tail, _ in ranked))
         return texts
 

@@ -29,6 +29,8 @@ __all__ = ["FeatureExtractor", "RelevanceModel", "ARCHITECTURES"]
 ARCHITECTURES: tuple[str, ...] = ("bi-encoder", "cross-encoder", "cross-encoder-intent")
 
 _N_CLASSES = 4
+_ENCODER_DIM = 96
+_HEAD_HIDDEN = 64
 
 
 class FeatureExtractor:
@@ -41,7 +43,7 @@ class FeatureExtractor:
     carries the intent bridge.
     """
 
-    def __init__(self, buckets: int = 512):
+    def __init__(self, buckets: int):
         self.buckets = buckets
         self._cache: dict[tuple[str, str], np.ndarray] = {}
 
@@ -76,9 +78,7 @@ class RelevanceModel(Module):
         architecture: str,
         trainable_encoder: bool,
         extractor: FeatureExtractor,
-        encoder_dim: int = 96,
-        head_hidden: int = 64,
-        seed: int = 0,
+        seed: int,
     ):
         super().__init__()
         if architecture not in ARCHITECTURES:
@@ -89,18 +89,18 @@ class RelevanceModel(Module):
         rng = spawn_rng(seed, f"relevance:{architecture}:{trainable_encoder}")
         buckets = extractor.buckets
         if architecture == "bi-encoder":
-            self.query_encoder = Linear(buckets, encoder_dim, rng)
-            self.product_encoder = Linear(buckets, encoder_dim, rng)
-            head_in = 2 * encoder_dim
+            self.query_encoder = Linear(buckets, _ENCODER_DIM, rng)
+            self.product_encoder = Linear(buckets, _ENCODER_DIM, rng)
+            head_in = 2 * _ENCODER_DIM
         else:
             joint_in = self._joint_dim(buckets)
-            self.joint_encoder = Linear(joint_in, encoder_dim, rng)
+            self.joint_encoder = Linear(joint_in, _ENCODER_DIM, rng)
             # Overlap-summary scalars (Σ q·p, and with intent Σ g·q, Σ g·p)
             # bypass the encoder: a pretrained encoder exposes text
             # similarity even when frozen, and these scalars play that
             # role for the frozen random projection.
-            head_in = encoder_dim + self._n_summaries()
-        self.head = MLP([head_in, head_hidden, _N_CLASSES], rng)
+            head_in = _ENCODER_DIM + self._n_summaries()
+        self.head = MLP([head_in, _HEAD_HIDDEN, _N_CLASSES], rng)
         if not trainable_encoder:
             self._freeze_encoders()
 
@@ -155,9 +155,7 @@ class RelevanceModel(Module):
         if self.architecture == "bi-encoder":
             q, p = features
             encoded = Tensor.concat(
-                [self.query_encoder(Tensor(q)).tanh(), self.product_encoder(Tensor(p)).tanh()],
-                axis=-1,
-            )
+                [self.query_encoder(Tensor(q)).tanh(), self.product_encoder(Tensor(p)).tanh()])
             return self.head(encoded)
         buckets = self.extractor.buckets
         encoded = self.joint_encoder(Tensor(features)).tanh()
@@ -170,5 +168,5 @@ class RelevanceModel(Module):
             ],
             axis=1,
         )
-        encoded = Tensor.concat([encoded, Tensor(np.tanh(4.0 * summaries))], axis=-1)
+        encoded = Tensor.concat([encoded, Tensor(np.tanh(4.0 * summaries))])
         return self.head(encoded)

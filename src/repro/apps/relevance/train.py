@@ -15,6 +15,8 @@ from repro.utils.rng import spawn_rng
 __all__ = ["RelevanceResult", "train_relevance_model", "evaluate_model"]
 
 _N_CLASSES = 4
+_BATCH_SIZE = 64
+_LR = 2e-3
 
 
 @dataclass(frozen=True)
@@ -37,23 +39,20 @@ def train_relevance_model(
     data: PreparedESCI,
     architecture: str,
     trainable_encoder: bool,
-    epochs: int = 8,
-    batch_size: int = 64,
-    lr: float = 2e-3,
-    seed: int = 0,
-    extractor: FeatureExtractor | None = None,
+    epochs: int,
+    seed: int,
+    extractor: FeatureExtractor,
 ) -> tuple[RelevanceModel, RelevanceResult]:
     """Train one model and evaluate it on the locale's test split."""
-    extractor = extractor or FeatureExtractor()
     model = RelevanceModel(architecture, trainable_encoder, extractor, seed=seed)
     rng = spawn_rng(seed, f"relevance-train:{architecture}:{trainable_encoder}")
-    optimizer = Adam(model.trainable_parameters(), lr=lr)
+    optimizer = Adam(model.trainable_parameters(), lr=_LR)
     train = data.train
     knowledge = train.knowledge if architecture == "cross-encoder-intent" else None
     features = model.featurize(train.queries, train.products, knowledge)
     model.train()
     for _ in range(epochs):
-        for batch in _batches(len(train), batch_size, rng):
+        for batch in _batches(len(train), _BATCH_SIZE, rng):
             batch_features = (
                 (features[0][batch], features[1][batch])
                 if architecture == "bi-encoder"

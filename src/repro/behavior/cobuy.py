@@ -1,7 +1,7 @@
 """Co-purchase behavior simulator (§3.1, §3.2.1).
 
 Co-buy pairs are emitted from the latent-intent world: with probability
-``intentional_rate`` a pair of *different-type* products sharing an intent
+``INTENTIONAL_RATE`` a pair of *different-type* products sharing an intent
 is co-bought (the signal COSMO mines); otherwise a random pair is emitted
 (the noise the sampling heuristics must reject).  Edge multiplicities are
 geometric, giving the co-buy graph a realistic heavy tail, and node
@@ -19,6 +19,8 @@ from repro.behavior.world import World
 from repro.utils.rng import spawn_rng
 
 __all__ = ["CoBuyPair", "CoBuyLog", "simulate_cobuy"]
+
+INTENTIONAL_RATE = 0.8      #: share of co-buy events that share an intent
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class CoBuyLog:
 def simulate_cobuy(
     world: World,
     pairs_per_domain: int = 120,
-    intentional_rate: float = 0.8,
     seed: int = 0,
 ) -> CoBuyLog:
     """Emit co-buy behavior for every domain of the world."""
@@ -74,7 +75,7 @@ def simulate_cobuy(
         weights = popularity / popularity.sum()
         counter = 0
         for _ in range(pairs_per_domain):
-            pair = _sample_pair(world, domain, products, weights, intentional_rate, rng)
+            pair = _sample_pair(world, domain, products, weights, rng)
             if pair is None:
                 continue
             product_a, product_b, intent_id = pair
@@ -92,9 +93,9 @@ def simulate_cobuy(
     return CoBuyLog(pairs)
 
 
-def _sample_pair(world, domain, products, weights, intentional_rate, rng):
+def _sample_pair(world, domain, products, weights, rng):
     """One co-buy event; returns (a, b, intent_id|None) or None."""
-    if rng.random() < intentional_rate:
+    if rng.random() < INTENTIONAL_RATE:
         # A few retries: some (anchor, intent) draws have no different-type
         # partner at small catalog scales.
         for _ in range(4):

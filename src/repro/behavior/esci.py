@@ -198,17 +198,18 @@ class _LabelSampler:
 
 def generate_esci(
     world: World,
+    *,
+    pairs_per_query: int,
+    seed: int,
     locale: str = "KDD Cup",
-    pairs_per_query: int = 8,
     max_queries: int | None = None,
-    test_fraction: float = 0.25,
-    seed: int = 0,
 ) -> ESCIDataset:
     """Generate an ESCI dataset for one locale.
 
     ``pairs_per_query`` products are drawn per query with the Exact-heavy
     label mix; queries and titles are passed through the locale's word
-    substitution map.
+    substitution map.  The last quarter of the shuffled examples is the
+    test split.
     """
     if locale not in _LOCALE_SUBSTITUTIONS:
         raise ValueError(f"unknown locale {locale!r}; valid: {LOCALES}")
@@ -250,5 +251,5 @@ def generate_esci(
                 )
             )
     rng.shuffle(examples)
-    split = int(len(examples) * (1.0 - test_fraction))
+    split = int(len(examples) * 0.75)
     return ESCIDataset(locale=locale, train=examples[:split], test=examples[split:])

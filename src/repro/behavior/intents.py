@@ -160,13 +160,9 @@ class IntentSpace:
         """Refined variants of a coarse intent (Figure 8 hierarchy)."""
         return [self._intents[i] for i in self._children.get(intent_id, [])]
 
-    def roots(self, domain: str | None = None) -> list[Intent]:
-        """Base (unrefined) intents, optionally restricted to a domain."""
-        return [
-            intent
-            for intent in self._intents.values()
-            if intent.parent is None and (domain is None or intent.domain == domain)
-        ]
+    def roots(self) -> list[Intent]:
+        """Base (unrefined) intents."""
+        return [intent for intent in self._intents.values() if intent.parent is None]
 
     def similarity(self, intent_a: str, intent_b: str) -> float:
         """Cosine similarity between two latent intent vectors."""

@@ -21,6 +21,9 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["SessionStep", "Session", "SessionLog", "SessionConfig", "simulate_sessions"]
 
+MIN_LENGTH, MAX_LENGTH = 3, 20      # session length bounds (steps)
+DAYS = 7        #: days a log spans; ``build_session_dataset`` splits 5 / 1 / 1
+
 
 @dataclass(frozen=True)
 class SessionStep:
@@ -60,9 +63,6 @@ class SessionConfig:
     n_sessions: int = 2000
     mean_length: float = 8.8
     revise_prob: float = 0.045
-    min_length: int = 3
-    max_length: int = 20
-    days: int = 7
 
 
 class SessionLog:
@@ -114,15 +114,14 @@ def _next_item(world, intent, previous_id, rng):
     return candidates[index]
 
 
-def simulate_sessions(world: World, config: SessionConfig, seed: int = 0) -> SessionLog:
+def simulate_sessions(world: World, config: SessionConfig, seed: int) -> SessionLog:
     """Generate one domain's session log."""
     rng = spawn_rng(seed, f"sessions:{config.domain}")
     intents = world.intents.for_domain(config.domain)
     sessions: list[Session] = []
     for session_index in range(config.n_sessions):
         intent = intents[int(rng.integers(len(intents)))]
-        length = int(np.clip(rng.poisson(config.mean_length),
-                             config.min_length, config.max_length))
+        length = int(np.clip(rng.poisson(config.mean_length), MIN_LENGTH, MAX_LENGTH))
         query_text = _query_for_intent(world, intent, rng)
         steps: list[SessionStep] = []
         previous = None
@@ -143,7 +142,7 @@ def simulate_sessions(world: World, config: SessionConfig, seed: int = 0) -> Ses
             Session(
                 session_id=f"s-{config.domain[:4]}-{session_index:06d}",
                 domain=config.domain,
-                day=int(rng.integers(config.days)),
+                day=int(rng.integers(DAYS)),
                 steps=tuple(steps),
             )
         )

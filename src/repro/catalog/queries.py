@@ -94,12 +94,8 @@ class QueryLog:
     def for_domain(self, domain: str) -> list[Query]:
         return list(self._by_domain.get(domain, []))
 
-    def broad(self, domain: str | None = None) -> list[Query]:
-        return [
-            q
-            for q in self._queries.values()
-            if q.breadth == "broad" and (domain is None or q.domain == domain)
-        ]
+    def broad(self) -> list[Query]:
+        return [q for q in self._queries.values() if q.breadth == "broad"]
 
 
 def build_queries(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import traceback
 
 from repro import scenarios
 from repro.behavior import WorldConfig
@@ -82,8 +83,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     print("Training COSMO-LM (one pipeline run)...")
     result = CosmoPipeline(config).run()
     lm = result.cosmo_lm
-    prompt = lm.searchbuy_prompt(args.query, args.product_title or args.product_type,
-                                 args.domain, product_type=args.product_type)
+    prompt = lm.searchbuy_prompt(args.query, args.domain, args.product_type)
     generation = lm.generate_batch([prompt]).require()[0]
     print(f"query:     {args.query!r}")
     print(f"product:   {args.product_type!r} ({args.domain})")
@@ -110,8 +110,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         fault_rate=args.fault_rate,
         resilience=not args.no_resilience,
         seed=args.seed,
-        requests_per_day=args.requests_per_day,
-        days=args.days,
     )
     arm = "on" if config.resilience else "off"
     print(f"Chaos simulation: fault rate {config.fault_rate:.0%}, resilience {arm}, "
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--lm-epochs", type=int, default=10)
     generate.add_argument("--query", required=True)
     generate.add_argument("--product-type", required=True)
-    generate.add_argument("--product-title", default="")
     generate.add_argument("--domain", required=True)
     generate.set_defaults(func=cmd_generate)
 
@@ -243,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="headline injected fault rate (see FaultPlan.mixed)")
     chaos.add_argument("--no-resilience", action="store_true",
                        help="disable retries, circuit breaker and degraded serving")
-    chaos.add_argument("--requests-per-day", type=int, default=1500)
-    chaos.add_argument("--days", type=int, default=2,
-                       help="measured days of traffic (after one warmup day)")
     chaos.add_argument("--outage-demo", action="store_true",
                        help="also run the scripted sustained-outage scenario")
     chaos.set_defaults(func=cmd_chaos)
@@ -280,6 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Sizes a command cannot run with at zero or below.
+_POSITIVE_SIZES = ("replicas", "requests", "n_queries", "requests_per_phase",
+                   "scale", "lm_epochs")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["lint"]:
@@ -290,7 +289,20 @@ def main(argv: list[str] | None = None) -> int:
     if not 0.0 <= fault_rate <= 1.0:
         print(f"error: --fault-rate must be in [0, 1], got {fault_rate}")
         return 2
-    return args.func(args)
+    for size in _POSITIVE_SIZES:
+        value = getattr(args, size, 1)
+        if value <= 0:
+            print(f"error: --{size.replace('_', '-')} must be positive, got {value}")
+            return 2
+    try:
+        return args.func(args)
+    except Exception as error:
+        # Exit 1 means "the scenario's signal fired" (CI accepts exactly 1
+        # from ``monitor --scenario chaos`` and ``kghealth --scenario
+        # poisoned``): a command that dies must not be mistaken for one,
+        # so it leaves the way an argparse usage error does.
+        traceback.print_exc()
+        raise SystemExit(2) from error
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ _EXPORTS = {
     "reweight_candidates": "repro.core.annotation_sampling",
     "sample_for_annotation": "repro.core.annotation_sampling",
     "CriticClassifier": "repro.core.critic",
-    "CriticConfig": "repro.core.critic",
     "InstructionExample": "repro.core.instructions",
     "InstructionDataset": "repro.core.instructions",
     "build_instruction_dataset": "repro.core.instructions",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.behavior.world import World
 from repro.core.instructions import InstructionDataset
@@ -24,23 +24,19 @@ from repro.llm.tokenizer import Tokenizer
 
 __all__ = ["CosmoLMConfig", "CosmoLM", "KnowledgeQuality"]
 
+EMBED_DIM = 48
+RERANK_CANDIDATES = 4       #: the greedy candidate plus three sampled ones
+RERANK_TEMPERATURE = 0.7
+
 
 @dataclass(frozen=True)
 class CosmoLMConfig:
     """Model size and finetuning hyperparameters."""
 
     architecture: str = "seq2seq"  # "seq2seq" (attention) | "lm" (ablation)
-    embed_dim: int = 48
     hidden_dim: int = 96
     epochs: int = 10
-    batch_size: int = 32
     lr: float = 4e-3
-    max_len: int = 44
-    # One LLaMA-7b learns all five tasks jointly (§3.4); at our ~1e5
-    # parameter scale joint training lets the numerous yes/no tasks
-    # crowd out generation, so the default splits the tasks over two
-    # small heads behind the same API (see DESIGN.md).
-    split_heads: bool = True
 
 
 @dataclass(frozen=True)
@@ -88,33 +84,26 @@ class CosmoLM:
     def _new_model(self, name: str):
         return self._model_class()(
             self.tokenizer,
-            embed_dim=self.config.embed_dim,
+            embed_dim=EMBED_DIM,
             hidden_dim=self.config.hidden_dim,
             name=name,
             seed=self.seed,
             latency=self.latency,
         )
 
-    def finetune(self, dataset: InstructionDataset, extra_corpus: list[str] | None = None) -> list[float]:
+    def finetune(self, dataset: InstructionDataset) -> list[float]:
         """Build the vocabulary and instruction-finetune the student.
 
-        Returns the generation head's per-epoch losses.
+        One LLaMA-7b learns all five tasks jointly (§3.4); at our ~1e5
+        parameter scale joint training lets the numerous yes/no tasks
+        crowd out generation, so the tasks are split over two small heads
+        behind the same API.  Returns the generation head's per-epoch
+        losses.
         """
         corpus = [example.prompt for example in dataset.examples]
         corpus += [example.target for example in dataset.examples]
-        if extra_corpus:
-            corpus += extra_corpus
         self.tokenizer = Tokenizer().fit(corpus)
         self.model = self._new_model("cosmo-lm-gen")
-        if not self.config.split_heads:
-            self.classifier = self.model
-            return self.model.fit(
-                dataset.pairs(),
-                epochs=self.config.epochs,
-                batch_size=self.config.batch_size,
-                lr=self.config.lr,
-                max_len=self.config.max_len,
-            )
         generation = [(e.prompt, e.target) for e in dataset.examples
                       if e.task == "generation"]
         labels = [(e.prompt, e.target) for e in dataset.examples
@@ -124,18 +113,14 @@ class CosmoLM:
         losses = self.model.fit(
             generation or dataset.pairs(),
             epochs=min(self.config.epochs * 2, 40),
-            batch_size=self.config.batch_size,
             lr=self.config.lr,
-            max_len=self.config.max_len,
         )
         self.classifier = self._new_model("cosmo-lm-cls")
         if labels:
             self.classifier.fit(
                 labels,
                 epochs=max(self.config.epochs // 2, 2),
-                batch_size=self.config.batch_size,
                 lr=self.config.lr,
-                max_len=self.config.max_len,
             )
         return losses
 
@@ -146,31 +131,37 @@ class CosmoLM:
         """Persist config, tokenizer and both heads to a directory."""
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if self.tokenizer is None or self.model is None:
+        if self.tokenizer is None or self.model is None or self.classifier is None:
             raise RuntimeError("nothing to save: finetune first")
         (directory / "config.json").write_text(json.dumps(asdict(self.config)))
         self.tokenizer.save(directory / "tokenizer.json")
         self.model.save(str(directory / "generator.npz"))
-        if self.classifier is not None and self.classifier is not self.model:
-            self.classifier.save(str(directory / "classifier.npz"))
+        self.classifier.save(str(directory / "classifier.npz"))
 
     @classmethod
-    def load(cls, directory: str | pathlib.Path, seed: int = 0) -> "CosmoLM":
+    def load(cls, directory: str | pathlib.Path) -> "CosmoLM":
         """Restore a model previously written by :meth:`save`."""
         directory = pathlib.Path(directory)
-        config = CosmoLMConfig(**json.loads((directory / "config.json").read_text()))
-        instance = cls(config=config, seed=seed)
+        path = directory / "config.json"
+        try:
+            stored = json.loads(path.read_text())
+        except ValueError as error:
+            raise ValueError(f"{path}: not JSON ({error})") from None
+        expected = {f.name for f in fields(CosmoLMConfig)}
+        keys = set(stored) if isinstance(stored, dict) else set()
+        if keys != expected:
+            raise ValueError(
+                f"{path}: not this version's COSMO-LM config "
+                f"(unknown keys {sorted(keys - expected)}, "
+                f"missing keys {sorted(expected - keys)})")
+        instance = cls(config=CosmoLMConfig(**stored))
         instance.tokenizer = Tokenizer.load(directory / "tokenizer.json")
         instance.model = instance._new_model("cosmo-lm-gen")
         instance.model.load(str(directory / "generator.npz"))
         instance.model.eval()
-        classifier_path = directory / "classifier.npz"
-        if classifier_path.exists():
-            instance.classifier = instance._new_model("cosmo-lm-cls")
-            instance.classifier.load(str(classifier_path))
-            instance.classifier.eval()
-        else:
-            instance.classifier = instance.model
+        instance.classifier = instance._new_model("cosmo-lm-cls")
+        instance.classifier.load(str(directory / "classifier.npz"))
+        instance.classifier.eval()
         return instance
 
     def _require_model(self) -> StudentLM | Seq2SeqLM:
@@ -179,46 +170,34 @@ class CosmoLM:
         return self.model
 
     def _require_classifier(self) -> StudentLM | Seq2SeqLM:
-        if self.classifier is not None:
-            return self.classifier
-        return self._require_model()
+        if self.classifier is None:
+            raise RuntimeError("CosmoLM must be finetuned before inference")
+        return self.classifier
 
     @property
     def parameter_count(self) -> int:
-        total = self._require_model().parameter_count
-        if self.classifier is not None and self.classifier is not self.model:
-            total += self.classifier.parameter_count
-        return total
+        return (self._require_model().parameter_count
+                + self._require_classifier().parameter_count)
 
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
     @staticmethod
-    def searchbuy_prompt(query_text: str, product_title: str, domain: str,
-                         product_type: str = "", task: str = "generation") -> str:
-        if task == "generation":
-            # Canonical generation interface: query + product type (the
-            # fields the feature store serves), matching training.
-            type_part = f"type: {product_type} " if product_type else ""
-            return f"domain: {domain} search query: {query_text} {type_part}task: {task}"
+    def searchbuy_prompt(query_text: str, domain: str, product_type: str) -> str:
+        """The canonical generation prompt: query + product type (the
+        fields the feature store serves), matching training."""
         type_part = f"type: {product_type} " if product_type else ""
-        return (
-            f"behavior: search buy domain: {domain} "
-            f"search query: {query_text} product: {product_title} "
-            f"{type_part}task: {task}"
-        )
+        return f"domain: {domain} search query: {query_text} {type_part}task: generation"
 
     @staticmethod
     def cobuy_prompt(title_a: str, title_b: str, domain: str,
-                     type_a: str = "", type_b: str = "",
-                     task: str = "generation") -> str:
-        if task == "generation" and type_a and type_b:
-            return f"domain: {domain} types: {type_a} and {type_b} task: {task}"
-        type_part = f"types: {type_a} and {type_b} " if type_a and type_b else ""
+                     type_a: str, type_b: str) -> str:
+        if type_a and type_b:
+            return f"domain: {domain} types: {type_a} and {type_b} task: generation"
         return (
             f"behavior: co buy domain: {domain} "
             f"products bought together: {title_a} and {title_b} "
-            f"{type_part}task: {task}"
+            "task: generation"
         )
 
     def generate_batch(self, prompts: list[str]) -> GenerationBatch:
@@ -227,20 +206,15 @@ class CosmoLM:
         serving stack calls."""
         return GenerationBatch(generations=list(self._require_model().decode_batch(prompts)))
 
-    def generate_reranked(
-        self,
-        prompts: list[str],
-        num_candidates: int = 4,
-        temperature: float = 0.7,
-    ) -> list[Generation]:
+    def generate_reranked(self, prompts: list[str]) -> list[Generation]:
         """Sample-and-rerank generation (§3.4: the finetuned LM both
         generates knowledge *and judges its quality*).
 
-        For each prompt, the greedy candidate plus ``num_candidates - 1``
-        sampled ones are scored by the model's own typicality head
-        (log p("yes") − log p("no")); the best-scoring candidate wins.
-        Costs ~``num_candidates``× a greedy pass, so this is the
-        quality-over-latency mode.
+        For each prompt, the greedy candidate plus
+        ``RERANK_CANDIDATES - 1`` sampled ones are scored by the model's
+        own typicality head (log p("yes") − log p("no")); the
+        best-scoring candidate wins.  Costs ~``RERANK_CANDIDATES``× a
+        greedy pass, so this is the quality-over-latency mode.
         """
         from repro.utils.rng import spawn_rng
 
@@ -249,8 +223,8 @@ class CosmoLM:
             raise RuntimeError("reranked generation requires the seq2seq architecture")
         rng = spawn_rng(self.seed, "rerank-sampling")
         pools: list[list[Generation]] = [model.decode_batch(prompts)]
-        for _ in range(max(num_candidates - 1, 0)):
-            pools.append(model.decode_batch(prompts, temperature=temperature, rng=rng))
+        for _ in range(RERANK_CANDIDATES - 1):
+            pools.append(model.decode_batch(prompts, temperature=RERANK_TEMPERATURE, rng=rng))
         winners: list[Generation] = []
         for index, prompt in enumerate(prompts):
             body = prompt.rsplit(" task: ", 1)[0]
@@ -276,16 +250,11 @@ class CosmoLM:
         if sample.behavior == "search-buy":
             query = world.queries.get(sample.query_id)
             product = world.catalog.get(sample.product_ids[0])
-            return self.searchbuy_prompt(
-                query.text, product.title, sample.domain,
-                product_type=product.product_type,
-            )
+            return self.searchbuy_prompt(query.text, sample.domain, product.product_type)
         product_a = world.catalog.get(sample.product_ids[0])
         product_b = world.catalog.get(sample.product_ids[1])
-        return self.cobuy_prompt(
-            product_a.title, product_b.title, sample.domain,
-            type_a=product_a.product_type, type_b=product_b.product_type,
-        )
+        return self.cobuy_prompt(product_a.title, product_b.title, sample.domain,
+                                 product_a.product_type, product_b.product_type)
 
     # ------------------------------------------------------------------
     # Label prediction (auxiliary tasks)

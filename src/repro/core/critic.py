@@ -9,8 +9,6 @@ same 0.5 keep-threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.annotation.schema import AnnotationResult
@@ -21,40 +19,32 @@ from repro.nn import MLP, Adam, Tensor, binary_cross_entropy_with_logits, no_gra
 from repro.utils.rng import spawn_rng
 from repro.utils.textproc import tokenize_words
 
-__all__ = ["CriticConfig", "CriticClassifier"]
+__all__ = ["CriticClassifier"]
 
 _RELATIONS = list(Relation)
 
 
-@dataclass(frozen=True)
-class CriticConfig:
-    """Training hyperparameters for the critic."""
-
-    hidden: int = 64
-    epochs: int = 30
-    batch_size: int = 64
-    lr: float = 3e-3
-    keep_threshold: float = 0.5
+# Training hyperparameters.
+_HIDDEN = 64
+_EPOCHS = 30
+_BATCH_SIZE = 64
+_LR = 3e-3
+#: §3.3.2's critic cut-off: a candidate scored above it is populated.
+KEEP_THRESHOLD = 0.5
 
 
 class CriticClassifier:
     """Joint plausibility/typicality scorer for knowledge candidates."""
 
-    def __init__(
-        self,
-        encoder: TextEncoder,
-        config: CriticConfig | None = None,
-        seed: int = 0,
-    ):
+    def __init__(self, encoder: TextEncoder, seed: int = 0):
         self.encoder = encoder
-        self.config = config or CriticConfig()
         rng = spawn_rng(seed, "critic")
         # Head parts are embedded separately (query vs product, or the two
         # co-bought products) so the critic can see whether the tail
         # relates to *both* sides — the signal separating typical from
         # one-sided knowledge.
         feature_dim = encoder.dim * 3 + 4 + len(_RELATIONS)
-        self.model = MLP([feature_dim, self.config.hidden, 2], rng)
+        self.model = MLP([feature_dim, _HIDDEN, 2], rng)
         self._train_rng = spawn_rng(seed, "critic-train")
         self._fitted = False
 
@@ -94,14 +84,14 @@ class CriticClassifier:
         labels = np.array(
             [[float(a.plausible), float(a.typical)] for a in annotations]
         )
-        optimizer = Adam(self.model.parameters(), lr=self.config.lr)
+        optimizer = Adam(self.model.parameters(), lr=_LR)
         losses: list[float] = []
         self.model.train()
-        for _ in range(self.config.epochs):
+        for _ in range(_EPOCHS):
             order = self._train_rng.permutation(len(candidates))
             epoch_loss, batches = 0.0, 0
-            for start in range(0, len(order), self.config.batch_size):
-                batch = order[start : start + self.config.batch_size]
+            for start in range(0, len(order), _BATCH_SIZE):
+                batch = order[start : start + _BATCH_SIZE]
                 logits = self.model(Tensor(features[batch]))
                 loss = binary_cross_entropy_with_logits(logits, labels[batch])
                 optimizer.zero_grad()
@@ -132,7 +122,7 @@ class CriticClassifier:
         for candidate, (plausibility, typicality) in zip(candidates, scores):
             candidate.plausibility_score = float(plausibility)
             candidate.typicality_score = float(typicality)
-            if plausibility > self.config.keep_threshold:
+            if plausibility > KEEP_THRESHOLD:
                 kept.append(candidate)
         return kept
 

@@ -35,15 +35,18 @@ from repro.utils.textproc import (
 __all__ = ["FilterConfig", "FilterReport", "KnowledgeFilter", "build_reference_lm"]
 
 
+# §3.3.1's thresholds, one per refinement stage.
+MAX_PERPLEXITY = 60.0
+MAX_CONTEXT_EDIT_SIMILARITY = 0.35      # min normalized edit distance
+GENERIC_MIN_HEADS = 8
+GENERIC_MIN_ENTROPY = 1.8
+MAX_CONTEXT_COSINE = 0.85
+
+
 @dataclass(frozen=True)
 class FilterConfig:
-    """Thresholds for the four refinement stages."""
+    """Which of the four refinement stages run (the filtering ablation)."""
 
-    max_perplexity: float = 60.0
-    max_context_edit_similarity: float = 0.35  # min normalized edit distance
-    generic_min_heads: int = 8
-    generic_min_entropy: float = 1.8
-    max_context_cosine: float = 0.85
     enable_completeness: bool = True
     enable_context_overlap: bool = True
     enable_generic: bool = True
@@ -55,20 +58,20 @@ class FilterReport:
     """Per-stage drop accounting."""
 
     input_count: int = 0
-    dropped: Counter = field(default_factory=Counter)
-    kept: int = 0
+    dropped: Counter = field(default_factory=Counter, init=False)
+    kept: int = field(default=0, init=False)
 
     def drop(self, stage: str) -> None:
         self.dropped[stage] += 1
 
 
-def build_reference_lm(extra_sentences: list[str] | None = None) -> NGramLanguageModel:
+def build_reference_lm() -> NGramLanguageModel:
     """Train the completeness LM on well-formed sentences.
 
     GPT-2 in the paper knows general English; our stand-in gets the
     equivalent prior by fitting on every relation template instantiated
     with the full domain vocabulary (all well-formed phrases of the
-    world), plus any caller-provided clean sentences.  Truncated or
+    world).  Truncated or
     scrambled candidates still score high perplexity because their
     *transitions* are unseen, which is the property the filter needs.
     """
@@ -82,8 +85,6 @@ def build_reference_lm(extra_sentences: list[str] | None = None) -> NGramLanguag
         for spec in RELATION_SPECS.values():
             for phrase in domain.tail_phrases(spec.tail_type):
                 corpus.append(f"{spec.template.format(phrase)}.")
-    if extra_sentences:
-        corpus.extend(extra_sentences)
     return NGramLanguageModel().fit(corpus)
 
 
@@ -109,7 +110,7 @@ class KnowledgeFilter:
         first = sentences[0]
         if not first.endswith((".", "!", "?")):
             return False
-        return self.reference_lm.perplexity(first) <= self.config.max_perplexity
+        return self.reference_lm.perplexity(first) <= MAX_PERPLEXITY
 
     def _overlaps_context(self, candidate: KnowledgeCandidate) -> bool:
         """Paraphrase test: does the tail merely restate the *product*?
@@ -128,7 +129,7 @@ class KnowledgeFilter:
         else:
             query_parts, product_parts = [], parts
         for context in product_parts:
-            if normalized_edit_distance(tail, context.lower()) < self.config.max_context_edit_similarity:
+            if normalized_edit_distance(tail, context.lower()) < MAX_CONTEXT_EDIT_SIMILARITY:
                 return True
             if tail_tokens and tail_tokens <= set(tokenize_words(context)):
                 return True
@@ -147,8 +148,8 @@ class KnowledgeFilter:
         generic: set[str] = set()
         for tail, heads in tail_heads.items():
             if (
-                len(heads) >= self.config.generic_min_heads
-                and entropy(heads.values()) >= self.config.generic_min_entropy
+                len(heads) >= GENERIC_MIN_HEADS
+                and entropy(heads.values()) >= GENERIC_MIN_ENTROPY
             ):
                 generic.add(tail)
         return generic
@@ -156,7 +157,7 @@ class KnowledgeFilter:
     def _too_similar(self, candidate: KnowledgeCandidate) -> bool:
         tail = candidate.tail or ""
         for context in candidate.sample.head_text.split(" ||| "):
-            if float(self.encoder.encode(tail) @ self.encoder.encode(context)) > self.config.max_context_cosine:
+            if float(self.encoder.encode(tail) @ self.encoder.encode(context)) > MAX_CONTEXT_COSINE:
                 return True
         return False
 

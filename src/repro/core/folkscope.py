@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from repro.annotation.annotators import AnnotatorPool
 from repro.behavior.cobuy import simulate_cobuy
 from repro.behavior.world import World, WorldConfig
-from repro.core.critic import CriticClassifier, CriticConfig
-from repro.core.filtering import FilterConfig, KnowledgeFilter
+from repro.core.critic import CriticClassifier
+from repro.core.filtering import KnowledgeFilter
 from repro.core.generation import generate_candidates
 from repro.core.kg import KnowledgeGraph
 from repro.core.pipeline import CosmoPipeline
-from repro.core.sampling import SamplingConfig, sample_cobuy, sample_products
+from repro.core.sampling import sample_cobuy, sample_products
 from repro.core.triples import KnowledgeCandidate
 from repro.embeddings.encoder import TextEncoder
 from repro.llm.interface import LatencyModel
@@ -33,6 +33,7 @@ __all__ = ["FolkScopeConfig", "FolkScopeResult", "FolkScopePipeline"]
 
 # FolkScope covers two domains (clothing and electronics in the paper).
 FOLKSCOPE_DOMAINS: tuple[str, str] = ("Clothing, Shoes & Jewelry", "Electronics")
+ANNOTATION_BUDGET = 600
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,6 @@ class FolkScopeConfig:
     seed: int = 0
     world: WorldConfig = field(default_factory=WorldConfig)
     cobuy_pairs_per_domain: int = 120
-    candidates_per_sample: int = 3
-    annotation_budget: int = 600
-    critic: CriticConfig = field(default_factory=CriticConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
 
 
 @dataclass
@@ -88,22 +85,19 @@ class FolkScopePipeline:
         # Restrict to FolkScope's two domains and co-buy only.
         selected = sample_products(world, cobuy, _EmptySearchLog(), 0.8)
         samples = [
-            s for s in sample_cobuy(world, cobuy, selected, SamplingConfig())
+            s for s in sample_cobuy(world, cobuy, selected)
             if s.domain in FOLKSCOPE_DOMAINS
         ]
         teacher = TeacherLLM(world, latency=teacher_latency, seed=cfg.seed)
-        candidates = generate_candidates(
-            world, teacher, samples,
-            candidates_per_sample=cfg.candidates_per_sample, seed=cfg.seed,
-        )
+        candidates = generate_candidates(world, teacher, samples, seed=cfg.seed)
         encoder = TextEncoder(seed=cfg.seed)
-        filtered, _ = KnowledgeFilter(encoder, config=cfg.filter).apply(candidates)
+        filtered, _ = KnowledgeFilter(encoder).apply(candidates)
 
-        annotated = filtered[: cfg.annotation_budget]
+        annotated = filtered[:ANNOTATION_BUDGET]
         annotations = AnnotatorPool(seed=cfg.seed).annotate_batch(
             [(c.candidate_id, c.truth.quality) for c in annotated]
         )
-        critic = CriticClassifier(encoder, config=cfg.critic, seed=cfg.seed)
+        critic = CriticClassifier(encoder, seed=cfg.seed)
         critic.fit(annotated, annotations)
         kept = critic.populate(filtered)
 

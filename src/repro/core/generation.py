@@ -19,6 +19,8 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["build_prompt", "generate_candidates"]
 
+CANDIDATES_PER_SAMPLE = 3       #: teacher continuations harvested per behavior
+
 
 def build_prompt(
     world: World,
@@ -54,24 +56,18 @@ def generate_candidates(
     world: World,
     teacher: TeacherLLM,
     samples: list[BehaviorSample],
-    candidates_per_sample: int = 3,
-    rotate_seed_relations: bool = True,
     seed: int = 0,
 ) -> list[KnowledgeCandidate]:
-    """Harvest raw knowledge candidates for every behavior sample.
-
-    ``rotate_seed_relations`` cycles the four seed relations across
-    samples (the paper prompts with each to diversify generations).
-    """
+    """Harvest ``CANDIDATES_PER_SAMPLE`` raw knowledge candidates for
+    every behavior sample, cycling the four seed relations across samples
+    (the paper prompts with each to diversify generations)."""
     rng = spawn_rng(seed, "generation")
     candidates: list[KnowledgeCandidate] = []
     for index, sample in enumerate(samples):
-        seed_relation = (
-            SEED_RELATIONS[index % len(SEED_RELATIONS)] if rotate_seed_relations else None
-        )
+        seed_relation = SEED_RELATIONS[index % len(SEED_RELATIONS)]
         prompt = build_prompt(world, sample, seed_relation=seed_relation)
         for gen_index, generation in enumerate(
-            teacher.generate_for(prompt, num_candidates=candidates_per_sample)
+            teacher.generate_for(prompt, num_candidates=CANDIDATES_PER_SAMPLE)
         ):
             parsed = parse_predicate(generation.text)
             relation, tail = parsed if parsed else (None, None)

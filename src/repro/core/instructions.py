@@ -29,6 +29,8 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["InstructionExample", "InstructionDataset", "build_instruction_dataset"]
 
+GENERATION_OVERSAMPLE = 4
+
 TASKS: tuple[str, ...] = (
     "generation", "plausibility", "typicality", "copurchase", "search_relevance",
 )
@@ -123,15 +125,13 @@ def build_instruction_dataset(
     world: World,
     candidates: list[KnowledgeCandidate],
     annotations: list[AnnotationResult],
-    negatives_per_positive: int = 1,
-    generation_oversample: int = 4,
     seed: int = 0,
 ) -> InstructionDataset:
     """Convert annotated candidates into the 5-task instruction corpus.
 
-    ``generation_oversample`` repeats each generation demonstration (with
-    a fresh prefix template) so the small student does not drown the
-    generation task under the more numerous yes/no tasks.
+    Each generation demonstration is repeated ``GENERATION_OVERSAMPLE``
+    times (with a fresh prefix template) so the small student does not
+    drown the generation task under the more numerous yes/no tasks.
     """
     if len(candidates) != len(annotations):
         raise ValueError("candidates and annotations must align")
@@ -142,7 +142,7 @@ def build_instruction_dataset(
         relation_name = candidate.relation.value if candidate.relation else None
         # Task 1: generation — typical knowledge becomes a demonstration.
         if annotation.typical and candidate.parsed:
-            for _ in range(generation_oversample):
+            for _ in range(GENERATION_OVERSAMPLE):
                 prompt = _behavior_prompt(candidate.sample, world, rng, "generation")
                 examples.append(
                     InstructionExample(
@@ -179,12 +179,12 @@ def build_instruction_dataset(
     # samples plus sampled negatives (§3.4: annotations identified the
     # irrelevant / random pairs).
     samples = [candidate.sample for candidate in candidates]
-    examples.extend(_copurchase_examples(world, samples, negatives_per_positive, rng))
-    examples.extend(_relevance_examples(world, samples, negatives_per_positive, rng))
+    examples.extend(_copurchase_examples(world, samples, rng))
+    examples.extend(_relevance_examples(world, samples, rng))
     return InstructionDataset(examples=examples)
 
 
-def _copurchase_examples(world, samples, negatives_per_positive, rng):
+def _copurchase_examples(world, samples, rng):
     cobuy_samples = [s for s in samples if s.behavior == "co-buy"]
     out: list[InstructionExample] = []
     all_products = world.catalog.all()
@@ -202,25 +202,25 @@ def _copurchase_examples(world, samples, negatives_per_positive, rng):
                 relation=None,
             )
         )
-        for _ in range(negatives_per_positive):
-            other = all_products[int(rng.integers(len(all_products)))]
-            if other.product_id in sample.product_ids:
-                continue
-            out.append(
-                InstructionExample(
-                    task="copurchase",
-                    prompt=(f"domain: {sample.domain} products: {product_a.title} "
-                            f"and {other.title} task: copurchase"),
-                    target="no" if other.domain != sample.domain else "yes"
-                    if set(product_a.intent_ids) & set(other.intent_ids) else "no",
-                    domain=sample.domain,
-                    relation=None,
-                )
+        # One sampled negative per positive.
+        other = all_products[int(rng.integers(len(all_products)))]
+        if other.product_id in sample.product_ids:
+            continue
+        out.append(
+            InstructionExample(
+                task="copurchase",
+                prompt=(f"domain: {sample.domain} products: {product_a.title} "
+                        f"and {other.title} task: copurchase"),
+                target="no" if other.domain != sample.domain else "yes"
+                if set(product_a.intent_ids) & set(other.intent_ids) else "no",
+                domain=sample.domain,
+                relation=None,
             )
+        )
     return out
 
 
-def _relevance_examples(world, samples, negatives_per_positive, rng):
+def _relevance_examples(world, samples, rng):
     search_samples = [s for s in samples if s.behavior == "search-buy"]
     out: list[InstructionExample] = []
     all_products = world.catalog.all()
@@ -238,19 +238,19 @@ def _relevance_examples(world, samples, negatives_per_positive, rng):
                 relation=None,
             )
         )
-        for _ in range(negatives_per_positive):
-            other = all_products[int(rng.integers(len(all_products)))]
-            relevant = (
-                query.intent_id is not None and query.intent_id in other.intent_ids
+        # One sampled negative per positive.
+        other = all_products[int(rng.integers(len(all_products)))]
+        relevant = (
+            query.intent_id is not None and query.intent_id in other.intent_ids
+        )
+        out.append(
+            InstructionExample(
+                task="search_relevance",
+                prompt=(f"domain: {sample.domain} query: {query.text} "
+                        f"product: {other.title} task: search relevance"),
+                target="yes" if relevant else "no",
+                domain=sample.domain,
+                relation=None,
             )
-            out.append(
-                InstructionExample(
-                    task="search_relevance",
-                    prompt=(f"domain: {sample.domain} query: {query.text} "
-                            f"product: {other.title} task: search relevance"),
-                    target="yes" if relevant else "no",
-                    domain=sample.domain,
-                    relation=None,
-                )
-            )
+        )
     return out

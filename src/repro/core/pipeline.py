@@ -23,13 +23,13 @@ from repro.behavior.searchbuy import SearchBuyLog, simulate_searchbuy
 from repro.behavior.world import World, WorldConfig
 from repro.core.annotation_sampling import sample_for_annotation
 from repro.core.cosmo_lm import CosmoLM, CosmoLMConfig
-from repro.core.critic import CriticClassifier, CriticConfig
-from repro.core.filtering import FilterConfig, FilterReport, KnowledgeFilter
+from repro.core.critic import CriticClassifier
+from repro.core.filtering import FilterReport, KnowledgeFilter
 from repro.core.generation import generate_candidates
 from repro.core.instructions import InstructionDataset, build_instruction_dataset
 from repro.core.kg import KnowledgeGraph
 from repro.core.relations import parse_predicate
-from repro.core.sampling import SamplingConfig, sample_cobuy, sample_products, sample_searchbuy
+from repro.core.sampling import sample_cobuy, sample_products, sample_searchbuy
 from repro.core.triples import BehaviorSample, KnowledgeCandidate, KnowledgeTriple
 from repro.embeddings.encoder import TextEncoder
 from repro.llm.interface import LatencyModel
@@ -38,6 +38,8 @@ from repro.obs.tracing import Tracer  # cosmolint: disable=layering
 from repro.utils.rng import spawn_rng
 
 __all__ = ["PipelineConfig", "PipelineResult", "CosmoPipeline"]
+
+_EXPAND_CHUNK = 64      # prompts per COSMO-LM decode batch during expansion
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,7 @@ class PipelineConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
     cobuy_pairs_per_domain: int = 120
     searchbuy_records_per_domain: int = 150
-    candidates_per_sample: int = 3
     annotation_budget: int = 600  # split evenly across the two behaviors
-    uniform_annotation_sampling: bool = False
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
-    critic: CriticConfig = field(default_factory=CriticConfig)
     lm: CosmoLMConfig = field(default_factory=CosmoLMConfig)
     finetune_lm: bool = True
     expand_with_lm: bool = True
@@ -101,14 +98,12 @@ class CosmoPipeline:
     Observability: per-stage spans land on ``tracer`` (timed on simulated
     LLM seconds — the run's only notion of elapsed time — so traces
     replay bit-identically), each carrying its stage's item count as a
-    span attribute.  The tracer defaults to a private instance so the
-    pipeline stays dependency-free for callers that don't care.
+    span attribute.
     """
 
-    def __init__(self, config: PipelineConfig | None = None,
-                 tracer: Tracer | None = None):
+    def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
 
     # ------------------------------------------------------------------
     def run(self) -> PipelineResult:
@@ -144,29 +139,21 @@ class CosmoPipeline:
 
         # 2. Representative behavior sampling (§3.2.1).
         with self.tracer.span("pipeline.behavior_sampling") as span:
-            selected = sample_products(
-                world, cobuy, searchbuy, cfg.sampling.top_product_fraction
-            )
-            samples = sample_cobuy(world, cobuy, selected, cfg.sampling)
-            samples += sample_searchbuy(world, searchbuy, cfg.sampling)
+            selected = sample_products(world, cobuy, searchbuy)
+            samples = sample_cobuy(world, cobuy, selected)
+            samples += sample_searchbuy(world, searchbuy)
             span.set_attribute("samples", len(samples))
 
         # 3. Teacher harvesting (§3.2.2).
         with self.tracer.span("pipeline.teacher_generation") as span:
             teacher = TeacherLLM(world, latency=teacher_latency, seed=cfg.seed)
-            candidates = generate_candidates(
-                world,
-                teacher,
-                samples,
-                candidates_per_sample=cfg.candidates_per_sample,
-                seed=cfg.seed,
-            )
+            candidates = generate_candidates(world, teacher, samples, seed=cfg.seed)
             span.set_attribute("candidates", len(candidates))
 
         # 4. Refinement (§3.3.1).
         with self.tracer.span("pipeline.filtering") as span:
             encoder = TextEncoder(seed=cfg.seed)
-            knowledge_filter = KnowledgeFilter(encoder, config=cfg.filter)
+            knowledge_filter = KnowledgeFilter(encoder)
             filtered, filter_report = knowledge_filter.apply(candidates)
             span.set_attribute("kept", len(filtered))
 
@@ -181,7 +168,6 @@ class CosmoPipeline:
                     cobuy,
                     searchbuy,
                     budget=per_behavior_budget,
-                    uniform=cfg.uniform_annotation_sampling,
                     seed=cfg.seed,
                 )
             annotators = AnnotatorPool(seed=cfg.seed)
@@ -197,7 +183,7 @@ class CosmoPipeline:
         # is ordered co-buy-then-search-buy, so a positional 85/15 split would
         # evaluate on a single behavior; shuffle with the run seed first.
         with self.tracer.span("pipeline.critic") as span:
-            critic = CriticClassifier(encoder, config=cfg.critic, seed=cfg.seed)
+            critic = CriticClassifier(encoder, seed=cfg.seed)
             order = spawn_rng(cfg.seed, "critic-split").permutation(len(annotated_candidates))
             shuffled_candidates = [annotated_candidates[i] for i in order]
             shuffled_annotations = [annotations[i] for i in order]
@@ -285,13 +271,12 @@ class CosmoPipeline:
         cosmo_lm: CosmoLM,
         critic: CriticClassifier,
         samples: list[BehaviorSample],
-        chunk: int = 64,
     ) -> list[KnowledgeTriple]:
         """COSMO-LM expansion: generate knowledge for every sampled
         behavior, score with the critic, keep the plausible edges."""
         triples: list[KnowledgeTriple] = []
-        for start in range(0, len(samples), chunk):
-            batch = samples[start : start + chunk]
+        for start in range(0, len(samples), _EXPAND_CHUNK):
+            batch = samples[start : start + _EXPAND_CHUNK]
             prompts = [cosmo_lm.prompt_for_sample(world, s) for s in batch]
             generations = cosmo_lm.generate_batch(prompts).require()
             candidates = []

@@ -17,6 +17,8 @@ from repro.core.relations import Relation, TailType
 
 __all__ = ["DiscoveredRelation", "RelationDiscovery"]
 
+MAX_EXAMPLES = 3        #: example tails kept per mined relation (Table 2's column)
+
 # Surface predicate patterns to mine, longest first.  Each maps to the
 # canonical relation *family*; the final relation is disambiguated by the
 # tail's lexical type.
@@ -69,16 +71,15 @@ class DiscoveredRelation:
     relation: Relation
     tail_type: TailType | None
     pattern: str
-    count: int = 0
-    examples: list[str] = field(default_factory=list)
+    count: int = field(default=0, init=False)
+    examples: list[str] = field(default_factory=list, init=False)
 
 
 class RelationDiscovery:
     """Mines predicate patterns and canonicalizes them into relations."""
 
-    def __init__(self, min_count: int = 2, max_examples: int = 3):
+    def __init__(self, min_count: int = 2):
         self.min_count = min_count
-        self.max_examples = max_examples
         self._tail_lexicon = self._build_tail_lexicon()
 
     @staticmethod
@@ -131,7 +132,7 @@ class RelationDiscovery:
                 record.count += 1
                 if tail_type is not None and record.tail_type is None:
                     record.tail_type = tail_type
-                if len(record.examples) < self.max_examples and tail not in record.examples:
+                if len(record.examples) < MAX_EXAMPLES and tail not in record.examples:
                     record.examples.append(tail)
                 break  # longest pattern wins; stop scanning
         mined = [r for r in found.values() if r.count >= self.min_count]

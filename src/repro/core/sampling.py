@@ -29,16 +29,17 @@ __all__ = ["SamplingConfig", "sample_products", "sample_cobuy", "sample_searchbu
 
 from dataclasses import dataclass
 
+#: A query scoring at most this on the specificity service is *broad*.
+BROAD_SPECIFICITY_MAX = 0.51
+
 
 @dataclass(frozen=True)
 class SamplingConfig:
     """Thresholds for behavior-pair selection."""
 
-    top_product_fraction: float = 0.6
     min_type_pair_count: int = 2
     min_clicks: int = 2
     min_purchase_rate: float = 0.2
-    broad_specificity_max: float = 0.51
     low_engagement_fraction: float = 0.15
 
 
@@ -129,7 +130,7 @@ def sample_searchbuy(
             clicks >= config.min_clicks
             and searchbuy.purchase_rate(record.query_id) >= config.min_purchase_rate
         )
-        broad_enough = world.specificity.score(query) <= config.broad_specificity_max
+        broad_enough = world.specificity.score(query) <= BROAD_SPECIFICITY_MAX
         if engaged and broad_enough:
             accepted = True
         elif not engaged and low_engagement_budget > 0:

@@ -40,8 +40,8 @@ class KnowledgeCandidate:
     tail: str | None = None
     truth: GenerationTruth | None = None
     # Populated by the critic stage.
-    plausibility_score: float | None = None
-    typicality_score: float | None = None
+    plausibility_score: float | None = field(default=None, init=False)
+    typicality_score: float | None = field(default=None, init=False)
 
     @property
     def parsed(self) -> bool:

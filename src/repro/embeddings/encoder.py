@@ -20,22 +20,17 @@ __all__ = ["TextEncoder"]
 
 #: Texts cached before the cache is cleared and refilled.
 _CACHE_SIZE = 50_000
+_BUCKETS = 2048     # width of the hashed bag-of-n-grams the projection reads
 
 
 class TextEncoder:
     """Deterministic text → dense-vector encoder with an LRU-ish cache."""
 
-    def __init__(
-        self,
-        dim: int = 64,
-        buckets: int = 2048,
-        seed: int = 0,
-    ):
+    def __init__(self, dim: int = 64, seed: int = 0):
         self.dim = dim
-        self.buckets = buckets
         rng = spawn_rng(seed, "text-encoder")
         # Sparse random projection: dense Gaussian is fine at this width.
-        self._projection = rng.normal(size=(buckets, dim)) / np.sqrt(dim)
+        self._projection = rng.normal(size=(_BUCKETS, dim)) / np.sqrt(dim)
         self._cache: dict[str, np.ndarray] = {}
 
     def encode(self, text: str) -> np.ndarray:
@@ -43,7 +38,7 @@ class TextEncoder:
         cached = self._cache.get(text)
         if cached is not None:
             return cached
-        bow = hashed_bow(text, buckets=self.buckets)
+        bow = hashed_bow(text, buckets=_BUCKETS)
         dense = bow @ self._projection
         norm = np.linalg.norm(dense)
         if norm > 0:
@@ -71,8 +66,7 @@ class TextEncoder:
             order: dict[str, int] = {}
             for index in missing:
                 order.setdefault(texts[index], len(order))
-            bows = np.stack([hashed_bow(text, buckets=self.buckets)
-                             for text in order])
+            bows = np.stack([hashed_bow(text, buckets=_BUCKETS) for text in order])
             dense = bows @ self._projection
             norms = np.linalg.norm(dense, axis=1, keepdims=True)
             dense = dense / np.where(norms > 0, norms, 1.0)

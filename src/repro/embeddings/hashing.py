@@ -17,12 +17,7 @@ def hash_token(token: str, buckets: int, salt: str = "") -> int:
     return int.from_bytes(digest[:8], "little") % buckets
 
 
-def hashed_bow(
-    text: str,
-    buckets: int = 2048,
-    use_bigrams: bool = True,
-    salt: str = "",
-) -> np.ndarray:
+def hashed_bow(text: str, buckets: int, salt: str = "") -> np.ndarray:
     """Hashed bag-of-words (plus bigrams) vector, L2-normalized.
 
     Deterministic, vocabulary-free featurization: the backbone of the
@@ -32,9 +27,8 @@ def hashed_bow(
     tokens = tokenize_words(text)
     for token in tokens:
         vector[hash_token(token, buckets, salt)] += 1.0
-    if use_bigrams:
-        for left, right in zip(tokens, tokens[1:]):
-            vector[hash_token(f"{left}_{right}", buckets, salt)] += 1.0
+    for left, right in zip(tokens, tokens[1:]):
+        vector[hash_token(f"{left}_{right}", buckets, salt)] += 1.0
     norm = np.linalg.norm(vector)
     if norm > 0:
         vector /= norm

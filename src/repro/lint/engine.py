@@ -50,9 +50,9 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 class LintResult:
     """Outcome of one lint run."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
-    suppressed: int = 0
+    diagnostics: list[Diagnostic] = field(default_factory=list, init=False)
+    suppressed: int = field(default=0, init=False)
 
     @property
     def ok(self) -> bool:
@@ -111,19 +111,17 @@ def _build_context(path: Path, display_path: str, source: str,
 
 def lint_source(
     source: str,
-    display_path: str = "<string>",
-    in_package: bool = False,
-    rule_classes: Iterable[type[LintRule]] | None = None,
+    display_path: str,
+    in_package: bool,
+    rule_classes: Iterable[type[LintRule]],
 ) -> LintResult:
-    """Lint one in-memory module with the file rules (rule-test entry point)."""
+    """Lint one in-memory module with ``rule_classes`` (rule-test entry point)."""
     context = FileContext(
         display_path=display_path,
         source=source,
         in_package=in_package,
         parts=tuple(Path(display_path).parts),
     )
-    if rule_classes is None:
-        rule_classes = [cls for cls in all_rules() if cls.scope == "file"]  # type: ignore[misc]
     result, _tree, _suppressions = _lint_context(context, rule_classes)
     return result.finalize()
 

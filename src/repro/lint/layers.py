@@ -37,7 +37,7 @@ class Architecture:
 
     root: str
     allowed: dict[str, frozenset[str]]
-    shared_modules: frozenset[str] = field(default_factory=frozenset)
+    shared_modules: frozenset[str]
 
     def package_of(self, module: str) -> str | None:
         """First-level package of ``module``, or None outside ``root``."""

@@ -59,11 +59,11 @@ class GenerationBatch:
 
     generations: list[Generation | None]
     attempts: int = 1
-    retries: int = 0
     errors: int = 0
-    rejected: int = 0
-    breaker_refused: bool = False
-    wait_s: float = 0.0
+    retries: int = field(default=0, init=False)
+    rejected: int = field(default=0, init=False)
+    breaker_refused: bool = field(default=False, init=False)
+    wait_s: float = field(default=0.0, init=False)
 
     def __len__(self) -> int:
         return len(self.generations)
@@ -107,24 +107,29 @@ class KnowledgeGenerator(Protocol):
         ...  # pragma: no cover
 
 
+#: Calibrates the linear latency model: OPT-30b at ~0.45 s/token and a
+#: 7M-parameter student at ~0.1 ms/token, the orders-of-magnitude gap that
+#: drives the paper's serving design.
+SECONDS_PER_TOKEN_PER_BILLION_PARAMS = 0.015
+OVERHEAD_S = 0.002
+
+# Shared by both student architectures.
+BATCH_SIZE = 32
+MAX_PROMPT_LEN = 44        #: tokens of a training prompt kept (the GRU LM: of the pair)
+MAX_NEW_TOKENS = 14        #: decoding budget, and the cap on a training target
+LABELS = ("yes", "no")     #: what ``classify`` chooses between
+
+
 @dataclass
 class LatencyModel:
-    """Simulated per-token inference latency.
+    """Simulated per-token inference latency."""
 
-    ``seconds_per_token_per_billion_params`` calibrates the linear model;
-    the default puts OPT-30b at ~0.45 s/token and a 7M-parameter student
-    at ~0.1 ms/token, preserving the orders-of-magnitude gap that drives
-    the paper's serving design.
-    """
-
-    seconds_per_token_per_billion_params: float = 0.015
-    overhead_s: float = 0.002
     total_simulated_s: float = field(default=0.0, init=False)
 
     def charge(self, parameter_count: int, tokens: int) -> float:
         """Account for one generation; returns its simulated latency."""
         billions = parameter_count / 1e9
-        latency = self.overhead_s + tokens * billions * self.seconds_per_token_per_billion_params
+        latency = OVERHEAD_S + tokens * billions * SECONDS_PER_TOKEN_PER_BILLION_PARAMS
         self.total_simulated_s += latency
         return latency
 

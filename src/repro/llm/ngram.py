@@ -18,26 +18,17 @@ __all__ = ["NGramLanguageModel"]
 
 _BOS = "<s>"
 _EOS = "</s>"
+ORDER = 3
+ADD_K = 0.1
+INTERPOLATION = (0.2, 0.3, 0.5)     #: unigram, bigram, trigram weights; sums to 1
 
 
 class NGramLanguageModel:
     """Interpolated unigram/bigram/trigram LM with add-k smoothing."""
 
-    def __init__(
-        self,
-        order: int = 3,
-        add_k: float = 0.1,
-        interpolation: tuple[float, ...] = (0.2, 0.3, 0.5),
-    ):
-        if order != len(interpolation):
-            raise ValueError("interpolation weights must match the order")
-        if abs(sum(interpolation) - 1.0) > 1e-9:
-            raise ValueError("interpolation weights must sum to 1")
-        self.order = order
-        self.add_k = add_k
-        self.interpolation = interpolation
-        self._counts: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(order)]
-        self._context_counts: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(order)]
+    def __init__(self):
+        self._counts: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(ORDER)]
+        self._context_counts: list[Counter[tuple[str, ...]]] = [Counter() for _ in range(ORDER)]
         self._vocab: set[str] = set()
         self._fitted = False
 
@@ -46,7 +37,7 @@ class NGramLanguageModel:
         for sentence in corpus:
             tokens = self._pad(tokenize_words(sentence))
             self._vocab.update(tokens)
-            for n in range(1, self.order + 1):
+            for n in range(1, ORDER + 1):
                 for i in range(len(tokens) - n + 1):
                     gram = tuple(tokens[i : i + n])
                     self._counts[n - 1][gram] += 1
@@ -55,14 +46,14 @@ class NGramLanguageModel:
         return self
 
     def _pad(self, tokens: list[str]) -> list[str]:
-        return [_BOS] * (self.order - 1) + tokens + [_EOS]
+        return [_BOS] * (ORDER - 1) + tokens + [_EOS]
 
     def _ngram_prob(self, gram: tuple[str, ...]) -> float:
         n = len(gram)
         count = self._counts[n - 1][gram]
         context = self._context_counts[n - 1][gram[:-1]]
         vocab_size = max(len(self._vocab), 1)
-        return (count + self.add_k) / (context + self.add_k * vocab_size)
+        return (count + ADD_K) / (context + ADD_K * vocab_size)
 
     def log_prob(self, text: str) -> float:
         """Total interpolated log probability (natural log) of ``text``."""
@@ -70,11 +61,11 @@ class NGramLanguageModel:
             raise RuntimeError("fit() must be called before scoring")
         tokens = self._pad(tokenize_words(text))
         total = 0.0
-        for i in range(self.order - 1, len(tokens)):
+        for i in range(ORDER - 1, len(tokens)):
             prob = 0.0
-            for n in range(1, self.order + 1):
+            for n in range(1, ORDER + 1):
                 gram = tuple(tokens[i - n + 1 : i + 1])
-                prob += self.interpolation[n - 1] * self._ngram_prob(gram)
+                prob += INTERPOLATION[n - 1] * self._ngram_prob(gram)
             total += math.log(max(prob, 1e-12))
         return total
 

@@ -16,7 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.llm.interface import Generation, GenerationBatch, LatencyModel
+from repro.llm.interface import (
+    BATCH_SIZE,
+    LABELS,
+    MAX_NEW_TOKENS,
+    MAX_PROMPT_LEN,
+    Generation,
+    GenerationBatch,
+    LatencyModel,
+)
 from repro.llm.tokenizer import Tokenizer
 from repro.nn import (
     GRU,
@@ -38,6 +46,7 @@ __all__ = ["Seq2SeqLM"]
 
 _NEG_INF = -1e9
 _EPS = 1e-9
+_TOP_K = 8
 
 
 class Seq2SeqLM(Module):
@@ -46,16 +55,16 @@ class Seq2SeqLM(Module):
     def __init__(
         self,
         tokenizer: Tokenizer,
-        embed_dim: int = 48,
-        hidden_dim: int = 96,
-        name: str = "cosmo-lm-seq2seq",
-        seed: int = 0,
-        latency: LatencyModel | None = None,
+        embed_dim: int,
+        hidden_dim: int,
+        name: str,
+        seed: int,
+        latency: LatencyModel,
     ):
         super().__init__()
         self.tokenizer = tokenizer
         self.name = name
-        self.latency = latency or LatencyModel()
+        self.latency = latency
         self.hidden_dim = hidden_dim
         rng = spawn_rng(seed, f"seq2seq:{name}")
         vocab = len(tokenizer)
@@ -121,8 +130,8 @@ class Seq2SeqLM(Module):
         """One decoder step; returns (probs, new state, weights, gate)."""
         context, weights = self._attend(enc_states, enc_proj, state, mask, prev_weights)
         step_embed = self.embedding(prev_ids)
-        state = self.decoder_cell(Tensor.concat([step_embed, context], axis=-1), state)
-        features = self.feature_dropout(Tensor.concat([state, context], axis=-1))
+        state = self.decoder_cell(Tensor.concat([step_embed, context]), state)
+        features = self.feature_dropout(Tensor.concat([state, context]))
         vocab_probs = softmax(self.output(features), axis=-1)
         copy_weights = weights.reshape(weights.shape[0], weights.shape[1])
         copy_probs = vocab_scatter(copy_weights, prompt_ids, len(self.tokenizer))
@@ -134,17 +143,13 @@ class Seq2SeqLM(Module):
     def fit(
         self,
         pairs: list[tuple[str, str]],
-        epochs: int = 8,
-        batch_size: int = 32,
+        epochs: int,
         lr: float = 4e-3,
-        max_len: int = 40,
-        max_target_len: int = 14,
-        verbose: bool = False,
     ) -> list[float]:
         """Teacher-forced finetuning; returns per-epoch mean loss."""
         tok = self.tokenizer
         data = [
-            (prompt, tok.encode(target)[:max_target_len] + [tok.eos_id])
+            (prompt, tok.encode(target)[:MAX_NEW_TOKENS] + [tok.eos_id])
             for prompt, target in pairs
         ]
         optimizer = Adam(self.parameters(), lr=lr)
@@ -155,7 +160,7 @@ class Seq2SeqLM(Module):
             # chunks by target length so one-token classification targets
             # do not pay a 15-step decoder unroll.
             order = self._train_rng.permutation(len(data))
-            chunk = batch_size * 16
+            chunk = BATCH_SIZE * 16
             bucketed: list[int] = []
             for start in range(0, len(order), chunk):
                 segment = sorted(order[start : start + chunk],
@@ -163,9 +168,9 @@ class Seq2SeqLM(Module):
                 bucketed.extend(segment)
             order = bucketed
             epoch_loss, batches = 0.0, 0
-            for start in range(0, len(order), batch_size):
-                batch = [data[i] for i in order[start : start + batch_size]]
-                loss = self._batch_loss(batch, max_len)
+            for start in range(0, len(order), BATCH_SIZE):
+                batch = [data[i] for i in order[start : start + BATCH_SIZE]]
+                loss = self._batch_loss(batch)
                 optimizer.zero_grad()
                 loss.backward()
                 clip_grad_norm(self.parameters(), 5.0)
@@ -173,16 +178,14 @@ class Seq2SeqLM(Module):
                 epoch_loss += loss.item()
                 batches += 1
             losses.append(epoch_loss / max(batches, 1))
-            if verbose:  # pragma: no cover - logging aid
-                print(f"epoch loss {losses[-1]:.4f}")
         self.eval()
         return losses
 
-    def _batch_loss(self, batch: list[tuple[str, list[int]]], max_len: int) -> Tensor:
+    def _batch_loss(self, batch: list[tuple[str, list[int]]]) -> Tensor:
         tok = self.tokenizer
         prompts = [prompt for prompt, _ in batch]
         targets = [ids for _, ids in batch]
-        enc_states, state, mask, prompt_ids = self._encode_prompts(prompts, max_prompt_len=max_len)
+        enc_states, state, mask, prompt_ids = self._encode_prompts(prompts, max_prompt_len=MAX_PROMPT_LEN)
         enc_proj = self.attn_enc(enc_states)
         width = max(len(ids) for ids in targets)
         target_arr = np.full((len(batch), width), tok.pad_id, dtype=np.int64)
@@ -230,32 +233,30 @@ class Seq2SeqLM(Module):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _sample_top_k(prob_arr: np.ndarray, temperature: float, top_k: int,
+    def _sample_top_k(prob_arr: np.ndarray, temperature: float,
                       rng: np.random.Generator) -> np.ndarray:
         """Sample per row from the temperature-scaled top-k distribution."""
         next_ids = np.zeros(prob_arr.shape[0], dtype=np.int64)
         for row in range(prob_arr.shape[0]):
-            top = np.argpartition(prob_arr[row], -top_k)[-top_k:]
+            top = np.argpartition(prob_arr[row], -_TOP_K)[-_TOP_K:]
             logits = np.log(prob_arr[row, top] + _EPS) / temperature
             logits -= logits.max()
             weights = np.exp(logits)
             weights /= weights.sum()
-            next_ids[row] = top[int(rng.choice(top_k, p=weights))]
+            next_ids[row] = top[int(rng.choice(_TOP_K, p=weights))]
         return next_ids
 
     def decode_batch(
         self,
         prompts: list[str],
-        max_new_tokens: int = 14,
         temperature: float = 0.0,
-        top_k: int = 8,
         rng: np.random.Generator | None = None,
     ) -> list[Generation]:
         """Pointer-attention decoding for a batch of prompts (decoding
         internal).
 
         ``temperature == 0`` is greedy; a positive temperature samples
-        from the top-``top_k`` renormalized distribution (used by
+        from the top-8 renormalized distribution (used by
         sample-and-rerank generation).
         """
         if not prompts:
@@ -270,13 +271,13 @@ class Seq2SeqLM(Module):
             finished = np.zeros(len(prompts), dtype=bool)
             produced: list[list[int]] = [[] for _ in prompts]
             attn = None
-            for _ in range(max_new_tokens):
+            for _ in range(MAX_NEW_TOKENS):
                 probs, state, attn, _gate = self._step(
                     current, state, enc_states, enc_proj, mask, prompt_ids, attn
                 )
                 prob_arr = probs.numpy()
                 if temperature > 0:
-                    next_ids = self._sample_top_k(prob_arr, temperature, top_k, rng)
+                    next_ids = self._sample_top_k(prob_arr, temperature, rng)
                 else:
                     next_ids = prob_arr.argmax(axis=-1)
                 for row, token_id in enumerate(next_ids):
@@ -306,13 +307,6 @@ class Seq2SeqLM(Module):
         """:class:`~repro.llm.interface.KnowledgeGenerator` entrypoint."""
         return GenerationBatch(generations=list(self.decode_batch(prompts)))
 
-    def generate(self, prompt: str, num_candidates: int = 1) -> list[Generation]:
-        """Protocol-compatible single-prompt generation.
-
-        Decoding internal; serving callers use :meth:`generate_batch`.
-        """
-        return [self.decode_batch([prompt])[0] for _ in range(num_candidates)]
-
     # ------------------------------------------------------------------
     def sequence_logprob(self, prompt: str, target: str) -> float:
         """Log p(target | prompt) under teacher forcing."""
@@ -332,7 +326,7 @@ class Seq2SeqLM(Module):
                 current = np.array([target_id], dtype=np.int64)
         return total
 
-    def classify(self, prompt: str, choices: tuple[str, ...] = ("yes", "no")) -> str:
-        """Pick the answer choice with highest conditional likelihood."""
-        scores = {choice: self.sequence_logprob(prompt, choice) for choice in choices}
+    def classify(self, prompt: str) -> str:
+        """Pick the label with highest conditional likelihood."""
+        scores = {choice: self.sequence_logprob(prompt, choice) for choice in LABELS}
         return max(scores, key=scores.get)

@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.llm.interface import Generation, GenerationBatch, LatencyModel
+from repro.llm.interface import (
+    BATCH_SIZE,
+    LABELS,
+    MAX_NEW_TOKENS,
+    MAX_PROMPT_LEN,
+    Generation,
+    GenerationBatch,
+    LatencyModel,
+)
 from repro.llm.tokenizer import Tokenizer
 from repro.nn import GRU, Adam, Embedding, Linear, Module, Tensor, clip_grad_norm, cross_entropy, no_grad
 from repro.nn.functional import log_softmax
@@ -28,16 +36,16 @@ class StudentLM(Module):
     def __init__(
         self,
         tokenizer: Tokenizer,
-        embed_dim: int = 32,
-        hidden_dim: int = 64,
-        name: str = "cosmo-lm-sim",
-        seed: int = 0,
-        latency: LatencyModel | None = None,
+        embed_dim: int,
+        hidden_dim: int,
+        name: str,
+        seed: int,
+        latency: LatencyModel,
     ):
         super().__init__()
         self.tokenizer = tokenizer
         self.name = name
-        self.latency = latency or LatencyModel()
+        self.latency = latency
         rng = spawn_rng(seed, f"student:{name}")
         self.embedding = Embedding(len(tokenizer), embed_dim, rng, padding_idx=tokenizer.pad_id)
         self.gru = GRU(embed_dim, hidden_dim, rng)
@@ -69,23 +77,19 @@ class StudentLM(Module):
     def fit(
         self,
         pairs: list[tuple[str, str]],
-        epochs: int = 3,
-        batch_size: int = 32,
+        epochs: int,
         lr: float = 3e-3,
-        max_len: int = 40,
-        verbose: bool = False,
     ) -> list[float]:
         """Teacher-forced instruction finetuning; returns per-epoch loss."""
-        tok = self.tokenizer
-        encoded = [self._encode_pair(p, t, max_len) for p, t in pairs]
+        encoded = [self._encode_pair(p, t, MAX_PROMPT_LEN) for p, t in pairs]
         optimizer = Adam(self.parameters(), lr=lr)
         losses: list[float] = []
         self.train()
         for _ in range(epochs):
             order = self._train_rng.permutation(len(encoded))
             epoch_loss, n_batches = 0.0, 0
-            for start in range(0, len(order), batch_size):
-                batch = [encoded[i] for i in order[start : start + batch_size]]
+            for start in range(0, len(order), BATCH_SIZE):
+                batch = [encoded[i] for i in order[start : start + BATCH_SIZE]]
                 loss = self._batch_loss(batch)
                 optimizer.zero_grad()
                 loss.backward()
@@ -94,8 +98,6 @@ class StudentLM(Module):
                 epoch_loss += loss.item()
                 n_batches += 1
             losses.append(epoch_loss / max(n_batches, 1))
-            if verbose:  # pragma: no cover - logging aid
-                print(f"epoch loss {losses[-1]:.4f}")
         self.eval()
         return losses
 
@@ -132,7 +134,7 @@ class StudentLM(Module):
         _, state = self.gru(embedded, mask=mask)
         return state
 
-    def decode_batch(self, prompts: list[str], max_new_tokens: int = 14) -> list[Generation]:
+    def decode_batch(self, prompts: list[str]) -> list[Generation]:
         """Greedy decode for a batch of prompts (decoding internal).
 
         The primed state has already consumed ``<sep>``, so the first
@@ -146,7 +148,7 @@ class StudentLM(Module):
             state = self._prime(prompts)
             finished = np.zeros(len(prompts), dtype=bool)
             produced: list[list[int]] = [[] for _ in prompts]
-            for _ in range(max_new_tokens):
+            for _ in range(MAX_NEW_TOKENS):
                 logits = self.output(state).numpy()
                 next_ids = logits.argmax(axis=-1)
                 for row, token_id in enumerate(next_ids):
@@ -177,13 +179,6 @@ class StudentLM(Module):
         """:class:`~repro.llm.interface.KnowledgeGenerator` entrypoint."""
         return GenerationBatch(generations=list(self.decode_batch(prompts)))
 
-    def generate(self, prompt: str, num_candidates: int = 1) -> list[Generation]:
-        """Protocol-compatible single-prompt generation (greedy).
-
-        Decoding internal; serving callers use :meth:`generate_batch`.
-        """
-        return [self.decode_batch([prompt])[0] for _ in range(num_candidates)]
-
     def sequence_logprob(self, prompt: str, target: str) -> float:
         """Log probability of ``target`` given ``prompt`` (label scoring)."""
         tok = self.tokenizer
@@ -192,13 +187,13 @@ class StudentLM(Module):
             seq = np.asarray(ids, dtype=np.int64)
             embedded = self.embedding(seq[None, :-1])
             hidden, _ = self.gru(embedded)
-            logp = log_softmax(self.output(hidden), axis=-1).numpy()[0]
+            logp = log_softmax(self.output(hidden)).numpy()[0]
         total = 0.0
         for position in range(sep_pos, len(ids) - 1):
             total += float(logp[position, ids[position + 1]])
         return total
 
-    def classify(self, prompt: str, choices: tuple[str, ...] = ("yes", "no")) -> str:
-        """Pick the answer choice with highest conditional likelihood."""
-        scores = {choice: self.sequence_logprob(prompt, choice) for choice in choices}
+    def classify(self, prompt: str) -> str:
+        """Pick the label with highest conditional likelihood."""
+        scores = {choice: self.sequence_logprob(prompt, choice) for choice in LABELS}
         return max(scores, key=scores.get)

@@ -44,19 +44,18 @@ QUALITY_MIX: dict[str, dict[str, float]] = {
 class TeacherLLM:
     """Quality-mixture generator conditioned on world ground truth."""
 
+    name = "opt-30b-sim"
+    parameter_count = 30_000_000_000
+
     def __init__(
         self,
         world: World,
-        name: str = "opt-30b-sim",
-        parameter_count: int = 30_000_000_000,
         latency: LatencyModel | None = None,
         seed: int = 0,
     ):
         self.world = world
-        self.name = name
-        self.parameter_count = parameter_count
         self.latency = latency or LatencyModel()
-        self._rng = spawn_rng(seed, f"teacher:{name}")
+        self._rng = spawn_rng(seed, f"teacher:{self.name}")
 
     # ------------------------------------------------------------------
     def generate_for(self, prompt: BehaviorPrompt, num_candidates: int = 3) -> list[Generation]:
@@ -90,21 +89,16 @@ class TeacherLLM:
         :class:`~repro.serving.deployment.CosmoService` without an
         adapter — the expensive comparison arm of Figure 5.
         """
-        return GenerationBatch(
-            generations=[self.generate(prompt)[0] for prompt in prompts]
-        )
+        return GenerationBatch(generations=[self._continue(prompt) for prompt in prompts])
 
-    def generate(self, prompt: str, num_candidates: int = 1) -> list[Generation]:
-        """Protocol-compatible raw continuation (demo / probing use)."""
+    def _continue(self, prompt: str) -> Generation:
+        """Raw continuation of an unstructured prompt."""
         tail = GENERIC_TAILS[int(self._rng.integers(len(GENERIC_TAILS)))]
         text = f"it is {tail}."
         tokens = len(tokenize_words(text))
-        return [
-            Generation(text=text, tokens=tokens,
-                       latency_s=self.latency.charge(self.parameter_count, tokens),
-                       truth=GenerationTruth(quality="generic"))
-            for _ in range(num_candidates)
-        ]
+        return Generation(text=text, tokens=tokens,
+                          latency_s=self.latency.charge(self.parameter_count, tokens),
+                          truth=GenerationTruth(quality="generic"))
 
     # ------------------------------------------------------------------
     # Quality-class compositors

@@ -63,35 +63,24 @@ class Tokenizer:
         return len(self._id_to_token)
 
     # ------------------------------------------------------------------
-    def fit(self, corpus: Iterable[str], min_count: int = 1, max_vocab: int | None = None) -> "Tokenizer":
-        """Build the vocabulary from an iterable of texts."""
+    def fit(self, corpus: Iterable[str]) -> "Tokenizer":
+        """Build the vocabulary from an iterable of texts: every word,
+        most frequent first."""
         counts: Counter[str] = Counter()
         for text in corpus:
             counts.update(tokenize_words(text))
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        if max_vocab is not None:
-            ranked = ranked[: max_vocab - len(self.SPECIALS)]
-        for token, count in ranked:
-            if count >= min_count:
-                self._add(token)
+        for token, _count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
+            self._add(token)
         return self
 
-    def encode(self, text: str, add_eos: bool = False) -> list[int]:
+    def encode(self, text: str) -> list[int]:
         """Token ids for ``text`` (unknown words → UNK)."""
-        ids = [self._token_to_id.get(tok, self.unk_id) for tok in tokenize_words(text)]
-        if add_eos:
-            ids.append(self.eos_id)
-        return ids
+        return [self._token_to_id.get(tok, self.unk_id) for tok in tokenize_words(text)]
 
-    def decode(self, ids: Iterable[int], skip_special: bool = True) -> str:
-        """Text for a sequence of token ids."""
-        tokens = []
-        for token_id in ids:
-            token = self._id_to_token[int(token_id)]
-            if skip_special and token in self.SPECIALS:
-                continue
-            tokens.append(token)
-        return " ".join(tokens)
+    def decode(self, ids: Iterable[int]) -> str:
+        """Text for a sequence of token ids, special tokens dropped."""
+        tokens = [self._id_to_token[int(token_id)] for token_id in ids]
+        return " ".join(token for token in tokens if token not in self.SPECIALS)
 
     def token(self, token_id: int) -> str:
         return self._id_to_token[int(token_id)]

@@ -22,37 +22,32 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+def log_softmax(logits: Tensor) -> Tensor:
+    """Numerically stable log-softmax along the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True).detach()
+    return shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
 
 
 def cross_entropy(
     logits: Tensor,
     targets: np.ndarray,
     weights: np.ndarray | None = None,
-    ignore_index: int | None = None,
 ) -> Tensor:
     """Mean softmax cross-entropy over integer class ``targets``.
 
     ``logits`` has shape ``(..., num_classes)``; ``targets`` has the
-    leading shape.  ``weights`` optionally re-weights each example.
-    ``ignore_index`` positions contribute zero loss (used to mask padding
-    in LM training).
+    leading shape.  ``weights`` optionally re-weights each example (a
+    zero weight masks a padding position in LM training).
     """
     targets = np.asarray(targets, dtype=np.int64)
     flat_logits = logits.reshape(-1, logits.shape[-1])
     flat_targets = targets.reshape(-1)
 
     mask = np.ones(flat_targets.shape[0], dtype=np.float64)
-    if ignore_index is not None:
-        mask = (flat_targets != ignore_index).astype(np.float64)
-        flat_targets = np.where(flat_targets == ignore_index, 0, flat_targets)
     if weights is not None:
         mask = mask * np.asarray(weights, dtype=np.float64).reshape(-1)
 
-    logp = log_softmax(flat_logits, axis=-1)
+    logp = log_softmax(flat_logits)
     rows = np.arange(flat_targets.shape[0])
     picked = logp[rows, flat_targets]
     denom = max(mask.sum(), 1.0)

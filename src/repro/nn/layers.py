@@ -90,12 +90,7 @@ class MLP(Module):
     ``MLP([64, 32, 4], rng)`` is a 64→32→4 network with one hidden layer.
     """
 
-    def __init__(
-        self,
-        sizes: list[int],
-        rng: np.random.Generator,
-        dropout_rate: float = 0.0,
-    ):
+    def __init__(self, sizes: list[int], rng: np.random.Generator):
         super().__init__()
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
@@ -105,8 +100,6 @@ class MLP(Module):
             is_last = index == len(sizes) - 2
             if not is_last:
                 layers.append(ReLU())
-                if dropout_rate > 0:
-                    layers.append(Dropout(dropout_rate, rng))
         self.net = Sequential(*layers)
 
     def forward(self, x: Tensor) -> Tensor:

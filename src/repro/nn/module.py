@@ -14,8 +14,8 @@ __all__ = ["Parameter", "Module"]
 class Parameter(Tensor):
     """A tensor registered as a trainable model parameter."""
 
-    def __init__(self, data, name: str = ""):
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:

@@ -62,15 +62,14 @@ def _as_array(value) -> np.ndarray:
 class Tensor:
     """A numpy array with an optional autograd history."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
-        self.name = name
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -302,14 +301,14 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
+    def mean(self, axis=None):
         if axis is None:
             count = self.data.size
         elif isinstance(axis, tuple):
             count = int(np.prod([self.data.shape[a] for a in axis]))
         else:
             count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / count
+        return self.sum(axis=axis) / count
 
     def max(self, axis=None, keepdims: bool = False):
         out_data = self.data.max(axis=axis, keepdims=keepdims)
@@ -399,18 +398,16 @@ class Tensor:
     # Construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = -1) -> "Tensor":
+    def concat(tensors: Sequence["Tensor"]) -> "Tensor":
+        """Concatenate along the last axis."""
         arrays = [t.data for t in tensors]
-        out_data = np.concatenate(arrays, axis=axis)
-        sizes = [a.shape[axis] for a in arrays]
-        offsets = np.cumsum([0] + sizes)
+        out_data = np.concatenate(arrays, axis=-1)
+        offsets = np.cumsum([0] + [a.shape[-1] for a in arrays])
 
         def backward(grad):
             for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                 if tensor.requires_grad:
-                    index = [slice(None)] * grad.ndim
-                    index[axis] = slice(start, stop)
-                    tensor._accumulate(grad[tuple(index)])
+                    tensor._accumulate(grad[..., start:stop])
 
         return Tensor._make(out_data, tuple(tensors), backward)
 
@@ -425,14 +422,6 @@ class Tensor:
                     tensor._accumulate(slab)
 
         return Tensor._make(out_data, tuple(tensors), backward)
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 def vocab_scatter(weights: Tensor, ids: np.ndarray, vocab_size: int) -> Tensor:

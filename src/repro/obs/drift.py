@@ -25,7 +25,7 @@ numpy, no clock, no registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.obs.kg_health import KgHealthReport
@@ -117,7 +117,7 @@ class DriftBreach:
     metric: str
     value: float
     threshold: float
-    state: str = "firing"
+    state: str = field(default="firing", init=False)
 
     def as_dict(self) -> dict:
         return {

@@ -177,10 +177,10 @@ class Alert:
     objective: str
     state: str
     pending_ts: float
-    firing_ts: float | None = None
-    resolved_ts: float | None = None
-    peak_burn_rate: float = 0.0
-    event_ids: list[int] = field(default_factory=list)
+    peak_burn_rate: float
+    firing_ts: float | None = field(default=None, init=False)
+    resolved_ts: float | None = field(default=None, init=False)
+    event_ids: list[int] = field(default_factory=list, init=False)
 
     def as_dict(self) -> dict:
         return {

@@ -45,6 +45,7 @@ __all__ = [
 TIMELINE_SCHEMA = "repro.obs.timeseries/v1"
 
 _KINDS = ("rate", "percentile")
+_PERCENTILES = (50.0, 99.0)
 
 
 class Series:
@@ -86,8 +87,8 @@ class TimeSeriesCollector:
     """Grid-aligned scraper of one registry into bounded series.
 
     ``interval_s`` sets the scrape grid (``k * interval_s`` timestamps);
-    ``capacity`` bounds every series' retained points; ``percentiles``
-    picks which windowed quantiles each histogram child yields.  Metric
+    ``capacity`` bounds every series' retained points; each histogram
+    child yields its windowed p50 and p99.  Metric
     children that appear mid-run simply start their series at the next
     scrape; a counter's first rate point treats its pre-monitoring value
     as having accrued over one interval.
@@ -96,21 +97,16 @@ class TimeSeriesCollector:
     def __init__(
         self,
         registry: MetricsRegistry,
-        interval_s: float = 1.0,
+        interval_s: float,
         capacity: int = 720,
-        percentiles: tuple[float, ...] = (50.0, 99.0),
     ):
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        for q in percentiles:
-            if not 0.0 <= q <= 100.0:
-                raise ValueError(f"percentile must be in [0, 100], got {q}")
         self.registry = registry
         self.interval_s = float(interval_s)
         self.capacity = capacity
-        self.percentiles = tuple(percentiles)
         self.scrapes = 0
         self.last_scrape_ts: float | None = None
         self._series: dict[str, Series] = {}
@@ -155,7 +151,7 @@ class TimeSeriesCollector:
                     previous_h = self._prev_histograms.get(key)
                     window = (child.delta(previous_h) if previous_h is not None
                               else child)
-                    for q in self.percentiles:
+                    for q in _PERCENTILES:
                         self._record(f"{key}:p{q:g}", "percentile", ts,
                                      window.percentile(q))
                     self._record(f"{key}:rate", "rate", ts,

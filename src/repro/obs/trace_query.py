@@ -79,7 +79,7 @@ class TraceNode:
     process: str
     ref: str
     span: Span
-    children: list["TraceNode"] = field(default_factory=list)
+    children: list["TraceNode"] = field(default_factory=list, init=False)
 
     @property
     def name(self) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.behavior.world import World
 from repro.core.critic import CriticClassifier
 from repro.core.filtering import KnowledgeFilter
-from repro.core.generation import generate_candidates
+from repro.core.generation import CANDIDATES_PER_SAMPLE, generate_candidates
 from repro.core.kg import KnowledgeGraph
 from repro.core.triples import BehaviorSample, KnowledgeCandidate
 from repro.llm.teacher import TeacherLLM
@@ -32,17 +32,14 @@ __all__ = ["RefreshConfig", "RefreshReport", "KnowledgeRefresher"]
 
 @dataclass(frozen=True)
 class RefreshConfig:
-    """Scale and cost knobs for one refresher."""
+    """Seed and cost bound for one refresher."""
 
-    candidates_per_sample: int = 3
+    seed: int
     #: Max teacher generations per round (None = unbounded).  Samples
     #: whose generations would exceed it are deferred to the next round.
     llm_call_budget: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.candidates_per_sample < 1:
-            raise ValueError("candidates_per_sample must be at least 1")
         if self.llm_call_budget is not None and self.llm_call_budget < 1:
             raise ValueError("llm_call_budget must be positive when set")
 
@@ -95,13 +92,13 @@ class KnowledgeRefresher:
         teacher: TeacherLLM,
         knowledge_filter: KnowledgeFilter,
         critic: CriticClassifier,
-        config: RefreshConfig | None = None,
+        config: RefreshConfig,
     ):
         self.world = world
         self.teacher = teacher
         self.filter = knowledge_filter
         self.critic = critic
-        self.config = config or RefreshConfig()
+        self.config = config
         self.rounds = 0
         self.deferred: list[BehaviorSample] = []
 
@@ -119,7 +116,7 @@ class KnowledgeRefresher:
         cfg = self.config
         queue = self.deferred + list(samples)
         if cfg.llm_call_budget is not None:
-            max_samples = max(1, cfg.llm_call_budget // cfg.candidates_per_sample)
+            max_samples = max(1, cfg.llm_call_budget // CANDIDATES_PER_SAMPLE)
             batch, self.deferred = queue[:max_samples], queue[max_samples:]
         else:
             batch, self.deferred = queue, []
@@ -128,7 +125,6 @@ class KnowledgeRefresher:
             self.world,
             self.teacher,
             batch,
-            candidates_per_sample=cfg.candidates_per_sample,
             seed=cfg.seed + self.rounds,
         )
         survivors, _filter_report = self.filter.apply(candidates)
@@ -160,7 +156,7 @@ class KnowledgeRefresher:
             samples_in=len(queue),
             samples_processed=len(batch),
             samples_deferred=len(self.deferred),
-            llm_calls=len(batch) * cfg.candidates_per_sample,
+            llm_calls=len(batch) * CANDIDATES_PER_SAMPLE,
             candidates=len(candidates),
             survivors=len(survivors),
             kept=len(kept),

@@ -83,12 +83,14 @@ class SnapshotGenerator:
         return GenerationBatch(generations=outputs)
 
 
-def rollout_slo_specs(
-    scrape_interval_s: float,
-    latency_slo_s: float = 0.25,
-    availability_target: float = 0.99,
-    latency_target: float = 0.95,
-) -> list[SloSpec]:
+#: The objectives a rollout is guarded by, and their targets.
+GUARDED = ("availability", "latency-p99")
+_AVAILABILITY_TARGET = 0.99
+_LATENCY_SLO_S = 0.25
+_LATENCY_TARGET = 0.95
+
+
+def rollout_slo_specs(scrape_interval_s: float) -> list[SloSpec]:
     """The two objectives a rollout is guarded by.
 
     Windows are expressed in scrape intervals (the guard can only act
@@ -105,20 +107,20 @@ def rollout_slo_specs(
     served = ("serving_served_fresh_total", "serving_degraded_serves_total")
     return [
         SloSpec(
-            name="availability",
+            name=GUARDED[0],
             description="requests answered with knowledge (fresh or degraded)",
-            target=availability_target,
+            target=_AVAILABILITY_TARGET,
             good=MetricSum(served),
             total=MetricSum(served + ("serving_fallbacks_total",)),
             windows=windows,
             for_s=hold, resolve_after_s=release, event_lookback_s=lookback,
         ),
         SloSpec(
-            name="latency-p99",
-            description=f"end-to-end latency under {latency_slo_s:g}s",
-            target=latency_target,
+            name=GUARDED[1],
+            description=f"end-to-end latency under {_LATENCY_SLO_S:g}s",
+            target=_LATENCY_TARGET,
             good=MetricSum(("cluster_request_latency_seconds",),
-                           le=latency_slo_s),
+                           le=_LATENCY_SLO_S),
             total=MetricSum(("cluster_request_latency_seconds",)),
             windows=windows,
             for_s=hold, resolve_after_s=release, event_lookback_s=lookback,
@@ -172,9 +174,10 @@ class RolloutController:
     """Tick-driven blue/green rollout with automatic SLO rollback.
 
     ``target`` must carry a parent version registered in ``store`` —
-    the rollback destination.  ``guarded`` names the evaluator
+    the rollback destination.  ``GUARDED`` names the evaluator
     objectives whose pending/firing alerts abort the rollout; they must
-    exist in the evaluator so a typo cannot silently disable the guard.
+    exist in the evaluator so a renamed spec cannot silently disable the
+    guard.
     ``quality_gate`` is anything with
     ``assess(snapshot) -> GateDecision`` — normally a
     :class:`~repro.refresh.quality.SnapshotQualityGate` — consulted
@@ -188,7 +191,6 @@ class RolloutController:
         store: SnapshotStore,
         target: KgSnapshot,
         evaluator: SloEvaluator,
-        guarded: tuple[str, ...] = ("availability", "latency-p99"),
         quality_gate=None,
     ):
         if target.parent is None:
@@ -203,10 +205,9 @@ class RolloutController:
         self.parent = store.get(target.parent)
         self.evaluator = evaluator
         known = {spec.name for spec in evaluator.specs}
-        missing = [name for name in guarded if name not in known]
+        missing = [name for name in GUARDED if name not in known]
         if missing:
             raise ValueError(f"guarded objectives not in evaluator: {missing}")
-        self.guarded = tuple(guarded)
         self.quality_gate = quality_gate
         self.gate_decision = None
         self.state = RolloutState.IDLE
@@ -304,7 +305,7 @@ class RolloutController:
     def _guard_breached(self) -> Alert | None:
         """The first pending/firing alert on a guarded objective, if any."""
         for alert in self.evaluator.alerts():
-            if alert.objective in self.guarded and alert.state in ("pending",
+            if alert.objective in GUARDED and alert.state in ("pending",
                                                                    "firing"):
                 return alert
         return None

@@ -13,8 +13,8 @@ def format_float(value: float, digits: int = 2) -> str:
     return f"{value:.{digits}f}"
 
 
-def format_percent(value: float, digits: int = 1) -> str:
-    return f"{100.0 * value:.{digits}f}%"
+def format_percent(value: float) -> str:
+    return f"{100.0 * value:.1f}%"
 
 
 class Table:

@@ -71,18 +71,21 @@ class Drive:
     report and the expectation functions read all of it back."""
 
     cluster: serving.CosmoCluster | None = None
-    collector: obs.TimeSeriesCollector | None = None
-    evaluator: obs.SloEvaluator | None = None
-    controller: refresh.RolloutController | None = None
     registry: obs.MetricsRegistry | None = None
     tracers: list = field(default_factory=list)     #: ``(process, Tracer)`` pairs
     injectors: list = field(default_factory=list)   #: one per flaky replica
     gap_s: float = 0.005                            #: simulated inter-arrival gap
-    truth: Callable[[str], str] | None = None       #: ground-truth answer per query
-    valid: int = 0                                  #: answers equal to ``truth(query)``
-    violations: int = 0                             #: mixed-version answers served
-    phase_rows: list = field(default_factory=list)  #: (name, requests, served share)
-    artifacts: dict = field(default_factory=dict)   #: key -> rendered payload
+    # What a setup attaches after construction, and the tallies of a run.
+    collector: obs.TimeSeriesCollector | None = field(default=None, init=False)
+    evaluator: obs.SloEvaluator | None = field(default=None, init=False)
+    controller: refresh.RolloutController | None = field(default=None, init=False)
+    #: ground-truth answer per query
+    truth: Callable[[str], str] | None = field(default=None, init=False)
+    valid: int = field(default=0, init=False)       #: answers equal to ``truth(query)``
+    violations: int = field(default=0, init=False)  #: mixed-version answers served
+    #: (name, requests, served share)
+    phase_rows: list = field(default_factory=list, init=False)
+    artifacts: dict = field(default_factory=dict, init=False)   #: key -> rendered payload
 
     def run(self, traffic: Sequence[str], rolling: bool = False) -> None:
         """The request loop: handle, check, advance, observe."""

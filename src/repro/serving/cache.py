@@ -18,6 +18,8 @@ from repro.serving.clock import SimClock
 
 __all__ = ["CacheStats", "AsyncCacheStore"]
 
+PROMOTE_MIN_REQUESTS = 10
+
 #: attribute name → (store label value for ``outcome``) on the shared
 #: ``cache_requests_total`` family; evictions get their own counter.
 _OUTCOMES = {
@@ -272,11 +274,12 @@ class AsyncCacheStore:
                 dropped += 1
         return dropped
 
-    def promote_frequent(self, min_requests: int = 10) -> int:
-        """Move hot daily entries into the yearly layer (traffic adaption)."""
+    def promote_frequent(self) -> int:
+        """Move daily entries requested at least ``PROMOTE_MIN_REQUESTS``
+        times into the yearly layer (traffic adaption)."""
         promoted = 0
         for query, response in list(self._daily.items()):
-            if self.request_log[query] >= min_requests and query not in self._yearly:
+            if self.request_log[query] >= PROMOTE_MIN_REQUESTS and query not in self._yearly:
                 self._yearly[query] = response
                 promoted += 1
         return promoted

@@ -33,6 +33,9 @@ __all__ = ["ScriptedGenerator", "response_ok", "ChaosConfig", "ChaosReport", "ru
 
 
 _ZIPF_A = 1.3
+_N_QUERIES = 200        # the chaos run's query universe
+_CHUNK = 100            # requests between batch-processing cycles (chaos run)
+_OUTAGE_CHUNK = 120     # ... and in the outage demo
 _CHUNK_GAP_S = 300.0
 
 
@@ -74,11 +77,8 @@ class ChaosConfig:
     fault_rate: float = 0.1
     resilience: bool = True
     seed: int = 7
-    n_queries: int = 200
     requests_per_day: int = 1500
     days: int = 2
-    chunk: int = 100
-    timeout_s: float = 5.0
 
 
 @dataclass
@@ -86,23 +86,23 @@ class ChaosReport:
     """Measured-window results of one chaos run."""
 
     config: ChaosConfig
-    requests: int = 0
-    valid: int = 0
-    served_fresh: int = 0
-    degraded: int = 0
-    fallbacks: int = 0
-    retries: int = 0
-    generator_failures: int = 0
-    rejected_generations: int = 0
-    dead_lettered: int = 0
-    redriven: int = 0
-    breaker_opens: int = 0
-    breaker_closes: int = 0
-    pending_evictions: int = 0
+    requests: int = field(default=0, init=False)
+    valid: int = field(default=0, init=False)
+    served_fresh: int = field(default=0, init=False)
+    degraded: int = field(default=0, init=False)
+    fallbacks: int = field(default=0, init=False)
+    retries: int = field(default=0, init=False)
+    generator_failures: int = field(default=0, init=False)
+    rejected_generations: int = field(default=0, init=False)
+    dead_lettered: int = field(default=0, init=False)
+    redriven: int = field(default=0, init=False)
+    breaker_opens: int = field(default=0, init=False)
+    breaker_closes: int = field(default=0, init=False)
+    pending_evictions: int = field(default=0, init=False)
     #: Streaming latency distribution of the measured window — bounded
     #: memory no matter how many simulated days the scenario covers.
     latency: Histogram = field(
-        default_factory=lambda: Histogram(DEFAULT_LATENCY_BUCKETS_S)
+        default_factory=lambda: Histogram(DEFAULT_LATENCY_BUCKETS_S), init=False
     )
 
     @property
@@ -123,9 +123,9 @@ class ChaosReport:
 def _traffic(config: ChaosConfig, day: int) -> list[str]:
     """One day of Zipf-weighted traffic over the query universe."""
     rng = spawn_rng(config.seed, f"chaos-traffic-day{day}")
-    weights = 1.0 / np.arange(1, config.n_queries + 1) ** _ZIPF_A
+    weights = 1.0 / np.arange(1, _N_QUERIES + 1) ** _ZIPF_A
     weights /= weights.sum()
-    picks = rng.choice(config.n_queries, size=config.requests_per_day, p=weights)
+    picks = rng.choice(_N_QUERIES, size=config.requests_per_day, p=weights)
     return [f"query {int(i):03d}" for i in picks]
 
 
@@ -134,7 +134,7 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
     clock = SimClock()
     scripted = ScriptedGenerator()
     injector = FaultInjector(
-        FaultPlan.mixed(config.fault_rate, timeout_s=config.timeout_s),
+        FaultPlan.mixed(config.fault_rate),
         seed=config.seed,
     )
     flaky = FlakyGenerator(scripted, injector)
@@ -155,10 +155,10 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
         traffic = _traffic(config, day)
         if day == 0:
             traffic = [
-                f"query {i:03d}" for i in range(config.n_queries)
+                f"query {i:03d}" for i in range(_N_QUERIES)
             ] + traffic
-        for start in range(0, len(traffic), config.chunk):
-            for query in traffic[start : start + config.chunk]:
+        for start in range(0, len(traffic), _CHUNK):
+            for query in traffic[start : start + _CHUNK]:
                 result = service.serve(ServeRequest(query=query))
                 if measuring:
                     report.requests += 1
@@ -196,7 +196,7 @@ def _counters(service: CosmoService) -> dict[str, int]:
     }
 
 
-def run_outage_demo(seed: int = 7, chunk: int = 120, chunk_gap_s: float = 300.0):
+def run_outage_demo(seed: int = 7):
     """Scripted sustained outage: calm → total outage → recovery.
 
     Returns ``(service, phases)`` where ``phases`` maps phase name →
@@ -224,7 +224,7 @@ def run_outage_demo(seed: int = 7, chunk: int = 120, chunk_gap_s: float = 300.0)
     for query in queries:
         service.serve(ServeRequest(query=query))
     service.run_batch()
-    clock.advance(chunk_gap_s)
+    clock.advance(_CHUNK_GAP_S)
 
     calm = FaultPlan()
     outage = FaultPlan(error_rate=1.0)
@@ -237,13 +237,13 @@ def run_outage_demo(seed: int = 7, chunk: int = 120, chunk_gap_s: float = 300.0)
         clock.advance_days(1)
         served = valid = 0
         for _ in range(chunks):
-            for index in rng.integers(0, len(queries), size=chunk):
+            for index in rng.integers(0, len(queries), size=_OUTAGE_CHUNK):
                 query = queries[int(index)]
                 result = service.serve(ServeRequest(query=query))
                 served += 1
                 valid += result.text == ScriptedGenerator.knowledge_for(query)
             service.run_batch()
-            clock.advance(chunk_gap_s)
+            clock.advance(_CHUNK_GAP_S)
         if name == "recovery":
             service.daily_refresh(refresh_stale=False)
         phases[name] = valid / served

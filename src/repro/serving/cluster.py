@@ -85,7 +85,6 @@ class ClusterConfig:
     """
 
     n_replicas: int = 2
-    vnodes: int = 64
     max_batch_size: int = 32
     max_batch_delay_s: float = 30.0
     max_queue_depth: int = 500
@@ -219,8 +218,7 @@ class CosmoCluster:
         self.event_log = event_log
         self._started_at = self.clock.now()
         replica_ids = [f"{cfg.name}-r{i}" for i in range(cfg.n_replicas)]
-        self.router = ConsistentHashRouter(replica_ids, vnodes=cfg.vnodes,
-                                           seed=cfg.seed)
+        self.router = ConsistentHashRouter(replica_ids, seed=cfg.seed)
         if event_log is not None:
             # Drain/restore events are timed on the arrival clock — the
             # operator acts at cluster time, not on any one replica's.
@@ -418,8 +416,7 @@ class CosmoCluster:
         object.__setattr__(result, "latency_s", end_to_end)
         return result
 
-    def handle_batch(self, requests: list[ServeRequest | str],
-                     batch_id: str | None = None) -> list[ServeResult]:
+    def handle_batch(self, requests: list[ServeRequest | str]) -> list[ServeResult]:
         """Serve one arrival window of requests through the cluster.
 
         The batch-first ingress: every request in the window shares one
@@ -449,8 +446,7 @@ class CosmoCluster:
         if not requests:
             return []
         self._batch_seq += 1
-        if batch_id is None:
-            batch_id = f"{self.config.name}-b{self._batch_seq}"
+        batch_id = f"{self.config.name}-b{self._batch_seq}"
         typed = [ServeRequest(query=request) if isinstance(request, str)
                  else request for request in requests]
         arrival = self.clock.now()

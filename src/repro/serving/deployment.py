@@ -649,9 +649,9 @@ class CosmoService:
         """Log one user interaction with served knowledge."""
         self._feedback.append((query, knowledge, helpful))
 
-    def apply_feedback(self, epochs: int = 1) -> int:
+    def apply_feedback(self) -> int:
         """Continually finetune the model's typicality judge on logged
-        interactions; returns the number of examples consumed.
+        interactions (one epoch); returns the number of examples consumed.
 
         Requires the generator to expose a trainable ``classifier`` (the
         :class:`~repro.core.cosmo_lm.CosmoLM` interface); other
@@ -668,7 +668,7 @@ class CosmoService:
             prompt = (f"{self._prompt_builder(query).rsplit(' task: ', 1)[0]} "
                       f"knowledge: {knowledge.rstrip('.')} task: typicality")
             pairs.append((prompt, "yes" if helpful else "no"))
-        classifier.fit(pairs, epochs=epochs)
+        classifier.fit(pairs, epochs=1)
         consumed = len(self._feedback)
         self._feedback.clear()
         return consumed
@@ -689,7 +689,7 @@ class CosmoService:
         self.apply_feedback()
         redriven = self.redrive_dead_letters()
         refreshed = 0
-        stale = self.features.stale_keys(max_age_days=1) if refresh_stale else []
+        stale = self.features.stale_keys() if refresh_stale else []
         if stale:
             outcome = self._generate(
                 [self._prompt_builder(key) for key in stale])

@@ -13,9 +13,9 @@ Failure modes:
 
 * **error** — the whole call raises :class:`GeneratorError` (model crash,
   OOM, connection reset);
-* **timeout** — the call burns ``timeout_s`` of simulated time, then
+* **timeout** — the call burns ``TIMEOUT_S`` of simulated time, then
   raises :class:`GeneratorTimeout`; partial work is discarded;
-* **slow** — the call succeeds but costs ``slow_factor``× its normal
+* **slow** — the call succeeds but costs ``SLOW_FACTOR``× its normal
   latency (stragglers, contention);
 * **garbage** — individual generations are corrupted (emptied or
   truncated mid-predicate), modelling decode failures that *look* like
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from repro.llm.interface import GenerationBatch
+from repro.llm.interface import OVERHEAD_S, GenerationBatch
 from repro.utils.rng import spawn_rng
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
     "FaultInjector",
     "FlakyGenerator",
 ]
+
+TIMEOUT_S = 5.0         #: simulated seconds an injected timeout burns
+SLOW_FACTOR = 10.0      #: what an injected slow call costs, times normal
 
 
 class GeneratorFault(RuntimeError):
@@ -65,8 +68,6 @@ class FaultPlan:
     timeout_rate: float = 0.0
     slow_rate: float = 0.0
     garbage_rate: float = 0.0
-    timeout_s: float = 5.0
-    slow_factor: float = 10.0
 
     def __post_init__(self):
         for name in ("error_rate", "timeout_rate", "slow_rate", "garbage_rate"):
@@ -77,8 +78,7 @@ class FaultPlan:
             raise ValueError("per-call fault rates must sum to at most 1")
 
     @classmethod
-    def mixed(cls, fault_rate: float, timeout_s: float = 5.0,
-              slow_factor: float = 10.0) -> "FaultPlan":
+    def mixed(cls, fault_rate: float) -> "FaultPlan":
         """A representative mix at a single headline rate: 35% errors,
         15% timeouts, 15% slow calls, 35% garbage generations."""
         return cls(
@@ -86,8 +86,6 @@ class FaultPlan:
             timeout_rate=0.15 * fault_rate,
             slow_rate=0.15 * fault_rate,
             garbage_rate=0.35 * fault_rate,
-            timeout_s=timeout_s,
-            slow_factor=slow_factor,
         )
 
 
@@ -159,20 +157,20 @@ class FlakyGenerator:
         fault = self.injector.call_fault()
         if fault == "error":
             self.failed_calls += 1
-            self.latency.charge_seconds(self.latency.overhead_s)
+            self.latency.charge_seconds(OVERHEAD_S)
             raise GeneratorError(f"injected generator error (call {self.calls})")
         if fault == "timeout":
             self.failed_calls += 1
-            self.latency.charge_seconds(self.injector.plan.timeout_s)
+            self.latency.charge_seconds(TIMEOUT_S)
             raise GeneratorTimeout(
-                f"injected timeout after {self.injector.plan.timeout_s}s "
+                f"injected timeout after {TIMEOUT_S}s "
                 f"(call {self.calls})"
             )
         before = self.latency.total_simulated_s
         generations = self.inner.generate_batch(prompts).generations
         if fault == "slow":
             elapsed = self.latency.total_simulated_s - before
-            self.latency.charge_seconds(elapsed * (self.injector.plan.slow_factor - 1.0))
+            self.latency.charge_seconds(elapsed * (SLOW_FACTOR - 1.0))
         corrupted = []
         for generation in generations:
             garbage = self.injector.corrupt(generation.text)

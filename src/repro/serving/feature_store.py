@@ -130,11 +130,11 @@ class FeatureStore:
         self._reads.inc()
         return self._records.get(key)
 
-    def stale_keys(self, max_age_days: int = 1) -> list[str]:
-        """Keys whose features are older than ``max_age_days``."""
+    def stale_keys(self) -> list[str]:
+        """Keys whose features are more than a day old."""
         today = self._clock.day
         return [
             key
             for key, record in self._records.items()
-            if today - record.refreshed_day > max_age_days
+            if today - record.refreshed_day > 1
         ]

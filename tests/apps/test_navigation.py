@@ -8,6 +8,7 @@ from repro.apps.navigation import (
     TaxonomyNavigator,
     build_navigation_hierarchy,
 )
+from repro.apps.navigation.navigator import SUGGESTIONS_PER_TURN
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +47,9 @@ def test_hierarchy_stats_fields(hierarchy):
 
 
 def test_taxonomy_navigator_suggests_popular_types(world):
-    navigator = TaxonomyNavigator(world, suggestions_per_turn=4)
+    navigator = TaxonomyNavigator(world)
     turn = navigator.first_turn("Electronics", "anything at all")
-    assert len(turn.suggestions) == 4
+    assert len(turn.suggestions) == SUGGESTIONS_PER_TURN
     assert all(s.kind == "product_type" for s in turn.suggestions)
     # Intent-blind: the same suggestions regardless of query.
     other = navigator.first_turn("Electronics", "different query")
@@ -149,6 +150,7 @@ def test_query_rewrite_outcome_properties():
 
     empty = RewriteOutcome(name="x")
     assert empty.avg_rewrites == 0.0 and empty.success_rate == 0.0
-    filled = RewriteOutcome(name="y", sessions=10, rewrites=5, successes=8)
+    filled = RewriteOutcome(name="y")
+    filled.sessions, filled.rewrites, filled.successes = 10, 5, 8
     assert filled.avg_rewrites == 0.5
     assert filled.success_rate == 0.8

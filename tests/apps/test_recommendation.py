@@ -129,4 +129,4 @@ def test_unknown_model_rejected(session_dataset):
     from repro.apps.recommendation import build_model
 
     with pytest.raises(ValueError):
-        build_model("BERT4Rec", session_dataset, TrainConfig())
+        build_model("BERT4Rec", session_dataset, TrainConfig(dim=8, epochs=1, knowledge_dim=8), seed=0)

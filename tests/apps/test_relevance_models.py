@@ -103,8 +103,7 @@ def test_kg_knowledge_provider_exposes_type_tails(world, pipeline_result):
     from repro.apps.relevance import kg_knowledge_provider
     from repro.behavior import generate_esci
 
-    provider = kg_knowledge_provider(pipeline_result.kg, pipeline_result.world,
-                                     max_tails=3)
+    provider = kg_knowledge_provider(pipeline_result.kg, pipeline_result.world)
     dataset = generate_esci(pipeline_result.world, locale="US",
                             pairs_per_query=3, max_queries=30, seed=9)
     texts = provider(dataset.train[:20])

@@ -16,7 +16,7 @@ def test_intentional_pairs_share_the_recorded_intent(world):
 
 
 def test_intentional_fraction_near_configured_rate(world):
-    log = simulate_cobuy(world, pairs_per_domain=80, intentional_rate=0.8, seed=7)
+    log = simulate_cobuy(world, pairs_per_domain=80, seed=7)
     intentional = sum(pair.intent_id is not None for pair in log.pairs)
     assert 0.65 <= intentional / len(log.pairs) <= 0.95
 

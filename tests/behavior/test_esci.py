@@ -14,7 +14,7 @@ def dataset(world):
 def test_locales_list(world):
     assert set(LOCALES) == {"KDD Cup", "US", "CA", "UK", "IN"}
     with pytest.raises(ValueError):
-        generate_esci(world, locale="XX")
+        generate_esci(world, locale="XX", pairs_per_query=1, seed=0)
 
 
 def test_exact_label_is_ground_truth_consistent(world, dataset):

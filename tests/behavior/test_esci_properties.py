@@ -19,14 +19,10 @@ def test_every_locale_generates_nonempty_valid_data(world, locale):
 
 
 def test_test_fraction_controls_split(world):
-    quarter = generate_esci(world, pairs_per_query=3, max_queries=60,
-                            test_fraction=0.25, seed=2)
-    half = generate_esci(world, pairs_per_query=3, max_queries=60,
-                         test_fraction=0.5, seed=2)
-    total_q = len(quarter.train) + len(quarter.test)
-    total_h = len(half.train) + len(half.test)
-    assert total_q == total_h
-    assert len(half.test) > len(quarter.test)
+    # It is a quarter, not a parameter.
+    dataset = generate_esci(world, pairs_per_query=3, max_queries=60, seed=2)
+    total = len(dataset.train) + len(dataset.test)
+    assert len(dataset.train) == int(total * 0.75)
 
 
 def test_locale_scale_ordering_matches_table5(world):

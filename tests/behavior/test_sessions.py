@@ -1,6 +1,7 @@
 """Session simulator: Table 7 shape and structural invariants."""
 
 from repro.behavior import SessionConfig, simulate_sessions
+from repro.behavior.sessions import MAX_LENGTH, MIN_LENGTH
 
 
 def _log(world, **overrides):
@@ -9,9 +10,9 @@ def _log(world, **overrides):
 
 
 def test_session_lengths_within_bounds(world):
-    log = _log(world, mean_length=9.0, min_length=3, max_length=15)
+    log = _log(world, mean_length=18.0)
     for session in log.sessions:
-        assert 3 <= len(session) <= 15
+        assert MIN_LENGTH <= len(session) <= MAX_LENGTH
 
 
 def test_steps_reference_domain_items(world):

@@ -17,7 +17,7 @@ def candidates(world):
     selected = sample_products(world, cobuy, searchbuy)
     samples = sample_cobuy(world, cobuy, selected) + sample_searchbuy(world, searchbuy)
     teacher = TeacherLLM(world, seed=8)
-    generated = generate_candidates(world, teacher, samples, candidates_per_sample=2, seed=8)
+    generated = generate_candidates(world, teacher, samples, seed=8)
     return generated, cobuy, searchbuy
 
 

@@ -57,3 +57,26 @@ def test_cosmo_lm_save_load_preserves_classifier(tmp_path, trained_pipeline):
 def test_save_before_finetune_raises(tmp_path):
     with pytest.raises(RuntimeError, match="finetune"):
         CosmoLM().save(tmp_path / "x")
+
+
+def test_stale_config_is_rejected_with_the_path_and_the_keys(tmp_path, trained_pipeline):
+    """A directory saved before ``split_heads`` was folded (or by any other
+    version) fails at the byte boundary, naming what does not match."""
+    directory = tmp_path / "cosmo-lm"
+    trained_pipeline.cosmo_lm.save(directory)
+    path = directory / "config.json"
+    config = json.loads(path.read_text())
+    del config["lr"]
+    config["split_heads"] = True
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError) as error:
+        CosmoLM.load(directory)
+    message = str(error.value)
+    assert message.startswith(f"{path}: ")
+    assert "unknown keys ['split_heads']" in message
+    assert "missing keys ['lr']" in message
+    for damaged in ("[]", "{"):     # not a config at all; not JSON at all
+        path.write_text(damaged)
+        with pytest.raises(ValueError) as error:
+            CosmoLM.load(directory)
+        assert str(error.value).startswith(f"{path}: ")

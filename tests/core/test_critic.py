@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.annotation.schema import AnnotationResult
-from repro.core.critic import CriticClassifier, CriticConfig
+from repro.core.critic import KEEP_THRESHOLD, CriticClassifier
 from repro.core.relations import Relation
 from repro.core.triples import BehaviorSample, KnowledgeCandidate
 from repro.embeddings import TextEncoder
@@ -37,21 +37,17 @@ def _make_candidates(n=200, seed=0):
                 tail=tail,
             )
         )
-        annotations.append(
-            AnnotationResult(
-                candidate_id=f"c{i}",
-                answers={"complete": True, "relevant": plausible,
-                         "informative": True, "plausible": plausible,
-                         "typical": plausible},
-            )
-        )
+        annotation = AnnotationResult(candidate_id=f"c{i}")
+        annotation.answers.update(complete=True, relevant=plausible, informative=True,
+                                  plausible=plausible, typical=plausible)
+        annotations.append(annotation)
     return candidates, annotations
 
 
 @pytest.fixture(scope="module")
 def trained_critic():
     candidates, annotations = _make_candidates()
-    critic = CriticClassifier(TextEncoder(seed=0), CriticConfig(epochs=40), seed=0)
+    critic = CriticClassifier(TextEncoder(seed=0), seed=0)
     losses = critic.fit(candidates[:150], annotations[:150])
     return critic, candidates, annotations, losses
 
@@ -81,7 +77,7 @@ def test_populate_sets_scores_and_thresholds(trained_critic):
         assert candidate.plausibility_score is not None
         assert candidate.typicality_score is not None
     for candidate in kept:
-        assert candidate.plausibility_score > critic.config.keep_threshold
+        assert candidate.plausibility_score > KEEP_THRESHOLD
 
 
 def test_score_before_fit_raises():

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.filtering import FilterConfig, KnowledgeFilter, build_reference_lm
+from repro.core.filtering import (
+    GENERIC_MIN_HEADS,
+    FilterConfig,
+    KnowledgeFilter,
+    build_reference_lm,
+)
 from repro.core.relations import Relation
 from repro.core.triples import BehaviorSample, KnowledgeCandidate
 from repro.embeddings import TextEncoder
@@ -77,8 +82,7 @@ def test_product_title_paraphrase_dropped(knowledge_filter):
 
 
 def test_generic_tail_detection():
-    config = FilterConfig(generic_min_heads=3, generic_min_entropy=0.5)
-    knowledge_filter = KnowledgeFilter(TextEncoder(seed=0), config=config)
+    knowledge_filter = KnowledgeFilter(TextEncoder(seed=0))
     candidates = [
         _candidate(
             "it is used for the same reason.",
@@ -87,11 +91,11 @@ def test_generic_tail_detection():
             sample=_sample(head=f"query {i} ||| product {i}"),
             cid=f"c{i}",
         )
-        for i in range(5)
+        for i in range(GENERIC_MIN_HEADS)
     ]
     survivors, report = knowledge_filter.apply(candidates)
     assert not survivors
-    assert report.dropped["generic"] == 5
+    assert report.dropped["generic"] == GENERIC_MIN_HEADS
 
 
 def test_stage_toggles():

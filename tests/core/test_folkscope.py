@@ -12,7 +12,6 @@ def folkscope_result(world):
         seed=11,
         world=TINY_WORLD,
         cobuy_pairs_per_domain=40,
-        annotation_budget=200,
     )
     return FolkScopePipeline(config).run(world=world)
 

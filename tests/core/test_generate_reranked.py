@@ -9,7 +9,7 @@ def test_reranked_returns_one_generation_per_prompt(trained_pipeline):
     lm = trained_pipeline.cosmo_lm
     samples = trained_pipeline.samples[:8]
     prompts = [lm.prompt_for_sample(trained_pipeline.world, s) for s in samples]
-    winners = lm.generate_reranked(prompts, num_candidates=3)
+    winners = lm.generate_reranked(prompts)
     assert len(winners) == len(prompts)
     for winner in winners:
         assert winner.text is not None
@@ -19,8 +19,8 @@ def test_reranked_is_deterministic(trained_pipeline):
     lm = trained_pipeline.cosmo_lm
     sample = trained_pipeline.samples[0]
     prompt = lm.prompt_for_sample(trained_pipeline.world, sample)
-    first = [g.text for g in lm.generate_reranked([prompt], num_candidates=3)]
-    second = [g.text for g in lm.generate_reranked([prompt], num_candidates=3)]
+    first = [g.text for g in lm.generate_reranked([prompt])]
+    second = [g.text for g in lm.generate_reranked([prompt])]
     assert first == second
 
 
@@ -32,7 +32,7 @@ def test_reranked_costs_more_latency_than_greedy(trained_pipeline):
     lm.generate_batch(prompts).require()
     greedy_cost = lm.latency.total_simulated_s - before
     before = lm.latency.total_simulated_s
-    lm.generate_reranked(prompts, num_candidates=3)
+    lm.generate_reranked(prompts)
     rerank_cost = lm.latency.total_simulated_s - before
     assert rerank_cost > greedy_cost
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.generation import build_prompt, generate_candidates
+from repro.core.generation import CANDIDATES_PER_SAMPLE, build_prompt, generate_candidates
 from repro.core.relations import SEED_RELATIONS
 from repro.llm import TeacherLLM
 
@@ -18,8 +18,8 @@ def test_build_prompt_dispatches_by_behavior(world, pipeline_result):
 def test_candidates_per_sample(pipeline_result, world):
     samples = pipeline_result.samples[:10]
     teacher = TeacherLLM(world, seed=1)
-    candidates = generate_candidates(world, teacher, samples, candidates_per_sample=4, seed=1)
-    assert len(candidates) == 40
+    candidates = generate_candidates(world, teacher, samples, seed=1)
+    assert len(candidates) == len(samples) * CANDIDATES_PER_SAMPLE
 
 
 def test_most_candidates_parse(pipeline_result):

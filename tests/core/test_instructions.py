@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.instructions import TASKS, build_instruction_dataset
+from repro.core.instructions import GENERATION_OVERSAMPLE, TASKS, build_instruction_dataset
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +58,17 @@ def test_label_tasks_have_both_classes(dataset):
 
 
 def test_generation_oversampling(pipeline_result):
-    base = build_instruction_dataset(
-        pipeline_result.world,
-        pipeline_result.annotated_candidates,
-        pipeline_result.annotations,
-        generation_oversample=1,
-        seed=0,
-    )
     oversampled = build_instruction_dataset(
         pipeline_result.world,
         pipeline_result.annotated_candidates,
         pipeline_result.annotations,
-        generation_oversample=3,
         seed=0,
     )
-    assert len(_for_task(oversampled, "generation")) == 3 * len(_for_task(base, "generation"))
+    demonstrations = sum(
+        annotation.typical and candidate.parsed
+        for candidate, annotation in zip(pipeline_result.annotated_candidates,
+                                         pipeline_result.annotations))
+    assert len(_for_task(oversampled, "generation")) == GENERATION_OVERSAMPLE * demonstrations
 
 
 def test_pairs_alignment(dataset):

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from repro.core.critic import KEEP_THRESHOLD
+
 
 def test_artifacts_present(pipeline_result):
     assert pipeline_result.samples
@@ -51,9 +53,8 @@ def test_critic_accuracy_beats_chance(pipeline_result):
 
 
 def test_kg_edges_pass_critic_threshold(pipeline_result):
-    threshold = pipeline_result.config.critic.keep_threshold
     for triple in pipeline_result.kg.triples():
-        assert triple.plausibility > threshold
+        assert triple.plausibility > KEEP_THRESHOLD
 
 
 def test_table3_bookkeeping(pipeline_result):

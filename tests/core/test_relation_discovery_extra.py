@@ -1,6 +1,6 @@
 """Edge cases of relation discovery."""
 
-from repro.core.relation_discovery import RelationDiscovery
+from repro.core.relation_discovery import MAX_EXAMPLES, RelationDiscovery
 from repro.core.relations import Relation
 
 
@@ -24,8 +24,8 @@ def test_no_pattern_no_result():
 
 def test_max_examples_cap():
     texts = [f"it is capable of task {i}." for i in range(10)]
-    mined = RelationDiscovery(min_count=1, max_examples=2).mine(texts)
-    assert len(mined[0].examples) == 2
+    mined = RelationDiscovery(min_count=1).mine(texts)
+    assert len(mined[0].examples) == MAX_EXAMPLES
 
 
 def test_longest_pattern_wins_over_substring():

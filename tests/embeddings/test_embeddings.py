@@ -21,14 +21,14 @@ def test_hash_token_stable_and_salted():
 
 
 def test_hashed_bow_unit_norm_and_deterministic():
-    a = hashed_bow("winter camping gear")
-    b = hashed_bow("winter camping gear")
+    a = hashed_bow("winter camping gear", 2048)
+    b = hashed_bow("winter camping gear", 2048)
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
 def test_hashed_bow_empty_text_is_zero():
-    assert np.linalg.norm(hashed_bow("")) == 0.0
+    assert np.linalg.norm(hashed_bow("", 2048)) == 0.0
 
 
 def test_encoder_lexical_overlap_beats_disjoint():

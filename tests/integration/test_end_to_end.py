@@ -89,8 +89,7 @@ def test_serving_cosmo_lm_end_to_end(full_result):
     product = world.catalog.serving_intent(query.intent_id)[0]
 
     def prompt_builder(query_text):
-        return lm.searchbuy_prompt(query_text, product.title, product.domain,
-                                   product_type=product.product_type)
+        return lm.searchbuy_prompt(query_text, product.domain, product.product_type)
 
     service = CosmoService(lm, prompt_builder=prompt_builder)
     assert _handle(service, query.text) == ""

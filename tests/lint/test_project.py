@@ -109,6 +109,7 @@ def test_layering_with_custom_architecture():
     arch = Architecture(
         root="app",
         allowed={"a": frozenset(), "b": frozenset({"a"})},
+        shared_modules=frozenset(),
     )
     context = ProjectContext([
         summarize("app.a.x", "import app.b.y\n", "a/x.py"),

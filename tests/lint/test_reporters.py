@@ -227,15 +227,14 @@ def test_text_reporter_lines_and_summary(fixture_package):
 
 
 def test_text_reporter_clean_summary():
-    result = LintResult(files_checked=3, suppressed=2)
+    result = LintResult(files_checked=3)
+    result.suppressed = 2
     assert format_text(result.finalize()) == "ok: 3 files, 0 problems (2 suppressed)"
 
 
 def test_json_reporter_is_stable_and_parseable():
-    result = LintResult(
-        diagnostics=[Diagnostic("unscoped-rng", "a.py", 1, 1, "m")],
-        files_checked=1,
-    )
+    result = LintResult(files_checked=1)
+    result.diagnostics.append(Diagnostic("unscoped-rng", "a.py", 1, 1, "m"))
     first = format_json(result.finalize())
     assert first == format_json(result)
     assert json.loads(first)["diagnostics"][0]["rule"] == "unscoped-rng"

@@ -493,6 +493,7 @@ def test_same_line_suppression_silences_one_rule():
             """
         ),
         display_path="pkg/mod.py",
+        in_package=False,
         rule_classes=[UnscopedRngRule],
     )
     assert [d.line for d in result.diagnostics] == [4]
@@ -510,6 +511,7 @@ def test_file_wide_suppression_and_disable_all():
             """
         ),
         display_path="pkg/mod.py",
+        in_package=False,
         rule_classes=[UnscopedRngRule],
     )
     assert result.diagnostics == []
@@ -520,6 +522,7 @@ def test_suppression_for_other_rule_does_not_apply():
     result = lint_source(
         "import numpy as np\nr = np.random.default_rng(1)  # cosmolint: disable=wall-clock\n",
         display_path="pkg/mod.py",
+        in_package=False,
         rule_classes=[UnscopedRngRule],
     )
     assert [d.rule for d in result.diagnostics] == ["unscoped-rng"]
@@ -527,7 +530,8 @@ def test_suppression_for_other_rule_does_not_apply():
 
 
 def test_syntax_error_reported_as_diagnostic():
-    result = lint_source("def broken(:\n", display_path="pkg/mod.py")
+    result = lint_source("def broken(:\n", display_path="pkg/mod.py", in_package=False,
+                         rule_classes=[UnscopedRngRule])
     assert [d.rule for d in result.diagnostics] == ["syntax-error"]
     assert result.files_checked == 1
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.llm import Generation, GenerationTruth, LatencyModel
+from repro.llm.interface import OVERHEAD_S
 
 
 def test_latency_scales_with_parameters_and_tokens():
@@ -22,9 +23,8 @@ def test_latency_accumulates_and_resets():
 
 
 def test_latency_overhead_floor():
-    model = LatencyModel(overhead_s=0.002)
-    tiny = model.charge(parameter_count=1, tokens=1)
-    assert tiny >= 0.002
+    tiny = LatencyModel().charge(parameter_count=1, tokens=1)
+    assert tiny >= OVERHEAD_S
 
 
 def test_30b_model_costs_seconds_per_generation():

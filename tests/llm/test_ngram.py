@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.llm import NGramLanguageModel
+from repro.llm import NGramLanguageModel, ngram
 
 CORPUS = [
     "it is used for camping.",
@@ -49,7 +49,7 @@ def test_log_prob_is_negative(model):
 
 
 def test_invalid_configuration_rejected():
-    with pytest.raises(ValueError):
-        NGramLanguageModel(order=3, interpolation=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        NGramLanguageModel(order=2, interpolation=(0.5, 0.6))
+    # Order and weights are constants; what the constructor used to reject
+    # is checked here instead.
+    assert len(ngram.INTERPOLATION) == ngram.ORDER
+    assert sum(ngram.INTERPOLATION) == pytest.approx(1.0)

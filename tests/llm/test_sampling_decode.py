@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.llm import Seq2SeqLM, Tokenizer
+from repro.llm import LatencyModel, Seq2SeqLM, Tokenizer
 from repro.utils.rng import spawn_rng
 
 
@@ -16,7 +16,7 @@ def model():
         color = colors[int(rng.integers(4))]
         pairs.append((f"box {i % 6} marker {color} task: say", f"it is {color}"))
     tok = Tokenizer().fit([p for p, _ in pairs] + [t for _, t in pairs])
-    lm = Seq2SeqLM(tok, hidden_dim=48, seed=0)
+    lm = Seq2SeqLM(tok, embed_dim=48, hidden_dim=48, name="cosmo-lm-seq2seq", seed=0, latency=LatencyModel())
     lm.fit(pairs, epochs=6, lr=4e-3)
     return lm
 
@@ -38,7 +38,7 @@ def test_sampling_with_same_rng_is_reproducible(model):
 def test_sampling_produces_diversity(model):
     rng = spawn_rng(6, "s")
     prompts = ["box 2 marker blue task: say"] * 12
-    outputs = model.decode_batch(prompts, temperature=1.5, top_k=12, rng=rng)
+    outputs = model.decode_batch(prompts, temperature=1.5, rng=rng)
     assert len({o.text for o in outputs}) > 1
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.llm import Seq2SeqLM, Tokenizer
+from repro.llm import LatencyModel, Seq2SeqLM, Tokenizer
 
 
 def _copy_pairs(n=800, n_words=120, train_targets=100):
@@ -23,7 +23,7 @@ def _copy_pairs(n=800, n_words=120, train_targets=100):
 def copy_model():
     pairs, words, train_targets = _copy_pairs()
     tok = Tokenizer().fit([p for p, _ in pairs] + [t for _, t in pairs] + words)
-    model = Seq2SeqLM(tok, hidden_dim=48, seed=0)
+    model = Seq2SeqLM(tok, embed_dim=48, hidden_dim=48, name="cosmo-lm-seq2seq", seed=0, latency=LatencyModel())
     losses = model.fit(pairs, epochs=4, lr=4e-3)
     return model, words, train_targets, losses
 
@@ -72,7 +72,7 @@ def test_classify_uses_likelihood():
         pairs.append((f"item {i % 7} is {flag} task: judge",
                       "yes" if flag == "hot" else "no"))
     tok = Tokenizer().fit([p for p, _ in pairs] + [t for _, t in pairs])
-    model = Seq2SeqLM(tok, hidden_dim=32, seed=0)
+    model = Seq2SeqLM(tok, embed_dim=48, hidden_dim=32, name="cosmo-lm-seq2seq", seed=0, latency=LatencyModel())
     model.fit(pairs, epochs=6, lr=4e-3)
     assert model.classify("item 3 is hot task: judge") == "yes"
     assert model.classify("item 3 is cold task: judge") == "no"
@@ -80,7 +80,7 @@ def test_classify_uses_likelihood():
 
 def test_empty_prompt_list():
     tok = Tokenizer().fit(["a"])
-    model = Seq2SeqLM(tok, seed=0)
+    model = Seq2SeqLM(tok, embed_dim=48, hidden_dim=96, name="cosmo-lm-seq2seq", seed=0, latency=LatencyModel())
     assert model.decode_batch([]) == []
 
 

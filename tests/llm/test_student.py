@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.llm import StudentLM, Tokenizer
+from repro.llm import LatencyModel, StudentLM, Tokenizer
 
 
 def _toy_pairs():
@@ -22,8 +22,8 @@ def _toy_pairs():
 def trained():
     pairs = _toy_pairs()
     tok = Tokenizer().fit([p for p, _ in pairs] + [t for _, t in pairs])
-    model = StudentLM(tok, seed=0)
-    losses = model.fit(pairs, epochs=10, batch_size=32, lr=4e-3)
+    model = StudentLM(tok, embed_dim=32, hidden_dim=64, name="cosmo-lm-sim", seed=0, latency=LatencyModel())
+    losses = model.fit(pairs, epochs=10, lr=4e-3)
     return model, losses
 
 
@@ -66,7 +66,7 @@ def test_sequence_logprob_is_negative_and_ranks(trained):
 
 def test_generate_batch_empty():
     tok = Tokenizer().fit(["a"])
-    model = StudentLM(tok, seed=0)
+    model = StudentLM(tok, embed_dim=32, hidden_dim=64, name="cosmo-lm-sim", seed=0, latency=LatencyModel())
     assert model.decode_batch([]) == []
 
 

@@ -41,7 +41,7 @@ def test_cross_entropy_matches_manual():
 def test_cross_entropy_ignore_index_masks_positions():
     logits = Tensor(np.random.default_rng(2).normal(size=(2, 3, 5)))
     targets = np.array([[1, 2, 0], [0, 0, 0]])
-    weights_loss = cross_entropy(logits, targets, ignore_index=0)
+    weights_loss = cross_entropy(logits, targets, weights=(targets != 0))
     # Only positions (0,0) and (0,1) contribute.
     manual = cross_entropy(
         Tensor(logits.numpy()[0, :2][None]), targets[0, :2][None]

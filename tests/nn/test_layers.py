@@ -98,7 +98,7 @@ def test_save_load_npz(tmp_path, rng):
 
 
 def test_train_eval_propagates_to_submodules(rng):
-    model = Sequential(Dropout(0.5, rng), MLP([2, 2], rng, dropout_rate=0.5))
+    model = Sequential(Dropout(0.5, rng), MLP([2, 2], rng))
     model.eval()
     assert not model.modules[0].training
     model.train()

@@ -93,8 +93,8 @@ def test_getitem_gradient(rng):
 def test_concat_and_stack_gradients(rng):
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    check_gradient(lambda: Tensor.concat([a, b.detach()], axis=1).sum(), a, [(0, 0)])
-    check_gradient(lambda: Tensor.concat([a.detach(), b], axis=1).sum(), b, [(1, 1)])
+    check_gradient(lambda: Tensor.concat([a, b.detach()]).sum(), a, [(0, 0)])
+    check_gradient(lambda: Tensor.concat([a.detach(), b]).sum(), b, [(1, 1)])
     c = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     frozen = Tensor(c.data.copy())  # independent constant copy
     check_gradient(lambda: (Tensor.stack([c, frozen], axis=0) ** 2).sum(), c, [(1, 2)])

@@ -51,8 +51,7 @@ def test_counter_becomes_rate_per_elapsed_interval():
 def test_histogram_yields_windowed_percentiles_and_rate():
     registry = MetricsRegistry()
     hist = registry.histogram("lat", "latency", buckets=(0.1, 1.0)).labels()
-    collector = TimeSeriesCollector(registry, interval_s=1.0,
-                                    percentiles=(50.0, 99.0))
+    collector = TimeSeriesCollector(registry, interval_s=1.0)
     hist.observe(0.05)
     collector.maybe_scrape(1.0)
     hist.observe(0.5)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.filtering import KnowledgeFilter
+from repro.core.generation import CANDIDATES_PER_SAMPLE
 from repro.embeddings import TextEncoder
 from repro.llm import TeacherLLM
 from repro.refresh import KnowledgeRefresher, RefreshConfig, build_snapshot
@@ -38,7 +39,7 @@ def test_round_extends_parent_lineage_and_accounting(refresh_env):
     assert report.version == child.version
     assert report.samples_in == report.samples_processed == 20
     assert report.samples_deferred == 0
-    assert report.llm_calls == 20 * refresher.config.candidates_per_sample
+    assert report.llm_calls == 20 * CANDIDATES_PER_SAMPLE
     assert report.candidates >= report.survivors >= report.kept >= 0
     # Parent entries survive unless the round regenerated them.
     assert child.entries["existing query"] == "it is used for camping."
@@ -50,8 +51,7 @@ def test_round_extends_parent_lineage_and_accounting(refresh_env):
 
 def test_budget_defers_overflow_to_next_round(refresh_env):
     parent = build_snapshot({})
-    refresher = _refresher(refresh_env, llm_call_budget=15,
-                           candidates_per_sample=3)  # 5 samples per round
+    refresher = _refresher(refresh_env, llm_call_budget=15)  # 5 samples per round
     samples = refresh_env["samples"][:12]
 
     first, report1 = refresher.refresh(parent, samples)
@@ -91,7 +91,5 @@ def test_round_counter_advances_version_even_on_same_batch(refresh_env):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="candidates_per_sample"):
-        RefreshConfig(candidates_per_sample=0)
     with pytest.raises(ValueError, match="llm_call_budget"):
-        RefreshConfig(llm_call_budget=0)
+        RefreshConfig(seed=0, llm_call_budget=0)

@@ -56,8 +56,8 @@ def _drive(cluster, evaluator, collector, controller, n_requests,
            rolling=True, seed=3):
     """Zipf traffic through the scenario runner's request loop; returns
     the mixed-version answers it counted against the controller's store."""
-    drive = Drive(cluster=cluster, collector=collector, evaluator=evaluator,
-                  controller=controller, gap_s=ARRIVAL_S)
+    drive = Drive(cluster=cluster, gap_s=ARRIVAL_S)
+    drive.collector, drive.evaluator, drive.controller = collector, evaluator, controller
     drive.run(zipf_traffic(spawn_rng(seed, "rollout-test-traffic"), QUERIES,
                            n_requests), rolling=rolling)
     return drive.violations
@@ -164,10 +164,9 @@ def test_unknown_guarded_objective_is_rejected():
                            config=ClusterConfig(n_replicas=2, seed=3,
                                                 name="badguard"))
     registry = MetricsRegistry()
-    evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))
+    evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S)[:1])
     with pytest.raises(ValueError, match="not in evaluator"):
-        RolloutController(cluster, store, green, evaluator,
-                          guarded=("availability", "error-budget-typo"))
+        RolloutController(cluster, store, green, evaluator)
 
 
 # -- snapshot generator ----------------------------------------------------

@@ -82,8 +82,8 @@ def _rig(poisoned=False, gate=None, name="gatetest"):
 def _drive(cluster, evaluator, collector, controller, n_requests,
            rolling=True, seed=3):
     """Zipf traffic through the scenario runner's request loop."""
-    drive = Drive(cluster=cluster, collector=collector, evaluator=evaluator,
-                  controller=controller, gap_s=ARRIVAL_S)
+    drive = Drive(cluster=cluster, gap_s=ARRIVAL_S)
+    drive.collector, drive.evaluator, drive.controller = collector, evaluator, controller
     drive.run(zipf_traffic(spawn_rng(seed, "rollout-gate-traffic"), QUERIES,
                            n_requests), rolling=rolling)
 

@@ -78,8 +78,8 @@ def test_accounting_and_dead_letter_conservation_under_chaos(
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))
     collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
     controller = RolloutController(cluster, store, green, evaluator)
-    drive = Drive(cluster=cluster, collector=collector, evaluator=evaluator,
-                  controller=controller)
+    drive = Drive(cluster=cluster)
+    drive.collector, drive.evaluator, drive.controller = collector, evaluator, controller
 
     rng = spawn_rng(seed, "chaos-arrivals")
     requests = 0

@@ -1,6 +1,6 @@
 """Structured serving API: envelope contents, removed shims, generator protocol."""
 
-from repro.llm import KnowledgeGenerator, StudentLM, Tokenizer
+from repro.llm import KnowledgeGenerator, LatencyModel, StudentLM, Tokenizer
 from repro.serving import (
     CosmoService,
     FaultInjector,
@@ -116,7 +116,7 @@ def test_serving_generators_satisfy_knowledge_generator_protocol():
     flaky = FlakyGenerator(scripted, FaultInjector(FaultPlan(), seed=0))
     resilient = ResilientGenerator(scripted, SimClock())
     tokenizer = Tokenizer().fit(["winter tent camping gear"])
-    student = StudentLM(tokenizer, seed=0)
+    student = StudentLM(tokenizer, embed_dim=32, hidden_dim=64, name="cosmo-lm-sim", seed=0, latency=LatencyModel())
     for generator in (scripted, flaky, resilient, student):
         assert isinstance(generator, KnowledgeGenerator)
         assert hasattr(generator, "latency")
@@ -124,7 +124,7 @@ def test_serving_generators_satisfy_knowledge_generator_protocol():
 
 def test_student_generate_knowledge_matches_generate_batch():
     tokenizer = Tokenizer().fit(["winter tent camping gear"])
-    student = StudentLM(tokenizer, seed=0)
+    student = StudentLM(tokenizer, embed_dim=32, hidden_dim=64, name="cosmo-lm-sim", seed=0, latency=LatencyModel())
     prompts = ["winter tent"]
     batch = student.generate_batch(prompts)
     knowledge = student.decode_batch(prompts)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.llm.interface import Generation, GenerationBatch, LatencyModel
+from repro.llm.interface import OVERHEAD_S, Generation, GenerationBatch, LatencyModel
 from repro.serving import (
     FaultInjector,
     FaultPlan,
@@ -11,6 +11,7 @@ from repro.serving import (
     GeneratorFault,
     GeneratorTimeout,
 )
+from repro.serving.faults import SLOW_FACTOR, TIMEOUT_S
 
 
 class Scripted:
@@ -75,27 +76,27 @@ def test_error_mode_raises_and_charges_overhead():
     with pytest.raises(GeneratorError):
         flaky.generate_batch(["q"]).require()
     assert flaky.failed_calls == 1
-    assert flaky.latency.total_simulated_s == pytest.approx(flaky.latency.overhead_s)
+    assert flaky.latency.total_simulated_s == pytest.approx(OVERHEAD_S)
 
 
 def test_timeout_mode_charges_full_timeout():
-    plan = FaultPlan(timeout_rate=1.0, timeout_s=7.5)
+    plan = FaultPlan(timeout_rate=1.0)
     flaky = FlakyGenerator(Scripted(), FaultInjector(plan))
     with pytest.raises(GeneratorTimeout):
         flaky.generate_batch(["q"]).require()
-    assert flaky.latency.total_simulated_s == pytest.approx(7.5)
+    assert flaky.latency.total_simulated_s == pytest.approx(TIMEOUT_S)
 
 
 def test_slow_mode_inflates_latency_but_succeeds():
     inner = Scripted()
-    plan = FaultPlan(slow_rate=1.0, slow_factor=10.0)
+    plan = FaultPlan(slow_rate=1.0)
     flaky = FlakyGenerator(inner, FaultInjector(plan))
     outs = flaky.generate_batch(["q"]).require()
     assert outs[0].text == "it is used for q."
     baseline = Scripted()
     baseline.generate_batch(["q"]).require()
     assert flaky.latency.total_simulated_s == pytest.approx(
-        10.0 * baseline.latency.total_simulated_s)
+        SLOW_FACTOR * baseline.latency.total_simulated_s)
 
 
 def test_garbage_mode_corrupts_generations():

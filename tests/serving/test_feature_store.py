@@ -61,10 +61,10 @@ def test_stale_keys_follow_refreshes():
     clock.advance_days(2)
     store.put("fresh", "it is used for y.")
 
-    assert store.stale_keys(max_age_days=1) == ["old"]
+    assert store.stale_keys() == ["old"]
     # A refresh clears the staleness.
     store.put("old", "it is used for x.")
-    assert store.stale_keys(max_age_days=1) == []
+    assert store.stale_keys() == []
 
 
 def test_boundary_age_is_not_stale():
@@ -72,9 +72,9 @@ def test_boundary_age_is_not_stale():
     store = FeatureStore(clock)
     store.put("edge", "it is used for x.")
     clock.advance_days(1)
-    assert store.stale_keys(max_age_days=1) == []  # age == max is still fresh
+    assert store.stale_keys() == []  # age == max is still fresh
     clock.advance_days(1)
-    assert store.stale_keys(max_age_days=1) == ["edge"]
+    assert store.stale_keys() == ["edge"]
 
 
 def test_two_stores_share_a_registry_without_colliding():

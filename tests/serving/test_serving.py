@@ -88,7 +88,7 @@ def test_promote_frequent_moves_hot_entries_to_yearly():
     for _ in range(12):
         cache.lookup("popular")
     cache.apply_batch({"popular": "answer"})
-    promoted = cache.promote_frequent(min_requests=10)
+    promoted = cache.promote_frequent()
     assert promoted == 1
     assert cache.fetch("popular") == ("answer", "yearly")
 
@@ -154,7 +154,7 @@ def test_feature_store_staleness():
     store.put("old", "it is used for camping.")
     clock.advance_days(3)
     store.put("fresh", "it is used for hiking.")
-    assert store.stale_keys(max_age_days=1) == ["old"]
+    assert store.stale_keys() == ["old"]
 
 
 # -- full service flow -------------------------------------------------------
@@ -234,7 +234,7 @@ def test_feedback_loop_finetunes_cosmo_classifier():
     # Teach the judge that a specific knowledge string is unhelpful.
     for _ in range(30):
         service.record_feedback("some query", "it is used for zzzz", helpful=False)
-    consumed = service.apply_feedback(epochs=3)
+    consumed = service.apply_feedback()
     assert consumed == 30
     prediction = lm.predict_typicality(
         "domain: X search query: some query type: thing task: generation",

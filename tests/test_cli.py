@@ -163,6 +163,35 @@ def test_trace_rejects_bad_fault_rate(capsys):
     assert "--fault-rate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--replicas", "0"],
+    ["cluster", "--n-queries", "0"],
+    ["trace", "--requests", "-3"],
+    ["monitor", "--requests-per-phase", "0"],
+    ["build-kg", "--scale", "0"],
+    ["obs", "--lm-epochs", "0"],
+])
+def test_out_of_range_sizes_are_one_error_line_and_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: " + argv[1]) and out.count("\n") == 1
+
+
+def test_a_command_that_dies_exits_2_never_1(monkeypatch, capsys):
+    """1 means the scenario's signal fired; CI accepts exactly 1 from
+    ``monitor --scenario chaos``, so a crash must not produce it."""
+    from repro import scenarios
+
+    def boom(scenario, args):
+        raise ValueError("simulated crash inside the drive")
+
+    monkeypatch.setattr(scenarios, "run_scenario", boom)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["monitor", "--scenario", "chaos"])
+    assert exit_info.value.code == 2
+    assert "simulated crash inside the drive" in capsys.readouterr().err
+
+
 _MONITOR_CHAOS = ["monitor", "--seed", "0", "--scenario", "chaos"]
 
 

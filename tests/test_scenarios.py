@@ -31,8 +31,10 @@ def _doctored(drive: Drive, key: str, edit) -> Drive:
     artifacts = dict(drive.artifacts)
     artifacts[key] = copy.deepcopy(artifacts[key])
     edit(artifacts[key])
-    return Drive(cluster=drive.cluster, tracers=drive.tracers,
-                 injectors=drive.injectors, artifacts=artifacts)
+    doctored = Drive(cluster=drive.cluster, tracers=drive.tracers,
+                     injectors=drive.injectors)
+    doctored.artifacts = artifacts
+    return doctored
 
 
 _CLUSTER = ("cluster", "--seed", "3", "--requests", "300", "--n-queries", "40",
@@ -136,10 +138,11 @@ def test_nested_pipeline_spans_expectation():
     def span(name, parent_id):
         return {"ph": "X", "name": name, "args": {"parent_id": parent_id}}
 
-    nested = Drive(artifacts={"trace": {"traceEvents": [
-        span("pipeline.run", -1), span("pipeline.teacher_generation", 0)]}})
+    nested, flat = Drive(), Drive()
+    nested.artifacts = {"trace": {"traceEvents": [
+        span("pipeline.run", -1), span("pipeline.teacher_generation", 0)]}}
     assert scenarios.expect_nested_pipeline_spans(nested) == []
-    flat = Drive(artifacts={"trace": {"traceEvents": [span("serving.request", -1)]}})
+    flat.artifacts = {"trace": {"traceEvents": [span("serving.request", -1)]}}
     assert scenarios.expect_nested_pipeline_spans(flat) == [
         "missing pipeline root span", "no nested spans"]
 
