@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import traceback
 
 from repro import scenarios
 from repro.behavior import WorldConfig
 from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
-from repro.core.kg_io import load_kg_columnar, save_kg_columnar
+from repro.core.kg_io import (columnar_version, load_kg_columnar,
+                              save_kg_columnar)
 from repro.reporting import Table, format_percent
 
 __all__ = ["build_parser", "main"]
@@ -66,8 +68,11 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
 def cmd_inspect_kg(args: argparse.Namespace) -> int:
     kg = load_kg_columnar(args.path)
     stats = kg.stats()
-    print(f"{args.path}: {stats.nodes} nodes, {stats.edges} edges, "
-          f"{stats.relations} relations, {stats.domains} domains")
+    per_edge = os.path.getsize(args.path) / max(1, stats.edges)
+    print(f"{args.path}: columnar version {columnar_version(args.path)}, "
+          f"{per_edge:.1f} bytes per edge, {stats.nodes} nodes, "
+          f"{stats.edges} edges, {stats.relations} relations, "
+          f"{stats.domains} domains")
     table = Table("Edges per domain", ["Domain", "co-buy", "search-buy"])
     for domain in sorted(kg.domains()):
         table.add_row(domain, kg.edges_for(domain, "co-buy"),

@@ -6,7 +6,9 @@
   member under the names :mod:`repro.core.kg` declares, plus a format
   and a version stamp.  Loading hands the members to
   :meth:`KnowledgeGraph.from_columns`, so a round trip is exact: same
-  triples, same provenance, same column digest.
+  triples, same provenance, same column digest.  Version 2 stores its
+  members uncompressed and aligned, so a load maps them instead of
+  inflating them; version 1 (``np.savez_compressed``) still loads.
 * **JSON Lines** (:func:`save_kg`) — a one-way export for downstream
   consumers, one self-describing record per edge.  It is lossy (scores
   are rounded, intern and row ids are gone) and has no loader.
@@ -14,8 +16,12 @@
 
 from __future__ import annotations
 
+import io
 import json
+import mmap
+import os
 import pathlib
+import struct
 import zipfile
 import zlib
 from collections.abc import Sequence
@@ -29,15 +35,27 @@ __all__ = [
     "save_kg",
     "save_kg_columnar",
     "load_kg_columnar",
+    "columnar_version",
     "triple_to_record",
 ]
 
 _COLUMNAR_FORMAT = "cosmo-kg-columnar"
-_COLUMNAR_VERSION = 1
-#: What ``np.load``, ``zipfile`` and ``zlib`` raise on a damaged or
-#: foreign file (a missing one stays an ``OSError``).
-_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
-               ValueError)
+_COLUMNAR_VERSION = 2
+#: The versions that load: 1 is the same members deflated by ``np.savez``.
+_READABLE_VERSIONS = (1, 2)
+#: Where a stored member's ``.npy`` starts; npy pads its own header to the
+#: same boundary, so the array data behind it is aligned for any dtype.
+_ALIGN = 64
+#: A zip local file header up to its name (the two lengths that follow
+#: it), and the id of the extra field that pads one (zipalign's).
+_LOCAL_HEADER = struct.Struct("<26xHH")
+_PAD_ID = 0xD935
+#: The longest version-1.0 ``.npy`` header: magic, version, a 2-byte length.
+_NPY_HEADER_MAX = 10 + 0xFFFF
+#: What ``zipfile``, ``zlib`` and the npy header parser raise on a damaged
+#: or foreign file (``RuntimeError`` is an encrypted or unsupported entry;
+#: a missing file stays an ``OSError``).
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, RuntimeError, ValueError)
 
 
 def triple_to_record(triple: KnowledgeTriple) -> dict:
@@ -84,45 +102,102 @@ def _encoded(name: str, strings: Sequence[str]) -> np.ndarray:
     return encoded
 
 
+def _write_archive(path: pathlib.Path, payload: dict) -> None:
+    """``payload`` as one stored zip of ``.npy`` members at ``path``, each
+    member starting on an ``_ALIGN`` boundary and dated 1980 so the bytes
+    depend on the arrays alone.  Written beside ``path`` and moved over it,
+    so a reader sees the previous archive or the whole new one."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with zipfile.ZipFile(temp, "w") as archive:
+            offset = 0
+            for name, array in payload.items():
+                npy = io.BytesIO()
+                np.lib.format.write_array(npy, array, allow_pickle=False)
+                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+                offset += _LOCAL_HEADER.size + len(info.filename) + 4
+                pad = -offset % _ALIGN
+                info.extra = struct.pack("<HH", _PAD_ID, pad) + bytes(pad)
+                archive.writestr(info, npy.getbuffer())
+                offset += pad + npy.tell()
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def save_kg_columnar(kg: KnowledgeGraph, path: str | pathlib.Path) -> int:
-    """Write :meth:`KnowledgeGraph.columns` as a compressed npz archive,
-    arrays as they are and string columns as unicode arrays (checked
-    before anything is written).  Returns the edge count."""
-    path = pathlib.Path(path)
+    """Write :meth:`KnowledgeGraph.columns` as a version-2 archive, arrays
+    as they are and string columns as unicode arrays (checked before
+    anything is written).  Returns the edge count."""
     payload = dict(kg.columns())
     for name in STRING_COLUMNS:
         payload[name] = _encoded(name, payload[name])
     payload["format"] = np.array(_COLUMNAR_FORMAT)
     payload["version"] = np.array(_COLUMNAR_VERSION, dtype=np.int64)
-    with path.open("wb") as handle:
-        np.savez_compressed(handle, **payload)
+    _write_archive(pathlib.Path(path), payload)
     return len(kg)
+
+
+def _member_array(buffer) -> np.ndarray:
+    """The array in one ``.npy`` member, as a read-only view of ``buffer``."""
+    header = io.BytesIO(buffer[:_NPY_HEADER_MAX])
+    if np.lib.format.read_magic(header) != (1, 0):
+        raise ValueError("not a version-1.0 npy member")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
+    values = np.frombuffer(buffer, dtype=dtype, offset=header.tell())
+    return values.reshape(shape, order="F" if fortran_order else "C")
+
+
+def _read_archive(path: pathlib.Path) -> dict[str, np.ndarray]:
+    """The members of the zip at ``path`` as arrays, by name.  A stored
+    member is a slice of one read-only map of the file (unmapped with its
+    last array), checked against the entry's CRC-32 as ``zipfile`` checks
+    the deflated ones it reads."""
+    members = {}
+    with path.open("rb") as handle, zipfile.ZipFile(handle) as archive:
+        mapped = memoryview(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
+        for info in archive.infolist():
+            if not 0 <= info.header_offset <= len(mapped) - _LOCAL_HEADER.size:
+                raise zipfile.BadZipFile(f"{info.filename} starts past end of file")
+            start = info.header_offset + _LOCAL_HEADER.size + sum(
+                _LOCAL_HEADER.unpack_from(mapped, info.header_offset))
+            data = mapped[start:start + info.compress_size]
+            if len(data) != info.compress_size:
+                raise zipfile.BadZipFile(f"{info.filename} ends past end of file")
+            if info.compress_type != zipfile.ZIP_STORED:
+                data = archive.read(info)
+            elif zlib.crc32(data) != info.CRC:
+                raise zipfile.BadZipFile(f"bad CRC-32 for {info.filename}")
+            members[info.filename.removesuffix(".npy")] = _member_array(data)
+    return members
+
+
+def columnar_version(path: str | pathlib.Path) -> int:
+    """The version stamp of an archive :func:`load_kg_columnar` accepts."""
+    return int(_read_archive(pathlib.Path(path))["version"])
 
 
 def load_kg_columnar(path: str | pathlib.Path) -> KnowledgeGraph:
     """Load a KG previously written by :func:`save_kg_columnar`.
 
-    This function owns the archive only: that the file reads as an npz,
-    its format/version stamp and the presence of every declared column
-    (string columns as 1-D unicode arrays); the columns are validated
-    by :meth:`KnowledgeGraph.from_columns`.  Every rejection is a
-    ``ValueError`` starting with the path, so a truncated or hand-edited
-    file never loads as a different graph.
+    This function owns the archive only: that the file reads as a zip of
+    npy members, its format/version stamp and the presence of every
+    declared column (string columns as 1-D unicode arrays); the columns
+    are validated, and copied, by :meth:`KnowledgeGraph.from_columns`.
+    Every rejection is a ``ValueError`` starting with the path, so a
+    truncated or hand-edited file never loads as a different graph.
     """
     path = pathlib.Path(path)
     try:
-        with path.open("rb") as handle:
-            archive = np.load(handle, allow_pickle=False)
-            members = ({name: archive[name] for name in archive.files}
-                       if isinstance(archive, np.lib.npyio.NpzFile) else {})
+        members = _read_archive(path)
     except _UNREADABLE as error:
-        raise ValueError(f"{path}: not a readable npz archive ({error!r})") from error
+        raise ValueError(f"{path}: not a {_COLUMNAR_FORMAT} file ({error!r})") from error
     if "format" not in members or str(members["format"]) != _COLUMNAR_FORMAT:
         raise ValueError(f"{path}: not a {_COLUMNAR_FORMAT} file")
     version = members["version"].tolist() if "version" in members else None
-    if version != _COLUMNAR_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ValueError(f"{path}: unsupported columnar version {version!r} "
-                         f"(expected {_COLUMNAR_VERSION})")
+                         f"(expected one of {_READABLE_VERSIONS})")
     missing = [name for name in ARRAY_COLUMNS + STRING_COLUMNS
                if name not in members]
     if missing:

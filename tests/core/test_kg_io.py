@@ -1,15 +1,19 @@
 """KG serialization: the columnar archive's round trip and validation,
 and the one-way JSONL export."""
 
+import hashlib
 import json
+import mmap
+import struct
+import time
 import zipfile
 
 import numpy as np
 import pytest
 
 from repro.core.kg import ARRAY_COLUMNS, STRING_COLUMNS, KnowledgeGraph
-from repro.core.kg_io import (load_kg_columnar, save_kg, save_kg_columnar,
-                              triple_to_record)
+from repro.core.kg_io import (_write_archive, load_kg_columnar, save_kg,
+                              save_kg_columnar, triple_to_record)
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.refresh import columnar_digest
@@ -85,27 +89,46 @@ def _tampered(tmp_path, path, **overrides):
     return out
 
 
+def _tampered_v2(tmp_path, path, **overrides):
+    """The same rewrite through the version-2 writer (stored members)."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    payload.update(overrides)
+    out = tmp_path / "tampered.npz"
+    _write_archive(out, {name: value for name, value in payload.items()
+                         if value is not None})
+    return out
+
+
+def _rejected(tmp_path, message, **overrides):
+    """Both containers — ``_tampered`` writes what version 1 was, deflated
+    by ``np.savez_compressed`` — reject the same columns the same way."""
+    source = _columnar_path(tmp_path)
+    for tamper in (_tampered, _tampered_v2):
+        path = tamper(tmp_path, source, **overrides)
+        with pytest.raises(ValueError, match=r"^.*tampered\.npz: .*" + message):
+            load_kg_columnar(path)
+
+
+def _member(tmp_path, name):
+    """One array of a freshly written archive."""
+    with np.load(_columnar_path(tmp_path), allow_pickle=False) as archive:
+        return archive[name].copy()
+
+
 def test_columnar_rejects_missing_columns(tmp_path):
-    path = _tampered(tmp_path, _columnar_path(tmp_path), plausibility=None)
-    with pytest.raises(ValueError, match="missing columns.*plausibility"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "missing columns.*plausibility", plausibility=None)
 
 
 def test_columnar_rejects_truncated_numeric_column(tmp_path):
-    source = _columnar_path(tmp_path)
-    with np.load(source, allow_pickle=False) as archive:
-        short = archive["tail"][:-1]
-    path = _tampered(tmp_path, source, tail=short)
-    with pytest.raises(ValueError, match="'tail' has 1 values for 2 edges"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "'tail' has 1 values for 2 edges",
+              tail=_member(tmp_path, "tail")[:-1])
 
 
 def _rejected_by_loader_and_from_columns(tmp_path, message, **overrides):
     """The provenance encoding is checked where every other column is,
     so the archive and the bare mapping are rejected alike."""
-    path = _tampered(tmp_path, _columnar_path(tmp_path), **overrides)
-    with pytest.raises(ValueError, match=r"^.*tampered\.npz: .*" + message):
-        load_kg_columnar(path)
+    _rejected(tmp_path, message, **overrides)
     columns = dict(_graph().columns(), **{
         name: value.tolist() if value.dtype.kind == "U" else value
         for name, value in overrides.items()})
@@ -148,60 +171,39 @@ def test_columnar_rejects_lengths_that_are_not_one_integer_per_edge(
 
 
 def test_columnar_rejects_out_of_range_intern_ids(tmp_path):
-    source = _columnar_path(tmp_path)
-    with np.load(source, allow_pickle=False) as archive:
-        bad = archive["relation"].copy()
+    bad = _member(tmp_path, "relation")
     bad[0] = 99
-    path = _tampered(tmp_path, source, relation=bad)
-    with pytest.raises(ValueError,
-                       match="'relation' has ids outside the 'relations'"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "'relation' has ids outside the 'relations'",
+              relation=bad)
 
 
 # Before columns were adopted wholesale these three loaded without error
 # as a *different* graph: replaying the rows merged the repeated key and
 # summed its support, and re-interned the repeated string.
 def test_columnar_rejects_repeated_edge_key(tmp_path):
-    source = _columnar_path(tmp_path)
-    with np.load(source, allow_pickle=False) as archive:
-        tails = archive["tail"].copy()
+    tails = _member(tmp_path, "tail")
     tails[1] = tails[0]          # both rows are now (head, rel, "camping")
-    path = _tampered(tmp_path, source, tail=tails)
-    with pytest.raises(ValueError, match=r"tampered\.npz: rows repeat the "
-                                         r"\(head, relation, tail\) key .*'camping'"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, r"rows repeat the \(head, relation, tail\) key "
+                        r".*'camping'", tail=tails)
 
 
 def test_columnar_rejects_repeated_table_string(tmp_path):
-    source = _columnar_path(tmp_path)
-    with np.load(source, allow_pickle=False) as archive:
-        nodes = archive["nodes"].copy()
+    nodes = _member(tmp_path, "nodes")
     nodes[2] = nodes[1]          # "hiking" → a second "camping"
-    path = _tampered(tmp_path, source, nodes=nodes)
-    with pytest.raises(ValueError,
-                       match=r"tampered\.npz: table 'nodes' repeats 'camping'"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "table 'nodes' repeats 'camping'", nodes=nodes)
 
 
 def test_columnar_rejects_unknown_relation_name(tmp_path):
-    path = _tampered(tmp_path, _columnar_path(tmp_path),
-                     relations=np.array(["MADE_UP"], dtype=np.str_))
-    with pytest.raises(ValueError,
-                       match=r"tampered\.npz: .*'MADE_UP', which is not a Relation"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "'MADE_UP', which is not a Relation",
+              relations=np.array(["MADE_UP"], dtype=np.str_))
 
 
 def test_columnar_rejects_unreferenced_table_string(tmp_path):
     # Loading it would report one node too many and re-version the
     # snapshot built from it, though no edge changed.
-    source = _columnar_path(tmp_path)
-    with np.load(source, allow_pickle=False) as archive:
-        nodes = np.append(archive["nodes"], "left over")
-    path = _tampered(tmp_path, source, nodes=nodes)
-    with pytest.raises(ValueError,
-                       match=r"tampered\.npz: table 'nodes' holds 'left over', "
-                             r"which no row references"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "table 'nodes' holds 'left over', which no row "
+                        "references",
+              nodes=np.append(_member(tmp_path, "nodes"), "left over"))
 
 
 def test_columnar_roundtrip_survives_validation(tmp_path):
@@ -238,35 +240,62 @@ def test_save_rejects_a_string_the_encoding_would_alter(tmp_path, field):
 
 
 def test_columnar_rejects_missing_version(tmp_path):
-    path = _tampered(tmp_path, _columnar_path(tmp_path), version=None)
-    with pytest.raises(ValueError, match=r"^.*tampered\.npz: unsupported "
-                                         r"columnar version None"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "unsupported columnar version None", version=None)
 
 
-@pytest.mark.parametrize("version", [np.array(2), np.array([1, 1]),
+@pytest.mark.parametrize("version", [np.array(3), np.array([1, 1]),
                                      np.array("1")])
 def test_columnar_rejects_any_other_version(tmp_path, version):
-    path = _tampered(tmp_path, _columnar_path(tmp_path), version=version)
-    with pytest.raises(ValueError, match=r"^.*tampered\.npz: unsupported "
-                                         r"columnar version"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "unsupported columnar version", version=version)
+
+
+def _patched(data, offset, layout, value):
+    patched = bytearray(data)
+    struct.pack_into(layout, patched, offset, value)
+    return bytes(patched)
 
 
 def test_columnar_rejects_a_file_that_is_not_an_archive(tmp_path):
-    source = _columnar_path(tmp_path)
-    data = source.read_bytes()
-    with zipfile.ZipFile(source) as members:
-        second = sorted(info.header_offset for info in members.infolist())[1]
-    # The tail of the first member's compressed bytes, inverted.
-    flipped = bytes(byte ^ 0xFF for byte in data[second - 6:second])
+    stored = _columnar_path(tmp_path)
     path = tmp_path / "damaged.npz"
-    for content in (b"", b"\x00garbage!", data[: len(data) // 2], data[:-1],
-                    data[:second - 6] + flipped + data[second:]):
-        path.write_bytes(content)
-        with pytest.raises(ValueError, match=r"^.*damaged\.npz: "):
-            load_kg_columnar(path)
-    # A lone array is a file ``np.load`` reads happily.
+    # Both containers: the archive as written and its deflated rewrite.
+    for source in (stored, _tampered(tmp_path, stored)):
+        data = source.read_bytes()
+        with zipfile.ZipFile(source) as members:
+            second = sorted(info.header_offset for info in members.infolist())[1]
+            directory = members.start_dir
+        # The tail of the first member's bytes, inverted.
+        flipped = bytes(byte ^ 0xFF for byte in data[second - 6:second])
+        for content in (b"", b"\x00garbage!", data[: len(data) // 2], data[:-1],
+                        data[:second - 6] + flipped + data[second:],
+                        # One byte in the middle of the first member.
+                        _patched(data, second // 2, "B", data[second // 2] ^ 1),
+                        # The first entry's local header, then its last
+                        # byte, past end-of-file.
+                        _patched(data, directory + 42, "<I", len(data)),
+                        _patched(data, directory + 20, "<I", len(data))):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=r"^.*damaged\.npz: "):
+                load_kg_columnar(path)
+    # ``data`` is the deflated rewrite: an entry flagged as encrypted is
+    # one ``zipfile`` refuses to read.
+    path.write_bytes(_patched(data, directory + 8, "<H", 1))
+    with pytest.raises(ValueError, match=r"^.*damaged\.npz: .*encrypted"):
+        load_kg_columnar(path)
+    # A stored member is checked where it lies: its CRC-32 names the flip.
+    path.write_bytes(_patched(stored.read_bytes(), 100, "B", 0xFF))
+    with pytest.raises(ValueError, match=r"^.*damaged\.npz: .*CRC-32 for head"):
+        load_kg_columnar(path)
+    # A zip of something else, and a lone array (a file ``np.load`` reads
+    # happily).
+    with zipfile.ZipFile(path, "w") as foreign:
+        foreign.writestr("readme.txt", "not an array")
+    with pytest.raises(ValueError, match=r"^.*damaged\.npz: not a cosmo-kg"):
+        load_kg_columnar(path)
+    # A pickled member is never unpickled.
+    np.savez(path, format=np.array([{"a": 1}], dtype=object))
+    with pytest.raises(ValueError, match=r"^.*damaged\.npz: .*OBJECT array"):
+        load_kg_columnar(path)
     np.save(tmp_path / "damaged.npy", np.arange(3))
     with pytest.raises(ValueError, match=r"^.*damaged\.npy: not a cosmo-kg"):
         load_kg_columnar(tmp_path / "damaged.npy")
@@ -274,13 +303,76 @@ def test_columnar_rejects_a_file_that_is_not_an_archive(tmp_path):
         load_kg_columnar(tmp_path / "absent.npz")
 
 
+def test_a_version_1_archive_still_loads(tmp_path):
+    # What the previous writer left on disk: deflated members, stamp 1.
+    path = _tampered(tmp_path, _columnar_path(tmp_path),
+                     version=np.array(1, dtype=np.int64))
+    with zipfile.ZipFile(path) as members:
+        assert {info.compress_type for info in members.infolist()} == {
+            zipfile.ZIP_DEFLATED}
+    assert columnar_digest(load_kg_columnar(path)) == columnar_digest(_graph())
+
+
+def test_a_loaded_graph_outlives_its_file(tmp_path):
+    # What a refresh cycle does: load, delete the archive, go on reading.
+    path = _columnar_path(tmp_path)
+    loaded = load_kg_columnar(path)
+    path.unlink()
+    assert loaded.triples() == _graph().triples()
+    assert columnar_digest(loaded) == columnar_digest(_graph())
+
+
+def test_a_failed_save_leaves_the_previous_archive(tmp_path, monkeypatch):
+    path = _columnar_path(tmp_path)
+    written = []
+    writestr = zipfile.ZipFile.writestr
+
+    def failing(archive, info, data):
+        written.append(info.filename)
+        if len(written) == 3:
+            raise OSError("No space left on device")
+        writestr(archive, info, data)
+
+    monkeypatch.setattr(zipfile.ZipFile, "writestr", failing)
+    bigger = _graph()
+    bigger.add(_triple("fishing"))
+    with pytest.raises(OSError, match="No space left"):
+        save_kg_columnar(bigger, path)
+    assert len(written) == 3
+    assert columnar_digest(load_kg_columnar(path)) == columnar_digest(_graph())
+    assert [entry.name for entry in tmp_path.iterdir()] == ["kg.npz"]
+
+
+def test_the_same_graph_writes_the_same_aligned_bytes(tmp_path, monkeypatch):
+    digests = []
+    for year in (2001, 2031):
+        # ``np.savez`` stamps the local time into every member.
+        monkeypatch.setattr(time, "localtime", lambda *_, year=year: time.struct_time(
+            (year, 2, 3, 4, 5, 6, 0, 34, 0)))
+        save_kg_columnar(_graph(), tmp_path / "kg.npz")
+        digests.append(hashlib.sha256((tmp_path / "kg.npz").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+    with (tmp_path / "kg.npz").open("rb") as handle, \
+            zipfile.ZipFile(handle) as members:
+        data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        for info in members.infolist():
+            assert info.compress_type == zipfile.ZIP_STORED
+            name, extra = struct.unpack_from("<HH", data, info.header_offset + 26)
+            start = info.header_offset + 30 + name + extra
+            # The npy header pads itself to the boundary its member starts on.
+            array = np.load(members.open(info))
+            values = start + info.file_size - array.nbytes
+            assert start % 64 == values % 64 == 0, info.filename
+            mapped = np.frombuffer(data, dtype=array.dtype, count=array.size,
+                                   offset=values)
+            assert mapped.flags.aligned
+            assert mapped.tolist() == array.ravel().tolist()
+
+
 @pytest.mark.parametrize("nodes", [
     np.array([["q", "a"], ["b", "c"]]), np.array("q"), np.arange(3)])
 def test_columnar_rejects_a_string_column_that_is_not_1d_text(tmp_path, nodes):
-    path = _tampered(tmp_path, _columnar_path(tmp_path), nodes=nodes)
-    with pytest.raises(ValueError, match=r"^.*tampered\.npz: column 'nodes' "
-                                         r"is not a 1-D unicode array"):
-        load_kg_columnar(path)
+    _rejected(tmp_path, "column 'nodes' is not a 1-D unicode array", nodes=nodes)
 
 
 def test_archive_members_are_the_declared_columns(tmp_path):

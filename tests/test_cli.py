@@ -32,8 +32,11 @@ def test_inspect_kg(tmp_path, capsys):
     capsys.readouterr()
     code = main(["inspect-kg", str(out), "--sample", "2"])
     assert code == 0
-    captured = capsys.readouterr().out
-    assert "Edges per domain" in captured
+    first, rest = capsys.readouterr().out.split("\n", 1)
+    per_edge = out.stat().st_size / len(load_kg_columnar(out))
+    assert first.startswith(f"{out}: columnar version 2, {per_edge:.1f} bytes "
+                            "per edge, ")
+    assert "Edges per domain" in rest
 
 
 def test_generate_requires_arguments():
