@@ -10,7 +10,9 @@ interned once into id tables, and each edge is one row across parallel
 numpy columns (head/relation/tail/domain/behavior ids, plausibility,
 typicality, support, provenance length) over one flat run of provenance
 ids.  A lazily-built CSR index over the head column serves neighbor
-queries without scanning every edge.  The query surface is unchanged
+queries without scanning every edge, and the duplicate-merge index is
+derived state too: ``extend`` and ``from_columns`` sort the packed key
+column, only ``add`` builds a dict.  The query surface is unchanged
 from the dict-backed implementation — ``triples()`` still returns
 :class:`~repro.core.triples.KnowledgeTriple` objects in first-insert
 order with identical merge semantics — the columnar form is how
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -106,22 +108,25 @@ class KGStats:
     domains: int
 
 
-def _first_repeat(values: Iterable):
-    """The first value seen twice (for error messages only)."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            return value
-        seen.add(value)
+class _Numbering(dict):
+    """A dict that numbers, in first-appearance order, what it has not
+    seen: ``d[x]`` interns ``x`` (a missing key gets the dict's own
+    length; a held one never leaves C), ``d.get(x)`` only reads."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = number = len(self)
+        return number
 
 
 class _InternTable:
-    """Append-only string ↔ dense-id table."""
+    """Append-only string ↔ dense-id table: a :class:`_Numbering` and
+    its keys as a list, which is appended to where a string is interned,
+    never derived on demand, so ``value`` stays a plain list index."""
 
     __slots__ = ("_ids", "_values")
 
     def __init__(self):
-        self._ids: dict[str, int] = {}
+        self._ids = _Numbering()
         self._values: list[str] = []
 
     @classmethod
@@ -130,29 +135,26 @@ class _InternTable:
         would make two ids mean one value, so it is rejected."""
         table = cls()
         table._values = list(values)
-        table._ids = {value: i for i, value in enumerate(table._values)}
+        table._ids.update(zip(table._values, range(len(table._values))))
         if len(table._ids) != len(table._values):
-            raise ValueError(f"table {name!r} repeats "
-                             f"{_first_repeat(table._values)!r}")
+            seen = _Numbering()     # numbers a repeat below its index
+            repeat = next(value for i, value in enumerate(table._values)
+                          if seen[value] != i)
+            raise ValueError(f"table {name!r} repeats {repeat!r}")
         return table
 
     def intern(self, value: str) -> int:
-        interned = self._ids.get(value)
-        if interned is None:
-            interned = len(self._values)
-            self._ids[value] = interned
+        interned = self._ids[value]
+        if interned == len(self._values):
             self._values.append(value)
         return interned
 
     def intern_many(self, values: list[str]) -> list[int]:
-        """``[intern(v) for v in values]``: new strings get their ids in
-        first-appearance order, without a Python-level loop over
-        ``values`` (only over its distinct strings)."""
-        ids = self._ids
-        fresh = [value for value in dict.fromkeys(values) if value not in ids]
-        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
-        self._values.extend(fresh)
-        return list(map(ids.__getitem__, values))
+        """``[intern(v) for v in values]`` as one C-level pass: new
+        strings get their ids in first-appearance order."""
+        interned = list(map(self._ids.__getitem__, values))
+        self._values.extend(islice(self._ids, len(self._values), None))
+        return interned
 
     def id_of(self, value: str) -> int | None:
         return self._ids.get(value)
@@ -183,9 +185,10 @@ class KnowledgeGraph:
             setattr(self, attr, np.empty(_INITIAL_CAPACITY, dtype=dtype))
         self._head_ids_flat: list[str] = []
         self._size = 0
-        #: packed (head id, relation id, tail id) → row, for duplicate
-        #: merging; see :func:`pack_edge_keys`.
-        self._row_of: dict[int, int] = {}
+        #: packed (head id, relation id, tail id) → row, :meth:`add`'s
+        #: merge index: derived from :meth:`_keys` on first use, dropped
+        #: by :meth:`extend`, never built by a graph only loaded or read.
+        self._row_of: dict[int, int] | None = None
         #: Read indexes, derived on first use after a row is added: CSR
         #: over the head column, each row's end in the flat provenance.
         self._csr_order: np.ndarray = np.empty(0, dtype=np.intp)
@@ -206,6 +209,8 @@ class KnowledgeGraph:
         tail_id = self._nodes.intern(triple.tail)
         _check_key_budget(len(self._nodes), len(self._relations))
         key = _pack(head_id, rel_id, tail_id)
+        if self._row_of is None:
+            self._row_of = dict(zip(self._keys().tolist(), range(self._size)))
         row = self._row_of.get(key)
         if row is not None:
             # Merge: best scores win, support accumulates, the first
@@ -241,6 +246,13 @@ class KnowledgeGraph:
             grown[: self._size] = getattr(self, attr)[: self._size]
             setattr(self, attr, grown)
 
+    def _keys(self) -> np.ndarray:
+        """The packed key of every held row, from the id columns."""
+        n = self._size
+        return pack_edge_keys(
+            self._head_col[:n], self._rel_col[:n], self._tail_col[:n],
+            nodes=len(self._nodes), relations=len(self._relations))
+
     def extend(self, triples: Iterable[KnowledgeTriple]) -> None:
         """``for t in triples: self.add(t)`` as one bulk operation.
 
@@ -249,7 +261,10 @@ class KnowledgeGraph:
         edge whose key is new opens the next row and only those edges
         intern a domain/behavior, every other edge merges into its row.
         Each field leaves the batch once and each column is written with
-        one slice assignment.
+        one slice assignment.  Rows come from the packed key column, not
+        a per-edge dict: one sort of the batch's keys, and, when the
+        graph already holds rows, one sort of theirs — the stated cost
+        of extending a held graph; :meth:`add` is the per-edge path.
         """
         batch = list(triples)
         if not batch:
@@ -265,17 +280,25 @@ class KnowledgeGraph:
         relations = np.array(self._relations.intern_many(
             [triple.relation._value_ for triple in batch]), dtype=np.int32)
         keys = pack_edge_keys(heads, relations, tails, nodes=len(self._nodes),
-                              relations=len(self._relations)).tolist()
+                              relations=len(self._relations))
 
-        # One key per row, so ``len(row_of)`` is the next free row.  New
-        # keys take rows in first-appearance order: an edge opens a row
-        # exactly when its row number exceeds every row number before it
-        # (and every existing row).
-        size, row_of = self._size, self._row_of
-        rows = np.array([row_of.setdefault(key, len(row_of)) for key in keys],
-                        dtype=np.intp)
-        highest = np.maximum.accumulate(np.concatenate(([size - 1], rows)))
-        opens = rows > highest[:-1]
+        # The row of each distinct key: the held row with that key, else
+        # the next free rows in first-appearance order — an edge opens a
+        # row exactly when it is the first of a key no held row has.
+        size = self._size
+        distinct, first, inverse = np.unique(keys, return_index=True,
+                                             return_inverse=True)
+        row_of = np.full(len(distinct), -1, dtype=np.intp)
+        if size:
+            held = self._keys()
+            order = np.argsort(held)
+            at = order[np.minimum(
+                np.searchsorted(held, distinct, sorter=order), size - 1)]
+            row_of = np.where(held[at] == distinct, at, row_of)
+        new = row_of < 0
+        opens = np.zeros(len(batch), dtype=bool)
+        opens[first[new]] = True
+        row_of[new] = size - 1 + np.cumsum(opens)[first[new]]
 
         opened = list(compress(batch, opens.tolist()))
         end = size + len(opened)
@@ -296,11 +319,12 @@ class KnowledgeGraph:
         self._head_ids_flat.extend(chain.from_iterable(head_ids))
         self._size = end
         self._indexes_dirty = True
+        self._row_of = None
 
         if len(opened) < len(batch):
             merges = ~opens
             merged = list(compress(batch, merges.tolist()))
-            into = rows[merges]
+            into = row_of[inverse[merges]]
             # ``add`` replaces a score only by a greater one: a running
             # maximum that a NaN never enters and a NaN first insert
             # never leaves.
@@ -429,8 +453,10 @@ class KnowledgeGraph:
         """A graph that owns a copy of a :meth:`columns` mapping.
 
         The arrays are copied (so later ``add``s never write into the
-        caller's) and the intern tables and the duplicate-merge index
-        are rebuilt in one pass each — no per-edge :meth:`add`.  What
+        caller's) and the intern tables are rebuilt in one pass each; no
+        merge index is built (a later :meth:`add` derives it, a later
+        :meth:`extend` sorts the key column instead) and key uniqueness
+        is proved by one stable sort of that column.  What
         :meth:`add` guarantees by construction is checked here, for
         every source of columns, and a mapping that breaks it is
         rejected with a ``ValueError`` rather than repaired: every array
@@ -485,12 +511,14 @@ class KnowledgeGraph:
                 "head_ids lengths disagree with flat values")
         kg._size = edges
 
-        keys = pack_edge_keys(kg._head_col, kg._rel_col, kg._tail_col,
-                              nodes=len(kg._nodes),
-                              relations=len(kg._relations)).tolist()
-        kg._row_of = dict(zip(keys, range(edges)))
-        if len(kg._row_of) != edges:
-            row = kg._row_of[_first_repeat(keys)]
+        # Adjacent equal keys under a stable sort are a key's rows in row
+        # order; the earliest of them names the first key seen twice.
+        keys = kg._keys()
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        again = order[1:][ranked[1:] == ranked[:-1]]
+        if again.size:
+            row = int(again.min())
             raise ValueError(
                 "rows repeat the (head, relation, tail) key "
                 f"({kg._nodes.value(int(kg._head_col[row]))!r}, "

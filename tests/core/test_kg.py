@@ -1,13 +1,17 @@
 """Knowledge graph container: dedup, stats, and what importing it costs."""
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from repro.core.kg import KnowledgeGraph
+from repro.core.kg_io import load_kg_columnar, save_kg_columnar
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
+from repro.refresh import columnar_digest
 
 
 def _triple(head="q ||| p", tail="camping", relation=Relation.USED_FOR_EVE,
@@ -85,3 +89,72 @@ def test_pipeline_kg_invariants(pipeline_result):
     assert stats.relations >= 10
     for triple in kg.triples()[:100]:
         assert triple.plausibility > 0.5  # critic threshold applied
+
+
+def test_reads_of_unseen_strings_never_intern():
+    """The intern tables number whatever ``_ids[x]`` is asked for, so every
+    read must go through ``.get``: a lookup of a string the graph has
+    never seen returns nothing and leaves the graph byte-identical."""
+    def state(graph):
+        columns = graph.columns()
+        return (graph.stats(), columnar_digest(graph),
+                {name: value.tobytes() if hasattr(value, "tobytes") else value
+                 for name, value in columns.items()})
+
+    built = KnowledgeGraph()
+    built.extend([_triple(), _triple(tail="hiking")])
+    for kg in (built, KnowledgeGraph.from_columns(built.columns())):
+        before = state(kg)
+        assert kg.neighbors("never seen") == []
+        assert kg.for_domain("never seen") == []
+        assert kg.edges_for("never seen", "search-buy") == 0
+        assert kg.edges_for("Sports & Outdoors", "never seen") == 0
+        for table in (kg._nodes, kg._relations, kg._domains, kg._behaviors):
+            assert table.id_of("never seen") is None
+            assert len(table) == len(table.values()) == len(table._ids)
+        assert state(kg) == before
+        # ... and the next write still numbers from the table's length.
+        kg.add(_triple(head="never seen", domain="never seen"))
+        assert kg.stats().nodes == before[0].nodes + 1
+        assert kg.columns()["nodes"][-1] == "never seen"
+        assert kg.columns()["domains"] == ("Sports & Outdoors", "never seen")
+        assert [t.tail for t in kg.neighbors("never seen")] == ["camping"]
+
+
+def test_no_per_edge_python_object_survives(tmp_path):
+    """What a graph retains after a bulk ingest, and after a load, is its
+    columns: nine arrays, 48 B per edge (capacity lands exactly on 2**15
+    here), plus a few dozen table strings.  A ``dict[int, int]`` merge
+    index alone is ~85 B per edge, so holding one fails this bound."""
+    nodes = [f"node {i:02d}" for i in range(64)]
+    batch = [_triple(head=head, tail=tail, relation=relation)
+             for head in nodes for tail in nodes
+             for relation in list(Relation)[:8]]
+    assert len(batch) == 1 << 15
+
+    def retained_per_edge(build):
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        kg = build()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+        assert len(kg) == len(batch)
+        return kg, (after - before) / len(batch)
+
+    def ingest():
+        kg = KnowledgeGraph()
+        kg.extend(batch)
+        return kg
+
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        kg, ingested = retained_per_edge(ingest)
+        save_kg_columnar(kg, tmp_path / "kg.npz")
+        _, loaded = retained_per_edge(
+            lambda: load_kg_columnar(tmp_path / "kg.npz"))
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert 48 <= ingested < 64
+    assert 48 <= loaded < 64

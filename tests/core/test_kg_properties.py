@@ -1,11 +1,15 @@
 """Property-based invariants of the knowledge-graph container."""
 
+import hashlib
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.kg import KnowledgeGraph, pack_edge_keys
+from repro.core.kg import KGStats, KnowledgeGraph, pack_edge_keys
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.refresh import columnar_digest
@@ -276,3 +280,125 @@ def test_packed_key_raises_instead_of_wrapping(monkeypatch):
         scalar.add(edges[2])
     with pytest.raises(OverflowError):
         KnowledgeGraph.from_columns(roomy.columns())
+
+
+# -- schedules of writes, round trips and reads ≡ a dict of tuples -----------
+
+class _Model:
+    """The graph as a dict: ``(head, relation, tail)`` → ``[domain,
+    behavior, plausibility, typicality, support, head_ids]`` in insertion
+    order.  Tables, columns and every query are derived from it from
+    scratch each time they are asked for."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, triple):
+        row = self.rows.setdefault(triple.key, [triple.domain, triple.behavior,
+                                                None, None, 0, triple.head_ids])
+        for slot, score in ((2, triple.plausibility), (3, triple.typicality)):
+            if row[slot] is None or score > row[slot]:
+                row[slot] = score
+        row[4] += triple.support
+
+    def triples(self, keep=lambda triple: True):
+        every = (KnowledgeTriple(head, Relation(relation), tail, *row)
+                 for (head, relation, tail), row in self.rows.items())
+        return [triple for triple in every if keep(triple)]
+
+    def columns(self):
+        flat = [(*key, *row) for key, row in self.rows.items()]
+        fields = list(zip(*flat)) or [()] * 9
+        tables = {"nodes": [end for row in flat for end in (row[0], row[2])],
+                  "relations": fields[1], "domains": fields[3],
+                  "behaviors": fields[4]}
+        tables = {name: tuple(dict.fromkeys(values))
+                  for name, values in tables.items()}
+
+        def ids(field, table):
+            return np.array([tables[table].index(value)
+                             for value in fields[field]], dtype="<i4")
+        return {"head": ids(0, "nodes"), "relation": ids(1, "relations"),
+                "tail": ids(2, "nodes"), "domain": ids(3, "domains"),
+                "behavior": ids(4, "behaviors"),
+                "plausibility": np.array(fields[5], dtype="<f8"),
+                "typicality": np.array(fields[6], dtype="<f8"),
+                "support": np.array(fields[7], dtype="<i8"),
+                "head_ids_len": np.array(list(map(len, fields[8])), dtype="<i4"),
+                **tables, "head_ids_flat": sum(fields[8], ())}
+
+
+def _assert_is_the_model(kg, model):
+    expected, ours = model.columns(), kg.columns()
+    assert list(ours) == list(expected)
+    digest = hashlib.blake2b(digest_size=16)
+    for name, value in expected.items():
+        digest.update(name.encode("utf-8"))
+        if isinstance(value, np.ndarray):
+            assert ours[name].dtype == value.dtype, name
+            assert ours[name].tobytes() == value.tobytes(), name
+            digest.update(value.tobytes())
+        else:
+            assert ours[name] == value, name
+            digest.update("\x00".join(value).encode("utf-8"))
+    assert columnar_digest(kg) == digest.hexdigest()
+    assert kg.stats() == KGStats(
+        nodes=len(expected["nodes"]), edges=len(model.rows),
+        relations=len(expected["relations"]), domains=len(expected["domains"]))
+    # NaN scores compare unequal to themselves, so triples compare by repr.
+    assert repr(kg.triples()) == repr(model.triples())
+    for head in expected["nodes"] + ("never seen",):
+        assert repr(kg.neighbors(head)) == repr(
+            model.triples(lambda triple: triple.head == head))
+    cells = Counter((row[0], row[1]) for row in model.rows.values())
+    for domain in expected["domains"] + ("never seen",):
+        for behavior in expected["behaviors"] + ("never seen",):
+            assert kg.edges_for(domain, behavior) == cells[domain, behavior]
+
+
+_scores = st.one_of(st.floats(0, 1), st.just(float("nan")))
+_scheduled = st.one_of(triples(), st.builds(
+    lambda triple, plausibility, typicality: replace(
+        triple, plausibility=plausibility, typicality=typicality),
+    colliding_triples(), _scores, _scores))
+_batch = st.lists(_scheduled, max_size=12)
+_steps = st.one_of(
+    st.tuples(st.just("add"), _scheduled),
+    st.tuples(st.sampled_from(["extend", "extend a generator"]), _batch),
+    st.tuples(st.just("from_columns"), st.none()),
+    # A string the graph may or may not hold, read every way there is.
+    st.tuples(st.just("read"), st.one_of(_texts, _domains)))
+_A, _B, _C = (_edge("a", tail, head_ids=("p1",)) for tail in "abc")
+
+
+@given(st.lists(_steps, max_size=10))
+@example([("extend", [_A, _B]), ("add", _A), ("extend", [_B, _C, _A]),
+          ("add", _C), ("add", _B)])
+@example([("extend", [_A]), ("from_columns", None), ("add", _A), ("add", _B)])
+@example([("add", _A), ("extend", []), ("extend a generator", [_A, _A, _B]),
+          ("from_columns", None), ("extend", [_C, _B]), ("add", _C)])
+@settings(max_examples=150, deadline=None)
+def test_any_schedule_is_the_dict_model_after_every_step(schedule):
+    """``add``'s merge index is derived from the columns and dropped by
+    ``extend``, and ``from_columns`` builds none: every interleaving of
+    the three must leave exactly what a dict of tuples holds."""
+    kg, model = KnowledgeGraph(), _Model()
+    for step, argument in schedule:
+        if step == "add":
+            kg.add(argument)
+            model.add(argument)
+        elif step.startswith("extend"):
+            kg.extend(iter(argument) if "generator" in step else argument)
+            for triple in argument:
+                model.add(triple)
+        elif step == "from_columns":
+            kg = KnowledgeGraph.from_columns(kg.columns())
+        else:
+            assert repr(kg.neighbors(argument)) == repr(
+                model.triples(lambda triple: triple.head == argument))
+            assert repr(kg.for_domain(argument)) == repr(
+                model.triples(lambda triple: triple.domain == argument))
+            assert kg.edges_for(argument, "co-buy") == len(model.triples(
+                lambda triple: (triple.domain, triple.behavior)
+                == (argument, "co-buy")))
+        _assert_is_the_model(kg, model)
