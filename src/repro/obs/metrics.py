@@ -125,12 +125,18 @@ class Histogram:
         index = bisect_left(self.bounds, value)
         self._counts[index] += count
         self.count += count
-        total = self.sum
-        for _ in range(count):
-            total += value
-        self.sum = total
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        if count == 1:
+            self.sum += value
+        else:
+            total = self.sum
+            for _ in range(count):
+                total += value
+            self.sum = total
+        # Comparisons, not min()/max(): same result, no call per observe.
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
         if exemplar is not None:
             # Latest-wins per bucket: each bucket remembers one concrete
             # trace id an operator can pull up for "what does a request

@@ -12,11 +12,17 @@ sampler applies its policy:
 * **always retain** traces flagged interesting by the caller (errors,
   degraded/fallback outcomes) — reason ``"flagged"``;
 * **slowest-k per window**: ordinary traces compete on duration inside a
-  fixed time window; when the window closes, the k slowest commit
-  (reason ``"slow"``) and the rest drop;
+  fixed time window; the k slowest so far are held on a min-heap, a
+  trace that cannot enter them is dropped as it finishes, and when the
+  window closes the survivors commit (reason ``"slow"``);
 * **head sampling**: every ``head_every``-th ordinary trace commits
   unconditionally (reason ``"head"``) so the sampler keeps a baseline of
   normal traffic for comparison.
+
+Whether a trace is flagged, its head ordinal and its duration are known
+only at :meth:`~TailSampler.finish`, so that is the earliest a verdict
+can be reached; reaching it there means at most ``slowest_k`` finished
+ordinary traces are ever buffered, however busy the window.
 
 Committed spans flow back into their tracer's retained list (still
 subject to the tracer's own ``max_spans`` hard cap); dropped traces
@@ -31,10 +37,11 @@ resulting artifacts byte-stable.
 
 from __future__ import annotations
 
+from heapq import heappush, heappushpop
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.obs.tracing import Span, Tracer
+    from repro.obs.tracing import Span
 
 __all__ = ["TailSampler"]
 
@@ -62,10 +69,13 @@ class TailSampler:
         self.window_s = window_s
         self.head_every = head_every
         self.max_buffered_spans = max_buffered_spans
-        #: trace id → buffered ``(tracer, span)`` pairs, in open order.
-        self._buffers: dict[str, list[tuple[Tracer, Span]]] = {}
+        #: trace id → buffered spans, in open order.
+        self._buffers: dict[str, list[Span]] = {}
         self._buffered_spans = 0
-        #: window candidates: ``(duration_s, finish order, trace_id)``.
+        #: the window's k slowest so far, a min-heap of
+        #: ``(duration_s, -finish order, trace_id)``: its top is the
+        #: candidate a slower trace displaces — the fastest, and of equal
+        #: durations the one that finished last.
         self._candidates: list[tuple[float, int, str]] = []
         self._window_start: float | None = None
         self._finished = 0  # ordinary-trace counter for head sampling
@@ -92,8 +102,10 @@ class TailSampler:
         ``ts`` is the trace's completion timestamp on the driver's
         clock; it advances the sampling window.  ``flagged`` marks the
         trace always-retain (error/degraded/fallback).  Returns
-        ``"flagged"``, ``"head"``, or ``"deferred"`` (window candidate —
-        resolved at window close or :meth:`flush`).
+        ``"flagged"``, ``"head"``, or ``"deferred"`` — an ordinary trace
+        that is either one of the window's k slowest so far (resolved at
+        window close or :meth:`flush`) or, when it cannot be, already
+        dropped.
         """
         self._roll_window(ts)
         if flagged:
@@ -103,7 +115,16 @@ class TailSampler:
         if self.head_every and self._finished % self.head_every == 1 % self.head_every:
             self._commit(trace_id, "head")
             return "head"
-        self._candidates.append((duration_s, self._finished, trace_id))
+        candidates = self._candidates
+        candidate = (duration_s, -self._finished, trace_id)
+        if len(candidates) < self.slowest_k:
+            heappush(candidates, candidate)
+        elif candidates:
+            # The heap is full: whichever of the newcomer and the fastest
+            # held ranks lower can no longer be among the k slowest.
+            self._drop(heappushpop(candidates, candidate)[2])
+        else:  # slowest_k == 0
+            self._drop(trace_id)
         return "deferred"
 
     def flush(self) -> None:
@@ -121,29 +142,25 @@ class TailSampler:
             self._window_start += self.window_s
 
     def _close_window(self) -> None:
-        if not self._candidates:
-            return
         # Slowest first; ties broken by finish order so the decision is
         # deterministic even when durations repeat (the common case for
         # fixed cache latencies).
-        ranked = sorted(self._candidates, key=lambda c: (-c[0], c[1]))
-        for duration_s, _, trace_id in ranked[:self.slowest_k]:
+        for _, _, trace_id in sorted(self._candidates, reverse=True):
             self._commit(trace_id, "slow")
-        for duration_s, _, trace_id in ranked[self.slowest_k:]:
-            self._drop(trace_id)
         self._candidates.clear()
 
-    def _pop(self, trace_id: str) -> list[tuple["Tracer", "Span"]]:
+    def _pop(self, trace_id: str) -> list["Span"]:
         spans = self._buffers.pop(trace_id, [])
         self._buffered_spans -= len(spans)
         return spans
 
     def _commit(self, trace_id: str, reason: str) -> None:
-        for tracer, span in self._pop(trace_id):
-            tracer._commit(span)
+        for span in self._pop(trace_id):
+            span._tracer._commit(span)
         self.decisions[reason] += 1
 
     def _drop(self, trace_id: str) -> None:
-        for tracer, span in self._pop(trace_id):
-            tracer._discard(span)
+        for span in self._pop(trace_id):
+            span._tracer.dropped += 1
+            span.retained = False
         self.decisions["dropped"] += 1

@@ -14,8 +14,13 @@ attached (:meth:`Tracer.attach`), every opened span is tagged with the
 context's ``trace_id``, and stack-root spans record the context's
 ``parent_ref`` — a ``"tracer_name:span_id"`` reference to their remote
 parent — so :class:`~repro.obs.trace_query.TraceAnalyzer` can reassemble
-one tree across tracers.  Trace ids are deterministic
-(:func:`make_trace_id` hashes request sequence + key).
+one tree across tracers.  A hop that only forwards the request (the
+replica's ``serve``) attaches and opens nothing: its stage spans are
+its stack roots and hang off the upstream span directly.  A hop that
+times its own window (the cluster's ``cluster.request``) opens its root
+with :meth:`Tracer.trace`, which is a span like any other that puts the
+tracer's context and clock back when it closes.  Trace ids are
+deterministic (:func:`make_trace_id` hashes request sequence + key).
 
 Retention: untraced spans fall under the legacy ``max_spans`` head
 truncation; trace-tagged spans are instead buffered into an optional
@@ -127,16 +132,19 @@ class Span:
 
     A span is its own context manager: :meth:`Tracer.span` opens it (the
     open happens at the call, not at ``__enter__``) and the ``with``
-    block's exit closes it.  Hand-rolled ``__slots__`` and no
-    ``__init__`` (``Tracer._open`` is the one constructor) rather than a
-    dataclass/contextlib pairing — span open/close sits on the
-    per-request hot path six times over, and ``bench_trace_overhead``
-    pins the traced/bare ratio.
+    block's exit closes it.  A trace root (:meth:`Tracer.trace`) also
+    holds in ``_restore`` the ``(context, clock)`` its tracer had before
+    the root swapped them, and its exit puts them back.  Hand-rolled
+    ``__slots__`` and no ``__init__`` (``Tracer._open`` is the one
+    constructor) rather than a dataclass/contextlib pairing — span
+    open/close sits on the per-request hot path, and
+    ``bench_trace_overhead`` pins the traced/bare ratio.
     """
 
     __slots__ = ("name", "span_id", "parent_id", "start_s", "depth",
                  "end_s", "attributes", "status", "error_type", "trace_id",
-                 "remote_parent", "export_parent_id", "retained", "_tracer")
+                 "remote_parent", "export_parent_id", "retained", "_tracer",
+                 "_restore")
 
     name: str
     span_id: int
@@ -151,7 +159,8 @@ class Span:
     remote_parent: str | None
     export_parent_id: int | None
     retained: bool
-    _tracer: "Tracer | None"
+    _tracer: "Tracer"
+    _restore: "tuple[TraceContext | None, Callable[[], float]] | None"
 
     def __repr__(self) -> str:
         return (f"Span(name={self.name!r}, span_id={self.span_id}, "
@@ -176,6 +185,8 @@ class Span:
         tracer = self._tracer
         self.end_s = tracer.clock()
         tracer._stack.pop()
+        if self._restore is not None:
+            tracer._context, tracer.clock = self._restore
         return False
 
 
@@ -204,60 +215,24 @@ NULL_SPAN = _NullSpan()
 
 
 class _Attachment:
-    """Enter/exit handle returned by :meth:`Tracer.attach`.
+    """Enter/exit handle returned by :meth:`Tracer.attach`."""
 
-    Optionally swaps the tracer's clock for the scope's duration too
-    (``Tracer.attach(context, clock=...)``) — one handle, one
-    enter/exit, instead of stacking ``attach`` and ``clocked``.
-    """
+    __slots__ = ("_tracer", "_context", "_previous")
 
-    __slots__ = ("_tracer", "_context", "_clock", "_previous", "_previous_clock")
-
-    def __init__(self, tracer: "Tracer", context: TraceContext,
-                 clock: Callable[[], float] | None = None):
+    def __init__(self, tracer: "Tracer", context: TraceContext):
         self._tracer = tracer
         self._context = context
-        self._clock = clock
         self._previous: TraceContext | None = None
-        self._previous_clock: Callable[[], float] | None = None
 
     def __enter__(self) -> "Tracer":
         tracer = self._tracer
         self._previous = tracer._context
         tracer._context = self._context
-        if self._clock is not None:
-            self._previous_clock = tracer.clock
-            tracer.clock = self._clock
         return tracer
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        tracer = self._tracer
-        tracer._context = self._previous
-        if self._clock is not None:
-            tracer.clock = self._previous_clock
+        self._tracer._context = self._previous
         return False
-
-
-class _TraceRoot:
-    """Enter/exit handle returned by :meth:`Tracer.trace`: an attachment
-    that opens, and on exit closes, the root span of its subtree."""
-
-    __slots__ = ("_attachment", "_name", "_attributes", "_span")
-
-    def __init__(self, attachment: _Attachment, name: str,
-                 attributes: dict[str, AttrValue]):
-        self._attachment = attachment
-        self._name = name
-        self._attributes = attributes
-
-    def __enter__(self) -> Span:
-        tracer = self._attachment.__enter__()
-        self._span = tracer.span(self._name, **self._attributes)
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._span.__exit__(exc_type, exc, tb)
-        return self._attachment.__exit__(exc_type, exc, tb)
 
 
 class _ClockOverride:
@@ -315,31 +290,34 @@ class Tracer:
         """The currently attached :class:`TraceContext`, if any."""
         return self._context
 
-    def attach(self, context: TraceContext | None,
-               clock: Callable[[], float] | None = None,
-               ) -> "_Attachment | _NullSpan":
+    def attach(self, context: TraceContext | None) -> "_Attachment | _NullSpan":
         """Tag spans opened inside with ``context``'s trace id; attaching
         ``None`` (tracing off) is a no-op scope.
 
         Stack-root spans opened while attached additionally record the
         context's ``parent_ref`` as their remote parent, linking this
-        tracer's subtree under the upstream span.  ``clock`` additionally
-        retimes spans for the scope (equivalent to nesting
-        :meth:`clocked`, one context manager cheaper).
+        tracer's subtree under the upstream span.
         """
         if context is None:
             return NULL_SPAN
-        return _Attachment(self, context, clock)
+        return _Attachment(self, context)
 
     def trace(self, context: TraceContext | None, name: str,
               clock: Callable[[], float] | None = None,
-              **attributes: AttrValue) -> "_TraceRoot | _NullSpan":
-        """:meth:`attach` ``context`` and open span ``name`` as the root
-        of its subtree in this tracer, as one scope — what every hop of
-        a traced request does on entry.  No context, no-op."""
+              **attributes: AttrValue) -> "Span | _NullSpan":
+        """Attach ``context`` (and time on ``clock``, when given) and open
+        span ``name`` as the root of its subtree in this tracer, now —
+        the returned span's exit closes it and puts the previous context
+        and clock back.  No context, no-op."""
         if context is None:
             return NULL_SPAN
-        return _TraceRoot(_Attachment(self, context, clock), name, attributes)
+        restore = (self._context, self.clock)
+        self._context = context
+        if clock is not None:
+            self.clock = clock
+        root = self.span(name, **attributes)
+        root._restore = restore
+        return root
 
     def ref(self, span: Span) -> str:
         """The cross-tracer reference naming ``span`` in this tracer."""
@@ -363,7 +341,8 @@ class Tracer:
         record.trace_id = None
         record.remote_parent = None
         record.retained = True
-        record._tracer = None
+        record._tracer = self
+        record._restore = None
         if parent is not None:
             record.parent_id = parent.span_id
             record.depth = parent.depth + 1
@@ -389,9 +368,9 @@ class Tracer:
                 buffers = sampler._buffers
                 entries = buffers.get(record.trace_id)
                 if entries is None:
-                    buffers[record.trace_id] = [(self, record)]
+                    buffers[record.trace_id] = [record]
                 else:
-                    entries.append((self, record))
+                    entries.append(record)
                 sampler._buffered_spans += 1
             else:
                 sampler.overflow += 1
@@ -412,11 +391,6 @@ class Tracer:
             self.dropped += 1
             record.retained = False
 
-    def _discard(self, record: Span) -> None:
-        """Sampler callback: the record's trace was sampled out."""
-        self.dropped += 1
-        record.retained = False
-
     def span(self, name: str, **attributes: AttrValue) -> Span:
         """Open a child span of the current span (or a root span).
 
@@ -427,7 +401,6 @@ class Tracer:
         stack = self._stack
         record = self._open(name, self.clock(), attributes,
                             stack[-1] if stack else None)
-        record._tracer = self
         stack.append(record)
         return record
 

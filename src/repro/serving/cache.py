@@ -103,12 +103,14 @@ class AsyncCacheStore:
         self.request_log: Counter = Counter()
 
     def attach_tracer(self, tracer) -> None:
-        """Collect a ``cache.fetch`` span per *traced* lookup.
+        """Collect a ``cache.fetch_many`` span per *traced* window.
 
         ``tracer`` is the owning service's tracer; spans are only opened
         while a :class:`~repro.obs.tracing.TraceContext` is attached to
         it, so untraced traffic (preloads, benches with tracing off)
-        costs nothing here.
+        costs nothing here.  A single :meth:`fetch` opens none: it takes
+        no simulated time, and the stage span that follows it records
+        which layer answered.
         """
         self._tracer = tracer
 
@@ -148,13 +150,7 @@ class AsyncCacheStore:
         shedding load skips the queue so shed traffic cannot crowd out
         admitted misses).
         """
-        tracer = self._tracer
-        if tracer is None or tracer.active_context is None:
-            return self._fetch_many((query,), enqueue)[0]
-        with tracer.span("cache.fetch", store=self._name) as span:
-            (hit,) = self._fetch_many((query,), enqueue)
-            span.set_attribute("outcome", hit[1] if hit is not None else "miss")
-        return hit
+        return self._fetch_many((query,), enqueue)[0]
 
     def fetch_many(self, queries: list[str],
                    enqueue: bool = True) -> list[tuple[str, str] | None]:

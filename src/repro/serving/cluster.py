@@ -377,9 +377,10 @@ class CosmoCluster:
         held = _HeldClock(arrival)
         log_scope = (NULL_SPAN if context is None or self.event_log is None
                      else self.event_log.trace_scope(context.trace_id))
-        with log_scope, self.tracer.trace(context, "cluster.request",
-                                          clock=held.now,
-                                          query=request.query) as root:
+        with log_scope, self.tracer.trace(
+                context, "cluster.request", clock=held.now,
+                query=request.query,
+                mode="direct" if request.direct else "cached") as root:
             shed = self._admit(1)
             if shed:
                 root.set_attribute("shed", True)

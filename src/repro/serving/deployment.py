@@ -323,9 +323,11 @@ class CosmoService:
         synchronously.
 
         When the request carries a :class:`~repro.obs.tracing.TraceContext`
-        the whole serve runs under an attached ``serving.request`` span —
-        cache fetch, degradation steps and generator attempts become
-        child spans and the result echoes the trace id.
+        the serve runs with it attached and opens no span of its own:
+        the stage spans (cache / degraded / fallback serve, generator
+        attempts) are this tracer's stack roots and hang off the
+        upstream span the context names, and the result echoes the
+        trace id.
 
         ``trace`` overrides ``request.trace`` when given: the cluster
         passes its per-hop child context out-of-band so propagation does
@@ -333,13 +335,8 @@ class CosmoService:
         """
         if trace is None:
             trace = request.trace
-        with self.tracer.trace(
-            trace, "serving.request", service=self.name,
-            mode="direct" if request.direct else "cached",
-        ) as span:
+        with self.tracer.attach(trace):
             result = self._serve(request, allow_enqueue)
-            span.set_attribute("outcome", result.outcome.value)
-            span.set_attribute("source", result.source)
         if trace is not None:
             # The result is freshly built by _serve and unshared, so stamp
             # the frozen dataclass in place — dataclasses.replace's field

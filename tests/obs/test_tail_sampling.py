@@ -1,6 +1,8 @@
 """Tail-based sampling: keep/drop decided when the trace finishes."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.sampling import TailSampler
 from repro.obs.tracing import TraceContext, Tracer
@@ -167,3 +169,121 @@ def test_overflow_bound_is_shared_across_traces():
     sampler.finish("victim", ts=0.0, duration_s=0.1, flagged=True)
     assert sorted(s.name for s in tracer.spans()) == ["hog0", "hog1", "hog2"]
     assert sampler.pending_traces == 0
+
+
+def test_a_busy_window_does_not_starve_a_flagged_trace():
+    """Regression: deferred traces used to wait for their window to close
+    before being dropped, so ~17 000 three-span ordinary traces filled the
+    default 50 000-span buffer inside one 60 s window and every later
+    span — a flagged trace's included — was refused.  A trace that cannot
+    be among the window's k slowest is now dropped as it finishes."""
+    sampler = TailSampler()
+    tracer = Tracer(sampler=sampler)
+    most_pending = 0
+    for index in range(20_000):
+        trace_id = f"fast{index}"
+        with tracer.attach(TraceContext(trace_id)):
+            with tracer.span("a"), tracer.span("b"), tracer.span("c"):
+                pass
+        sampler.finish(trace_id, ts=index * 1e-3, duration_s=0.001)
+        most_pending = max(most_pending, sampler.pending_traces)
+    with tracer.attach(TraceContext("bad")):
+        with tracer.span("error") as bad:
+            pass
+    assert sampler.finish("bad", ts=20.0, duration_s=0.5, flagged=True) == "flagged"
+    assert bad.retained and tracer.spans()[-1] is bad
+    assert sampler.overflow == 0
+    # At most k deferred traces were ever buffered.
+    assert most_pending == sampler.slowest_k
+    assert sampler.buffered_spans == 3 * sampler.slowest_k
+
+
+class _SortAtClose:
+    """Reference: deferred traces wait for their window's close, one sort."""
+
+    def __init__(self, slowest_k, window_s, head_every):
+        self.k, self.window_s, self.head_every = slowest_k, window_s, head_every
+        self.buffers, self.candidates, self.start, self.finished = {}, [], None, 0
+        self.kept, self.dropped = ([], []), [0, 0]
+        self.decisions = {"flagged": 0, "slow": 0, "head": 0, "dropped": 0}
+
+    def finish(self, trace_id, ts, duration_s, flagged):
+        self.start = ts if self.start is None else self.start
+        while ts >= self.start + self.window_s:
+            self.close()
+            self.start += self.window_s
+        if flagged:
+            return self.resolve(trace_id, "flagged")
+        self.finished += 1
+        if self.head_every and self.finished % self.head_every == 1 % self.head_every:
+            return self.resolve(trace_id, "head")
+        self.candidates.append((duration_s, self.finished, trace_id))
+
+    def close(self):
+        ranked = sorted(self.candidates, key=lambda c: (-c[0], c[1]))
+        for rank, (_, _, trace_id) in enumerate(ranked):
+            self.resolve(trace_id, "slow" if rank < self.k else "dropped")
+        self.candidates = []
+
+    def resolve(self, trace_id, reason):
+        for tracer, name in self.buffers.pop(trace_id, []):
+            if reason == "dropped":
+                self.dropped[tracer] += 1
+            else:
+                self.kept[tracer].append(name)
+        self.decisions[reason] += 1
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["open"] * 3 + ["finish"] * 3 + ["flush"]),
+    st.integers(0, 1),                               # tracer of an open
+    st.integers(0, 3),                               # which live trace (else a new one)
+    st.sampled_from([0.0, 0.1, 0.1, 0.2, 0.3]),      # duration: ties are common
+    st.sampled_from([False, False, False, True]),    # flagged
+    st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.3, 1.5]),  # finish-time advance
+), min_size=8, max_size=60)
+_OPEN, _FINISH = ("open", 0, 9, 0.0, False, 0.0), ("finish", 0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS, slowest_k=st.integers(0, 4), head_every=st.integers(0, 3))
+@example(ops=[_OPEN, (*_FINISH, 0.1, False, 0.0), _OPEN, (*_FINISH, 0.3, False, 0.0)],
+         slowest_k=1, head_every=0)   # a full heap: the slower newcomer stays
+def test_heap_sampler_matches_sort_at_close_reference(ops, slowest_k, head_every):
+    sampler = TailSampler(slowest_k=slowest_k, window_s=1.0, head_every=head_every)
+    tracers = (Tracer(name="a", sampler=sampler), Tracer(name="b", sampler=sampler))
+    model = _SortAtClose(slowest_k, 1.0, head_every)
+    live, minted, now = [], 0, 0.0
+
+    def agree(with_drops):
+        assert [[s.name for s in t.spans()] for t in tracers] == list(model.kept)
+        if with_drops:
+            assert sampler.decisions == model.decisions
+            assert [t.dropped for t in tracers] == model.dropped
+
+    for op, which, pick, duration, flagged, advance in ops:
+        if op == "open":
+            if pick >= len(live):
+                live.append(f"t{minted}")
+                minted += 1
+            trace_id = live[min(pick, len(live) - 1)]
+            name = f"{trace_id}.{len(model.buffers.get(trace_id, ()))}"
+            with tracers[which].attach(TraceContext(trace_id)):
+                with tracers[which].span(name):
+                    pass
+            model.buffers.setdefault(trace_id, []).append((which, name))
+        elif op == "finish" and live:
+            trace_id = live.pop(pick % len(live))
+            now += advance   # a 1.0 s window holds a few finishes, or rolls
+            sampler.finish(trace_id, ts=now, duration_s=duration, flagged=flagged)
+            model.finish(trace_id, now, duration, flagged)
+            # Only the window's k slowest finished traces are still held.
+            assert sampler.pending_traces - len(live) <= slowest_k
+        elif op == "flush":
+            sampler.flush()
+            model.close()
+            model.start = None
+        agree(with_drops=op == "flush")
+    sampler.flush()
+    model.close()
+    agree(with_drops=True)

@@ -212,18 +212,41 @@ def test_attach_tags_spans_and_links_stack_roots():
 
 def test_attach_restores_previous_context_and_clock():
     clock = FakeClock()
+    clock.advance(3.0)
     tracer = Tracer()
     outer = TraceContext("outer")
     with tracer.attach(outer):
-        with tracer.attach(TraceContext("inner"), clock=clock.now):
-            clock.advance(3.0)
+        with tracer.trace(TraceContext("inner"), "root", clock=clock.now) as root:
+            clock.advance(1.0)
             with tracer.span("in") as inner_span:
                 pass
         assert tracer.active_context is outer
         with tracer.span("out") as outer_span:
             pass
-    assert inner_span.trace_id == "inner" and inner_span.start_s == 3.0
+    assert tracer.active_context is None
+    assert root.trace_id == "inner" and (root.start_s, root.end_s) == (3.0, 4.0)
+    assert inner_span.trace_id == "inner" and inner_span.start_s == 4.0
+    assert inner_span.parent_id == root.span_id
     assert outer_span.trace_id == "outer" and outer_span.start_s == 0.0
+
+
+def test_trace_root_restores_context_and_clock_when_the_body_raises():
+    clock = FakeClock()
+    clock.advance(2.0)
+    tracer = Tracer()
+    outer = TraceContext("outer")
+    with tracer.attach(outer):
+        with pytest.raises(KeyError):
+            with tracer.trace(TraceContext("inner"), "root", clock=clock.now) as root:
+                clock.advance(0.5)
+                raise KeyError("boom")
+        assert tracer.active_context is outer
+        with tracer.span("after") as after:
+            pass
+    assert (root.status, root.error_type) == ("error", "KeyError")
+    assert root.end_s == 2.5  # closed on its own clock...
+    assert after.start_s == 0.0 and after.trace_id == "outer"  # ...then restored
+    assert after.parent_id is None  # the root left the stack
 
 
 def test_trace_context_child_and_equality():

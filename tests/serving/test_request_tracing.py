@@ -68,8 +68,8 @@ def test_degraded_request_produces_one_connected_flagged_trace():
 
     names = {node.name for node in analyzer.spans_for(result.trace_id)}
     assert "cluster.request" in names
-    assert "serving.request" in names
-    assert "cache.fetch" in names
+    assert "serving.request" not in names  # the replica hop opens no wrapper
+    assert "cache.fetch" not in names      # a zero-width lookup opens no span
     assert "serving.fallback_serve" in names
     assert "cluster.flush" in names        # max_batch_size=1: in-request
     assert "serving.run_batch" in names
@@ -175,3 +175,49 @@ def test_batch_traces_reach_a_sampling_decision():
     assert all(s.trace_id is not None and s.duration_s > 0 for s in kept)
     assert len(kept) == sampler.decisions["flagged"] \
         + sampler.decisions["slow"] + sampler.decisions["head"]
+
+
+def test_a_request_opens_one_span_per_stage():
+    """A hit and a direct call are two spans each — ``cluster.request``
+    and the one stage span — and a miss is those two plus the subtree of
+    the flush it triggers.  The replica opens no wrapper: each of its
+    spans has a parent in its own tracer or is a stack root whose
+    ``remote_parent`` is the root's ref (the flush's, for the batch)."""
+    sampler = TailSampler(slowest_k=0, head_every=1)   # keeps every trace
+    cluster = CosmoCluster(
+        lambda i: ScriptedGenerator(),
+        config=ClusterConfig(n_replicas=2, max_batch_size=1),
+        sampler=sampler)
+    cluster.preload_yearly({"hot": "answer."})
+    results = {}
+    for kind, request in (("hit", ServeRequest(query="hot")),
+                          ("direct", ServeRequest(query="asked", direct=True)),
+                          ("miss", ServeRequest(query="cold"))):
+        results[kind] = cluster.handle(request)
+        cluster.clock.advance(1.0)   # idle replicas: no queueing span
+    assert [r.outcome for r in results.values()] == [
+        ServeOutcome.FRESH, ServeOutcome.FRESH, ServeOutcome.FALLBACK]
+    assert sampler.pending_traces == 0
+
+    for kind, result in results.items():
+        root, *flush = [s for s in cluster.tracer.spans()
+                        if s.trace_id == result.trace_id]
+        assert root.name == "cluster.request"
+        assert root.attributes["mode"] == ("direct" if kind == "direct" else "cached")
+        replica = [(service.tracer, span) for service in cluster.services.values()
+                   for span in service.tracer.spans()
+                   if span.trace_id == result.trace_id]
+        for tracer, span in replica:
+            if span.parent_id is not None:
+                assert span.parent_id in {s.span_id for t, s in replica if t is tracer}
+            elif span.name == "serving.run_batch":
+                assert span.remote_parent == cluster.tracer.ref(flush[0])
+            else:
+                assert span.remote_parent == cluster.tracer.ref(root)
+        names = [s.name for s in flush] + [s.name for _, s in replica]
+        assert names == {
+            "hit": ["serving.cache_serve"],
+            "direct": ["resilience.attempt"],
+            "miss": ["cluster.flush", "serving.fallback_serve",
+                     "serving.run_batch", "resilience.attempt"],
+        }[kind]

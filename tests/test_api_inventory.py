@@ -230,7 +230,7 @@ KEPT_OPTIONS = (
       "tests/obs/test_metrics.py", "tests/refresh/test_quality.py")),
     (("ConsistentHashRouter.vnodes", "ConsistentHashRouter.preference.limit",
       "Tensor.backward.grad", "FeatureStore.put.extras", "FeatureStore.structure.extras",
-      "Tracer.attach.clock", "Tracer.record.parent", "ServeRequest.trace",
+      "Tracer.record.parent", "ServeRequest.trace",
       "CosmoCluster._context.propagated", "CosmoService.prompt_builder",
       "LayeringRule.architecture"),
      "what a reference-model or hand-built test feeds in: small rings against the "

@@ -129,7 +129,6 @@ INVENTORY = (
     _event("service.snapshot_swap", "scenarios.expect_rollout_completes_quietly, "
                                     "expect_rollback_and_redrive"),
     # -- span names ----------------------------------------------------------
-    _span("cache.fetch", f"{_STAGES} 'cache.'"),
     _span("cluster.daily_refresh", _TRACE_ARTIFACT),
     _span("cluster.flush", f"{_STAGES} 'cluster.flush'"),
     _span("cluster.queueing", f"{_STAGES} 'cluster.queueing'"),
@@ -156,8 +155,6 @@ INVENTORY = (
     _span("serving.cache_serve", f"{_STAGES} 'serving.cache'"),
     _span("serving.daily_refresh", _TRACE_ARTIFACT),
     _span("serving.fallback_serve", f"{_STAGES} 'serving.fallback'"),
-    _span("serving.request", "TraceAnalyzer stage breakdown: the replica hop's "
-                             "self time (stage 'other')"),
     _span("serving.run_batch", f"{_STAGES} 'serving.run_batch'"),
 )
 
