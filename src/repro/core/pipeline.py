@@ -34,7 +34,7 @@ from repro.core.triples import BehaviorSample, KnowledgeCandidate, KnowledgeTrip
 from repro.embeddings.encoder import TextEncoder
 from repro.llm.interface import LatencyModel
 from repro.llm.teacher import TeacherLLM
-from repro.obs.tracing import Tracer  # cosmolint: disable=layering
+from repro.obs.tracing import Tracer
 from repro.utils.rng import spawn_rng
 
 __all__ = ["PipelineConfig", "PipelineResult", "CosmoPipeline"]

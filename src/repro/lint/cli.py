@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.lint src benchmarks examples
     python -m repro.lint --format json src
-    python -m repro.lint --select layering,import-cycle src
+    python -m repro.lint --select clock-injection,registry-injection src
     python -m repro.lint --list-rules
     python -m repro.cli lint src benchmarks examples
     cosmolint src benchmarks examples         # console-script entry point

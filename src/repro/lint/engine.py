@@ -1,18 +1,13 @@
 """The cosmolint engine: collect files, run rules, apply suppressions.
 
-Linting is two-phase.  Phase one runs the file-scope rules over each
-module's AST and extracts a :class:`~repro.lint.project.ModuleSummary`
-from the same parse.  Phase two assembles the summaries into a
-:class:`~repro.lint.project.ProjectContext` and runs the project-scope
-rules (layering, cycles, cross-module dataflow contracts) over the whole
-program.  Diagnostics from both phases share one suppression syntax and
+Every file is parsed once and the rules run over its AST; each rule
+reads that one file only.  Diagnostics share one suppression syntax and
 one deterministic sort order.
 
 The engine is pure — it reads files and returns a :class:`LintResult`;
 reporters render it and the CLI maps it to an exit code.  ``lint_source``
-lints a single in-memory module with the file rules, which is what the
-rule tests use (rules are exercised against fixture snippets, never the
-live tree).
+lints a single in-memory module, which is what the rule tests use (rules
+are exercised against fixture snippets, never the live tree).
 """
 
 from __future__ import annotations
@@ -23,23 +18,9 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import (
-    ModuleSummary,
-    ProjectContext,
-    extract_summary,
-    module_name_for,
-)
-from repro.lint.registry import (
-    FileContext,
-    LintRule,
-    ProjectRule,
-    all_rules,
-    make_filter,
-)
-from repro.lint.suppressions import Suppressions, parse_suppressions
-from repro.lint import rules as _rules  # noqa: F401  (imports register the file rules)
-from repro.lint import layers as _layers  # noqa: F401  (registers project rules)
-from repro.lint import dataflow as _dataflow  # noqa: F401  (registers project rules)
+from repro.lint.registry import FileContext, LintRule, all_rules
+from repro.lint.suppressions import parse_suppressions
+from repro.lint import rules as _rules  # noqa: F401  (imports register the rules)
 
 __all__ = ["LintResult", "iter_python_files", "lint_source", "lint_paths"]
 
@@ -98,17 +79,6 @@ def _sibling_modules(path: Path) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _build_context(path: Path, display_path: str, source: str,
-                   sibling_modules: tuple[str, ...]) -> FileContext:
-    return FileContext(
-        display_path=display_path,
-        source=source,
-        in_package=(path.parent / "__init__.py").exists(),
-        parts=tuple(Path(display_path).parts),
-        sibling_modules=sibling_modules,
-    )
-
-
 def lint_source(
     source: str,
     display_path: str,
@@ -122,16 +92,12 @@ def lint_source(
         in_package=in_package,
         parts=tuple(Path(display_path).parts),
     )
-    result, _tree, _suppressions = _lint_context(context, rule_classes)
-    return result.finalize()
+    return _lint_context(context, rule_classes).finalize()
 
 
-def _lint_context(
-    context: FileContext,
-    rule_classes: Iterable[type[LintRule]],
-) -> tuple[LintResult, ast.Module | None, Suppressions | None]:
-    """Run the file rules; also return the parsed tree and suppressions
-    so the caller can extract the module summary from the same parse."""
+def _lint_context(context: FileContext,
+                  rule_classes: Iterable[type[LintRule]]) -> LintResult:
+    """Run the rules over one file, honouring its suppression comments."""
     result = LintResult(files_checked=1)
     try:
         tree = ast.parse(context.source, filename=context.display_path)
@@ -145,31 +111,17 @@ def _lint_context(
                 message=f"cannot parse module: {error.msg}",
             )
         )
-        return result, None, None
+        return result
     suppressions = parse_suppressions(context.source)
     for rule_class in rule_classes:
-        if rule_class.scope != "file" or not rule_class.applies_to(context):
+        if not rule_class.applies_to(context):
             continue
         for diagnostic in rule_class(context).check(tree):
             if suppressions.is_suppressed(diagnostic.rule, diagnostic.line):
                 result.suppressed += 1
             else:
                 result.diagnostics.append(diagnostic)
-    return result, tree, suppressions
-
-
-def _summarize(tree: ast.Module | None, path: Path, display_path: str,
-               suppressions: Suppressions | None) -> ModuleSummary:
-    module = module_name_for(path)
-    if tree is None:  # syntax error: an empty summary keeps phase two total
-        return ModuleSummary(module=module, path=display_path)
-    suppress_file: tuple[str, ...] = ()
-    suppress_lines: dict[int, tuple[str, ...]] = {}
-    if suppressions is not None:
-        suppress_file = tuple(sorted(suppressions.file_wide))
-        suppress_lines = {line: tuple(sorted(rules))
-                          for line, rules in suppressions.by_line.items()}
-    return extract_summary(tree, module, display_path, suppress_file, suppress_lines)
+    return result
 
 
 def lint_paths(
@@ -177,35 +129,19 @@ def lint_paths(
     select: set[str] | None = None,
     ignore: set[str] | None = None,
 ) -> LintResult:
-    """Lint every Python file under ``paths`` with both rule phases."""
-    keep = make_filter(select, ignore)
-    file_rule_classes = [cls for cls in all_rules()
-                         if cls.scope == "file" and keep(cls)]
-    project_rule_classes: list[type[ProjectRule]] = [
-        cls for cls in all_rules()  # type: ignore[misc]
-        if cls.scope == "project" and keep(cls)
-    ]
+    """Lint every Python file under ``paths`` with the rules ``select``
+    names (default: all) minus those ``ignore`` names."""
+    rule_classes = [cls for cls in all_rules()
+                    if (select is None or cls.id in select)
+                    and (ignore is None or cls.id not in ignore)]
     result = LintResult()
-    summaries: list[ModuleSummary] = []
-
-    # Phase one: per-file rules + summary extraction from one parse.
     for path in iter_python_files(paths):
-        display_path = str(path)
-        source = path.read_text(encoding="utf-8")
-        context = _build_context(path, display_path, source, _sibling_modules(path))
-        file_result, tree, suppressions = _lint_context(context, file_rule_classes)
-        result.extend(file_result)
-        summaries.append(_summarize(tree, path, display_path, suppressions))
-
-    # Phase two: whole-program rules over the assembled summaries.
-    project = ProjectContext(summaries)
-    for project_rule_class in project_rule_classes:
-        for diagnostic in project_rule_class().check(project):
-            summary = project.by_path.get(diagnostic.path)
-            if summary is not None and summary.is_suppressed(diagnostic.rule,
-                                                             diagnostic.line):
-                result.suppressed += 1
-            else:
-                result.diagnostics.append(diagnostic)
-
+        context = FileContext(
+            display_path=str(path),
+            source=path.read_text(encoding="utf-8"),
+            in_package=(path.parent / "__init__.py").exists(),
+            parts=path.parts,
+            sibling_modules=_sibling_modules(path),
+        )
+        result.extend(_lint_context(context, rule_classes))
     return result.finalize()

@@ -44,10 +44,10 @@ def format_json(result: LintResult) -> str:
 
 
 def format_rule_listing() -> str:
-    """The ``--list-rules`` output: id, scope, summary and guarded invariant."""
+    """The ``--list-rules`` output: id, summary and guarded invariant."""
     lines: list[str] = []
     for rule_class in all_rules():
-        lines.append(f"{rule_class.id} [{rule_class.scope}]")
+        lines.append(rule_class.id)
         lines.append(f"    {rule_class.summary}")
         lines.append(f"    guards: {rule_class.invariant}")
     return "\n".join(lines)

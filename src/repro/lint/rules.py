@@ -2,9 +2,10 @@
 
 Each rule encodes an invariant the reproduction's regression numbers or
 serving benches rely on; DESIGN.md ("Static invariants") documents the
-mapping.  Rules are scoped by path where the contract is local (float
-equality only matters in metrics code) or carry an explicit allowlist
-(wall-clock time is banned repo-wide except ``obs/timebase.py``).
+mapping.  Every rule reads one file: rules are scoped by path where the
+contract is local (float equality only matters in metrics code) or carry
+an explicit allowlist (wall-clock time is banned repo-wide except
+``obs/timebase.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import ast
 from typing import ClassVar
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import ImportMap
 from repro.lint.registry import FileContext, LintRule, register
 
 __all__ = [
@@ -23,16 +23,63 @@ __all__ = [
     "MutableDefaultRule",
     "OverbroadExceptRule",
     "FloatEqualityRule",
-    "BatchEntrypointOnlyRule",
     "AllConsistencyRule",
     "EventLogOnlyRule",
-    "SnapshotHealthGateRule",
     "TraceIdContractRule",
+    "ClockInjectionRule",
+    "RegistryInjectionRule",
 ]
 
 
+class ImportMap:
+    """Alias → canonical dotted module map for one file.
+
+    Resolves names like ``np.random.default_rng`` back to
+    ``numpy.random.default_rng`` regardless of how numpy was imported
+    (``import numpy``, ``import numpy as np``, ``from numpy import
+    random as npr``, ``from numpy.random import default_rng``, ...).
+    """
+
+    def __init__(self, tree: ast.Module):
+        self.aliases: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".", 1)[0]
+                    # "import a.b" binds "a"; "import a.b as c" binds a.b.
+                    self.aliases[name] = alias.name if alias.asname else name
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    bound = alias.asname or alias.name
+                    self.aliases[bound] = f"{node.module}.{alias.name}"
+
+    def resolve(self, node: ast.expr) -> str | None:
+        """Canonical dotted name for an attribute chain, or ``None``."""
+        parts: list[str] = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        base = self.aliases.get(node.id)
+        if base is None:
+            return None
+        parts.append(base)
+        return ".".join(reversed(parts))
+
+
+class _ImportsRule(LintRule):
+    """A rule that names call targets through the file's own imports."""
+
+    def check(self, tree: ast.Module) -> list[Diagnostic]:
+        self._imports = ImportMap(tree)
+        return super().check(tree)
+
+
 @register
-class UnscopedRngRule(LintRule):
+class UnscopedRngRule(_ImportsRule):
     """Ban RNG streams that bypass ``repro.utils.rng.spawn_rng``.
 
     Direct ``np.random.*`` / ``random.*`` / ``default_rng`` calls couple
@@ -49,10 +96,6 @@ class UnscopedRngRule(LintRule):
     @classmethod
     def applies_to(cls, context: FileContext) -> bool:
         return context.parts[-2:] != ("utils", "rng.py")
-
-    def check(self, tree: ast.Module) -> list[Diagnostic]:
-        self._imports = ImportMap(tree)
-        return super().check(tree)
 
     def visit_Call(self, node: ast.Call) -> None:
         name = self._imports.resolve(node.func)
@@ -73,7 +116,7 @@ class UnscopedRngRule(LintRule):
 
 
 @register
-class WallClockRule(LintRule):
+class WallClockRule(_ImportsRule):
     """Ban wall-clock time everywhere except the sanctioned timebase.
 
     The serving layer (§3.5, Figure 5) runs entirely on simulated
@@ -114,10 +157,6 @@ class WallClockRule(LintRule):
             if context.parts[-len(suffix):] == suffix:
                 return False
         return True
-
-    def check(self, tree: ast.Module) -> list[Diagnostic]:
-        self._imports = ImportMap(tree)
-        return super().check(tree)
 
     def visit_Call(self, node: ast.Call) -> None:
         name = self._imports.resolve(node.func)
@@ -264,7 +303,7 @@ class FloatEqualityRule(LintRule):
 
 
 @register
-class EventLogOnlyRule(LintRule):
+class EventLogOnlyRule(_ImportsRule):
     """Serving/cluster modules must publish lifecycle state through the
     structured event log, never ad-hoc stdout writes.
 
@@ -301,10 +340,6 @@ class EventLogOnlyRule(LintRule):
                 return False
         return True
 
-    def check(self, tree: ast.Module) -> list[Diagnostic]:
-        self._imports = ImportMap(tree)
-        return super().check(tree)
-
     def visit_Call(self, node: ast.Call) -> None:
         if isinstance(node.func, ast.Name) and node.func.id == "print":
             self.report(
@@ -319,56 +354,6 @@ class EventLogOnlyRule(LintRule):
                     node,
                     f"{name} in a serving module bypasses the structured "
                     "event log; emit via obs.events.EventLog instead",
-                )
-        self.generic_visit(node)
-
-
-@register
-class SnapshotHealthGateRule(LintRule):
-    """Rollout controllers must be constructed with a snapshot quality
-    gate.
-
-    The SLO guard only sees *serving* damage; a refresh whose knowledge
-    drifted — relation mix collapsed, critic scores cratered — serves
-    requests perfectly and sails past every alert (DESIGN.md §14).  The
-    :class:`~repro.refresh.quality.SnapshotQualityGate` is the guard for
-    that failure mode, and it only protects rollouts it is wired into:
-    a ``RolloutController(...)`` call without a ``quality_gate=``
-    argument (or with an explicit ``quality_gate=None``) ships an
-    ungated promotion path.  The refresh package itself is exempt — it
-    defines the controller and the gate.
-    """
-
-    id = "snapshot-health-gate"
-    summary = "RolloutController construction must pass a quality_gate"
-    invariant = "no snapshot promotes without a knowledge-drift check (DESIGN.md §14)"
-
-    @classmethod
-    def applies_to(cls, context: FileContext) -> bool:
-        return "refresh" not in context.parts[:-1]
-
-    def check(self, tree: ast.Module) -> list[Diagnostic]:
-        self._imports = ImportMap(tree)
-        return super().check(tree)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = self._imports.resolve(node.func)
-        if (name is not None and name.startswith("repro.")
-                and name.rsplit(".", 1)[-1] == "RolloutController"):
-            gate = next((kw.value for kw in node.keywords
-                         if kw.arg == "quality_gate"), None)
-            if gate is None and not any(kw.arg is None for kw in node.keywords):
-                self.report(
-                    node,
-                    "RolloutController constructed without a quality_gate; "
-                    "pass a repro.refresh.SnapshotQualityGate so drifted "
-                    "knowledge is blocked before promotion",
-                )
-            elif (isinstance(gate, ast.Constant) and gate.value is None):
-                self.report(
-                    node,
-                    "quality_gate=None disables the knowledge-drift guard; "
-                    "pass a repro.refresh.SnapshotQualityGate instead",
                 )
         self.generic_visit(node)
 
@@ -437,56 +422,6 @@ class TraceIdContractRule(LintRule):
                         "EventLog.trace_scope under the sanctioned "
                         "obs.tracing.TRACE_ID_ATTR key",
                     )
-        self.generic_visit(node)
-
-
-@register
-class BatchEntrypointOnlyRule(LintRule):
-    """Serving hot paths must call generators through ``generate_batch``,
-    never the per-item ``generate``/``generate_knowledge`` surfaces.
-
-    The batch-first serving redesign (DESIGN.md §13) makes one vectorized
-    ``generate_batch`` call per flush/window the *only* way serving code
-    reaches a generator: per-item calls re-introduce the N-sequential-
-    charges cost model that capped a replica near 500 req/s, and they
-    bypass the :class:`~repro.llm.interface.GenerationBatch` accounting
-    (attempts, retries, breaker refusals) the resilience layer reports.
-    ``generate_knowledge`` is the removed pre-batch name; calling it is
-    flagged so a port of old code fails lint, not at runtime.  A file
-    that must keep a per-item call site goes on ``allowlist``.
-    """
-
-    id = "batch-entrypoint-only"
-    summary = ("serving code calls generators via generate_batch, never "
-               "per-item generate/generate_knowledge")
-    invariant = ("one amortized generator charge per flush/window "
-                 "(the batch-first serving cost model)")
-
-    #: ``/``-separated path suffixes where per-item generator calls are
-    #: tolerated (none today).
-    allowlist: ClassVar[tuple[str, ...]] = ()
-
-    _BANNED_METHODS = ("generate", "generate_knowledge")
-
-    @classmethod
-    def applies_to(cls, context: FileContext) -> bool:
-        if "serving" not in context.parts[:-1]:
-            return False
-        for entry in cls.allowlist:
-            suffix = tuple(entry.split("/"))
-            if context.parts[-len(suffix):] == suffix:
-                return False
-        return True
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in self._BANNED_METHODS:
-            self.report(
-                node,
-                f"per-item .{func.attr}() call in a serving module; route "
-                "generator work through generate_batch() so the flush/window "
-                "is charged one amortized batch, not per-item latency",
-            )
         self.generic_visit(node)
 
 
@@ -609,3 +544,87 @@ class AllConsistencyRule(LintRule):
                     scan(node.body)
         scan(tree.body)
         return defined, star_import
+
+
+def _repro_module(context: FileContext) -> str | None:
+    """Dotted module name of a ``repro`` package file, from its path."""
+    dirs = context.parts[:-1]
+    if not context.in_package or "repro" not in dirs:
+        return None
+    start = len(dirs) - 1 - dirs[::-1].index("repro")
+    stem = context.parts[-1].removesuffix(".py")
+    return ".".join(dirs[start:] + (() if stem == "__init__" else (stem,)))
+
+
+class _InjectionRule(_ImportsRule):
+    """A guarded ``repro`` class that only sanctioned modules construct.
+
+    Everywhere else in ``repro`` it is injected; the constructor-default
+    fallback (``x or C()`` / ``x if x is not None else C()``) is the
+    sanctioned injection idiom.  Scripts outside ``repro`` are exempt.
+    """
+
+    #: Leaf class name being guarded (e.g. ``SimClock``).
+    guarded: ClassVar[str] = ""
+    #: Modules (with their submodules) allowed to construct it freely.
+    sanctioned: ClassVar[tuple[str, ...]] = ()
+    message: ClassVar[str] = ""
+
+    @classmethod
+    def applies_to(cls, context: FileContext) -> bool:
+        module = _repro_module(context)
+        return module is not None and not any(
+            module == allowed or module.startswith(allowed + ".")
+            for allowed in cls.sanctioned)
+
+    def check(self, tree: ast.Module) -> list[Diagnostic]:
+        self._fallbacks: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                self._fallbacks.update(map(id, node.values[1:]))
+            elif isinstance(node, ast.IfExp):
+                self._fallbacks.update((id(node.body), id(node.orelse)))
+        return super().check(tree)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = self._imports.resolve(node.func)
+        if (name is not None and name.startswith("repro.")
+                and name.rsplit(".", 1)[-1] == self.guarded
+                and id(node) not in self._fallbacks):
+            self.report(node, self.message)
+        self.generic_visit(node)
+
+
+@register
+class ClockInjectionRule(_InjectionRule):
+    """SimClock is constructed only by sanctioned factories."""
+
+    id = "clock-injection"
+    summary = "SimClock constructed only in sanctioned factories; elsewhere injected"
+    invariant = "one simulated timeline per scenario (no drifting private clocks)"
+
+    guarded = "SimClock"
+    sanctioned = ("repro.cli", "repro.serving.clock", "repro.serving.chaos")
+    message = (
+        "SimClock constructed outside a sanctioned factory couples this "
+        "component to a private timeline; accept an injected clock "
+        "(clock: SimClock | None = None) or derive one with clock.fork()"
+    )
+
+
+@register
+class RegistryInjectionRule(_InjectionRule):
+    """MetricsRegistry is injected into components, never self-created."""
+
+    id = "registry-injection"
+    summary = "components accept a shared MetricsRegistry, never instantiate one"
+    invariant = "all components publish into one scrape surface (DESIGN.md §9)"
+
+    guarded = "MetricsRegistry"
+    sanctioned = ("repro.cli", "repro.scenarios", "repro.obs")
+    message = (
+        "MetricsRegistry constructed inside a component fragments the "
+        "scrape surface; accept an injected registry (registry: "
+        "MetricsRegistry | None = None) and default only via the "
+        "`x if x is not None else MetricsRegistry()` fallback idiom"
+    )

@@ -16,8 +16,7 @@ their :class:`~repro.refresh.snapshot.SnapshotStore` lineage:
   snapshot it assesses health, diffs against the registered parent,
   runs the drift rules, and returns a :class:`GateDecision` the
   :class:`~repro.refresh.rollout.RolloutController` consults before
-  promoting — the ``snapshot-health-gate`` cosmolint rule enforces
-  that controllers are constructed with one.
+  promoting; a controller cannot be constructed without one.
 
 Assessments are cached per version (snapshots are immutable and
 content-addressed, so a version's health can never change), which keeps

@@ -181,8 +181,7 @@ class RolloutController:
     ``quality_gate`` is anything with
     ``assess(snapshot) -> GateDecision`` — normally a
     :class:`~repro.refresh.quality.SnapshotQualityGate` — consulted
-    before every step; the ``snapshot-health-gate`` cosmolint rule
-    requires construction sites to pass one.
+    before every step.
     """
 
     def __init__(
@@ -191,12 +190,17 @@ class RolloutController:
         store: SnapshotStore,
         target: KgSnapshot,
         evaluator: SloEvaluator,
-        quality_gate=None,
+        quality_gate,
     ):
         if target.parent is None:
             raise ValueError(
                 f"target {target.version} has no parent version; a rollout "
                 "needs a rollback destination"
+            )
+        if quality_gate is None:
+            raise ValueError(
+                "a rollout needs a quality_gate: the SLO guard only sees "
+                "serving damage, so an ungated rollout promotes drifted knowledge"
             )
         store.add(target)
         self.cluster = cluster
@@ -239,7 +243,7 @@ class RolloutController:
         if self.done:
             return None
         decision = self._consult_gate()
-        if decision is not None and not decision.promote:
+        if not decision.promote:
             first = decision.breaches[0] if decision.breaches else "unhealthy"
             if self.state is RolloutState.IDLE:
                 self.state = RolloutState.BLOCKED
@@ -288,8 +292,6 @@ class RolloutController:
         only when the decision object changes (a stateful gate may flip
         mid-rollout, e.g. after re-registering lineage).
         """
-        if self.quality_gate is None:
-            return None
         decision = self.quality_gate.assess(self.target)
         if decision is not self.gate_decision:
             self.gate_decision = decision

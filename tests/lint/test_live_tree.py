@@ -7,16 +7,16 @@ from repro.lint import iter_python_files, lint_paths
 ROOTS = ("src", "benchmarks", "examples")
 
 
-def test_live_tree_is_clean_with_one_layering_suppression(monkeypatch):
+def test_live_tree_is_clean_with_nothing_suppressed(monkeypatch):
     repo_root = Path(__file__).resolve().parents[2]
     monkeypatch.chdir(repo_root)  # the paths CI lints, named as CI names them
 
     result = lint_paths(ROOTS)
     assert [diagnostic.render() for diagnostic in result.diagnostics] == []
-    assert result.suppressed == 1
+    assert result.suppressed == 0
 
-    # The accepted finding is core/pipeline.py importing obs.tracing; the only
-    # other mentions of the directive are cosmolint's own documentation.
+    # No finding is accepted in place; the only mentions of the directive
+    # are cosmolint's own documentation.
     directives = [
         (str(path), line.split("#", 1)[1].strip())
         for path in iter_python_files(ROOTS)
@@ -24,5 +24,4 @@ def test_live_tree_is_clean_with_one_layering_suppression(monkeypatch):
         for line in path.read_text(encoding="utf-8").splitlines()
         if "cosmolint: disable" in line
     ]
-    assert directives == [
-        ("src/repro/core/pipeline.py", "cosmolint: disable=layering")]
+    assert directives == []

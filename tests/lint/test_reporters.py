@@ -64,18 +64,17 @@ def fixture_package(tmp_path):
         def exported():
             return 1
         """)
-    module(pkg / "gateless.py", """
-        __all__ = ["deploy"]
-        from repro.refresh import RolloutController
+    component = pkg / "repro" / "serving"
+    component.mkdir(parents=True)
+    (pkg / "repro" / "__init__.py").write_text("")
+    (component / "__init__.py").write_text("")
+    module(component / "owned.py", """
+        __all__ = ["build"]
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serving.clock import SimClock
 
-        def deploy(cluster, store, green, evaluator):
-            return RolloutController(cluster, store, green, evaluator)
-        """)
-    module(serving / "caller.py", """
-        __all__ = ["fetch"]
-
-        def fetch(generator, prompt):
-            return generator.generate_knowledge([prompt])
+        def build():
+            return SimClock(), MetricsRegistry()
         """)
     module(serving / "printer.py", """
         __all__ = ["announce"]
@@ -98,7 +97,7 @@ def test_json_reporter_exact_payload(fixture_package):
     payload = json.loads(format_json(result))
 
     assert payload["version"] == REPORT_VERSION
-    assert payload["files_checked"] == 12
+    assert payload["files_checked"] == 13
     assert payload["suppressed"] == 0
     assert payload["diagnostics"] == [
         {
@@ -129,17 +128,6 @@ def test_json_reporter_exact_payload(fixture_package):
             ),
         },
         {
-            "rule": "snapshot-health-gate",
-            "path": str(fixture_package / "gateless.py"),
-            "line": 5,
-            "col": 12,
-            "message": (
-                "RolloutController constructed without a quality_gate; "
-                "pass a repro.refresh.SnapshotQualityGate so drifted "
-                "knowledge is blocked before promotion"
-            ),
-        },
-        {
             "rule": "float-equality",
             "path": str(fixture_package / "metrics.py"),
             "line": 4,
@@ -147,6 +135,30 @@ def test_json_reporter_exact_payload(fixture_package):
             "message": (
                 "float equality comparison is unstable under rounding; use "
                 "math.isclose or an explicit tolerance"
+            ),
+        },
+        {
+            "rule": "clock-injection",
+            "path": str(fixture_package / "repro" / "serving" / "owned.py"),
+            "line": 6,
+            "col": 12,
+            "message": (
+                "SimClock constructed outside a sanctioned factory couples "
+                "this component to a private timeline; accept an injected "
+                "clock (clock: SimClock | None = None) or derive one with "
+                "clock.fork()"
+            ),
+        },
+        {
+            "rule": "registry-injection",
+            "path": str(fixture_package / "repro" / "serving" / "owned.py"),
+            "line": 6,
+            "col": 24,
+            "message": (
+                "MetricsRegistry constructed inside a component fragments the "
+                "scrape surface; accept an injected registry (registry: "
+                "MetricsRegistry | None = None) and default only via the "
+                "`x if x is not None else MetricsRegistry()` fallback idiom"
             ),
         },
         {
@@ -158,18 +170,6 @@ def test_json_reporter_exact_payload(fixture_package):
                 "call to numpy.random.default_rng bypasses the seed+scope "
                 "discipline; derive streams via "
                 "repro.utils.rng.spawn_rng(seed, scope=...)"
-            ),
-        },
-        {
-            "rule": "batch-entrypoint-only",
-            "path": str(fixture_package / "serving" / "caller.py"),
-            "line": 4,
-            "col": 12,
-            "message": (
-                "per-item .generate_knowledge() call in a serving module; "
-                "route generator work through generate_batch() so the "
-                "flush/window is charged one amortized batch, not per-item "
-                "latency"
             ),
         },
         {
@@ -207,21 +207,19 @@ def test_json_reporter_exact_payload(fixture_package):
 
 
 def test_every_file_scope_rule_fires_exactly_once(fixture_package):
-    """Project-scope rules need a repro-shaped tree; they are exercised in
-    test_project.py. Every *file*-scope rule trips exactly once here."""
+    """Every rule reads one file, and each trips exactly once here."""
     from repro.lint.registry import all_rules
 
     result = lint_paths([fixture_package])
     fired = sorted(d.rule for d in result.diagnostics)
-    assert fired == sorted(rule.id for rule in all_rules()
-                           if rule.scope == "file")
+    assert fired == sorted(rule.id for rule in all_rules())
 
 
 def test_text_reporter_lines_and_summary(fixture_package):
     result = lint_paths([fixture_package])
     text = format_text(result)
     lines = text.splitlines()
-    assert lines[-1] == "10 problems in 12 files (0 suppressed)"
+    assert lines[-1] == "10 problems in 13 files (0 suppressed)"
     assert f"{fixture_package / 'allmod.py'}:1:1: [all-consistency] " in lines[0]
     assert all(":" in line for line in lines[:-1])
 

@@ -5,12 +5,12 @@ import textwrap
 from repro.lint import lint_source
 from repro.lint.rules import (
     AllConsistencyRule,
-    BatchEntrypointOnlyRule,
+    ClockInjectionRule,
     EventLogOnlyRule,
     FloatEqualityRule,
     MutableDefaultRule,
     OverbroadExceptRule,
-    SnapshotHealthGateRule,
+    RegistryInjectionRule,
     TraceIdContractRule,
     UnscopedRngRule,
     WallClockRule,
@@ -427,59 +427,6 @@ def test_trace_id_contract_scoped_to_serving_modules():
                         path="src/repro/serving/router.py")) == 1
 
 
-# -- batch-entrypoint-only ----------------------------------------------
-
-
-def test_batch_entrypoint_flags_per_item_generate_in_serving():
-    diags = run_rule(
-        BatchEntrypointOnlyRule,
-        """
-        generation = self.generator.generate(prompt)[0]
-        """,
-        path="src/repro/serving/deployment.py",
-    )
-    assert [d.rule for d in diags] == ["batch-entrypoint-only"]
-    assert "generate_batch" in diags[0].message
-
-
-def test_batch_entrypoint_flags_deprecated_generate_knowledge_calls():
-    diags = run_rule(
-        BatchEntrypointOnlyRule,
-        """
-        texts = self.generator.generate_knowledge(prompts)
-        more = resilient.generate_knowledge([prompt])
-        """,
-        path="src/repro/serving/cluster.py",
-    )
-    assert [d.rule for d in diags] == ["batch-entrypoint-only"] * 2
-    assert [d.line for d in diags] == [2, 3]
-
-
-def test_batch_entrypoint_allows_generate_batch_and_shim_definitions():
-    diags = run_rule(
-        BatchEntrypointOnlyRule,
-        """
-        class Shim:
-            def generate_knowledge(self, prompts):
-                return self.generate_batch(prompts).require()
-
-        batch = self.generator.generate_batch(prompts)
-        """,
-        path="src/repro/serving/resilience.py",
-    )
-    assert diags == []
-
-
-def test_batch_entrypoint_scoped_to_serving_modules():
-    source = """
-    generations = teacher.generate(prompt, num_candidates=3)
-    """
-    assert run_rule(BatchEntrypointOnlyRule, source,
-                    path="src/repro/core/generation.py") == []
-    assert len(run_rule(BatchEntrypointOnlyRule, source,
-                        path="src/repro/serving/chaos.py")) == 1
-
-
 # -- suppressions -------------------------------------------------------
 
 
@@ -536,102 +483,56 @@ def test_syntax_error_reported_as_diagnostic():
     assert result.files_checked == 1
 
 
-# -- snapshot-health-gate ------------------------------------------------
+# -- clock-injection / registry-injection ---------------------------------
 
 
-def test_snapshot_health_gate_flags_ungated_controller():
+def test_clock_injection_flags_raw_ctor_but_not_fallback():
     diags = run_rule(
-        SnapshotHealthGateRule,
+        ClockInjectionRule,
         """
-        from repro.refresh import RolloutController
+        from repro.serving.clock import SimClock
 
-        controller = RolloutController(cluster, store, green, evaluator)
+        def build(clock=None):
+            a = SimClock()
+            b = clock or SimClock()
+            c = clock if clock is not None else SimClock()
+            return a, b, c
         """,
-        path="src/repro/cli.py",
+        path="src/repro/serving/cluster.py",
     )
-    assert [d.rule for d in diags] == ["snapshot-health-gate"]
-    assert "quality_gate" in diags[0].message
+    assert [d.rule for d in diags] == ["clock-injection"]
+    assert diags[0].line == 5
+    assert "accept an injected clock" in diags[0].message
 
 
-def test_snapshot_health_gate_flags_explicit_none():
-    diags = run_rule(
-        SnapshotHealthGateRule,
-        """
-        from repro.refresh import RolloutController
-
-        controller = RolloutController(cluster, store, green, evaluator,
-                                       quality_gate=None)
-        """,
-        path="src/repro/cli.py",
-    )
-    assert [d.rule for d in diags] == ["snapshot-health-gate"]
-    assert "disables" in diags[0].message
-
-
-def test_snapshot_health_gate_allows_gated_construction():
-    diags = run_rule(
-        SnapshotHealthGateRule,
-        """
-        from repro.refresh import RolloutController, SnapshotQualityGate
-
-        gate = SnapshotQualityGate(store)
-        controller = RolloutController(cluster, store, green, evaluator,
-                                       quality_gate=gate)
-        """,
-        path="src/repro/cli.py",
-    )
-    assert diags == []
-
-
-def test_snapshot_health_gate_resolves_module_attribute_calls():
-    diags = run_rule(
-        SnapshotHealthGateRule,
-        """
-        from repro.refresh import rollout
-
-        controller = rollout.RolloutController(cluster, store, green, evaluator)
-        """,
-        path="benchmarks/bench_rollout_staleness.py",
-    )
-    assert [d.rule for d in diags] == ["snapshot-health-gate"]
-
-
-def test_snapshot_health_gate_tolerates_kwargs_splat():
-    # A **kwargs splat may carry the gate; resolving that is beyond
-    # static analysis, so the rule stays quiet rather than crying wolf.
-    diags = run_rule(
-        SnapshotHealthGateRule,
-        """
-        from repro.refresh import RolloutController
-
-        controller = RolloutController(cluster, store, green, evaluator,
-                                       **extra)
-        """,
-        path="src/repro/cli.py",
-    )
-    assert diags == []
-
-
-def test_snapshot_health_gate_exempts_the_refresh_package():
+def test_clock_injection_sanctioned_factory_and_outside_root():
     source = """
-    from repro.refresh import RolloutController
+    from repro.serving import clock
 
-    controller = RolloutController(cluster, store, green, evaluator)
+    timeline = clock.SimClock()
     """
-    assert run_rule(SnapshotHealthGateRule, source,
-                    path="src/repro/refresh/rollout.py") == []
-    assert len(run_rule(SnapshotHealthGateRule, source,
-                        path="src/repro/serving/deploy.py")) == 1
+    assert len(run_rule(ClockInjectionRule, source,
+                        path="src/repro/refresh/rollout.py")) == 1
+    # The defining module and its sanctioned siblings are factories...
+    assert run_rule(ClockInjectionRule, source, path="src/repro/serving/clock.py") == []
+    assert run_rule(ClockInjectionRule, source, path="src/repro/cli.py") == []
+    # ...and scripts outside the repro package are exempt entirely.
+    assert run_rule(ClockInjectionRule, source, path="benchmarks/bench_x.py",
+                    in_package=False) == []
+    assert run_rule(ClockInjectionRule, source, path="scripts/tool.py") == []
 
 
-def test_snapshot_health_gate_ignores_unrelated_constructors():
-    diags = run_rule(
-        SnapshotHealthGateRule,
-        """
-        from somewhere.other import RolloutController
+def test_registry_injection_flags_component_owned_registry():
+    source = """
+    from repro.obs.metrics import MetricsRegistry
 
-        controller = RolloutController()
-        """,
-        path="src/repro/cli.py",
-    )
-    assert diags == []
+    def build(registry=None):
+        shared = registry or MetricsRegistry()
+        private = MetricsRegistry()
+        return shared, private
+    """
+    diags = run_rule(RegistryInjectionRule, source, path="src/repro/serving/api.py")
+    assert [d.rule for d in diags] == ["registry-injection"]
+    assert diags[0].line == 6
+    assert "fragments the scrape surface" in diags[0].message
+    assert run_rule(RegistryInjectionRule, source, path="src/repro/obs/slo.py") == []

@@ -7,6 +7,7 @@ from repro.refresh import (
     RolloutController,
     RolloutState,
     SnapshotGenerator,
+    SnapshotQualityGate,
     SnapshotStore,
     build_snapshot,
     mixed_version_violation,
@@ -48,7 +49,8 @@ def _rig(n_replicas=2, poisoned=False, name="rolltest"):
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S),
                              event_log=event_log)
     collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
-    controller = RolloutController(cluster, store, green, evaluator)
+    controller = RolloutController(cluster, store, green, evaluator,
+                                   SnapshotQualityGate(store))
     return cluster, store, blue, green, evaluator, collector, controller
 
 
@@ -153,7 +155,8 @@ def test_target_without_parent_is_rejected():
     registry = MetricsRegistry()
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))
     with pytest.raises(ValueError, match="no parent"):
-        RolloutController(cluster, store, blue, evaluator)
+        RolloutController(cluster, store, blue, evaluator,
+                          SnapshotQualityGate(store))
 
 
 def test_unknown_guarded_objective_is_rejected():
@@ -166,7 +169,8 @@ def test_unknown_guarded_objective_is_rejected():
     registry = MetricsRegistry()
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S)[:1])
     with pytest.raises(ValueError, match="not in evaluator"):
-        RolloutController(cluster, store, green, evaluator)
+        RolloutController(cluster, store, green, evaluator,
+                          SnapshotQualityGate(store))
 
 
 # -- snapshot generator ----------------------------------------------------

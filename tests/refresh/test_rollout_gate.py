@@ -1,6 +1,9 @@
-"""Quality-gated rollouts: gate pass, pre-rollout block, mid-rollout flip."""
+"""Quality-gated rollouts: gate pass, pre-rollout block, mid-rollout flip,
+and no rollout without a gate."""
 
 from dataclasses import dataclass, field
+
+import pytest
 
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
@@ -177,24 +180,17 @@ def test_gate_flip_mid_rollout_triggers_same_tick_rollback():
     assert "rollout.rollback_complete" in kinds
 
 
-def test_gateless_controller_still_works():
+def test_gateless_controller_is_rejected():
     blue, green = _snapshots()
     store = SnapshotStore()
     store.add(blue)
     registry = MetricsRegistry()
     cluster = CosmoCluster(
         lambda i: SnapshotGenerator(blue),
-        config=ClusterConfig(n_replicas=2, max_batch_size=8,
-                             max_batch_delay_s=0.25, seed=3, name="nogate"),
+        config=ClusterConfig(n_replicas=2, seed=3, name="nogate"),
         registry=registry,
-        response_validator=response_ok,
     )
-    cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))
-    collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
-    controller = RolloutController(  # noqa: cosmolint exercises src only
-        cluster, store, green, evaluator)
-    _drive(cluster, evaluator, collector, controller, 900)
-    report = controller.report()
-    assert controller.state is RolloutState.COMPLETE
-    assert report.gate_promote and report.gate_breaches == ()
+    with pytest.raises(ValueError, match="needs a quality_gate"):
+        RolloutController(cluster, store, green, evaluator, quality_gate=None)
+    assert green.version not in store  # rejected before it is registered

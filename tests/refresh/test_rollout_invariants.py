@@ -15,6 +15,7 @@ from repro.refresh import (
     RolloutController,
     RolloutState,
     SnapshotGenerator,
+    SnapshotQualityGate,
     SnapshotStore,
     build_snapshot,
     rollout_slo_specs,
@@ -77,7 +78,8 @@ def test_accounting_and_dead_letter_conservation_under_chaos(
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))
     collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
-    controller = RolloutController(cluster, store, green, evaluator)
+    controller = RolloutController(cluster, store, green, evaluator,
+                                   SnapshotQualityGate(store))
     drive = Drive(cluster=cluster)
     drive.collector, drive.evaluator, drive.controller = collector, evaluator, controller
 

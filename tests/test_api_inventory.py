@@ -231,16 +231,13 @@ KEPT_OPTIONS = (
     (("ConsistentHashRouter.vnodes", "ConsistentHashRouter.preference.limit",
       "Tensor.backward.grad", "FeatureStore.put.extras", "FeatureStore.structure.extras",
       "Tracer.record.parent", "ServeRequest.trace",
-      "CosmoCluster._context.propagated", "CosmoService.prompt_builder",
-      "LayeringRule.architecture"),
+      "CosmoCluster._context.propagated", "CosmoService.prompt_builder"),
      "what a reference-model or hand-built test feeds in: small rings against the "
      "naive ring walk, an upstream gradient, a record's eighth attribute, an "
-     "after-the-fact span, a caller's trace context, the trained LM's prompt, a "
-     "two-layer architecture",
+     "after-the-fact span, a caller's trace context, the trained LM's prompt",
      ("tests/serving/test_router.py", "tests/nn/test_tensor.py",
       "tests/serving/test_feature_store_lazy.py", "tests/obs/test_trace_query.py",
-      "tests/serving/test_request_tracing.py", "tests/integration/test_end_to_end.py",
-      "tests/lint/test_project.py")),
+      "tests/serving/test_request_tracing.py", "tests/integration/test_end_to_end.py")),
     (("CosmoCluster.clock",),
      "cosmolint's clock-injection invariant: a component accepts its clock",
      ("tests/lint/test_live_tree.py",)),
