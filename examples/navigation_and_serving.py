@@ -86,8 +86,7 @@ def main() -> None:
     print(f"  cold request -> {cold.text!r}")
     service.run_batch()
     warm = service.serve_batch([ServeRequest(query=query.text)])[0]
-    print(f"  after batch  -> {warm.text!r} "
-          f"(batch {warm.batch_id}[{warm.batch_index}])")
+    print(f"  after batch  -> {warm.text!r} (from {warm.source})")
     print(f"  cache hit rate {service.cache.stats.hit_rate:.0%}, "
           f"feature store entries {len(service.features)}")
 

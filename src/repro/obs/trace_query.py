@@ -60,7 +60,6 @@ _STAGE_PREFIXES: tuple[tuple[str, str], ...] = (
     ("resilience.backoff", "retry"),
     ("resilience.attempt", "generation"),
     ("serving.generate", "generation"),
-    ("router.", "routing"),
 )
 
 

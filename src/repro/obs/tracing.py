@@ -15,8 +15,9 @@ context's ``trace_id``, and stack-root spans record the context's
 ``parent_ref`` — a ``"tracer_name:span_id"`` reference to their remote
 parent — so :class:`~repro.obs.trace_query.TraceAnalyzer` can reassemble
 one tree across tracers.  A hop that only forwards the request (the
-replica's ``serve``) attaches and opens nothing: its stage spans are
-its stack roots and hang off the upstream span directly.  A hop that
+replica's ``serve_batch``, under the context the cluster attaches to
+its tracer) opens nothing: its stage spans are its stack roots and
+hang off the upstream span directly.  A hop that
 times its own window (the cluster's ``cluster.request``) opens its root
 with :meth:`Tracer.trace`, which is a span like any other that puts the
 tracer's context and clock back when it closes.  Trace ids are

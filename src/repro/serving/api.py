@@ -28,7 +28,7 @@ serving-facing generator entrypoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.llm.interface import KnowledgeGenerator
@@ -73,9 +73,10 @@ class ServeRequest:
 
     ``trace`` is the distributed-tracing context the request carries
     (:class:`~repro.obs.tracing.TraceContext`).  The cluster mints one
-    per request (or propagates a caller-supplied one) so spans opened on
-    the router, the replica, the cache and the resilience layer all join
-    one trace tree; ``None`` serves the request untraced.
+    per replica dispatch, or propagates this one when the request is the
+    first of its dispatch, so the cluster's, the replica's and the
+    resilience layer's spans all join one trace tree; ``None`` lets the
+    cluster mint the id.
     """
 
     query: str
@@ -83,29 +84,29 @@ class ServeRequest:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServeResult:
     """The structured answer to one :class:`ServeRequest`.
 
     ``latency_s`` is the simulated end-to-end latency charged for the
     request.  When a request flows through
-    :meth:`~repro.serving.cluster.CosmoCluster.handle`, shard queueing
-    delay is folded in, so the cluster-level number can exceed what the
+    :class:`~repro.serving.cluster.CosmoCluster`, shard queueing delay
+    is folded in, so the cluster-level number can exceed what the
     replica itself charged.  ``replica`` is the serving replica's name
     (a single :class:`~repro.serving.deployment.CosmoService` reports
     its own ``name``).
 
-    ``trace_id`` echoes the request's trace id when it carried a
-    :class:`~repro.obs.tracing.TraceContext` (None otherwise), so a
-    caller holding a slow result can pull the matching trace out of a
+    The last three fields are the cluster's stamps, ``None`` on a result
+    a bare :class:`~repro.serving.deployment.CosmoService` returns.
+    ``trace_id`` is the id of the dispatch trace that answered the
+    request (None with tracing off), so a caller holding a slow result
+    can pull the matching trace out of a
     :class:`~repro.obs.trace_query.TraceAnalyzer` or a latency-histogram
-    exemplar.
+    exemplar.  ``batch_id`` / ``batch_index`` name the arrival window
+    and the request's position inside it.
 
-    ``batch_id`` / ``batch_index`` attribute the result to its serving
-    batch: ``serve_batch`` stamps every result with the flush's batch id
-    and the request's position inside it, so traces and histogram
-    exemplars can locate one item's latency inside a vectorized flush.
-    Both stay ``None`` on the per-item ``serve`` path.
+    A plain mutable record, not a frozen one: the replica builds it and
+    the cluster stamps it in place, once per request.
     """
 
     query: str
@@ -114,9 +115,9 @@ class ServeResult:
     source: str
     latency_s: float
     replica: str
-    trace_id: str | None = None
-    batch_id: str | None = None
-    batch_index: int | None = None
+    trace_id: str | None = field(default=None, init=False)
+    batch_id: str | None = field(default=None, init=False)
+    batch_index: int | None = field(default=None, init=False)
 
     @property
     def served(self) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
+from typing import Sequence
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -54,11 +54,11 @@ __all__ = ["ClusterConfig", "AdaptiveBatchScheduler", "CosmoCluster"]
 class _HeldClock:
     """Explicit-time clock for spans that straddle two real clocks.
 
-    The cluster's request span must cover exactly the end-to-end charged
-    window ``[arrival, start + service latency]``, but no single clock
-    traverses that interval (the arrival clock stands still while the
-    replica clock serves).  The cluster times its request spans on this
-    holder instead, setting ``value`` at each boundary it crosses.
+    A dispatch's root span must cover exactly ``[arrival, replica clock
+    after the dispatch]``, but no single clock traverses that interval
+    (the arrival clock stands still while the replica clock serves).
+    The cluster times its root spans on this holder instead, setting
+    ``value`` at each boundary it crosses.
     """
 
     __slots__ = ("value",)
@@ -224,7 +224,6 @@ class CosmoCluster:
             # operator acts at cluster time, not on any one replica's.
             self.router.attach_event_log(event_log, clock=self.clock.now,
                                          component=cfg.name)
-        self.router.attach_tracer(self.tracer)
         self.scheduler = AdaptiveBatchScheduler(
             max_batch_size=cfg.max_batch_size,
             max_batch_delay_s=cfg.max_batch_delay_s,
@@ -291,17 +290,12 @@ class CosmoCluster:
 
     # ------------------------------------------------------------------
     # Request path
-    #
-    # ``handle`` and ``handle_batch`` are the two ingress shapes (one
-    # request / one arrival window) over the same steps, each written
-    # once below: trace context, admission, replica selection, replica
-    # entry, sampler finish.  Tracing off is ``context is None``.
     # ------------------------------------------------------------------
     def _context(self, key: str,
                  propagated: TraceContext | None = None) -> TraceContext | None:
-        """The trace context a request (or replica group) runs under:
-        the caller's when one was propagated, else minted from the
-        request sequence number and ``key``; None with tracing off."""
+        """The trace context a dispatch runs under: the caller's when one
+        was propagated, else minted from the request counter and ``key``;
+        None with tracing off."""
         if not self.config.trace_requests:
             return None
         return propagated or TraceContext(
@@ -324,175 +318,138 @@ class CosmoCluster:
             self._shed.inc(n_requests)
         return shed
 
-    def _enter(self, service: CosmoService, arrival: float,
-               held: _HeldClock) -> float:
-        """Bring the replica's clock to the dispatch time — the arrival
-        tick on an idle shard, the shard's own (later) clock on a busy
-        one — and return it; ``start - arrival`` is queueing delay."""
-        start = max(arrival, service.clock.now())
-        service.clock.sleep_until(start)
-        held.value = start
-        return start
-
-    def _finish_trace(self, context: TraceContext | None, ts: float,
-                      duration_s: float, results) -> None:
-        """Hand a finished trace to the tail sampler for its keep/drop
-        decision; anything but all-fresh answers flags it."""
-        if context is not None and self.sampler is not None:
-            self.sampler.finish(
-                context.trace_id, ts=ts, duration_s=duration_s,
-                flagged=any(result.outcome is not ServeOutcome.FRESH
-                            for result in results),
-            )
-
     def handle(self, request: ServeRequest | str) -> ServeResult:
-        """Serve one request through the sharded deployment.
+        """Serve one request: a window of one (see :meth:`handle_batch`)."""
+        return self.handle_batch((request,))[0]
 
-        Arrival time is the cluster clock's ``now()`` — the driver
-        advances it between calls to model the offered load.  The
-        returned result is the replica's, with ``latency_s`` replaced by
-        the end-to-end figure (shard queueing delay + service latency).
+    def handle_batch(self,
+                     requests: Sequence[ServeRequest | str]) -> list[ServeResult]:
+        """Serve one arrival window of requests (or bare query strings)
+        through the sharded deployment; results come back in request order.
 
-        With ``trace_requests`` on (the default) the request runs under
-        a deterministic :class:`~repro.obs.tracing.TraceContext` — minted
-        from the request sequence number and the query, or propagated
-        from ``request.trace`` when the caller supplied one — and every
-        hop (routing, queueing, cache, degradation, generator attempts,
-        the batch flush it triggers) contributes spans to one
-        ``cluster.request`` trace tree.  Tracing wraps the one request
-        path rather than forking it, so clock and metric operations are
-        byte-identical either way.
-
-        The root span is timed on a :class:`_HeldClock` so its window is
-        exactly ``[arrival, start + service latency]`` — the end-to-end
-        latency the request is charged — with a ``cluster.queueing``
-        child covering ``[arrival, start]``.  Events emitted mid-request
-        are stamped with the trace id via the event log's trace scope.
-        """
-        if isinstance(request, str):
-            request = ServeRequest(query=request)
-        self._requests.inc()
-        context = self._context(request.query, request.trace)
-        arrival = self.clock.now()
-        held = _HeldClock(arrival)
-        log_scope = (NULL_SPAN if context is None or self.event_log is None
-                     else self.event_log.trace_scope(context.trace_id))
-        with log_scope, self.tracer.trace(
-                context, "cluster.request", clock=held.now,
-                query=request.query,
-                mode="direct" if request.direct else "cached") as root:
-            shed = self._admit(1)
-            if shed:
-                root.set_attribute("shed", True)
-            replica_id, failed_over = self._select(request.query)
-            if failed_over:
-                root.set_attribute("failover", True)
-            service = self.services[replica_id]
-            start = self._enter(service, arrival, held)
-            if context is not None and start > arrival:
-                # Recorded only when there is shard backlog: a request
-                # that dispatches on arrival would get a zero-width
-                # queueing span that only costs hot-path time (the stage
-                # breakdown reports queueing 0).
-                self.tracer.record("cluster.queueing", arrival, start,
-                                   replica=replica_id)
-            # The child context travels out-of-band (the ``trace``
-            # keyword) rather than via a copied request: frozen-dataclass
-            # construction is measurable at per-request rates
-            # (bench_trace_overhead pins the traced/bare ratio).
-            result = service.serve(request, allow_enqueue=not shed,
-                                   trace=self._child(context, root))
-            end_to_end = (start - arrival) + result.latency_s
-            held.value = start + result.latency_s
-            root.set_attribute("replica", result.replica)
-            root.set_attribute("outcome", result.outcome.value)
-            root.set_attribute("source", result.source)
-            self._latency.observe(
-                end_to_end,
-                exemplar=None if context is None else context.trace_id)
-            self._maybe_flush(replica_id, context)
-        self._finish_trace(context, held.value, end_to_end, (result,))
-        # The replica's result is freshly built and unshared: stamp the
-        # frozen dataclass in place, as handle_batch does.
-        object.__setattr__(result, "latency_s", end_to_end)
-        return result
-
-    def handle_batch(self, requests: list[ServeRequest | str]) -> list[ServeResult]:
-        """Serve one arrival window of requests through the cluster.
-
-        The batch-first ingress: every request in the window shares one
-        arrival tick (the cluster clock's ``now()`` — the driver
-        advances it between windows), the admission-control shed
-        decision is sampled once at that tick, and requests are routed
-        then served **grouped by home replica** — each group goes down
-        in a single :meth:`~repro.serving.deployment.CosmoService.serve_batch`
-        call, so a replica built with a
+        Every request in the window shares one arrival tick (the cluster
+        clock's ``now()`` — the driver advances it between windows).  The
+        window is counted once and admitted once (the shed decision is
+        sampled at that tick), then every request is routed and the
+        window is grouped by replica.  Each group is one *dispatch*: one
+        :meth:`~repro.serving.deployment.CosmoService.serve_batch` call,
+        so a replica built with a
         :class:`~repro.serving.deployment.BatchCostModel` charges one
         amortized window instead of ``len(group)`` sequential serves.
+        Request accounting is per request: each counts once, cluster-wide.
 
-        Results come back in request order.  ``latency_s`` is end-to-end
-        (shard queueing delay + service latency) exactly as
-        :meth:`handle` computes it, and every result's ``batch_index``
-        is rewritten to its position in *this* window (``batch_id`` is
-        shared by all of them), so the pair stays unique even though the
-        window split across replicas.  Request accounting is identical
-        to ``len(requests)`` :meth:`handle` calls: each request counts
-        once, cluster-wide.
+        Each result is stamped in place: ``latency_s`` becomes end-to-end
+        (shard queueing delay + service latency), ``batch_id`` names the
+        window, ``batch_index`` is the request's position in it, and
+        ``trace_id`` names its dispatch's trace.
 
-        Tracing happens at batch granularity: with ``trace_requests``
-        on, each replica group runs under one ``cluster.batch`` span
-        (per-item attribution flows through batch_id/batch_index rather
-        than per-item span trees — that is the point of the batch path).
+        With ``trace_requests`` on (the default) a dispatch is one trace:
+        a ``cluster.request`` root timed on a :class:`_HeldClock` over
+        ``[arrival, replica clock after the dispatch]``, with a
+        ``cluster.queueing`` child when the shard had a backlog.  Its id
+        is minted from the request counter and the dispatch's first query,
+        or propagated from that request's ``trace``.  The replica's spans,
+        the flush the dispatch triggers, the events emitted meanwhile and
+        the latency histogram's exemplar all carry it, and the tail
+        sampler gets one ``finish`` per dispatch: its duration is the
+        slowest answer's end-to-end latency, and it is flagged when any
+        answer was not fresh.  Tracing wraps the one path rather than forking
+        it, so clock and metric operations are byte-identical either way.
         """
         if not requests:
             return []
         self._batch_seq += 1
         batch_id = f"{self.config.name}-b{self._batch_seq}"
-        typed = [ServeRequest(query=request) if isinstance(request, str)
-                 else request for request in requests]
         arrival = self.clock.now()
-        self._requests.inc(len(typed))
-        shed = self._admit(len(typed))
-        groups: dict[str, list[int]] = {}
-        for index, request in enumerate(typed):
-            replica_id, _ = self._select(request.query)
-            groups.setdefault(replica_id, []).append(index)
-        results: list[ServeResult | None] = [None] * len(typed)
+        self._requests.inc(len(requests))
+        shed = self._admit(len(requests))
+        # replica → (window positions, requests): one dispatch each.
+        groups: dict[str, tuple[list[int], list[ServeRequest]]] = {}
+        failed_over: set[str] = set()
+        for index, request in enumerate(requests):
+            if isinstance(request, str):
+                request = ServeRequest(query=request)
+            replica_id, moved = self._select(request.query)
+            group = groups.get(replica_id)
+            if group is None:
+                groups[replica_id] = ([index], [request])
+            else:
+                group[0].append(index)
+                group[1].append(request)
+            if moved:
+                failed_over.add(replica_id)
+        results: list[ServeResult | None] = [None] * len(requests)
         held = _HeldClock(arrival)
-        for replica_id, indices in groups.items():
+        histogram = self._latency
+        for replica_id, (indices, group) in groups.items():
             service = self.services[replica_id]
-            group = [typed[i] for i in indices]
-            context = self._context(f"{batch_id}:{replica_id}")
+            first = group[0]
+            context = self._context(first.query, first.trace)
+            trace_id = None if context is None else context.trace_id
+            one = len(group) == 1
             held.value = arrival
-            with self.tracer.trace(
-                context, "cluster.batch", clock=held.now, batch=batch_id,
-                replica=replica_id, items=len(group), shed=shed,
-            ) as span:
-                start = self._enter(service, arrival, held)
-                with service.tracer.attach(self._child(context, span)):
-                    group_results = service.serve_batch(
-                        group, batch_id=batch_id, allow_enqueue=not shed)
+            log_scope = (NULL_SPAN if context is None or self.event_log is None
+                         else self.event_log.trace_scope(trace_id))
+            with log_scope, self.tracer.trace(context, "cluster.request",
+                                              clock=held.now) as root:
+                if one:
+                    root.set_attribute("query", first.query)
+                    root.set_attribute("mode",
+                                       "direct" if first.direct else "cached")
+                if shed:
+                    root.set_attribute("shed", True)
+                if replica_id in failed_over:
+                    root.set_attribute("failover", True)
+                start = max(arrival, service.clock.now())
+                service.clock.sleep_until(start)
+                if context is not None and start > arrival:
+                    # Recorded only when there is shard backlog: a zero-width
+                    # queueing span would only cost hot-path time (the stage
+                    # breakdown reports queueing 0).
+                    self.tracer.record("cluster.queueing", arrival, start,
+                                       replica=replica_id)
+                with service.tracer.attach(self._child(context, root)):
+                    served = service.serve_batch(group, allow_enqueue=not shed)
                 held.value = service.clock.now()
-            self._finish_trace(context, held.value, held.value - arrival,
-                               group_results)
-            # Items served at one latency (a whole amortized window) are
-            # observed together; the replica's results are freshly built
-            # and unshared, so they are stamped in place.
-            wait = start - arrival
-            for latency_s, run in groupby(r.latency_s for r in group_results):
-                self._latency.observe(wait + latency_s, count=len(list(run)))
-            for index, result in zip(indices, group_results):
-                object.__setattr__(result, "latency_s", wait + result.latency_s)
-                object.__setattr__(result, "batch_index", index)
-                results[index] = result
-            self._maybe_flush(replica_id)
+                # One pass stamps every result, observes the histogram once
+                # per run of equal latencies, and finds the dispatch's
+                # slowest answer and whether any answer was not fresh.
+                wait = start - arrival
+                slowest, flagged = 0.0, False
+                run_value, run = 0.0, 0
+                for index, result in zip(indices, served):
+                    end_to_end = wait + result.latency_s
+                    result.latency_s = end_to_end
+                    result.trace_id = trace_id
+                    result.batch_id = batch_id
+                    result.batch_index = index
+                    results[index] = result
+                    if end_to_end > slowest:
+                        slowest = end_to_end
+                    if result.outcome is not ServeOutcome.FRESH:
+                        flagged = True
+                    if end_to_end != run_value:
+                        if run:
+                            histogram.observe(run_value, trace_id, run)
+                        run_value, run = end_to_end, 0
+                    run += 1
+                histogram.observe(run_value, trace_id, run)
+                root.set_attribute("replica", replica_id)
+                if one:
+                    root.set_attribute("outcome", served[0].outcome.value)
+                    root.set_attribute("source", served[0].source)
+                else:
+                    root.set_attribute("items", len(group))
+                self._maybe_flush(replica_id, context)
+            if context is not None and self.sampler is not None:
+                self.sampler.finish(trace_id, held.value, slowest, flagged)
         return results
 
     # ------------------------------------------------------------------
     # Batching
     # ------------------------------------------------------------------
     def _maybe_flush(self, replica_id: str,
-                     context: TraceContext | None = None) -> None:
+                     context: TraceContext | None) -> None:
         service = self.services[replica_id]
         pending = service.cache.pending_size
         now = service.clock.now()
@@ -507,9 +464,9 @@ class CosmoCluster:
         service = self.services[replica_id]
         with self.tracer.span("cluster.flush", replica=replica_id,
                               trigger=trigger) as span:
-            # When the flush fires inside a traced request, hang the
+            # When the flush fires inside a traced dispatch, hang the
             # replica's batch spans under this flush span so the whole
-            # generator/retry subtree stays in the request's trace.
+            # generator/retry subtree stays in the dispatch's trace.
             with service.tracer.attach(self._child(context, span)):
                 installed = service.run_batch(
                     max_queries=self.config.max_batch_size)

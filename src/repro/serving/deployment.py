@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.llm.interface import GenerationBatch
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, counter_attribute
-from repro.obs.tracing import NULL_SPAN, TraceContext, Tracer
+from repro.obs.tracing import NULL_SPAN, Tracer
 from repro.serving.api import (
     SOURCE_CACHE_DAILY,
     SOURCE_CACHE_YEARLY,
@@ -77,11 +77,12 @@ class BatchCostModel:
     ``batch_overhead_s + n * item_cost_s`` *once* — every item in the
     window completes together when the window does, which is what a real
     vectorized lookup costs (one dispatch, per-row marginal work)
-    instead of ``n`` sequential round trips.  Without a cost model
-    (the default) ``serve_batch`` charges exactly what the per-item
-    ``serve`` loop would — the golden equivalence suite pins the two
-    paths byte-identical — so amortization is an explicit opt-in knob,
-    not a silent accounting change.
+    instead of ``n`` sequential round trips; a window of one pays
+    ``batch_overhead_s + item_cost_s``.  Without a cost model (the
+    default) ``serve_batch`` charges each item exactly what it would
+    cost served alone — the golden equivalence suite pins a window
+    byte-identical to windows of one — so amortization is an explicit
+    opt-in knob, not a silent accounting change.
     """
 
     batch_overhead_s: float = 0.002
@@ -191,10 +192,9 @@ class CosmoService:
     :class:`~repro.core.cosmo_lm.CosmoLM` and the raw teacher qualify,
     so the serving bench can compare the two deployments.
 
-    ``batch_costs`` opts the :meth:`serve_batch` fast path into
-    amortized window accounting (see :class:`BatchCostModel`); left
-    ``None``, batched serving charges exactly what per-item serving
-    would.
+    ``batch_costs`` opts :meth:`serve_batch` into amortized window
+    accounting (see :class:`BatchCostModel`); left ``None``, a window
+    charges each item what it would cost served alone.
 
     With ``resilience=True`` (the default) generator calls go through a
     :class:`~repro.serving.resilience.ResilientGenerator` (``retry`` /
@@ -229,7 +229,6 @@ class CosmoService:
         self.generator = generator
         self.clock = clock or SimClock()
         self._batch_costs = batch_costs
-        self._batch_seq = 0
         self.name = name
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer or Tracer(clock=self.clock.now)
@@ -310,73 +309,38 @@ class CosmoService:
             latency_s, exemplar=None if context is None else context.trace_id,
             count=count)
 
-    def serve(self, request: ServeRequest, allow_enqueue: bool = True,
-              trace: TraceContext | None = None) -> ServeResult:
-        """Serve one structured request; the canonical entrypoint.
+    def serve(self, request: ServeRequest) -> ServeResult:
+        """Serve one request: a window of one (see :meth:`serve_batch`)."""
+        return self.serve_batch([request])[0]
+
+    def serve_batch(self, requests: list[ServeRequest],
+                    allow_enqueue: bool = True) -> list[ServeResult]:
+        """Serve one window of requests as a unit; the one entrypoint.
 
         Cached mode walks the degradation chain: fresh cache entry →
-        (possibly stale) feature-store entry → fallback.  The miss is
+        (possibly stale) feature-store entry → fallback.  A miss is
         enqueued for batch processing (unless ``allow_enqueue`` is False
         — cluster admission control shedding load keeps the degraded
         answer but skips the queue), so degraded answers heal on the next
         batch cycle.  Direct mode bypasses the cache and calls the model
         synchronously.
 
-        When the request carries a :class:`~repro.obs.tracing.TraceContext`
-        the serve runs with it attached and opens no span of its own:
-        the stage spans (cache / degraded / fallback serve, generator
-        attempts) are this tracer's stack roots and hang off the
-        upstream span the context names, and the result echoes the
-        trace id.
+        Without a :class:`BatchCostModel` the window is served item by
+        item; with one, a cached window is served through one vectorized
+        cache fetch and charged the amortized window cost, all items
+        completing together.  Direct-mode requests always take the
+        per-item path: a synchronous model call has no window to
+        amortize over.
 
-        ``trace`` overrides ``request.trace`` when given: the cluster
-        passes its per-hop child context out-of-band so propagation does
-        not have to copy the (frozen) request once per request.
+        The replica opens no span of its own: under a trace context
+        attached to its tracer (the cluster attaches one per dispatch)
+        the stage spans are this tracer's stack roots and hang off the
+        upstream span.  Results come back unstamped; the cluster stamps
+        trace and window attribution.
         """
-        if trace is None:
-            trace = request.trace
-        with self.tracer.attach(trace):
-            result = self._serve(request, allow_enqueue)
-        if trace is not None:
-            # The result is freshly built by _serve and unshared, so stamp
-            # the frozen dataclass in place — dataclasses.replace's field
-            # introspection is measurable at per-request rates.
-            object.__setattr__(result, "trace_id", trace.trace_id)
-        self._note_outcome(result)
-        return result
-
-    def serve_batch(self, requests: list[ServeRequest],
-                    batch_id: str | None = None,
-                    allow_enqueue: bool = True) -> list[ServeResult]:
-        """Serve one window of requests as a unit; the batch entrypoint.
-
-        Every result is stamped with the window's ``batch_id`` and the
-        request's ``batch_index`` inside it, so traces and exemplars can
-        attribute per-item latency within a flush.  Without a
-        :class:`BatchCostModel` the window performs the exact per-item
-        operations :meth:`serve` would (byte-identical envelopes modulo
-        the batch fields, byte-identical metrics) — with one, the cached
-        window is served through one vectorized cache fetch and charged
-        the amortized window cost, all items completing together.
-        Direct-mode requests always take the per-item path: a
-        synchronous model call has no window to amortize over.
-        """
-        self._batch_seq += 1
-        if batch_id is None:
-            batch_id = f"{self.name}-b{self._batch_seq}"
-        with self.tracer.traced_span("serving.serve_batch", batch=batch_id,
-                                     items=len(requests)):
-            if self._batch_costs is None or any(r.direct for r in requests):
-                results = [self.serve(request, allow_enqueue=allow_enqueue)
-                           for request in requests]
-            else:
-                results = self._serve_batch_amortized(requests, allow_enqueue)
-        for index, result in enumerate(results):
-            # Results are freshly built and unshared; stamp the frozen
-            # dataclasses in place (see the trace_id note in serve()).
-            object.__setattr__(result, "batch_id", batch_id)
-            object.__setattr__(result, "batch_index", index)
-        return results
+        if self._batch_costs is None or any(r.direct for r in requests):
+            return [self._serve(request, allow_enqueue) for request in requests]
+        return self._serve_batch_amortized(requests, allow_enqueue)
 
     def _serve_batch_amortized(self, requests: list[ServeRequest],
                                allow_enqueue: bool) -> list[ServeResult]:
@@ -415,9 +379,12 @@ class CosmoService:
 
     def _serve(self, request: ServeRequest, allow_enqueue: bool) -> ServeResult:
         if request.direct:
-            return self._serve_direct(request.query)
-        hit = self.cache.fetch(request.query, enqueue=allow_enqueue)
-        return self._serve_answer(request.query, hit)
+            result = self._serve_direct(request.query)
+        else:
+            hit = self.cache.fetch(request.query, enqueue=allow_enqueue)
+            result = self._serve_answer(request.query, hit)
+        self._note_outcome(result)
+        return result
 
     def _note_outcome(self, result: ServeResult) -> None:
         """Publish degraded-mode *transitions* into the event log.

@@ -21,8 +21,6 @@ import hashlib
 from bisect import bisect_left
 from typing import Sequence
 
-from repro.obs.tracing import NULL_SPAN
-
 __all__ = ["ConsistentHashRouter"]
 
 
@@ -92,7 +90,6 @@ class ConsistentHashRouter:
         self._event_log = None
         self._event_clock = None
         self._event_component = "router"
-        self._tracer = None
 
     # ------------------------------------------------------------------
     def attach_event_log(self, event_log, clock, component: str = "router") -> None:
@@ -106,15 +103,6 @@ class ConsistentHashRouter:
         self._event_log = event_log
         self._event_clock = clock
         self._event_component = component
-
-    def attach_tracer(self, tracer) -> None:
-        """Collect a ``router.route`` span per *traced* lookup.
-
-        Spans only open while a trace context is attached to ``tracer``
-        (the cluster's arrival-clock tracer), so untraced routing — cache
-        preloads, benches with tracing off — stays span-free.
-        """
-        self._tracer = tracer
 
     def _emit(self, kind: str, replica: str) -> None:
         if self._event_log is not None:
@@ -182,10 +170,7 @@ class ConsistentHashRouter:
         drained = self._drained
         if not drained:
             return list(order if limit is None else order[:limit])
-        with self._degraded_span() as span:
-            active = [r for r in order if r not in drained][:limit]
-            span.set_attribute("owner", active[0])
-        return active
+        return [r for r in order if r not in drained][:limit]
 
     def route(self, key: str) -> str:
         """The active replica that owns ``key``."""
@@ -193,10 +178,7 @@ class ConsistentHashRouter:
         drained = self._drained
         if not drained:
             return order[0]
-        with self._degraded_span() as span:
-            owner = next(r for r in order if r not in drained)
-            span.set_attribute("owner", owner)
-        return owner
+        return next(r for r in order if r not in drained)
 
     def _order(self, key: str) -> tuple[str, ...]:
         """Every replica, drained or not, in ring order from ``key``'s
@@ -209,19 +191,3 @@ class ConsistentHashRouter:
         """
         return self._orders[
             bisect_left(self._points, _point(f"{self.seed}|key|{key}"))]
-
-    def _degraded_span(self):
-        """A ``router.route`` span while replicas are drained *and* a
-        trace context is attached, else the shared no-op span.
-
-        Routing is spanned only while the ring is degraded: that is when
-        the decision is interesting.  Steady-state routing is a pure
-        hash lookup, and an always-on span here would be the single
-        hottest span in the cluster (bench_trace_overhead pins the
-        traced/bare budget).
-        """
-        tracer = self._tracer
-        if tracer is None or tracer.active_context is None:
-            return NULL_SPAN
-        return tracer.span("router.route", active=len(self.active),
-                           drained=len(self._drained))

@@ -51,7 +51,6 @@ def test_stage_for_prefix_mapping():
     assert stage_for("serving.degraded_serve") == "degradation"
     assert stage_for("resilience.backoff") == "retry"
     assert stage_for("resilience.attempt") == "generation"
-    assert stage_for("router.route") == "routing"
     assert stage_for("cluster.request") == "other"
 
 

@@ -72,7 +72,7 @@ def test_serve_direct_reports_source_and_measured_latency():
 
 def test_serve_without_enqueue_skips_the_pending_queue():
     service = _service()
-    shed = service.serve(ServeRequest(query="q"), allow_enqueue=False)
+    (shed,) = service.serve_batch([ServeRequest(query="q")], allow_enqueue=False)
     assert shed.outcome is ServeOutcome.FALLBACK
     assert service.cache.pending_size == 0  # not queued, still counted
     assert service.metrics.requests == 1

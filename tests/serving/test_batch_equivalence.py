@@ -1,18 +1,18 @@
-"""Golden equivalence: the batch-first serving path vs per-item serving.
+"""Golden equivalence: serving a window vs serving windows of one.
 
 The api_redesign contract: ``serve_batch`` without a
 :class:`~repro.serving.deployment.BatchCostModel` is *observably
 identical* to a per-item ``serve`` loop — byte-identical result
-envelopes (modulo the batch attribution fields, which only the batch
-path stamps) and byte-identical metric snapshots off the shared
-registry.  With a cost model the accounting invariants still hold but
-the charged latency amortizes.  The cluster's ``handle_batch`` must
-count requests exactly like ``len(requests)`` ``handle`` calls.
+envelopes (modulo the window attribution fields the cluster stamps) and
+byte-identical metric snapshots off the shared registry.  With a cost
+model the accounting invariants still hold but the charged latency
+amortizes.  The cluster's ``handle_batch`` must count requests exactly
+like ``len(requests)`` ``handle`` calls.
 """
 
 import hashlib
 import json
-from dataclasses import replace
+from copy import copy
 
 from repro.llm.interface import GenerationBatch
 from repro.obs import (
@@ -71,18 +71,48 @@ def _drive_batched(traffic, registry, name):
 
 
 def _strip_batch_fields(result):
-    return replace(result, batch_id=None, batch_index=None)
+    """``result`` with its window stamps cleared (a copy: ``replace()``
+    cannot set the stamps, which are not constructor fields)."""
+    stripped = copy(result)
+    stripped.batch_id = stripped.batch_index = None
+    return stripped
+
+
+def _cluster_drive(traffic, windowed):
+    """``traffic`` through a cost-model-less two-replica cluster, in
+    windows of 8 or as one ``handle`` per request.  Every arrival finds
+    its replica idle and only the explicit end-of-window flush runs, so
+    the two drives ask the replicas for the same work."""
+    cluster = CosmoCluster(
+        lambda i: ScriptedGenerator(),
+        config=ClusterConfig(n_replicas=2, max_batch_size=64,
+                             max_batch_delay_s=1e6, seed=3, name="svc",
+                             trace_requests=False))
+    results = []
+    for start in range(0, len(traffic), 8):
+        window = traffic[start:start + 8]
+        if windowed:
+            results.extend(cluster.handle_batch(window))
+            cluster.clock.advance(10.0)
+        else:
+            for query in window:
+                results.append(cluster.handle(query))
+                cluster.clock.advance(10.0)
+        cluster.flush()
+    return results
 
 
 def test_serve_batch_neutral_path_matches_per_item_envelopes():
     traffic = _zipf_traffic(120)
-    _, per_item = _drive_per_item(traffic, MetricsRegistry(), "svc")
-    _, batched = _drive_batched(traffic, MetricsRegistry(), "svc")
+    per_item = _cluster_drive(traffic, windowed=False)
+    batched = _cluster_drive(traffic, windowed=True)
     assert len(per_item) == len(batched)
-    for item, batch in zip(per_item, batched):
-        assert item.batch_id is None and item.batch_index is None
-        assert batch.batch_id is not None and batch.batch_index is not None
-        assert _strip_batch_fields(batch) == item
+    assert len({r.replica for r in batched}) == 2
+    assert len({r.batch_id for r in per_item}) == len(per_item)
+    for position, (item, batch) in enumerate(zip(per_item, batched)):
+        assert item.batch_index == 0
+        assert batch.batch_index == position % 8
+        assert _strip_batch_fields(batch) == _strip_batch_fields(item)
 
 
 def test_serve_batch_neutral_path_metric_snapshots_are_byte_identical():
@@ -99,9 +129,10 @@ def test_serve_batch_neutral_path_metric_snapshots_are_byte_identical():
 
 
 def test_serve_batch_stamps_contiguous_batch_attribution():
-    service = CosmoService(ScriptedGenerator(), clock=SimClock(), seed=3)
-    first = service.serve_batch([ServeRequest(query=f"q{i}") for i in range(5)])
-    second = service.serve_batch([ServeRequest(query="solo")])
+    cluster = _cluster(3, MetricsRegistry())
+    first = cluster.handle_batch([f"q{i}" for i in range(5)])
+    second = cluster.handle_batch(["solo"])
+    assert len({r.replica for r in first}) > 1   # split, yet contiguous
     assert [r.batch_index for r in first] == [0, 1, 2, 3, 4]
     assert len({r.batch_id for r in first}) == 1
     assert second[0].batch_id != first[0].batch_id
@@ -109,9 +140,13 @@ def test_serve_batch_stamps_contiguous_batch_attribution():
 
 
 def test_serve_batch_explicit_batch_id_is_honored():
-    service = CosmoService(ScriptedGenerator(), clock=SimClock(), seed=3)
-    results = service.serve_batch([ServeRequest(query="a")], batch_id="window-7")
-    assert results[0].batch_id == "window-7"
+    """The cluster names each window ``<name>-b<seq>``; a ``handle`` is a
+    window of its own."""
+    cluster = _cluster(2, MetricsRegistry())
+    windows = [cluster.handle_batch(["a", "b"]), [cluster.handle("c")],
+               cluster.handle_batch(["d"])]
+    assert [[r.batch_id for r in window] for window in windows] == [
+        ["eq-b1", "eq-b1"], ["eq-b2"], ["eq-b3"]]
 
 
 def test_amortized_window_charges_one_batched_latency():
@@ -150,13 +185,13 @@ def test_direct_requests_fall_back_to_per_item_even_with_cost_model():
     """``direct=True`` bypasses the cache, so the amortized window would
     misattribute its cost; the batch path must serve such windows
     item-by-item."""
-    costs = BatchCostModel()
-    service = CosmoService(ScriptedGenerator(), clock=SimClock(), seed=3,
-                           batch_costs=costs)
-    results = service.serve_batch(
+    cluster = _cluster(1, MetricsRegistry(), batch_costs=BatchCostModel())
+    results = cluster.handle_batch(
         [ServeRequest(query="a", direct=True), ServeRequest(query="b")])
     assert [r.batch_index for r in results] == [0, 1]
     assert results[0].source == "direct"
+    # Served one by one: an amortized window would complete both together.
+    assert results[0].latency_s != results[1].latency_s
 
 
 def test_generation_batch_protocol_round_trip():
@@ -239,7 +274,11 @@ def test_handle_batch_traced_and_bare_accounting_match():
 # captured from the per-item implementation (one ``inc`` / ``observe`` /
 # ``replace`` per request) *before* that change, so any drift between the
 # two shows up here as a changed artifact, not as a quietly different
-# dashboard.
+# dashboard.  The traced drive's four digests were re-captured when a
+# replica dispatch became one ``cluster.request`` trace (it was a
+# ``cluster.batch`` span over a ``serving.serve_batch`` span): its latency
+# histogram gained exemplars, and its events and results the dispatch's
+# trace id.  The untraced drive's four are unedited.
 
 
 def _digest(text: str) -> str:
@@ -285,12 +324,15 @@ def _accounting_drive(trace: bool):
     return cluster, registry, log, results
 
 
-@pytest.mark.parametrize("trace, snapshot_digest, trace_digest", [
-    (False, "7840592381757a52", "09cb0c37c6bb61ce"),
-    (True, "f5c6ff912f160c48", "89faf28defb29f70"),
-])
-def test_window_accounting_artifacts_are_pinned(trace, snapshot_digest,
-                                                trace_digest):
+@pytest.mark.parametrize(
+    "trace, snapshot_digest, events_digest, results_digest, trace_digest", [
+        (False, "7840592381757a52", "6bb6c2868c83662f", "49cc0224e7afdc8a",
+         "09cb0c37c6bb61ce"),
+        (True, "cb7095183b82966a", "e440d30b0a464d1b", "e787b5d8d99ba27c",
+         "68d7668e4f7cedc3"),
+    ])
+def test_window_accounting_artifacts_are_pinned(
+        trace, snapshot_digest, events_digest, results_digest, trace_digest):
     cluster, registry, log, results = _accounting_drive(trace)
     # The drive reaches every branch the tallies cover...
     assert cluster.metrics_totals() == {
@@ -307,10 +349,10 @@ def test_window_accounting_artifacts_are_pinned(trace, snapshot_digest,
     kinds = {event.kind for event in log.events()}
     assert {"breaker.open", "router.drain", "service.dead_letter",
             "service.degraded_entry", "service.degraded_exit"} <= kinds
-    # ...and every artifact is byte-for-byte what per-item accounting wrote.
+    # ...and every artifact is pinned (re-captures named above).
     assert _digest(json.dumps(snap, sort_keys=True)) == snapshot_digest
-    assert _digest(render_events(log)) == "6bb6c2868c83662f"
-    assert _digest(repr(results)) == "49cc0224e7afdc8a"
+    assert _digest(render_events(log)) == events_digest
+    assert _digest(repr(results)) == results_digest
     tracers = [("acct", cluster.tracer)]
     tracers += [(rid, s.tracer) for rid, s in cluster.services.items()]
     assert _digest(json.dumps(chrome_trace(tracers),
@@ -322,12 +364,17 @@ def test_window_accounting_artifacts_are_pinned(trace, snapshot_digest,
 # ``handle`` (traced and bare) used to be two hand-written copies of one
 # algorithm.  These digests were captured from those two copies *before*
 # they were folded into one, so the single path is byte-for-byte what
-# each of them wrote.  One exception: the traced Chrome trace was
+# each of them wrote.  Exceptions: the traced Chrome trace was
 # re-captured when the replica hop stopped opening ``serving.request``
 # and a lookup stopped opening ``cache.fetch``; the parent's file, with
 # those spans, the span/parent ids and the flow events dropped (and each
 # ``serving.request``'s ``mode`` moved onto its ``cluster.request``),
-# equals the new one byte for byte.
+# equals the new one byte for byte.  It was re-captured again, with the
+# results, when ``handle`` became a window of one: the trace lost its 21
+# ``router.route`` spans (routing runs before a trace exists) and nothing
+# else once span ids and flows are set aside, and each result gained its
+# window's ``batch_id`` / ``batch_index`` — with those cleared, the
+# results still hash to the digest the two copies wrote.
 
 
 def _per_item_drive(trace: bool):
@@ -383,14 +430,16 @@ def _per_item_drive(trace: bool):
 
 
 @pytest.mark.parametrize(
-    "trace, snapshot_digest, events_digest, results_digest, trace_digest", [
-        (False, "7b2876f5cb0e93ba", "a66d1b7534c508d2", "04167d609e39546d",
-         "55f880df082b306d"),
-        (True, "d2f806624fda9870", "d7dfcfd3e27b7057", "10d6b03d4be11ded",
-         "2f2b8c468d6e398f"),
+    "trace, snapshot_digest, events_digest, results_digest, stripped_digest,"
+    " trace_digest", [
+        (False, "7b2876f5cb0e93ba", "a66d1b7534c508d2", "603dc479e9ea9562",
+         "04167d609e39546d", "55f880df082b306d"),
+        (True, "d2f806624fda9870", "d7dfcfd3e27b7057", "0f482c458b0e044e",
+         "10d6b03d4be11ded", "ac25d7433e834117"),
     ])
 def test_per_item_accounting_artifacts_are_pinned(
-        trace, snapshot_digest, events_digest, results_digest, trace_digest):
+        trace, snapshot_digest, events_digest, results_digest, stripped_digest,
+        trace_digest):
     cluster, registry, log, sampler, results = _per_item_drive(trace)
     # The drive reaches every branch of the request path...
     assert cluster.metrics_totals() == {
@@ -416,10 +465,13 @@ def test_per_item_accounting_artifacts_are_pinned(
     assert sampler.decisions == (
         {"flagged": 106, "slow": 39, "head": 31, "dropped": 240} if trace
         else {"flagged": 0, "slow": 0, "head": 0, "dropped": 0})
-    # ...and every artifact is byte-for-byte what the two copies wrote.
+    # ...and every artifact is pinned (re-captures named above).
     assert _digest(json.dumps(snap, sort_keys=True)) == snapshot_digest
     assert _digest(render_events(log)) == events_digest
     assert _digest(repr(results)) == results_digest
+    assert [r.batch_index for r in results] == [0] * len(results)
+    assert _digest(repr([_strip_batch_fields(r) for r in results])) == \
+        stripped_digest
     tracers = [("item", cluster.tracer)]
     tracers += [(rid, s.tracer) for rid, s in cluster.services.items()]
     assert _digest(json.dumps(chrome_trace(tracers),

@@ -9,6 +9,7 @@ from repro.serving import ClusterConfig, CosmoCluster, ServeOutcome, \
     ServeRequest
 from repro.serving.chaos import ScriptedGenerator
 from repro.serving.faults import GeneratorFault
+from repro.serving.resilience import BreakerState
 
 
 class BrokenGenerator:
@@ -147,10 +148,10 @@ def test_untraced_requests_set_no_trace_id():
 
 
 def test_batch_traces_reach_a_sampling_decision():
-    """Regression: ``handle_batch`` opened one ``cluster.batch`` trace
-    per replica group and never finished it at the sampler, so its spans
-    stayed buffered forever (and, at ``max_buffered_spans``, every later
-    trace was refused)."""
+    """Regression: ``handle_batch`` opened one trace per replica group
+    and never finished it at the sampler, so its spans stayed buffered
+    forever (and, at ``max_buffered_spans``, every later trace was
+    refused)."""
     cluster, sampler, _ = _build(lambda i: ScriptedGenerator())
     cluster.preload_yearly({f"query {i:02d}": "answer." for i in range(16)})
     groups = 0
@@ -170,8 +171,8 @@ def test_batch_traces_reach_a_sampling_decision():
     assert sampler.buffered_spans == 0
     assert sum(sampler.decisions.values()) == groups
     assert sampler.decisions["flagged"] == 50
-    kept = [s for s in cluster.tracer.spans() if s.name == "cluster.batch"]
-    # A kept batch span covers exactly the window it was charged.
+    kept = [s for s in cluster.tracer.spans() if s.name == "cluster.request"]
+    # A kept dispatch root covers exactly the window it was charged.
     assert all(s.trace_id is not None and s.duration_s > 0 for s in kept)
     assert len(kept) == sampler.decisions["flagged"] \
         + sampler.decisions["slow"] + sampler.decisions["head"]
@@ -221,3 +222,70 @@ def test_a_request_opens_one_span_per_stage():
             "miss": ["cluster.flush", "serving.fallback_serve",
                      "serving.run_batch", "resilience.attempt"],
         }[kind]
+
+
+# -- a traced window: each replica dispatch is one trace ---------------------
+def _window_cluster():
+    """A traced three-replica cluster whose sampler keeps every trace;
+    ``max_batch_size=1``, so a dispatch with a miss flushes inside it."""
+    event_log = EventLog()
+    cluster = CosmoCluster(
+        lambda i: ScriptedGenerator(),
+        config=ClusterConfig(n_replicas=3, max_batch_size=1),
+        event_log=event_log, sampler=TailSampler(slowest_k=0, head_every=1))
+    return cluster, event_log
+
+
+def _dispatch_roots(cluster):
+    """replica → its dispatch's ``cluster.request`` root (one window)."""
+    return {span.attributes["replica"]: span for span in cluster.tracer.spans()
+            if span.name == "cluster.request"}
+
+
+def test_every_window_result_carries_its_dispatch_trace_id():
+    cluster, _ = _window_cluster()
+    results = cluster.handle_batch([f"query {i:02d}" for i in range(12)])
+    roots = _dispatch_roots(cluster)
+    assert len(roots) == len({r.replica for r in results}) > 1
+    assert len({root.trace_id for root in roots.values()}) == len(roots)
+    assert all(r.trace_id == roots[r.replica].trace_id for r in results)
+    assert all(root.attributes["items"] == sum(r.replica == replica for r in results)
+               for replica, root in roots.items())
+
+
+def test_every_window_latency_exemplar_resolves_to_a_kept_dispatch_trace():
+    cluster, _ = _window_cluster()
+    cluster.preload_yearly({f"query {i:02d}": "answer." for i in range(6)})
+    for _ in range(4):
+        cluster.handle_batch([f"query {i:02d}" for i in range(12)])
+        cluster.clock.advance(1.0)
+    kept = {span.trace_id for span in cluster.tracer.spans()
+            if span.name == "cluster.request"}
+    exemplars = cluster.latency_exemplars()
+    assert exemplars
+    assert {trace_id for _, trace_id, _ in exemplars} <= kept
+
+
+def test_an_event_emitted_mid_dispatch_carries_the_dispatch_trace_id():
+    cluster, event_log = _window_cluster()
+    cluster.handle_batch([f"cold {i}" for i in range(9)])
+    roots = _dispatch_roots(cluster)
+    flushes = [e for e in event_log.events() if e.kind == "cluster.flush"]
+    assert {e.attrs["replica"] for e in flushes} == set(roots)   # size flushes
+    assert all(e.attrs.get(TRACE_ID_ATTR) == roots[e.attrs["replica"]].trace_id
+               for e in flushes)
+
+
+def test_a_dispatch_with_a_failed_over_request_is_marked_on_its_root():
+    cluster, _ = _window_cluster()
+    queries = [f"q{i}" for i in range(30)]
+    victim = cluster.router.replicas[0]
+    moved = {q for q in queries if cluster.router.route(q) == victim}
+    breaker = cluster.services[victim].breaker
+    while breaker.state is not BreakerState.OPEN:
+        breaker.record_failure()
+    results = cluster.handle_batch(queries)
+    marked = {replica for replica, root in _dispatch_roots(cluster).items()
+              if root.attributes.get("failover")}
+    assert moved and marked == {r.replica for r in results if r.query in moved}
+    assert victim not in marked

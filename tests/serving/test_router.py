@@ -294,26 +294,3 @@ def test_successor_table_shares_equal_orders():
     # Interned: equal orders are one object.
     assert len({id(order) for order in table}) == len(set(table))
 
-
-def test_route_is_spanned_only_while_degraded_and_traced():
-    from repro.obs.tracing import TraceContext, Tracer
-
-    tracer = Tracer(clock=lambda: 0.0)
-    router = ConsistentHashRouter(_replica_ids(3), seed=2)
-    router.attach_tracer(tracer)
-    with tracer.attach(TraceContext("t-1")):
-        router.route("key")
-        router.preference("key")
-    assert tracer.spans() == []
-    router.drain("r1")
-    router.route("key")          # drained but untraced: still span-free
-    assert tracer.spans() == []
-    with tracer.attach(TraceContext("t-2")):
-        owner = router.route("key")
-        order = router.preference("key", limit=2)
-    spans = tracer.spans()
-    assert [span.name for span in spans] == ["router.route"] * 2
-    assert [span.attributes for span in spans] == [
-        {"active": 2, "drained": 1, "owner": owner},
-        {"active": 2, "drained": 1, "owner": order[0]},
-    ]

@@ -209,10 +209,9 @@ KEPT_OPTIONS = (
      "tier-1's wall budget: the shared fixtures skip or shrink COSMO-LM training",
      ("tests/conftest.py", "tests/integration/test_end_to_end.py")),
     (("BatchCostModel.batch_overhead_s", "BatchCostModel.item_cost_s",
-      "CosmoService.fallback_response", "ServeResult.trace_id", "ServeResult.batch_id",
-      "ServeResult.batch_index", "TailSampler.slowest_k"),
-     "set by files this PR may not edit (the pinned equivalence suite, which also "
-     "replace()s the three stamped ServeResult fields, and benchmarks/perf)",
+      "CosmoService.fallback_response", "TailSampler.slowest_k"),
+     "set where their values are pinned: the golden equivalence suite's digests "
+     "and benchmarks/perf's workloads, which a serving change may not edit",
      ("tests/serving/test_batch_equivalence.py", "benchmarks/perf/perf_workloads.py")),
     (("AnnotatorPool.error_rate", "AnnotatorPool.adjudicator_error_rate",
       "audit_annotations.sample_rate", "simulate_searchbuy.noise_rate"),

@@ -151,7 +151,6 @@ INVENTORY = (
     _span("rollout.restore", _TRACE_ARTIFACT),
     _span("rollout.rollback", _TRACE_ARTIFACT),
     _span("rollout.swap", _TRACE_ARTIFACT),
-    _span("router.route", f"{_STAGES} 'router.'"),
     _span("serving.cache_serve", f"{_STAGES} 'serving.cache'"),
     _span("serving.daily_refresh", _TRACE_ARTIFACT),
     _span("serving.fallback_serve", f"{_STAGES} 'serving.fallback'"),
