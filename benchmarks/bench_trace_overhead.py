@@ -7,9 +7,9 @@ from DESIGN.md §9: tracing *observes* the request path without steering
 it, so both arms must produce identical accounting (request totals,
 availability, per-outcome counts), and the traced drive must stay
 within 1.8x of the bare one — the measured ratio, not a target: ten
-runs read 1.17–1.77x (EXPERIMENTS.md, "One span per stage"); the span
-tree — two spans per direct request — costs 6–19 us per direct request
-(15 at the median, 20 when the replica hop still opened a wrapper
+runs read 1.23–1.74x (EXPERIMENTS.md, "Route each key once"); the span
+tree — two spans per direct request — costs 7–20 us per direct request
+(14 at the median, 20 when the replica hop still opened a wrapper
 span), and every PR that made the bare path cheaper raised the ratio.
 
 The drive uses *direct* (synchronous-generation) requests — the

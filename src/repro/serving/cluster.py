@@ -243,6 +243,10 @@ class CosmoCluster:
                 name=replica_id,
                 **service_kwargs,
             )
+        #: replica → its breaker (None without resilience); a service
+        #: keeps one breaker for life, so routing reads this map.
+        self._breakers = {replica_id: service.breaker
+                          for replica_id, service in self.services.items()}
         labels = {"cluster": cfg.name}
         self._requests = self.registry.counter(
             "cluster_requests_total", "requests handled by the cluster",
@@ -272,21 +276,22 @@ class CosmoCluster:
         """Pick the serving replica; True when it is a failover target
         (counted here, once per re-routed request).
 
-        Walks the key's ring preference order past replicas whose
+        The home replica serves unless its breaker is cooling down; only
+        then is the key's ring preference order walked past replicas whose
         breakers are cooling down.  If *every* active replica is cooling
         down there is nowhere better to go — the home replica takes the
         request and serves it from its degraded path.
         """
-        order = self.router.preference(key)
-        for replica_id in order:
-            breaker = self.services[replica_id].breaker
-            if breaker is not None and breaker.cooling_down:
-                continue
-            if replica_id == order[0]:
-                break
-            self._failovers.inc()
-            return replica_id, True
-        return order[0], False
+        home = self.router.route(key)
+        breaker = self._breakers[home]
+        if breaker is None or not breaker.cooling_down:
+            return home, False
+        for replica_id in self.router.preference(key)[1:]:
+            breaker = self._breakers[replica_id]
+            if breaker is None or not breaker.cooling_down:
+                self._failovers.inc()
+                return replica_id, True
+        return home, False
 
     # ------------------------------------------------------------------
     # Request path

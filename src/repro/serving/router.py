@@ -23,6 +23,10 @@ from typing import Sequence
 
 __all__ = ["ConsistentHashRouter"]
 
+#: Keys whose ring order one router remembers; the memo is emptied when
+#: it reaches this many (a few MB at most).
+_MEMO_KEYS = 1 << 16
+
 
 def _point(data: str) -> int:
     """64-bit ring position for a string (stable across processes)."""
@@ -87,6 +91,8 @@ class ConsistentHashRouter:
         )
         self._points = [point for point, _ in ring]
         self._orders = _successor_table([replica for _, replica in ring])
+        #: key → its successor-table entry, filled by :meth:`_order`.
+        self._order_of: dict[str, tuple[str, ...]] = {}
         self._event_log = None
         self._event_clock = None
         self._event_component = "router"
@@ -182,12 +188,23 @@ class ConsistentHashRouter:
 
     def _order(self, key: str) -> tuple[str, ...]:
         """Every replica, drained or not, in ring order from ``key``'s
-        point: one hash, one bisect, one index into the successor table.
+        point: one hash, one bisect, one index into the successor table
+        the first time ``key`` is asked, one dict read after that.
 
         The active replicas' order is this tuple minus the drained ones
         (the first occurrences of a subset keep their relative order), so
         drain moves only the drained replica's keys, restore brings
         exactly those back, and the failover order never reshuffles.
+
+        Because the entry lists drained replicas too, drain and restore
+        never invalidate the memo; it is only emptied when it holds
+        ``_MEMO_KEYS`` keys.
         """
-        return self._orders[
-            bisect_left(self._points, _point(f"{self.seed}|key|{key}"))]
+        memo = self._order_of
+        order = memo.get(key)
+        if order is None:
+            if len(memo) >= _MEMO_KEYS:
+                memo.clear()
+            order = memo[key] = self._orders[
+                bisect_left(self._points, _point(f"{self.seed}|key|{key}"))]
+        return order

@@ -1,6 +1,8 @@
 """Cluster serving: scheduler triggers, admission control, failover,
 and the cluster-wide accounting invariant under chaos."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +220,57 @@ def test_failover_availability_beats_single_replica_degraded_baseline():
         totals = cluster.metrics_totals()
         assert (totals["served_fresh"] + totals["degraded_serves"]
                 + totals["fallbacks"] == totals["requests"] == totals["handled"])
+
+
+def _reference_replica(cluster, key):
+    """The serving replica by definition: the first replica in the key's
+    ring order whose breaker is not cooling down, else the home replica."""
+    order = cluster.router.preference(key)
+    healthy = [r for r in order if not cluster.services[r].breaker.cooling_down]
+    return healthy[0] if healthy else order[0]
+
+
+_FAILOVER_IDS = [f"cluster-r{i}" for i in range(3)]
+
+
+@pytest.mark.parametrize("drained", [None, *_FAILOVER_IDS],
+                         ids=lambda r: f"drained={r}")
+@pytest.mark.parametrize("tripped", [
+    subset for size in range(len(_FAILOVER_IDS) + 1)
+    for subset in combinations(_FAILOVER_IDS, size)],
+    ids=lambda subset: "tripped=" + ("+".join(subset) or "none"))
+def test_failover_matches_the_reference_for_tripped_and_drained_replicas(
+        tripped, drained):
+    cluster = _cluster(n_replicas=3)
+    if drained is not None:
+        cluster.drain(drained)
+    for replica_id in tripped:
+        _trip(cluster.services[replica_id].breaker)
+    moved = 0
+    for key in (f"q{i}" for i in range(40)):
+        expected = _reference_replica(cluster, key)
+        assert cluster.handle(key).replica == expected
+        moved += expected != cluster.router.route(key)
+    assert cluster.metrics_totals()["failovers"] == moved
+
+
+def test_keys_go_home_once_the_breaker_cooldown_expires():
+    cluster = _cluster(n_replicas=3)
+    victim = "cluster-r0"
+    victim_keys = [f"q{i}" for i in range(60)
+                   if cluster.router.route(f"q{i}") == victim]
+    assert victim_keys
+    breaker = cluster.services[victim].breaker
+    _trip(breaker)
+    assert all(cluster.handle(key).replica != victim for key in victim_keys)
+    failovers = cluster.metrics_totals()["failovers"]
+    assert failovers == len(victim_keys)
+    cluster.services[victim].clock.advance(breaker.cooldown_s)
+    # Still OPEN (no call has probed it), but no longer cooling down.
+    assert breaker.state is BreakerState.OPEN and not breaker.cooling_down
+    for key in victim_keys:
+        assert cluster.handle(key).replica == victim
+    assert cluster.metrics_totals()["failovers"] == failovers
 
 
 def test_all_breakers_open_falls_back_to_home_replica():

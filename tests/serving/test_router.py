@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import ConsistentHashRouter
+from repro.serving import router as router_module
 
 KEYS = [f"key {i:03d}" for i in range(200)]
 
@@ -250,6 +251,42 @@ def test_table_matches_ring_walk_across_drain_restore_interleavings(
             model.drained.discard(replica)
         assert set(router.active) == set(ids) - model.drained
         _assert_matches_model(router, model, keys, n)
+
+
+@given(
+    st.integers(2, 8), st.integers(1, 16), st.integers(0, 2**32), _keys,
+    st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=24),
+)
+@settings(max_examples=60, deadline=None)
+def test_memoized_orders_match_ring_walk_across_drain_restore_and_clears(
+        n, vnodes, seed, keys, steps):
+    """A memo of three keys is emptied mid-schedule, and the keys asked
+    last before a drain or restore are asked first after it, so a memo
+    entry that went stale would be read."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(router_module, "_MEMO_KEYS", 3)
+        ids = _replica_ids(n)
+        router = ConsistentHashRouter(ids, vnodes=vnodes, seed=seed)
+        model = NaiveRingWalk(ids, vnodes, seed)
+        keys = keys + KEYS[:4]
+
+        def re_ask():
+            for key in keys[::-1] + keys:
+                _assert_matches_model(router, model, [key], n)
+                assert len(router._order_of) <= router_module._MEMO_KEYS
+
+        re_ask()
+        for drain, index in steps:
+            replica = ids[index % n]
+            if drain:
+                if len(model.drained | {replica}) == n:
+                    continue
+                router.drain(replica)
+                model.drained.add(replica)
+            else:
+                router.restore(replica)
+                model.drained.discard(replica)
+            re_ask()
 
 
 def test_key_past_the_last_ring_point_wraps_to_the_first():
