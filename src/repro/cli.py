@@ -130,6 +130,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     table.add_row("Generator failures", report.generator_failures)
     table.add_row("Rejected generations", report.rejected_generations)
     table.add_row("Dead-lettered / redriven", f"{report.dead_lettered} / {report.redriven}")
+    table.add_row("Pending evictions", report.pending_evictions)
     table.add_row("Breaker opens / closes", f"{report.breaker_opens} / {report.breaker_closes}")
     table.add_row("p50 / p99 latency", f"{report.percentile_ms(50):.1f} / "
                   f"{report.percentile_ms(99):.1f} ms")

@@ -162,5 +162,4 @@ class TailSampler:
     def _drop(self, trace_id: str) -> None:
         for span in self._pop(trace_id):
             span._tracer.dropped += 1
-            span.retained = False
         self.decisions["dropped"] += 1

@@ -26,9 +26,10 @@ deterministic (:func:`make_trace_id` hashes request sequence + key).
 Retention: untraced spans fall under the legacy ``max_spans`` head
 truncation; trace-tagged spans are instead buffered into an optional
 tail sampler (:class:`~repro.obs.sampling.TailSampler`) that decides
-keep/drop per *trace* at completion.  Either way the export never emits
-a dangling ``parent_id``: each span remembers its nearest retained
-ancestor, and :func:`chrome_trace` clamps to it (or to -1).
+keep/drop per *trace* at completion.  Neither drops a parent and keeps
+its child: the sampler keeps or drops a trace whole, and ``max_spans``
+only refuses spans later than every retained one.  :func:`chrome_trace`
+still exports a parent it does not hold as -1.
 
 Finished traces export as Chrome trace-event JSON (load into
 ``chrome://tracing`` / Perfetto) via :func:`chrome_trace` — cross-tracer
@@ -127,9 +128,8 @@ class TraceContext:
 class Span:
     """One timed operation: name, parentage, attributes, error tag.
 
-    ``export_parent_id`` is the nearest *retained* same-tracer ancestor
-    (falls back to ``parent_id``); ``remote_parent`` is the cross-tracer
-    parent ref a context-attached stack-root span inherited.
+    ``remote_parent`` is the cross-tracer parent ref a context-attached
+    stack-root span inherited.
 
     A span is its own context manager: :meth:`Tracer.span` opens it (the
     open happens at the call, not at ``__enter__``) and the ``with``
@@ -144,8 +144,7 @@ class Span:
 
     __slots__ = ("name", "span_id", "parent_id", "start_s", "depth",
                  "end_s", "attributes", "status", "error_type", "trace_id",
-                 "remote_parent", "export_parent_id", "retained", "_tracer",
-                 "_restore")
+                 "remote_parent", "_tracer", "_restore")
 
     name: str
     span_id: int
@@ -158,8 +157,6 @@ class Span:
     error_type: str | None
     trace_id: str | None
     remote_parent: str | None
-    export_parent_id: int | None
-    retained: bool
     _tracer: "Tracer"
     _restore: "tuple[TraceContext | None, Callable[[], float]] | None"
 
@@ -341,18 +338,14 @@ class Tracer:
         record.error_type = None
         record.trace_id = None
         record.remote_parent = None
-        record.retained = True
         record._tracer = self
         record._restore = None
         if parent is not None:
             record.parent_id = parent.span_id
             record.depth = parent.depth + 1
-            record.export_parent_id = (parent.span_id if parent.retained
-                                       else parent.export_parent_id)
         else:
             record.parent_id = None
             record.depth = 0
-            record.export_parent_id = None
         self._next_id += 1
         context = self._context
         if context is not None:
@@ -376,12 +369,10 @@ class Tracer:
             else:
                 sampler.overflow += 1
                 self.dropped += 1
-                record.retained = False
         elif len(self._spans) < self.max_spans:
             self._spans.append(record)
         else:
             self.dropped += 1
-            record.retained = False
         return record
 
     def _commit(self, record: Span) -> None:
@@ -390,7 +381,6 @@ class Tracer:
             self._spans.append(record)
         else:
             self.dropped += 1
-            record.retained = False
 
     def span(self, name: str, **attributes: AttrValue) -> Span:
         """Open a child span of the current span (or a root span).
@@ -463,8 +453,8 @@ def chrome_trace(tracers: Sequence[tuple[str, Tracer]]) -> dict:
     with different clocks (pipeline simulated seconds vs serving
     SimClock) render side by side without sharing an axis.  Complete
     ("X") events carry span attributes, ids, trace ids and error status
-    in ``args``; ``parent_id`` is clamped to the nearest retained
-    ancestor (or -1) so it always resolves.  Cross-tracer parent refs
+    in ``args``; a ``parent_id`` this export does not hold is -1, so it
+    always resolves.  Cross-tracer parent refs
     export as flow-event pairs (``ph: "s"`` at the parent, ``ph: "f"``
     at the child) linking the request across pids.  Output is
     deterministic for deterministic span times.
@@ -489,9 +479,7 @@ def chrome_trace(tracers: Sequence[tuple[str, Tracer]]) -> dict:
         for span in tracer.spans():
             if span.end_s is None:
                 continue
-            parent = span.export_parent_id
-            if parent is None:
-                parent = span.parent_id
+            parent = span.parent_id
             if parent is None or parent not in ids:
                 parent = -1
             args: dict[str, AttrValue] = {

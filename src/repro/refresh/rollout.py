@@ -24,7 +24,8 @@ the parent snapshot and restored, and the dead-letter queues are
 re-driven so queries that died against the bad snapshot heal
 immediately.  Every state edge lands in the structured event log
 (``rollout.*`` kinds, including ``rollout.gate_pass`` /
-``rollout.gate_block``) and under a tracer span, so alert reports
+``rollout.gate_block``; a drain or restore is the router's
+``router.drain`` / ``router.restore``), so alert reports
 cross-reference the rollout that caused them.
 
 :class:`SnapshotGenerator` is the version-aware generator used by the
@@ -265,16 +266,14 @@ class RolloutController:
                            peak_burn_rate=breach.peak_burn_rate)
             return "rollback"
         step, replica_id = self._plan[self._step_index]
-        with self.cluster.tracer.span(f"rollout.{step}", replica=replica_id,
-                                      version=self.target.version):
-            if step == "drain":
-                self.cluster.drain(replica_id)
-            elif step == "swap":
-                invalidated = self.cluster.swap_snapshot(replica_id, self.target)
-                self._emit("rollout.swap", replica=replica_id,
-                           version=self.target.version, invalidated=invalidated)
-            else:
-                self.cluster.restore(replica_id)
+        if step == "drain":
+            self.cluster.drain(replica_id)
+        elif step == "swap":
+            invalidated = self.cluster.swap_snapshot(replica_id, self.target)
+            self._emit("rollout.swap", replica=replica_id,
+                       version=self.target.version, invalidated=invalidated)
+        else:
+            self.cluster.restore(replica_id)
         self.steps_executed.append(f"{step}:{replica_id}")
         self._step_index += 1
         if self._step_index == len(self._plan):
@@ -329,26 +328,24 @@ class RolloutController:
         self._emit("rollout.rollback_start", version=self.target.version,
                    objective=objective, alert_id=alert_id, **start_attrs)
         router = self.cluster.router
-        with self.cluster.tracer.span("rollout.rollback",
-                                      version=self.parent.version):
-            for replica_id in router.replicas:
-                if router.is_drained(replica_id):
-                    self.cluster.restore(replica_id)
-            for replica_id in router.replicas:
-                service = self.cluster.services[replica_id]
-                if service.snapshot_version != self.target.version:
-                    continue
-                try:
-                    self.cluster.drain(replica_id)
-                    drained = True
-                except ValueError:
-                    drained = False  # single-replica cluster: swap in place
-                invalidated = self.cluster.swap_snapshot(replica_id, self.parent)
-                self._emit("rollout.swap", replica=replica_id,
-                           version=self.parent.version, invalidated=invalidated)
-                if drained:
-                    self.cluster.restore(replica_id)
-            self.redriven = self.cluster.redrive_dead_letters()
+        for replica_id in router.replicas:
+            if router.is_drained(replica_id):
+                self.cluster.restore(replica_id)
+        for replica_id in router.replicas:
+            service = self.cluster.services[replica_id]
+            if service.snapshot_version != self.target.version:
+                continue
+            try:
+                self.cluster.drain(replica_id)
+                drained = True
+            except ValueError:
+                drained = False  # single-replica cluster: swap in place
+            invalidated = self.cluster.swap_snapshot(replica_id, self.parent)
+            self._emit("rollout.swap", replica=replica_id,
+                       version=self.parent.version, invalidated=invalidated)
+            if drained:
+                self.cluster.restore(replica_id)
+        self.redriven = self.cluster.redrive_dead_letters()
         self.steps_executed.append("rollback")
         self.state = RolloutState.ROLLED_BACK
         self._emit("rollout.rollback_complete", version=self.parent.version,

@@ -251,15 +251,20 @@ class AsyncCacheStore:
         return list(self._pending)
 
     def apply_batch(self, responses: dict[str, str]) -> int:
-        """Install batch-computed responses into the daily layer."""
+        """Install batch-computed responses into the daily layer while it
+        has room; returns how many it installed.
+
+        Every answered query leaves the pending queue, installed or not:
+        a full daily layer must not send it back to the generator on every
+        later batch run (the feature store already holds its answer).
+        """
         self._roll_daily_layer()
         installed = 0
         for query, response in responses.items():
-            if len(self._daily) >= self._daily_capacity:
-                break
-            self._daily[query] = response
             self._pending.pop(query, None)
-            installed += 1
+            if len(self._daily) < self._daily_capacity:
+                self._daily[query] = response
+                installed += 1
         return installed
 
     def drop_pending(self, queries: list[str]) -> int:

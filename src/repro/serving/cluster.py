@@ -520,15 +520,13 @@ class CosmoCluster:
         (replicas *and* the arrival clock) to the cluster-wide maximum
         so the next day starts synchronized.
         """
-        reports: dict[str, dict[str, int]] = {}
-        with self.tracer.span("cluster.daily_refresh", day=self.clock.day):
-            for replica_id, service in self.services.items():
-                reports[replica_id] = service.daily_refresh(refresh_stale)
-            horizon = max(self.clock.now(),
-                          *(s.clock.now() for s in self.services.values()))
-            self.clock.sleep_until(horizon)
-            for service in self.services.values():
-                service.clock.sleep_until(horizon)
+        reports = {replica_id: service.daily_refresh(refresh_stale)
+                   for replica_id, service in self.services.items()}
+        horizon = max(self.clock.now(),
+                      *(s.clock.now() for s in self.services.values()))
+        self.clock.sleep_until(horizon)
+        for service in self.services.values():
+            service.clock.sleep_until(horizon)
         return reports
 
     def drain(self, replica_id: str) -> None:
@@ -546,12 +544,7 @@ class CosmoCluster:
         """Swap one replica onto a knowledge snapshot (cache warm +
         generator repoint in one atomic step); the blue/green rollout's
         per-replica move.  Returns invalidated cache entries."""
-        service = self.services[replica_id]
-        with self.tracer.span("cluster.swap_snapshot", replica=replica_id,
-                              version=snapshot.manifest.version) as span:
-            invalidated = service.swap_snapshot(snapshot)
-            span.set_attribute("invalidated", invalidated)
-        return invalidated
+        return self.services[replica_id].swap_snapshot(snapshot)
 
     def install_snapshot(self, snapshot) -> int:
         """Swap every replica onto ``snapshot`` at once — the initial

@@ -204,7 +204,7 @@ class CosmoService:
     Observability: pass a shared ``registry`` to aggregate several
     services into one metrics surface (children are labeled by ``name``,
     so two services never collide), and/or a ``tracer`` to collect
-    batch/refresh spans; by default each service gets a private registry
+    stage and batch spans; by default each service gets a private registry
     and a tracer timed on its own :class:`SimClock`.
     """
 
@@ -239,7 +239,7 @@ class CosmoService:
             registry=self.registry, name=name,
         )
         self.cache.attach_tracer(self.tracer)
-        self.features = FeatureStore(self.clock, registry=self.registry, name=name)
+        self.features = FeatureStore(self.clock)
         self.metrics = ServingMetrics(registry=self.registry, service=name)
         self.dead_letters: list[DeadLetter] = []
         self._prompt_builder = prompt_builder or (lambda query: query)
@@ -301,14 +301,6 @@ class CosmoService:
         return self._resilient is not None
 
     # ------------------------------------------------------------------
-    def _observe_latency(self, latency_s: float, count: int = 1) -> None:
-        """Latency observation with the active trace id as the exemplar
-        of the histogram bucket it lands in."""
-        context = self.tracer.active_context
-        self.metrics.latency.observe(
-            latency_s, exemplar=None if context is None else context.trace_id,
-            count=count)
-
     def serve(self, request: ServeRequest) -> ServeResult:
         """Serve one request: a window of one (see :meth:`serve_batch`)."""
         return self.serve_batch([request])[0]
@@ -374,7 +366,7 @@ class CosmoService:
                             ("fallbacks", misses - degraded)):
             if tally:
                 self.metrics.add(attr, tally)
-        self._observe_latency(duration, count=len(requests))
+        self.metrics.latency.observe(duration, count=len(requests))
         return results
 
     def _serve(self, request: ServeRequest, allow_enqueue: bool) -> ServeResult:
@@ -446,7 +438,7 @@ class CosmoService:
         with self.tracer.traced_span(span_name, **attributes):
             self.clock.advance(stage_s)
         latency = stage_s if since is None else self.clock.now() - since
-        self._observe_latency(latency)
+        self.metrics.latency.observe(latency)
         self.metrics.add(counter, 1)
         return ServeResult(query=query, text=text, outcome=outcome,
                            source=source, latency_s=latency, replica=self.name)
@@ -516,7 +508,7 @@ class CosmoService:
         if generation is None:
             self.metrics.add("generator_failures", 1)
             return self._serve_answer(query, None, since=clock_before)
-        self._observe_latency(latency)
+        self.metrics.latency.observe(latency)
         self.metrics.add("served_fresh", 1)
         # Write through so later cached requests hit immediately.
         self._install([(query, generation.text)])
@@ -641,14 +633,6 @@ class CosmoService:
         """End-of-day maintenance: promote hot entries, re-drive the
         dead-letter queue, refresh stale features, advance the clock to
         the next day."""
-        with self.tracer.span("serving.daily_refresh", service=self.name,
-                              day=self.clock.day) as span:
-            report = self._daily_refresh(refresh_stale)
-            for key, value in report.items():
-                span.set_attribute(key, value)
-        return report
-
-    def _daily_refresh(self, refresh_stale: bool) -> dict[str, int]:
         promoted = self.cache.promote_frequent()
         self.apply_feedback()
         redriven = self.redrive_dead_letters()

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.relations import RELATION_SPECS, Relation, parse_predicate
-from repro.obs.metrics import MetricsRegistry
 from repro.serving.clock import SimClock
 
 __all__ = ["FeatureRecord", "FeatureStore"]
@@ -75,17 +74,9 @@ class FeatureStore:
     when it is structured.
     """
 
-    def __init__(self, clock: SimClock, registry: MetricsRegistry | None = None,
-                 name: str = "cosmo"):
+    def __init__(self, clock: SimClock):
         self._clock = clock
         self._records: dict[str, FeatureRecord] = {}
-        self.registry = registry if registry is not None else MetricsRegistry()
-        ops = self.registry.counter(
-            "feature_store_ops_total", "feature store operations by kind",
-            ("store", "op"),
-        )
-        self._writes = ops.labels(store=name, op="write")
-        self._reads = ops.labels(store=name, op="read")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -99,35 +90,23 @@ class FeatureStore:
         """The (lazily structured) record for one raw model response."""
         return FeatureRecord(key, knowledge_text, refreshed_day, extras or {})
 
-    @property
-    def writes(self) -> int:
-        return int(self._writes.value)
-
-    @property
-    def reads(self) -> int:
-        return int(self._reads.value)
-
     def put(self, key: str, knowledge_text: str, extras: dict[str, str] | None = None) -> FeatureRecord:
         """Store one model response; returns the stored record."""
         record = self.structure(key, knowledge_text, self._clock.day, extras)
         self._records[key] = record
-        self._writes.inc()
         return record
 
     def put_many(self, pairs: list[tuple[str, str]]) -> None:
         """:meth:`put` each ``(key, knowledge_text)`` pair of one window, in
-        order (a repeated key keeps its last text, every pair counts as a
-        write), with one clock read and counter increment per window; a
-        bad pair rejects the window before any of it is stored."""
+        order (a repeated key keeps its last text), with one clock read per
+        window; a bad pair rejects the window before any of it is stored."""
         if not pairs:
             return
         day = self._clock.day
         records = {key: FeatureRecord(key, text, day) for key, text in pairs}
         self._records.update(records)
-        self._writes.inc(len(pairs))
 
     def get(self, key: str) -> FeatureRecord | None:
-        self._reads.inc()
         return self._records.get(key)
 
     def stale_keys(self) -> list[str]:

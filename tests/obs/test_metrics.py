@@ -234,13 +234,13 @@ def test_families_sorted_by_name():
 def test_empty_registry_is_still_a_valid_shared_registry():
     """A freshly created registry is falsy under len(); components must
     not silently replace it with a private one."""
-    from repro.serving import FeatureStore, SimClock
+    from repro.serving import AsyncCacheStore, SimClock
 
     registry = MetricsRegistry()
     assert len(registry) == 0 and not registry  # the trap
-    store = FeatureStore(SimClock(), registry=registry)
-    assert store.registry is registry
-    assert "feature_store_ops_total" in registry
+    cache = AsyncCacheStore(SimClock(), registry=registry)
+    assert cache.stats.registry is registry
+    assert "cache_requests_total" in registry
 
 
 def test_counter_attributes_are_read_only_and_add_is_the_one_increment():

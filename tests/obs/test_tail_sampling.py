@@ -52,8 +52,7 @@ def test_flagged_traces_always_commit():
     tracer = Tracer(sampler=sampler)
     span = _traced_span(tracer, "bad")
     assert sampler.finish("bad", ts=0.0, duration_s=0.1, flagged=True) == "flagged"
-    assert [s.name for s in tracer.spans()] == ["work"]
-    assert span.retained
+    assert tracer.spans() == [span]
     assert sampler.decisions["flagged"] == 1
     assert sampler.buffered_spans == 0
 
@@ -120,9 +119,9 @@ def test_buffer_bound_refuses_spans_and_counts_overflow():
     assert sampler.buffered_spans == 2
     assert sampler.overflow == 2
     assert tracer.dropped == 2
-    assert [s.retained for s in spans] == [True, True, False, False]
     # The trace still resolves; only the buffered prefix survives.
     sampler.finish("big", ts=0.0, duration_s=0.5, flagged=True)
+    assert [s in tracer.spans() for s in spans] == [True, True, False, False]
     assert [s.name for s in tracer.spans()] == ["s0", "s1"]
 
 
@@ -149,8 +148,10 @@ def test_buffer_capacity_frees_when_a_trace_resolves():
     sampler.finish("a", ts=0.0, duration_s=0.5, flagged=True)
     assert sampler.buffered_spans == 0
     span = _traced_span(tracer, "b", name="b0")   # capacity is back
-    assert span.retained and sampler.overflow == 0
+    assert sampler.overflow == 0
     assert sampler.buffered_spans == 1
+    sampler.finish("b", ts=0.0, duration_s=0.5, flagged=True)
+    assert span in tracer.spans()
 
 
 def test_overflow_bound_is_shared_across_traces():
@@ -161,13 +162,13 @@ def test_overflow_bound_is_shared_across_traces():
     for i in range(3):
         _traced_span(tracer, "hog", name=f"hog{i}")
     starved = _traced_span(tracer, "victim", name="victim0")
-    assert not starved.retained
     assert sampler.overflow == 1
     assert sampler.buffered_spans == 3
     # Both traces still resolve; the victim just has no spans to keep.
     sampler.finish("hog", ts=0.0, duration_s=0.9, flagged=True)
     sampler.finish("victim", ts=0.0, duration_s=0.1, flagged=True)
     assert sorted(s.name for s in tracer.spans()) == ["hog0", "hog1", "hog2"]
+    assert starved not in tracer.spans()
     assert sampler.pending_traces == 0
 
 
@@ -191,7 +192,7 @@ def test_a_busy_window_does_not_starve_a_flagged_trace():
         with tracer.span("error") as bad:
             pass
     assert sampler.finish("bad", ts=20.0, duration_s=0.5, flagged=True) == "flagged"
-    assert bad.retained and tracer.spans()[-1] is bad
+    assert bad in tracer.spans() and tracer.spans()[-1] is bad
     assert sampler.overflow == 0
     # At most k deferred traces were ever buffered.
     assert most_pending == sampler.slowest_k

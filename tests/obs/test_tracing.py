@@ -283,21 +283,22 @@ def test_head_truncated_export_stays_referentially_valid():
         "process_name", "root", "middle"]
 
 
-def test_dropped_middle_span_reparents_descendants_in_export():
+def test_a_parent_missing_from_the_export_is_minus_one():
+    """Retention never keeps a span without its same-tracer parent (see
+    test_scenarios' retained-parent invariant); should a parent still be
+    missing, the export names none rather than a dangling id."""
     tracer = Tracer(max_spans=10)
-    with tracer.span("root") as root:
+    with tracer.span("root"):
         with tracer.span("middle") as middle:
-            middle.retained = False  # sampled out mid-trace
-            tracer._spans.remove(middle)
-            tracer.dropped += 1
             with tracer.span("leaf") as leaf:
                 pass
-    assert leaf.export_parent_id == root.span_id
+    tracer._spans.remove(middle)  # by hand: nothing in the tracer does this
+    assert leaf.parent_id == middle.span_id
     payload = chrome_trace([("p", tracer)])
     validate(CHROME_TRACE_SCHEMA, payload)
-    (leaf_event,) = [e for e in payload["traceEvents"]
-                     if e.get("name") == "leaf"]
-    assert leaf_event["args"]["parent_id"] == root.span_id
+    parents = {e["name"]: e["args"]["parent_id"]
+               for e in payload["traceEvents"] if e["ph"] == "X"}
+    assert parents == {"root": -1, "leaf": -1}
 
 
 def test_cross_tracer_flow_events_pair_up():

@@ -278,7 +278,14 @@ def test_handle_batch_traced_and_bare_accounting_match():
 # replica dispatch became one ``cluster.request`` trace (it was a
 # ``cluster.batch`` span over a ``serving.serve_batch`` span): its latency
 # histogram gained exemplars, and its events and results the dispatch's
-# trace id.  The untraced drive's four are unedited.
+# trace id.  The untraced drive's four were unedited until the second
+# signal audit, which re-captured both drives' snapshot and trace digests:
+# each is the parent's text minus the ``feature_store_ops_total`` family,
+# the ``exemplar`` members of ``serving_request_latency_seconds`` buckets
+# (traced drive only) and the one ``cluster.daily_refresh`` and three
+# ``serving.daily_refresh`` spans, with each later span id of the same
+# tracer renumbered down past the deleted spans.  Events and results are
+# unedited.
 
 
 def _digest(text: str) -> str:
@@ -326,11 +333,11 @@ def _accounting_drive(trace: bool):
 
 @pytest.mark.parametrize(
     "trace, snapshot_digest, events_digest, results_digest, trace_digest", [
-        (False, "7840592381757a52", "6bb6c2868c83662f", "49cc0224e7afdc8a",
-         "09cb0c37c6bb61ce"),
-        (True, "cb7095183b82966a", "e440d30b0a464d1b", "e787b5d8d99ba27c",
-         "68d7668e4f7cedc3"),
-    ])
+        (False, "9eed001a8b2c0cf8", "6bb6c2868c83662f", "49cc0224e7afdc8a",
+         "070afdc2f84a2feb"),
+        (True, "5593e3d4c7f2d28d", "e440d30b0a464d1b", "e787b5d8d99ba27c",
+         "78389d75ae6bfcc0"),
+    ], ids=("untraced", "traced"))
 def test_window_accounting_artifacts_are_pinned(
         trace, snapshot_digest, events_digest, results_digest, trace_digest):
     cluster, registry, log, results = _accounting_drive(trace)
@@ -374,7 +381,9 @@ def test_window_accounting_artifacts_are_pinned(
 # ``router.route`` spans (routing runs before a trace exists) and nothing
 # else once span ids and flows are set aside, and each result gained its
 # window's ``batch_id`` / ``batch_index`` — with those cleared, the
-# results still hash to the digest the two copies wrote.
+# results still hash to the digest the two copies wrote.  The second signal
+# audit re-captured both snapshot and both trace digests, with the filter
+# named above the window drive.
 
 
 def _per_item_drive(trace: bool):
@@ -432,11 +441,11 @@ def _per_item_drive(trace: bool):
 @pytest.mark.parametrize(
     "trace, snapshot_digest, events_digest, results_digest, stripped_digest,"
     " trace_digest", [
-        (False, "7b2876f5cb0e93ba", "a66d1b7534c508d2", "603dc479e9ea9562",
-         "04167d609e39546d", "55f880df082b306d"),
-        (True, "d2f806624fda9870", "d7dfcfd3e27b7057", "0f482c458b0e044e",
-         "10d6b03d4be11ded", "ac25d7433e834117"),
-    ])
+        (False, "2e3b01094cb50cd7", "a66d1b7534c508d2", "603dc479e9ea9562",
+         "04167d609e39546d", "e9f5c52f9f61467f"),
+        (True, "8aae4bfaed947474", "d7dfcfd3e27b7057", "0f482c458b0e044e",
+         "10d6b03d4be11ded", "d83185c6e2d4046b"),
+    ], ids=("untraced", "traced"))
 def test_per_item_accounting_artifacts_are_pinned(
         trace, snapshot_digest, events_digest, results_digest, stripped_digest,
         trace_digest):
@@ -488,9 +497,11 @@ def test_direct_failure_without_resilience_is_pinned():
     not use (``feature_store_ops_total{op="read"}`` +1 per failed direct
     call — 2 here), while a cached miss without resilience never read
     it.  The unified chain does not consult the store without
-    resilience.  Everything else is byte-for-byte the parent's: with the
-    two reads put back, the snapshot hashes to the digest captured
-    before the change.
+    resilience.  Everything else was byte-for-byte the parent's: with the
+    two reads put back, the snapshot hashed to the digest captured before
+    that change.  The second signal audit deleted the family, so the
+    snapshot is now that one minus ``feature_store_ops_total``, and the
+    store holds the one answer the direct call wrote.
     """
     registry = MetricsRegistry()
     injector = FaultInjector(seed=3)
@@ -515,10 +526,5 @@ def test_direct_failure_without_resilience_is_pinned():
     snap = snapshot(registry)
     validate(SNAPSHOT_SCHEMA, snap)
     assert _digest(repr(results)) == "5cd06308215ffae7"
-    (reads,) = [sample for metric in snap["metrics"]
-                if metric["name"] == "feature_store_ops_total"
-                for sample in metric["samples"]
-                if sample["labels"]["op"] == "read"]
-    assert reads["value"] == 0.0
-    reads["value"] = 2.0
-    assert _digest(json.dumps(snap, sort_keys=True)) == "9a43f55e909f0b3e"
+    assert list(service.features._records) == ["known"]
+    assert _digest(json.dumps(snap, sort_keys=True)) == "b2276118c67b19c0"

@@ -1,6 +1,5 @@
 """FeatureStore: structuring, versioning, and staleness observability."""
 
-from repro.obs.metrics import MetricsRegistry
 from repro.serving.clock import SimClock
 from repro.serving.feature_store import FeatureStore
 
@@ -29,20 +28,6 @@ def test_put_get_roundtrip_and_containment():
     assert len(store) == 1
     assert record.extras == {"src": "lm"}
     assert store.get("missing") is None
-
-
-def test_reads_and_writes_counted_through_the_registry():
-    registry = MetricsRegistry()
-    store = FeatureStore(SimClock(), registry=registry, name="svc")
-    store.put("a", "it is used for x.")
-    store.put("b", "it is used for y.")
-    store.get("a")
-    store.get("nope")
-    assert store.writes == 2
-    assert store.reads == 2
-    ops = registry.get("feature_store_ops_total")
-    assert ops.labels(store="svc", op="write").value == 2
-    assert ops.labels(store="svc", op="read").value == 2
 
 
 def test_records_version_by_refresh_day():
@@ -75,13 +60,3 @@ def test_boundary_age_is_not_stale():
     assert store.stale_keys() == []  # age == max is still fresh
     clock.advance_days(1)
     assert store.stale_keys() == ["edge"]
-
-
-def test_two_stores_share_a_registry_without_colliding():
-    registry = MetricsRegistry()
-    clock = SimClock()
-    a = FeatureStore(clock, registry=registry, name="a")
-    b = FeatureStore(clock, registry=registry, name="b")
-    a.put("k", "it is used for x.")
-    assert a.writes == 1
-    assert b.writes == 0

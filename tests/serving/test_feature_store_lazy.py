@@ -18,7 +18,6 @@ from repro.core.relations import (
     verbalize,
 )
 from repro.llm.interface import Generation, GenerationBatch, LatencyModel
-from repro.obs import MetricsRegistry, snapshot
 from repro.serving import BatchCostModel, CosmoService, ServeRequest, SimClock
 from repro.serving import feature_store as feature_store_module
 from repro.serving.chaos import ScriptedGenerator
@@ -108,9 +107,8 @@ def test_record_surface_is_the_eight_attributes_and_immutable():
 
 
 # -- (ii) put_many == the put loop --------------------------------------------
-def _store(name="svc"):
-    registry = MetricsRegistry()
-    return FeatureStore(SimClock(), registry=registry, name=name), registry
+def _store():
+    return FeatureStore(SimClock())
 
 
 def _stored(store):
@@ -126,7 +124,7 @@ _pairs = st.lists(st.tuples(st.sampled_from("abcdef"),
 @given(windows=st.lists(st.tuples(_pairs, st.integers(0, 2)), max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_put_many_equals_the_put_loop(windows):
-    (looped, looped_registry), (bulk, bulk_registry) = _store(), _store()
+    looped, bulk = _store(), _store()
     for pairs, days in windows:
         for store in (looped, bulk):
             store._clock.advance_days(days)
@@ -135,48 +133,40 @@ def test_put_many_equals_the_put_loop(windows):
         bulk.put_many(pairs)
         # Same records in the same order (stale_keys order feeds prompts).
         assert _stored(bulk) == _stored(looped)
-        assert bulk.writes == looped.writes
         assert bulk.stale_keys() == looped.stale_keys()
-        assert snapshot(bulk_registry) == snapshot(looped_registry)
 
 
 def test_put_many_repeated_key_last_wins_and_every_pair_counts():
-    store, _ = _store()
+    store = _store()
     store.put_many([("a", "first"), ("b", "it is used for y."), ("a", "last")])
     assert store.get("a").knowledge_text == "last"
-    assert list(store._records) == ["a", "b"]
-    assert store.writes == 3
+    assert _stored(store) == [("a", "last", 0, {}), ("b", "it is used for y.", 0, {})]
 
 
 def test_put_many_empty_window_touches_nothing():
-    store, registry = _store()
+    store = _store()
     store.put("a", "it is used for x.")
-    before = snapshot(registry)
-    # No clock read, counter or gauge either: they would raise here.
-    store._clock = store._writes = store._entries_gauge = None
+    before = _stored(store)
+    store._clock = None  # no clock read either: it would raise here
     store.put_many([])
-    assert snapshot(registry) == before and len(store) == 1
+    assert _stored(store) == before
 
 
 # -- a bad response fails at the write ----------------------------------------
 @pytest.mark.parametrize("bad", [None, b"it is used for x.", 7])
 def test_put_rejects_non_str_text_before_storing(bad):
-    store, registry = _store()
-    before = snapshot(registry)
+    store = _store()
     with pytest.raises(TypeError, match="'k2'"):
         store.put("k2", bad)
-    assert len(store) == 0 and store.writes == 0
-    assert snapshot(registry) == before
+    assert len(store) == 0 and store.stale_keys() == []
 
 
 def test_put_many_with_one_bad_pair_stores_none_of_them():
-    store, registry = _store()
+    store = _store()
     store.put("kept", "it is used for x.")
-    before = snapshot(registry)
     with pytest.raises(TypeError, match="'k2'"):
         store.put_many([("k1", "it is used for y."), ("k2", None),
                         ("kept", "overwritten")])
-    assert snapshot(registry) == before and store.writes == 1
     assert _stored(store) == [("kept", "it is used for x.", 0, {})]
 
 
@@ -208,7 +198,7 @@ def test_serve_path_never_parses_and_a_reader_parses_once(parse_calls, batch_cos
         ScriptedGenerator.knowledge_for(q) for q in queries]
     direct = service.serve(ServeRequest(query="direct one", direct=True))
     assert direct.source == "direct" and "direct one" in service.features
-    assert service.features.writes == len(queries) + 1
+    assert list(service.features._records) == queries + ["direct one"]
     assert parse_calls == []
 
     record = service.features.get("query 3")
@@ -257,6 +247,7 @@ def test_stale_refresh_is_one_window_and_a_failed_generation_keeps_its_record(
     assert report["refreshed"] == 2  # the non-None generations
     assert windows == [[("a", "it is used for a v2."), ("c", "it is used for c v2.")]]
     assert cache_writes == []  # a stale refresh does not touch the cache
-    assert service.features.writes == 3 + 2
+    assert list(service.features._records) == ["a", "b", "c"]
     assert service.features._records["b"] is old_b  # stale beats nothing
     assert [service.features._records[q].refreshed_day for q in "abc"] == [2, 0, 2]
+    assert service.features.stale_keys() == ["b"]

@@ -83,6 +83,26 @@ def test_daily_capacity_respected():
     assert [cache.lookup(f"q{i}") for i in range(5)] == ["a", "a", None, None, None]
 
 
+def test_a_full_daily_layer_still_drains_the_miss_queue():
+    """Regression: answers that found the daily layer full stayed pending,
+    so every later batch run generated them again and installed nothing
+    until the day rolled."""
+    generator = FakeGenerator()
+    service = CosmoService(generator, clock=SimClock(), daily_capacity=2)
+    queries = [f"q{i}" for i in range(5)]
+    for query in queries:
+        _handle(service, query)
+    assert service.run_batch() == 2
+    assert service.cache.pending_queries() == []
+    calls = generator.calls
+    assert service.run_batch() == 0
+    assert generator.calls == calls  # no prompt generated
+    assert service.metrics.batch_queries_processed == 5
+    # What did not fit is answered (degraded) from the feature store.
+    assert [service.serve(ServeRequest(query=q)).source for q in queries] == (
+        ["cache:daily"] * 2 + ["feature_store"] * 3)
+
+
 def test_promote_frequent_moves_hot_entries_to_yearly():
     cache = AsyncCacheStore(SimClock())
     for _ in range(12):

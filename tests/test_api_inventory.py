@@ -29,9 +29,6 @@ KEPT = (
      "paper 3.5's incremental refresh and ROADMAP 3(b)'s producer (its "
      "RefreshConfig / RefreshReport are referenced from it)"),
     (("TailSampler.pending_traces",), "ROADMAP item 1's quiescence invariant"),
-    (("FeatureStore.writes",),
-     "rides feature_store_ops_total (so does `reads`, hidden by a local of "
-     "that name), whose deletion re-pins six digest lines: the next audit's"),
     (("lint_source",), "the rule tests' entry point: rules run on fixture "
                        "snippets, never the live tree (lint/engine.py docstring)"),
 )

@@ -122,6 +122,19 @@ def test_cluster_artifacts_valid_and_deterministic(tmp_path, capsys):
     assert "request accounting" in out and "OK" in out
 
 
+def test_chaos_table_prints_the_report_pending_evictions(capsys):
+    from repro.serving.chaos import ChaosConfig, run_chaos
+
+    assert main(["chaos", "--seed", "0", "--no-resilience"]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        if "|" in line:
+            metric, value = line.split("|", 1)
+            rows[metric.strip()] = value.strip()
+    report = run_chaos(ChaosConfig(fault_rate=0.1, resilience=False, seed=0))
+    assert rows["Pending evictions"] == str(report.pending_evictions)
+
+
 def test_cluster_rejects_bad_fault_rate(capsys):
     assert main(["cluster", "--fault-rate", "1.5", "--requests", "1"]) == 2
     assert "--fault-rate" in capsys.readouterr().out

@@ -48,6 +48,9 @@ _ROLLOUT_HEALTHY = ("rollout", "--seed", "0", "--scenario", "healthy")
 _ROLLOUT_POISONED = ("rollout", "--seed", "0", "--scenario", "poisoned")
 _KGHEALTH = ("kghealth", "--seed", "0", "--replicas", "2", "--n-queries", "48",
              "--requests-per-phase", "400", "--scenario")
+#: The eight cached drives: every scenario in every ``--scenario`` variant.
+_DRIVES = (_CLUSTER, _TRACE, _MONITOR_CHAOS, _MONITOR_CLEAN, _ROLLOUT_HEALTHY,
+           _ROLLOUT_POISONED, _KGHEALTH + ("healthy",), _KGHEALTH + ("poisoned",))
 
 
 # -- the exit-code rule ----------------------------------------------------
@@ -92,6 +95,26 @@ def test_every_scenario_expectation_holds_on_its_own_drive():
                 assert expectation(drive) == [], expectation.__name__
             checked.add((command, variant))
     assert checked == set(own)
+
+
+def test_every_retained_span_keeps_its_parent():
+    """Retention never keeps a span whose same-tracer parent it dropped:
+    the sampler keeps or drops a trace whole and commits it in open order,
+    no buffer frees while a span of its trace is open, and ``max_spans``
+    only refuses spans later than every retained one.  So the export needs
+    no re-parenting: every retained span's ``parent_id`` is None or names a
+    retained span of its own tracer."""
+    children = 0
+    for argv in _DRIVES:
+        for process, tracer in _played(*argv).tracers:
+            spans = tracer.spans()
+            retained = {span.span_id for span in spans}
+            orphans = [span.name for span in spans
+                       if span.parent_id is not None
+                       and span.parent_id not in retained]
+            assert orphans == [], (argv[:1], process)
+            children += sum(span.parent_id is not None for span in spans)
+    assert children > 0
 
 
 # -- each expectation rejects the outcome it exists to catch ---------------

@@ -13,20 +13,14 @@ that reads *that* value: an ``SloSpec`` selector, a scenario expectation or
 ``_report`` row, ``_STAGE_PREFIXES`` for a span, a CLI print, a bench
 column.  The generic carriers (``obs.snapshot``, ``timeline``,
 ``render_text``, ``chrome_trace``, ``render_events``) export everything
-and count for nothing.  Event kinds and span names are pinned here but
-were not pruned by the audit: alert correlation and the trace artifacts
-are their designed readers, named as such where nothing more specific
-reads them.
+and count for nothing, so no row names one of them or ``tests/``.  Alert
+correlation is the designed reader of an event kind nothing more specific
+reads; every span name has a reader of its own.
 """
 
 from dataclasses import dataclass, replace
 
-from tests.test_scenarios import (_CLUSTER, _KGHEALTH, _MONITOR_CHAOS,
-                                  _MONITOR_CLEAN, _ROLLOUT_HEALTHY,
-                                  _ROLLOUT_POISONED, _TRACE, _played)
-
-_DRIVES = (_CLUSTER, _TRACE, _MONITOR_CHAOS, _MONITOR_CLEAN, _ROLLOUT_HEALTHY,
-           _ROLLOUT_POISONED, _KGHEALTH + ("healthy",), _KGHEALTH + ("poisoned",))
+from tests.test_scenarios import _DRIVES, _played
 
 
 @dataclass(frozen=True)
@@ -47,14 +41,13 @@ def _span(name: str, consumer: str) -> Row:
 
 
 # Budgets are for the largest drive: 3 replicas, so a per-replica family has
-# 3 children, the cache 3 stores x 3 outcomes, the feature store 3 x 2 ops.
+# 3 children, the cache 3 stores x 3 outcomes.
 _PERF = "benchmarks/perf/perf_workloads.py::_cluster_counts"
 _AVAILABILITY = ("SloSpec availability selector (refresh/rollout.py::"
                  "rollout_slo_specs); cluster.metrics_totals() -> check_accounting")
 _CLUSTER_EXPECTATION = "scenarios.expect_replica_processes_and_cluster_metrics"
 _CORRELATION = "SloEvaluator alert correlation (alert event_ids; designed reader)"
 _STAGES = "obs/trace_query.py::_STAGE_PREFIXES"
-_TRACE_ARTIFACT = "chrome_trace artifact (designed reader; no stage, stage 'other')"
 _PIPELINE_CHILD = ("scenarios.expect_nested_pipeline_spans (needs a span "
                    "nested under pipeline.run)")
 
@@ -99,13 +92,7 @@ INVENTORY = (
         ".layer1_hits / .layer2_hits; bench_fig5_serving by name"),
     Row("cache_pending_evictions_total", "counter", ("store",), 3,
         "serving/chaos.py::_counters reads cache.stats.pending_evictions "
-        "into ChaosReport.pending_evictions"),
-    # The one exception to "outside tests/": nothing else reads it, and
-    # ISSUE 20 freezes the test that does apart from its snapshot digests.
-    Row("feature_store_ops_total", "counter", ("store", "op"), 6,
-        "tests/serving/test_batch_equivalence.py::test_direct_failure_"
-        "without_resilience_is_pinned reads {op=read} by name (no reader "
-        "outside tests/: next audit's candidate)"),
+        "-> cli chaos 'Pending evictions' row"),
     # -- event kinds ---------------------------------------------------------
     _event("breaker.open", "scenarios.expect_storm_alerts_resolve_and_correlate"),
     _event("cluster.flush", _CORRELATION),
@@ -129,12 +116,10 @@ INVENTORY = (
     _event("service.snapshot_swap", "scenarios.expect_rollout_completes_quietly, "
                                     "expect_rollback_and_redrive"),
     # -- span names ----------------------------------------------------------
-    _span("cluster.daily_refresh", _TRACE_ARTIFACT),
     _span("cluster.flush", f"{_STAGES} 'cluster.flush'"),
     _span("cluster.queueing", f"{_STAGES} 'cluster.queueing'"),
     _span("cluster.request", "trace_summary reads the root's name, outcome and "
                              "source (scenarios.expect_connected_traces)"),
-    _span("cluster.swap_snapshot", _TRACE_ARTIFACT),
     _span("pipeline.run", "scenarios.expect_nested_pipeline_spans"),
     _span("pipeline.behavior_simulation", _PIPELINE_CHILD),
     _span("pipeline.behavior_sampling", _PIPELINE_CHILD),
@@ -147,12 +132,7 @@ INVENTORY = (
     _span("pipeline.kg_assembly", _PIPELINE_CHILD),
     _span("resilience.attempt", f"{_STAGES} 'resilience.attempt'"),
     _span("resilience.backoff", f"{_STAGES} 'resilience.backoff'"),
-    _span("rollout.drain", _TRACE_ARTIFACT),
-    _span("rollout.restore", _TRACE_ARTIFACT),
-    _span("rollout.rollback", _TRACE_ARTIFACT),
-    _span("rollout.swap", _TRACE_ARTIFACT),
     _span("serving.cache_serve", f"{_STAGES} 'serving.cache'"),
-    _span("serving.daily_refresh", _TRACE_ARTIFACT),
     _span("serving.fallback_serve", f"{_STAGES} 'serving.fallback'"),
     _span("serving.run_batch", f"{_STAGES} 'serving.run_batch'"),
 )
@@ -182,6 +162,12 @@ def measure(registries=(), event_logs=(), tracers=()) -> dict:
     return seen
 
 
+#: Readers that count for nothing: a test, or a carrier exporting everything
+#: (all but ``timeline``, a word that also names real readers' inputs).
+_NOT_CONSUMERS = ("tests/", "chrome_trace", "obs.snapshot", "render_text",
+                  "render_events")
+
+
 def audit(inventory, measured: dict) -> list[str]:
     """Every way the inventory and what the drives emitted disagree."""
     rows = {_key(row.name, row.kind): row for row in inventory}
@@ -190,6 +176,9 @@ def audit(inventory, measured: dict) -> list[str]:
     for key, row in rows.items():
         if not row.consumer.strip():
             problems.append(f"{row.name}: row names no consumer")
+        elif any(carrier in row.consumer for carrier in _NOT_CONSUMERS):
+            problems.append(f"{row.name}: a test or a generic carrier is "
+                            "not a consumer")
         if key not in measured:
             problems.append(f"{row.name}: row is never emitted by a seeded drive")
             continue
@@ -244,6 +233,14 @@ def test_audit_reports_a_row_that_is_never_emitted_or_names_no_consumer():
     unread = (replace(inventory[0], consumer=" "), inventory[1])
     assert audit(unread, measure([registry], [log])) == [
         "hits_total: row names no consumer"]
+
+
+def test_audit_reports_a_row_read_only_by_a_test_or_a_carrier():
+    registry, log, _, inventory = _toy()
+    for consumer in ("tests/obs/test_x.py reads it", "chrome_trace artifact"):
+        carried = (replace(inventory[0], consumer=consumer), inventory[1])
+        assert audit(carried, measure([registry], [log])) == [
+            "hits_total: a test or a generic carrier is not a consumer"]
 
 
 def test_audit_reports_a_family_over_its_child_budget_or_off_its_schema():
