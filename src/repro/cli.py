@@ -273,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                                default=default, help="(default: %(default)s)")
         _add_artifact_flags(drive, scenario.artifacts)
         drive.set_defaults(func=functools.partial(scenarios.run_scenario, scenario))
-
-    # cosmolint owns its flags: ``main`` forwards everything after ``lint``.
-    sub.add_parser("lint", add_help=False,
-                   help="run cosmolint, the repo's static invariant checker")
     return parser
 
 
@@ -286,10 +282,6 @@ _POSITIVE_SIZES = ("replicas", "requests", "n_queries", "requests_per_phase",
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        from repro.lint.cli import main as lint_main
-        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     fault_rate = getattr(args, "fault_rate", 0.0)
     if not 0.0 <= fault_rate <= 1.0:

@@ -195,19 +195,18 @@ class Alert:
         }
 
 
-#: Cumulative readings kept per objective (bounded history).
-_HISTORY_POINTS = 4096
-
-
 class _SpecState:
     """Evaluator-internal bookkeeping for one objective."""
 
-    __slots__ = ("spec", "history", "active", "done", "instances", "clear_since")
+    __slots__ = ("spec", "history", "longest_s", "active", "done", "instances",
+                 "clear_since")
 
     def __init__(self, spec: SloSpec):
         self.spec = spec
-        #: ``(ts, good, total)`` cumulative readings, oldest first.
-        self.history: deque[tuple[float, float, float]] = deque(maxlen=_HISTORY_POINTS)
+        #: ``(ts, good, total)`` cumulative readings, oldest first: the
+        #: newest one at or before ``now - longest_s``, and all after it.
+        self.history: deque[tuple[float, float, float]] = deque()
+        self.longest_s = max(rule.long_s for rule in spec.windows)
         self.active: Alert | None = None
         self.done: list[Alert] = []
         self.instances = 0
@@ -259,7 +258,10 @@ class SloEvaluator:
             spec = state.spec
             good = spec.good.read(self.registry)
             total = spec.total.read(self.registry)
-            state.history.append((now, good, total))
+            history = state.history
+            history.append((now, good, total))
+            while len(history) > 1 and history[1][0] <= now - state.longest_s:
+                history.popleft()
             breached, strength = self._condition(state, now)
             alert = self._step(state, now, breached, strength)
             if alert is not None:
@@ -284,9 +286,10 @@ class SloEvaluator:
     def _burn_rate(self, state: _SpecState, now: float, window_s: float) -> float:
         """Error-budget burn rate over the trailing ``window_s``.
 
-        Counters all start at zero at simulation start, so when the
-        window reaches past the oldest retained reading the baseline is
-        exactly (0, 0).  A window with no traffic burns nothing.
+        The history keeps a reading at or before the start of the longest
+        window once one exists, so a window that reaches past the oldest
+        reading reaches past simulation start, where counters are exactly
+        (0, 0).  A window with no traffic burns nothing.
         """
         base_good = 0.0
         base_total = 0.0

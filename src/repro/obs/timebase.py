@@ -6,8 +6,9 @@ simulated-seconds accumulator in the pipeline — so tests, benches and
 chaos scenarios replay bit-identically.  Real elapsed-time *profiling*
 (how long did this stage actually take on this machine?) is inherently
 nondeterministic, and this module is the narrow waist it flows through:
-cosmolint's ``wall-clock`` rule allowlists exactly ``obs/timebase.py``;
-a ``time.perf_counter`` call anywhere else in the tree is a lint error.
+the ``wall-clock`` source rule (``tests/test_source_rules.py``) allowlists
+exactly ``obs/timebase.py``; a ``time.perf_counter`` call anywhere else
+in the tree fails the tests.
 
 Wall-clock numbers must never feed metrics snapshots, traces, or any
 other artifact that is asserted byte-identical across runs — keep them

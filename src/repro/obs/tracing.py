@@ -4,7 +4,7 @@ A :class:`Tracer` produces nested :class:`Span` context managers and
 never reads a clock of its own: ``clock`` is any zero-argument callable
 returning seconds.  The serving layer passes ``SimClock.now`` so spans
 are timed on simulated time (keeping chaos/bench determinism and the
-cosmolint ``wall-clock`` contract); the pipeline passes its simulated
+``wall-clock`` source rule); the pipeline passes its simulated
 LLM-seconds accumulator.  The only wall-clock timing in the repo lives
 in :mod:`repro.obs.timebase`.
 
@@ -71,7 +71,7 @@ AttrValue = Union[str, int, float, bool]
 #: The one sanctioned attribute key under which a span/event carries its
 #: trace id.  Serving code never writes this key by hand — trace ids
 #: flow through :meth:`Tracer.attach` and ``EventLog.trace_scope``, and
-#: the cosmolint ``trace-id-contract`` rule rejects ad-hoc variants.
+#: the ``trace-id-contract`` source rule rejects ad-hoc variants.
 TRACE_ID_ATTR = "trace_id"
 
 

@@ -46,7 +46,7 @@ class SimClock:
         """A new independent clock starting at this clock's current time.
 
         The sanctioned way to derive a per-component timeline (e.g. one
-        clock per cluster replica) — ``cosmolint``'s ``clock-injection``
+        clock per cluster replica) — the ``clock-injection`` source
         rule bans raw ``SimClock(...)`` construction outside factory
         modules so every timeline is traceable to an injected ancestor.
         """

@@ -494,11 +494,12 @@ class CosmoCluster:
         """Force-flush every replica's pending queue (end of drive)."""
         installed = 0
         for replica_id, service in self.services.items():
-            while service.cache.pending_size > 0:
-                batch_installed = self._flush_replica(replica_id, "forced")
-                installed += batch_installed
-                if batch_installed == 0:
-                    break  # breaker refused or all failed; don't spin
+            pending = service.cache.pending_size
+            while pending > 0:
+                installed += self._flush_replica(replica_id, "forced")
+                if service.cache.pending_size >= pending:
+                    break  # the breaker refused the run; don't spin
+                pending = service.cache.pending_size
         return installed
 
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """SLO burn-rate evaluation and the alert state machine."""
 
+import bisect
+
 import pytest
 
 from repro.obs import (
@@ -179,6 +181,39 @@ def test_validate_alert_report_rejects_inconsistencies():
     for evaluations in (True, -1):  # not a count
         with pytest.raises(ValueError, match="evaluations"):
             validate(ALERTS_SCHEMA, dict(report, evaluations=evaluations))
+
+
+def test_long_window_burn_reads_only_its_window_on_a_long_run():
+    """Regression: the history was capped at 4096 readings, and once one was
+    evicted a window reaching past the oldest kept reading fell back to the
+    (0, 0) baseline, so the long window read the whole run: here, 1 000 bad
+    requests that left it long ago fired the rule at t = 6 000."""
+    rule = BurnRateRule(long_s=5000.0, short_s=1.0, max_burn_rate=1.0)
+    registry, good, total, evaluator = _setup(
+        _availability_spec(target=0.9, windows=(rule,)))
+    stamps, goods, totals = [], [], []      # every reading, never pruned
+
+    def burn(window_s):
+        i = bisect.bisect_right(stamps, stamps[-1] - window_s) - 1
+        base_good, base_total = (goods[i], totals[i]) if i >= 0 else (0.0, 0.0)
+        total_delta = totals[-1] - base_total
+        if total_delta <= 0:
+            return 0.0
+        return (1.0 - (goods[-1] - base_good) / total_delta) / (1.0 - 0.9)
+
+    for now in range(1, 6001):
+        total.inc()
+        if 1000 < now < 6000:   # the first 1 000 requests and the last are bad
+            good.inc()
+        evaluator.evaluate(float(now))
+        stamps.append(float(now))
+        goods.append(good.value)
+        totals.append(total.value)
+        breached = burn(rule.long_s) >= 1.0 and burn(rule.short_s) >= 1.0
+        alerts = evaluator.alerts()
+        assert (bool(alerts) and alerts[-1].state == "firing") == breached, now
+    assert burn(rule.long_s) < 0.01 and burn(rule.short_s) == pytest.approx(10.0)
+    assert len(evaluator._states["availability"].history) <= rule.long_s + 2
 
 
 def test_spec_validation():

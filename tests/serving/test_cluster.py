@@ -132,6 +132,22 @@ def test_cluster_flushes_on_deadline_trigger():
     assert cluster.handle("lonely query").outcome is ServeOutcome.FRESH
 
 
+def test_forced_flush_drains_the_queue_past_a_full_daily_layer():
+    """Regression: ``flush`` stopped after the first run that installed
+    nothing, but a run past ``daily_capacity`` still drains the queries it
+    answered, so a healthy replica was left with queries queued."""
+    cluster = CosmoCluster(
+        lambda index: ScriptedGenerator(),
+        config=ClusterConfig(n_replicas=1, max_batch_size=4, max_batch_delay_s=1e9),
+        response_validator=response_ok, daily_capacity=2)
+    cluster.handle_batch([f"query {i}" for i in range(10)])
+    service = cluster.services["cluster-r0"]
+    assert service.cache.pending_size == 6  # one size-triggered run filled the layer
+    cluster.flush()
+    assert service.cache.pending_size == 0
+    assert service.breaker.state is BreakerState.CLOSED
+
+
 # -- routing and locality ---------------------------------------------------
 def test_requests_for_a_key_stay_on_its_home_replica():
     cluster = _cluster(n_replicas=3)

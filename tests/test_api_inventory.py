@@ -29,19 +29,12 @@ KEPT = (
      "paper 3.5's incremental refresh and ROADMAP 3(b)'s producer (its "
      "RefreshConfig / RefreshReport are referenced from it)"),
     (("TailSampler.pending_traces",), "ROADMAP item 1's quiescence invariant"),
-    (("lint_source",), "the rule tests' entry point: rules run on fixture "
-                       "snippets, never the live tree (lint/engine.py docstring)"),
 )
 
 
 def _public(node: ast.AST) -> bool:
-    """A def the audit covers: not private, not a ``visit_*``/``cmd_*``
-    dispatch target, not a decorator-registered rule."""
-    if not isinstance(node, _DEFS):
-        return False
-    registered = any(isinstance(d, ast.Name) and d.id == "register"
-                     for d in node.decorator_list)
-    return not (node.name.startswith(("_", "visit_", "cmd_")) or registered)
+    """A def the audit covers: not private, not a ``cmd_*`` dispatch target."""
+    return isinstance(node, _DEFS) and not node.name.startswith(("_", "cmd_"))
 
 
 def uncalled(sources: dict[str, str]) -> dict[str, int]:
@@ -196,11 +189,10 @@ KEPT_OPTIONS = (
       "cli monitor --requests-per-phase", "cli monitor --n-queries",
       "cli rollout --replicas", "cli rollout --requests-per-phase",
       "cli rollout --n-queries", "cli kghealth --replicas",
-      "cli kghealth --requests-per-phase", "cli kghealth --n-queries",
-      "lint --format", "lint --select", "lint --ignore", "lint --list-rules"),
+      "cli kghealth --requests-per-phase", "cli kghealth --n-queries"),
      "the command line is input from outside the program (README 'CLI and "
      "persistence'); tier-1 drives every command at reduced size through these",
-     ("tests/test_cli.py", "tests/test_scenarios.py", "tests/lint/test_cli.py")),
+     ("tests/test_cli.py", "tests/test_scenarios.py")),
     (("PipelineConfig.finetune_lm", "PipelineConfig.expand_with_lm",
       "CosmoLMConfig.hidden_dim"),
      "tier-1's wall budget: the shared fixtures skip or shrink COSMO-LM training",
@@ -235,8 +227,8 @@ KEPT_OPTIONS = (
       "tests/serving/test_feature_store_lazy.py", "tests/obs/test_trace_query.py",
       "tests/serving/test_request_tracing.py", "tests/integration/test_end_to_end.py")),
     (("CosmoCluster.clock",),
-     "cosmolint's clock-injection invariant: a component accepts its clock",
-     ("tests/lint/test_live_tree.py",)),
+     "the clock-injection source rule: a component accepts its clock",
+     ("tests/test_source_rules.py::test_the_live_tree_breaks_no_source_rule",)),
 )
 
 

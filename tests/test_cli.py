@@ -257,17 +257,6 @@ def test_monitor_clean_scenario_stays_quiet(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_lint_subcommand_delegates_to_cosmolint(tmp_path, capsys):
-    dirty = tmp_path / "mod.py"
-    dirty.write_text("import numpy as np\nr = np.random.default_rng(1)\n")
-    assert main(["lint", str(dirty)]) == 1
-    assert "[unscoped-rng]" in capsys.readouterr().out
-
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n")
-    assert main(["lint", str(clean)]) == 0
-
-
 def test_rollout_healthy_completes_and_is_deterministic(tmp_path, capsys):
     import json
 

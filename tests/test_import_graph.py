@@ -33,7 +33,6 @@ ARCHITECTURE = {
     "refresh": {"utils", "obs", "core", "llm", "behavior", "serving"},
     "apps": {"utils", "nn", "catalog", "behavior", "core", "embeddings", "llm"},
     "reporting": {"utils"},
-    "lint": {"utils"},
     "scenarios": {"utils", "core", "obs", "serving", "refresh", "reporting"},
 }
 ARCHITECTURE["cli"] = set(ARCHITECTURE)
