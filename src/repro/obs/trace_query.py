@@ -53,7 +53,6 @@ _STAGE_PREFIXES: tuple[tuple[str, str], ...] = (
     ("cluster.queueing", "queueing"),
     ("cluster.flush", "batch"),
     ("serving.run_batch", "batch"),
-    ("cache.", "cache"),
     ("serving.cache", "cache"),
     ("serving.degraded", "degradation"),
     ("serving.fallback", "degradation"),

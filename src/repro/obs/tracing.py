@@ -283,11 +283,6 @@ class Tracer:
         self._context: TraceContext | None = None
 
     # -- trace-context propagation --------------------------------------
-    @property
-    def active_context(self) -> TraceContext | None:
-        """The currently attached :class:`TraceContext`, if any."""
-        return self._context
-
     def attach(self, context: TraceContext | None) -> "_Attachment | _NullSpan":
         """Tag spans opened inside with ``context``'s trace id; attaching
         ``None`` (tracing off) is a no-op scope.

@@ -6,12 +6,16 @@ next batch run computes its response and populates the cache.  This is
 exactly the paper's trade — most traffic answered at cache latency, cold
 queries answered on the *next* request after a batch cycle — and it makes
 hit rate, latency and staleness measurable quantities.
+
+Reads come in windows: :meth:`AsyncCacheStore.fetch_many` is the one read
+entrypoint, and a single request is a window of one.  The store opens no
+spans; the serving stage span after a read records which layer answered.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.obs.metrics import MetricsRegistry, counter_attribute
 from repro.serving.clock import SimClock
@@ -98,21 +102,7 @@ class AsyncCacheStore:
         self._pending_capacity = pending_capacity
         self._pending_max_age_days = pending_max_age_days
         self.stats = CacheStats(registry=registry, store=name)
-        self._name = name
-        self._tracer = None
         self.request_log: Counter = Counter()
-
-    def attach_tracer(self, tracer) -> None:
-        """Collect a ``cache.fetch_many`` span per *traced* window.
-
-        ``tracer`` is the owning service's tracer; spans are only opened
-        while a :class:`~repro.obs.tracing.TraceContext` is attached to
-        it, so untraced traffic (preloads, benches with tracing off)
-        costs nothing here.  A single :meth:`fetch` opens none: it takes
-        no simulated time, and the stage span that follows it records
-        which layer answered.
-        """
-        self._tracer = tracer
 
     def _enqueue(self, query: str) -> None:
         """Append a missed query to the pending queue (no-op when already
@@ -138,44 +128,25 @@ class AsyncCacheStore:
 
     def lookup(self, query: str) -> str | None:
         """Serve a request; a miss enqueues the query for the next batch."""
-        hit = self.fetch(query)
+        hit = self.fetch_many((query,))[0]
         return hit[0] if hit is not None else None
 
-    def fetch(self, query: str, enqueue: bool = True) -> tuple[str, str] | None:
-        """Serve a request with layer attribution.
-
-        Returns ``(response, layer)`` where layer is ``"yearly"`` or
-        ``"daily"``, or None on a miss.  A miss enqueues the query for
-        the next batch unless ``enqueue`` is False (admission control
-        shedding load skips the queue so shed traffic cannot crowd out
-        admitted misses).
-        """
-        return self._fetch_many((query,), enqueue)[0]
-
-    def fetch_many(self, queries: list[str],
+    def fetch_many(self, queries: Sequence[str],
                    enqueue: bool = True) -> list[tuple[str, str] | None]:
-        """Vectorized :meth:`fetch` for one serving batch.
+        """Serve one window of requests with layer attribution; the one
+        read entrypoint.
 
-        One daily-layer roll and one span cover the whole window
-        instead of one each per query — the cache half of
-        the batch-first hot path.  Per-query accounting (request log,
-        hit/miss counters, pending enqueue with capacity eviction) is
-        identical to ``len(queries)`` sequential fetches; the hit/miss
-        counters are tallied over the window and incremented once each.
+        Returns one ``(response, layer)`` per query — layer is
+        ``"yearly"`` or ``"daily"`` — or None on a miss.  A miss enqueues
+        the query for the next batch unless ``enqueue`` is False
+        (admission control shedding load skips the queue so shed traffic
+        cannot crowd out admitted misses).  One daily-layer roll covers
+        the window; per-query accounting (request log, pending enqueue
+        with capacity eviction) runs in order, and the hit/miss counters
+        are tallied over the window and incremented once each.
         """
         if not queries:
             return []
-        tracer = self._tracer
-        if tracer is None or tracer.active_context is None:
-            return self._fetch_many(queries, enqueue)
-        with tracer.span("cache.fetch_many", store=self._name,
-                         queries=len(queries)) as span:
-            hits = self._fetch_many(queries, enqueue)
-            span.set_attribute("hits", len(hits) - hits.count(None))
-        return hits
-
-    def _fetch_many(self, queries: list[str],
-                    enqueue: bool) -> list[tuple[str, str] | None]:
         self._roll_daily_layer()
         request_log, yearly, daily = self.request_log, self._yearly, self._daily
         hits: list[tuple[str, str] | None] = []

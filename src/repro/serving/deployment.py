@@ -72,17 +72,16 @@ _STAGES = {
 class BatchCostModel:
     """Amortized simulated cost of one vectorized serving window.
 
-    When a :class:`CosmoService` is built with a cost model, a
-    ``serve_batch`` window of ``n`` requests is charged
-    ``batch_overhead_s + n * item_cost_s`` *once* — every item in the
-    window completes together when the window does, which is what a real
-    vectorized lookup costs (one dispatch, per-row marginal work)
-    instead of ``n`` sequential round trips; a window of one pays
-    ``batch_overhead_s + item_cost_s``.  Without a cost model (the
-    default) ``serve_batch`` charges each item exactly what it would
-    cost served alone — the golden equivalence suite pins a window
-    byte-identical to windows of one — so amortization is an explicit
-    opt-in knob, not a silent accounting change.
+    ``serve_batch`` runs one window pass whatever the cost form; the
+    cost model only decides how the window is charged.  With one, a
+    window of ``n`` cached requests is charged ``batch_overhead_s + n *
+    item_cost_s`` *once* — every item completes together when the window
+    does, which is what a real vectorized lookup costs (one dispatch,
+    per-row marginal work) instead of ``n`` sequential round trips; a
+    window of one pays ``batch_overhead_s + item_cost_s``.  Without one
+    (the default) each item is charged its stage latency in order, so a
+    window costs exactly what its items would served alone — the golden
+    equivalence suite pins a window byte-identical to windows of one.
     """
 
     batch_overhead_s: float = 0.002
@@ -238,7 +237,6 @@ class CosmoService:
             self.clock, daily_capacity=daily_capacity,
             registry=self.registry, name=name,
         )
-        self.cache.attach_tracer(self.tracer)
         self.features = FeatureStore(self.clock)
         self.metrics = ServingMetrics(registry=self.registry, service=name)
         self.dead_letters: list[DeadLetter] = []
@@ -296,10 +294,6 @@ class CosmoService:
             )
         return invalidated
 
-    @property
-    def resilient(self) -> bool:
-        return self._resilient is not None
-
     # ------------------------------------------------------------------
     def serve(self, request: ServeRequest) -> ServeResult:
         """Serve one request: a window of one (see :meth:`serve_batch`)."""
@@ -315,14 +309,8 @@ class CosmoService:
         — cluster admission control shedding load keeps the degraded
         answer but skips the queue), so degraded answers heal on the next
         batch cycle.  Direct mode bypasses the cache and calls the model
-        synchronously.
-
-        Without a :class:`BatchCostModel` the window is served item by
-        item; with one, a cached window is served through one vectorized
-        cache fetch and charged the amortized window cost, all items
-        completing together.  Direct-mode requests always take the
-        per-item path: a synchronous model call has no window to
-        amortize over.
+        synchronously; the cached runs between direct requests are served
+        as windows of their own, so results keep request order.
 
         The replica opens no span of its own: under a trace context
         attached to its tracer (the cluster attaches one per dispatch)
@@ -330,56 +318,71 @@ class CosmoService:
         upstream span.  Results come back unstamped; the cluster stamps
         trace and window attribution.
         """
-        if self._batch_costs is None or any(r.direct for r in requests):
-            return [self._serve(request, allow_enqueue) for request in requests]
-        return self._serve_batch_amortized(requests, allow_enqueue)
+        results: list[ServeResult] = []
+        start = 0
+        for index, request in enumerate(requests):
+            if request.direct:
+                results += self._serve_window(requests[start:index],
+                                              allow_enqueue)
+                results.append(self._note_outcome(
+                    self._serve_direct(request.query)))
+                start = index + 1
+        if not start:  # no direct request: the whole window is one run
+            return self._serve_window(requests, allow_enqueue)
+        return results + self._serve_window(requests[start:], allow_enqueue)
 
-    def _serve_batch_amortized(self, requests: list[ServeRequest],
-                               allow_enqueue: bool) -> list[ServeResult]:
-        """One vectorized cache fetch + one window charge for the batch.
-
-        Accounting is per window too: the outcome counters are tallied
-        and incremented once, the window's shared latency is observed
-        once with ``count=len(requests)``, and degraded-mode bookkeeping
-        only runs on the items where the mode flips.  A miss's stale
-        read shares the window's charge instead of adding its own
-        per-item latency.
-        """
+    def _serve_window(self, requests: list[ServeRequest],
+                      allow_enqueue: bool) -> list[ServeResult]:
+        """The one window pass over cached requests, charged as
+        :class:`BatchCostModel` describes: one cache read at the window's
+        start (a day boundary crossed while a sequential window is charged
+        rolls the daily layer at the next window), the answer chain per
+        item, outcome counters tallied once and latency observed once per
+        run of equal latencies."""
+        if not requests:
+            return []
         hits = self.cache.fetch_many([request.query for request in requests],
                                      enqueue=allow_enqueue)
-        duration = self._batch_costs.window_latency_s(len(requests))
-        self.clock.advance(duration)
+        sequential = self._batch_costs is None
+        if sequential:
+            run_latency, run = 0.0, 0
+        else:
+            latency = self._batch_costs.window_latency_s(len(requests))
+            self.clock.advance(latency)
+            run_latency, run = latency, len(requests)
+        observe = self.metrics.latency.observe
         results: list[ServeResult] = []
         for request, hit in zip(requests, hits):
             text, outcome, source = self._answer(request.query, hit)
+            if sequential:
+                latency = self._charge_stage(outcome, source, hit)
+                if latency != run_latency:
+                    if run:
+                        observe(run_latency, count=run)
+                    run_latency, run = latency, 0
+                run += 1
             result = ServeResult(query=request.query, text=text,
                                  outcome=outcome, source=source,
-                                 latency_s=duration, replica=self.name)
+                                 latency_s=latency, replica=self.name)
             if (hit is None) != self._in_degraded_mode:
                 self._note_outcome(result)
             results.append(result)
+        observe(run_latency, count=run)
         misses = hits.count(None)
-        degraded = sum(result.outcome is ServeOutcome.DEGRADED
-                       for result in results) if misses else 0
-        for attr, tally in (("served_fresh", len(hits) - misses),
-                            ("degraded_serves", degraded),
-                            ("fallbacks", misses - degraded)):
-            if tally:
-                self.metrics.add(attr, tally)
-        self.metrics.latency.observe(duration, count=len(requests))
+        if misses != len(hits):
+            self.metrics.add("served_fresh", len(hits) - misses)
+        if misses:
+            degraded = [result.outcome for result in results].count(
+                ServeOutcome.DEGRADED)
+            if degraded:
+                self.metrics.add("degraded_serves", degraded)
+            if degraded != misses:
+                self.metrics.add("fallbacks", misses - degraded)
         return results
 
-    def _serve(self, request: ServeRequest, allow_enqueue: bool) -> ServeResult:
-        if request.direct:
-            result = self._serve_direct(request.query)
-        else:
-            hit = self.cache.fetch(request.query, enqueue=allow_enqueue)
-            result = self._serve_answer(request.query, hit)
-        self._note_outcome(result)
-        return result
-
-    def _note_outcome(self, result: ServeResult) -> None:
-        """Publish degraded-mode *transitions* into the event log.
+    def _note_outcome(self, result: ServeResult) -> ServeResult:
+        """Publish degraded-mode *transitions* into the event log; returns
+        ``result``.
 
         Emitting per-request outcomes would flood the bounded log, so
         only the edges are events: the first non-fresh answer after
@@ -400,6 +403,7 @@ class CosmoService:
                     component=self.name, source=result.source,
                 )
         self._in_degraded_mode = degraded
+        return result
 
     def _answer(self, query: str,
                 hit: tuple[str, str] | None) -> tuple[str, ServeOutcome, str]:
@@ -422,24 +426,26 @@ class CosmoService:
                         SOURCE_FEATURE_STORE)
         return self._fallback, ServeOutcome.FALLBACK, SOURCE_FALLBACK
 
-    def _serve_answer(self, query: str, hit: tuple[str, str] | None,
-                      since: float | None = None) -> ServeResult:
-        """Serve one request from the answer chain: charge its stage,
-        observe its latency, count its outcome.
-
-        The request's latency is the stage's own, or — for a direct call
-        falling back here after the generator failed — everything the
-        clock was charged since ``since``.
-        """
-        text, outcome, source = self._answer(query, hit)
-        span_name, origin, stage_s, counter = _STAGES[outcome]
+    def _charge_stage(self, outcome: ServeOutcome, source: str,
+                      hit: tuple[str, str] | None) -> float:
+        """Charge one item its stage latency inside its stage span (the
+        sequential form); returns the latency charged."""
+        span_name, origin, stage_s, _ = _STAGES[outcome]
         attributes = {} if origin is None else {
             origin: hit[1] if hit is not None else source}
         with self.tracer.traced_span(span_name, **attributes):
             self.clock.advance(stage_s)
-        latency = stage_s if since is None else self.clock.now() - since
+        return stage_s
+
+    def _serve_answer(self, query: str, since: float) -> ServeResult:
+        """Answer a direct call whose generation failed from the answer
+        chain: charge its stage, observe its latency — everything the
+        clock was charged since ``since`` — and count its outcome."""
+        text, outcome, source = self._answer(query, None)
+        self._charge_stage(outcome, source, None)
+        latency = self.clock.now() - since
         self.metrics.latency.observe(latency)
-        self.metrics.add(counter, 1)
+        self.metrics.add(_STAGES[outcome][3], 1)
         return ServeResult(query=query, text=text, outcome=outcome,
                            source=source, latency_s=latency, replica=self.name)
 
@@ -507,7 +513,7 @@ class CosmoService:
             latency = self.clock.now() - clock_before
         if generation is None:
             self.metrics.add("generator_failures", 1)
-            return self._serve_answer(query, None, since=clock_before)
+            return self._serve_answer(query, clock_before)
         self.metrics.latency.observe(latency)
         self.metrics.add("served_fresh", 1)
         # Write through so later cached requests hit immediately.

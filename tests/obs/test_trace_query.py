@@ -47,7 +47,7 @@ def test_stage_for_prefix_mapping():
     assert stage_for("cluster.queueing") == "queueing"
     assert stage_for("cluster.flush") == "batch"
     assert stage_for("serving.run_batch") == "batch"
-    assert stage_for("cache.fetch") == "cache"
+    assert stage_for("serving.cache_serve") == "cache"
     assert stage_for("serving.degraded_serve") == "degradation"
     assert stage_for("resilience.backoff") == "retry"
     assert stage_for("resilience.attempt") == "generation"

@@ -207,7 +207,9 @@ def test_attach_tags_spans_and_links_stack_roots():
     assert child.remote_parent is None
     assert child.parent_id == root.span_id
     assert tracer.ref(root) == f"replica:{root.span_id}"
-    assert tracer.active_context is None  # detached on exit
+    with tracer.span("after") as after:
+        pass
+    assert after.trace_id is None  # detached on exit
 
 
 def test_attach_restores_previous_context_and_clock():
@@ -220,10 +222,11 @@ def test_attach_restores_previous_context_and_clock():
             clock.advance(1.0)
             with tracer.span("in") as inner_span:
                 pass
-        assert tracer.active_context is outer
-        with tracer.span("out") as outer_span:
+        with tracer.span("out") as outer_span:  # outer is attached again
             pass
-    assert tracer.active_context is None
+    with tracer.span("after") as after:
+        pass
+    assert after.trace_id is None  # detached on exit
     assert root.trace_id == "inner" and (root.start_s, root.end_s) == (3.0, 4.0)
     assert inner_span.trace_id == "inner" and inner_span.start_s == 4.0
     assert inner_span.parent_id == root.span_id
@@ -240,8 +243,7 @@ def test_trace_root_restores_context_and_clock_when_the_body_raises():
             with tracer.trace(TraceContext("inner"), "root", clock=clock.now) as root:
                 clock.advance(0.5)
                 raise KeyError("boom")
-        assert tracer.active_context is outer
-        with tracer.span("after") as after:
+        with tracer.span("after") as after:  # outer is attached again
             pass
     assert (root.status, root.error_type) == ("error", "KeyError")
     assert root.end_s == 2.5  # closed on its own clock...

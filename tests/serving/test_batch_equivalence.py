@@ -183,15 +183,36 @@ def test_amortized_window_preserves_request_accounting():
 
 def test_direct_requests_fall_back_to_per_item_even_with_cost_model():
     """``direct=True`` bypasses the cache, so the amortized window would
-    misattribute its cost; the batch path must serve such windows
-    item-by-item."""
-    cluster = _cluster(1, MetricsRegistry(), batch_costs=BatchCostModel())
+    misattribute its cost: a direct request is its own synchronous call,
+    and the cached runs between direct requests are windows of their own,
+    in request order."""
+    costs = BatchCostModel()
+    cluster = _cluster(1, MetricsRegistry(), batch_costs=costs)
     results = cluster.handle_batch(
-        [ServeRequest(query="a", direct=True), ServeRequest(query="b")])
-    assert [r.batch_index for r in results] == [0, 1]
-    assert results[0].source == "direct"
-    # Served one by one: an amortized window would complete both together.
+        [ServeRequest(query="a", direct=True), ServeRequest(query="b"),
+         ServeRequest(query="c", direct=True), ServeRequest(query="a"),
+         ServeRequest(query="d")])
+    assert [r.batch_index for r in results] == [0, 1, 2, 3, 4]
+    assert [r.source for r in results] == [
+        "direct", "fallback", "direct", "cache:daily", "fallback"]
+    # Served one by one: an amortized window would complete all together.
     assert results[0].latency_s != results[1].latency_s
+    wait = results[1].latency_s - costs.window_latency_s(1)
+    assert results[3].latency_s == results[4].latency_s == pytest.approx(
+        wait + costs.window_latency_s(2))
+    assert cluster.services["eq-r0"].cache.pending_queries() == ["b", "d"]
+
+
+@pytest.mark.parametrize("batch_costs", [None, BatchCostModel()],
+                         ids=("sequential", "amortized"))
+def test_empty_window_returns_nothing_in_both_cost_forms(batch_costs):
+    """Regression: under a cost model an empty window observed the latency
+    histogram with ``count=0``, which raises."""
+    service = CosmoService(ScriptedGenerator(), clock=SimClock(), seed=3,
+                           batch_costs=batch_costs)
+    assert service.serve_batch([]) == []
+    assert service.clock.now() == 0.0
+    assert service.metrics.latency.count == 0
 
 
 def test_generation_batch_protocol_round_trip():
@@ -285,6 +306,12 @@ def test_handle_batch_traced_and_bare_accounting_match():
 # (traced drive only) and the one ``cluster.daily_refresh`` and three
 # ``serving.daily_refresh`` spans, with each later span id of the same
 # tracer renumbered down past the deleted spans.  Events and results are
+# unedited.  When a replica window became one pass for both cost forms, the
+# cache stopped opening a zero-width ``cache.fetch_many`` span per traced
+# window, and only the traced drive's trace digest was re-captured: the
+# parent's trace minus its 38 ``cache.fetch_many`` spans equals the new
+# one, 97 = 97 events, once span / parent ids and flow events are set aside
+# (EXPERIMENTS.md, "One replica window algorithm").  The other seven are
 # unedited.
 
 
@@ -336,7 +363,7 @@ def _accounting_drive(trace: bool):
         (False, "9eed001a8b2c0cf8", "6bb6c2868c83662f", "49cc0224e7afdc8a",
          "070afdc2f84a2feb"),
         (True, "5593e3d4c7f2d28d", "e440d30b0a464d1b", "e787b5d8d99ba27c",
-         "78389d75ae6bfcc0"),
+         "bcd7be912a6475ae"),
     ], ids=("untraced", "traced"))
 def test_window_accounting_artifacts_are_pinned(
         trace, snapshot_digest, events_digest, results_digest, trace_digest):

@@ -85,7 +85,7 @@ def test_pending_order_and_eviction_victim_match_the_scan_forms():
         if batched:
             cache.fetch_many([query])
         else:
-            cache.fetch(query)
+            cache.lookup(query)
         if victim is not None:
             assert victim not in cache._pending
             evicted.append(victim)
@@ -118,7 +118,7 @@ def test_pending_order_and_eviction_victim_match_the_scan_forms():
 
 @st.composite
 def pending_operations(draw):
-    kinds = ["fetch", "fetch_many", "day", "batch", "drop"]
+    kinds = ["lookup", "fetch_many", "day", "batch", "drop"]
     return [(draw(st.sampled_from(kinds)),
              draw(st.lists(_queries, min_size=1, max_size=4)))
             for _ in range(draw(st.integers(1, 50)))]
@@ -139,15 +139,15 @@ def test_pending_queue_matches_scan_forms_under_arbitrary_operations(ops, capaci
             cache.drop_pending(queries)
         else:
             for query in queries:
-                # Age eviction runs on the fetch's day roll, before the
+                # Age eviction runs on the read's day roll, before the
                 # capacity check — settle it so the model sees that queue.
                 cache._roll_daily_layer()
                 full = (query not in cache._daily
                         and query not in cache._pending
                         and cache.pending_size >= capacity)
                 victim = _eviction_victim_model(cache) if full else None
-                if kind == "fetch":
-                    cache.fetch(query)
+                if kind == "lookup":
+                    cache.lookup(query)
                 else:
                     cache.fetch_many([query])
                 if victim is not None:

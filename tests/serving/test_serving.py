@@ -71,7 +71,7 @@ def test_daily_layer_resets_on_day_rollover():
     cache = AsyncCacheStore(clock)
     cache.lookup("q")
     cache.apply_batch({"q": "answer"})
-    assert cache.fetch("q") == ("answer", "daily")
+    assert cache.fetch_many(["q"])[0] == ("answer", "daily")
     clock.advance_days(1)
     assert cache.lookup("q") is None  # daily layer cleared
 
@@ -110,7 +110,7 @@ def test_promote_frequent_moves_hot_entries_to_yearly():
     cache.apply_batch({"popular": "answer"})
     promoted = cache.promote_frequent()
     assert promoted == 1
-    assert cache.fetch("popular") == ("answer", "yearly")
+    assert cache.fetch_many(["popular"])[0] == ("answer", "yearly")
 
 
 def test_snapshot_installs_scope_the_daily_layer_to_one_version():
@@ -122,7 +122,7 @@ def test_snapshot_installs_scope_the_daily_layer_to_one_version():
 
     def daily_keys():
         return [query for query in "abc"
-                if (cache.fetch(query, enqueue=False) or ("", ""))[1] == "daily"]
+                if (cache.fetch_many([query], enqueue=False)[0] or ("", ""))[1] == "daily"]
 
     cache.apply_batch({"a": "pre-snapshot"})
     assert cache.install_snapshot("v1", v1) == 1  # the version-less entry
