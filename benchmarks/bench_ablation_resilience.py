@@ -1,91 +1,107 @@
-"""Resilience ablation: chaos bench for the fault-tolerant serving stack.
+"""Resilience ablation: the ``chaos`` scenario swept over fault rates.
 
-Sweeps injected fault rates over identical Zipf traffic and compares the
-serving stack with resilience (retry + circuit breaker + output
-validation + graceful degradation + dead-letter redrive) against the
-happy-path-only baseline.  Availability here is *truthful*: a request
-counts as available only when the served text matches the knowledge the
-scripted generator would produce — garbage and empty fallbacks both
-count against it.
+Plays ``repro.cli chaos`` — a one-replica cluster behind mixed fault
+injection — over identical Zipf traffic and compares the serving stack
+with resilience (retry + circuit breaker + output validation + graceful
+degradation + dead-letter redrive) against the happy-path-only baseline.
+Availability here is *truthful*: a request counts as available only when
+the served text matches the knowledge the scripted generator would
+produce — garbage and empty fallbacks both count against it.  Every
+column, p50 / p99 included, covers the same measured window: the Zipf
+days after the warm-up day.
 
-A second scenario scripts a sustained total outage and verifies the
+The ``outage`` variant scripts a sustained total outage and verifies the
 breaker's full life cycle (closed → open → half-open → closed) with all
 waiting charged to the simulated clock.
 """
 
-import pytest
+from collections import Counter
+
 from conftest import publish
 
+from repro import obs, scenarios
+from repro.cli import build_parser
 from repro.reporting import Table, format_percent
-from repro.serving.chaos import ChaosConfig, run_chaos, run_outage_demo
-from repro.serving.resilience import BreakerState
+from repro.serving import BreakerState
 
 FAULT_RATES = (0.0, 0.05, 0.10, 0.25)
+#: The measured window: the sweep and ``day 0`` warm the cache layers.
+MEASURED = ("day 1", "day 2")
 
 
-@pytest.fixture(scope="module")
-def chaos_sweep():
-    reports = {}
-    for rate in FAULT_RATES:
-        for resilience in (True, False):
-            config = ChaosConfig(fault_rate=rate, resilience=resilience, seed=7)
-            reports[(rate, resilience)] = run_chaos(config)
-    return reports
+def play_chaos(variant: str, fault_rate: float = 0.1, seed: int = 7) -> scenarios.Drive:
+    args = build_parser().parse_args([
+        "chaos", "--seed", str(seed), "--scenario", variant,
+        "--fault-rate", str(fault_rate)])
+    return scenarios.play_scenario(scenarios.SCENARIOS["chaos"], args)
 
 
-def test_resilience_ablation(chaos_sweep, benchmark):
+def measured(drive: scenarios.Drive) -> Counter:
+    """The tallies of the measured days, summed."""
+    return sum((counts for name, counts in drive.phase_rows if name in MEASURED),
+               Counter())
+
+
+def measured_latency(drive: scenarios.Drive) -> obs.Histogram:
+    """The cluster latency histogram of the measured days, merged."""
+    window = obs.Histogram(drive.phase_latency[MEASURED[0]].bounds)
+    for name in MEASURED:
+        window.merge(drive.phase_latency[name])
+    return window
+
+
+def availability(drive: scenarios.Drive) -> float:
+    counts = measured(drive)
+    return counts["valid"] / counts["requests"]
+
+
+def test_resilience_ablation(benchmark):
+    sweep = {(rate, variant): play_chaos(variant, rate)
+             for rate in FAULT_RATES for variant in ("resilient", "baseline")}
     table = Table(
         "Resilience ablation — identical Zipf traffic, mixed fault injection",
         ["Fault rate", "Arm", "Availability", "Degraded", "Fallbacks",
          "Retries", "DLQ", "p50", "p99"],
     )
-    for rate in FAULT_RATES:
-        for resilience in (True, False):
-            report = chaos_sweep[(rate, resilience)]
-            table.add_row(
-                format_percent(rate),
-                "resilient" if resilience else "baseline",
-                format_percent(report.availability),
-                report.degraded,
-                report.fallbacks,
-                report.retries,
-                report.dead_lettered,
-                f"{report.percentile_ms(50):.1f} ms",
-                f"{report.percentile_ms(99):.1f} ms",
-            )
+    for (rate, variant), drive in sweep.items():
+        counts, latency = measured(drive), measured_latency(drive)
+        table.add_row(
+            format_percent(rate), variant, format_percent(availability(drive)),
+            counts["degraded_serves"], counts["fallbacks"], counts["retries"],
+            counts["dead_lettered"],
+            f"{latency.percentile(50) * 1000:.1f} ms",
+            f"{latency.percentile(99) * 1000:.1f} ms",
+        )
     publish("ablation_resilience", table.render())
 
-    # Benchmark kernel: one full chaos run at the headline fault rate.
-    benchmark(run_chaos, ChaosConfig(fault_rate=0.10, resilience=True, seed=7,
-                                     requests_per_day=300, days=1))
+    # Benchmark kernel: one full chaos drive at the headline fault rate.
+    benchmark(play_chaos, "resilient", 0.10)
 
     # The paper-shaped claims: resilience holds >= 99% availability at a
     # 10% fault rate while the baseline measurably degrades, and the gap
     # widens with the fault rate.
-    resilient = chaos_sweep[(0.10, True)]
-    baseline = chaos_sweep[(0.10, False)]
-    assert resilient.availability >= 0.99
-    assert baseline.availability < resilient.availability - 0.005
-    assert resilient.retries > 0
-    assert chaos_sweep[(0.25, False)].availability < baseline.availability
+    resilient = sweep[(0.10, "resilient")]
+    baseline = sweep[(0.10, "baseline")]
+    assert availability(resilient) >= 0.99
+    assert availability(baseline) < availability(resilient) - 0.005
+    assert measured(resilient)["retries"] > 0
+    assert availability(sweep[(0.25, "baseline")]) < availability(baseline)
     # Resilience never hurts when nothing fails.
-    assert chaos_sweep[(0.0, True)].availability >= chaos_sweep[(0.0, False)].availability
+    assert (availability(sweep[(0.0, "resilient")])
+            >= availability(sweep[(0.0, "baseline")]))
 
 
 def test_chaos_runs_are_deterministic():
-    config = ChaosConfig(fault_rate=0.10, resilience=True, seed=11,
-                         requests_per_day=600, days=1)
-    first, second = run_chaos(config), run_chaos(config)
-    assert first.availability == second.availability
-    assert (first.latency.count, first.latency.sum, first.latency.bucket_counts()) \
-        == (second.latency.count, second.latency.sum, second.latency.bucket_counts())
-    assert (first.retries, first.dead_lettered, first.rejected_generations) == (
-        second.retries, second.dead_lettered, second.rejected_generations)
+    first, second = (play_chaos("resilient", 0.10, seed=11) for _ in range(2))
+    assert first.phase_rows == second.phase_rows
+    # Every family, latency histograms included: count, exact sum, buckets.
+    assert obs.snapshot(first.registry) == obs.snapshot(second.registry)
 
 
 def test_breaker_opens_and_recovers_under_sustained_outage():
-    service, phases = run_outage_demo(seed=7)
-    breaker = service.breaker
+    drive = play_chaos("outage")
+    (service,) = drive.cluster.services.values()
+    breaker, phases = service.breaker, dict(drive.phase_rows)
     # The breaker tripped during the outage and recovered through
     # half-open probes once the faults cleared.
     assert breaker.opens >= 1
@@ -98,8 +114,8 @@ def test_breaker_opens_and_recovers_under_sustained_outage():
     assert states.index(BreakerState.OPEN) < len(states) - 1
     # Graceful degradation held availability through the outage, and the
     # dead-letter queue healed afterwards.
-    assert phases["outage"] >= 0.99
-    assert phases["recovery"] >= 0.99
+    for phase in ("outage", "recovery"):
+        assert phases[phase]["valid"] / phases[phase]["requests"] >= 0.99
     assert service.metrics.dead_lettered > 0
     assert service.metrics.redriven == service.metrics.dead_lettered
     # All waiting was simulated: days of traffic plus breaker cooldowns

@@ -6,7 +6,8 @@ Usage::
     python -m repro.cli inspect-kg kg.npz
     python -m repro.cli generate --seed 7 --query "winter camping essentials" \
         --product-type "camping tent" --domain "Sports & Outdoors"
-    python -m repro.cli chaos --seed 7 --fault-rate 0.1
+    python -m repro.cli chaos --seed 7 --scenario baseline --fault-rate 0.1
+    python -m repro.cli chaos --seed 7 --scenario outage
     python -m repro.cli obs --seed 7 --out-trace trace.json --out-metrics metrics.json
     python -m repro.cli cluster --seed 7 --replicas 3 --requests 2000
     python -m repro.cli monitor --seed 0 --scenario chaos \
@@ -26,8 +27,7 @@ import sys
 import traceback
 
 from repro import scenarios
-from repro.behavior import WorldConfig
-from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
+from repro.core import CosmoPipeline, PipelineConfig
 from repro.core.kg_io import (columnar_version, load_kg_columnar,
                               save_kg_columnar)
 from repro.reporting import Table, format_percent
@@ -35,20 +35,8 @@ from repro.reporting import Table, format_percent
 __all__ = ["build_parser", "main"]
 
 
-def _pipeline_config(seed: int, scale: float, lm_epochs: int) -> PipelineConfig:
-    world = WorldConfig(seed=seed).scaled(scale)
-    return PipelineConfig(
-        seed=seed,
-        world=world,
-        cobuy_pairs_per_domain=max(10, int(120 * scale)),
-        searchbuy_records_per_domain=max(10, int(150 * scale)),
-        annotation_budget=max(100, int(1500 * scale)),
-        lm=CosmoLMConfig(epochs=lm_epochs),
-    )
-
-
 def cmd_build_kg(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args.seed, args.scale, args.lm_epochs)
+    config = PipelineConfig.at_scale(args.seed, args.scale, args.lm_epochs)
     print(f"Building the COSMO KG (seed={args.seed}, scale={args.scale})...")
     result = CosmoPipeline(config).run()
     stats = result.kg.stats()
@@ -84,7 +72,7 @@ def cmd_inspect_kg(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args.seed, args.scale, args.lm_epochs)
+    config = PipelineConfig.at_scale(args.seed, args.scale, args.lm_epochs)
     print("Training COSMO-LM (one pipeline run)...")
     result = CosmoPipeline(config).run()
     lm = result.cosmo_lm
@@ -94,116 +82,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     print(f"product:   {args.product_type!r} ({args.domain})")
     print(f"knowledge: {generation.text!r}")
     return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.serving.chaos import ChaosConfig, run_chaos, run_outage_demo
-
-    if args.outage_demo:
-        service, phases = run_outage_demo(seed=args.seed)
-        print("Sustained-outage demo (availability per phase):")
-        for name, availability in phases.items():
-            print(f"  {name:9s} {availability:.1%}")
-        breaker = service.breaker
-        print(f"  breaker: {breaker.opens} open(s), {breaker.closes} close(s), "
-              f"{breaker.refusals} fast refusal(s), final state {breaker.state.value}")
-        print(f"  dead-lettered {service.metrics.dead_lettered}, "
-              f"redriven {service.metrics.redriven}")
-        return 0
-
-    config = ChaosConfig(
-        fault_rate=args.fault_rate,
-        resilience=not args.no_resilience,
-        seed=args.seed,
-    )
-    arm = "on" if config.resilience else "off"
-    print(f"Chaos simulation: fault rate {config.fault_rate:.0%}, resilience {arm}, "
-          f"{config.days} measured day(s) of {config.requests_per_day} requests...")
-    report = run_chaos(config)
-    table = Table("Chaos simulation — measured window", ["Metric", "Value"])
-    table.add_row("Requests", report.requests)
-    table.add_row("Availability (valid knowledge)", format_percent(report.availability))
-    table.add_row("Served (fresh + degraded)", format_percent(report.served_availability))
-    table.add_row("Degraded serves", report.degraded)
-    table.add_row("Fallbacks", report.fallbacks)
-    table.add_row("Retries", report.retries)
-    table.add_row("Generator failures", report.generator_failures)
-    table.add_row("Rejected generations", report.rejected_generations)
-    table.add_row("Dead-lettered / redriven", f"{report.dead_lettered} / {report.redriven}")
-    table.add_row("Pending evictions", report.pending_evictions)
-    table.add_row("Breaker opens / closes", f"{report.breaker_opens} / {report.breaker_closes}")
-    table.add_row("p50 / p99 latency", f"{report.percentile_ms(50):.1f} / "
-                  f"{report.percentile_ms(99):.1f} ms")
-    print(table.render())
-    return 0
-
-
-def obs_drive(args: argparse.Namespace) -> int:
-    """Run a small pipeline + one serving day under full observability.
-
-    The trace and metrics artifacts are timed entirely on simulated
-    clocks, so two runs with the same seed produce byte-identical files;
-    only the wall-clock profile printed at the end differs.
-    """
-    import numpy as np
-
-    from repro.obs import MetricsRegistry, WallProfiler, render_text
-    from repro.serving import CosmoService, ServeRequest
-    from repro.utils.rng import spawn_rng
-
-    registry = MetricsRegistry()
-    profiler = WallProfiler()
-
-    print(f"Pipeline run under tracing (seed={args.seed}, scale={args.scale})...")
-    config = _pipeline_config(args.seed, args.scale, args.lm_epochs)
-    pipeline = CosmoPipeline(config)
-    with profiler.section("pipeline.run"):
-        result = pipeline.run()
-    if result.cosmo_lm is None:
-        print("error: pipeline produced no COSMO-LM; nothing to serve")
-        return 2
-
-    print(f"Serving one simulated day ({args.requests} requests)...")
-    service = CosmoService(result.cosmo_lm, registry=registry, name="cosmo")
-    queries = result.world.queries.broad()
-    weights = np.array([q.popularity for q in queries], dtype=float)
-    weights /= weights.sum()
-    rng = spawn_rng(args.seed, "obs-traffic")
-    picks = rng.choice(len(queries), size=args.requests, p=weights)
-    traffic = [queries[int(i)].text for i in picks]
-    chunk = 200     # requests between batch-processing cycles
-    with profiler.section("serving.day"):
-        for start in range(0, len(traffic), chunk):
-            for query in traffic[start : start + chunk]:
-                service.serve(ServeRequest(query=query))
-            service.run_batch()
-        service.daily_refresh(refresh_stale=False)
-
-    drive = scenarios.Drive(registry=registry, tracers=[
-        ("pipeline", pipeline.tracer), ("serving", service.tracer)])
-    scenarios.write_artifacts(drive, _OBS_ARTIFACTS, args)
-
-    print("\npipeline spans (simulated LLM seconds):")
-    print(pipeline.tracer.render_tree())
-    print("\nserving spans (SimClock seconds):")
-    print(service.tracer.render_tree())
-    print("\nmetrics:")
-    print(render_text(registry))
-    print()
-    print(profiler.report())
-    print()
-
-    metrics = service.metrics
-    failures = scenarios.check_accounting({
-        "requests": metrics.requests, "handled": metrics.requests,
-        "served_fresh": metrics.served_fresh,
-        "degraded_serves": metrics.degraded_serves,
-        "fallbacks": metrics.fallbacks,
-    }) + scenarios.expect_nested_pipeline_spans(drive)
-    return scenarios.exit_code("obs", failures, signal=False)
-
-
-_OBS_ARTIFACTS = ("trace", "metrics")
 
 
 def _add_artifact_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
@@ -239,32 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--domain", required=True)
     generate.set_defaults(func=cmd_generate)
 
-    chaos = sub.add_parser(
-        "chaos", help="fault-injected serving simulation (resilience ablation)")
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--fault-rate", type=float, default=0.1,
-                       help="headline injected fault rate (see FaultPlan.mixed)")
-    chaos.add_argument("--no-resilience", action="store_true",
-                       help="disable retries, circuit breaker and degraded serving")
-    chaos.add_argument("--outage-demo", action="store_true",
-                       help="also run the scripted sustained-outage scenario")
-    chaos.set_defaults(func=cmd_chaos)
-
-    obs = sub.add_parser(
-        "obs",
-        help="run a small pipeline + serving day under tracing; dump artifacts")
-    obs.add_argument("--seed", type=int, default=7)
-    obs.add_argument("--scale", type=float, default=0.3)
-    obs.add_argument("--lm-epochs", type=int, default=4)
-    obs.add_argument("--requests", type=int, default=600,
-                     help="requests in the simulated serving day")
-    _add_artifact_flags(obs, _OBS_ARTIFACTS)
-    obs.set_defaults(func=obs_drive)
-
     for command, scenario in scenarios.SCENARIOS.items():
         drive = sub.add_parser(command, help=scenario.help)
         drive.add_argument("--seed", type=int, default=7)
-        drive.add_argument("--replicas", type=int, default=3)
         variants = tuple(scenario.expectations)
         if len(variants) > 1:
             drive.add_argument("--scenario", choices=variants, default=variants[0])

@@ -55,6 +55,19 @@ class PipelineConfig:
     finetune_lm: bool = True
     expand_with_lm: bool = True
 
+    @classmethod
+    def at_scale(cls, seed: int, scale: float, lm_epochs: int) -> "PipelineConfig":
+        """The command line's sizing: world and sampling budgets scaled
+        together (1.0 = default world sizes)."""
+        return cls(
+            seed=seed,
+            world=WorldConfig(seed=seed).scaled(scale),
+            cobuy_pairs_per_domain=max(10, int(120 * scale)),
+            searchbuy_records_per_domain=max(10, int(150 * scale)),
+            annotation_budget=max(100, int(1500 * scale)),
+            lm=CosmoLMConfig(epochs=lm_epochs),
+        )
+
 
 @dataclass
 class PipelineResult:

@@ -31,7 +31,7 @@ discipline to the data the system serves:
   (Jensen–Shannon mixes, critic-score shift, edge churn) under
   declarative :class:`DriftRule` thresholds.
 
-Exporters live in :mod:`repro.obs.export` (text, JSON snapshot).
+The metrics exporter lives in :mod:`repro.obs.export` (JSON snapshot).
 Every versioned artifact's shape is one declared table beside its
 renderer, checked by the single walker in
 :mod:`repro.obs.schema`; :mod:`repro.obs.artifacts` is the registry
@@ -56,7 +56,6 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
-    render_text,
     snapshot,
 )
 from repro.obs.kg_health import (
@@ -134,7 +133,6 @@ __all__ = [
     "trace_summary",
     "SNAPSHOT_SCHEMA",
     "snapshot",
-    "render_text",
     "WallProfiler",
     "wall_now",
     "EVENTS_SCHEMA",

@@ -1,4 +1,4 @@
-"""Registry exporters: JSON snapshot and text rendering.
+"""Registry exporter: the JSON snapshot.
 
 The JSON snapshot is the machine-readable contract (schema id
 ``repro.obs.metrics/v1``, table and cross-field checks in
@@ -23,7 +23,6 @@ __all__ = [
     "SCHEMA",
     "SNAPSHOT_SCHEMA",
     "snapshot",
-    "render_text",
 ]
 
 SNAPSHOT_SCHEMA = "repro.obs.metrics/v1"
@@ -72,42 +71,6 @@ def snapshot(registry: MetricsRegistry) -> dict:
             "samples": samples,
         })
     return {"schema": SNAPSHOT_SCHEMA, "metrics": metrics}
-
-
-def _format_value(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else f"{value:.6g}"
-
-
-def _label_suffix(labels: Mapping[str, str]) -> str:
-    parts = [f'{k}="{_escape(v)}"' for k, v in labels.items()]
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def render_text(registry: MetricsRegistry) -> str:
-    """Human-readable rendering of the registry (one line per sample)."""
-    lines = []
-    for family in registry.families():
-        header = f"# {family.name} ({family.kind})"
-        if family.help:
-            header += f" — {family.help}"
-        lines.append(header)
-        for labels, child in family.samples():
-            suffix = _label_suffix(labels)
-            if isinstance(child, Histogram):
-                lines.append(
-                    f"{family.name}{suffix} count={child.count} "
-                    f"sum={_format_value(child.sum)} min={_format_value(child.min)} "
-                    f"p50={_format_value(child.percentile(50))} "
-                    f"p99={_format_value(child.percentile(99))} "
-                    f"max={_format_value(child.max)}"
-                )
-            else:
-                lines.append(f"{family.name}{suffix} {_format_value(child.value)}")
-    return "\n".join(lines)
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
 
 
 _BUCKET = Obj({"le": BUCKET_BOUND, "count": COUNT},

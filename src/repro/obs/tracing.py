@@ -33,8 +33,7 @@ still exports a parent it does not hold as -1.
 
 Finished traces export as Chrome trace-event JSON (load into
 ``chrome://tracing`` / Perfetto) via :func:`chrome_trace` — cross-tracer
-parent links become flow events (``ph: "s"/"f"``) — or render as an
-indented text tree via :meth:`Tracer.render_tree`.
+parent links become flow events (``ph: "s"/"f"``).
 """
 
 from __future__ import annotations
@@ -425,20 +424,6 @@ class Tracer:
 
     def spans(self) -> list[Span]:
         return list(self._spans)
-
-    def render_tree(self) -> str:
-        """Indented text rendering of the retained spans."""
-        lines = []
-        for span in self._spans:
-            attrs = " ".join(f"{k}={v}" for k, v in span.attributes.items())
-            status = "" if span.status == "ok" else f" !{span.status}:{span.error_type}"
-            lines.append(
-                f"{'  ' * span.depth}{span.name}  {span.duration_s * 1000:.3f}ms"
-                + (f"  [{attrs}]" if attrs else "") + status
-            )
-        if self.dropped:
-            lines.append(f"... {self.dropped} span(s) dropped (max_spans={self.max_spans})")
-        return "\n".join(lines)
 
 
 def chrome_trace(tracers: Sequence[tuple[str, Tracer]]) -> dict:

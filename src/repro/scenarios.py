@@ -1,11 +1,11 @@
 """Scenario runner: one drive loop, one artifact writer, one exit-code rule.
 
-The CLI's ``cluster``, ``trace``, ``monitor``, ``rollout`` and
-``kghealth`` subcommands are :class:`Scenario` definitions — a setup
-(rig + phases), the artifacts to write and named expectation functions —
-played by :func:`run_scenario` over one :class:`Drive` state object.
-``obs`` (a pipeline plus a single service, not a cluster) shares
-:func:`write_artifacts`, :func:`check_accounting` and :func:`exit_code`.
+Every serving drive of the CLI — ``chaos``, ``obs``, ``cluster``,
+``trace``, ``monitor``, ``rollout`` and ``kghealth`` — is a
+:class:`Scenario` definition: a setup (rig + phases), the artifacts to
+write and named expectation functions, played by :func:`run_scenario` over
+one :class:`Drive` state object.  ``chaos`` and ``obs`` play a one-replica
+cluster; ``obs``'s setup first runs the pipeline whose COSMO-LM it serves.
 
 Exit codes: **2** when any invariant or scenario expectation failed
 (request accounting, a mixed-version answer, a tracing invariant, an
@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro import obs, refresh, serving
+from repro.core import CosmoPipeline, PipelineConfig
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.reporting import Table, format_percent
@@ -33,8 +35,8 @@ from repro.serving.chaos import ScriptedGenerator, response_ok
 from repro.utils.rng import spawn_rng
 
 __all__ = ["ARTIFACTS", "Drive", "Phase", "SCENARIOS", "Scenario",
-           "check_accounting", "exit_code", "run_scenario", "write_artifacts",
-           "zipf_traffic"]
+           "check_accounting", "exit_code", "play_scenario", "run_scenario",
+           "write_artifacts", "zipf_traffic"]
 
 #: Scrape grid of every monitored drive; a rollout advances one step per scrape.
 SCRAPE_INTERVAL_S = 0.5
@@ -47,11 +49,14 @@ class Phase:
     """One stretch of Zipf traffic and the conditions it runs under."""
 
     name: str
-    requests: int
+    requests: int | None                     #: Zipf draws; ``None`` plays ``universe`` once in order
     universe: Sequence[str]                  #: queries the Zipf draw ranks
+    new_day: bool = False                    #: roll the arrival clock one day first
     rolling: bool = False                    #: the rollout ticks once per scrape
     plan: serving.FaultPlan | None = None    #: re-plan every injector at phase start
     drain: str | None = None                 #: replica drained for the phase
+    #: end with a flush and the daily refresh, passing this ``refresh_stale``
+    refresh: bool | None = None
 
 
 def zipf_traffic(rng: np.random.Generator, universe: Sequence[str],
@@ -81,10 +86,15 @@ class Drive:
     controller: refresh.RolloutController | None = field(default=None, init=False)
     #: ground-truth answer per query
     truth: Callable[[str], str] | None = field(default=None, init=False)
+    #: report every phase's full tallies and each breaker (the chaos drives)
+    ledger: bool = field(default=False, init=False)
+    profiler: obs.WallProfiler | None = field(default=None, init=False)
     valid: int = field(default=0, init=False)       #: answers equal to ``truth(query)``
     violations: int = field(default=0, init=False)  #: mixed-version answers served
-    #: (name, requests, served share)
+    #: (name, the phase's :meth:`tallies`)
     phase_rows: list = field(default_factory=list, init=False)
+    #: phase name -> the phase's window of the cluster latency histogram
+    phase_latency: dict = field(default_factory=dict, init=False)
     artifacts: dict = field(default_factory=dict, init=False)   #: key -> rendered payload
 
     def run(self, traffic: Sequence[str], rolling: bool = False) -> None:
@@ -109,30 +119,50 @@ class Drive:
             if rolling and not self.controller.done:
                 self.controller.tick(ts)
 
-    def play(self, phases: Sequence[Phase], rng: np.random.Generator,
-             end_of_day: bool = False) -> None:
+    def play(self, phases: Sequence[Phase], rng: np.random.Generator) -> None:
         """Run every phase, then flush what is still queued or buffered."""
+        latency = self.registry.get("cluster_request_latency_seconds").labels(
+            cluster=self.cluster.config.name)
         for phase in phases:
             if phase.plan is not None:
                 for injector in self.injectors:
                     injector.plan = phase.plan
+            if phase.new_day:
+                self.cluster.clock.advance_days(1)
             if phase.drain is not None:
                 self.cluster.drain(phase.drain)
-            before = self.cluster.metrics_totals()
-            self.run(zipf_traffic(rng, phase.universe, phase.requests),
+            before = self.tallies()
+            earlier = obs.Histogram(latency.bounds).merge(latency)
+            self.run(list(phase.universe) if phase.requests is None else
+                     zipf_traffic(rng, phase.universe, phase.requests),
                      rolling=phase.rolling)
             if phase.drain is not None:
                 self.cluster.restore(phase.drain)
-            after = self.cluster.metrics_totals()
-            requests = after["requests"] - before["requests"]
-            served = (after["served_fresh"] + after["degraded_serves"]
-                      - before["served_fresh"] - before["degraded_serves"])
-            self.phase_rows.append((phase.name, requests, served / max(requests, 1)))
+            if phase.refresh is not None:
+                self.cluster.flush()
+                self.cluster.daily_refresh(refresh_stale=phase.refresh)
+            self.phase_rows.append((phase.name, self.tallies() - before))
+            self.phase_latency[phase.name] = latency.delta(earlier)
         self.cluster.flush()
         if self.cluster.sampler is not None:
             self.cluster.sampler.flush()
-        if end_of_day:
-            self.cluster.daily_refresh(refresh_stale=False)
+
+    def tallies(self) -> Counter:
+        """Run-cumulative counts that a phase row diffs: the cluster's
+        request accounting, ``valid`` and, summed over replicas, what the
+        generator calls cost, dead letters, pending evictions and breaker
+        transitions."""
+        counts = Counter(self.cluster.metrics_totals(), valid=self.valid)
+        for service in self.cluster.services.values():
+            metrics, breaker = service.metrics, service.breaker
+            counts.update(
+                retries=metrics.retries, generator_failures=metrics.generator_failures,
+                rejected_generations=metrics.rejected_generations,
+                dead_lettered=metrics.dead_lettered, redriven=metrics.redriven,
+                pending_evictions=service.cache.stats.pending_evictions,
+                breaker_opens=breaker.opens if breaker is not None else 0,
+                breaker_closes=breaker.closes if breaker is not None else 0)
+        return counts
 
     def gate_decision(self):
         """The quality gate's verdict on the rollout target (cached by the ticks)."""
@@ -337,6 +367,51 @@ def expect_gate_blocks(drive: Drive) -> list[str]:
                        absent=("rollout.start",)))
 
 
+def _knowledge_held(drive: Drive, names: Sequence[str]) -> list[tuple[bool, str]]:
+    """At least 99% correct knowledge in each phase named in ``names``."""
+    return [(_share(counts, "valid") >= 0.99,
+             f"{name}: {_share(counts, 'valid'):.1%} correct knowledge, under 99%")
+            for name, counts in drive.phase_rows if name in names]
+
+
+def _phases_summed(drive: Drive) -> Counter:
+    return sum((counts for _, counts in drive.phase_rows), Counter())
+
+
+def expect_resilience_keeps_knowledge(drive: Drive) -> list[str]:
+    """Past the cold sweep (the first phase), retries and degraded
+    serving keep answers correct."""
+    return _failed(*_knowledge_held(
+        drive, [name for name, _ in drive.phase_rows[1:]]))
+
+
+def expect_baseline_falls_back(drive: Drive) -> list[str]:
+    """The unprotected arm never retries or serves stale, so a miss falls back."""
+    totals = _phases_summed(drive)
+    return _failed(
+        (totals["fallbacks"], "baseline served no fallback"),
+        (not totals["degraded_serves"], "baseline served degraded answers"),
+        (not totals["retries"], "baseline retried generator calls"))
+
+
+def expect_breaker_recovers(drive: Drive) -> list[str]:
+    """The breaker opens under the outage, fails fast and closes again;
+    degraded serving holds knowledge throughout, and the end-of-run
+    refresh re-drives every dead letter."""
+    totals = _phases_summed(drive)
+    breakers = [service.breaker for service in drive.cluster.services.values()]
+    return _failed(
+        *((breaker.opens and breaker.closes and breaker.refusals,
+           "breaker never opened, failed fast and closed")
+          for breaker in breakers),
+        *((breaker.state is serving.BreakerState.CLOSED,
+           f"breaker ends {breaker.state.value}") for breaker in breakers),
+        *_knowledge_held(drive, ("outage", "recovery")),
+        (totals["dead_lettered"], "the outage dead-lettered nothing"),
+        (totals["redriven"] == totals["dead_lettered"],
+         f"redriven {totals['redriven']} of {totals['dead_lettered']} dead letters"))
+
+
 # -- setups: the rig and the phases of each scenario -------------------------
 def _queries(count: int, prefix: str = "query") -> list[str]:
     return [f"{prefix} {i:03d}" for i in range(count)]
@@ -346,13 +421,16 @@ def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
          plan: serving.FaultPlan | None, *, gap_s: float = 0.005, batch: int = 16,
          depth: int = 300, events: bool = True,
          sampler: obs.TailSampler | None = None,
-         slo_specs: list[obs.SloSpec] | None = None) -> Drive:
+         slo_specs: list[obs.SloSpec] | None = None, resilience: bool = True,
+         response_validator: Callable[[str], bool] | None = response_ok) -> Drive:
     """Registry → event log → cluster (→ SLO evaluator + scrape collector
-    when ``slo_specs`` are given), one generator per replica.
+    when ``slo_specs`` are given), one generator per replica: ``--replicas``
+    of them, or one for a drive without that flag.
 
     With a ``plan`` each generator sits behind a ``FlakyGenerator`` whose
     injector is seeded ``seed + index``; the injectors land on the drive
-    so a phase can re-plan them.
+    so a phase can re-plan them.  ``resilience`` and ``response_validator``
+    configure every replica's ``CosmoService``.
     """
     injectors: list[serving.FaultInjector] = []
 
@@ -364,13 +442,13 @@ def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
         return serving.FlakyGenerator(generator, injectors[-1])
 
     config = serving.ClusterConfig(
-        n_replicas=args.replicas, max_batch_size=batch, max_batch_delay_s=0.25,
-        max_queue_depth=depth, seed=args.seed)
+        n_replicas=getattr(args, "replicas", 1), max_batch_size=batch,
+        max_batch_delay_s=0.25, max_queue_depth=depth, seed=args.seed)
     registry = obs.MetricsRegistry()
     cluster = serving.CosmoCluster(
         factory, config=config, registry=registry,
-        event_log=obs.EventLog() if events else None,
-        sampler=sampler, response_validator=response_ok)
+        event_log=obs.EventLog() if events else None, sampler=sampler,
+        resilience=resilience, response_validator=response_validator)
     tracers = [(config.name, cluster.tracer)] + [
         (replica_id, service.tracer)
         for replica_id, service in cluster.services.items()]
@@ -393,11 +471,66 @@ def _preload(drive: Drive, n_queries: int) -> None:
                                   for query in _queries(n_queries)})
 
 
+def _chaos_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
+    """One replica behind fault injection, answers checked against the
+    scripted ground truth.
+
+    ``resilient`` and ``baseline`` (no retries, breaker or degraded
+    serving) sweep the universe once, then play three Zipf days under the
+    ``--fault-rate`` mix, each ending in the daily refresh with stale
+    features regenerated; the first day warms the daily layers.
+    ``outage`` plays calm → total outage → recovery, each on a new day so
+    the daily layer has expired: the breaker opens, fails fast and closes
+    through half-open probes, and the one refresh at the end re-drives
+    what the outage dead-lettered.
+    """
+    outage = args.scenario == "outage"
+    calm = serving.FaultPlan()
+    drive = _rig(args, ScriptedGenerator,
+                 calm if outage else serving.FaultPlan.mixed(args.fault_rate),
+                 events=False, resilience=args.scenario != "baseline")
+    drive.truth = ScriptedGenerator.knowledge_for
+    drive.ledger = True
+    queries = _queries(40 if outage else 200)
+    sweep = Phase("sweep", None, queries)
+    if outage:
+        return drive, [
+            sweep,
+            Phase("calm", 360, queries, new_day=True, plan=calm),
+            Phase("outage", 600, queries, new_day=True,
+                  plan=serving.FaultPlan(error_rate=1.0)),
+            Phase("recovery", 600, queries, new_day=True, plan=calm, refresh=False),
+        ]
+    return drive, [sweep] + [Phase(f"day {day}", 1500, queries, refresh=True)
+                             for day in range(3)]
+
+
+def _obs_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
+    """A pipeline run under tracing, then one serving day of its COSMO-LM
+    on one replica: Zipf traffic over the world's broad queries, ranked
+    by popularity.  COSMO-LM's free text gets the service's default
+    validator, which rejects only empty answers."""
+    print(f"Pipeline run under tracing (seed={args.seed}, scale={args.scale})...")
+    pipeline = CosmoPipeline(
+        PipelineConfig.at_scale(args.seed, args.scale, args.lm_epochs))
+    profiler = obs.WallProfiler()
+    with profiler.section("pipeline.run"):
+        result = pipeline.run()
+    drive = _rig(args, lambda: result.cosmo_lm, None, events=False,
+                 response_validator=None)
+    drive.tracers.insert(0, ("pipeline", pipeline.tracer))
+    drive.profiler = profiler
+    queries = sorted(result.world.queries.broad(), key=lambda q: -q.popularity)
+    return drive, [Phase("day", args.requests, [query.text for query in queries],
+                         refresh=False)]
+
+
 def _cluster_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
     drive = _rig(args, ScriptedGenerator, _mixed_plan(args), gap_s=0.001,
                  depth=500, events=False)
     drive.truth = ScriptedGenerator.knowledge_for
-    return drive, [Phase("drive", args.requests, _queries(args.n_queries))]
+    return drive, [Phase("drive", args.requests, _queries(args.n_queries),
+                         refresh=False)]
 
 
 def _trace_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
@@ -563,10 +696,14 @@ def _report(drive: Drive, title: str) -> None:
         table.add_row("Mixed-version answers", drive.violations)
     print(table.render())
 
-    phase_table = Table("Phase availability", ["Phase", "Requests", "Served"])
-    for name, requests, availability in drive.phase_rows:
-        phase_table.add_row(name, requests, format_percent(availability))
-    print(phase_table.render())
+    if drive.ledger:
+        _ledger(drive)
+    else:
+        phase_table = Table("Phase availability", ["Phase", "Requests", "Served"])
+        for name, counts in drive.phase_rows:
+            phase_table.add_row(name, counts["requests"], format_percent(
+                _share(counts, "served_fresh", "degraded_serves")))
+        print(phase_table.render())
 
     if sampler is not None:
         stage_table = Table("Where the latency goes (self time across traces)",
@@ -603,6 +740,52 @@ def _report(drive: Drive, title: str) -> None:
                   f"{len(alert.event_ids)} correlated event(s))")
         fired = drive.evaluator.any_fired
         print(f"SLO verdict: {'ALERTS FIRED' if fired else 'no alerts fired'}")
+    if drive.profiler is not None:
+        print(drive.profiler.report())
+
+
+def _share(counts: Counter, *keys: str) -> float:
+    """The ``keys``' summed count per request of a phase row's ``counts``."""
+    return sum(counts[key] for key in keys) / max(counts["requests"], 1)
+
+
+#: The ledger's rows: label and the tally keys it shows (a share of the
+#: phase's requests when marked, else ``a / b`` counts).
+_LEDGER_ROWS = (
+    ("Served (fresh + degraded)", ("served_fresh", "degraded_serves"), True),
+    ("Correct knowledge", ("valid",), True),
+    ("Degraded serves", ("degraded_serves",), False),
+    ("Fallbacks", ("fallbacks",), False),
+    ("Retries", ("retries",), False),
+    ("Generator failures", ("generator_failures",), False),
+    ("Rejected generations", ("rejected_generations",), False),
+    ("Dead-lettered / redriven", ("dead_lettered", "redriven"), False),
+    ("Pending evictions", ("pending_evictions",), False),
+    ("Breaker opens / closes", ("breaker_opens", "breaker_closes"), False),
+)
+
+
+def _ledger(drive: Drive) -> None:
+    """Every phase's tallies side by side, then each replica's breaker."""
+    table = Table("Per-phase tallies",
+                  ["Metric"] + [name for name, _ in drive.phase_rows])
+    table.add_row("Requests", *(counts["requests"] for _, counts in drive.phase_rows))
+    for label, keys, share in _LEDGER_ROWS:
+        table.add_row(label, *(
+            format_percent(_share(counts, *keys)) if share
+            else " / ".join(str(counts[key]) for key in keys)
+            for _, counts in drive.phase_rows))
+    table.add_row("p50 / p99 latency", *(
+        f"{drive.phase_latency[name].percentile(50) * 1000:.1f} / "
+        f"{drive.phase_latency[name].percentile(99) * 1000:.1f} ms"
+        for name, _ in drive.phase_rows))
+    print(table.render())
+    for replica_id, service in drive.cluster.services.items():
+        breaker = service.breaker
+        if breaker is not None:
+            print(f"breaker {replica_id}: {breaker.opens} open(s), "
+                  f"{breaker.closes} close(s), {breaker.refusals} fast "
+                  f"refusal(s), final state {breaker.state.value}")
 
 
 # -- scenarios -------------------------------------------------------------
@@ -620,46 +803,60 @@ class Scenario:
     setup: Callable[[argparse.Namespace], tuple[Drive, list[Phase]]]
     artifacts: tuple[str, ...]
     expectations: dict[str, tuple[Expectation, ...]]
-    end_of_day: bool = False     #: run the daily refresh before the artifacts
 
 
 SCENARIOS = {scenario.command: scenario for scenario in (
+    Scenario("chaos", "Chaos",
+             "fault-injected serving against ground truth (resilience ablation)",
+             {"fault_rate": 0.1}, _chaos_setup, (),
+             {"resilient": (expect_resilience_keeps_knowledge,),
+              "baseline": (expect_baseline_falls_back,),
+              "outage": (expect_breaker_recovers,)}),
+    Scenario("obs", "Observability",
+             "run a small pipeline + serving day under tracing; dump artifacts",
+             {"scale": 0.3, "lm_epochs": 4, "requests": 600},
+             _obs_setup, ("trace", "metrics"), {"": (expect_nested_pipeline_spans,)}),
     Scenario("cluster", "Cluster",
              "drive a sharded multi-replica serving cluster; dump artifacts",
-             {"requests": 2000, "n_queries": 150, "fault_rate": 0.0},
+             {"replicas": 3, "requests": 2000, "n_queries": 150, "fault_rate": 0.0},
              _cluster_setup, ("trace", "metrics"),
-             {"": (expect_replica_processes_and_cluster_metrics,)}, end_of_day=True),
+             {"": (expect_replica_processes_and_cluster_metrics,)}),
     Scenario("trace", "Tracing",
              "request tracing: trace trees, tail sampling, exemplars, critical paths",
-             {"requests": 400, "n_queries": 120, "fault_rate": 0.15},
+             {"replicas": 3, "requests": 400, "n_queries": 120, "fault_rate": 0.15},
              _trace_setup, ("trace", "summary", "events"),
              {"": (expect_connected_traces, expect_trace_ids_resolve)}),
     Scenario("monitor", "Monitoring",
              "time series, SLO alerts and event log over calm/storm/recovery phases",
-             {"requests_per_phase": 600, "n_queries": 120},
+             {"replicas": 3, "requests_per_phase": 600, "n_queries": 120},
              _monitor_setup, ("timeline", "alerts", "events"),
              {"chaos": (expect_storm_alerts_resolve_and_correlate,), "clean": ()}),
     Scenario("rollout", "Rollout",
              "blue/green snapshot rollout with SLO-guarded auto-rollback",
-             {"requests_per_phase": 700, "n_queries": 120},
+             {"replicas": 3, "requests_per_phase": 700, "n_queries": 120},
              _rollout_setup, ("timeline", "alerts", "events"),
              {"healthy": (expect_rollout_completes_quietly,),
               "poisoned": (expect_rollback_and_redrive,)}),
     Scenario("kghealth", "KG health",
              "snapshot drift detection and quality-gated rollout",
-             {"requests_per_phase": 500, "n_queries": 120},
+             {"replicas": 3, "requests_per_phase": 500, "n_queries": 120},
              _kghealth_setup, ("health", "events"),
              {"healthy": (expect_gate_promotes,), "poisoned": (expect_gate_blocks,)}),
 )}
 
 
-def run_scenario(scenario: Scenario, args: argparse.Namespace) -> int:
-    """Set up, play, write, report, check — the one path every drive takes."""
-    variant = getattr(args, "scenario", "")
+def play_scenario(scenario: Scenario, args: argparse.Namespace) -> Drive:
+    """Set up, play and write: the drive state the report and checks read."""
     drive, phases = scenario.setup(args)
-    drive.play(phases, spawn_rng(args.seed, f"{scenario.command}-traffic"),
-               end_of_day=scenario.end_of_day)
+    drive.play(phases, spawn_rng(args.seed, f"{scenario.command}-traffic"))
     write_artifacts(drive, scenario.artifacts, args)
+    return drive
+
+
+def run_scenario(scenario: Scenario, args: argparse.Namespace) -> int:
+    """Play, report, check — the one path every drive takes."""
+    variant = getattr(args, "scenario", "")
+    drive = play_scenario(scenario, args)
     _report(drive, scenario.title)
 
     failures = check_accounting(drive.cluster.metrics_totals())

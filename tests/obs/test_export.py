@@ -1,15 +1,11 @@
-"""Exporters: JSON snapshot schema and the text rendering."""
+"""Exporter: the JSON snapshot schema."""
 
 import json
 
 import pytest
 
 from repro.obs import validate
-from repro.obs.export import (
-    SNAPSHOT_SCHEMA,
-    render_text,
-    snapshot,
-)
+from repro.obs.export import SNAPSHOT_SCHEMA, snapshot
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -53,16 +49,6 @@ def test_snapshot_is_deterministic_and_sorted():
     assert first == second
     names = [m["name"] for m in snapshot(_populated_registry())["metrics"]]
     assert names == sorted(names)
-
-
-def test_render_text_one_line_per_sample():
-    text = render_text(_populated_registry())
-    assert 'requests_total{service="a"} 3' in text
-    assert "jobs_total 4" in text
-    assert "count=4" in text and "p99=" in text
-    registry = MetricsRegistry()
-    registry.counter("c_total", "", ("k",)).labels(k='a"b\\c\nd').inc()
-    assert 'c_total{k="a\\"b\\\\c\\nd"} 1' in render_text(registry)
 
 
 def test_snapshot_carries_bucket_exemplars():

@@ -21,8 +21,9 @@ from repro.refresh import (
     rollout_slo_specs,
 )
 from repro.scenarios import Drive
-from repro.serving import ClusterConfig, CosmoCluster, FaultInjector, FaultPlan
-from repro.serving.chaos import FlakyGenerator, response_ok
+from repro.serving import (ClusterConfig, CosmoCluster, FaultInjector, FaultPlan,
+                           FlakyGenerator)
+from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
 
 SCRAPE_S = 0.5

@@ -172,17 +172,22 @@ KEPT_OPTIONS = (
       "tests/serving/test_degradation.py::"
       "test_exhausted_retries_dead_letter_and_daily_refresh_redrives")),
     (("CircuitBreaker.failure_threshold", "CircuitBreaker.cooldown_s",
-      "CircuitBreaker.half_open_probes"),
-     "failure boundary: tests open, cool down and probe a breaker in a few calls",
+      "CircuitBreaker.half_open_probes", "CircuitBreaker.window",
+      "CircuitBreaker.min_calls", "CosmoService.breaker"),
+     "failure boundary: tests open, cool down and probe a breaker in a few calls, "
+     "or hand a service one that never opens",
      ("tests/serving/test_resilience.py::test_breaker_trips_at_failure_threshold",
-      "tests/serving/test_resilience.py::test_breaker_half_open_probe_cycle")),
+      "tests/serving/test_resilience.py::test_breaker_half_open_probe_cycle",
+      "tests/serving/test_degradation.py::test_breaker_refusal_leaves_queries_pending",
+      "tests/serving/test_degradation.py::"
+      "test_exhausted_retries_dead_letter_and_daily_refresh_redrives")),
     (("RefreshConfig.llm_call_budget",),
      "LLM-call budget per refresh round: a test sets it to reach deferral",
      ("tests/refresh/test_builder.py::test_budget_defers_overflow_to_next_round",)),
     (("cli build-kg --seed", "cli build-kg --scale", "cli build-kg --lm-epochs",
       "cli build-kg --out", "cli inspect-kg --sample", "cli generate --seed",
       "cli generate --scale", "cli generate --lm-epochs", "cli chaos --seed",
-      "cli chaos --fault-rate", "cli chaos --no-resilience", "cli chaos --outage-demo",
+      "cli chaos --fault-rate",
       "cli cluster --replicas", "cli trace --replicas", "cli trace --seed",
       "cli trace --requests", "cli trace --n-queries", "cli trace --fault-rate",
       "cli kghealth --seed", "cli monitor --replicas",

@@ -123,16 +123,17 @@ def test_cluster_artifacts_valid_and_deterministic(tmp_path, capsys):
 
 
 def test_chaos_table_prints_the_report_pending_evictions(capsys):
-    from repro.serving.chaos import ChaosConfig, run_chaos
+    from tests.test_scenarios import _played
 
-    assert main(["chaos", "--seed", "0", "--no-resilience"]) == 0
+    assert main(["chaos", "--seed", "0", "--scenario", "baseline"]) == 0
     rows = {}
     for line in capsys.readouterr().out.splitlines():
         if "|" in line:
-            metric, value = line.split("|", 1)
-            rows[metric.strip()] = value.strip()
-    report = run_chaos(ChaosConfig(fault_rate=0.1, resilience=False, seed=0))
-    assert rows["Pending evictions"] == str(report.pending_evictions)
+            metric, *values = (cell.strip() for cell in line.split("|"))
+            rows[metric] = values
+    drive = _played("chaos", "--seed", "0", "--scenario", "baseline")
+    assert rows["Pending evictions"] == [
+        str(counts["pending_evictions"]) for _, counts in drive.phase_rows]
 
 
 def test_cluster_rejects_bad_fault_rate(capsys):
@@ -418,6 +419,8 @@ def test_kghealth_poisoned_with_mixed_version_answer_exits_2(monkeypatch, capsys
 _DRIVES = ("cluster", "trace", "monitor", "rollout", "kghealth")
 _REMOVED_FLAGS = [
     ("obs", "--chunk", "100"),
+    ("chaos", "--no-resilience", None),
+    ("chaos", "--outage-demo", None),
     *[(drive, flag, "1") for drive in _DRIVES
       for flag in ("--inter-arrival-ms", "--max-batch-size",
                    "--max-batch-delay-s", "--max-queue-depth")],
@@ -439,8 +442,8 @@ def test_removed_flags_are_rejected(command, flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
-def test_removed_flags_cover_all_twelve_names():
-    assert len({flag for _, flag, _ in _REMOVED_FLAGS}) == 12
+def test_removed_flags_cover_all_fourteen_names():
+    assert len({flag for _, flag, _ in _REMOVED_FLAGS}) == 14
 
 
 @pytest.mark.parametrize("argv,dest,value", [
@@ -461,6 +464,8 @@ def test_removed_flags_cover_all_twelve_names():
     (["kghealth", "--seed", "3", "--scenario", "poisoned", "--replicas", "2",
       "--requests-per-phase", "9", "--n-queries", "5", "--out-health", "h",
       "--out-events", "e"], "out_health", "h"),
+    (["chaos", "--seed", "3", "--scenario", "outage", "--fault-rate", "0.2"],
+     "scenario", "outage"),
 ])
 def test_kept_flags_still_parse(argv, dest, value):
     args = build_parser().parse_args(argv)
@@ -470,6 +475,7 @@ def test_kept_flags_still_parse(argv, dest, value):
 
 def test_scenario_defaults_are_unchanged():
     parse = build_parser().parse_args
+    assert (parse(["chaos"]).scenario, parse(["chaos"]).fault_rate) == ("resilient", 0.1)
     assert parse(["monitor"]).scenario == "chaos"
     assert parse(["rollout"]).scenario == "healthy"
     assert parse(["kghealth"]).scenario == "healthy"

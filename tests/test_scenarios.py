@@ -4,13 +4,13 @@ both passes on the drive it belongs to and fails on one it must reject
 
 import copy
 import functools
+from collections import Counter
 
 import pytest
 
-from repro import scenarios
+from repro import obs, scenarios
 from repro.cli import build_parser
 from repro.scenarios import Drive
-from repro.utils.rng import spawn_rng
 
 @functools.cache
 def _played(*argv: str) -> Drive:
@@ -18,12 +18,7 @@ def _played(*argv: str) -> Drive:
     phases and rendered its artifacts (cached: tests only read a drive,
     doctored copies are made with :func:`_doctored`)."""
     args = build_parser().parse_args(list(argv))
-    scenario = scenarios.SCENARIOS[args.command]
-    drive, phases = scenario.setup(args)
-    drive.play(phases, spawn_rng(args.seed, f"{args.command}-traffic"),
-               end_of_day=scenario.end_of_day)
-    scenarios.write_artifacts(drive, scenario.artifacts, args)
-    return drive
+    return scenarios.play_scenario(scenarios.SCENARIOS[args.command], args)
 
 
 def _doctored(drive: Drive, key: str, edit) -> Drive:
@@ -37,6 +32,8 @@ def _doctored(drive: Drive, key: str, edit) -> Drive:
     return doctored
 
 
+_CHAOS = ("chaos", "--seed", "0", "--scenario")
+_OBS = ("obs", "--seed", "3", "--scale", "0.12", "--lm-epochs", "1", "--requests", "120")
 _CLUSTER = ("cluster", "--seed", "3", "--requests", "300", "--n-queries", "40",
             "--fault-rate", "0.1")
 _TRACE = ("trace", "--seed", "5", "--replicas", "2", "--requests", "200",
@@ -48,8 +45,9 @@ _ROLLOUT_HEALTHY = ("rollout", "--seed", "0", "--scenario", "healthy")
 _ROLLOUT_POISONED = ("rollout", "--seed", "0", "--scenario", "poisoned")
 _KGHEALTH = ("kghealth", "--seed", "0", "--replicas", "2", "--n-queries", "48",
              "--requests-per-phase", "400", "--scenario")
-#: The eight cached drives: every scenario in every ``--scenario`` variant.
-_DRIVES = (_CLUSTER, _TRACE, _MONITOR_CHAOS, _MONITOR_CLEAN, _ROLLOUT_HEALTHY,
+#: The twelve cached drives: every scenario in every ``--scenario`` variant.
+_DRIVES = (_CHAOS + ("resilient",), _CHAOS + ("baseline",), _CHAOS + ("outage",),
+           _OBS, _CLUSTER, _TRACE, _MONITOR_CHAOS, _MONITOR_CLEAN, _ROLLOUT_HEALTHY,
            _ROLLOUT_POISONED, _KGHEALTH + ("healthy",), _KGHEALTH + ("poisoned",))
 
 
@@ -78,6 +76,10 @@ def test_every_scenario_expectation_holds_on_its_own_drive():
     # (The CLI tests assert the exit codes; this names the function when
     # one of them regresses.)
     own = {
+        ("chaos", "resilient"): _CHAOS + ("resilient",),
+        ("chaos", "baseline"): _CHAOS + ("baseline",),
+        ("chaos", "outage"): _CHAOS + ("outage",),
+        ("obs", ""): _OBS,
         ("cluster", ""): _CLUSTER,
         ("trace", ""): _TRACE,
         ("monitor", "chaos"): _MONITOR_CHAOS,
@@ -117,6 +119,20 @@ def test_every_retained_span_keeps_its_parent():
     assert children > 0
 
 
+def test_phase_latency_windows_partition_the_drive_histogram():
+    """Each phase's latency window holds exactly the requests the phase
+    handled, and the windows' buckets add up to the cluster histogram."""
+    for argv in _DRIVES:
+        drive = _played(*argv)
+        latency = drive.registry.get("cluster_request_latency_seconds").labels(
+            cluster=drive.cluster.config.name)
+        merged = obs.Histogram(latency.bounds)
+        for name, counts in drive.phase_rows:
+            assert drive.phase_latency[name].count == counts["handled"], (argv[:1], name)
+            merged.merge(drive.phase_latency[name])
+        assert merged.bucket_counts() == latency.bucket_counts(), argv[:1]
+
+
 # -- each expectation rejects the outcome it exists to catch ---------------
 @pytest.mark.parametrize("expectation,argv,complaint", [
     (scenarios.expect_storm_alerts_resolve_and_correlate, _MONITOR_CLEAN,
@@ -129,6 +145,12 @@ def test_every_retained_span_keeps_its_parent():
      "healthy gate must promote"),
     (scenarios.expect_gate_blocks, _KGHEALTH + ("healthy",),
      "poisoned gate must block"),
+    (scenarios.expect_resilience_keeps_knowledge, _CHAOS + ("baseline",),
+     "correct knowledge, under 99%"),
+    (scenarios.expect_baseline_falls_back, _CHAOS + ("resilient",),
+     "baseline served degraded answers"),
+    (scenarios.expect_breaker_recovers, _CHAOS + ("resilient",),
+     "breaker never opened, failed fast and closed"),
 ])
 def test_outcome_expectations_fail_on_the_other_variant(expectation, argv, complaint):
     failures = expectation(_played(*argv))
@@ -142,6 +164,23 @@ def test_storm_expectation_names_each_missing_piece():
             "resolved alerts should cross-reference events",
             "missing event kind: breaker.open",
             "missing event kind: router.drain"} <= set(failures)
+
+
+def test_chaos_expectations_name_each_missing_piece():
+    resilient = _played(*_CHAOS, "resilient")
+    assert set(scenarios.expect_baseline_falls_back(resilient)) == {
+        "baseline served degraded answers", "baseline retried generator calls"}
+    assert set(scenarios.expect_breaker_recovers(resilient)) == {
+        "breaker never opened, failed fast and closed",
+        "the outage dead-lettered nothing"}
+    # The per-phase check names the phase; the cold sweep is exempt.
+    failures = scenarios.expect_resilience_keeps_knowledge(_played(*_CHAOS, "baseline"))
+    assert failures and all(failure.startswith("day ") for failure in failures)
+    unfinished = copy.copy(_played(*_CHAOS, "outage"))
+    unfinished.phase_rows = [(name, counts - Counter(redriven=counts["redriven"]))
+                             for name, counts in unfinished.phase_rows]
+    assert scenarios.expect_breaker_recovers(unfinished) == [
+        "redriven 0 of 32 dead letters"]
 
 
 def test_rollout_expectations_flag_the_unexpected_event_too():

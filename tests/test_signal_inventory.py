@@ -1,7 +1,7 @@
 """The signal inventory (ROADMAP 5(c)): every metric family, event kind and
 span name the seeded drives emit, with the reader of each.
 
-``INVENTORY`` is the list of record.  The drives are the five ``SCENARIOS``
+``INVENTORY`` is the list of record.  The drives are the seven ``SCENARIOS``
 in every ``--scenario`` variant (the cached drives of ``test_scenarios``)
 plus the session's one ``CosmoPipeline`` run.  The test fails when a drive
 emits a signal with no row, a row names no consumer, a row is never
@@ -12,7 +12,7 @@ A consumer is code outside the signal's own module and outside ``tests/``
 that reads *that* value: an ``SloSpec`` selector, a scenario expectation or
 ``_report`` row, ``_STAGE_PREFIXES`` for a span, a CLI print, a bench
 column.  The generic carriers (``obs.snapshot``, ``timeline``,
-``render_text``, ``chrome_trace``, ``render_events``) export everything
+``chrome_trace``, ``render_events``) export everything
 and count for nothing, so no row names one of them or ``tests/``.  Alert
 correlation is the designed reader of an event kind nothing more specific
 reads; every span name has a reader of its own.
@@ -50,6 +50,8 @@ _CORRELATION = "SloEvaluator alert correlation (alert event_ids; designed reader
 _STAGES = "obs/trace_query.py::_STAGE_PREFIXES"
 _PIPELINE_CHILD = ("scenarios.expect_nested_pipeline_spans (needs a span "
                    "nested under pipeline.run)")
+_TALLIES = "scenarios.Drive.tallies"
+_LEDGER = f"{_TALLIES} -> scenarios._ledger"
 
 INVENTORY = (
     # -- metric families -----------------------------------------------------
@@ -62,17 +64,18 @@ INVENTORY = (
     Row("serving_degraded_serves_total", "counter", ("service",), 3, _AVAILABILITY),
     Row("serving_fallbacks_total", "counter", ("service",), 3, _AVAILABILITY),
     Row("serving_retries_total", "counter", ("service",), 3,
-        f"{_PERF} reads metrics.retries; cli chaos 'Retries' row"),
+        f"{_PERF} reads metrics.retries; {_LEDGER} 'Retries' row; "
+        "scenarios.expect_baseline_falls_back; bench_ablation_resilience"),
     Row("serving_generator_failures_total", "counter", ("service",), 3,
-        "serving/chaos.py::_counters -> cli chaos 'Generator failures' row"),
+        f"{_LEDGER} 'Generator failures' row"),
     Row("serving_rejected_generations_total", "counter", ("service",), 3,
-        "serving/chaos.py::_counters -> cli chaos 'Rejected generations' row; "
-        "bench_ablation_resilience"),
+        f"{_LEDGER} 'Rejected generations' row"),
     Row("serving_dead_lettered_total", "counter", ("service",), 3,
         f"{_PERF} reads metrics.dead_lettered; scenarios._report "
         "'Dead-lettered / redriven' row"),
     Row("serving_redriven_total", "counter", ("service",), 3,
-        "scenarios._report 'Dead-lettered / redriven' row; cli chaos"),
+        "scenarios._report 'Dead-lettered / redriven' row; "
+        f"{_TALLIES} -> scenarios.expect_breaker_recovers"),
     Row("serving_request_latency_seconds", "histogram", ("service",), 3,
         "benchmarks/bench_fig5_serving.py reads it by name (p50/p99 columns)"),
     Row("cluster_requests_total", "counter", ("cluster",), 1,
@@ -91,8 +94,8 @@ INVENTORY = (
         f"bench_monitor_overhead); {_PERF} reads cache.stats.requests / "
         ".layer1_hits / .layer2_hits; bench_fig5_serving by name"),
     Row("cache_pending_evictions_total", "counter", ("store",), 3,
-        "serving/chaos.py::_counters reads cache.stats.pending_evictions "
-        "-> cli chaos 'Pending evictions' row"),
+        f"{_TALLIES} reads cache.stats.pending_evictions -> scenarios._ledger "
+        "'Pending evictions' row"),
     # -- event kinds ---------------------------------------------------------
     _event("breaker.open", "scenarios.expect_storm_alerts_resolve_and_correlate"),
     _event("cluster.flush", _CORRELATION),
@@ -133,6 +136,7 @@ INVENTORY = (
     _span("resilience.attempt", f"{_STAGES} 'resilience.attempt'"),
     _span("resilience.backoff", f"{_STAGES} 'resilience.backoff'"),
     _span("serving.cache_serve", f"{_STAGES} 'serving.cache'"),
+    _span("serving.degraded_serve", f"{_STAGES} 'serving.degraded'"),
     _span("serving.fallback_serve", f"{_STAGES} 'serving.fallback'"),
     _span("serving.run_batch", f"{_STAGES} 'serving.run_batch'"),
 )
@@ -164,8 +168,7 @@ def measure(registries=(), event_logs=(), tracers=()) -> dict:
 
 #: Readers that count for nothing: a test, or a carrier exporting everything
 #: (all but ``timeline``, a word that also names real readers' inputs).
-_NOT_CONSUMERS = ("tests/", "chrome_trace", "obs.snapshot", "render_text",
-                  "render_events")
+_NOT_CONSUMERS = ("tests/", "chrome_trace", "obs.snapshot", "render_events")
 
 
 def audit(inventory, measured: dict) -> list[str]:

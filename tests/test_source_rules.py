@@ -340,7 +340,7 @@ def clock_injection(tree, path):
     """One simulated timeline per scenario: ``SimClock`` is built only by the
     sanctioned factories and injected everywhere else."""
     for node in _constructions(tree, path, "SimClock",
-                               ("repro.cli", "repro.serving.clock", "repro.serving.chaos")):
+                               ("repro.cli", "repro.serving.clock")):
         yield node, ("SimClock constructed outside a sanctioned factory couples this "
                      "component to a private timeline; accept an injected clock "
                      "(clock: SimClock | None = None) or derive one with clock.fork()")
