@@ -59,7 +59,7 @@ class GenerationBatch:
 
     generations: list[Generation | None]
     attempts: int = 1
-    errors: int = 0
+    errors: int = field(default=0, init=False)
     retries: int = field(default=0, init=False)
     rejected: int = field(default=0, init=False)
     breaker_refused: bool = field(default=False, init=False)

@@ -58,7 +58,6 @@ _STAGE_PREFIXES: tuple[tuple[str, str], ...] = (
     ("serving.fallback", "degradation"),
     ("resilience.backoff", "retry"),
     ("resilience.attempt", "generation"),
-    ("serving.generate", "generation"),
 )
 
 

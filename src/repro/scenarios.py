@@ -86,8 +86,6 @@ class Drive:
     controller: refresh.RolloutController | None = field(default=None, init=False)
     #: ground-truth answer per query
     truth: Callable[[str], str] | None = field(default=None, init=False)
-    #: report every phase's full tallies and each breaker (the chaos drives)
-    ledger: bool = field(default=False, init=False)
     profiler: obs.WallProfiler | None = field(default=None, init=False)
     valid: int = field(default=0, init=False)       #: answers equal to ``truth(query)``
     violations: int = field(default=0, init=False)  #: mixed-version answers served
@@ -160,8 +158,7 @@ class Drive:
                 rejected_generations=metrics.rejected_generations,
                 dead_lettered=metrics.dead_lettered, redriven=metrics.redriven,
                 pending_evictions=service.cache.stats.pending_evictions,
-                breaker_opens=breaker.opens if breaker is not None else 0,
-                breaker_closes=breaker.closes if breaker is not None else 0)
+                breaker_opens=breaker.opens, breaker_closes=breaker.closes)
         return counts
 
     def gate_decision(self):
@@ -386,12 +383,16 @@ def expect_resilience_keeps_knowledge(drive: Drive) -> list[str]:
 
 
 def expect_baseline_falls_back(drive: Drive) -> list[str]:
-    """The unprotected arm never retries or serves stale, so a miss falls back."""
+    """The unprotected arm never retries or serves stale, so a miss falls
+    back; its default breaker never opens, and a failed prompt stays
+    queued rather than dead-lettering."""
     totals = _phases_summed(drive)
     return _failed(
         (totals["fallbacks"], "baseline served no fallback"),
         (not totals["degraded_serves"], "baseline served degraded answers"),
-        (not totals["retries"], "baseline retried generator calls"))
+        (not totals["retries"], "baseline retried generator calls"),
+        (not totals["breaker_opens"], "baseline opened a breaker"),
+        (not totals["dead_lettered"], "baseline dead-lettered queries"))
 
 
 def expect_breaker_recovers(drive: Drive) -> list[str]:
@@ -421,16 +422,16 @@ def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
          plan: serving.FaultPlan | None, *, gap_s: float = 0.005, batch: int = 16,
          depth: int = 300, events: bool = True,
          sampler: obs.TailSampler | None = None,
-         slo_specs: list[obs.SloSpec] | None = None, resilience: bool = True,
-         response_validator: Callable[[str], bool] | None = response_ok) -> Drive:
+         slo_specs: list[obs.SloSpec] | None = None, **service_kwargs) -> Drive:
     """Registry → event log → cluster (→ SLO evaluator + scrape collector
     when ``slo_specs`` are given), one generator per replica: ``--replicas``
     of them, or one for a drive without that flag.
 
     With a ``plan`` each generator sits behind a ``FlakyGenerator`` whose
     injector is seeded ``seed + index``; the injectors land on the drive
-    so a phase can re-plan them.  ``resilience`` and ``response_validator``
-    configure every replica's ``CosmoService``.
+    so a phase can re-plan them.  ``service_kwargs`` configure every
+    replica's ``CosmoService``; its answers are checked by ``response_ok``
+    unless they name another ``response_validator``.
     """
     injectors: list[serving.FaultInjector] = []
 
@@ -445,10 +446,11 @@ def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
         n_replicas=getattr(args, "replicas", 1), max_batch_size=batch,
         max_batch_delay_s=0.25, max_queue_depth=depth, seed=args.seed)
     registry = obs.MetricsRegistry()
+    service_kwargs.setdefault("response_validator", response_ok)
     cluster = serving.CosmoCluster(
         factory, config=config, registry=registry,
         event_log=obs.EventLog() if events else None, sampler=sampler,
-        resilience=resilience, response_validator=response_validator)
+        **service_kwargs)
     tracers = [(config.name, cluster.tracer)] + [
         (replica_id, service.tracer)
         for replica_id, service in cluster.services.items()]
@@ -471,14 +473,24 @@ def _preload(drive: Drive, n_queries: int) -> None:
                                   for query in _queries(n_queries)})
 
 
+def _chaos_service(variant: str) -> dict:
+    """The ``CosmoService`` settings of a chaos arm: ``baseline`` is the
+    same service configured down to one attempt per call, no output
+    validation and no degraded serving."""
+    if variant != "baseline":
+        return {}
+    return {"retry": serving.RetryPolicy(max_attempts=1),
+            "response_validator": lambda text: True, "degraded_serving": False}
+
+
 def _chaos_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
     """One replica behind fault injection, answers checked against the
     scripted ground truth.
 
-    ``resilient`` and ``baseline`` (no retries, breaker or degraded
-    serving) sweep the universe once, then play three Zipf days under the
-    ``--fault-rate`` mix, each ending in the daily refresh with stale
-    features regenerated; the first day warms the daily layers.
+    ``resilient`` and ``baseline`` sweep the universe once, then play
+    three Zipf days under the ``--fault-rate`` mix, each ending in the
+    daily refresh with stale features regenerated; the first day warms
+    the daily layers.
     ``outage`` plays calm → total outage → recovery, each on a new day so
     the daily layer has expired: the breaker opens, fails fast and closes
     through half-open probes, and the one refresh at the end re-drives
@@ -488,9 +500,8 @@ def _chaos_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
     calm = serving.FaultPlan()
     drive = _rig(args, ScriptedGenerator,
                  calm if outage else serving.FaultPlan.mixed(args.fault_rate),
-                 events=False, resilience=args.scenario != "baseline")
+                 events=False, **_chaos_service(args.scenario))
     drive.truth = ScriptedGenerator.knowledge_for
-    drive.ledger = True
     queries = _queries(40 if outage else 200)
     sweep = Phase("sweep", None, queries)
     if outage:
@@ -695,15 +706,7 @@ def _report(drive: Drive, title: str) -> None:
         table.add_row("Steps executed", len(controller.steps_executed))
         table.add_row("Mixed-version answers", drive.violations)
     print(table.render())
-
-    if drive.ledger:
-        _ledger(drive)
-    else:
-        phase_table = Table("Phase availability", ["Phase", "Requests", "Served"])
-        for name, counts in drive.phase_rows:
-            phase_table.add_row(name, counts["requests"], format_percent(
-                _share(counts, "served_fresh", "degraded_serves")))
-        print(phase_table.render())
+    _ledger(drive)
 
     if sampler is not None:
         stage_table = Table("Where the latency goes (self time across traces)",
@@ -771,6 +774,8 @@ def _ledger(drive: Drive) -> None:
                   ["Metric"] + [name for name, _ in drive.phase_rows])
     table.add_row("Requests", *(counts["requests"] for _, counts in drive.phase_rows))
     for label, keys, share in _LEDGER_ROWS:
+        if keys == ("valid",) and drive.truth is None:
+            continue
         table.add_row(label, *(
             format_percent(_share(counts, *keys)) if share
             else " / ".join(str(counts[key]) for key in keys)
@@ -782,10 +787,9 @@ def _ledger(drive: Drive) -> None:
     print(table.render())
     for replica_id, service in drive.cluster.services.items():
         breaker = service.breaker
-        if breaker is not None:
-            print(f"breaker {replica_id}: {breaker.opens} open(s), "
-                  f"{breaker.closes} close(s), {breaker.refusals} fast "
-                  f"refusal(s), final state {breaker.state.value}")
+        print(f"breaker {replica_id}: {breaker.opens} open(s), "
+              f"{breaker.closes} close(s), {breaker.refusals} fast "
+              f"refusal(s), final state {breaker.state.value}")
 
 
 # -- scenarios -------------------------------------------------------------

@@ -243,8 +243,8 @@ class CosmoCluster:
                 name=replica_id,
                 **service_kwargs,
             )
-        #: replica → its breaker (None without resilience); a service
-        #: keeps one breaker for life, so routing reads this map.
+        #: replica → its breaker; a service keeps one breaker for life,
+        #: so routing reads this map.
         self._breakers = {replica_id: service.breaker
                           for replica_id, service in self.services.items()}
         labels = {"cluster": cfg.name}
@@ -283,12 +283,10 @@ class CosmoCluster:
         request and serves it from its degraded path.
         """
         home = self.router.route(key)
-        breaker = self._breakers[home]
-        if breaker is None or not breaker.cooling_down:
+        if not self._breakers[home].cooling_down:
             return home, False
         for replica_id in self.router.preference(key)[1:]:
-            breaker = self._breakers[replica_id]
-            if breaker is None or not breaker.cooling_down:
+            if not self._breakers[replica_id].cooling_down:
                 self._failovers.inc()
                 return replica_id, True
         return home, False

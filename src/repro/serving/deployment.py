@@ -8,8 +8,8 @@ store and the feature store, with simulated latency accounting:
   chain (stale feature-store entry → fallback);
 * **batch processing** — pending queries are answered by the model in
   bulk through the resilience layer (retry + circuit breaker + output
-  validation); queries that exhaust their retry budget land in a
-  dead-letter queue;
+  validation); queries that fail after a retry land in a dead-letter
+  queue;
 * **daily refresh** — session logs feed back into the model (the
   feedback loop), stale features are recomputed, and the dead-letter
   queue is re-driven;
@@ -17,9 +17,14 @@ store and the feature store, with simulated latency accounting:
   p50/p99, availability and the cached-vs-direct-LLM comparison are
   measurable.
 
-Resilience is on by default; pass ``resilience=False`` for the original
-happy-path-only service (no retries, no breaker, no degraded serving) —
-the baseline arm of ``benchmarks/bench_ablation_resilience.py``.
+Every generator call goes through the resilience layer; what it does is
+configuration.  The baseline arm of
+``benchmarks/bench_ablation_resilience.py`` turns it down to the original
+happy-path service: ``retry=RetryPolicy(max_attempts=1)`` (no retries,
+so a failed prompt stays queued instead of dead-lettering),
+``response_validator=lambda text: True`` (no validation) and
+``degraded_serving=False`` (a miss falls back without reading the
+feature store).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from repro.llm.interface import GenerationBatch
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, counter_attribute
-from repro.obs.tracing import NULL_SPAN, Tracer
+from repro.obs.tracing import Tracer
 from repro.serving.api import (
     SOURCE_CACHE_DAILY,
     SOURCE_CACHE_YEARLY,
@@ -42,7 +47,6 @@ from repro.serving.api import (
 )
 from repro.serving.cache import AsyncCacheStore
 from repro.serving.clock import SimClock
-from repro.serving.faults import GeneratorFault
 from repro.serving.feature_store import FeatureStore
 from repro.serving.resilience import (
     CircuitBreaker,
@@ -195,10 +199,11 @@ class CosmoService:
     accounting (see :class:`BatchCostModel`); left ``None``, a window
     charges each item what it would cost served alone.
 
-    With ``resilience=True`` (the default) generator calls go through a
+    Generator calls go through a
     :class:`~repro.serving.resilience.ResilientGenerator` (``retry`` /
-    ``breaker`` / ``response_validator`` configure it) and cache misses
-    degrade gracefully instead of silently returning the fallback.
+    ``breaker`` / ``response_validator`` configure it).  With
+    ``degraded_serving`` (the default) a cache miss is answered from the
+    feature store's possibly stale entry before it falls back.
 
     Observability: pass a shared ``registry`` to aggregate several
     services into one metrics surface (children are labeled by ``name``,
@@ -214,7 +219,7 @@ class CosmoService:
         prompt_builder=None,
         fallback_response: str = "",
         daily_capacity: int = 10_000,
-        resilience: bool = True,
+        degraded_serving: bool = True,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         response_validator=None,
@@ -243,25 +248,14 @@ class CosmoService:
         self._prompt_builder = prompt_builder or (lambda query: query)
         self._fallback = fallback_response
         self._feedback: list[tuple[str, str, bool]] = []
-        if resilience:
-            self._resilient = ResilientGenerator(
-                generator,
-                self.clock,
-                retry=retry,
-                breaker=breaker or CircuitBreaker(self.clock),
-                validator=response_validator,
-                seed=seed,
-                tracer=self.tracer,
-            )
-            if event_log is not None:
-                self._resilient.breaker.attach_event_log(event_log, component=name)
-        else:
-            self._resilient = None
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        """The circuit breaker, when resilience is enabled."""
-        return self._resilient.breaker if self._resilient is not None else None
+        self._degraded_serving = degraded_serving
+        self._resilient = ResilientGenerator(
+            generator, self.clock, retry=retry, breaker=breaker,
+            validator=response_validator, seed=seed, tracer=self.tracer)
+        #: the circuit breaker guarding every generator call
+        self.breaker: CircuitBreaker = self._resilient.breaker
+        if event_log is not None:
+            self.breaker.attach_event_log(event_log, component=name)
 
     @property
     def snapshot_version(self) -> str | None:
@@ -411,15 +405,14 @@ class CosmoService:
         stale) feature-store entry → fallback.  Returns ``(text, outcome,
         source)``.
 
-        The stale step is the resilience layer's degraded serving;
-        without it a miss goes straight to the fallback and the feature
-        store is not consulted.
+        The stale step is degraded serving; without it a miss goes
+        straight to the fallback and the feature store is not consulted.
         """
         if hit is not None:
             text, layer = hit
             return text, ServeOutcome.FRESH, (
                 SOURCE_CACHE_YEARLY if layer == "yearly" else SOURCE_CACHE_DAILY)
-        if self._resilient is not None:
+        if self._degraded_serving:
             record = self.features.get(query)
             if record is not None:
                 return (record.knowledge_text, ServeOutcome.DEGRADED,
@@ -449,26 +442,11 @@ class CosmoService:
         return ServeResult(query=query, text=text, outcome=outcome,
                            source=source, latency_s=latency, replica=self.name)
 
-    def _call_generator(self, prompts: list[str]) -> GenerationBatch:
-        """The one generator call site.
-
-        With resilience the call is retried, breaker-guarded and
-        validated.  Without it a call-level fault fails every prompt and
-        spends no retry budget (``attempts=0``): nothing dead-letters,
-        the work simply stays where it was queued.
-        """
-        if self._resilient is not None:
-            return self._resilient.generate_batch(prompts)
-        try:
-            return self.generator.generate_batch(prompts)
-        except GeneratorFault:
-            return GenerationBatch(generations=[None] * len(prompts),
-                                   attempts=0, errors=1)
-
     def _generate(self, prompts: list[str]) -> GenerationBatch:
-        """Batch-side generation: call the generator and fold what the
-        call cost (retries, faults, rejections) into metrics."""
-        outcome = self._call_generator(prompts)
+        """Batch-side generation: call the generator through the
+        resilience layer and fold what the call cost (retries, faults,
+        rejections) into metrics."""
+        outcome = self._resilient.generate_batch(prompts)
         self.metrics.add("retries", outcome.retries)
         self.metrics.add("generator_failures", outcome.errors)
         self.metrics.add("rejected_generations", outcome.rejected)
@@ -486,31 +464,16 @@ class CosmoService:
         """Bypass the cache and call the model synchronously.
 
         The comparison point for the serving bench: this is what serving
-        the teacher LLM per-request would cost.  Under resilience the
-        call is retried/breaker-guarded and failures fall through the
-        same degradation chain as cache misses, counted as one generator
-        failure per failed request.
+        the teacher LLM per-request would cost.  The call is
+        retried/breaker-guarded like a batch (its ``resilience.attempt``
+        / ``resilience.backoff`` spans are the generation stage), and a
+        failure falls through the same answer chain as a cache miss,
+        counted as one generator failure per failed request.
         """
         clock_before = self.clock.now()
-        latency_before = self.generator.latency.total_simulated_s
-        # Under a ResilientGenerator the per-attempt spans
-        # (resilience.attempt / resilience.backoff) already cover the
-        # generator call, so a serving.generate wrapper would only
-        # duplicate the generation stage on the hot path; it is emitted
-        # for the raw-generator configuration that has no spans of its own.
-        with (self.tracer.traced_span("serving.generate")
-              if self._resilient is None else NULL_SPAN) as span:
-            generation = self._call_generator(
-                [self._prompt_builder(query)]).generations[0]
-            if generation is None:
-                span.set_attribute("outcome", "failed")
-        if self._resilient is None:
-            # The resilient wrapper charges the clock as it goes; the
-            # raw generator only accounts its own latency.
-            latency = self.generator.latency.total_simulated_s - latency_before
-            self.clock.advance(latency)
-        else:
-            latency = self.clock.now() - clock_before
+        generation = self._resilient.generate_batch(
+            [self._prompt_builder(query)]).generations[0]
+        latency = self.clock.now() - clock_before
         if generation is None:
             self.metrics.add("generator_failures", 1)
             return self._serve_answer(query, clock_before)
@@ -526,11 +489,11 @@ class CosmoService:
     def run_batch(self, max_queries: int | None = None) -> int:
         """Process pending queries in bulk and install responses.
 
-        With resilience enabled, failed prompts are retried per the
-        policy; prompts that exhaust the budget move to the dead-letter
-        queue (re-driven by :meth:`daily_refresh`).  When the circuit
-        breaker refuses the batch, queries simply stay pending for the
-        next cycle.
+        Failed prompts are retried per the policy; prompts that still
+        fail after a retry move to the dead-letter queue (re-driven by
+        :meth:`daily_refresh`).  When the circuit breaker refuses the
+        batch, or the policy allows no retry, failed queries simply stay
+        pending for the next cycle.
         """
         pending = self.cache.pending_queries()
         if max_queries is not None:
@@ -551,7 +514,7 @@ class CosmoService:
                    for query, generation in zip(pending, outcome.generations)
                    if generation is not None]
         failed = [pending[i] for i in outcome.failed_indices]
-        if failed and outcome.attempts > 0 and not outcome.breaker_refused:
+        if failed and outcome.retries and not outcome.breaker_refused:
             for query in failed:
                 self._dead_letter(query, outcome.attempts, "retries exhausted")
             self.cache.drop_pending(failed)

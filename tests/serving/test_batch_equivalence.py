@@ -38,6 +38,7 @@ from repro.serving import (
 )
 from repro.serving.chaos import ScriptedGenerator
 from repro.utils.rng import spawn_rng
+from tests.serving.test_degradation import BASELINE
 
 import pytest
 
@@ -515,9 +516,10 @@ def test_per_item_accounting_artifacts_are_pinned(
 
 
 def test_direct_failure_without_resilience_is_pinned():
-    """``resilience=False`` has no degraded serving: a failed direct call
-    answers with the fallback even when the feature store holds the
-    query.
+    """The resilience ablation's baseline configuration (one attempt, no
+    validation, no degraded serving) answers a failed direct call with
+    the fallback even when the feature store holds the query, and a
+    batch that fails without a retry leaves its query queued.
 
     The one artifact the single answer chain moved: the old direct-call
     chain *read* the feature store before discarding the answer it could
@@ -528,14 +530,15 @@ def test_direct_failure_without_resilience_is_pinned():
     two reads put back, the snapshot hashed to the digest captured before
     that change.  The second signal audit deleted the family, so the
     snapshot is now that one minus ``feature_store_ops_total``, and the
-    store holds the one answer the direct call wrote.
+    store holds the one answer the direct call wrote.  The digests were
+    captured under the deleted ``resilience=False`` path; the baseline
+    configuration on the one generator path reproduces them unedited.
     """
     registry = MetricsRegistry()
     injector = FaultInjector(seed=3)
     service = CosmoService(FlakyGenerator(ScriptedGenerator(), injector),
                            clock=SimClock(), seed=3, registry=registry,
-                           name="bare", resilience=False,
-                           fallback_response="n/a")
+                           name="bare", fallback_response="n/a", **BASELINE)
     results = [service.serve(ServeRequest(query="known", direct=True)),
                service.serve(ServeRequest(query="cold"))]
     injector.plan = FaultPlan(error_rate=1.0)

@@ -39,6 +39,13 @@ class Scripted:
         ])
 
 
+#: The resilience ablation's baseline arm: one attempt per call, no output
+#: validation, no degraded serving (``chaos --scenario baseline``).
+BASELINE = {"retry": RetryPolicy(max_attempts=1),
+            "response_validator": lambda text: True,
+            "degraded_serving": False}
+
+
 def _service(plan=None, seed=0, **kwargs):
     injector = FaultInjector(plan or FaultPlan(), seed=seed)
     flaky = FlakyGenerator(Scripted(), injector)
@@ -62,7 +69,7 @@ def test_degradation_chain_feature_store_then_fallback():
 
 
 def test_resilience_off_restores_legacy_fallback_behavior():
-    service, _ = _service(resilience=False)
+    service, _ = _service(**BASELINE)
     _handle(service, "q")
     service.run_batch()
     service.clock.advance_days(1)
@@ -81,10 +88,25 @@ def test_direct_request_degrades_on_failure():
 
 
 def test_direct_request_without_resilience_falls_back():
-    service, injector = _service(resilience=False)
+    service, injector = _service(**BASELINE)
     injector.plan = FaultPlan(error_rate=1.0)
     assert _direct(service, "q") == "(down)"
     assert service.metrics.fallbacks == 1
+
+
+@pytest.mark.parametrize("plan", [FaultPlan(), FaultPlan(timeout_rate=1.0)],
+                         ids=["answered", "timed-out"])
+def test_baseline_run_batch_advances_the_clock_by_the_generator_latency(plan):
+    service, injector = _service(**BASELINE)
+    _handle(service, "q1")
+    _handle(service, "q2")
+    injector.plan = plan
+    clock, latency = service.clock.now(), service.generator.latency.total_simulated_s
+    service.run_batch()
+    spent = service.generator.latency.total_simulated_s - latency
+    assert spent > 0
+    assert service.clock.now() - clock == pytest.approx(spent)
+    assert not service.dead_letters
 
 
 # -- dead-letter queue -----------------------------------------------------
@@ -177,8 +199,8 @@ def fault_schedules(draw):
 
 @given(fault_schedules(), st.booleans(), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
-def test_availability_accounting_consistent_under_random_faults(ops, resilient, seed):
-    service, injector = _service(resilience=resilient, seed=seed)
+def test_availability_accounting_consistent_under_random_faults(ops, baseline, seed):
+    service, injector = _service(seed=seed, **(BASELINE if baseline else {}))
     requests = 0
     for kind, arg in ops:
         if kind == "request":
@@ -198,5 +220,6 @@ def test_availability_accounting_consistent_under_random_faults(ops, resilient, 
         == requests == metrics.requests
     assert metrics.latency.count == requests
     assert 0.0 <= metrics.availability <= 1.0
-    if not resilient:
+    if baseline:
         assert metrics.degraded_serves == 0
+        assert metrics.retries == 0 and metrics.dead_lettered == 0

@@ -210,7 +210,8 @@ def test_serve_path_never_parses_and_a_reader_parses_once(parse_calls, batch_cos
 
 # -- one "remember these answers" step ----------------------------------------
 class _FailsFor:
-    """Answers every prompt except the ones in ``failing``."""
+    """Answers every prompt except the ones in ``failing``, whose answers
+    come back empty (the service's validator rejects them)."""
 
     parameter_count = 1_000_000
 
@@ -221,8 +222,9 @@ class _FailsFor:
 
     def generate_batch(self, prompts):
         return GenerationBatch(generations=[
-            None if prompt in self.failing else Generation(
-                text=f"it is used for {prompt} v{self.version}.", tokens=8,
+            Generation(
+                text="" if prompt in self.failing
+                else f"it is used for {prompt} v{self.version}.", tokens=8,
                 latency_s=self.latency.charge(self.parameter_count, 8))
             for prompt in prompts
         ])
@@ -231,7 +233,7 @@ class _FailsFor:
 def test_stale_refresh_is_one_window_and_a_failed_generation_keeps_its_record(
         monkeypatch):
     generator = _FailsFor()
-    service = CosmoService(generator, clock=SimClock(), resilience=False)
+    service = CosmoService(generator, clock=SimClock())
     for query in ("a", "b", "c"):
         service.serve(ServeRequest(query=query))
     assert service.run_batch() == 3

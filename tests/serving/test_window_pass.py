@@ -9,7 +9,7 @@ here as the oracle.  Hypothesis draws the traffic: windows of 1..32 over a
 small query pool with direct requests interleaved, yearly preloads, daily
 answers installed by ``run_batch`` between windows, feature-store-only
 (degraded) entries, day rollovers, shed windows, generator faults, and
-resilience on or off.
+the default service or the resilience ablation's baseline configuration.
 
 Under the sequential form (no cost model) everything observable must be
 the reference's: results, the clock, cache stats, the pending order, the
@@ -35,6 +35,7 @@ from repro.serving import (
 )
 from repro.serving.chaos import ScriptedGenerator
 from repro.serving.deployment import _STAGES
+from tests.serving.test_degradation import BASELINE
 
 import pytest
 
@@ -76,7 +77,7 @@ def _schedules(draw):
     return {
         "yearly": draw(st.sets(queries, max_size=3)),
         "stale": draw(st.sets(queries, max_size=3)),
-        "resilience": draw(st.booleans()),
+        "baseline": draw(st.booleans()),
         "direct": draw(st.booleans()),
         "traced": draw(st.booleans()),
         "steps": draw(st.lists(step, min_size=1, max_size=12)),
@@ -90,8 +91,8 @@ def _drive(schedule, serve_window, batch_costs=None):
     service = CosmoService(
         FlakyGenerator(ScriptedGenerator(), injector), clock=SimClock(),
         seed=3, registry=MetricsRegistry(), event_log=EventLog(),
-        resilience=schedule["resilience"], fallback_response="n/a",
-        batch_costs=batch_costs)
+        fallback_response="n/a", batch_costs=batch_costs,
+        **(BASELINE if schedule["baseline"] else {}))
     service.cache.preload_yearly(
         {query: f"yearly {query}" for query in sorted(schedule["yearly"])})
     service.features.put_many(

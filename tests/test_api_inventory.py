@@ -136,7 +136,7 @@ def test_a_kept_row_for_a_name_with_a_caller_is_stale():
 # method that fills a ``Protocol`` or base-class slot carries no options of
 # its own.  A *setter* is a call site under ``PRODUCTION`` — by keyword, by
 # position, through ``replace()``, ``partial()``, a ``**{...}`` literal (or a
-# ``**f()`` whose ``f`` returns one), through ``**kwargs`` one hop down, and
+# ``**f()`` whose ``f`` returns one), down any chain of ``**kwargs``, and
 # for flags the commands of ``ci.yml``; ``tests/`` and ``examples/`` are
 # recorded but never count.  The *values in use* are the passed expressions —
 # an expression that forwards another option (``config.x``, ``args.x``, a
@@ -162,9 +162,8 @@ KEPT_OPTIONS = (
      ("tests/obs/test_tracing.py::test_max_spans_bounds_memory",
       "tests/obs/test_tail_sampling.py::"
       "test_buffer_bound_refuses_spans_and_counts_overflow")),
-    (("RetryPolicy.max_attempts", "RetryPolicy.deadline_s", "RetryPolicy.base_backoff_s",
-      "RetryPolicy.backoff_multiplier", "RetryPolicy.max_backoff_s", "RetryPolicy.jitter",
-      "CosmoService.retry", "ResilientGenerator.retry"),
+    (("RetryPolicy.deadline_s", "RetryPolicy.base_backoff_s",
+      "RetryPolicy.backoff_multiplier", "RetryPolicy.max_backoff_s", "RetryPolicy.jitter"),
      "retry budget and deadline: tests exhaust both with a small policy",
      ("tests/serving/test_resilience.py::test_deadline_and_attempt_budgets",
       "tests/serving/test_resilience.py::"
@@ -173,11 +172,12 @@ KEPT_OPTIONS = (
       "test_exhausted_retries_dead_letter_and_daily_refresh_redrives")),
     (("CircuitBreaker.failure_threshold", "CircuitBreaker.cooldown_s",
       "CircuitBreaker.half_open_probes", "CircuitBreaker.window",
-      "CircuitBreaker.min_calls", "CosmoService.breaker"),
+      "CircuitBreaker.min_calls", "CosmoService.breaker", "ResilientGenerator.breaker"),
      "failure boundary: tests open, cool down and probe a breaker in a few calls, "
      "or hand a service one that never opens",
      ("tests/serving/test_resilience.py::test_breaker_trips_at_failure_threshold",
       "tests/serving/test_resilience.py::test_breaker_half_open_probe_cycle",
+      "tests/serving/test_resilience.py::test_open_breaker_fails_fast",
       "tests/serving/test_degradation.py::test_breaker_refusal_leaves_queries_pending",
       "tests/serving/test_degradation.py::"
       "test_exhausted_retries_dead_letter_and_daily_refresh_redrives")),
@@ -485,11 +485,20 @@ def options(sources: dict[str, str], ci_text: str = "") -> dict[str, Option]:
                 r.id for r in returned.get(_ident(call.func.func), ())
                 if isinstance(r, ast.Name)]          # ``self._model_class()(...)``
             matched = [sig for each in idents for sig in callees.get(each, ())]
-            for owner, positional, kwonly in list(matched):
-                extra = set(keywords) - {name for name, _ in positional + kwonly}
-                matched += [(o, [], [p for p in pos + kw if p[0] in extra])
-                            for target in passes_on.get(owner, ()) if extra
-                            for o, pos, kw in callees.get(target, ())]
+            # Keywords no signature takes walk down ``**kwargs`` chains, each
+            # hop keeping what the callee's own parameters did not claim.
+            hops = [(owner, set(keywords) - {name for name, _ in positional + kwonly})
+                    for owner, positional, kwonly in matched]
+            reached = {owner for owner, _ in hops}
+            while hops:
+                owner, extra = hops.pop(0)
+                for o, pos, kw in [sig for target in passes_on.get(owner, ()) if extra
+                                   for sig in callees.get(target, ())]:
+                    if o not in reached:
+                        reached.add(o)
+                        claimed = [p for p in pos + kw if p[0] in extra]
+                        matched.append((o, [], claimed))
+                        hops.append((o, extra - {name for name, _ in claimed}))
             for owner, positional, kwonly in matched:
                 for index, (name, default) in enumerate(positional + kwonly):
                     if default is None:
@@ -572,6 +581,19 @@ def test_positional_replace_partial_and_spread_setters_each_count():
     assert _one_valued({_LIB: lib, "benchmarks/bench.py": caller}) == []
     # ... and without the caller every one of the five is reported.
     assert len(_one_valued({_LIB: lib})) == 5
+
+
+def test_a_keyword_reaches_its_option_down_a_chain_of_kwargs():
+    lib = ("class Service:\n    def __init__(self, gen, degraded=True):\n        pass\n"
+           "class Cluster:\n    def __init__(self, factory, size=1, **service_kwargs):\n"
+           "        Service(factory(), **service_kwargs)\n"
+           "def rig(make, *, gap=0.5, **service_kwargs):\n"
+           "    return Cluster(make, **service_kwargs)\n")
+    caller = "from repro.lib import Service, rig\nService(1)\nrig(list, **{'degraded': False})\n"
+    # ``degraded=False`` reaches ``Service`` two hops down; ``Service(1)``
+    # keeps the default in use.
+    assert _one_valued({_LIB: lib, "src/repro/go.py": caller}) == [
+        "Cluster.size: one value in use (1)", "rig.gap: one value in use (0.5)"]
 
 
 def test_a_forwarded_config_field_stands_for_its_own_values():

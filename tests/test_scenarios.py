@@ -149,6 +149,10 @@ def test_phase_latency_windows_partition_the_drive_histogram():
      "correct knowledge, under 99%"),
     (scenarios.expect_baseline_falls_back, _CHAOS + ("resilient",),
      "baseline served degraded answers"),
+    (scenarios.expect_baseline_falls_back, _CHAOS + ("outage",),
+     "baseline opened a breaker"),
+    (scenarios.expect_baseline_falls_back, _CHAOS + ("outage",),
+     "baseline dead-lettered queries"),
     (scenarios.expect_breaker_recovers, _CHAOS + ("resilient",),
      "breaker never opened, failed fast and closed"),
 ])
