@@ -1,14 +1,13 @@
 """Monitoring overhead: what the scrape/evaluate/emit loop costs.
 
 Drives identical Zipf traffic through two clusters — one bare, one with
-the full continuous-monitoring stack attached (time-series collector on
-a fine scrape grid, three burn-rate SLOs evaluated per scrape, and a
-structured event log wired into every serving component) — and checks
-that monitoring stays *bounded*: every series respects its ring-buffer
-capacity, the scrape count is exactly the drive horizon over the grid
-interval, the event log never exceeds its cap, and the wall-clock cost
-of the monitored drive stays within a generous constant factor of the
-bare one.  The wall-clock ratio is a smoke bound (machines vary); the
+the full continuous-monitoring stack attached (three burn-rate SLOs
+evaluated at every point of a fine scrape grid, and a structured event
+log wired into every serving component) — and checks that monitoring
+stays *bounded*: the evaluation count is exactly the drive horizon over
+the grid interval, the event log never exceeds its cap, and the
+wall-clock cost of the monitored drive stays within a generous constant
+factor of the bare one.  The wall-clock ratio is a smoke bound (machines vary); the
 structural bounds are the real contract.
 """
 
@@ -20,9 +19,9 @@ from repro.obs import (
     EventLog,
     MetricSum,
     MetricsRegistry,
+    ScrapeGrid,
     SloEvaluator,
     SloSpec,
-    TimeSeriesCollector,
     WallProfiler,
 )
 from repro.reporting import Table
@@ -34,7 +33,6 @@ N_REQUESTS = 3000
 N_QUERIES = 200
 INTER_ARRIVAL_S = 0.002
 SCRAPE_INTERVAL_S = 0.25
-SERIES_CAPACITY = 16  # deliberately small so the ring buffers wrap
 
 
 def _traffic(seed: int) -> list[str]:
@@ -85,21 +83,20 @@ def _build(monitored: bool):
         q: ScriptedGenerator.knowledge_for(q)
         for q in (f"query {i:03d}" for i in range(N_QUERIES))
     })
-    collector = evaluator = None
+    grid = evaluator = None
     if monitored:
-        collector = TimeSeriesCollector(registry, interval_s=SCRAPE_INTERVAL_S,
-                                        capacity=SERIES_CAPACITY)
+        grid = ScrapeGrid(SCRAPE_INTERVAL_S)
         evaluator = SloEvaluator(registry, _specs(), event_log=event_log)
-    return cluster, collector, evaluator
+    return cluster, grid, evaluator
 
 
-def _drive(cluster, collector, evaluator, traffic, profiler, section):
+def _drive(cluster, grid, evaluator, traffic, profiler, section):
     with profiler.section(section):
         for query in traffic:
             cluster.handle(query)
             cluster.clock.advance(INTER_ARRIVAL_S)
-            if collector is not None:
-                for ts in collector.maybe_scrape(cluster.clock.now()):
+            if grid is not None:
+                for ts in grid.due(cluster.clock.now()):
                     evaluator.evaluate(ts)
         cluster.flush()
 
@@ -109,9 +106,9 @@ def test_monitor_overhead(benchmark):
     profiler = WallProfiler()
 
     bare, _, _ = _build(monitored=False)
-    monitored, collector, evaluator = _build(monitored=True)
+    monitored, grid, evaluator = _build(monitored=True)
     _drive(bare, None, None, traffic, profiler, "bare")
-    _drive(monitored, collector, evaluator, traffic, profiler, "monitored")
+    _drive(monitored, grid, evaluator, traffic, profiler, "monitored")
 
     bare_s = profiler.total_s("bare")
     monitored_s = profiler.total_s("monitored")
@@ -119,12 +116,6 @@ def test_monitor_overhead(benchmark):
 
     # Structural bounds — the deterministic contract.
     expected_scrapes = int(N_REQUESTS * INTER_ARRIVAL_S / SCRAPE_INTERVAL_S)
-    assert collector.scrapes == expected_scrapes
-    series = collector.series()
-    assert series, "monitored drive produced no series"
-    for s in series:
-        assert len(s) <= SERIES_CAPACITY
-        assert len(s) + s.dropped == collector.scrapes or len(s) <= collector.scrapes
     event_log = monitored.event_log
     assert len(event_log) <= 500
     assert event_log.emitted == len(event_log) + event_log.dropped
@@ -136,15 +127,15 @@ def test_monitor_overhead(benchmark):
     assert monitored.availability == bare.availability
 
     table = Table("Monitoring overhead — same drive, bare vs monitored",
-                  ["Arm", "Wall (s)", "Scrapes", "Series", "Events"])
-    table.add_row("bare", f"{bare_s:.3f}", 0, 0, 0)
-    table.add_row("monitored", f"{monitored_s:.3f}", collector.scrapes,
-                  len(series), event_log.emitted)
+                  ["Arm", "Wall (s)", "Evaluations", "Events"])
+    table.add_row("bare", f"{bare_s:.3f}", 0, 0)
+    table.add_row("monitored", f"{monitored_s:.3f}", evaluator.evaluations,
+                  event_log.emitted)
     publish("monitor_overhead", table.render()
             + f"\noverhead ratio (nondeterministic): {ratio:.2f}x")
 
-    # Wall-clock smoke bound: generous, but catches a scrape loop that
-    # accidentally goes quadratic in series count or history length.
+    # Wall-clock smoke bound: generous, but catches an evaluation loop
+    # that accidentally goes quadratic in history length.
     assert monitored_s <= bare_s * 10 + 0.5
 
     # Benchmark kernel: the steady-state monitored request path.
@@ -152,7 +143,7 @@ def test_monitor_overhead(benchmark):
         for query in traffic[:200]:
             monitored.handle(query)
             monitored.clock.advance(INTER_ARRIVAL_S)
-            for ts in collector.maybe_scrape(monitored.clock.now()):
+            for ts in grid.due(monitored.clock.now()):
                 evaluator.evaluate(ts)
 
     benchmark(kernel)

@@ -22,7 +22,7 @@ version.
 import numpy as np
 from conftest import publish
 
-from repro.obs import EventLog, SloEvaluator, TimeSeriesCollector
+from repro.obs import EventLog, ScrapeGrid, SloEvaluator
 from repro.refresh import (
     RolloutController,
     SnapshotGenerator,
@@ -74,7 +74,7 @@ def _drive(mode: str, traffic: list[int], registry) -> dict:
 
     evaluator = SloEvaluator(
         registry, rollout_slo_specs(SCRAPE_INTERVAL_S), event_log=event_log)
-    collector = TimeSeriesCollector(registry, interval_s=SCRAPE_INTERVAL_S)
+    grid = ScrapeGrid(SCRAPE_INTERVAL_S)
     controller = RolloutController(cluster, store, green, evaluator,
                                    quality_gate=SnapshotQualityGate(store))
 
@@ -105,7 +105,7 @@ def _drive(mode: str, traffic: list[int], registry) -> dict:
             window_total += 1
             window_served += result.served
         cluster.clock.advance(INTER_ARRIVAL_S)
-        for ts in collector.maybe_scrape(cluster.clock.now()):
+        for ts in grid.due(cluster.clock.now()):
             evaluator.evaluate(ts)
             if mode == "bluegreen" and index >= DEPLOY_AFTER and not controller.done:
                 controller.tick(ts)

@@ -11,9 +11,9 @@ Usage::
     python -m repro.cli obs --seed 7 --out-trace trace.json --out-metrics metrics.json
     python -m repro.cli cluster --seed 7 --replicas 3 --requests 2000
     python -m repro.cli monitor --seed 0 --scenario chaos \
-        --out-timeline timeline.json --out-alerts alerts.json --out-events events.jsonl
+        --out-alerts alerts.json --out-events events.jsonl
     python -m repro.cli rollout --seed 0 --scenario poisoned \
-        --out-timeline timeline.json --out-alerts alerts.json --out-events events.jsonl
+        --out-alerts alerts.json --out-events events.jsonl
     python -m repro.cli kghealth --seed 0 --scenario poisoned \
         --out-health kg_health.json --out-events events.jsonl
 """

@@ -12,9 +12,8 @@ Three dependency-free parts (DESIGN.md §9):
 
 Continuous monitoring (DESIGN.md §11) builds on those parts:
 
-* :mod:`repro.obs.timeseries` — a grid-aligned scrape loop turning the
-  registry into bounded ring-buffer series (counter rates, windowed
-  histogram percentiles);
+* :mod:`repro.obs.timeseries` — the :class:`ScrapeGrid` of simulated
+  timestamps that paces SLO evaluation and rollout ticks;
 * :mod:`repro.obs.events` — a bounded, byte-deterministic structured
   event log for operational transitions (``repro.obs.events/v1``);
 * :mod:`repro.obs.slo` — declarative SLO objectives with multi-window
@@ -75,12 +74,7 @@ from repro.obs.slo import (
     SloSpec,
     alert_report,
 )
-from repro.obs.timeseries import (
-    TIMELINE_SCHEMA,
-    Series,
-    TimeSeriesCollector,
-    timeline,
-)
+from repro.obs.timeseries import ScrapeGrid
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
     Counter,
@@ -139,10 +133,7 @@ __all__ = [
     "Event",
     "EventLog",
     "render_events",
-    "TIMELINE_SCHEMA",
-    "Series",
-    "TimeSeriesCollector",
-    "timeline",
+    "ScrapeGrid",
     "ALERTS_SCHEMA",
     "Alert",
     "BurnRateRule",

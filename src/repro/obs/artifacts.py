@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.obs import events, export, kg_health, slo, timeseries, trace_query, tracing
+from repro.obs import events, export, kg_health, slo, trace_query, tracing
 from repro.obs.schema import Schema
 
 __all__ = ["SCHEMAS", "dispatch", "validate"]
 
 #: Schema id -> schema (table + cross-field checks), the only such mapping.
 SCHEMAS: dict[str, Schema] = {schema.id: schema for schema in (
-    export.SCHEMA, timeseries.SCHEMA, slo.SCHEMA, events.SCHEMA,
+    export.SCHEMA, slo.SCHEMA, events.SCHEMA,
     trace_query.SCHEMA, kg_health.SCHEMA, tracing.SCHEMA)}
 
 

@@ -159,8 +159,8 @@ class Histogram:
 
         Both histograms must share identical bucket bounds; counts and
         sums add exactly, min/max stay exact.  Returns ``self`` so a
-        fresh copy reads ``Histogram(h.bounds).merge(h)`` — the scrape
-        loop uses exactly that to remember the previous cumulative state.
+        fresh copy reads ``Histogram(h.bounds).merge(h)`` — a drive uses
+        exactly that to remember the cumulative state at a phase start.
         """
         if other.bounds != self.bounds:
             raise ValueError(

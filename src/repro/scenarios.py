@@ -81,7 +81,7 @@ class Drive:
     injectors: list = field(default_factory=list)   #: one per flaky replica
     gap_s: float = 0.005                            #: simulated inter-arrival gap
     # What a setup attaches after construction, and the tallies of a run.
-    collector: obs.TimeSeriesCollector | None = field(default=None, init=False)
+    grid: obs.ScrapeGrid | None = field(default=None, init=False)
     evaluator: obs.SloEvaluator | None = field(default=None, init=False)
     controller: refresh.RolloutController | None = field(default=None, init=False)
     #: ground-truth answer per query
@@ -108,11 +108,11 @@ class Drive:
             self.observe(rolling)
 
     def observe(self, rolling: bool = False) -> None:
-        """Scrape, step the SLO alerts and (while ``rolling``) tick the
-        rollout, once per grid point the arrival clock has crossed."""
-        if self.collector is None:
+        """Step the SLO alerts and (while ``rolling``) tick the rollout,
+        once per grid point the arrival clock has crossed."""
+        if self.grid is None:
             return
-        for ts in self.collector.maybe_scrape(self.cluster.clock.now()):
+        for ts in self.grid.due(self.cluster.clock.now()):
             self.evaluator.evaluate(ts)
             if rolling and not self.controller.done:
                 self.controller.tick(ts)
@@ -183,10 +183,7 @@ class Artifact:
     label: str
     render: Callable[[Drive], object]
     schema: str             #: id in the ``obs.SCHEMAS`` registry
-    style: str = "indent"   #: ``indent`` / ``compact`` JSON, or ``text`` as rendered
-
-
-_JSON_STYLES = {"indent": {"indent": 2}, "compact": {"separators": (",", ":")}}
+    style: str = "indent"   #: ``indent`` JSON, or ``text`` as rendered
 
 
 def _health_doc(drive: Drive) -> dict:
@@ -208,8 +205,6 @@ ARTIFACTS = {
     "summary": Artifact("trace summary",
                         lambda d: obs.trace_summary(obs.TraceAnalyzer(d.tracers)),
                         obs.TRACES_SCHEMA),
-    "timeline": Artifact("time-series timeline", lambda d: obs.timeline(d.collector),
-                         obs.TIMELINE_SCHEMA, style="compact"),
     "alerts": Artifact("alert report", lambda d: obs.alert_report(d.evaluator),
                        obs.ALERTS_SCHEMA),
     "health": Artifact("kg-health report", _health_doc, obs.KG_HEALTH_SCHEMA),
@@ -228,8 +223,7 @@ def write_artifacts(drive: Drive, keys: Sequence[str],
         path = getattr(args, f"out_{key}")
         if path:
             text = (payload if artifact.style == "text" else
-                    json.dumps(payload, sort_keys=True,
-                               **_JSON_STYLES[artifact.style]) + "\n")
+                    json.dumps(payload, sort_keys=True, indent=2) + "\n")
             with open(path, "w") as handle:
                 handle.write(text)
             print(f"Wrote {artifact.label} to {path}")
@@ -423,7 +417,7 @@ def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
          depth: int = 300, events: bool = True,
          sampler: obs.TailSampler | None = None,
          slo_specs: list[obs.SloSpec] | None = None, **service_kwargs) -> Drive:
-    """Registry → event log → cluster (→ SLO evaluator + scrape collector
+    """Registry → event log → cluster (→ SLO evaluator + scrape grid
     when ``slo_specs`` are given), one generator per replica: ``--replicas``
     of them, or one for a drive without that flag.
 
@@ -459,8 +453,7 @@ def _rig(args: argparse.Namespace, make_generator: Callable[[], object],
     if slo_specs is not None:
         drive.evaluator = obs.SloEvaluator(registry, slo_specs,
                                            event_log=cluster.event_log)
-        drive.collector = obs.TimeSeriesCollector(registry,
-                                                  interval_s=SCRAPE_INTERVAL_S)
+        drive.grid = obs.ScrapeGrid(SCRAPE_INTERVAL_S)
     return drive
 
 
@@ -831,14 +824,14 @@ SCENARIOS = {scenario.command: scenario for scenario in (
              _trace_setup, ("trace", "summary", "events"),
              {"": (expect_connected_traces, expect_trace_ids_resolve)}),
     Scenario("monitor", "Monitoring",
-             "time series, SLO alerts and event log over calm/storm/recovery phases",
+             "SLO alerts and event log over calm/storm/recovery phases",
              {"replicas": 3, "requests_per_phase": 600, "n_queries": 120},
-             _monitor_setup, ("timeline", "alerts", "events"),
+             _monitor_setup, ("alerts", "events"),
              {"chaos": (expect_storm_alerts_resolve_and_correlate,), "clean": ()}),
     Scenario("rollout", "Rollout",
              "blue/green snapshot rollout with SLO-guarded auto-rollback",
              {"replicas": 3, "requests_per_phase": 700, "n_queries": 120},
-             _rollout_setup, ("timeline", "alerts", "events"),
+             _rollout_setup, ("alerts", "events"),
              {"healthy": (expect_rollout_completes_quietly,),
               "poisoned": (expect_rollback_and_redrive,)}),
     Scenario("kghealth", "KG health",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import EventLog, MetricsRegistry, SloEvaluator, TimeSeriesCollector
+from repro.obs import EventLog, MetricsRegistry, ScrapeGrid, SloEvaluator
 from repro.refresh import (
     RolloutController,
     RolloutState,
@@ -48,18 +48,18 @@ def _rig(n_replicas=2, poisoned=False, name="rolltest"):
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S),
                              event_log=event_log)
-    collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
+    grid = ScrapeGrid(SCRAPE_S)
     controller = RolloutController(cluster, store, green, evaluator,
                                    SnapshotQualityGate(store))
-    return cluster, store, blue, green, evaluator, collector, controller
+    return cluster, store, blue, green, evaluator, grid, controller
 
 
-def _drive(cluster, evaluator, collector, controller, n_requests,
+def _drive(cluster, evaluator, grid, controller, n_requests,
            rolling=True, seed=3):
     """Zipf traffic through the scenario runner's request loop; returns
     the mixed-version answers it counted against the controller's store."""
     drive = Drive(cluster=cluster, gap_s=ARRIVAL_S)
-    drive.collector, drive.evaluator, drive.controller = collector, evaluator, controller
+    drive.grid, drive.evaluator, drive.controller = grid, evaluator, controller
     drive.run(zipf_traffic(spawn_rng(seed, "rollout-test-traffic"), QUERIES,
                            n_requests), rolling=rolling)
     return drive.violations
@@ -67,9 +67,9 @@ def _drive(cluster, evaluator, collector, controller, n_requests,
 
 # -- healthy rollout -------------------------------------------------------
 def test_healthy_rollout_completes_one_step_per_tick():
-    cluster, store, blue, green, evaluator, collector, controller = _rig()
-    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
-    violations = _drive(cluster, evaluator, collector, controller, 900)
+    cluster, store, blue, green, evaluator, grid, controller = _rig()
+    _drive(cluster, evaluator, grid, controller, 300, rolling=False)
+    violations = _drive(cluster, evaluator, grid, controller, 900)
 
     report = controller.report()
     assert controller.state is RolloutState.COMPLETE
@@ -95,8 +95,8 @@ def test_healthy_rollout_completes_one_step_per_tick():
 
 
 def test_tick_after_done_is_a_noop():
-    cluster, store, _, _, evaluator, collector, controller = _rig()
-    _drive(cluster, evaluator, collector, controller, 900)
+    cluster, store, _, _, evaluator, grid, controller = _rig()
+    _drive(cluster, evaluator, grid, controller, 900)
     assert controller.done
     steps_before = list(controller.report().steps)
     assert controller.tick(cluster.clock.now()) is None
@@ -105,10 +105,10 @@ def test_tick_after_done_is_a_noop():
 
 # -- poisoned rollout ------------------------------------------------------
 def test_poisoned_rollout_rolls_back_to_parent_and_redrives():
-    cluster, store, blue, green, evaluator, collector, controller = _rig(
+    cluster, store, blue, green, evaluator, grid, controller = _rig(
         poisoned=True)
-    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
-    violations = _drive(cluster, evaluator, collector, controller, 900)
+    _drive(cluster, evaluator, grid, controller, 300, rolling=False)
+    violations = _drive(cluster, evaluator, grid, controller, 900)
 
     report = controller.report()
     assert controller.state is RolloutState.ROLLED_BACK
@@ -134,10 +134,10 @@ def test_poisoned_rollout_rolls_back_to_parent_and_redrives():
 
 
 def test_rollback_heals_service_after_redrive():
-    cluster, store, blue, _, evaluator, collector, controller = _rig(
+    cluster, store, blue, _, evaluator, grid, controller = _rig(
         poisoned=True)
-    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
-    _drive(cluster, evaluator, collector, controller, 900)
+    _drive(cluster, evaluator, grid, controller, 300, rolling=False)
+    _drive(cluster, evaluator, grid, controller, 900)
     assert controller.state is RolloutState.ROLLED_BACK
     cluster.flush()
     assert sum(len(s.dead_letters) for s in cluster.services.values()) == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.obs import EventLog, MetricsRegistry, SloEvaluator, TimeSeriesCollector
+from repro.obs import EventLog, MetricsRegistry, ScrapeGrid, SloEvaluator
 from repro.refresh import (
     RolloutController,
     RolloutState,
@@ -74,27 +74,27 @@ def _rig(poisoned=False, gate=None, name="gatetest"):
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S),
                              event_log=event_log)
-    collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
+    grid = ScrapeGrid(SCRAPE_S)
     if gate is None:
         gate = SnapshotQualityGate(store)
     controller = RolloutController(cluster, store, green, evaluator,
                                    quality_gate=gate)
-    return cluster, store, blue, green, evaluator, collector, controller
+    return cluster, store, blue, green, evaluator, grid, controller
 
 
-def _drive(cluster, evaluator, collector, controller, n_requests,
+def _drive(cluster, evaluator, grid, controller, n_requests,
            rolling=True, seed=3):
     """Zipf traffic through the scenario runner's request loop."""
     drive = Drive(cluster=cluster, gap_s=ARRIVAL_S)
-    drive.collector, drive.evaluator, drive.controller = collector, evaluator, controller
+    drive.grid, drive.evaluator, drive.controller = grid, evaluator, controller
     drive.run(zipf_traffic(spawn_rng(seed, "rollout-gate-traffic"), QUERIES,
                            n_requests), rolling=rolling)
 
 
 def test_passing_gate_completes_and_emits_gate_pass():
-    cluster, store, blue, green, evaluator, collector, controller = _rig()
-    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
-    _drive(cluster, evaluator, collector, controller, 900)
+    cluster, store, blue, green, evaluator, grid, controller = _rig()
+    _drive(cluster, evaluator, grid, controller, 300, rolling=False)
+    _drive(cluster, evaluator, grid, controller, 900)
 
     report = controller.report()
     assert controller.state is RolloutState.COMPLETE
@@ -109,10 +109,10 @@ def test_passing_gate_completes_and_emits_gate_pass():
 
 
 def test_blocking_gate_refuses_before_first_step():
-    cluster, store, blue, green, evaluator, collector, controller = _rig(
+    cluster, store, blue, green, evaluator, grid, controller = _rig(
         poisoned=True)
-    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
-    _drive(cluster, evaluator, collector, controller, 900)
+    _drive(cluster, evaluator, grid, controller, 300, rolling=False)
+    _drive(cluster, evaluator, grid, controller, 900)
 
     report = controller.report()
     assert controller.state is RolloutState.BLOCKED
@@ -159,10 +159,10 @@ class _FlippingGate:
 
 def test_gate_flip_mid_rollout_triggers_same_tick_rollback():
     gate = _FlippingGate(promote_ticks=2)
-    cluster, store, blue, green, evaluator, collector, controller = _rig(
+    cluster, store, blue, green, evaluator, grid, controller = _rig(
         gate=gate)
-    _drive(cluster, evaluator, collector, controller, 300, rolling=False)
-    _drive(cluster, evaluator, collector, controller, 900)
+    _drive(cluster, evaluator, grid, controller, 300, rolling=False)
+    _drive(cluster, evaluator, grid, controller, 900)
 
     report = controller.report()
     assert controller.state is RolloutState.ROLLED_BACK

@@ -10,7 +10,7 @@ either still queued or was re-driven).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import EventLog, MetricsRegistry, SloEvaluator, TimeSeriesCollector
+from repro.obs import EventLog, MetricsRegistry, ScrapeGrid, SloEvaluator
 from repro.refresh import (
     RolloutController,
     RolloutState,
@@ -78,11 +78,11 @@ def test_accounting_and_dead_letter_conservation_under_chaos(
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))
-    collector = TimeSeriesCollector(registry, interval_s=SCRAPE_S)
+    grid = ScrapeGrid(SCRAPE_S)
     controller = RolloutController(cluster, store, green, evaluator,
                                    SnapshotQualityGate(store))
     drive = Drive(cluster=cluster)
-    drive.collector, drive.evaluator, drive.controller = collector, evaluator, controller
+    drive.grid, drive.evaluator, drive.controller = grid, evaluator, controller
 
     rng = spawn_rng(seed, "chaos-arrivals")
     requests = 0

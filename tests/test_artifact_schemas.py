@@ -1,6 +1,6 @@
 """Mutation test of the artifact schemas (``repro.obs.artifacts``).
 
-Each of the seven documents is rendered in-process from a seeded scenario
+Each of the six documents is rendered in-process from a seeded scenario
 drive (the cached rigs of ``tests/test_scenarios.py``), then mutated one
 field at a time: every dict key, and one list element per variant,
 gets a value of each other JSON type, every required key of a closed
@@ -26,7 +26,6 @@ SOURCES = {
     obs.SNAPSHOT_SCHEMA: (_TRACE, "metrics"),
     obs.TRACES_SCHEMA: (_TRACE, "summary"),
     obs.EVENTS_SCHEMA: (_TRACE, "events"),
-    obs.TIMELINE_SCHEMA: (_MONITOR_CHAOS, "timeline"),
     obs.ALERTS_SCHEMA: (_MONITOR_CHAOS, "alerts"),
     obs.KG_HEALTH_SCHEMA: (_KGHEALTH + ("poisoned",), "health"),
 }

@@ -215,14 +215,13 @@ _MONITOR_CHAOS = ["monitor", "--seed", "0", "--scenario", "chaos"]
 def test_monitor_chaos_fires_and_correlates_alerts(tmp_path, capsys):
     import json
 
-    from repro.obs import ALERTS_SCHEMA, EVENTS_SCHEMA, TIMELINE_SCHEMA, validate
+    from repro.obs import ALERTS_SCHEMA, EVENTS_SCHEMA, validate
 
     # Fired alerts make the run exit 1 even though they resolved.
     first = _drive_twice(tmp_path, _MONITOR_CHAOS, 1,
-                         timeline=".json", alerts=".json", events=".jsonl")
+                         alerts=".json", events=".jsonl")
 
-    validate(TIMELINE_SCHEMA, json.loads(first[0]))
-    report = json.loads(first[1])
+    report = json.loads(first[0])
     validate(ALERTS_SCHEMA, report)
     assert report["fired"] is True
     availability = next(o for o in report["objectives"]
@@ -231,7 +230,7 @@ def test_monitor_chaos_fires_and_correlates_alerts(tmp_path, capsys):
     assert alert["state"] == "resolved"
     assert alert["pending_ts"] < alert["firing_ts"] < alert["resolved_ts"]
 
-    events = validate(EVENTS_SCHEMA, first[2].decode())["events"]
+    events = validate(EVENTS_SCHEMA, first[1].decode())["events"]
     kinds = {e["kind"] for e in events}
     assert {"breaker.open", "router.drain", "router.restore",
             "service.degraded_entry", "service.degraded_exit"} <= kinds
@@ -247,11 +246,11 @@ def test_monitor_chaos_fires_and_correlates_alerts(tmp_path, capsys):
 def test_monitor_clean_scenario_stays_quiet(tmp_path, capsys):
     import json
 
-    _, alerts, _ = _drive(
+    alerts, _ = _drive(
         tmp_path, "clean",
         ["monitor", "--seed", "0", "--scenario", "clean",
          "--requests-per-phase", "200"],
-        0, timeline=".json", alerts=".json", events=".jsonl")
+        0, alerts=".json", events=".jsonl")
     report = json.loads(alerts)
     assert report["fired"] is False
     assert all(not o["alerts"] for o in report["objectives"])
@@ -261,18 +260,17 @@ def test_monitor_clean_scenario_stays_quiet(tmp_path, capsys):
 def test_rollout_healthy_completes_and_is_deterministic(tmp_path, capsys):
     import json
 
-    from repro.obs import ALERTS_SCHEMA, EVENTS_SCHEMA, TIMELINE_SCHEMA, validate
+    from repro.obs import ALERTS_SCHEMA, EVENTS_SCHEMA, validate
 
     first = _drive_twice(
         tmp_path, ["rollout", "--seed", "0", "--scenario", "healthy"], 0,
-        timeline=".json", alerts=".json", events=".jsonl")
+        alerts=".json", events=".jsonl")
 
-    validate(TIMELINE_SCHEMA, json.loads(first[0]))
-    report = json.loads(first[1])
+    report = json.loads(first[0])
     validate(ALERTS_SCHEMA, report)
     assert report["fired"] is False
 
-    events = validate(EVENTS_SCHEMA, first[2].decode())["events"]
+    events = validate(EVENTS_SCHEMA, first[1].decode())["events"]
     kinds = [e["kind"] for e in events]
     assert "rollout.start" in kinds
     assert "rollout.complete" in kinds
@@ -293,9 +291,9 @@ def test_rollout_poisoned_rolls_back_and_redrives(tmp_path, capsys):
     # Accounting holds and nothing mixed-version leaked, so the exit is
     # clean even though the rollout aborted: the guard doing its job is
     # not an operator error.
-    _, alerts, events_bytes = _drive(
+    alerts, events_bytes = _drive(
         tmp_path, "poisoned", ["rollout", "--seed", "0", "--scenario", "poisoned"],
-        0, timeline=".json", alerts=".json", events=".jsonl")
+        0, alerts=".json", events=".jsonl")
 
     events = validate(EVENTS_SCHEMA, events_bytes.decode())["events"]
     kinds = [e["kind"] for e in events]
@@ -456,10 +454,10 @@ def test_removed_flags_cover_all_fourteen_names():
       "--n-queries", "5", "--fault-rate", "0.1", "--out-trace", "t",
       "--out-summary", "s", "--out-events", "e"], "out_summary", "s"),
     (["monitor", "--seed", "3", "--scenario", "clean", "--replicas", "2",
-      "--requests-per-phase", "9", "--n-queries", "5", "--out-timeline", "t",
+      "--requests-per-phase", "9", "--n-queries", "5",
       "--out-alerts", "a", "--out-events", "e"], "scenario", "clean"),
     (["rollout", "--seed", "3", "--scenario", "poisoned", "--replicas", "2",
-      "--requests-per-phase", "9", "--n-queries", "5", "--out-timeline", "t",
+      "--requests-per-phase", "9", "--n-queries", "5",
       "--out-alerts", "a", "--out-events", "e"], "requests_per_phase", 9),
     (["kghealth", "--seed", "3", "--scenario", "poisoned", "--replicas", "2",
       "--requests-per-phase", "9", "--n-queries", "5", "--out-health", "h",

@@ -4,6 +4,7 @@ both passes on the drive it belongs to and fails on one it must reject
 
 import copy
 import functools
+import math
 from collections import Counter
 
 import pytest
@@ -49,6 +50,9 @@ _KGHEALTH = ("kghealth", "--seed", "0", "--replicas", "2", "--n-queries", "48",
 _DRIVES = (_CHAOS + ("resilient",), _CHAOS + ("baseline",), _CHAOS + ("outage",),
            _OBS, _CLUSTER, _TRACE, _MONITOR_CHAOS, _MONITOR_CLEAN, _ROLLOUT_HEALTHY,
            _ROLLOUT_POISONED, _KGHEALTH + ("healthy",), _KGHEALTH + ("poisoned",))
+#: The cached drives with an SLO evaluator on the scrape grid.
+_MONITORED = (_MONITOR_CHAOS, _MONITOR_CLEAN, _ROLLOUT_HEALTHY, _ROLLOUT_POISONED,
+              _KGHEALTH + ("healthy",), _KGHEALTH + ("poisoned",))
 
 
 # -- the exit-code rule ----------------------------------------------------
@@ -131,6 +135,16 @@ def test_phase_latency_windows_partition_the_drive_histogram():
             assert drive.phase_latency[name].count == counts["handled"], (argv[:1], name)
             merged.merge(drive.phase_latency[name])
         assert merged.bucket_counts() == latency.bucket_counts(), argv[:1]
+
+
+def test_slo_evaluation_runs_once_per_crossed_scrape_point():
+    """Every monitored drive evaluates its SLOs once at each
+    ``k * SCRAPE_INTERVAL_S`` point its arrival clock crossed."""
+    for argv in _MONITORED:
+        drive = _played(*argv)
+        crossed = math.floor(drive.cluster.clock.now() / scenarios.SCRAPE_INTERVAL_S
+                             + 1e-9)
+        assert drive.evaluator.evaluations == crossed, argv
 
 
 # -- each expectation rejects the outcome it exists to catch ---------------

@@ -11,9 +11,8 @@ lands with its reader or not at all.
 A consumer is code outside the signal's own module and outside ``tests/``
 that reads *that* value: an ``SloSpec`` selector, a scenario expectation or
 ``_report`` row, ``_STAGE_PREFIXES`` for a span, a CLI print, a bench
-column.  The generic carriers (``obs.snapshot``, ``timeline``,
-``chrome_trace``, ``render_events``) export everything
-and count for nothing, so no row names one of them or ``tests/``.  Alert
+column.  The generic carriers (``obs.snapshot``, ``chrome_trace``,
+``render_events``) export everything and count for nothing, so no row names one of them or ``tests/``.  Alert
 correlation is the designed reader of an event kind nothing more specific
 reads; every span name has a reader of its own.
 """
@@ -166,8 +165,7 @@ def measure(registries=(), event_logs=(), tracers=()) -> dict:
     return seen
 
 
-#: Readers that count for nothing: a test, or a carrier exporting everything
-#: (all but ``timeline``, a word that also names real readers' inputs).
+#: Readers that count for nothing: a test, or a carrier exporting everything.
 _NOT_CONSUMERS = ("tests/", "chrome_trace", "obs.snapshot", "render_events")
 
 
