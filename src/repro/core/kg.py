@@ -62,6 +62,10 @@ STRING_COLUMNS: tuple[str, ...] = (*_TABLES, _PROVENANCE)
 _TABLE_OF = {"head": "nodes", "relation": "relations", "tail": "nodes",
              "domain": "domains", "behavior": "behaviors"}
 
+#: Relation name → member, for the read path and ``from_columns``'s
+#: check: one dict lookup where ``Relation(value)`` is an enum call.
+_RELATION_OF: dict[str, Relation] = {r.value: r for r in Relation}
+
 #: Bit budget of a packed ``(head, relation, tail)`` key — two node ids
 #: around one relation id in a non-negative int64.  2**28 nodes is 40x
 #: the paper's graph (Table 1: 6.3M); Table 2 has 15 relations.
@@ -338,31 +342,40 @@ class KnowledgeGraph:
                       np.array([t.support for t in merged], dtype=np.int64))
 
     # ------------------------------------------------------------------
-    def _triple_at(self, row: int) -> KnowledgeTriple:
-        head_ids: tuple[str, ...] = ()
-        count = self._head_ids_len_col.item(row)
-        if count:       # the row's run of the flat provenance
+    def _rows(self, rows: slice | np.ndarray) -> list[KnowledgeTriple]:
+        """The triples at ``rows`` (an index array or a slice), in that
+        order, built a column at a time: each column is gathered once
+        with ``tolist()``, ids become strings by list indexes into the
+        intern tables, and the records are made by one ``map``."""
+        nodes = self._nodes._values
+        heads = list(map(nodes.__getitem__, self._head_col[rows].tolist()))
+        relations = list(map(_RELATION_OF.__getitem__, map(
+            self._relations._values.__getitem__,
+            self._rel_col[rows].tolist())))
+        tails = list(map(nodes.__getitem__, self._tail_col[rows].tolist()))
+        domains = list(map(self._domains._values.__getitem__,
+                           self._domain_col[rows].tolist()))
+        behaviors = list(map(self._behaviors._values.__getitem__,
+                             self._behavior_col[rows].tolist()))
+        counts = self._head_ids_len_col[rows].tolist()
+        if any(counts):     # each row's run of the flat provenance
             if self._indexes_dirty:
                 self._build_indexes()
-            end = self._head_ids_end.item(row)
-            head_ids = tuple(self._head_ids_flat[end - count:end])
-        return KnowledgeTriple(
-            head=self._nodes.value(self._head_col.item(row)),
-            relation=Relation(self._relations.value(self._rel_col.item(row))),
-            tail=self._nodes.value(self._tail_col.item(row)),
-            domain=self._domains.value(self._domain_col.item(row)),
-            behavior=self._behaviors.value(self._behavior_col.item(row)),
-            plausibility=self._plaus_col.item(row),
-            typicality=self._typ_col.item(row),
-            support=self._support_col.item(row),
-            head_ids=head_ids,
-        )
+            flat = self._head_ids_flat
+            head_ids = [tuple(flat[end - count:end]) for end, count in
+                        zip(self._head_ids_end[rows].tolist(), counts)]
+        else:
+            head_ids = [()] * len(counts)
+        return list(map(KnowledgeTriple, heads, relations, tails, domains,
+                        behaviors, self._plaus_col[rows].tolist(),
+                        self._typ_col[rows].tolist(),
+                        self._support_col[rows].tolist(), head_ids))
 
     def __len__(self) -> int:
         return self._size
 
     def triples(self) -> list[KnowledgeTriple]:
-        return [self._triple_at(row) for row in range(self._size)]
+        return self._rows(slice(0, self._size))
 
     def tails(self) -> list[str]:
         tail_ids = np.unique(self._tail_col[: self._size])
@@ -373,7 +386,7 @@ class KnowledgeGraph:
         if domain_id is None:
             return []
         rows = np.nonzero(self._domain_col[: self._size] == domain_id)[0]
-        return [self._triple_at(int(row)) for row in rows]
+        return self._rows(rows)
 
     def domains(self) -> list[str]:
         """Distinct edge domains in first-appearance order."""
@@ -427,7 +440,7 @@ class KnowledgeGraph:
         Served from the CSR index — O(degree) after an (amortized)
         index build, instead of a full-edge scan.
         """
-        return [self._triple_at(int(row)) for row in self._head_rows(head)]
+        return self._rows(self._head_rows(head))
 
     # ------------------------------------------------------------------
     def columns(self) -> dict:
@@ -473,11 +486,9 @@ class KnowledgeGraph:
         for name, attr in _TABLES.items():
             setattr(kg, attr, _InternTable.adopt(name, columns[name]))
         for value in kg._relations.values():
-            try:
-                Relation(value)
-            except ValueError:
+            if value not in _RELATION_OF:
                 raise ValueError(f"table 'relations' holds {value!r}, "
-                                 "which is not a Relation") from None
+                                 "which is not a Relation")
         edges = np.asarray(columns["head"]).size
         referenced = {name: np.zeros(len(getattr(kg, attr)), dtype=np.int64)
                       for name, attr in _TABLES.items()}

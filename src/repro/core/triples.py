@@ -64,13 +64,14 @@ class KnowledgeCandidate:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeTriple:
     """A refined KG edge ``(head, relation, tail)`` (§3.1).
 
     ``head`` is the behavior's surface form (query text, or the joined
     co-buy titles); ``support`` counts how many candidates collapsed into
-    this edge.
+    this edge.  Slotted: every read of the graph makes one per edge, and
+    a record without a ``__dict__`` is smaller and quicker to build.
     """
 
     head: str

@@ -48,7 +48,12 @@ def sentence_split(text: str) -> list[str]:
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance between ``a`` and ``b``.
 
-    Classic two-row dynamic program; O(len(a) * len(b)) time, O(min) space.
+    Myers' bit-vector algorithm in Hyyrö's Levenshtein form: one column
+    of the dynamic program is two bit vectors over the shorter string
+    (vertical +1 / -1 deltas, held in Python ints of any width), and
+    each character of the longer string advances the column with a
+    dozen integer operations.  Exact — the same value as the classic
+    O(len(a) * len(b)) table, which the tests keep as the reference.
     """
     if a == b:
         return 0
@@ -56,20 +61,28 @@ def edit_distance(a: str, b: str) -> int:
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion
-                    current[j - 1] + 1,  # insertion
-                    previous[j - 1] + cost,  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
+    match: dict[str, int] = {}      # char → the rows of ``b`` holding it
+    for row, char in enumerate(b):
+        match[char] = match.get(char, 0) | 1 << row
+    rows = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    plus, minus, distance = rows, 0, len(b)
+    for char in a:
+        eq = match.get(char, 0)
+        vertical = eq | minus
+        horizontal = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(horizontal | plus)
+        h_minus = plus & horizontal
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        # Row 0 of the table counts up by one per character: shift in +1.
+        h_plus = h_plus << 1 | 1
+        h_minus <<= 1
+        plus = (h_minus | ~(vertical | h_plus)) & rows
+        minus = h_plus & vertical
+    return distance
 
 
 def normalized_edit_distance(a: str, b: str) -> float:

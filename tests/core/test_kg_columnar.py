@@ -9,6 +9,11 @@ order, same stats — while queries run off id tables and CSR slices
 instead of full scans.
 """
 
+import copy
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,10 +53,11 @@ def triples(draw):
 
 def _triple(head="q ||| p", tail="camping", relation=Relation.USED_FOR_EVE,
             domain="Sports & Outdoors", behavior="search-buy",
-            plausibility=0.9, typicality=0.6):
+            plausibility=0.9, typicality=0.6, support=1, head_ids=()):
     return KnowledgeTriple(
         head=head, relation=relation, tail=tail, domain=domain,
         behavior=behavior, plausibility=plausibility, typicality=typicality,
+        support=support, head_ids=head_ids,
     )
 
 
@@ -324,3 +330,162 @@ def test_build_snapshot_stamps_digest_without_changing_version():
     assert from_graph.manifest.as_dict()["columnar_digest"] != ""
     with pytest.raises(ValueError, match="not both"):
         build_snapshot(entries, graph.triples(), graph=graph)
+
+
+# -- the row reader ---------------------------------------------------------
+
+
+def _reference_row(kg, row):
+    """The per-row body the column-at-a-time reader replaced, kept as the
+    oracle: nine ``item`` reads, an enum call and a keyword constructor."""
+    head_ids = ()
+    count = kg._head_ids_len_col.item(row)
+    if count:
+        if kg._indexes_dirty:
+            kg._build_indexes()
+        end = kg._head_ids_end.item(row)
+        head_ids = tuple(kg._head_ids_flat[end - count:end])
+    return KnowledgeTriple(
+        head=kg._nodes.value(kg._head_col.item(row)),
+        relation=Relation(kg._relations.value(kg._rel_col.item(row))),
+        tail=kg._nodes.value(kg._tail_col.item(row)),
+        domain=kg._domains.value(kg._domain_col.item(row)),
+        behavior=kg._behaviors.value(kg._behavior_col.item(row)),
+        plausibility=kg._plaus_col.item(row),
+        typicality=kg._typ_col.item(row),
+        support=kg._support_col.item(row),
+        head_ids=head_ids,
+    )
+
+
+def _same_rows(got, want):
+    """Equal records in the same order, with the same ``repr``.  A NaN
+    score never equals itself, so those fields compare by ``isnan``."""
+    assert repr(got) == repr(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        nan = {name for name in ("plausibility", "typicality")
+               if math.isnan(getattr(b, name))}
+        assert all(math.isnan(getattr(a, name)) for name in nan)
+        assert (dataclasses.replace(a, **dict.fromkeys(nan, 0.0))
+                == dataclasses.replace(b, **dict.fromkeys(nan, 0.0)))
+
+
+def _assert_reads_match_reference(kg):
+    rows = range(len(kg))
+    _same_rows(kg.triples(), [_reference_row(kg, row) for row in rows])
+    for domain in [*kg.domains(), "No Such Domain"]:
+        domain_id = kg._domains.id_of(domain)
+        _same_rows(kg.for_domain(domain),
+                   [_reference_row(kg, row) for row in rows
+                    if kg._domain_col[row] == domain_id])
+    heads = {kg._nodes.value(kg._head_col.item(row)) for row in rows}
+    for head in [*sorted(heads), "no such head"]:
+        head_id = kg._nodes.id_of(head)
+        _same_rows(kg.neighbors(head),
+                   [_reference_row(kg, row) for row in rows
+                    if kg._head_col[row] == head_id])
+
+
+_scores = st.one_of(st.floats(0, 1), st.just(math.nan))
+
+
+@st.composite
+def _edges(draw, provenance):
+    return _triple(
+        head=draw(st.sampled_from(["h1", "h2", "h3"])),
+        relation=draw(st.sampled_from(list(Relation)[:3])),
+        tail=draw(st.sampled_from(["t1", "t2", "t3"])),
+        domain=draw(st.sampled_from(["Electronics", "Pet Supplies", "Toys"])),
+        behavior=draw(st.sampled_from(["co-buy", "search-buy"])),
+        plausibility=draw(_scores), typicality=draw(_scores),
+        support=draw(st.integers(1, 5)), head_ids=draw(provenance))
+
+
+@pytest.mark.parametrize("provenance", [
+    st.just(()),                # no row has any: the shared-empty branch
+    _provenance,                # mixed: empty runs between non-empty ones
+    st.lists(_product_ids, min_size=1, max_size=3).map(tuple),
+], ids=["none", "mixed", "every-row"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_row_reader_matches_the_per_row_body(provenance, data):
+    # 27 possible keys, so batches of up to 40 edges merge rows often.
+    kg = KnowledgeGraph()
+    kg.extend(data.draw(st.lists(_edges(provenance), max_size=40)))
+    _assert_reads_match_reference(kg)
+    # Rows added after a read: the lazy indexes are rebuilt first.
+    kg.extend(data.draw(st.lists(_edges(provenance), max_size=10)))
+    kg.add(data.draw(_edges(provenance)))
+    _assert_reads_match_reference(kg)
+    # A graph adopted from columns has never built its indexes.
+    _assert_reads_match_reference(KnowledgeGraph.from_columns(kg.columns()))
+
+
+@given(st.lists(triples(), max_size=40))
+@settings(max_examples=30, deadline=None)
+def test_row_reader_matches_the_per_row_body_on_real_text(batch):
+    kg = KnowledgeGraph()
+    kg.extend(batch)
+    _assert_reads_match_reference(kg)
+
+
+def test_row_reader_keeps_nan_scores_and_merged_rows():
+    kg = KnowledgeGraph()
+    kg.extend([
+        _triple(plausibility=math.nan, head_ids=("p1",)),
+        _triple(plausibility=0.4, typicality=0.8, support=2,
+                head_ids=("p2",)),
+        _triple(tail="hiking", typicality=math.nan),
+    ])
+    first, second = kg.triples()
+    assert math.isnan(first.plausibility)   # a NaN first insert sticks
+    assert (first.typicality, first.support, first.head_ids) == (
+        0.8, 3, ("p1",))
+    assert math.isnan(second.typicality) and second.head_ids == ()
+    _assert_reads_match_reference(kg)
+
+
+def test_row_reader_returns_plain_python_values():
+    kg = KnowledgeGraph()
+    kg.add(_triple(support=3, head_ids=("p1", "p2")))
+    (triple,) = kg.neighbors("q ||| p")
+    assert [type(getattr(triple, name)) for name in (
+        "head", "relation", "plausibility", "support", "head_ids")] == [
+        str, Relation, float, int, tuple]
+    assert triple.relation is Relation.USED_FOR_EVE
+    assert kg.for_domain("No Such Domain") == []
+    assert kg.neighbors("no such head") == []
+    assert KnowledgeGraph().triples() == []
+
+
+# -- the KnowledgeTriple record ---------------------------------------------
+
+
+def test_triple_is_a_frozen_slotted_record():
+    triple = _triple(head_ids=("p1",))
+    assert not hasattr(triple, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        triple.plausibility = 0.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        triple.head_ids = ()
+
+
+def test_triple_hashes_without_provenance_but_compares_with_it():
+    a = _triple(head_ids=("p1",))
+    b = _triple(head_ids=("p2", "p3"))
+    assert hash(a) == hash(b)
+    assert a != b
+    assert a == _triple(head_ids=("p1",))
+    assert len({a, b}) == 2
+
+
+def test_triple_round_trips_through_pickle_copy_and_replace():
+    triple = _triple(support=4, head_ids=("p1", "商品-7"))
+    assert pickle.loads(pickle.dumps(triple)) == triple
+    assert copy.deepcopy(triple) == triple
+    assert copy.copy(triple) == triple
+    moved = dataclasses.replace(triple, tail="hiking")
+    assert (moved.tail, moved.head_ids, moved.support) == (
+        "hiking", ("p1", "商品-7"), 4)
+    assert dataclasses.replace(triple) == triple

@@ -184,10 +184,8 @@ KEPT_OPTIONS = (
     (("RefreshConfig.llm_call_budget",),
      "LLM-call budget per refresh round: a test sets it to reach deferral",
      ("tests/refresh/test_builder.py::test_budget_defers_overflow_to_next_round",)),
-    (("cli build-kg --seed", "cli build-kg --scale", "cli build-kg --lm-epochs",
-      "cli build-kg --out", "cli inspect-kg --sample", "cli generate --seed",
-      "cli generate --scale", "cli generate --lm-epochs", "cli chaos --seed",
-      "cli chaos --fault-rate",
+    (("cli generate --seed", "cli generate --scale", "cli generate --lm-epochs",
+      "cli chaos --seed", "cli chaos --fault-rate",
       "cli cluster --replicas", "cli trace --replicas", "cli trace --seed",
       "cli trace --requests", "cli trace --n-queries", "cli trace --fault-rate",
       "cli kghealth --seed", "cli monitor --replicas",

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +30,64 @@ def test_sentence_split_empty():
     assert sentence_split("   ") == []
 
 
+def _reference_edit_distance(a: str, b: str) -> int:
+    """The classic two-row dynamic program: the oracle the bit-vector
+    ``edit_distance`` must agree with on every pair."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ch_a in enumerate(a, start=1):
+        current = [i]
+        for j, ch_b in enumerate(b, start=1):
+            cost = 0 if ch_a == ch_b else 1
+            current.append(
+                min(
+                    previous[j] + 1,  # deletion
+                    current[j - 1] + 1,  # insertion
+                    previous[j - 1] + cost,  # substitution
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
 def test_edit_distance_known_values():
     assert edit_distance("kitten", "sitting") == 3
     assert edit_distance("", "abc") == 3
     assert edit_distance("same", "same") == 0
+
+
+@pytest.mark.parametrize("a, b", [
+    ("", ""),
+    ("", "x"),
+    ("x", ""),
+    ("abc", "abc"),
+    ("é" * 70, "é" * 70),
+    ("a" * 64, "a" * 63 + "b"),
+    ("a" * 65, "b" * 65),
+    ("ab" * 40, "ba" * 40),
+    ("portable hammock for camping " * 3, "camping hammock, portable " * 4),
+    ("x" + "y" * 100, "y" * 100 + "x"),
+    ("q" * 200, "q"),
+])
+def test_edit_distance_matches_the_dynamic_program_at_the_edges(a, b):
+    # Empty, equal, and past one 64-bit word on either side.
+    assert edit_distance(a, b) == _reference_edit_distance(a, b)
+    assert edit_distance(b, a) == _reference_edit_distance(a, b)
+
+
+@given(st.text(max_size=90), st.text(max_size=90))
+@settings(max_examples=300, deadline=None)
+def test_edit_distance_matches_the_dynamic_program(a, b):
+    assert edit_distance(a, b) == _reference_edit_distance(a, b)
+
+
+@given(_words, _words)
+@settings(max_examples=200, deadline=None)
+def test_edit_distance_matches_the_dynamic_program_on_a_small_alphabet(a, b):
+    # Few distinct characters: long runs of matches, where carries in
+    # the bit-vector addition travel far.
+    assert edit_distance(a, b) == _reference_edit_distance(a, b)
 
 
 @given(_words, _words)
