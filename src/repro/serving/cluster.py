@@ -46,9 +46,12 @@ from repro.obs.tracing import NULL_SPAN, TraceContext, Tracer, make_trace_id
 from repro.serving.api import ServeOutcome, ServeRequest, ServeResult
 from repro.serving.clock import SimClock
 from repro.serving.deployment import CosmoService
+from repro.serving.resilience import BreakerState
 from repro.serving.router import ConsistentHashRouter
 
 __all__ = ["ClusterConfig", "AdaptiveBatchScheduler", "CosmoCluster"]
+
+_OPEN = BreakerState.OPEN
 
 
 class _HeldClock:
@@ -272,30 +275,33 @@ class CosmoCluster:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _select(self, key: str) -> tuple[str, bool]:
-        """Pick the serving replica; True when it is a failover target
-        (counted here, once per re-routed request).
+    def _select(self, key: str, cooling: set[str],
+                failed_over: set[str]) -> str:
+        """Pick the serving replica in a window where the ``cooling``
+        replicas' breakers are cooling down; a failover target is added
+        to ``failed_over`` and counted, once per re-routed request.
 
-        The home replica serves unless its breaker is cooling down; only
-        then is the key's ring preference order walked past replicas whose
-        breakers are cooling down.  If *every* active replica is cooling
-        down there is nowhere better to go — the home replica takes the
-        request and serves it from its degraded path.
+        The home replica serves unless it is cooling down; only then is
+        the key's ring preference order walked past cooling replicas.  If
+        *every* active replica is cooling down there is nowhere better to
+        go — the home replica takes the request and serves it from its
+        degraded path.
         """
         home = self.router.route(key)
-        if not self._breakers[home].cooling_down:
-            return home, False
+        if home not in cooling:
+            return home
         for replica_id in self.router.preference(key)[1:]:
-            if not self._breakers[replica_id].cooling_down:
+            if replica_id not in cooling:
                 self._failovers.inc()
-                return replica_id, True
-        return home, False
+                failed_over.add(replica_id)
+                return replica_id
+        return home
 
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
     def _context(self, key: str,
-                 propagated: TraceContext | None = None) -> TraceContext | None:
+                 propagated: TraceContext | None) -> TraceContext | None:
         """The trace context a dispatch runs under: the caller's when one
         was propagated, else minted from the request counter and ``key``;
         None with tracing off."""
@@ -334,7 +340,13 @@ class CosmoCluster:
         clock's ``now()`` — the driver advances it between windows).  The
         window is counted once and admitted once (the shed decision is
         sampled at that tick), then every request is routed and the
-        window is grouped by replica.  Each group is one *dispatch*: one
+        window is grouped by replica.  The breakers are read once per
+        window: while none is cooling down a request is one
+        ``router.route``, and only a window with a cooling breaker walks
+        preference orders (:meth:`_select`).  A bare string is a cached
+        request with no propagated trace; it is routed, grouped and served
+        as itself, never as a :class:`~repro.serving.api.ServeRequest`.
+        Each group is one *dispatch*: one
         :meth:`~repro.serving.deployment.CosmoService.serve_batch` call,
         so a replica built with a
         :class:`~repro.serving.deployment.BatchCostModel` charges one
@@ -367,27 +379,35 @@ class CosmoCluster:
         self._requests.inc(len(requests))
         shed = self._admit(len(requests))
         # replica → (window positions, requests): one dispatch each.
-        groups: dict[str, tuple[list[int], list[ServeRequest]]] = {}
+        groups: dict[str, tuple[list[int], list[ServeRequest | str]]] = {}
         failed_over: set[str] = set()
+        # Routing advances no replica clock, so no cooldown can lapse while
+        # a window is routed: the breakers are read once per window.  A
+        # closed breaker costs one attribute read, not a cooldown check.
+        cooling = {name for name, breaker in self._breakers.items()
+                   if breaker.state is _OPEN and breaker.cooling_down}
+        route = self.router.route
         for index, request in enumerate(requests):
-            if isinstance(request, str):
-                request = ServeRequest(query=request)
-            replica_id, moved = self._select(request.query)
+            query = request if isinstance(request, str) else request.query
+            replica_id = (self._select(query, cooling, failed_over) if cooling
+                          else route(query))
             group = groups.get(replica_id)
             if group is None:
                 groups[replica_id] = ([index], [request])
             else:
                 group[0].append(index)
                 group[1].append(request)
-            if moved:
-                failed_over.add(replica_id)
         results: list[ServeResult | None] = [None] * len(requests)
         held = _HeldClock(arrival)
-        histogram = self._latency
+        histogram, fresh = self._latency, ServeOutcome.FRESH
         for replica_id, (indices, group) in groups.items():
             service = self.services[replica_id]
             first = group[0]
-            context = self._context(first.query, first.trace)
+            if isinstance(first, str):
+                query, trace, direct = first, None, False
+            else:
+                query, trace, direct = first.query, first.trace, first.direct
+            context = self._context(query, trace)
             trace_id = None if context is None else context.trace_id
             one = len(group) == 1
             held.value = arrival
@@ -396,9 +416,9 @@ class CosmoCluster:
             with log_scope, self.tracer.trace(context, "cluster.request",
                                               clock=held.now) as root:
                 if one:
-                    root.set_attribute("query", first.query)
+                    root.set_attribute("query", query)
                     root.set_attribute("mode",
-                                       "direct" if first.direct else "cached")
+                                       "direct" if direct else "cached")
                 if shed:
                     root.set_attribute("shed", True)
                 if replica_id in failed_over:
@@ -429,7 +449,7 @@ class CosmoCluster:
                     results[index] = result
                     if end_to_end > slowest:
                         slowest = end_to_end
-                    if result.outcome is not ServeOutcome.FRESH:
+                    if result.outcome is not fresh:
                         flagged = True
                     if end_to_end != run_value:
                         if run:

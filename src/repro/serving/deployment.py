@@ -30,6 +30,7 @@ feature store).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.llm.interface import GenerationBatch
 from repro.obs.events import EventLog
@@ -289,13 +290,14 @@ class CosmoService:
         return invalidated
 
     # ------------------------------------------------------------------
-    def serve(self, request: ServeRequest) -> ServeResult:
+    def serve(self, request: ServeRequest | str) -> ServeResult:
         """Serve one request: a window of one (see :meth:`serve_batch`)."""
         return self.serve_batch([request])[0]
 
-    def serve_batch(self, requests: list[ServeRequest],
+    def serve_batch(self, requests: Sequence[ServeRequest | str],
                     allow_enqueue: bool = True) -> list[ServeResult]:
-        """Serve one window of requests as a unit; the one entrypoint.
+        """Serve one window of requests (or bare query strings, each a
+        cached request) as a unit; the one entrypoint.
 
         Cached mode walks the degradation chain: fresh cache entry →
         (possibly stale) feature-store entry → fallback.  A miss is
@@ -313,41 +315,50 @@ class CosmoService:
         trace and window attribution.
         """
         results: list[ServeResult] = []
-        start = 0
-        for index, request in enumerate(requests):
-            if request.direct:
-                results += self._serve_window(requests[start:index],
-                                              allow_enqueue)
+        queries: list[str] = []  # the cached run since the last direct request
+        for request in requests:
+            if isinstance(request, str):
+                queries.append(request)
+            elif request.direct:
+                results += self._serve_window(queries, allow_enqueue)
+                queries = []
                 results.append(self._note_outcome(
                     self._serve_direct(request.query)))
-                start = index + 1
-        if not start:  # no direct request: the whole window is one run
-            return self._serve_window(requests, allow_enqueue)
-        return results + self._serve_window(requests[start:], allow_enqueue)
+            else:
+                queries.append(request.query)
+        if not results:  # no direct request: the whole window is one run
+            return self._serve_window(queries, allow_enqueue)
+        return results + self._serve_window(queries, allow_enqueue)
 
-    def _serve_window(self, requests: list[ServeRequest],
+    def _serve_window(self, queries: list[str],
                       allow_enqueue: bool) -> list[ServeResult]:
-        """The one window pass over cached requests, charged as
+        """The one window pass over a run of cached queries, charged as
         :class:`BatchCostModel` describes: one cache read at the window's
         start (a day boundary crossed while a sequential window is charged
-        rolls the daily layer at the next window), the answer chain per
-        item, outcome counters tallied once and latency observed once per
-        run of equal latencies."""
-        if not requests:
+        rolls the daily layer at the next window), a hit resolved in the
+        loop and a miss sent down the miss chain, outcome counters tallied
+        once and latency observed once per run of equal latencies."""
+        if not queries:
             return []
-        hits = self.cache.fetch_many([request.query for request in requests],
-                                     enqueue=allow_enqueue)
+        hits = self.cache.fetch_many(queries, enqueue=allow_enqueue)
         sequential = self._batch_costs is None
         if sequential:
             run_latency, run = 0.0, 0
         else:
-            latency = self._batch_costs.window_latency_s(len(requests))
+            latency = self._batch_costs.window_latency_s(len(queries))
             self.clock.advance(latency)
-            run_latency, run = latency, len(requests)
+            run_latency, run = latency, len(queries)
         observe = self.metrics.latency.observe
+        fresh = ServeOutcome.FRESH
         results: list[ServeResult] = []
-        for request, hit in zip(requests, hits):
-            text, outcome, source = self._answer(request.query, hit)
+        for query, hit in zip(queries, hits):
+            if hit is None:
+                text, outcome, source = self._answer(query)
+            else:
+                text, layer = hit
+                outcome = fresh
+                source = (SOURCE_CACHE_YEARLY if layer == "yearly"
+                          else SOURCE_CACHE_DAILY)
             if sequential:
                 latency = self._charge_stage(outcome, source, hit)
                 if latency != run_latency:
@@ -355,7 +366,7 @@ class CosmoService:
                         observe(run_latency, count=run)
                     run_latency, run = latency, 0
                 run += 1
-            result = ServeResult(query=request.query, text=text,
+            result = ServeResult(query=query, text=text,
                                  outcome=outcome, source=source,
                                  latency_s=latency, replica=self.name)
             if (hit is None) != self._in_degraded_mode:
@@ -399,19 +410,15 @@ class CosmoService:
         self._in_degraded_mode = degraded
         return result
 
-    def _answer(self, query: str,
-                hit: tuple[str, str] | None) -> tuple[str, ServeOutcome, str]:
-        """The answer chain, written once: fresh cache ``hit`` → (possibly
-        stale) feature-store entry → fallback.  Returns ``(text, outcome,
+    def _answer(self, query: str) -> tuple[str, ServeOutcome, str]:
+        """The miss chain, written once: (possibly stale) feature-store
+        entry → fallback, for a cache miss and a failed direct call (the
+        window pass resolves a hit itself).  Returns ``(text, outcome,
         source)``.
 
         The stale step is degraded serving; without it a miss goes
         straight to the fallback and the feature store is not consulted.
         """
-        if hit is not None:
-            text, layer = hit
-            return text, ServeOutcome.FRESH, (
-                SOURCE_CACHE_YEARLY if layer == "yearly" else SOURCE_CACHE_DAILY)
         if self._degraded_serving:
             record = self.features.get(query)
             if record is not None:
@@ -431,10 +438,10 @@ class CosmoService:
         return stage_s
 
     def _serve_answer(self, query: str, since: float) -> ServeResult:
-        """Answer a direct call whose generation failed from the answer
+        """Answer a direct call whose generation failed from the miss
         chain: charge its stage, observe its latency — everything the
         clock was charged since ``since`` — and count its outcome."""
-        text, outcome, source = self._answer(query, None)
+        text, outcome, source = self._answer(query)
         self._charge_stage(outcome, source, None)
         latency = self.clock.now() - since
         self.metrics.latency.observe(latency)

@@ -270,6 +270,35 @@ def test_failover_matches_the_reference_for_tripped_and_drained_replicas(
     assert cluster.metrics_totals()["failovers"] == moved
 
 
+@settings(max_examples=60, deadline=None)
+@given(tripped=st.sets(st.sampled_from(_FAILOVER_IDS)),
+       drained=st.sampled_from([None, *_FAILOVER_IDS]),
+       window=st.integers(1, 16),
+       bare=st.lists(st.booleans(), min_size=40, max_size=40))
+def test_windowed_failover_matches_the_reference(tripped, drained, window,
+                                                 bare):
+    """``handle_batch`` reads the breakers once per window; every request
+    of the window, bare string or record, must still land where the
+    per-key reference says."""
+    cluster = _cluster(n_replicas=3)
+    if drained is not None:
+        cluster.drain(drained)
+    for replica_id in tripped:
+        _trip(cluster.services[replica_id].breaker)
+    keys = [f"q{i}" for i in range(40)]
+    requests = [key if as_string else ServeRequest(query=key)
+                for key, as_string in zip(keys, bare)]
+    moved = 0
+    for start in range(0, len(keys), window):
+        expected = [_reference_replica(cluster, key)
+                    for key in keys[start:start + window]]
+        results = cluster.handle_batch(requests[start:start + window])
+        assert [result.replica for result in results] == expected
+        moved += sum(replica != cluster.router.route(key) for replica, key
+                     in zip(expected, keys[start:start + window]))
+    assert cluster.metrics_totals()["failovers"] == moved
+
+
 def test_keys_go_home_once_the_breaker_cooldown_expires():
     cluster = _cluster(n_replicas=3)
     victim = "cluster-r0"

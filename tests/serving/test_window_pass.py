@@ -29,6 +29,7 @@ from repro.serving import (
     FaultInjector,
     FaultPlan,
     FlakyGenerator,
+    ServeOutcome,
     ServeRequest,
     ServeResult,
     SimClock,
@@ -48,7 +49,11 @@ def _reference_serve(service, request, allow_enqueue):
         result = service._serve_direct(request.query)
     else:
         hit = service.cache.fetch_many([request.query], allow_enqueue)[0]
-        text, outcome, source = service._answer(request.query, hit)
+        if hit is None:
+            text, outcome, source = service._answer(request.query)
+        else:
+            text, outcome = hit[0], ServeOutcome.FRESH
+            source = f"cache:{hit[1]}"
         span_name, origin, stage_s, counter = _STAGES[outcome]
         attributes = {} if origin is None else {
             origin: hit[1] if hit is not None else source}

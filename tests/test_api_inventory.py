@@ -221,8 +221,7 @@ KEPT_OPTIONS = (
       "tests/obs/test_metrics.py", "tests/refresh/test_quality.py")),
     (("ConsistentHashRouter.vnodes", "ConsistentHashRouter.preference.limit",
       "Tensor.backward.grad", "FeatureStore.put.extras", "FeatureStore.structure.extras",
-      "Tracer.record.parent", "ServeRequest.trace",
-      "CosmoCluster._context.propagated", "CosmoService.prompt_builder"),
+      "Tracer.record.parent", "ServeRequest.trace", "CosmoService.prompt_builder"),
      "what a reference-model or hand-built test feeds in: small rings against the "
      "naive ring walk, an upstream gradient, a record's eighth attribute, an "
      "after-the-fact span, a caller's trace context, the trained LM's prompt",

@@ -3,15 +3,17 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _script():
+def _script(name="append_bench_row"):
     spec = importlib.util.spec_from_file_location(
-        "append_bench_row", REPO_ROOT / "scripts" / "append_bench_row.py")
+        name, REPO_ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -69,3 +71,45 @@ def test_committed_trajectory_has_a_parent_and_a_change_row():
     assert len(runs) >= 2
     for run in runs:
         assert all(w["failed"] == 0 for w in run["workloads"].values())
+
+
+def test_claims_are_written_on_the_command_line_and_checked(tmp_path):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(_result(40.0)))
+    history = tmp_path / "BENCH_wallclock.json"
+
+    def append(*claims):
+        return subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "append_bench_row.py"),
+             str(result), "--note", "change", "--history", str(history),
+             *(arg for claim in claims for arg in ("--claim", claim))],
+            capture_output=True, text=True)
+
+    assert append("serve_hot/ref_us_per_unit").returncode == 0
+    assert append().returncode == 0
+    runs = json.loads(history.read_text())["runs"]
+    assert runs[0]["claims"] == ["serve_hot/ref_us_per_unit"]
+    assert "claims" not in runs[1]
+    # A workload or an end-to-end metric the result does not have is
+    # refused, and nothing is appended.
+    for claim in ("serve_miss/ref_us_per_unit", "serve_hot/ref_us_call_p50",
+                  "serve_hot/serving.router.preference.self_ref_us_per_unit"):
+        refused = append(claim)
+        assert refused.returncode != 0 and "claim" in refused.stderr
+    assert len(json.loads(history.read_text())["runs"]) == 2
+
+
+def test_a_claimed_row_holds_later_drift_to_its_bound(tmp_path, capsys):
+    spec = tmp_path / "BENCHMARK.json"
+    spec.write_text(json.dumps({"end_to_end": [
+        {"name": "ref_us_per_unit", "better": "lower", "bound": 0.15}]}))
+    history = tmp_path / "BENCH_wallclock.json"
+    script, check = _script(), _script("check_perf_baseline").check_wallclock
+    script.append_row(history, _result(40.0), "claimed gain",
+                      ["serve_hot/ref_us_per_unit"])
+    script.append_row(history, _result(45.0), "drift, +12.5 %")
+    assert check(history, spec) == 0
+    script.append_row(history, _result(50.6), "drift, +12.4 %")
+    # Each step is inside the 15 % bound; the two add up to 26.5 %.
+    assert check(history, spec) == 1
+    assert "REGRESSION" in capsys.readouterr().out

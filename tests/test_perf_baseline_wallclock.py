@@ -28,16 +28,20 @@ def _spec(tmp_path):
     return path
 
 
-def _history(tmp_path, *rows, seeds=None):
+def _history(tmp_path, *rows, seeds=None, claims=None):
     seeds = seeds or [7] * len(rows)
-    path = tmp_path / "BENCH_wallclock.json"
-    path.write_text(json.dumps({"format": "bench-wallclock", "version": 1, "runs": [
+    runs = [
         {"sequence": i, "note": f"row {i}", "seed": seed, "smoke": False,
          "workloads": {name: {"failed": 0, "per_layer": {},
                               "end_to_end": {"ref_us_per_unit": cost,
                                              "hit_rate": hits}}
                        for name, (cost, hits) in row.items()}}
-        for i, (row, seed) in enumerate(zip(rows, seeds))]}))
+        for i, (row, seed) in enumerate(zip(rows, seeds))]
+    for i, claimed in (claims or {}).items():
+        runs[i]["claims"] = claimed
+    path = tmp_path / "BENCH_wallclock.json"
+    path.write_text(json.dumps({"format": "bench-wallclock", "version": 1,
+                                "runs": runs}))
     return path
 
 
@@ -87,3 +91,49 @@ def test_the_command_line_reads_the_repo_spec(tmp_path):
                 setup_s=1.0)
     history.write_text(json.dumps(row))
     assert _script().main(["--wallclock", str(history)]) == 1
+
+
+def _flagged(capsys):
+    return [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+            if "REGRESSION" in line]
+
+
+def test_drift_past_a_claim_in_steps_inside_the_bound_fails(tmp_path, capsys):
+    # +12.5 % then +12.4 %: each step is inside the 15 % bound, the two
+    # together are 26.5 % past what row 0 claimed.
+    rows = ({"serve_hot": (40.0, 0.9)}, {"serve_hot": (45.0, 0.9)},
+            {"serve_hot": (50.6, 0.9)})
+    script, spec = _script(), _spec(tmp_path)
+    assert script.check_wallclock(_history(tmp_path, *rows), spec) == 0
+    assert _flagged(capsys) == []
+    claimed = _history(tmp_path, *rows,
+                       claims={0: ["serve_hot/ref_us_per_unit"]})
+    assert script.check_wallclock(claimed, spec) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines()
+            if "REGRESSION" in line] == [["serve_hot", "ref_us_per_unit"]]
+    assert "vs row #0's claim" in out
+
+
+@pytest.mark.parametrize("claims, seeds, code", [
+    # The best claim is the floor, whichever row made it.
+    ({0: ["serve_hot/ref_us_per_unit"], 1: ["serve_hot/ref_us_per_unit"]},
+     None, 1),
+    ({1: ["serve_hot/ref_us_per_unit"]}, None, 0),
+    # A claim measured with another seed is not comparable.
+    ({0: ["serve_hot/ref_us_per_unit"]}, [11, 7, 7], 0),
+    # Higher is better: the claim on hit_rate holds the last row to it.
+    ({0: ["serve_hot/hit_rate"]}, None, 1),
+    # A claimed workload the last row did not measure is not judged.
+    ({0: ["kg_refresh/ref_us_per_unit"]}, None, 0),
+])
+def test_the_floor_is_the_best_comparable_claim(tmp_path, capsys, claims,
+                                               seeds, code):
+    # Row 2 is inside every bound of row 1, not of row 0.
+    history = _history(tmp_path,
+                       {"serve_hot": (34.0, 0.99), "kg_refresh": (10.0, 0.9)},
+                       {"serve_hot": (38.0, 0.92), "kg_refresh": (10.0, 0.9)},
+                       {"serve_hot": (40.0, 0.88)},
+                       seeds=seeds, claims=claims)
+    assert _script().check_wallclock(history, _spec(tmp_path)) == code
+    assert len(_flagged(capsys)) == code

@@ -417,8 +417,8 @@ PLANTS = [
      '        print(f"draining {replica}")\n        self._emit("router.drain", replica)',
      "event-log-only"),
     ("src/repro/serving/cluster.py",
-     'root.set_attribute("query", first.query)',
-     'root.set_attribute("query", first.query)\n'
+     'root.set_attribute("query", query)',
+     'root.set_attribute("query", query)\n'
      '                    root.set_attribute("trace_id", trace_id)', "trace-id-contract"),
     ("src/repro/serving/cluster.py",
      "self._started_at = self.clock.now()",
