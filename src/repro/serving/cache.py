@@ -104,23 +104,6 @@ class AsyncCacheStore:
         self.stats = CacheStats(registry=registry, store=name)
         self.request_log: Counter = Counter()
 
-    def _enqueue(self, query: str) -> None:
-        """Append a missed query to the pending queue (no-op when already
-        queued), evicting the oldest entry at capacity.
-
-        A query is only ever inserted when absent and the clock's day
-        never goes back, so the dict's insertion order *is* oldest-first:
-        its first key is the eviction victim and its key order is the
-        flush order.
-        """
-        pending = self._pending
-        if query in pending:
-            return
-        if len(pending) >= self._pending_capacity:
-            del pending[next(iter(pending))]
-            self.stats.add("pending_evictions", 1)
-        pending[query] = self._clock.day
-
     # ------------------------------------------------------------------
     def preload_yearly(self, entries: dict[str, str]) -> None:
         """Load the year's frequent-search responses (layer 1)."""
@@ -141,14 +124,22 @@ class AsyncCacheStore:
         the query for the next batch unless ``enqueue`` is False
         (admission control shedding load skips the queue so shed traffic
         cannot crowd out admitted misses).  One daily-layer roll covers
-        the window; per-query accounting (request log, pending enqueue
-        with capacity eviction) runs in order, and the hit/miss counters
-        are tallied over the window and incremented once each.
+        the window, and its day stamps every miss the window enqueues;
+        per-query accounting (request log, pending enqueue with capacity
+        eviction) runs in order in the read loop, and the hit/miss
+        counters are tallied over the window and incremented once each.
+
+        A query is only ever enqueued when absent and the day never goes
+        back, so the pending dict's insertion order *is* oldest-first:
+        its first key is the eviction victim and its key order is the
+        flush order.
         """
         if not queries:
             return []
         self._roll_daily_layer()
         request_log, yearly, daily = self.request_log, self._yearly, self._daily
+        pending, capacity, today = self._pending, self._pending_capacity, self._daily_day
+        stats = self.stats
         hits: list[tuple[str, str] | None] = []
         layer1 = layer2 = 0
         for query in queries:
@@ -160,10 +151,12 @@ class AsyncCacheStore:
                 layer2 += 1
                 hits.append((daily[query], "daily"))
             else:
-                if enqueue:
-                    self._enqueue(query)
+                if enqueue and query not in pending:
+                    if len(pending) >= capacity:
+                        del pending[next(iter(pending))]
+                        stats.add("pending_evictions", 1)
+                    pending[query] = today
                 hits.append(None)
-        stats = self.stats
         for attr, tally in (("layer1_hits", layer1), ("layer2_hits", layer2),
                             ("misses", len(queries) - layer1 - layer2)):
             if tally:

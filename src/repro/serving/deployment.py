@@ -412,18 +412,17 @@ class CosmoService:
 
     def _answer(self, query: str) -> tuple[str, ServeOutcome, str]:
         """The miss chain, written once: (possibly stale) feature-store
-        entry → fallback, for a cache miss and a failed direct call (the
-        window pass resolves a hit itself).  Returns ``(text, outcome,
-        source)``.
+        text (no record built) → fallback, for a cache miss and a failed
+        direct call (the window pass resolves a hit itself).  Returns
+        ``(text, outcome, source)``.
 
         The stale step is degraded serving; without it a miss goes
         straight to the fallback and the feature store is not consulted.
         """
         if self._degraded_serving:
-            record = self.features.get(query)
-            if record is not None:
-                return (record.knowledge_text, ServeOutcome.DEGRADED,
-                        SOURCE_FEATURE_STORE)
+            text = self.features.text(query)
+            if text is not None:
+                return text, ServeOutcome.DEGRADED, SOURCE_FEATURE_STORE
         return self._fallback, ServeOutcome.FALLBACK, SOURCE_FALLBACK
 
     def _charge_stage(self, outcome: ServeOutcome, source: str,

@@ -93,6 +93,9 @@ class ConsistentHashRouter:
         self._orders = _successor_table([replica for _, replica in ring])
         #: key → its successor-table entry, filled by :meth:`_order`.
         self._order_of: dict[str, tuple[str, ...]] = {}
+        #: The active replica while it is the only one, else None.
+        self._sole: str | None = None
+        self._refresh_sole()
         self._event_log = None
         self._event_clock = None
         self._event_component = "router"
@@ -145,6 +148,7 @@ class ConsistentHashRouter:
         if len(self._drained) + 1 >= len(self._replicas):
             raise ValueError("cannot drain the last active replica")
         self._drained.add(replica)
+        self._refresh_sole()
         self._emit("router.drain", replica)
 
     def restore(self, replica: str) -> None:
@@ -156,7 +160,12 @@ class ConsistentHashRouter:
             self._emit("router.restore_noop", replica)
             return
         self._drained.discard(replica)
+        self._refresh_sole()
         self._emit("router.restore", replica)
+
+    def _refresh_sole(self) -> None:
+        active = self.active
+        self._sole = active[0] if len(active) == 1 else None
 
     def _require(self, replica: str) -> None:
         if replica not in self._replicas:
@@ -179,7 +188,14 @@ class ConsistentHashRouter:
         return [r for r in order if r not in drained][:limit]
 
     def route(self, key: str) -> str:
-        """The active replica that owns ``key``."""
+        """The active replica that owns ``key``.
+
+        With one active replica every key routes to it, so the answer
+        costs one attribute read: no hash, and no memo entry.
+        """
+        sole = self._sole
+        if sole is not None:
+            return sole
         order = self._order(key)
         drained = self._drained
         if not drained:

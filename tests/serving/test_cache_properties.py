@@ -116,41 +116,112 @@ def test_pending_order_and_eviction_victim_match_the_scan_forms():
     assert cache.pending_queries() == ["q3", "q5", "q6", "q7", "q8", "q9"]
 
 
+class _OneAtATimeQueue:
+    """The pending queue as a miss at a time would build it, in the scan
+    forms: each entry keeps its enqueue day and arrival number, the
+    eviction victim is the ``min`` and the flush order the ``sorted`` of
+    those, and the daily layer is tracked only to tell hits from misses."""
+
+    def __init__(self, clock, capacity, max_age_days):
+        self.clock, self.capacity, self.max_age = clock, capacity, max_age_days
+        self.entries: dict[str, tuple[int, int]] = {}  # query -> (day, arrival)
+        self.daily: set[str] = set()
+        self.day = clock.day
+        self.arrivals = self.evictions = 0
+        self.victims: list[str] = []
+
+    def roll(self):
+        if self.clock.day != self.day:
+            self.daily.clear()
+            self.day = self.clock.day
+            for query in [q for q, (d, _) in self.entries.items()
+                          if self.day - d > self.max_age]:
+                del self.entries[query]
+                self.victims.append(query)
+                self.evictions += 1
+
+    def fetch(self, queries, enqueue):
+        self.roll()
+        for query in queries:
+            if query in self.daily or query in self.entries or not enqueue:
+                continue
+            if len(self.entries) >= self.capacity:
+                victim = min(self.entries, key=self.entries.get)
+                del self.entries[victim]
+                self.victims.append(victim)
+                self.evictions += 1
+            self.arrivals += 1
+            self.entries[query] = (self.clock.day, self.arrivals)
+
+    def apply(self, queries):
+        self.roll()
+        for query in queries:
+            self.entries.pop(query, None)
+            self.daily.add(query)
+
+    def order(self):
+        return sorted(self.entries, key=self.entries.get)
+
+
+class _VictimLog(dict):
+    """A pending dict that logs what the store evicts (evictions ``del``;
+    answers and dead letters ``pop``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.victims: list[str] = []
+
+    def __delitem__(self, query):
+        self.victims.append(query)
+        super().__delitem__(query)
+
+
 @st.composite
 def pending_operations(draw):
     kinds = ["lookup", "fetch_many", "day", "batch", "drop"]
-    return [(draw(st.sampled_from(kinds)),
-             draw(st.lists(_queries, min_size=1, max_size=4)))
-            for _ in range(draw(st.integers(1, 50)))]
+    ops = []
+    for _ in range(draw(st.integers(1, 50))):
+        kind = draw(st.sampled_from(kinds))
+        size = 8 if kind == "fetch_many" else 4
+        ops.append((kind, draw(st.lists(_queries, min_size=1, max_size=size)),
+                    draw(st.booleans()),    # roll the day just before
+                    draw(st.booleans())))   # enqueue
+    return ops
 
 
 @given(pending_operations(), st.integers(1, 6))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_pending_queue_matches_scan_forms_under_arbitrary_operations(ops, capacity):
+    """``fetch_many`` windows of 1..8 queries (shed or not, some right
+    after a day roll) build the queue a miss at a time would: same flush
+    order, same victims, same eviction count, same enqueue days."""
     clock = SimClock()
     cache = AsyncCacheStore(clock, pending_capacity=capacity,
                             pending_max_age_days=2)
-    for kind, queries in ops:
+    cache._pending = _VictimLog()
+    model = _OneAtATimeQueue(clock, capacity, max_age_days=2)
+    for kind, queries, new_day, enqueue in ops:
         if kind == "day":
             clock.advance_days(1)
         elif kind == "batch":
             cache.apply_batch({q: "answer" for q in queries})
+            model.apply(queries)
         elif kind == "drop":
             cache.drop_pending(queries)
-        else:
             for query in queries:
-                # Age eviction runs on the read's day roll, before the
-                # capacity check — settle it so the model sees that queue.
-                cache._roll_daily_layer()
-                full = (query not in cache._daily
-                        and query not in cache._pending
-                        and cache.pending_size >= capacity)
-                victim = _eviction_victim_model(cache) if full else None
-                if kind == "lookup":
+                model.entries.pop(query, None)
+        else:
+            if new_day:
+                clock.advance_days(1)
+            if kind == "lookup":
+                for query in queries:
                     cache.lookup(query)
-                else:
-                    cache.fetch_many([query])
-                if victim is not None:
-                    assert victim not in cache._pending
-        assert cache.pending_queries() == _oldest_first_model(cache)
+                model.fetch(queries, enqueue=True)
+            else:
+                cache.fetch_many(queries, enqueue=enqueue)
+                model.fetch(queries, enqueue)
+        assert cache._pending.victims == model.victims
+        assert cache.pending_queries() == model.order() == _oldest_first_model(cache)
+        assert cache._pending == {q: day for q, (day, _) in model.entries.items()}
+        assert cache.stats.pending_evictions == model.evictions
         assert cache.pending_size <= capacity

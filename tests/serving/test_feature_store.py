@@ -30,6 +30,19 @@ def test_put_get_roundtrip_and_containment():
     assert store.get("missing") is None
 
 
+def test_stored_extras_survive_mutating_the_callers_dict_and_any_view():
+    store = FeatureStore(SimClock())
+    extras = {"src": "lm"}
+    record = store.put("tent", "it is used for camping.", extras=extras)
+    extras["src"] = "edited after the write"
+    extras["new"] = "x"
+    assert store.get("tent").extras == {"src": "lm"}
+    record.extras["src"] = "edited through the returned view"
+    store.get("tent").extras.clear()
+    assert store.get("tent").extras == {"src": "lm"}
+    assert store.get("tent").extras is not store.get("tent").extras
+
+
 def test_records_version_by_refresh_day():
     clock = SimClock()
     store = FeatureStore(clock)

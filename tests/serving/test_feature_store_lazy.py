@@ -113,7 +113,7 @@ def _store():
 
 def _stored(store):
     return [(r.key, r.knowledge_text, r.refreshed_day, r.extras)
-            for r in store._records.values()]
+            for r in map(store.get, store._records)]
 
 
 _pairs = st.lists(st.tuples(st.sampled_from("abcdef"),
@@ -152,6 +152,58 @@ def test_put_many_empty_window_touches_nothing():
     assert _stored(store) == before
 
 
+# -- (iv) the store's entries against a dict model ------------------------------
+_texts = st.one_of(st.sampled_from(["it is used for x.", "noise", ""]),
+                   st.sampled_from([None, b"it is used for x.", 7]))
+_extras = st.one_of(st.none(), st.dictionaries(st.sampled_from("uv"),
+                                               st.sampled_from("xy"), max_size=2))
+_store_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from("abcd"), _texts, _extras),
+    st.tuples(st.just("put_many"),
+              st.lists(st.tuples(st.sampled_from("abcd"), _texts), max_size=5)),
+    st.tuples(st.just("day"), st.integers(1, 2)),
+), max_size=20)
+
+
+@given(ops=_store_ops)
+@settings(max_examples=200, deadline=None)
+def test_entries_match_a_dict_of_text_day_and_extras(ops):
+    store, model = _store(), {}  # model: key -> (text, day, extras)
+    for op, *args in ops:
+        day = store._clock.day
+        if op == "day":
+            store._clock.advance_days(args[0])
+        elif op == "put":
+            key, text, extras = args
+            if not isinstance(text, str):
+                with pytest.raises(TypeError):
+                    store.put(key, text, extras)
+                continue
+            record = store.put(key, text, extras)
+            model[key] = (text, day, dict(extras or {}))
+            assert record == FeatureStore.structure(key, *model[key])
+        else:
+            (pairs,) = args
+            if not all(isinstance(text, str) for _, text in pairs):
+                with pytest.raises(TypeError):
+                    store.put_many(pairs)
+                continue  # a window with one non-str text stores nothing
+            store.put_many(pairs)
+            model.update({key: (text, day, {}) for key, text in pairs})
+        assert len(store) == len(model)
+        for key in "abcde":
+            if key not in model:
+                assert key not in store
+                assert store.get(key) is None and store.text(key) is None
+                continue
+            record = store.get(key)
+            assert record == FeatureStore.structure(key, *model[key])
+            assert store.text(key) == record.knowledge_text == model[key][0]
+        today = store._clock.day
+        assert store.stale_keys() == [
+            key for key, (_, day, _) in model.items() if today - day > 1]
+
+
 # -- a bad response fails at the write ----------------------------------------
 @pytest.mark.parametrize("bad", [None, b"it is used for x.", 7])
 def test_put_rejects_non_str_text_before_storing(bad):
@@ -183,8 +235,22 @@ def parse_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def record_builds(monkeypatch):
+    built = []
+    record = feature_store_module.FeatureRecord
+
+    def counting(key, *fields):
+        built.append(key)
+        return record(key, *fields)
+
+    monkeypatch.setattr(feature_store_module, "FeatureRecord", counting)
+    return built
+
+
 @pytest.mark.parametrize("batch_costs", [None, BatchCostModel()])
-def test_serve_path_never_parses_and_a_reader_parses_once(parse_calls, batch_costs):
+def test_serve_path_never_parses_and_a_reader_parses_once(parse_calls, record_builds,
+                                                          batch_costs):
     service = CosmoService(ScriptedGenerator(), clock=SimClock(), seed=3,
                            batch_costs=batch_costs)
     queries = [f"query {i}" for i in range(8)]
@@ -200,8 +266,11 @@ def test_serve_path_never_parses_and_a_reader_parses_once(parse_calls, batch_cos
     assert direct.source == "direct" and "direct one" in service.features
     assert list(service.features._records) == queries + ["direct one"]
     assert parse_calls == []
+    # A miss, a flush, a degraded serve and a direct request build no record.
+    assert record_builds == []
 
     record = service.features.get("query 3")
+    assert record_builds == ["query 3"]
     assert record.relation == "USED_FOR_FUNC"
     assert record.tail == "query 3"
     assert record.strong_intent
@@ -250,6 +319,6 @@ def test_stale_refresh_is_one_window_and_a_failed_generation_keeps_its_record(
     assert windows == [[("a", "it is used for a v2."), ("c", "it is used for c v2.")]]
     assert cache_writes == []  # a stale refresh does not touch the cache
     assert list(service.features._records) == ["a", "b", "c"]
-    assert service.features._records["b"] is old_b  # stale beats nothing
-    assert [service.features._records[q].refreshed_day for q in "abc"] == [2, 0, 2]
+    assert service.features.get("b") == old_b  # stale beats nothing
+    assert [service.features.get(q).refreshed_day for q in "abc"] == [2, 0, 2]
     assert service.features.stale_keys() == ["b"]

@@ -289,6 +289,49 @@ def test_memoized_orders_match_ring_walk_across_drain_restore_and_clears(
             re_ask()
 
 
+@given(st.integers(1, 4), st.integers(1, 16), st.integers(0, 2**32), _keys,
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_sole_active_replica_routes_like_the_ring_walk_without_a_memo_entry(
+        n, vnodes, seed, keys, data):
+    """Drain down to exactly one active replica, restore back out and
+    wander on: the sole-replica shortcut in ``route`` must agree with
+    ``preference`` and the ring walk at every step, and while it is taken
+    a never-asked key leaves no memo entry."""
+    ids = _replica_ids(n)
+    router = ConsistentHashRouter(ids, vnodes=vnodes, seed=seed)
+    model = NaiveRingWalk(ids, vnodes, seed)
+    drained = data.draw(st.permutations(ids))[:n - 1]  # one survivor
+    schedule = ([(True, replica) for replica in drained]
+                + [(False, replica) for replica in data.draw(st.permutations(drained))]
+                + [(drain, ids[index % n]) for drain, index in data.draw(
+                    st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=8))])
+
+    def check(step):
+        fresh = [f"{key}|step {step}" for key in keys]  # never asked before
+        sole = len(model.drained) == n - 1
+        for key in fresh + keys + KEYS[:4]:
+            memo = len(router._order_of)
+            routed = router.route(key)
+            if sole:
+                assert len(router._order_of) == memo
+            assert routed == router.preference(key)[0] == model.route(key)
+
+    check(0)
+    for step, (drain, replica) in enumerate(schedule, 1):
+        if drain:
+            if len(model.drained | {replica}) == n:
+                with pytest.raises(ValueError):
+                    router.drain(replica)
+                continue
+            router.drain(replica)
+            model.drained.add(replica)
+        else:
+            router.restore(replica)
+            model.drained.discard(replica)
+        check(step)
+
+
 def test_key_past_the_last_ring_point_wraps_to_the_first():
     ids = _replica_ids(3)
     router = ConsistentHashRouter(ids, vnodes=2, seed=7)

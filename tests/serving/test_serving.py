@@ -158,7 +158,7 @@ def test_feature_store_structures_responses():
     assert record.relation == "USED_FOR_EVE"
     assert record.tail == "winter camping"
     assert record.strong_intent
-    assert store.get("camping gear") is record
+    assert store.get("camping gear") == record
 
 
 def test_feature_store_unparseable_response():
