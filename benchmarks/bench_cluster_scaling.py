@@ -28,10 +28,10 @@ which checks the file byte for byte against its line in
 import json
 import pathlib
 
-import numpy as np
 from conftest import publish
 
 from repro.reporting import Table, format_percent
+from repro.scenarios import zipf_traffic
 from repro.serving import BatchCostModel, ClusterConfig, CosmoCluster
 from repro.serving.chaos import ScriptedGenerator
 from repro.utils.rng import spawn_rng
@@ -52,14 +52,7 @@ N_QUERIES = 400
 MIN_THROUGHPUT_X4 = 3300.0
 
 RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "cluster_scaling.json"
-
-
-def _traffic(seed: int) -> list[str]:
-    rng = spawn_rng(seed, "cluster-scaling-traffic")
-    weights = 1.0 / np.arange(1, N_QUERIES + 1) ** 1.3
-    weights /= weights.sum()
-    picks = rng.choice(N_QUERIES, size=N_REQUESTS, p=weights)
-    return [f"query {int(i):03d}" for i in picks]
+QUERIES = [f"query {i:03d}" for i in range(N_QUERIES)]
 
 
 def _drive(n_replicas: int, traffic: list[str], registry) -> dict:
@@ -90,7 +83,7 @@ def _drive(n_replicas: int, traffic: list[str], registry) -> dict:
 
 
 def test_cluster_scaling(benchmark, obs_registry):
-    traffic = _traffic(seed=7)
+    traffic = zipf_traffic(spawn_rng(7, "cluster-scaling-traffic"), QUERIES, N_REQUESTS)
     arms = [_drive(n, traffic, obs_registry) for n in (1, 2, 4)]
 
     table = Table("Cluster scaling — same offered load, 1/2/4 replicas",

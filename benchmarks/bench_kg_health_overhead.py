@@ -30,8 +30,8 @@ from conftest import publish
 from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.obs import (KG_HEALTH_SCHEMA, WallProfiler, compute_kg_health,
-                       kg_health_report, validate)
+from repro.obs import (KG_HEALTH_SCHEMA, compute_kg_health, kg_health_report,
+                       validate, wall_now)
 from repro.refresh import SnapshotQualityGate, SnapshotStore, build_snapshot
 from repro.reporting import Table
 
@@ -78,7 +78,6 @@ def test_kg_health_overhead(benchmark):
     entries = {f"query {i:04d}": f"it is used for query {i:04d}."
                for i in range(N_QUERIES)}
 
-    profiler = WallProfiler()
     pairs = []
     last = None
     for rep in range(BEST_OF):
@@ -87,19 +86,19 @@ def test_kg_health_overhead(benchmark):
         gc.collect()
         gc.disable()
         try:
-            with profiler.section(f"build-{rep}"):
-                parent_snap, parent_graph = _build_arm(base, entries)
-                child_snap, child_graph = _build_arm(
-                    grown, entries, parent=parent_snap)
+            started = wall_now()
+            parent_snap, parent_graph = _build_arm(base, entries)
+            child_snap, child_graph = _build_arm(grown, entries, parent=parent_snap)
+            built = wall_now()
             store = SnapshotStore()
             store.add(parent_snap)
             store.add(child_snap)
-            with profiler.section(f"health-{rep}"):
-                last = SnapshotQualityGate(store).assess(child_snap)
+            gated = wall_now()
+            last = SnapshotQualityGate(store).assess(child_snap)
+            assessed = wall_now()
         finally:
             gc.enable()
-        pairs.append((profiler.total_s(f"build-{rep}") / 2.0,
-                      profiler.total_s(f"health-{rep}")))
+        pairs.append(((built - started) / 2.0, assessed - gated))
     build_s, health_s = min(
         pairs, key=lambda p: p[1] - MAX_HEALTH_FRACTION * p[0])
     fraction = health_s / build_s if build_s > 0 else float("inf")

@@ -1,6 +1,7 @@
 """Monitoring overhead: what the scrape/evaluate/emit loop costs.
 
-Drives identical Zipf traffic through two clusters — one bare, one with
+Drives identical Zipf traffic through two clusters with the scenario
+runner's request loop (``Drive.apply(Traffic(...))``) — one bare, one with
 the full continuous-monitoring stack attached (three burn-rate SLOs
 evaluated at every point of a fine scrape grid, and a structured event
 log wired into every serving component) — and checks that monitoring
@@ -11,7 +12,6 @@ factor of the bare one.  The wall-clock ratio is a smoke bound (machines vary); 
 structural bounds are the real contract.
 """
 
-import numpy as np
 from conftest import publish
 
 from repro.obs import (
@@ -22,9 +22,10 @@ from repro.obs import (
     ScrapeGrid,
     SloEvaluator,
     SloSpec,
-    WallProfiler,
+    wall_now,
 )
 from repro.reporting import Table
+from repro.scenarios import Drive, Traffic, zipf_traffic
 from repro.serving import ClusterConfig, CosmoCluster
 from repro.serving.chaos import ScriptedGenerator
 from repro.utils.rng import spawn_rng
@@ -33,14 +34,7 @@ N_REQUESTS = 3000
 N_QUERIES = 200
 INTER_ARRIVAL_S = 0.002
 SCRAPE_INTERVAL_S = 0.25
-
-
-def _traffic(seed: int) -> list[str]:
-    rng = spawn_rng(seed, "monitor-overhead-traffic")
-    weights = 1.0 / np.arange(1, N_QUERIES + 1) ** 1.3
-    weights /= weights.sum()
-    picks = rng.choice(N_QUERIES, size=N_REQUESTS, p=weights)
-    return [f"query {int(i):03d}" for i in picks]
+QUERIES = [f"query {i:03d}" for i in range(N_QUERIES)]
 
 
 def _specs() -> list[SloSpec]:
@@ -66,7 +60,7 @@ def _specs() -> list[SloSpec]:
     ]
 
 
-def _build(monitored: bool):
+def _build(monitored: bool) -> Drive:
     registry = MetricsRegistry()
     event_log = EventLog(max_events=500) if monitored else None
     cluster = CosmoCluster(
@@ -79,39 +73,30 @@ def _build(monitored: bool):
     )
     # Warm the yearly layer so the fault-free drive serves fresh — a cold
     # start is all fallbacks, which is the chaos scenario's job to model.
-    cluster.preload_yearly({
-        q: ScriptedGenerator.knowledge_for(q)
-        for q in (f"query {i:03d}" for i in range(N_QUERIES))
-    })
-    grid = evaluator = None
+    cluster.preload_yearly({q: ScriptedGenerator.knowledge_for(q) for q in QUERIES})
+    drive = Drive(cluster=cluster, gap_s=INTER_ARRIVAL_S)
     if monitored:
-        grid = ScrapeGrid(SCRAPE_INTERVAL_S)
-        evaluator = SloEvaluator(registry, _specs(), event_log=event_log)
-    return cluster, grid, evaluator
+        drive.grid = ScrapeGrid(SCRAPE_INTERVAL_S)
+        drive.evaluator = SloEvaluator(registry, _specs(), event_log=event_log)
+    return drive
 
 
-def _drive(cluster, grid, evaluator, traffic, profiler, section):
-    with profiler.section(section):
-        for query in traffic:
-            cluster.handle(query)
-            cluster.clock.advance(INTER_ARRIVAL_S)
-            if grid is not None:
-                for ts in grid.due(cluster.clock.now()):
-                    evaluator.evaluate(ts)
-        cluster.flush()
+def _timed(drive: Drive, traffic: list[str]) -> float:
+    """Wall seconds to play ``traffic`` in order and flush."""
+    started = wall_now()
+    drive.apply(Traffic(None, traffic))
+    drive.cluster.flush()
+    return wall_now() - started
 
 
 def test_monitor_overhead(benchmark):
-    traffic = _traffic(seed=7)
-    profiler = WallProfiler()
+    traffic = zipf_traffic(spawn_rng(7, "monitor-overhead-traffic"), QUERIES, N_REQUESTS)
 
-    bare, _, _ = _build(monitored=False)
-    monitored, grid, evaluator = _build(monitored=True)
-    _drive(bare, None, None, traffic, profiler, "bare")
-    _drive(monitored, grid, evaluator, traffic, profiler, "monitored")
-
-    bare_s = profiler.total_s("bare")
-    monitored_s = profiler.total_s("monitored")
+    bare_drive, monitored_drive = _build(monitored=False), _build(monitored=True)
+    bare_s = _timed(bare_drive, traffic)
+    monitored_s = _timed(monitored_drive, traffic)
+    bare, monitored = bare_drive.cluster, monitored_drive.cluster
+    evaluator = monitored_drive.evaluator
     ratio = monitored_s / bare_s if bare_s > 0 else float("inf")
 
     # Structural bounds — the deterministic contract.
@@ -139,11 +124,4 @@ def test_monitor_overhead(benchmark):
     assert monitored_s <= bare_s * 10 + 0.5
 
     # Benchmark kernel: the steady-state monitored request path.
-    def kernel():
-        for query in traffic[:200]:
-            monitored.handle(query)
-            monitored.clock.advance(INTER_ARRIVAL_S)
-            for ts in grid.due(monitored.clock.now()):
-                evaluator.evaluate(ts)
-
-    benchmark(kernel)
+    benchmark(lambda: monitored_drive.apply(Traffic(None, traffic[:200])))

@@ -19,7 +19,6 @@ belongs to a snapshot other than the serving replica's authoritative
 version.
 """
 
-import numpy as np
 from conftest import publish
 
 from repro.obs import EventLog, ScrapeGrid, SloEvaluator
@@ -33,6 +32,7 @@ from repro.refresh import (
     rollout_slo_specs,
 )
 from repro.reporting import Table, format_percent
+from repro.scenarios import zipf_traffic
 from repro.serving import ClusterConfig, CosmoCluster
 from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
@@ -46,20 +46,13 @@ N_REQUESTS = 3000
 #: and the restart arm's cache-refill transient).
 DEPLOY_AFTER = 600
 WINDOW = 1200
+QUERIES = [f"query {i:03d}" for i in range(N_QUERIES)]
 
 
-def _traffic(seed: int) -> list[int]:
-    rng = spawn_rng(seed, "rollout-staleness-traffic")
-    weights = 1.0 / np.arange(1, N_QUERIES + 1) ** 1.3
-    weights /= weights.sum()
-    return [int(i) for i in rng.choice(N_QUERIES, size=N_REQUESTS, p=weights)]
-
-
-def _drive(mode: str, traffic: list[int], registry) -> dict:
-    queries = [f"query {i:03d}" for i in range(N_QUERIES)]
-    blue = build_snapshot({q: f"it is used for {q} (blue)." for q in queries},
+def _drive(mode: str, traffic: list[str], registry) -> dict:
+    blue = build_snapshot({q: f"it is used for {q} (blue)." for q in QUERIES},
                           note="blue baseline")
-    green = build_snapshot({q: f"it is used for {q} (green)." for q in queries},
+    green = build_snapshot({q: f"it is used for {q} (green)." for q in QUERIES},
                            parent=blue, note="green refresh")
     store = SnapshotStore()
     store.add(blue)
@@ -84,7 +77,7 @@ def _drive(mode: str, traffic: list[int], registry) -> dict:
     window_served = 0
     window_total = 0
     violations = 0
-    for index, pick in enumerate(traffic):
+    for index, query in enumerate(traffic):
         if index == DEPLOY_AFTER:
             deploy_ts = cluster.clock.now()
             if mode == "restart":
@@ -95,7 +88,7 @@ def _drive(mode: str, traffic: list[int], registry) -> dict:
                     cluster.swap_snapshot(replica_id, green)
                     cluster.services[replica_id].cache.install_snapshot(
                         green.version, {})
-        result = cluster.handle(queries[pick])
+        result = cluster.handle(query)
         if mixed_version_violation(store, cluster, result):
             violations += 1
         if deploy_ts is not None and result.text.endswith("(blue)."):
@@ -130,7 +123,7 @@ def _drive(mode: str, traffic: list[int], registry) -> dict:
 
 
 def test_rollout_staleness(benchmark, obs_registry):
-    traffic = _traffic(seed=7)
+    traffic = zipf_traffic(spawn_rng(7, "rollout-staleness-traffic"), QUERIES, N_REQUESTS)
     arms = [_drive(mode, traffic, obs_registry)
             for mode in ("bluegreen", "restart")]
 
@@ -151,9 +144,8 @@ def test_rollout_staleness(benchmark, obs_registry):
     publish("rollout_staleness", table.render())
 
     # Benchmark kernel: the per-replica atomic swap (warm + repoint).
-    kernel_queries = [f"query {i:03d}" for i in range(N_QUERIES)]
-    blue = build_snapshot({q: f"it is used for {q} (blue)." for q in kernel_queries})
-    green = build_snapshot({q: f"it is used for {q} (green)." for q in kernel_queries},
+    blue = build_snapshot({q: f"it is used for {q} (blue)." for q in QUERIES})
+    green = build_snapshot({q: f"it is used for {q} (green)." for q in QUERIES},
                            parent=blue)
     kernel_cluster = CosmoCluster(
         lambda i: SnapshotGenerator(blue),

@@ -30,11 +30,11 @@ structural equalities are exact and deterministic.
 
 import gc
 
-import numpy as np
 from conftest import publish
 
-from repro.obs import TailSampler, TraceAnalyzer, WallProfiler
+from repro.obs import TailSampler, TraceAnalyzer, wall_now
 from repro.reporting import Table
+from repro.scenarios import zipf_traffic
 from repro.serving import ClusterConfig, CosmoCluster, ServeRequest
 from repro.serving.chaos import ScriptedGenerator
 from repro.utils.rng import spawn_rng
@@ -44,14 +44,7 @@ N_QUERIES = 200
 INTER_ARRIVAL_S = 0.002
 BEST_OF = 5
 MAX_OVERHEAD_RATIO = 1.8
-
-
-def _traffic(seed: int) -> list[str]:
-    rng = spawn_rng(seed, "trace-overhead-traffic")
-    weights = 1.0 / np.arange(1, N_QUERIES + 1) ** 1.3
-    weights /= weights.sum()
-    picks = rng.choice(N_QUERIES, size=N_REQUESTS, p=weights)
-    return [f"query {int(i):03d}" for i in picks]
+QUERIES = [f"query {i:03d}" for i in range(N_QUERIES)]
 
 
 def _build(traced: bool):
@@ -66,34 +59,33 @@ def _build(traced: bool):
     )
     # Warm the yearly layer so both arms serve fresh; cold-start fallback
     # behaviour is the chaos scenario's job, not the overhead bench's.
-    cluster.preload_yearly({
-        q: ScriptedGenerator.knowledge_for(q)
-        for q in (f"query {i:03d}" for i in range(N_QUERIES))
-    })
+    cluster.preload_yearly({q: ScriptedGenerator.knowledge_for(q) for q in QUERIES})
     return cluster, sampler
 
 
-def _drive(cluster, sampler, traffic, profiler, section):
+def _drive(cluster, sampler, traffic) -> float:
+    """Wall seconds to send ``traffic`` as direct requests and flush."""
     # GC paused during the timed section (identically for both arms):
     # collector scheduling is allocation-count noise, not request-path
     # cost, and it lands unevenly across repetitions.
     gc.collect()
     gc.disable()
     try:
-        with profiler.section(section):
-            for query in traffic:
-                cluster.handle(ServeRequest(query=query, direct=True))
-                cluster.clock.advance(INTER_ARRIVAL_S)
-            cluster.flush()
+        started = wall_now()
+        for query in traffic:
+            cluster.handle(ServeRequest(query=query, direct=True))
+            cluster.clock.advance(INTER_ARRIVAL_S)
+        cluster.flush()
+        elapsed = wall_now() - started
     finally:
         gc.enable()
     if sampler is not None:
         sampler.flush()
+    return elapsed
 
 
 def test_trace_overhead(benchmark):
-    traffic = _traffic(seed=7)
-    profiler = WallProfiler()
+    traffic = zipf_traffic(spawn_rng(7, "trace-overhead-traffic"), QUERIES, N_REQUESTS)
 
     # Best-of-N *pairs* over fresh clusters: each repetition times bare
     # then traced back-to-back, and the bound takes the cleanest pair.
@@ -102,8 +94,7 @@ def test_trace_overhead(benchmark):
         for traced in (False, True):
             arm = "traced" if traced else "bare"
             cluster, sampler = _build(traced)
-            _drive(cluster, sampler, traffic, profiler, f"{arm}-{rep}")
-            arms[arm].append((profiler.total_s(f"{arm}-{rep}"), cluster, sampler))
+            arms[arm].append((_drive(cluster, sampler, traffic), cluster, sampler))
     pairs = [(arms["bare"][rep][0], arms["traced"][rep][0])
              for rep in range(BEST_OF)]
     bare_s, traced_s = min(pairs,

@@ -8,7 +8,7 @@ Three dependency-free parts (DESIGN.md §9):
 * :mod:`repro.obs.tracing` — a :class:`Tracer` of nested spans timed on
   an *injectable clock callable*, exporting Chrome trace-event JSON;
 * :mod:`repro.obs.timebase` — the sole sanctioned wall-clock call site,
-  for real-time profiling only.
+  for the benchmarks' real-time measurements only.
 
 Continuous monitoring (DESIGN.md §11) builds on those parts:
 
@@ -83,7 +83,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.sampling import TailSampler
-from repro.obs.timebase import WallProfiler, wall_now
+from repro.obs.timebase import wall_now
 from repro.obs.trace_query import (
     TRACES_SCHEMA,
     PathStep,
@@ -127,7 +127,6 @@ __all__ = [
     "trace_summary",
     "SNAPSHOT_SCHEMA",
     "snapshot",
-    "WallProfiler",
     "wall_now",
     "EVENTS_SCHEMA",
     "Event",

@@ -61,22 +61,6 @@ class RefreshReport:
     new_entries: int
     new_triples: int
 
-    def as_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "parent_version": self.parent_version,
-            "version": self.version,
-            "samples_in": self.samples_in,
-            "samples_processed": self.samples_processed,
-            "samples_deferred": self.samples_deferred,
-            "llm_calls": self.llm_calls,
-            "candidates": self.candidates,
-            "survivors": self.survivors,
-            "kept": self.kept,
-            "new_entries": self.new_entries,
-            "new_triples": self.new_triples,
-        }
-
 
 class KnowledgeRefresher:
     """Drives refresh rounds against a trained filter + critic.

@@ -155,21 +155,6 @@ class RolloutReport:
     gate_promote: bool = True
     gate_breaches: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "target_version": self.target_version,
-            "parent_version": self.parent_version,
-            "state": self.state,
-            "steps": list(self.steps),
-            "rolled_back": self.rolled_back,
-            "rollback_objective": self.rollback_objective,
-            "rollback_alert": self.rollback_alert,
-            "redriven": self.redriven,
-            "blocked": self.blocked,
-            "gate_promote": self.gate_promote,
-            "gate_breaches": list(self.gate_breaches),
-        }
-
 
 class RolloutController:
     """Tick-driven blue/green rollout with automatic SLO rollback.

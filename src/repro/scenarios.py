@@ -2,9 +2,10 @@
 
 Every serving drive of the CLI — ``chaos``, ``obs``, ``cluster``,
 ``trace``, ``monitor``, ``rollout`` and ``kghealth`` — is a
-:class:`Scenario` definition: a setup (rig + phases), the artifacts to
-write and named expectation functions, played by :func:`run_scenario` over
-one :class:`Drive` state object.  ``chaos`` and ``obs`` play a one-replica
+:class:`Scenario` definition: a setup (rig + phases of steps), the
+artifacts to write and named expectation functions, played by
+:func:`run_scenario` over one :class:`Drive`, whose :meth:`Drive.apply`
+alone acts on the cluster.  ``chaos`` and ``obs`` play a one-replica
 cluster; ``obs``'s setup first runs the pipeline whose COSMO-LM it serves.
 
 Exit codes: **2** when any invariant or scenario expectation failed
@@ -34,9 +35,9 @@ from repro.reporting import Table, format_percent
 from repro.serving.chaos import ScriptedGenerator, response_ok
 from repro.utils.rng import spawn_rng
 
-__all__ = ["ARTIFACTS", "Drive", "Phase", "SCENARIOS", "Scenario",
-           "check_accounting", "exit_code", "play_scenario", "run_scenario",
-           "write_artifacts", "zipf_traffic"]
+__all__ = ["ARTIFACTS", "Drain", "Drive", "NewDay", "Phase", "Plan", "Refresh", "Restore",
+           "SCENARIOS", "Scenario", "Step", "Traffic", "check_accounting", "exit_code",
+           "play_scenario", "run_scenario", "write_artifacts", "zipf_traffic"]
 
 #: Scrape grid of every monitored drive; a rollout advances one step per scrape.
 SCRAPE_INTERVAL_S = 0.5
@@ -45,18 +46,46 @@ Expectation = Callable[["Drive"], list[str]]
 
 
 @dataclass(frozen=True)
+class Plan:
+    plan: serving.FaultPlan     #: re-planned into every fault injector
+
+
+@dataclass(frozen=True)
+class NewDay:
+    """Roll the arrival clock one day."""
+
+
+@dataclass(frozen=True)
+class Drain:
+    replica: str                #: taken out of rotation
+
+
+@dataclass(frozen=True)
+class Restore:
+    replica: str                #: returned to rotation
+
+
+@dataclass(frozen=True)
+class Traffic:
+    requests: int | None        #: Zipf draws; ``None`` plays ``universe`` once in order
+    universe: Sequence[str]     #: queries the Zipf draw ranks
+    rolling: bool = False       #: the rollout ticks once per scrape
+
+
+@dataclass(frozen=True)
+class Refresh:
+    stale: bool                 #: flush, then the daily refresh's ``refresh_stale``
+
+
+Step = Plan | NewDay | Drain | Restore | Traffic | Refresh
+
+
+@dataclass(frozen=True)
 class Phase:
-    """One stretch of Zipf traffic and the conditions it runs under."""
+    """A named list of steps: one ledger row and one latency window."""
 
     name: str
-    requests: int | None                     #: Zipf draws; ``None`` plays ``universe`` once in order
-    universe: Sequence[str]                  #: queries the Zipf draw ranks
-    new_day: bool = False                    #: roll the arrival clock one day first
-    rolling: bool = False                    #: the rollout ticks once per scrape
-    plan: serving.FaultPlan | None = None    #: re-plan every injector at phase start
-    drain: str | None = None                 #: replica drained for the phase
-    #: end with a flush and the daily refresh, passing this ``refresh_stale``
-    refresh: bool | None = None
+    steps: Sequence[Step]
 
 
 def zipf_traffic(rng: np.random.Generator, universe: Sequence[str],
@@ -71,7 +100,7 @@ def zipf_traffic(rng: np.random.Generator, universe: Sequence[str],
 @dataclass
 class Drive:
     """Everything one scenario run threads through its stages: the setup
-    fills the components, :meth:`play` drives traffic and keeps the
+    fills the components, :meth:`play` applies the steps and keeps the
     tallies, :func:`write_artifacts` stores each rendered payload, and the
     report and the expectation functions read all of it back."""
 
@@ -86,7 +115,6 @@ class Drive:
     controller: refresh.RolloutController | None = field(default=None, init=False)
     #: ground-truth answer per query
     truth: Callable[[str], str] | None = field(default=None, init=False)
-    profiler: obs.WallProfiler | None = field(default=None, init=False)
     valid: int = field(default=0, init=False)       #: answers equal to ``truth(query)``
     violations: int = field(default=0, init=False)  #: mixed-version answers served
     #: (name, the phase's :meth:`tallies`)
@@ -95,17 +123,32 @@ class Drive:
     phase_latency: dict = field(default_factory=dict, init=False)
     artifacts: dict = field(default_factory=dict, init=False)   #: key -> rendered payload
 
-    def run(self, traffic: Sequence[str], rolling: bool = False) -> None:
-        """The request loop: handle, check, advance, observe."""
-        for query in traffic:
-            result = self.cluster.handle(query)
-            if self.truth is not None:
-                self.valid += result.text == self.truth(query)
-            if self.controller is not None and refresh.mixed_version_violation(
-                    self.controller.store, self.cluster, result):
-                self.violations += 1
-            self.cluster.clock.advance(self.gap_s)
-            self.observe(rolling)
+    def apply(self, step: Step, rng: np.random.Generator | None = None) -> None:
+        """Act out one step on the cluster; ``rng`` draws a Zipf ``Traffic``."""
+        match step:
+            case Plan(plan):
+                for injector in self.injectors:
+                    injector.plan = plan
+            case NewDay():
+                self.cluster.clock.advance_days(1)
+            case Drain(replica):
+                self.cluster.drain(replica)
+            case Restore(replica):
+                self.cluster.restore(replica)
+            case Refresh(stale):
+                self.cluster.flush()
+                self.cluster.daily_refresh(refresh_stale=stale)
+            case Traffic(requests, universe, rolling):
+                for query in (list(universe) if requests is None
+                              else zipf_traffic(rng, universe, requests)):
+                    result = self.cluster.handle(query)
+                    if self.truth is not None:
+                        self.valid += result.text == self.truth(query)
+                    if self.controller is not None and refresh.mixed_version_violation(
+                            self.controller.store, self.cluster, result):
+                        self.violations += 1
+                    self.cluster.clock.advance(self.gap_s)
+                    self.observe(rolling)
 
     def observe(self, rolling: bool = False) -> None:
         """Step the SLO alerts and (while ``rolling``) tick the rollout,
@@ -118,27 +161,14 @@ class Drive:
                 self.controller.tick(ts)
 
     def play(self, phases: Sequence[Phase], rng: np.random.Generator) -> None:
-        """Run every phase, then flush what is still queued or buffered."""
+        """Apply each phase's steps, diffing tallies and latency around it; then flush."""
         latency = self.registry.get("cluster_request_latency_seconds").labels(
             cluster=self.cluster.config.name)
         for phase in phases:
-            if phase.plan is not None:
-                for injector in self.injectors:
-                    injector.plan = phase.plan
-            if phase.new_day:
-                self.cluster.clock.advance_days(1)
-            if phase.drain is not None:
-                self.cluster.drain(phase.drain)
             before = self.tallies()
             earlier = obs.Histogram(latency.bounds).merge(latency)
-            self.run(list(phase.universe) if phase.requests is None else
-                     zipf_traffic(rng, phase.universe, phase.requests),
-                     rolling=phase.rolling)
-            if phase.drain is not None:
-                self.cluster.restore(phase.drain)
-            if phase.refresh is not None:
-                self.cluster.flush()
-                self.cluster.daily_refresh(refresh_stale=phase.refresh)
+            for step in phase.steps:
+                self.apply(step, rng)
             self.phase_rows.append((phase.name, self.tallies() - before))
             self.phase_latency[phase.name] = latency.delta(earlier)
         self.cluster.flush()
@@ -496,16 +526,16 @@ def _chaos_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
                  events=False, **_chaos_service(args.scenario))
     drive.truth = ScriptedGenerator.knowledge_for
     queries = _queries(40 if outage else 200)
-    sweep = Phase("sweep", None, queries)
+    sweep = Phase("sweep", [Traffic(None, queries)])
     if outage:
         return drive, [
             sweep,
-            Phase("calm", 360, queries, new_day=True, plan=calm),
-            Phase("outage", 600, queries, new_day=True,
-                  plan=serving.FaultPlan(error_rate=1.0)),
-            Phase("recovery", 600, queries, new_day=True, plan=calm, refresh=False),
+            Phase("calm", [Plan(calm), NewDay(), Traffic(360, queries)]),
+            Phase("outage", [Plan(serving.FaultPlan(error_rate=1.0)), NewDay(),
+                             Traffic(600, queries)]),
+            Phase("recovery", [Plan(calm), NewDay(), Traffic(600, queries), Refresh(False)]),
         ]
-    return drive, [sweep] + [Phase(f"day {day}", 1500, queries, refresh=True)
+    return drive, [sweep] + [Phase(f"day {day}", [Traffic(1500, queries), Refresh(True)])
                              for day in range(3)]
 
 
@@ -517,24 +547,20 @@ def _obs_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
     print(f"Pipeline run under tracing (seed={args.seed}, scale={args.scale})...")
     pipeline = CosmoPipeline(
         PipelineConfig.at_scale(args.seed, args.scale, args.lm_epochs))
-    profiler = obs.WallProfiler()
-    with profiler.section("pipeline.run"):
-        result = pipeline.run()
+    result = pipeline.run()
     drive = _rig(args, lambda: result.cosmo_lm, None, events=False,
                  response_validator=None)
     drive.tracers.insert(0, ("pipeline", pipeline.tracer))
-    drive.profiler = profiler
-    queries = sorted(result.world.queries.broad(), key=lambda q: -q.popularity)
-    return drive, [Phase("day", args.requests, [query.text for query in queries],
-                         refresh=False)]
+    texts = [q.text for q in sorted(result.world.queries.broad(), key=lambda q: -q.popularity)]
+    return drive, [Phase("day", [Traffic(args.requests, texts), Refresh(False)])]
 
 
 def _cluster_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
     drive = _rig(args, ScriptedGenerator, _mixed_plan(args), gap_s=0.001,
                  depth=500, events=False)
     drive.truth = ScriptedGenerator.knowledge_for
-    return drive, [Phase("drive", args.requests, _queries(args.n_queries),
-                         refresh=False)]
+    return drive, [Phase("drive", [Traffic(args.requests, _queries(args.n_queries)),
+                                   Refresh(False)])]
 
 
 def _trace_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
@@ -543,7 +569,7 @@ def _trace_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
     # Warm the yearly layer for the head of the Zipf distribution so the
     # trace mix includes cache-hit traces, not only miss/degraded ones.
     _preload(drive, min(30, args.n_queries))
-    return drive, [Phase("drive", args.requests, _queries(args.n_queries))]
+    return drive, [Phase("drive", [Traffic(args.requests, _queries(args.n_queries))])]
 
 
 def _monitor_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
@@ -568,14 +594,13 @@ def _monitor_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
     chaos = args.scenario == "chaos"
     requests = args.requests_per_phase
     warm = _queries(args.n_queries)
+    storm = _queries(args.n_queries, "storm query") if chaos else warm
+    drained = [f"{drive.cluster.config.name}-r1"] if chaos and args.replicas > 1 else []
     return drive, [
-        Phase("calm", requests, warm, plan=calm),
-        Phase("storm", requests,
-              _queries(args.n_queries, "storm query") if chaos else warm,
-              plan=serving.FaultPlan(error_rate=1.0) if chaos else calm,
-              drain=(f"{drive.cluster.config.name}-r1"
-                     if chaos and args.replicas > 1 else None)),
-        Phase("recovery", requests, warm, plan=calm),
+        Phase("calm", [Plan(calm), Traffic(requests, warm)]),
+        Phase("storm", [Plan(serving.FaultPlan(error_rate=1.0) if chaos else calm),
+                        *map(Drain, drained), Traffic(requests, storm), *map(Restore, drained)]),
+        Phase("recovery", [Plan(calm), Traffic(requests, warm)]),
     ]
 
 
@@ -597,9 +622,9 @@ def _blue_green_setup(args: argparse.Namespace, blue,
         drive.cluster, store, green, drive.evaluator, quality_gate=gate)
     queries = _queries(args.n_queries)
     requests = args.requests_per_phase
-    return drive, [Phase("warm", requests, queries),
-                   Phase("rollout", 2 * requests, queries, rolling=True),
-                   Phase("settle", requests, queries)]
+    return drive, [Phase("warm", [Traffic(requests, queries)]),
+                   Phase("rollout", [Traffic(2 * requests, queries, rolling=True)]),
+                   Phase("settle", [Traffic(requests, queries)])]
 
 
 def _rollout_setup(args: argparse.Namespace) -> tuple[Drive, list[Phase]]:
@@ -736,8 +761,6 @@ def _report(drive: Drive, title: str) -> None:
                   f"{len(alert.event_ids)} correlated event(s))")
         fired = drive.evaluator.any_fired
         print(f"SLO verdict: {'ALERTS FIRED' if fired else 'no alerts fired'}")
-    if drive.profiler is not None:
-        print(drive.profiler.report())
 
 
 def _share(counts: Counter, *keys: str) -> float:

@@ -13,7 +13,7 @@ from repro.refresh import (
     mixed_version_violation,
     rollout_slo_specs,
 )
-from repro.scenarios import Drive, zipf_traffic
+from repro.scenarios import Drive, Traffic
 from repro.serving import ClusterConfig, CosmoCluster
 from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
@@ -60,8 +60,8 @@ def _drive(cluster, evaluator, grid, controller, n_requests,
     the mixed-version answers it counted against the controller's store."""
     drive = Drive(cluster=cluster, gap_s=ARRIVAL_S)
     drive.grid, drive.evaluator, drive.controller = grid, evaluator, controller
-    drive.run(zipf_traffic(spawn_rng(seed, "rollout-test-traffic"), QUERIES,
-                           n_requests), rolling=rolling)
+    drive.apply(Traffic(n_requests, QUERIES, rolling=rolling),
+                spawn_rng(seed, "rollout-test-traffic"))
     return drive.violations
 
 

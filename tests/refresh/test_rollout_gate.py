@@ -17,7 +17,7 @@ from repro.refresh import (
     build_snapshot,
     rollout_slo_specs,
 )
-from repro.scenarios import Drive, zipf_traffic
+from repro.scenarios import Drive, Traffic
 from repro.serving import ClusterConfig, CosmoCluster
 from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
@@ -87,8 +87,8 @@ def _drive(cluster, evaluator, grid, controller, n_requests,
     """Zipf traffic through the scenario runner's request loop."""
     drive = Drive(cluster=cluster, gap_s=ARRIVAL_S)
     drive.grid, drive.evaluator, drive.controller = grid, evaluator, controller
-    drive.run(zipf_traffic(spawn_rng(seed, "rollout-gate-traffic"), QUERIES,
-                           n_requests), rolling=rolling)
+    drive.apply(Traffic(n_requests, QUERIES, rolling=rolling),
+                spawn_rng(seed, "rollout-gate-traffic"))
 
 
 def test_passing_gate_completes_and_emits_gate_pass():

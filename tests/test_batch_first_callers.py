@@ -4,8 +4,9 @@ The api_redesign moved every in-repo driver onto ``serve_batch`` /
 ``handle_batch`` — a per-item ``serve``/``handle`` call inside a loop
 re-creates exactly the per-request overhead the redesign amortized
 away.  This scan walks ``benchmarks/`` and ``examples/`` and pins the
-set of files still looping per-item to the three overhead
-microbenchmarks whose *purpose* is measuring per-request cost.  The
+set of files still looping per-item to the two benchmarks whose
+*purpose* is measuring per-request cost (``bench_monitor_overhead``
+drives through the scenario runner's ``Traffic`` step instead).  The
 allowlist is asserted exactly in both directions, so it cannot go
 stale: a migrated file must leave it, a regressed file cannot hide in
 it.
@@ -17,10 +18,9 @@ import pathlib
 _REPO = pathlib.Path(__file__).resolve().parents[1]
 _SCANNED_DIRS = ("benchmarks", "examples")
 _PER_ITEM_CALLS = {"serve", "handle"}
-# Intentionally per-item: these measure per-request monitor/trace/rollout
+# Intentionally per-item: these measure per-request trace/rollout
 # overhead, which an amortized batch would hide.
 _ALLOWED_PER_ITEM = {
-    "bench_monitor_overhead",
     "bench_rollout_staleness",
     "bench_trace_overhead",
 }

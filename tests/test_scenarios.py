@@ -8,10 +8,13 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro import obs, scenarios
+from repro import obs, scenarios, serving
 from repro.cli import build_parser
-from repro.scenarios import Drive
+from repro.scenarios import Drain, Drive, NewDay, Phase, Plan, Refresh, Restore, Traffic
+from repro.utils.rng import spawn_rng
 
 @functools.cache
 def _played(*argv: str) -> Drive:
@@ -145,6 +148,46 @@ def test_slo_evaluation_runs_once_per_crossed_scrape_point():
         crossed = math.floor(drive.cluster.clock.now() / scenarios.SCRAPE_INTERVAL_S
                              + 1e-9)
         assert drive.evaluator.evaluations == crossed, argv
+
+
+#: A two-replica faulty rig for free step orders: 12 queries, ground truth on.
+_STEP_RIG = ("cluster", "--seed", "1", "--replicas", "2", "--requests", "1",
+             "--n-queries", "12", "--fault-rate", "0.2")
+_UNIVERSE = tuple(f"query {i:03d}" for i in range(12))
+_STEPS = st.one_of(
+    st.builds(Plan, st.sampled_from([serving.FaultPlan(), serving.FaultPlan(error_rate=1.0),
+                                     serving.FaultPlan.mixed(0.3)])),
+    st.just(NewDay()),
+    st.just(Drain("cluster-r1")),
+    st.just(Restore("cluster-r1")),
+    st.builds(Traffic, st.none() | st.integers(0, 40), st.just(_UNIVERSE)),
+    st.builds(Refresh, st.booleans()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(_STEPS, min_size=1, max_size=6))
+@example(steps=[Traffic(30, _UNIVERSE), Refresh(True), Traffic(30, _UNIVERSE)])
+@example(steps=[Drain("cluster-r1"), Traffic(30, _UNIVERSE), Restore("cluster-r1"),
+                NewDay(), Traffic(30, _UNIVERSE)])
+def test_steps_in_any_order_keep_accounting_and_sum_to_the_ledger_row(steps):
+    """A phase may list its steps in any order: request accounting holds
+    after every ``apply``, and the phase's ledger row is the sum of what
+    each step added to the tallies."""
+    drive, _ = scenarios.SCENARIOS["cluster"].setup(build_parser().parse_args(_STEP_RIG))
+    added = []
+    apply = drive.apply
+
+    def checked(step, rng=None):
+        before = drive.tallies()
+        apply(step, rng)
+        assert scenarios.check_accounting(drive.cluster.metrics_totals()) == []
+        added.append(drive.tallies() - before)
+
+    drive.apply = checked
+    drive.play([Phase("steps", steps)], spawn_rng(1, "steps-traffic"))
+    assert len(added) == len(steps)
+    ((_, row),) = drive.phase_rows
+    assert row == sum(added, Counter())
 
 
 # -- each expectation rejects the outcome it exists to catch ---------------
