@@ -11,7 +11,7 @@ from repro.apps.recommendation.cosmo_gnn import CosmoGNN
 from repro.apps.recommendation.datasets import SessionDataset, SessionExample
 from repro.apps.recommendation.gnn import GCEGNN, GCSAN, SRGNN, build_global_graph
 from repro.apps.recommendation.metrics import ranking_metrics
-from repro.nn import Adam, cross_entropy, no_grad
+from repro.nn import Adam, cross_entropy, no_grad, train_epochs
 from repro.utils.rng import spawn_rng
 
 __all__ = ["MODEL_NAMES", "TrainConfig", "build_model", "train_session_model", "evaluate_session_model"]
@@ -76,19 +76,14 @@ def train_session_model(
 ):
     """Train one recommender on the dataset's train split."""
     model = build_model(name, dataset, config, seed=seed)
-    optimizer = Adam(model.parameters(), lr=_LR)
     rng = spawn_rng(seed, f"rec-train:{name}")
-    model.train()
-    for _ in range(config.epochs):
-        order = rng.permutation(len(dataset.train))
-        for start in range(0, len(order), _BATCH_SIZE):
-            batch = [dataset.train[i] for i in order[start : start + _BATCH_SIZE]]
-            logits, targets = _forward(model, dataset, batch, config)
-            loss = cross_entropy(logits, targets)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-    model.eval()
+
+    def loss_of(batch: np.ndarray):
+        logits, targets = _forward(model, dataset, [dataset.train[i] for i in batch], config)
+        return cross_entropy(logits, targets)
+
+    train_epochs(model, Adam(model.parameters(), lr=_LR), config.epochs, _BATCH_SIZE,
+                 lambda: rng.permutation(len(dataset.train)), loss_of, None)
     return model
 
 

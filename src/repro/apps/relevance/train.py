@@ -9,7 +9,7 @@ import numpy as np
 from repro.apps.relevance.datasets import PreparedESCI, PreparedSplit
 from repro.apps.relevance.encoders import FeatureExtractor, RelevanceModel
 from repro.apps.relevance.metrics import macro_f1, micro_f1
-from repro.nn import Adam, Tensor, cross_entropy, no_grad
+from repro.nn import Adam, cross_entropy, no_grad, train_epochs
 from repro.utils.rng import spawn_rng
 
 __all__ = ["RelevanceResult", "train_relevance_model", "evaluate_model"]
@@ -29,12 +29,6 @@ class RelevanceResult:
     micro_f1: float
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def train_relevance_model(
     data: PreparedESCI,
     architecture: str,
@@ -50,20 +44,17 @@ def train_relevance_model(
     train = data.train
     knowledge = train.knowledge if architecture == "cross-encoder-intent" else None
     features = model.featurize(train.queries, train.products, knowledge)
-    model.train()
-    for _ in range(epochs):
-        for batch in _batches(len(train), _BATCH_SIZE, rng):
-            batch_features = (
-                (features[0][batch], features[1][batch])
-                if architecture == "bi-encoder"
-                else features[batch]
-            )
-            logits = model(batch_features)
-            loss = cross_entropy(logits, train.labels[batch])
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-    model.eval()
+
+    def loss_of(batch: np.ndarray):
+        batch_features = (
+            (features[0][batch], features[1][batch])
+            if architecture == "bi-encoder"
+            else features[batch]
+        )
+        return cross_entropy(model(batch_features), train.labels[batch])
+
+    train_epochs(model, optimizer, epochs, _BATCH_SIZE,
+                 lambda: rng.permutation(len(train)), loss_of, None)
     result = evaluate_model(model, data.test)
     return model, result
 

@@ -204,7 +204,7 @@ class CosmoLM:
         """Batched greedy knowledge generation — the
         :class:`~repro.llm.interface.KnowledgeGenerator` entrypoint the
         serving stack calls."""
-        return GenerationBatch(generations=list(self._require_model().decode_batch(prompts)))
+        return self._require_model().generate_batch(prompts)
 
     def generate_reranked(self, prompts: list[str]) -> list[Generation]:
         """Sample-and-rerank generation (§3.4: the finetuned LM both

@@ -15,7 +15,7 @@ from repro.annotation.schema import AnnotationResult
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeCandidate
 from repro.embeddings.encoder import TextEncoder
-from repro.nn import MLP, Adam, Tensor, binary_cross_entropy_with_logits, no_grad
+from repro.nn import MLP, Adam, Tensor, binary_cross_entropy_with_logits, no_grad, train_epochs
 from repro.utils.rng import spawn_rng
 from repro.utils.textproc import tokenize_words
 
@@ -84,23 +84,13 @@ class CriticClassifier:
         labels = np.array(
             [[float(a.plausible), float(a.typical)] for a in annotations]
         )
-        optimizer = Adam(self.model.parameters(), lr=_LR)
-        losses: list[float] = []
-        self.model.train()
-        for _ in range(_EPOCHS):
-            order = self._train_rng.permutation(len(candidates))
-            epoch_loss, batches = 0.0, 0
-            for start in range(0, len(order), _BATCH_SIZE):
-                batch = order[start : start + _BATCH_SIZE]
-                logits = self.model(Tensor(features[batch]))
-                loss = binary_cross_entropy_with_logits(logits, labels[batch])
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-        self.model.eval()
+        losses = train_epochs(
+            self.model, Adam(self.model.parameters(), lr=_LR), _EPOCHS, _BATCH_SIZE,
+            lambda: self._train_rng.permutation(len(candidates)),
+            lambda batch: binary_cross_entropy_with_logits(
+                self.model(Tensor(features[batch])), labels[batch]),
+            None,
+        )
         self._fitted = True
         return losses
 

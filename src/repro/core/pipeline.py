@@ -131,8 +131,8 @@ class CosmoPipeline:
         def sim_clock() -> float:
             return teacher_latency.total_simulated_s + lm_latency.total_simulated_s
 
-        with self.tracer.clocked(sim_clock), \
-                self.tracer.span("pipeline.run", seed=cfg.seed):
+        self.tracer.clock = sim_clock
+        with self.tracer.span("pipeline.run", seed=cfg.seed):
             return self._run(cfg, teacher_latency, lm_latency)
 
     def _run(self, cfg: PipelineConfig, teacher_latency: LatencyModel,

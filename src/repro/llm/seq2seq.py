@@ -16,28 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.llm.base import TrainableLM
 from repro.llm.interface import (
     BATCH_SIZE,
-    LABELS,
     MAX_NEW_TOKENS,
     MAX_PROMPT_LEN,
     Generation,
-    GenerationBatch,
     LatencyModel,
 )
 from repro.llm.tokenizer import Tokenizer
-from repro.nn import (
-    GRU,
-    Adam,
-    Dropout,
-    Embedding,
-    Linear,
-    Module,
-    Tensor,
-    clip_grad_norm,
-    no_grad,
-    vocab_scatter,
-)
+from repro.nn import GRU, Dropout, Embedding, Linear, Tensor, no_grad, vocab_scatter
 from repro.nn.functional import softmax
 from repro.nn.rnn import GRUCell
 from repro.utils.rng import spawn_rng
@@ -49,7 +37,7 @@ _EPS = 1e-9
 _TOP_K = 8
 
 
-class Seq2SeqLM(Module):
+class Seq2SeqLM(TrainableLM):
     """GRU encoder-decoder with additive attention and pointer-copying."""
 
     def __init__(
@@ -61,10 +49,7 @@ class Seq2SeqLM(Module):
         seed: int,
         latency: LatencyModel,
     ):
-        super().__init__()
-        self.tokenizer = tokenizer
-        self.name = name
-        self.latency = latency
+        super().__init__(tokenizer, name, latency)
         self.hidden_dim = hidden_dim
         rng = spawn_rng(seed, f"seq2seq:{name}")
         vocab = len(tokenizer)
@@ -91,10 +76,6 @@ class Seq2SeqLM(Module):
         # Weight of the auxiliary copy-gate supervision term.
         self.gate_loss_weight = 0.5
         self._train_rng = spawn_rng(seed, f"seq2seq-train:{name}")
-
-    @property
-    def parameter_count(self) -> int:
-        return self.num_parameters()
 
     # ------------------------------------------------------------------
     def _encode_prompts(self, prompts: list[str], max_prompt_len: int | None = None):
@@ -152,34 +133,18 @@ class Seq2SeqLM(Module):
             (prompt, tok.encode(target)[:MAX_NEW_TOKENS] + [tok.eos_id])
             for prompt, target in pairs
         ]
-        optimizer = Adam(self.parameters(), lr=lr)
-        losses: list[float] = []
-        self.train()
-        for _ in range(epochs):
+
+        def order() -> list[int]:
             # Length-bucketed batching: shuffle, then sort within large
             # chunks by target length so one-token classification targets
             # do not pay a 15-step decoder unroll.
-            order = self._train_rng.permutation(len(data))
+            shuffled = self._train_rng.permutation(len(data))
             chunk = BATCH_SIZE * 16
-            bucketed: list[int] = []
-            for start in range(0, len(order), chunk):
-                segment = sorted(order[start : start + chunk],
-                                 key=lambda i: len(data[i][1]))
-                bucketed.extend(segment)
-            order = bucketed
-            epoch_loss, batches = 0.0, 0
-            for start in range(0, len(order), BATCH_SIZE):
-                batch = [data[i] for i in order[start : start + BATCH_SIZE]]
-                loss = self._batch_loss(batch)
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(self.parameters(), 5.0)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-        self.eval()
-        return losses
+            return [index for start in range(0, len(shuffled), chunk)
+                    for index in sorted(shuffled[start : start + chunk],
+                                        key=lambda i: len(data[i][1]))]
+
+        return self._fit(data, epochs, lr, order)
 
     def _batch_loss(self, batch: list[tuple[str, list[int]]]) -> Tensor:
         tok = self.tokenizer
@@ -259,53 +224,23 @@ class Seq2SeqLM(Module):
         from the top-8 renormalized distribution (used by
         sample-and-rerank generation).
         """
-        if not prompts:
-            return []
-        if temperature > 0 and rng is None:
-            rng = spawn_rng(0, "seq2seq-sample")
-        tok = self.tokenizer
-        with no_grad():
-            enc_states, state, mask, prompt_ids = self._encode_prompts(prompts)
-            enc_proj = self.attn_enc(enc_states)
-            current = np.full(len(prompts), tok.sep_id, dtype=np.int64)
-            finished = np.zeros(len(prompts), dtype=bool)
-            produced: list[list[int]] = [[] for _ in prompts]
-            attn = None
-            for _ in range(MAX_NEW_TOKENS):
-                probs, state, attn, _gate = self._step(
-                    current, state, enc_states, enc_proj, mask, prompt_ids, attn
-                )
-                prob_arr = probs.numpy()
-                if temperature > 0:
-                    next_ids = self._sample_top_k(prob_arr, temperature, rng)
-                else:
-                    next_ids = prob_arr.argmax(axis=-1)
-                for row, token_id in enumerate(next_ids):
-                    if finished[row]:
-                        continue
-                    if int(token_id) == tok.eos_id:
-                        finished[row] = True
-                    else:
-                        produced[row].append(int(token_id))
-                current = next_ids
-                if finished.all():
-                    break
-        outputs = []
-        for ids in produced:
-            text = tok.decode(ids)
-            tokens = len(ids)
-            outputs.append(
-                Generation(
-                    text=f"{text}." if text else text,
-                    tokens=tokens,
-                    latency_s=self.latency.charge(self.parameter_count, max(tokens, 1)),
-                )
-            )
-        return outputs
+        if temperature <= 0:
+            return super().decode_batch(prompts)
+        sampler = rng if rng is not None else spawn_rng(0, "seq2seq-sample")
+        return self._decode(
+            prompts, lambda probs: self._sample_top_k(probs, temperature, sampler))
 
-    def generate_batch(self, prompts: list[str]) -> GenerationBatch:
-        """:class:`~repro.llm.interface.KnowledgeGenerator` entrypoint."""
-        return GenerationBatch(generations=list(self.decode_batch(prompts)))
+    def _next_ids(self, prompts: list[str], pick):
+        enc_states, state, mask, prompt_ids = self._encode_prompts(prompts)
+        enc_proj = self.attn_enc(enc_states)
+        current = np.full(len(prompts), self.tokenizer.sep_id, dtype=np.int64)
+        attn = None
+        while True:
+            probs, state, attn, _gate = self._step(
+                current, state, enc_states, enc_proj, mask, prompt_ids, attn
+            )
+            current = pick(probs.numpy())
+            yield current
 
     # ------------------------------------------------------------------
     def sequence_logprob(self, prompt: str, target: str) -> float:
@@ -325,8 +260,3 @@ class Seq2SeqLM(Module):
                 total += float(np.log(probs.numpy()[0, target_id] + _EPS))
                 current = np.array([target_id], dtype=np.int64)
         return total
-
-    def classify(self, prompt: str) -> str:
-        """Pick the label with highest conditional likelihood."""
-        scores = {choice: self.sequence_logprob(prompt, choice) for choice in LABELS}
-        return max(scores, key=scores.get)

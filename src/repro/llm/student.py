@@ -12,26 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.llm.interface import (
-    BATCH_SIZE,
-    LABELS,
-    MAX_NEW_TOKENS,
-    MAX_PROMPT_LEN,
-    Generation,
-    GenerationBatch,
-    LatencyModel,
-)
+from repro.llm.base import TrainableLM
+from repro.llm.interface import MAX_PROMPT_LEN, LatencyModel
 from repro.llm.tokenizer import Tokenizer
-from repro.nn import GRU, Adam, Embedding, Linear, Module, Tensor, clip_grad_norm, cross_entropy, no_grad
+from repro.nn import GRU, Embedding, Linear, Tensor, cross_entropy, no_grad
 from repro.nn.functional import log_softmax
 from repro.utils.rng import spawn_rng
-from repro.utils.textproc import tokenize_words
 
 __all__ = ["StudentLM"]
 
 
-class StudentLM(Module):
-    """GRU language model with an instruction-tuning training loop."""
+class StudentLM(TrainableLM):
+    """GRU language model over ``BOS prompt SEP target EOS``."""
 
     def __init__(
         self,
@@ -42,19 +34,12 @@ class StudentLM(Module):
         seed: int,
         latency: LatencyModel,
     ):
-        super().__init__()
-        self.tokenizer = tokenizer
-        self.name = name
-        self.latency = latency
+        super().__init__(tokenizer, name, latency)
         rng = spawn_rng(seed, f"student:{name}")
         self.embedding = Embedding(len(tokenizer), embed_dim, rng, padding_idx=tokenizer.pad_id)
         self.gru = GRU(embed_dim, hidden_dim, rng)
         self.output = Linear(hidden_dim, len(tokenizer), rng)
         self._train_rng = spawn_rng(seed, f"student-train:{name}")
-
-    @property
-    def parameter_count(self) -> int:
-        return self.num_parameters()
 
     # ------------------------------------------------------------------
     # Training
@@ -82,24 +67,8 @@ class StudentLM(Module):
     ) -> list[float]:
         """Teacher-forced instruction finetuning; returns per-epoch loss."""
         encoded = [self._encode_pair(p, t, MAX_PROMPT_LEN) for p, t in pairs]
-        optimizer = Adam(self.parameters(), lr=lr)
-        losses: list[float] = []
-        self.train()
-        for _ in range(epochs):
-            order = self._train_rng.permutation(len(encoded))
-            epoch_loss, n_batches = 0.0, 0
-            for start in range(0, len(order), BATCH_SIZE):
-                batch = [encoded[i] for i in order[start : start + BATCH_SIZE]]
-                loss = self._batch_loss(batch)
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(self.parameters(), 5.0)
-                optimizer.step()
-                epoch_loss += loss.item()
-                n_batches += 1
-            losses.append(epoch_loss / max(n_batches, 1))
-        self.eval()
-        return losses
+        return self._fit(encoded, epochs, lr,
+                         lambda: self._train_rng.permutation(len(encoded)))
 
     def _batch_loss(self, batch: list[tuple[list[int], int]]) -> Tensor:
         tok = self.tokenizer
@@ -134,50 +103,16 @@ class StudentLM(Module):
         _, state = self.gru(embedded, mask=mask)
         return state
 
-    def decode_batch(self, prompts: list[str]) -> list[Generation]:
-        """Greedy decode for a batch of prompts (decoding internal).
-
-        The primed state has already consumed ``<sep>``, so the first
+    def _next_ids(self, prompts: list[str], pick):
+        """The primed state has already consumed ``<sep>``, so the first
         prediction reads directly off that state; each subsequent step
-        feeds back the token just emitted.
-        """
-        if not prompts:
-            return []
-        tok = self.tokenizer
-        with no_grad():
-            state = self._prime(prompts)
-            finished = np.zeros(len(prompts), dtype=bool)
-            produced: list[list[int]] = [[] for _ in prompts]
-            for _ in range(MAX_NEW_TOKENS):
-                logits = self.output(state).numpy()
-                next_ids = logits.argmax(axis=-1)
-                for row, token_id in enumerate(next_ids):
-                    if finished[row]:
-                        continue
-                    if int(token_id) == tok.eos_id:
-                        finished[row] = True
-                    else:
-                        produced[row].append(int(token_id))
-                if finished.all():
-                    break
-                embedded = self.embedding(next_ids[:, None])[:, 0, :]
-                state = self.gru.cell(embedded, state)
-        outputs = []
-        for row, ids in enumerate(produced):
-            text = tok.decode(ids)
-            tokens = len(ids)
-            outputs.append(
-                Generation(
-                    text=f"{text}." if text else text,
-                    tokens=tokens,
-                    latency_s=self.latency.charge(self.parameter_count, max(tokens, 1)),
-                )
-            )
-        return outputs
-
-    def generate_batch(self, prompts: list[str]) -> GenerationBatch:
-        """:class:`~repro.llm.interface.KnowledgeGenerator` entrypoint."""
-        return GenerationBatch(generations=list(self.decode_batch(prompts)))
+        feeds back the token just emitted."""
+        state = self._prime(prompts)
+        while True:
+            next_ids = pick(self.output(state).numpy())
+            yield next_ids
+            embedded = self.embedding(next_ids[:, None])[:, 0, :]
+            state = self.gru.cell(embedded, state)
 
     def sequence_logprob(self, prompt: str, target: str) -> float:
         """Log probability of ``target`` given ``prompt`` (label scoring)."""
@@ -192,8 +127,3 @@ class StudentLM(Module):
         for position in range(sep_pos, len(ids) - 1):
             total += float(logp[position, ids[position + 1]])
         return total
-
-    def classify(self, prompt: str) -> str:
-        """Pick the label with highest conditional likelihood."""
-        scores = {choice: self.sequence_logprob(prompt, choice) for choice in LABELS}
-        return max(scores, key=scores.get)

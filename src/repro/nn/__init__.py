@@ -22,7 +22,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm, train_epochs
 from repro.nn.rnn import GRU, GRUCell
 from repro.nn.tensor import Tensor, embedding_lookup, no_grad, vocab_scatter
 
@@ -50,4 +50,5 @@ __all__ = [
     "dropout",
     "Adam",
     "clip_grad_norm",
+    "train_epochs",
 ]

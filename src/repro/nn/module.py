@@ -52,10 +52,6 @@ class Module:
         """Total scalar parameter count (used for model-size reporting)."""
         return sum(param.size for param in self.parameters())
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.grad = None
-
     # -- train / eval ----------------------------------------------------
     def _submodules(self) -> Iterator["Module"]:
         for value in vars(self).values():
@@ -98,6 +94,10 @@ class Module:
             if param.data.shape != state[name].shape:
                 raise ValueError(
                     f"shape mismatch for {name}: {param.data.shape} vs {state[name].shape}"
+                )
+            if param.data.dtype != state[name].dtype:
+                raise ValueError(
+                    f"dtype mismatch for {name}: {param.data.dtype} vs {state[name].dtype}"
                 )
             param.data = state[name].copy()
 

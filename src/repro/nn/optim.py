@@ -1,12 +1,15 @@
-"""Optimizers: Adam, and gradient clipping."""
+"""Optimizers: Adam, gradient clipping, and the one minibatch loop."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 import numpy as np
 
-from repro.nn.module import Parameter
+from repro.nn.module import Module, Parameter
+from repro.nn.tensor import Tensor
 
-__all__ = ["Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm", "train_epochs"]
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8      # Adam's published defaults
 
@@ -28,29 +31,19 @@ def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Base class storing the parameter list."""
-
-    def __init__(self, parameters: list[Parameter]):
-        self.parameters = list(parameters)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.grad = None
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
-    """Adam with bias correction."""
+class Adam:
+    """Adam with bias correction over a fixed parameter list."""
 
     def __init__(self, parameters: list[Parameter], lr: float = 1e-3):
-        super().__init__(parameters)
+        self.parameters = list(parameters)
         self.lr = lr
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.grad = None
 
     def step(self) -> None:
         self._t += 1
@@ -67,3 +60,39 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+
+
+def train_epochs(
+    model: Module,
+    optimizer: Adam,
+    epochs: int,
+    batch_size: int,
+    order: Callable[[], Sequence[int]],
+    loss_of: Callable[[Sequence[int]], Tensor],
+    clip_norm: float | None,
+) -> list[float]:
+    """The minibatch loop every trainer runs; returns per-epoch mean loss.
+
+    Each epoch calls ``order()`` once for the example indices, slices them
+    into ``batch_size`` batches and takes one optimizer step per batch on
+    ``loss_of(batch)``, clipping the global gradient norm to ``clip_norm``
+    first unless it is ``None``.  The model trains in train mode and is
+    left in eval mode.
+    """
+    losses: list[float] = []
+    model.train()
+    for _ in range(epochs):
+        indices = order()
+        total, batches = 0.0, 0
+        for start in range(0, len(indices), batch_size):
+            loss = loss_of(indices[start : start + batch_size])
+            optimizer.zero_grad()
+            loss.backward()
+            if clip_norm is not None:
+                clip_grad_norm(optimizer.parameters, clip_norm)
+            optimizer.step()
+            total += loss.item()
+            batches += 1
+        losses.append(total / max(batches, 1))
+    model.eval()
+    return losses

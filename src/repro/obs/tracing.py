@@ -4,7 +4,7 @@ A :class:`Tracer` produces nested :class:`Span` context managers and
 never reads a clock of its own: ``clock`` is any zero-argument callable
 returning seconds.  The serving layer passes ``SimClock.now`` so spans
 are timed on simulated time (keeping chaos/bench determinism and the
-``wall-clock`` source rule); the pipeline passes its simulated
+``wall-clock`` source rule); the pipeline sets it to its simulated
 LLM-seconds accumulator.  The only wall-clock timing in the repo lives
 in :mod:`repro.obs.timebase`.
 
@@ -232,27 +232,6 @@ class _Attachment:
         return False
 
 
-class _ClockOverride:
-    """Enter/exit handle returned by :meth:`Tracer.clocked`."""
-
-    __slots__ = ("_tracer", "_clock", "_previous")
-
-    def __init__(self, tracer: "Tracer", clock: Callable[[], float]):
-        self._tracer = tracer
-        self._clock = clock
-        self._previous: Callable[[], float] | None = None
-
-    def __enter__(self) -> "Tracer":
-        tracer = self._tracer
-        self._previous = tracer.clock
-        tracer.clock = self._clock
-        return tracer
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer.clock = self._previous
-        return False
-
-
 class Tracer:
     """Builds nested spans; bounded memory via ``max_spans`` or a sampler.
 
@@ -417,10 +396,6 @@ class Tracer:
         )
         record.end_s = float(end_s)
         return record
-
-    def clocked(self, clock: Callable[[], float]) -> _ClockOverride:
-        """Temporarily time spans on a different clock callable."""
-        return _ClockOverride(self, clock)
 
     def spans(self) -> list[Span]:
         return list(self._spans)

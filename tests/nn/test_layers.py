@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Embedding, Linear, Sequential, Tensor
+from repro.nn import MLP, Adam, Dropout, Embedding, Linear, Sequential, Tensor
 from repro.utils.rng import spawn_rng
 
 
@@ -97,6 +97,15 @@ def test_save_load_npz(tmp_path, rng):
     assert np.allclose(model(x).numpy(), other(x).numpy())
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_load_rejects_an_npz_of_another_dtype(tmp_path, rng, dtype):
+    model = Linear(3, 2, rng)
+    path = str(tmp_path / "model.npz")
+    np.savez(path, **{name: value.astype(dtype) for name, value in model.state_dict().items()})
+    with pytest.raises(ValueError, match="dtype mismatch for (weight|bias)"):
+        model.load(path)
+
+
 def test_train_eval_propagates_to_submodules(rng):
     model = Sequential(Dropout(0.5, rng), MLP([2, 2], rng))
     model.eval()
@@ -110,5 +119,5 @@ def test_zero_grad_clears_all(rng):
     out = model(Tensor(np.ones((1, 3)))).sum()
     out.backward()
     assert any(p.grad is not None for p in model.parameters())
-    model.zero_grad()
+    Adam(model.parameters()).zero_grad()
     assert all(p.grad is None for p in model.parameters())

@@ -11,10 +11,10 @@ from repro.obs.tracing import TraceContext, Tracer
 def _traced_span(tracer, trace_id, name="work", duration_s=0.0, at_s=0.0):
     """Open and close one trace-tagged span (buffered by the sampler)."""
     clock = {"t": at_s}
-    with tracer.clocked(lambda: clock["t"]):
-        with tracer.attach(TraceContext(trace_id)):
-            with tracer.span(name) as span:
-                clock["t"] = at_s + duration_s
+    tracer.clock = lambda: clock["t"]
+    with tracer.attach(TraceContext(trace_id)):
+        with tracer.span(name) as span:
+            clock["t"] = at_s + duration_s
     return span
 
 

@@ -124,11 +124,11 @@ def test_aggregate_totals_across_traces():
     clock = ManualClock()
     clock.t = 10.0
     cluster = dict(tracers)["cluster"]
-    with cluster.clocked(lambda: clock.t):
-        with cluster.attach(TraceContext("t2")):
-            with cluster.span("cluster.request"):
-                with cluster.span("cluster.queueing"):
-                    clock.t += 1.0
+    cluster.clock = clock.now
+    with cluster.attach(TraceContext("t2")):
+        with cluster.span("cluster.request"):
+            with cluster.span("cluster.queueing"):
+                clock.t += 1.0
     aggregate = TraceAnalyzer(tracers).aggregate()
     assert aggregate["traces"] == 2
     assert aggregate["spans"] == 6

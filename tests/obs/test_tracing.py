@@ -54,18 +54,18 @@ def test_span_error_tagging_reraises():
     assert span.end_s is not None
 
 
-def test_clocked_swaps_and_restores_the_clock():
+def test_assigning_the_clock_retimes_later_spans():
     clock = FakeClock()
     tracer = Tracer()  # default zero clock
-    with tracer.clocked(clock.now):
-        clock.advance(2.0)
-        with tracer.span("inner"):
-            clock.advance(1.0)
-    with tracer.span("outer"):
+    with tracer.span("before"):
         pass
-    inner, outer = tracer.spans()
-    assert inner.start_s == 2.0 and inner.duration_s == 1.0
-    assert outer.start_s == 0.0  # zero clock restored
+    tracer.clock = clock.now  # how CosmoPipeline.run times its stages
+    clock.advance(2.0)
+    with tracer.span("after"):
+        clock.advance(1.0)
+    before, after = tracer.spans()
+    assert before.start_s == 0.0
+    assert after.start_s == 2.0 and after.duration_s == 1.0
 
 
 def test_max_spans_bounds_memory():
@@ -318,48 +318,14 @@ def test_flow_to_unretained_parent_is_omitted():
     assert [e["ph"] for e in payload["traceEvents"]] == ["M", "X"]
 
 
-# -- clock override scopes --------------------------------------------------
-
-
-def test_clocked_restores_clock_when_the_body_raises():
-    clock = FakeClock()
-    tracer = Tracer()
-    with pytest.raises(RuntimeError):
-        with tracer.clocked(clock.now):
-            raise RuntimeError("boom")
-    with tracer.span("after"):
-        pass
-    (span,) = tracer.spans()
-    assert span.start_s == 0.0  # zero clock restored despite the error
-
-
-def test_clocked_scopes_nest_and_unwind_in_order():
-    slow, fast = FakeClock(), FakeClock()
-    slow.advance(10.0)
-    fast.advance(100.0)
-    tracer = Tracer()
-    with tracer.clocked(slow.now):
-        with tracer.clocked(fast.now):
-            with tracer.span("inner"):
-                pass
-        with tracer.span("middle"):
-            pass
-    with tracer.span("outer"):
-        pass
-    inner, middle, outer = tracer.spans()
-    assert inner.start_s == 100.0
-    assert middle.start_s == 10.0
-    assert outer.start_s == 0.0
-
-
 def test_span_straddling_a_clocked_boundary_times_each_edge_on_its_clock():
     clock = FakeClock()
     tracer = Tracer()  # zero clock
     span = tracer.span("straddle")
     span.__enter__()  # opened at 0.0 on the zero clock
-    with tracer.clocked(clock.now):
-        clock.advance(4.0)
-        span.__exit__(None, None, None)  # closed on the override clock
+    tracer.clock = clock.now
+    clock.advance(4.0)
+    span.__exit__(None, None, None)  # closed on the new clock
     assert span.start_s == 0.0
     assert span.end_s == 4.0
     assert span.duration_s == 4.0
