@@ -115,7 +115,7 @@ def _drive(mode: str, traffic: list[str], registry) -> dict:
         "p99_ms": cluster.percentile(99) * 1000.0,
         "violations": violations,
         "fired": evaluator.any_fired,
-        "rollout_state": controller.report().state,
+        "rollout_state": controller.state.value,
         "versions": set(cluster.snapshot_versions().values()),
         "green": green.version,
         "totals": totals,

@@ -137,6 +137,3 @@ class LatencyModel:
         """Account for a fixed simulated delay (timeouts, stalls, slowdowns)."""
         self.total_simulated_s += seconds
         return seconds
-
-    def reset(self) -> None:
-        self.total_simulated_s = 0.0

@@ -151,9 +151,6 @@ class TraceAnalyzer:
     def spans_for(self, trace_id: str) -> list[TraceNode]:
         return list(self._traces[trace_id])
 
-    def roots(self, trace_id: str) -> list[TraceNode]:
-        return list(self._roots[trace_id])
-
     def is_connected(self, trace_id: str) -> bool:
         """True when every span hangs off one single root."""
         return len(self._roots[trace_id]) == 1

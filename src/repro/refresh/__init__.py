@@ -45,7 +45,6 @@ from repro.refresh.quality import (
 )
 from repro.refresh.rollout import (
     RolloutController,
-    RolloutReport,
     RolloutState,
     SnapshotGenerator,
     mixed_version_violation,
@@ -70,7 +69,6 @@ __all__ = [
     "KnowledgeRefresher",
     "RolloutState",
     "RolloutController",
-    "RolloutReport",
     "SnapshotGenerator",
     "rollout_slo_specs",
     "mixed_version_violation",

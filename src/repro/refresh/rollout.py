@@ -35,7 +35,6 @@ says, so "which version is this replica serving" has ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.llm.interface import Generation, GenerationBatch, LatencyModel
@@ -47,7 +46,6 @@ from repro.refresh.snapshot import KgSnapshot, SnapshotStore
 __all__ = [
     "SnapshotGenerator",
     "RolloutState",
-    "RolloutReport",
     "RolloutController",
     "rollout_slo_specs",
     "mixed_version_violation",
@@ -137,23 +135,6 @@ class RolloutState(str, Enum):
     COMPLETE = "complete"          #: every replica on the target version
     ROLLED_BACK = "rolled_back"    #: guard tripped; cluster back on parent
     BLOCKED = "blocked"            #: quality gate refused before first step
-
-
-@dataclass(frozen=True)
-class RolloutReport:
-    """Outcome of one rollout attempt."""
-
-    target_version: str
-    parent_version: str
-    state: str
-    steps: tuple[str, ...]
-    rolled_back: bool
-    rollback_objective: str
-    rollback_alert: str
-    redriven: int
-    blocked: bool = False
-    gate_promote: bool = True
-    gate_breaches: tuple[str, ...] = ()
 
 
 class RolloutController:
@@ -342,23 +323,6 @@ class RolloutController:
                 kind, ts=self.cluster.clock.now(),
                 component=self.cluster.config.name, **attrs,
             )
-
-    # ------------------------------------------------------------------
-    def report(self) -> RolloutReport:
-        decision = self.gate_decision
-        return RolloutReport(
-            target_version=self.target.version,
-            parent_version=self.parent.version,
-            state=self.state.value,
-            steps=tuple(self.steps_executed),
-            rolled_back=self.state is RolloutState.ROLLED_BACK,
-            rollback_objective=self.rollback_objective,
-            rollback_alert=self.rollback_alert,
-            redriven=self.redriven,
-            blocked=self.state is RolloutState.BLOCKED,
-            gate_promote=decision.promote if decision is not None else True,
-            gate_breaches=tuple(decision.breaches) if decision is not None else (),
-        )
 
 
 def mixed_version_violation(store: SnapshotStore, cluster: CosmoCluster,

@@ -196,8 +196,9 @@ class Drive:
         return self.controller.quality_gate.assess(self.controller.target)
 
     def gate_tripped(self) -> bool:
-        rollout = self.controller.report()
-        return rollout.blocked or rollout.rollback_objective == "knowledge-quality"
+        controller = self.controller
+        return (controller.state is refresh.RolloutState.BLOCKED
+                or controller.rollback_objective == "knowledge-quality")
 
     def signalled(self) -> bool:
         """An SLO alert fired, or the gate refused or reverted the rollout."""
@@ -744,10 +745,9 @@ def _report(drive: Drive, title: str) -> None:
         print("replica versions: " + ", ".join(
             f"{replica}={version}"
             for replica, version in sorted(cluster.snapshot_versions().items())))
-        rollout = controller.report()
-        if rollout.rolled_back:
-            print(f"rollback: objective {rollout.rollback_objective} "
-                  f"(alert {rollout.rollback_alert}), {rollout.redriven} dead "
+        if controller.state is refresh.RolloutState.ROLLED_BACK:
+            print(f"rollback: objective {controller.rollback_objective} "
+                  f"(alert {controller.rollback_alert}), {controller.redriven} dead "
                   f"letter(s) redriven")
         print(f"gate verdict: {'BLOCK' if drive.gate_tripped() else 'PROMOTE'}")
     if drive.evaluator is not None:

@@ -8,7 +8,7 @@ from repro.serving.api import (
 )
 from repro.serving.cache import AsyncCacheStore, CacheStats
 from repro.serving.clock import SimClock
-from repro.serving.cluster import AdaptiveBatchScheduler, ClusterConfig, CosmoCluster
+from repro.serving.cluster import ClusterConfig, CosmoCluster
 from repro.serving.deployment import (
     BatchCostModel,
     CosmoService,
@@ -40,7 +40,6 @@ __all__ = [
     "ServeResult",
     "ConsistentHashRouter",
     "ClusterConfig",
-    "AdaptiveBatchScheduler",
     "CosmoCluster",
     "AsyncCacheStore",
     "CacheStats",

@@ -18,7 +18,7 @@ from collections import Counter
 from typing import Mapping, Sequence
 
 from repro.obs.metrics import MetricsRegistry, counter_attribute
-from repro.serving.clock import SimClock
+from repro.serving.clock import SECONDS_PER_DAY, SimClock
 
 __all__ = ["CacheStats", "AsyncCacheStore"]
 
@@ -95,7 +95,7 @@ class AsyncCacheStore:
         self._daily: dict[str, str] = {}
         self._daily_day: int = clock.day
         self._daily_capacity = daily_capacity
-        self._pending: dict[str, int] = {}  # query → enqueue day
+        self._pending: dict[str, float] = {}  # query → enqueue time
         #: The version the yearly layer was installed from and every
         #: daily entry was computed under (a version change clears both).
         self._snapshot_version: str | None = None
@@ -124,21 +124,22 @@ class AsyncCacheStore:
         the query for the next batch unless ``enqueue`` is False
         (admission control shedding load skips the queue so shed traffic
         cannot crowd out admitted misses).  One daily-layer roll covers
-        the window, and its day stamps every miss the window enqueues;
-        per-query accounting (request log, pending enqueue with capacity
-        eviction) runs in order in the read loop, and the hit/miss
-        counters are tallied over the window and incremented once each.
+        the window, and one clock read stamps every miss the window
+        enqueues with its enqueue time; per-query accounting (request
+        log, pending enqueue with capacity eviction) runs in order in the
+        read loop, and the hit/miss counters are tallied over the window
+        and incremented once each.
 
-        A query is only ever enqueued when absent and the day never goes
-        back, so the pending dict's insertion order *is* oldest-first:
-        its first key is the eviction victim and its key order is the
-        flush order.
+        A query is only ever enqueued when absent and the clock never
+        goes back, so the pending dict's insertion order *is*
+        oldest-first: its first key is the eviction victim and its key
+        order is the flush order.
         """
         if not queries:
             return []
         self._roll_daily_layer()
         request_log, yearly, daily = self.request_log, self._yearly, self._daily
-        pending, capacity, today = self._pending, self._pending_capacity, self._daily_day
+        pending, capacity, now = self._pending, self._pending_capacity, self._clock.now()
         stats = self.stats
         hits: list[tuple[str, str] | None] = []
         layer1 = layer2 = 0
@@ -155,7 +156,7 @@ class AsyncCacheStore:
                     if len(pending) >= capacity:
                         del pending[next(iter(pending))]
                         stats.add("pending_evictions", 1)
-                    pending[query] = today
+                    pending[query] = now
                 hits.append(None)
         for attr, tally in (("layer1_hits", layer1), ("layer2_hits", layer2),
                             ("misses", len(queries) - layer1 - layer2)):
@@ -175,8 +176,8 @@ class AsyncCacheStore:
     def _evict_stale_pending(self) -> None:
         today = self._clock.day
         stale = [
-            query for query, day in self._pending.items()
-            if today - day > self._pending_max_age_days
+            query for query, enqueued in self._pending.items()
+            if today - int(enqueued // SECONDS_PER_DAY) > self._pending_max_age_days
         ]
         for query in stale:
             del self._pending[query]
@@ -213,6 +214,11 @@ class AsyncCacheStore:
     def pending_queries(self) -> list[str]:
         """Queries awaiting batch processing, oldest first."""
         return list(self._pending)
+
+    @property
+    def oldest_pending_at(self) -> float | None:
+        """Enqueue time of the oldest pending query; None when none is."""
+        return next(iter(self._pending.values()), None)
 
     def apply_batch(self, responses: dict[str, str]) -> int:
         """Install batch-computed responses into the daily layer while it

@@ -13,9 +13,9 @@ has into that deployment:
   (:attr:`~repro.serving.resilience.CircuitBreaker.cooling_down`); while
   a breaker cools down, that replica's traffic walks to the next replica
   on the ring instead of queueing behind a dead generator;
-* **adaptive batching** — :class:`AdaptiveBatchScheduler` flushes a
-  replica's pending-miss queue when it reaches ``max_batch_size`` *or*
-  when the oldest miss has waited ``max_batch_delay_s``, replacing the
+* **adaptive batching** — a replica's pending-miss queue is flushed
+  when it reaches ``max_batch_size`` *or* when its oldest miss has
+  waited ``max_batch_delay_s`` since it was enqueued, replacing the
   fixed batch cadence a single service needs a driver loop for;
 * **admission control** — when cluster-wide pending depth exceeds
   ``max_queue_depth``, new misses are served from the degraded path
@@ -35,7 +35,6 @@ Everything is deterministic: same seed, same traffic, same bytes out.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +48,7 @@ from repro.serving.deployment import CosmoService
 from repro.serving.resilience import BreakerState
 from repro.serving.router import ConsistentHashRouter
 
-__all__ = ["ClusterConfig", "AdaptiveBatchScheduler", "CosmoCluster"]
+__all__ = ["ClusterConfig", "CosmoCluster"]
 
 _OPEN = BreakerState.OPEN
 
@@ -106,77 +105,6 @@ class ClusterConfig:
             raise ValueError("max_queue_depth must be at least 1")
 
 
-class AdaptiveBatchScheduler:
-    """Size-or-deadline flush triggers for per-replica miss queues.
-
-    A replica flushes when its pending queue reaches ``max_batch_size``
-    ("size" trigger — the batch is worth the generator call) or when its
-    *oldest* pending miss has waited ``max_batch_delay_s`` ("deadline"
-    trigger — bounded staleness even on a cold shard).  The scheduler
-    only tracks timestamps; the cluster owns the actual flush.
-
-    The scheduler keeps one enqueue tick per pending item (a deque,
-    oldest first — matching the cache's oldest-first flush order), so
-    the deadline trigger always measures the surviving oldest item's
-    *own* wait.  Two historical bugs this fixes: items enqueued
-    mid-window used to inherit the window's first timestamp, and items
-    left over after a partial flush were re-stamped at the flush tick —
-    both under-charged queueing delay and could stretch a mid-window
-    item's staleness to nearly twice ``max_batch_delay_s``.
-    """
-
-    def __init__(self, max_batch_size: int = 32, max_batch_delay_s: float = 30.0):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        if max_batch_delay_s <= 0:
-            raise ValueError("max_batch_delay_s must be positive")
-        self.max_batch_size = max_batch_size
-        self.max_batch_delay_s = max_batch_delay_s
-        #: replica → enqueue tick of each still-pending item, oldest first.
-        self._pending_since: dict[str, deque[float]] = {}
-
-    def note_pending(self, replica: str, now: float, pending: int) -> None:
-        """Record that ``replica`` has ``pending`` queued items as of ``now``.
-
-        The tracked ticks are synchronized to that queue length:
-        shrinkage pops the oldest ticks (the cache processes
-        oldest-first), growth stamps each new item ``now``.
-        """
-        ticks = self._pending_since.setdefault(replica, deque())
-        while len(ticks) > pending:
-            ticks.popleft()
-        while len(ticks) < pending:
-            ticks.append(now)
-
-    def should_flush(self, replica: str, pending: int, now: float) -> str | None:
-        """The trigger that fires for this queue state, if any."""
-        if pending <= 0:
-            self._pending_since.pop(replica, None)
-            return None
-        if pending >= self.max_batch_size:
-            return "size"
-        ticks = self._pending_since.get(replica)
-        if ticks and now - ticks[0] >= self.max_batch_delay_s:
-            return "deadline"
-        return None
-
-    def flushed(self, replica: str, remaining: int = 0) -> None:
-        """Drop the flushed (oldest) items' ticks after a flush.
-
-        ``remaining`` is the queue length the flush left behind; the
-        survivors keep their original enqueue ticks so the next deadline
-        check charges their full wait (default 0 — the flush drained the
-        queue).
-        """
-        ticks = self._pending_since.get(replica)
-        if ticks is None:
-            return
-        while len(ticks) > remaining:
-            ticks.popleft()
-        if not ticks:
-            self._pending_since.pop(replica, None)
-
-
 class CosmoCluster:
     """N service replicas behind a consistent-hash router.
 
@@ -227,10 +155,6 @@ class CosmoCluster:
             # operator acts at cluster time, not on any one replica's.
             self.router.attach_event_log(event_log, clock=self.clock.now,
                                          component=cfg.name)
-        self.scheduler = AdaptiveBatchScheduler(
-            max_batch_size=cfg.max_batch_size,
-            max_batch_delay_s=cfg.max_batch_delay_s,
-        )
         self._batch_seq = 0
         self.services: dict[str, CosmoService] = {}
         for index, replica_id in enumerate(replica_ids):
@@ -473,14 +397,23 @@ class CosmoCluster:
     # ------------------------------------------------------------------
     def _maybe_flush(self, replica_id: str,
                      context: TraceContext | None) -> None:
+        """Flush ``replica_id``'s pending queue when it is full ("size" —
+        the batch is worth the generator call) or when its oldest entry
+        has waited ``max_batch_delay_s`` since it was enqueued
+        ("deadline" — bounded staleness even on a cold shard); the one
+        place a flush is decided, read from the queue's own enqueue
+        times."""
         service = self.services[replica_id]
-        pending = service.cache.pending_size
-        now = service.clock.now()
-        if pending > 0:
-            self.scheduler.note_pending(replica_id, now, pending=pending)
-        trigger = self.scheduler.should_flush(replica_id, pending, now)
-        if trigger is not None:
-            self._flush_replica(replica_id, trigger, context)
+        cache, config = service.cache, self.config
+        if cache.pending_size >= config.max_batch_size:
+            trigger = "size"
+        else:
+            oldest = cache.oldest_pending_at
+            if (oldest is None
+                    or service.clock.now() - oldest < config.max_batch_delay_s):
+                return
+            trigger = "deadline"
+        self._flush_replica(replica_id, trigger, context)
 
     def _flush_replica(self, replica_id: str, trigger: str,
                        context: TraceContext | None = None) -> int:
@@ -499,7 +432,6 @@ class CosmoCluster:
             flushes = self._flushes_by_trigger[trigger] = self._flushes.labels(
                 cluster=self.config.name, trigger=trigger)
         flushes.inc()
-        self.scheduler.flushed(replica_id, remaining=service.cache.pending_size)
         if self.event_log is not None:
             self.event_log.emit(
                 "cluster.flush", ts=service.clock.now(),

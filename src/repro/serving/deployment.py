@@ -162,17 +162,6 @@ class ServingMetrics:
             return 1.0
         return (self.served_fresh + self.degraded_serves) / self.requests
 
-    def percentile(self, q: float) -> float:
-        return self.latency.percentile(q)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
 
 for _attr in _COUNTER_SPECS:
     setattr(ServingMetrics, _attr, counter_attribute(_attr))

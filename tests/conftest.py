@@ -3,6 +3,18 @@ COSMO-LM per session."""
 
 from __future__ import annotations
 
+import os
+import sys
+
+#: One BLAS thread for every numpy import of the session: the thread count
+#: changes float summation order, and with it which prompts COSMO-LM
+#: decodes to nothing, so the seeded results hold only at one thread.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in _BLAS_THREAD_VARS):
+    raise RuntimeError("numpy was imported before conftest.py pinned BLAS to one "
+                       "thread; set " + "=1 ".join(_BLAS_THREAD_VARS) + "=1")
+os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 import pytest
 
 from repro.behavior import World, WorldConfig

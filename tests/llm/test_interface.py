@@ -15,11 +15,11 @@ def test_latency_scales_with_parameters_and_tokens():
 
 def test_latency_accumulates_and_resets():
     model = LatencyModel()
-    model.charge(1_000_000_000, 5)
-    model.charge(1_000_000_000, 5)
-    assert model.total_simulated_s > 0
-    model.reset()
     assert model.total_simulated_s == 0.0
+    first = model.charge(1_000_000_000, 5)
+    second = model.charge(1_000_000_000, 5)
+    assert first > 0
+    assert model.total_simulated_s == pytest.approx(first + second)
 
 
 def test_latency_overhead_floor():

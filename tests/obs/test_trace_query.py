@@ -109,8 +109,11 @@ def test_disconnected_trace_reports_multiple_roots():
             pass
     analyzer = TraceAnalyzer([("a", tracer)])
     assert not analyzer.is_connected("t1")
-    assert [n.name for n in analyzer.roots("t1")] == ["orphan-one",
-                                                      "orphan-two"]
+    # Neither orphan hangs off the other: the earlier one is the root.
+    assert analyzer.root("t1").name == "orphan-one"
+    assert analyzer.root("t1").children == []
+    assert [n.name for n in analyzer.spans_for("t1")] == ["orphan-one",
+                                                          "orphan-two"]
 
 
 def test_duplicate_tracer_names_are_rejected():

@@ -71,14 +71,11 @@ def test_healthy_rollout_completes_one_step_per_tick():
     _drive(cluster, evaluator, grid, controller, 300, rolling=False)
     violations = _drive(cluster, evaluator, grid, controller, 900)
 
-    report = controller.report()
     assert controller.state is RolloutState.COMPLETE
-    assert report.state == "complete"
-    assert not report.rolled_back
     # drain → swap → restore per replica, in router order.
     expected = [f"{step}:{rid}" for rid in cluster.router.replicas
                 for step in ("drain", "swap", "restore")]
-    assert list(report.steps) == expected
+    assert controller.steps_executed == expected
     assert set(cluster.snapshot_versions().values()) == {green.version}
     assert violations == 0
     assert not evaluator.any_fired
@@ -98,9 +95,9 @@ def test_tick_after_done_is_a_noop():
     cluster, store, _, _, evaluator, grid, controller = _rig()
     _drive(cluster, evaluator, grid, controller, 900)
     assert controller.done
-    steps_before = list(controller.report().steps)
+    steps_before = list(controller.steps_executed)
     assert controller.tick(cluster.clock.now()) is None
-    assert list(controller.report().steps) == steps_before
+    assert controller.steps_executed == steps_before
 
 
 # -- poisoned rollout ------------------------------------------------------
@@ -110,13 +107,11 @@ def test_poisoned_rollout_rolls_back_to_parent_and_redrives():
     _drive(cluster, evaluator, grid, controller, 300, rolling=False)
     violations = _drive(cluster, evaluator, grid, controller, 900)
 
-    report = controller.report()
     assert controller.state is RolloutState.ROLLED_BACK
-    assert report.rolled_back
-    assert report.steps[-1] == "rollback"
-    assert report.rollback_objective in ("availability", "latency-p99")
-    assert report.rollback_alert
-    assert report.redriven > 0
+    assert controller.steps_executed[-1] == "rollback"
+    assert controller.rollback_objective in ("availability", "latency-p99")
+    assert controller.rollback_alert
+    assert controller.redriven > 0
     # Every replica is back on the parent and nothing stays drained.
     assert set(cluster.snapshot_versions().values()) == {blue.version}
     assert all(not cluster.router.is_drained(rid)

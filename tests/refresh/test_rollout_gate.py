@@ -96,10 +96,9 @@ def test_passing_gate_completes_and_emits_gate_pass():
     _drive(cluster, evaluator, grid, controller, 300, rolling=False)
     _drive(cluster, evaluator, grid, controller, 900)
 
-    report = controller.report()
     assert controller.state is RolloutState.COMPLETE
-    assert report.gate_promote and not report.blocked
-    assert report.gate_breaches == ()
+    assert controller.gate_decision.promote
+    assert controller.gate_decision.breaches == ()
     assert set(cluster.snapshot_versions().values()) == {green.version}
 
     kinds = [e.kind for e in cluster.event_log.events()]
@@ -114,12 +113,10 @@ def test_blocking_gate_refuses_before_first_step():
     _drive(cluster, evaluator, grid, controller, 300, rolling=False)
     _drive(cluster, evaluator, grid, controller, 900)
 
-    report = controller.report()
     assert controller.state is RolloutState.BLOCKED
-    assert report.state == "blocked"
-    assert report.blocked and not report.gate_promote
-    assert report.gate_breaches  # named, human-readable
-    assert list(report.steps) == ["gate-block"]  # no replica ever touched
+    assert not controller.gate_decision.promote
+    assert controller.gate_decision.breaches  # named, human-readable
+    assert controller.steps_executed == ["gate-block"]  # no replica ever touched
     assert set(cluster.snapshot_versions().values()) == {blue.version}
 
     kinds = [e.kind for e in cluster.event_log.events()]
@@ -164,13 +161,11 @@ def test_gate_flip_mid_rollout_triggers_same_tick_rollback():
     _drive(cluster, evaluator, grid, controller, 300, rolling=False)
     _drive(cluster, evaluator, grid, controller, 900)
 
-    report = controller.report()
     assert controller.state is RolloutState.ROLLED_BACK
-    assert report.rolled_back and not report.blocked
-    assert report.rollback_objective == "knowledge-quality"
-    assert report.rollback_alert.startswith("relation-mix-shift")
+    assert controller.rollback_objective == "knowledge-quality"
+    assert controller.rollback_alert.startswith("relation-mix-shift")
     # Two promoted ticks executed drain + swap, then the flip rolled back.
-    assert report.steps[-1] == "rollback"
+    assert controller.steps_executed[-1] == "rollback"
     assert set(cluster.snapshot_versions().values()) == {blue.version}
 
     kinds = [e.kind for e in cluster.event_log.events()]

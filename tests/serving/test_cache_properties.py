@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import AsyncCacheStore, SimClock
+from repro.serving.clock import SECONDS_PER_DAY
 
 _queries = st.sampled_from([f"q{i}" for i in range(12)])
 
@@ -62,7 +63,7 @@ def test_second_lookup_after_batch_always_hits(queries):
 # ``min(pending, key=pending.get)`` and its flush order with
 # ``sorted(pending, key=pending.get)`` — O(n) and O(n log n) over up to
 # 50 000 entries per enqueue / per flush.  Both are the dict's own order,
-# because a query is only inserted when absent and the day never goes back.
+# because a query is only inserted when absent and the clock never goes back.
 
 
 def _oldest_first_model(cache: AsyncCacheStore) -> list[str]:
@@ -118,13 +119,14 @@ def test_pending_order_and_eviction_victim_match_the_scan_forms():
 
 class _OneAtATimeQueue:
     """The pending queue as a miss at a time would build it, in the scan
-    forms: each entry keeps its enqueue day and arrival number, the
+    forms: each entry keeps its enqueue time and arrival number, the
     eviction victim is the ``min`` and the flush order the ``sorted`` of
-    those, and the daily layer is tracked only to tell hits from misses."""
+    those, an entry goes stale by the day of its enqueue time, and the
+    daily layer is tracked only to tell hits from misses."""
 
     def __init__(self, clock, capacity, max_age_days):
         self.clock, self.capacity, self.max_age = clock, capacity, max_age_days
-        self.entries: dict[str, tuple[int, int]] = {}  # query -> (day, arrival)
+        self.entries: dict[str, tuple[float, int]] = {}  # query -> (time, arrival)
         self.daily: set[str] = set()
         self.day = clock.day
         self.arrivals = self.evictions = 0
@@ -134,8 +136,8 @@ class _OneAtATimeQueue:
         if self.clock.day != self.day:
             self.daily.clear()
             self.day = self.clock.day
-            for query in [q for q, (d, _) in self.entries.items()
-                          if self.day - d > self.max_age]:
+            for query in [q for q, (t, _) in self.entries.items()
+                          if self.day - int(t // SECONDS_PER_DAY) > self.max_age]:
                 del self.entries[query]
                 self.victims.append(query)
                 self.evictions += 1
@@ -151,7 +153,7 @@ class _OneAtATimeQueue:
                 self.victims.append(victim)
                 self.evictions += 1
             self.arrivals += 1
-            self.entries[query] = (self.clock.day, self.arrivals)
+            self.entries[query] = (self.clock.now(), self.arrivals)
 
     def apply(self, queries):
         self.roll()
@@ -178,7 +180,7 @@ class _VictimLog(dict):
 
 @st.composite
 def pending_operations(draw):
-    kinds = ["lookup", "fetch_many", "day", "batch", "drop"]
+    kinds = ["lookup", "fetch_many", "day", "tick", "batch", "drop"]
     ops = []
     for _ in range(draw(st.integers(1, 50))):
         kind = draw(st.sampled_from(kinds))
@@ -193,8 +195,9 @@ def pending_operations(draw):
 @settings(max_examples=150, deadline=None)
 def test_pending_queue_matches_scan_forms_under_arbitrary_operations(ops, capacity):
     """``fetch_many`` windows of 1..8 queries (shed or not, some right
-    after a day roll) build the queue a miss at a time would: same flush
-    order, same victims, same eviction count, same enqueue days."""
+    after a day roll or a few seconds on) build the queue a miss at a
+    time would: same flush order, same victims, same eviction count, same
+    enqueue times."""
     clock = SimClock()
     cache = AsyncCacheStore(clock, pending_capacity=capacity,
                             pending_max_age_days=2)
@@ -203,6 +206,8 @@ def test_pending_queue_matches_scan_forms_under_arbitrary_operations(ops, capaci
     for kind, queries, new_day, enqueue in ops:
         if kind == "day":
             clock.advance_days(1)
+        elif kind == "tick":
+            clock.advance(7.5)
         elif kind == "batch":
             cache.apply_batch({q: "answer" for q in queries})
             model.apply(queries)
@@ -222,6 +227,6 @@ def test_pending_queue_matches_scan_forms_under_arbitrary_operations(ops, capaci
                 model.fetch(queries, enqueue)
         assert cache._pending.victims == model.victims
         assert cache.pending_queries() == model.order() == _oldest_first_model(cache)
-        assert cache._pending == {q: day for q, (day, _) in model.entries.items()}
+        assert cache._pending == {q: t for q, (t, _) in model.entries.items()}
         assert cache.stats.pending_evictions == model.evictions
         assert cache.pending_size <= capacity

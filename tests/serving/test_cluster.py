@@ -1,4 +1,4 @@
-"""Cluster serving: scheduler triggers, admission control, failover,
+"""Cluster serving: flush triggers, admission control, failover,
 and the cluster-wide accounting invariant under chaos."""
 
 from itertools import combinations
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.events import EventLog
 from repro.serving import (
-    AdaptiveBatchScheduler,
     ClusterConfig,
     CosmoCluster,
     FaultInjector,
@@ -52,67 +52,7 @@ def test_cluster_config_validation():
         ClusterConfig(max_queue_depth=0)
 
 
-# -- adaptive batch scheduler ----------------------------------------------
-def test_scheduler_size_trigger():
-    scheduler = AdaptiveBatchScheduler(max_batch_size=4, max_batch_delay_s=10.0)
-    scheduler.note_pending("r0", now=0.0, pending=3)
-    assert scheduler.should_flush("r0", pending=3, now=1.0) is None
-    assert scheduler.should_flush("r0", pending=4, now=1.0) == "size"
-
-
-def test_scheduler_deadline_trigger_uses_oldest_pending():
-    scheduler = AdaptiveBatchScheduler(max_batch_size=100, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0, pending=1)
-    scheduler.note_pending("r0", now=4.9, pending=2)  # oldest tick is kept
-    assert scheduler.should_flush("r0", pending=2, now=4.9) is None
-    assert scheduler.should_flush("r0", pending=2, now=5.0) == "deadline"
-
-
-def test_scheduler_flush_resets_the_deadline_window():
-    scheduler = AdaptiveBatchScheduler(max_batch_size=100, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0, pending=1)
-    scheduler.flushed("r0")
-    scheduler.note_pending("r0", now=7.0, pending=1)
-    assert scheduler.should_flush("r0", pending=1, now=8.0) is None
-    assert scheduler.should_flush("r0", pending=1, now=12.0) == "deadline"
-
-
-def test_scheduler_mid_window_items_keep_their_own_enqueue_ticks():
-    """Regression: items enqueued mid-window used to inherit the window's
-    first timestamp, so after a partial flush the survivor's deadline
-    fired early (its wait was over-credited by the window age)."""
-    scheduler = AdaptiveBatchScheduler(max_batch_size=100, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0, pending=1)
-    scheduler.note_pending("r0", now=3.0, pending=2)  # second item joins mid-window
-    # Partial flush drains the oldest item; the survivor was enqueued at 3.0.
-    scheduler.flushed("r0", remaining=1)
-    assert scheduler.should_flush("r0", pending=1, now=7.9) is None
-    assert scheduler.should_flush("r0", pending=1, now=8.0) == "deadline"
-
-
-def test_scheduler_partial_flush_survivors_are_not_restamped():
-    """Regression: leftovers after a partial flush used to be re-stamped
-    at the flush tick, stretching a mid-window item's staleness toward
-    twice ``max_batch_delay_s``."""
-    scheduler = AdaptiveBatchScheduler(max_batch_size=100, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0, pending=3)
-    scheduler.flushed("r0", remaining=2)  # flush at some later tick keeps 2
-    # Survivors still charge from their own enqueue at t=0, not the flush.
-    assert scheduler.should_flush("r0", pending=2, now=5.0) == "deadline"
-    scheduler.flushed("r0")
-    # A full flush forgets the old ticks: the next item waits from its own.
-    scheduler.note_pending("r0", now=9.0, pending=1)
-    assert scheduler.should_flush("r0", pending=1, now=13.9) is None
-
-
-def test_scheduler_empty_queue_clears_window():
-    scheduler = AdaptiveBatchScheduler(max_batch_size=4, max_batch_delay_s=5.0)
-    scheduler.note_pending("r0", now=0.0, pending=1)
-    assert scheduler.should_flush("r0", pending=0, now=100.0) is None
-    scheduler.note_pending("r0", now=100.0, pending=1)  # fresh window, not the old one
-    assert scheduler.should_flush("r0", pending=1, now=101.0) is None
-
-
+# -- flush triggers ---------------------------------------------------------
 def test_cluster_flushes_on_size_trigger():
     cluster = _cluster(n_replicas=1)
     for i in range(8):  # max_batch_size distinct misses on one shard
@@ -130,6 +70,108 @@ def test_cluster_flushes_on_deadline_trigger():
     service = cluster.services["cluster-r0"]
     assert service.metrics.batch_runs >= 1
     assert cluster.handle("lonely query").outcome is ServeOutcome.FRESH
+
+
+def test_deadline_charges_the_oldest_entry_after_an_out_of_order_removal():
+    """A direct request's write-through takes ``b`` out of the middle of
+    the queue; the deadline is still ``a``'s, enqueued first."""
+    cluster = _cluster(n_replicas=1, max_batch_delay_s=0.25)
+    cluster.preload_yearly({"hot": "answer."})
+    cache = cluster.services["cluster-r0"].cache
+    cluster.handle("a")                                   # t = 0: miss
+    cluster.clock.advance(0.1)
+    cluster.handle("b")                                   # t = 0.1: miss
+    cluster.handle(ServeRequest(query="b", direct=True))  # write-through
+    assert cache.pending_queries() == ["a"]
+    cluster.clock.sleep_until(0.275)
+    cluster.handle("hot")                                 # a has waited 0.275 s
+    assert cache.pending_queries() == []
+    flushes = cluster.registry.get("cluster_batch_flushes_total")
+    assert flushes.labels(cluster="cluster", trigger="deadline").value == 1
+
+
+@st.composite
+def flush_schedules(draw):
+    """Windows of misses and direct requests and time gaps, in four
+    stretches: healthy, a generator outage (a failed flush dead-letters
+    its queries), recovered, and after a redrive answers those letters."""
+    keys = st.sampled_from([f"q{i}" for i in range(40)])
+    step = st.one_of(
+        st.tuples(st.just("window"),
+                  st.lists(st.tuples(keys, st.booleans()), min_size=1, max_size=8)),
+        st.tuples(st.just("gap"), st.floats(0.0, 0.4)))
+    ops = []
+    for marker in ("fail", "recover", "redrive"):
+        ops += draw(st.lists(step, max_size=8)) + [(marker, None)]
+    return ops + draw(st.lists(step, max_size=8))
+
+
+@given(flush_schedules())
+@settings(max_examples=60, deadline=None)
+def test_flush_trigger_matches_a_per_entry_reference(ops):
+    """After every dispatch the trigger that fired (or none) is the one a
+    ``query -> enqueue time`` reference gives: "size" at
+    ``max_batch_size`` pending, else "deadline" once the oldest surviving
+    entry has waited ``max_batch_delay_s``.  Entries leave out of order
+    (direct write-through, redrive, dead letters), survivors of a partial
+    flush keep their times, and an emptied queue starts afresh."""
+    cluster = _cluster(n_replicas=2, fault_rate=0.5, max_batch_size=3,
+                       max_batch_delay_s=0.25)
+    cluster.event_log = log = EventLog()
+    injectors = cluster._test_injectors.values()
+    for injector in injectors:
+        injector.plan = FaultPlan()
+    for service in cluster.services.values():
+        service.breaker.min_calls = 10**9  # the outage dead-letters, never trips
+    enqueued = {replica_id: {} for replica_id in cluster.services}
+    expected = []
+
+    def spy(replica_id, service):
+        fetch_many, serve_batch = service.cache.fetch_many, service.serve_batch
+        reference = enqueued[replica_id]
+
+        def spied_fetch(queries, enqueue=True):
+            before = set(service.cache.pending_queries())
+            hits = fetch_many(queries, enqueue)
+            for query in service.cache.pending_queries():
+                if query not in before:
+                    reference[query] = service.clock.now()
+            return hits
+
+        def spied_serve(group, allow_enqueue=True):
+            served = serve_batch(group, allow_enqueue=allow_enqueue)
+            live = service.cache.pending_queries()
+            for query in set(reference) - set(live):
+                del reference[query]
+            trigger = None
+            if len(live) >= 3:
+                trigger = "size"
+            elif live and service.clock.now() - min(reference.values()) >= 0.25:
+                trigger = "deadline"
+            expected.append((replica_id, trigger))
+            return served
+
+        service.cache.fetch_many, service.serve_batch = spied_fetch, spied_serve
+
+    for replica_id, service in cluster.services.items():
+        spy(replica_id, service)
+    for kind, arg in ops:
+        if kind == "window":
+            expected.clear()
+            seen = len(log)
+            cluster.handle_batch([ServeRequest(query=q, direct=direct)
+                                  for q, direct in arg])
+            fired = [(event.attrs["replica"], event.attrs["trigger"])
+                     for event in log.events()[seen:]
+                     if event.kind == "cluster.flush"]
+            assert fired == [(r, t) for r, t in expected if t is not None]
+        elif kind == "gap":
+            cluster.clock.advance(arg)
+        elif kind == "redrive":
+            cluster.redrive_dead_letters()
+        else:
+            for injector in injectors:
+                injector.plan = FaultPlan(error_rate=1.0 if kind == "fail" else 0.0)
 
 
 def test_forced_flush_drains_the_queue_past_a_full_daily_layer():

@@ -222,7 +222,8 @@ def test_percentiles_monotone():
     service = CosmoService(generator)
     for i in range(20):
         _handle(service, f"q{i}")
-    assert service.metrics.p50 <= service.metrics.p99
+    latency = service.metrics.latency
+    assert latency.percentile(50) <= latency.percentile(99)
 
 
 # -- feedback loop ------------------------------------------------------------

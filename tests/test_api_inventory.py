@@ -26,8 +26,8 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: (names, reason): at most six rows.
 KEPT = (
     (("KnowledgeRefresher",),
-     "paper 3.5's incremental refresh and ROADMAP 3(b)'s producer (its "
-     "RefreshConfig / RefreshReport are referenced from it)"),
+     "paper 3.5's incremental refresh, which only tests/refresh/test_builder.py "
+     "drives (its RefreshConfig / RefreshReport are referenced from it)"),
     (("TailSampler.pending_traces",), "ROADMAP item 1's quiescence invariant"),
 )
 

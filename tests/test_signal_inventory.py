@@ -1,5 +1,6 @@
-"""The signal inventory (ROADMAP 5(c)): every metric family, event kind and
-span name the seeded drives emit, with the reader of each.
+"""The signal inventory: every metric family, event kind and span name the
+seeded drives emit, with the reader of each, so that a signal nothing reads
+is deleted instead of exported forever.
 
 ``INVENTORY`` is the list of record.  The drives are the seven ``SCENARIOS``
 in every ``--scenario`` variant (the cached drives of ``test_scenarios``)
