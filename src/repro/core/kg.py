@@ -377,10 +377,6 @@ class KnowledgeGraph:
     def triples(self) -> list[KnowledgeTriple]:
         return self._rows(slice(0, self._size))
 
-    def tails(self) -> list[str]:
-        tail_ids = np.unique(self._tail_col[: self._size])
-        return sorted(self._nodes.value(int(tail_id)) for tail_id in tail_ids)
-
     def for_domain(self, domain: str) -> list[KnowledgeTriple]:
         domain_id = self._domains.id_of(domain)
         if domain_id is None:

@@ -105,10 +105,6 @@ class Histogram:
     def max(self) -> float:
         return 0.0 if self._max is None else self._max
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def observe(self, value: float, exemplar: str | None = None,
                 count: int = 1) -> None:
         """Record ``count`` observations of ``value`` (a serving window
@@ -306,21 +302,6 @@ class MetricFamily:
         """``(labels, child)`` pairs in deterministic label order."""
         for key in sorted(self._children):
             yield dict(zip(self.labelnames, key)), self._children[key]
-
-    # -- unlabeled convenience (valid only when labelnames is empty) ----
-    def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)  # type: ignore[union-attr]
-
-    def observe(self, value: float, exemplar: str | None = None,
-                count: int = 1) -> None:
-        self.labels().observe(value, exemplar, count)  # type: ignore[union-attr, call-arg]
-
-    def percentile(self, q: float) -> float:
-        return self.labels().percentile(q)  # type: ignore[union-attr]
-
-    @property
-    def value(self) -> float:
-        return self.labels().value  # type: ignore[union-attr]
 
 
 class MetricsRegistry:

@@ -17,7 +17,6 @@ Vocabulary:
   ``either(leaf, ...)`` and ``nullable(leaf)``; ``bool`` is never a
   number or an integer;
 * ``ListOf(item, min_len=0)`` — a list of one item spec;
-* ``Pair(first, second)`` — a list of exactly two items;
 * ``MapOf(value, min_len=0)`` — an *open* object keyed by non-empty
   strings;
 * ``Obj(required, optional={}, extra=None)`` — a *closed* object: a
@@ -36,7 +35,7 @@ from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence, Union
 __all__ = [
     "BOOL", "BUCKET_BOUND", "COUNT", "INT", "NAME", "NON_NEGATIVE", "NUMBER",
     "POSITIVE", "POSITIVE_INT", "SCALAR", "STRING",
-    "Leaf", "ListOf", "MapOf", "Obj", "Pair", "Schema", "Spec", "Tagged",
+    "Leaf", "ListOf", "MapOf", "Obj", "Schema", "Spec", "Tagged",
     "check", "check_buckets", "either", "fail", "nullable", "one_of",
 ]
 
@@ -49,11 +48,6 @@ class Leaf(NamedTuple):
 class ListOf(NamedTuple):
     item: "Spec"
     min_len: int = 0
-
-
-class Pair(NamedTuple):
-    first: "Spec"
-    second: "Spec"
 
 
 class MapOf(NamedTuple):
@@ -72,7 +66,7 @@ class Tagged(NamedTuple):
     variants: Mapping[str, Obj]
 
 
-Spec = Union[Leaf, ListOf, Pair, MapOf, Obj, Tagged]
+Spec = Union[Leaf, ListOf, MapOf, Obj, Tagged]
 
 
 def _is_number(value: Any) -> bool:
@@ -138,11 +132,6 @@ def check(spec: Spec, value: Any, where: str = "") -> None:
                  else "expected a list")
         for index, item in enumerate(value):
             check(spec.item, item, f"{where}[{index}]")
-    elif isinstance(spec, Pair):
-        if not isinstance(value, list) or len(value) != 2:
-            fail(where, "expected a two-item list")
-        check(spec.first, value[0], f"{where}[0]")
-        check(spec.second, value[1], f"{where}[1]")
     elif isinstance(spec, MapOf):
         if not isinstance(value, Mapping) or len(value) < spec.min_len:
             fail(where, "expected a non-empty object" if spec.min_len

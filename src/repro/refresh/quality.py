@@ -128,15 +128,6 @@ class SnapshotQualityGate:
         self._health: dict[str, KgHealthReport] = {}
         self._decisions: dict[str, GateDecision] = {}
 
-    @property
-    def rules(self) -> tuple[DriftRule, ...]:
-        return self._rules
-
-    @property
-    def decisions(self) -> list[GateDecision]:
-        """Every distinct decision made, in assessment order."""
-        return list(self._decisions.values())
-
     def health_of(self, snapshot: KgSnapshot) -> KgHealthReport:
         """The (cached) health report for a snapshot."""
         report = self._health.get(snapshot.version)

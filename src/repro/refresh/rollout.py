@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.llm.interface import Generation, GenerationBatch, LatencyModel
 from repro.obs.slo import Alert, BurnRateRule, MetricSum, SloEvaluator, SloSpec
 from repro.serving.api import ServeOutcome, ServeResult
+from repro.serving.chaos import ScriptedGenerator
 from repro.serving.cluster import CosmoCluster
 from repro.refresh.snapshot import KgSnapshot, SnapshotStore
 
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-class SnapshotGenerator:
+class SnapshotGenerator(ScriptedGenerator):
     """Deterministic generator that serves a snapshot's knowledge table.
 
     Prompts found in the current snapshot's entries answer with that
@@ -63,23 +63,16 @@ class SnapshotGenerator:
     rollout guard catch a poisoned snapshot.
     """
 
-    parameter_count = 7_000_000
-
     def __init__(self, snapshot: KgSnapshot):
-        self.latency = LatencyModel()
+        super().__init__()
         self.snapshot = snapshot
 
     def set_snapshot(self, snapshot: KgSnapshot) -> None:
         """The atomic-swap hook :meth:`CosmoService.swap_snapshot` calls."""
         self.snapshot = snapshot
 
-    def generate_batch(self, prompts: list[str]) -> GenerationBatch:
-        outputs: list[Generation | None] = []
-        for prompt in prompts:
-            latency = self.latency.charge(self.parameter_count, 10)
-            text = self.snapshot.entries.get(prompt, "")
-            outputs.append(Generation(text=text, tokens=10, latency_s=latency))
-        return GenerationBatch(generations=outputs)
+    def knowledge_for(self, prompt: str) -> str:
+        return self.snapshot.entries.get(prompt, "")
 
 
 #: The objectives a rollout is guarded by, and their targets.

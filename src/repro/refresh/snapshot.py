@@ -70,17 +70,6 @@ class SnapshotManifest:
     #: the identity.
     columnar_digest: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "parent": self.parent,
-            "checksum": self.checksum,
-            "entry_count": self.entry_count,
-            "triple_count": self.triple_count,
-            "note": self.note,
-            "columnar_digest": self.columnar_digest,
-        }
-
 
 class KgSnapshot:
     """One immutable knowledge deployment unit.
@@ -283,10 +272,6 @@ class SnapshotStore:
 
     def __len__(self) -> int:
         return len(self._snapshots)
-
-    def versions(self) -> list[str]:
-        """Registered versions in insertion (lineage) order."""
-        return list(self._snapshots)
 
     def snapshots(self) -> list[KgSnapshot]:
         return list(self._snapshots.values())

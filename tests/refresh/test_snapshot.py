@@ -72,7 +72,7 @@ def test_identity_is_read_off_the_merged_graph():
     twice = build_snapshot({"q": "answer."}, [_triple(), _triple()])
     merged = build_snapshot({"q": "answer."}, [_triple(support=2)])
     assert twice.version == merged.version
-    assert twice.manifest.as_dict() == merged.manifest.as_dict()
+    assert twice.manifest == merged.manifest
     assert twice.manifest.triple_count == snapshot_health(twice).triples == 1
 
 
@@ -160,7 +160,7 @@ def test_triples_and_graph_inputs_build_the_same_snapshots():
 
     by_triples, by_graph = _lineage(from_triples), _lineage(from_graph)
     for one, two in zip(by_triples[:2], by_graph[:2]):
-        assert one.manifest.as_dict() == two.manifest.as_dict()
+        assert one.manifest == two.manifest
         assert snapshot_health(one).as_dict() == snapshot_health(two).as_dict()
     assert by_triples[2].drift.as_dict() == by_graph[2].drift.as_dict()
     parent, child, _ = by_graph
@@ -220,7 +220,7 @@ def test_store_add_get_and_lineage():
     assert store.get(child.version).parent == root.version
     assert store.get(root.version).parent is None
     assert child.version in store
-    assert store.versions() == [root.version, child.version]
+    assert [s.version for s in store.snapshots()] == [root.version, child.version]
     assert len(store) == 2
 
 

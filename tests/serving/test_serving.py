@@ -151,29 +151,18 @@ def test_hit_rate():
 
 
 # -- feature store ---------------------------------------------------------
-def test_feature_store_structures_responses():
-    clock = SimClock()
-    store = FeatureStore(clock)
-    record = store.put("camping gear", "it can be used when they winter camping.")
-    assert record.relation == "USED_FOR_EVE"
-    assert record.tail == "winter camping"
-    assert record.strong_intent
-    assert store.get("camping gear") == record
-
-
 def test_feature_store_unparseable_response():
     store = FeatureStore(SimClock())
-    record = store.put("q", "nonsense text")
-    assert record.relation is None
-    assert not record.strong_intent
+    store.put_many([("q", "nonsense text")])  # stored as given, never parsed
+    assert store.text("q") == "nonsense text"
 
 
 def test_feature_store_staleness():
     clock = SimClock()
     store = FeatureStore(clock)
-    store.put("old", "it is used for camping.")
+    store.put_many([("old", "it is used for camping.")])
     clock.advance_days(3)
-    store.put("fresh", "it is used for hiking.")
+    store.put_many([("fresh", "it is used for hiking.")])
     assert store.stale_keys() == ["old"]
 
 

@@ -220,14 +220,14 @@ KEPT_OPTIONS = (
       "tests/core/test_relation_discovery.py::test_min_count_filters_rare_patterns",
       "tests/obs/test_metrics.py", "tests/refresh/test_quality.py")),
     (("ConsistentHashRouter.vnodes", "ConsistentHashRouter.preference.limit",
-      "Tensor.backward.grad", "FeatureStore.put.extras", "FeatureStore.structure.extras",
-      "Tracer.record.parent", "ServeRequest.trace", "CosmoService.prompt_builder"),
+      "Tensor.backward.grad", "Tracer.record.parent", "ServeRequest.trace",
+      "CosmoService.prompt_builder"),
      "what a reference-model or hand-built test feeds in: small rings against the "
-     "naive ring walk, an upstream gradient, a record's eighth attribute, an "
-     "after-the-fact span, a caller's trace context, the trained LM's prompt",
+     "naive ring walk, an upstream gradient, an after-the-fact span, a caller's "
+     "trace context, the trained LM's prompt",
      ("tests/serving/test_router.py", "tests/nn/test_tensor.py",
-      "tests/serving/test_feature_store_lazy.py", "tests/obs/test_trace_query.py",
-      "tests/serving/test_request_tracing.py", "tests/integration/test_end_to_end.py")),
+      "tests/obs/test_trace_query.py", "tests/serving/test_request_tracing.py",
+      "tests/integration/test_end_to_end.py")),
     (("CosmoCluster.clock",),
      "the clock-injection source rule: a component accepts its clock",
      ("tests/test_source_rules.py::test_the_live_tree_breaks_no_source_rule",)),

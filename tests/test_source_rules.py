@@ -400,9 +400,9 @@ PLANTS = [
      'or None when the rollout is already finished.\n        """\n',
      'or None when the rollout is already finished.\n        """\n'
      "        import time\n        self._tick_wall_s = time.perf_counter()\n", "wall-clock"),
-    ("src/repro/serving/feature_store.py",
-     "def put(self, key: str, knowledge_text: str, extras: dict[str, str] | None = None)",
-     "def put(self, key: str, knowledge_text: str, extras: dict[str, str] = {})",
+    ("src/repro/obs/kg_health.py",
+     "    drift: Sequence[Any] = (),",
+     "    drift: Sequence[Any] = [],",
      "mutable-default"),
     ("src/repro/refresh/rollout.py",
      "except ValueError:\n                drained = False",
