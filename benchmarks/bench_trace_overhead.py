@@ -7,10 +7,11 @@ from DESIGN.md §9: tracing *observes* the request path without steering
 it, so both arms must produce identical accounting (request totals,
 availability, per-outcome counts), and the traced drive must stay
 within 1.8x of the bare one — the measured ratio, not a target: ten
-runs read 1.23–1.74x (EXPERIMENTS.md, "Route each key once"); the span
-tree — two spans per direct request — costs 7–20 us per direct request
-(14 at the median, 20 when the replica hop still opened a wrapper
-span), and every PR that made the bare path cheaper raised the ratio.
+runs read 1.17–1.60x, 1.41x at the median (EXPERIMENTS.md, "Tracing
+cheap enough to leave on"; 0.99–1.60x, median 1.51x, before a traced
+dispatch paid once for its trace); the span tree — two spans per direct
+request — costs 6–16 us per direct request (12 at the median, 15
+before), and every PR that made the bare path cheaper raised the ratio.
 
 The drive uses *direct* (synchronous-generation) requests — the
 representative expensive path: prompt build, resilient generator call,

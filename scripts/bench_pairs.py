@@ -1,0 +1,100 @@
+#!/usr/bin/env python
+"""Alternated A/B pairs of the wall-clock benchmark's one-workload form.
+
+Runs ``benchmarks/perf/run.py --workload W --seed S --seconds T --trace 0``
+in two checkouts, ``A_DIR`` (the parent) and ``B_DIR`` (the change), one
+run at a time and in alternating order — pair 1 runs A then B, pair 2
+runs B then A, and so on — so a drift of the machine's speed during the
+comparison lands on both sides.  ``T`` is ``run_seconds`` from A's
+``BENCHMARK.json``.  Prints every run's end-to-end metrics, then per
+metric the median of each side, B/A, and in how many pairs B was better
+(the direction is the metric's ``better`` in A's ``BENCHMARK.json``);
+exits 1 when a run fails its own checks or reports a failed operation.
+
+Usage: ``python scripts/bench_pairs.py A_DIR B_DIR --workload W
+--pairs N --seed S``.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+from statistics import median
+
+
+def run_once(checkout: pathlib.Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One ``--trace 0`` run in ``checkout``: its result object (the last
+    stdout line), with the exit code under ``"exit"``."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/perf/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{checkout}: run.py printed nothing "
+                         f"(exit {done.returncode})")
+    result = json.loads(lines[-1])
+    result["exit"] = done.returncode
+    return result
+
+
+def order(pairs: int) -> list[tuple[int, str]]:
+    """``(pair, side)`` in run order: A first in odd pairs, B first in even."""
+    runs = []
+    for pair in range(1, pairs + 1):
+        sides = ("A", "B") if pair % 2 else ("B", "A")
+        runs += [(pair, side) for side in sides]
+    return runs
+
+
+def summarize(spec: dict, results: dict[str, list[dict]]) -> list[str]:
+    """One line per end-to-end metric: medians, B/A, pairs B won."""
+    lines = [f"{'metric':<18s}{'A median':>12s}{'B median':>12s}"
+             f"{'B/A':>8s}  B better in"]
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        a = [run["metrics"][name]["value"] for run in results["A"]]
+        b = [run["metrics"][name]["value"] for run in results["B"]]
+        lower = metric["better"] == "lower"
+        wins = sum((one < two) if lower else (one > two)
+                   for two, one in zip(a, b))
+        a_median, b_median = median(a), median(b)
+        ratio = b_median / a_median if a_median else float("nan")
+        lines.append(f"{name:<18s}{a_median:>12.4f}{b_median:>12.4f}"
+                     f"{ratio:>8.3f}  {wins}/{len(a)} pairs")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("a_dir", type=pathlib.Path)
+    parser.add_argument("b_dir", type=pathlib.Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((args.a_dir / "BENCHMARK.json").read_text())
+    checkouts = {"A": args.a_dir, "B": args.b_dir}
+    results: dict[str, list[dict]] = {"A": [], "B": []}
+    bad = 0
+    for pair, side in order(args.pairs):
+        result = run_once(checkouts[side], args.workload, args.seed,
+                          spec["run_seconds"])
+        results[side].append(result)
+        values = "  ".join(f"{name}={entry['value']:.4f}"
+                           for name, entry in result["metrics"].items())
+        print(f"pair {pair} {side}: failed={result['failed']} {values}",
+              flush=True)
+        bad += result["exit"] != 0 or result["failed"] != 0
+    print("\n".join(summarize(spec, results)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,9 +24,10 @@ only at :meth:`~TailSampler.finish`, so that is the earliest a verdict
 can be reached; reaching it there means at most ``slowest_k`` finished
 ordinary traces are ever buffered, however busy the window.
 
-Committed spans flow back into their tracer's retained list (still
-subject to the tracer's own ``max_spans`` hard cap); dropped traces
-count into each involved tracer's ``dropped``.  Memory is bounded by
+Committed spans flow back into their tracer's retained list in verdict
+order, each trace's spans in open order (still subject to the tracer's
+own ``max_spans`` hard cap); dropped traces count into each involved
+tracer's ``dropped``.  Memory is bounded by
 ``max_buffered_spans``: past the bound, new spans are refused at buffer
 time (``overflow`` counter) rather than growing without bound.
 
@@ -105,26 +106,37 @@ class TailSampler:
         ``"flagged"``, ``"head"``, or ``"deferred"`` — an ordinary trace
         that is either one of the window's k slowest so far (resolved at
         window close or :meth:`flush`) or, when it cannot be, already
-        dropped.
+        dropped.  That last verdict is the common one, and it costs one
+        heap step and one buffer pop.
         """
-        self._roll_window(ts)
+        start = self._window_start
+        if start is None:
+            self._window_start = ts
+        elif ts >= start + self.window_s:
+            self._roll_window(start, ts)
         if flagged:
             self._commit(trace_id, "flagged")
             return "flagged"
         self._finished += 1
-        if self.head_every and self._finished % self.head_every == 1 % self.head_every:
+        finished = self._finished
+        if self.head_every and finished % self.head_every == 1 % self.head_every:
             self._commit(trace_id, "head")
             return "head"
         candidates = self._candidates
-        candidate = (duration_s, -self._finished, trace_id)
         if len(candidates) < self.slowest_k:
-            heappush(candidates, candidate)
-        elif candidates:
+            heappush(candidates, (duration_s, -finished, trace_id))
+            return "deferred"
+        if candidates:
             # The heap is full: whichever of the newcomer and the fastest
             # held ranks lower can no longer be among the k slowest.
-            self._drop(heappushpop(candidates, candidate)[2])
-        else:  # slowest_k == 0
-            self._drop(trace_id)
+            trace_id = heappushpop(candidates, (duration_s, -finished, trace_id))[2]
+        # else slowest_k is 0 and the newcomer itself is dropped.
+        spans = self._buffers.pop(trace_id, None)
+        if spans is not None:
+            self._buffered_spans -= len(spans)
+            for span in spans:
+                span._tracer.dropped += 1
+        self.decisions["dropped"] += 1
         return "deferred"
 
     def flush(self) -> None:
@@ -133,13 +145,22 @@ class TailSampler:
         self._window_start = None
 
     # ------------------------------------------------------------------
-    def _roll_window(self, ts: float) -> None:
-        if self._window_start is None:
-            self._window_start = ts
-            return
-        while ts >= self._window_start + self.window_s:
-            self._close_window()
-            self._window_start += self.window_s
+    def _roll_window(self, start: float, ts: float) -> None:
+        """Close the open window (it began at ``start``) and move to the
+        one ``ts`` falls in.
+
+        Only the open window can hold candidates, so it is the one
+        closed, however many empty windows the gap spans.  The new start
+        is stepped by repeated ``+= window_s`` — a product would not give
+        the same float, and the window a later trace lands in depends on
+        it.
+        """
+        self._close_window()
+        window_s = self.window_s
+        start += window_s
+        while ts >= start + window_s:
+            start += window_s
+        self._window_start = start
 
     def _close_window(self) -> None:
         # Slowest first; ties broken by finish order so the decision is
@@ -149,17 +170,9 @@ class TailSampler:
             self._commit(trace_id, "slow")
         self._candidates.clear()
 
-    def _pop(self, trace_id: str) -> list["Span"]:
+    def _commit(self, trace_id: str, reason: str) -> None:
         spans = self._buffers.pop(trace_id, [])
         self._buffered_spans -= len(spans)
-        return spans
-
-    def _commit(self, trace_id: str, reason: str) -> None:
-        for span in self._pop(trace_id):
+        for span in spans:
             span._tracer._commit(span)
         self.decisions[reason] += 1
-
-    def _drop(self, trace_id: str) -> None:
-        for span in self._pop(trace_id):
-            span._tracer.dropped += 1
-        self.decisions["dropped"] += 1

@@ -14,14 +14,17 @@ attached (:meth:`Tracer.attach`), every opened span is tagged with the
 context's ``trace_id``, and stack-root spans record the context's
 ``parent_ref`` — a ``"tracer_name:span_id"`` reference to their remote
 parent — so :class:`~repro.obs.trace_query.TraceAnalyzer` can reassemble
-one tree across tracers.  A hop that only forwards the request (the
-replica's ``serve_batch``, under the context the cluster attaches to
-its tracer) opens nothing: its stage spans are its stack roots and
-hang off the upstream span directly.  A hop that
-times its own window (the cluster's ``cluster.request``) opens its root
-with :meth:`Tracer.trace`, which is a span like any other that puts the
-tracer's context and clock back when it closes.  Trace ids are
-deterministic (:func:`make_trace_id` hashes request sequence + key).
+one tree across tracers.  A hop attaches the upstream span itself
+(:meth:`Tracer.attach` takes an open trace-tagged :class:`Span` as the
+context of its trace id and its own ref), so no second context is
+minted per hop.  A hop that only forwards the request (the replica's
+``serve_batch``, under the cluster's root span) opens nothing: its
+stage spans are its stack roots and hang off the upstream span
+directly.  A hop that times its own window (the cluster's
+``cluster.request``) opens its root with :meth:`Tracer.trace`, which is
+a span like any other that puts the tracer's context and clock back
+when it closes.  Trace ids are deterministic (:func:`make_trace_id`
+hashes request sequence + key).
 
 Retention: untraced spans fall under the legacy ``max_spans`` head
 truncation; trace-tagged spans are instead buffered into an optional
@@ -38,6 +41,7 @@ parent links become flow events (``ph: "s"/"f"``).
 
 from __future__ import annotations
 
+from types import TracebackType
 from zlib import crc32
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
@@ -87,8 +91,11 @@ def make_trace_id(sequence: int, key: str) -> str:
     Stable across runs, no wall-clock or RNG state, and cheap enough to
     mint per request (one id per traced request; ``bench_trace_overhead``
     pins the budget — a crypto hash here costs ~4% of the request path).
+    The hex of the id's 8 big-endian bytes is ``"%016x"`` of it, built
+    without the format's zero-padding pass.
     """
-    return "%016x" % ((sequence & 0xFFFFFFFF) << 32 | crc32(key.encode("utf-8")))
+    return ((sequence & 0xFFFFFFFF) << 32
+            | crc32(key.encode("utf-8"))).to_bytes(8, "big").hex()
 
 
 class TraceContext:
@@ -97,8 +104,8 @@ class TraceContext:
     ``parent_ref`` is a ``"tracer_name:span_id"`` string naming the span
     (in another tracer) under which this hop's root spans should hang;
     None for the trace's origin hop.  Immutable by convention; a plain
-    ``__slots__`` class (not a frozen dataclass) because two are minted
-    per traced request and frozen-dataclass construction costs ~2x.
+    ``__slots__`` class (not a frozen dataclass) because one is minted
+    per traced dispatch and frozen-dataclass construction costs ~2x.
     """
 
     __slots__ = ("trace_id", "parent_ref")
@@ -119,10 +126,6 @@ class TraceContext:
     def __hash__(self) -> int:
         return hash((self.trace_id, self.parent_ref))
 
-    def child(self, parent_ref: str) -> "TraceContext":
-        """The context to hand downstream, parented under ``parent_ref``."""
-        return TraceContext(self.trace_id, parent_ref)
-
 
 class Span:
     """One timed operation: name, parentage, attributes, error tag.
@@ -133,10 +136,10 @@ class Span:
     A span is its own context manager: :meth:`Tracer.span` opens it (the
     open happens at the call, not at ``__enter__``) and the ``with``
     block's exit closes it.  A trace root (:meth:`Tracer.trace`) also
-    holds in ``_restore`` the ``(context, clock)`` its tracer had before
-    the root swapped them, and its exit puts them back.  Hand-rolled
-    ``__slots__`` and no ``__init__`` (``Tracer._open`` is the one
-    constructor) rather than a dataclass/contextlib pairing — span
+    holds in ``_restore`` the ``(trace id, parent ref, clock)`` its tracer
+    had before the root swapped them, and its exit puts them back.
+    Hand-rolled ``__slots__`` and no ``__init__`` (``Tracer._open`` is the
+    one constructor) rather than a dataclass/contextlib pairing — span
     open/close sits on the per-request hot path, and
     ``bench_trace_overhead`` pins the traced/bare ratio.
     """
@@ -157,7 +160,7 @@ class Span:
     trace_id: str | None
     remote_parent: str | None
     _tracer: "Tracer"
-    _restore: "tuple[TraceContext | None, Callable[[], float]] | None"
+    _restore: "tuple[str | None, str | None, Callable[[], float]] | None"
 
     def __repr__(self) -> str:
         return (f"Span(name={self.name!r}, span_id={self.span_id}, "
@@ -183,7 +186,7 @@ class Span:
         self.end_s = tracer.clock()
         tracer._stack.pop()
         if self._restore is not None:
-            tracer._context, tracer.clock = self._restore
+            tracer._trace_id, tracer._parent_ref, tracer.clock = self._restore
         return False
 
 
@@ -211,27 +214,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _Attachment:
-    """Enter/exit handle returned by :meth:`Tracer.attach`."""
-
-    __slots__ = ("_tracer", "_context", "_previous")
-
-    def __init__(self, tracer: "Tracer", context: TraceContext):
-        self._tracer = tracer
-        self._context = context
-        self._previous: TraceContext | None = None
-
-    def __enter__(self) -> "Tracer":
-        tracer = self._tracer
-        self._previous = tracer._context
-        tracer._context = self._context
-        return tracer
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer._context = self._previous
-        return False
-
-
 class Tracer:
     """Builds nested spans; bounded memory via ``max_spans`` or a sampler.
 
@@ -255,38 +237,76 @@ class Tracer:
         self.name = name
         self.sampler = sampler
         self.dropped = 0
-        self._spans: list[Span] = []  # retained spans, in start order
+        #: retained spans: an untraced span as it opens, a trace-tagged
+        #: one as its trace's verdict commits it — under a sampler that
+        #: is verdict order, not start order.
+        self._spans: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 1
-        self._context: TraceContext | None = None
+        #: the attached trace: its id and the remote parent ref its stack
+        #: roots record (both None while detached).
+        self._trace_id: str | None = None
+        self._parent_ref: str | None = None
+        #: ``(trace id, parent ref)`` each open :meth:`attach` put aside.
+        self._detached: list[tuple[str | None, str | None]] = []
 
     # -- trace-context propagation --------------------------------------
-    def attach(self, context: TraceContext | None) -> "_Attachment | _NullSpan":
-        """Tag spans opened inside with ``context``'s trace id; attaching
-        ``None`` (tracing off) is a no-op scope.
+    def attach(self, context: "TraceContext | Span | _NullSpan | None"
+               ) -> "Tracer | _NullSpan":
+        """Tag spans opened from now on with ``context``'s trace id; the
+        returned scope's exit puts the previous context back.
 
-        Stack-root spans opened while attached additionally record the
-        context's ``parent_ref`` as their remote parent, linking this
-        tracer's subtree under the upstream span.
+        ``context`` is a :class:`TraceContext`, or an open span of another
+        tracer standing for its trace id and, as the parent ref, its own
+        ref — a hop attaches the span it hangs under and mints no context.
+        Stack-root spans opened while attached record the parent ref as
+        their remote parent, linking this tracer's subtree under the
+        upstream span.  An untraced context (None, :data:`NULL_SPAN`, a
+        span with no trace id) is a no-op scope.
         """
-        if context is None:
+        parent_ref: str | None
+        if isinstance(context, Span) and context.trace_id is not None:
+            parent_ref = context._tracer.ref(context)
+        elif isinstance(context, TraceContext):
+            parent_ref = context.parent_ref
+        else:  # None, NULL_SPAN or an untraced span
             return NULL_SPAN
-        return _Attachment(self, context)
+        self._detached.append((self._trace_id, self._parent_ref))
+        self._trace_id = context.trace_id
+        self._parent_ref = parent_ref
+        return self
 
-    def trace(self, context: TraceContext | None, name: str,
-              clock: Callable[[], float] | None = None,
-              **attributes: AttrValue) -> "Span | _NullSpan":
-        """Attach ``context`` (and time on ``clock``, when given) and open
-        span ``name`` as the root of its subtree in this tracer, now —
-        the returned span's exit closes it and puts the previous context
-        and clock back.  No context, no-op."""
-        if context is None:
+    def __enter__(self) -> "Tracer":
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None, tb: TracebackType | None) -> bool:
+        """The exit of the innermost :meth:`attach` scope."""
+        self._trace_id, self._parent_ref = self._detached.pop()
+        return False
+
+    def trace(self, trace_id: str | None, parent_ref: str | None, name: str,
+              clock: Callable[[], float],
+              attributes: dict[str, AttrValue]) -> "Span | _NullSpan":
+        """Attach trace ``trace_id`` (hung under the remote ``parent_ref``,
+        if any), time on ``clock`` and open span ``name`` as the root of
+        its subtree in this tracer, now — the returned span's exit closes
+        it and puts the previous context and clock back.  No trace id,
+        no-op.
+
+        A dispatch pays once for its trace: the root takes the id and
+        parent ref as they are, with no :class:`TraceContext` built for
+        them, and ``attributes`` becomes the root's attribute dict itself,
+        not a copy — a caller writes the root's attributes once, into one
+        dict, the ones it learns while the root is open included.
+        """
+        if trace_id is None:
             return NULL_SPAN
-        restore = (self._context, self.clock)
-        self._context = context
-        if clock is not None:
-            self.clock = clock
-        root = self.span(name, **attributes)
+        restore = (self._trace_id, self._parent_ref, self.clock)
+        self._trace_id = trace_id
+        self._parent_ref = parent_ref
+        self.clock = clock
+        root = self._push(name, attributes)
         root._restore = restore
         return root
 
@@ -309,33 +329,29 @@ class Tracer:
         record.attributes = attributes
         record.status = "ok"
         record.error_type = None
-        record.trace_id = None
-        record.remote_parent = None
         record._tracer = self
         record._restore = None
         if parent is not None:
             record.parent_id = parent.span_id
             record.depth = parent.depth + 1
+            record.remote_parent = None
         else:
             record.parent_id = None
             record.depth = 0
+            record.remote_parent = self._parent_ref
         self._next_id += 1
-        context = self._context
-        if context is not None:
-            record.trace_id = context.trace_id
-            if parent is None:
-                record.remote_parent = context.parent_ref
+        record.trace_id = trace_id = self._trace_id
         sampler = self.sampler
-        if record.trace_id is not None and sampler is not None:
+        if trace_id is not None and sampler is not None:
             # Tail sampling: tentatively retained, buffered until the
             # trace finishes and the sampler decides keep/drop.  Written
             # into the sampler's buffer here — a call per span is a
             # measurable slice of the bench_trace_overhead budget.
             if sampler._buffered_spans < sampler.max_buffered_spans:
                 buffers = sampler._buffers
-                entries = buffers.get(record.trace_id)
+                entries = buffers.get(trace_id)
                 if entries is None:
-                    buffers[record.trace_id] = [record]
+                    buffers[trace_id] = [record]
                 else:
                     entries.append(record)
                 sampler._buffered_spans += 1
@@ -346,6 +362,15 @@ class Tracer:
             self._spans.append(record)
         else:
             self.dropped += 1
+        return record
+
+    def _push(self, name: str, attributes: dict[str, AttrValue]) -> Span:
+        """Open ``name`` now, under the current span, with ``attributes``
+        as its dict (not copied), and make it the current span."""
+        stack = self._stack
+        record = self._open(name, self.clock(), attributes,
+                            stack[-1] if stack else None)
+        stack.append(record)
         return record
 
     def _commit(self, record: Span) -> None:
@@ -362,20 +387,16 @@ class Tracer:
         immediately (``with tracer.span(...) as s:``); the block's exit
         closes it.
         """
-        stack = self._stack
-        record = self._open(name, self.clock(), attributes,
-                            stack[-1] if stack else None)
-        stack.append(record)
-        return record
+        return self._push(name, attributes)
 
     def traced_span(self, name: str,
                     **attributes: AttrValue) -> "Span | _NullSpan":
         """:meth:`span` while a trace context is attached, else the
         shared no-op — for stages that only exist on traced requests,
         so untraced callers pay nothing."""
-        if self._context is None:
+        if self._trace_id is None:
             return NULL_SPAN
-        return self.span(name, **attributes)
+        return self._push(name, attributes)
 
     def record(self, name: str, start_s: float, end_s: float,
                parent: Span | None = None,
@@ -390,7 +411,7 @@ class Tracer:
             raise ValueError(f"span {name!r} ends ({end_s}) before it "
                              f"starts ({start_s})")
         record = self._open(
-            name, float(start_s), dict(attributes),
+            name, float(start_s), attributes,
             parent if parent is not None
             else (self._stack[-1] if self._stack else None),
         )

@@ -72,11 +72,11 @@ class ServeRequest:
     batch processing.
 
     ``trace`` is the distributed-tracing context the request carries
-    (:class:`~repro.obs.tracing.TraceContext`).  The cluster mints one
-    per replica dispatch, or propagates this one when the request is the
-    first of its dispatch, so the cluster's, the replica's and the
-    resilience layer's spans all join one trace tree; ``None`` lets the
-    cluster mint the id.
+    (:class:`~repro.obs.tracing.TraceContext`).  The cluster mints a
+    trace id per replica dispatch, or takes this one's id and parent ref
+    when the request is the first of its dispatch, so the cluster's, the
+    replica's and the resilience layer's spans all join one trace tree;
+    ``None`` lets the cluster mint the id.
     """
 
     query: str

@@ -41,7 +41,7 @@ from typing import Sequence
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampling import TailSampler
-from repro.obs.tracing import NULL_SPAN, TraceContext, Tracer, make_trace_id
+from repro.obs.tracing import NULL_SPAN, AttrValue, Tracer, make_trace_id
 from repro.serving.api import ServeOutcome, ServeRequest, ServeResult
 from repro.serving.clock import SimClock
 from repro.serving.deployment import CosmoService
@@ -51,6 +51,9 @@ from repro.serving.router import ConsistentHashRouter
 __all__ = ["ClusterConfig", "CosmoCluster"]
 
 _OPEN = BreakerState.OPEN
+#: outcome → its string: a dict read, not the enum's ``value`` property
+#: (two Python-level calls on every one-request dispatch).
+_OUTCOME_VALUES = {outcome: outcome.value for outcome in ServeOutcome}
 
 
 class _HeldClock:
@@ -59,7 +62,7 @@ class _HeldClock:
     A dispatch's root span must cover exactly ``[arrival, replica clock
     after the dispatch]``, but no single clock traverses that interval
     (the arrival clock stands still while the replica clock serves).
-    The cluster times its root spans on this holder instead, setting
+    The cluster times its root spans on its one holder instead, setting
     ``value`` at each boundary it crosses.
     """
 
@@ -148,6 +151,8 @@ class CosmoCluster:
                              sampler=sampler)
         self.event_log = event_log
         self._started_at = self.clock.now()
+        #: what each dispatch's root span is timed on (:class:`_HeldClock`).
+        self._held = _HeldClock(self._started_at)
         replica_ids = [f"{cfg.name}-r{i}" for i in range(cfg.n_replicas)]
         self.router = ConsistentHashRouter(replica_ids, seed=cfg.seed)
         if event_log is not None:
@@ -224,24 +229,6 @@ class CosmoCluster:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _context(self, key: str,
-                 propagated: TraceContext | None) -> TraceContext | None:
-        """The trace context a dispatch runs under: the caller's when one
-        was propagated, else minted from the request counter and ``key``;
-        None with tracing off."""
-        if not self.config.trace_requests:
-            return None
-        return propagated or TraceContext(
-            make_trace_id(int(self._requests.value), key))
-
-    def _child(self, context: TraceContext | None,
-               span) -> TraceContext | None:
-        """The context a replica runs under so its spans hang off
-        ``span`` in this tracer (None stays None: tracing off)."""
-        if context is None:
-            return None
-        return context.child(self.tracer.ref(span))
-
     def _admit(self, n_requests: int) -> bool:
         """Admission control, sampled once per arrival: True when the
         cluster-wide pending depth sheds these requests to the degraded
@@ -322,8 +309,11 @@ class CosmoCluster:
                 group[0].append(index)
                 group[1].append(request)
         results: list[ServeResult | None] = [None] * len(requests)
-        held = _HeldClock(arrival)
+        held, tracer = self._held, self.tracer
+        held_now = held.now
         histogram, fresh = self._latency, ServeOutcome.FRESH
+        tracing = self.config.trace_requests
+        sequence = int(self._requests.value) if tracing else 0
         for replica_id, (indices, group) in groups.items():
             service = self.services[replica_id]
             first = group[0]
@@ -331,31 +321,40 @@ class CosmoCluster:
                 query, trace, direct = first, None, False
             else:
                 query, trace, direct = first.query, first.trace, first.direct
-            context = self._context(query, trace)
-            trace_id = None if context is None else context.trace_id
+            # The dispatch's trace: the first request's propagated one, else
+            # minted from the request counter and its query; none with
+            # tracing off.
+            if not tracing:
+                trace_id = parent_ref = None
+            elif trace is None:
+                trace_id, parent_ref = make_trace_id(sequence, query), None
+            else:
+                trace_id, parent_ref = trace.trace_id, trace.parent_ref
             one = len(group) == 1
+            # The root's attributes, written once into the dict the root
+            # keeps (the ones learnt from the dispatch are added below).
+            attributes: dict[str, AttrValue] = (
+                {"query": query, "mode": "direct" if direct else "cached"}
+                if one else {})
+            if shed:
+                attributes["shed"] = True
+            if replica_id in failed_over:
+                attributes["failover"] = True
             held.value = arrival
-            log_scope = (NULL_SPAN if context is None or self.event_log is None
+            log_scope = (NULL_SPAN if trace_id is None or self.event_log is None
                          else self.event_log.trace_scope(trace_id))
-            with log_scope, self.tracer.trace(context, "cluster.request",
-                                              clock=held.now) as root:
-                if one:
-                    root.set_attribute("query", query)
-                    root.set_attribute("mode",
-                                       "direct" if direct else "cached")
-                if shed:
-                    root.set_attribute("shed", True)
-                if replica_id in failed_over:
-                    root.set_attribute("failover", True)
+            with log_scope, tracer.trace(trace_id, parent_ref, "cluster.request",
+                                         held_now, attributes) as root:
                 start = max(arrival, service.clock.now())
                 service.clock.sleep_until(start)
-                if context is not None and start > arrival:
+                if trace_id is not None and start > arrival:
                     # Recorded only when there is shard backlog: a zero-width
                     # queueing span would only cost hot-path time (the stage
                     # breakdown reports queueing 0).
-                    self.tracer.record("cluster.queueing", arrival, start,
-                                       replica=replica_id)
-                with service.tracer.attach(self._child(context, root)):
+                    tracer.record("cluster.queueing", arrival, start,
+                                  replica=replica_id)
+                # The replica's stage spans hang off the root itself.
+                with service.tracer.attach(root):
                     served = service.serve_batch(group, allow_enqueue=not shed)
                 held.value = service.clock.now()
                 # One pass stamps every result, observes the histogram once
@@ -381,49 +380,49 @@ class CosmoCluster:
                         run_value, run = end_to_end, 0
                     run += 1
                 histogram.observe(run_value, trace_id, run)
-                root.set_attribute("replica", replica_id)
+                attributes["replica"] = replica_id
                 if one:
-                    root.set_attribute("outcome", served[0].outcome.value)
-                    root.set_attribute("source", served[0].source)
+                    attributes["outcome"] = _OUTCOME_VALUES[served[0].outcome]
+                    attributes["source"] = served[0].source
                 else:
-                    root.set_attribute("items", len(group))
-                self._maybe_flush(replica_id, context)
-            if context is not None and self.sampler is not None:
+                    attributes["items"] = len(group)
+                self._maybe_flush(replica_id)
+            if trace_id is not None and self.sampler is not None:
                 self.sampler.finish(trace_id, held.value, slowest, flagged)
         return results
 
     # ------------------------------------------------------------------
     # Batching
     # ------------------------------------------------------------------
-    def _maybe_flush(self, replica_id: str,
-                     context: TraceContext | None) -> None:
+    def _maybe_flush(self, replica_id: str) -> None:
         """Flush ``replica_id``'s pending queue when it is full ("size" —
         the batch is worth the generator call) or when its oldest entry
         has waited ``max_batch_delay_s`` since it was enqueued
         ("deadline" — bounded staleness even on a cold shard); the one
         place a flush is decided, read from the queue's own enqueue
-        times."""
+        times.  An empty queue, the common case, is one read."""
         service = self.services[replica_id]
         cache, config = service.cache, self.config
+        oldest = cache.oldest_pending_at
+        if oldest is None:
+            return
         if cache.pending_size >= config.max_batch_size:
             trigger = "size"
-        else:
-            oldest = cache.oldest_pending_at
-            if (oldest is None
-                    or service.clock.now() - oldest < config.max_batch_delay_s):
-                return
+        elif service.clock.now() - oldest >= config.max_batch_delay_s:
             trigger = "deadline"
-        self._flush_replica(replica_id, trigger, context)
+        else:
+            return
+        self._flush_replica(replica_id, trigger)
 
-    def _flush_replica(self, replica_id: str, trigger: str,
-                       context: TraceContext | None = None) -> int:
+    def _flush_replica(self, replica_id: str, trigger: str) -> int:
         service = self.services[replica_id]
         with self.tracer.span("cluster.flush", replica=replica_id,
                               trigger=trigger) as span:
-            # When the flush fires inside a traced dispatch, hang the
-            # replica's batch spans under this flush span so the whole
-            # generator/retry subtree stays in the dispatch's trace.
-            with service.tracer.attach(self._child(context, span)):
+            # When the flush fires inside a traced dispatch, the flush span
+            # carries the dispatch's trace id, and the replica's batch spans
+            # hang under it so the whole generator/retry subtree stays in
+            # the dispatch's trace; outside one, attaching it tags nothing.
+            with service.tracer.attach(span):
                 installed = service.run_batch(
                     max_queries=self.config.max_batch_size)
             span.set_attribute("installed", installed)
@@ -520,7 +519,7 @@ class CosmoCluster:
     @property
     def queue_depth(self) -> int:
         """Cluster-wide pending-miss count (the admission-control input)."""
-        return sum(s.cache.pending_size for s in self.services.values())
+        return sum([s.cache.pending_size for s in self.services.values()])
 
     @property
     def busy_horizon_s(self) -> float:

@@ -309,15 +309,18 @@ class CosmoService:
             if isinstance(request, str):
                 queries.append(request)
             elif request.direct:
-                results += self._serve_window(queries, allow_enqueue)
-                queries = []
+                if queries:
+                    results += self._serve_window(queries, allow_enqueue)
+                    queries = []
                 results.append(self._note_outcome(
                     self._serve_direct(request.query)))
             else:
                 queries.append(request.query)
         if not results:  # no direct request: the whole window is one run
             return self._serve_window(queries, allow_enqueue)
-        return results + self._serve_window(queries, allow_enqueue)
+        if queries:
+            results += self._serve_window(queries, allow_enqueue)
+        return results
 
     def _serve_window(self, queries: list[str],
                       allow_enqueue: bool) -> list[ServeResult]:

@@ -288,3 +288,205 @@ def test_heap_sampler_matches_sort_at_close_reference(ops, slowest_k, head_every
     sampler.flush()
     model.close()
     agree(with_drops=True)
+
+
+def test_a_three_day_gap_closes_one_window_and_decides_like_the_reference():
+    """Rolling over a long idle gap closes the open window once; the empty
+    windows after it cost no close each, and the window the finishing trace
+    lands in starts at the float repeated ``+= window_s`` gives."""
+    sampler = TailSampler(slowest_k=2, window_s=1.0, head_every=0)
+    tracers = (Tracer(name="a", sampler=sampler), Tracer(name="b", sampler=sampler))
+    model = _SortAtClose(2, 1.0, 0)
+    closes = []
+    close_window = sampler._close_window
+    sampler._close_window = lambda: closes.append(1) or close_window()
+    gap = 3 * 86_400.0
+    finishes = [("t0", 0.1, 0.3), ("t1", 0.2, 0.1), ("t2", 0.7, 0.2),
+                ("late", gap + 0.45, 0.05), ("later", gap + 0.9, 0.4)]
+    for which, (trace_id, ts, duration) in enumerate(finishes):
+        with tracers[which % 2].attach(TraceContext(trace_id)):
+            with tracers[which % 2].span(trace_id):
+                pass
+        model.buffers.setdefault(trace_id, []).append((which % 2, trace_id))
+        sampler.finish(trace_id, ts=ts, duration_s=duration)
+        model.finish(trace_id, ts, duration, False)
+    assert len(closes) == 1  # the 259 200 empty windows cost nothing each
+    assert sampler._window_start == model.start  # the same float, exactly
+    assert sampler.decisions == model.decisions
+    assert [[s.name for s in t.spans()] for t in tracers] == list(model.kept)
+    sampler.flush()
+    model.close()
+    assert sampler.decisions == model.decisions
+    assert [[s.name for s in t.spans()] for t in tracers] == list(model.kept)
+    assert [t.dropped for t in tracers] == model.dropped
+
+
+# -- differential: tracer + sampler against a sampler-less tracer ----------
+
+class _Boom(Exception):
+    pass
+
+
+_FIELDS = ("name", "span_id", "parent_id", "start_s", "depth", "end_s",
+           "attributes", "status", "error_type", "trace_id", "remote_parent")
+_LEAF = st.one_of(
+    st.tuples(st.just("tick"), st.sampled_from([0.0, 0.1, 0.25])),
+    st.tuples(st.just("record"), st.sampled_from([0.0, 0.5]),
+              st.sampled_from([0.0, 0.2])),
+)
+_NODE = st.recursive(_LEAF, lambda kids: st.one_of(
+    # span: its body, whether the body raises, whether it sets an attribute
+    st.tuples(st.just("span"), st.lists(kids, max_size=3), st.booleans(),
+              st.booleans()),
+    # hop: attach the other tracer under the current span, run the body there
+    st.tuples(st.just("hop"), st.lists(kids, max_size=3)),
+), max_leaves=8)
+_TRACE = st.tuples(
+    st.sampled_from(["attach", "trace"]),      # how the trace is entered
+    st.integers(0, 1),                         # the tracer it starts in
+    st.sampled_from([None, "upstream:7"]),     # its remote parent ref
+    st.booleans(),                             # the entry's body raises
+    st.lists(_NODE, max_size=4),
+)
+_VERDICT = st.tuples(
+    st.sampled_from([False, False, False, True]),       # flagged
+    st.sampled_from([0.1, 0.1, 0.2, 0.3]),              # duration: ties
+    st.sampled_from([0.0, 0.0, 0.4, 1.2]),              # finish-time advance
+)
+
+
+class _World:
+    """Two tracers on one manual clock (sharing ``sampler``, if any) that
+    run a program, keeping every span the program was handed by name and,
+    for each, the trace id, remote parent and status the program implies."""
+
+    def __init__(self, sampler):
+        self.now = 0.0
+        self.tracers = tuple(
+            Tracer(clock=lambda: self.now, name=name, max_spans=10**6,
+                   sampler=sampler) for name in ("a", "b"))
+        self.handed: dict[str, object] = {}
+        self.expected: dict[str, tuple] = {}
+        self.opened: list[tuple[int, str]] = []   # (tracer, name), open order
+        self.stacks: tuple[list, list] = ([], [])
+        self.parent_ref: list = [None, None]
+
+    def _name(self, which: int, trace_id: str) -> str:
+        name = f"{trace_id}.{len(self.opened)}"
+        self.opened.append((which, name))
+        return name
+
+    def _expect(self, which, name, span, trace_id, status):
+        root = not self.stacks[which]
+        remote = self.parent_ref[which] if root else None
+        self.expected[name] = (trace_id, remote, status)
+        self.handed[name] = span
+
+    def run_trace(self, trace_id, entry, which, parent_ref, raises, body):
+        tracer = self.tracers[which]
+        try:
+            if entry == "attach":
+                self.parent_ref[which] = parent_ref
+                with tracer.attach(TraceContext(trace_id, parent_ref)):
+                    self.run(which, trace_id, body)
+                    if raises:
+                        raise _Boom
+            else:
+                name = self._name(which, trace_id)
+                self.parent_ref[which] = parent_ref
+                # The root times its subtree on a clock of its own.
+                with tracer.trace(trace_id, parent_ref, name,
+                                  lambda: self.now + 1000.0, {"entry": 1}) as root:
+                    self._expect(which, name, root, trace_id,
+                                 "error" if raises else "ok")
+                    self.stacks[which].append(root)
+                    try:
+                        self.run(which, trace_id, body)
+                        if raises:
+                            raise _Boom
+                    finally:
+                        self.stacks[which].pop()
+        except _Boom:
+            pass
+        self.parent_ref[which] = None
+
+    def run(self, which, trace_id, body):
+        tracer = self.tracers[which]
+        for op in body:
+            if op[0] == "tick":
+                self.now += op[1]
+            elif op[0] == "record":
+                name = self._name(which, trace_id)
+                start = self.now + op[1]
+                span = tracer.record(name, start, start + op[2], kind="record")
+                self._expect(which, name, span, trace_id, "ok")
+            elif op[0] == "span":
+                _, kids, raises, tag = op
+                name = self._name(which, trace_id)
+                try:
+                    with tracer.span(name) as span:
+                        self._expect(which, name, span, trace_id,
+                                     "error" if raises else "ok")
+                        self.stacks[which].append(span)
+                        try:
+                            if tag:
+                                span.set_attribute("tag", len(kids))
+                            self.run(which, trace_id, kids)
+                            if raises:
+                                raise _Boom
+                        finally:
+                            self.stacks[which].pop()
+                except _Boom:
+                    pass
+            elif op[0] == "hop" and self.stacks[which]:
+                other, upstream = 1 - which, self.stacks[which][-1]
+                saved = self.parent_ref[other]
+                self.parent_ref[other] = f"{tracer.name}:{upstream.span_id}"
+                with self.tracers[other].attach(upstream):
+                    self.run(other, trace_id, op[1])
+                self.parent_ref[other] = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=st.lists(_TRACE, min_size=1, max_size=6),
+       verdicts=st.lists(_VERDICT, min_size=6, max_size=6),
+       slowest_k=st.integers(0, 2), head_every=st.integers(0, 3))
+def test_kept_traces_commit_what_a_sampler_less_tracer_records(
+        program, verdicts, slowest_k, head_every):
+    sampler = TailSampler(slowest_k=slowest_k, window_s=1.0, head_every=head_every)
+    sampled, plain = _World(sampler), _World(None)
+    model = _SortAtClose(slowest_k, 1.0, head_every)
+    for index, (entry, which, parent_ref, raises, body) in enumerate(program):
+        for world in (sampled, plain):
+            world.run_trace(f"t{index}", entry, which, parent_ref, raises, body)
+    for which, name in sampled.opened:
+        model.buffers.setdefault(name.partition(".")[0], []).append((which, name))
+    now = 0.0
+    for index, (flagged, duration, advance) in enumerate(verdicts[:len(program)]):
+        now += advance
+        sampler.finish(f"t{index}", ts=now, duration_s=duration, flagged=flagged)
+        model.finish(f"t{index}", now, duration, flagged)
+    sampler.flush()
+    model.close()
+
+    assert sampler.decisions == model.decisions
+    # Commit order is verdict order, and a kept span is the very object
+    # its `with` block (or `record`) was handed.
+    assert [[s.name for s in t.spans()] for t in sampled.tracers] == list(model.kept)
+    assert all(span is sampled.handed[span.name]
+               for tracer in sampled.tracers for span in tracer.spans())
+    # Field for field what the sampler-less tracer recorded...
+    reference = {span.name: span for tracer in plain.tracers for span in tracer.spans()}
+    assert len(reference) == len(plain.opened)
+    for tracer in sampled.tracers:
+        for span in tracer.spans():
+            twin = reference[span.name]
+            assert [getattr(span, f) for f in _FIELDS] == [getattr(twin, f) for f in _FIELDS]
+    # ...which is what the program implies for ids, remote parents, status.
+    for name, (trace_id, remote, status) in plain.expected.items():
+        span = reference[name]
+        assert (span.trace_id, span.remote_parent, span.status) == (trace_id, remote, status)
+        assert span.error_type == (None if status == "ok" else "_Boom")
+    # A dropped trace's spans are counted once, by the tracer that opened them.
+    assert [t.dropped for t in sampled.tracers] == model.dropped
+    assert sampler.buffered_spans == 0 and sampler.pending_traces == 0

@@ -35,7 +35,7 @@ def _request_trace(trace_id="t1", queue_s=0.2, generate_s=0.5, tail_s=0.1):
         with cluster.span("cluster.request") as root:
             with cluster.span("cluster.queueing"):
                 clock.t += queue_s
-            with replica.attach(context.child(cluster.ref(root))):
+            with replica.attach(root):
                 with replica.span("serving.request"):
                     with replica.span("resilience.attempt"):
                         clock.t += generate_s

@@ -1,9 +1,12 @@
 """Span tracing: nesting, injectable clocks, Chrome trace export."""
 
+from zlib import crc32
+
 import pytest
 
 from repro.obs import CHROME_TRACE_SCHEMA, validate
 from repro.obs.tracing import (
+    NULL_SPAN,
     TraceContext,
     Tracer,
     chrome_trace,
@@ -178,6 +181,12 @@ def test_make_trace_id_is_deterministic_and_sequence_unique():
     assert len(one) == 16 and int(one, 16) >= 0
     # Same query, different sequence: the key half (low 8 hex) matches.
     assert one[8:] == two[8:] and one[:8] != two[:8]
+    # The id is "%016x" of (sequence mod 2**32) << 32 | crc32(key): leading
+    # zeros kept, the sequence wrapped.
+    for sequence in (0, 1, 0xFFFFFFFF, 2**32 + 5, 2**40 + 3):
+        for key in ("", "query 001", "é"):
+            assert make_trace_id(sequence, key) == "%016x" % (
+                (sequence & 0xFFFFFFFF) << 32 | crc32(key.encode("utf-8")))
 
 
 def test_attach_tags_spans_and_links_stack_roots():
@@ -204,7 +213,7 @@ def test_attach_restores_previous_context_and_clock():
     tracer = Tracer()
     outer = TraceContext("outer")
     with tracer.attach(outer):
-        with tracer.trace(TraceContext("inner"), "root", clock=clock.now) as root:
+        with tracer.trace("inner", None, "root", clock.now, {}) as root:
             clock.advance(1.0)
             with tracer.span("in") as inner_span:
                 pass
@@ -226,7 +235,7 @@ def test_trace_root_restores_context_and_clock_when_the_body_raises():
     outer = TraceContext("outer")
     with tracer.attach(outer):
         with pytest.raises(KeyError):
-            with tracer.trace(TraceContext("inner"), "root", clock=clock.now) as root:
+            with tracer.trace("inner", None, "root", clock.now, {}) as root:
                 clock.advance(0.5)
                 raise KeyError("boom")
         with tracer.span("after") as after:  # outer is attached again
@@ -237,14 +246,31 @@ def test_trace_root_restores_context_and_clock_when_the_body_raises():
     assert after.parent_id is None  # the root left the stack
 
 
-def test_trace_context_child_and_equality():
+def test_trace_context_equality_and_an_open_span_as_the_hop_context():
     context = TraceContext("tid")
-    child = context.child("cluster:3")
-    assert child.trace_id == "tid" and child.parent_ref == "cluster:3"
+    child = TraceContext("tid", parent_ref="cluster:3")
     assert context == TraceContext("tid")
     assert context != child
     assert hash(context) == hash(TraceContext("tid"))
     assert context != "tid"  # NotImplemented falls back to not-equal
+    # Attaching an open span tags like the context it stands for: its
+    # trace id, and its own ref as the stack roots' remote parent.
+    cluster = Tracer(name="cluster")
+    by_span, by_context = Tracer(name="a"), Tracer(name="b")
+    with cluster.attach(context):
+        with cluster.span("root") as root:
+            with by_span.attach(root):
+                with by_span.span("stage") as one:
+                    pass
+            with by_context.attach(TraceContext("tid", cluster.ref(root))):
+                with by_context.span("stage") as two:
+                    pass
+    assert (one.trace_id, one.remote_parent) == ("tid", "cluster:1")
+    assert (two.trace_id, two.remote_parent) == ("tid", "cluster:1")
+    # An untraced span (or the no-op) attaches nothing.
+    with cluster.span("plain") as plain:
+        assert by_span.attach(plain) is NULL_SPAN
+    assert by_span.attach(NULL_SPAN) is NULL_SPAN
 
 
 def test_record_appends_completed_span_with_explicit_window():
@@ -295,7 +321,7 @@ def test_cross_tracer_flow_events_pair_up():
     context = TraceContext("t1")
     with cluster.attach(context):
         with cluster.span("cluster.request") as root:
-            with replica.attach(context.child(cluster.ref(root))):
+            with replica.attach(root):
                 with replica.span("serving.request"):
                     pass
     payload = chrome_trace([("cluster", cluster), ("replica", replica)])

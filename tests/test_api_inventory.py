@@ -221,10 +221,10 @@ KEPT_OPTIONS = (
       "tests/obs/test_metrics.py", "tests/refresh/test_quality.py")),
     (("ConsistentHashRouter.vnodes", "ConsistentHashRouter.preference.limit",
       "Tensor.backward.grad", "Tracer.record.parent", "ServeRequest.trace",
-      "CosmoService.prompt_builder"),
+      "TraceContext.parent_ref", "CosmoService.prompt_builder"),
      "what a reference-model or hand-built test feeds in: small rings against the "
      "naive ring walk, an upstream gradient, an after-the-fact span, a caller's "
-     "trace context, the trained LM's prompt",
+     "trace context and its remote parent, the trained LM's prompt",
      ("tests/serving/test_router.py", "tests/nn/test_tensor.py",
       "tests/obs/test_trace_query.py", "tests/serving/test_request_tracing.py",
       "tests/integration/test_end_to_end.py")),

@@ -1,0 +1,73 @@
+"""``scripts/bench_pairs.py``: alternated A/B one-workload runs, against two
+stub checkouts whose ``run.py`` prints a canned result line."""
+
+import importlib.util
+import json
+import pathlib
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+_STUB = '''\
+import json, os, sys
+args = sys.argv[1:]
+side = os.path.basename(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))))
+with open(os.environ["BENCH_PAIRS_LOG"], "a") as log:
+    log.write(side + " " + " ".join(args) + "\\n")
+runs = sum(1 for line in open(os.environ["BENCH_PAIRS_LOG"])
+           if line.startswith(side + " "))
+cost = {cost!r}[runs - 1]
+print("a table line the script must skip")
+print(json.dumps({{"correct": True, "attempted": 10, "failed": {failed},
+                  "metrics": {{"ref_us_per_unit": {{"value": cost, "unit": "ref-us"}},
+                              "peak_rss_mb": {{"value": 50.0, "unit": "MB"}}}}}}))
+'''
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", REPO_ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkout(root: pathlib.Path, side: str, costs, failed=0) -> pathlib.Path:
+    checkout = root / side
+    (checkout / "benchmarks" / "perf").mkdir(parents=True)
+    (checkout / "benchmarks" / "perf" / "run.py").write_text(
+        _STUB.format(cost=list(costs), failed=failed))
+    (checkout / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 3,
+        "end_to_end": [{"name": "ref_us_per_unit", "better": "lower"},
+                       {"name": "peak_rss_mb", "better": "lower"}]}))
+    return checkout
+
+
+def test_pairs_alternate_and_the_summary_counts_b_wins(tmp_path, monkeypatch, capsys):
+    log = tmp_path / "calls.log"
+    monkeypatch.setenv("BENCH_PAIRS_LOG", str(log))
+    a = _checkout(tmp_path, "A", [10.0, 12.0, 11.0])
+    b = _checkout(tmp_path, "B", [9.0, 12.5, 8.0])
+    status = _script().main([str(a), str(b), "--workload", "serve_hot",
+                             "--pairs", "3", "--seed", "11"])
+    assert status == 0
+    calls = log.read_text().splitlines()
+    assert [call.split()[0] for call in calls] == ["A", "B", "B", "A", "A", "B"]
+    assert calls[0].split()[1:] == ["--workload", "serve_hot", "--seed", "11",
+                                    "--seconds", "3", "--trace", "0"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("pair 1 A: failed=0 ref_us_per_unit=10.0000")
+    rows = {line.split()[0]: line.split() for line in out[-2:]}
+    # Medians 11.0 vs 9.0; B was cheaper in pairs 1 and 3, dearer in 2.
+    assert rows["ref_us_per_unit"][1:4] == ["11.0000", "9.0000", "0.818"]
+    assert rows["ref_us_per_unit"][-2:] == ["2/3", "pairs"]
+    assert rows["peak_rss_mb"][-2:] == ["0/3", "pairs"]  # ties are no win
+
+
+def test_a_failed_operation_makes_the_exit_code_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("BENCH_PAIRS_LOG", str(tmp_path / "calls.log"))
+    a = _checkout(tmp_path, "A", [10.0])
+    b = _checkout(tmp_path, "B", [9.0], failed=1)
+    assert _script().main([str(a), str(b), "--workload", "serve_hot",
+                           "--pairs", "1", "--seed", "11"]) == 1

@@ -417,9 +417,9 @@ PLANTS = [
      '        print(f"draining {replica}")\n        self._emit("router.drain", replica)',
      "event-log-only"),
     ("src/repro/serving/cluster.py",
-     'root.set_attribute("query", query)',
-     'root.set_attribute("query", query)\n'
-     '                    root.set_attribute("trace_id", trace_id)', "trace-id-contract"),
+     'tracer.record("cluster.queueing", arrival, start,',
+     'tracer.record("cluster.queueing", arrival, start, trace_id=trace_id,',
+     "trace-id-contract"),
     ("src/repro/serving/cluster.py",
      "self._started_at = self.clock.now()",
      "self._started_at = SimClock().now()", "clock-injection"),
