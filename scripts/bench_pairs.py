@@ -8,8 +8,11 @@ runs B then A, and so on — so a drift of the machine's speed during the
 comparison lands on both sides.  ``T`` is ``run_seconds`` from A's
 ``BENCHMARK.json``.  Prints every run's end-to-end metrics, then per
 metric the median of each side, B/A, and in how many pairs B was better
-(the direction is the metric's ``better`` in A's ``BENCHMARK.json``);
-exits 1 when a run fails its own checks or reports a failed operation.
+(the direction is the metric's ``better`` in A's ``BENCHMARK.json``),
+and the median, least and greatest of the per-pair B/A ratios: a ratio
+taken within one pair cancels a drift of the machine between pairs that
+the ratio of the medians keeps.  Exits 1 when a run fails its own
+checks or reports a failed operation.
 
 Usage: ``python scripts/bench_pairs.py A_DIR B_DIR --workload W
 --pairs N --seed S``.  Uses the standard library only.
@@ -52,9 +55,11 @@ def order(pairs: int) -> list[tuple[int, str]]:
 
 
 def summarize(spec: dict, results: dict[str, list[dict]]) -> list[str]:
-    """One line per end-to-end metric: medians, B/A, pairs B won."""
+    """One line per end-to-end metric: medians, B/A, the per-pair B/A
+    ratios' median, min and max, and the pairs B won."""
     lines = [f"{'metric':<18s}{'A median':>12s}{'B median':>12s}"
-             f"{'B/A':>8s}  B better in"]
+             f"{'B/A':>8s}{'pair B/A median':>17s}{'min':>7s}{'max':>7s}"
+             f"  B better in"]
     for metric in spec["end_to_end"]:
         name = metric["name"]
         a = [run["metrics"][name]["value"] for run in results["A"]]
@@ -64,8 +69,12 @@ def summarize(spec: dict, results: dict[str, list[dict]]) -> list[str]:
                    for two, one in zip(a, b))
         a_median, b_median = median(a), median(b)
         ratio = b_median / a_median if a_median else float("nan")
+        pair_ratios = [two / one if one else float("nan")
+                       for one, two in zip(a, b)]
         lines.append(f"{name:<18s}{a_median:>12.4f}{b_median:>12.4f}"
-                     f"{ratio:>8.3f}  {wins}/{len(a)} pairs")
+                     f"{ratio:>8.3f}{median(pair_ratios):>17.3f}"
+                     f"{min(pair_ratios):>7.3f}{max(pair_ratios):>7.3f}"
+                     f"  {wins}/{len(a)} pairs")
     return lines
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.relations import Relation
 from repro.llm.interface import GenerationTruth
@@ -64,14 +64,22 @@ class KnowledgeCandidate:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KnowledgeTriple:
     """A refined KG edge ``(head, relation, tail)`` (§3.1).
 
     ``head`` is the behavior's surface form (query text, or the joined
     co-buy titles); ``support`` counts how many candidates collapsed into
-    this edge.  Slotted: every read of the graph makes one per edge, and
-    a record without a ``__dict__`` is smaller and quicker to build.
+    this edge.  Every read of the graph makes one per edge, so the record
+    is slotted (no ``__dict__``) and its ``__init__`` is written by hand
+    (``init=False``): the frozen dataclass's own calls
+    ``object.__setattr__`` once per field, while this one writes each
+    field through its slot's setter, bound once at import — 507 against
+    912 ns a record (EXPERIMENTS.md, "Records at slot speed").  The
+    dataclass still makes ``__eq__``, ``__hash__`` (without
+    ``head_ids``), ``__repr__`` and the ``__setattr__`` that raises
+    ``FrozenInstanceError``; ``tests/core/test_records.py`` diffs the
+    record against the frozen dataclass it stands in for.
     """
 
     head: str
@@ -84,7 +92,25 @@ class KnowledgeTriple:
     support: int = 1
     head_ids: tuple[str, ...] = field(default=(), hash=False)
 
+    def __init__(self, head: str, relation: Relation, tail: str, domain: str,
+                 behavior: str, plausibility: float, typicality: float,
+                 support: int = 1, head_ids: tuple[str, ...] = ()) -> None:
+        _set_head(self, head)
+        _set_relation(self, relation)
+        _set_tail(self, tail)
+        _set_domain(self, domain)
+        _set_behavior(self, behavior)
+        _set_plausibility(self, plausibility)
+        _set_typicality(self, typicality)
+        _set_support(self, support)
+        _set_head_ids(self, head_ids)
+
     @property
     def key(self) -> tuple[str, str, str]:
         """Identity for deduplication."""
         return (self.head, self.relation.value, self.tail)
+
+
+(_set_head, _set_relation, _set_tail, _set_domain, _set_behavior,
+ _set_plausibility, _set_typicality, _set_support, _set_head_ids) = (
+    KnowledgeTriple.__dict__[f.name].__set__ for f in fields(KnowledgeTriple))

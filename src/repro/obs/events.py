@@ -84,20 +84,12 @@ class EventLog:
         self.emitted = 0
         self._events: deque[Event] = deque(maxlen=max_events)
         self._next_id = 1
+        #: the trace id every emitted event is stamped with: set and put
+        #: back by an open :meth:`~repro.obs.tracing.Tracer.trace` root.
         self._trace_id: str | None = None
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def trace_scope(self, trace_id: str) -> "_TraceScope":
-        """Stamp every event emitted inside with ``trace_id``.
-
-        The cluster wraps each traced request in this scope so mid-request
-        emitters (breaker transitions, dead-letters, batch flushes) need
-        no plumbing of their own — their events automatically carry the
-        request's trace id and correlate with spans and exemplars.
-        """
-        return _TraceScope(self, trace_id)
 
     def emit(self, kind: str, ts: float, component: str,
              **attrs: AttrValue) -> Event:
@@ -135,31 +127,6 @@ class EventLog:
         ranges.
         """
         return [e for e in self._events if start_ts <= e.ts <= end_ts]
-
-
-class _TraceScope:
-    """Enter/exit handle returned by :meth:`EventLog.trace_scope`.
-
-    Hand-rolled (not ``contextlib``): it wraps every traced request, so
-    it shares the hot-path budget measured by ``bench_trace_overhead``.
-    """
-
-    __slots__ = ("_log", "_trace_id", "_previous")
-
-    def __init__(self, log: EventLog, trace_id: str):
-        self._log = log
-        self._trace_id = trace_id
-        self._previous: str | None = None
-
-    def __enter__(self) -> EventLog:
-        log = self._log
-        self._previous = log._trace_id
-        log._trace_id = self._trace_id
-        return log
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._log._trace_id = self._previous
-        return False
 
 
 def render_events(log: EventLog) -> str:

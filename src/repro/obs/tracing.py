@@ -23,7 +23,8 @@ stage spans are its stack roots and hang off the upstream span
 directly.  A hop that times its own window (the cluster's
 ``cluster.request``) opens its root with :meth:`Tracer.trace`, which is
 a span like any other that puts the tracer's context and clock back
-when it closes.  Trace ids are deterministic (:func:`make_trace_id`
+when it closes, and stamps the hop's event log with its trace id while
+it is open.  Trace ids are deterministic (:func:`make_trace_id`
 hashes request sequence + key).
 
 Retention: untraced spans fall under the legacy ``max_spans`` head
@@ -51,6 +52,7 @@ from repro.obs.schema import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.obs.events import EventLog
     from repro.obs.sampling import TailSampler
 
 __all__ = [
@@ -73,7 +75,7 @@ AttrValue = Union[str, int, float, bool]
 
 #: The one sanctioned attribute key under which a span/event carries its
 #: trace id.  Serving code never writes this key by hand — trace ids
-#: flow through :meth:`Tracer.attach` and ``EventLog.trace_scope``, and
+#: flow through :meth:`Tracer.attach` and :meth:`Tracer.trace`, and
 #: the ``trace-id-contract`` source rule rejects ad-hoc variants.
 TRACE_ID_ATTR = "trace_id"
 
@@ -104,8 +106,12 @@ class TraceContext:
     ``parent_ref`` is a ``"tracer_name:span_id"`` string naming the span
     (in another tracer) under which this hop's root spans should hang;
     None for the trace's origin hop.  Immutable by convention; a plain
-    ``__slots__`` class (not a frozen dataclass) because one is minted
-    per traced dispatch and frozen-dataclass construction costs ~2x.
+    ``__slots__`` class (not a frozen dataclass) because a caller may
+    build one per request (``ServeRequest.trace``), and a frozen
+    dataclass's generated ``__init__`` calls ``object.__setattr__`` once
+    per field: 272 against 104 ns a record for two fields, a gap that
+    grows with the field count (902 against 159 ns for nine; CPython
+    3.11 on a 2-core Xeon VM, EXPERIMENTS.md "Records at slot speed").
     """
 
     __slots__ = ("trace_id", "parent_ref")
@@ -137,7 +143,8 @@ class Span:
     open happens at the call, not at ``__enter__``) and the ``with``
     block's exit closes it.  A trace root (:meth:`Tracer.trace`) also
     holds in ``_restore`` the ``(trace id, parent ref, clock)`` its tracer
-    had before the root swapped them, and its exit puts them back.
+    had before the root swapped them, and the event log it stamps (or
+    None) with that log's previous trace id; its exit puts them back.
     Hand-rolled ``__slots__`` and no ``__init__`` (``Tracer._open`` is the
     one constructor) rather than a dataclass/contextlib pairing — span
     open/close sits on the per-request hot path, and
@@ -160,7 +167,8 @@ class Span:
     trace_id: str | None
     remote_parent: str | None
     _tracer: "Tracer"
-    _restore: "tuple[str | None, str | None, Callable[[], float]] | None"
+    _restore: ("tuple[str | None, str | None, Callable[[], float], "
+               "EventLog | None, str | None] | None")
 
     def __repr__(self) -> str:
         return (f"Span(name={self.name!r}, span_id={self.span_id}, "
@@ -185,8 +193,11 @@ class Span:
         tracer = self._tracer
         self.end_s = tracer.clock()
         tracer._stack.pop()
-        if self._restore is not None:
-            tracer._trace_id, tracer._parent_ref, tracer.clock = self._restore
+        restore = self._restore
+        if restore is not None:
+            tracer._trace_id, tracer._parent_ref, tracer.clock, log, stamp = restore
+            if log is not None:
+                log._trace_id = stamp
         return False
 
 
@@ -286,13 +297,21 @@ class Tracer:
         return False
 
     def trace(self, trace_id: str | None, parent_ref: str | None, name: str,
-              clock: Callable[[], float],
-              attributes: dict[str, AttrValue]) -> "Span | _NullSpan":
+              clock: Callable[[], float], attributes: dict[str, AttrValue],
+              log: "EventLog | None") -> "Span | _NullSpan":
         """Attach trace ``trace_id`` (hung under the remote ``parent_ref``,
         if any), time on ``clock`` and open span ``name`` as the root of
         its subtree in this tracer, now — the returned span's exit closes
         it and puts the previous context and clock back.  No trace id,
         no-op.
+
+        While the root is open, every event emitted into ``log`` (when
+        there is one) is stamped with ``trace_id`` (under
+        :data:`TRACE_ID_ATTR`), so mid-request emitters (breaker
+        transitions, dead-letters, batch flushes) correlate with the
+        spans without plumbing of their own; the root's exit puts the
+        log's previous stamp back.  A dispatch with no log enters no
+        scope for one.
 
         A dispatch pays once for its trace: the root takes the id and
         parent ref as they are, with no :class:`TraceContext` built for
@@ -302,7 +321,10 @@ class Tracer:
         """
         if trace_id is None:
             return NULL_SPAN
-        restore = (self._trace_id, self._parent_ref, self.clock)
+        restore = (self._trace_id, self._parent_ref, self.clock, log,
+                   None if log is None else log._trace_id)
+        if log is not None:
+            log._trace_id = trace_id
         self._trace_id = trace_id
         self._parent_ref = parent_ref
         self.clock = clock

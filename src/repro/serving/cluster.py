@@ -41,7 +41,7 @@ from typing import Sequence
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampling import TailSampler
-from repro.obs.tracing import NULL_SPAN, AttrValue, Tracer, make_trace_id
+from repro.obs.tracing import AttrValue, Tracer, make_trace_id
 from repro.serving.api import ServeOutcome, ServeRequest, ServeResult
 from repro.serving.clock import SimClock
 from repro.serving.deployment import CosmoService
@@ -312,7 +312,7 @@ class CosmoCluster:
         held, tracer = self._held, self.tracer
         held_now = held.now
         histogram, fresh = self._latency, ServeOutcome.FRESH
-        tracing = self.config.trace_requests
+        tracing, event_log = self.config.trace_requests, self.event_log
         sequence = int(self._requests.value) if tracing else 0
         for replica_id, (indices, group) in groups.items():
             service = self.services[replica_id]
@@ -341,10 +341,8 @@ class CosmoCluster:
             if replica_id in failed_over:
                 attributes["failover"] = True
             held.value = arrival
-            log_scope = (NULL_SPAN if trace_id is None or self.event_log is None
-                         else self.event_log.trace_scope(trace_id))
-            with log_scope, tracer.trace(trace_id, parent_ref, "cluster.request",
-                                         held_now, attributes) as root:
+            with tracer.trace(trace_id, parent_ref, "cluster.request",
+                              held_now, attributes, event_log) as root:
                 start = max(arrival, service.clock.now())
                 service.clock.sleep_until(start)
                 if trace_id is not None and start > arrival:

@@ -396,7 +396,8 @@ class _World:
                 self.parent_ref[which] = parent_ref
                 # The root times its subtree on a clock of its own.
                 with tracer.trace(trace_id, parent_ref, name,
-                                  lambda: self.now + 1000.0, {"entry": 1}) as root:
+                                  lambda: self.now + 1000.0, {"entry": 1},
+                                  None) as root:
                     self._expect(which, name, root, trace_id,
                                  "error" if raises else "ok")
                     self.stacks[which].append(root)

@@ -5,8 +5,10 @@ from zlib import crc32
 import pytest
 
 from repro.obs import CHROME_TRACE_SCHEMA, validate
+from repro.obs.events import EventLog
 from repro.obs.tracing import (
     NULL_SPAN,
+    TRACE_ID_ATTR,
     TraceContext,
     Tracer,
     chrome_trace,
@@ -213,7 +215,7 @@ def test_attach_restores_previous_context_and_clock():
     tracer = Tracer()
     outer = TraceContext("outer")
     with tracer.attach(outer):
-        with tracer.trace("inner", None, "root", clock.now, {}) as root:
+        with tracer.trace("inner", None, "root", clock.now, {}, None) as root:
             clock.advance(1.0)
             with tracer.span("in") as inner_span:
                 pass
@@ -235,7 +237,7 @@ def test_trace_root_restores_context_and_clock_when_the_body_raises():
     outer = TraceContext("outer")
     with tracer.attach(outer):
         with pytest.raises(KeyError):
-            with tracer.trace("inner", None, "root", clock.now, {}) as root:
+            with tracer.trace("inner", None, "root", clock.now, {}, None) as root:
                 clock.advance(0.5)
                 raise KeyError("boom")
         with tracer.span("after") as after:  # outer is attached again
@@ -244,6 +246,26 @@ def test_trace_root_restores_context_and_clock_when_the_body_raises():
     assert root.end_s == 2.5  # closed on its own clock...
     assert after.start_s == 0.0 and after.trace_id == "outer"  # ...then restored
     assert after.parent_id is None  # the root left the stack
+
+
+def test_a_trace_root_stamps_its_event_log_and_puts_the_stamp_back():
+    clock = FakeClock()
+    tracer, log = Tracer(), EventLog()
+    log.emit("test.before", 0.0, "t")
+    with tracer.trace("outer", None, "root", clock.now, {}, log):
+        log.emit("test.outer", 0.0, "t")
+        with pytest.raises(KeyError):
+            with tracer.trace("inner", None, "hop", clock.now, {}, log):
+                log.emit("test.inner", 0.0, "t")
+                raise KeyError("boom")
+        log.emit("test.outer_again", 0.0, "t")
+        with tracer.trace("unlogged", None, "side", clock.now, {}, None):
+            log.emit("test.unlogged", 0.0, "t")
+    log.emit("test.after", 0.0, "t")
+    assert [(e.kind, e.attrs.get(TRACE_ID_ATTR)) for e in log.events()] == [
+        ("test.before", None), ("test.outer", "outer"), ("test.inner", "inner"),
+        ("test.outer_again", "outer"), ("test.unlogged", "outer"),
+        ("test.after", None)]
 
 
 def test_trace_context_equality_and_an_open_span_as_the_hop_context():

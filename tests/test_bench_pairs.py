@@ -71,3 +71,22 @@ def test_a_failed_operation_makes_the_exit_code_one(tmp_path, monkeypatch):
     b = _checkout(tmp_path, "B", [9.0], failed=1)
     assert _script().main([str(a), str(b), "--workload", "serve_hot",
                            "--pairs", "1", "--seed", "11"]) == 1
+
+
+def test_per_pair_ratios_cancel_a_drift_the_medians_keep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BENCH_PAIRS_LOG", str(tmp_path / "calls.log"))
+    # B is 0.9x A within pairs 1 and 3; the machine ran 3x slower from
+    # pair 2's first run (B) to pair 3's first run (A), so the medians
+    # read B/A 2.7 while the median pair reads 0.9.
+    a = _checkout(tmp_path, "A", [10.0, 10.0, 30.0])
+    b = _checkout(tmp_path, "B", [9.0, 27.0, 27.0])
+    assert _script().main([str(a), str(b), "--workload", "kg_refresh",
+                           "--pairs", "3", "--seed", "7"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3].split()[6:11] == ["pair", "B/A", "median", "min", "max"]
+    rows = {line.split()[0]: line.split() for line in out[-2:]}
+    # A median, B median, B/A, then the pair ratios 0.9, 2.7, 0.9.
+    assert rows["ref_us_per_unit"][1:7] == [
+        "10.0000", "27.0000", "2.700", "0.900", "0.900", "2.700"]
+    assert rows["ref_us_per_unit"][-2:] == ["2/3", "pairs"]
+    assert rows["peak_rss_mb"][3:7] == ["1.000"] * 4

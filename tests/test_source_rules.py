@@ -205,7 +205,7 @@ def trace_id_contract(tree, path):
         for keyword in node.keywords:
             if keyword.arg is not None and _is_trace_id_key(keyword.arg):
                 yield node, (f"ad-hoc trace-id attribute {keyword.arg!r} on {method}(); "
-                             "trace ids flow via Tracer.attach / EventLog.trace_scope "
+                             "trace ids flow via Tracer.attach / Tracer.trace "
                              "under the sanctioned obs.tracing.TRACE_ID_ATTR key")
 
 
