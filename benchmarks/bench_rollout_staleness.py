@@ -15,8 +15,9 @@ served as fresh, for at most the rollout's duration) where the restart
 pays *availability* (no knowledge at all).  The deploy-window
 availability of blue/green must strictly dominate the restart's, and
 neither arm may ever serve a mixed-version answer — an answer whose text
-belongs to a snapshot other than the serving replica's authoritative
-version.
+belongs to a snapshot other than the one its result is stamped with
+(``ServeResult.snapshot_version``, the version the serving replica held
+when it answered).
 """
 
 from conftest import publish
@@ -89,7 +90,7 @@ def _drive(mode: str, traffic: list[str], registry) -> dict:
                     cluster.services[replica_id].cache.install_snapshot(
                         green.version, {})
         result = cluster.handle(query)
-        if mixed_version_violation(store, cluster, result):
+        if mixed_version_violation(store, result):
             violations += 1
         if deploy_ts is not None and result.text.endswith("(blue)."):
             blue_after_deploy += 1

@@ -318,12 +318,12 @@ class RolloutController:
             )
 
 
-def mixed_version_violation(store: SnapshotStore, cluster: CosmoCluster,
-                            result: ServeResult) -> bool:
+def mixed_version_violation(store: SnapshotStore, result: ServeResult) -> bool:
     """Did this answer leak from a different snapshot version?
 
     True when a FRESH cache answer's text belongs to a version other
-    than the serving replica's authoritative ``snapshot_version`` — the
+    than the one stamped on it (``result.snapshot_version``, what the
+    replica held when it answered, so later swaps do not matter) — the
     stale-cache leak version-scoped invalidation exists to prevent.
     Degraded serves are exempt by design (serving *known-stale*
     knowledge, marked as such, is the degradation contract).
@@ -332,7 +332,7 @@ def mixed_version_violation(store: SnapshotStore, cluster: CosmoCluster,
         return False
     if not result.source.startswith("cache:"):
         return False
-    version = cluster.services[result.replica].snapshot_version
+    version = result.snapshot_version
     if version is None:
         return False
     expected = store.get(version).entries.get(result.query)

@@ -145,7 +145,7 @@ class Drive:
                     if self.truth is not None:
                         self.valid += result.text == self.truth(query)
                     if self.controller is not None and refresh.mixed_version_violation(
-                            self.controller.store, self.cluster, result):
+                            self.controller.store, result):
                         self.violations += 1
                     self.cluster.clock.advance(self.gap_s)
                     self.observe(rolling)
@@ -357,6 +357,13 @@ def expect_storm_alerts_resolve_and_correlate(drive: Drive) -> list[str]:
         (any(alert["event_ids"] for alert in resolved),
          "resolved alerts should cross-reference events"),
         *_event_checks(drive, ["breaker.open", "service.degraded_entry"] + drained))
+
+
+def expect_no_mixed_version_answers(drive: Drive) -> list[str]:
+    """No FRESH cache answer came from a snapshot other than its stamped one."""
+    ok = drive.violations == 0
+    print(f"mixed-version answers: {drive.violations} ({'OK' if ok else 'VIOLATED'})")
+    return [] if ok else [f"{drive.violations} mixed-version answer(s) served"]
 
 
 def expect_rollout_completes_quietly(drive: Drive) -> list[str]:
@@ -855,13 +862,14 @@ SCENARIOS = {scenario.command: scenario for scenario in (
              "blue/green snapshot rollout with SLO-guarded auto-rollback",
              {"replicas": 3, "requests_per_phase": 700, "n_queries": 120},
              _rollout_setup, ("alerts", "events"),
-             {"healthy": (expect_rollout_completes_quietly,),
-              "poisoned": (expect_rollback_and_redrive,)}),
+             {"healthy": (expect_no_mixed_version_answers, expect_rollout_completes_quietly),
+              "poisoned": (expect_no_mixed_version_answers, expect_rollback_and_redrive)}),
     Scenario("kghealth", "KG health",
              "snapshot drift detection and quality-gated rollout",
              {"replicas": 3, "requests_per_phase": 500, "n_queries": 120},
              _kghealth_setup, ("health", "events"),
-             {"healthy": (expect_gate_promotes,), "poisoned": (expect_gate_blocks,)}),
+             {"healthy": (expect_no_mixed_version_answers, expect_gate_promotes),
+              "poisoned": (expect_no_mixed_version_answers, expect_gate_blocks)}),
 )}
 
 
@@ -880,11 +888,6 @@ def run_scenario(scenario: Scenario, args: argparse.Namespace) -> int:
     _report(drive, scenario.title)
 
     failures = check_accounting(drive.cluster.metrics_totals())
-    if drive.controller is not None:
-        print(f"mixed-version answers: {drive.violations} "
-              f"({'OK' if drive.violations == 0 else 'VIOLATED'})")
-        if drive.violations:
-            failures.append(f"{drive.violations} mixed-version answer(s) served")
     for expectation in scenario.expectations[variant]:
         failures += expectation(drive)
     return exit_code(scenario.title.lower(), failures, drive.signalled())

@@ -14,7 +14,7 @@ deprecated in favor of it and have since been removed):
   ``served_fresh + degraded_serves + fallbacks == requests`` holds;
 * :class:`ServeResult` — the answer text plus outcome, source (which
   layer of the degradation chain produced the text), simulated latency,
-  and the id of the replica that served it.
+  and the replica and snapshot version that answered it.
 
 ``CosmoService.serve`` / ``CosmoService.serve_batch`` are the
 entrypoints; :class:`~repro.serving.cluster.CosmoCluster` consumes only
@@ -94,16 +94,16 @@ class ServeResult:
     is folded in, so the cluster-level number can exceed what the
     replica itself charged.  ``replica`` is the serving replica's name
     (a single :class:`~repro.serving.deployment.CosmoService` reports
-    its own ``name``).
+    its own ``name``).  ``snapshot_version`` is the snapshot the
+    replica's cache held when it answered (None before its first swap).
 
-    The last three fields are the cluster's stamps, ``None`` on a result
+    The last two fields are the cluster's stamps, ``None`` on a result
     a bare :class:`~repro.serving.deployment.CosmoService` returns.
     ``trace_id`` is the id of the dispatch trace that answered the
     request (None with tracing off), so a caller holding a slow result
     can pull the matching trace out of a
     :class:`~repro.obs.trace_query.TraceAnalyzer` or a latency-histogram
-    exemplar.  ``batch_id`` / ``batch_index`` name the arrival window
-    and the request's position inside it.
+    exemplar.  ``batch_index`` is the request's position in its window.
 
     A plain mutable record, not a frozen one: the replica builds it and
     the cluster stamps it in place, once per request.
@@ -115,8 +115,8 @@ class ServeResult:
     source: str
     latency_s: float
     replica: str
+    snapshot_version: str | None
     trace_id: str | None = field(default=None, init=False)
-    batch_id: str | None = field(default=None, init=False)
     batch_index: int | None = field(default=None, init=False)
 
     @property

@@ -160,7 +160,6 @@ class CosmoCluster:
             # operator acts at cluster time, not on any one replica's.
             self.router.attach_event_log(event_log, clock=self.clock.now,
                                          component=cfg.name)
-        self._batch_seq = 0
         self.services: dict[str, CosmoService] = {}
         for index, replica_id in enumerate(replica_ids):
             replica_clock = self.clock.fork()
@@ -265,9 +264,10 @@ class CosmoCluster:
         Request accounting is per request: each counts once, cluster-wide.
 
         Each result is stamped in place: ``latency_s`` becomes end-to-end
-        (shard queueing delay + service latency), ``batch_id`` names the
-        window, ``batch_index`` is the request's position in it, and
-        ``trace_id`` names its dispatch's trace.
+        (shard queueing delay + service latency), ``batch_index`` is the
+        request's position in the window, and ``trace_id`` names its
+        dispatch's trace; the replica already named the snapshot version
+        that answered it.
 
         With ``trace_requests`` on (the default) a dispatch is one trace:
         a ``cluster.request`` root timed on a :class:`_HeldClock` over
@@ -284,8 +284,6 @@ class CosmoCluster:
         """
         if not requests:
             return []
-        self._batch_seq += 1
-        batch_id = f"{self.config.name}-b{self._batch_seq}"
         arrival = self.clock.now()
         self._requests.inc(len(requests))
         shed = self._admit(len(requests))
@@ -365,7 +363,6 @@ class CosmoCluster:
                     end_to_end = wait + result.latency_s
                     result.latency_s = end_to_end
                     result.trace_id = trace_id
-                    result.batch_id = batch_id
                     result.batch_index = index
                     results[index] = result
                     if end_to_end > slowest:

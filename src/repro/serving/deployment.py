@@ -300,8 +300,8 @@ class CosmoService:
         The replica opens no span of its own: under a trace context
         attached to its tracer (the cluster attaches one per dispatch)
         the stage spans are this tracer's stack roots and hang off the
-        upstream span.  Results come back unstamped; the cluster stamps
-        trace and window attribution.
+        upstream span.  Each result names its cache's snapshot version;
+        the cluster stamps trace and window attribution.
         """
         results: list[ServeResult] = []
         queries: list[str] = []  # the cached run since the last direct request
@@ -333,6 +333,7 @@ class CosmoService:
         if not queries:
             return []
         hits = self.cache.fetch_many(queries, enqueue=allow_enqueue)
+        version = self.cache.snapshot_version
         sequential = self._batch_costs is None
         if sequential:
             run_latency, run = 0.0, 0
@@ -358,9 +359,8 @@ class CosmoService:
                         observe(run_latency, count=run)
                     run_latency, run = latency, 0
                 run += 1
-            result = ServeResult(query=query, text=text,
-                                 outcome=outcome, source=source,
-                                 latency_s=latency, replica=self.name)
+            result = ServeResult(query, text, outcome, source, latency,
+                                 self.name, version)
             if (hit is None) != self._in_degraded_mode:
                 self._note_outcome(result)
             results.append(result)
@@ -437,8 +437,8 @@ class CosmoService:
         latency = self.clock.now() - since
         self.metrics.latency.observe(latency)
         self.metrics.add(_STAGES[outcome][3], 1)
-        return ServeResult(query=query, text=text, outcome=outcome,
-                           source=source, latency_s=latency, replica=self.name)
+        return ServeResult(query, text, outcome, source, latency, self.name,
+                           self.cache.snapshot_version)
 
     def _generate(self, prompts: list[str]) -> GenerationBatch:
         """Batch-side generation: call the generator through the
@@ -479,9 +479,9 @@ class CosmoService:
         self.metrics.add("served_fresh", 1)
         # Write through so later cached requests hit immediately.
         self._install([(query, generation.text)])
-        return ServeResult(query=query, text=generation.text,
-                           outcome=ServeOutcome.FRESH, source=SOURCE_DIRECT,
-                           latency_s=latency, replica=self.name)
+        return ServeResult(query, generation.text, ServeOutcome.FRESH,
+                           SOURCE_DIRECT, latency, self.name,
+                           self.cache.snapshot_version)
 
     # ------------------------------------------------------------------
     def run_batch(self, max_queries: int | None = None) -> int:

@@ -1,5 +1,7 @@
 """Blue/green rollout: healthy completion, SLO-guarded rollback, guards."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.obs import EventLog, MetricsRegistry, ScrapeGrid, SloEvaluator
@@ -189,27 +191,44 @@ def test_mixed_version_violation_flags_cross_version_cache_leak():
     store = SnapshotStore()
     store.add(blue)
     store.add(green)
-    cluster = CosmoCluster(lambda i: SnapshotGenerator(blue),
-                           config=ClusterConfig(n_replicas=1, seed=3,
-                                                name="leak"))
-    cluster.install_snapshot(green)
-    replica = cluster.router.replicas[0]
 
-    def result(text, outcome=ServeOutcome.FRESH, source="cache:yearly"):
+    def result(text, outcome=ServeOutcome.FRESH, source="cache:yearly",
+               version=green.version):
         return ServeResult(query=QUERIES[0], text=text, outcome=outcome,
-                           source=source, latency_s=0.001, replica=replica)
+                           source=source, latency_s=0.001, replica="leak-r0",
+                           snapshot_version=version)
 
-    # Serving blue text while authoritative on green = leak.
-    assert mixed_version_violation(store, cluster, result(
-        blue.entries[QUERIES[0]]))
-    # Serving the authoritative version's own text is fine.
-    assert not mixed_version_violation(store, cluster, result(
-        green.entries[QUERIES[0]]))
+    # Blue text on an answer stamped green = leak.
+    assert mixed_version_violation(store, result(blue.entries[QUERIES[0]]))
+    # Each stamped version's own text is fine.
+    assert not mixed_version_violation(store, result(green.entries[QUERIES[0]]))
+    assert not mixed_version_violation(store, result(
+        blue.entries[QUERIES[0]], version=blue.version))
     # Degraded serves are exempt (known-stale is the contract)...
-    assert not mixed_version_violation(store, cluster, result(
+    assert not mixed_version_violation(store, result(
         blue.entries[QUERIES[0]], outcome=ServeOutcome.DEGRADED))
-    # ...and so are non-cache sources and texts no snapshot owns.
-    assert not mixed_version_violation(store, cluster, result(
+    # ...and so are non-cache sources, texts no snapshot owns and answers
+    # given before the replica held any snapshot.
+    assert not mixed_version_violation(store, result(
         blue.entries[QUERIES[0]], source="direct"))
-    assert not mixed_version_violation(store, cluster, result(
+    assert not mixed_version_violation(store, result(
         "free-form text from nowhere."))
+    assert not mixed_version_violation(store, result(
+        blue.entries[QUERIES[0]], version=None))
+
+
+def test_a_window_answered_on_blue_is_no_leak_after_every_replica_swaps():
+    """Regression: the check read the replica's version when it looked,
+    so a held window answered on blue turned into leaks once the fleet
+    moved to green.  It reads the version stamped on the answer."""
+    cluster, store, blue, green, *_ = _rig(n_replicas=2)
+    held = cluster.handle_batch(QUERIES[:8])
+    assert [r.text for r in held] == [blue.entries[q] for q in QUERIES[:8]]
+    assert {r.source for r in held} == {"cache:yearly"}
+    assert {r.snapshot_version for r in held} == {blue.version}
+    cluster.install_snapshot(green)
+    assert set(cluster.snapshot_versions().values()) == {green.version}
+    assert [mixed_version_violation(store, r) for r in held] == [False] * 8
+    # The same blue text stamped green is the leak the check exists for.
+    leaked = replace(held[0], snapshot_version=green.version)
+    assert mixed_version_violation(store, leaked)

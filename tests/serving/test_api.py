@@ -35,7 +35,8 @@ def test_serve_reports_yearly_and_daily_cache_sources():
     assert result == ServeResult(query="hot", text="hot answer.",
                                  outcome=ServeOutcome.FRESH,
                                  source=SOURCE_CACHE_YEARLY,
-                                 latency_s=result.latency_s, replica="svc")
+                                 latency_s=result.latency_s, replica="svc",
+                                 snapshot_version=None)
     assert result.served
 
     service.serve(ServeRequest(query="cold"))  # miss → pending

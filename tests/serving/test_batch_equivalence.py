@@ -72,10 +72,10 @@ def _drive_batched(traffic, registry, name):
 
 
 def _strip_batch_fields(result):
-    """``result`` with its window stamps cleared (a copy: ``replace()``
-    cannot set the stamps, which are not constructor fields)."""
+    """``result`` with its window stamp cleared (a copy: ``replace()``
+    cannot set the stamp, which is not a constructor field)."""
     stripped = copy(result)
-    stripped.batch_id = stripped.batch_index = None
+    stripped.batch_index = None
     return stripped
 
 
@@ -109,7 +109,6 @@ def test_serve_batch_neutral_path_matches_per_item_envelopes():
     batched = _cluster_drive(traffic, windowed=True)
     assert len(per_item) == len(batched)
     assert len({r.replica for r in batched}) == 2
-    assert len({r.batch_id for r in per_item}) == len(per_item)
     for position, (item, batch) in enumerate(zip(per_item, batched)):
         assert item.batch_index == 0
         assert batch.batch_index == position % 8
@@ -135,19 +134,7 @@ def test_serve_batch_stamps_contiguous_batch_attribution():
     second = cluster.handle_batch(["solo"])
     assert len({r.replica for r in first}) > 1   # split, yet contiguous
     assert [r.batch_index for r in first] == [0, 1, 2, 3, 4]
-    assert len({r.batch_id for r in first}) == 1
-    assert second[0].batch_id != first[0].batch_id
     assert second[0].batch_index == 0
-
-
-def test_serve_batch_explicit_batch_id_is_honored():
-    """The cluster names each window ``<name>-b<seq>``; a ``handle`` is a
-    window of its own."""
-    cluster = _cluster(2, MetricsRegistry())
-    windows = [cluster.handle_batch(["a", "b"]), [cluster.handle("c")],
-               cluster.handle_batch(["d"])]
-    assert [[r.batch_id for r in window] for window in windows] == [
-        ["eq-b1", "eq-b1"], ["eq-b2"], ["eq-b3"]]
 
 
 def test_amortized_window_charges_one_batched_latency():
@@ -260,7 +247,6 @@ def test_handle_batch_results_in_request_order_with_window_indices():
     results = cluster.handle_batch(queries)
     assert [r.query for r in results] == queries
     assert [r.batch_index for r in results] == list(range(12))
-    assert len({r.batch_id for r in results}) == 1
     # The window split across replicas, yet attribution stays unique.
     assert len({r.replica for r in results}) > 1
 
@@ -312,8 +298,13 @@ def test_handle_batch_traced_and_bare_accounting_match():
 # window, and only the traced drive's trace digest was re-captured: the
 # parent's trace minus its 38 ``cache.fetch_many`` spans equals the new
 # one, 97 = 97 events, once span / parent ids and flow events are set aside
-# (EXPERIMENTS.md, "One replica window algorithm").  The other seven are
-# unedited.
+# (EXPERIMENTS.md, "One replica window algorithm").  When each result began
+# naming the snapshot version that answered it and the window's
+# ``batch_id`` stamp was deleted, both results digests were re-captured:
+# the parent's ``repr(results)`` with every ``batch_id=..., `` dropped and
+# ``snapshot_version=None, `` inserted after ``replica`` (neither drive
+# installs a snapshot) equals the new one byte for byte.  The other six
+# are unedited.
 
 
 def _digest(text: str) -> str:
@@ -361,9 +352,9 @@ def _accounting_drive(trace: bool):
 
 @pytest.mark.parametrize(
     "trace, snapshot_digest, events_digest, results_digest, trace_digest", [
-        (False, "9eed001a8b2c0cf8", "6bb6c2868c83662f", "49cc0224e7afdc8a",
+        (False, "9eed001a8b2c0cf8", "6bb6c2868c83662f", "af4d9694bb05ff5e",
          "070afdc2f84a2feb"),
-        (True, "5593e3d4c7f2d28d", "e440d30b0a464d1b", "e787b5d8d99ba27c",
+        (True, "5593e3d4c7f2d28d", "e440d30b0a464d1b", "5ee47060f2ff638c",
          "bcd7be912a6475ae"),
     ], ids=("untraced", "traced"))
 def test_window_accounting_artifacts_are_pinned(
@@ -411,7 +402,10 @@ def test_window_accounting_artifacts_are_pinned(
 # window's ``batch_id`` / ``batch_index`` — with those cleared, the
 # results still hash to the digest the two copies wrote.  The second signal
 # audit re-captured both snapshot and both trace digests, with the filter
-# named above the window drive.
+# named above the window drive.  The results and stripped digests moved
+# with the window drive's results, by the same edit (``batch_id`` dropped,
+# ``snapshot_version=None`` inserted), as did the direct-failure drive's
+# below; the stripped form now clears only ``batch_index``.
 
 
 def _per_item_drive(trace: bool):
@@ -469,10 +463,10 @@ def _per_item_drive(trace: bool):
 @pytest.mark.parametrize(
     "trace, snapshot_digest, events_digest, results_digest, stripped_digest,"
     " trace_digest", [
-        (False, "2e3b01094cb50cd7", "a66d1b7534c508d2", "603dc479e9ea9562",
-         "04167d609e39546d", "e9f5c52f9f61467f"),
-        (True, "8aae4bfaed947474", "d7dfcfd3e27b7057", "0f482c458b0e044e",
-         "10d6b03d4be11ded", "d83185c6e2d4046b"),
+        (False, "2e3b01094cb50cd7", "a66d1b7534c508d2", "d5b50ea2855bef52",
+         "edd677f4dfe44c84", "e9f5c52f9f61467f"),
+        (True, "8aae4bfaed947474", "d7dfcfd3e27b7057", "91914dccd4b823fb",
+         "1bd659d737da0417", "d83185c6e2d4046b"),
     ], ids=("untraced", "traced"))
 def test_per_item_accounting_artifacts_are_pinned(
         trace, snapshot_digest, events_digest, results_digest, stripped_digest,
@@ -533,6 +527,9 @@ def test_direct_failure_without_resilience_is_pinned():
     store holds the one answer the direct call wrote.  The digests were
     captured under the deleted ``resilience=False`` path; the baseline
     configuration on the one generator path reproduces them unedited.
+    The results digest was re-captured when each result began naming its
+    snapshot version: the parent's repr with ``batch_id=None, `` dropped
+    and ``snapshot_version=None, `` inserted equals the new one.
     """
     registry = MetricsRegistry()
     injector = FaultInjector(seed=3)
@@ -555,6 +552,6 @@ def test_direct_failure_without_resilience_is_pinned():
     assert service.metrics.generator_failures == 3
     snap = snapshot(registry)
     validate(SNAPSHOT_SCHEMA, snap)
-    assert _digest(repr(results)) == "5cd06308215ffae7"
+    assert _digest(repr(results)) == "e7fb123d6e58a7c4"
     assert list(service.features._records) == ["known"]
     assert _digest(json.dumps(snap, sort_keys=True)) == "b2276118c67b19c0"

@@ -63,7 +63,8 @@ def _reference_serve(service, request, allow_enqueue):
         service.metrics.add(counter, 1)
         result = ServeResult(query=request.query, text=text, outcome=outcome,
                              source=source, latency_s=stage_s,
-                             replica=service.name)
+                             replica=service.name,
+                             snapshot_version=service.snapshot_version)
     service._note_outcome(result)
     return result
 

@@ -413,7 +413,7 @@ def test_kghealth_poisoned_with_mixed_version_answer_exits_2(monkeypatch, capsys
 
     served = iter([True])           # flag exactly one answer as a leak
     monkeypatch.setattr(refresh, "mixed_version_violation",
-                        lambda store, cluster, result: next(served, False))
+                        lambda store, result: next(served, False))
     assert main(_KGHEALTH_ARGS + ["--scenario", "poisoned"]) == 2
     out = capsys.readouterr().out
     assert "gate verdict: BLOCK" in out     # the signal alone would exit 1
