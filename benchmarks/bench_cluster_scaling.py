@@ -9,13 +9,14 @@ service latency.  This is the quantitative backing for the ROADMAP's
 "shard the serving layer" north star.
 
 Traffic arrives in *windows* through the batch-first ingress
-(:meth:`CosmoCluster.handle_batch`) and every replica runs with a
-:class:`BatchCostModel`, so a window of requests landing on one shard is
-charged ``overhead + n·item`` instead of ``n`` sequential cache probes —
-the amortization the columnar/batch redesign exists to buy.  The seed
-per-item driver topped out near 500 req/s per replica (2 ms per cache
-hit); the batch path clears 3 000+ req/s on a single replica and scales
-from there.
+(:meth:`CosmoCluster.handle_batch`), played by the scenario runner's
+request loop ``Drive.apply(Traffic(None, traffic, window=WINDOW))``, and
+every replica runs with a :class:`BatchCostModel`, so a window of
+requests landing on one shard is charged ``overhead + n·item`` instead
+of ``n`` sequential cache probes — the amortization the columnar/batch
+redesign exists to buy.  The seed per-item driver topped out near 500
+req/s per replica (2 ms per cache hit); the batch path clears 3 000+
+req/s on a single replica and scales from there.
 
 Everything runs on simulated clocks with a scripted generator, so the
 sweep is deterministic end to end and its artifacts are byte-stable.
@@ -31,7 +32,7 @@ import pathlib
 from conftest import publish
 
 from repro.reporting import Table, format_percent
-from repro.scenarios import zipf_traffic
+from repro.scenarios import INVARIANTS, Drive, Traffic, zipf_traffic
 from repro.serving import BatchCostModel, ClusterConfig, CosmoCluster
 from repro.serving.chaos import ScriptedGenerator
 from repro.utils.rng import spawn_rng
@@ -66,9 +67,8 @@ def _drive(n_replicas: int, traffic: list[str], registry) -> dict:
     cluster = CosmoCluster(lambda i: ScriptedGenerator(), config=config,
                            registry=registry,
                            batch_costs=BatchCostModel())
-    for start in range(0, len(traffic), WINDOW):
-        cluster.handle_batch(traffic[start:start + WINDOW])
-        cluster.clock.advance(WINDOW_GAP_S)
+    drive = Drive(cluster=cluster, gap_s=WINDOW_GAP_S)
+    drive.apply(Traffic(None, traffic, window=WINDOW))
     cluster.flush()
     horizon = cluster.busy_horizon_s
     return {
@@ -78,7 +78,7 @@ def _drive(n_replicas: int, traffic: list[str], registry) -> dict:
         "p99_ms": cluster.percentile(99) * 1000.0,
         "availability": cluster.availability,
         "horizon_s": horizon,
-        "totals": cluster.metrics_totals(),
+        "drive": drive,
     }
 
 
@@ -116,26 +116,16 @@ def test_cluster_scaling(benchmark, obs_registry):
         sort_keys=True, indent=2) + "\n")
 
     # Benchmark kernel: steady-state sharded window handling.
-    bench_cluster = CosmoCluster(
-        lambda i: ScriptedGenerator(),
-        config=ClusterConfig(n_replicas=4, seed=7, name="bench"),
-        batch_costs=BatchCostModel(),
-    )
+    bench_drive = Drive(cluster=CosmoCluster(
+        lambda i: ScriptedGenerator(), batch_costs=BatchCostModel(),
+        config=ClusterConfig(n_replicas=4, seed=7, name="bench")), gap_s=WINDOW_GAP_S)
+    benchmark(lambda: bench_drive.apply(Traffic(None, traffic[:200], window=WINDOW)))
 
-    def kernel():
-        for start in range(0, 200, WINDOW):
-            bench_cluster.handle_batch(traffic[start:start + WINDOW])
-            bench_cluster.clock.advance(WINDOW_GAP_S)
-
-    benchmark(kernel)
-
-    # Accounting invariant holds for every arm: the batch ingress counts
+    # The run's invariants hold for every arm: the batch ingress counts
     # every request exactly once, same as per-item handling would.
     for arm in arms:
-        totals = arm["totals"]
-        assert (totals["served_fresh"] + totals["degraded_serves"]
-                + totals["fallbacks"] == totals["requests"] == N_REQUESTS)
-        assert totals["handled"] == N_REQUESTS
+        assert [failure for check in INVARIANTS for failure in check(arm["drive"])] == []
+        assert arm["drive"].cluster.metrics_totals()["requests"] == N_REQUESTS
 
     # Shape: throughput scales monotonically with replica count, and the
     # 4-replica tail beats the overloaded single replica at the same

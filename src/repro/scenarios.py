@@ -35,8 +35,8 @@ from repro.reporting import Table, format_percent
 from repro.serving.chaos import ScriptedGenerator, response_ok
 from repro.utils.rng import spawn_rng
 
-__all__ = ["ARTIFACTS", "Drain", "Drive", "NewDay", "Phase", "Plan", "Refresh", "Restore",
-           "SCENARIOS", "Scenario", "Step", "Traffic", "check_accounting", "exit_code",
+__all__ = ["ARTIFACTS", "INVARIANTS", "Drain", "Drive", "NewDay", "Phase", "Plan", "Refresh",
+           "Restore", "SCENARIOS", "Scenario", "Step", "Traffic", "exit_code", "expect_accounting",
            "play_scenario", "run_scenario", "write_artifacts", "zipf_traffic"]
 
 #: Scrape grid of every monitored drive; a rollout advances one step per scrape.
@@ -70,6 +70,7 @@ class Traffic:
     requests: int | None        #: Zipf draws; ``None`` plays ``universe`` once in order
     universe: Sequence[str]     #: queries the Zipf draw ranks
     rolling: bool = False       #: the rollout ticks once per scrape
+    window: int = 1             #: requests per ``handle_batch`` arrival window
 
 
 @dataclass(frozen=True)
@@ -138,15 +139,17 @@ class Drive:
             case Refresh(stale):
                 self.cluster.flush()
                 self.cluster.daily_refresh(refresh_stale=stale)
-            case Traffic(requests, universe, rolling):
-                for query in (list(universe) if requests is None
-                              else zipf_traffic(rng, universe, requests)):
-                    result = self.cluster.handle(query)
-                    if self.truth is not None:
-                        self.valid += result.text == self.truth(query)
-                    if self.controller is not None and refresh.mixed_version_violation(
-                            self.controller.store, result):
-                        self.violations += 1
+            case Traffic(requests, universe, rolling, window):
+                queries = (list(universe) if requests is None
+                           else zipf_traffic(rng, universe, requests))
+                for start in range(0, len(queries), window):
+                    batch = queries[start:start + window]
+                    for query, result in zip(batch, self.cluster.handle_batch(batch)):
+                        if self.truth is not None:
+                            self.valid += result.text == self.truth(query)
+                        if self.controller is not None and refresh.mixed_version_violation(
+                                self.controller.store, result):
+                            self.violations += 1
                     self.cluster.clock.advance(self.gap_s)
                     self.observe(rolling)
 
@@ -261,14 +264,28 @@ def write_artifacts(drive: Drive, keys: Sequence[str],
 
 
 # -- invariants and the exit code ------------------------------------------
-def check_accounting(totals: dict[str, int]) -> list[str]:
+def expect_accounting(drive: Drive) -> list[str]:
     """Every request is exactly one of fresh / degraded / fallback."""
+    totals = drive.cluster.metrics_totals()
     accounted = (totals["served_fresh"] + totals["degraded_serves"]
                  + totals["fallbacks"])
     ok = accounted == totals["requests"] == totals["handled"]
     print(f"request accounting: fresh + degraded + fallbacks = {accounted} "
           f"== requests = {totals['requests']}: {'OK' if ok else 'VIOLATED'}")
     return [] if ok else [f"request accounting violated: {totals}"]
+
+
+def expect_no_mixed_version_answers(drive: Drive) -> list[str]:
+    """No FRESH cache answer came from a snapshot other than its stamped one."""
+    if drive.controller is None:
+        return []
+    ok = drive.violations == 0
+    print(f"mixed-version answers: {drive.violations} ({'OK' if ok else 'VIOLATED'})")
+    return [] if ok else [f"{drive.violations} mixed-version answer(s) served"]
+
+
+#: The checks that read only the live drive, so they hold after any step.
+INVARIANTS: tuple[Expectation, ...] = (expect_accounting, expect_no_mixed_version_answers)
 
 
 def exit_code(label: str, failures: list[str], signal: bool) -> int:
@@ -357,13 +374,6 @@ def expect_storm_alerts_resolve_and_correlate(drive: Drive) -> list[str]:
         (any(alert["event_ids"] for alert in resolved),
          "resolved alerts should cross-reference events"),
         *_event_checks(drive, ["breaker.open", "service.degraded_entry"] + drained))
-
-
-def expect_no_mixed_version_answers(drive: Drive) -> list[str]:
-    """No FRESH cache answer came from a snapshot other than its stamped one."""
-    ok = drive.violations == 0
-    print(f"mixed-version answers: {drive.violations} ({'OK' if ok else 'VIOLATED'})")
-    return [] if ok else [f"{drive.violations} mixed-version answer(s) served"]
 
 
 def expect_rollout_completes_quietly(drive: Drive) -> list[str]:
@@ -862,14 +872,13 @@ SCENARIOS = {scenario.command: scenario for scenario in (
              "blue/green snapshot rollout with SLO-guarded auto-rollback",
              {"replicas": 3, "requests_per_phase": 700, "n_queries": 120},
              _rollout_setup, ("alerts", "events"),
-             {"healthy": (expect_no_mixed_version_answers, expect_rollout_completes_quietly),
-              "poisoned": (expect_no_mixed_version_answers, expect_rollback_and_redrive)}),
+             {"healthy": (expect_rollout_completes_quietly,),
+              "poisoned": (expect_rollback_and_redrive,)}),
     Scenario("kghealth", "KG health",
              "snapshot drift detection and quality-gated rollout",
              {"replicas": 3, "requests_per_phase": 500, "n_queries": 120},
              _kghealth_setup, ("health", "events"),
-             {"healthy": (expect_no_mixed_version_answers, expect_gate_promotes),
-              "poisoned": (expect_no_mixed_version_answers, expect_gate_blocks)}),
+             {"healthy": (expect_gate_promotes,), "poisoned": (expect_gate_blocks,)}),
 )}
 
 
@@ -887,7 +896,6 @@ def run_scenario(scenario: Scenario, args: argparse.Namespace) -> int:
     drive = play_scenario(scenario, args)
     _report(drive, scenario.title)
 
-    failures = check_accounting(drive.cluster.metrics_totals())
-    for expectation in scenario.expectations[variant]:
-        failures += expectation(drive)
+    failures = [failure for check in INVARIANTS + scenario.expectations[variant]
+                for failure in check(drive)]
     return exit_code(scenario.title.lower(), failures, drive.signalled())

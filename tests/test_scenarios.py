@@ -6,6 +6,7 @@ import copy
 import functools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro import obs, scenarios, serving
 from repro.cli import build_parser
 from repro.scenarios import Drain, Drive, NewDay, Phase, Plan, Refresh, Restore, Traffic
+from repro.serving.chaos import ScriptedGenerator
 from repro.utils.rng import spawn_rng
 
 @functools.cache
@@ -69,14 +71,37 @@ def test_exit_code_breach_wins_over_signal(capsys):
     assert "demo invariants VIOLATED:\n  - broken" in out
 
 
-def test_check_accounting_needs_every_count_to_agree(capsys):
+def _totals_drive(totals: dict[str, int], violations: int = 0,
+                  rollout: bool = False) -> Drive:
+    """A drive over a stub cluster reporting ``totals``, with a rollout
+    controller when ``rollout`` (the mixed-version check reads only that)."""
+    drive = Drive(cluster=SimpleNamespace(metrics_totals=lambda: totals))
+    drive.violations = violations
+    drive.controller = object() if rollout else None
+    return drive
+
+
+def test_invariants_reject_broken_accounting_and_a_mixed_version_answer(capsys):
     good = {"served_fresh": 3, "degraded_serves": 1, "fallbacks": 1,
             "requests": 5, "handled": 5}
-    assert scenarios.check_accounting(good) == []
+
+    def failures(drive):
+        return [message for invariant in scenarios.INVARIANTS
+                for message in invariant(drive)]
+
+    assert failures(_totals_drive(good)) == []
+    assert "mixed-version" not in capsys.readouterr().out   # no rollout, no line
+    assert failures(_totals_drive(good, rollout=True)) == []
+    assert "mixed-version answers: 0 (OK)" in capsys.readouterr().out
     for key in ("requests", "handled"):
-        (failure,) = scenarios.check_accounting({**good, key: 6})
+        (failure,) = failures(_totals_drive({**good, key: 6}))
         assert "request accounting violated" in failure
     assert capsys.readouterr().out.count("VIOLATED") == 2
+    # Violations counted on a drive without a rollout are not its check.
+    assert failures(_totals_drive(good, violations=2)) == []
+    (failure,) = failures(_totals_drive(good, violations=2, rollout=True))
+    assert failure == "2 mixed-version answer(s) served"
+    assert "mixed-version answers: 2 (VIOLATED)" in capsys.readouterr().out
 
 
 def test_every_scenario_expectation_holds_on_its_own_drive():
@@ -100,8 +125,8 @@ def test_every_scenario_expectation_holds_on_its_own_drive():
     for command, scenario in scenarios.SCENARIOS.items():
         for variant, expectations in scenario.expectations.items():
             drive = _played(*own[command, variant])
-            for expectation in expectations:
-                assert expectation(drive) == [], expectation.__name__
+            for expectation in scenarios.INVARIANTS + expectations:
+                assert expectation(drive) == [], (command, variant, expectation.__name__)
             checked.add((command, variant))
     assert checked == set(own)
 
@@ -160,19 +185,21 @@ _STEPS = st.one_of(
     st.just(NewDay()),
     st.just(Drain("cluster-r1")),
     st.just(Restore("cluster-r1")),
-    st.builds(Traffic, st.none() | st.integers(0, 40), st.just(_UNIVERSE)),
+    st.builds(Traffic, st.none() | st.integers(0, 40), st.just(_UNIVERSE),
+              window=st.integers(1, 32)),
     st.builds(Refresh, st.booleans()))
 
 
 @settings(max_examples=30, deadline=None)
 @given(steps=st.lists(_STEPS, min_size=1, max_size=6))
 @example(steps=[Traffic(30, _UNIVERSE), Refresh(True), Traffic(30, _UNIVERSE)])
-@example(steps=[Drain("cluster-r1"), Traffic(30, _UNIVERSE), Restore("cluster-r1"),
-                NewDay(), Traffic(30, _UNIVERSE)])
+@example(steps=[Drain("cluster-r1"), Traffic(30, _UNIVERSE, window=16),
+                Restore("cluster-r1"), NewDay(), Traffic(30, _UNIVERSE, window=7)])
 def test_steps_in_any_order_keep_accounting_and_sum_to_the_ledger_row(steps):
-    """A phase may list its steps in any order: request accounting holds
-    after every ``apply``, and the phase's ledger row is the sum of what
-    each step added to the tallies."""
+    """A phase may list its steps in any order and play its traffic in
+    windows of any size: every invariant holds after every ``apply``, and
+    the phase's ledger row is the sum of what each step added to the
+    tallies."""
     drive, _ = scenarios.SCENARIOS["cluster"].setup(build_parser().parse_args(_STEP_RIG))
     added = []
     apply = drive.apply
@@ -180,7 +207,8 @@ def test_steps_in_any_order_keep_accounting_and_sum_to_the_ledger_row(steps):
     def checked(step, rng=None):
         before = drive.tallies()
         apply(step, rng)
-        assert scenarios.check_accounting(drive.cluster.metrics_totals()) == []
+        for invariant in scenarios.INVARIANTS:
+            assert invariant(drive) == [], invariant.__name__
         added.append(drive.tallies() - before)
 
     drive.apply = checked
@@ -188,6 +216,51 @@ def test_steps_in_any_order_keep_accounting_and_sum_to_the_ledger_row(steps):
     assert len(added) == len(steps)
     ((_, row),) = drive.phase_rows
     assert row == sum(added, Counter())
+
+
+def _hand_loop(cluster, queries, window, gap_s):
+    """The cluster-scaling bench's request loop before it played ``Traffic``."""
+    results = []
+    for start in range(0, len(queries), window):
+        results += cluster.handle_batch(queries[start:start + window])
+        cluster.clock.advance(gap_s)
+    return results
+
+
+def _latency_buckets(cluster) -> list[int]:
+    return cluster.registry.get("cluster_request_latency_seconds").labels(
+        cluster="cluster").bucket_counts()
+
+
+@pytest.mark.parametrize("window", [1, 5, 16])
+def test_windowed_traffic_serves_like_the_hand_written_window_loop(window):
+    """``Drive.apply(Traffic(None, qs, window=W))`` makes the calls the
+    scaling bench's own loop made: the same results, request totals and
+    latency buckets (a final window shorter than ``W`` included)."""
+    queries = scenarios.zipf_traffic(spawn_rng(3, "window-loop"), _UNIVERSE, 203)
+
+    def rig():
+        config = serving.ClusterConfig(n_replicas=3, max_batch_size=16,
+                                       max_batch_delay_s=0.25, seed=7)
+        return serving.CosmoCluster(lambda i: ScriptedGenerator(), config=config,
+                                    batch_costs=serving.BatchCostModel())
+
+    reference, played = rig(), rig()
+    expected = _hand_loop(reference, queries, window, 0.002)
+    served, handle_batch = [], played.handle_batch
+
+    def recorded(batch):
+        results = handle_batch(batch)
+        served.extend(results)
+        return results
+
+    played.handle_batch = recorded
+    Drive(cluster=played, gap_s=0.002).apply(Traffic(None, queries, window=window))
+
+    assert len(served) == len(queries) and served == expected
+    assert played.metrics_totals() == reference.metrics_totals()
+    assert played.clock.now() == reference.clock.now()
+    assert _latency_buckets(played) == _latency_buckets(reference)
 
 
 # -- each expectation rejects the outcome it exists to catch ---------------

@@ -44,7 +44,7 @@ def _span(name: str, consumer: str) -> Row:
 # 3 children, the cache 3 stores x 3 outcomes.
 _PERF = "benchmarks/perf/perf_workloads.py::_cluster_counts"
 _AVAILABILITY = ("SloSpec availability selector (refresh/rollout.py::"
-                 "rollout_slo_specs); cluster.metrics_totals() -> check_accounting")
+                 "rollout_slo_specs); cluster.metrics_totals() -> scenarios.expect_accounting")
 _CLUSTER_EXPECTATION = "scenarios.expect_replica_processes_and_cluster_metrics"
 _CORRELATION = "SloEvaluator alert correlation (alert event_ids; designed reader)"
 _STAGES = "obs/trace_query.py::_STAGE_PREFIXES"
@@ -79,7 +79,7 @@ INVENTORY = (
     Row("serving_request_latency_seconds", "histogram", ("service",), 3,
         "benchmarks/bench_fig5_serving.py reads it by name (p50/p99 columns)"),
     Row("cluster_requests_total", "counter", ("cluster",), 1,
-        f"{_CLUSTER_EXPECTATION}; metrics_totals()['handled'] -> check_accounting"),
+        f"{_CLUSTER_EXPECTATION}; metrics_totals()['handled'] -> scenarios.expect_accounting"),
     Row("cluster_failovers_total", "counter", ("cluster",), 1,
         f"{_CLUSTER_EXPECTATION}; scenarios._report 'Failovers' row"),
     Row("cluster_shed_total", "counter", ("cluster",), 1,
