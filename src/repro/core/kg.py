@@ -276,9 +276,8 @@ class KnowledgeGraph:
         ends: list = [None] * (2 * len(batch))
         ends[0::2] = [triple.head for triple in batch]
         ends[1::2] = [triple.tail for triple in batch]
-        end_ids = self._nodes.intern_many(ends)
-        heads = np.array(end_ids[0::2], dtype=np.int32)
-        tails = np.array(end_ids[1::2], dtype=np.int32)
+        end_ids = np.array(self._nodes.intern_many(ends), dtype=np.int32)
+        heads, tails = end_ids[0::2], end_ids[1::2]
         # ``_value_`` is ``.value`` without the descriptor call, which
         # costs four times the attribute read.
         relations = np.array(self._relations.intern_many(

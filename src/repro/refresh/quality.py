@@ -66,18 +66,35 @@ def _onto(table: tuple[str, ...], other: tuple[str, ...]
                         count=len(other)), len(ids))
 
 
+def _extends(old, new) -> bool:
+    """Whether ``new`` is ``old`` with rows appended: its node and
+    relation tables start with ``old``'s and its first rows carry
+    ``old``'s ``(head, relation, tail)`` ids — what a child built as
+    ``from_columns(parent.columns)`` plus ``extend`` always is."""
+    n = len(old["head"])
+    return (new["nodes"][:len(old["nodes"])] == old["nodes"]
+            and new["relations"][:len(old["relations"])] == old["relations"]
+            and all(np.array_equal(new[name][:n], old[name])
+                    for name in ("head", "relation", "tail")))
+
+
 def edge_delta(parent: KgSnapshot, child: KgSnapshot) -> tuple[int, int]:
     """``(added, removed)``: edge identities ``(head, relation, tail)``
     the child has and the parent lacks, and the reverse.
 
     Support and scores are deliberately excluded — a re-scored or
     re-merged edge is still the *same* knowledge, and counting it as
-    removed+added would double-charge the drift rates.  The child's ids
-    are renumbered onto the parent's tables by string, each edge is
-    packed into one integer and the two (duplicate-free) key arrays are
-    intersected once.
+    removed+added would double-charge the drift rates.  A child that
+    only appended rows to its parent (a refresh's usual shape) is
+    recognised by two table-prefix compares and three column compares
+    over the parent's rows, and its delta is its appended rows: keys
+    are unique on both sides.  Any other child's ids are renumbered onto
+    the parent's tables by string, each edge is packed into one integer
+    and the two (duplicate-free) key arrays are intersected once.
     """
     old, new = parent.columns, child.columns
+    if _extends(old, new):
+        return len(new["head"]) - len(old["head"]), 0
     node_of, nodes = _onto(old["nodes"], new["nodes"])
     relation_of, relations = _onto(old["relations"], new["relations"])
     old_keys = pack_edge_keys(old["head"], old["relation"], old["tail"],

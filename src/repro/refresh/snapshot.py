@@ -105,7 +105,7 @@ class KgSnapshot:
         return self.manifest.parent
 
     @property
-    def entries(self) -> Mapping[str, str]:
+    def entries(self) -> MappingProxyType[str, str]:
         """Read-only query → knowledge serving table."""
         return self._entries
 
@@ -158,8 +158,8 @@ def _checksum(parent: str | None, entries: Mapping[str, str],
         {"parent": parent, "entries": sorted(entries.items()),
          "nodes": nodes, "relations": relations},
         sort_keys=True, separators=(",", ":")).encode("utf-8"))
-    for column in edges:
-        digest.update(column[order].astype("<i8").tobytes())
+    for column in edges:    # a gathered column is contiguous: no copy
+        digest.update(column[order].astype("<i8", copy=False))
     return digest.hexdigest()
 
 
@@ -167,7 +167,7 @@ def _columns_digest(columns: Mapping[str, Any]) -> str:
     digest = hashlib.blake2b(digest_size=16)
     for name in ARRAY_COLUMNS:
         digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(columns[name]).tobytes())
+        digest.update(np.ascontiguousarray(columns[name]))
     for name in STRING_COLUMNS:
         digest.update(name.encode("utf-8"))
         digest.update("\x00".join(columns[name]).encode("utf-8"))

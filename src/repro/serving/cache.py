@@ -15,7 +15,8 @@ spans; the serving stage span after a read records which layer answered.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Sequence
 
 from repro.obs.metrics import MetricsRegistry, counter_attribute
 from repro.serving.clock import SECONDS_PER_DAY, SimClock
@@ -183,7 +184,9 @@ class AsyncCacheStore:
             del self._pending[query]
         self.stats.add("pending_evictions", len(stale))
 
-    def install_snapshot(self, version: str, entries: Mapping[str, str]) -> int:
+    def install_snapshot(self, version: str,
+                         entries: dict[str, str] | MappingProxyType[str, str]
+                         ) -> int:
         """Atomically swap the cache onto a knowledge snapshot.
 
         Replaces the yearly layer with the snapshot's serving table (the
@@ -195,13 +198,18 @@ class AsyncCacheStore:
         the number of entries invalidated (0 when re-installing the
         current version — the operation is idempotent, which lets
         rollout retries re-run it).
+
+        ``entries`` is a ``dict`` or a snapshot's read-only proxy; the
+        yearly layer is the one ``copy()`` of it, a private dict that
+        promotion writes into without touching the snapshot's table or
+        another replica's layer.
         """
         self._roll_daily_layer()
         invalidated = 0
         if version != self._snapshot_version:
             invalidated = len(self._yearly) + len(self._daily)
             self._daily.clear()
-        self._yearly = dict(entries)
+        self._yearly = entries.copy()
         self._snapshot_version = version
         return invalidated
 

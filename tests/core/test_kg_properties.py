@@ -121,6 +121,20 @@ def colliding_triples(draw):
     )
 
 
+@st.composite
+def distinct_batches(draw):
+    """Batches whose keys are distinct within and across batches, with
+    provenance or without any (the shape a synthetic build feeds): every
+    ``extend`` of them, onto an empty graph or a held one, opens a row
+    per edge and merges nothing."""
+    edges = draw(st.lists(triples(), unique_by=lambda t: t.key, max_size=40))
+    if draw(st.booleans()):
+        edges = [replace(t, head_ids=()) for t in edges]
+    cuts = sorted(draw(st.lists(st.integers(0, len(edges)), max_size=3)))
+    return [edges[start:end]
+            for start, end in zip([0, *cuts], [*cuts, len(edges)])]
+
+
 _batches = st.lists(st.lists(st.one_of(triples(), colliding_triples()),
                              max_size=25), max_size=4)
 
@@ -159,6 +173,17 @@ def _assert_identical(bulk, reference):
 @given(_batches, st.booleans(), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_extend_is_the_add_loop(batches, adopt_first, as_generator):
+    _check_extend_is_the_add_loop(batches, adopt_first, as_generator)
+
+
+@given(distinct_batches(), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_extend_of_distinct_keys_is_the_add_loop(batches, adopt_first,
+                                                 as_generator):
+    _check_extend_is_the_add_loop(batches, adopt_first, as_generator)
+
+
+def _check_extend_is_the_add_loop(batches, adopt_first, as_generator):
     bulk, reference = KnowledgeGraph(), KnowledgeGraph()
     for index, batch in enumerate(batches):
         if adopt_first and index == 1:

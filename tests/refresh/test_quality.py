@@ -1,7 +1,13 @@
 """Snapshot quality gate: health adapter, edge identity, gate verdicts."""
 
-import pytest
+from dataclasses import replace
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.kg import ARRAY_COLUMNS, KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.refresh import (
@@ -116,6 +122,104 @@ def test_edge_delta_matches_the_string_set_model(parent_triples,
     assert edge_delta(child, parent) == delta[::-1]
     if expected is not None:
         assert delta == expected
+
+
+# -- the appended-rows path against the string-set model --------------------
+
+#: Few strings, so draws repeat keys (merges into held rows) and a child
+#: that lost rows can still hold every string of its parent's tables.
+_words = st.sampled_from(["a", "b", "c d", "e"])
+_unseen = st.sampled_from(["unseen f", "unseen g"])
+
+
+@st.composite
+def _edges(draw, words=_words,
+           relations=st.sampled_from([Relation.USED_WITH, Relation.X_WANT])):
+    return KnowledgeTriple(
+        head=draw(words), relation=draw(relations), tail=draw(words),
+        domain="Home", behavior="co-buy",
+        plausibility=draw(st.floats(0, 1)), typicality=draw(st.floats(0, 1)),
+        support=draw(st.integers(1, 5)),
+        head_ids=draw(st.lists(st.sampled_from(["p1", "p2"]),
+                               max_size=2).map(tuple)))
+
+
+#: An appended edge: over the parent's strings (often a merge into a held
+#: row), over unseen nodes, or under a relation the parent never used.
+_appended = st.one_of(
+    _edges(), _edges(words=st.one_of(_words, _unseen)),
+    _edges(relations=st.sampled_from([Relation.IS_A, Relation.USED_WITH])))
+
+
+def _edge_on(head, tail):
+    return KnowledgeTriple(head=head, relation=Relation.USED_WITH, tail=tail,
+                           domain="Home", behavior="co-buy",
+                           plausibility=0.5, typicality=0.5)
+
+
+def _deltas_agree(parent, child):
+    assert edge_delta(parent, child) == _set_delta(parent, child)
+    assert edge_delta(child, parent) == _set_delta(child, parent)
+
+
+@given(st.lists(_edges(), max_size=12), st.lists(_appended, max_size=12),
+       st.lists(st.tuples(st.integers(0, 11), st.floats(0, 1),
+                          st.integers(1, 5)), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_edge_delta_of_a_builder_shaped_child_is_the_set_model(
+        parent_edges, appended, rescores):
+    """A child built as the refresh builder builds one — the parent's
+    columns adopted, then one ``extend`` of new edges, of merges into
+    held rows and of re-scored, re-supported copies of held edges."""
+    parent = build_snapshot(_entries("p"), triples=parent_edges)
+    graph = KnowledgeGraph.from_columns(parent.columns)
+    held = graph.triples()
+    rescored = [replace(held[row % len(held)], plausibility=score,
+                        support=support)
+                for row, score, support in rescores] if held else []
+    graph.extend(appended[::2] + rescored + appended[1::2])
+    child = build_snapshot(_entries("c"), parent=parent, graph=graph)
+    _deltas_agree(parent, child)
+
+
+def _reordered(columns, order):
+    """``columns`` with the rows in ``order``: the same tables, each
+    row's provenance moved with it."""
+    rows = KnowledgeGraph.from_columns(columns).triples()
+    moved = {name: columns[name][order] for name in ARRAY_COLUMNS}
+    return {**columns, **moved, "head_ids_flat": tuple(
+        product for row in order for product in rows[row].head_ids)}
+
+
+@given(st.lists(_edges(), min_size=1, max_size=12),
+       st.sampled_from(["shuffled", "removed", "reordered"]),
+       st.permutations(range(12)), st.lists(st.booleans(), min_size=12,
+                                            max_size=12),
+       st.lists(_appended, max_size=4))
+@settings(max_examples=150, deadline=None)
+@example(  # every string survives the removal: the tables stay equal
+    [_edge_on("a", "b"), _edge_on("b", "a"), _edge_on("a", "a")], "removed",
+    list(range(12)), [True, True] + [False] * 10, [])
+@example(  # the same tables, the rows in another order
+    [_edge_on("a", "b"), _edge_on("b", "a")], "reordered",
+    [1, 0] + list(range(2, 12)), [True] * 12, [])
+def test_edge_delta_of_any_other_child_is_the_set_model(
+        parent_edges, shape, order, keep, appended):
+    """Children that are not their parent plus appended rows: built in
+    another insertion order (tables permuted), with rows removed, or
+    with the parent's own tables but its rows in another order."""
+    parent = build_snapshot(_entries("p"), triples=parent_edges)
+    held = KnowledgeGraph.from_columns(parent.columns).triples()
+    order = [row for row in order if row < len(held)]
+    if shape == "reordered":
+        graph = KnowledgeGraph.from_columns(
+            _reordered(parent.columns, np.array(order)))
+        child = build_snapshot(_entries("c"), parent=parent, graph=graph)
+    else:
+        kept = ([held[row] for row in order] + appended if shape == "shuffled"
+                else [t for t, stays in zip(held, keep) if stays])
+        child = build_snapshot(_entries("c"), triples=kept, parent=parent)
+    _deltas_agree(parent, child)
 
 
 def test_gate_rates_follow_the_delta_on_a_permuted_child():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.llm.interface import Generation, GenerationBatch, LatencyModel
+from repro.refresh import build_snapshot
 from repro.serving import (
     AsyncCacheStore,
     CosmoService,
@@ -11,6 +12,7 @@ from repro.serving import (
     ServeRequest,
     SimClock,
 )
+from repro.serving.cache import PROMOTE_MIN_REQUESTS
 
 
 def _handle(service, query):
@@ -140,6 +142,35 @@ def test_snapshot_installs_scope_the_daily_layer_to_one_version():
     clock.advance_days(1)  # the day's entries expire before the swap counts them
     assert cache.install_snapshot("v2", v2) == 2
     assert daily_keys() == []
+
+
+def test_an_installed_serving_table_is_a_private_copy():
+    """Promotion writes into the yearly layer; after an install from a
+    snapshot's read-only table it must reach neither that table nor the
+    layer another replica installed from it.  A plain ``dict`` installs
+    the same way: the same invalidation counts, the same private copy."""
+    blue = build_snapshot({"y1": "1", "y2": "1"})
+    green = build_snapshot({"y1": "2", "y2": "2", "y3": "2"}, parent=blue)
+    first, second, plain = (AsyncCacheStore(SimClock()) for _ in range(3))
+    counts = {store: [] for store in (first, second, plain)}
+    for snapshot in (blue, green, blue):
+        for store in (first, second):
+            counts[store].append(
+                store.install_snapshot(snapshot.version, snapshot.entries))
+        table = dict(snapshot.entries)
+        counts[plain].append(plain.install_snapshot(snapshot.version, table))
+        for store in (first, plain):
+            for _ in range(PROMOTE_MIN_REQUESTS):
+                store.lookup("hot")
+            store.apply_batch({"hot": "answer"})
+            assert store.promote_frequent() == 1
+            assert store.fetch_many(["hot"])[0] == ("answer", "yearly")
+        assert "hot" not in snapshot.entries and "hot" not in table
+        assert second.fetch_many(["hot"], enqueue=False)[0] is None
+    # The first install invalidates nothing; each swap drops the yearly
+    # layer and, on the promoting stores, the promoted daily entry.
+    assert counts[first] == counts[plain] == [0, 2 + 1 + 1, 3 + 1 + 1]
+    assert counts[second] == [0, 2, 3]
 
 
 def test_hit_rate():

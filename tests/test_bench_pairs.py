@@ -90,3 +90,66 @@ def test_per_pair_ratios_cancel_a_drift_the_medians_keep(tmp_path, monkeypatch, 
         "10.0000", "27.0000", "2.700", "0.900", "0.900", "2.700"]
     assert rows["ref_us_per_unit"][-2:] == ["2/3", "pairs"]
     assert rows["peak_rss_mb"][3:7] == ["1.000"] * 4
+
+
+_TRACED_STUB = '''\
+import json, os, sys
+args = sys.argv[1:]
+side = os.path.basename(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))))
+with open(os.environ["BENCH_PAIRS_LOG"], "a") as log:
+    log.write(side + " " + " ".join(args) + "\\n")
+runs = sum(1 for line in open(os.environ["BENCH_PAIRS_LOG"])
+           if line.startswith(side + " "))
+cost, calls, share = {rows!r}[runs - 1]
+print(json.dumps({{"correct": True, "attempted": 10, "failed": 0, "metrics": {{
+    "core.kg.extend.self_ref_us_per_unit": {{"value": cost, "unit": "ref-us/unit"}},
+    "core.kg.extend.calls_per_unit": {{"value": calls, "unit": "1/unit"}},
+    "serving.cache.fetch.self_ref_us_per_unit": {{"value": 0.0, "unit": "ref-us/unit"}},
+    "serving.cache.hit_rate": {{"value": share, "unit": "share"}}}}}}))
+'''
+
+
+def _traced_checkout(root: pathlib.Path, side: str, rows) -> pathlib.Path:
+    checkout = root / side
+    (checkout / "benchmarks" / "perf").mkdir(parents=True)
+    (checkout / "benchmarks" / "perf" / "run.py").write_text(
+        _TRACED_STUB.format(rows=list(rows)))
+    (checkout / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 3,
+        "end_to_end": [{"name": "ref_us_per_unit", "better": "lower"}],
+        "per_layer": [
+            {"name": "core.kg.extend.self_ref_us_per_unit", "better": "lower"},
+            {"name": "core.kg.extend.calls_per_unit", "better": "lower"},
+            {"name": "serving.cache.fetch.self_ref_us_per_unit", "better": "lower"},
+            {"name": "serving.cache.hit_rate", "better": "higher"}]}))
+    return checkout
+
+
+def test_traced_pairs_summarise_the_nonzero_per_layer_metrics(tmp_path, monkeypatch,
+                                                              capsys):
+    log = tmp_path / "calls.log"
+    monkeypatch.setenv("BENCH_PAIRS_LOG", str(log))
+    a = _traced_checkout(tmp_path, "A", [(6.0, 2.0, 0.5), (6.4, 2.0, 0.5)])
+    b = _traced_checkout(tmp_path, "B", [(5.0, 2.0, 0.6), (5.6, 2.0, 0.4)])
+    assert _script().main([str(a), str(b), "--workload", "kg_refresh",
+                           "--pairs", "2", "--seed", "7", "--trace", "1"]) == 0
+    calls = log.read_text().splitlines()
+    assert [call.split()[0] for call in calls] == ["A", "B", "B", "A"]
+    assert all(call.split()[-2:] == ["--trace", "1"] for call in calls)
+    out = capsys.readouterr().out.splitlines()
+    # A run's line lists what it measured; the layer that read 0 is left out.
+    assert out[0] == ("pair 1 A: failed=0 core.kg.extend.self_ref_us_per_unit=6.0000"
+                      "  core.kg.extend.calls_per_unit=2.0000"
+                      "  serving.cache.hit_rate=0.5000")
+    assert out[-4].split()[0] == "metric"
+    rows = {line.split()[0]: line.split() for line in out[-3:]}
+    assert list(rows) == ["core.kg.extend.self_ref_us_per_unit",
+                          "core.kg.extend.calls_per_unit", "serving.cache.hit_rate"]
+    # Medians 6.2 vs 5.3, pair ratios 5.0/6.0 and 5.6/6.4; lower is better.
+    assert rows["core.kg.extend.self_ref_us_per_unit"][1:7] == [
+        "6.2000", "5.3000", "0.855", "0.854", "0.833", "0.875"]
+    assert rows["core.kg.extend.self_ref_us_per_unit"][-2:] == ["2/2", "pairs"]
+    assert rows["core.kg.extend.calls_per_unit"][-2:] == ["0/2", "pairs"]
+    # A higher hit rate is better: B won pair 1 (0.6) and lost pair 2 (0.4).
+    assert rows["serving.cache.hit_rate"][-2:] == ["1/2", "pairs"]
