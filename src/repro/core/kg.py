@@ -9,10 +9,13 @@ Storage is columnar: node, relation, domain and behavior strings are
 interned once into id tables, and each edge is one row across parallel
 numpy columns (head/relation/tail/domain/behavior ids, plausibility,
 typicality, support, provenance length) over one flat run of provenance
-ids.  A lazily-built CSR index over the head column serves neighbor
-queries without scanning every edge, and the duplicate-merge index is
-derived state too: ``extend`` and ``from_columns`` sort the packed key
-column, only ``add`` builds a dict.  The query surface is unchanged
+ids.  Read indexes are derived state, each built on first use after a
+mutation: every row's end in the flat provenance (any read of a graph
+that has provenance), and a head index — CSR offsets over a head-ordered
+copy of the read columns — that serves ``neighbors`` as three contiguous
+slices instead of a scan or a gather.  The duplicate-merge index is
+derived too: ``extend`` and ``from_columns`` sort the packed key column,
+only ``add`` builds a dict.  The query surface is unchanged
 from the dict-backed implementation — ``triples()`` still returns
 :class:`~repro.core.triples.KnowledgeTriple` objects in first-insert
 order with identical merge semantics — the columnar form is how
@@ -50,6 +53,15 @@ _ARRAYS: dict[str, tuple[str, type]] = {
     "support": ("_support_col", np.int64),
     "head_ids_len": ("_head_ids_len_col", np.int32),
 }
+#: The head index's copy of the read columns in head order: one 2-D
+#: block per dtype, a row per column (the last is the provenance ends),
+#: so one head's edges are one slice and one ``tolist()`` of each block.
+_HEAD_BLOCKS: tuple[tuple[type, tuple[str, ...]], ...] = (
+    (np.int32, ("_rel_col", "_tail_col", "_domain_col", "_behavior_col",
+                "_head_ids_len_col")),
+    (np.float64, ("_plaus_col", "_typ_col")),
+    (np.int64, ("_support_col", "_head_ids_end")),
+)
 #: Name → attribute of every intern table.
 _TABLES = {"nodes": "_nodes", "relations": "_relations",
            "domains": "_domains", "behaviors": "_behaviors"}
@@ -193,12 +205,12 @@ class KnowledgeGraph:
         #: merge index: derived from :meth:`_keys` on first use, dropped
         #: by :meth:`extend`, never built by a graph only loaded or read.
         self._row_of: dict[int, int] | None = None
-        #: Read indexes, derived on first use after a row is added: CSR
-        #: over the head column, each row's end in the flat provenance.
-        self._csr_order: np.ndarray = np.empty(0, dtype=np.intp)
-        self._csr_offsets: np.ndarray = np.zeros(1, dtype=np.int64)
-        self._head_ids_end: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._indexes_dirty = True
+        #: Read indexes, derived on first use and dropped by a mutation:
+        #: each row's end in the flat provenance (dropped by a new row),
+        #: and the head index (dropped by any write, merges included) —
+        #: CSR offsets, then the :data:`_HEAD_BLOCKS` in head order.
+        self._head_ids_end: np.ndarray | None = None
+        self._head_index: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------
     def add(self, triple: KnowledgeTriple) -> None:
@@ -224,6 +236,7 @@ class KnowledgeGraph:
             if triple.typicality > self._typ_col[row]:
                 self._typ_col[row] = triple.typicality
             self._support_col[row] += triple.support
+            self._head_index = None
             return
         row = self._size
         if row == len(self._head_col):
@@ -240,7 +253,7 @@ class KnowledgeGraph:
         self._head_ids_flat.extend(triple.head_ids)
         self._row_of[key] = row
         self._size = row + 1
-        self._indexes_dirty = True
+        self._head_ids_end = self._head_index = None
 
     def _grow(self, rows: int) -> None:
         """Room for ``rows`` edges, at least doubling."""
@@ -321,7 +334,7 @@ class KnowledgeGraph:
         self._head_ids_len_col[size:end] = list(map(len, head_ids))
         self._head_ids_flat.extend(chain.from_iterable(head_ids))
         self._size = end
-        self._indexes_dirty = True
+        self._head_ids_end = self._head_index = None
         self._row_of = None
 
         if len(opened) < len(batch):
@@ -341,34 +354,46 @@ class KnowledgeGraph:
                       np.array([t.support for t in merged], dtype=np.int64))
 
     # ------------------------------------------------------------------
-    def _rows(self, rows: slice | np.ndarray) -> list[KnowledgeTriple]:
-        """The triples at ``rows`` (an index array or a slice), in that
-        order, built a column at a time: each column is gathered once
-        with ``tolist()``, ids become strings by list indexes into the
-        intern tables, and the records are made by one ``map``."""
-        nodes = self._nodes._values
-        heads = list(map(nodes.__getitem__, self._head_col[rows].tolist()))
-        relations = list(map(_RELATION_OF.__getitem__, map(
-            self._relations._values.__getitem__,
-            self._rel_col[rows].tolist())))
-        tails = list(map(nodes.__getitem__, self._tail_col[rows].tolist()))
-        domains = list(map(self._domains._values.__getitem__,
-                           self._domain_col[rows].tolist()))
-        behaviors = list(map(self._behaviors._values.__getitem__,
-                             self._behavior_col[rows].tolist()))
-        counts = self._head_ids_len_col[rows].tolist()
-        if any(counts):     # each row's run of the flat provenance
-            if self._indexes_dirty:
-                self._build_indexes()
+    def _records(self, heads: list[str], relations: list[int],
+                 tails: list[int], domains: list[int], behaviors: list[int],
+                 plausibility: list[float], typicality: list[float],
+                 support: list[int], counts: list[int],
+                 ends: list[int]) -> list[KnowledgeTriple]:
+        """The one record builder, for a run of rows handed over a column
+        at a time as Python lists: ids become strings by list indexes
+        into the intern tables, a row's provenance is the slice of the
+        flat run that ends at its ``ends`` value (read only when some
+        ``counts`` value is non-zero), and the records are made by one
+        ``map``."""
+        if any(counts):
             flat = self._head_ids_flat
-            head_ids = [tuple(flat[end - count:end]) for end, count in
-                        zip(self._head_ids_end[rows].tolist(), counts)]
+            head_ids = [tuple(flat[end - count:end])
+                        for end, count in zip(ends, counts)]
         else:
             head_ids = [()] * len(counts)
-        return list(map(KnowledgeTriple, heads, relations, tails, domains,
-                        behaviors, self._plaus_col[rows].tolist(),
-                        self._typ_col[rows].tolist(),
-                        self._support_col[rows].tolist(), head_ids))
+        return list(map(
+            KnowledgeTriple, heads,
+            map(_RELATION_OF.__getitem__,
+                map(self._relations._values.__getitem__, relations)),
+            map(self._nodes._values.__getitem__, tails),
+            map(self._domains._values.__getitem__, domains),
+            map(self._behaviors._values.__getitem__, behaviors),
+            plausibility, typicality, support, head_ids))
+
+    def _rows(self, rows: slice | np.ndarray) -> list[KnowledgeTriple]:
+        """The triples at ``rows`` (an index array or a slice), in that
+        order: each column is gathered once with ``tolist()`` and handed
+        to :meth:`_records`."""
+        return self._records(
+            list(map(self._nodes._values.__getitem__,
+                     self._head_col[rows].tolist())),
+            self._rel_col[rows].tolist(), self._tail_col[rows].tolist(),
+            self._domain_col[rows].tolist(),
+            self._behavior_col[rows].tolist(),
+            self._plaus_col[rows].tolist(), self._typ_col[rows].tolist(),
+            self._support_col[rows].tolist(),
+            self._head_ids_len_col[rows].tolist(),
+            self._ends()[rows].tolist() if self._head_ids_flat else [])
 
     def __len__(self) -> int:
         return self._size
@@ -407,35 +432,61 @@ class KnowledgeGraph:
         )
 
     # ------------------------------------------------------------------
-    # Neighbor queries (CSR over the head column)
+    # Read indexes
     # ------------------------------------------------------------------
-    def _build_indexes(self) -> None:
-        heads = self._head_col[: self._size]
-        self._csr_order = np.argsort(heads, kind="stable")
-        counts = np.bincount(heads, minlength=len(self._nodes))
-        self._csr_offsets = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)))
-        self._head_ids_end = np.cumsum(
-            self._head_ids_len_col[: self._size], dtype=np.int64)
-        self._indexes_dirty = False
+    def _ends(self) -> np.ndarray:
+        """Each row's end in the flat provenance: the running sum of the
+        length column, derived on first use after a row is added."""
+        if self._head_ids_end is None:
+            self._head_ids_end = np.cumsum(
+                self._head_ids_len_col[: self._size], dtype=np.int64)
+        return self._head_ids_end
 
-    def _head_rows(self, head: str) -> np.ndarray:
-        node_id = self._nodes.id_of(head)
-        if node_id is None:
-            return np.empty(0, dtype=np.int64)
-        if self._indexes_dirty:
-            self._build_indexes()
-        start = int(self._csr_offsets[node_id])
-        end = int(self._csr_offsets[node_id + 1])
-        return self._csr_order[start:end]
+    def _build_head_index(self) -> tuple[np.ndarray, ...]:
+        """CSR offsets over the head column, then each of
+        :data:`_HEAD_BLOCKS` filled in head order: one stable sort of
+        the heads (a head's rows stay in insertion order) and one
+        ``take`` per column into its preallocated block row.  Every
+        index is in range, so ``mode="wrap"`` changes no value; it only
+        spares the copy of ``out`` that the default mode makes first."""
+        n = self._size
+        heads = self._head_col[:n]
+        order = np.argsort(heads, kind="stable")
+        offsets = np.zeros(len(self._nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=len(self._nodes)),
+                  out=offsets[1:])
+        self._ends()
+        index = [offsets]
+        for dtype, attrs in _HEAD_BLOCKS:
+            block = np.empty((len(attrs), n), dtype=dtype)
+            for column, attr in zip(block, attrs):
+                np.take(getattr(self, attr)[:n], order, out=column,
+                        mode="wrap")
+            index.append(block)
+        self._head_index = tuple(index)
+        return self._head_index
 
     def neighbors(self, head: str) -> list[KnowledgeTriple]:
         """Every edge out of ``head``, in insertion order.
 
-        Served from the CSR index — O(degree) after an (amortized)
-        index build, instead of a full-edge scan.
+        An intern lookup, two offset reads and one slice of each
+        head-ordered block of the head index — O(degree) after an
+        (amortized) index build, with no scan and no gather.
         """
-        return self._rows(self._head_rows(head))
+        node_id = self._nodes.id_of(head)
+        if node_id is None:
+            return []
+        offsets, ints, floats, longs = (self._head_index
+                                        or self._build_head_index())
+        start, end = offsets.item(node_id), offsets.item(node_id + 1)
+        relations, tails, domains, behaviors, counts = (
+            ints[:, start:end].tolist())
+        plausibility, typicality = floats[:, start:end].tolist()
+        support, ends = longs[:, start:end].tolist()
+        return self._records(
+            [self._nodes._values[node_id]] * (end - start), relations, tails,
+            domains, behaviors, plausibility, typicality, support, counts,
+            ends)
 
     # ------------------------------------------------------------------
     def columns(self) -> dict:

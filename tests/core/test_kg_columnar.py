@@ -139,16 +139,46 @@ def test_csr_rebuilds_after_new_edges():
     assert [t.tail for t in kg.neighbors("h")] == ["a", "b"]
 
 
-@given(st.lists(triples(), max_size=40))
+def test_reads_build_only_the_index_they_need():
+    kg = KnowledgeGraph()
+    kg.extend([_triple(head="h", tail="a", head_ids=("p1",)),
+               _triple(head="g", tail="b", head_ids=("p2", "p3"))])
+    # Whole-graph and per-domain reads need the provenance ends only.
+    assert [t.head_ids for t in kg.triples()] == [("p1",), ("p2", "p3")]
+    assert len(kg.for_domain("Sports & Outdoors")) == 2
+    assert kg._head_ids_end is not None and kg._head_index is None
+    assert [t.tail for t in kg.neighbors("h")] == ["a"]
+    assert kg._head_index is not None
+    # Each write drops the head index; the next lookup sees the new edge.
+    kg.extend([_triple(head="h", tail="c", head_ids=("p4",))])
+    assert [(t.tail, t.head_ids) for t in kg.neighbors("h")] == [
+        ("a", ("p1",)), ("c", ("p4",))]
+    kg.add(_triple(head="h", tail="d", relation=Relation.X_WANT,
+                   head_ids=("p5",)))
+    assert [(t.tail, t.head_ids) for t in kg.neighbors("h")] == [
+        ("a", ("p1",)), ("c", ("p4",)), ("d", ("p5",))]
+    # A merge rewrites a row's scores in place, and the copy follows.
+    kg.add(_triple(head="h", tail="a", plausibility=0.95, support=2))
+    first = kg.neighbors("h")[0]
+    assert (first.plausibility, first.support) == (0.95, 3)
+
+
+@given(st.lists(st.tuples(triples(), st.sampled_from(["h1", "h 2", "商品"]),
+                          _provenance.filter(bool)), max_size=40))
 @settings(max_examples=40, deadline=None)
-def test_csr_neighbors_match_linear_scan(batch):
+def test_csr_neighbors_match_linear_scan(drawn):
+    # Three heads, so each owns many rows that the head sort must keep
+    # in insertion order, and every other edge surely has provenance.
+    batch = [dataclasses.replace(triple, head=head,
+                                 head_ids=head_ids if i % 2 else triple.head_ids)
+             for i, (triple, head, head_ids) in enumerate(drawn)]
     kg = KnowledgeGraph()
     kg.extend(batch)
     reference = kg.triples()
-    for head in {t.head for t in reference}:
-        expected = [t for t in reference if t.head == head]
-        got = kg.neighbors(head)
-        assert sorted(t.key for t in got) == sorted(t.key for t in expected)
+    for head in ["h1", "h 2", "商品", "never seen"]:
+        # The same records, fields and insertion order, by ``repr``.
+        assert repr(kg.neighbors(head)) == repr(
+            [t for t in reference if t.head == head])
 
 
 @given(st.lists(triples(), max_size=40))
@@ -341,9 +371,7 @@ def _reference_row(kg, row):
     head_ids = ()
     count = kg._head_ids_len_col.item(row)
     if count:
-        if kg._indexes_dirty:
-            kg._build_indexes()
-        end = kg._head_ids_end.item(row)
+        end = kg._ends().item(row)
         head_ids = tuple(kg._head_ids_flat[end - count:end])
     return KnowledgeTriple(
         head=kg._nodes.value(kg._head_col.item(row)),
