@@ -3,8 +3,8 @@
 The quality gate runs on the rollout path, so it must be cheap relative
 to what it guards.  This bench builds a parent and a child snapshot the
 way a refresh round does — merge the triples into a columnar
-:class:`KnowledgeGraph`, freeze via ``build_snapshot`` (content
-checksum + columnar digest) — and then times the gate the rollout
+:class:`KnowledgeGraph`, freeze via ``build_snapshot`` (the columnar
+digest the version hashes) — and then times the gate the rollout
 controller calls, ``SnapshotQualityGate(store).assess(child)`` on a
 cold gate: two health reports off the snapshots' frozen columns, the
 integer edge delta between them, and the drift rules.

@@ -8,7 +8,8 @@ package solves:
 * **versioned snapshots** — :mod:`repro.refresh.snapshot` freezes each
   refresh round into an immutable, content-addressed
   :class:`KgSnapshot` (frozen KG columns + serving entries + a
-  :class:`SnapshotManifest` with checksum and parent lineage), so the
+  :class:`SnapshotManifest` whose version hashes the parent version,
+  the entries and every column byte), so the
   serving layer can name exactly which knowledge it is serving and roll
   between versions atomically;
 * **incremental ingestion** — :class:`KnowledgeRefresher` drives

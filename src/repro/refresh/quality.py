@@ -9,18 +9,18 @@ their :class:`~repro.refresh.snapshot.SnapshotStore` lineage:
   :class:`~repro.obs.kg_health.KgHealthReport` of the columns the
   snapshot already holds;
 * :func:`edge_delta` counts the ``(head, relation, tail)`` identities
-  (the ones the snapshot checksum sorts) a child added to and removed
-  from its parent, so added/removed-edge rates are exact, not inferred
-  from counts;
+  a child added to and removed from its parent, so added/removed-edge
+  rates are exact, not inferred from counts;
 * :class:`SnapshotQualityGate` ties it together: given a candidate
   snapshot it assesses health, diffs against the registered parent,
   runs the drift rules, and returns a :class:`GateDecision` the
   :class:`~repro.refresh.rollout.RolloutController` consults before
   promoting; a controller cannot be constructed without one.
 
-Assessments are cached per version (snapshots are immutable and
-content-addressed, so a version's health can never change), which keeps
-the gate free on every rollout tick after the first.
+Assessments are cached per version (snapshots are immutable and a
+version hashes every column byte, scores and domains included, so a
+version's health can never change), which keeps the gate free on every
+rollout tick after the first.
 """
 
 from __future__ import annotations

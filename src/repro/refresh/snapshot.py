@@ -5,17 +5,19 @@ refresh round produced, frozen in its columnar form, the query →
 knowledge serving table derived from it, and a :class:`SnapshotManifest`
 naming the content.  Version ids are content-addressed — ``v-<12 hex
 chars>`` of a BLAKE2b digest over the parent version, the sorted serving
-entries and the sorted edge identities (as string ranks, see
-:func:`_checksum`) — so two snapshots with the same content share a
-version and any content difference yields a new one.
+entries and the :func:`columnar_digest` of every column byte — so two
+snapshots that ship the same bytes share a version and any difference
+in what ships (an entry, an edge, a score, a domain, provenance, row or
+intern order) yields a new one.
 That property is what the rollout layer leans on: "replica r1 is on
-``v-3f2a...``" is a complete statement about what r1 serves.
+``v-3f2a...``" is a complete statement about what r1 serves, and every
+cache keyed by version (the quality gate's verdicts, the store) is sound.
 
 Snapshots are constructed **only** through :func:`build_snapshot`; the
 :class:`KgSnapshot` constructor takes a private token and raises
 ``TypeError`` without it.  Entries and columns are exposed through
 read-only mapping proxies, and the column arrays are private write-locked
-copies, so a published version can never drift from its checksum.
+copies, so a published version can never drift from the bytes it names.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.kg import (ARRAY_COLUMNS, STRING_COLUMNS, KnowledgeGraph,
-                           pack_edge_keys)
+from repro.core.kg import ARRAY_COLUMNS, STRING_COLUMNS, KnowledgeGraph
 from repro.core.triples import KnowledgeTriple
 
 __all__ = [
@@ -49,26 +50,22 @@ _BUILDER_TOKEN = object()
 class SnapshotManifest:
     """Identity and lineage of one snapshot.
 
-    ``version`` is derived from ``checksum`` (``v-`` + its first 12 hex
-    chars); ``parent`` is the version this snapshot was refreshed from
-    (None for a root snapshot); ``note`` is free-form operator context
-    (never hashed — annotating a snapshot does not re-version it).
+    ``version`` is ``v-`` + 12 hex chars of a digest over ``parent``,
+    the sorted entries and ``columnar_digest``; ``parent`` is the
+    version this snapshot was refreshed from (None for a root snapshot);
+    ``note`` is free-form operator context (never hashed — annotating a
+    snapshot does not re-version it).
     """
 
     version: str
     parent: str | None
-    checksum: str
+    #: BLAKE2b digest of the snapshot's columnar arrays (see
+    #: :func:`columnar_digest`): the part of the version that names the
+    #: knowledge graph.
+    columnar_digest: str
     entry_count: int
     triple_count: int
     note: str = ""
-    #: BLAKE2b digest of the snapshot's columnar arrays (see
-    #: :func:`columnar_digest`).  Like ``note`` it is **not** hashed
-    #: into ``checksum`` — versions are addressed by logical content
-    #: (the edges), and an alternate physical encoding of the same
-    #: content must not re-version the snapshot.  The digest is an
-    #: integrity witness for serialized column archives, not part of
-    #: the identity.
-    columnar_digest: str = ""
 
 
 class KgSnapshot:
@@ -125,44 +122,6 @@ class KgSnapshot:
                 f"{self.manifest.triple_count} triples)")
 
 
-def _ranked(strings: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
-    """``strings`` sorted, and each id's rank in that order."""
-    order = sorted(range(len(strings)), key=strings.__getitem__)
-    ranks = np.empty(len(strings), dtype=np.int64)
-    ranks[order] = np.arange(len(strings))
-    return [strings[i] for i in order], ranks
-
-
-def _checksum(parent: str | None, entries: Mapping[str, str],
-              columns: Mapping[str, Any]) -> str:
-    """Canonical BLAKE2b digest of a snapshot's *logical* content.
-
-    Edge identity is ``(head, relation, tail, support)`` — support
-    merges from a refresh round change content, score jitter does not
-    re-version an otherwise identical graph — and the digest covers the
-    *set* of identities: ids are replaced by the rank of their string
-    (every table string is referenced by some edge, which
-    :meth:`KnowledgeGraph.from_columns` enforces and ``add`` guarantees)
-    and the edges are hashed in ``(head, relation, tail)`` order, so
-    neither insertion order nor intern order enters the version.  The
-    physical bytes are :func:`columnar_digest`'s business.
-    """
-    nodes, node_rank = _ranked(columns["nodes"])
-    relations, relation_rank = _ranked(columns["relations"])
-    edges = (node_rank[columns["head"]], relation_rank[columns["relation"]],
-             node_rank[columns["tail"]], columns["support"])
-    order = np.argsort(pack_edge_keys(*edges[:3], nodes=len(nodes),
-                                      relations=len(relations)))
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(json.dumps(
-        {"parent": parent, "entries": sorted(entries.items()),
-         "nodes": nodes, "relations": relations},
-        sort_keys=True, separators=(",", ":")).encode("utf-8"))
-    for column in edges:    # a gathered column is contiguous: no copy
-        digest.update(column[order].astype("<i8", copy=False))
-    return digest.hexdigest()
-
-
 def _columns_digest(columns: Mapping[str, Any]) -> str:
     digest = hashlib.blake2b(digest_size=16)
     for name in ARRAY_COLUMNS:
@@ -181,7 +140,8 @@ def columnar_digest(graph: KnowledgeGraph) -> str:
     Hashes every array column's raw bytes and every string column's
     text under the names :mod:`repro.core.kg` declares, so any bit
     difference in what a columnar archive stores yields a different
-    digest.  Pins a snapshot manifest to the columns it shipped with.
+    digest.  Pins a snapshot manifest, and through it the version, to
+    the columns it shipped with.
     """
     return _columns_digest(graph.columns())
 
@@ -209,10 +169,10 @@ def build_snapshot(
 
     The knowledge comes either as ``triples``, which are merged into a
     private graph, or as the ``graph`` that already holds them — never
-    both.  Its columns are copied and frozen, the content checksum, the
-    version id derived from it, ``triple_count`` and the
-    :func:`columnar_digest` are all read off those merged columns, so
-    two inputs that merge to the same graph are the same snapshot.
+    both.  Its columns are copied and frozen, and the
+    :func:`columnar_digest`, the version id derived from it and
+    ``triple_count`` are all read off those merged columns, so two
+    inputs that merge to the same graph are the same snapshot.
     ``parent`` links lineage: the rollout controller rolls back to
     ``snapshot.parent`` by version.
     """
@@ -223,15 +183,18 @@ def build_snapshot(
         raise ValueError("build_snapshot takes triples or graph=, not both")
     columns = _frozen(graph.columns())
     parent_version = parent.version if parent is not None else None
-    checksum = _checksum(parent_version, entries, columns)
+    columns_digest = _columns_digest(columns)
+    identity = hashlib.blake2b(json.dumps(
+        {"parent": parent_version, "entries": sorted(entries.items()),
+         "columns": columns_digest},
+        sort_keys=True, separators=(",", ":")).encode("utf-8"), digest_size=16)
     manifest = SnapshotManifest(
-        version=f"v-{checksum[:12]}",
+        version=f"v-{identity.hexdigest()[:12]}",
         parent=parent_version,
-        checksum=checksum,
+        columnar_digest=columns_digest,
         entry_count=len(entries),
         triple_count=len(columns["head"]),
         note=note,
-        columnar_digest=_columns_digest(columns),
     )
     return KgSnapshot(manifest, entries, columns, token=_BUILDER_TOKEN)
 
@@ -249,7 +212,7 @@ class SnapshotStore:
 
     def add(self, snapshot: KgSnapshot) -> KgSnapshot:
         """Register a snapshot; re-adding the same version is a no-op
-        (content addressing makes it literally the same content)."""
+        (content addressing makes it literally the same bytes)."""
         existing = self._snapshots.get(snapshot.version)
         if existing is not None:
             return existing

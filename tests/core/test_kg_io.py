@@ -16,7 +16,7 @@ from repro.core.kg_io import (_write_archive, load_kg_columnar, save_kg,
                               save_kg_columnar, triple_to_record)
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.refresh import columnar_digest
+from repro.refresh import build_snapshot, columnar_digest
 
 
 def _triple(tail="camping", support=2):
@@ -211,6 +211,9 @@ def test_columnar_roundtrip_survives_validation(tmp_path):
     loaded = load_kg_columnar(path)
     assert len(loaded) == 2
     assert {t.tail for t in loaded.triples()} == {"camping", "hiking"}
+    # The archive keeps the snapshot's address: the version hashes the bytes.
+    assert (build_snapshot({"q": "answer."}, graph=loaded).version
+            == build_snapshot({"q": "answer."}, graph=_graph()).version)
 
 
 # -- what the archive itself can get wrong ------------------------------------

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from repro.core.kg import ARRAY_COLUMNS, KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
+from repro.obs import SloEvaluator
 from repro.refresh import (
+    RolloutController,
+    RolloutState,
+    SnapshotGenerator,
     SnapshotQualityGate,
     SnapshotStore,
     build_snapshot,
     edge_delta,
+    rollout_slo_specs,
     snapshot_health,
 )
+from repro.serving import ClusterConfig, CosmoCluster
 
 _MIX = (Relation.USED_FOR_FUNC, Relation.CAPABLE_OF, Relation.USED_TO,
         Relation.USED_FOR_AUD)
@@ -300,6 +306,39 @@ def test_poisoned_child_blocks_with_readable_breaches():
     assert decision.breaches  # human-readable "rule: metric=v > t" strings
     assert any(b.startswith("relation-mix-shift:") for b in decision.breaches)
     assert any("plausibility" in b for b in decision.breaches)
+
+
+def test_a_poisoned_sibling_does_not_borrow_the_healthy_verdict():
+    # Two children of one parent with the same entries and the same
+    # (head, relation, tail, support) edges: only the scores and domains
+    # the gate judges tell them apart, so they must not share a version.
+    blue = build_snapshot(_entries("blue"), triples=_triples(40))
+    edges = _triples(40) + _triples(6, offset=40)
+    healthy = build_snapshot(_entries("green"), triples=edges, parent=blue)
+    poisoned = build_snapshot(
+        _entries("green"), parent=blue,
+        triples=[replace(t, plausibility=0.03, typicality=0.03, domain="Home")
+                 for t in edges])
+    assert poisoned.version != healthy.version
+
+    store = SnapshotStore()
+    for snapshot in (blue, healthy, poisoned):
+        assert store.add(snapshot) is snapshot
+    assert len(store) == 3
+
+    gate = SnapshotQualityGate(store)
+    assert gate.assess(healthy).promote
+    decision = gate.assess(poisoned)
+    assert not decision.promote and decision.breaches
+
+    cluster = CosmoCluster(lambda i: SnapshotGenerator(blue),
+                           config=ClusterConfig(n_replicas=2, seed=3))
+    controller = RolloutController(
+        cluster, store, poisoned,
+        SloEvaluator(cluster.registry, rollout_slo_specs(0.5)),
+        quality_gate=gate)
+    assert controller.tick(cluster.clock.now()) == "gate-block"
+    assert controller.state is RolloutState.BLOCKED
 
 
 def test_assessments_are_cached_by_version():
