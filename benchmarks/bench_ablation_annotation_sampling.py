@@ -44,8 +44,7 @@ def sampling_comparison(bench_pipeline):
     return describe(weighted), describe(uniform), budget
 
 
-def test_eq2_reweighting_improves_long_tail_coverage(sampling_comparison, benchmark,
-                                                     bench_pipeline):
+def test_eq2_reweighting_improves_long_tail_coverage(sampling_comparison):
     weighted, uniform, budget = sampling_comparison
     table = Table("Eq. 2 annotation re-weighting vs uniform sampling",
                   ["Metric", "Eq. 2", "Uniform"])
@@ -56,14 +55,6 @@ def test_eq2_reweighting_improves_long_tail_coverage(sampling_comparison, benchm
                   weighted["distinct_tails"], uniform["distinct_tails"])
     table.add_row("Annotation budget", budget, budget)
     publish("ablation_annotation_sampling", table.render())
-
-    benchmark(
-        sample_for_annotation,
-        bench_pipeline.filtered,
-        bench_pipeline.cobuy,
-        bench_pipeline.searchbuy,
-        500,
-    )
 
     # Eq. 2 shifts annotation budget toward long-tail heads — the
     # property the paper designed it for.

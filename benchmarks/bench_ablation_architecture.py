@@ -35,7 +35,7 @@ def architectures(bench_pipeline):
     return results
 
 
-def test_architecture_ablation(architectures, benchmark):
+def test_architecture_ablation(architectures):
     table = Table("COSMO-LM architecture ablation (held-out behaviors)",
                   ["Architecture", "Parsed", "Plausible", "Typical"])
     for name, quality in architectures.items():
@@ -44,8 +44,6 @@ def test_architecture_ablation(architectures, benchmark):
                       format_percent(quality.plausible_rate),
                       format_percent(quality.typical_rate))
     publish("ablation_architecture", table.render())
-
-    benchmark(lambda: sum(q.typical for q in architectures.values()))
 
     seq2seq = architectures["pointer seq2seq (production)"]
     plain = architectures["plain GRU LM (ablation)"]

@@ -52,10 +52,9 @@ def cache_variants(bench_pipeline):
     }
 
 
-def test_cache_layer_ablation(cache_variants, benchmark):
+def test_cache_layer_ablation(cache_variants):
     table = Table("Cache ablation — identical Zipf traffic",
                   ["Configuration", "Hit rate", "L1 hits", "L2 hits", "Fallbacks"])
-    # Snapshot the stats BEFORE the benchmark kernel touches any cache.
     snapshot = {}
     for name, service in cache_variants.items():
         stats = service.cache.stats
@@ -64,14 +63,6 @@ def test_cache_layer_ablation(cache_variants, benchmark):
                       stats.layer1_hits, stats.layer2_hits,
                       service.metrics.fallbacks)
     publish("ablation_cache", table.render())
-
-    # Benchmark kernel on a throwaway cache so the measured variants stay
-    # untouched.
-    from repro.serving import AsyncCacheStore, SimClock
-
-    scratch = AsyncCacheStore(SimClock())
-    scratch.preload_yearly({"warm": "x"})
-    benchmark(scratch.lookup, "warm")
 
     full_rate, full_l1, full_l2 = snapshot["yearly + daily (full design)"]
     daily_rate, _, _ = snapshot["daily layer only"]

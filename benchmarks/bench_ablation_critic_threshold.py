@@ -31,7 +31,7 @@ def threshold_sweep(bench_pipeline):
     return rows, len(pool), float(truth.mean())
 
 
-def test_critic_threshold_sweep(threshold_sweep, benchmark, bench_pipeline):
+def test_critic_threshold_sweep(threshold_sweep):
     rows, pool_size, base_precision = threshold_sweep
     table = Table(
         f"Critic threshold sweep (pool {pool_size}, base precision "
@@ -42,8 +42,6 @@ def test_critic_threshold_sweep(threshold_sweep, benchmark, bench_pipeline):
         table.add_row(f"{threshold:.1f}", volume,
                       format_percent(precision), format_percent(recall))
     publish("ablation_critic_threshold", table.render())
-
-    benchmark(bench_pipeline.critic.score, bench_pipeline.filtered[:500])
 
     by_threshold = {t: (v, p, r) for t, v, p, r in rows}
     # Precision rises monotonically-ish with the threshold...

@@ -44,7 +44,7 @@ def distillation(bench_pipeline):
     return world, held, teacher_texts, student_texts, teacher_latency, student_latency
 
 
-def test_distillation_quality_and_cost(distillation, benchmark):
+def test_distillation_quality_and_cost(distillation):
     world, held, teacher_texts, student_texts, teacher_lat, student_lat = distillation
 
     teacher_quality = CosmoLM.judge_generations(world, held, teacher_texts)
@@ -69,8 +69,6 @@ def test_distillation_quality_and_cost(distillation, benchmark):
     table.add_row("Latency / generation", f"{teacher_lat:.2f} s", f"{student_lat * 1000:.1f} ms")
     table.add_row("Speedup", "1x", f"{teacher_lat / max(student_lat, 1e-9):,.0f}x")
     publish("ablation_distillation", table.render())
-
-    benchmark(lambda: CosmoLM.judge_generations(world, held, student_texts))
 
     # Shape: the student is far better formed and orders of magnitude
     # cheaper; its typical rate is within the same regime as the raw

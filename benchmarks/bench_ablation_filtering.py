@@ -42,16 +42,12 @@ def variants(bench_pipeline):
     return rows
 
 
-def test_filtering_ablation(variants, benchmark, bench_pipeline):
+def test_filtering_ablation(variants):
     table = Table("Refinement ablation — oracle precision of survivors",
                   ["Configuration", "Survivors", "Typical+plausible precision"])
     for name, (kept, precision, _) in variants.items():
         table.add_row(name, kept, format_percent(precision))
     publish("ablation_filtering", table.render())
-
-    encoder = TextEncoder(seed=7)
-    knowledge_filter = KnowledgeFilter(encoder)
-    benchmark(knowledge_filter.apply, bench_pipeline.candidates[:500])
 
     full_kept, full_precision, _ = variants["all stages on"]
     raw_kept, raw_precision, _ = variants["no filtering"]

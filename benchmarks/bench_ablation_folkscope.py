@@ -23,7 +23,7 @@ def folkscope(bench_pipeline):
     return FolkScopePipeline(config).run(world=bench_pipeline.world)
 
 
-def test_cosmo_vs_folkscope(bench_pipeline, folkscope, benchmark):
+def test_cosmo_vs_folkscope(bench_pipeline, folkscope):
     cosmo_kg = bench_pipeline.kg
     folk_kg = folkscope.kg
     cosmo_stats = cosmo_kg.stats()
@@ -48,8 +48,6 @@ def test_cosmo_vs_folkscope(bench_pipeline, folkscope, benchmark):
                   f"{folkscope.serving_cost_per_behavior():.2f} s (teacher LLM)",
                   f"{cosmo_serving * 1000:.1f} ms (COSMO-LM)")
     publish("ablation_folkscope", table.render())
-
-    benchmark(folk_kg.stats)
 
     # COSMO's §2 claims over FolkScope: broader coverage and a serving
     # path that does not require per-behavior LLM inference.

@@ -21,11 +21,11 @@ def rewrite_outcomes(bench_pipeline):
     cosmo = QueryRewriteStudy(bench_pipeline.world, hierarchy, seed=9).run(
         3000, use_cosmo=True
     )
-    return baseline, cosmo, hierarchy
+    return baseline, cosmo
 
 
-def test_cosmo_reduces_query_rewrites(rewrite_outcomes, bench_pipeline, benchmark):
-    baseline, cosmo, hierarchy = rewrite_outcomes
+def test_cosmo_reduces_query_rewrites(rewrite_outcomes):
+    baseline, cosmo = rewrite_outcomes
 
     table = Table("§4.2.4 — query rewrites with and without COSMO navigation",
                   ["Experience", "Avg rewrites / session", "Success rate"])
@@ -37,9 +37,6 @@ def test_cosmo_reduces_query_rewrites(rewrite_outcomes, bench_pipeline, benchmar
                  if baseline.avg_rewrites else 0.0)
     publish("ablation_query_rewrites",
             table.render() + f"\nRewrite reduction: {format_percent(reduction)}")
-
-    study = QueryRewriteStudy(bench_pipeline.world, hierarchy, seed=1)
-    benchmark(study.run, 100, True)
 
     # The future-work hypothesis holds in this world: refined-intent
     # suggestions absorb a substantial share of query rewrites without

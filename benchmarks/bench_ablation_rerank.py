@@ -31,13 +31,12 @@ def rerank_comparison(bench_pipeline):
     reranked = [g.text for g in lm.generate_reranked(prompts)]
     rerank_latency = (lm.latency.total_simulated_s - before) / len(held)
 
-    return (world, held,
-            CosmoLM.judge_generations(world, held, greedy), greedy_latency,
+    return (CosmoLM.judge_generations(world, held, greedy), greedy_latency,
             CosmoLM.judge_generations(world, held, reranked), rerank_latency)
 
 
-def test_rerank_ablation(rerank_comparison, benchmark, bench_pipeline):
-    world, held, greedy_q, greedy_lat, rerank_q, rerank_lat = rerank_comparison
+def test_rerank_ablation(rerank_comparison):
+    greedy_q, greedy_lat, rerank_q, rerank_lat = rerank_comparison
 
     table = Table("Generation mode ablation — greedy vs sample-and-rerank",
                   ["Mode", "Typical", "Plausible", "Latency / gen"])
@@ -50,10 +49,6 @@ def test_rerank_ablation(rerank_comparison, benchmark, bench_pipeline):
                   format_percent(rerank_q.plausible_rate),
                   f"{rerank_lat * 1000:.2f} ms")
     publish("ablation_rerank", table.render())
-
-    lm = bench_pipeline.cosmo_lm
-    prompts = [lm.prompt_for_sample(world, s) for s in held[:16]]
-    benchmark(lm.generate_batch, prompts)
 
     # Reranking pays ~4x latency; at our self-judge accuracy it is
     # quality-neutral (the paper's LLaMA-scale judge is stronger) — the

@@ -11,9 +11,8 @@ from repro.core import build_instruction_dataset
 from repro.reporting import Table
 
 
-def test_fig4_instruction_scaleup(bench_pipeline, benchmark):
-    dataset = benchmark(
-        build_instruction_dataset,
+def test_fig4_instruction_scaleup(bench_pipeline):
+    dataset = build_instruction_dataset(
         bench_pipeline.world,
         bench_pipeline.annotated_candidates,
         bench_pipeline.annotations,

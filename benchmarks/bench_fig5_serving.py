@@ -26,7 +26,7 @@ def _traffic(world, n_requests: int, seed: int) -> list[str]:
     return [queries[int(i)].text for i in picks]
 
 
-def test_fig5_serving_deployment(bench_pipeline, benchmark, obs_registry):
+def test_fig5_serving_deployment(bench_pipeline, obs_registry):
     world = bench_pipeline.world
     lm = bench_pipeline.cosmo_lm
     traffic = _traffic(world, n_requests=4000, seed=7)
@@ -83,13 +83,7 @@ def test_fig5_serving_deployment(bench_pipeline, benchmark, obs_registry):
     table.add_row("Latency ratio (direct/cached)", f"{direct_p50 / cached_p99:,.0f}x")
     publish("fig5_serving", table.render())
 
-    hit_rate = stats.hit_rate  # snapshot before the benchmark kernel runs
-
-    # Benchmark kernel: steady-state request handling.
-    benchmark(lambda: service.serve_batch(
-        [ServeRequest(query=q) for q in traffic[:200]]))
-
     # Shape: most traffic is served from cache at millisecond latency,
     # while direct large-model serving costs whole seconds per request.
-    assert hit_rate > 0.6
+    assert stats.hit_rate > 0.6
     assert direct_p50 / cached_p99 > 100

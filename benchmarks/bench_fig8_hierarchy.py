@@ -12,10 +12,8 @@ from repro.apps.navigation import build_navigation_hierarchy
 from repro.reporting import Table
 
 
-def test_fig8_intent_hierarchy(bench_pipeline, benchmark):
-    hierarchy = benchmark(
-        build_navigation_hierarchy, bench_pipeline.kg, bench_pipeline.world
-    )
+def test_fig8_intent_hierarchy(bench_pipeline):
+    hierarchy = build_navigation_hierarchy(bench_pipeline.kg, bench_pipeline.world)
     stats = hierarchy.stats()
 
     lines = []

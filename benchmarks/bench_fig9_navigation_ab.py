@@ -31,11 +31,11 @@ def ab_outcome(bench_pipeline):
         treatment_fraction=0.5,
         seed=29,
     )
-    return experiment.run(n_sessions=240_000), hierarchy
+    return experiment.run(n_sessions=240_000)
 
 
-def test_fig9_navigation_ab(ab_outcome, bench_pipeline, benchmark):
-    outcome, hierarchy = ab_outcome
+def test_fig9_navigation_ab(ab_outcome):
+    outcome = ab_outcome
     z_eng, p_eng = outcome.engagement_significance()
     z_sales, p_sales = outcome.sales_significance()
 
@@ -50,13 +50,6 @@ def test_fig9_navigation_ab(ab_outcome, bench_pipeline, benchmark):
     table.add_row("Control engagement", "-", format_percent(outcome.control.engagement_rate))
     table.add_row("Treatment engagement", "-", format_percent(outcome.treatment.engagement_rate))
     publish("fig9_navigation_ab", table.render())
-
-    # Benchmark kernel: a small slice of A/B traffic.
-    world = bench_pipeline.world
-    small = NavigationABTest(
-        world, TaxonomyNavigator(world), CosmoNavigator(world, hierarchy), seed=3
-    )
-    benchmark(small.run, 2000)
 
     # Paper shape: engagement lift large and highly significant; sales
     # lift small and positive; engagement lift >> sales lift.

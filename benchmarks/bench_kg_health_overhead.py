@@ -30,8 +30,7 @@ from conftest import publish
 from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.obs import (KG_HEALTH_SCHEMA, compute_kg_health, kg_health_report,
-                       validate, wall_now)
+from repro.obs import KG_HEALTH_SCHEMA, kg_health_report, validate, wall_now
 from repro.refresh import SnapshotQualityGate, SnapshotStore, build_snapshot
 from repro.reporting import Table
 
@@ -71,7 +70,7 @@ def _build_arm(triples, entries, parent=None):
     return build_snapshot(entries, parent=parent, graph=graph), graph
 
 
-def test_kg_health_overhead(benchmark):
+def test_kg_health_overhead():
     base = _triples(N_QUERIES * EDGES_PER_QUERY)
     grown = base + _triples(N_QUERIES // 2,
                             offset=N_QUERIES * EDGES_PER_QUERY)
@@ -129,7 +128,3 @@ def test_kg_health_overhead(benchmark):
     assert health_s <= build_s * MAX_HEALTH_FRACTION + ABS_FLOOR_S, (
         f"best pair build={build_s:.3f}s health={health_s:.3f}s "
         f"({fraction:.2f}x > {MAX_HEALTH_FRACTION}x + {ABS_FLOOR_S}s)")
-
-    # Benchmark kernel: one steady-state vectorized health pass.
-    benchmark(lambda: compute_kg_health(child_snap.columns,
-                                        version=child_snap.version))

@@ -89,7 +89,7 @@ def _timed(drive: Drive, traffic: list[str]) -> float:
     return wall_now() - started
 
 
-def test_monitor_overhead(benchmark):
+def test_monitor_overhead():
     traffic = zipf_traffic(spawn_rng(7, "monitor-overhead-traffic"), QUERIES, N_REQUESTS)
 
     bare_drive, monitored_drive = _build(monitored=False), _build(monitored=True)
@@ -122,6 +122,3 @@ def test_monitor_overhead(benchmark):
     # Wall-clock smoke bound: generous, but catches an evaluation loop
     # that accidentally goes quadratic in history length.
     assert monitored_s <= bare_s * 10 + 0.5
-
-    # Benchmark kernel: the steady-state monitored request path.
-    benchmark(lambda: monitored_drive.apply(Traffic(None, traffic[:200])))

@@ -123,7 +123,7 @@ def _drive(mode: str, traffic: list[str], registry) -> dict:
     }
 
 
-def test_rollout_staleness(benchmark, obs_registry):
+def test_rollout_staleness(obs_registry):
     traffic = zipf_traffic(spawn_rng(7, "rollout-staleness-traffic"), QUERIES, N_REQUESTS)
     arms = [_drive(mode, traffic, obs_registry)
             for mode in ("bluegreen", "restart")]
@@ -143,22 +143,6 @@ def test_rollout_staleness(benchmark, obs_registry):
             arm["violations"],
         )
     publish("rollout_staleness", table.render())
-
-    # Benchmark kernel: the per-replica atomic swap (warm + repoint).
-    blue = build_snapshot({q: f"it is used for {q} (blue)." for q in QUERIES})
-    green = build_snapshot({q: f"it is used for {q} (green)." for q in QUERIES},
-                           parent=blue)
-    kernel_cluster = CosmoCluster(
-        lambda i: SnapshotGenerator(blue),
-        config=ClusterConfig(n_replicas=2, seed=7, name="swapbench"),
-    )
-    snapshots = [blue, green]
-
-    def kernel():
-        for index in range(10):
-            kernel_cluster.swap_snapshot("swapbench-r0", snapshots[index % 2])
-
-    benchmark(kernel)
 
     bluegreen, restart = arms
     # Both arms end fully on green with intact accounting and no

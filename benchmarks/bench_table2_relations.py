@@ -12,10 +12,10 @@ from repro.core.relations import RELATION_SPECS, Relation
 from repro.reporting import Table
 
 
-def test_table2_relation_discovery(bench_pipeline, benchmark):
+def test_table2_relation_discovery(bench_pipeline):
     texts = [c.text for c in bench_pipeline.candidates]
     discovery = RelationDiscovery(min_count=3)
-    mined = benchmark(discovery.mine, texts)
+    mined = discovery.mine(texts)
 
     table = Table(
         "Table 2 — mined e-commerce commonsense relations",

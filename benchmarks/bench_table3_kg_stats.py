@@ -11,8 +11,8 @@ from repro.catalog import DOMAIN_NAMES
 from repro.reporting import Table
 
 
-def test_table3_kg_statistics(bench_pipeline, benchmark):
-    pair_counts = benchmark(bench_pipeline.behavior_pair_counts)
+def test_table3_kg_statistics(bench_pipeline):
+    pair_counts = bench_pipeline.behavior_pair_counts()
     annotation_counts = bench_pipeline.annotation_counts()
     kg = bench_pipeline.kg
 

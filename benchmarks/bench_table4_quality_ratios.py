@@ -7,23 +7,11 @@ bench regenerates the ratios from the simulated annotation pass.
 
 from conftest import publish
 
-from repro.annotation import AnnotatorPool
 from repro.reporting import Table, format_percent
 
 
-def test_table4_quality_ratios(bench_pipeline, benchmark):
+def test_table4_quality_ratios(bench_pipeline):
     ratios = bench_pipeline.quality_ratios
-
-    # Benchmark kernel: the two-annotator + adjudicator labeling itself.
-    items = [
-        (c.candidate_id, c.truth.quality)
-        for c in bench_pipeline.annotated_candidates[:300]
-    ]
-
-    def annotate():
-        return AnnotatorPool(seed=1).annotate_batch(items)
-
-    benchmark(annotate)
 
     table = Table(
         "Table 4 — annotated quality ratios (paper: SB typicality 35.0%)",

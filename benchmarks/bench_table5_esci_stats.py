@@ -12,12 +12,11 @@ from repro.behavior import LOCALES, generate_esci
 from repro.reporting import Table
 
 
-def test_table5_esci_statistics(bench_world, benchmark):
+def test_table5_esci_statistics(bench_world):
     datasets = {
         locale: generate_esci(bench_world, locale=locale, pairs_per_query=6, seed=7)
         for locale in LOCALES
     }
-    benchmark(generate_esci, bench_world, locale="CA", pairs_per_query=6, seed=7)
 
     table = Table("Table 5 — ESCI statistics per locale (bench scale)",
                   ["", *LOCALES])

@@ -32,21 +32,17 @@ def table6(bench_pipeline):
         dataset, knowledge_provider=kg_knowledge_provider(bench_pipeline.kg, world)
     )
     results = {}
-    models = {}
     for architecture in ("bi-encoder", "cross-encoder", "cross-encoder-intent"):
         for trainable in (False, True):
-            extractor = FeatureExtractor(512)
-            model, result = train_relevance_model(
+            _, results[(architecture, trainable)] = train_relevance_model(
                 prepared, architecture, trainable, epochs=8, seed=7,
-                extractor=extractor,
+                extractor=FeatureExtractor(512),
             )
-            results[(architecture, trainable)] = result
-            models[(architecture, trainable)] = (model, prepared)
-    return results, models, prepared
+    return results
 
 
-def test_table6_relevance(table6, benchmark):
-    results, models, prepared = table6
+def test_table6_relevance(table6):
+    results = table6
 
     table = Table("Table 6 — public ESCI relevance (COSMO-LM knowledge)",
                   ["Method", "Fixed Macro", "Fixed Micro",
@@ -76,12 +72,6 @@ def test_table6_relevance(table6, benchmark):
         f"(paper: +27.8% / +22.3%)"
     )
     publish("table6_relevance", table.render() + "\n" + delta)
-
-    # Benchmark kernel: scoring the test split with the deployed model.
-    from repro.apps.relevance import evaluate_model
-
-    model, data = models[("cross-encoder-intent", True)]
-    benchmark(evaluate_model, model, data.test)
 
     # Paper shape checks.
     assert results[("cross-encoder", True)].macro_f1 > results[("bi-encoder", True)].macro_f1

@@ -43,10 +43,7 @@ def session_logs(session_world):
     }
 
 
-def test_table7_session_statistics(session_world, session_logs, benchmark):
-    benchmark(simulate_sessions, session_world,
-              SessionConfig(domain="Electronics", n_sessions=100), 7)
-
+def test_table7_session_statistics(session_logs):
     table = Table("Table 7 — session statistics (paper vs measured)",
                   ["Domain", "Sessions", "Avg Sess. L. (paper)",
                    "Avg Q. L.", "Avg Uniq. Q. (paper)"])

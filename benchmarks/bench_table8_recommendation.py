@@ -56,7 +56,7 @@ def table8_results(bench_pipeline, session_world, session_logs):  # noqa: F811
     return results
 
 
-def test_table8_recommendation(table8_results, benchmark):
+def test_table8_recommendation(table8_results):
     results = table8_results
     metrics = ("Hits@10", "NDCG@10", "MRR@10")
     table = Table("Table 8 — session-based recommendation",
@@ -77,8 +77,6 @@ def test_table8_recommendation(table8_results, benchmark):
              f"(paper +4.05%), electronics {100 * (cosmo_e / gce_e - 1):+.2f}% "
              f"(paper +5.82%)")
     publish("table8_recommendation", table.render() + "\n" + delta)
-
-    benchmark(lambda: sum(v["Hits@10"] for v in results.values()))
 
     for domain in ("clothing", "electronics"):
         hits = {name: results[(domain, name)]["Hits@10"] for name in MODEL_NAMES}

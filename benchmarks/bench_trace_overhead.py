@@ -85,7 +85,7 @@ def _drive(cluster, sampler, traffic) -> float:
     return elapsed
 
 
-def test_trace_overhead(benchmark):
+def test_trace_overhead():
     traffic = zipf_traffic(spawn_rng(7, "trace-overhead-traffic"), QUERIES, N_REQUESTS)
 
     # Best-of-N *pairs* over fresh clusters: each repetition times bare
@@ -136,11 +136,3 @@ def test_trace_overhead(benchmark):
     assert traced_s <= bare_s * MAX_OVERHEAD_RATIO, (
         f"best pair bare={bare_s:.3f}s traced={traced_s:.3f}s "
         f"({ratio:.2f}x > {MAX_OVERHEAD_RATIO}x)")
-
-    # Benchmark kernel: the steady-state traced request path.
-    def kernel():
-        for query in traffic[:200]:
-            traced_cluster.handle(ServeRequest(query=query, direct=True))
-            traced_cluster.clock.advance(INTER_ARRIVAL_S)
-
-    benchmark(kernel)

@@ -110,11 +110,6 @@ class AsyncCacheStore:
         """Load the year's frequent-search responses (layer 1)."""
         self._yearly.update(entries)
 
-    def lookup(self, query: str) -> str | None:
-        """Serve a request; a miss enqueues the query for the next batch."""
-        hit = self.fetch_many((query,))[0]
-        return hit[0] if hit is not None else None
-
     def fetch_many(self, queries: Sequence[str],
                    enqueue: bool = True) -> list[tuple[str, str] | None]:
         """Serve one window of requests with layer attribution; the one

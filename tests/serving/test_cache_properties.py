@@ -13,8 +13,8 @@ _queries = st.sampled_from([f"q{i}" for i in range(12)])
 def operations(draw):
     ops = []
     for _ in range(draw(st.integers(1, 40))):
-        kind = draw(st.sampled_from(["lookup", "batch", "day", "preload"]))
-        if kind in ("lookup", "preload"):
+        kind = draw(st.sampled_from(["fetch", "batch", "day", "preload"]))
+        if kind in ("fetch", "preload"):
             ops.append((kind, draw(_queries)))
         else:
             ops.append((kind, None))
@@ -28,8 +28,8 @@ def test_cache_invariants_under_arbitrary_operations(ops):
     cache = AsyncCacheStore(clock)
     lookups = 0
     for kind, query in ops:
-        if kind == "lookup":
-            cache.lookup(query)
+        if kind == "fetch":
+            cache.fetch_many([query])
             lookups += 1
         elif kind == "preload":
             cache.preload_yearly({query: "answer"})
@@ -51,10 +51,10 @@ def test_cache_invariants_under_arbitrary_operations(ops):
 def test_second_lookup_after_batch_always_hits(queries):
     cache = AsyncCacheStore(SimClock())
     for query in queries:
-        cache.lookup(query)
+        cache.fetch_many([query])
     cache.apply_batch({q: "answer" for q in cache.pending_queries()})
     for query in queries:
-        assert cache.lookup(query) == "answer"
+        assert cache.fetch_many([query]) == [("answer", "daily")]
 
 
 # -- pending queue: insertion order is oldest-first -------------------------
@@ -79,39 +79,36 @@ def test_pending_order_and_eviction_victim_match_the_scan_forms():
     cache = AsyncCacheStore(clock, pending_capacity=6, pending_max_age_days=5)
     evicted = []
 
-    def enqueue(query, batched):
-        """One miss through either ingress; records what it evicts."""
+    def enqueue(query):
+        """One miss, a window of one; records what it evicts."""
         full = (cache.pending_size == 6 and query not in cache._pending)
         victim = _eviction_victim_model(cache) if full else None
-        if batched:
-            cache.fetch_many([query])
-        else:
-            cache.lookup(query)
+        cache.fetch_many([query])
         if victim is not None:
             assert victim not in cache._pending
             evicted.append(victim)
         assert cache.pending_queries() == _oldest_first_model(cache)
 
     for i in range(4):                       # day 0: q0..q3
-        enqueue(f"q{i}", batched=i % 2 == 0)
+        enqueue(f"q{i}")
     clock.advance_days(1)                    # day roll
-    enqueue("q4", batched=True)              # day 1
-    enqueue("q1", batched=False)             # already pending: keeps its slot
+    enqueue("q4")                            # day 1
+    enqueue("q1")                            # already pending: keeps its slot
     assert cache.pending_queries() == ["q0", "q1", "q2", "q3", "q4"]
     cache.apply_batch({"q0": "a", "q2": "a"})     # answered from the middle
     cache.drop_pending(["q3"])                    # dead-lettered
     assert cache.pending_queries() == ["q1", "q4"] == _oldest_first_model(cache)
     clock.advance_days(1)                    # day 2: daily layer rolls
-    enqueue("q0", batched=False)             # re-enqueue: now the *newest*
-    enqueue("q3", batched=True)
+    enqueue("q0")                            # re-enqueue: now the *newest*
+    enqueue("q3")
     assert cache.pending_queries() == ["q1", "q4", "q0", "q3"]
-    enqueue("q5", batched=True)
-    enqueue("q6", batched=False)             # at capacity (6)
+    enqueue("q5")
+    enqueue("q6")                            # at capacity (6)
     assert evicted == []
-    enqueue("q7", batched=True)              # evicts the day-0 survivor
-    enqueue("q8", batched=False)             # then the day-1 entry
+    enqueue("q7")                            # evicts the day-0 survivor
+    enqueue("q8")                            # then the day-1 entry
     clock.advance_days(1)
-    enqueue("q9", batched=True)              # then the re-enqueued q0
+    enqueue("q9")                            # then the re-enqueued q0
     assert evicted == ["q1", "q4", "q0"]
     assert cache.stats.pending_evictions == 3
     assert cache.pending_queries() == ["q3", "q5", "q6", "q7", "q8", "q9"]
@@ -180,7 +177,7 @@ class _VictimLog(dict):
 
 @st.composite
 def pending_operations(draw):
-    kinds = ["lookup", "fetch_many", "day", "tick", "batch", "drop"]
+    kinds = ["one_by_one", "fetch_many", "day", "tick", "batch", "drop"]
     ops = []
     for _ in range(draw(st.integers(1, 50))):
         kind = draw(st.sampled_from(kinds))
@@ -218,9 +215,9 @@ def test_pending_queue_matches_scan_forms_under_arbitrary_operations(ops, capaci
         else:
             if new_day:
                 clock.advance_days(1)
-            if kind == "lookup":
+            if kind == "one_by_one":
                 for query in queries:
-                    cache.lookup(query)
+                    cache.fetch_many([query])
                 model.fetch(queries, enqueue=True)
             else:
                 cache.fetch_many(queries, enqueue=enqueue)

@@ -163,7 +163,7 @@ def test_pending_capacity_evicts_oldest():
     clock = SimClock()
     cache = AsyncCacheStore(clock, pending_capacity=3)
     for i in range(5):
-        cache.lookup(f"q{i}")
+        cache.fetch_many([f"q{i}"])
     assert cache.pending_size == 3
     assert cache.stats.pending_evictions == 2
     assert "q0" not in cache.pending_queries()
@@ -174,9 +174,9 @@ def test_pending_age_eviction_on_day_roll():
 
     clock = SimClock()
     cache = AsyncCacheStore(clock, pending_max_age_days=1)
-    cache.lookup("old")
+    cache.fetch_many(["old"])
     clock.advance_days(3)
-    cache.lookup("new")  # rolls the daily layer, ages out "old"
+    cache.fetch_many(["new"])  # rolls the daily layer, ages out "old"
     assert cache.pending_queries() == ["new"]
     assert cache.stats.pending_evictions == 1
 

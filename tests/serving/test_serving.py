@@ -57,13 +57,13 @@ def test_cache_layers_and_pending_queue():
     clock = SimClock()
     cache = AsyncCacheStore(clock)
     cache.preload_yearly({"hot query": "yearly answer"})
-    assert cache.lookup("hot query") == "yearly answer"
+    assert cache.fetch_many(["hot query"]) == [("yearly answer", "yearly")]
     assert cache.stats.layer1_hits == 1
-    assert cache.lookup("cold query") is None
+    assert cache.fetch_many(["cold query"]) == [None]
     assert cache.stats.misses == 1
     assert cache.pending_queries() == ["cold query"]
     cache.apply_batch({"cold query": "batched answer"})
-    assert cache.lookup("cold query") == "batched answer"
+    assert cache.fetch_many(["cold query"]) == [("batched answer", "daily")]
     assert cache.stats.layer2_hits == 1
     assert cache.pending_queries() == []
 
@@ -71,18 +71,19 @@ def test_cache_layers_and_pending_queue():
 def test_daily_layer_resets_on_day_rollover():
     clock = SimClock()
     cache = AsyncCacheStore(clock)
-    cache.lookup("q")
+    cache.fetch_many(["q"])
     cache.apply_batch({"q": "answer"})
     assert cache.fetch_many(["q"])[0] == ("answer", "daily")
     clock.advance_days(1)
-    assert cache.lookup("q") is None  # daily layer cleared
+    assert cache.fetch_many(["q"]) == [None]  # daily layer cleared
 
 
 def test_daily_capacity_respected():
     cache = AsyncCacheStore(SimClock(), daily_capacity=2)
     installed = cache.apply_batch({f"q{i}": "a" for i in range(5)})
     assert installed == 2
-    assert [cache.lookup(f"q{i}") for i in range(5)] == ["a", "a", None, None, None]
+    assert cache.fetch_many([f"q{i}" for i in range(5)]) == (
+        [("a", "daily")] * 2 + [None] * 3)
 
 
 def test_a_full_daily_layer_still_drains_the_miss_queue():
@@ -107,8 +108,7 @@ def test_a_full_daily_layer_still_drains_the_miss_queue():
 
 def test_promote_frequent_moves_hot_entries_to_yearly():
     cache = AsyncCacheStore(SimClock())
-    for _ in range(12):
-        cache.lookup("popular")
+    cache.fetch_many(["popular"] * 12)
     cache.apply_batch({"popular": "answer"})
     promoted = cache.promote_frequent()
     assert promoted == 1
@@ -160,8 +160,7 @@ def test_an_installed_serving_table_is_a_private_copy():
         table = dict(snapshot.entries)
         counts[plain].append(plain.install_snapshot(snapshot.version, table))
         for store in (first, plain):
-            for _ in range(PROMOTE_MIN_REQUESTS):
-                store.lookup("hot")
+            store.fetch_many(["hot"] * PROMOTE_MIN_REQUESTS)
             store.apply_batch({"hot": "answer"})
             assert store.promote_frequent() == 1
             assert store.fetch_many(["hot"])[0] == ("answer", "yearly")
@@ -176,8 +175,8 @@ def test_an_installed_serving_table_is_a_private_copy():
 def test_hit_rate():
     cache = AsyncCacheStore(SimClock())
     cache.preload_yearly({"a": "1"})
-    cache.lookup("a")
-    cache.lookup("b")
+    cache.fetch_many(["a"])
+    cache.fetch_many(["b"])
     assert cache.stats.hit_rate == pytest.approx(0.5)
 
 

@@ -197,19 +197,27 @@ KEPT_OPTIONS = (
      "persistence'); tier-1 drives every command at reduced size through these",
      ("tests/test_cli.py", "tests/test_scenarios.py")),
     (("PipelineConfig.finetune_lm", "PipelineConfig.expand_with_lm",
-      "CosmoLMConfig.hidden_dim"),
-     "tier-1's wall budget: the shared fixtures skip or shrink COSMO-LM training",
-     ("tests/conftest.py", "tests/integration/test_end_to_end.py")),
+      "CosmoLMConfig.hidden_dim", "SessionConfig.n_sessions"),
+     "tier-1's wall budget: the shared fixtures skip or shrink COSMO-LM training, "
+     "and the session tests simulate a few hundred sessions, not table 7's 1 500",
+     ("tests/conftest.py", "tests/integration/test_end_to_end.py",
+      "tests/behavior/test_sessions.py")),
     (("BatchCostModel.batch_overhead_s", "BatchCostModel.item_cost_s",
       "CosmoService.fallback_response", "TailSampler.slowest_k"),
      "set where their values are pinned: the golden equivalence suite's digests "
      "and benchmarks/perf's workloads, which a serving change may not edit",
      ("tests/serving/test_batch_equivalence.py", "benchmarks/perf/perf_workloads.py")),
     (("AnnotatorPool.error_rate", "AnnotatorPool.adjudicator_error_rate",
-      "audit_annotations.sample_rate", "simulate_searchbuy.noise_rate"),
-     "noise boundaries of the simulators: at zero noise truth is recovered exactly",
+      "audit_annotations.sample_rate", "simulate_searchbuy.noise_rate",
+      "NavigationABTest.seed", "NavigationABTest.treatment_fraction",
+      "QueryRewriteStudy.seed"),
+     "the simulators' draws: at zero noise truth is recovered exactly, and the "
+     "A/B and query-rewrite shape tests draw on other seeds and splits than the benches",
      ("tests/annotation/test_annotation.py::test_audit_accuracy_perfect_with_zero_noise",
-      "tests/behavior/test_searchbuy.py")),
+      "tests/behavior/test_searchbuy.py",
+      "tests/apps/test_navigation.py::test_ab_test_shape",
+      "tests/apps/test_navigation.py::test_ab_outcome_rates_bounded",
+      "tests/apps/test_navigation.py::test_query_rewrite_study_cosmo_reduces_rewrites")),
     (("SamplingConfig.min_type_pair_count", "SamplingConfig.min_clicks",
       "SamplingConfig.min_purchase_rate", "SamplingConfig.low_engagement_fraction",
       "sample_cobuy.config", "sample_searchbuy.config", "RelationDiscovery.min_count",
