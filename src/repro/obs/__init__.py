@@ -96,7 +96,6 @@ from repro.obs.tracing import (
     CHROME_TRACE_SCHEMA,
     TRACE_ID_ATTR,
     Span,
-    TraceContext,
     Tracer,
     chrome_trace,
     make_trace_id,
@@ -114,7 +113,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "TRACE_ID_ATTR",
-    "TraceContext",
     "Tracer",
     "chrome_trace",
     "make_trace_id",

@@ -1,4 +1,4 @@
-"""Span tracing on an injectable clock, with cross-tracer trace context.
+"""Span tracing on an injectable clock, with one trace joined across tracers.
 
 A :class:`Tracer` produces nested :class:`Span` context managers and
 never reads a clock of its own: ``clock`` is any zero-argument callable
@@ -8,24 +8,21 @@ are timed on simulated time (keeping chaos/bench determinism and the
 LLM-seconds accumulator.  The only wall-clock timing in the repo lives
 in :mod:`repro.obs.timebase`.
 
-Distributed tracing: a request that hops between tracers (cluster →
-replica → batcher) carries a :class:`TraceContext`.  While a context is
-attached (:meth:`Tracer.attach`), every opened span is tagged with the
-context's ``trace_id``, and stack-root spans record the context's
-``parent_ref`` — a ``"tracer_name:span_id"`` reference to their remote
-parent — so :class:`~repro.obs.trace_query.TraceAnalyzer` can reassemble
-one tree across tracers.  A hop attaches the upstream span itself
-(:meth:`Tracer.attach` takes an open trace-tagged :class:`Span` as the
-context of its trace id and its own ref), so no second context is
-minted per hop.  A hop that only forwards the request (the replica's
-``serve_batch``, under the cluster's root span) opens nothing: its
-stage spans are its stack roots and hang off the upstream span
-directly.  A hop that times its own window (the cluster's
-``cluster.request``) opens its root with :meth:`Tracer.trace`, which is
-a span like any other that puts the tracer's context and clock back
-when it closes, and stamps the hop's event log with its trace id while
-it is open.  Trace ids are deterministic (:func:`make_trace_id`
-hashes request sequence + key).
+Distributed tracing has one origin and one join.  A trace starts where
+a dispatch does: :meth:`Tracer.trace` opens the dispatch's root span
+(the cluster's ``cluster.request``), a span like any other that
+tags the tracer's spans with its trace id, times them on the given
+clock and stamps the hop's event log with the id while it is open, and
+puts the tracer's previous state back when it closes.  A request that
+hops to another tracer (cluster → replica → batcher) joins the trace
+with :meth:`Tracer.attach` of the open upstream span: while attached,
+every span the hop opens is tagged with that span's trace id, and its
+stack-root spans record the span's ``"tracer_name:span_id"`` ref as
+their remote parent, so :class:`~repro.obs.trace_query.TraceAnalyzer`
+can reassemble one tree across tracers.  A hop that only forwards the
+request (the replica's ``serve_batch``, under the cluster's root span)
+opens nothing: its stage spans are its stack roots.  Trace ids are
+deterministic (:func:`make_trace_id` hashes request sequence + key).
 
 Retention: untraced spans fall under the legacy ``max_spans`` head
 truncation; trace-tagged spans are instead buffered into an optional
@@ -61,7 +58,6 @@ __all__ = [
     "SCHEMA",
     "TRACE_ID_ATTR",
     "Span",
-    "TraceContext",
     "Tracer",
     "chrome_trace",
     "make_trace_id",
@@ -100,44 +96,11 @@ def make_trace_id(sequence: int, key: str) -> str:
             | crc32(key.encode("utf-8"))).to_bytes(8, "big").hex()
 
 
-class TraceContext:
-    """Propagated request identity: trace id + remote parent span ref.
-
-    ``parent_ref`` is a ``"tracer_name:span_id"`` string naming the span
-    (in another tracer) under which this hop's root spans should hang;
-    None for the trace's origin hop.  Immutable by convention; a plain
-    ``__slots__`` class (not a frozen dataclass) because a caller may
-    build one per request (``ServeRequest.trace``), and a frozen
-    dataclass's generated ``__init__`` calls ``object.__setattr__`` once
-    per field: 272 against 104 ns a record for two fields, a gap that
-    grows with the field count (902 against 159 ns for nine; CPython
-    3.11 on a 2-core Xeon VM, EXPERIMENTS.md "Records at slot speed").
-    """
-
-    __slots__ = ("trace_id", "parent_ref")
-
-    def __init__(self, trace_id: str, parent_ref: str | None = None):
-        self.trace_id = trace_id
-        self.parent_ref = parent_ref
-
-    def __repr__(self) -> str:
-        return f"TraceContext(trace_id={self.trace_id!r}, parent_ref={self.parent_ref!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceContext):
-            return NotImplemented
-        return (self.trace_id == other.trace_id
-                and self.parent_ref == other.parent_ref)
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.parent_ref))
-
-
 class Span:
     """One timed operation: name, parentage, attributes, error tag.
 
-    ``remote_parent`` is the cross-tracer parent ref a context-attached
-    stack-root span inherited.
+    ``remote_parent`` is the ref of the upstream span a stack-root span
+    opened under while its tracer was attached to it (:meth:`Tracer.attach`).
 
     A span is its own context manager: :meth:`Tracer.span` opens it (the
     open happens at the call, not at ``__enter__``) and the ``with``
@@ -206,8 +169,8 @@ class _NullSpan:
     trace scope.
 
     Tracing off is not a second code path: the one path runs with no
-    :class:`TraceContext` and enters this shared, stateless no-op
-    wherever traced work would enter the real thing.
+    trace id, and enters this shared, stateless no-op wherever traced
+    work would enter the real thing; attaching it joins nothing.
     """
 
     __slots__ = ()
@@ -231,10 +194,10 @@ class Tracer:
     Untraced spans beyond ``max_spans`` still time correctly and
     participate in nesting, but are not retained (``dropped`` counts
     them) — tracing a long-running service never grows without bound.
-    Trace-tagged spans (opened while a :class:`TraceContext` is
-    attached) go through ``sampler`` when one is set: the whole trace is
-    kept or dropped at completion (tail-based sampling) instead of being
-    head-truncated mid-request.
+    Trace-tagged spans (opened under a :meth:`trace` root or while
+    attached to a traced upstream span) go through ``sampler`` when one
+    is set: the whole trace is kept or dropped at completion (tail-based
+    sampling) instead of being head-truncated mid-request.
 
     ``name`` identifies this tracer in cross-tracer span refs and must
     be unique among tracers merged into one trace/export.
@@ -261,30 +224,21 @@ class Tracer:
         #: ``(trace id, parent ref)`` each open :meth:`attach` put aside.
         self._detached: list[tuple[str | None, str | None]] = []
 
-    # -- trace-context propagation --------------------------------------
-    def attach(self, context: "TraceContext | Span | _NullSpan | None"
-               ) -> "Tracer | _NullSpan":
-        """Tag spans opened from now on with ``context``'s trace id; the
-        returned scope's exit puts the previous context back.
+    # -- joining a trace --------------------------------------------------
+    def attach(self, upstream: "Span | _NullSpan") -> "Tracer | _NullSpan":
+        """Join the trace of ``upstream``, an open span of another tracer;
+        the returned scope's exit puts the previous trace back.
 
-        ``context`` is a :class:`TraceContext`, or an open span of another
-        tracer standing for its trace id and, as the parent ref, its own
-        ref — a hop attaches the span it hangs under and mints no context.
-        Stack-root spans opened while attached record the parent ref as
-        their remote parent, linking this tracer's subtree under the
-        upstream span.  An untraced context (None, :data:`NULL_SPAN`, a
-        span with no trace id) is a no-op scope.
+        Spans opened from now on are tagged with ``upstream``'s trace id,
+        and stack-root spans record ``upstream``'s ref as their remote
+        parent, linking this tracer's subtree under it.  An untraced
+        span or :data:`NULL_SPAN` joins nothing: the scope is a no-op.
         """
-        parent_ref: str | None
-        if isinstance(context, Span) and context.trace_id is not None:
-            parent_ref = context._tracer.ref(context)
-        elif isinstance(context, TraceContext):
-            parent_ref = context.parent_ref
-        else:  # None, NULL_SPAN or an untraced span
+        if not isinstance(upstream, Span) or upstream.trace_id is None:
             return NULL_SPAN
         self._detached.append((self._trace_id, self._parent_ref))
-        self._trace_id = context.trace_id
-        self._parent_ref = parent_ref
+        self._trace_id = upstream.trace_id
+        self._parent_ref = upstream._tracer.ref(upstream)
         return self
 
     def __enter__(self) -> "Tracer":
@@ -296,14 +250,13 @@ class Tracer:
         self._trace_id, self._parent_ref = self._detached.pop()
         return False
 
-    def trace(self, trace_id: str | None, parent_ref: str | None, name: str,
+    def trace(self, trace_id: str | None, name: str,
               clock: Callable[[], float], attributes: dict[str, AttrValue],
               log: "EventLog | None") -> "Span | _NullSpan":
-        """Attach trace ``trace_id`` (hung under the remote ``parent_ref``,
-        if any), time on ``clock`` and open span ``name`` as the root of
-        its subtree in this tracer, now — the returned span's exit closes
-        it and puts the previous context and clock back.  No trace id,
-        no-op.
+        """Start trace ``trace_id``: time on ``clock`` and open span
+        ``name`` as the trace's root, now — the returned span's exit
+        closes it and puts the previous trace and clock back.  No trace
+        id, no-op.
 
         While the root is open, every event emitted into ``log`` (when
         there is one) is stamped with ``trace_id`` (under
@@ -313,11 +266,9 @@ class Tracer:
         log's previous stamp back.  A dispatch with no log enters no
         scope for one.
 
-        A dispatch pays once for its trace: the root takes the id and
-        parent ref as they are, with no :class:`TraceContext` built for
-        them, and ``attributes`` becomes the root's attribute dict itself,
-        not a copy — a caller writes the root's attributes once, into one
-        dict, the ones it learns while the root is open included.
+        ``attributes`` becomes the root's attribute dict itself, not a
+        copy — a caller writes the root's attributes once, into one dict,
+        the ones it learns while the root is open included.
         """
         if trace_id is None:
             return NULL_SPAN
@@ -326,7 +277,7 @@ class Tracer:
         if log is not None:
             log._trace_id = trace_id
         self._trace_id = trace_id
-        self._parent_ref = parent_ref
+        self._parent_ref = None
         self.clock = clock
         root = self._push(name, attributes)
         root._restore = restore
@@ -413,7 +364,7 @@ class Tracer:
 
     def traced_span(self, name: str,
                     **attributes: AttrValue) -> "Span | _NullSpan":
-        """:meth:`span` while a trace context is attached, else the
+        """:meth:`span` while a trace is open or attached, else the
         shared no-op — for stages that only exist on traced requests,
         so untraced callers pay nothing."""
         if self._trace_id is None:
@@ -421,22 +372,18 @@ class Tracer:
         return self._push(name, attributes)
 
     def record(self, name: str, start_s: float, end_s: float,
-               parent: Span | None = None,
                **attributes: AttrValue) -> Span:
-        """Append a completed span with explicit timestamps.
+        """Append a completed span with explicit timestamps under the
+        current span (a root with no span open).
 
         For retroactive spans whose window is known only after the fact
-        (e.g. queueing delay computed at dispatch).  ``parent`` overrides
-        stack parentage; with no parent and no open span it is a root.
+        (e.g. queueing delay computed at dispatch).
         """
         if end_s < start_s:
             raise ValueError(f"span {name!r} ends ({end_s}) before it "
                              f"starts ({start_s})")
-        record = self._open(
-            name, float(start_s), attributes,
-            parent if parent is not None
-            else (self._stack[-1] if self._stack else None),
-        )
+        record = self._open(name, float(start_s), attributes,
+                            self._stack[-1] if self._stack else None)
         record.end_s = float(end_s)
         return record
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.llm.interface import KnowledgeGenerator
-from repro.obs.tracing import TraceContext
 
 __all__ = [
     "KnowledgeGenerator",
@@ -70,18 +69,10 @@ class ServeRequest:
     (the expensive comparison arm of the serving bench); the default
     cached mode serves from the two-layer cache and enqueues misses for
     batch processing.
-
-    ``trace`` is the distributed-tracing context the request carries
-    (:class:`~repro.obs.tracing.TraceContext`).  The cluster mints a
-    trace id per replica dispatch, or takes this one's id and parent ref
-    when the request is the first of its dispatch, so the cluster's, the
-    replica's and the resilience layer's spans all join one trace tree;
-    ``None`` lets the cluster mint the id.
     """
 
     query: str
     direct: bool = False
-    trace: TraceContext | None = None
 
 
 @dataclass(slots=True)

@@ -83,8 +83,8 @@ class ClusterConfig:
     ``max_queue_depth`` is the cluster-wide pending bound past which
     admission control sheds misses to the degraded path;
     ``trace_requests`` gates per-request distributed tracing (span
-    construction and trace-context propagation) — switch it off for the
-    bare arm of the tracing-overhead bench.  Tracing never changes what
+    construction and the replica's join of each dispatch's trace) —
+    switch it off for the bare arm of the tracing-overhead bench.  Tracing never changes what
     a request is charged or counted: span bookkeeping advances no clock
     and touches no metric.
     """
@@ -254,9 +254,9 @@ class CosmoCluster:
         window: while none is cooling down a request is one
         ``router.route``, and only a window with a cooling breaker walks
         preference orders (:meth:`_select`).  A bare string is a cached
-        request with no propagated trace; it is routed, grouped and served
-        as itself, never as a :class:`~repro.serving.api.ServeRequest`.
-        Each group is one *dispatch*: one
+        request; it is routed, grouped and served as itself, never as a
+        :class:`~repro.serving.api.ServeRequest`.  Each group is one
+        *dispatch*: one
         :meth:`~repro.serving.deployment.CosmoService.serve_batch` call,
         so a replica built with a
         :class:`~repro.serving.deployment.BatchCostModel` charges one
@@ -269,18 +269,19 @@ class CosmoCluster:
         dispatch's trace; the replica already named the snapshot version
         that answered it.
 
-        With ``trace_requests`` on (the default) a dispatch is one trace:
-        a ``cluster.request`` root timed on a :class:`_HeldClock` over
-        ``[arrival, replica clock after the dispatch]``, with a
-        ``cluster.queueing`` child when the shard had a backlog.  Its id
-        is minted from the request counter and the dispatch's first query,
-        or propagated from that request's ``trace``.  The replica's spans,
-        the flush the dispatch triggers, the events emitted meanwhile and
-        the latency histogram's exemplar all carry it, and the tail
-        sampler gets one ``finish`` per dispatch: its duration is the
-        slowest answer's end-to-end latency, and it is flagged when any
-        answer was not fresh.  Tracing wraps the one path rather than forking
-        it, so clock and metric operations are byte-identical either way.
+        With ``trace_requests`` on (the default) a dispatch is one trace,
+        and every trace starts here: a ``cluster.request`` root timed on a
+        :class:`_HeldClock` over ``[arrival, replica clock after the
+        dispatch]``, with a ``cluster.queueing`` child when the shard had
+        a backlog.  Its id is minted from the request counter and the
+        dispatch's first query.  The replica attaches the root, so its
+        spans, the flush the dispatch triggers, the events emitted
+        meanwhile and the latency histogram's exemplar all carry it, and
+        the tail sampler gets one ``finish`` per dispatch: its duration is
+        the slowest answer's end-to-end latency, and it is flagged when
+        any answer was not fresh.  Tracing wraps the one path rather than
+        forking it, so clock and metric operations are byte-identical
+        either way.
         """
         if not requests:
             return []
@@ -316,18 +317,10 @@ class CosmoCluster:
             service = self.services[replica_id]
             first = group[0]
             if isinstance(first, str):
-                query, trace, direct = first, None, False
+                query, direct = first, False
             else:
-                query, trace, direct = first.query, first.trace, first.direct
-            # The dispatch's trace: the first request's propagated one, else
-            # minted from the request counter and its query; none with
-            # tracing off.
-            if not tracing:
-                trace_id = parent_ref = None
-            elif trace is None:
-                trace_id, parent_ref = make_trace_id(sequence, query), None
-            else:
-                trace_id, parent_ref = trace.trace_id, trace.parent_ref
+                query, direct = first.query, first.direct
+            trace_id = make_trace_id(sequence, query) if tracing else None
             one = len(group) == 1
             # The root's attributes, written once into the dict the root
             # keeps (the ones learnt from the dispatch are added below).
@@ -339,8 +332,8 @@ class CosmoCluster:
             if replica_id in failed_over:
                 attributes["failover"] = True
             held.value = arrival
-            with tracer.trace(trace_id, parent_ref, "cluster.request",
-                              held_now, attributes, event_log) as root:
+            with tracer.trace(trace_id, "cluster.request", held_now,
+                              attributes, event_log) as root:
                 start = max(arrival, service.clock.now())
                 service.clock.sleep_until(start)
                 if trace_id is not None and start > arrival:

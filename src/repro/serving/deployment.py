@@ -297,10 +297,10 @@ class CosmoService:
         synchronously; the cached runs between direct requests are served
         as windows of their own, so results keep request order.
 
-        The replica opens no span of its own: under a trace context
-        attached to its tracer (the cluster attaches one per dispatch)
-        the stage spans are this tracer's stack roots and hang off the
-        upstream span.  Each result names its cache's snapshot version;
+        The replica opens no span of its own: while its tracer is
+        attached to an upstream span (the cluster attaches each
+        dispatch's root) the stage spans are this tracer's stack roots
+        and hang off that span.  Each result names its cache's snapshot version;
         the cluster stamps trace and window attribution.
         """
         results: list[ServeResult] = []

@@ -213,12 +213,12 @@ class ResilientGenerator:
     """Retry + circuit breaking + output validation around any batched
     generator.
 
-    Drop-in for the :class:`~repro.llm.interface.KnowledgeGenerator`
+    Implements the :class:`~repro.llm.interface.KnowledgeGenerator`
     protocol: :meth:`generate_batch` returns a
     :class:`~repro.llm.interface.GenerationBatch` with per-prompt
     results so callers (the batch processor, the dead-letter redrive)
-    can handle partial failure.  Unknown attributes pass through to
-    the wrapped generator.
+    can handle partial failure; ``latency`` is the wrapped generator's,
+    and nothing else of it is forwarded.
     """
 
     def __init__(
@@ -236,15 +236,9 @@ class ResilientGenerator:
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker(clock)
         self.latency = generator.latency
-        self.parameter_count = getattr(generator, "parameter_count", 0)
         self._validate = validator or _default_validator
         self._rng = spawn_rng(seed, "resilience-jitter")
         self._tracer = tracer or Tracer()
-
-    def __getattr__(self, name):
-        if name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
     def generate_batch(self, prompts: list[str]) -> GenerationBatch:

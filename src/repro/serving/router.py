@@ -172,20 +172,17 @@ class ConsistentHashRouter:
             raise KeyError(f"unknown replica {replica!r}")
 
     # ------------------------------------------------------------------
-    def preference(self, key: str, limit: int | None = None) -> list[str]:
+    def preference(self, key: str) -> list[str]:
         """Distinct active replicas in ring order from ``key``'s point.
 
         The first entry is the key's owner; later entries are the
         failover order the cluster walks when breakers are open.
-        ``limit`` keeps only the first ``limit`` entries (at least 1).
         """
-        if limit is not None and limit < 1:
-            raise ValueError(f"limit must be at least 1, got {limit}")
         order = self._order(key)
         drained = self._drained
         if not drained:
-            return list(order if limit is None else order[:limit])
-        return [r for r in order if r not in drained][:limit]
+            return list(order)
+        return [r for r in order if r not in drained]
 
     def route(self, key: str) -> str:
         """The active replica that owns ``key``.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import validate
-from repro.obs.tracing import TraceContext, Tracer
+from repro.obs.tracing import Tracer
 from repro.obs.trace_query import (
     TRACES_SCHEMA,
     TraceAnalyzer,
@@ -30,16 +30,15 @@ def _request_trace(trace_id="t1", queue_s=0.2, generate_s=0.5, tail_s=0.1):
     clock = ManualClock()
     cluster = Tracer(name="cluster", clock=lambda: clock.t)
     replica = Tracer(name="replica", clock=lambda: clock.t)
-    context = TraceContext(trace_id)
-    with cluster.attach(context):
-        with cluster.span("cluster.request") as root:
-            with cluster.span("cluster.queueing"):
-                clock.t += queue_s
-            with replica.attach(root):
-                with replica.span("serving.request"):
-                    with replica.span("resilience.attempt"):
-                        clock.t += generate_s
-                    clock.t += tail_s
+    with cluster.trace(trace_id, "cluster.request", cluster.clock, {},
+                       None) as root:
+        with cluster.span("cluster.queueing"):
+            clock.t += queue_s
+        with replica.attach(root):
+            with replica.span("serving.request"):
+                with replica.span("resilience.attempt"):
+                    clock.t += generate_s
+                clock.t += tail_s
     return [("cluster", cluster), ("replica", replica)]
 
 
@@ -89,11 +88,10 @@ def test_critical_path_follows_largest_child():
 def test_async_overhang_clips_to_the_charged_window():
     clock = ManualClock()
     tracer = Tracer(name="cluster", clock=lambda: clock.t)
-    with tracer.attach(TraceContext("t1")):
-        with tracer.span("cluster.request") as root:
-            clock.t = 1.0
-        # Post-request flush attributed to the trace, after root closed.
-        tracer.record("cluster.flush", start_s=1.0, end_s=3.0, parent=root)
+    with tracer.trace("t1", "cluster.request", tracer.clock, {}, None):
+        clock.t = 1.0
+        # A flush the dispatch triggers runs past the dispatch's window.
+        tracer.record("cluster.flush", start_s=1.0, end_s=3.0)
     analyzer = TraceAnalyzer([("cluster", tracer)])
     stages = analyzer.stage_breakdown("t1")
     assert stages.get("batch", 0.0) == 0.0  # clipped: outside [0, 1]
@@ -101,12 +99,14 @@ def test_async_overhang_clips_to_the_charged_window():
 
 
 def test_disconnected_trace_reports_multiple_roots():
-    tracer = Tracer(name="a")
-    with tracer.attach(TraceContext("t1", parent_ref="elsewhere:99")):
-        with tracer.span("orphan-one"):
-            pass
-        with tracer.span("orphan-two"):
-            pass
+    elsewhere, tracer = Tracer(name="elsewhere"), Tracer(name="a")
+    with elsewhere.trace("t1", "upstream", elsewhere.clock, {}, None) as root:
+        with tracer.attach(root):
+            with tracer.span("orphan-one"):
+                pass
+            with tracer.span("orphan-two"):
+                pass
+    # The upstream tracer is not part of the analysis.
     analyzer = TraceAnalyzer([("a", tracer)])
     assert not analyzer.is_connected("t1")
     # Neither orphan hangs off the other: the earlier one is the root.
@@ -127,11 +127,9 @@ def test_aggregate_totals_across_traces():
     clock = ManualClock()
     clock.t = 10.0
     cluster = dict(tracers)["cluster"]
-    cluster.clock = clock.now
-    with cluster.attach(TraceContext("t2")):
-        with cluster.span("cluster.request"):
-            with cluster.span("cluster.queueing"):
-                clock.t += 1.0
+    with cluster.trace("t2", "cluster.request", clock.now, {}, None):
+        with cluster.span("cluster.queueing"):
+            clock.t += 1.0
     aggregate = TraceAnalyzer(tracers).aggregate()
     assert aggregate["traces"] == 2
     assert aggregate["spans"] == 6

@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs import EventLog, MetricsRegistry, TailSampler, chrome_trace, \
     render_events, snapshot
-from repro.obs.tracing import TraceContext
+from repro.obs.tracing import Tracer
 from repro.serving import (
     BatchCostModel,
     ClusterConfig,
@@ -112,7 +112,9 @@ def _service_drive(bare: bool, trace: bool):
         fallback_response="n/a")
     service.cache.preload_yearly({"query 0": "yearly 0", "query 1": "yearly 1"})
     service.features.put_many([("query 4", "stale 4")])
-    context = TraceContext("bare-service") if trace else None
+    # A traced window hangs under a caller tracer's root.
+    caller = Tracer(name="caller")
+    trace_id = "bare-service" if trace else None
     rng = spawn_rng(4, "bare-service-traffic")
     results = []
     for n in range(10):
@@ -122,7 +124,8 @@ def _service_drive(bare: bool, trace: bool):
             window.insert(1, ServeRequest(query="query 5", direct=True))
         if n == 6:
             injector.plan = FaultPlan(error_rate=1.0)
-        with service.tracer.attach(context):
+        with caller.trace(trace_id, "window", caller.clock, {},
+                          None) as root, service.tracer.attach(root):
             results.extend(service.serve_batch(window, allow_enqueue=n != 5))
         if n % 3 == 2:
             service.run_batch()

@@ -98,7 +98,6 @@ def test_preference_lists_each_active_replica_once_in_stable_order():
         order = router.preference(key)
         assert sorted(order) == sorted(router.active)
         assert order[0] == router.route(key)
-        assert router.preference(key, limit=2) == order[:2]
 
 
 def test_preference_skips_drained_but_keeps_relative_order():
@@ -181,7 +180,7 @@ class NaiveRingWalk:
         return bisect_left([point for point, _ in self.ring],
                            _ref_point(f"{self.seed}|key|{key}"))
 
-    def preference(self, key, limit=None):
+    def preference(self, key):
         start, size = self.start(key), len(self.ring)
         order = []
         for step in range(size):
@@ -189,19 +188,17 @@ class NaiveRingWalk:
             if replica in order or replica in self.drained:
                 continue
             order.append(replica)
-        return order if limit is None else order[:limit]
+        return order
 
     def route(self, key):
         return self.preference(key)[0]
 
 
-def _assert_matches_model(router, model, keys, n):
+def _assert_matches_model(router, model, keys):
     for key in keys:
         full = model.preference(key)
         assert router.preference(key) == full
         assert router.route(key) == model.route(key) == full[0]
-        for limit in range(1, n + 1):
-            assert router.preference(key, limit=limit) == full[:limit]
 
 
 _keys = st.lists(st.text(min_size=0, max_size=12), min_size=1, max_size=8)
@@ -220,11 +217,11 @@ def test_table_matches_ring_walk_for_every_drained_subset(n, vnodes, seed, keys)
             for replica in drained:
                 router.drain(replica)
             model.drained = set(drained)
-            _assert_matches_model(router, model, keys, n)
+            _assert_matches_model(router, model, keys)
             for replica in drained:
                 router.restore(replica)
     model.drained = set()
-    _assert_matches_model(router, model, keys, n)
+    _assert_matches_model(router, model, keys)
 
 
 @given(
@@ -250,7 +247,7 @@ def test_table_matches_ring_walk_across_drain_restore_interleavings(
             router.restore(replica)
             model.drained.discard(replica)
         assert set(router.active) == set(ids) - model.drained
-        _assert_matches_model(router, model, keys, n)
+        _assert_matches_model(router, model, keys)
 
 
 @given(
@@ -272,7 +269,7 @@ def test_memoized_orders_match_ring_walk_across_drain_restore_and_clears(
 
         def re_ask():
             for key in keys[::-1] + keys:
-                _assert_matches_model(router, model, [key], n)
+                _assert_matches_model(router, model, [key])
                 assert len(router._order_of) <= router_module._MEMO_KEYS
 
         re_ask()
@@ -340,10 +337,10 @@ def test_key_past_the_last_ring_point_wraps_to_the_first():
     assert wrapped, "no test key hashes past the last ring point"
     for key in wrapped:
         assert router.route(key) == model.ring[0][1]
-        _assert_matches_model(router, model, [key], 3)
+        _assert_matches_model(router, model, [key])
     router.drain(model.ring[0][1])
     model.drained = {model.ring[0][1]}
-    _assert_matches_model(router, model, wrapped, 3)
+    _assert_matches_model(router, model, wrapped)
 
 
 def test_single_replica_ring_routes_everything_home():
@@ -351,16 +348,6 @@ def test_single_replica_ring_routes_everything_home():
     for key in KEYS[:20]:
         assert router.preference(key) == ["only"]
         assert router.route(key) == "only"
-
-
-@pytest.mark.parametrize("limit", [0, -1, -7])
-def test_preference_rejects_a_limit_below_one(limit):
-    router = ConsistentHashRouter(_replica_ids(3))
-    with pytest.raises(ValueError):
-        router.preference("key", limit=limit)
-    router.drain("r0")
-    with pytest.raises(ValueError):
-        router.preference("key", limit=limit)
 
 
 def test_successor_table_shares_equal_orders():

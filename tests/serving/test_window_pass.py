@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import EventLog, MetricsRegistry, render_events, snapshot
-from repro.obs.tracing import TraceContext
+from repro.obs.tracing import Tracer
 from repro.serving import (
     BatchCostModel,
     CosmoService,
@@ -103,7 +103,9 @@ def _drive(schedule, serve_window, batch_costs=None):
         {query: f"yearly {query}" for query in sorted(schedule["yearly"])})
     service.features.put_many(
         [(query, f"stale {query}") for query in sorted(schedule["stale"])])
-    context = TraceContext("window-pass") if schedule["traced"] else None
+    # A traced window hangs under a caller tracer's root.
+    caller = Tracer(name="caller")
+    trace_id = "window-pass" if schedule["traced"] else None
     windows = []
     for step in schedule["steps"]:
         if step[0] == "window":
@@ -112,7 +114,8 @@ def _drive(schedule, serve_window, batch_costs=None):
                                      direct=direct and schedule["direct"])
                         for query, direct in picks]
             before = service.clock.now()
-            with service.tracer.attach(context):
+            with caller.trace(trace_id, "window", caller.clock, {},
+                              None) as root, service.tracer.attach(root):
                 results = serve_window(service, requests, allow_enqueue)
             windows.append((requests, before, service.clock.now(), results))
         elif step[0] == "run_batch":

@@ -227,14 +227,11 @@ KEPT_OPTIONS = (
      ("tests/core/test_sampling.py::test_searchbuy_low_engagement_slice",
       "tests/core/test_relation_discovery.py::test_min_count_filters_rare_patterns",
       "tests/obs/test_metrics.py", "tests/refresh/test_quality.py")),
-    (("ConsistentHashRouter.vnodes", "ConsistentHashRouter.preference.limit",
-      "Tensor.backward.grad", "Tracer.record.parent", "ServeRequest.trace",
-      "TraceContext.parent_ref", "CosmoService.prompt_builder"),
+    (("ConsistentHashRouter.vnodes", "Tensor.backward.grad",
+      "CosmoService.prompt_builder"),
      "what a reference-model or hand-built test feeds in: small rings against the "
-     "naive ring walk, an upstream gradient, an after-the-fact span, a caller's "
-     "trace context and its remote parent, the trained LM's prompt",
+     "naive ring walk, an upstream gradient, the trained LM's prompt",
      ("tests/serving/test_router.py", "tests/nn/test_tensor.py",
-      "tests/obs/test_trace_query.py", "tests/serving/test_request_tracing.py",
       "tests/integration/test_end_to_end.py")),
     (("CosmoCluster.clock",),
      "the clock-injection source rule: a component accepts its clock",

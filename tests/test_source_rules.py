@@ -187,8 +187,9 @@ def _is_trace_id_key(key: str) -> bool:
 
 def trace_id_contract(tree, path):
     """One trace-id key across spans, events and exemplars: serving modules
-    propagate a ``TraceContext`` instead of writing ``trace_id=`` themselves
-    (a non-literal key such as ``TRACE_ID_ATTR`` is not flagged)."""
+    open a trace root or attach an upstream span instead of writing
+    ``trace_id=`` themselves (a non-literal key such as ``TRACE_ID_ATTR``
+    is not flagged)."""
     if "serving" not in path.parts[:-1]:
         return
     for node in _calls(tree):
@@ -200,7 +201,8 @@ def trace_id_contract(tree, path):
             if (isinstance(first, ast.Constant) and isinstance(first.value, str)
                     and _is_trace_id_key(first.value)):
                 yield node, (f"span attribute key {first.value!r} hand-writes a trace id; "
-                             "attach a TraceContext (Tracer.attach) or use "
+                             "open a root (Tracer.trace), attach the upstream "
+                             "span (Tracer.attach) or use "
                              "obs.tracing.TRACE_ID_ATTR so analyzers can find it")
         for keyword in node.keywords:
             if keyword.arg is not None and _is_trace_id_key(keyword.arg):
