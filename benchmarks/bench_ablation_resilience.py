@@ -100,15 +100,12 @@ def test_breaker_opens_and_recovers_under_sustained_outage():
     (service,) = drive.cluster.services.values()
     breaker, phases = service.breaker, dict(drive.phase_rows)
     # The breaker tripped during the outage and recovered through
-    # half-open probes once the faults cleared.
+    # half-open probes once the faults cleared (a close follows an open:
+    # a breaker starts closed).
     assert breaker.opens >= 1
     assert breaker.closes >= 1
     assert breaker.refusals >= 1
     assert breaker.state is BreakerState.CLOSED
-    states = [state for _, state in breaker.transitions]
-    assert BreakerState.OPEN in states
-    assert states[-1] is BreakerState.CLOSED
-    assert states.index(BreakerState.OPEN) < len(states) - 1
     # Graceful degradation held availability through the outage, and the
     # dead-letter queue healed afterwards.
     for phase in ("outage", "recovery"):

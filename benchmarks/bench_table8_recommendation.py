@@ -8,7 +8,7 @@ larger Hits@10 gain on electronics (more query revisions to exploit).
 """
 
 import pytest
-from bench_table7_session_stats import SESSION_CONFIGS, session_logs, session_world  # noqa: F401
+from bench_table7_session_stats import session_logs, session_world  # noqa: F401
 from conftest import publish
 
 from repro.apps.recommendation import (

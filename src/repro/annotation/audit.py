@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.annotation.schema import QUESTIONS, TRUTH_TABLE, AnnotationResult
 from repro.utils.rng import spawn_rng
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.apps.navigation.hierarchy import NavigationHierarchy
 from repro.behavior.world import World
 from repro.utils.rng import spawn_rng

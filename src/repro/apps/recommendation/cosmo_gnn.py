@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.recommendation.gnn import GCEGNN
-from repro.nn import MLP, Linear, Tensor
+from repro.nn import MLP, Tensor
 from repro.utils.rng import spawn_rng
 
 __all__ = ["CosmoGNN"]

@@ -22,7 +22,6 @@ from repro.core.critic import CriticClassifier
 from repro.core.filtering import KnowledgeFilter
 from repro.core.generation import generate_candidates
 from repro.core.kg import KnowledgeGraph
-from repro.core.pipeline import CosmoPipeline
 from repro.core.sampling import sample_cobuy, sample_products
 from repro.core.triples import KnowledgeCandidate
 from repro.embeddings.encoder import TextEncoder

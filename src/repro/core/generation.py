@@ -8,8 +8,6 @@ predicate templates.  Unparseable generations are kept as candidates with
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.behavior.world import World
 from repro.core.prompts import BehaviorPrompt, cobuy_prompt, searchbuy_prompt
 from repro.core.relations import SEED_RELATIONS, parse_predicate

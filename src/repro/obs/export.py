@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.obs.metrics import Histogram, MetricFamily, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.schema import (
     BUCKET_BOUND, COUNT, NAME, NUMBER, STRING, ListOf, MapOf, Obj, Schema,
     Tagged, check_buckets, fail, one_of,

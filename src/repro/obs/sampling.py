@@ -1,6 +1,6 @@
 """Tail-based trace sampling: decide keep/drop when the trace *ends*.
 
-Head truncation (``Tracer.max_spans``) keeps whatever came first, which
+Head truncation (the tracer's ``MAX_SPANS``) keeps whatever came first, which
 is exactly wrong for diagnosing incidents: the interesting traces — the
 errors, the degraded serves, the slow outliers — arrive after the buffer
 filled.  :class:`TailSampler` inverts that.  Trace-tagged spans are
@@ -26,9 +26,9 @@ ordinary traces are ever buffered, however busy the window.
 
 Committed spans flow back into their tracer's retained list in verdict
 order, each trace's spans in open order (still subject to the tracer's
-own ``max_spans`` hard cap); dropped traces count into each involved
+own ``MAX_SPANS`` hard cap); dropped traces count into each involved
 tracer's ``dropped``.  Memory is bounded by
-``max_buffered_spans``: past the bound, new spans are refused at buffer
+``MAX_BUFFERED_SPANS``: past the bound, new spans are refused at buffer
 time (``overflow`` counter) rather than growing without bound.
 
 Everything is driven by caller-supplied simulated timestamps — the
@@ -46,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = ["TailSampler"]
 
+#: Spans buffered across every pending trace; ``Tracer._open`` refuses
+#: (and counts in ``overflow``) a span past it.
+MAX_BUFFERED_SPANS = 50_000
+
 
 class TailSampler:
     """Shared tail-sampling policy over one or more tracers.
@@ -53,23 +57,20 @@ class TailSampler:
     ``slowest_k`` ordinary traces per ``window_s`` commit by duration;
     every ``head_every``-th ordinary trace commits as a baseline sample
     (0 disables head sampling); flagged traces always commit.  The span
-    buffer is bounded by ``max_buffered_spans``.
+    buffer is bounded by ``MAX_BUFFERED_SPANS``.
     """
 
     def __init__(self, slowest_k: int = 3, window_s: float = 60.0,
-                 head_every: int = 100, max_buffered_spans: int = 50_000):
+                 head_every: int = 100):
         if slowest_k < 0:
             raise ValueError("slowest_k must be non-negative")
         if window_s <= 0:
             raise ValueError("window_s must be positive")
         if head_every < 0:
             raise ValueError("head_every must be non-negative")
-        if max_buffered_spans < 1:
-            raise ValueError("max_buffered_spans must be at least 1")
         self.slowest_k = slowest_k
         self.window_s = window_s
         self.head_every = head_every
-        self.max_buffered_spans = max_buffered_spans
         #: trace id → buffered spans, in open order.
         self._buffers: dict[str, list[Span]] = {}
         self._buffered_spans = 0

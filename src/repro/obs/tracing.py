@@ -24,11 +24,11 @@ request (the replica's ``serve_batch``, under the cluster's root span)
 opens nothing: its stage spans are its stack roots.  Trace ids are
 deterministic (:func:`make_trace_id` hashes request sequence + key).
 
-Retention: untraced spans fall under the legacy ``max_spans`` head
+Retention: untraced spans fall under the ``MAX_SPANS`` head
 truncation; trace-tagged spans are instead buffered into an optional
 tail sampler (:class:`~repro.obs.sampling.TailSampler`) that decides
 keep/drop per *trace* at completion.  Neither drops a parent and keeps
-its child: the sampler keeps or drops a trace whole, and ``max_spans``
+its child: the sampler keeps or drops a trace whole, and ``MAX_SPANS``
 only refuses spans later than every retained one.  :func:`chrome_trace`
 still exports a parent it does not hold as -1.
 
@@ -43,6 +43,7 @@ from types import TracebackType
 from zlib import crc32
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
+from repro.obs.sampling import MAX_BUFFERED_SPANS
 from repro.obs.schema import (
     INT, NON_NEGATIVE, POSITIVE_INT, SCALAR, STRING, ListOf, Obj, Schema, Spec,
     Tagged, fail, one_of,
@@ -74,6 +75,10 @@ AttrValue = Union[str, int, float, bool]
 #: flow through :meth:`Tracer.attach` and :meth:`Tracer.trace`, and
 #: the ``trace-id-contract`` source rule rejects ad-hoc variants.
 TRACE_ID_ATTR = "trace_id"
+
+#: Untraced (and committed) spans a tracer retains; later ones still time
+#: and nest but count in ``dropped``.
+MAX_SPANS = 10_000
 
 
 def _zero_clock() -> float:
@@ -189,9 +194,9 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Builds nested spans; bounded memory via ``max_spans`` or a sampler.
+    """Builds nested spans; bounded memory via ``MAX_SPANS`` or a sampler.
 
-    Untraced spans beyond ``max_spans`` still time correctly and
+    Untraced spans beyond ``MAX_SPANS`` still time correctly and
     participate in nesting, but are not retained (``dropped`` counts
     them) — tracing a long-running service never grows without bound.
     Trace-tagged spans (opened under a :meth:`trace` root or while
@@ -204,10 +209,9 @@ class Tracer:
     """
 
     def __init__(self, clock: Callable[[], float] | None = None,
-                 max_spans: int = 10_000, name: str = "tracer",
+                 name: str = "tracer",
                  sampler: "TailSampler | None" = None):
         self.clock: Callable[[], float] = clock if clock is not None else _zero_clock
-        self.max_spans = max_spans
         self.name = name
         self.sampler = sampler
         self.dropped = 0
@@ -320,7 +324,7 @@ class Tracer:
             # trace finishes and the sampler decides keep/drop.  Written
             # into the sampler's buffer here — a call per span is a
             # measurable slice of the bench_trace_overhead budget.
-            if sampler._buffered_spans < sampler.max_buffered_spans:
+            if sampler._buffered_spans < MAX_BUFFERED_SPANS:
                 buffers = sampler._buffers
                 entries = buffers.get(trace_id)
                 if entries is None:
@@ -331,7 +335,7 @@ class Tracer:
             else:
                 sampler.overflow += 1
                 self.dropped += 1
-        elif len(self._spans) < self.max_spans:
+        elif len(self._spans) < MAX_SPANS:
             self._spans.append(record)
         else:
             self.dropped += 1
@@ -348,7 +352,7 @@ class Tracer:
 
     def _commit(self, record: Span) -> None:
         """Sampler callback: the record's trace was kept."""
-        if len(self._spans) < self.max_spans:
+        if len(self._spans) < MAX_SPANS:
             self._spans.append(record)
         else:
             self.dropped += 1

@@ -516,11 +516,12 @@ def _preload(drive: Drive, n_queries: int) -> None:
 
 def _chaos_service(variant: str) -> dict:
     """The ``CosmoService`` settings of a chaos arm: ``baseline`` is the
-    same service configured down to one attempt per call, no output
-    validation and no degraded serving."""
+    same service (the same fixed backoff schedule and breaker) configured
+    down to one attempt per call, no output validation and no degraded
+    serving."""
     if variant != "baseline":
         return {}
-    return {"retry": serving.RetryPolicy(max_attempts=1),
+    return {"max_attempts": 1,
             "response_validator": lambda text: True, "degraded_serving": False}
 
 

@@ -29,7 +29,6 @@ from repro.serving.resilience import (
     BreakerState,
     CircuitBreaker,
     ResilientGenerator,
-    RetryPolicy,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "GeneratorFault",
     "GeneratorError",
     "GeneratorTimeout",
-    "RetryPolicy",
     "BreakerState",
     "CircuitBreaker",
     "ResilientGenerator",

@@ -17,11 +17,11 @@ store and the feature store, with simulated latency accounting:
   p50/p99, availability and the cached-vs-direct-LLM comparison are
   measurable.
 
-Every generator call goes through the resilience layer; what it does is
-configuration.  The baseline arm of
-``benchmarks/bench_ablation_resilience.py`` turns it down to the original
-happy-path service: ``retry=RetryPolicy(max_attempts=1)`` (no retries,
-so a failed prompt stays queued instead of dead-lettering),
+Every generator call goes through the resilience layer, whose backoff
+schedule and breaker are fixed (:mod:`repro.serving.resilience`).  The
+baseline arm of ``benchmarks/bench_ablation_resilience.py`` turns it down
+to the original happy-path service: ``max_attempts=1`` (no retries, so a
+failed prompt stays queued instead of dead-lettering),
 ``response_validator=lambda text: True`` (no validation) and
 ``degraded_serving=False`` (a miss falls back without reading the
 feature store).
@@ -49,11 +49,7 @@ from repro.serving.api import (
 from repro.serving.cache import AsyncCacheStore
 from repro.serving.clock import SimClock
 from repro.serving.feature_store import FeatureStore
-from repro.serving.resilience import (
-    CircuitBreaker,
-    ResilientGenerator,
-    RetryPolicy,
-)
+from repro.serving.resilience import CircuitBreaker, ResilientGenerator
 
 __all__ = ["ServingMetrics", "DeadLetter", "BatchCostModel", "CosmoService"]
 
@@ -190,8 +186,9 @@ class CosmoService:
     charges each item what it would cost served alone.
 
     Generator calls go through a
-    :class:`~repro.serving.resilience.ResilientGenerator` (``retry`` /
-    ``breaker`` / ``response_validator`` configure it).  With
+    :class:`~repro.serving.resilience.ResilientGenerator`
+    (``max_attempts`` / ``response_validator`` configure it) guarded by
+    the service's own circuit breaker, :attr:`breaker`.  With
     ``degraded_serving`` (the default) a cache miss is answered from the
     feature store's possibly stale entry before it falls back.
 
@@ -210,8 +207,7 @@ class CosmoService:
         fallback_response: str = "",
         daily_capacity: int = 10_000,
         degraded_serving: bool = True,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
+        max_attempts: int = 4,
         response_validator=None,
         seed: int = 0,
         registry: MetricsRegistry | None = None,
@@ -240,7 +236,7 @@ class CosmoService:
         self._feedback: list[tuple[str, str, bool]] = []
         self._degraded_serving = degraded_serving
         self._resilient = ResilientGenerator(
-            generator, self.clock, retry=retry, breaker=breaker,
+            generator, self.clock, max_attempts=max_attempts,
             validator=response_validator, seed=seed, tracer=self.tracer)
         #: the circuit breaker guarding every generator call
         self.breaker: CircuitBreaker = self._resilient.breaker

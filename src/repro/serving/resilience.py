@@ -3,24 +3,26 @@
 The serving stack's availability under generator faults rests on three
 pieces composed by :class:`ResilientGenerator`:
 
-* :class:`RetryPolicy` — exponential backoff with jitter under a
-  per-request deadline budget;
+* retries — exponential backoff with jitter under a per-request deadline
+  budget;
 * :class:`CircuitBreaker` — a failure-rate breaker (closed → open →
   half-open) that fails fast during sustained outages and probes its way
   back to closed;
 * output validation — garbage generations (see
   :mod:`repro.serving.faults`) are rejected and retried per prompt.
 
-Every wait — backoff between attempts, generation latency, breaker
-cooldown — is charged to the :class:`~repro.serving.clock.SimClock`.
-Nothing here sleeps on the wall clock, so chaos scenarios covering
-simulated hours run in milliseconds and replay bit-identically.
+The policy is fixed: the backoff schedule and the breaker's thresholds
+are the module constants below, and the one setting is the attempt
+budget, ``max_attempts``.  Every wait — backoff between attempts,
+generation latency, breaker cooldown — is charged to the
+:class:`~repro.serving.clock.SimClock`.  Nothing here sleeps on the wall
+clock, so chaos scenarios covering simulated hours run in milliseconds
+and replay bit-identically.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.llm.interface import GenerationBatch
@@ -30,52 +32,30 @@ from repro.serving.faults import GeneratorFault
 from repro.utils.rng import spawn_rng
 
 __all__ = [
-    "RetryPolicy",
     "BreakerState",
     "CircuitBreaker",
     "ResilientGenerator",
 ]
 
+#: The backoff before retry ``n`` (1 = first retry) is
+#: ``min(MAX_BACKOFF_S, BASE_BACKOFF_S * BACKOFF_MULTIPLIER**(n - 1))``
+#: spread by ``±JITTER``; no backoff ends, and no attempt starts, once
+#: ``DEADLINE_S`` of simulated time has been spent on the request.
+BASE_BACKOFF_S = 0.05
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_S = 2.0
+JITTER = 0.25
+DEADLINE_S = 30.0
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with jitter under a per-request deadline.
-
-    Attempt ``n`` (1-based) is preceded by a backoff of
-    ``min(max_backoff_s, base_backoff_s * backoff_multiplier**(n - 2))``
-    spread by ``±jitter``; no attempt starts once ``deadline_s`` of
-    simulated time has been spent on the request.
-    """
-
-    max_attempts: int = 4
-    base_backoff_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 2.0
-    jitter: float = 0.25
-    deadline_s: float = 30.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def backoff_s(self, retry: int, rng=None) -> float:
-        """Backoff before the ``retry``-th retry (1 = first retry)."""
-        if retry < 1:
-            return 0.0
-        raw = min(
-            self.max_backoff_s,
-            self.base_backoff_s * self.backoff_multiplier ** (retry - 1),
-        )
-        if rng is None or self.jitter == 0.0:
-            return raw
-        spread = self.jitter * (2.0 * float(rng.random()) - 1.0)
-        return max(0.0, raw * (1.0 + spread))
-
-    def allows(self, attempts_made: int, elapsed_s: float) -> bool:
-        """Whether another attempt fits the attempt and deadline budgets."""
-        return attempts_made < self.max_attempts and elapsed_s < self.deadline_s
+#: A closed breaker trips once its last ``WINDOW`` outcomes number at
+#: least ``MIN_CALLS`` and fail at ``FAILURE_THRESHOLD`` or more; it then
+#: refuses calls for ``COOLDOWN_S``, and ``HALF_OPEN_PROBES`` successful
+#: probes close it again.
+FAILURE_THRESHOLD = 0.5
+WINDOW = 20
+MIN_CALLS = 5
+COOLDOWN_S = 120.0
+HALF_OPEN_PROBES = 2
 
 
 class BreakerState(str, Enum):
@@ -87,38 +67,22 @@ class BreakerState(str, Enum):
 class CircuitBreaker:
     """Failure-rate circuit breaker on simulated time.
 
-    CLOSED: calls flow and outcomes enter a sliding window; once the
-    window holds at least ``min_calls`` outcomes and the failure rate
-    reaches ``failure_threshold``, the breaker trips OPEN.  OPEN: calls
-    are refused until ``cooldown_s`` of simulated time elapses, after
-    which the next :meth:`allow` moves to HALF_OPEN.  HALF_OPEN: trial
-    calls are admitted; ``half_open_probes`` consecutive successes close
-    the breaker, any failure re-opens it and restarts the cooldown.
+    CLOSED: calls flow and outcomes enter a sliding window of ``WINDOW``;
+    once the window holds at least ``MIN_CALLS`` outcomes and the failure
+    rate reaches ``FAILURE_THRESHOLD``, the breaker trips OPEN.  OPEN:
+    calls are refused until ``COOLDOWN_S`` of simulated time elapses,
+    after which the next :meth:`allow` moves to HALF_OPEN.  HALF_OPEN:
+    trial calls are admitted; ``HALF_OPEN_PROBES`` consecutive successes
+    close the breaker, any failure re-opens it and restarts the cooldown.
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        failure_threshold: float = 0.5,
-        window: int = 20,
-        min_calls: int = 5,
-        cooldown_s: float = 120.0,
-        half_open_probes: int = 2,
-    ):
-        if not 0.0 < failure_threshold <= 1.0:
-            raise ValueError("failure_threshold must be in (0, 1]")
+    def __init__(self, clock: SimClock):
         self._clock = clock
-        self.failure_threshold = failure_threshold
-        self.min_calls = min_calls
-        self.cooldown_s = cooldown_s
-        self.half_open_probes = half_open_probes
         self.state = BreakerState.CLOSED
         self.opens = 0
         self.closes = 0
         self.refusals = 0
-        #: ``(simulated time, new state)`` for every transition.
-        self.transitions: list[tuple[float, BreakerState]] = []
-        self._outcomes: deque[bool] = deque(maxlen=window)
+        self._outcomes: deque[bool] = deque(maxlen=WINDOW)
         self._opened_at = 0.0
         self._probe_successes = 0
         self._event_log = None
@@ -139,7 +103,6 @@ class CircuitBreaker:
         if new is self.state:
             return
         self.state = new
-        self.transitions.append((self._clock.now(), new))
         if new is BreakerState.OPEN:
             self.opens += 1
         elif new is BreakerState.CLOSED:
@@ -167,13 +130,13 @@ class CircuitBreaker:
         replica routable again so the next real call can probe it.
         """
         return (self.state is BreakerState.OPEN
-                and self._clock.now() - self._opened_at < self.cooldown_s)
+                and self._clock.now() - self._opened_at < COOLDOWN_S)
 
     # ------------------------------------------------------------------
     def allow(self) -> bool:
         """Whether a call may proceed right now."""
         if self.state is BreakerState.OPEN:
-            if self._clock.now() - self._opened_at >= self.cooldown_s:
+            if self._clock.now() - self._opened_at >= COOLDOWN_S:
                 self._probe_successes = 0
                 self._set_state(BreakerState.HALF_OPEN)
                 return True
@@ -184,7 +147,7 @@ class CircuitBreaker:
     def record_success(self) -> None:
         if self.state is BreakerState.HALF_OPEN:
             self._probe_successes += 1
-            if self._probe_successes >= self.half_open_probes:
+            if self._probe_successes >= HALF_OPEN_PROBES:
                 self._outcomes.clear()
                 self._set_state(BreakerState.CLOSED)
         else:
@@ -195,7 +158,7 @@ class CircuitBreaker:
             self._trip()
             return
         self._outcomes.append(False)
-        if len(self._outcomes) >= self.min_calls and self.failure_rate >= self.failure_threshold:
+        if len(self._outcomes) >= MIN_CALLS and self.failure_rate >= FAILURE_THRESHOLD:
             self._trip()
 
     @property
@@ -218,42 +181,58 @@ class ResilientGenerator:
     :class:`~repro.llm.interface.GenerationBatch` with per-prompt
     results so callers (the batch processor, the dead-letter redrive)
     can handle partial failure; ``latency`` is the wrapped generator's,
-    and nothing else of it is forwarded.
+    and nothing else of it is forwarded.  A call makes at most
+    ``max_attempts`` attempts.
     """
 
     def __init__(
         self,
         generator,
         clock: SimClock,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
+        max_attempts: int = 4,
         validator=None,
         seed: int = 0,
         tracer=None,
     ):
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
         self.inner = generator
         self.clock = clock
-        self.retry = retry or RetryPolicy()
-        self.breaker = breaker or CircuitBreaker(clock)
+        self.max_attempts = max_attempts
+        self.breaker = CircuitBreaker(clock)
         self.latency = generator.latency
         self._validate = validator or _default_validator
         self._rng = spawn_rng(seed, "resilience-jitter")
         self._tracer = tracer or Tracer()
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _backoff_s(retry: int, rng) -> float:
+        """Backoff before the ``retry``-th retry (1 = first retry),
+        jittered by one draw of ``rng``."""
+        raw = min(MAX_BACKOFF_S, BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (retry - 1))
+        spread = JITTER * (2.0 * float(rng.random()) - 1.0)
+        return max(0.0, raw * (1.0 + spread))
+
+    def _allows(self, attempts_made: int, elapsed_s: float) -> bool:
+        """Whether another attempt fits the attempt and deadline budgets."""
+        return attempts_made < self.max_attempts and elapsed_s < DEADLINE_S
+
     def generate_batch(self, prompts: list[str]) -> GenerationBatch:
         """Generate with retries; failed prompts come back as ``None``.
 
         A call-level fault fails the whole remaining batch for that
         attempt; a rejected (garbage) generation re-enters the next
         attempt alone.  Backoffs and generation latency both advance the
-        simulated clock, and the deadline budget covers their sum.
+        simulated clock, and the deadline budget covers their sum: a
+        backoff that would end at or past ``DEADLINE_S`` is not waited,
+        and the call ends there.
         """
         outcome = GenerationBatch(generations=[None] * len(prompts), attempts=0)
         remaining = list(range(len(prompts)))
         started = self.clock.now()
         while remaining:
-            if outcome.attempts and not self.retry.allows(
+            if outcome.attempts and not self._allows(
                 outcome.attempts, self.clock.now() - started
             ):
                 break
@@ -261,9 +240,11 @@ class ResilientGenerator:
                 outcome.breaker_refused = True
                 break
             if outcome.attempts:
+                wait = self._backoff_s(outcome.attempts, self._rng)
+                if self.clock.now() - started + wait >= DEADLINE_S:
+                    break
                 with self._tracer.traced_span("resilience.backoff",
                                               retry=outcome.attempts):
-                    wait = self.retry.backoff_s(outcome.attempts, self._rng)
                     self.clock.advance(wait)
                 outcome.wait_s += wait
                 outcome.retries += 1

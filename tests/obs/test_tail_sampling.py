@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.sampling import TailSampler
-from repro.obs.tracing import Tracer
+from repro.obs.sampling import MAX_BUFFERED_SPANS, TailSampler
+from repro.obs.tracing import MAX_SPANS, Tracer
 
 
 def _traced_span(tracer, trace_id, name="work", duration_s=0.0, at_s=0.0):
@@ -20,7 +20,7 @@ def _traced_span(tracer, trace_id, name="work", duration_s=0.0, at_s=0.0):
     {"slowest_k": -1},
     {"window_s": 0.0},
     {"head_every": -2},
-    {"max_buffered_spans": 0},
+    {"window_s": -1.0},
 ])
 def test_constructor_rejects_bad_policy(kwargs):
     with pytest.raises(ValueError):
@@ -132,16 +132,18 @@ def test_flush_resolves_the_open_window():
 
 
 def test_buffer_bound_refuses_spans_and_counts_overflow():
-    sampler = TailSampler(slowest_k=1, head_every=0, max_buffered_spans=2)
+    sampler = TailSampler(slowest_k=1, head_every=0)
     tracer = Tracer(sampler=sampler)
-    spans = [_traced_span(tracer, "big", name=f"s{i}") for i in range(4)]
-    assert sampler.buffered_spans == 2
+    spans = [_traced_span(tracer, "big", name=f"s{i}")
+             for i in range(MAX_BUFFERED_SPANS + 2)]
+    assert sampler.buffered_spans == MAX_BUFFERED_SPANS
     assert sampler.overflow == 2
     assert tracer.dropped == 2
-    # The trace still resolves; only the buffered prefix survives.
+    # The trace still resolves; only the buffered prefix survives, as far
+    # as the tracer's own MAX_SPANS cap retains it.
     sampler.finish("big", ts=0.0, duration_s=0.5, flagged=True)
-    assert [s in tracer.spans() for s in spans] == [True, True, False, False]
-    assert [s.name for s in tracer.spans()] == ["s0", "s1"]
+    assert tracer.spans() == spans[:MAX_SPANS]
+    assert tracer.dropped == 2 + MAX_BUFFERED_SPANS - MAX_SPANS
 
 
 def test_one_sampler_serves_many_tracers():
@@ -159,12 +161,12 @@ def test_one_sampler_serves_many_tracers():
 def test_buffer_capacity_frees_when_a_trace_resolves():
     """The overflow bound is on *buffered* spans, not total spans seen:
     resolving a trace releases its slots for later traces."""
-    sampler = TailSampler(slowest_k=1, head_every=0, max_buffered_spans=2)
+    sampler = TailSampler(slowest_k=0, head_every=0)
     tracer = Tracer(sampler=sampler)
-    _traced_span(tracer, "a", name="a0")
-    _traced_span(tracer, "a", name="a1")
-    assert sampler.buffered_spans == 2
-    sampler.finish("a", ts=0.0, duration_s=0.5, flagged=True)
+    for i in range(MAX_BUFFERED_SPANS):
+        _traced_span(tracer, "a", name=f"a{i}")
+    assert sampler.buffered_spans == MAX_BUFFERED_SPANS
+    sampler.finish("a", ts=0.0, duration_s=0.5)   # ordinary: dropped
     assert sampler.buffered_spans == 0
     span = _traced_span(tracer, "b", name="b0")   # capacity is back
     assert sampler.overflow == 0
@@ -176,18 +178,19 @@ def test_buffer_capacity_frees_when_a_trace_resolves():
 def test_overflow_bound_is_shared_across_traces():
     """One global bound: a span-heavy trace starves later traces' spans,
     and each refusal is counted exactly once."""
-    sampler = TailSampler(slowest_k=2, head_every=0, max_buffered_spans=3)
-    tracer = Tracer(sampler=sampler)
-    for i in range(3):
-        _traced_span(tracer, "hog", name=f"hog{i}")
-    starved = _traced_span(tracer, "victim", name="victim0")
+    sampler = TailSampler(slowest_k=2, head_every=0)
+    hogs, victims = Tracer(sampler=sampler), Tracer(sampler=sampler)
+    for i in range(MAX_BUFFERED_SPANS):
+        _traced_span(hogs, "hog", name=f"hog{i}")
+    starved = _traced_span(victims, "victim", name="victim0")
     assert sampler.overflow == 1
-    assert sampler.buffered_spans == 3
+    assert sampler.buffered_spans == MAX_BUFFERED_SPANS
     # Both traces still resolve; the victim just has no spans to keep.
     sampler.finish("hog", ts=0.0, duration_s=0.9, flagged=True)
     sampler.finish("victim", ts=0.0, duration_s=0.1, flagged=True)
-    assert sorted(s.name for s in tracer.spans()) == ["hog0", "hog1", "hog2"]
-    assert starved not in tracer.spans()
+    assert len(hogs.spans()) == MAX_SPANS
+    assert victims.spans() == [] and victims.dropped == 1
+    assert starved.trace_id == "victim"
     assert sampler.pending_traces == 0
 
 
@@ -382,8 +385,8 @@ class _World:
     def __init__(self, sampler):
         self.now = 0.0
         self.tracers = tuple(
-            Tracer(clock=lambda: self.now, name=name, max_spans=10**6,
-                   sampler=sampler) for name in ("a", "b"))
+            Tracer(clock=lambda: self.now, name=name, sampler=sampler)
+            for name in ("a", "b"))
         self.upstream = Tracer(name="upstream")
         self.handed: dict[str, object] = {}
         self.expected: dict[str, tuple] = {}

@@ -7,6 +7,7 @@ import pytest
 from repro.obs import CHROME_TRACE_SCHEMA, validate
 from repro.obs.events import EventLog
 from repro.obs.tracing import (
+    MAX_SPANS,
     NULL_SPAN,
     TRACE_ID_ATTR,
     Tracer,
@@ -73,11 +74,12 @@ def test_assigning_the_clock_retimes_later_spans():
 
 
 def test_max_spans_bounds_memory():
-    tracer = Tracer(max_spans=2)
-    for index in range(5):
+    tracer = Tracer()
+    for index in range(MAX_SPANS + 3):
         with tracer.span(f"s{index}"):
             pass
-    assert len(tracer.spans()) == 2
+    assert len(tracer.spans()) == MAX_SPANS
+    assert tracer.spans()[-1].name == f"s{MAX_SPANS - 1}"
     assert tracer.dropped == 3
 
 
@@ -346,22 +348,25 @@ def test_record_appends_completed_span_with_explicit_window():
 
 
 def test_head_truncated_export_stays_referentially_valid():
-    tracer = Tracer(max_spans=2)
+    tracer = Tracer()
+    for _ in range(MAX_SPANS - 2):
+        with tracer.span("filler"):
+            pass
     with tracer.span("root"):
         with tracer.span("middle"):
-            with tracer.span("leaf"):  # exceeds max_spans: dropped
+            with tracer.span("leaf"):  # exceeds MAX_SPANS: dropped
                 pass
     payload = chrome_trace([("p", tracer)])
     validate(CHROME_TRACE_SCHEMA, payload)
-    assert [e["name"] for e in payload["traceEvents"]] == [
-        "process_name", "root", "middle"]
+    names = [e["name"] for e in payload["traceEvents"]]
+    assert names[-2:] == ["root", "middle"] and "leaf" not in names
 
 
 def test_a_parent_missing_from_the_export_is_minus_one():
     """Retention never keeps a span without its same-tracer parent (see
     test_scenarios' retained-parent invariant); should a parent still be
     missing, the export names none rather than a dangling id."""
-    tracer = Tracer(max_spans=10)
+    tracer = Tracer()
     with tracer.span("root"):
         with tracer.span("middle") as middle:
             with tracer.span("leaf") as leaf:

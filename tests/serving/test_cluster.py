@@ -18,7 +18,7 @@ from repro.serving import (
     ServeRequest,
 )
 from repro.serving.chaos import ScriptedGenerator, response_ok
-from repro.serving.resilience import BreakerState
+from repro.serving.resilience import COOLDOWN_S, BreakerState
 
 
 def _cluster(n_replicas=3, fault_rate=0.0, seed=3, **config_kwargs) -> CosmoCluster:
@@ -121,8 +121,6 @@ def test_flush_trigger_matches_a_per_entry_reference(ops):
     injectors = cluster._test_injectors.values()
     for injector in injectors:
         injector.plan = FaultPlan()
-    for service in cluster.services.values():
-        service.breaker.min_calls = 10**9  # the outage dead-letters, never trips
     enqueued = {replica_id: {} for replica_id in cluster.services}
     expected = []
 
@@ -172,6 +170,9 @@ def test_flush_trigger_matches_a_per_entry_reference(ops):
         else:
             for injector in injectors:
                 injector.plan = FaultPlan(error_rate=1.0 if kind == "fail" else 0.0)
+            if kind == "recover":  # every breaker the outage opened cools down
+                for clock in (cluster.clock, *(s.clock for s in cluster.services.values())):
+                    clock.advance(COOLDOWN_S)
 
 
 def test_forced_flush_drains_the_queue_past_a_full_daily_layer():
@@ -352,7 +353,7 @@ def test_keys_go_home_once_the_breaker_cooldown_expires():
     assert all(cluster.handle(key).replica != victim for key in victim_keys)
     failovers = cluster.metrics_totals()["failovers"]
     assert failovers == len(victim_keys)
-    cluster.services[victim].clock.advance(breaker.cooldown_s)
+    cluster.services[victim].clock.advance(COOLDOWN_S)
     # Still OPEN (no call has probed it), but no longer cooling down.
     assert breaker.state is BreakerState.OPEN and not breaker.cooling_down
     for key in victim_keys:

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from repro.llm.interface import Generation, GenerationBatch, LatencyModel
 from repro.serving import (
-    CircuitBreaker,
+    BreakerState,
     CosmoService,
     FaultInjector,
     FaultPlan,
     FlakyGenerator,
-    RetryPolicy,
     ServeRequest,
     SimClock,
 )
+from repro.serving.resilience import MIN_CALLS
 
 
 def _handle(service, query):
@@ -41,7 +41,7 @@ class Scripted:
 
 #: The resilience ablation's baseline arm: one attempt per call, no output
 #: validation, no degraded serving (``chaos --scenario baseline``).
-BASELINE = {"retry": RetryPolicy(max_attempts=1),
+BASELINE = {"max_attempts": 1,
             "response_validator": lambda text: True,
             "degraded_serving": False}
 
@@ -111,14 +111,13 @@ def test_baseline_run_batch_advances_the_clock_by_the_generator_latency(plan):
 
 # -- dead-letter queue -----------------------------------------------------
 def test_exhausted_retries_dead_letter_and_daily_refresh_redrives():
-    service, injector = _service(
-        retry=RetryPolicy(max_attempts=2, jitter=0.0),
-        breaker=CircuitBreaker(SimClock(), min_calls=100),  # effectively off
-    )
+    service, injector = _service(max_attempts=2)
     injector.plan = FaultPlan(error_rate=1.0)
     _handle(service, "q1")
     _handle(service, "q2")
     assert service.run_batch() == 0
+    # Two failed attempts, fewer than MIN_CALLS: the breaker stays closed.
+    assert service.breaker.state is BreakerState.CLOSED
     assert service.metrics.dead_lettered == 2
     assert [letter.query for letter in service.dead_letters] == ["q1", "q2"]
     assert service.cache.pending_size == 0  # moved off the pending queue
@@ -131,24 +130,23 @@ def test_exhausted_retries_dead_letter_and_daily_refresh_redrives():
 
 
 def test_redrive_failure_requeues_with_bumped_attempts():
-    service, injector = _service(
-        retry=RetryPolicy(max_attempts=2, jitter=0.0),
-        breaker=CircuitBreaker(SimClock(), min_calls=100),
-    )
+    service, injector = _service(max_attempts=2)
     injector.plan = FaultPlan(error_rate=1.0)
     _handle(service, "q")
     service.run_batch()
     first_attempts = service.dead_letters[0].attempts
     service.daily_refresh(refresh_stale=False)  # still failing
+    # Two calls of two failed attempts each, fewer than MIN_CALLS.
+    assert service.breaker.state is BreakerState.CLOSED
     assert len(service.dead_letters) == 1
     assert service.dead_letters[0].attempts == first_attempts + 1
 
 
 def test_breaker_refusal_leaves_queries_pending():
-    breaker = CircuitBreaker(SimClock(), window=4, min_calls=2, cooldown_s=1e9)
-    breaker.record_failure()
-    breaker.record_failure()
-    service, _ = _service(breaker=breaker)
+    service, _ = _service()
+    for _ in range(MIN_CALLS):
+        service.breaker.record_failure()
+    assert service.breaker.state is BreakerState.OPEN
     _handle(service, "q")
     assert service.run_batch() == 0
     assert service.breaker.refusals == 1

@@ -2,6 +2,7 @@
 
 from repro.obs import EventLog
 from repro.serving import (
+    BreakerState,
     CircuitBreaker,
     ClusterConfig,
     CosmoCluster,
@@ -9,10 +10,10 @@ from repro.serving import (
     FaultInjector,
     FaultPlan,
     FlakyGenerator,
-    RetryPolicy,
     ServeRequest,
     SimClock,
 )
+from repro.serving.resilience import COOLDOWN_S, HALF_OPEN_PROBES, MIN_CALLS
 from repro.serving.chaos import ScriptedGenerator, response_ok
 
 
@@ -28,14 +29,14 @@ def _flaky_service(event_log, plan=None, seed=0, **kwargs):
 def test_breaker_transitions_become_events():
     clock = SimClock()
     log = EventLog()
-    breaker = CircuitBreaker(clock, window=4, min_calls=2, cooldown_s=1.0,
-                             half_open_probes=1)
+    breaker = CircuitBreaker(clock)
     breaker.attach_event_log(log, component="svc-r0")
-    breaker.record_failure()
-    breaker.record_failure()       # rate 1.0 over min_calls: trips OPEN
-    clock.advance(1.5)
+    for _ in range(MIN_CALLS):     # rate 1.0 over MIN_CALLS: trips OPEN
+        breaker.record_failure()
+    clock.advance(COOLDOWN_S)
     assert breaker.allow()         # cooldown elapsed: HALF_OPEN probe
-    breaker.record_success()       # one probe closes it
+    for _ in range(HALF_OPEN_PROBES):
+        breaker.record_success()   # enough probes close it
     assert [e.kind for e in log.events()] == [
         "breaker.open", "breaker.half-open", "breaker.closed"]
     opened = log.events()[0]
@@ -60,15 +61,13 @@ def test_service_degradation_events_mark_edges_not_requests():
 
 def test_dead_letter_and_redrive_events():
     log = EventLog()
-    service, injector = _flaky_service(
-        log,
-        retry=RetryPolicy(max_attempts=2, jitter=0.0),
-        breaker=CircuitBreaker(SimClock(), min_calls=100),  # effectively off
-    )
+    service, injector = _flaky_service(log, max_attempts=2)
     injector.plan = FaultPlan(error_rate=1.0)
     service.serve(ServeRequest(query="q1"))
     service.serve(ServeRequest(query="q2"))
     assert service.run_batch() == 0
+    # Two failed attempts, fewer than MIN_CALLS: no breaker event.
+    assert service.breaker.state is BreakerState.CLOSED
     injector.plan = FaultPlan()               # outage ends
     service.daily_refresh()
     dead = next(e for e in log.events() if e.kind == "service.dead_letter")

@@ -159,7 +159,7 @@ def test_a_dispatch_mints_its_trace_id_from_the_request_count_and_query():
 def test_batch_traces_reach_a_sampling_decision():
     """Regression: ``handle_batch`` opened one trace per replica group
     and never finished it at the sampler, so its spans stayed buffered
-    forever (and, at ``max_buffered_spans``, every later trace was
+    forever (and, at ``MAX_BUFFERED_SPANS``, every later trace was
     refused)."""
     cluster, sampler, _ = _build(lambda i: ScriptedGenerator())
     cluster.preload_yearly({f"query {i:02d}": "answer." for i in range(16)})

@@ -157,30 +157,6 @@ KEPT_OPTIONS = (
       "tests/serving/test_degradation.py::test_pending_age_eviction_on_day_roll",
       "tests/serving/test_cache_properties.py::"
       "test_pending_queue_matches_scan_forms_under_arbitrary_operations")),
-    (("Tracer.max_spans", "TailSampler.max_buffered_spans"),
-     "span memory caps: a test shrinks each to reach the drop path",
-     ("tests/obs/test_tracing.py::test_max_spans_bounds_memory",
-      "tests/obs/test_tail_sampling.py::"
-      "test_buffer_bound_refuses_spans_and_counts_overflow")),
-    (("RetryPolicy.deadline_s", "RetryPolicy.base_backoff_s",
-      "RetryPolicy.backoff_multiplier", "RetryPolicy.max_backoff_s", "RetryPolicy.jitter"),
-     "retry budget and deadline: tests exhaust both with a small policy",
-     ("tests/serving/test_resilience.py::test_deadline_and_attempt_budgets",
-      "tests/serving/test_resilience.py::"
-      "test_retries_exhausted_raises_and_deadline_is_respected",
-      "tests/serving/test_degradation.py::"
-      "test_exhausted_retries_dead_letter_and_daily_refresh_redrives")),
-    (("CircuitBreaker.failure_threshold", "CircuitBreaker.cooldown_s",
-      "CircuitBreaker.half_open_probes", "CircuitBreaker.window",
-      "CircuitBreaker.min_calls", "CosmoService.breaker", "ResilientGenerator.breaker"),
-     "failure boundary: tests open, cool down and probe a breaker in a few calls, "
-     "or hand a service one that never opens",
-     ("tests/serving/test_resilience.py::test_breaker_trips_at_failure_threshold",
-      "tests/serving/test_resilience.py::test_breaker_half_open_probe_cycle",
-      "tests/serving/test_resilience.py::test_open_breaker_fails_fast",
-      "tests/serving/test_degradation.py::test_breaker_refusal_leaves_queries_pending",
-      "tests/serving/test_degradation.py::"
-      "test_exhausted_retries_dead_letter_and_daily_refresh_redrives")),
     (("RefreshConfig.llm_call_budget",),
      "LLM-call budget per refresh round: a test sets it to reach deferral",
      ("tests/refresh/test_builder.py::test_budget_defers_overflow_to_next_round",)),

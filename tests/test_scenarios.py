@@ -134,7 +134,7 @@ def test_every_scenario_expectation_holds_on_its_own_drive():
 def test_every_retained_span_keeps_its_parent():
     """Retention never keeps a span whose same-tracer parent it dropped:
     the sampler keeps or drops a trace whole and commits it in open order,
-    no buffer frees while a span of its trace is open, and ``max_spans``
+    no buffer frees while a span of its trace is open, and ``MAX_SPANS``
     only refuses spans later than every retained one.  So the export needs
     no re-parenting: every retained span's ``parent_id`` is None or names a
     retained span of its own tracer."""

@@ -1,4 +1,4 @@
-"""Ten source rules over ``src``, ``benchmarks`` and ``examples``: contracts the
+"""Eleven source rules over ``src``, ``benchmarks`` and ``examples``: contracts the
 reproduction's numbers rely on that no behavioural test sees (DESIGN.md §8).
 
 Each rule is a function of ``(tree, path)`` yielding ``(node, message)``
@@ -359,6 +359,54 @@ def registry_injection(tree, path):
                      "`x if x is not None else MetricsRegistry()` fallback idiom")
 
 
+def _string_annotation_names(tree: ast.Module):
+    """Names inside quoted annotations (``rng: "np.random.Generator"``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for text in ast.walk(annotation):
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    try:
+                        parsed = ast.parse(text.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    yield from (name.id for name in ast.walk(parsed)
+                                if isinstance(name, ast.Name))
+
+
+def unused_import(tree, path):
+    """Every import is read: a name a file imports appears in it as a name
+    (an attribute chain's root included), a parameter (a pytest fixture), a
+    quoted annotation or an ``__all__`` entry.  Package ``__init__.py``
+    files re-export and are exempt."""
+    if path.name == "__init__.py":
+        return
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    used.update(_string_annotation_names(tree))
+    dunder_all = _find_all(tree)
+    if dunder_all is not None and isinstance(dunder_all.value, (ast.List, ast.Tuple)):
+        used |= {element.value for element in dunder_all.value.elts
+                 if isinstance(element, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".", 1)[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        else:
+            continue
+        for name in names:
+            if name not in used:
+                yield node, f"{name!r} is imported but never used; delete the import"
+
+
 RULES = {
     "unscoped-rng": unscoped_rng,
     "wall-clock": wall_clock,
@@ -370,6 +418,7 @@ RULES = {
     "trace-id-contract": trace_id_contract,
     "clock-injection": clock_injection,
     "registry-injection": registry_injection,
+    "unused-import": unused_import,
 }
 
 
@@ -395,9 +444,9 @@ def test_the_live_tree_breaks_no_source_rule(monkeypatch):
 #: (file, anchor, replacement, the one rule that must report it): each plant
 #: passes every other tier-1 test, so only its rule stands between it and main.
 PLANTS = [
-    ("src/repro/apps/navigation/query_rewrites.py",
-     'self._rng = spawn_rng(seed, "query-rewrites")',
-     "self._rng = np.random.default_rng(seed)", "unscoped-rng"),
+    ("src/repro/apps/recommendation/baselines.py",
+     'rng = spawn_rng(seed, "csrm")',
+     "rng = np.random.default_rng(seed)", "unscoped-rng"),
     ("src/repro/refresh/rollout.py",
      'or None when the rollout is already finished.\n        """\n',
      'or None when the rollout is already finished.\n        """\n'
@@ -429,6 +478,10 @@ PLANTS = [
      "        self._in_degraded_mode = False\n",
      '        self._swaps = MetricsRegistry().counter("service_snapshot_swaps_total", '
      '"snapshot swaps")\n        self._in_degraded_mode = False\n', "registry-injection"),
+    ("src/repro/obs/export.py",
+     "from repro.obs.metrics import Histogram, MetricsRegistry",
+     "from repro.obs.metrics import Histogram, MetricFamily, MetricsRegistry",
+     "unused-import"),
 ]
 
 
@@ -919,6 +972,56 @@ def test_registry_injection_flags_component_owned_registry(run_rule):
     assert run_rule(registry_injection, source, path="src/repro/obs/slo.py") == []
 
 
+# -- unused-import ------------------------------------------------------
+
+
+def test_unused_import_flags_each_name_nothing_reads(run_rule):
+    diags = run_rule(
+        unused_import,
+        """
+        import os.path
+        import numpy as np
+        from math import ceil, floor
+
+        def f(x):
+            return floor(x)
+        """,
+    )
+    assert [d.rule for d in diags] == ["unused-import"] * 3
+    assert [d.line for d in diags] == [2, 3, 4]
+    assert [d.message.split()[0] for d in diags] == ["'os'", "'np'", "'ceil'"]
+
+
+def test_unused_import_counts_names_parameters_quoted_annotations_and_all(run_rule):
+    diags = run_rule(
+        unused_import,
+        """
+        from __future__ import annotations
+        import numpy as np
+        from typing import TYPE_CHECKING
+        from fixtures import pipeline
+        from helpers import exported
+
+        if TYPE_CHECKING:
+            from tracer import Span
+
+        __all__ = ["exported"]
+
+        def test_uses(pipeline, span: "Span | None") -> None:
+            return np.zeros(3)
+        """,
+    )
+    assert diags == []
+
+
+def test_unused_import_exempts_package_reexports(run_rule):
+    source = """
+    from pkg.mod import thing
+    """
+    assert run_rule(unused_import, source, path="pkg/__init__.py") == []
+    assert len(run_rule(unused_import, source, path="pkg/other.py")) == 1
+
+
 # -- a fixture tree that trips every rule once ----------------------------
 
 
@@ -988,6 +1091,13 @@ def test_every_file_scope_rule_fires_exactly_once(tmp_path, monkeypatch):
                 with tracer.span("serve", trace_id=tid):
                     return tid
             """,
+        "proj/imports.py": """
+            __all__ = ["double"]
+            import math
+
+            def double(x):
+                return 2 * x
+            """,
     }
     for name, body in modules.items():
         path = Path(name)
@@ -1009,6 +1119,7 @@ def test_every_file_scope_rule_fires_exactly_once(tmp_path, monkeypatch):
         ("wall-clock", "proj/serving/clocked.py", 5, 12),
         ("event-log-only", "proj/serving/printer.py", 4, 5),
         ("trace-id-contract", "proj/serving/tagger.py", 4, 10),
+        ("unused-import", "proj/imports.py", 2, 1),
     ])
     assert sorted(f[0] for f in found) == sorted(RULES)
     assert str(findings[0]) == (
