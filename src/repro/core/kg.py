@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -62,6 +63,14 @@ _HEAD_BLOCKS: tuple[tuple[type, tuple[str, ...]], ...] = (
     (np.float64, ("_plaus_col", "_typ_col")),
     (np.int64, ("_support_col", "_head_ids_end")),
 )
+#: The per-edge numbers ``extend`` reads off a triple, in the order it
+#: writes them: column attribute, field getter, dtype.
+_NUMBERS: tuple[tuple[str, attrgetter, type], ...] = (
+    ("_plaus_col", attrgetter("plausibility"), np.float64),
+    ("_typ_col", attrgetter("typicality"), np.float64),
+    ("_support_col", attrgetter("support"), np.int64),
+)
+_HEAD_IDS = attrgetter("head_ids")
 #: Name → attribute of every intern table.
 _TABLES = {"nodes": "_nodes", "relations": "_relations",
            "domains": "_domains", "behaviors": "_behaviors"}
@@ -165,10 +174,12 @@ class _InternTable:
             self._values.append(value)
         return interned
 
-    def intern_many(self, values: list[str]) -> list[int]:
-        """``[intern(v) for v in values]`` as one C-level pass: new
-        strings get their ids in first-appearance order."""
-        interned = list(map(self._ids.__getitem__, values))
+    def intern_many(self, values: list[str]) -> np.ndarray:
+        """``[intern(v) for v in values]`` as one C-level pass straight
+        into an int32 array (no list of ids): new strings get their ids
+        in first-appearance order."""
+        interned = np.fromiter(map(self._ids.__getitem__, values),
+                               dtype=np.int32, count=len(values))
         self._values.extend(islice(self._ids, len(self._values), None))
         return interned
 
@@ -232,10 +243,10 @@ class KnowledgeGraph:
             # Merge: best scores win, support accumulates, the first
             # insert's provenance (head_ids) and domain/behavior stick.
             if triple.plausibility > self._plaus_col[row]:
-                self._plaus_col[row] = triple.plausibility
+                self._owned("_plaus_col")[row] = triple.plausibility
             if triple.typicality > self._typ_col[row]:
-                self._typ_col[row] = triple.typicality
-            self._support_col[row] += triple.support
+                self._owned("_typ_col")[row] = triple.typicality
+            self._owned("_support_col")[row] += triple.support
             self._head_index = None
             return
         row = self._size
@@ -256,12 +267,25 @@ class KnowledgeGraph:
         self._head_ids_end = self._head_index = None
 
     def _grow(self, rows: int) -> None:
-        """Room for ``rows`` edges, at least doubling."""
+        """Room for ``rows`` edges, at least doubling.  Every column is
+        reallocated, frozen ones included: a frozen column has no spare
+        row, so an append always comes through here."""
         capacity = max(_INITIAL_CAPACITY, 2 * len(self._head_col), rows)
         for attr, dtype in _ARRAYS.values():
             grown = np.empty(capacity, dtype=dtype)
             grown[: self._size] = getattr(self, attr)[: self._size]
             setattr(self, attr, grown)
+
+    def _owned(self, attr: str) -> np.ndarray:
+        """The column at ``attr``, ready for an in-place write.  A
+        write-locked column is a buffer some snapshot shares
+        (:meth:`frozen_columns`), so the graph swaps in a copy of it
+        first; the ``writeable`` flag is the only ownership mark."""
+        column = getattr(self, attr)
+        if not column.flags.writeable:
+            column = column.copy()
+            setattr(self, attr, column)
+        return column
 
     def _keys(self) -> np.ndarray:
         """The packed key of every held row, from the id columns."""
@@ -282,19 +306,22 @@ class KnowledgeGraph:
         a per-edge dict: one sort of the batch's keys, and, when the
         graph already holds rows, one sort of theirs — the stated cost
         of extending a held graph; :meth:`add` is the per-edge path.
+        A batch-sized temporary is dropped as soon as it is used, and
+        ids and numbers go straight into arrays, never through a list.
         """
-        batch = list(triples)
+        batch = triples if isinstance(triples, list) else list(triples)
         if not batch:
             return
         ends: list = [None] * (2 * len(batch))
         ends[0::2] = [triple.head for triple in batch]
         ends[1::2] = [triple.tail for triple in batch]
-        end_ids = np.array(self._nodes.intern_many(ends), dtype=np.int32)
+        end_ids = self._nodes.intern_many(ends)
+        del ends
         heads, tails = end_ids[0::2], end_ids[1::2]
         # ``_value_`` is ``.value`` without the descriptor call, which
         # costs four times the attribute read.
-        relations = np.array(self._relations.intern_many(
-            [triple.relation._value_ for triple in batch]), dtype=np.int32)
+        relations = self._relations.intern_many(
+            [triple.relation._value_ for triple in batch])
         keys = pack_edge_keys(heads, relations, tails, nodes=len(self._nodes),
                               relations=len(self._relations))
 
@@ -304,6 +331,7 @@ class KnowledgeGraph:
         size = self._size
         distinct, first, inverse = np.unique(keys, return_index=True,
                                              return_inverse=True)
+        del keys
         row_of = np.full(len(distinct), -1, dtype=np.intp)
         if size:
             held = self._keys()
@@ -311,47 +339,60 @@ class KnowledgeGraph:
             at = order[np.minimum(
                 np.searchsorted(held, distinct, sorter=order), size - 1)]
             row_of = np.where(held[at] == distinct, at, row_of)
+            del held, order, at
+        del distinct
         new = row_of < 0
         opens = np.zeros(len(batch), dtype=bool)
         opens[first[new]] = True
         row_of[new] = size - 1 + np.cumsum(opens)[first[new]]
+        del first, new
+        # The row each merging edge merges into, in batch order.
+        into = row_of[inverse[~opens]]
+        del row_of, inverse
 
         opened = list(compress(batch, opens.tolist()))
-        end = size + len(opened)
-        if end > len(self._head_col):
-            self._grow(end)
-        domains = self._domains.intern_many([t.domain for t in opened])
-        behaviors = self._behaviors.intern_many([t.behavior for t in opened])
-        self._head_col[size:end] = heads[opens]
-        self._rel_col[size:end] = relations[opens]
-        self._tail_col[size:end] = tails[opens]
-        self._domain_col[size:end] = domains
-        self._behavior_col[size:end] = behaviors
-        self._plaus_col[size:end] = [t.plausibility for t in opened]
-        self._typ_col[size:end] = [t.typicality for t in opened]
-        self._support_col[size:end] = [t.support for t in opened]
-        head_ids = [t.head_ids for t in opened]
-        self._head_ids_len_col[size:end] = list(map(len, head_ids))
-        self._head_ids_flat.extend(chain.from_iterable(head_ids))
-        self._size = end
-        self._head_ids_end = self._head_index = None
+        if opened:
+            end = size + len(opened)
+            if end > len(self._head_col):
+                self._grow(end)
+            self._head_col[size:end] = heads[opens]
+            self._rel_col[size:end] = relations[opens]
+            self._tail_col[size:end] = tails[opens]
+            del end_ids, heads, tails, relations
+            self._domain_col[size:end] = self._domains.intern_many(
+                [t.domain for t in opened])
+            self._behavior_col[size:end] = self._behaviors.intern_many(
+                [t.behavior for t in opened])
+            for attr, field, dtype in _NUMBERS:
+                getattr(self, attr)[size:end] = np.fromiter(
+                    map(field, opened), dtype=dtype, count=len(opened))
+            self._head_ids_len_col[size:end] = np.fromiter(
+                map(len, map(_HEAD_IDS, opened)), dtype=np.int32,
+                count=len(opened))
+            self._head_ids_flat.extend(
+                chain.from_iterable(map(_HEAD_IDS, opened)))
+            self._size = end
+            self._head_ids_end = None
+        del opened
+        self._head_index = None
         self._row_of = None
+        if not into.size:
+            return
 
-        if len(opened) < len(batch):
-            merges = ~opens
-            merged = list(compress(batch, merges.tolist()))
-            into = row_of[inverse[merges]]
-            # ``add`` replaces a score only by a greater one: a running
-            # maximum that a NaN never enters and a NaN first insert
-            # never leaves.
-            for column, scores in (
-                    (self._plaus_col, [t.plausibility for t in merged]),
-                    (self._typ_col, [t.typicality for t in merged])):
-                settled = ~np.isnan(column[into])
-                np.fmax.at(column, into[settled],
-                           np.array(scores, dtype=np.float64)[settled])
-            np.add.at(self._support_col, into,
-                      np.array([t.support for t in merged], dtype=np.int64))
+        merged = list(compress(batch, (~opens).tolist()))
+        plausibility, typicality, support = (
+            np.fromiter(map(field, merged), dtype=dtype, count=len(merged))
+            for _, field, dtype in _NUMBERS)
+        del merged
+        # ``add`` replaces a score only by a greater one: a running
+        # maximum that a NaN never enters and a NaN first insert never
+        # leaves.  A frozen column is copied before it is written.
+        for attr, scores in (("_plaus_col", plausibility),
+                             ("_typ_col", typicality)):
+            column = self._owned(attr)
+            settled = ~np.isnan(column[into])
+            np.fmax.at(column, into[settled], scores[settled])
+        np.add.at(self._owned("_support_col"), into, support)
 
     # ------------------------------------------------------------------
     def _records(self, heads: list[str], relations: list[int],
@@ -492,12 +533,13 @@ class KnowledgeGraph:
     def columns(self) -> dict:
         """Read-only view of the columnar form: :data:`ARRAY_COLUMNS`
         as trimmed views over the live columns (callers must not mutate
-        them), then :data:`STRING_COLUMNS` — the id tables and the flat
-        provenance — as string tuples.  This and :meth:`from_columns`
-        are the one boundary between a graph and everything downstream
-        of it: :mod:`repro.core.kg_io` writes this mapping member for
-        member and :mod:`repro.refresh.snapshot` freezes and
-        content-addresses it.
+        them; once :meth:`frozen_columns` has run they cannot), then
+        :data:`STRING_COLUMNS` — the id tables and the flat provenance —
+        as string tuples.  This and :meth:`from_columns` are the one
+        boundary between a graph and everything downstream of it:
+        :mod:`repro.core.kg_io` writes this mapping member for member
+        and :mod:`repro.refresh.snapshot` freezes and content-addresses
+        it.
         """
         n = self._size
         cols: dict = {name: getattr(self, attr)[:n]
@@ -506,6 +548,27 @@ class KnowledgeGraph:
             cols[name] = getattr(self, attr).values()
         cols[_PROVENANCE] = tuple(self._head_ids_flat)
         return cols
+
+    def frozen_columns(self) -> dict:
+        """:meth:`columns` over the graph's own buffers, write-locked in
+        place: what a snapshot keeps, without a copy.
+
+        A buffer with spare rows is first trimmed by one copy, so a
+        frozen buffer holds exactly the graph's edges and nothing else.
+        From then on the buffer belongs to whoever holds the frozen
+        columns as much as to the graph, and the graph never writes into
+        it again: an append reallocates every column through
+        :meth:`_grow` (a frozen buffer has no spare row), and a merge
+        copies the column it writes first (:meth:`_owned`).
+        """
+        n = self._size
+        for attr, _ in _ARRAYS.values():
+            column = getattr(self, attr)
+            if len(column) != n:
+                column = column[:n].copy()
+                setattr(self, attr, column)
+            column.setflags(write=False)
+        return self.columns()
 
     @classmethod
     def from_columns(cls, columns: Mapping) -> "KnowledgeGraph":

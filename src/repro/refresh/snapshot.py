@@ -16,8 +16,12 @@ cache keyed by version (the quality gate's verdicts, the store) is sound.
 Snapshots are constructed **only** through :func:`build_snapshot`; the
 :class:`KgSnapshot` constructor takes a private token and raises
 ``TypeError`` without it.  Entries and columns are exposed through
-read-only mapping proxies, and the column arrays are private write-locked
-copies, so a published version can never drift from the bytes it names.
+read-only mapping proxies.  The column arrays are the source graph's own
+buffers, write-locked in place (:meth:`KnowledgeGraph.frozen_columns`):
+the snapshot and the graph share each buffer and neither writes into it
+again — the graph copies a frozen column before its next merge and
+reallocates on its next append — so a published version can never drift
+from the bytes it names, and a refresh holds each column once.
 """
 
 from __future__ import annotations
@@ -146,18 +150,6 @@ def columnar_digest(graph: KnowledgeGraph) -> str:
     return _columns_digest(graph.columns())
 
 
-def _frozen(columns: Mapping[str, Any]) -> Mapping[str, Any]:
-    """Private, write-locked copies of a graph's arrays (its tables and
-    provenance are tuples already) behind a read-only mapping."""
-    frozen: dict[str, Any] = {}
-    for name, value in columns.items():
-        if isinstance(value, np.ndarray):
-            value = value.copy()
-            value.setflags(write=False)
-        frozen[name] = value
-    return MappingProxyType(frozen)
-
-
 def build_snapshot(
     entries: Mapping[str, str],
     triples: Iterable[KnowledgeTriple] = (),
@@ -169,10 +161,13 @@ def build_snapshot(
 
     The knowledge comes either as ``triples``, which are merged into a
     private graph, or as the ``graph`` that already holds them — never
-    both.  Its columns are copied and frozen, and the
-    :func:`columnar_digest`, the version id derived from it and
-    ``triple_count`` are all read off those merged columns, so two
-    inputs that merge to the same graph are the same snapshot.
+    both.  The snapshot keeps that graph's column buffers, frozen in
+    place rather than copied (:meth:`KnowledgeGraph.frozen_columns`; the
+    graph copies a frozen column before it writes into it again), behind
+    a read-only mapping.  The :func:`columnar_digest`, the version id
+    derived from it and ``triple_count`` are all read off those merged
+    columns, so two inputs that merge to the same graph are the same
+    snapshot.
     ``parent`` links lineage: the rollout controller rolls back to
     ``snapshot.parent`` by version.
     """
@@ -181,7 +176,7 @@ def build_snapshot(
         graph.extend(triples)
     elif triples:
         raise ValueError("build_snapshot takes triples or graph=, not both")
-    columns = _frozen(graph.columns())
+    columns = MappingProxyType(graph.frozen_columns())
     parent_version = parent.version if parent is not None else None
     columns_digest = _columns_digest(columns)
     identity = hashlib.blake2b(json.dumps(

@@ -10,9 +10,10 @@ has into that deployment:
   cache entry and pending-queue slot live on one shard) with minimal
   remapping when a replica is drained;
 * **failover** — each replica's circuit breaker is consulted *read-only*
-  (:attr:`~repro.serving.resilience.CircuitBreaker.cooling_down`); while
-  a breaker cools down, that replica's traffic walks to the next replica
-  on the ring instead of queueing behind a dead generator;
+  (:meth:`~repro.serving.resilience.CircuitBreaker.cooling_down_at`, at
+  the time a dispatch to it would start); while a breaker cools down,
+  that replica's traffic walks to the next replica on the ring instead
+  of queueing behind a dead generator;
 * **adaptive batching** — a replica's pending-miss queue is flushed
   when it reaches ``max_batch_size`` *or* when its oldest miss has
   waited ``max_batch_delay_s`` since it was enqueued, replacing the
@@ -292,10 +293,17 @@ class CosmoCluster:
         groups: dict[str, tuple[list[int], list[ServeRequest | str]]] = {}
         failed_over: set[str] = set()
         # Routing advances no replica clock, so no cooldown can lapse while
-        # a window is routed: the breakers are read once per window.  A
-        # closed breaker costs one attribute read, not a cooldown check.
-        cooling = {name for name, breaker in self._breakers.items()
-                   if breaker.state is _OPEN and breaker.cooling_down}
+        # a window is routed: the breakers are read once per window, each
+        # at the time a dispatch to its replica would start (the arrival,
+        # or later on a busy shard).  A closed breaker costs one attribute
+        # read, not a cooldown check.  (A loop, not a comprehension: one
+        # that read ``arrival`` and ``self`` would make both closure cells
+        # for the whole of this method.)
+        cooling = set()
+        for name, breaker in self._breakers.items():
+            if breaker.state is _OPEN and breaker.cooling_down_at(
+                    max(arrival, self.services[name].clock.now())):
+                cooling.add(name)
         route = self.router.route
         for index, request in enumerate(requests):
             query = request if isinstance(request, str) else request.query

@@ -119,29 +119,37 @@ class CircuitBreaker:
         self._outcomes.clear()
         self._set_state(BreakerState.OPEN)
 
-    @property
-    def cooling_down(self) -> bool:
-        """True while the breaker is OPEN and inside its cooldown.
+    def cooling_down_at(self, now: float) -> bool:
+        """True while the breaker is OPEN and ``now`` is inside its
+        cooldown.
 
         Unlike :meth:`allow` this is a pure read: it neither counts a
         refusal nor transitions to HALF_OPEN, so the cluster can consult
         it when picking a failover replica without disturbing breaker
-        state.  Once the cooldown elapses this turns False, making the
-        replica routable again so the next real call can probe it.
+        state.  ``now`` is the time a call would reach the breaker, which
+        can be later than the breaker's own clock: a replica's clock
+        stands still while all its traffic fails over, so a cooldown read
+        on it alone would never end.  Once the cooldown elapses this
+        turns False, making the replica routable again so the next real
+        call can probe it.
         """
         return (self.state is BreakerState.OPEN
-                and self._clock.now() - self._opened_at < COOLDOWN_S)
+                and now - self._opened_at < COOLDOWN_S)
+
+    @property
+    def cooling_down(self) -> bool:
+        """:meth:`cooling_down_at` on the breaker's own clock."""
+        return self.cooling_down_at(self._clock.now())
 
     # ------------------------------------------------------------------
     def allow(self) -> bool:
         """Whether a call may proceed right now."""
         if self.state is BreakerState.OPEN:
-            if self._clock.now() - self._opened_at >= COOLDOWN_S:
-                self._probe_successes = 0
-                self._set_state(BreakerState.HALF_OPEN)
-                return True
-            self.refusals += 1
-            return False
+            if self.cooling_down:
+                self.refusals += 1
+                return False
+            self._probe_successes = 0
+            self._set_state(BreakerState.HALF_OPEN)
         return True
 
     def record_success(self) -> None:

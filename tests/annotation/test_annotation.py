@@ -1,7 +1,5 @@
 """Annotation simulator: protocol, noise, audit."""
 
-import pytest
-
 from repro.annotation import (
     QUESTIONS,
     TRUTH_TABLE,

@@ -1,7 +1,5 @@
 """Candidate harvesting: prompts, parsing, rotation."""
 
-import pytest
-
 from repro.core.generation import CANDIDATES_PER_SAMPLE, build_prompt, generate_candidates
 from repro.core.relations import SEED_RELATIONS
 from repro.llm import TeacherLLM

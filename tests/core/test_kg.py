@@ -7,11 +7,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from repro.core.kg import KnowledgeGraph
+import numpy as np
+import pytest
+
+from repro.core.kg import ARRAY_COLUMNS, KnowledgeGraph
 from repro.core.kg_io import load_kg_columnar, save_kg_columnar
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.refresh import columnar_digest
+from repro.refresh import build_snapshot, columnar_digest
 
 
 def _triple(head="q ||| p", tail="camping", relation=Relation.USED_FOR_EVE,
@@ -121,40 +124,69 @@ def test_reads_of_unseen_strings_never_intern():
         assert [t.tail for t in kg.neighbors("never seen")] == ["camping"]
 
 
-def test_no_per_edge_python_object_survives(tmp_path):
-    """What a graph retains after a bulk ingest, and after a load, is its
-    columns: nine arrays, 48 B per edge (capacity lands exactly on 2**15
-    here), plus a few dozen table strings.  A ``dict[int, int]`` merge
-    index alone is ~85 B per edge, so holding one fails this bound."""
+def _dense_batch() -> list[KnowledgeTriple]:
+    """2**15 distinct edges over 64 nodes and 8 relations."""
     nodes = [f"node {i:02d}" for i in range(64)]
     batch = [_triple(head=head, tail=tail, relation=relation)
              for head in nodes for tail in nodes
              for relation in list(Relation)[:8]]
     assert len(batch) == 1 << 15
+    return batch
 
-    def retained_per_edge(build):
-        gc.collect()
-        before, _ = tracemalloc.get_traced_memory()
-        kg = build()
-        gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
-        assert len(kg) == len(batch)
-        return kg, (after - before) / len(batch)
 
-    def ingest():
-        kg = KnowledgeGraph()
-        kg.extend(batch)
-        return kg
-
+def _retained(build):
+    """What ``build()`` returns and the bytes it left allocated."""
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        kg, ingested = retained_per_edge(ingest)
-        save_kg_columnar(kg, tmp_path / "kg.npz")
-        _, loaded = retained_per_edge(
-            lambda: load_kg_columnar(tmp_path / "kg.npz"))
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        built = build()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert 48 <= ingested < 64
-    assert 48 <= loaded < 64
+    return built, after - before
+
+
+def _ingest(batch) -> KnowledgeGraph:
+    kg = KnowledgeGraph()
+    kg.extend(batch)
+    return kg
+
+
+def test_no_per_edge_python_object_survives(tmp_path):
+    """What a graph retains after a bulk ingest, and after a load, is its
+    columns: nine arrays, 48 B per edge (capacity lands exactly on 2**15
+    here), plus a few dozen table strings.  A ``dict[int, int]`` merge
+    index alone is ~85 B per edge, so holding one fails this bound."""
+    batch = _dense_batch()
+    kg, ingested = _retained(lambda: _ingest(batch))
+    save_kg_columnar(kg, tmp_path / "kg.npz")
+    loaded, read = _retained(lambda: load_kg_columnar(tmp_path / "kg.npz"))
+    assert len(kg) == len(loaded) == len(batch)
+    assert 48 <= ingested / len(batch) < 64
+    assert 48 <= read / len(batch) < 64
+
+
+def test_a_snapshot_keeps_the_graph_buffers_it_freezes():
+    """``build_snapshot(graph=kg)`` adopts the graph's column buffers
+    instead of copying them: on the graph above (no spare capacity, so
+    nothing to trim) the snapshot keeps under 8 B per edge where nine
+    copied columns keep 48.  The buffers are write-locked for the graph
+    too, which copies a column before it merges into it."""
+    batch = _dense_batch()
+    kg = _ingest(batch)
+    snapshot, kept = _retained(lambda: build_snapshot({}, graph=kg))
+    assert kept / len(batch) < 8
+    for name in ARRAY_COLUMNS:
+        assert np.shares_memory(snapshot.columns[name], kg.columns()[name])
+    with pytest.raises(ValueError, match="read-only"):
+        kg.columns()["support"][0] = 9
+    kg.add(batch[0])                        # a merge copies the column
+    assert kg.columns()["support"][:2].tolist() == [2, 1]
+    assert snapshot.columns["support"][:2].tolist() == [1, 1]
+    assert not np.shares_memory(snapshot.columns["support"],
+                                kg.columns()["support"])
+    assert np.shares_memory(snapshot.columns["head"], kg.columns()["head"])

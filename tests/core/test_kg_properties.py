@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core.kg import KGStats, KnowledgeGraph, pack_edge_keys
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.refresh import columnar_digest
+from repro.refresh import build_snapshot, columnar_digest
 
 _relations = st.sampled_from(list(Relation))
 _texts = st.text(alphabet="abcde ", min_size=1, max_size=10).map(str.strip).filter(bool)
@@ -427,3 +427,54 @@ def test_any_schedule_is_the_dict_model_after_every_step(schedule):
                 lambda triple: (triple.domain, triple.behavior)
                 == (argument, "co-buy")))
         _assert_is_the_model(kg, model)
+
+
+# -- a snapshot freezes the graph's buffers; the graph copies on write -------
+
+_program = st.lists(st.one_of(
+    st.tuples(st.just("add"), _scheduled),
+    st.tuples(st.just("extend"), _batch),
+    st.tuples(st.just("snapshot"), st.none())), max_size=12)
+
+
+def _copied(columns):
+    return {name: value.copy() if isinstance(value, np.ndarray) else value
+            for name, value in columns.items()}
+
+
+@given(_program)
+@example([("extend", [_A, _B]), ("snapshot", None), ("add", _A),
+          ("extend", [_B, _C]), ("snapshot", None), ("extend", [_C, _A]),
+          ("snapshot", None), ("add", _C)])
+@settings(max_examples=120, deadline=None)
+def test_snapshots_keep_their_bytes_while_the_graph_copies_on_write(program):
+    """``build_snapshot(graph=kg)`` keeps the graph's own buffers, and the
+    graph copies a frozen column before it writes into it: after every
+    step of any program of adds, extends (repeated keys, NaN scores) and
+    snapshots, each snapshot still holds the bytes it was built with,
+    which still hash to its manifest's digest, and the graph is still
+    what the ``add`` loop builds."""
+    kg, reference = KnowledgeGraph(), KnowledgeGraph()
+    built = []
+    for step, argument in program:
+        if step == "add":
+            kg.add(argument)
+            reference.add(argument)
+        elif step == "extend":
+            kg.extend(argument)
+            _by_add(reference, argument)
+        else:
+            snapshot = build_snapshot({}, graph=kg)
+            built.append((snapshot, _copied(snapshot.columns)))
+        _assert_same_bytes(kg, reference)   # NaN != NaN, so bytes and reprs
+        assert repr(kg.triples()) == repr(reference.triples())
+        for snapshot, at_build in built:
+            assert (columnar_digest(KnowledgeGraph.from_columns(snapshot.columns))
+                    == snapshot.manifest.columnar_digest)
+            for name, value in at_build.items():
+                held = snapshot.columns[name]
+                if isinstance(value, np.ndarray):
+                    assert not held.flags.writeable, name
+                    assert held.tobytes() == value.tobytes(), name
+                else:
+                    assert held == value, name

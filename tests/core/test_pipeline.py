@@ -3,8 +3,6 @@ for the full run including COSMO-LM)."""
 
 import math
 
-import pytest
-
 from repro.core.critic import KEEP_THRESHOLD
 
 

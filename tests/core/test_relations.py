@@ -1,7 +1,5 @@
 """Relation taxonomy: Table 2 contents and verbalize/parse round trips."""
 
-import pytest
-
 from repro.core.relations import (
     RELATION_SPECS,
     SEED_RELATIONS,

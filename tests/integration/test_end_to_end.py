@@ -4,7 +4,6 @@ These run a genuinely finetuned (small) COSMO-LM, so they are the slowest
 tests in the suite; everything trains at reduced scale.
 """
 
-import numpy as np
 import pytest
 
 from repro.behavior import WorldConfig

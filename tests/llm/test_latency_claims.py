@@ -1,7 +1,5 @@
 """End-to-end inference-efficiency claims at the substrate level."""
 
-import numpy as np
-
 from repro.llm import LatencyModel, Seq2SeqLM, StudentLM, Tokenizer
 from repro.llm.interface import MAX_NEW_TOKENS
 

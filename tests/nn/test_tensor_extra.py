@@ -1,7 +1,6 @@
 """Additional autograd coverage: division, power, numerical stability."""
 
 import numpy as np
-import pytest
 
 from repro.nn import Tensor
 

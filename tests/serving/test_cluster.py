@@ -361,6 +361,33 @@ def test_keys_go_home_once_the_breaker_cooldown_expires():
     assert cluster.metrics_totals()["failovers"] == failovers
 
 
+def test_keys_go_home_once_the_arrival_clock_passes_the_cooldown():
+    """A tripped replica whose keys all fail over gets no dispatch, so its
+    own clock stands still; the cooldown is read at the arrival time
+    instead, and ends when the arrival clock passes it."""
+    cluster = _cluster(n_replicas=3)
+    victim = "cluster-r0"
+    victim_keys = [f"q{i}" for i in range(60)
+                   if cluster.router.route(f"q{i}") == victim]
+    assert len(victim_keys) == 21
+    breaker = cluster.services[victim].breaker
+    _trip(breaker)
+    assert all(cluster.handle(key).replica != victim for key in victim_keys)
+    failovers = cluster.metrics_totals()["failovers"]
+    assert failovers == len(victim_keys)
+    cluster.clock.advance(COOLDOWN_S / 2)
+    assert all(cluster.handle(key).replica != victim for key in victim_keys)
+    assert cluster.metrics_totals()["failovers"] == 2 * failovers
+    cluster.clock.advance(10_000.0)
+    # The victim's clock has not moved: on it, the breaker still cools.
+    assert breaker.cooling_down
+    assert not breaker.cooling_down_at(cluster.clock.now())
+    for key in victim_keys:
+        assert cluster.handle(key).replica == victim
+    assert cluster.metrics_totals()["failovers"] == 2 * failovers
+    assert breaker.state is BreakerState.CLOSED
+
+
 def test_all_breakers_open_falls_back_to_home_replica():
     cluster = _cluster(n_replicas=2)
     for service in cluster.services.values():

@@ -1,6 +1,5 @@
 """Serving substrate: clock, two-layer cache, feature store, service flow."""
 
-import numpy as np
 import pytest
 
 from repro.llm.interface import Generation, GenerationBatch, LatencyModel
