@@ -20,15 +20,18 @@ from the dict-backed implementation — ``triples()`` still returns
 :class:`~repro.core.triples.KnowledgeTriple` objects in first-insert
 order with identical merge semantics — the columnar form is how
 the hot path (stats, filters, neighbor lookups, (de)serialization,
-snapshot digests) avoids per-edge Python object traffic.
+snapshot digests) avoids per-edge Python object traffic.  A read that
+does return records builds them in C: a triple is a named tuple, made
+by ``tuple.__new__`` from one ``zip`` of the columns, and ``extend``
+reads a batch's fields back through ``itemgetter`` maps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from operator import attrgetter
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,14 +66,19 @@ _HEAD_BLOCKS: tuple[tuple[type, tuple[str, ...]], ...] = (
     (np.float64, ("_plaus_col", "_typ_col")),
     (np.int64, ("_support_col", "_head_ids_end")),
 )
+#: Field name → its getter by position.  ``extend`` reads a field that
+#: it only collects through ``map`` over these, in C: a ``triple.head``
+#: in a comprehension takes CPython 3.11's generic attribute path for a
+#: named-tuple field (a slot read has a fast path, a field does not).
+_FIELD = {name: itemgetter(i) for i, name in enumerate(KnowledgeTriple._fields)}
 #: The per-edge numbers ``extend`` reads off a triple, in the order it
 #: writes them: column attribute, field getter, dtype.
-_NUMBERS: tuple[tuple[str, attrgetter, type], ...] = (
-    ("_plaus_col", attrgetter("plausibility"), np.float64),
-    ("_typ_col", attrgetter("typicality"), np.float64),
-    ("_support_col", attrgetter("support"), np.int64),
+_NUMBERS: tuple[tuple[str, itemgetter, type], ...] = (
+    ("_plaus_col", _FIELD["plausibility"], np.float64),
+    ("_typ_col", _FIELD["typicality"], np.float64),
+    ("_support_col", _FIELD["support"], np.int64),
 )
-_HEAD_IDS = attrgetter("head_ids")
+_HEAD_IDS = _FIELD["head_ids"]
 #: Name → attribute of every intern table.
 _TABLES = {"nodes": "_nodes", "relations": "_relations",
            "domains": "_domains", "behaviors": "_behaviors"}
@@ -313,8 +321,8 @@ class KnowledgeGraph:
         if not batch:
             return
         ends: list = [None] * (2 * len(batch))
-        ends[0::2] = [triple.head for triple in batch]
-        ends[1::2] = [triple.tail for triple in batch]
+        ends[0::2] = map(_FIELD["head"], batch)
+        ends[1::2] = map(_FIELD["tail"], batch)
         end_ids = self._nodes.intern_many(ends)
         del ends
         heads, tails = end_ids[0::2], end_ids[1::2]
@@ -360,9 +368,9 @@ class KnowledgeGraph:
             self._tail_col[size:end] = tails[opens]
             del end_ids, heads, tails, relations
             self._domain_col[size:end] = self._domains.intern_many(
-                [t.domain for t in opened])
+                list(map(_FIELD["domain"], opened)))
             self._behavior_col[size:end] = self._behaviors.intern_many(
-                [t.behavior for t in opened])
+                list(map(_FIELD["behavior"], opened)))
             for attr, field, dtype in _NUMBERS:
                 getattr(self, attr)[size:end] = np.fromiter(
                     map(field, opened), dtype=dtype, count=len(opened))
@@ -404,22 +412,24 @@ class KnowledgeGraph:
         at a time as Python lists: ids become strings by list indexes
         into the intern tables, a row's provenance is the slice of the
         flat run that ends at its ``ends`` value (read only when some
-        ``counts`` value is non-zero), and the records are made by one
-        ``map``."""
+        ``counts`` value is non-zero), and ``zip`` lines the nine columns
+        up as one tuple per row in field order.  ``tuple.__new__`` turns
+        each into a :class:`KnowledgeTriple` in C: no Python frame runs
+        per record."""
         if any(counts):
             flat = self._head_ids_flat
             head_ids = [tuple(flat[end - count:end])
                         for end, count in zip(ends, counts)]
         else:
             head_ids = [()] * len(counts)
-        return list(map(
-            KnowledgeTriple, heads,
+        return list(map(tuple.__new__, repeat(KnowledgeTriple), zip(
+            heads,
             map(_RELATION_OF.__getitem__,
                 map(self._relations._values.__getitem__, relations)),
             map(self._nodes._values.__getitem__, tails),
             map(self._domains._values.__getitem__, domains),
             map(self._behaviors._values.__getitem__, behaviors),
-            plausibility, typicality, support, head_ids))
+            plausibility, typicality, support, head_ids)))
 
     def _rows(self, rows: slice | np.ndarray) -> list[KnowledgeTriple]:
         """The triples at ``rows`` (an index array or a slice), in that

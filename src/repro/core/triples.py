@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.relations import Relation
 from repro.llm.interface import GenerationTruth
@@ -64,22 +65,18 @@ class KnowledgeCandidate:
         )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class KnowledgeTriple:
+class KnowledgeTriple(NamedTuple):
     """A refined KG edge ``(head, relation, tail)`` (§3.1).
 
     ``head`` is the behavior's surface form (query text, or the joined
     co-buy titles); ``support`` counts how many candidates collapsed into
     this edge.  Every read of the graph makes one per edge, so the record
-    is slotted (no ``__dict__``) and its ``__init__`` is written by hand
-    (``init=False``): the frozen dataclass's own calls
-    ``object.__setattr__`` once per field, while this one writes each
-    field through its slot's setter, bound once at import — 507 against
-    912 ns a record (EXPERIMENTS.md, "Records at slot speed").  The
-    dataclass still makes ``__eq__``, ``__hash__`` (without
-    ``head_ids``), ``__repr__`` and the ``__setattr__`` that raises
-    ``FrozenInstanceError``; ``tests/core/test_records.py`` diffs the
-    record against the frozen dataclass it stands in for.
+    is a named tuple: the graph builds each one in C with
+    ``tuple.__new__`` over its columns, and a keyword construction runs
+    no Python ``__init__`` (EXPERIMENTS.md, "Records built in C").  A
+    field is read-only (assignment raises ``AttributeError``), ``==`` and
+    ``hash`` take every field, ``head_ids`` included, and a triple is a
+    tuple: it iterates its fields and equals a plain tuple of them.
     """
 
     head: str
@@ -90,27 +87,9 @@ class KnowledgeTriple:
     plausibility: float
     typicality: float
     support: int = 1
-    head_ids: tuple[str, ...] = field(default=(), hash=False)
-
-    def __init__(self, head: str, relation: Relation, tail: str, domain: str,
-                 behavior: str, plausibility: float, typicality: float,
-                 support: int = 1, head_ids: tuple[str, ...] = ()) -> None:
-        _set_head(self, head)
-        _set_relation(self, relation)
-        _set_tail(self, tail)
-        _set_domain(self, domain)
-        _set_behavior(self, behavior)
-        _set_plausibility(self, plausibility)
-        _set_typicality(self, typicality)
-        _set_support(self, support)
-        _set_head_ids(self, head_ids)
+    head_ids: tuple[str, ...] = ()
 
     @property
     def key(self) -> tuple[str, str, str]:
         """Identity for deduplication."""
         return (self.head, self.relation.value, self.tail)
-
-
-(_set_head, _set_relation, _set_tail, _set_domain, _set_behavior,
- _set_plausibility, _set_typicality, _set_support, _set_head_ids) = (
-    KnowledgeTriple.__dict__[f.name].__set__ for f in fields(KnowledgeTriple))

@@ -9,8 +9,8 @@ sleeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import NamedTuple, Protocol, runtime_checkable
 
 __all__ = [
     "GenerationTruth",
@@ -35,31 +35,17 @@ class GenerationTruth:
     intent_id: str | None = None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Generation:
+class Generation(NamedTuple):
     """One model output with accounting metadata.
 
-    Every generated answer makes one, so it is slotted and its
-    ``__init__`` writes each field through its slot's setter, bound once
-    at import, rather than the frozen dataclass's ``object.__setattr__``
-    per field (``init=False``; 273 against 484 ns a record).
+    Every generated answer makes one, so it is a named tuple, built in C
+    with no Python ``__init__``; a field is read-only.
     """
 
     text: str
     tokens: int
     latency_s: float
     truth: GenerationTruth | None = None
-
-    def __init__(self, text: str, tokens: int, latency_s: float,
-                 truth: GenerationTruth | None = None) -> None:
-        _set_text(self, text)
-        _set_tokens(self, tokens)
-        _set_latency_s(self, latency_s)
-        _set_truth(self, truth)
-
-
-_set_text, _set_tokens, _set_latency_s, _set_truth = (
-    Generation.__dict__[f.name].__set__ for f in fields(Generation))
 
 
 @dataclass

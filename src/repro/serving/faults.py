@@ -25,7 +25,7 @@ Failure modes:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.llm.interface import OVERHEAD_S, GenerationBatch
 from repro.utils.rng import spawn_rng
@@ -177,5 +177,5 @@ class FlakyGenerator:
             if garbage is None:
                 corrupted.append(generation)
             else:
-                corrupted.append(replace(generation, text=garbage))
+                corrupted.append(generation._replace(text=garbage))
         return GenerationBatch(generations=corrupted)

@@ -2,7 +2,6 @@
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +128,7 @@ def distinct_batches(draw):
     per edge and merges nothing."""
     edges = draw(st.lists(triples(), unique_by=lambda t: t.key, max_size=40))
     if draw(st.booleans()):
-        edges = [replace(t, head_ids=()) for t in edges]
+        edges = [t._replace(head_ids=()) for t in edges]
     cuts = sorted(draw(st.lists(st.integers(0, len(edges)), max_size=3)))
     return [edges[start:end]
             for start, end in zip([0, *cuts], [*cuts, len(edges)])]
@@ -383,8 +382,8 @@ def _assert_is_the_model(kg, model):
 
 _scores = st.one_of(st.floats(0, 1), st.just(float("nan")))
 _scheduled = st.one_of(triples(), st.builds(
-    lambda triple, plausibility, typicality: replace(
-        triple, plausibility=plausibility, typicality=typicality),
+    lambda triple, plausibility, typicality: triple._replace(
+        plausibility=plausibility, typicality=typicality),
     colliding_triples(), _scores, _scores))
 _batch = st.lists(_scheduled, max_size=12)
 _steps = st.one_of(

@@ -1,126 +1,166 @@
-"""The hand-written ``__init__`` of the two per-read records against the
-frozen dataclass it stands in for.
+"""The contract of the two per-read records, :class:`KnowledgeTriple` and
+:class:`Generation`: named tuples that the graph's readers build in C.
 
-:class:`KnowledgeTriple` and :class:`Generation` write each field through
-its slot's setter instead of the generated ``object.__setattr__`` per
-field.  Each is diffed here against a reference that
-``dataclasses.make_dataclass(..., frozen=True, slots=True)`` builds from
-the same ``fields()``: the field values, ``==``, ``hash`` and ``repr``;
-positional, keyword and default construction; ``replace``, ``pickle``,
-``copy`` and ``deepcopy``; ``FrozenInstanceError``; and the
-constructor's signature.
+A graph read (``triples()``, ``for_domain()``, ``neighbors()``) returns
+records of exactly :class:`KnowledgeTriple`, each equal to the one built
+by keyword from the graph's columns, field for field in column order.
+Every record round-trips through ``_replace``, ``pickle``, ``copy`` and
+``deepcopy``; equal records hash alike; and no field, nor any other
+attribute, can be set or deleted.
 """
 
 import copy
-import dataclasses
 import inspect
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kg import ARRAY_COLUMNS, KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.llm.interface import Generation, GenerationTruth
 
-
-def _reference(cls):
-    """A frozen dataclass with ``cls``'s name and fields, and the
-    ``__init__`` the dataclass machinery generates."""
-    specs = []
-    for f in dataclasses.fields(cls):
-        kwargs = {"hash": f.hash, "compare": f.compare, "repr": f.repr}
-        if f.default is not dataclasses.MISSING:
-            kwargs["default"] = f.default
-        specs.append((f.name, f.type, dataclasses.field(**kwargs)))
-    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
-                                      slots=True)
-
-
-_texts = st.text(max_size=8)
-_floats = st.floats(allow_nan=True, allow_infinity=True)
 #: Few distinct values per field, so two drawn records are often equal
-#: (or equal but for the unhashed provenance).
-_small = {
-    "text": st.sampled_from(["", "a", "b"]),
-    "float": st.sampled_from([0.0, 0.5, 1.0]),
-    "int": st.integers(0, 2),
-}
+#: (or equal but for one field), and a graph's heads, domains and keys
+#: repeat.
+_text = st.sampled_from(["", "a", "b", "商品 7"])
+_float = st.sampled_from([0.0, 0.5, 1.0, float("inf")])
+_int = st.integers(0, 2)
 
 FIELDS = {
     KnowledgeTriple: {
-        "head": (_texts, _small["text"]),
-        "relation": (st.sampled_from(list(Relation)),) * 2,
-        "tail": (_texts, _small["text"]),
-        "domain": (_texts, _small["text"]),
-        "behavior": (_texts, _small["text"]),
-        "plausibility": (_floats, _small["float"]),
-        "typicality": (_floats, _small["float"]),
-        "support": (st.integers(), _small["int"]),
-        "head_ids": (st.lists(_texts, max_size=3).map(tuple),
-                     st.sampled_from([(), ("p1",), ("p1", "p2")])),
+        "head": _text,
+        "relation": st.sampled_from([Relation.USED_WITH, Relation.X_WANT]),
+        "tail": _text,
+        "domain": _text,
+        "behavior": _text,
+        "plausibility": _float,
+        "typicality": _float,
+        "support": _int,
+        "head_ids": st.sampled_from([(), ("p1",), ("p1", "p2")]),
     },
     Generation: {
-        "text": (_texts, _small["text"]),
-        "tokens": (st.integers(), _small["int"]),
-        "latency_s": (_floats, _small["float"]),
-        "truth": (st.none() | st.builds(GenerationTruth, _texts,
-                                        st.none() | _texts),
-                  st.sampled_from([None, GenerationTruth("typical")])),
+        "text": _text,
+        "tokens": _int,
+        "latency_s": _float,
+        "truth": st.sampled_from([None, GenerationTruth("typical"),
+                                  GenerationTruth("generic", "i1")]),
     },
 }
 CLASSES = list(FIELDS)
-REFERENCES = {cls: _reference(cls) for cls in CLASSES}
 
 
-def _values(draw, cls, small=False):
-    return {name: draw(strategies[small])
-            for name, strategies in FIELDS[cls].items()}
+def _values(draw, cls) -> dict:
+    return {name: draw(strategy) for name, strategy in FIELDS[cls].items()}
 
 
-def _fields(record) -> tuple:
-    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+_triples = st.fixed_dictionaries(FIELDS[KnowledgeTriple]).map(
+    lambda values: KnowledgeTriple(**values))
 
 
-def _same_fields(record, other) -> bool:
-    """Field by field, each the same object (a NaN included)."""
-    return all(a is b for a, b in zip(_fields(record), _fields(other),
-                                      strict=True))
+def _column_rows(kg: KnowledgeGraph) -> list[tuple]:
+    """Every row of ``kg`` read straight off :meth:`~KnowledgeGraph.columns`,
+    one value per column in column order, ids resolved through their
+    tables and the provenance length into its run of ids."""
+    cols = kg.columns()
+    nodes, domains, behaviors = cols["nodes"], cols["domains"], cols["behaviors"]
+    relations = [Relation(value) for value in cols["relations"]]
+    ends = np.cumsum(cols["head_ids_len"]).tolist()
+    return [(nodes[head], relations[relation], nodes[tail], domains[domain],
+             behaviors[behavior], plausibility, typicality, support,
+             cols["head_ids_flat"][end - count:end])
+            for head, relation, tail, domain, behavior, plausibility,
+            typicality, support, count, end in zip(
+                *(cols[name].tolist() for name in ARRAY_COLUMNS), ends)]
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fields_eq_hash_and_repr_match_the_reference(cls, data):
-    reference = REFERENCES[cls]
-    small = data.draw(st.booleans())
-    one = _values(data.draw, cls, small)
-    two = _values(data.draw, cls, small)
-    record, ref = cls(**one), reference(**one)
-    assert _same_fields(record, ref)
-    assert all(value is one[name] for name, value in
-               zip(one, _fields(record), strict=True))
-    assert hash(record) == hash(ref)
-    assert repr(record) == repr(ref)
-    other, ref_other = cls(**two), reference(**two)
-    assert (record == other) is (ref == ref_other)
-    assert (record != other) is (ref != ref_other)
-    assert record == cls(**one)
-    assert (record == ref) is False
+def test_fields_follow_the_graph_columns():
+    assert KnowledgeTriple._fields == (*ARRAY_COLUMNS[:-1], "head_ids")
+    assert ARRAY_COLUMNS[-1] == "head_ids_len"
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.lists(_triples, max_size=12), probe=_text)
+def test_every_read_returns_keyword_built_records_in_column_order(batch, probe):
+    kg = KnowledgeGraph()
+    kg.extend(batch)
+    rows = _column_rows(kg)
+    expected = [KnowledgeTriple(**dict(zip(KnowledgeTriple._fields, row)))
+                for row in rows]
+    reads = {
+        "triples": (kg.triples(), expected),
+        "for_domain": (kg.for_domain(probe),
+                       [t for t in expected if t.domain == probe]),
+        "neighbors": (kg.neighbors(probe),
+                      [t for t in expected if t.head == probe]),
+    }
+    for name, (records, wanted) in reads.items():
+        assert [type(record) for record in records] == (
+            [KnowledgeTriple] * len(wanted)), name
+        assert records == wanted, name
+    assert [tuple(record) for record in kg.triples()] == rows
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_positional_keyword_and_default_construction_agree(cls, data):
-    reference = REFERENCES[cls]
+def test_replace_pickle_and_copies_round_trip(cls, data):
     values = _values(data.draw, cls)
-    assert _same_fields(cls(*values.values()), reference(**values))
-    required = {f.name: values[f.name] for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING}
-    assert _same_fields(cls(**required), reference(**required))
-    assert _same_fields(cls(*required.values()), reference(**required))
+    changed = {name: value for name, value in _values(data.draw, cls).items()
+               if data.draw(st.booleans())}
+    record = cls(**values)
+    moved = record._replace(**changed)
+    assert type(moved) is cls
+    assert moved._asdict() == {**values, **changed}
+    assert record._replace() == record
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls
+        assert clone == record
+        assert hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+    with pytest.raises(ValueError):
+        record._replace(unknown=1)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_equal_records_hash_alike(cls, data):
+    one, two = (cls(**_values(data.draw, cls)) for _ in range(2))
+    assert (one == two) is (one._asdict() == two._asdict())
+    assert (one != two) is not (one == two)
+    if one == two:
+        assert hash(one) == hash(two)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_no_field_or_other_attribute_can_be_set(cls, data):
+    values = _values(data.draw, cls)
+    record = cls(**values)
+    for name in (*values, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, values.get(name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record._asdict() == values
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_positional_keyword_and_default_construction_agree(cls, data):
+    values = _values(data.draw, cls)
+    assert cls(*values.values()) == cls(**values)
+    required = {name: value for name, value in values.items()
+                if name not in cls._field_defaults}
+    assert cls(**required) == cls(**required, **cls._field_defaults)
     with pytest.raises(TypeError):
         cls(*values.values(), None)
     with pytest.raises(TypeError):
@@ -128,61 +168,10 @@ def test_positional_keyword_and_default_construction_agree(cls, data):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_replace_pickle_and_copies_match_the_reference(cls, data):
-    reference = REFERENCES[cls]
-    values = _values(data.draw, cls)
-    changed = {name: value for name, value in _values(data.draw, cls).items()
-               if data.draw(st.booleans())}
-    record, ref = cls(**values), reference(**values)
-    moved = dataclasses.replace(record, **changed)
-    assert type(moved) is cls
-    assert _same_fields(moved, dataclasses.replace(ref, **changed))
-    for clone in (copy.copy(record), copy.deepcopy(record),
-                  pickle.loads(pickle.dumps(record))):
-        assert type(clone) is cls
-        assert repr(clone) == repr(ref)
-        assert hash(clone) == hash(reference(*_fields(clone)))
-    assert _same_fields(copy.copy(record), record)
-
-
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_every_field_is_frozen_like_the_reference(cls, data):
-    values = _values(data.draw, cls)
-    refused = []
-    for record in (cls(**values), REFERENCES[cls](**values)):
-        for name in values:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, name, values[name])
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(record, name)
-        # A name that is no field: whatever the frozen slotted dataclass
-        # raises (the interpreter's own version decides which), both do.
-        with pytest.raises(Exception) as caught:
-            record.unknown = 1
-        refused.append(caught.type)
-        assert all(a is b for a, b in zip(_fields(record), values.values(),
-                                          strict=True))
-    assert refused[0] is refused[1]
-
-
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-def test_signature_and_slots_follow_the_field_list(cls):
-    names = [f.name for f in dataclasses.fields(cls)]
+def test_signature_follows_the_field_list(cls):
     params = list(inspect.signature(cls).parameters.values())
-    assert [p.name for p in params] == names
+    assert tuple(p.name for p in params) == cls._fields == tuple(FIELDS[cls])
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
-    assert [p.default for p in params] == [
-        inspect.Parameter.empty if f.default is dataclasses.MISSING
-        else f.default for f in dataclasses.fields(cls)]
-    reference = inspect.signature(REFERENCES[cls]).parameters.values()
-    assert ([(p.name, p.kind, p.default) for p in params]
-            == [(p.name, p.kind, p.default) for p in reference])
-    assert cls.__slots__ == tuple(names)
-    assert cls.__match_args__ == tuple(names)
-    assert dataclasses.is_dataclass(cls)
-    assert cls.__dataclass_params__.frozen
-    assert not cls.__dataclass_params__.init
+    assert {p.name: p.default for p in params
+            if p.default is not inspect.Parameter.empty} == cls._field_defaults
+    assert cls.__match_args__ == cls._fields

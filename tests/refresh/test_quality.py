@@ -1,7 +1,5 @@
 """Snapshot quality gate: health adapter, edge identity, gate verdicts."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -180,8 +178,8 @@ def test_edge_delta_of_a_builder_shaped_child_is_the_set_model(
     parent = build_snapshot(_entries("p"), triples=parent_edges)
     graph = KnowledgeGraph.from_columns(parent.columns)
     held = graph.triples()
-    rescored = [replace(held[row % len(held)], plausibility=score,
-                        support=support)
+    rescored = [held[row % len(held)]._replace(plausibility=score,
+                                               support=support)
                 for row, score, support in rescores] if held else []
     graph.extend(appended[::2] + rescored + appended[1::2])
     child = build_snapshot(_entries("c"), parent=parent, graph=graph)
@@ -317,7 +315,7 @@ def test_a_poisoned_sibling_does_not_borrow_the_healthy_verdict():
     healthy = build_snapshot(_entries("green"), triples=edges, parent=blue)
     poisoned = build_snapshot(
         _entries("green"), parent=blue,
-        triples=[replace(t, plausibility=0.03, typicality=0.03, domain="Home")
+        triples=[t._replace(plausibility=0.03, typicality=0.03, domain="Home")
                  for t in edges])
     assert poisoned.version != healthy.version
 

@@ -1,7 +1,5 @@
 """Content-addressed snapshots: versioning, immutability, lineage store."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.kg import KnowledgeGraph
@@ -43,13 +41,13 @@ def test_any_content_difference_changes_version():
     base = build_snapshot({"q": "answer."})
     entry_diff = build_snapshot({"q": "other answer."})
     one = _triple()
-    second = replace(one, tail="hiking")
+    second = one._replace(tail="hiking")
     versions = [base.version, entry_diff.version, build(one),
                 build(_triple(support=2)),
-                build(replace(one, plausibility=0.1)),
-                build(replace(one, domain="Home")),
-                build(replace(one, behavior="co-buy")),
-                build(replace(one, head_ids=("p1",))),
+                build(one._replace(plausibility=0.1)),
+                build(one._replace(domain="Home")),
+                build(one._replace(behavior="co-buy")),
+                build(one._replace(head_ids=("p1",))),
                 build(one, second), build(second, one)]
     assert len(set(versions)) == len(versions)
 
