@@ -23,7 +23,7 @@ the hot path (stats, filters, neighbor lookups, (de)serialization,
 snapshot digests) avoids per-edge Python object traffic.  A read that
 does return records builds them in C: a triple is a named tuple, made
 by ``tuple.__new__`` from one ``zip`` of the columns, and ``extend``
-reads a batch's fields back through ``itemgetter`` maps.
+reads most of a batch's fields back through ``itemgetter`` maps.
 """
 
 from __future__ import annotations
